@@ -2,10 +2,15 @@
 //! hot path, so admission must stay cheap even with large host tables.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use zdns_core::{Pacer, PacerConfig};
+use zdns_core::{ConcurrentGate, ConcurrentPacer, PacerConfig};
 use zdns_pacing::{SendGate, TokenBucket, SECONDS};
+
+fn gate(config: PacerConfig) -> ConcurrentGate {
+    ConcurrentGate::new(Arc::new(ConcurrentPacer::new(config)))
+}
 
 fn bench_pacer(c: &mut Criterion) {
     c.bench_function("bucket_reserve", |b| {
@@ -18,7 +23,7 @@ fn bench_pacer(c: &mut Criterion) {
     });
 
     c.bench_function("pacer_admit_global_only", |b| {
-        let mut pacer = Pacer::new(PacerConfig {
+        let mut pacer = gate(PacerConfig {
             rate_pps: 1e9, // never actually defers: measures the fast path
             ..PacerConfig::default()
         });
@@ -31,7 +36,7 @@ fn bench_pacer(c: &mut Criterion) {
     });
 
     c.bench_function("pacer_admit_per_host_10k_dests", |b| {
-        let mut pacer = Pacer::new(PacerConfig {
+        let mut pacer = gate(PacerConfig {
             rate_pps: 1e9,
             per_host_pps: 1e6,
             backoff: true,
@@ -52,7 +57,7 @@ fn bench_pacer(c: &mut Criterion) {
     });
 
     c.bench_function("pacer_failure_feedback", |b| {
-        let mut pacer = Pacer::new(PacerConfig {
+        let mut pacer = gate(PacerConfig {
             backoff: true,
             ..PacerConfig::default()
         });

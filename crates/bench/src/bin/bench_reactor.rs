@@ -7,12 +7,9 @@
 //!   where syscall cost, not network latency, is the binding constraint.
 //! * **Codec** — owned `Message::decode` versus the borrowed
 //!   `MessageView` sweep on a referral corpus.
-//! * **Scan pipeline** — the shared-queue credit pool versus the static
-//!   per-worker split, through the full `run_scan_pipeline`
-//!   orchestration: once on a uniform all-healthy fleet (the
-//!   no-regression case), once with most destinations serving backoff
-//!   penalties (where parking + stealing should win big), and once with
-//!   a durable checkpoint attached (manifest + rolling snapshots — what
+//! * **Checkpoint overhead** — the full `run_scan_pipeline`
+//!   orchestration on a uniform all-healthy fleet, plain versus with a
+//!   durable checkpoint attached (manifest + rolling snapshots — what
 //!   `--checkpoint` costs the hot path).
 //! * **I/O backends** — the io_uring ring (`--io-backend uring`) versus
 //!   the mmsg arena on the same 1000-in-flight loopback workload,
@@ -33,31 +30,21 @@
 //!   cache on (memcpy + ID/flags patch + cookie splice). Measured
 //!   in-process because the loopback e2e round trip is client-dominated;
 //!   an e2e hot-key fleet pair is recorded alongside as informational.
-//! * **Paced scaling** — paced pipeline throughput at 1, 2, and 4
-//!   workers, lock-free `ConcurrentPacer` (the default) versus the
-//!   mutex-guarded `--pacer legacy-shared`, on a never-deferring global
-//!   budget where every send pays the pacer's admission cost. The
-//!   4-worker pair is where the legacy mutex serializes the send hot
-//!   path and block leasing should pull ahead.
 //!
 //! Gates (exit non-zero below the bar): `--min-speedup X` on the batched
 //! ratio, `--min-view-speedup X` on the codec ratio,
-//! `--min-uniform-ratio X` on shared/static for the uniform pipeline
-//! case, `--min-uring-ratio X` on uring/mmsg (auto-pass when the
+//! `--min-uring-ratio X` on uring/mmsg (auto-pass when the
 //! kernel has no io_uring — the fallback path is the product behaviour
 //! there, not a regression), `--min-serve-ratio X` on serve/scan
 //! throughput, `--min-checkpoint-ratio X` on the checkpointed
 //! pipeline's throughput relative to the plain pipeline,
-//! `--min-paced-ratio X` on the 4-worker concurrent-over-legacy pacer
-//! ratio (auto-pass on single-core machines, where cross-worker mutex
-//! contention — the thing the concurrent pacer removes — cannot occur),
 //! and `--min-packet-ratio X` on the packet-hit-over-record-hit direct
 //! serve ratio (best per-pair over alternating rounds).
 //!
 //! Run: `cargo run --release -p zdns-bench --bin bench_reactor -- [--quick]
 //! [--out PATH] [--min-speedup X] [--min-view-speedup X]
-//! [--min-uniform-ratio X] [--min-uring-ratio X] [--min-serve-ratio X]
-//! [--min-checkpoint-ratio X] [--min-paced-ratio X] [--min-packet-ratio X]`
+//! [--min-uring-ratio X] [--min-serve-ratio X]
+//! [--min-checkpoint-ratio X] [--min-packet-ratio X]`
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -295,50 +282,22 @@ fn arg_value(name: &str) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Scan-pipeline A/B: shared credit pool vs static split
+// Scan pipeline: what a durable checkpoint costs
 // ---------------------------------------------------------------------------
 
-/// One `run_scan_pipeline` pass over the PROBE workload described by
-/// `inputs`, in shared or static admission mode, with `threads` workers
-/// and either pacer flavour (`legacy_pacer` selects the mutex-guarded
-/// `--pacer legacy-shared`). Returns lookups/sec and the merged driver
-/// report.
-#[allow(clippy::too_many_arguments)]
+/// One `run_scan_pipeline` pass (2 workers, 256-credit window) over the
+/// PROBE workload described by `inputs`, optionally with a durable
+/// checkpoint attached. Returns lookups/sec.
 fn run_pipeline_case(
-    static_split: bool,
-    threads: usize,
-    legacy_pacer: bool,
-    window: usize,
-    timeout_ms: u64,
-    backoff_secs: Option<&str>,
-    rate_pps: f64,
     checkpoint: Option<&std::path::Path>,
     addr_map: &Arc<AddrMap>,
     inputs: &[String],
-) -> (f64, DriverReport) {
+) -> f64 {
     use zdns_framework::{run_scan_pipeline, CallbackSink, Conf};
-    let mut args = vec![
-        "PROBE".to_string(),
-        "--threads".into(),
-        threads.to_string(),
-        "--max-in-flight".into(),
-        window.to_string(),
-        "--retries".into(),
-        "1".into(),
-    ];
-    if let Some(secs) = backoff_secs {
-        args.extend(["--backoff-base".into(), secs.into()]);
-        args.extend(["--backoff-cap".into(), secs.into()]);
-    }
-    if rate_pps > 0.0 {
-        args.extend(["--rate-pps".into(), format!("{rate_pps}")]);
-    }
-    if static_split {
-        args.push("--static-split".into());
-    }
-    if legacy_pacer {
-        args.extend(["--pacer".into(), "legacy-shared".into()]);
-    }
+    let mut args: Vec<String> = "PROBE --threads 2 --max-in-flight 256 --retries 1"
+        .split(' ')
+        .map(String::from)
+        .collect();
     if let Some(manifest) = checkpoint {
         // A durable pipeline: the keeper tracks every dispatch and
         // completion and snapshots on cadence. The input/output paths
@@ -360,7 +319,7 @@ fn run_pipeline_case(
         ]);
     }
     let mut conf = Conf::parse(args).unwrap();
-    conf.resolver.timeout = timeout_ms * zdns_netsim::MILLIS;
+    conf.resolver.timeout = 2 * SECONDS;
     let resolver = Resolver::new(conf.resolver.clone());
     let module = zdns_modules::ModuleRegistry::standard()
         .get("PROBE")
@@ -383,27 +342,15 @@ fn run_pipeline_case(
         "pipeline must complete every input: {:?}",
         report.worker_errors
     );
-    (rate, report.driver)
+    rate
 }
 
-/// Measure shared-queue vs static-split through the full pipeline:
-/// `(uniform_shared, uniform_static, paced_shared, paced_static,
-/// backoff_shared, backoff_static)` lookups/sec. The uniform case is
-/// all-healthy with no pacing (credit-pool cost only); the paced case
-/// adds a never-throttling global budget so every send pays the shared
-/// pacer's mutex — the other half of the leasing design; the backoff
-/// case sends 3 of every 4 lookups at blackholed destinations serving a
-/// constant penalty, where parking + stealing recovers the stranded
-/// window. The seventh figure re-runs the uniform shared case with a
-/// durable checkpoint attached (keeper bookkeeping on every dispatch
-/// and completion, a snapshot every 1000), measuring what durability
-/// costs the hot path; the eighth is the checkpointed-over-plain ratio
-/// measured pairwise (see below) for the overhead gate.
-#[allow(clippy::type_complexity)]
-fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
-    use zdns_wire::Name;
-    use zdns_zones::ExplicitUniverse;
-
+/// Measure the pipeline on a uniform all-healthy fleet, plain and with a
+/// durable checkpoint attached (keeper bookkeeping on every dispatch and
+/// completion, a snapshot every 1000): `(plain, checkpointed, ratio)`
+/// where the rates are each side's best round and the ratio is measured
+/// pairwise (see below) for the overhead gate.
+fn measure_pipeline(quick: bool) -> (f64, f64, f64) {
     let healthy_ip = Ipv4Addr::new(203, 0, 113, 60);
     let zone = Zone::new(
         Name::root(),
@@ -414,28 +361,8 @@ fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
     universe.host(healthy_ip, zone);
     let healthy = WireServer::start(Arc::new(universe) as Arc<dyn Universe>, healthy_ip).unwrap();
     let healthy_addr = healthy.addr();
+    let addr_map: Arc<AddrMap> = Arc::new(move |_| healthy_addr);
 
-    let dead_ips: Vec<Ipv4Addr> = (0..5)
-        .map(|i| Ipv4Addr::new(203, 0, 113, 200 + i as u8))
-        .collect();
-    let blackholes: Vec<std::net::UdpSocket> = dead_ips
-        .iter()
-        .map(|_| std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap())
-        .collect();
-    let mut mapping: Vec<(Ipv4Addr, std::net::SocketAddr)> = vec![(healthy_ip, healthy_addr)];
-    for (sim, sock) in dead_ips.iter().zip(&blackholes) {
-        mapping.push((*sim, sock.local_addr().unwrap()));
-    }
-    let addr_map: Arc<AddrMap> = Arc::new(move |ip| {
-        mapping
-            .iter()
-            .find(|(sim, _)| *sim == ip)
-            .map(|(_, real)| *real)
-            .expect("bench probes only mapped destinations")
-    });
-
-    // Uniform: every destination healthy, no pacing — the shared pool's
-    // bookkeeping must not cost throughput against the static split.
     let uniform_n = if quick { 3_000 } else { 10_000 };
     let uniform: Vec<String> = (0..uniform_n)
         .map(|i| format!("u{i}.bench-pipeline.test@{healthy_ip}"))
@@ -444,14 +371,6 @@ fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     std::fs::create_dir_all(&ckpt_dir).unwrap();
     let manifest = ckpt_dir.join("bench.manifest.json");
-    let uniform_static = (0..2)
-        .map(|_| {
-            run_pipeline_case(
-                true, 2, false, 256, 2_000, None, 0.0, None, &addr_map, &uniform,
-            )
-            .0
-        })
-        .fold(0.0f64, f64::max);
     // Checkpointed (identical workload, durable manifest + rolling
     // snapshots attached) vs plain is measured as alternating
     // (plain, durable) pairs, and the overhead gate takes the best
@@ -459,208 +378,19 @@ fn measure_pipeline(quick: bool) -> (f64, f64, f64, f64, f64, f64, f64, f64) {
     // ±10% with scheduler/thermal drift — far more than the few-percent
     // effect being measured — but drift within an adjacent pair
     // largely cancels.
-    let mut uniform_shared = 0.0f64;
-    let mut checkpoint_shared = 0.0f64;
+    let mut best_plain = 0.0f64;
+    let mut best_durable = 0.0f64;
     let mut checkpoint_ratio = 0.0f64;
     for _ in 0..3 {
-        let plain = run_pipeline_case(
-            false, 2, false, 256, 2_000, None, 0.0, None, &addr_map, &uniform,
-        )
-        .0;
-        let durable = run_pipeline_case(
-            false,
-            2,
-            false,
-            256,
-            2_000,
-            None,
-            0.0,
-            Some(&manifest),
-            &addr_map,
-            &uniform,
-        )
-        .0;
-        uniform_shared = uniform_shared.max(plain);
-        checkpoint_shared = checkpoint_shared.max(durable);
+        let plain = run_pipeline_case(None, &addr_map, &uniform);
+        let durable = run_pipeline_case(Some(&manifest), &addr_map, &uniform);
+        best_plain = best_plain.max(plain);
+        best_durable = best_durable.max(durable);
         checkpoint_ratio = checkpoint_ratio.max(durable / plain);
     }
     let _ = std::fs::remove_dir_all(&ckpt_dir);
-
-    // Paced uniform: a 10M pps budget never defers, but every send goes
-    // through the pacer — per-worker buckets in static mode, the
-    // scan-wide ConcurrentPacer (the product default) in shared mode.
-    let (paced_static, _) = run_pipeline_case(
-        true,
-        2,
-        false,
-        256,
-        2_000,
-        None,
-        10_000_000.0,
-        None,
-        &addr_map,
-        &uniform,
-    );
-    let (paced_shared, _) = run_pipeline_case(
-        false,
-        2,
-        false,
-        256,
-        2_000,
-        None,
-        10_000_000.0,
-        None,
-        &addr_map,
-        &uniform,
-    );
-
-    // Partial backoff: 3/4 of lookups target blackholes behind a constant
-    // 400ms penalty (80ms timeouts, one retry).
-    let backoff_n = if quick { 120 } else { 240 };
-    let mixed: Vec<String> = (0..backoff_n)
-        .map(|i| {
-            if i % 4 == 3 {
-                format!("ok{i}.bench-pipeline.test@{healthy_ip}")
-            } else {
-                format!(
-                    "dead{i}.bench-pipeline.test@{}",
-                    dead_ips[i % dead_ips.len()]
-                )
-            }
-        })
-        .collect();
-    let (backoff_static, _) = run_pipeline_case(
-        true,
-        2,
-        false,
-        24,
-        80,
-        Some("0.4"),
-        0.0,
-        None,
-        &addr_map,
-        &mixed,
-    );
-    let (backoff_shared, shared_driver) = run_pipeline_case(
-        false,
-        2,
-        false,
-        24,
-        80,
-        Some("0.4"),
-        0.0,
-        None,
-        &addr_map,
-        &mixed,
-    );
-    assert!(
-        shared_driver.idle_credit_returns > 0,
-        "the backoff case must exercise parking"
-    );
     drop(healthy);
-    (
-        uniform_shared,
-        uniform_static,
-        paced_shared,
-        paced_static,
-        backoff_shared,
-        backoff_static,
-        checkpoint_shared,
-        checkpoint_ratio,
-    )
-}
-
-/// One row of the paced-scaling section: both pacer flavours at one
-/// worker count, plus the best per-pair concurrent/legacy ratio.
-struct PacedScaleRow {
-    workers: usize,
-    concurrent: f64,
-    legacy: f64,
-    ratio: f64,
-}
-
-/// Multi-worker paced scaling: the full pipeline on an all-healthy
-/// fleet with a never-deferring 10M pps global budget, so every send
-/// pays the scan-wide pacer's admission cost and nothing else differs —
-/// lock-free `ConcurrentPacer` versus the mutex-guarded legacy
-/// `SharedPacer` at 1, 2, and 4 workers. Four wire servers keep the
-/// server side from binding a 4-worker run. Modes alternate in
-/// (legacy, concurrent) pairs and each row reports the best per-pair
-/// ratio, the same drift-cancelling measurement the checkpoint gate
-/// uses. Returns the rows and the 4-worker concurrent driver report
-/// (whose scan-wide `token_blocks_leased` / `pacer_cas_retries` /
-/// `pacer_stripe_waits` telemetry proves which path ran).
-fn measure_paced_scaling(quick: bool) -> (Vec<PacedScaleRow>, DriverReport) {
-    let server_ips: Vec<Ipv4Addr> = (0..4)
-        .map(|i| Ipv4Addr::new(203, 0, 113, 70 + i as u8))
-        .collect();
-    let mut servers = Vec::new();
-    let mut mapping = Vec::new();
-    for ip in &server_ips {
-        let zone = Zone::new(Name::root(), "ns1.bench-paced.test".parse().unwrap(), 300);
-        let mut universe = ExplicitUniverse::new();
-        universe.host(*ip, zone);
-        let server = WireServer::start(Arc::new(universe) as Arc<dyn Universe>, *ip).unwrap();
-        mapping.push((*ip, server.addr()));
-        servers.push(server);
-    }
-    let addr_map: Arc<AddrMap> = Arc::new(move |ip| {
-        mapping
-            .iter()
-            .find(|(sim, _)| *sim == ip)
-            .map(|(_, real)| *real)
-            .expect("paced-scaling probes only mapped destinations")
-    });
-    let n = if quick { 3_000 } else { 8_000 };
-    let inputs: Vec<String> = (0..n)
-        .map(|i| format!("p{i}.bench-paced.test@{}", server_ips[i % server_ips.len()]))
-        .collect();
-
-    let mut rows = Vec::new();
-    let mut gate_report = DriverReport::default();
-    for workers in [1usize, 2, 4] {
-        let pairs = if workers == 4 { 3 } else { 2 };
-        let mut best = PacedScaleRow {
-            workers,
-            concurrent: 0.0,
-            legacy: 0.0,
-            ratio: 0.0,
-        };
-        for _ in 0..pairs {
-            let (legacy, _) = run_pipeline_case(
-                false,
-                workers,
-                true,
-                256,
-                2_000,
-                None,
-                10_000_000.0,
-                None,
-                &addr_map,
-                &inputs,
-            );
-            let (concurrent, report) = run_pipeline_case(
-                false,
-                workers,
-                false,
-                256,
-                2_000,
-                None,
-                10_000_000.0,
-                None,
-                &addr_map,
-                &inputs,
-            );
-            best.legacy = best.legacy.max(legacy);
-            best.concurrent = best.concurrent.max(concurrent);
-            best.ratio = best.ratio.max(concurrent / legacy);
-            if workers == 4 {
-                gate_report = report;
-            }
-        }
-        rows.push(best);
-    }
-    (rows, gate_report)
+    (best_plain, best_durable, checkpoint_ratio)
 }
 
 /// Serve-mode throughput: a one-shard `zdns_framework::serve` fleet on
@@ -875,13 +605,10 @@ fn main() {
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_reactor.json".to_string());
     let min_speedup: Option<f64> = arg_value("--min-speedup").map(|v| v.parse().unwrap());
     let min_view_speedup: Option<f64> = arg_value("--min-view-speedup").map(|v| v.parse().unwrap());
-    let min_uniform_ratio: Option<f64> =
-        arg_value("--min-uniform-ratio").map(|v| v.parse().unwrap());
     let min_uring_ratio: Option<f64> = arg_value("--min-uring-ratio").map(|v| v.parse().unwrap());
     let min_serve_ratio: Option<f64> = arg_value("--min-serve-ratio").map(|v| v.parse().unwrap());
     let min_checkpoint_ratio: Option<f64> =
         arg_value("--min-checkpoint-ratio").map(|v| v.parse().unwrap());
-    let min_paced_ratio: Option<f64> = arg_value("--min-paced-ratio").map(|v| v.parse().unwrap());
     let min_packet_ratio: Option<f64> = arg_value("--min-packet-ratio").map(|v| v.parse().unwrap());
     let lookups = if quick { 8_000 } else { 30_000 };
     let rounds = if quick { 2 } else { 3 };
@@ -1031,69 +758,11 @@ fn main() {
         e2e_on_fraction * 100.0
     );
 
-    let (
-        uniform_shared,
-        uniform_static,
-        paced_shared,
-        paced_static,
-        backoff_shared,
-        backoff_static,
-        checkpoint_shared,
-        checkpoint_ratio,
-    ) = measure_pipeline(quick);
-    let uniform_ratio = uniform_shared / uniform_static;
-    let paced_ratio = paced_shared / paced_static;
-    // The no-regression gate covers both halves of the leasing design:
-    // credit-pool CAS cost (unpaced) and SharedPacer mutex cost (paced).
-    let gated_uniform_ratio = uniform_ratio.min(paced_ratio);
-    let steal_speedup = backoff_shared / backoff_static;
-    println!("scan pipeline (shared credit pool vs static split, 2 workers):");
+    let (plain_rate, checkpoint_rate, checkpoint_ratio) = measure_pipeline(quick);
     println!(
-        "  uniform:         shared {uniform_shared:>8.0} vs static {uniform_static:>8.0} \
-         lookups/s ({uniform_ratio:.2}x)"
-    );
-    println!(
-        "  uniform paced:   shared {paced_shared:>8.0} vs static {paced_static:>8.0} \
-         lookups/s ({paced_ratio:.2}x — shared-pacer mutex on every send)"
-    );
-    println!(
-        "  partial backoff: shared {backoff_shared:>8.1} vs static {backoff_static:>8.1} \
-         lookups/s ({steal_speedup:.2}x — parked lookups free the window)"
-    );
-    println!(
-        "  checkpointed:    durable {checkpoint_shared:>8.0} vs plain {uniform_shared:>8.0} \
-         lookups/s ({checkpoint_ratio:.2}x paired — keeper bookkeeping + snapshot every 1000)"
-    );
-
-    let (paced_rows, paced_report) = measure_paced_scaling(quick);
-    assert!(
-        paced_report.token_blocks_leased > 0,
-        "the concurrent-pacer runs must lease token blocks"
-    );
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let paced_gate_ratio = paced_rows
-        .iter()
-        .find(|r| r.workers == 4)
-        .map(|r| r.ratio)
-        .expect("4-worker row always measured");
-    println!("paced scaling (10M pps budget, concurrent vs legacy-shared pacer, {cores} cores):");
-    for row in &paced_rows {
-        println!(
-            "  {} worker{}: concurrent {:>8.0} vs legacy {:>8.0} lookups/s ({:.2}x paired)",
-            row.workers,
-            if row.workers == 1 { " " } else { "s" },
-            row.concurrent,
-            row.legacy,
-            row.ratio
-        );
-    }
-    println!(
-        "  4-worker concurrent telemetry: {} blocks leased, {} CAS retries, {} stripe waits",
-        paced_report.token_blocks_leased,
-        paced_report.pacer_cas_retries,
-        paced_report.pacer_stripe_waits
+        "scan pipeline (2 workers, uniform fleet): checkpointed {checkpoint_rate:>8.0} vs plain \
+         {plain_rate:>8.0} lookups/s ({checkpoint_ratio:.2}x paired — keeper bookkeeping + \
+         snapshot every 1000)"
     );
 
     let io_backend_json = match &uring_result {
@@ -1125,7 +794,7 @@ fn main() {
 
     let json = serde_json::json!({
         "bench": "reactor_batched_vs_per_datagram",
-        "schema_version": 6,
+        "schema_version": 7,
         "kernel": {
             "sendto_ns_per_datagram": sendto_ns,
             "sendmmsg_ns_per_datagram": sendmmsg_ns,
@@ -1195,45 +864,12 @@ fn main() {
         },
         "pipeline": {
             "workers": 2,
-            "uniform": {
-                "shared_lookups_per_sec": uniform_shared,
-                "static_lookups_per_sec": uniform_static,
-                "shared_over_static": uniform_ratio,
-            },
-            "uniform_paced": {
-                "rate_pps": 10_000_000.0,
-                "shared_lookups_per_sec": paced_shared,
-                "static_lookups_per_sec": paced_static,
-                "shared_over_static": paced_ratio,
-            },
-            "partial_backoff": {
-                "dead_fraction": 0.75,
-                "shared_lookups_per_sec": backoff_shared,
-                "static_lookups_per_sec": backoff_static,
-                "steal_speedup": steal_speedup,
-            },
             "checkpoint": {
                 "checkpoint_every": 1000,
-                "checkpointed_lookups_per_sec": checkpoint_shared,
-                "plain_lookups_per_sec": uniform_shared,
+                "checkpointed_lookups_per_sec": checkpoint_rate,
+                "plain_lookups_per_sec": plain_rate,
                 "checkpointed_over_plain": checkpoint_ratio,
                 "measurement": "best per-pair ratio over 3 alternating (plain, durable) rounds; lookups/s are each side's best round",
-            },
-            "paced_scaling": {
-                "rate_pps": 10_000_000.0,
-                "cores": cores,
-                "scaling": paced_rows.iter().map(|r| serde_json::json!({
-                    "workers": r.workers,
-                    "concurrent_lookups_per_sec": r.concurrent,
-                    "legacy_lookups_per_sec": r.legacy,
-                    "concurrent_over_legacy": r.ratio,
-                })).collect::<Vec<_>>(),
-                "gate_workers": 4,
-                "concurrent_over_legacy": paced_gate_ratio,
-                "token_blocks_leased": paced_report.token_blocks_leased,
-                "pacer_cas_retries": paced_report.pacer_cas_retries,
-                "pacer_stripe_waits": paced_report.pacer_stripe_waits,
-                "measurement": "best per-pair ratio over alternating (legacy, concurrent) rounds; lookups/s are each side's best round",
             },
         },
     });
@@ -1255,20 +891,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("bench_reactor: view-decode gate passed ({view_speedup:.2}x >= {min:.2}x)");
-    }
-    if let Some(min) = min_uniform_ratio {
-        if gated_uniform_ratio < min {
-            eprintln!(
-                "bench_reactor: FAIL — shared-queue uniform throughput \
-                 {gated_uniform_ratio:.2}x of static split (unpaced {uniform_ratio:.2}x, \
-                 paced {paced_ratio:.2}x), below the {min:.2}x no-regression gate"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "bench_reactor: shared-queue uniform gate passed \
-             (min(unpaced {uniform_ratio:.2}x, paced {paced_ratio:.2}x) >= {min:.2}x)"
-        );
     }
     if let Some(min) = min_uring_ratio {
         match uring_ratio {
@@ -1321,28 +943,5 @@ fn main() {
             "bench_reactor: checkpoint overhead gate passed \
              ({checkpoint_ratio:.2}x >= {min:.2}x)"
         );
-    }
-    if let Some(min) = min_paced_ratio {
-        if cores < 2 {
-            // The gated property is cross-worker contention relief; a
-            // single hardware thread time-slices the workers, so the
-            // legacy mutex is effectively uncontended and the ratio
-            // measures scheduler noise, not the pacer. Same shape as the
-            // uring gate's auto-pass on ringless kernels.
-            println!(
-                "bench_reactor: paced-scaling gate skipped ({cores} core — cross-worker \
-                 mutex contention unexpressible; measured {paced_gate_ratio:.2}x recorded)"
-            );
-        } else if paced_gate_ratio < min {
-            eprintln!(
-                "bench_reactor: FAIL — 4-worker concurrent pacer at {paced_gate_ratio:.2}x \
-                 of the legacy shared pacer, below the {min:.2}x gate"
-            );
-            std::process::exit(1);
-        } else {
-            println!(
-                "bench_reactor: paced-scaling gate passed ({paced_gate_ratio:.2}x >= {min:.2}x)"
-            );
-        }
     }
 }

@@ -1,22 +1,14 @@
-//! The driver abstraction: one interface over the two ways ZDNS pushes
-//! lookup machines through real sockets.
+//! The driver abstraction: the interface scan orchestration in
+//! `zdns-framework` pushes lookup machines through real sockets with,
+//! and the counters a driver reports back.
 //!
-//! * [`BlockingDriver`] — one machine at a time over a blocking
-//!   [`Transport`]; what [`crate::Resolver::lookup`] uses for single
-//!   lookups, and the worker-per-lookup fallback for scans.
-//! * [`crate::reactor::Reactor`] — an event loop that multiplexes
-//!   hundreds-to-thousands of in-flight machines over one non-blocking UDP
-//!   socket (the paper's architecture: thousands of lookup routines,
-//!   long-lived sockets).
-//!
-//! Both implement [`Driver`], so scan orchestration in `zdns-framework`
-//! can pick either without caring which.
+//! [`crate::reactor::Reactor`] implements [`Driver`]: an event loop that
+//! multiplexes hundreds-to-thousands of in-flight machines over one
+//! non-blocking UDP socket (the paper's architecture: thousands of lookup
+//! routines, long-lived sockets). Single lookups skip the trait and go
+//! through [`crate::resolver::drive_blocking`].
 
 use zdns_netsim::{JobOutcome, SimClient};
-
-use crate::pacer::Pacer;
-use crate::resolver::{drive_blocking_paced, AddrMap};
-use crate::transport::Transport;
 
 /// Power-of-two histogram of datagrams per syscall, the observability
 /// feed for the reactor's batched I/O layer: bucket `i` counts syscalls
@@ -143,8 +135,8 @@ pub struct DriverReport {
     pub send_batch_fill: BatchHistogram,
     /// Datagrams-per-drain-batch distribution on the receive side.
     pub recv_batch_fill: BatchHistogram,
-    /// Admission credits leased from the scan-wide pool (shared-queue
-    /// pipeline only; zero under a static split).
+    /// Admission credits leased from the scan-wide pool (zero for a
+    /// reactor driven without one).
     pub credit_leases: u64,
     /// Credits returned to the pool (retired lookups plus idle returns).
     pub credit_returns: u64,
@@ -240,63 +232,4 @@ pub trait Driver {
         source: &mut dyn FnMut() -> Admission,
         on_done: &mut dyn FnMut(Option<JobOutcome>),
     ) -> DriverReport;
-}
-
-/// The one-lookup-at-a-time driver: each admitted machine is driven to
-/// completion over the blocking transport before the next is pulled.
-pub struct BlockingDriver<T: Transport> {
-    transport: T,
-    addr_map: std::sync::Arc<AddrMap>,
-    pacer: Option<Pacer>,
-}
-
-impl<T: Transport> BlockingDriver<T> {
-    /// Build from a transport and address mapping.
-    pub fn new(transport: T, addr_map: std::sync::Arc<AddrMap>) -> BlockingDriver<T> {
-        BlockingDriver {
-            transport,
-            addr_map,
-            pacer: None,
-        }
-    }
-
-    /// Gate every send through `pacer` (sleeping until release), so the
-    /// blocking driver honours the same budgets as the reactor.
-    pub fn with_pacer(mut self, pacer: Pacer) -> BlockingDriver<T> {
-        self.pacer = Some(pacer);
-        self
-    }
-}
-
-impl<T: Transport> Driver for BlockingDriver<T> {
-    fn run_scan(
-        &mut self,
-        source: &mut dyn FnMut() -> Admission,
-        on_done: &mut dyn FnMut(Option<JobOutcome>),
-    ) -> DriverReport {
-        let mut report = DriverReport::default();
-        loop {
-            match source() {
-                Admission::Admit(mut machine) => {
-                    report.peak_in_flight = report.peak_in_flight.max(1);
-                    let outcome = drive_blocking_paced(
-                        machine.as_mut(),
-                        &mut self.transport,
-                        &*self.addr_map,
-                        self.pacer.as_mut(),
-                        Some(&mut report),
-                    );
-                    report.completed += 1;
-                    if matches!(&outcome, Some(o) if o.success) {
-                        report.successes += 1;
-                    }
-                    on_done(outcome);
-                }
-                Admission::Later => {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                Admission::Exhausted => return report,
-            }
-        }
-    }
 }

@@ -51,16 +51,14 @@ pub use alloc_count::CountingAllocator;
 pub use cache::{Cache, CacheKey, CacheStats};
 pub use clock::Clock;
 pub use config::{ResolutionMode, ResolverConfig};
-pub use driver::{Admission, BatchHistogram, BlockingDriver, Driver, DriverReport};
+pub use driver::{Admission, BatchHistogram, Driver, DriverReport};
 pub use machine::{
     DirectMachine, ExternalMachine, IterativeMachine, ResolveTarget, ResolverCore, ResultSink,
 };
-pub use pacer::{
-    ConcurrentGate, ConcurrentPacer, Pacer, PacerConfig, SharedPacer, TokenBlock, TOKEN_BLOCK,
-};
+pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};
 pub use packet_cache::{PacketCache, PacketEntry, PacketLookup};
 pub use reactor::{Reactor, ReactorConfig, DEFAULT_BATCH_SIZE};
-pub use resolver::{collecting_sink, drive_blocking, drive_blocking_paced, AddrMap, Resolver};
+pub use resolver::{collecting_sink, drive_blocking, AddrMap, Resolver};
 pub use result::{DelegationInfo, LookupResult};
 pub use serve::{ServeConfig, ServeStats, ServerRole, DEFAULT_PACKET_CACHE_CAPACITY};
 pub use stats::{Stats, StatsSnapshot};

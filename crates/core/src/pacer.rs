@@ -3,9 +3,9 @@
 //! The paper's central operational finding is that resolver-side rate
 //! limiting dominates scan fidelity: Google Public DNS's per-client-IP
 //! token buckets cost /32 scans a ~6× success-rate drop, and retries
-//! *inside* the penalty window cannot succeed. The [`Pacer`] is the
-//! client-side answer — keep the offered load under the budget instead
-//! of discovering it through drops:
+//! *inside* the penalty window cannot succeed. The [`ConcurrentPacer`]
+//! is the client-side answer — keep the offered load under the budget
+//! instead of discovering it through drops:
 //!
 //! * a **global budget** (packets/second) shared by every destination;
 //! * **per-destination token buckets**, so one hot resolver cannot eat
@@ -19,9 +19,9 @@
 //! admission, so a queue of deferred sends drains at exactly the
 //! configured rate with no thundering herd and no re-polling.
 //!
-//! The same `Pacer` drives every execution mode: the reactor arms
-//! release times on its timer wheel, `drive_blocking` sleeps until
-//! release, and the discrete-event engine accepts it as a
+//! One pacer is shared scan-wide as an `Arc`; each sender drives it
+//! through its own [`ConcurrentGate`]. The reactor arms release times on
+//! its timer wheel, and the discrete-event engine accepts the gate as a
 //! [`SendGate`] so paced scans are reproducible under virtual time.
 
 use std::collections::HashMap;
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use zdns_pacing::{AtomicBucket, Nanos, PaceDecision, SendGate, SlotLease, TokenBucket, SECONDS};
 
-/// Tunables for one [`Pacer`].
+/// Tunables for one [`ConcurrentPacer`].
 #[derive(Debug, Clone)]
 pub struct PacerConfig {
     /// Global send budget in packets/second (0 = unlimited).
@@ -68,17 +68,6 @@ impl PacerConfig {
     /// True when any pacing or backoff behaviour is configured.
     pub fn enabled(&self) -> bool {
         self.rate_pps > 0.0 || self.per_host_pps > 0.0 || self.backoff
-    }
-
-    /// Split the budgets across `workers` parallel drivers so their
-    /// aggregate send rate stays within the configured totals.
-    pub fn split(&self, workers: usize) -> PacerConfig {
-        let n = workers.max(1) as f64;
-        PacerConfig {
-            rate_pps: self.rate_pps / n,
-            per_host_pps: self.per_host_pps / n,
-            ..self.clone()
-        }
     }
 
     fn burst_for(&self, rate: f64) -> f64 {
@@ -156,207 +145,6 @@ impl BuildHasher for HostHash {
 
 type HostMap = HashMap<Ipv4Addr, HostState, HostHash>;
 
-/// Fetch-or-create the pacing state for `dest` in a host table bounded
-/// at `cap` entries, pruning idle entries first and force-evicting the
-/// probed soonest-to-expire entry when the prune frees nothing. Shared
-/// by the single-threaded [`Pacer`] (cap = [`MAX_HOSTS`]) and each
-/// stripe of the [`ConcurrentPacer`] (cap = [`MAX_HOSTS`] / stripes).
-fn host_state_in<'a>(
-    hosts: &'a mut HostMap,
-    evictions: &mut u64,
-    config: &PacerConfig,
-    cap: usize,
-    dest: Ipv4Addr,
-    now: Nanos,
-) -> &'a mut HostState {
-    if hosts.len() >= cap && !hosts.contains_key(&dest) {
-        // Prune destinations that are idle: no penalty pending and no
-        // failure streak worth remembering.
-        let before = hosts.len();
-        hosts.retain(|_, st| st.streak > 0 || st.not_before > now);
-        *evictions += (before - hosts.len()) as u64;
-        // The prune is opportunistic; under a flood that penalizes
-        // every entry it frees nothing, so enforce the bound by
-        // evicting the probed entry whose penalty expires soonest
-        // (HashMap iteration order is effectively random).
-        while hosts.len() >= cap {
-            let victim = hosts
-                .iter()
-                .take(HOST_EVICT_PROBES)
-                .min_by_key(|(_, st)| (st.not_before, st.streak))
-                .map(|(ip, _)| *ip);
-            let Some(ip) = victim else { break };
-            hosts.remove(&ip);
-            *evictions += 1;
-        }
-    }
-    hosts.entry(dest).or_insert_with(|| HostState {
-        bucket: (config.per_host_pps > 0.0)
-            .then(|| TokenBucket::new(config.per_host_pps, config.burst_for(config.per_host_pps))),
-        not_before: 0,
-        streak: 0,
-    })
-}
-
-/// A pacer shared by every worker of one scan — how the shared-queue
-/// pipeline leases one whole-scan pacing budget dynamically instead of
-/// splitting it statically with [`PacerConfig::split`]. Reserving from
-/// the shared buckets *is* the lease: an idle worker simply does not
-/// reserve, so active workers absorb the whole budget with no
-/// rebalancing step. Backoff memory is shared too — a destination one
-/// worker learns is struggling is immediately backed off for all of
-/// them.
-pub type SharedPacer = std::sync::Arc<parking_lot::Mutex<Pacer>>;
-
-/// The client-side pacing + backoff subsystem. One per driver (reactor
-/// worker / blocking driver / simulation engine); not thread-safe by
-/// design — drivers own their pacer the way they own their socket, and
-/// scans that want one scan-wide pacer share it as a [`SharedPacer`].
-pub struct Pacer {
-    config: PacerConfig,
-    global: Option<TokenBucket>,
-    hosts: HostMap,
-    /// Destinations currently serving a backoff penalty (observability).
-    pub backoff_events: u64,
-    /// Host entries dropped to hold the table at its capacity bound —
-    /// both idle prunes and forced evictions of still-penalized entries.
-    pub host_evictions: u64,
-}
-
-impl Pacer {
-    /// Build from a config.
-    pub fn new(config: PacerConfig) -> Pacer {
-        let global = (config.rate_pps > 0.0)
-            .then(|| TokenBucket::new(config.rate_pps, config.burst_for(config.rate_pps)));
-        Pacer {
-            config,
-            global,
-            hosts: HostMap::default(),
-            backoff_events: 0,
-            host_evictions: 0,
-        }
-    }
-
-    /// The configuration this pacer was built from.
-    pub fn config(&self) -> &PacerConfig {
-        &self.config
-    }
-
-    /// Destinations with live pacing state.
-    pub fn tracked_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Spill the adaptive-backoff memory: every destination still
-    /// serving a penalty (or carrying a failure streak) as
-    /// `(destination, streak, remaining penalty)` relative to `now`.
-    /// This is what a scan checkpoint persists so a resumed scan
-    /// re-approaches struggling destinations as carefully as the
-    /// interrupted one was — instead of re-discovering every penalty
-    /// through a fresh burst of drops.
-    pub fn backoff_snapshot(&self, now: Nanos) -> Vec<(Ipv4Addr, u32, Nanos)> {
-        self.hosts
-            .iter()
-            .filter(|(_, st)| st.streak > 0 || st.not_before > now)
-            .map(|(ip, st)| (*ip, st.streak, st.not_before.saturating_sub(now)))
-            .collect()
-    }
-
-    /// Re-seed backoff memory from a [`Pacer::backoff_snapshot`]:
-    /// each entry's penalty resumes with `remaining` nanoseconds left
-    /// from `now`, and its failure streak is restored so the next
-    /// failure continues the multiplicative curve where it left off.
-    /// Entries never *shorten* state learned since `now` (restore is
-    /// monotone), and a pacer without backoff enabled ignores them.
-    pub fn restore_backoff(&mut self, entries: &[(Ipv4Addr, u32, Nanos)], now: Nanos) {
-        if !self.config.backoff {
-            return;
-        }
-        for &(ip, streak, remaining) in entries {
-            let state = self.host_state(ip, now);
-            state.streak = state.streak.max(streak);
-            state.not_before = state.not_before.max(now.saturating_add(remaining));
-        }
-    }
-
-    fn host_state(&mut self, dest: Ipv4Addr, now: Nanos) -> &mut HostState {
-        host_state_in(
-            &mut self.hosts,
-            &mut self.host_evictions,
-            &self.config,
-            MAX_HOSTS,
-            dest,
-            now,
-        )
-    }
-}
-
-impl SendGate for Pacer {
-    fn admit(&mut self, dest: Ipv4Addr, now: Nanos) -> PaceDecision {
-        if !self.config.enabled() {
-            return PaceDecision::Ready;
-        }
-        // Reservations are *chained*, not max'd independently: the host
-        // bucket reserves starting from whatever instant the global
-        // budget (and any backoff penalty) already pushed the send to.
-        // Taking a max of independent reservations would let a slower
-        // constraint collapse many spaced release times onto one instant
-        // — e.g. every retry held behind an 8s penalty firing together
-        // when it expires — and a thundering herd at a struggling
-        // destination is exactly what the pacer exists to prevent.
-        let mut release = match self.global.as_mut() {
-            Some(bucket) => bucket.reserve(now),
-            None => now,
-        };
-        let mut host_limited = false;
-        if self.config.per_host_pps > 0.0 || self.config.backoff {
-            let state = self.host_state(dest, now);
-            let floor = release.max(state.not_before);
-            let host_release = match state.bucket.as_mut() {
-                Some(bucket) => bucket.reserve(floor),
-                None => floor,
-            };
-            if host_release > release {
-                host_limited = host_release > now;
-                release = host_release;
-            }
-        }
-        if release <= now {
-            PaceDecision::Ready
-        } else {
-            PaceDecision::Defer {
-                until: release,
-                host_limited,
-            }
-        }
-    }
-
-    fn on_success(&mut self, dest: Ipv4Addr, _now: Nanos) {
-        if !self.config.backoff {
-            return;
-        }
-        if let Some(state) = self.hosts.get_mut(&dest) {
-            // Decay: a success halves the remembered failure streak.
-            state.streak /= 2;
-        }
-    }
-
-    fn on_failure(&mut self, dest: Ipv4Addr, now: Nanos) {
-        if !self.config.backoff {
-            return;
-        }
-        let (base, cap) = (self.config.backoff_base, self.config.backoff_cap);
-        let state = self.host_state(dest, now);
-        state.streak = state.streak.saturating_add(1);
-        // Multiplicative increase: base × 2^(streak-1), capped.
-        let penalty = base
-            .saturating_mul(1u64 << (state.streak - 1).min(24))
-            .min(cap);
-        state.not_before = state.not_before.max(now + penalty);
-        self.backoff_events += 1;
-    }
-}
-
 /// Stripe count for the [`ConcurrentPacer`] host table. Power of two so
 /// stripe selection is a mask off the same FNV/splitmix hash the
 /// in-stripe map uses — the same keying as the 64-way selective cache.
@@ -383,6 +171,44 @@ struct HostStripe {
     backoff_events: u64,
 }
 
+impl HostStripe {
+    /// Fetch-or-create the pacing state for `dest`, holding the stripe at
+    /// [`STRIPE_CAP`] entries: idle entries are pruned first, and when
+    /// the prune frees nothing the probed soonest-to-expire entry is
+    /// force-evicted.
+    fn host_state(&mut self, config: &PacerConfig, dest: Ipv4Addr, now: Nanos) -> &mut HostState {
+        let hosts = &mut self.hosts;
+        if hosts.len() >= STRIPE_CAP && !hosts.contains_key(&dest) {
+            // Prune destinations that are idle: no penalty pending and no
+            // failure streak worth remembering.
+            let before = hosts.len();
+            hosts.retain(|_, st| st.streak > 0 || st.not_before > now);
+            self.evictions += (before - hosts.len()) as u64;
+            // The prune is opportunistic; under a flood that penalizes
+            // every entry it frees nothing, so enforce the bound by
+            // evicting the probed entry whose penalty expires soonest
+            // (HashMap iteration order is effectively random).
+            while hosts.len() >= STRIPE_CAP {
+                let victim = hosts
+                    .iter()
+                    .take(HOST_EVICT_PROBES)
+                    .min_by_key(|(_, st)| (st.not_before, st.streak))
+                    .map(|(ip, _)| *ip);
+                let Some(ip) = victim else { break };
+                hosts.remove(&ip);
+                self.evictions += 1;
+            }
+        }
+        hosts.entry(dest).or_insert_with(|| HostState {
+            bucket: (config.per_host_pps > 0.0).then(|| {
+                TokenBucket::new(config.per_host_pps, config.burst_for(config.per_host_pps))
+            }),
+            not_before: 0,
+            streak: 0,
+        })
+    }
+}
+
 /// A worker's private slice of the global budget: a run of token slots
 /// leased from the [`AtomicBucket`] in one CAS. Consuming a slot is pure
 /// local arithmetic; unused slots go back on park/idle via
@@ -401,9 +227,10 @@ impl TokenBlock {
     }
 }
 
-/// The scan-wide pacer without the scan-wide lock: semantically a
-/// [`SharedPacer`] (one global budget, shared per-destination backoff
-/// memory), structurally three independent layers —
+/// The scan-wide pacer without a scan-wide lock: one global budget and
+/// one per-destination backoff memory shared by every worker — a
+/// destination one worker learns is struggling is immediately backed off
+/// for all of them — built as three independent layers:
 ///
 /// 1. the **global budget** is a lock-free [`AtomicBucket`]; workers
 ///    lease token *blocks* (default [`TOKEN_BLOCK`], clamped to burst)
@@ -491,27 +318,24 @@ impl ConcurrentPacer {
         bucket.slot_release(lease, block.used, now)
     }
 
-    /// Admit one send to `dest` at `now`, consuming from `block`. Same
-    /// chained-reservation semantics as [`Pacer`]'s [`SendGate::admit`]:
-    /// global slot → backoff floor → host bucket, so deferred sends stay
-    /// spaced and penalty expiry never releases a herd.
+    /// Admit one send to `dest` at `now`, consuming from `block`.
     pub fn admit(&self, block: &mut TokenBlock, dest: Ipv4Addr, now: Nanos) -> PaceDecision {
         if !self.config.enabled() {
             return PaceDecision::Ready;
         }
+        // Reservations are *chained*, not max'd independently: the host
+        // bucket reserves starting from whatever instant the global
+        // budget (and any backoff penalty) already pushed the send to.
+        // Taking a max of independent reservations would let a slower
+        // constraint collapse many spaced release times onto one instant
+        // — e.g. every retry held behind an 8s penalty firing together
+        // when it expires — and a thundering herd at a struggling
+        // destination is exactly what the pacer exists to prevent.
         let mut release = self.global_release(block, now);
         let mut host_limited = false;
         if self.config.per_host_pps > 0.0 || self.config.backoff {
             let mut stripe = self.lock_stripe(dest);
-            let stripe = &mut *stripe;
-            let state = host_state_in(
-                &mut stripe.hosts,
-                &mut stripe.evictions,
-                &self.config,
-                STRIPE_CAP,
-                dest,
-                now,
-            );
+            let state = stripe.host_state(&self.config, dest, now);
             let floor = release.max(state.not_before);
             let host_release = match state.bucket.as_mut() {
                 Some(bucket) => bucket.reserve(floor),
@@ -545,23 +369,14 @@ impl ConcurrentPacer {
 
     /// Feedback: a query to `dest` timed out or failed in transport.
     /// The penalty lands in the shared stripe, so every worker backs off
-    /// the destination at its next admit — scan-wide backoff memory,
-    /// exactly as under the mutex pacer.
+    /// the destination at its next admit — scan-wide backoff memory.
     pub fn on_failure(&self, dest: Ipv4Addr, now: Nanos) {
         if !self.config.backoff {
             return;
         }
         let (base, cap) = (self.config.backoff_base, self.config.backoff_cap);
         let mut stripe = self.lock_stripe(dest);
-        let stripe = &mut *stripe;
-        let state = host_state_in(
-            &mut stripe.hosts,
-            &mut stripe.evictions,
-            &self.config,
-            STRIPE_CAP,
-            dest,
-            now,
-        );
+        let state = stripe.host_state(&self.config, dest, now);
         state.streak = state.streak.saturating_add(1);
         // Multiplicative increase: base × 2^(streak-1), capped.
         let penalty = base
@@ -589,9 +404,13 @@ impl ConcurrentPacer {
         self.stripes.iter().map(|s| s.lock().hosts.len()).sum()
     }
 
-    /// Scan-wide backoff memory as `(destination, streak, remaining)` —
-    /// see [`Pacer::backoff_snapshot`]; identical wire format, so scan
-    /// checkpoints are interchangeable between pacer implementations.
+    /// Spill the adaptive-backoff memory: every destination still
+    /// serving a penalty (or carrying a failure streak) as
+    /// `(destination, streak, remaining penalty)` relative to `now`.
+    /// This is what a scan checkpoint persists so a resumed scan
+    /// re-approaches struggling destinations as carefully as the
+    /// interrupted one was — instead of re-discovering every penalty
+    /// through a fresh burst of drops.
     pub fn backoff_snapshot(&self, now: Nanos) -> Vec<(Ipv4Addr, u32, Nanos)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
@@ -607,23 +426,20 @@ impl ConcurrentPacer {
         out
     }
 
-    /// Re-seed backoff memory from a snapshot — monotone and gated on
-    /// backoff being enabled, like [`Pacer::restore_backoff`].
+    /// Re-seed backoff memory from a
+    /// [`ConcurrentPacer::backoff_snapshot`]: each entry's penalty
+    /// resumes with `remaining` nanoseconds left from `now`, and its
+    /// failure streak is restored so the next failure continues the
+    /// multiplicative curve where it left off. Entries never *shorten*
+    /// state learned since `now` (restore is monotone), and a pacer
+    /// without backoff enabled ignores them.
     pub fn restore_backoff(&self, entries: &[(Ipv4Addr, u32, Nanos)], now: Nanos) {
         if !self.config.backoff {
             return;
         }
         for &(ip, streak, remaining) in entries {
             let mut stripe = self.lock_stripe(ip);
-            let stripe = &mut *stripe;
-            let state = host_state_in(
-                &mut stripe.hosts,
-                &mut stripe.evictions,
-                &self.config,
-                STRIPE_CAP,
-                ip,
-                now,
-            );
+            let state = stripe.host_state(&self.config, ip, now);
             state.streak = state.streak.max(streak);
             state.not_before = state.not_before.max(now.saturating_add(remaining));
         }
@@ -657,10 +473,8 @@ impl ConcurrentPacer {
 }
 
 /// One worker's handle on a shared [`ConcurrentPacer`]: the `Arc` plus
-/// that worker's current [`TokenBlock`]. Implements [`SendGate`], so it
-/// drops into every place a [`Pacer`] does — including the virtual-time
-/// simulation engine — with no behavioural difference beyond losing the
-/// lock.
+/// that worker's current [`TokenBlock`]. Implements [`SendGate`], so the
+/// reactor and the virtual-time simulation engine drive the same pacer.
 pub struct ConcurrentGate {
     pacer: Arc<ConcurrentPacer>,
     block: TokenBlock,
@@ -711,13 +525,18 @@ impl SendGate for ConcurrentGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zdns_pacing::MILLIS;
 
     const IP_A: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
     const IP_B: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 2);
 
-    fn releases(pacer: &mut Pacer, dest: Ipv4Addr, n: usize, now: Nanos) -> Vec<Nanos> {
+    fn gate(config: PacerConfig) -> ConcurrentGate {
+        ConcurrentGate::new(Arc::new(ConcurrentPacer::new(config)))
+    }
+
+    fn releases(gate: &mut ConcurrentGate, dest: Ipv4Addr, n: usize, now: Nanos) -> Vec<Nanos> {
         (0..n)
-            .map(|_| match pacer.admit(dest, now) {
+            .map(|_| match gate.admit(dest, now) {
                 PaceDecision::Ready => now,
                 PaceDecision::Defer { until, .. } => until,
             })
@@ -728,68 +547,88 @@ mod tests {
     fn backoff_snapshot_round_trips_through_restore() {
         let config = PacerConfig {
             backoff: true,
-            backoff_base: 200 * zdns_pacing::MILLIS,
+            backoff_base: 200 * MILLIS,
             backoff_cap: 8 * SECONDS,
             ..PacerConfig::default()
         };
-        let mut pacer = Pacer::new(config.clone());
+        let pacer = ConcurrentPacer::new(config.clone());
         // Three failures at IP_A: streak 3, penalty 800ms from the last.
         for _ in 0..3 {
             pacer.on_failure(IP_A, 0);
         }
         pacer.on_failure(IP_B, 0);
-        let snap = pacer.backoff_snapshot(100 * zdns_pacing::MILLIS);
+        let snap = pacer.backoff_snapshot(100 * MILLIS);
         assert_eq!(snap.len(), 2);
         let a = snap.iter().find(|(ip, _, _)| *ip == IP_A).unwrap();
         assert_eq!(a.1, 3);
-        assert_eq!(a.2, 700 * zdns_pacing::MILLIS, "remaining, not absolute");
+        assert_eq!(a.2, 700 * MILLIS, "remaining, not absolute");
 
         // A fresh pacer (a resumed scan) picks the penalties back up.
-        let mut resumed = Pacer::new(config);
-        resumed.restore_backoff(&snap, 0);
+        let mut resumed = gate(config);
+        resumed.pacer().restore_backoff(&snap, 0);
         match resumed.admit(IP_A, 0) {
-            PaceDecision::Defer { until, .. } => {
-                assert_eq!(until, 700 * zdns_pacing::MILLIS);
-            }
+            PaceDecision::Defer { until, .. } => assert_eq!(until, 700 * MILLIS),
             other => panic!("restored penalty must defer: {other:?}"),
         }
         // The restored streak continues the curve: next failure at IP_A
         // is the 4th -> 1.6s penalty.
         resumed.on_failure(IP_A, 0);
-        let again = resumed.backoff_snapshot(0);
+        let again = resumed.pacer().backoff_snapshot(0);
         let a = again.iter().find(|(ip, _, _)| *ip == IP_A).unwrap();
         assert_eq!(a.1, 4);
-        assert_eq!(a.2, 1_600 * zdns_pacing::MILLIS);
+        assert_eq!(a.2, 1_600 * MILLIS);
 
-        // Restore is monotone and gated on backoff being enabled.
-        let mut disabled = Pacer::new(PacerConfig::default());
+        // Restore is gated on backoff being enabled.
+        let disabled = ConcurrentPacer::new(PacerConfig::default());
         disabled.restore_backoff(&snap, 0);
         assert_eq!(disabled.tracked_hosts(), 0);
     }
 
     #[test]
-    fn disabled_pacer_never_defers() {
-        let mut pacer = Pacer::new(PacerConfig::default());
-        for i in 0..1_000 {
-            assert_eq!(pacer.admit(IP_A, i), PaceDecision::Ready);
+    fn snapshot_round_trips_into_a_fresh_pacer() {
+        // The checkpoint wire format: restoring a snapshot into a fresh
+        // pacer and spilling it again yields the same entries.
+        let config = PacerConfig {
+            backoff: true,
+            backoff_base: 200 * MILLIS,
+            ..PacerConfig::default()
+        };
+        let pacer = ConcurrentPacer::new(config.clone());
+        for _ in 0..3 {
+            pacer.on_failure(IP_A, 0);
         }
-        assert_eq!(pacer.tracked_hosts(), 0, "disabled pacer tracks nothing");
+        let snap = pacer.backoff_snapshot(100 * MILLIS);
+        assert_eq!(snap, vec![(IP_A, 3, 700 * MILLIS)]);
+
+        let resumed = ConcurrentPacer::new(config);
+        resumed.restore_backoff(&snap, 0);
+        assert_eq!(resumed.backoff_snapshot(0), snap);
+    }
+
+    #[test]
+    fn disabled_pacer_never_defers() {
+        let mut gate = gate(PacerConfig::default());
+        for i in 0..1_000 {
+            assert_eq!(gate.admit(IP_A, i), PaceDecision::Ready);
+        }
+        assert_eq!(gate.pacer().tracked_hosts(), 0, "tracks nothing");
+        assert_eq!(gate.pacer().blocks_leased(), 0);
     }
 
     #[test]
     fn global_budget_spreads_sends_at_rate() {
-        let mut pacer = Pacer::new(PacerConfig {
+        let mut gate = gate(PacerConfig {
             rate_pps: 100.0,
             burst: 1.0,
             ..PacerConfig::default()
         });
-        let times = releases(&mut pacer, IP_A, 51, 0);
+        let times = releases(&mut gate, IP_A, 51, 0);
         assert_eq!(times[0], 0);
         // 50 deferred sends at 100 pps: the last releases at ~500ms.
         let last = *times.last().unwrap();
-        let expected = 500 * zdns_pacing::MILLIS;
+        let expected = 500 * MILLIS;
         assert!(
-            (last as i64 - expected as i64).unsigned_abs() < 5 * zdns_pacing::MILLIS,
+            (last as i64 - expected as i64).unsigned_abs() < 5 * MILLIS,
             "{last}"
         );
         // Strictly increasing, 1/rate apart.
@@ -800,66 +639,65 @@ mod tests {
 
     #[test]
     fn per_host_budget_is_independent_per_destination() {
-        let mut pacer = Pacer::new(PacerConfig {
+        let mut gate = gate(PacerConfig {
             per_host_pps: 10.0,
             burst: 1.0,
             ..PacerConfig::default()
         });
-        assert_eq!(pacer.admit(IP_A, 0), PaceDecision::Ready);
+        assert_eq!(gate.admit(IP_A, 0), PaceDecision::Ready);
         // Second send to A defers on A's bucket...
-        let PaceDecision::Defer { host_limited, .. } = pacer.admit(IP_A, 0) else {
+        let PaceDecision::Defer { host_limited, .. } = gate.admit(IP_A, 0) else {
             panic!("expected deferral");
         };
         assert!(host_limited);
         // ...but B is untouched.
-        assert_eq!(pacer.admit(IP_B, 0), PaceDecision::Ready);
+        assert_eq!(gate.admit(IP_B, 0), PaceDecision::Ready);
     }
 
     #[test]
     fn backoff_grows_multiplicatively_and_decays_on_success() {
-        let config = PacerConfig {
+        let mut gate = gate(PacerConfig {
             backoff: true,
-            backoff_base: 100 * zdns_pacing::MILLIS,
+            backoff_base: 100 * MILLIS,
             ..PacerConfig::default()
-        };
-        let mut pacer = Pacer::new(config);
-        pacer.on_failure(IP_A, 0);
-        let PaceDecision::Defer { until: p1, .. } = pacer.admit(IP_A, 0) else {
+        });
+        gate.on_failure(IP_A, 0);
+        let PaceDecision::Defer { until: p1, .. } = gate.admit(IP_A, 0) else {
             panic!("penalty must defer");
         };
-        pacer.on_failure(IP_A, 0);
-        let PaceDecision::Defer { until: p2, .. } = pacer.admit(IP_A, 0) else {
+        gate.on_failure(IP_A, 0);
+        let PaceDecision::Defer { until: p2, .. } = gate.admit(IP_A, 0) else {
             panic!("penalty must defer");
         };
-        assert_eq!(p1, 100 * zdns_pacing::MILLIS);
-        assert_eq!(p2, 200 * zdns_pacing::MILLIS, "doubled on second failure");
+        assert_eq!(p1, 100 * MILLIS);
+        assert_eq!(p2, 200 * MILLIS, "doubled on second failure");
         // Successes decay the streak; after the penalty expires the next
         // failure starts from a shorter penalty again.
-        pacer.on_success(IP_A, p2);
-        pacer.on_success(IP_A, p2);
+        gate.on_success(IP_A, p2);
+        gate.on_success(IP_A, p2);
         let later = p2 + SECONDS;
-        pacer.on_failure(IP_A, later);
-        let PaceDecision::Defer { until: p3, .. } = pacer.admit(IP_A, later) else {
+        gate.on_failure(IP_A, later);
+        let PaceDecision::Defer { until: p3, .. } = gate.admit(IP_A, later) else {
             panic!("penalty must defer");
         };
-        assert_eq!(p3 - later, 100 * zdns_pacing::MILLIS, "decayed to base");
+        assert_eq!(p3 - later, 100 * MILLIS, "decayed to base");
         // Unpenalized destinations are unaffected throughout.
-        assert_eq!(pacer.admit(IP_B, later), PaceDecision::Ready);
+        assert_eq!(gate.admit(IP_B, later), PaceDecision::Ready);
     }
 
     #[test]
     fn penalty_expiry_does_not_release_a_herd() {
         // Sends held behind a backoff penalty must come out spaced at
         // the per-host rate when the penalty lifts, not all at once.
-        let mut pacer = Pacer::new(PacerConfig {
+        let mut gate = gate(PacerConfig {
             per_host_pps: 100.0, // 10ms spacing
             burst: 1.0,
             backoff: true,
             backoff_base: SECONDS,
             ..PacerConfig::default()
         });
-        pacer.on_failure(IP_A, 0); // not_before = 1s
-        let times = releases(&mut pacer, IP_A, 10, 0);
+        gate.on_failure(IP_A, 0); // not_before = 1s
+        let times = releases(&mut gate, IP_A, 10, 0);
         assert!(times[0] >= SECONDS, "penalty must hold the first send");
         for pair in times.windows(2) {
             assert!(
@@ -871,135 +709,25 @@ mod tests {
 
     #[test]
     fn backoff_penalty_caps() {
-        let mut pacer = Pacer::new(PacerConfig {
+        let mut gate = gate(PacerConfig {
             backoff: true,
             backoff_base: SECONDS,
             backoff_cap: 4 * SECONDS,
             ..PacerConfig::default()
         });
         for _ in 0..40 {
-            pacer.on_failure(IP_A, 0);
+            gate.on_failure(IP_A, 0);
         }
-        let PaceDecision::Defer { until, .. } = pacer.admit(IP_A, 0) else {
+        let PaceDecision::Defer { until, .. } = gate.admit(IP_A, 0) else {
             panic!("penalty must defer");
         };
         assert_eq!(until, 4 * SECONDS, "penalty capped");
     }
 
     #[test]
-    fn split_divides_budgets_across_workers() {
-        let config = PacerConfig {
-            rate_pps: 1000.0,
-            per_host_pps: 100.0,
-            ..PacerConfig::default()
-        };
-        let per_worker = config.split(4);
-        assert_eq!(per_worker.rate_pps, 250.0);
-        assert_eq!(per_worker.per_host_pps, 25.0);
-        assert!(per_worker.enabled());
-    }
-
-    #[test]
-    fn host_table_is_hard_capped_under_all_penalized_flood() {
-        // A spoofed-source flood where *every* destination carries a live
-        // penalty: the idle prune frees nothing, so the hard cap must
-        // evict penalized entries to bound memory.
-        let mut pacer = Pacer::new(PacerConfig {
-            backoff: true,
-            backoff_base: 3_600 * SECONDS,
-            backoff_cap: 7_200 * SECONDS,
-            ..PacerConfig::default()
-        });
-        for i in 0..(MAX_HOSTS + 500) as u32 {
-            let ip = Ipv4Addr::from(0x0A00_0000 + i);
-            pacer.on_failure(ip, 0);
-        }
-        assert!(
-            pacer.tracked_hosts() <= MAX_HOSTS,
-            "tracked {}",
-            pacer.tracked_hosts()
-        );
-        assert!(pacer.host_evictions >= 500, "{}", pacer.host_evictions);
-    }
-
-    #[test]
-    fn host_table_prunes_idle_entries() {
-        let mut pacer = Pacer::new(PacerConfig {
-            per_host_pps: 1000.0,
-            ..PacerConfig::default()
-        });
-        for i in 0..(MAX_HOSTS + 100) as u32 {
-            let ip = Ipv4Addr::from(0x0A00_0000 + i);
-            let _ = pacer.admit(ip, u64::from(i) * SECONDS);
-        }
-        assert!(pacer.tracked_hosts() <= MAX_HOSTS + 100);
-        assert!(
-            pacer.tracked_hosts() < MAX_HOSTS,
-            "idle hosts must be pruned, got {}",
-            pacer.tracked_hosts()
-        );
-    }
-
-    fn gate_releases(
-        gate: &mut ConcurrentGate,
-        dest: Ipv4Addr,
-        n: usize,
-        now: Nanos,
-    ) -> Vec<Nanos> {
-        (0..n)
-            .map(|_| match gate.admit(dest, now) {
-                PaceDecision::Ready => now,
-                PaceDecision::Defer { until, .. } => until,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn concurrent_global_budget_spreads_sends_at_rate() {
-        let pacer = Arc::new(ConcurrentPacer::new(PacerConfig {
-            rate_pps: 100.0,
-            burst: 1.0,
-            ..PacerConfig::default()
-        }));
-        let mut gate = ConcurrentGate::new(pacer);
-        let times = gate_releases(&mut gate, IP_A, 51, 0);
-        assert_eq!(times[0], 0);
-        let last = *times.last().unwrap();
-        let expected = 500 * zdns_pacing::MILLIS;
-        assert!(
-            (last as i64 - expected as i64).unsigned_abs() < 5 * zdns_pacing::MILLIS,
-            "{last}"
-        );
-        for pair in times.windows(2) {
-            assert!(pair[1] > pair[0]);
-        }
-    }
-
-    #[test]
-    fn concurrent_penalty_expiry_does_not_release_a_herd() {
-        let pacer = Arc::new(ConcurrentPacer::new(PacerConfig {
-            per_host_pps: 100.0,
-            burst: 1.0,
-            backoff: true,
-            backoff_base: SECONDS,
-            ..PacerConfig::default()
-        }));
-        pacer.on_failure(IP_A, 0);
-        let mut gate = ConcurrentGate::new(Arc::clone(&pacer));
-        let times = gate_releases(&mut gate, IP_A, 10, 0);
-        assert!(times[0] >= SECONDS, "penalty must hold the first send");
-        for pair in times.windows(2) {
-            assert!(
-                pair[1] >= pair[0] + SECONDS / 100 - 2,
-                "herd after penalty expiry: {times:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_backoff_memory_is_shared_across_gates() {
-        // Worker A's failures must back the destination off for worker B
-        // — the scan-wide backoff memory the mutex pacer provided.
+    fn backoff_memory_is_shared_across_gates() {
+        // Worker A's failures must back the destination off for worker B:
+        // the backoff memory is scan-wide.
         let pacer = Arc::new(ConcurrentPacer::new(PacerConfig {
             backoff: true,
             backoff_base: SECONDS,
@@ -1022,36 +750,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_snapshot_round_trips_into_legacy_pacer() {
-        // The two implementations speak the same checkpoint format.
-        let config = PacerConfig {
-            backoff: true,
-            backoff_base: 200 * zdns_pacing::MILLIS,
-            ..PacerConfig::default()
-        };
-        let pacer = Arc::new(ConcurrentPacer::new(config.clone()));
-        for _ in 0..3 {
-            pacer.on_failure(IP_A, 0);
-        }
-        let snap = pacer.backoff_snapshot(100 * zdns_pacing::MILLIS);
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0], (IP_A, 3, 700 * zdns_pacing::MILLIS));
-
-        let mut legacy = Pacer::new(config.clone());
-        legacy.restore_backoff(&snap, 0);
-        assert_eq!(legacy.backoff_snapshot(0), snap);
-
-        let resumed = ConcurrentPacer::new(config);
-        resumed.restore_backoff(&snap, 0);
-        let mut gate = ConcurrentGate::new(Arc::new(resumed));
-        match gate.admit(IP_A, 0) {
-            PaceDecision::Defer { until, .. } => assert_eq!(until, 700 * zdns_pacing::MILLIS),
-            other => panic!("restored penalty must defer: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn concurrent_host_table_is_hard_capped() {
+    fn host_table_is_hard_capped_under_all_penalized_flood() {
+        // A spoofed-source flood where *every* destination carries a live
+        // penalty: the idle prune frees nothing, so the hard cap must
+        // evict penalized entries to bound memory.
         let pacer = ConcurrentPacer::new(PacerConfig {
             backoff: true,
             backoff_base: 3_600 * SECONDS,
@@ -1070,6 +772,23 @@ mod tests {
     }
 
     #[test]
+    fn host_table_prunes_idle_entries() {
+        let mut gate = gate(PacerConfig {
+            per_host_pps: 1000.0,
+            ..PacerConfig::default()
+        });
+        for i in 0..(MAX_HOSTS + 100) as u32 {
+            let ip = Ipv4Addr::from(0x0A00_0000 + i);
+            let _ = gate.admit(ip, u64::from(i) * SECONDS);
+        }
+        assert!(
+            gate.pacer().tracked_hosts() < MAX_HOSTS,
+            "idle hosts must be pruned, got {}",
+            gate.pacer().tracked_hosts()
+        );
+    }
+
+    #[test]
     fn returned_blocks_give_budget_back() {
         let pacer = Arc::new(ConcurrentPacer::new(PacerConfig {
             rate_pps: 100.0, // burst derives rate/20 = 5 -> block of 5
@@ -1080,22 +799,11 @@ mod tests {
         assert_eq!(pacer.blocks_leased(), 1);
         drop(hoarder); // unused slots return on drop
         let mut gate = ConcurrentGate::new(Arc::clone(&pacer));
-        let times = gate_releases(&mut gate, IP_B, 4, 0);
+        let times = releases(&mut gate, IP_B, 4, 0);
         assert_eq!(
             times,
             vec![0, 0, 0, 0],
             "returned burst tokens must be immediately spendable"
         );
-    }
-
-    #[test]
-    fn disabled_concurrent_pacer_never_defers() {
-        let pacer = Arc::new(ConcurrentPacer::new(PacerConfig::default()));
-        let mut gate = ConcurrentGate::new(Arc::clone(&pacer));
-        for i in 0..1_000 {
-            assert_eq!(gate.admit(IP_A, i), PaceDecision::Ready);
-        }
-        assert_eq!(pacer.tracked_hosts(), 0);
-        assert_eq!(pacer.blocks_leased(), 0);
     }
 }

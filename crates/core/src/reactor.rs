@@ -12,11 +12,13 @@
 //!   the machines' own retry logic run without any blocking waits;
 //! * a small **blocking TCP side-pool** absorbs truncation-fallback
 //!   exchanges so the UDP loop never stalls on a TCP handshake;
-//! * a **pacer** ([`crate::pacer::Pacer`]) gates every UDP send against
-//!   global and per-destination budgets: deferred sends are parked on a
-//!   queue whose release times are armed on the same timer wheel — no
-//!   extra threads, no busy-wait — and timeout/error streaks feed
-//!   per-destination adaptive backoff;
+//! * an optional **pacer** ([`ConcurrentPacer`], via
+//!   [`Reactor::set_pacer`]) gates every UDP send against global and
+//!   per-destination budgets: deferred sends are parked on a queue whose
+//!   release times are armed on the same timer wheel — no extra threads,
+//!   no busy-wait — and timeout/error streaks feed per-destination
+//!   adaptive backoff. The pacer is scan-wide: sibling workers share its
+//!   budgets and its backoff memory;
 //! * a **batched syscall layer** ([`BatchIo`]) amortizes per-datagram
 //!   syscall cost: sends emitted in the same event-loop tick — admission
 //!   bursts, same-tick retries, and pacer deferred-queue releases that
@@ -28,9 +30,7 @@
 //!   instead of a fixed private window, the reactor leases one credit
 //!   per active lookup from a scan-wide pool, and *parks* lookups whose
 //!   every outstanding send is waiting out a backoff penalty — returning
-//!   their credits so sibling workers absorb the stranded window. With
-//!   [`Reactor::set_shared_pacer`] the pacing budgets are likewise one
-//!   scan-wide pool rather than a static per-worker split.
+//!   their credits so sibling workers absorb the stranded window.
 //!
 //! The lookup machines are unchanged — the same [`SimClient`] state
 //! machines the discrete-event simulator drives. The reactor is just the
@@ -52,7 +52,7 @@ use zdns_pacing::{CreditPool, PaceDecision, SendGate};
 use zdns_wire::{encode_query_into, Message, MessageView, MsgRef, ScratchBuf};
 
 use crate::driver::{Admission, Driver, DriverReport};
-use crate::pacer::{ConcurrentGate, ConcurrentPacer, Pacer, PacerConfig, SharedPacer};
+use crate::pacer::{ConcurrentGate, ConcurrentPacer};
 use crate::resolver::AddrMap;
 use crate::serve::{ServeStats, ServerRole};
 use crate::transport::readiness;
@@ -74,10 +74,6 @@ pub struct ReactorConfig {
     pub wheel_slots: usize,
     /// Timer-wheel slot width in nanoseconds.
     pub wheel_granularity: SimTime,
-    /// Pacing + backoff budgets for this reactor's sends (disabled by
-    /// default). Scans splitting one budget over several workers should
-    /// hand each reactor `PacerConfig::split(workers)`.
-    pub pacer: PacerConfig,
     /// Datagrams per syscall on the hot path: same-tick sends coalesce
     /// into one `sendmmsg` of up to this many datagrams, and the receive
     /// arena pre-allocates this many buffers for `recvmmsg`. `1` forces
@@ -103,11 +99,11 @@ pub struct ReactorConfig {
     /// machines never exceed `max_in_flight`.
     pub max_parked: usize,
     /// The instant this reactor's clock counts nanoseconds from.
-    /// Workers sharing one pacer ([`Reactor::set_shared_pacer`]) MUST
-    /// share one epoch too: the pacer stores absolute release/penalty
-    /// times, so callers on different epochs would mis-read each
-    /// other's backoff state by their spawn skew. `None` = this
-    /// reactor's construction time (fine for a private pacer).
+    /// Workers sharing one pacer ([`Reactor::set_pacer`]) MUST share one
+    /// epoch too: the pacer stores absolute release/penalty times, so
+    /// callers on different epochs would mis-read each other's backoff
+    /// state by their spawn skew. `None` = this reactor's construction
+    /// time (fine for a pacer no other reactor uses).
     pub epoch: Option<Instant>,
 }
 
@@ -123,7 +119,6 @@ impl Default for ReactorConfig {
             tcp_pool: 2,
             wheel_slots: 1_024,
             wheel_granularity: 4 * MILLIS,
-            pacer: PacerConfig::default(),
             batch_size: DEFAULT_BATCH_SIZE,
             io_backend: IoBackend::default(),
             owned_decode: false,
@@ -453,56 +448,6 @@ struct PreparedSend {
     oq: OutQuery,
 }
 
-/// The reactor's pacing handle: its own pacer (a static budget split),
-/// or one scan-wide pacer shared with its sibling workers (the
-/// shared-queue pipeline's budget leasing — reserving from the shared
-/// buckets is the lease, so idle workers leave the whole budget to the
-/// active ones and backoff knowledge is common property). The shared
-/// flavour comes in two implementations: the lock-free
-/// [`ConcurrentPacer`] behind a per-worker [`ConcurrentGate`] (the
-/// default), and the legacy whole-pacer mutex kept as an A/B lever.
-enum PacerHandle {
-    Own(Pacer),
-    Shared(SharedPacer),
-    Concurrent(ConcurrentGate),
-}
-
-impl PacerHandle {
-    fn admit(&mut self, dest: Ipv4Addr, now: SimTime) -> PaceDecision {
-        match self {
-            PacerHandle::Own(pacer) => pacer.admit(dest, now),
-            PacerHandle::Shared(pacer) => pacer.lock().admit(dest, now),
-            PacerHandle::Concurrent(gate) => gate.admit(dest, now),
-        }
-    }
-
-    fn on_success(&mut self, dest: Ipv4Addr, now: SimTime) {
-        match self {
-            PacerHandle::Own(pacer) => pacer.on_success(dest, now),
-            PacerHandle::Shared(pacer) => pacer.lock().on_success(dest, now),
-            PacerHandle::Concurrent(gate) => gate.on_success(dest, now),
-        }
-    }
-
-    fn on_failure(&mut self, dest: Ipv4Addr, now: SimTime) {
-        match self {
-            PacerHandle::Own(pacer) => pacer.on_failure(dest, now),
-            PacerHandle::Shared(pacer) => pacer.lock().on_failure(dest, now),
-            PacerHandle::Concurrent(gate) => gate.on_failure(dest, now),
-        }
-    }
-
-    /// Give unused global-budget block tokens back to a shared
-    /// concurrent pacer — called at the same points admission credits go
-    /// back to the pool (park/idle/end-of-run). No-op for the other
-    /// handles and for an empty block, so it is safe to call freely.
-    fn return_tokens(&mut self) {
-        if let PacerHandle::Concurrent(gate) = self {
-            gate.return_tokens();
-        }
-    }
-}
-
 /// This reactor's stake in the scan-wide [`CreditPool`].
 struct CreditShare {
     pool: Arc<CreditPool>,
@@ -551,8 +496,11 @@ pub struct Reactor {
     in_flight: usize,
     demux: HashMap<DemuxKey, Pending>,
     wheel: TimerWheel,
-    pacer: PacerHandle,
-    /// Shared admission credits (`None` = the classic static window).
+    /// This worker's gate on the scan-wide pacer (`None` = unpaced: the
+    /// send path skips admission and feedback entirely).
+    pacer: Option<ConcurrentGate>,
+    /// Shared admission credits (`None` = a private window of
+    /// `max_in_flight`).
     credits: Option<CreditShare>,
     /// Machines alive but holding no credit (all sends in backoff).
     parked_count: usize,
@@ -623,7 +571,6 @@ impl Reactor {
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
         let wheel = TimerWheel::new(config.wheel_slots, config.wheel_granularity);
         let tcp = TcpPool::start(config.tcp_pool);
-        let pacer = Pacer::new(config.pacer.clone());
         let batch = BatchIo::with_backend(config.io_backend, config.batch_size);
         let owned_decode = config.owned_decode;
         let started = config.epoch.unwrap_or_else(Instant::now);
@@ -637,7 +584,7 @@ impl Reactor {
             in_flight: 0,
             demux: HashMap::new(),
             wheel,
-            pacer: PacerHandle::Own(pacer),
+            pacer: None,
             credits: None,
             parked_count: 0,
             deferred: HashMap::new(),
@@ -693,20 +640,14 @@ impl Reactor {
         });
     }
 
-    /// Replace this reactor's private pacer with one shared scan-wide —
-    /// budget leasing for the pacing half of the contract (see
-    /// [`SharedPacer`]).
-    pub fn set_shared_pacer(&mut self, pacer: SharedPacer) {
-        self.pacer = PacerHandle::Shared(pacer);
-    }
-
-    /// Share a lock-free [`ConcurrentPacer`] scan-wide — same contract
-    /// as [`Reactor::set_shared_pacer`] (one global budget, common
-    /// backoff memory, workers MUST share a [`ReactorConfig::epoch`]),
-    /// but admission is a worker-local token block plus a striped table
-    /// instead of a whole-pacer mutex.
-    pub fn set_concurrent_pacer(&mut self, pacer: Arc<ConcurrentPacer>) {
-        self.pacer = PacerHandle::Concurrent(ConcurrentGate::new(pacer));
+    /// Gate this reactor's UDP sends through `pacer`. Reserving from its
+    /// budgets *is* the lease: an idle worker simply does not reserve, so
+    /// active workers absorb the whole budget with no rebalancing step,
+    /// and a destination one worker learns is struggling is backed off
+    /// for all of them. Workers sharing a pacer MUST share a
+    /// [`ReactorConfig::epoch`].
+    pub fn set_pacer(&mut self, pacer: Arc<ConcurrentPacer>) {
+        self.pacer = Some(ConcurrentGate::new(pacer));
     }
 
     /// The bound local address (one reused source port for every lookup).
@@ -758,6 +699,36 @@ impl Reactor {
 
     fn now(&self) -> SimTime {
         self.started.elapsed().as_nanos() as u64
+    }
+
+    /// Ask the pacer whether a send to `dest` may go on the wire now.
+    fn pace_admit(&mut self, dest: Ipv4Addr) -> PaceDecision {
+        match self.pacer.as_mut() {
+            Some(gate) => gate.admit(dest, self.started.elapsed().as_nanos() as u64),
+            None => PaceDecision::Ready,
+        }
+    }
+
+    /// Feed one query outcome at `dest` to the pacer's adaptive backoff.
+    fn pace_feedback(&mut self, dest: Ipv4Addr, success: bool) {
+        if let Some(gate) = self.pacer.as_mut() {
+            let now = self.started.elapsed().as_nanos() as u64;
+            if success {
+                gate.on_success(dest, now);
+            } else {
+                gate.on_failure(dest, now);
+            }
+        }
+    }
+
+    /// Give unused global-budget block tokens back to the pacer — called
+    /// at the same points admission credits go back to the pool
+    /// (park/idle/end-of-run). No-op for an empty block, so it is safe to
+    /// call freely.
+    fn return_pacer_tokens(&mut self) {
+        if let Some(gate) = self.pacer.as_mut() {
+            gate.return_tokens();
+        }
     }
 
     /// Pop a recycled machine-output buffer (or make a fresh one — only
@@ -939,7 +910,7 @@ impl Reactor {
             // A park means pacing is the bottleneck here: unused global
             // token-block slots go back with the credit, so siblings
             // (and this worker's own deferred queue) drain the budget.
-            self.pacer.return_tokens();
+            self.return_pacer_tokens();
         }
     }
 
@@ -1018,7 +989,7 @@ impl Reactor {
                     }
                     immediate.push(ClientEvent::TransportFailed { tag: oq.tag });
                 }
-                Protocol::Udp => match self.pacer.admit(oq.to, self.now()) {
+                Protocol::Udp => match self.pace_admit(oq.to) {
                     PaceDecision::Ready => self.stage_send(idx, oq, 0),
                     PaceDecision::Defer {
                         until,
@@ -1388,7 +1359,7 @@ impl Reactor {
                     None => MsgRef::View(view.expect("view parsed").with_id(pending.orig_id)),
                 };
                 self.report.datagrams_delivered += 1;
-                self.pacer.on_success(pending.sim_ip, self.now());
+                self.pace_feedback(pending.sim_ip, true);
                 let event = ClientEvent::Response {
                     tag: pending.tag,
                     from: pending.sim_ip,
@@ -1430,7 +1401,7 @@ impl Reactor {
             }
             let event = match done.result {
                 Ok(message) => {
-                    self.pacer.on_success(done.sim_ip, self.now());
+                    self.pace_feedback(done.sim_ip, true);
                     ClientEvent::Response {
                         tag: done.tag,
                         from: done.sim_ip,
@@ -1439,11 +1410,11 @@ impl Reactor {
                     }
                 }
                 Err(TransportError::Timeout) => {
-                    self.pacer.on_failure(done.sim_ip, self.now());
+                    self.pace_feedback(done.sim_ip, false);
                     ClientEvent::Timeout { tag: done.tag }
                 }
                 Err(_) => {
-                    self.pacer.on_failure(done.sim_ip, self.now());
+                    self.pace_feedback(done.sim_ip, false);
                     ClientEvent::TransportFailed { tag: done.tag }
                 }
             };
@@ -1478,7 +1449,7 @@ impl Reactor {
                 }
             }
             self.report.timeouts_fired += 1;
-            self.pacer.on_failure(pending.sim_ip, self.now());
+            self.pace_feedback(pending.sim_ip, false);
             self.deliver(
                 pending.slot,
                 ClientEvent::Timeout { tag: pending.tag },
@@ -1656,7 +1627,7 @@ impl Driver for Reactor {
                 }
                 // Nor will fresh admissions need the token block: the
                 // drain phase re-leases on demand if retries crop up.
-                self.pacer.return_tokens();
+                self.return_pacer_tokens();
             }
             if self.in_flight == 0 && exhausted {
                 break;
@@ -1717,7 +1688,7 @@ impl Driver for Reactor {
             self.wheel.cancel(token);
         }
         self.wheel.sweep_cancelled();
-        self.pacer.return_tokens();
+        self.return_pacer_tokens();
 
         // Ring telemetry: this scan's delta, plus which backend ran.
         self.report.io_backend = self.io_backend();

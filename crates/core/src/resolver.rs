@@ -174,35 +174,6 @@ pub fn drive_blocking(
     transport: &mut dyn Transport,
     addr_map: &AddrMap,
 ) -> Option<zdns_netsim::JobOutcome> {
-    drive_blocking_paced(machine, transport, addr_map, None, None)
-}
-
-/// Nanoseconds on a process-wide monotonic clock. The blocking driver's
-/// pacer outlives any single lookup, so its bucket refills must see one
-/// continuous timeline — not each lookup's private zero.
-fn monotonic_nanos() -> u64 {
-    use std::sync::OnceLock;
-    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
-    EPOCH
-        .get_or_init(std::time::Instant::now)
-        .elapsed()
-        .as_nanos() as u64
-}
-
-/// [`drive_blocking`] with an optional pacer gating every send (the
-/// blocking path's equivalent of the reactor's deferred send queue: it
-/// just sleeps until release) and an optional report for the pacing
-/// counters. Response/timeout outcomes feed the pacer's per-destination
-/// backoff exactly as the reactor's do.
-pub fn drive_blocking_paced(
-    machine: &mut dyn SimClient,
-    transport: &mut dyn Transport,
-    addr_map: &AddrMap,
-    mut pacer: Option<&mut crate::pacer::Pacer>,
-    mut report: Option<&mut crate::driver::DriverReport>,
-) -> Option<zdns_netsim::JobOutcome> {
-    use zdns_pacing::{PaceDecision, SendGate};
-
     let started = std::time::Instant::now();
     let mut out = Vec::new();
     let mut status = machine.start(0, &mut out);
@@ -217,38 +188,11 @@ pub fn drive_blocking_paced(
             // closed rather than spinning.
             return None;
         };
-        if let Some(pacer) = pacer.as_deref_mut() {
-            if let PaceDecision::Defer {
-                until,
-                host_limited,
-            } = pacer.admit(oq.to, monotonic_nanos())
-            {
-                if let Some(report) = report.as_deref_mut() {
-                    report.queries_deferred += 1;
-                    if host_limited {
-                        report.per_host_throttles += 1;
-                    }
-                }
-                let wait = until.saturating_sub(monotonic_nanos());
-                if wait > 0 {
-                    std::thread::sleep(Duration::from_nanos(wait));
-                }
-            }
-        }
         let dest = addr_map(oq.to);
         let timeout = Duration::from_nanos(oq.timeout);
         let query = oq.to_message();
         let exchanged = transport.exchange(&query, dest, oq.protocol, timeout);
         let now = started.elapsed().as_nanos() as u64;
-        if let Some(pacer) = pacer.as_deref_mut() {
-            // Any transport error counts as a failure signal, matching
-            // the reactor's TCP side-pool feedback — ECONNREFUSED from a
-            // dead destination should grow its penalty, not reset it.
-            match &exchanged {
-                Ok(_) => pacer.on_success(oq.to, monotonic_nanos()),
-                Err(_) => pacer.on_failure(oq.to, monotonic_nanos()),
-            }
-        }
         let event = match exchanged {
             Ok(message) => ClientEvent::Response {
                 tag: oq.tag,

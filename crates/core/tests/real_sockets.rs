@@ -500,16 +500,16 @@ fn reactor_holds_send_rate_within_ten_percent_of_budget() {
             max_in_flight: N, // everything admitted at once: pure pacing
             source: Ipv4Addr::LOCALHOST,
             wheel_granularity: zdns_netsim::MILLIS,
-            pacer: PacerConfig {
-                rate_pps: RATE,
-                burst: 1.0,
-                ..PacerConfig::default()
-            },
             ..ReactorConfig::default()
         },
         map,
     )
     .unwrap();
+    reactor.set_pacer(Arc::new(ConcurrentPacer::new(PacerConfig {
+        rate_pps: RATE,
+        burst: 1.0,
+        ..PacerConfig::default()
+    })));
 
     let machines: Vec<_> = (0..N)
         .map(|i| {
@@ -563,16 +563,16 @@ fn reactor_backoff_defers_retries_to_a_silent_destination() {
             max_in_flight: 8,
             source: Ipv4Addr::LOCALHOST,
             wheel_granularity: zdns_netsim::MILLIS,
-            pacer: PacerConfig {
-                backoff: true,
-                backoff_base: 20 * zdns_netsim::MILLIS,
-                ..PacerConfig::default()
-            },
             ..ReactorConfig::default()
         },
         map,
     )
     .unwrap();
+    reactor.set_pacer(Arc::new(ConcurrentPacer::new(PacerConfig {
+        backoff: true,
+        backoff_base: 20 * zdns_netsim::MILLIS,
+        ..PacerConfig::default()
+    })));
 
     let machines: Vec<_> = (0..4)
         .map(|i| {
@@ -630,7 +630,7 @@ fn concurrent_pacer_backoff_memory_propagates_across_workers() {
             Arc::clone(map),
         )
         .unwrap();
-        reactor.set_concurrent_pacer(Arc::clone(&pacer));
+        reactor.set_pacer(Arc::clone(&pacer));
         reactor
     };
 

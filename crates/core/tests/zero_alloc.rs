@@ -205,7 +205,7 @@ fn steady_state_concurrent_pacer_scan_allocates_zero_per_lookup() {
         addr_map,
     )
     .unwrap();
-    reactor.set_concurrent_pacer(Arc::clone(&pacer));
+    reactor.set_pacer(Arc::clone(&pacer));
 
     let (done, ok, _) = run_prebuilt(&mut reactor, &resolver, &questions[..WARMUP], false);
     assert_eq!(done, WARMUP);

@@ -465,14 +465,6 @@ FLAGS:
                            decay it
   --backoff-base SECS      first backoff penalty (implies --backoff)
   --backoff-cap SECS       backoff penalty growth cap (implies --backoff)
-  --static-split           split the admission window and pacing budgets
-                           statically across workers (pre-pipeline behaviour;
-                           A/B lever — the shared credit pool is the default)
-  --pacer KIND             shared-pacer implementation: concurrent (default)
-                           is lock-free — an atomic global token bucket the
-                           workers lease token blocks from, plus a striped
-                           per-destination backoff table; legacy-shared keeps
-                           the historical whole-pacer mutex (A/B lever)
   --cookie-secret S        derive EDNS client cookies from a keyed hash of S
                            and the destination (RFC 7873 \u{a7}6): 32 hex digits
                            are literal, anything else is stretched; default
@@ -490,6 +482,6 @@ FLAGS:
                            every name already in the output, re-admits the
                            in-flight remainder, and restores pacer backoff
   --checkpoint-every N     completions between checkpoint snapshots
-                           (default 1000)"
+                           (default 1000; needs --checkpoint or --resume)"
     );
 }

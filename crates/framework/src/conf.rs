@@ -126,16 +126,6 @@ pub struct Conf {
     pub batch_size: usize,
     /// Name source for the scan (`--workload`).
     pub workload: Workload,
-    /// Split the admission window and pacing budgets statically across
-    /// reactor workers (the pre-pipeline behaviour) instead of leasing
-    /// them from scan-wide pools. An A/B escape hatch; the shared-queue
-    /// pipeline is the default.
-    pub static_split: bool,
-    /// Shared-pacer implementation (`--pacer`): `concurrent` (default)
-    /// is the lock-free scan-wide pacer — atomic global token bucket
-    /// plus a striped per-destination table; `legacy-shared` keeps the
-    /// historical whole-pacer mutex as an A/B lever.
-    pub legacy_shared_pacer: bool,
     /// Syscall strategy for the reactor hot path (`--io-backend`):
     /// `auto` (default) takes the best the kernel supports — io_uring,
     /// then `sendmmsg`/`recvmmsg`, then per-datagram — and explicit
@@ -188,8 +178,6 @@ impl Default for Conf {
             backoff_cap: 0,
             batch_size: 0,
             workload: Workload::Lines,
-            static_split: false,
-            legacy_shared_pacer: false,
             io_backend: IoBackend::default(),
             pin_cores: false,
             name_server_addrs: Vec::new(),
@@ -257,6 +245,12 @@ fn parse_cookie_secret(v: &str) -> Result<[u8; 16], ConfError> {
         out.copy_from_slice(&h.to_be_bytes());
     }
     Ok(secret)
+}
+
+/// Parse an `--io-backend` value (shared by the scan and serve parsers).
+fn parse_io_backend(v: &str) -> Result<IoBackend, ConfError> {
+    IoBackend::parse(v)
+        .ok_or_else(|| ConfError(format!("bad --io-backend {v:?} (auto|syscall|mmsg|uring)")))
 }
 
 /// Parse a `--shard` value: `i/n` with `0 <= i < n` and `n >= 1`.
@@ -342,13 +336,9 @@ impl Conf {
                     conf.output = OutputGroup::Trace;
                 }
                 "--output-fields" => {
-                    conf.output = match take_value(&mut i)?.as_str() {
-                        "short" => OutputGroup::Short,
-                        "normal" => OutputGroup::Normal,
-                        "long" => OutputGroup::Long,
-                        "trace" => OutputGroup::Trace,
-                        other => return Err(ConfError(format!("bad output group {other:?}"))),
-                    };
+                    let v = take_value(&mut i)?;
+                    conf.output = OutputGroup::parse(&v)
+                        .ok_or_else(|| ConfError(format!("bad output group {v:?}")))?;
                 }
                 "--input-file" | "-f" => conf.input_path = take_value(&mut i)?,
                 "--output-file" | "-o" => conf.output_path = take_value(&mut i)?,
@@ -405,30 +395,11 @@ impl Conf {
                         .map_err(|_| ConfError("bad --max-names".into()))?;
                 }
                 "--workload" => {
-                    conf.workload = match take_value(&mut i)?.as_str() {
-                        "lines" | "input" => Workload::Lines,
-                        "ct-corpus" => Workload::CtCorpus,
-                        other => return Err(ConfError(format!("unknown workload {other:?}"))),
-                    };
-                }
-                "--static-split" => conf.static_split = true,
-                "--pacer" => {
-                    conf.legacy_shared_pacer = match take_value(&mut i)?.as_str() {
-                        "concurrent" => false,
-                        "legacy-shared" => true,
-                        other => {
-                            return Err(ConfError(format!(
-                                "bad --pacer {other:?} (concurrent|legacy-shared)"
-                            )))
-                        }
-                    };
-                }
-                "--io-backend" => {
                     let v = take_value(&mut i)?;
-                    conf.io_backend = IoBackend::parse(&v).ok_or_else(|| {
-                        ConfError(format!("bad --io-backend {v:?} (auto|syscall|mmsg|uring)"))
-                    })?;
+                    conf.workload = Workload::parse(&v)
+                        .ok_or_else(|| ConfError(format!("unknown workload {v:?}")))?;
                 }
+                "--io-backend" => conf.io_backend = parse_io_backend(&take_value(&mut i)?)?,
                 "--pin-cores" => conf.pin_cores = true,
                 "--cookie-secret" => {
                     conf.resolver.cookie_secret = Some(parse_cookie_secret(&take_value(&mut i)?)?);
@@ -479,7 +450,15 @@ impl Conf {
                     .into(),
             ));
         }
-        if !conf.checkpoint_path.is_empty() {
+        if conf.checkpoint_path.is_empty() {
+            if conf.checkpoint_every > 0 {
+                return Err(ConfError(
+                    "--checkpoint-every needs --checkpoint PATH or --resume PATH \
+                     (there is no checkpoint to pace otherwise)"
+                        .into(),
+                ));
+            }
+        } else {
             // A durable scan must be re-runnable from its manifest alone:
             // real sockets (the sim is already deterministic end to end),
             // an output file to dedup completed names against, and an
@@ -521,8 +500,7 @@ impl Conf {
     }
 
     /// The pacing + backoff budgets this scan was asked for (the whole
-    /// scan's budget — drivers running in parallel split it with
-    /// [`PacerConfig::split`]).
+    /// scan's budget — every worker leases from one shared pacer).
     pub fn pacer_config(&self) -> PacerConfig {
         let defaults = PacerConfig::default();
         PacerConfig {
@@ -639,12 +617,7 @@ impl ServeConf {
                         .filter(|v: &f64| v.is_finite() && *v >= 0.0)
                         .ok_or_else(|| ConfError("bad --client-pps".into()))?;
                 }
-                "--io-backend" => {
-                    let v = take_value(&mut i)?;
-                    conf.io_backend = IoBackend::parse(&v).ok_or_else(|| {
-                        ConfError(format!("bad --io-backend {v:?} (auto|syscall|mmsg|uring)"))
-                    })?;
-                }
+                "--io-backend" => conf.io_backend = parse_io_backend(&take_value(&mut i)?)?,
                 "--shards" => {
                     conf.shards = take_value(&mut i)?
                         .parse()
@@ -781,7 +754,6 @@ mod tests {
         assert!(conf.backoff);
         let pc = conf.pacer_config();
         assert!(pc.enabled());
-        assert_eq!(pc.split(2).rate_pps, 2500.0);
 
         let default = Conf::parse(["A"]).unwrap();
         assert!(!default.pacer_config().enabled(), "pacing is opt-in");
@@ -828,32 +800,11 @@ mod tests {
     }
 
     #[test]
-    fn static_split_flag() {
-        assert!(
-            !Conf::parse(["A"]).unwrap().static_split,
-            "shared is default"
-        );
-        assert!(Conf::parse(["A", "--static-split"]).unwrap().static_split);
-    }
-
-    #[test]
-    fn pacer_flag() {
-        assert!(
-            !Conf::parse(["A"]).unwrap().legacy_shared_pacer,
-            "concurrent is default"
-        );
-        assert!(
-            !Conf::parse(["A", "--pacer", "concurrent"])
-                .unwrap()
-                .legacy_shared_pacer
-        );
-        assert!(
-            Conf::parse(["A", "--pacer", "legacy-shared"])
-                .unwrap()
-                .legacy_shared_pacer
-        );
-        assert!(Conf::parse(["A", "--pacer", "mutex"]).is_err());
-        assert!(Conf::parse(["A", "--pacer"]).is_err(), "needs a value");
+    fn retired_admission_levers_are_unknown_flags() {
+        for flag in ["--pacer", "--static-split"] {
+            let err = Conf::parse(["A", flag, "concurrent"]).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag {flag:?}"));
+        }
     }
 
     #[test]
@@ -995,6 +946,11 @@ mod tests {
             "stdin input cannot be replayed on resume"
         );
         assert!(Conf::parse(["A", "--checkpoint-every", "0"]).is_err());
+        let err = Conf::parse(["A", "--iterative", "--checkpoint-every", "5"]).unwrap_err();
+        assert!(
+            err.0.contains("--checkpoint-every needs --checkpoint"),
+            "a cadence without a checkpoint must not be silently ignored: {err}"
+        );
     }
 
     #[test]

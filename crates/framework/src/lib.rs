@@ -38,7 +38,7 @@ pub use checkpoint::{
 };
 pub use conf::{Conf, ConfError, OutputGroup, ServeConf, Workload};
 pub use output::{CallbackSink, JsonlSink, OutputSink};
-pub use pipeline::{run_scan_pipeline, AdmissionMode};
+pub use pipeline::run_scan_pipeline;
 pub use runner::{
     resolver_for, run_real_scan, run_sim_scan, run_sim_scan_with, RealScanReport, CLOUDFLARE_DNS,
     GOOGLE_DNS,

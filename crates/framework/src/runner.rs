@@ -13,14 +13,14 @@
 //!   paper's event-driven architecture: concurrency comes from in-flight
 //!   lookups, not OS threads). The `--max-in-flight` admission window is
 //!   a scan-wide credit pool the workers lease from (see the pipeline
-//!   module docs); `--static-split` reverts to fixed per-worker slices.
+//!   module docs).
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use zdns_core::{AddrMap, DriverReport, Pacer, Resolver, ResolverConfig};
+use zdns_core::{AddrMap, ConcurrentGate, ConcurrentPacer, DriverReport, Resolver, ResolverConfig};
 use zdns_modules::{LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::{Engine, EngineConfig, PublicResolverConfig, PublicResolverSim, RunReport};
 use zdns_zones::Universe;
@@ -93,7 +93,9 @@ where
     // drivers use.
     let pacer_config = conf.pacer_config();
     if pacer_config.enabled() {
-        engine.set_send_gate(Box::new(Pacer::new(pacer_config)));
+        engine.set_send_gate(Box::new(ConcurrentGate::new(Arc::new(
+            ConcurrentPacer::new(pacer_config),
+        ))));
     }
     let callback = Arc::new(Mutex::new(on_output));
     let sink: ModuleSink = Arc::new(move |o| (callback.lock())(o));

@@ -49,8 +49,6 @@ const SCAN_SAMPLES: &[(&str, &[&str])] = &[
         "--workload",
         &["A", "--workload", "ct-corpus", "--max-names", "100"],
     ),
-    ("--static-split", &["A", "--static-split"]),
-    ("--pacer", &["A", "--pacer", "legacy-shared"]),
     ("--io-backend", &["A", "--io-backend", "mmsg"]),
     ("--pin-cores", &["A", "--pin-cores"]),
     (

@@ -33,7 +33,6 @@ pub mod latency;
 #[cfg(any(target_os = "linux", target_os = "android"))]
 pub mod mmsg;
 pub mod oracle;
-pub mod ratelimit;
 pub mod resolvers;
 pub mod time;
 pub mod wire_server;
@@ -45,7 +44,6 @@ pub use engine::{
 pub use input::{shard_of, InputSource, ShardedSource};
 #[cfg(any(target_os = "linux", target_os = "android"))]
 pub use mmsg::MmsgScratch;
-pub use ratelimit::TokenBucket;
 pub use resolvers::{PublicResolverConfig, PublicResolverSim, ResolverOutcome};
 pub use time::{as_secs_f64, from_secs_f64, SimTime, MICROS, MILLIS, SECONDS};
 pub use wire_server::{

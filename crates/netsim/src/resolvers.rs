@@ -13,11 +13,11 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use rand::Rng;
+use zdns_pacing::TokenBucket;
 use zdns_wire::{Message, Name, Question, Rcode};
 use zdns_zones::Universe;
 
 use crate::oracle;
-use crate::ratelimit::TokenBucket;
 use crate::time::{SimTime, MILLIS, SECONDS};
 
 /// Configuration of one public resolver model.

@@ -2,15 +2,16 @@
 //! resolver-side per-client-IP token bucket (Google Public DNS's
 //! behaviour — silent drops) crushes an unpaced /32 scan, and the same
 //! scan paced under the limiter's budget recovers most of the success
-//! rate. The pacer is the identical `zdns_core::Pacer` the real-socket
-//! drivers use, plugged into the simulation engine as its send gate —
+//! rate. The pacer is the identical `zdns_core::ConcurrentPacer` the
+//! real-socket reactor uses, plugged into the simulation engine (through
+//! a `ConcurrentGate`) as its send gate —
 //! the control loop between observed outcomes and send scheduling,
 //! closed under deterministic virtual time.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use zdns_core::{Pacer, PacerConfig, Resolver, ResolverConfig};
+use zdns_core::{ConcurrentGate, ConcurrentPacer, PacerConfig, Resolver, ResolverConfig};
 use zdns_netsim::{
     Engine, EngineConfig, PublicResolverConfig, PublicResolverSim, RunReport, MILLIS,
 };
@@ -21,6 +22,10 @@ const RESOLVER_IP: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
 const NAMES: usize = 1_500;
 /// The simulated resolver's per-client budget (queries/second).
 const LIMIT_QPS: f64 = 100.0;
+
+fn gate(config: PacerConfig) -> Box<ConcurrentGate> {
+    Box::new(ConcurrentGate::new(Arc::new(ConcurrentPacer::new(config))))
+}
 
 /// Run one external-mode scan of `NAMES` names against a resolver whose
 /// per-client token bucket allows [`LIMIT_QPS`]. Returns the run report
@@ -40,7 +45,7 @@ fn scan(pacer: Option<PacerConfig>) -> (RunReport, u64) {
     resolver_model.per_client_qps = Some(LIMIT_QPS);
     engine.add_resolver(PublicResolverSim::new(resolver_model));
     if let Some(config) = pacer {
-        engine.set_send_gate(Box::new(Pacer::new(config)));
+        engine.set_send_gate(gate(config));
     }
 
     let mut config = ResolverConfig::external(vec![RESOLVER_IP]);
@@ -129,10 +134,10 @@ fn backoff_throttles_a_destination_that_keeps_timing_out() {
     );
     // No resolver model at 8.8.8.8 and no authoritative server either:
     // every query times out.
-    engine.set_send_gate(Box::new(Pacer::new(PacerConfig {
+    engine.set_send_gate(gate(PacerConfig {
         backoff: true,
         ..PacerConfig::default()
-    })));
+    }));
     let mut config = ResolverConfig::external(vec![RESOLVER_IP]);
     config.retries = 3;
     config.timeout = 200 * MILLIS;
