@@ -167,7 +167,11 @@ pub fn tuned_cloudflare() -> PublicResolverSim {
     PublicResolverSim::new(cfg)
 }
 
-/// Run one experiment point.
+/// Run one experiment point. The resolver records no lookup chains
+/// (`trace: false`; no figure or table reads one — `appendix_trace` builds
+/// its own resolver): tracing costs wall time only, never virtual time,
+/// so whether it is on cannot move a hit rate (Fig. 2) or a rate
+/// (Table 1) — only how long the binaries take to print them.
 pub fn run_scan(universe: &Arc<SyntheticUniverse>, spec: &ScanSpec) -> ScanOutcome {
     let mode = match spec.resolver {
         TargetResolver::Google => ResolutionMode::External {

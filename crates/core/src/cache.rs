@@ -9,14 +9,23 @@
 //! when tens of thousands of lookup routines share one resolver; eviction
 //! and expiry are exact so Figure 2's cache-size sweep measures the policy,
 //! not implementation noise.
+//!
+//! A probe hashes its name once (case-folded FNV-1a + splitmix64); the
+//! value picks the shard and keys the shard's index. A shard is a dense
+//! table of entries, an index from hash to table position, and an exact
+//! recency order kept as a doubly linked list threaded through the table
+//! by position — a hit re-links two neighbours instead of allocating, and
+//! hands out its RRset as a shared `Arc<[Record]>` instead of a copy.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use zdns_wire::{Name, Record, RecordType};
 
+use crate::pacer::HostHasher;
 use crate::packet_cache::PacketCache;
 use zdns_netsim::{SimTime, SECONDS};
 
@@ -29,34 +38,195 @@ pub struct CacheKey {
     pub rtype: RecordType,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    records: Vec<Record>,
-    expires: SimTime,
-    stamp: u64,
+/// The one hash of a probe: the workspace's FNV-1a + splitmix64
+/// ([`HostHasher`]) over the case-folded name and the type. Bits 32..38
+/// pick the shard and the whole value keys the shard's index, so a probe
+/// reads its name once. The price next to SipHash is the pacer's: no
+/// keyed collision resistance. What a colliding referral can buy is
+/// bounded — same-hash keys share a chain that is walked with full key
+/// comparisons, inside one shard's capacity — and the hash the shards
+/// were routed by before was SipHash with a fixed zero key, which
+/// resisted nothing either.
+fn key_hash(name: &Name, rtype: RecordType) -> u64 {
+    let mut h = HostHasher::default();
+    name.hash(&mut h);
+    h.write_u16(rtype.to_u16());
+    h.finish()
 }
 
+/// Pass-through hasher for the shard index, whose keys already are
+/// [`key_hash`] values.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the shard index is keyed by u64 hashes only");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// "No entry" in the index links below.
+const NIL: u32 = u32::MAX;
+
+/// One cached RRset, living in its shard's dense entry table and linked
+/// by table index into two lists: the shard-wide recency list and the
+/// (almost always one-element) chain of entries whose keys share a hash.
+struct Entry {
+    key: CacheKey,
+    hash: u64,
+    /// Shared with every reader that hit this entry: a hit bumps the
+    /// count instead of cloning the records.
+    records: Arc<[Record]>,
+    expires: SimTime,
+    /// Neighbours in recency order (`older` is evicted sooner).
+    older: u32,
+    newer: u32,
+    /// Next entry with the same `hash` and a different key.
+    same_hash: u32,
+}
+
+/// One shard: a dense entry table, an index from key hash to the head of
+/// that hash's chain, and the two ends of the exact LRU order. Nothing is
+/// sized up front; both containers grow with the entries they hold.
 struct Shard {
-    map: HashMap<CacheKey, Entry>,
-    lru: BTreeMap<u64, CacheKey>,
-    clock: u64,
+    entries: Vec<Entry>,
+    index: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
+    oldest: u32,
+    newest: u32,
 }
 
 impl Shard {
     fn new() -> Shard {
         Shard {
-            map: HashMap::new(),
-            lru: BTreeMap::new(),
-            clock: 0,
+            entries: Vec::new(),
+            index: HashMap::default(),
+            oldest: NIL,
+            newest: NIL,
         }
     }
 
-    fn touch(&mut self, key: &CacheKey) {
-        if let Some(entry) = self.map.get_mut(key) {
-            self.lru.remove(&entry.stamp);
-            self.clock += 1;
-            entry.stamp = self.clock;
-            self.lru.insert(self.clock, key.clone());
+    /// Table index of the entry for `(name, rtype)`, whose hash is `hash`.
+    fn find(&self, hash: u64, name: &Name, rtype: RecordType) -> Option<u32> {
+        let mut at = *self.index.get(&hash)?;
+        while at != NIL {
+            let entry = &self.entries[at as usize];
+            if entry.key.rtype == rtype && entry.key.name == *name {
+                return Some(at);
+            }
+            at = entry.same_hash;
+        }
+        None
+    }
+
+    /// Take `at` out of the recency list.
+    fn unlink_recency(&mut self, at: u32) {
+        let (older, newer) = {
+            let entry = &self.entries[at as usize];
+            (entry.older, entry.newer)
+        };
+        match older {
+            NIL => self.oldest = newer,
+            o => self.entries[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.entries[n as usize].older = older,
+        }
+    }
+
+    /// Make `at` (currently unlinked) the most recently used entry.
+    fn push_newest(&mut self, at: u32) {
+        let newest = self.newest;
+        let entry = &mut self.entries[at as usize];
+        entry.older = newest;
+        entry.newer = NIL;
+        match newest {
+            NIL => self.oldest = at,
+            n => self.entries[n as usize].newer = at,
+        }
+        self.newest = at;
+    }
+
+    /// Refresh `at`'s recency.
+    fn touch(&mut self, at: u32) {
+        if self.newest != at {
+            self.unlink_recency(at);
+            self.push_newest(at);
+        }
+    }
+
+    /// Point whatever refers to entry `from` through the hash index (the
+    /// index head or a chain predecessor) at `to` instead.
+    fn repoint_index(&mut self, hash: u64, from: u32, to: u32) {
+        let head = self
+            .index
+            .get_mut(&hash)
+            .expect("a stored entry's hash is indexed");
+        if *head == from {
+            if to == NIL {
+                self.index.remove(&hash);
+            } else {
+                *head = to;
+            }
+            return;
+        }
+        let mut at = *head;
+        while self.entries[at as usize].same_hash != from {
+            at = self.entries[at as usize].same_hash;
+        }
+        self.entries[at as usize].same_hash = to;
+    }
+
+    /// Store a new entry as the most recently used one.
+    fn insert(&mut self, key: CacheKey, hash: u64, records: Arc<[Record]>, expires: SimTime) {
+        let at = self.entries.len() as u32;
+        let same_hash = self.index.insert(hash, at).unwrap_or(NIL);
+        self.entries.push(Entry {
+            key,
+            hash,
+            records,
+            expires,
+            older: NIL,
+            newer: NIL,
+            same_hash,
+        });
+        self.push_newest(at);
+    }
+
+    /// Remove entry `at`, keeping the table dense: the last entry moves
+    /// into the hole and everything that pointed at it is re-pointed.
+    fn remove(&mut self, at: u32) {
+        self.unlink_recency(at);
+        let (hash, next) = {
+            let entry = &self.entries[at as usize];
+            (entry.hash, entry.same_hash)
+        };
+        self.repoint_index(hash, at, next);
+        self.entries.swap_remove(at as usize);
+        let moved_from = self.entries.len() as u32;
+        if at == moved_from {
+            return;
+        }
+        let (hash, older, newer) = {
+            let moved = &self.entries[at as usize];
+            (moved.hash, moved.older, moved.newer)
+        };
+        self.repoint_index(hash, moved_from, at);
+        match older {
+            NIL => self.oldest = at,
+            o => self.entries[o as usize].newer = at,
+        }
+        match newer {
+            NIL => self.newest = at,
+            n => self.entries[n as usize].older = at,
         }
     }
 }
@@ -100,6 +270,9 @@ pub struct Cache {
     packet: OnceLock<Arc<PacketCache>>,
     /// Shared counters.
     pub stats: CacheStats,
+    /// Admitted `put` calls, for unit tests that count writes.
+    #[cfg(test)]
+    pub(crate) puts: AtomicU64,
 }
 
 /// Number of shards; power of two for cheap masking.
@@ -115,6 +288,8 @@ impl Cache {
             per_shard_capacity,
             packet: OnceLock::new(),
             stats: CacheStats::default(),
+            #[cfg(test)]
+            puts: AtomicU64::new(0),
         }
     }
 
@@ -151,15 +326,19 @@ impl Cache {
         self.len() == 0
     }
 
-    /// The shard `key` routes to. `Name`'s hash is case-insensitive and
+    /// The shard `key` routes to. The hash is case-insensitive and
     /// allocation-free, so case-variant spellings of one name always land
     /// on the same shard without building a lowercased key — exposed so
     /// tests can pin that property down.
     pub fn shard_index(&self, key: &CacheKey) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (SHARDS - 1)
+        Self::shard_of(key_hash(&key.name, key.rtype))
+    }
+
+    /// Shard choice from the middle of the hash: the shard's own index
+    /// spreads its buckets by the low bits and tags them by the top ones,
+    /// and bits that are constant within a shard would waste either.
+    fn shard_of(hash: u64) -> usize {
+        (hash >> 32) as usize & (SHARDS - 1)
     }
 
     /// The selective policy: only infrastructure RRsets are admitted.
@@ -177,38 +356,35 @@ impl Cache {
         if ttl == 0 {
             return;
         }
+        #[cfg(test)]
+        self.puts.fetch_add(1, Ordering::Relaxed);
         let expires = now + ttl * SECONDS;
-        let idx = self.shard_index(&key);
+        let hash = key_hash(&key.name, key.rtype);
+        let idx = Self::shard_of(hash);
         // Snapshot the key for the packet-cache hook before it moves into
-        // the LRU (inline names copy without allocating).
+        // the shard (inline names copy without allocating).
         let stale_packet = self.packet.get().map(|_| (key.name.clone(), key.rtype));
+        let records: Arc<[Record]> = records.into();
         {
             let mut shard = self.shards[idx].lock();
-            shard.clock += 1;
-            let stamp = shard.clock;
-            if let Some(old) = shard.map.insert(
-                key.clone(),
-                Entry {
-                    records,
-                    expires,
-                    stamp,
-                },
-            ) {
-                shard.lru.remove(&old.stamp);
-            } else {
-                self.counts[idx].fetch_add(1, Ordering::Relaxed);
-            }
-            shard.lru.insert(stamp, key);
-            // Evict beyond capacity.
-            while shard.map.len() > self.per_shard_capacity {
-                let Some((&oldest, _)) = shard.lru.iter().next() else {
-                    break;
-                };
-                if let Some(victim) = shard.lru.remove(&oldest) {
-                    shard.map.remove(&victim);
-                    self.counts[idx].fetch_sub(1, Ordering::Relaxed);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            match shard.find(hash, &key.name, key.rtype) {
+                Some(at) => {
+                    let entry = &mut shard.entries[at as usize];
+                    entry.records = records;
+                    entry.expires = expires;
+                    shard.touch(at);
                 }
+                None => {
+                    shard.insert(key, hash, records, expires);
+                    self.counts[idx].fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            // Evict beyond capacity.
+            while shard.entries.len() > self.per_shard_capacity {
+                let victim = shard.oldest;
+                shard.remove(victim);
+                self.counts[idx].fetch_sub(1, Ordering::Relaxed);
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         // Promote, *then* invalidate (outside the shard lock): a reader
@@ -223,12 +399,11 @@ impl Cache {
         }
     }
 
-    /// Look up a live RRset, refreshing its LRU position. Clones the
-    /// records — fine for tests and the netsim harness, wrong for the
-    /// resolver/serve hot paths, which all go through the borrowing
-    /// [`Cache::with_records`] instead (audited: the iterative walk's
-    /// glue probe and the serve cache front both do).
-    pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Vec<Record>> {
+    /// Look up a live RRset, refreshing its LRU position. A hit shares the
+    /// stored records (one reference-count bump, no copy); readers that
+    /// can work under the shard lock and must not refresh recency use
+    /// [`Cache::with_records`] instead.
+    pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Arc<[Record]>> {
         let found = self.probe(name, rtype, now);
         if found.is_some() {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -238,43 +413,47 @@ impl Cache {
         found
     }
 
+    /// The live entry for `(name, rtype)` in its locked shard, dropping
+    /// it on the spot when it has expired — the one read path under
+    /// [`Cache::get`], [`Cache::deepest_cut`] and [`Cache::with_records`].
+    /// Touches neither the hit/miss counters nor the entry's recency.
+    fn live_entry(
+        &self,
+        name: &Name,
+        rtype: RecordType,
+        now: SimTime,
+    ) -> Option<(parking_lot::MutexGuard<'_, Shard>, u32)> {
+        let hash = key_hash(name, rtype);
+        let idx = Self::shard_of(hash);
+        let mut shard = self.shards[idx].lock();
+        let at = shard.find(hash, name, rtype)?;
+        if shard.entries[at as usize].expires > now {
+            return Some((shard, at));
+        }
+        shard.remove(at);
+        self.counts[idx].fetch_sub(1, Ordering::Relaxed);
+        None
+    }
+
     /// [`Cache::get`] without touching the hit/miss counters (LRU refresh
     /// and expiry still apply) — for multi-probe operations that must
     /// count as one logical lookup.
-    fn probe(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Vec<Record>> {
-        let key = CacheKey {
-            name: name.clone(),
-            rtype,
-        };
-        let idx = self.shard_index(&key);
-        let mut shard = self.shards[idx].lock();
-        match shard.map.get(&key) {
-            Some(entry) if entry.expires > now => {
-                let records = entry.records.clone();
-                shard.touch(&key);
-                Some(records)
-            }
-            Some(_) => {
-                // Expired: drop it.
-                if let Some(old) = shard.map.remove(&key) {
-                    shard.lru.remove(&old.stamp);
-                    self.counts[idx].fetch_sub(1, Ordering::Relaxed);
-                }
-                None
-            }
-            None => None,
-        }
+    fn probe(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Arc<[Record]>> {
+        let (mut shard, at) = self.live_entry(name, rtype, now)?;
+        shard.touch(at);
+        Some(Arc::clone(&shard.entries[at as usize].records))
     }
 
     /// Run `f` over a live RRset in place — the serve path's cache hit,
-    /// which must not clone the records ([`Cache::get`] does) or the
-    /// steady-state zero-allocation property dies in the cache. Counts
-    /// one hit or miss like `get`, and drops expired entries the same
-    /// way, but deliberately skips the LRU refresh: re-stamping recency
-    /// allocates a `BTreeMap` node, so entries read through here keep
-    /// their insertion stamp and look older to eviction than they are —
-    /// an accepted trade for a hot path that answers from borrowed data.
-    /// `f` runs under the shard lock; keep it short. Alongside the
+    /// which answers from borrowed data under the shard lock. Counts one
+    /// hit or miss like `get`, and drops expired entries the same way,
+    /// but deliberately skips the LRU refresh. Re-linking an entry is
+    /// free now (it once cost a tree node), but refreshing here would
+    /// change which entries a full shard evicts, for the serve front and
+    /// for the iterative walk's glue probes alike; the skip is kept for
+    /// behaviour parity, and entries read only through here still look
+    /// older to eviction than they are. `f` runs under the shard lock;
+    /// keep it short and never re-enter the cache from it. Alongside the
     /// records, `f` receives the entry's absolute expiry — the packet
     /// cache derives its memoized answer's deadline from it, so a
     /// pre-encoded response can never outlive the RRset behind it.
@@ -285,42 +464,27 @@ impl Cache {
         now: SimTime,
         f: impl FnOnce(&[Record], SimTime) -> R,
     ) -> Option<R> {
-        let key = CacheKey {
-            name: name.clone(),
-            rtype,
+        let out = self.live_entry(name, rtype, now).map(|(shard, at)| {
+            let entry = &shard.entries[at as usize];
+            f(&entry.records, entry.expires)
+        });
+        let counter = match out {
+            Some(_) => &self.stats.hits,
+            None => &self.stats.misses,
         };
-        let idx = self.shard_index(&key);
-        let mut shard = self.shards[idx].lock();
-        match shard.map.get(&key) {
-            Some(entry) if entry.expires > now => {
-                let out = f(&entry.records, entry.expires);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(out)
-            }
-            Some(_) => {
-                // Expired: drop it.
-                if let Some(old) = shard.map.remove(&key) {
-                    shard.lru.remove(&old.stamp);
-                    self.counts[idx].fetch_sub(1, Ordering::Relaxed);
-                }
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        out
     }
 
     /// Find the deepest cached NS RRset enclosing `qname` (the zone cut an
-    /// iterative walk can start from). Returns `(cut, ns_records)`.
+    /// iterative walk can start from). Returns `(cut, ns_records)`, the
+    /// records shared with the cache rather than copied out of it.
     ///
     /// Counts exactly one hit (a usable cut was found) or one miss (none
     /// was) per call: probing every suffix depth must not inflate
     /// `CacheStats.misses` by the number of unexplored depths, or the
     /// Figure-2 hit-rate sweep measures the walk, not the policy.
-    pub fn deepest_cut(&self, qname: &Name, now: SimTime) -> Option<(Name, Vec<Record>)> {
+    pub fn deepest_cut(&self, qname: &Name, now: SimTime) -> Option<(Name, Arc<[Record]>)> {
         for depth in (1..=qname.label_count()).rev() {
             let candidate = qname.suffix(depth);
             if let Some(records) = self.probe(&candidate, RecordType::NS, now) {
@@ -385,8 +549,10 @@ mod tests {
         let recs = vec![ns_record("com", "a.gtld-servers.net", 172800)];
         cache.put(key("com", RecordType::NS), recs.clone(), 0);
         assert_eq!(
-            cache.get(&"com".parse().unwrap(), RecordType::NS, SECONDS),
-            Some(recs)
+            cache
+                .get(&"com".parse().unwrap(), RecordType::NS, SECONDS)
+                .as_deref(),
+            Some(&recs[..])
         );
         assert_eq!(cache.stats.hits.load(Ordering::Relaxed), 1);
     }
@@ -601,7 +767,7 @@ mod tests {
             );
         }
         let true_len: usize = (0..cache.shards.len())
-            .map(|i| cache.shards[i].lock().map.len())
+            .map(|i| cache.shards[i].lock().entries.len())
             .sum();
         assert_eq!(cache.len(), true_len);
     }
@@ -648,6 +814,58 @@ mod tests {
             PacketLookup::Miss
         ));
         assert_eq!(pc.invalidations(), 1);
+    }
+
+    #[test]
+    fn keys_that_share_a_hash_stay_distinct_entries() {
+        // Full 64-bit collisions are too rare to meet and too cheap to
+        // craft to ignore: drive a shard directly with one forced hash.
+        let mut shard = Shard::new();
+        let names = ["a.test", "b.test", "c.test", "d.test"];
+        for (i, name) in names.iter().enumerate() {
+            let hash = if i == 3 { 7 } else { 42 };
+            let records: Arc<[Record]> = vec![a_record(name, "192.0.2.1", 60)].into();
+            shard.insert(key(name, RecordType::A), hash, records, SECONDS);
+        }
+        let find = |shard: &Shard, name: &str| {
+            let hash = if name == "d.test" { 7 } else { 42 };
+            shard
+                .find(hash, &name.parse().unwrap(), RecordType::A)
+                .map(|at| shard.entries[at as usize].key.name.to_string())
+        };
+        for name in names {
+            assert_eq!(find(&shard, name).as_deref(), Some(name));
+        }
+        assert!(shard
+            .find(42, &"a.test".parse().unwrap(), RecordType::NS)
+            .is_none());
+        // Unchain from the middle, the head and the tail of the chain;
+        // every removal also moves the table's last entry into the hole.
+        for (gone, left) in [
+            ("b.test", &["a.test", "c.test", "d.test"][..]),
+            ("c.test", &["a.test", "d.test"]),
+            ("a.test", &["d.test"]),
+            ("d.test", &[]),
+        ] {
+            let hash = if gone == "d.test" { 7 } else { 42 };
+            let at = shard
+                .find(hash, &gone.parse().unwrap(), RecordType::A)
+                .unwrap();
+            shard.remove(at);
+            assert_eq!(find(&shard, gone), None);
+            for name in left {
+                assert_eq!(find(&shard, name).as_deref(), Some(*name), "after {gone}");
+            }
+            // The recency list still threads every entry, oldest first.
+            let mut order = Vec::new();
+            let mut at = shard.oldest;
+            while at != NIL {
+                order.push(shard.entries[at as usize].key.name.to_string());
+                at = shard.entries[at as usize].newer;
+            }
+            assert_eq!(order, *left, "after {gone}");
+        }
+        assert!(shard.index.is_empty() && shard.entries.is_empty());
     }
 
     #[test]

@@ -838,8 +838,10 @@ impl IterativeMachine {
             ns_records.to_vec(),
             now,
         );
-        // Group glue by (name, type) and cache each address RRset.
-        for rec in glue {
+        // Cache each glue address RRset — the records sharing a (name,
+        // type) — once, where it first appears. Servers emit an RRset's
+        // records together, so this is also the order the sets end in.
+        for (i, rec) in glue.iter().enumerate() {
             if !matches!(rec.rtype, RecordType::A | RecordType::AAAA) {
                 continue;
             }
@@ -847,17 +849,16 @@ impl IterativeMachine {
             if !rec.name.is_subdomain_of(bailiwick) {
                 continue;
             }
-            let same: Vec<Record> = glue
-                .iter()
-                .filter(|g| g.name == rec.name && g.rtype == rec.rtype)
-                .cloned()
-                .collect();
+            let same_set = |g: &Record| g.name == rec.name && g.rtype == rec.rtype;
+            if glue[..i].iter().any(same_set) {
+                continue;
+            }
             self.core.cache.put(
                 CacheKey {
                     name: rec.name.clone(),
                     rtype: rec.rtype,
                 },
-                same,
+                glue[i..].iter().filter(|g| same_set(g)).cloned().collect(),
                 now,
             );
         }
@@ -1236,6 +1237,75 @@ impl SimClient for DirectMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cache_referral_puts_each_rrset_once() {
+        let core = ResolverCore::new(ResolverConfig::default());
+        let zone: Name = "example.com".parse().unwrap();
+        let ns1: Name = "ns1.example.com".parse().unwrap();
+        let ns2: Name = "ns2.example.com".parse().unwrap();
+        let question = Question::new("www.example.com".parse().unwrap(), RecordType::A);
+        let machine = IterativeMachine::new(
+            Arc::clone(&core),
+            question.clone(),
+            ResolveTarget::Answer,
+            None,
+        );
+        let ns_records: Vec<Record> = [&ns1, &ns2]
+            .map(|ns| Record::new(zone.clone(), 3600, RData::Ns(ns.clone())))
+            .into();
+        let a = |name: &Name, last: u8| {
+            Record::new(name.clone(), 3600, RData::A(Ipv4Addr::new(192, 0, 2, last)))
+        };
+        // ns1 has two addresses (one RRset of two records), ns2 an A and
+        // an AAAA (two RRsets), and one glue record is out of bailiwick.
+        let glue = vec![
+            a(&ns1, 1),
+            a(&ns1, 2),
+            a(&ns2, 3),
+            Record::new(
+                ns2.clone(),
+                3600,
+                RData::Aaaa("2001:db8::3".parse().unwrap()),
+            ),
+            a(&"ns.elsewhere.org".parse().unwrap(), 9),
+        ];
+        machine.cache_referral(&zone, &ns_records, &glue, &"com".parse().unwrap(), 0);
+
+        // One put for the NS set and one per in-bailiwick glue RRset —
+        // not one per glue record.
+        assert_eq!(
+            core.cache.puts.load(std::sync::atomic::Ordering::Relaxed),
+            4
+        );
+        assert_eq!(core.cache.len(), 4);
+        assert_eq!(
+            core.cache.get(&ns1, RecordType::A, 0).as_deref(),
+            Some(&glue[..2])
+        );
+        assert_eq!(
+            core.cache.get(&ns2, RecordType::A, 0).as_deref(),
+            Some(&glue[2..3])
+        );
+        assert_eq!(
+            core.cache.get(&ns2, RecordType::AAAA, 0).as_deref(),
+            Some(&glue[3..4])
+        );
+        // What a later walk reads back is what it always was: the cut,
+        // its NS set, and the first glue address of each nameserver.
+        let (cut, cached_ns) = core.cache.deepest_cut(&question.name, 0).unwrap();
+        assert_eq!(cut, zone);
+        assert_eq!(&cached_ns[..], &ns_records[..]);
+        let candidates = machine.candidates_from_ns(&cached_ns, &[], 0);
+        let addrs: Vec<_> = candidates.iter().map(|c| (c.ns.clone(), c.addr)).collect();
+        assert_eq!(
+            addrs,
+            vec![
+                (ns1, Some(Ipv4Addr::new(192, 0, 2, 1))),
+                (ns2, Some(Ipv4Addr::new(192, 0, 2, 3))),
+            ]
+        );
+    }
 
     #[test]
     fn keyed_cookie_is_reference_siphash24() {

@@ -56,36 +56,27 @@ pub struct LookupResult {
 }
 
 impl LookupResult {
-    /// Render the ZDNS JSON output line.
-    pub fn to_json(&self) -> Value {
-        let mut data = serde_json::Map::new();
-        if !self.answers.is_empty() {
-            data.insert(
-                "answers".into(),
-                Value::Array(self.answers.iter().map(wire_json::record_to_json).collect()),
-            );
-        }
-        if !self.authorities.is_empty() {
-            data.insert(
-                "authorities".into(),
-                Value::Array(
-                    self.authorities
-                        .iter()
-                        .map(wire_json::record_to_json)
-                        .collect(),
-                ),
-            );
-        }
-        if !self.additionals.is_empty() {
-            data.insert(
-                "additionals".into(),
-                Value::Array(
-                    self.additionals
-                        .iter()
-                        .map(wire_json::record_to_json)
-                        .collect(),
-                ),
-            );
+    /// Build the `data` object of the output line: the non-empty record
+    /// sections, then `flags`/`protocol`/`resolver` when a response was
+    /// seen. This is the one builder of that object — [`Self::to_json`]
+    /// wraps it, and the raw modules move it into their output as is.
+    pub fn data_json(&self) -> Value {
+        let sections = [
+            ("answers", &self.answers),
+            ("authorities", &self.authorities),
+            ("additionals", &self.additionals),
+        ];
+        let footer = self.flags.is_some() && self.resolver.is_some();
+        let members = sections.iter().filter(|(_, s)| !s.is_empty()).count();
+        // Sized to fit: this object waits in the output queue as built.
+        let mut data = serde_json::Map::with_capacity(members + if footer { 3 } else { 0 });
+        for (key, section) in sections {
+            if !section.is_empty() {
+                data.insert(
+                    key.into(),
+                    Value::Array(section.iter().map(wire_json::record_to_json).collect()),
+                );
+            }
         }
         if let (Some(flags), Some(resolver)) = (&self.flags, &self.resolver) {
             let rcode = match self.status {
@@ -98,18 +89,25 @@ impl LookupResult {
             data.insert("protocol".into(), json!(self.protocol));
             data.insert("resolver".into(), json!(resolver));
         }
-        let mut out = json!({
-            "name": self.name.to_string(),
-            "class": "IN",
-            "status": self.status.as_str(),
-            "data": Value::Object(data),
-            "duration": as_secs_f64(self.duration),
-            "timestamp": as_secs_f64(self.timestamp),
-        });
+        Value::Object(data)
+    }
+
+    /// Render the ZDNS JSON output line.
+    pub fn to_json(&self) -> Value {
+        let mut out = serde_json::Map::new();
+        out.insert("name".into(), json!(self.name.to_string()));
+        out.insert("class".into(), json!("IN"));
+        out.insert("status".into(), json!(self.status.as_str()));
+        out.insert("data".into(), self.data_json());
+        out.insert("duration".into(), json!(as_secs_f64(self.duration)));
+        out.insert("timestamp".into(), json!(as_secs_f64(self.timestamp)));
         if !self.trace.is_empty() {
-            out["trace"] = Value::Array(self.trace.iter().map(|s| s.to_json()).collect());
+            out.insert(
+                "trace".into(),
+                Value::Array(self.trace.iter().map(|s| s.to_json()).collect()),
+            );
         }
-        out
+        Value::Object(out)
     }
 
     /// All A/AAAA addresses in the answers.

@@ -612,3 +612,54 @@ fn cache_misses_and_shard_routing_allocate_zero() {
         "cache probes allocated {allocs} times over 1000 iterations"
     );
 }
+
+#[test]
+fn warm_cache_hits_allocate_zero() {
+    // The hit side of the test above: a `get` hit and a `deepest_cut` hit
+    // (three suffix probes, the last one live) share the stored RRset by
+    // reference count, hash the probed name once each, and re-link the
+    // entry in place — none of which may touch the allocator.
+    let cache = Cache::new(4096);
+    let com: Name = "com".parse().unwrap();
+    let glue: Name = "a.gtld-servers.net".parse().unwrap();
+    let ns_set: Vec<Record> = (b'a'..=b'm')
+        .map(|c| {
+            let target = format!("{}.gtld-servers.net", c as char);
+            Record::new(com.clone(), 172_800, RData::Ns(target.parse().unwrap()))
+        })
+        .collect();
+    cache.put(
+        CacheKey {
+            name: com.clone(),
+            rtype: RecordType::NS,
+        },
+        ns_set,
+        0,
+    );
+    cache.put(
+        CacheKey {
+            name: glue.clone(),
+            rtype: RecordType::A,
+        },
+        vec![Record::new(
+            glue.clone(),
+            172_800,
+            RData::A(Ipv4Addr::new(192, 5, 6, 30)),
+        )],
+        0,
+    );
+    let qname: Name = "WWW.Some-Shop.Example.COM".parse().unwrap();
+    let before = thread_allocations();
+    for _ in 0..1_000 {
+        let (cut, ns) = cache.deepest_cut(&qname, 1).expect("com is cached");
+        assert_eq!(cut.label_count(), 1);
+        assert_eq!(ns.len(), 13);
+        let a = cache.get(&glue, RecordType::A, 1).expect("glue is cached");
+        assert_eq!(a.len(), 1);
+    }
+    let allocs = thread_allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "cache hits allocated {allocs} times over 1000 iterations"
+    );
+}

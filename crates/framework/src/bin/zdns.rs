@@ -431,8 +431,14 @@ FLAGS:
   --iteration-timeout SECS per-step timeout for iterative walks
   --tcp-only               send every query over TCP (no UDP attempt)
   --no-tcp-fallback        never retry truncated (TC=1) answers over TCP
-  --trace                  include the full lookup chain in output
-  --output-fields GROUP    short | normal | long | trace
+  --trace                  same as --output-fields trace
+  --output-fields GROUP    short: name, status, answers | normal (default):
+                           all but flags, additionals | long: all of data |
+                           trace: long plus the lookup chain. The chain is
+                           recorded only when it is printed; in iterative
+                           mode it costs ~2.8x the time and ~7x the bytes
+                           of a normal line. The last of --trace and
+                           --output-fields on the command line decides
   --input-file PATH        newline-delimited names (default: stdin)
   --workload KIND          name source: lines (default) reads --input-file;
                            ct-corpus streams the generated CT-log-like corpus

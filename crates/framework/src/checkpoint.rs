@@ -450,7 +450,8 @@ pub fn repair_jsonl(path: &Path) -> std::io::Result<u64> {
 /// The names already completed according to a (repaired) JSONL output:
 /// every parseable line's `"name"` field. Module outputs carry the raw
 /// input line as their `name`, so this set keys directly against the
-/// input stream.
+/// input stream. Each line is validated in full — a torn or garbage line
+/// contributes nothing — but only its name is built, not its tree.
 pub fn output_done_set(path: &Path) -> std::io::Result<HashSet<String>> {
     let file = match std::fs::File::open(path) {
         Ok(f) => f,
@@ -460,10 +461,8 @@ pub fn output_done_set(path: &Path) -> std::io::Result<HashSet<String>> {
     let mut done = HashSet::new();
     for line in std::io::BufReader::new(file).lines() {
         let line = line?;
-        if let Ok(v) = serde_json::from_str(&line) {
-            if let Some(name) = v.get("name").and_then(Value::as_str) {
-                done.insert(name.to_string());
-            }
+        if let Some(name) = serde_json::top_level_str(&line, "name") {
+            done.insert(name);
         }
     }
     Ok(done)
@@ -837,6 +836,24 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert!(done.contains("a.test") && done.contains("b.test"));
         assert!(!done.contains("c.te"), "torn line must not count as done");
+
+        // Names come back unescaped, and a line that is not one complete
+        // JSON object (garbage, a valid prefix glued to junk, a non-string
+        // name) contributes nothing.
+        std::fs::write(
+            &out,
+            "{\"name\":\"we\\\"ird\\\\n\\u00e9.tést@192.0.2.1\",\"data\":{\"name\":\"inner\"}}\n\
+             not json at all\n\
+             {\"name\":\"glued.test\"}{\"name\":\"x\"}\n\
+             {\"name\":\"unclosed.test\",\"data\":{\"answers\":[1,2}\n\
+             {\"name\":17}\n\
+             {\"status\":\"NOERROR\",\"name\":\"last.test\"}\n",
+        )
+        .unwrap();
+        let done = output_done_set(&out).unwrap();
+        let mut names: Vec<&str> = done.iter().map(String::as_str).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["last.test", "we\"ird\\né.tést@192.0.2.1"]);
 
         // Missing output = nothing done, not an error.
         assert_eq!(repair_jsonl(&dir.join("absent.jsonl")).unwrap(), 0);

@@ -331,10 +331,7 @@ impl Conf {
                 }
                 "--tcp-only" => conf.resolver.tcp_only = true,
                 "--no-tcp-fallback" => conf.resolver.tcp_on_truncated = false,
-                "--trace" => {
-                    conf.resolver.trace = true;
-                    conf.output = OutputGroup::Trace;
-                }
+                "--trace" => conf.output = OutputGroup::Trace,
                 "--output-fields" => {
                     let v = take_value(&mut i)?;
                     conf.output = OutputGroup::parse(&v)
@@ -436,6 +433,9 @@ impl Conf {
                 "--iterative and --name-servers are mutually exclusive".into(),
             ));
         }
+        // A lookup chain is recorded only when the line will print it:
+        // the final output group decides, whatever the flag order.
+        conf.resolver.trace = conf.output == OutputGroup::Trace;
         conf.resolver.mode = if name_servers.is_empty() {
             ResolutionMode::Iterative
         } else {
@@ -712,9 +712,24 @@ mod tests {
     }
 
     #[test]
-    fn trace_flag_sets_output_group() {
-        let conf = Conf::parse(["A", "--trace"]).unwrap();
-        assert_eq!(conf.output, OutputGroup::Trace);
+    fn trace_is_recorded_exactly_when_the_final_group_prints_it() {
+        let untraced = Conf::parse(["A", "--iterative"]).unwrap();
+        assert_eq!(untraced.output, OutputGroup::Normal);
+        assert!(!untraced.resolver.trace);
+        for args in [
+            &["A", "--trace"][..],
+            &["A", "--output-fields", "trace"],
+            &["A", "--output-fields", "short", "--trace"],
+        ] {
+            let conf = Conf::parse(args.iter().copied()).unwrap();
+            assert_eq!(conf.output, OutputGroup::Trace, "{args:?}");
+            assert!(conf.resolver.trace, "{args:?}");
+        }
+        // A later --output-fields wins over an earlier --trace, and takes
+        // the recording with it.
+        let overridden = Conf::parse(["A", "--trace", "--output-fields", "normal"]).unwrap();
+        assert_eq!(overridden.output, OutputGroup::Normal);
+        assert!(!overridden.resolver.trace);
     }
 
     #[test]

@@ -2,13 +2,19 @@
 //!
 //! Two serialization paths produce byte-identical lines:
 //!
-//! * [`to_line`] — the convenient one-shot form: builds the shaped
-//!   [`Value`] and renders it into a fresh `String` (one tree clone +
-//!   one allocation per output).
-//! * [`write_line`] — the scan-pipeline hot path: shapes and serializes
-//!   straight into a caller-owned reusable buffer, touching the
-//!   allocator zero times per line once the buffer has grown to its
-//!   high-water mark.
+//! * [`to_line`] — the reference form: copies the output's `data` and
+//!   `trace` into a full line tree ([`ModuleOutput::to_json`]), prunes
+//!   that tree to the group ([`shape`]; `short` copies the answers a
+//!   second time) and renders it into a fresh `String`. It is the oracle
+//!   [`write_line`] is tested against and fine for one-off callers;
+//!   nothing on a scan's path calls it.
+//! * [`write_line`] — the scan-pipeline hot path: reads `data` (built
+//!   once, by the module) in place and serializes only the members the
+//!   group keeps straight into a caller-owned reusable buffer, touching
+//!   the allocator zero times per line once the buffer has grown to its
+//!   high-water mark. The trace is read under the `trace` group only —
+//!   the one group for which a scan records one at all
+//!   ([`Conf::parse`](crate::conf::Conf::parse)).
 //!
 //! The [`OutputSink`] trait is the streaming consumer side: the scan
 //! pipeline hands every [`ModuleOutput`] to one sink ([`JsonlSink`] for

@@ -76,3 +76,91 @@ fn one_shot_to_line_allocates_as_expected() {
     assert!(thread_allocations() - before > 0);
     assert!(line.contains("stream.sink.test"));
 }
+
+/// The whole result path of an iterative lookup, on a warm cache: module
+/// `A`'s machine (start + every response), its shaping of the result into
+/// a `ModuleOutput`, and `write_line` under the default `normal` group.
+/// The universe's answers are produced outside the counted region — the
+/// same accounting as zbench's `core.machine.iterative_allocs_per_lookup`
+/// (459 before traces were recorded on demand and `data` was built once;
+/// ~53 after). The budget leaves room for name-shape drift, not for a
+/// second rendering of anything.
+#[test]
+fn warm_iterative_lookup_stays_inside_its_allocation_budget() {
+    use std::sync::Arc;
+    use zdns_framework::{runner, Conf};
+    use zdns_modules::{ModuleRegistry, ModuleSink};
+    use zdns_netsim::{ClientEvent, OutQuery, StepStatus};
+    use zdns_workloads::CtCorpus;
+    use zdns_zones::{SynthConfig, SyntheticUniverse, Universe};
+
+    /// Run one of the machine's own calls, adding what it allocates to
+    /// `total` once the cache is warm.
+    fn counting(warm: bool, total: &mut u64, step: impl FnOnce() -> StepStatus) -> StepStatus {
+        let before = thread_allocations();
+        let status = step();
+        if warm {
+            *total += thread_allocations() - before;
+        }
+        status
+    }
+
+    const BUDGET_PER_LOOKUP: f64 = 80.0;
+    const WARMUP: u64 = 1_500;
+    const MEASURED: u64 = 400;
+
+    let conf = Conf::parse(["A", "--iterative", "--seed", "1"]).unwrap();
+    assert_eq!(conf.output, OutputGroup::Normal);
+    let universe = SyntheticUniverse::new(SynthConfig {
+        seed: conf.seed,
+        ..SynthConfig::default()
+    });
+    let resolver = runner::resolver_for(&conf, &universe);
+    let module = ModuleRegistry::standard().get("A").unwrap();
+    let line = Arc::new(parking_lot::Mutex::new((String::new(), 0u64)));
+    let l2 = Arc::clone(&line);
+    let group = conf.output;
+    let sink: ModuleSink = Arc::new(move |output| {
+        let (buf, lines) = &mut *l2.lock();
+        write_line(&output, group, buf);
+        *lines += 1;
+    });
+
+    let mut counted = 0u64;
+    let mut out: Vec<OutQuery> = Vec::with_capacity(4);
+    let mut queue: std::collections::VecDeque<OutQuery> = Default::default();
+    let names = CtCorpus::new(conf.seed, 486, 1211).into_stream(WARMUP + MEASURED);
+    for (i, input) in names.enumerate() {
+        let measured = i as u64 >= WARMUP;
+        let mut machine = module.make_machine(&input, &resolver, sink.clone());
+        let mut status = counting(measured, &mut counted, || machine.start(0, &mut out));
+        queue.extend(out.drain(..));
+        while matches!(status, StepStatus::Running) {
+            let oq = queue
+                .pop_front()
+                .expect("a running machine has a query out");
+            // The simulator's delivery without its event heap.
+            let event = match universe.respond(oq.to, &oq.question) {
+                Some(auth) => ClientEvent::Response {
+                    tag: oq.tag,
+                    from: oq.to,
+                    message: zdns_wire::MsgRef::Owned(auth.to_message(&oq.to_message())),
+                    protocol: oq.protocol,
+                },
+                None => ClientEvent::Timeout { tag: oq.tag },
+            };
+            status = counting(measured, &mut counted, || {
+                machine.on_event(event, 1_000, &mut out)
+            });
+            queue.extend(out.drain(..));
+        }
+        queue.clear();
+    }
+    assert_eq!(line.lock().1, WARMUP + MEASURED, "one line per lookup");
+    let per_lookup = counted as f64 / MEASURED as f64;
+    println!("warm iterative lookup: {per_lookup:.1} allocations (budget {BUDGET_PER_LOOKUP})");
+    assert!(
+        per_lookup <= BUDGET_PER_LOOKUP,
+        "{per_lookup:.1} allocations per warm iterative lookup, budget {BUDGET_PER_LOOKUP}"
+    );
+}

@@ -209,7 +209,10 @@ pub fn input_to_name(input: &str, reverse_ips: bool) -> Option<Name> {
     trimmed.parse().ok()
 }
 
-/// Collect the trace of a lookup result as JSON values.
+/// The lookup chain of a result as JSON values, for [`ModuleOutput::trace`].
+/// Empty, and free, unless the resolver records traces
+/// (`ResolverConfig::trace`) — which a scan configured through the CLI does
+/// only under the `trace` output group, the one group that prints them.
 pub fn trace_json(result: &LookupResult) -> Vec<Value> {
     result.trace.iter().map(|s| s.to_json()).collect()
 }

@@ -112,8 +112,7 @@ struct ProbeMachine {
 
 impl ProbeMachine {
     fn finish(&mut self, result: zdns_core::LookupResult) -> StepStatus {
-        let json = result.to_json();
-        let mut data = json["data"].clone();
+        let mut data = result.data_json();
         if let Some(obj) = data.as_object_mut() {
             obj.insert("server".to_string(), json!(self.server.to_string()));
         }

@@ -37,13 +37,12 @@ struct RawMachine {
 
 impl RawMachine {
     fn finish(&mut self, result: zdns_core::LookupResult) -> StepStatus {
-        let json = result.to_json();
         emit(
             &self.sink,
             &self.input,
             self.module,
             result.status,
-            json["data"].clone(),
+            result.data_json(),
             trace_json(&result),
         )
     }

@@ -272,30 +272,41 @@ pub fn answer_value(rdata: &RData) -> Value {
     }
 }
 
+/// An object of exactly these members. The output queue holds records
+/// and flags as they are built here, so their maps are sized once, to
+/// fit — `json!` grows one push at a time and keeps the slack.
+fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
+    let mut map = Map::with_capacity(N);
+    for (key, value) in members {
+        map.insert(key.into(), value);
+    }
+    Value::Object(map)
+}
+
 /// Render one record the way ZDNS prints answers/authorities/additionals.
 pub fn record_to_json(rec: &Record) -> Value {
-    json!({
-        "answer": answer_value(&rec.rdata),
-        "class": rec.class.as_str(),
-        "name": rec.name.to_string(),
-        "ttl": rec.ttl,
-        "type": rec.rtype.to_string(),
-    })
+    object([
+        ("answer", answer_value(&rec.rdata)),
+        ("class", rec.class.as_str().into()),
+        ("name", rec.name.to_string().into()),
+        ("ttl", rec.ttl.into()),
+        ("type", rec.rtype.to_string().into()),
+    ])
 }
 
 /// Render header flags the way ZDNS reports them.
 pub fn flags_to_json(flags: &Flags, rcode: Rcode) -> Value {
-    json!({
-        "authenticated": flags.authenticated,
-        "authoritative": flags.authoritative,
-        "checking_disabled": flags.checking_disabled,
-        "error_code": rcode.to_u16(),
-        "opcode": flags.opcode.0.to_u8(),
-        "recursion_available": flags.recursion_available,
-        "recursion_desired": flags.recursion_desired,
-        "response": flags.response,
-        "truncated": flags.truncated,
-    })
+    object([
+        ("authenticated", flags.authenticated.into()),
+        ("authoritative", flags.authoritative.into()),
+        ("checking_disabled", flags.checking_disabled.into()),
+        ("error_code", rcode.to_u16().into()),
+        ("opcode", flags.opcode.0.to_u8().into()),
+        ("recursion_available", flags.recursion_available.into()),
+        ("recursion_desired", flags.recursion_desired.into()),
+        ("response", flags.response.into()),
+        ("truncated", flags.truncated.into()),
+    ])
 }
 
 /// Render a whole response message: the `results` object in a trace step or

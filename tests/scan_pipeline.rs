@@ -292,3 +292,53 @@ fn sim_scan_drains_the_same_input_source_stream() {
     assert_eq!(report.jobs, 250);
     assert_eq!(outputs.load(std::sync::atomic::Ordering::Relaxed), 250);
 }
+
+#[test]
+fn probe_over_loopback_prints_the_recorded_bytes() {
+    // The real-socket half of `tests/golden_output.rs`: PROBE's `long`
+    // lines (flags, authorities, resolver, server) over the loopback
+    // harness, hashed as a sorted set because completion order is the
+    // network's. Recorded on the parent of the result-path change.
+    const GOLDEN: u64 = 0xaee2_ebf2_d395_c5c4;
+    let server_ip = Ipv4Addr::new(203, 0, 113, 44);
+    let server = catch_all_server(server_ip);
+    let real = server.addr();
+    let addr_map: Arc<AddrMap> = Arc::new(move |_| real);
+
+    let conf = Conf::parse([
+        "PROBE",
+        "--threads",
+        "2",
+        "--max-in-flight",
+        "64",
+        "--retries",
+        "2",
+        "--output-fields",
+        "long",
+    ])
+    .unwrap();
+    let resolver = zdns::core::Resolver::new(conf.resolver.clone());
+    let module = ModuleRegistry::standard().get("PROBE").unwrap();
+    let mut source = CtCorpus::new(7, 486, 1211)
+        .into_stream(300)
+        .enumerate()
+        .map(|(i, name)| {
+            let qtype = if i % 5 == 0 { "#TXT" } else { "" };
+            format!("{name}@{server_ip}{qtype}")
+        });
+    let mut sink = JsonlSink::new(Vec::new(), conf.output);
+    let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
+    assert_eq!(report.lookups, 300, "{:?}", report.worker_errors);
+    drop(server);
+
+    let text = String::from_utf8(sink.into_inner()).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 300);
+    lines.sort_unstable();
+    let hash = zdns::zones::hashing::h64(0, "golden-output", lines.join("\n").as_bytes());
+    assert_eq!(
+        hash, GOLDEN,
+        "PROBE long lines changed ({hash:#018x}); first line: {}",
+        lines[0]
+    );
+}
