@@ -57,7 +57,7 @@ pub use machine::{
 };
 pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};
 pub use packet_cache::{PacketCache, PacketEntry, PacketLookup};
-pub use reactor::{Reactor, ReactorConfig, DEFAULT_BATCH_SIZE};
+pub use reactor::{DemuxKey, Reactor, ReactorConfig, TimerHandle, TimerWheel, DEFAULT_BATCH_SIZE};
 pub use resolver::{collecting_sink, drive_blocking, AddrMap, Resolver};
 pub use result::{DelegationInfo, LookupResult};
 pub use serve::{ServeConfig, ServeStats, ServerRole, DEFAULT_PACKET_CACHE_CAPACITY};

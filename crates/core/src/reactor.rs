@@ -7,11 +7,14 @@
 //! * a **demux table** keyed by `(peer address, wire transaction id)`
 //!   routes each incoming datagram to the machine that owns it — wire ids
 //!   are reallocated per query so concurrent machines can never collide;
-//! * a **hashed timer wheel** arms one entry per in-flight query and
-//!   delivers [`ClientEvent::Timeout`] when it fires, which is what makes
-//!   the machines' own retry logic run without any blocking waits;
+//! * a **hashed timer wheel** ([`TimerWheel`]) arms one entry per
+//!   in-flight query and delivers [`ClientEvent::Timeout`] when it fires,
+//!   which is what makes the machines' own retry logic run without any
+//!   blocking waits; an answered query's entry is unlinked and freed at
+//!   once, so the wheel holds what is in flight and nothing else;
 //! * a small **blocking TCP side-pool** absorbs truncation-fallback
-//!   exchanges so the UDP loop never stalls on a TCP handshake;
+//!   exchanges so the UDP loop never stalls on a TCP handshake (its
+//!   threads start with the first such exchange);
 //! * an optional **pacer** ([`ConcurrentPacer`], via
 //!   [`Reactor::set_pacer`]) gates every UDP send against global and
 //!   per-destination budgets: deferred sends are parked on a queue whose
@@ -132,54 +135,82 @@ impl Default for ReactorConfig {
 // Timer wheel
 // ---------------------------------------------------------------------------
 
-type DemuxKey = (SocketAddr, u16);
+/// What a timer is armed for: the demux entry of the query it guards
+/// (deferred-send releases all share one placeholder key and are told
+/// apart by token).
+pub type DemuxKey = (SocketAddr, u16);
 
-/// Slab sentinel: end of a slot's chain / no entry.
+/// Slab sentinel: end of a chain / no entry / (in `TimerEntry::slot`) a
+/// free slab node.
 const NIL: u32 = u32::MAX;
 
 struct TimerEntry {
     deadline: SimTime,
     token: u64,
     key: DemuxKey,
-    /// Next entry in the owning slot's chain (slab index).
+    /// Wheel slot whose chain holds this entry; `NIL` while the slab node
+    /// is free.
+    slot: u32,
+    /// Neighbours in the slot's chain (slab indices). A free node keeps
+    /// the free list in `next`.
+    prev: u32,
     next: u32,
 }
 
-/// A hashed timer wheel with lazy cancellation: cancelled tokens are
-/// dropped when their slot next drains, and the `armed` set tracks the
-/// armed, not-yet-cancelled population exactly — so cancelling a token
-/// that already fired (or was already cancelled) is a harmless no-op.
+/// Names one armed timer: the slab node [`TimerWheel::arm`] put it in,
+/// plus the token it was armed with — the token is what makes a handle
+/// kept past its timer's end harmless (the node may since hold a newer
+/// timer; [`TimerWheel::cancel`] compares before it touches anything).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerHandle {
+    idx: u32,
+    token: u64,
+}
+
+/// A hashed timer wheel whose cancellations are real: [`arm`] returns a
+/// [`TimerHandle`], and [`cancel`] unlinks that entry from its slot's
+/// doubly linked chain and frees its slab node on the spot, in O(1) and
+/// without hashing. Nothing cancelled is ever stored, so the slab holds
+/// exactly the armed timers — for the reactor, one per in-flight query or
+/// deferred send, however fast lookups complete and however long their
+/// timeouts are. (Cancelling lazily, at the deadline, kept rate × timeout
+/// dead entries alive: 270 K of them, 20 MB, at 90 K lookups/s under the
+/// default 3 s timeout.)
 ///
 /// Entries live in one slab with intrusive per-slot chains (a `u32` head
 /// per slot) instead of a `Vec` per slot: wall-clock keeps marching the
 /// cursor into fresh slot indices, and per-slot buffers would regrow from
 /// zero every lap. The slab grows to the peak concurrent entry count once
-/// and is recycled through a free list from then on — arming a timer in
-/// the steady state performs zero heap allocations, which the
-/// `zero_alloc` integration test enforces.
-struct TimerWheel {
+/// and is recycled through an intrusive free list from then on — arming
+/// and cancelling in the steady state perform zero heap allocations,
+/// which the `zero_alloc` integration test enforces.
+///
+/// [`arm`]: TimerWheel::arm
+/// [`cancel`]: TimerWheel::cancel
+pub struct TimerWheel {
     entries: Vec<TimerEntry>,
-    free: Vec<u32>,
+    /// Head of the free list threaded through `TimerEntry::next`.
+    free: u32,
     heads: Vec<u32>,
     granularity: SimTime,
     cursor: usize,
     cursor_time: SimTime,
-    armed: std::collections::HashSet<u64>,
-    cancelled: std::collections::HashSet<u64>,
+    live: usize,
 }
 
 impl TimerWheel {
-    fn new(slots: usize, granularity: SimTime) -> TimerWheel {
+    /// A wheel of `slots` slots (rounded up to a power of two), each
+    /// `granularity` nanoseconds wide, with its cursor at time zero.
+    pub fn new(slots: usize, granularity: SimTime) -> TimerWheel {
         let n = slots.next_power_of_two().max(2);
         TimerWheel {
             entries: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
             heads: vec![NIL; n],
             granularity: granularity.max(1),
             cursor: 0,
             cursor_time: 0,
-            armed: std::collections::HashSet::new(),
-            cancelled: std::collections::HashSet::new(),
+            live: 0,
         }
     }
 
@@ -191,67 +222,92 @@ impl TimerWheel {
         (self.cursor + ticks as usize) % self.heads.len()
     }
 
+    /// Put slab node `i` at the head of the chain its deadline routes to.
+    fn link(&mut self, i: u32) {
+        let slot = self.slot_for(self.entries[i as usize].deadline);
+        let head = std::mem::replace(&mut self.heads[slot], i);
+        let e = &mut self.entries[i as usize];
+        (e.slot, e.prev, e.next) = (slot as u32, NIL, head);
+        if head != NIL {
+            self.entries[head as usize].prev = i;
+        }
+    }
+
+    /// Put slab node `i`, already out of every chain, on the free list.
+    fn free_node(&mut self, i: u32) {
+        let e = &mut self.entries[i as usize];
+        (e.slot, e.next) = (NIL, self.free);
+        self.free = i;
+        self.live -= 1;
+    }
+
     /// Arm a timer. Deadlines beyond the wheel horizon are parked in the
-    /// furthest slot and re-inserted as the wheel turns.
-    fn arm(&mut self, deadline: SimTime, token: u64, key: DemuxKey) {
-        let idx = self.slot_for(deadline);
+    /// furthest slot and moved on as the wheel turns (same slab node, so
+    /// the handle stays good).
+    pub fn arm(&mut self, deadline: SimTime, token: u64, key: DemuxKey) -> TimerHandle {
         let entry = TimerEntry {
             deadline,
             token,
             key,
-            next: self.heads[idx],
+            slot: NIL,
+            prev: NIL,
+            next: NIL,
         };
-        let slab_idx = match self.free.pop() {
-            Some(i) => {
-                self.entries[i as usize] = entry;
-                i
-            }
-            None => {
-                self.entries.push(entry);
-                (self.entries.len() - 1) as u32
-            }
+        let idx = self.free;
+        let idx = if idx == NIL {
+            self.entries.push(entry);
+            (self.entries.len() - 1) as u32
+        } else {
+            self.free = std::mem::replace(&mut self.entries[idx as usize], entry).next;
+            idx
         };
-        self.heads[idx] = slab_idx;
-        self.armed.insert(token);
+        self.link(idx);
+        self.live += 1;
+        TimerHandle { idx, token }
     }
 
-    /// Cancel an armed timer by token (lazy: the entry is purged when its
-    /// slot drains). Tokens that already fired or were already cancelled
-    /// are ignored.
-    fn cancel(&mut self, token: u64) {
-        if self.armed.remove(&token) {
-            self.cancelled.insert(token);
+    /// Cancel the timer `handle` names, if it is still armed: unlink it
+    /// and free its node. A handle whose timer already fired or was
+    /// already cancelled — even if the node has since been reused by a
+    /// newer timer — cancels nothing. Returns whether a timer was removed.
+    pub fn cancel(&mut self, handle: TimerHandle) -> bool {
+        let (slot, prev, next) = match self.entries.get(handle.idx as usize) {
+            Some(e) if e.slot != NIL && e.token == handle.token => (e.slot, e.prev, e.next),
+            _ => return false,
+        };
+        if prev == NIL {
+            self.heads[slot as usize] = next;
+        } else {
+            self.entries[prev as usize].next = next;
         }
+        if next != NIL {
+            self.entries[next as usize].prev = prev;
+        }
+        self.free_node(handle.idx);
+        true
     }
 
     /// Advance to `now`, collecting every fired `(token, key)`.
-    fn expire(&mut self, now: SimTime, fired: &mut Vec<(u64, DemuxKey)>) {
+    pub fn expire(&mut self, now: SimTime, fired: &mut Vec<(u64, DemuxKey)>) {
         while self.cursor_time + self.granularity <= now {
-            // Detach the whole chain first: re-arms of parked entries can
-            // only target *other* slots (a parked deadline is ≥ one tick
-            // away), so walking the detached chain stays sound.
-            let mut next = std::mem::replace(&mut self.heads[self.cursor], NIL);
             let slot_end = self.cursor_time + self.granularity;
-            while next != NIL {
-                let i = next as usize;
-                next = self.entries[i].next;
-                let (deadline, token, key) = {
-                    let e = &self.entries[i];
-                    (e.deadline, e.token, e.key)
-                };
-                self.free.push(i as u32);
-                if self.cancelled.remove(&token) {
-                    continue;
-                }
-                if deadline >= slot_end {
-                    // Parked from beyond the horizon: re-insert relative to
-                    // the advanced cursor (stays armed). The slab node just
-                    // freed is immediately reused — no allocation.
-                    self.arm(deadline, token, key);
+            // Detach the whole chain, then walk it: every node either
+            // fires or moves to another slot, so no neighbour needs fixing.
+            let mut i = std::mem::replace(&mut self.heads[self.cursor], NIL);
+            while i != NIL {
+                let e = &self.entries[i as usize];
+                let next = e.next;
+                if e.deadline >= slot_end {
+                    // Parked from beyond the horizon: move it on relative
+                    // to the cursor. It is at least one tick away, so it
+                    // joins another slot's chain, never the one being
+                    // walked — and keeps its node, so its handle holds.
+                    self.link(i);
                 } else {
-                    self.armed.remove(&token);
-                    fired.push((token, key));
+                    fired.push((e.token, e.key));
+                    self.free_node(i);
                 }
+                i = next;
             }
             self.cursor = (self.cursor + 1) % self.heads.len();
             self.cursor_time = slot_end;
@@ -260,44 +316,25 @@ impl TimerWheel {
 
     /// Nanoseconds until the next tick that could fire something, if any
     /// timer is armed.
-    fn ns_until_next_tick(&self, now: SimTime) -> Option<SimTime> {
-        if self.armed.is_empty() {
-            return None;
-        }
-        Some((self.cursor_time + self.granularity).saturating_sub(now))
+    pub fn ns_until_next_tick(&self, now: SimTime) -> Option<SimTime> {
+        (self.live > 0).then(|| (self.cursor_time + self.granularity).saturating_sub(now))
     }
 
-    /// Armed, not-cancelled timers.
-    fn live(&self) -> usize {
-        self.armed.len()
+    /// Armed timers.
+    pub fn live(&self) -> usize {
+        self.live
     }
 
-    /// Physically stored entries (live + lazily-cancelled).
-    fn stored(&self) -> usize {
-        self.entries.len() - self.free.len()
+    /// Slab nodes holding a timer, counted by looking at every node — an
+    /// independent (O(slab), for tests and asserts) count that always
+    /// equals [`TimerWheel::live`]: nothing but armed timers is stored.
+    pub fn stored(&self) -> usize {
+        self.entries.iter().filter(|e| e.slot != NIL).count()
     }
 
-    /// Drop every lazily-cancelled entry now (end-of-run sweep).
-    fn sweep_cancelled(&mut self) {
-        for slot in 0..self.heads.len() {
-            let mut idx = self.heads[slot];
-            let mut prev = NIL;
-            while idx != NIL {
-                let next = self.entries[idx as usize].next;
-                if self.cancelled.remove(&self.entries[idx as usize].token) {
-                    // Unlink and free.
-                    if prev == NIL {
-                        self.heads[slot] = next;
-                    } else {
-                        self.entries[prev as usize].next = next;
-                    }
-                    self.free.push(idx);
-                } else {
-                    prev = idx;
-                }
-                idx = next;
-            }
-        }
+    /// Slab nodes ever allocated: the most timers that were armed at once.
+    pub fn slab_len(&self) -> usize {
+        self.entries.len()
     }
 }
 
@@ -324,49 +361,67 @@ struct TcpDone {
 }
 
 struct TcpPool {
+    /// Threads to run once there is work for them.
+    workers: usize,
     tx: Option<mpsc::Sender<TcpJob>>,
+    /// Handed to the threads when they start; `None` from then on.
+    job_rx: Option<mpsc::Receiver<TcpJob>>,
+    done_tx: mpsc::Sender<TcpDone>,
     rx: mpsc::Receiver<TcpDone>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl TcpPool {
+    /// Set the pool up; its threads start with the first job
+    /// ([`TcpPool::submit`]), so a scan that never falls back to TCP
+    /// never spawns or joins one.
     fn start(workers: usize) -> TcpPool {
-        let (job_tx, job_rx) = mpsc::channel::<TcpJob>();
-        let (done_tx, done_rx) = mpsc::channel::<TcpDone>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut threads = Vec::new();
-        for _ in 0..workers.max(1) {
-            let job_rx = Arc::clone(&job_rx);
-            let done_tx = done_tx.clone();
-            threads.push(std::thread::spawn(move || loop {
-                let job = match job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-                    Ok(job) => job,
-                    Err(_) => return,
-                };
-                let result = blocking_tcp_exchange(&job.query, job.to, job.timeout);
-                let done = TcpDone {
-                    slot: job.slot,
-                    generation: job.generation,
-                    tag: job.tag,
-                    sim_ip: job.sim_ip,
-                    result,
-                };
-                if done_tx.send(done).is_err() {
-                    return;
-                }
-            }));
-        }
+        let (tx, job_rx) = mpsc::channel::<TcpJob>();
+        let (done_tx, rx) = mpsc::channel::<TcpDone>();
         TcpPool {
-            tx: Some(job_tx),
-            rx: done_rx,
-            threads,
+            workers: workers.max(1),
+            tx: Some(tx),
+            job_rx: Some(job_rx),
+            done_tx,
+            rx,
+            threads: Vec::new(),
         }
+    }
+
+    /// Queue one exchange, starting the threads if this is the first.
+    /// `false` if no thread is left to take it.
+    fn submit(&mut self, job: TcpJob) -> bool {
+        if let Some(job_rx) = self.job_rx.take() {
+            let job_rx = Arc::new(Mutex::new(job_rx));
+            for _ in 0..self.workers {
+                let job_rx = Arc::clone(&job_rx);
+                let done_tx = self.done_tx.clone();
+                self.threads.push(std::thread::spawn(move || loop {
+                    let job = match job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
+                        Ok(job) => job,
+                        Err(_) => return,
+                    };
+                    let result = blocking_tcp_exchange(&job.query, job.to, job.timeout);
+                    let done = TcpDone {
+                        slot: job.slot,
+                        generation: job.generation,
+                        tag: job.tag,
+                        sim_ip: job.sim_ip,
+                        result,
+                    };
+                    if done_tx.send(done).is_err() {
+                        return;
+                    }
+                }));
+            }
+        }
+        self.tx.as_ref().is_some_and(|tx| tx.send(job).is_ok())
     }
 }
 
 impl Drop for TcpPool {
     fn drop(&mut self) {
-        self.tx.take(); // close the job queue so workers exit
+        self.tx.take(); // close the job queue so the threads exit
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -382,7 +437,8 @@ struct Pending {
     tag: u64,
     sim_ip: Ipv4Addr,
     orig_id: u16,
-    timer_token: u64,
+    /// The armed per-query timeout (cancelled when the answer arrives).
+    timer: TimerHandle,
 }
 
 struct Slot {
@@ -411,6 +467,8 @@ struct DeferredSend {
     /// Backpressure requeues this send has already been through.
     attempts: u32,
     oq: OutQuery,
+    /// The armed release timer (cancelled if the run ends first).
+    timer: TimerHandle,
 }
 
 /// Wheel key for deferred-send releases. Never collides with demux
@@ -550,7 +608,7 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Bind the long-lived socket and start the TCP side-pool.
+    /// Bind the long-lived socket and build the reactor around it.
     pub fn new(config: ReactorConfig, addr_map: Arc<AddrMap>) -> std::io::Result<Reactor> {
         let socket = UdpSocket::bind((config.source, 0))?;
         Reactor::from_socket(socket, config, addr_map)
@@ -670,15 +728,23 @@ impl Reactor {
             .unwrap_or("syscall")
     }
 
-    /// Armed (not cancelled, not fired) timer entries.
+    /// Armed (not cancelled, not fired) timers.
     pub fn live_timers(&self) -> usize {
         self.wheel.live()
     }
 
-    /// Timer entries physically stored in the wheel (live plus entries
-    /// cancelled but not yet swept).
+    /// Timer entries physically stored in the wheel, counted by looking
+    /// at each. Always equal to [`Reactor::live_timers`]: a cancelled
+    /// timer is unlinked and freed on the spot.
     pub fn stored_timers(&self) -> usize {
         self.wheel.stored()
+    }
+
+    /// The most timers this reactor ever had armed at once (its wheel's
+    /// slab size): bounded by the queries and deferred sends in flight,
+    /// whatever the lookup rate and the timeout.
+    pub fn peak_timers(&self) -> usize {
+        self.wheel.slab_len()
     }
 
     /// In-flight UDP queries awaiting demux.
@@ -860,7 +926,7 @@ impl Reactor {
         let mut keys = slot.keys;
         for key in keys.drain(..) {
             if let Some(pending) = self.demux.remove(&key) {
-                self.wheel.cancel(pending.timer_token);
+                self.wheel.cancel(pending.timer);
             }
         }
         if self.keys_pool.len() < 4_096 {
@@ -977,17 +1043,15 @@ impl Reactor {
                         to: dest,
                         timeout: Duration::from_nanos(oq.timeout),
                     };
-                    if let Some(tx) = &self.tcp.tx {
-                        if tx.send(job).is_ok() {
-                            if let Some(slot) = self.slots[idx].as_mut() {
-                                slot.tcp_pending += 1;
-                            }
-                            self.tcp_inflight += 1;
-                            self.report.tcp_fallbacks += 1;
-                            continue;
+                    if self.tcp.submit(job) {
+                        if let Some(slot) = self.slots[idx].as_mut() {
+                            slot.tcp_pending += 1;
                         }
+                        self.tcp_inflight += 1;
+                        self.report.tcp_fallbacks += 1;
+                    } else {
+                        immediate.push(ClientEvent::TransportFailed { tag: oq.tag });
                     }
-                    immediate.push(ClientEvent::TransportFailed { tag: oq.tag });
                 }
                 Protocol::Udp => match self.pace_admit(oq.to) {
                     PaceDecision::Ready => self.stage_send(idx, oq, 0),
@@ -1011,7 +1075,7 @@ impl Reactor {
     fn defer_send(&mut self, idx: usize, oq: OutQuery, attempts: u32, release: SimTime) {
         let token = self.next_token;
         self.next_token += 1;
-        self.wheel.arm(release, token, pace_key());
+        let timer = self.wheel.arm(release, token, pace_key());
         self.deferred.insert(
             token,
             DeferredSend {
@@ -1019,6 +1083,7 @@ impl Reactor {
                 generation: self.generations[idx],
                 attempts,
                 oq,
+                timer,
             },
         );
         if let Some(slot) = self.slots[idx].as_mut() {
@@ -1042,7 +1107,7 @@ impl Reactor {
     /// If the pool is momentarily empty (the window is fully active
     /// elsewhere), the send is re-parked for [`CREDIT_RETRY_DELAY`] — a
     /// bounded-rate retry, counted as a credit stall.
-    fn release_deferred(&mut self, sent: DeferredSend) {
+    fn release_deferred(&mut self, mut sent: DeferredSend) {
         if self.generations[sent.slot] != sent.generation {
             return; // owner finished while the send was held
         }
@@ -1063,7 +1128,8 @@ impl Reactor {
                 self.report.credit_stalls += 1;
                 let token = self.next_token;
                 self.next_token += 1;
-                self.wheel
+                sent.timer = self
+                    .wheel
                     .arm(self.now() + CREDIT_RETRY_DELAY, token, pace_key());
                 self.deferred.insert(token, sent);
                 return;
@@ -1151,7 +1217,7 @@ impl Reactor {
                 let token = self.next_token;
                 self.next_token += 1;
                 let key = (dest, txid);
-                self.wheel.arm(self.now() + oq.timeout, token, key);
+                let timer = self.wheel.arm(self.now() + oq.timeout, token, key);
                 self.demux.insert(
                     key,
                     Pending {
@@ -1159,7 +1225,7 @@ impl Reactor {
                         tag: oq.tag,
                         sim_ip: oq.to,
                         orig_id: oq.id,
-                        timer_token: token,
+                        timer,
                     },
                 );
                 if let Some(slot) = self.slots[send.slot].as_mut() {
@@ -1196,7 +1262,7 @@ impl Reactor {
                     // Roll the registration back: the datagram never made
                     // it onto the wire.
                     if let Some(pending) = self.demux.remove(&p.key) {
-                        self.wheel.cancel(pending.timer_token);
+                        self.wheel.cancel(pending.timer);
                     }
                     if let Some(slot) = self.slots[p.slot].as_mut() {
                         if let Some(pos) = slot.keys.iter().position(|k| *k == p.key) {
@@ -1342,7 +1408,7 @@ impl Reactor {
                     self.report.stale_datagrams += 1;
                     continue;
                 };
-                self.wheel.cancel(pending.timer_token);
+                self.wheel.cancel(pending.timer);
                 if let Some(slot) = self.slots[pending.slot].as_mut() {
                     if let Some(pos) = slot.keys.iter().position(|k| *k == key) {
                         slot.keys.swap_remove(pos);
@@ -1422,6 +1488,13 @@ impl Reactor {
         }
     }
 
+    /// Drop every held send together with its release timer (end of run).
+    fn drop_deferred(&mut self) {
+        for (_, sent) in self.deferred.drain() {
+            self.wheel.cancel(sent.timer);
+        }
+    }
+
     /// Fire every expired timer: deferred-send releases go to the wire,
     /// per-query timeouts go to their machines (and feed backoff).
     fn fire_timers(&mut self, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
@@ -1436,7 +1509,7 @@ impl Reactor {
                 continue;
             }
             let stale = match self.demux.get(&key) {
-                Some(pending) => pending.timer_token != token,
+                Some(pending) => pending.timer.token != token,
                 None => true,
             };
             if stale {
@@ -1541,13 +1614,9 @@ impl Reactor {
         }
 
         // Same end-of-run hygiene as a scan: machines still forwarding
-        // are abandoned (their clients will retry), deferred sends are
-        // dropped with their wheel entries, and cancelled timers are
-        // swept so the reactor can be reused.
-        for (token, _) in self.deferred.drain() {
-            self.wheel.cancel(token);
-        }
-        self.wheel.sweep_cancelled();
+        // are abandoned (their clients will retry) and deferred sends are
+        // dropped with their release timers, so the reactor can be reused.
+        self.drop_deferred();
 
         self.report.io_backend = self.io_backend();
         if let (Some(end), Some(start)) = (
@@ -1568,6 +1637,27 @@ impl Driver for Reactor {
         &mut self,
         source: &mut dyn FnMut() -> Admission,
         on_done: &mut dyn FnMut(Option<JobOutcome>),
+    ) -> DriverReport {
+        self.run_scan_with(source, on_done, &mut || {})
+    }
+}
+
+impl Reactor {
+    /// The scan loop — [`Driver::run_scan`] plus a third callback,
+    /// `hand_off`, for callers that collect what completions produce
+    /// (through `on_done`, or through the machines' own sinks) into a
+    /// block and pass it on a block at a time. The loop calls it wherever
+    /// a collected block would otherwise sit and wait: before every sleep,
+    /// at the end of every pass over the socket, the TCP pool and the
+    /// timers, and once more when the scan is over. The caller may also
+    /// pass a block on from inside a completion once it is full; a
+    /// `hand_off` that blocks (a full queue downstream) stalls this
+    /// reactor, which is how a slow consumer throttles admission.
+    pub fn run_scan_with(
+        &mut self,
+        source: &mut dyn FnMut() -> Admission,
+        on_done: &mut dyn FnMut(Option<JobOutcome>),
+        hand_off: &mut dyn FnMut(),
     ) -> DriverReport {
         #[cfg(unix)]
         use std::os::fd::AsRawFd;
@@ -1663,6 +1753,9 @@ impl Driver for Reactor {
             let fd = 0;
             let buffered = self.batch.as_ref().is_some_and(BatchIo::has_buffered_recv);
             if !buffered && (self.in_flight > 0 || !exhausted) {
+                // Admission and the flush above can complete lookups
+                // (bad input, a send that fails outright).
+                hand_off();
                 readiness::wait_readable(fd, wait_ms);
             }
 
@@ -1673,7 +1766,16 @@ impl Driver for Reactor {
             // timeouts above, plus deferred releases that just matured,
             // all go out in one sendmmsg.
             self.flush_staged(on_done);
+            hand_off();
+            debug_assert_eq!(
+                self.wheel.stored(),
+                self.wheel.live(),
+                "the wheel stores only armed timers"
+            );
         }
+        // The last pass can end in admission (every remaining input was
+        // bad) with completions still in the caller's hands.
+        hand_off();
         debug_assert!(self.staged.is_empty(), "staged sends leaked past the scan");
         debug_assert!(
             self.credits.as_ref().map_or(0, |c| c.held) == 0 && self.parked_count == 0,
@@ -1681,13 +1783,11 @@ impl Driver for Reactor {
         );
 
         // End-of-run hygiene: every slot is free, the demux table is empty,
-        // deferred sends whose owners retired are dropped with their wheel
-        // entries, and lazily-cancelled timers get swept so nothing leaks
-        // into the next scan on this reactor.
-        for (token, _) in self.deferred.drain() {
-            self.wheel.cancel(token);
-        }
-        self.wheel.sweep_cancelled();
+        // and deferred sends whose owners retired are dropped with their
+        // release timers, so nothing leaks into the next scan on this
+        // reactor.
+        self.drop_deferred();
+        debug_assert_eq!(self.wheel.live(), 0, "timers leaked past the scan");
         self.return_pacer_tokens();
 
         // Ring telemetry: this scan's delta, plus which backend ran.
@@ -1730,18 +1830,16 @@ mod tests {
     }
 
     #[test]
-    fn wheel_cancellation_is_exact_and_sweepable() {
+    fn wheel_cancellation_unlinks_at_once() {
         let mut wheel = TimerWheel::new(8, MILLIS);
-        wheel.arm(2 * MILLIS, 1, key(1));
+        let first = wheel.arm(2 * MILLIS, 1, key(1));
         wheel.arm(2 * MILLIS, 2, key(2));
-        wheel.cancel(1);
-        assert_eq!(wheel.live(), 1);
+        assert!(wheel.cancel(first));
+        assert_eq!((wheel.live(), wheel.stored()), (1, 1));
         let mut fired = Vec::new();
         wheel.expire(4 * MILLIS, &mut fired);
         assert_eq!(fired.iter().map(|(t, _)| *t).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(wheel.live(), 0);
-        wheel.sweep_cancelled();
-        assert_eq!(wheel.stored(), 0);
+        assert_eq!((wheel.live(), wheel.stored()), (0, 0));
     }
 
     #[test]
@@ -1760,24 +1858,99 @@ mod tests {
     #[test]
     fn wheel_cancel_after_fire_is_a_noop() {
         let mut wheel = TimerWheel::new(8, MILLIS);
-        wheel.arm(2 * MILLIS, 1, key(1));
-        wheel.arm(2 * MILLIS, 2, key(2));
+        let first = wheel.arm(2 * MILLIS, 1, key(1));
+        let second = wheel.arm(2 * MILLIS, 2, key(2));
         let mut fired = Vec::new();
         wheel.expire(4 * MILLIS, &mut fired);
         assert_eq!(fired.len(), 2);
         assert_eq!(wheel.live(), 0);
         // A machine retiring right after its timers fired in the same batch
-        // cancels tokens that are no longer armed: must not corrupt counts.
-        wheel.cancel(1);
-        wheel.cancel(2);
-        assert_eq!(wheel.live(), 0);
+        // cancels handles that are no longer armed — and whose node the
+        // next timer has taken: must cancel nothing.
         wheel.arm(6 * MILLIS, 3, key(3));
-        assert_eq!(wheel.live(), 1);
+        assert!(!wheel.cancel(first));
+        assert!(!wheel.cancel(second));
+        assert_eq!((wheel.live(), wheel.stored()), (1, 1));
         fired.clear();
         wheel.expire(8 * MILLIS, &mut fired);
         assert_eq!(fired.iter().map(|(t, _)| *t).collect::<Vec<_>>(), vec![3]);
-        wheel.sweep_cancelled();
-        assert_eq!(wheel.stored(), 0);
+        assert_eq!((wheel.stored(), wheel.slab_len()), (0, 2));
+    }
+
+    #[test]
+    fn tcp_pool_threads_wait_for_the_first_tcp_exchange() {
+        use zdns_wire::{Question, RData, Record, RecordType};
+        use zdns_zones::{ExplicitUniverse, Universe, Zone};
+
+        // One loopback server; `fat.lazy.test` answers TC=1 over UDP.
+        let server_ip = Ipv4Addr::new(203, 0, 113, 90);
+        let mut zone = Zone::new(
+            "lazy.test".parse().unwrap(),
+            "ns1.lazy.test".parse().unwrap(),
+            300,
+        );
+        for i in 0..8u8 {
+            zone.add(Record::new(
+                format!("u{i}.lazy.test").parse().unwrap(),
+                300,
+                RData::A(Ipv4Addr::new(10, 9, 0, i)),
+            ));
+        }
+        for i in 0..24 {
+            let text = format!("{}{i}", "x".repeat(60));
+            zone.add(Record::new(
+                "fat.lazy.test".parse().unwrap(),
+                300,
+                RData::Txt(zdns_wire::rdata::TxtData::from_text(&text)),
+            ));
+        }
+        let mut universe = ExplicitUniverse::new();
+        universe.host(server_ip, zone);
+        let server =
+            zdns_netsim::WireServer::start(Arc::new(universe) as Arc<dyn Universe>, server_ip)
+                .unwrap();
+        let real = server.addr();
+        let resolver = crate::Resolver::new(crate::ResolverConfig::external(vec![server_ip]));
+        let mut reactor = Reactor::new(
+            ReactorConfig {
+                source: Ipv4Addr::LOCALHOST,
+                ..ReactorConfig::default()
+            },
+            Arc::new(move |_| real),
+        )
+        .unwrap();
+        let scan = |reactor: &mut Reactor, questions: Vec<Question>| {
+            let mut machines: Vec<_> = questions
+                .into_iter()
+                .map(|q| resolver.machine(q, None))
+                .collect();
+            reactor.run_scan(
+                &mut || {
+                    machines
+                        .pop()
+                        .map_or(Admission::Exhausted, Admission::Admit)
+                },
+                &mut |_| {},
+            )
+        };
+
+        let udp_only = (0..8)
+            .map(|i| Question::new(format!("u{i}.lazy.test").parse().unwrap(), RecordType::A))
+            .collect();
+        let report = scan(&mut reactor, udp_only);
+        assert_eq!((report.successes, report.tcp_fallbacks), (8, 0));
+        assert!(
+            reactor.tcp.threads.is_empty() && reactor.tcp.job_rx.is_some(),
+            "a scan that never saw TC=1 must not start the TCP pool"
+        );
+
+        let truncated = vec![Question::new(
+            "fat.lazy.test".parse().unwrap(),
+            RecordType::TXT,
+        )];
+        let report = scan(&mut reactor, truncated);
+        assert_eq!((report.successes, report.tcp_fallbacks), (1, 1));
+        assert_eq!(reactor.tcp.threads.len(), reactor.config.tcp_pool);
     }
 
     #[test]
@@ -1800,7 +1973,7 @@ mod tests {
                 tag: 1,
                 sim_ip: Ipv4Addr::LOCALHOST,
                 orig_id: 42,
-                timer_token: 0,
+                timer: reactor.wheel.arm(MILLIS, 0, (peer, 42)),
             },
         );
         let other = reactor.allocate_txid(peer, 42).unwrap();

@@ -15,7 +15,7 @@ use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
 
-use zdns_netsim::Protocol;
+use zdns_netsim::{Protocol, RECV_SLOT};
 use zdns_wire::{Message, WireError};
 
 // ---------------------------------------------------------------------------
@@ -316,9 +316,6 @@ impl Transport for UdpTransport {
 // Batched syscall I/O
 // ---------------------------------------------------------------------------
 
-/// Largest UDP datagram (and therefore receive-arena slot).
-pub(crate) const MAX_UDP_DATAGRAM: usize = 65_535;
-
 /// Hard ceiling on datagrams per syscall (the kernel caps `vlen` at
 /// `UIO_MAXIOV` = 1024 anyway).
 pub(crate) const MAX_BATCH: usize = 1_024;
@@ -442,13 +439,15 @@ pub type VectoredSend<'a> = dyn FnMut(&[(&[u8], SocketAddr)]) -> std::io::Result
 pub type SendSlot = (u32, u32, SocketAddr);
 
 /// The arena-and-scratch machinery shared by the per-datagram and mmsg
-/// backends of [`BatchIo`]: `batch_size` pre-allocated receive buffers
-/// plus the reusable FFI vectors for `sendmmsg`/`recvmmsg`. Constructed
-/// through [`BatchIo`]; not useful on its own.
+/// backends of [`BatchIo`]: a receive arena of `batch_size` slots (one
+/// lazily-zeroed allocation, see [`RECV_SLOT`]) plus the reusable FFI
+/// vectors for `sendmmsg`/`recvmmsg`. Constructed through [`BatchIo`];
+/// not useful on its own.
 pub struct ArenaIo {
     batch_size: usize,
     batched: bool,
-    arena: Vec<Box<[u8]>>,
+    /// `batch_size` slots of [`RECV_SLOT`] bytes.
+    arena: Vec<u8>,
     lens: Vec<usize>,
     peers: Vec<SocketAddr>,
     /// Pre-allocated FFI vectors, rewritten in place before every
@@ -462,9 +461,7 @@ impl ArenaIo {
         ArenaIo {
             batch_size,
             batched,
-            arena: (0..batch_size)
-                .map(|_| vec![0u8; MAX_UDP_DATAGRAM].into_boxed_slice())
-                .collect(),
+            arena: vec![0u8; batch_size * RECV_SLOT],
             lens: vec![0; batch_size],
             peers: vec![SocketAddr::new(Ipv4Addr::UNSPECIFIED.into(), 0); batch_size],
             #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -561,7 +558,7 @@ impl ArenaIo {
         let mut syscalls = 0;
         while count < self.batch_size {
             syscalls += 1;
-            match socket.recv_from(&mut self.arena[count]) {
+            match socket.recv_from(&mut self.arena[count * RECV_SLOT..][..RECV_SLOT]) {
                 Ok((len, peer)) => {
                     self.lens[count] = len;
                     self.peers[count] = peer;
@@ -594,7 +591,7 @@ impl ArenaIo {
     }
 
     fn arena_bytes(&self, i: usize) -> &[u8] {
-        &self.arena[i][..self.lens[i]]
+        &self.arena[i * RECV_SLOT..][..self.lens[i]]
     }
 
     fn arena_peer(&self, i: usize) -> SocketAddr {
@@ -606,7 +603,7 @@ impl ArenaIo {
     #[cfg(any(target_os = "linux", target_os = "android"))]
     fn recv_many_once(&mut self, socket: &UdpSocket) -> Option<RecvBatch> {
         use std::os::fd::AsRawFd;
-        let hdrs = self.scratch.prepare_recv(&mut self.arena);
+        let hdrs = self.scratch.prepare_recv(self.arena.chunks_mut(RECV_SLOT));
         // SAFETY: every mmsghdr points at live, correctly-sized storage
         // (arena buffers and the reusable scratch arrays) that outlives
         // the call; vlen matches the slice length.
@@ -633,7 +630,7 @@ impl ArenaIo {
         }
         let count = r as usize;
         for i in 0..count {
-            self.lens[i] = self.scratch.received_len(i).min(MAX_UDP_DATAGRAM);
+            self.lens[i] = self.scratch.received_len(i).min(RECV_SLOT);
             if let Some(peer) = self.scratch.peer(i) {
                 self.peers[i] = peer;
             } else {

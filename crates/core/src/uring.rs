@@ -35,8 +35,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::transport::{
     settle_ring_send, BatchSendStatus, RecvBatch, RingStats, RingSubmit, SendBatchStats, SendSlot,
-    MAX_BATCH, MAX_UDP_DATAGRAM,
+    MAX_BATCH,
 };
+use zdns_netsim::RECV_SLOT;
 
 /// `user_data` tag for send SQEs; low 20 bits carry the chunk index,
 /// bits 20..52 a flush epoch (so a CQE surfacing after its flush was
@@ -144,7 +145,9 @@ pub struct UringIo {
     submitted: u32,
     // Receive pool — all storage allocated once, addresses stable.
     batch_size: usize,
-    bufs: Vec<Box<[u8]>>,
+    /// `batch_size` slots of [`RECV_SLOT`] bytes in one allocation that is
+    /// never resized, so the addresses armed SQEs carry stay good.
+    bufs: Vec<u8>,
     buf_state: Box<[BufState]>,
     /// Buffers in [`BufState::Armed`].
     armed: usize,
@@ -282,9 +285,7 @@ impl UringIo {
             local_tail: 0,
             submitted: 0,
             batch_size,
-            bufs: (0..batch_size)
-                .map(|_| vec![0u8; MAX_UDP_DATAGRAM].into_boxed_slice())
-                .collect(),
+            bufs: vec![0u8; batch_size * RECV_SLOT],
             buf_state: vec![BufState::Idle; batch_size].into_boxed_slice(),
             armed: 0,
             recv_hdrs: vec![zeroed_msghdr(); batch_size].into_boxed_slice(),
@@ -460,7 +461,7 @@ impl UringIo {
             debug_assert_eq!(self.buf_state[idx], BufState::Armed);
             self.armed -= 1;
             if res >= 0 {
-                let len = (res as usize).min(self.bufs[idx].len());
+                let len = (res as usize).min(RECV_SLOT);
                 self.buf_state[idx] = BufState::Ready;
                 let peer = self.recv_addrs[idx].to_addr().unwrap_or_else(|| {
                     // Non-IPv4 peer on a v4 socket: keep the slot but make
@@ -506,8 +507,8 @@ impl UringIo {
             }
             self.recv_addrs[idx] = libc::sockaddr_in::zeroed();
             self.recv_iovs[idx] = libc::iovec {
-                iov_base: self.bufs[idx].as_mut_ptr() as *mut libc::c_void,
-                iov_len: self.bufs[idx].len(),
+                iov_base: self.bufs[idx * RECV_SLOT..].as_mut_ptr() as *mut libc::c_void,
+                iov_len: RECV_SLOT,
             };
             self.recv_hdrs[idx] = libc::msghdr {
                 msg_name: &mut self.recv_addrs[idx] as *mut libc::sockaddr_in as *mut libc::c_void,
@@ -588,7 +589,7 @@ impl UringIo {
     /// Bytes of the `i`-th datagram of the current batch.
     pub fn arena_bytes(&self, i: usize) -> &[u8] {
         let (idx, len, _) = self.ready[i];
-        &self.bufs[idx as usize][..len]
+        &self.bufs[idx as usize * RECV_SLOT..][..len]
     }
 
     /// Peer of the `i`-th datagram of the current batch.

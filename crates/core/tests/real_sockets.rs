@@ -323,12 +323,58 @@ fn reactor_multiplexes_500_lookups_on_one_socket() {
         );
     }
 
-    // Nothing leaked: no in-flight queries, no armed timers, and the
-    // end-of-run sweep cleared lazily-cancelled wheel entries too.
+    // Nothing leaked: no in-flight queries, no armed timers, and — with
+    // no end-of-run sweep to clear them — no cancelled timer entries.
     assert_eq!(reactor.in_flight(), 0);
     assert_eq!(reactor.pending_queries(), 0);
     assert_eq!(reactor.live_timers(), 0, "leaked armed timers");
     assert_eq!(reactor.stored_timers(), 0, "leaked cancelled timer entries");
+}
+
+#[test]
+fn reactor_timers_follow_the_window_not_rate_times_timeout() {
+    // 3 000 answered lookups through a window of 64 under a 30 s timeout:
+    // the whole scan is over long before the first deadline comes round,
+    // so a wheel that cancelled lazily would still be holding all 3 000
+    // entries when it ends. Cancelled for real, the wheel never holds more
+    // than one timer per in-flight query — and holds exactly the armed
+    // ones at every moment of the scan, which the scan loop itself asserts
+    // (`stored == live`, debug builds) at the end of every pass.
+    const N: usize = 3_000;
+    const WINDOW: usize = 64;
+    let (u, server_ip) = scan_universe(N);
+    let server = WireServer::start(Arc::new(u) as Arc<dyn Universe>, server_ip).unwrap();
+    let real = server.addr();
+    let mut config = ResolverConfig::external(vec![server_ip]);
+    config.timeout = 30 * zdns_netsim::SECONDS;
+    let resolver = Resolver::new(config);
+    let mut reactor = Reactor::new(
+        ReactorConfig {
+            max_in_flight: WINDOW,
+            source: Ipv4Addr::LOCALHOST,
+            ..ReactorConfig::default()
+        },
+        Arc::new(move |_ip| real),
+    )
+    .unwrap();
+    let machines: Vec<_> = (0..N)
+        .map(|i| {
+            let name = format!("n{i}.scan.test").parse().unwrap();
+            resolver.machine(Question::new(name, RecordType::A), None)
+        })
+        .collect();
+    let started = std::time::Instant::now();
+    let report = drive_all(&mut reactor, machines);
+    assert!(started.elapsed() < std::time::Duration::from_secs(20));
+    assert_eq!((report.successes, report.timeouts_fired), (N as u64, 0));
+    assert_eq!(report.peak_in_flight, WINDOW);
+    assert!(
+        reactor.peak_timers() <= WINDOW,
+        "{} timers stored at once for a window of {WINDOW}",
+        reactor.peak_timers()
+    );
+    assert_eq!(reactor.stored_timers(), reactor.live_timers());
+    assert_eq!(reactor.live_timers(), 0);
 }
 
 #[test]
@@ -540,8 +586,8 @@ fn reactor_holds_send_rate_within_ten_percent_of_budget() {
     // are gone with it.
     assert_eq!(reactor.deferred_sends(), 0);
     assert_eq!(reactor.in_flight(), 0);
+    assert_eq!(reactor.stored_timers(), reactor.live_timers());
     assert_eq!(reactor.live_timers(), 0);
-    assert_eq!(reactor.stored_timers(), 0);
 }
 
 #[test]

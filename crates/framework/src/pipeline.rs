@@ -6,7 +6,7 @@
 //!   InputSource ──► shared input queue ──► reactor workers ──► output queue ──► OutputSink
 //!   (file/stdin/       (bounded; every      │  lease admission     (bounded:       (JSONL with a
 //!    ct-corpus          worker steals       │  credits + pacing    a slow sink      reusable buffer,
-//!    generator,         the next name)      │  budget from the     throttles        or a callback)
+//!    generator,         the next names)     │  budget from the     throttles        or a callback)
 //!    streaming)                             ▼  scan-wide pools     admission)
 //!                                    CreditPool + ConcurrentPacer
 //! ```
@@ -31,16 +31,44 @@
 //! queue, which blocks the workers' completion path, which throttles
 //! admission: memory stays flat and the input is simply consumed more
 //! slowly.
+//!
+//! Between the ends, hand-offs cross in **blocks**, so the pipeline costs
+//! one lock and at most one wake-up per block where it used to cost a
+//! system call per push and per pop (`notify_one` on an idle condition
+//! variable is one):
+//!
+//! * the feeder pushes names **one at a time** — it must never hold a
+//!   name across a blocking `source.next_name()`, or a producer that
+//!   waits for an answer before writing its next line would wait for
+//!   ever — but wakes a worker only when one is actually asleep on the
+//!   queue;
+//! * a worker pulls up to one I/O batch (`--batch-size`) of names under
+//!   one lock, never blocking for them, and admits from that buffer;
+//! * a worker collects finished [`ModuleOutput`]s in its own block, which
+//!   crosses to the writer when it reaches `--batch-size`, before the
+//!   reactor loop sleeps, or at the end of a loop pass — whichever comes
+//!   first ([`Reactor::run_scan_with`]'s hand-off callback), so a block
+//!   never waits to fill and a slow scan prints each line within the
+//!   tick its lookup completed in;
+//! * the writer takes everything queued under one lock, records the
+//!   block's completions under one [`CheckpointKeeper`] lock, writes each
+//!   output to the sink, and flushes the sink whenever it finds the
+//!   queue empty.
+//!
+//! Outputs alive at once are therefore bounded by the output queue's
+//! capacity (in items) + `workers × batch size` + the writer's block (at
+//! most the capacity again); `tests/scan_pipeline.rs` holds a slow sink
+//! to that bound, a producer that waits for its answers to completion,
+//! and a 20 pps scan to 50 ms from completion to sink.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{Ipv4Addr, UdpSocket};
 use std::sync::Arc;
 
 use crossbeam::channel;
 use parking_lot::Mutex;
 use zdns_core::{
-    AddrMap, Admission, ConcurrentPacer, CreditPool, Driver, DriverReport, Reactor, ReactorConfig,
-    Resolver,
+    AddrMap, Admission, ConcurrentPacer, CreditPool, DriverReport, Reactor, ReactorConfig, Resolver,
 };
 use zdns_modules::{LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::InputSource;
@@ -221,25 +249,53 @@ pub fn run_scan_pipeline(
                 if let Some(pacer) = shared_pacer {
                     reactor.set_pacer(pacer);
                 }
-                let sink: ModuleSink = Arc::new(move |o| {
+                // This worker's block of finished outputs. Only this
+                // thread ever locks it (the mutex is what lets a `Sync`
+                // module sink push into it); both buffers below are
+                // reused for the whole scan, never reallocated.
+                let block = Arc::new(Mutex::new(Vec::with_capacity(batch_size)));
+                let send_block = move |block: &mut Vec<ModuleOutput>| {
                     // A full output queue blocks here — inside lookup
-                    // completion — which stalls this worker's admission:
-                    // the slow-sink backpressure path.
-                    let _ = output_tx.send(o);
-                });
-                let mut statuses: HashMap<&'static str, u64> = HashMap::new();
-                let mut feed = || match input_rx.try_recv() {
-                    Ok(input) => {
-                        Admission::Admit(module.make_machine(&input, &resolver, sink.clone()))
+                    // completion or before the loop's sleep — which stalls
+                    // this worker's admission: the slow-sink backpressure
+                    // path. With the writer gone there is nobody to keep
+                    // the outputs for.
+                    if !block.is_empty() && output_tx.send_many(block).is_err() {
+                        block.clear();
                     }
-                    Err(channel::TryRecvError::Empty) => Admission::Later,
-                    Err(channel::TryRecvError::Disconnected) => Admission::Exhausted,
+                };
+                let sink: ModuleSink = {
+                    let (block, send_block) = (Arc::clone(&block), send_block.clone());
+                    Arc::new(move |o| {
+                        let mut block = block.lock();
+                        block.push(o);
+                        if block.len() >= batch_size {
+                            send_block(&mut block);
+                        }
+                    })
+                };
+                let mut hand_off = || send_block(&mut block.lock());
+                let mut pulled: VecDeque<String> = VecDeque::with_capacity(batch_size);
+                let mut statuses: HashMap<&'static str, u64> = HashMap::new();
+                let mut feed = || {
+                    if pulled.is_empty() {
+                        // Up to one I/O batch of names under one lock.
+                        match input_rx.try_recv_many(&mut pulled, batch_size) {
+                            Ok(_) => {}
+                            Err(channel::TryRecvError::Empty) => return Admission::Later,
+                            Err(channel::TryRecvError::Disconnected) => {
+                                return Admission::Exhausted
+                            }
+                        }
+                    }
+                    let input = pulled.pop_front().expect("a successful pull moves a name");
+                    Admission::Admit(module.make_machine(&input, &resolver, sink.clone()))
                 };
                 let mut on_done = |outcome: Option<zdns_netsim::JobOutcome>| {
                     let status = outcome.map(|o| o.status).unwrap_or("ERROR");
                     *statuses.entry(status).or_insert(0) += 1;
                 };
-                let driver_report = reactor.run_scan(&mut feed, &mut on_done);
+                let driver_report = reactor.run_scan_with(&mut feed, &mut on_done, &mut hand_off);
                 let mut merged = merged.lock();
                 for (status, n) in statuses {
                     *merged.0.entry(status.to_string()).or_insert(0) += n;
@@ -254,44 +310,53 @@ pub fn run_scan_pipeline(
         // One writer thread owns the sink: outputs drain while inputs
         // feed in, and the queue's depth is observable as backpressure
         // telemetry. On durable scans it doubles as the checkpoint
-        // clock: completions are recorded per output and a snapshot is
-        // serialized every `checkpoint_every` of them, off the workers'
-        // hot path.
+        // clock: completions are recorded per block and a snapshot is
+        // serialized once `checkpoint_every` of them have gone by, off
+        // the workers' hot path.
         let writer_keeper = keeper.clone();
         let writer_pacer = shared_pacer.clone();
         let writer = scope.spawn(move || {
             let mut peak_queue = 0usize;
             let mut errors = 0u64;
-            while let Ok(output) = output_rx.recv() {
-                // The message in hand plus whatever is still queued.
-                peak_queue = peak_queue.max(output_rx.len() + 1);
-                // Record the completion *before* the sink write: if the
+            let mut block: Vec<ModuleOutput> = Vec::new();
+            // Everything queued, under one lock.
+            while output_rx.recv_many(&mut block, usize::MAX).is_ok() {
+                peak_queue = peak_queue.max(block.len());
+                // Record the completions *before* the sink writes: if the
                 // process dies between the two, the checkpoint's counts
                 // run ahead of the output file — harmless, because the
                 // output file (not the checkpoint) is the authoritative
                 // done-record on resume.
-                let snapshot_due = writer_keeper
-                    .as_ref()
-                    .map(|k| k.lock().completed(&output.name))
-                    .unwrap_or(false);
-                if sink.write_output(output).is_err() {
-                    // Keep draining so workers never block on a dead
-                    // sink; the error count surfaces in the report.
-                    errors += 1;
+                let snapshot_due = writer_keeper.as_ref().filter(|keeper| {
+                    let mut keeper = keeper.lock();
+                    block
+                        .iter()
+                        .fold(false, |due, output| keeper.completed(&output.name) | due)
+                });
+                for output in block.drain(..) {
+                    // Keep draining past a failed write so workers never
+                    // block on a dead sink; the error count surfaces in
+                    // the report.
+                    errors += u64::from(sink.write_output(output).is_err());
                 }
-                if snapshot_due {
-                    if let Some(keeper) = &writer_keeper {
-                        let backoff = writer_pacer
-                            .as_ref()
-                            .map(|p| p.backoff_snapshot(epoch.elapsed().as_nanos() as u64))
-                            .unwrap_or_default();
-                        // A failed snapshot write is retried at the next
-                        // cadence tick; the scan itself never stops.
-                        let _ = keeper.lock().write_snapshot(backoff);
-                    }
+                if let Some(keeper) = snapshot_due {
+                    let backoff = writer_pacer
+                        .as_ref()
+                        .map(|p| p.backoff_snapshot(epoch.elapsed().as_nanos() as u64))
+                        .unwrap_or_default();
+                    // A failed snapshot write is retried at the next
+                    // cadence tick; the scan itself never stops.
+                    let _ = keeper.lock().write_snapshot(backoff);
+                }
+                // Nothing more queued: the writer is about to sleep, so
+                // what the sink buffered goes out first — a slow scan's
+                // lines reach a pipe as they complete, not a buffer-full
+                // at a time.
+                if output_rx.is_empty() {
+                    errors += u64::from(sink.flush().is_err());
                 }
             }
-            let _ = sink.flush();
+            errors += u64::from(sink.flush().is_err());
             (peak_queue, errors)
         });
         while let Some(name) = source.next_name() {

@@ -130,9 +130,9 @@ pub struct RealScanReport {
     /// Worker startup failures (socket bind errors). A scan that could not
     /// start any worker reports every input as failed here.
     pub worker_errors: Vec<String>,
-    /// Peak outstanding outputs observed by the writer (queued plus the
-    /// one in hand — at most the bounded queue's capacity + 1): the
-    /// backpressure headroom a slow sink consumed.
+    /// The deepest the writer ever found the output queue (it takes
+    /// everything queued at once — at most the bounded queue's capacity,
+    /// in outputs): the backpressure headroom a slow sink consumed.
     pub peak_output_queue: usize,
     /// Outputs the sink failed to write (the scan still drains them so
     /// workers never block on a dead sink).

@@ -48,6 +48,6 @@ pub use resolvers::{PublicResolverConfig, PublicResolverSim, ResolverOutcome};
 pub use time::{as_secs_f64, from_secs_f64, SimTime, MICROS, MILLIS, SECONDS};
 pub use wire_server::{
     bind_reuse_port, bind_tcp_reuse_port, set_recv_buffer, QueryLog, RecvArena, WireServer,
-    SERVER_COOKIE,
+    RECV_SLOT, SERVER_COOKIE,
 };
 pub use zdns_pacing::{PaceDecision, SendGate};

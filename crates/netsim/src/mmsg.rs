@@ -68,13 +68,17 @@ impl MmsgScratch {
         };
     }
 
-    /// Point entry `i` at `bufs[i]` for receiving, for every buffer.
+    /// Point entry `i` at the `i`-th of `slots` for receiving, for every
+    /// slot — typically `arena.chunks_mut(RECV_SLOT)` over one allocation.
     /// Returns the `mmsghdr` slice ready to hand to `recvmmsg`; read the
     /// results back with [`MmsgScratch::peer`] / [`MmsgScratch::received_len`].
-    pub fn prepare_recv(&mut self, bufs: &mut [Box<[u8]>]) -> &mut [libc::mmsghdr] {
-        let n = bufs.len();
+    pub fn prepare_recv<'a>(
+        &mut self,
+        slots: impl ExactSizeIterator<Item = &'a mut [u8]>,
+    ) -> &mut [libc::mmsghdr] {
+        let n = slots.len();
         self.reset(n);
-        for (i, buf) in bufs.iter_mut().enumerate() {
+        for (i, buf) in slots.enumerate() {
             self.addrs[i] = libc::sockaddr_in::zeroed();
             self.iovs[i] = libc::iovec {
                 iov_base: buf.as_mut_ptr() as *mut libc::c_void,

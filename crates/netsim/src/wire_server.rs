@@ -186,8 +186,17 @@ pub fn bind_tcp_reuse_port(ip: Ipv4Addr, port: u16) -> std::io::Result<TcpListen
     }
 }
 
+/// Bytes per slot of a receive arena: room for the largest UDP datagram,
+/// rounded up to whole pages. An arena is *one* zeroed allocation of
+/// `depth × RECV_SLOT` bytes cut into slots — the allocator hands that out
+/// as untouched zero pages, so making it costs microseconds and the
+/// process pays only for the pages datagrams actually fill (a buffer per
+/// slot, each below the allocator's mmap threshold, was 2 MB of `memset`
+/// and of resident memory per 32-slot arena).
+pub const RECV_SLOT: usize = 65_536;
+
 /// A reusable receive arena for batch-draining a UDP socket with
-/// `recvmmsg(2)`: `depth` pre-allocated buffers filled in one syscall.
+/// `recvmmsg(2)`: `depth` pre-allocated slots filled in one syscall.
 ///
 /// This is what lets the loopback wire servers absorb the bursts a
 /// batched reactor produces (one `sendmmsg` can land 32+ queries on the
@@ -195,7 +204,8 @@ pub fn bind_tcp_reuse_port(ip: Ipv4Addr, port: u16) -> std::io::Result<TcpListen
 /// datagram. On non-Linux targets it degrades to a single `recv_from`
 /// per call.
 pub struct RecvArena {
-    bufs: Vec<Box<[u8]>>,
+    /// `depth` slots of [`RECV_SLOT`] bytes.
+    arena: Vec<u8>,
     lens: Vec<usize>,
     peers: Vec<SocketAddr>,
     #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -203,13 +213,11 @@ pub struct RecvArena {
 }
 
 impl RecvArena {
-    /// Pre-allocate `depth` full-size (64 KiB) datagram buffers.
+    /// Pre-allocate `depth` full-size (64 KiB) datagram slots.
     pub fn new(depth: usize) -> RecvArena {
         let depth = depth.clamp(1, 1_024);
         RecvArena {
-            bufs: (0..depth)
-                .map(|_| vec![0u8; 65_535].into_boxed_slice())
-                .collect(),
+            arena: vec![0u8; depth * RECV_SLOT],
             lens: vec![0; depth],
             peers: vec![SocketAddr::new(std::net::IpAddr::V4(Ipv4Addr::UNSPECIFIED), 0); depth],
             #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -226,7 +234,7 @@ impl RecvArena {
         #[cfg(any(target_os = "linux", target_os = "android"))]
         {
             use std::os::fd::AsRawFd;
-            let hdrs = self.scratch.prepare_recv(&mut self.bufs);
+            let hdrs = self.scratch.prepare_recv(self.arena.chunks_mut(RECV_SLOT));
             // SAFETY: every mmsghdr points at live, correctly-sized
             // storage (the arena buffers and the scratch arrays) that
             // outlives the call; vlen matches the slice length.
@@ -245,7 +253,7 @@ impl RecvArena {
             let count = r as usize;
             for i in 0..count {
                 if let Some(peer) = self.scratch.peer(i) {
-                    self.lens[i] = self.scratch.received_len(i).min(self.bufs[i].len());
+                    self.lens[i] = self.scratch.received_len(i).min(RECV_SLOT);
                     self.peers[i] = peer;
                 } else {
                     // Non-IPv4 peer: impossible on a v4 socket. Keep the
@@ -258,7 +266,7 @@ impl RecvArena {
         }
         #[cfg(not(any(target_os = "linux", target_os = "android")))]
         {
-            match socket.recv_from(&mut self.bufs[0]) {
+            match socket.recv_from(&mut self.arena[..RECV_SLOT]) {
                 Ok((len, peer)) => {
                     self.lens[0] = len;
                     self.peers[0] = peer;
@@ -272,7 +280,7 @@ impl RecvArena {
     /// The `i`-th received datagram (valid after a `recv_batch` that
     /// returned `count > i`).
     pub fn datagram(&self, i: usize) -> (&[u8], SocketAddr) {
-        (&self.bufs[i][..self.lens[i]], self.peers[i])
+        (&self.arena[i * RECV_SLOT..][..self.lens[i]], self.peers[i])
     }
 }
 

@@ -12,18 +12,26 @@
 //!   name set.
 //! * **Bounded output backpressure** — a slow sink throttles the scan
 //!   instead of growing an unbounded backlog.
+//! * **Block hand-offs that never wait** — names and outputs cross the
+//!   pipeline's queues in blocks, but no name or output is ever held
+//!   across a blocking call: a producer that waits for each answer before
+//!   writing the next name is served, and a slow scan's lines reach the
+//!   sink as their lookups complete.
 //! * **Sim/real convergence** — the simulator drains the same
 //!   `InputSource` stream the real pipeline uses.
 
+use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use zdns::core::AddrMap;
+use zdns::core::{AddrMap, Resolver};
 use zdns::framework::{
-    run_scan_pipeline, run_sim_scan, Conf, JsonlSink, OutputSink, RealScanReport,
+    run_scan_pipeline, run_sim_scan, CallbackSink, Conf, JsonlSink, OutputSink, RealScanReport,
 };
-use zdns::modules::ModuleRegistry;
-use zdns::netsim::{WireServer, MILLIS};
+use zdns::modules::{LookupModule, ModuleOutput, ModuleRegistry, ModuleSink};
+use zdns::netsim::{SimClient, WireServer, MILLIS};
 use zdns::wire::Name;
 use zdns::workloads::CtCorpus;
 use zdns::zones::{ExplicitUniverse, SynthConfig, SyntheticUniverse, Universe, Zone};
@@ -35,6 +43,38 @@ fn catch_all_server(sim_ip: Ipv4Addr) -> WireServer {
     let mut universe = ExplicitUniverse::new();
     universe.host(sim_ip, zone);
     WireServer::start(Arc::new(universe) as Arc<dyn Universe>, sim_ip).unwrap()
+}
+
+/// A module that shows the test every output the moment its lookup
+/// completes — on the worker, before any hand-off — and otherwise is the
+/// module it wraps.
+struct Tapped {
+    inner: Arc<dyn LookupModule>,
+    tap: Arc<dyn Fn(&ModuleOutput) + Send + Sync>,
+}
+
+impl LookupModule for Tapped {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn description(&self) -> &'static str {
+        self.inner.description()
+    }
+
+    fn make_machine(
+        &self,
+        input: &str,
+        resolver: &Resolver,
+        sink: ModuleSink,
+    ) -> Box<dyn SimClient> {
+        let tap = Arc::clone(&self.tap);
+        let tapped: ModuleSink = Arc::new(move |output| {
+            tap(&output);
+            sink(output)
+        });
+        self.inner.make_machine(input, resolver, tapped)
+    }
 }
 
 const HEALTHY_IP: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
@@ -113,7 +153,7 @@ fn run_mostly_dead_scan() -> (RealScanReport, f64) {
 
     let started = std::time::Instant::now();
     let mut source = inputs.into_iter();
-    let mut sink = zdns::framework::CallbackSink::new(|_| {});
+    let mut sink = CallbackSink::new(|_| {});
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
     let elapsed = started.elapsed().as_secs_f64();
     drop(healthy);
@@ -255,25 +295,147 @@ fn slow_sink_backpressure_bounds_the_output_queue() {
     ])
     .unwrap();
     let resolver = zdns::core::Resolver::new(conf.resolver.clone());
-    let module = ModuleRegistry::standard().get("A").unwrap();
+    // Outputs alive anywhere between a lookup's completion and the sink:
+    // in a worker's block, in the queue, or in the writer's block.
+    let live = Arc::new(AtomicUsize::new(0));
+    let peak_live = Arc::new(AtomicUsize::new(0));
+    let module = Arc::new(Tapped {
+        inner: ModuleRegistry::standard().get("A").unwrap(),
+        tap: {
+            let (live, peak_live) = (Arc::clone(&live), Arc::clone(&peak_live));
+            Arc::new(move |_| {
+                peak_live.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            })
+        },
+    });
 
-    let mut source = (0..200).map(|i| format!("slow{i}.sink.test"));
+    let mut source = (0..600).map(|i| format!("slow{i}.sink.test"));
     // A sink an order of magnitude slower than the lookups.
-    let mut sink = zdns::framework::CallbackSink::new(|_| {
-        std::thread::sleep(std::time::Duration::from_micros(500));
+    let mut sink = CallbackSink::new(|_| {
+        std::thread::sleep(Duration::from_micros(500));
+        live.fetch_sub(1, Ordering::SeqCst);
     });
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
 
-    assert_eq!(report.lookups, 200, "{:?}", report.worker_errors);
-    // The queue is bounded at (2 * window).max(64) = 64: however slow
-    // the sink, outstanding outputs (queued + the one in the writer's
-    // hand) can never exceed the cap + 1.
+    assert_eq!(report.lookups, 600, "{:?}", report.worker_errors);
+    // The queue is bounded at (2 * window).max(64) = 64 outputs, counted
+    // in items however they cross it: the writer can never find more.
+    const CAP: usize = 64;
     assert!(
-        report.peak_output_queue <= 65,
+        (1..=CAP).contains(&report.peak_output_queue),
         "bounded queue violated: peak {}",
         report.peak_output_queue
     );
-    assert!(report.peak_output_queue > 0);
+    // And however slow the sink, the outputs alive at once are the full
+    // queue, one block (the default batch size) per worker that found it
+    // full, and the block the writer is working through.
+    let bound = CAP + report.workers * zdns::core::DEFAULT_BATCH_SIZE + CAP;
+    let peak = peak_live.load(Ordering::SeqCst);
+    assert!(
+        peak <= bound,
+        "{peak} outputs alive at once, bound {bound} ({} workers)",
+        report.workers
+    );
+    assert_eq!(live.load(Ordering::SeqCst), 0);
+    drop(server);
+}
+
+#[test]
+fn a_producer_that_waits_for_its_answers_is_never_starved() {
+    // Name k+1 is written only after the sink has seen name k — a caller
+    // feeding stdin from what it reads on stdout. Were any name or output
+    // held back until a block filled (or across a blocking call for more),
+    // the two would wait for each other forever.
+    const NAMES: usize = 50;
+    let server_ip = Ipv4Addr::new(203, 0, 113, 45);
+    let server = catch_all_server(server_ip);
+    let real = server.addr();
+    let addr_map: Arc<AddrMap> = Arc::new(move |_| real);
+    let conf = Conf::parse([
+        "A",
+        "--name-servers",
+        "203.0.113.45",
+        "--threads",
+        "2",
+        "--max-in-flight",
+        "64",
+    ])
+    .unwrap();
+    let resolver = zdns::core::Resolver::new(conf.resolver.clone());
+    let module = ModuleRegistry::standard().get("A").unwrap();
+
+    let seen = Arc::new((Mutex::new(0usize), Condvar::new()));
+    let source_seen = Arc::clone(&seen);
+    let mut source = (0..NAMES).map(move |k| {
+        let (count, arrived) = &*source_seen;
+        let (_count, wait) = arrived
+            .wait_timeout_while(count.lock().unwrap(), Duration::from_secs(20), |n| *n < k)
+            .unwrap();
+        assert!(!wait.timed_out(), "the answer to name {} never came", k - 1);
+        format!("turn{k}.pipeline.test")
+    });
+    let mut sink = CallbackSink::new(|_| {
+        let (count, arrived) = &*seen;
+        *count.lock().unwrap() += 1;
+        arrived.notify_all();
+    });
+    let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
+    assert_eq!(report.lookups as usize, NAMES, "{:?}", report.worker_errors);
+    assert_eq!(sink.outputs_written() as usize, NAMES);
+    drop(server);
+}
+
+#[test]
+fn a_slow_scan_prints_each_line_within_a_tick() {
+    // 20 names at about 20 per second: a block of outputs never fills, so
+    // it must cross to the writer when the worker's loop next sleeps. Each
+    // output has to reach the sink within 50 ms of its lookup completing
+    // (it takes well under one on an idle machine).
+    const NAMES: usize = 20;
+    let server_ip = Ipv4Addr::new(203, 0, 113, 46);
+    let server = catch_all_server(server_ip);
+    let real = server.addr();
+    let addr_map: Arc<AddrMap> = Arc::new(move |_| real);
+    let conf = Conf::parse([
+        "A",
+        "--name-servers",
+        "203.0.113.46",
+        "--threads",
+        "2",
+        "--max-in-flight",
+        "64",
+    ])
+    .unwrap();
+    let resolver = zdns::core::Resolver::new(conf.resolver.clone());
+    let completed: Arc<Mutex<HashMap<String, Instant>>> = Arc::default();
+    let module = Arc::new(Tapped {
+        inner: ModuleRegistry::standard().get("A").unwrap(),
+        tap: {
+            let completed = Arc::clone(&completed);
+            Arc::new(move |output| {
+                let mut completed = completed.lock().unwrap();
+                completed.insert(output.name.clone(), Instant::now());
+            })
+        },
+    });
+
+    let mut source = (0..NAMES).map(|k| {
+        std::thread::sleep(Duration::from_millis(50));
+        format!("paced{k}.pipeline.test")
+    });
+    let mut waits = Vec::new();
+    let mut sink = CallbackSink::new(|output: ModuleOutput| {
+        let arrived = Instant::now();
+        waits.push(arrived - completed.lock().unwrap()[&output.name]);
+    });
+    let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
+    assert_eq!(report.lookups as usize, NAMES, "{:?}", report.worker_errors);
+    assert_eq!(waits.len(), NAMES);
+    let worst = waits.iter().max().unwrap();
+    assert!(
+        *worst <= Duration::from_millis(50),
+        "an output waited {worst:?} for its hand-off: {waits:?}"
+    );
     drop(server);
 }
 
