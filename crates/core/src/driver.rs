@@ -162,20 +162,9 @@ pub struct DriverReport {
     /// `datagrams_sent / token_blocks_leased` approximates the CAS
     /// amortization factor. Scan-wide, like `pacer_cas_retries`.
     pub token_blocks_leased: u64,
-    /// The resolved I/O backend name (`"syscall"`, `"mmsg"`, `"uring"`;
-    /// empty for drivers without a batch layer).
+    /// The resolved I/O backend name (`"syscall"` or `"mmsg"`; empty for
+    /// drivers without a batch layer).
     pub io_backend: &'static str,
-    /// io_uring SQEs the kernel consumed (zero off the uring backend).
-    pub ring_sqes: u64,
-    /// `io_uring_enter` syscalls issued. `ring_sqes / ring_enters` is the
-    /// realized ring batching factor, the uring analogue of
-    /// `datagrams_sent / send_syscalls`.
-    pub ring_enters: u64,
-    /// Non-empty CQ reaps (each drains every pending completion).
-    pub cqe_batches: u64,
-    /// Flushes stalled by a full SQ ring (the unsubmitted suffix was
-    /// requeued in order).
-    pub sq_full_stalls: u64,
 }
 
 impl DriverReport {
@@ -215,10 +204,6 @@ impl DriverReport {
         if self.io_backend.is_empty() {
             self.io_backend = other.io_backend;
         }
-        self.ring_sqes += other.ring_sqes;
-        self.ring_enters += other.ring_enters;
-        self.cqe_batches += other.cqe_batches;
-        self.sq_full_stalls += other.sq_full_stalls;
     }
 }
 

@@ -44,8 +44,6 @@ pub mod stats;
 pub mod status;
 pub mod trace;
 pub mod transport;
-#[cfg(any(target_os = "linux", target_os = "android"))]
-pub mod uring;
 
 pub use alloc_count::CountingAllocator;
 pub use cache::{Cache, CacheKey, CacheStats};
@@ -65,12 +63,9 @@ pub use stats::{Stats, StatsSnapshot};
 pub use status::Status;
 pub use trace::TraceStep;
 pub use transport::{
-    blocking_tcp_exchange, pin_to_core, settle_ring_send, BatchIo, BatchSendStatus, IoBackend,
-    RecvBatch, RingStats, RingSubmit, SendBatchStats, SendSlot, Transport, TransportError,
-    UdpTransport, VectoredSend,
+    blocking_tcp_exchange, pin_to_core, BatchIo, BatchSendStatus, IoBackend, RecvBatch,
+    SendBatchStats, SendSlot, Transport, TransportError, UdpTransport, VectoredSend, MAX_BATCH,
 };
-#[cfg(any(target_os = "linux", target_os = "android"))]
-pub use uring::UringIo;
 // The admission credit pool lives next to the other budgeting primitives
 // in `zdns-pacing`; re-exported so scan orchestration above this crate
 // sees one driver surface.

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, MILLIS};
 use zdns_pacing::{CreditPool, PaceDecision, SendGate};
-use zdns_wire::{encode_query_into, Message, MessageView, MsgRef, ScratchBuf};
+use zdns_wire::{encode_query_into, MessageView, MsgRef, ScratchBuf};
 
 use crate::driver::{Admission, Driver, DriverReport};
 use crate::pacer::{ConcurrentGate, ConcurrentPacer};
@@ -71,10 +71,6 @@ pub struct ReactorConfig {
     pub max_in_flight: usize,
     /// Source address the UDP socket binds to.
     pub source: Ipv4Addr,
-    /// Threads in the blocking TCP side-pool (truncation fallback).
-    pub tcp_pool: usize,
-    /// Timer-wheel slot count (rounded up to a power of two).
-    pub wheel_slots: usize,
     /// Timer-wheel slot width in nanoseconds.
     pub wheel_granularity: SimTime,
     /// Datagrams per syscall on the hot path: same-tick sends coalesce
@@ -82,17 +78,11 @@ pub struct ReactorConfig {
     /// arena pre-allocates this many buffers for `recvmmsg`. `1` forces
     /// the per-datagram `send_to`/`recv_from` path.
     pub batch_size: usize,
-    /// Which syscall strategy drives the hot path: per-datagram, vectored
-    /// `sendmmsg`/`recvmmsg`, or io_uring rings. The default ([`IoBackend::Auto`])
-    /// takes the best one the running kernel supports; unavailable
-    /// choices degrade cleanly (uring → mmsg → per-datagram).
+    /// Which syscall strategy drives the hot path. The default
+    /// ([`IoBackend::Auto`]) is vectored `sendmmsg`/`recvmmsg` where the
+    /// platform has them and `batch_size > 1`, per-datagram otherwise;
+    /// [`IoBackend::Syscall`] forces per-datagram.
     pub io_backend: IoBackend,
-    /// Decode every received datagram into an owned [`Message`] instead of
-    /// stepping machines on a borrowed [`MessageView`] over the arena.
-    /// The view path is the default; this fallback exists for A/B
-    /// benchmarks and as a big red switch if a view-path bug ever needs
-    /// ruling out in production.
-    pub owned_decode: bool,
     /// Extra machines this reactor may host *beyond* `max_in_flight`
     /// while they sit parked in backoff (credit-pool scans only; parking
     /// never happens without one). Parked lookups cost no window — their
@@ -114,17 +104,20 @@ pub struct ReactorConfig {
 /// syscall cost, shallow enough that the arena stays ~2 MB per worker.
 pub const DEFAULT_BATCH_SIZE: usize = 32;
 
+/// Threads in the blocking TCP side-pool (truncation fallback).
+const TCP_POOL_THREADS: usize = 2;
+
+/// Timer-wheel slot count (a power of two).
+const WHEEL_SLOTS: usize = 1_024;
+
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
             max_in_flight: 1_024,
             source: Ipv4Addr::UNSPECIFIED,
-            tcp_pool: 2,
-            wheel_slots: 1_024,
             wheel_granularity: 4 * MILLIS,
             batch_size: DEFAULT_BATCH_SIZE,
             io_backend: IoBackend::default(),
-            owned_decode: false,
             max_parked: 0,
             epoch: None,
         }
@@ -574,8 +567,6 @@ pub struct Reactor {
     /// `&mut self`); always `Some` between method calls.
     batch: Option<BatchIo>,
     staged: Vec<StagedSend>,
-    /// Whether receives step machines on owned messages instead of views.
-    owned_decode: bool,
     // -- steady-state allocation pools -------------------------------------
     /// Shared encode arena for one flush's datagrams.
     send_scratch: ScratchBuf,
@@ -627,10 +618,9 @@ impl Reactor {
         // A reactor keeps hundreds of queries in flight on one socket;
         // responses arrive in bursts the default buffer would drop.
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
-        let wheel = TimerWheel::new(config.wheel_slots, config.wheel_granularity);
-        let tcp = TcpPool::start(config.tcp_pool);
+        let wheel = TimerWheel::new(WHEEL_SLOTS, config.wheel_granularity);
+        let tcp = TcpPool::start(TCP_POOL_THREADS);
         let batch = BatchIo::with_backend(config.io_backend, config.batch_size);
-        let owned_decode = config.owned_decode;
         let started = config.epoch.unwrap_or_else(Instant::now);
         Ok(Reactor {
             socket,
@@ -654,7 +644,6 @@ impl Reactor {
             report: DriverReport::default(),
             batch: Some(batch),
             staged: Vec::new(),
-            owned_decode,
             send_scratch: ScratchBuf::new(),
             send_slots: Vec::new(),
             prepared: Vec::new(),
@@ -719,8 +708,8 @@ impl Reactor {
     }
 
     /// The syscall strategy the batch layer resolved to — what the
-    /// requested [`ReactorConfig::io_backend`] actually got on this
-    /// kernel (`"syscall"`, `"mmsg"`, or `"uring"`).
+    /// requested [`ReactorConfig::io_backend`] means on this platform at
+    /// this batch size (`"syscall"` or `"mmsg"`).
     pub fn io_backend(&self) -> &'static str {
         self.batch
             .as_ref()
@@ -1356,37 +1345,13 @@ impl Reactor {
             for i in 0..batch.count {
                 let peer = io.arena_peer(i);
                 let bytes = io.arena_bytes(i);
-                // Parse up front (view sweep or owned decode), but touch
-                // the demux table only after the datagram proves to be a
-                // well-formed response.
-                let mut owned: Option<zdns_wire::Message> = None;
-                let mut view: Option<MessageView<'_>> = None;
-                let (is_response, wire_id) = if self.owned_decode {
-                    match Message::decode(bytes) {
-                        Ok(m) => {
-                            let meta = (m.flags.response, m.id);
-                            owned = Some(m);
-                            meta
-                        }
-                        Err(_) => {
-                            self.report.decode_errors += 1;
-                            continue;
-                        }
-                    }
-                } else {
-                    match MessageView::parse(bytes) {
-                        Ok(v) => {
-                            let meta = (v.flags().response, v.id());
-                            view = Some(v);
-                            meta
-                        }
-                        Err(_) => {
-                            self.report.decode_errors += 1;
-                            continue;
-                        }
-                    }
+                // Parse up front, but touch the demux table only after
+                // the datagram proves to be a well-formed response.
+                let Ok(view) = MessageView::parse(bytes) else {
+                    self.report.decode_errors += 1;
+                    continue;
                 };
-                if !is_response {
+                if !view.flags().response {
                     // QR=0: with a server role installed this is a client
                     // query for the serve path — the dual-role socket's
                     // inbound half. Without one, an echoed query from a
@@ -1401,7 +1366,7 @@ impl Reactor {
                     }
                     continue;
                 }
-                let key = (peer, wire_id);
+                let key = (peer, view.id());
                 let Some(pending) = self.demux.remove(&key) else {
                     // Late, stale, or unsolicited: exactly the datagrams
                     // the demux table exists to reject.
@@ -1415,15 +1380,8 @@ impl Reactor {
                     }
                 }
                 // The machine sees its own transaction id: the view
-                // overrides it without touching the arena, the owned
-                // fallback rewrites the field.
-                let message = match owned {
-                    Some(mut m) => {
-                        m.id = pending.orig_id;
-                        MsgRef::Owned(m)
-                    }
-                    None => MsgRef::View(view.expect("view parsed").with_id(pending.orig_id)),
-                };
+                // overrides it without touching the arena.
+                let message = MsgRef::View(view.with_id(pending.orig_id));
                 self.report.datagrams_delivered += 1;
                 self.pace_feedback(pending.sim_ip, true);
                 let event = ClientEvent::Response {
@@ -1574,16 +1532,7 @@ impl Reactor {
     /// reactor's own socket cannot signal (a dedicated `SO_REUSEPORT`
     /// listener, live TCP connections, queued answers).
     pub fn run_serve(&mut self, stop: &AtomicBool) -> DriverReport {
-        #[cfg(unix)]
-        use std::os::fd::AsRawFd;
-
         self.report = DriverReport::default();
-        let ring_stats_start = if let Some(batch) = self.batch.as_mut() {
-            batch.prime_recv(&self.socket);
-            batch.ring_stats()
-        } else {
-            None
-        };
         while !stop.load(Ordering::Relaxed) {
             self.serve_tick();
 
@@ -1598,19 +1547,7 @@ impl Reactor {
             // Floor of 1ms (a scan may spin at 0; a server must bound its
             // idle wakeup rate), ceiling of 50ms so the stop flag is
             // honored promptly.
-            let wait_ms = wait_ns.div_ceil(MILLIS).clamp(1, 50) as i32;
-            #[cfg(unix)]
-            let fd = self
-                .batch
-                .as_ref()
-                .map(|b| b.poll_fd(&self.socket))
-                .unwrap_or_else(|| self.socket.as_raw_fd());
-            #[cfg(not(unix))]
-            let fd = 0;
-            let buffered = self.batch.as_ref().is_some_and(BatchIo::has_buffered_recv);
-            if !buffered {
-                readiness::wait_readable(fd, wait_ms);
-            }
+            self.idle_wait(wait_ns.div_ceil(MILLIS).clamp(1, 50) as i32);
         }
 
         // Same end-of-run hygiene as a scan: machines still forwarding
@@ -1619,16 +1556,17 @@ impl Reactor {
         self.drop_deferred();
 
         self.report.io_backend = self.io_backend();
-        if let (Some(end), Some(start)) = (
-            self.batch.as_ref().and_then(BatchIo::ring_stats),
-            ring_stats_start,
-        ) {
-            self.report.ring_sqes = end.sqes - start.sqes;
-            self.report.ring_enters = end.enters - start.enters;
-            self.report.cqe_batches = end.cqe_batches - start.cqe_batches;
-            self.report.sq_full_stalls = end.sq_full_stalls - start.sq_full_stalls;
-        }
         self.report.clone()
+    }
+
+    /// Sleep until the reactor's socket is readable or `wait_ms` passes —
+    /// the one idle wait of the scan and serve loops.
+    fn idle_wait(&self, wait_ms: i32) {
+        #[cfg(unix)]
+        let fd = std::os::fd::AsRawFd::as_raw_fd(&self.socket);
+        #[cfg(not(unix))]
+        let fd = 0;
+        readiness::wait_readable(fd, wait_ms);
     }
 }
 
@@ -1659,21 +1597,8 @@ impl Reactor {
         on_done: &mut dyn FnMut(Option<JobOutcome>),
         hand_off: &mut dyn FnMut(),
     ) -> DriverReport {
-        #[cfg(unix)]
-        use std::os::fd::AsRawFd;
-
         // A reactor is reusable; each scan reports its own counts.
         self.report = DriverReport::default();
-        // The io_uring backend's standing RECVMSG pool must be armed
-        // before the first sleep, or the opening tick would wait on a
-        // ring with nothing in flight. Ring counters are reported as
-        // this scan's delta off the cumulative backend stats.
-        let ring_stats_start = if let Some(batch) = self.batch.as_mut() {
-            batch.prime_recv(&self.socket);
-            batch.ring_stats()
-        } else {
-            None
-        };
         let mut exhausted = false;
         loop {
             // Admission: top the window up from the source. With a
@@ -1738,25 +1663,11 @@ impl Reactor {
                 wait_ns = wait_ns.min(2 * MILLIS);
             }
             let wait_ms = wait_ns.div_ceil(MILLIS).clamp(0, 50) as i32;
-            // Under io_uring the wake signal is the *ring* fd (armed
-            // receives complete into the CQ without making the socket
-            // readable), and datagrams already reaped into backend
-            // memory would never wake a poll at all — skip the sleep
-            // and drain them instead.
-            #[cfg(unix)]
-            let fd = self
-                .batch
-                .as_ref()
-                .map(|b| b.poll_fd(&self.socket))
-                .unwrap_or_else(|| self.socket.as_raw_fd());
-            #[cfg(not(unix))]
-            let fd = 0;
-            let buffered = self.batch.as_ref().is_some_and(BatchIo::has_buffered_recv);
-            if !buffered && (self.in_flight > 0 || !exhausted) {
+            if self.in_flight > 0 || !exhausted {
                 // Admission and the flush above can complete lookups
                 // (bad input, a send that fails outright).
                 hand_off();
-                readiness::wait_readable(fd, wait_ms);
+                self.idle_wait(wait_ms);
             }
 
             self.drain_datagrams(on_done);
@@ -1790,17 +1701,7 @@ impl Reactor {
         debug_assert_eq!(self.wheel.live(), 0, "timers leaked past the scan");
         self.return_pacer_tokens();
 
-        // Ring telemetry: this scan's delta, plus which backend ran.
         self.report.io_backend = self.io_backend();
-        if let (Some(end), Some(start)) = (
-            self.batch.as_ref().and_then(BatchIo::ring_stats),
-            ring_stats_start,
-        ) {
-            self.report.ring_sqes = end.sqes - start.sqes;
-            self.report.ring_enters = end.enters - start.enters;
-            self.report.cqe_batches = end.cqe_batches - start.cqe_batches;
-            self.report.sq_full_stalls = end.sq_full_stalls - start.sq_full_stalls;
-        }
         self.report.clone()
     }
 }
@@ -1950,7 +1851,7 @@ mod tests {
         )];
         let report = scan(&mut reactor, truncated);
         assert_eq!((report.successes, report.tcp_fallbacks), (1, 1));
-        assert_eq!(reactor.tcp.threads.len(), reactor.config.tcp_pool);
+        assert_eq!(reactor.tcp.threads.len(), TCP_POOL_THREADS);
     }
 
     #[test]

@@ -316,26 +316,23 @@ impl Transport for UdpTransport {
 // Batched syscall I/O
 // ---------------------------------------------------------------------------
 
-/// Hard ceiling on datagrams per syscall (the kernel caps `vlen` at
-/// `UIO_MAXIOV` = 1024 anyway).
-pub(crate) const MAX_BATCH: usize = 1_024;
+/// Hard ceiling on datagrams per syscall — the largest `--batch-size`
+/// accepted (the kernel caps `vlen` at `UIO_MAXIOV` = 1024 anyway).
+pub const MAX_BATCH: usize = 1_024;
 
 /// Which syscall strategy [`BatchIo`] should run — the `--io-backend`
-/// flag's value, resolved against what the running kernel supports by
-/// [`BatchIo::with_backend`].
+/// flag's value, resolved by [`BatchIo::with_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackend {
-    /// Best available: io_uring when the kernel offers it, else
-    /// `sendmmsg`/`recvmmsg`, else per-datagram syscalls.
+    /// Chosen from the platform and the batch size: the same as
+    /// [`IoBackend::Mmsg`].
     #[default]
     Auto,
     /// Plain `send_to`/`recv_from`, one datagram per syscall.
     Syscall,
-    /// `sendmmsg(2)`/`recvmmsg(2)` vectored batches.
+    /// `sendmmsg(2)`/`recvmmsg(2)` vectored batches where the platform
+    /// has them and the batch size is above 1; per-datagram otherwise.
     Mmsg,
-    /// io_uring submission/completion rings. Falls back like [`IoBackend::Auto`]
-    /// when ring setup fails (old kernel, seccomp, `ENOSYS`/`EPERM`).
-    Uring,
 }
 
 impl IoBackend {
@@ -345,7 +342,6 @@ impl IoBackend {
             "auto" => Some(IoBackend::Auto),
             "syscall" => Some(IoBackend::Syscall),
             "mmsg" => Some(IoBackend::Mmsg),
-            "uring" => Some(IoBackend::Uring),
             _ => None,
         }
     }
@@ -356,37 +352,8 @@ impl IoBackend {
             IoBackend::Auto => "auto",
             IoBackend::Syscall => "syscall",
             IoBackend::Mmsg => "mmsg",
-            IoBackend::Uring => "uring",
         }
     }
-}
-
-/// Cumulative io_uring telemetry (zero everywhere on other backends):
-/// the ring-health counters surfaced in `DriverReport` and the `--real`
-/// summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingStats {
-    /// SQEs the kernel consumed.
-    pub sqes: u64,
-    /// `io_uring_enter` syscalls issued.
-    pub enters: u64,
-    /// Non-empty CQ reaps (each drains every pending CQE).
-    pub cqe_batches: u64,
-    /// Times the SQ ring was full mid-flush (the unsubmitted suffix was
-    /// requeued).
-    pub sq_full_stalls: u64,
-}
-
-/// What one ring submission attempt accepted — the io_uring analogue of
-/// [`VectoredSend`]'s `Ok(n)` return. See [`settle_ring_send`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingSubmit {
-    /// Datagrams turned into SQEs and settled (a completion exists for
-    /// chunk indices `0..accepted`).
-    pub accepted: usize,
-    /// The SQ ring filled before the whole chunk fit: the caller must
-    /// requeue everything past `accepted` in order, not retry it now.
-    pub sq_full: bool,
 }
 
 /// How one datagram in a flushed send batch ended.
@@ -438,12 +405,16 @@ pub type VectoredSend<'a> = dyn FnMut(&[(&[u8], SocketAddr)]) -> std::io::Result
 /// per-flush `Vec<(&[u8], SocketAddr)>` ever needs to be materialized.
 pub type SendSlot = (u32, u32, SocketAddr);
 
-/// The arena-and-scratch machinery shared by the per-datagram and mmsg
-/// backends of [`BatchIo`]: a receive arena of `batch_size` slots (one
-/// lazily-zeroed allocation, see [`RECV_SLOT`]) plus the reusable FFI
-/// vectors for `sendmmsg`/`recvmmsg`. Constructed through [`BatchIo`];
-/// not useful on its own.
-pub struct ArenaIo {
+/// Batched syscall layer for one non-blocking UDP socket: a receive
+/// arena of `batch_size` slots (one lazily-zeroed allocation, see
+/// [`RECV_SLOT`]) plus the reusable FFI vectors for
+/// `sendmmsg`/`recvmmsg`. When `batched`, same-tick sends coalesce into
+/// `sendmmsg(2)` and receives drain through one `recvmmsg(2)` per arena;
+/// otherwise every datagram is its own `send_to`/`recv_from` (the
+/// non-Linux path and `--batch-size 1`). Both modes share per-datagram
+/// semantics — the property tests in `crates/core/tests/batch_io.rs`
+/// hold them to the same delivered sequences.
+pub struct BatchIo {
     batch_size: usize,
     batched: bool,
     /// `batch_size` slots of [`RECV_SLOT`] bytes.
@@ -456,9 +427,10 @@ pub struct ArenaIo {
     scratch: zdns_netsim::MmsgScratch,
 }
 
-impl ArenaIo {
-    fn build(batch_size: usize, batched: bool) -> ArenaIo {
-        ArenaIo {
+impl BatchIo {
+    fn build(batch_size: usize, batched: bool) -> BatchIo {
+        let batch_size = batch_size.clamp(1, MAX_BATCH);
+        BatchIo {
             batch_size,
             batched,
             arena: vec![0u8; batch_size * RECV_SLOT],
@@ -469,9 +441,54 @@ impl ArenaIo {
         }
     }
 
+    /// Build with the vectored mode where it exists: `sendmmsg`/`recvmmsg`
+    /// on Linux when `batch_size > 1`, per-datagram syscalls otherwise.
+    pub fn new(batch_size: usize) -> BatchIo {
+        BatchIo::build(batch_size, libc::MMSG_SUPPORTED && batch_size > 1)
+    }
+
+    /// Force the per-datagram path (`--io-backend syscall`, and the
+    /// equivalence property tests).
+    pub fn per_datagram(batch_size: usize) -> BatchIo {
+        BatchIo::build(batch_size, false)
+    }
+
+    /// Resolve an [`IoBackend`] choice: `Syscall` is per-datagram, `Auto`
+    /// and `Mmsg` are [`BatchIo::new`].
+    pub fn with_backend(choice: IoBackend, batch_size: usize) -> BatchIo {
+        match choice {
+            IoBackend::Syscall => BatchIo::per_datagram(batch_size),
+            IoBackend::Auto | IoBackend::Mmsg => BatchIo::new(batch_size),
+        }
+    }
+
+    /// The resolved strategy, as spelled in the `--real` summary:
+    /// `"syscall"` or `"mmsg"`.
+    pub fn backend_name(&self) -> &'static str {
+        if self.batched {
+            "mmsg"
+        } else {
+            "syscall"
+        }
+    }
+
+    /// Datagrams per syscall this layer aims for (also the arena depth).
+    pub fn batch_size(&self) -> usize {
+        self.batch_size
+    }
+
+    /// Whether the vectored path is active.
+    pub fn is_batched(&self) -> bool {
+        self.batched
+    }
+
     // -- send ---------------------------------------------------------------
 
-    fn send_batch(
+    /// Flush `msgs` to the wire in batches, appending one
+    /// [`BatchSendStatus`] per datagram (in order) to `statuses`.
+    /// `on_syscall` observes the fill of each successful syscall — the
+    /// datagrams-per-syscall histogram feed.
+    pub fn send_batch(
         &mut self,
         socket: &UdpSocket,
         msgs: &[(&[u8], SocketAddr)],
@@ -509,7 +526,26 @@ impl ArenaIo {
         settle_send(self.batch_size, &mut primitive, msgs, statuses, on_syscall)
     }
 
-    fn send_slots(
+    /// The settling engine behind [`BatchIo::send_batch`], with the
+    /// vectored-send primitive injected. Chunks `msgs` by `batch_size`,
+    /// retries short returns from the next unsent datagram, maps a
+    /// `WouldBlock` to backpressure for the entire unsent suffix, and
+    /// maps any other error to a single failed datagram (then keeps
+    /// going). Public so the property tests can script syscall outcomes.
+    pub fn send_batch_with(
+        &mut self,
+        send: &mut VectoredSend<'_>,
+        msgs: &[(&[u8], SocketAddr)],
+        statuses: &mut Vec<BatchSendStatus>,
+        on_syscall: &mut dyn FnMut(usize),
+    ) -> SendBatchStats {
+        settle_send(self.batch_size, send, msgs, statuses, on_syscall)
+    }
+
+    /// [`BatchIo::send_batch`] over [`SendSlot`]s into a shared encode
+    /// arena — the reactor's zero-alloc flush path. Identical settling
+    /// semantics; the iovecs are built pointing straight into `arena`.
+    pub fn send_slots(
         &mut self,
         socket: &UdpSocket,
         arena: &[u8],
@@ -530,7 +566,7 @@ impl ArenaIo {
                     other => return other,
                 }
             };
-            return settle_send_slots(self.batch_size, &mut primitive, slots, statuses, on_syscall);
+            return settle_send(self.batch_size, &mut primitive, slots, statuses, on_syscall);
         }
         let mut primitive = |chunk: &[SendSlot]| loop {
             let (start, len, dest) = chunk[0];
@@ -543,16 +579,18 @@ impl ArenaIo {
                 other => return other,
             }
         };
-        settle_send_slots(self.batch_size, &mut primitive, slots, statuses, on_syscall)
+        settle_send(self.batch_size, &mut primitive, slots, statuses, on_syscall)
     }
 
     // -- receive ------------------------------------------------------------
 
-    fn recv_into_arena(&mut self, socket: &UdpSocket) -> RecvBatch {
+    /// Drain up to `batch_size` datagrams from `socket` into the arena.
+    /// Never blocks; see [`RecvBatch`] for how short batches and errors
+    /// are told apart.
+    pub fn recv_into_arena(&mut self, socket: &UdpSocket) -> RecvBatch {
+        #[cfg(any(target_os = "linux", target_os = "android"))]
         if self.batched {
-            if let Some(batch) = self.recv_many_once(socket) {
-                return batch;
-            }
+            return self.recv_many_once(socket);
         }
         let mut count = 0;
         let mut syscalls = 0;
@@ -590,18 +628,20 @@ impl ArenaIo {
         }
     }
 
-    fn arena_bytes(&self, i: usize) -> &[u8] {
+    /// Bytes of the `i`-th datagram in the arena (valid after a
+    /// [`BatchIo::recv_into_arena`] returning `count > i`).
+    pub fn arena_bytes(&self, i: usize) -> &[u8] {
         &self.arena[i * RECV_SLOT..][..self.lens[i]]
     }
 
-    fn arena_peer(&self, i: usize) -> SocketAddr {
+    /// Peer address of the `i`-th datagram in the arena.
+    pub fn arena_peer(&self, i: usize) -> SocketAddr {
         self.peers[i]
     }
 
-    /// One `recvmmsg` call filling the arena. `None` means the platform
-    /// path is unavailable and the caller should fall back.
+    /// One `recvmmsg` call filling the arena.
     #[cfg(any(target_os = "linux", target_os = "android"))]
-    fn recv_many_once(&mut self, socket: &UdpSocket) -> Option<RecvBatch> {
+    fn recv_many_once(&mut self, socket: &UdpSocket) -> RecvBatch {
         use std::os::fd::AsRawFd;
         let hdrs = self.scratch.prepare_recv(self.arena.chunks_mut(RECV_SLOT));
         // SAFETY: every mmsghdr points at live, correctly-sized storage
@@ -622,11 +662,11 @@ impl ArenaIo {
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => None,
                 _ => Some(e),
             };
-            return Some(RecvBatch {
+            return RecvBatch {
                 count: 0,
                 syscalls: 1,
                 err,
-            });
+            };
         }
         let count = r as usize;
         for i in 0..count {
@@ -639,302 +679,12 @@ impl ArenaIo {
                 self.lens[i] = 0;
             }
         }
-        Some(RecvBatch {
+        RecvBatch {
             count,
             syscalls: 1,
             err: None,
-        })
-    }
-
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    fn recv_many_once(&mut self, _socket: &UdpSocket) -> Option<RecvBatch> {
-        None
-    }
-}
-
-/// Batched syscall layer for one non-blocking UDP socket — one of three
-/// strategies behind a single API:
-///
-/// * [`BatchIo::PerDatagram`] — plain `send_to`/`recv_from`, one
-///   datagram per syscall (the non-Linux path and `--batch-size 1`);
-/// * [`BatchIo::Mmsg`] — same-tick sends coalesced into `sendmmsg(2)`,
-///   receives drained through a reusable `recvmmsg(2)` arena;
-/// * [`BatchIo::Uring`] — io_uring submission/completion rings: sends
-///   become `SENDMSG` SQEs, receives a standing pool of re-armed
-///   `RECVMSG` SQEs, both settled with at most one `io_uring_enter` per
-///   tick (see [`crate::uring`]).
-///
-/// Select with [`BatchIo::with_backend`] (the `--io-backend` flag);
-/// [`BatchIo::new`] keeps the historical default (mmsg where supported).
-/// All variants share per-datagram semantics — the property tests in
-/// `crates/core/tests/batch_io.rs` hold every path to the same delivered
-/// sequences.
-pub enum BatchIo {
-    /// Per-datagram `send_to`/`recv_from` fallback.
-    PerDatagram(ArenaIo),
-    /// Vectored `sendmmsg`/`recvmmsg` batches.
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    Mmsg(ArenaIo),
-    /// io_uring submit/complete rings.
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    Uring(Box<crate::uring::UringIo>),
-}
-
-impl BatchIo {
-    /// Build with the best *vectored-syscall* mode: `sendmmsg`/`recvmmsg`
-    /// on Linux when `batch_size > 1`, per-datagram syscalls otherwise.
-    /// (io_uring is opted into through [`BatchIo::with_backend`].)
-    pub fn new(batch_size: usize) -> BatchIo {
-        let batch_size = batch_size.clamp(1, MAX_BATCH);
-        #[cfg(any(target_os = "linux", target_os = "android"))]
-        if libc::MMSG_SUPPORTED && batch_size > 1 {
-            return BatchIo::Mmsg(ArenaIo::build(batch_size, true));
-        }
-        BatchIo::PerDatagram(ArenaIo::build(batch_size, false))
-    }
-
-    /// Force the per-datagram fallback path (used for `--batch-size 1`,
-    /// for A/B benchmarks, and by the equivalence property tests).
-    pub fn per_datagram(batch_size: usize) -> BatchIo {
-        BatchIo::PerDatagram(ArenaIo::build(batch_size.clamp(1, MAX_BATCH), false))
-    }
-
-    /// Resolve an [`IoBackend`] choice against the running kernel:
-    /// `Uring`/`Auto` probe ring setup and degrade cleanly to mmsg (then
-    /// per-datagram) when it fails — `ENOSYS` on old kernels, `EPERM`
-    /// under seccomp. `batch_size == 1` always means per-datagram.
-    pub fn with_backend(choice: IoBackend, batch_size: usize) -> BatchIo {
-        #[cfg(any(target_os = "linux", target_os = "android"))]
-        {
-            BatchIo::with_backend_detected(choice, batch_size, &mut crate::uring::UringIo::new)
-        }
-        #[cfg(not(any(target_os = "linux", target_os = "android")))]
-        {
-            let _ = choice;
-            BatchIo::new(batch_size)
         }
     }
-
-    /// [`BatchIo::with_backend`] with ring construction injected, so the
-    /// fallback tests can force `ENOSYS` deterministically on kernels
-    /// where real io_uring would succeed.
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    pub fn with_backend_detected(
-        choice: IoBackend,
-        batch_size: usize,
-        make_uring: &mut dyn FnMut(usize) -> std::io::Result<crate::uring::UringIo>,
-    ) -> BatchIo {
-        let batch_size = batch_size.clamp(1, MAX_BATCH);
-        match choice {
-            IoBackend::Syscall => BatchIo::per_datagram(batch_size),
-            IoBackend::Mmsg => BatchIo::new(batch_size),
-            IoBackend::Auto | IoBackend::Uring => {
-                if batch_size > 1 {
-                    if let Ok(ring) = make_uring(batch_size) {
-                        return BatchIo::Uring(Box::new(ring));
-                    }
-                }
-                BatchIo::new(batch_size)
-            }
-        }
-    }
-
-    /// The resolved strategy, as spelled in the `--real` summary:
-    /// `"syscall"`, `"mmsg"`, or `"uring"`.
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            BatchIo::PerDatagram(_) => "syscall",
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Mmsg(_) => "mmsg",
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(_) => "uring",
-        }
-    }
-
-    /// Datagrams per syscall this layer aims for (also the arena depth).
-    pub fn batch_size(&self) -> usize {
-        match self {
-            BatchIo::PerDatagram(a) => a.batch_size,
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Mmsg(a) => a.batch_size,
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.batch_size(),
-        }
-    }
-
-    /// Whether a batched path (mmsg or uring) is active.
-    pub fn is_batched(&self) -> bool {
-        !matches!(self, BatchIo::PerDatagram(_))
-    }
-
-    /// The fd the reactor's idle sleep should poll. For the syscall and
-    /// mmsg backends that is the socket itself; for io_uring it is the
-    /// *ring* fd — armed receives complete into the CQ ring without ever
-    /// making the socket readable, so polling the socket would sleep
-    /// through arrivals.
-    #[cfg(unix)]
-    pub fn poll_fd(&self, socket: &UdpSocket) -> std::os::fd::RawFd {
-        use std::os::fd::AsRawFd;
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.ring_fd(),
-            _ => socket.as_raw_fd(),
-        }
-    }
-
-    /// Arm the receive side before a scan's event loop starts. Only the
-    /// io_uring backend needs this (its standing `RECVMSG` pool must be
-    /// submitted before the first sleep); elsewhere it is a no-op.
-    pub fn prime_recv(&mut self, socket: &UdpSocket) {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.prime(socket),
-            _ => {
-                let _ = socket;
-            }
-        }
-    }
-
-    /// Datagrams already reaped into backend memory but not yet returned
-    /// by [`BatchIo::recv_into_arena`] — when true, drain before
-    /// sleeping: no fd poll will wake for data the kernel already
-    /// delivered.
-    pub fn has_buffered_recv(&self) -> bool {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.has_buffered_recv(),
-            _ => false,
-        }
-    }
-
-    /// Cumulative ring telemetry; `None` off the io_uring backend.
-    pub fn ring_stats(&self) -> Option<RingStats> {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => Some(u.stats()),
-            _ => None,
-        }
-    }
-
-    // -- send ---------------------------------------------------------------
-
-    /// Flush `msgs` to the wire in batches, appending one
-    /// [`BatchSendStatus`] per datagram (in order) to `statuses`.
-    /// `on_syscall` observes the fill of each successful syscall — the
-    /// datagrams-per-syscall histogram feed.
-    pub fn send_batch(
-        &mut self,
-        socket: &UdpSocket,
-        msgs: &[(&[u8], SocketAddr)],
-        statuses: &mut Vec<BatchSendStatus>,
-        on_syscall: &mut dyn FnMut(usize),
-    ) -> SendBatchStats {
-        match self {
-            BatchIo::PerDatagram(a) => a.send_batch(socket, msgs, statuses, on_syscall),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Mmsg(a) => a.send_batch(socket, msgs, statuses, on_syscall),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.send_batch(socket, msgs, statuses, on_syscall),
-        }
-    }
-
-    /// The settling engine behind [`BatchIo::send_batch`], with the
-    /// vectored-send primitive injected. Chunks `msgs` by `batch_size`,
-    /// retries short returns from the next unsent datagram, maps a
-    /// `WouldBlock` to backpressure for the entire unsent suffix, and
-    /// maps any other error to a single failed datagram (then keeps
-    /// going). Public so the property tests can script syscall outcomes.
-    pub fn send_batch_with(
-        &mut self,
-        send: &mut VectoredSend<'_>,
-        msgs: &[(&[u8], SocketAddr)],
-        statuses: &mut Vec<BatchSendStatus>,
-        on_syscall: &mut dyn FnMut(usize),
-    ) -> SendBatchStats {
-        settle_send(self.batch_size(), send, msgs, statuses, on_syscall)
-    }
-
-    /// [`BatchIo::send_batch`] over [`SendSlot`]s into a shared encode
-    /// arena — the reactor's zero-alloc flush path. Identical settling
-    /// semantics; the iovecs (or SQEs) are built pointing straight into
-    /// `arena`.
-    pub fn send_slots(
-        &mut self,
-        socket: &UdpSocket,
-        arena: &[u8],
-        slots: &[SendSlot],
-        statuses: &mut Vec<BatchSendStatus>,
-        on_syscall: &mut dyn FnMut(usize),
-    ) -> SendBatchStats {
-        match self {
-            BatchIo::PerDatagram(a) => a.send_slots(socket, arena, slots, statuses, on_syscall),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Mmsg(a) => a.send_slots(socket, arena, slots, statuses, on_syscall),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.send_slots(socket, arena, slots, statuses, on_syscall),
-        }
-    }
-
-    // -- receive ------------------------------------------------------------
-
-    /// Drain up to `batch_size` datagrams from `socket` into the arena.
-    /// Never blocks; see [`RecvBatch`] for how short batches and errors
-    /// are told apart.
-    pub fn recv_into_arena(&mut self, socket: &UdpSocket) -> RecvBatch {
-        match self {
-            BatchIo::PerDatagram(a) => a.recv_into_arena(socket),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Mmsg(a) => a.recv_into_arena(socket),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.recv_into_arena(socket),
-        }
-    }
-
-    /// Bytes of the `i`-th datagram in the arena (valid after a
-    /// [`BatchIo::recv_into_arena`] returning `count > i`).
-    pub fn arena_bytes(&self, i: usize) -> &[u8] {
-        match self {
-            BatchIo::PerDatagram(a) => a.arena_bytes(i),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Mmsg(a) => a.arena_bytes(i),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.arena_bytes(i),
-        }
-    }
-
-    /// Peer address of the `i`-th datagram in the arena.
-    pub fn arena_peer(&self, i: usize) -> SocketAddr {
-        match self {
-            BatchIo::PerDatagram(a) => a.arena_peer(i),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Mmsg(a) => a.arena_peer(i),
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            BatchIo::Uring(u) => u.arena_peer(i),
-        }
-    }
-}
-
-/// The settling engine behind [`BatchIo::send_batch`] (borrowed-slice
-/// datagrams).
-fn settle_send(
-    batch_size: usize,
-    send: &mut VectoredSend<'_>,
-    msgs: &[(&[u8], SocketAddr)],
-    statuses: &mut Vec<BatchSendStatus>,
-    on_syscall: &mut dyn FnMut(usize),
-) -> SendBatchStats {
-    settle_engine(batch_size, send, msgs, statuses, on_syscall)
-}
-
-/// The settling engine behind [`BatchIo::send_slots`] (arena slots).
-fn settle_send_slots(
-    batch_size: usize,
-    send: &mut dyn FnMut(&[SendSlot]) -> std::io::Result<usize>,
-    slots: &[SendSlot],
-    statuses: &mut Vec<BatchSendStatus>,
-    on_syscall: &mut dyn FnMut(usize),
-) -> SendBatchStats {
-    settle_engine(batch_size, send, slots, statuses, on_syscall)
 }
 
 /// The settling engine shared by every send path: chunk `msgs` by
@@ -943,7 +693,7 @@ fn settle_send_slots(
 /// any other error to a single failed datagram (then keep going). An
 /// `Ok(0)` return violates the [`VectoredSend`] contract and is settled
 /// as one failed datagram rather than silently marked sent.
-fn settle_engine<T>(
+fn settle_send<T>(
     batch_size: usize,
     send: &mut dyn FnMut(&[T]) -> std::io::Result<usize>,
     msgs: &[T],
@@ -984,109 +734,6 @@ fn settle_engine<T>(
                 stats.syscalls += 1;
                 statuses.push(BatchSendStatus::Failed);
                 pos += 1;
-            }
-        }
-    }
-    stats
-}
-
-/// A ring-submission primitive as [`settle_ring_send`] consumes it: takes
-/// one chunk, pushes `(chunk_index, cqe_res)` completion pairs, reports
-/// how far submission got.
-pub type RingSubmitFn<'a, T> =
-    dyn FnMut(&[T], &mut Vec<(u32, i32)>) -> std::io::Result<RingSubmit> + 'a;
-
-/// The settling engine for the io_uring send path, with ring submission
-/// injected so tests can script CQE outcomes (sq-full mid-batch, per-CQE
-/// errors) deterministically.
-///
-/// Contract for `ring(chunk, completions)`: submit a non-empty prefix of
-/// `chunk` and settle it, pushing one `(chunk_index, cqe_res)` pair per
-/// accepted datagram (any order — this engine sorts), then report how
-/// far it got via [`RingSubmit`]. `Err(WouldBlock)` means nothing at all
-/// could be submitted.
-///
-/// Settling semantics, per the reactor's rollback contract:
-/// * CQE `res >= 0` → [`BatchSendStatus::Sent`];
-/// * CQE `-EAGAIN`/`-ENOBUFS` → [`BatchSendStatus::Backpressure`] for
-///   that datagram only (`MSG_DONTWAIT` sends settle independently);
-/// * any other negative CQE → [`BatchSendStatus::Failed`] for that
-///   datagram only — a hard error never poisons its neighbours;
-/// * `sq_full` → the entire unsubmitted suffix is marked backpressure
-///   and returned whole, in order, for requeueing.
-pub fn settle_ring_send<T>(
-    batch_size: usize,
-    ring: &mut RingSubmitFn<'_, T>,
-    msgs: &[T],
-    statuses: &mut Vec<BatchSendStatus>,
-    on_syscall: &mut dyn FnMut(usize),
-    completions: &mut Vec<(u32, i32)>,
-) -> SendBatchStats {
-    // Raw Linux errnos: scripted CQEs carry the same negated values the
-    // kernel writes, so the classification cannot drift between tests
-    // and the live ring.
-    const ERR_AGAIN: i32 = 11;
-    const ERR_NOBUFS: i32 = 105;
-    let mut stats = SendBatchStats::default();
-    let mut pos = 0;
-    while pos < msgs.len() {
-        let end = (pos + batch_size).min(msgs.len());
-        completions.clear();
-        match ring(&msgs[pos..end], completions) {
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                stats.syscalls += 1;
-                statuses.extend(std::iter::repeat_n(
-                    BatchSendStatus::Backpressure,
-                    msgs.len() - pos,
-                ));
-                return stats;
-            }
-            Err(_) => {
-                stats.syscalls += 1;
-                statuses.push(BatchSendStatus::Failed);
-                pos += 1;
-            }
-            Ok(RingSubmit { accepted, sq_full }) => {
-                stats.syscalls += 1;
-                if accepted == 0 {
-                    debug_assert!(false, "ring submit accepted nothing without would-block");
-                    statuses.push(BatchSendStatus::Failed);
-                    pos += 1;
-                    continue;
-                }
-                let accepted = accepted.min(end - pos);
-                completions.sort_unstable_by_key(|&(i, _)| i);
-                let mut sent_here = 0usize;
-                for k in 0..accepted {
-                    // Look the CQE up by chunk index, not by position: one
-                    // missing completion must not shift every later one. A
-                    // missing completion is a contract violation; settle it
-                    // as failed rather than sent.
-                    let res = match completions.binary_search_by_key(&(k as u32), |&(i, _)| i) {
-                        Ok(slot) => completions[slot].1,
-                        Err(_) => i32::MIN,
-                    };
-                    if res >= 0 {
-                        statuses.push(BatchSendStatus::Sent);
-                        sent_here += 1;
-                    } else if res == -ERR_AGAIN || res == -ERR_NOBUFS {
-                        statuses.push(BatchSendStatus::Backpressure);
-                    } else {
-                        statuses.push(BatchSendStatus::Failed);
-                    }
-                }
-                stats.sent += sent_here as u64;
-                if sent_here > 0 {
-                    on_syscall(sent_here);
-                }
-                pos += accepted;
-                if sq_full {
-                    statuses.extend(std::iter::repeat_n(
-                        BatchSendStatus::Backpressure,
-                        msgs.len() - pos,
-                    ));
-                    return stats;
-                }
             }
         }
     }
@@ -1284,14 +931,8 @@ mod tests {
         assert_eq!(IoBackend::parse("auto"), Some(IoBackend::Auto));
         assert_eq!(IoBackend::parse("syscall"), Some(IoBackend::Syscall));
         assert_eq!(IoBackend::parse("mmsg"), Some(IoBackend::Mmsg));
-        assert_eq!(IoBackend::parse("uring"), Some(IoBackend::Uring));
-        assert_eq!(IoBackend::parse("epoll"), None);
-        for b in [
-            IoBackend::Auto,
-            IoBackend::Syscall,
-            IoBackend::Mmsg,
-            IoBackend::Uring,
-        ] {
+        assert_eq!(IoBackend::parse("uring"), None);
+        for b in [IoBackend::Auto, IoBackend::Syscall, IoBackend::Mmsg] {
             assert_eq!(IoBackend::parse(b.as_str()), Some(b));
         }
     }

@@ -8,7 +8,7 @@ use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use zdns_core::{settle_ring_send, BatchIo, BatchSendStatus, IoBackend, RingSubmit};
+use zdns_core::{BatchIo, BatchSendStatus, IoBackend};
 
 /// Index-stamped payloads so sequence comparisons are meaningful.
 fn payloads(count: usize, sizes: &[usize]) -> Vec<Vec<u8>> {
@@ -244,277 +244,39 @@ fn hard_error_fails_one_datagram_and_continues() {
 }
 
 // ---------------------------------------------------------------------------
-// io_uring backend: wire equivalence with the other two backends
+// Backend selection: made from the platform and the batch size
 // ---------------------------------------------------------------------------
 
-/// Try to build an io_uring-backed `BatchIo`; `None` when this kernel
-/// refuses rings (old kernel, seccomp, RLIMIT_MEMLOCK), in which case
-/// the equivalence rounds below are skipped rather than failed.
-#[cfg(any(target_os = "linux", target_os = "android"))]
-fn try_uring_io(batch: usize) -> Option<BatchIo> {
-    let io = BatchIo::with_backend(IoBackend::Uring, batch);
-    (io.backend_name() == "uring").then_some(io)
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    // The ring backend is interchangeable with mmsg and per-datagram on
-    // the wire: uring send → mmsg receive, mmsg send → uring receive,
-    // and uring send → uring receive all deliver exactly the input
-    // sequence, byte for byte, for any batch size.
-    #[test]
-    fn uring_mmsg_and_fallback_deliver_identical_sequences(
-        batch in 2usize..=64,
-        count in 1usize..=96,
-        sizes in proptest::collection::vec(4usize..900, 1..=8),
-    ) {
-        // Skip (not fail) on kernels without io_uring: the Auto
-        // degradation path is covered separately below.
-        if let Some(mut sender) = try_uring_io(batch) {
-            let msgs = payloads(count, &sizes);
-
-            // Round 1: uring sender, mmsg receiver.
-            let (tx, rx, to) = loopback_pair();
-            let mut receiver = BatchIo::new(batch);
-            send_all(&mut sender, &tx, to, &msgs);
-            let via_mmsg_rx = recv_all(&mut receiver, &rx, msgs.len());
-            prop_assert_eq!(&via_mmsg_rx, &msgs);
-
-            // Round 2: per-datagram sender, uring receiver.
-            let (tx2, rx2, to2) = loopback_pair();
-            let mut sender2 = BatchIo::per_datagram(batch);
-            let mut receiver2 = try_uring_io(batch).unwrap();
-            receiver2.prime_recv(&rx2);
-            send_all(&mut sender2, &tx2, to2, &msgs);
-            let via_uring_rx = recv_all(&mut receiver2, &rx2, msgs.len());
-            prop_assert_eq!(&via_uring_rx, &msgs);
-
-            // Round 3: uring on both ends.
-            let (tx3, rx3, to3) = loopback_pair();
-            let mut sender3 = try_uring_io(batch).unwrap();
-            let mut receiver3 = try_uring_io(batch).unwrap();
-            receiver3.prime_recv(&rx3);
-            send_all(&mut sender3, &tx3, to3, &msgs);
-            let via_ring_both = recv_all(&mut receiver3, &rx3, msgs.len());
-            prop_assert_eq!(&via_ring_both, &msgs);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scripted-CQE settling: the ring-side settling engine in isolation
-// ---------------------------------------------------------------------------
-
-/// A scripted ring submitter: `(call_index, chunk, completions_out)`.
-#[cfg(any(target_os = "linux", target_os = "android"))]
-type ScriptedRing<'a> =
-    dyn FnMut(usize, &[u32], &mut Vec<(u32, i32)>) -> std::io::Result<RingSubmit> + 'a;
-
-/// Drive `settle_ring_send` with a scripted ring: each call's submit
-/// outcome and CQE results come from a script instead of a kernel.
-#[cfg(any(target_os = "linux", target_os = "android"))]
-fn run_ring_script(
-    batch: usize,
-    count: usize,
-    script: &mut ScriptedRing<'_>,
-) -> (Vec<BatchSendStatus>, zdns_core::SendBatchStats, usize) {
-    let msgs: Vec<u32> = (0..count as u32).collect();
-    let mut statuses = Vec::new();
-    let mut completions = Vec::new();
-    let mut calls = 0usize;
-    let stats = {
-        let calls = &mut calls;
-        let mut ring = |chunk: &[u32], comps: &mut Vec<(u32, i32)>| {
-            let call = *calls;
-            *calls += 1;
-            script(call, chunk, comps)
-        };
-        settle_ring_send(
-            batch,
-            &mut ring,
-            &msgs,
-            &mut statuses,
-            &mut |_| {},
-            &mut completions,
-        )
-    };
-    (statuses, stats, calls)
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-#[test]
-fn sq_full_mid_batch_requeues_exact_suffix_in_order() {
-    // 10 datagrams, ring room for 4: the submitter accepts 4 (all
-    // complete fine) then reports SQ-full. The remaining 6 must come
-    // back as one contiguous backpressure suffix — requeued whole, in
-    // order, with no further submit attempts this flush.
-    let (statuses, stats, calls) = run_ring_script(8, 10, &mut |call, chunk, comps| {
-        assert_eq!(call, 0, "sq_full must end the flush");
-        assert_eq!(chunk.len(), 8, "first chunk is batch-sized");
-        for (i, _) in chunk.iter().take(4).enumerate() {
-            comps.push((i as u32, 40));
-        }
-        Ok(RingSubmit {
-            accepted: 4,
-            sq_full: true,
-        })
-    });
-    assert_eq!(calls, 1);
-    assert_eq!(&statuses[..4], &[BatchSendStatus::Sent; 4]);
-    assert_eq!(&statuses[4..], &[BatchSendStatus::Backpressure; 6]);
-    assert_eq!(stats.sent, 4);
-    assert_eq!(stats.syscalls, 1);
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-#[test]
-fn per_cqe_errors_settle_independently() {
-    // One chunk, CQEs arriving out of order: -EAGAIN and -ENOBUFS are
-    // individual backpressure, a hard error (-ECONNREFUSED) fails only
-    // its own datagram, and neighbours still count as sent.
-    let (statuses, stats, _) = run_ring_script(8, 6, &mut |_, chunk, comps| {
-        comps.push((5, 40)); // deliberately out of order
-        comps.push((1, -11)); // -EAGAIN → backpressure
-        comps.push((3, -111)); // -ECONNREFUSED → failed
-        comps.push((0, 40));
-        comps.push((2, -105)); // -ENOBUFS → backpressure
-        comps.push((4, 40));
-        Ok(RingSubmit {
-            accepted: chunk.len(),
-            sq_full: false,
-        })
-    });
-    assert_eq!(
-        statuses,
-        vec![
-            BatchSendStatus::Sent,
-            BatchSendStatus::Backpressure,
-            BatchSendStatus::Backpressure,
-            BatchSendStatus::Failed,
-            BatchSendStatus::Sent,
-            BatchSendStatus::Sent,
-        ]
-    );
-    assert_eq!(stats.sent, 3);
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-#[test]
-fn missing_cqe_fails_only_its_own_datagram() {
-    // The ring accepts 3 but only reports CQEs for two of them — the
-    // orphan settles as Failed, never as silently-sent, and the flush
-    // continues with the rest of the input.
-    let (statuses, stats, calls) = run_ring_script(3, 5, &mut |call, chunk, comps| {
-        match call {
-            0 => {
-                comps.push((0, 40));
-                comps.push((2, 40)); // CQE for idx 1 never arrives
-            }
-            _ => {
-                for (i, _) in chunk.iter().enumerate() {
-                    comps.push((i as u32, 40));
-                }
-            }
-        }
-        Ok(RingSubmit {
-            accepted: chunk.len(),
-            sq_full: false,
-        })
-    });
-    assert_eq!(calls, 2);
-    assert_eq!(
-        statuses,
-        vec![
-            BatchSendStatus::Sent,
-            BatchSendStatus::Failed,
-            BatchSendStatus::Sent,
-            BatchSendStatus::Sent,
-            BatchSendStatus::Sent,
-        ]
-    );
-    assert_eq!(stats.sent, 4);
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-#[test]
-fn ring_wouldblock_marks_whole_suffix() {
-    // First chunk settles, second submit hits WouldBlock: everything
-    // from the second chunk on is backpressure, untouched and in order.
-    let (statuses, stats, calls) = run_ring_script(4, 10, &mut |call, chunk, comps| {
-        if call == 0 {
-            for (i, _) in chunk.iter().enumerate() {
-                comps.push((i as u32, 40));
-            }
-            Ok(RingSubmit {
-                accepted: chunk.len(),
-                sq_full: false,
-            })
-        } else {
-            Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
-        }
-    });
-    assert_eq!(calls, 2);
-    assert_eq!(&statuses[..4], &[BatchSendStatus::Sent; 4]);
-    assert_eq!(&statuses[4..], &[BatchSendStatus::Backpressure; 6]);
-    assert_eq!(stats.sent, 4);
-}
-
-// ---------------------------------------------------------------------------
-// Forced-unavailable fallback: auto must degrade to mmsg silently
-// ---------------------------------------------------------------------------
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-#[test]
-fn auto_degrades_to_mmsg_when_uring_setup_fails() {
-    // ENOSYS (kernel without io_uring_setup) and EPERM (seccomp denial)
-    // both degrade `auto` — and explicit `uring` — to mmsg, silently.
-    for errno in [38i32 /* ENOSYS */, 1 /* EPERM */] {
-        for choice in [IoBackend::Auto, IoBackend::Uring] {
-            let mut attempts = 0usize;
-            let io = BatchIo::with_backend_detected(choice, 32, &mut |n| {
-                attempts += 1;
-                assert_eq!(n, 32);
-                Err(std::io::Error::from_raw_os_error(errno))
-            });
-            assert_eq!(attempts, 1, "uring is tried exactly once");
-            assert_eq!(
-                io.backend_name(),
-                "mmsg",
-                "{choice:?} with errno {errno} must degrade to mmsg"
-            );
-            assert!(io.is_batched());
-        }
-    }
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-#[test]
-fn degraded_backend_still_moves_datagrams() {
-    // The fallback object is not just correctly labelled — it works.
-    let mut io = BatchIo::with_backend_detected(IoBackend::Auto, 8, &mut |_| {
-        Err(std::io::Error::from_raw_os_error(38))
-    });
-    assert_eq!(io.backend_name(), "mmsg");
-    let msgs = payloads(20, &[64, 128]);
+/// One loopback round through `io` on both ends.
+fn moves_datagrams(mut sender: BatchIo, mut receiver: BatchIo) {
+    let msgs = payloads(40, &[64, 300]);
     let (tx, rx, to) = loopback_pair();
-    send_all(&mut io, &tx, to, &msgs);
-    let mut receiver = BatchIo::per_datagram(8);
-    let got = recv_all(&mut receiver, &rx, msgs.len());
-    assert_eq!(got, msgs);
+    send_all(&mut sender, &tx, to, &msgs);
+    assert_eq!(recv_all(&mut receiver, &rx, msgs.len()), msgs);
 }
 
 #[cfg(any(target_os = "linux", target_os = "android"))]
 #[test]
-fn batch_size_one_never_builds_a_ring() {
-    // batch_size 1 means per-datagram semantics; auto/uring must not
-    // even attempt ring setup for it.
-    let mut attempts = 0usize;
-    let io = BatchIo::with_backend_detected(IoBackend::Auto, 1, &mut |_| {
-        attempts += 1;
-        unreachable!("ring setup must not be attempted at batch_size 1")
-    });
-    assert_eq!(attempts, 0);
-    assert!(!io.is_batched());
+fn auto_and_mmsg_are_the_vectored_path_on_linux() {
+    for choice in [IoBackend::Auto, IoBackend::Mmsg] {
+        let io = BatchIo::with_backend(choice, 32);
+        assert_eq!(io.backend_name(), "mmsg", "{choice:?}");
+        assert!(io.is_batched());
+        assert_eq!(io.batch_size(), 32);
+    }
+}
+
+#[test]
+fn batch_one_or_syscall_is_per_datagram_and_still_moves_datagrams() {
+    for (choice, batch) in [
+        (IoBackend::Auto, 1),
+        (IoBackend::Mmsg, 1),
+        (IoBackend::Syscall, 1),
+        (IoBackend::Syscall, 32),
+    ] {
+        let io = BatchIo::with_backend(choice, batch);
+        assert_eq!(io.backend_name(), "syscall", "{choice:?} at {batch}");
+        assert!(!io.is_batched());
+        moves_datagrams(io, BatchIo::with_backend(choice, batch));
+    }
 }

@@ -119,9 +119,6 @@ fn steady_state_view_path_scan_allocates_zero_per_lookup() {
     const WARMUP: usize = 1500;
     const MEASURED: usize = 1000;
     let (_server, resolver, addr_map, questions) = loopback_fleet(WARMUP + MEASURED);
-    // Pinned to mmsg: the uring backend has its own test below, so this
-    // one keeps guarding the sendmmsg/recvmmsg arena path regardless of
-    // what `Auto` resolves to on the build machine.
     let mut reactor = Reactor::new(
         ReactorConfig {
             max_in_flight: 256,
@@ -238,48 +235,6 @@ fn steady_state_concurrent_pacer_scan_allocates_zero_per_lookup() {
 }
 
 #[test]
-fn uring_steady_state_scan_allocates_zero_per_lookup() {
-    // The io_uring backend's whole per-lookup dance — SENDMSG SQE fill,
-    // ring submit, CQE reap, armed-pool re-arm, spill/ready shuffling —
-    // runs on storage sized at ring construction, so the steady state is
-    // just as allocation-free as the mmsg arena. Skipped (not failed)
-    // when the kernel refuses rings; the reactor reports which backend
-    // it actually got.
-    const WARMUP: usize = 1500;
-    const MEASURED: usize = 1000;
-    let (_server, resolver, addr_map, questions) = loopback_fleet(WARMUP + MEASURED);
-    let mut reactor = Reactor::new(
-        ReactorConfig {
-            max_in_flight: 256,
-            source: Ipv4Addr::LOCALHOST,
-            io_backend: IoBackend::Uring,
-            ..ReactorConfig::default()
-        },
-        addr_map,
-    )
-    .unwrap();
-    if reactor.io_backend() != "uring" {
-        eprintln!(
-            "skipping: io_uring unavailable here (backend = {})",
-            reactor.io_backend()
-        );
-        return;
-    }
-
-    let (done, ok, _) = run_prebuilt(&mut reactor, &resolver, &questions[..WARMUP], false);
-    assert_eq!(done, WARMUP);
-    assert!(ok * 10 >= WARMUP * 9, "warmup success {ok}/{WARMUP}");
-
-    let (done, ok, allocs) = run_prebuilt(&mut reactor, &resolver, &questions[WARMUP..], true);
-    assert_eq!(done, MEASURED);
-    assert!(ok * 10 >= MEASURED * 9, "measured success {ok}/{MEASURED}");
-    assert_eq!(
-        allocs, 0,
-        "uring steady-state scan allocated {allocs} times over {MEASURED} lookups"
-    );
-}
-
-#[test]
 fn warmed_timer_wheel_arms_cancels_and_fires_without_allocating() {
     const TIMERS: u64 = 1_000;
     let key = ("127.0.0.1:53".parse().unwrap(), 0);
@@ -314,30 +269,6 @@ fn warmed_timer_wheel_arms_cancels_and_fires_without_allocating() {
     assert_eq!(wheel.slab_len(), TIMERS as usize);
     assert_eq!((wheel.live(), wheel.stored()), (0, 0));
     assert_eq!(allocs, 0, "a warmed wheel allocated {allocs} times");
-}
-
-#[test]
-fn owned_decode_fallback_stays_green() {
-    const LOOKUPS: usize = 800;
-    let (_server, resolver, addr_map, questions) = loopback_fleet(LOOKUPS);
-    let mut reactor = Reactor::new(
-        ReactorConfig {
-            max_in_flight: 128,
-            source: Ipv4Addr::LOCALHOST,
-            owned_decode: true,
-            ..ReactorConfig::default()
-        },
-        addr_map,
-    )
-    .unwrap();
-    let (done, ok, _) = run_prebuilt(&mut reactor, &resolver, &questions, false);
-    // The fallback allocates (that is its nature); it must simply keep
-    // resolving correctly.
-    assert_eq!(done, LOOKUPS);
-    assert!(
-        ok * 10 >= LOOKUPS * 9,
-        "owned fallback success {ok}/{LOOKUPS}"
-    );
 }
 
 #[test]

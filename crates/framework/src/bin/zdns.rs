@@ -396,12 +396,13 @@ FLAGS:
   --client-pps N           per-client UDP budget in queries/s; over-budget
                            queries are dropped, TCP is never gated
                            (default: off)
-  --io-backend KIND        forwarding syscall strategy: auto | uring | mmsg |
-                           syscall (same chain as scan mode)
+  --io-backend KIND        forwarding syscall strategy: auto | mmsg | syscall
+                           (as in scan mode)
   --shards N               worker count: 1 (default) serves and forwards on
                            one dual-role socket; N>1 shards the listen port
                            across workers via SO_REUSEPORT
   --batch-size N           datagrams per syscall on the forwarding path
+                           (default 32; at most 1024)
   --duration SECS          serve for SECS then exit (default: run forever)
   --status-updates         print a stats line to stderr every second"
     );
@@ -455,11 +456,12 @@ FLAGS:
   --batch-size N           datagrams per syscall on the reactor hot path:
                            same-tick sends coalesce into one sendmmsg and
                            receives drain through an N-buffer recvmmsg arena
-                           (default 32; 1 = per-datagram syscalls)
-  --io-backend KIND        reactor syscall strategy: auto (default; best the
-                           kernel supports), uring (io_uring rings), mmsg
-                           (sendmmsg/recvmmsg), syscall (per-datagram).
-                           Unavailable choices degrade uring -> mmsg -> syscall
+                           (default 32; 1 = per-datagram syscalls; at most
+                           1024)
+  --io-backend KIND        reactor syscall strategy: auto (default) and mmsg
+                           use sendmmsg/recvmmsg where the platform has them
+                           and --batch-size is above 1, per-datagram
+                           otherwise; syscall forces per-datagram
   --pin-cores              pin each reactor worker to its own CPU core
                            (sched_setaffinity; best-effort)
   --rate-pps N             polite scanning: global send budget in packets/s,

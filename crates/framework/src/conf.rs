@@ -6,7 +6,7 @@
 
 use std::net::{Ipv4Addr, SocketAddr};
 
-use zdns_core::{IoBackend, PacerConfig, ResolutionMode, ResolverConfig};
+use zdns_core::{IoBackend, PacerConfig, ResolutionMode, ResolverConfig, MAX_BATCH};
 use zdns_netsim::{SimTime, MILLIS, SECONDS};
 
 use crate::serve::ServeOptions;
@@ -122,14 +122,15 @@ pub struct Conf {
     /// Datagrams per syscall on the reactor hot path: same-tick sends
     /// coalesce into one `sendmmsg` of up to this many datagrams, and the
     /// receive arena holds this many pre-allocated buffers. `0` = the
-    /// reactor default; `1` = per-datagram syscalls.
+    /// reactor default; `1` = per-datagram syscalls; at most
+    /// [`MAX_BATCH`].
     pub batch_size: usize,
     /// Name source for the scan (`--workload`).
     pub workload: Workload,
     /// Syscall strategy for the reactor hot path (`--io-backend`):
-    /// `auto` (default) takes the best the kernel supports — io_uring,
-    /// then `sendmmsg`/`recvmmsg`, then per-datagram — and explicit
-    /// choices degrade along the same chain when unavailable.
+    /// `auto` (default) and `mmsg` run `sendmmsg`/`recvmmsg` where the
+    /// platform has them and the batch size is above 1; `syscall` forces
+    /// one datagram per syscall.
     pub io_backend: IoBackend,
     /// Pin each reactor worker to its own CPU core
     /// (`sched_setaffinity`), best-effort. Off by default.
@@ -250,7 +251,16 @@ fn parse_cookie_secret(v: &str) -> Result<[u8; 16], ConfError> {
 /// Parse an `--io-backend` value (shared by the scan and serve parsers).
 fn parse_io_backend(v: &str) -> Result<IoBackend, ConfError> {
     IoBackend::parse(v)
-        .ok_or_else(|| ConfError(format!("bad --io-backend {v:?} (auto|syscall|mmsg|uring)")))
+        .ok_or_else(|| ConfError(format!("bad --io-backend {v:?} (auto|mmsg|syscall)")))
+}
+
+/// Parse a `--batch-size` value (shared by the scan and serve parsers):
+/// 1 up to [`MAX_BATCH`], the most datagrams one syscall takes.
+fn parse_batch_size(v: &str) -> Result<usize, ConfError> {
+    v.parse()
+        .ok()
+        .filter(|n| (1..=MAX_BATCH).contains(n))
+        .ok_or_else(|| ConfError(format!("bad --batch-size {v:?} (1 to {MAX_BATCH})")))
 }
 
 /// Parse a `--shard` value: `i/n` with `0 <= i < n` and `n >= 1`.
@@ -379,13 +389,7 @@ impl Conf {
                     conf.backoff = true;
                     conf.backoff_cap = parse_duration_secs(&take_value(&mut i)?)?;
                 }
-                "--batch-size" => {
-                    conf.batch_size = take_value(&mut i)?
-                        .parse()
-                        .ok()
-                        .filter(|v: &usize| *v >= 1)
-                        .ok_or_else(|| ConfError("bad --batch-size".into()))?;
-                }
+                "--batch-size" => conf.batch_size = parse_batch_size(&take_value(&mut i)?)?,
                 "--max-names" => {
                     conf.max_names = take_value(&mut i)?
                         .parse()
@@ -625,13 +629,7 @@ impl ServeConf {
                         .filter(|v: &usize| *v >= 1)
                         .ok_or_else(|| ConfError("bad --shards".into()))?;
                 }
-                "--batch-size" => {
-                    conf.batch_size = take_value(&mut i)?
-                        .parse()
-                        .ok()
-                        .filter(|v: &usize| *v >= 1)
-                        .ok_or_else(|| ConfError("bad --batch-size".into()))?;
-                }
+                "--batch-size" => conf.batch_size = parse_batch_size(&take_value(&mut i)?)?,
                 "--packet-cache-capacity" => {
                     conf.packet_cache_capacity = take_value(&mut i)?
                         .parse()
@@ -854,6 +852,20 @@ mod tests {
         assert_eq!(default.batch_size, 0, "0 = reactor default");
         assert!(Conf::parse(["A", "--batch-size", "0"]).is_err());
         assert!(Conf::parse(["A", "--batch-size", "x"]).is_err());
+        // The pipeline sizes its blocks from this value, so one above what
+        // a syscall takes is refused here, not clamped further down.
+        let cap = MAX_BATCH.to_string();
+        let over = (MAX_BATCH + 1).to_string();
+        assert_eq!(
+            Conf::parse(["A", "--batch-size", &cap]).unwrap().batch_size,
+            MAX_BATCH
+        );
+        let scan_err = Conf::parse(["A", "--batch-size", &over]).unwrap_err();
+        let serve_err =
+            ServeConf::parse(["--upstream", "127.0.0.1", "--batch-size", &over]).unwrap_err();
+        for err in [scan_err, serve_err] {
+            assert!(err.0.contains(&cap), "names the cap: {}", err.0);
+        }
     }
 
     #[test]
@@ -864,10 +876,17 @@ mod tests {
             ("auto", IoBackend::Auto),
             ("syscall", IoBackend::Syscall),
             ("mmsg", IoBackend::Mmsg),
-            ("uring", IoBackend::Uring),
         ] {
             let conf = Conf::parse(["A", "--io-backend", v]).unwrap();
             assert_eq!(conf.io_backend, want, "{v}");
+        }
+        // Any other value is an error that lists what is accepted, in
+        // both parsers — never a silent substitute.
+        let scan_err = Conf::parse(["A", "--io-backend", "uring"]).unwrap_err();
+        let serve_err =
+            ServeConf::parse(["--upstream", "127.0.0.1", "--io-backend", "uring"]).unwrap_err();
+        for err in [scan_err, serve_err] {
+            assert!(err.0.contains("auto|mmsg|syscall"), "{}", err.0);
         }
         assert!(Conf::parse(["A", "--io-backend", "epoll"]).is_err());
         assert!(Conf::parse(["A", "--io-backend"]).is_err(), "missing value");

@@ -192,23 +192,6 @@ impl RealScanReport {
         } else {
             String::new()
         };
-        let ring = if self.driver.ring_enters > 0 {
-            let stalls = if self.driver.sq_full_stalls > 0 {
-                format!(", {} sq-full stalls", self.driver.sq_full_stalls)
-            } else {
-                String::new()
-            };
-            format!(
-                ", {:.1} sqe/enter ({} sqes / {} enters, {} cqe batches{})",
-                self.driver.ring_sqes as f64 / self.driver.ring_enters as f64,
-                self.driver.ring_sqes,
-                self.driver.ring_enters,
-                self.driver.cqe_batches,
-                stalls,
-            )
-        } else {
-            String::new()
-        };
         let backend = if self.driver.io_backend.is_empty() {
             String::new()
         } else {
@@ -226,7 +209,7 @@ impl RealScanReport {
             String::new()
         };
         format!(
-            "zdns: {} lookups, {:.1}% success, {} queries, {} retries, {:.2}s, {:.0} lookups/s, {} workers (peak {} in flight){}{}{}{}{} [{}]",
+            "zdns: {} lookups, {:.1}% success, {} queries, {} retries, {:.2}s, {:.0} lookups/s, {} workers (peak {} in flight){}{}{}{} [{}]",
             self.lookups,
             self.success_rate() * 100.0,
             self.queries_sent,
@@ -238,7 +221,6 @@ impl RealScanReport {
             backend,
             pacing,
             batching,
-            ring,
             credits,
             statuses,
         )

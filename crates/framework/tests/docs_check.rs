@@ -145,8 +145,8 @@ const SERVE_SAMPLES: &[(&str, &[&str])] = &[
 ];
 
 /// Flags that are real but live outside `conf.rs`: the `zdns merge`
-/// subcommand's own flags, bench-binary perf gates, and cargo flags
-/// quoted in build instructions.
+/// subcommand's own flags, and the cargo and zbench flags quoted in
+/// build and benchmark instructions.
 const DOC_ONLY_FLAGS: &[&str] = &[
     "--output",        // zdns merge
     "--allow-partial", // zdns merge
@@ -155,6 +155,9 @@ const DOC_ONLY_FLAGS: &[&str] = &[
     "--bench",
     "--bin",
     "--workspace",
+    "--offline",
+    "--manifest-path",
+    "--quick", // zbench
 ];
 
 fn repo_root() -> PathBuf {
@@ -294,10 +297,9 @@ fn docs_mention_only_real_flags() {
     for (name, text) in doc_files() {
         for token in doc_flag_tokens(&text) {
             assert!(
-                real.contains(&token) || token.starts_with("--min-"),
+                real.contains(&token),
                 "{name} mentions {token}, which no parser implements \
-                 (bench gates --min-* are exempt; extend DOC_ONLY_FLAGS \
-                 for new subcommand flags)"
+                 (extend DOC_ONLY_FLAGS for new subcommand flags)"
             );
         }
     }

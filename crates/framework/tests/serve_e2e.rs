@@ -165,17 +165,6 @@ fn scan_through_serve_warms_cache(io_backend: IoBackend, shards: usize) {
         "a warmed cache forwards nothing new"
     );
     assert!(handle.responses() >= 2 * N as u64);
-    if io_backend == IoBackend::Uring {
-        // Informational: on kernels without io_uring the fleet degrades
-        // to mmsg; the serve dataflow above was still fully exercised.
-        let reports = handle.stop();
-        if reports.iter().any(|r| r.io_backend != "uring") {
-            eprintln!(
-                "note: io_uring unavailable, serve ran on {:?}",
-                reports.iter().map(|r| r.io_backend).collect::<Vec<_>>()
-            );
-        }
-    }
 }
 
 #[test]
@@ -186,11 +175,6 @@ fn scan_through_serve_warms_cache_syscall() {
 #[test]
 fn scan_through_serve_warms_cache_mmsg() {
     scan_through_serve_warms_cache(IoBackend::Mmsg, 1);
-}
-
-#[test]
-fn scan_through_serve_warms_cache_uring() {
-    scan_through_serve_warms_cache(IoBackend::Uring, 1);
 }
 
 #[test]

@@ -426,9 +426,9 @@ struct OptView {
 /// options must fit their RDLENGTH exactly (the owned decoder leniently
 /// reads an overrunning option past the OPT record's end; the view
 /// rejects such datagrams instead of misparsing what follows). The
-/// reactor relies on this equivalence so the view path and the
-/// `owned_decode` fallback drop the same malformed datagrams — a
-/// response that parses here always promotes.
+/// reactor relies on this equivalence so its view path and the owned
+/// decode of the TCP side-pool and the simulator drop the same malformed
+/// datagrams — a response that parses here always promotes.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'a> {
     buf: &'a [u8],
