@@ -18,6 +18,7 @@ use std::cell::Cell;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
     static TRAP: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -28,6 +29,10 @@ thread_local! {
 /// offending call site.
 pub fn trap_allocations(enabled: bool) {
     TRAP.with(|t| t.set(enabled));
+}
+
+fn live_delta(bytes: i64) {
+    LIVE.with(|c| c.set(c.get() + bytes));
 }
 
 fn fire_trap(size: usize) {
@@ -55,17 +60,20 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
         BYTES.with(|c| c.set(c.get() + layout.size() as u64));
+        live_delta(layout.size() as i64);
         fire_trap(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_delta(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
         BYTES.with(|c| c.set(c.get() + layout.size() as u64));
+        live_delta(layout.size() as i64);
         fire_trap(layout.size());
         System.alloc_zeroed(layout)
     }
@@ -75,6 +83,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // of view; count it like an allocation.
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
         BYTES.with(|c| c.set(c.get() + new_size as u64));
+        live_delta(new_size as i64 - layout.size() as i64);
         fire_trap(new_size);
         System.realloc(ptr, layout, new_size)
     }
@@ -91,6 +100,15 @@ pub fn thread_alloc_bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
+/// Bytes the current thread has allocated and not yet freed: requested
+/// sizes, allocations minus deallocations, a `realloc` counted by its
+/// size change. Read it before and after building a structure on one
+/// thread to learn what the structure holds; memory freed by another
+/// thread than the one that allocated it skews both threads' readings.
+pub fn thread_live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
 #[cfg(test)]
 mod tests {
     // The allocator itself is exercised by `tests/zero_alloc.rs`, which
@@ -102,5 +120,6 @@ mod tests {
     fn counters_read_without_panicking() {
         let _ = thread_allocations();
         let _ = thread_alloc_bytes();
+        let _ = thread_live_bytes();
     }
 }

@@ -14,16 +14,24 @@
 //! value picks the shard and keys the shard's index. A shard is a dense
 //! table of entries, an index from hash to table position, and an exact
 //! recency order kept as a doubly linked list threaded through the table
-//! by position — a hit re-links two neighbours instead of allocating, and
-//! hands out its RRset as a shared `Arc<[Record]>` instead of a copy.
+//! by position — a hit re-links two neighbours instead of allocating.
+//!
+//! What an entry holds is one shared block of bytes, [`CachedRecords`]:
+//! the expiry, the key, and the records laid out the way a DNS message
+//! carries them, encoded once when they are stored and read back through
+//! the wire crate's borrowed views. A cached name costs about what the
+//! wire spent on it (an `A` RRset: a 40-byte table entry, an index slot
+//! and a block of ~60 bytes) instead of an owned `Record` per record and
+//! an owned `Name` per key; a hit hands out the block by reference count.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use zdns_wire::{Name, Record, RecordType};
+use zdns_wire::{Name, NameRef, Record, RecordType, RecordView, RecordViews, ScratchBuf};
 
 use crate::pacer::HostHasher;
 use crate::packet_cache::PacketCache;
@@ -38,16 +46,17 @@ pub struct CacheKey {
     pub rtype: RecordType,
 }
 
-/// The one hash of a probe: the workspace's FNV-1a + splitmix64
-/// ([`HostHasher`]) over the case-folded name and the type. Bits 32..38
-/// pick the shard and the whole value keys the shard's index, so a probe
-/// reads its name once. The price next to SipHash is the pacer's: no
-/// keyed collision resistance. What a colliding referral can buy is
-/// bounded — same-hash keys share a chain that is walked with full key
-/// comparisons, inside one shard's capacity — and the hash the shards
-/// were routed by before was SipHash with a fixed zero key, which
-/// resisted nothing either.
-fn key_hash(name: &Name, rtype: RecordType) -> u64 {
+/// The one hash of a probe, shared by this cache and the packet cache in
+/// front of it: the workspace's FNV-1a + splitmix64 ([`HostHasher`]) over
+/// the case-folded name and the type. Here bits 32..38 pick the shard and
+/// the whole value keys the shard's index, so a probe reads its name
+/// once; the serve path computes it once per query for both caches. The
+/// price next to SipHash is the pacer's: no keyed collision resistance.
+/// What a colliding referral can buy is bounded — same-hash keys share a
+/// chain that is walked with full key comparisons, inside one shard's
+/// capacity — and the hash the shards were routed by before was SipHash
+/// with a fixed zero key, which resisted nothing either.
+pub(crate) fn key_hash(name: &Name, rtype: RecordType) -> u64 {
     let mut h = HostHasher::default();
     name.hash(&mut h);
     h.write_u16(rtype.to_u16());
@@ -73,19 +82,176 @@ impl Hasher for PreHashed {
     }
 }
 
+// Layout of a cached block, big-endian like everything the wire crate
+// writes: a fixed head, the key name, then the records.
+/// Absolute expiry, `u64`.
+const EXPIRES_AT: usize = 0;
+/// Number of records, `u16`.
+const COUNT_AT: usize = 8;
+/// The key's record type, `u16`.
+const RTYPE_AT: usize = 10;
+/// The key name, uncompressed; the records follow its root octet. A DNS
+/// message keeps its question name at this offset too (behind the
+/// 12-octet header), so a pointer to the key is, as it stands, a pointer
+/// to the question of a response about the key
+/// ([`CachedRecords::encode_answers`]).
+const NAME_AT: usize = 12;
+/// An owner name stored as a compression pointer to the key.
+const KEY_POINTER: [u8; 2] = (0xC000 | NAME_AT as u16).to_be_bytes();
+
+thread_local! {
+    /// Where [`Cache::put`] assembles a block before copying it into its
+    /// shared allocation: per thread, so stores on different threads never
+    /// wait for each other and a store allocates the block and nothing else.
+    static ENCODE: RefCell<ScratchBuf> = RefCell::new(ScratchBuf::new());
+}
+
+/// One cached answer section — usually one RRset, for a served CNAME
+/// chain every record of the answer under the question's key — as a
+/// single shared block: expiry, record count and key, then each record as
+/// a DNS message carries it (owner, TYPE, CLASS, TTL, RDLENGTH, RDATA).
+/// An owner spelled exactly like the (non-root) key is a compression
+/// pointer to it; any other owner is written out, so every name reads
+/// back in the case it was stored in. Cloning bumps a reference count.
+#[derive(Clone)]
+pub struct CachedRecords {
+    block: Arc<[u8]>,
+}
+
+impl CachedRecords {
+    /// Encode `records` under `key` into `scratch` and copy the result
+    /// into a block of its own. `None` for what the cache refuses: no
+    /// records, a zero TTL among them, or a section no 64 KiB DNS message
+    /// could have carried.
+    fn encode<'r>(
+        key: &CacheKey,
+        records: impl Iterator<Item = &'r Record>,
+        now: SimTime,
+        scratch: &mut ScratchBuf,
+    ) -> Option<CachedRecords> {
+        scratch.reset();
+        // Expiry and count are known once the records have been walked.
+        let mut head = [0u8; NAME_AT];
+        head[RTYPE_AT..].copy_from_slice(&key.rtype.to_u16().to_be_bytes());
+        scratch.write_bytes(&head).ok()?;
+        scratch.write_name_uncompressed(&key.name).ok()?;
+        let mut count = 0u16;
+        let mut min_ttl = u32::MAX;
+        for record in records {
+            // The root is shorter written out than pointed at, and a
+            // message encoder would write it out.
+            if !key.name.is_root() && record.name.eq_exact_case(&key.name) {
+                scratch.write_bytes(&KEY_POINTER).ok()?;
+            } else {
+                scratch.write_name_uncompressed(&record.name).ok()?;
+            }
+            record.encode_body(scratch).ok()?;
+            count = count.checked_add(1)?;
+            min_ttl = min_ttl.min(record.ttl);
+        }
+        if count == 0 || min_ttl == 0 {
+            return None;
+        }
+        let expires = now + u64::from(min_ttl) * SECONDS;
+        scratch.patch_bytes(EXPIRES_AT, &expires.to_be_bytes());
+        scratch.patch_u16(COUNT_AT, count);
+        Some(CachedRecords {
+            block: scratch.as_slice().into(),
+        })
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        u16::from_be_bytes([self.block[COUNT_AT], self.block[COUNT_AT + 1]]) as usize
+    }
+
+    /// Never true of a stored section: the cache refuses empty ones.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Absolute expiry: store time plus the smallest TTL among the records.
+    pub fn expires(&self) -> SimTime {
+        let head = self.block[EXPIRES_AT..EXPIRES_AT + 8].try_into();
+        SimTime::from_be_bytes(head.expect("a block starts with its eight expiry octets"))
+    }
+
+    fn key_name(&self) -> NameRef<'_> {
+        NameRef::at(&self.block, NAME_AT)
+    }
+
+    /// Whether this section is stored under `(name, rtype)`; names compare
+    /// case-insensitively, like the hash that led here.
+    fn is_for(&self, name: &Name, rtype: RecordType) -> bool {
+        u16::from_be_bytes([self.block[RTYPE_AT], self.block[RTYPE_AT + 1]]) == rtype.to_u16()
+            && self.key_name().eq_name(name)
+    }
+
+    /// The records in stored order, borrowed from the block: inspect them
+    /// in place ([`RecordView::a_addr`], [`RecordView::target_name`]) or
+    /// promote the ones worth keeping ([`RecordView::to_record`]).
+    pub fn iter(&self) -> RecordViews<'_> {
+        let key_len = self.key_name().wire_bytes().map_or(0, <[u8]>::len);
+        RecordViews::over(&self.block, NAME_AT + key_len, self.len() as u16)
+    }
+
+    /// Every record, promoted to an owned [`Record`].
+    pub fn to_vec(&self) -> Vec<Record> {
+        self.iter().filter_map(|r| r.to_record().ok()).collect()
+    }
+
+    /// Append the records, as its answer section, to the response being
+    /// assembled in `scratch`, which must already hold its header and a
+    /// question whose name is this section's key, in any spelling. A
+    /// record stored behind a pointer to the key is copied as it stands:
+    /// the pointer leads to the question now, which is what compressing
+    /// its owner would have found. Any other owner is compressed against
+    /// the message; what follows an owner means the same at any offset
+    /// ([`Record::encode_body`]). The octets are those of encoding the
+    /// owned records one by one.
+    pub(crate) fn encode_answers(&self, scratch: &mut ScratchBuf) {
+        // Writes into a growable scratch cannot fail below the 64 KiB
+        // message cap, which the block itself is under.
+        for record in self {
+            let stored = record.wire_bytes();
+            if stored.starts_with(&KEY_POINTER) {
+                let _ = scratch.write_bytes(stored);
+            } else {
+                let _ = scratch.write_name(&record.name().to_name());
+                let _ = scratch.write_bytes(record.body_bytes());
+            }
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a CachedRecords {
+    type Item = RecordView<'a>;
+    type IntoIter = RecordViews<'a>;
+
+    fn into_iter(self) -> RecordViews<'a> {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for CachedRecords {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CachedRecords")
+            .field("expires", &self.expires())
+            .field("records", &self.to_vec())
+            .finish()
+    }
+}
+
 /// "No entry" in the index links below.
 const NIL: u32 = u32::MAX;
 
-/// One cached RRset, living in its shard's dense entry table and linked
+/// One cached section, living in its shard's dense entry table and linked
 /// by table index into two lists: the shard-wide recency list and the
 /// (almost always one-element) chain of entries whose keys share a hash.
+/// The key and the expiry are in the block, next to the records.
 struct Entry {
-    key: CacheKey,
+    records: CachedRecords,
     hash: u64,
-    /// Shared with every reader that hit this entry: a hit bumps the
-    /// count instead of cloning the records.
-    records: Arc<[Record]>,
-    expires: SimTime,
     /// Neighbours in recency order (`older` is evicted sooner).
     older: u32,
     newer: u32,
@@ -118,7 +284,7 @@ impl Shard {
         let mut at = *self.index.get(&hash)?;
         while at != NIL {
             let entry = &self.entries[at as usize];
-            if entry.key.rtype == rtype && entry.key.name == *name {
+            if entry.records.is_for(name, rtype) {
                 return Some(at);
             }
             at = entry.same_hash;
@@ -186,14 +352,12 @@ impl Shard {
     }
 
     /// Store a new entry as the most recently used one.
-    fn insert(&mut self, key: CacheKey, hash: u64, records: Arc<[Record]>, expires: SimTime) {
+    fn insert(&mut self, hash: u64, records: CachedRecords) {
         let at = self.entries.len() as u32;
         let same_hash = self.index.insert(hash, at).unwrap_or(NIL);
         self.entries.push(Entry {
-            key,
-            hash,
             records,
-            expires,
+            hash,
             older: NIL,
             newer: NIL,
             same_hash,
@@ -346,36 +510,44 @@ impl Cache {
         rtype.is_infrastructure()
     }
 
-    /// Insert an RRset (all records must share the key). Non-infrastructure
-    /// types are silently refused — that is the point of the policy.
-    pub fn put(&self, key: CacheKey, records: Vec<Record>, now: SimTime) {
-        if !Self::admits(key.rtype) || records.is_empty() {
+    /// Store an answer section under `key`, replacing what the key held.
+    /// Non-infrastructure types are silently refused — that is the point
+    /// of the policy — and so are an empty section and a zero TTL. The
+    /// records are only read: they are encoded into the entry's block
+    /// ([`CachedRecords`]) and the caller keeps (or drops) its own.
+    pub fn put(&self, key: CacheKey, records: impl AsRef<[Record]>, now: SimTime) {
+        self.put_records(&key, records.as_ref().iter(), now);
+    }
+
+    /// [`Cache::put`] for records that are not one slice — a referral's
+    /// glue RRset picked out of its additional section.
+    pub(crate) fn put_records<'r>(
+        &self,
+        key: &CacheKey,
+        records: impl Iterator<Item = &'r Record>,
+        now: SimTime,
+    ) {
+        if !Self::admits(key.rtype) {
             return;
         }
-        let ttl = records.iter().map(|r| r.ttl).min().unwrap_or(0) as u64;
-        if ttl == 0 {
+        let encoded = ENCODE
+            .with(|scratch| CachedRecords::encode(key, records, now, &mut scratch.borrow_mut()));
+        let Some(records) = encoded else {
             return;
-        }
+        };
         #[cfg(test)]
         self.puts.fetch_add(1, Ordering::Relaxed);
-        let expires = now + ttl * SECONDS;
         let hash = key_hash(&key.name, key.rtype);
         let idx = Self::shard_of(hash);
-        // Snapshot the key for the packet-cache hook before it moves into
-        // the shard (inline names copy without allocating).
-        let stale_packet = self.packet.get().map(|_| (key.name.clone(), key.rtype));
-        let records: Arc<[Record]> = records.into();
         {
             let mut shard = self.shards[idx].lock();
             match shard.find(hash, &key.name, key.rtype) {
                 Some(at) => {
-                    let entry = &mut shard.entries[at as usize];
-                    entry.records = records;
-                    entry.expires = expires;
+                    shard.entries[at as usize].records = records;
                     shard.touch(at);
                 }
                 None => {
-                    shard.insert(key, hash, records, expires);
+                    shard.insert(hash, records);
                     self.counts[idx].fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -392,18 +564,16 @@ impl Cache {
         // fresh entry dropped by this invalidation just refills on the
         // next query. The reverse order could leave a stale packet entry
         // memoized from the old records.
-        if let Some((name, rtype)) = stale_packet {
-            if let Some(pc) = self.packet.get() {
-                pc.invalidate(&name, rtype);
-            }
+        if let Some(pc) = self.packet.get() {
+            pc.invalidate_hashed(hash, &key.name, key.rtype);
         }
     }
 
-    /// Look up a live RRset, refreshing its LRU position. A hit shares the
-    /// stored records (one reference-count bump, no copy); readers that
+    /// Look up a live section, refreshing its LRU position. A hit shares
+    /// the stored block (one reference-count bump, no copy); readers that
     /// can work under the shard lock and must not refresh recency use
     /// [`Cache::with_records`] instead.
-    pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Arc<[Record]>> {
+    pub fn get(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedRecords> {
         let found = self.probe(name, rtype, now);
         if found.is_some() {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -413,21 +583,22 @@ impl Cache {
         found
     }
 
-    /// The live entry for `(name, rtype)` in its locked shard, dropping
-    /// it on the spot when it has expired — the one read path under
-    /// [`Cache::get`], [`Cache::deepest_cut`] and [`Cache::with_records`].
-    /// Touches neither the hit/miss counters nor the entry's recency.
+    /// The live entry for `(name, rtype)` — whose [`key_hash`] is `hash`
+    /// — in its locked shard, dropping it on the spot when it has expired:
+    /// the one read path under [`Cache::get`], [`Cache::deepest_cut`] and
+    /// [`Cache::with_records`]. Touches neither the hit/miss counters nor
+    /// the entry's recency.
     fn live_entry(
         &self,
+        hash: u64,
         name: &Name,
         rtype: RecordType,
         now: SimTime,
     ) -> Option<(parking_lot::MutexGuard<'_, Shard>, u32)> {
-        let hash = key_hash(name, rtype);
         let idx = Self::shard_of(hash);
         let mut shard = self.shards[idx].lock();
         let at = shard.find(hash, name, rtype)?;
-        if shard.entries[at as usize].expires > now {
+        if shard.entries[at as usize].records.expires() > now {
             return Some((shard, at));
         }
         shard.remove(at);
@@ -438,13 +609,13 @@ impl Cache {
     /// [`Cache::get`] without touching the hit/miss counters (LRU refresh
     /// and expiry still apply) — for multi-probe operations that must
     /// count as one logical lookup.
-    fn probe(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Arc<[Record]>> {
-        let (mut shard, at) = self.live_entry(name, rtype, now)?;
+    fn probe(&self, name: &Name, rtype: RecordType, now: SimTime) -> Option<CachedRecords> {
+        let (mut shard, at) = self.live_entry(key_hash(name, rtype), name, rtype, now)?;
         shard.touch(at);
-        Some(Arc::clone(&shard.entries[at as usize].records))
+        Some(shard.entries[at as usize].records.clone())
     }
 
-    /// Run `f` over a live RRset in place — the serve path's cache hit,
+    /// Run `f` over a live section in place — the serve path's cache hit,
     /// which answers from borrowed data under the shard lock. Counts one
     /// hit or miss like `get`, and drops expired entries the same way,
     /// but deliberately skips the LRU refresh. Re-linking an entry is
@@ -462,11 +633,24 @@ impl Cache {
         name: &Name,
         rtype: RecordType,
         now: SimTime,
-        f: impl FnOnce(&[Record], SimTime) -> R,
+        f: impl FnOnce(&CachedRecords, SimTime) -> R,
     ) -> Option<R> {
-        let out = self.live_entry(name, rtype, now).map(|(shard, at)| {
-            let entry = &shard.entries[at as usize];
-            f(&entry.records, entry.expires)
+        self.with_records_hashed(key_hash(name, rtype), name, rtype, now, f)
+    }
+
+    /// [`Cache::with_records`] for a caller that already holds the key's
+    /// [`key_hash`] (the serve path, which probed the packet cache with it).
+    pub(crate) fn with_records_hashed<R>(
+        &self,
+        hash: u64,
+        name: &Name,
+        rtype: RecordType,
+        now: SimTime,
+        f: impl FnOnce(&CachedRecords, SimTime) -> R,
+    ) -> Option<R> {
+        let out = self.live_entry(hash, name, rtype, now).map(|(shard, at)| {
+            let records = &shard.entries[at as usize].records;
+            f(records, records.expires())
         });
         let counter = match out {
             Some(_) => &self.stats.hits,
@@ -484,7 +668,7 @@ impl Cache {
     /// was) per call: probing every suffix depth must not inflate
     /// `CacheStats.misses` by the number of unexplored depths, or the
     /// Figure-2 hit-rate sweep measures the walk, not the policy.
-    pub fn deepest_cut(&self, qname: &Name, now: SimTime) -> Option<(Name, Arc<[Record]>)> {
+    pub fn deepest_cut(&self, qname: &Name, now: SimTime) -> Option<(Name, CachedRecords)> {
         for depth in (1..=qname.label_count()).rev() {
             let candidate = qname.suffix(depth);
             if let Some(records) = self.probe(&candidate, RecordType::NS, now) {
@@ -551,8 +735,8 @@ mod tests {
         assert_eq!(
             cache
                 .get(&"com".parse().unwrap(), RecordType::NS, SECONDS)
-                .as_deref(),
-            Some(&recs[..])
+                .map(|hit| hit.to_vec()),
+            Some(recs)
         );
         assert_eq!(cache.stats.hits.load(Ordering::Relaxed), 1);
     }
@@ -822,16 +1006,21 @@ mod tests {
         // craft to ignore: drive a shard directly with one forced hash.
         let mut shard = Shard::new();
         let names = ["a.test", "b.test", "c.test", "d.test"];
+        let mut scratch = ScratchBuf::new();
         for (i, name) in names.iter().enumerate() {
             let hash = if i == 3 { 7 } else { 42 };
-            let records: Arc<[Record]> = vec![a_record(name, "192.0.2.1", 60)].into();
-            shard.insert(key(name, RecordType::A), hash, records, SECONDS);
+            let records = [a_record(name, "192.0.2.1", 60)];
+            let key = key(name, RecordType::A);
+            let block = CachedRecords::encode(&key, records.iter(), 0, &mut scratch).unwrap();
+            shard.insert(hash, block);
         }
+        let stored_name =
+            |shard: &Shard, at: u32| shard.entries[at as usize].records.key_name().to_name();
         let find = |shard: &Shard, name: &str| {
             let hash = if name == "d.test" { 7 } else { 42 };
             shard
                 .find(hash, &name.parse().unwrap(), RecordType::A)
-                .map(|at| shard.entries[at as usize].key.name.to_string())
+                .map(|at| stored_name(shard, at).to_string())
         };
         for name in names {
             assert_eq!(find(&shard, name).as_deref(), Some(name));
@@ -860,12 +1049,19 @@ mod tests {
             let mut order = Vec::new();
             let mut at = shard.oldest;
             while at != NIL {
-                order.push(shard.entries[at as usize].key.name.to_string());
+                order.push(stored_name(&shard, at).to_string());
                 at = shard.entries[at as usize].newer;
             }
             assert_eq!(order, *left, "after {gone}");
         }
         assert!(shard.index.is_empty() && shard.entries.is_empty());
+    }
+
+    #[test]
+    fn an_entry_is_a_block_handle_and_its_links() {
+        // Key, expiry and records live in the shared block; what stays in
+        // the dense table is what a recency re-link or a removal touches.
+        assert_eq!(std::mem::size_of::<Entry>(), 40);
     }
 
     #[test]

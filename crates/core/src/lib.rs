@@ -46,7 +46,7 @@ pub mod trace;
 pub mod transport;
 
 pub use alloc_count::CountingAllocator;
-pub use cache::{Cache, CacheKey, CacheStats};
+pub use cache::{Cache, CacheKey, CacheStats, CachedRecords};
 pub use clock::Clock;
 pub use config::{ResolutionMode, ResolverConfig};
 pub use driver::{Admission, BatchHistogram, Driver, DriverReport};

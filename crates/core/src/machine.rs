@@ -30,7 +30,7 @@ use std::sync::Arc;
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, StepStatus};
 use zdns_wire::{Cookie, MsgRef, Name, Question, RData, Rcode, Record, RecordType};
 
-use crate::cache::{Cache, CacheKey};
+use crate::cache::{Cache, CacheKey, CachedRecords};
 use crate::config::{ResolutionMode, ResolverConfig};
 use crate::result::{DelegationInfo, LookupResult};
 use crate::stats::Stats;
@@ -74,6 +74,23 @@ impl ResolverCore {
 
 /// Callback invoked with the full result of each finished lookup.
 pub type ResultSink = Arc<dyn Fn(LookupResult) + Send + Sync>;
+
+/// The nameserver hosts of a referral's NS records.
+fn ns_hosts(ns_records: &[Record]) -> impl Iterator<Item = Name> + '_ {
+    ns_records.iter().filter_map(|r| match &r.rdata {
+        RData::Ns(host) => Some(host.clone()),
+        _ => None,
+    })
+}
+
+/// The nameserver hosts of a cached NS section, read in place: the
+/// records themselves are never promoted.
+fn cached_ns_hosts(ns_records: &CachedRecords) -> impl Iterator<Item = Name> + '_ {
+    ns_records.iter().filter_map(|r| match r.rtype {
+        RecordType::NS => r.target_name(),
+        _ => None,
+    })
+}
 
 fn query_id(name: &Name, counter: u32) -> u16 {
     // Deterministic per-(name, attempt) transaction ids.
@@ -507,7 +524,7 @@ impl IterativeMachine {
     fn new_walk(&mut self, q: Question, parent_cand: Option<usize>, now: SimTime) -> Walk {
         let (zone, candidates, cached) = match self.core.cache.deepest_cut(&q.name, now) {
             Some((cut, ns_records)) => {
-                let candidates = self.candidates_from_ns(&ns_records, &[], now);
+                let candidates = self.candidates_from_ns(cached_ns_hosts(&ns_records), &[], now);
                 (cut, candidates, true)
             }
             None => {
@@ -554,19 +571,18 @@ impl IterativeMachine {
         walk.candidates.sort_by_key(|c| c.addr.is_none());
     }
 
+    /// One candidate per nameserver host, addressed from the referral's
+    /// own `glue` or, failing that, from the cache.
     fn candidates_from_ns(
         &self,
-        ns_records: &[Record],
+        ns_hosts: impl Iterator<Item = Name>,
         glue: &[Record],
         now: SimTime,
     ) -> Vec<Candidate> {
         let mut out = Vec::new();
-        for rec in ns_records {
-            let RData::Ns(ns_name) = &rec.rdata else {
-                continue;
-            };
+        for ns in ns_hosts {
             let mut addr = glue.iter().find_map(|g| {
-                if g.name == *ns_name {
+                if g.name == ns {
                     match &g.rdata {
                         RData::A(a) => Some(*a),
                         _ => None,
@@ -578,20 +594,17 @@ impl IterativeMachine {
             if addr.is_none() {
                 // Borrowing accessor: this glue probe runs once per NS per
                 // referral on the iterative hot path, and `get` would
-                // clone the whole RRset just to pick one address.
+                // refresh the entry's recency just to pick one address.
                 addr = self
                     .core
                     .cache
-                    .with_records(ns_name, RecordType::A, now, |records, _| {
-                        records.iter().find_map(|r| match &r.rdata {
-                            RData::A(a) => Some(*a),
-                            _ => None,
-                        })
+                    .with_records(&ns, RecordType::A, now, |records, _| {
+                        records.iter().find_map(|r| r.a_addr())
                     })
                     .flatten();
             }
             out.push(Candidate {
-                ns: ns_name.clone(),
+                ns,
                 addr,
                 dead: false,
             });
@@ -835,7 +848,7 @@ impl IterativeMachine {
                 name: cut.clone(),
                 rtype: RecordType::NS,
             },
-            ns_records.to_vec(),
+            ns_records,
             now,
         );
         // Cache each glue address RRset — the records sharing a (name,
@@ -853,12 +866,12 @@ impl IterativeMachine {
             if glue[..i].iter().any(same_set) {
                 continue;
             }
-            self.core.cache.put(
-                CacheKey {
+            self.core.cache.put_records(
+                &CacheKey {
                     name: rec.name.clone(),
                     rtype: rec.rtype,
                 },
-                glue[i..].iter().filter(|g| same_set(g)).cloned().collect(),
+                glue[i..].iter().filter(|g| same_set(g)),
                 now,
             );
         }
@@ -982,7 +995,7 @@ impl IterativeMachine {
             // Referral RRsets are kept (candidates + selective cache), so
             // this is exactly the promote-on-keep point.
             let glue = message.additionals_vec();
-            let candidates = self.candidates_from_ns(&ns_refs, &glue, now);
+            let candidates = self.candidates_from_ns(ns_hosts(&ns_refs), &glue, now);
             let w = self.stack.last_mut().expect("active walk");
             w.candidates = candidates;
             Self::rotate_candidates(w);
@@ -1279,24 +1292,16 @@ mod tests {
             4
         );
         assert_eq!(core.cache.len(), 4);
-        assert_eq!(
-            core.cache.get(&ns1, RecordType::A, 0).as_deref(),
-            Some(&glue[..2])
-        );
-        assert_eq!(
-            core.cache.get(&ns2, RecordType::A, 0).as_deref(),
-            Some(&glue[2..3])
-        );
-        assert_eq!(
-            core.cache.get(&ns2, RecordType::AAAA, 0).as_deref(),
-            Some(&glue[3..4])
-        );
+        let cached = |name: &Name, rtype| core.cache.get(name, rtype, 0).map(|hit| hit.to_vec());
+        assert_eq!(cached(&ns1, RecordType::A).as_deref(), Some(&glue[..2]));
+        assert_eq!(cached(&ns2, RecordType::A).as_deref(), Some(&glue[2..3]));
+        assert_eq!(cached(&ns2, RecordType::AAAA).as_deref(), Some(&glue[3..4]));
         // What a later walk reads back is what it always was: the cut,
         // its NS set, and the first glue address of each nameserver.
         let (cut, cached_ns) = core.cache.deepest_cut(&question.name, 0).unwrap();
         assert_eq!(cut, zone);
-        assert_eq!(&cached_ns[..], &ns_records[..]);
-        let candidates = machine.candidates_from_ns(&cached_ns, &[], 0);
+        assert_eq!(cached_ns.to_vec(), ns_records);
+        let candidates = machine.candidates_from_ns(cached_ns_hosts(&cached_ns), &[], 0);
         let addrs: Vec<_> = candidates.iter().map(|c| (c.ns.clone(), c.addr)).collect();
         assert_eq!(
             addrs,

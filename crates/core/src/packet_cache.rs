@@ -29,15 +29,18 @@
 //! the same key ([`Cache::put`](crate::cache::Cache::put) hooks into
 //! [`PacketCache::invalidate`]).
 //!
-//! Case handling: the table's hash follows [`Name`]'s case-insensitive
-//! semantics, but a hit additionally requires a byte-exact qname match
-//! ([`Name::eq_exact_case`]) — a response must echo the client's question
-//! spelling verbatim (0x20 mixed-case defence), and the cheapest way to
-//! guarantee that from a memoized message is to only serve clients who
-//! spelled the name the way the cached copy did. Case-variant spellings
-//! fall back to the record path and refill with their own spelling.
+//! Case handling: one entry per name. The key — the record cache's own
+//! key hash, computed once per query for both layers, and [`Name`]'s
+//! equality — is case-insensitive, and the entry keeps the spelling of
+//! whoever filled it. A response must echo its client's question
+//! verbatim (0x20 mixed-case defence), so after [`PacketEntry::serve_into`]
+//! the serve path copies the client's own question octets over the
+//! question section: the same length by construction, and nothing behind
+//! it moves, because answers reach their owner through a compression
+//! pointer *into* the question and pointers compare case-insensitively.
+//! Every spelling of a hot name therefore hits the one entry instead of
+//! evicting its siblings from the same probe window.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -46,6 +49,8 @@ use zdns_netsim::SimTime;
 use zdns_wire::{
     cookie_option_len, write_cookie_option, Cookie, Flags, Name, RecordType, ScratchBuf,
 };
+
+use crate::cache::key_hash;
 
 /// Octets of the bare OPT pseudo-record the serve path appends last:
 /// root owner (1) + TYPE (2) + CLASS/payload (2) + TTL (4) + RDLENGTH (2).
@@ -65,9 +70,11 @@ const PROBE_WINDOW: usize = 8;
 /// section, and a cookie-less OPT tail as the final [`OPT_TAIL_LEN`]
 /// octets.
 pub struct PacketEntry {
-    /// Exact spelling the canonical question section echoes.
+    /// The key, in the spelling the canonical question section carries.
     name: Name,
     qtype: RecordType,
+    /// [`fingerprint`] of the key.
+    hash: u64,
     /// Absolute expiry (fill time + the answers' minimum TTL, capped to
     /// the record-cache entry's own expiry), checked on every read.
     deadline: SimTime,
@@ -95,6 +102,7 @@ impl PacketEntry {
         let question_end = 12 + name.wire_len() + 4;
         debug_assert!(bytes.len() >= question_end + OPT_TAIL_LEN);
         PacketEntry {
+            hash: fingerprint(key_hash(&name, qtype)),
             name,
             qtype,
             deadline,
@@ -184,9 +192,14 @@ pub enum PacketLookup {
     /// The key was present but past its TTL deadline; the slot has been
     /// cleared and the caller should take the record path (and refill).
     Expired,
-    /// Nothing cached (includes case-variant spellings and slots a writer
-    /// was touching — the record path is the universal fallback).
+    /// Nothing cached (includes slots a writer was touching — the record
+    /// path is the universal fallback).
     Miss,
+}
+
+/// A [`key_hash`] as a slot fingerprint: never 0, which marks an empty slot.
+fn fingerprint(hash: u64) -> u64 {
+    hash.max(1)
 }
 
 struct Slot {
@@ -267,24 +280,24 @@ impl PacketCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Case-insensitive key hash (never 0 — 0 marks an empty slot).
-    fn key_hash(name: &Name, qtype: RecordType) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        name.hash(&mut h);
-        qtype.to_u16().hash(&mut h);
-        let v = h.finish();
-        if v == 0 {
-            1
-        } else {
-            v
-        }
-    }
-
     /// Probe for a live entry. Never blocks: contended slots read as
     /// misses. Expired entries are cleared on sight and reported so the
-    /// caller can count them apart from plain misses.
+    /// caller can count them apart from plain misses. Any spelling of a
+    /// name finds its entry.
     pub fn lookup(&self, name: &Name, qtype: RecordType, now: SimTime) -> PacketLookup {
-        let hash = Self::key_hash(name, qtype);
+        self.lookup_hashed(key_hash(name, qtype), name, qtype, now)
+    }
+
+    /// [`PacketCache::lookup`] for a caller that already holds the key's
+    /// [`key_hash`].
+    pub(crate) fn lookup_hashed(
+        &self,
+        hash: u64,
+        name: &Name,
+        qtype: RecordType,
+        now: SimTime,
+    ) -> PacketLookup {
+        let hash = fingerprint(hash);
         let start = hash as usize & self.mask;
         for i in 0..PROBE_WINDOW {
             let slot = &self.slots[(start + i) & self.mask];
@@ -298,7 +311,7 @@ impl PacketCache {
                 continue;
             };
             drop(guard);
-            if entry.qtype != qtype || !entry.name.eq_exact_case(name) {
+            if entry.qtype != qtype || entry.name != *name {
                 continue;
             }
             if now >= entry.deadline {
@@ -314,7 +327,7 @@ impl PacketCache {
     /// then an empty one; with the probe window full it displaces the
     /// neighbour expiring soonest.
     pub fn fill(&self, entry: Arc<PacketEntry>) {
-        let hash = Self::key_hash(&entry.name, entry.qtype);
+        let hash = entry.hash;
         let start = hash as usize & self.mask;
         let mut target = None;
         let mut empty = None;
@@ -361,7 +374,13 @@ impl PacketCache {
     /// RRset, so a memoized answer never outlives the records behind it.
     /// Case-insensitive, like the record cache's own keying.
     pub fn invalidate(&self, name: &Name, rtype: RecordType) {
-        let hash = Self::key_hash(name, rtype);
+        self.invalidate_hashed(key_hash(name, rtype), name, rtype);
+    }
+
+    /// [`PacketCache::invalidate`] for a caller that already holds the
+    /// key's [`key_hash`].
+    pub(crate) fn invalidate_hashed(&self, hash: u64, name: &Name, rtype: RecordType) {
+        let hash = fingerprint(hash);
         let start = hash as usize & self.mask;
         for i in 0..PROBE_WINDOW {
             let slot = &self.slots[(start + i) & self.mask];
@@ -436,17 +455,20 @@ mod tests {
     }
 
     #[test]
-    fn case_variant_spelling_misses_but_invalidation_is_case_insensitive() {
+    fn every_spelling_finds_and_invalidates_the_one_entry() {
         let pc = PacketCache::new(64);
         pc.fill(entry("WWW.Example.COM", RecordType::A, SimTime::MAX));
         let lower: Name = "www.example.com".parse().unwrap();
-        // Same case-insensitive key, different spelling: a response must
-        // echo the client's exact case, so this cannot be served.
+        // Same case-insensitive key, different spelling: the entry is
+        // found (echoing the client's spelling is the serve path's job),
+        // and a refill under another spelling replaces it in place.
         assert!(matches!(
             pc.lookup(&lower, RecordType::A, 0),
-            PacketLookup::Miss
+            PacketLookup::Hit(_)
         ));
-        // But a record-cache promotion for any spelling drops the entry.
+        pc.fill(entry("www.EXAMPLE.com", RecordType::A, SimTime::MAX));
+        assert_eq!(pc.len(), 1);
+        // A record-cache promotion for any spelling drops the entry.
         pc.invalidate(&lower, RecordType::A);
         assert_eq!(pc.invalidations(), 1);
         assert!(pc.is_empty());

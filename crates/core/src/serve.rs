@@ -17,16 +17,19 @@
 //!   client's escape hatch and is never gated).
 //! * **Packet front** — repeat queries are answered from the
 //!   [`PacketCache`]: the fully encoded response is memoized on first
-//!   scratch-encode, and a hot hit is a memcpy plus a 2-byte ID patch,
-//!   flag patch, cookie splice, and TC re-check — no shard lock, no
-//!   record iteration, no per-record encode. `packet_cache_capacity: 0`
-//!   disables the layer (the A/B lever).
+//!   scratch-encode, one entry per name whatever its spelling, and a hot
+//!   hit is a memcpy plus a 2-byte ID patch, flag patch, cookie splice,
+//!   TC re-check, and the client's own question octets laid over the
+//!   question section — no shard lock, no record iteration, no
+//!   per-record encode. `packet_cache_capacity: 0` disables the layer
+//!   (the A/B lever).
 //! * **Cache front** — remaining hits are answered from the resolver's
 //!   selective [`Cache`](crate::cache::Cache) via the non-cloning
 //!   [`with_records`](crate::cache::Cache::with_records) accessor and
-//!   encoded straight into a reusable [`ScratchBuf`]: both hit paths
-//!   perform zero heap allocations at steady state (the `zero_alloc`
-//!   suite enforces it).
+//!   encoded out of the entry's wire-shaped block straight into a
+//!   reusable [`ScratchBuf`]: both hit paths perform zero heap
+//!   allocations at steady state (the `zero_alloc` suite enforces it).
+//!   One key hash per query serves both probes.
 //! * **Forwarding behind** — misses admit an ordinary lookup machine
 //!   (External-mode stub + CNAME chase) into the *same* reactor; its
 //!   result sink fills the cache and parks the answer on a pending queue
@@ -51,11 +54,10 @@ use zdns_netsim::{SimClient, SimTime, SECONDS};
 use zdns_pacing::ClientBuckets;
 use zdns_wire::{
     min_answer_ttl, Cookie, Edns, Flags, Header, Message, MessageView, Question, Rcode, RcodeField,
-    Record, RecordClass, RecordType, ScratchBuf, CLIENT_COOKIE_LEN, DEFAULT_UDP_PAYLOAD,
-    OPTION_COOKIE,
+    RecordClass, RecordType, ScratchBuf, CLIENT_COOKIE_LEN, DEFAULT_UDP_PAYLOAD, OPTION_COOKIE,
 };
 
-use crate::cache::CacheKey;
+use crate::cache::{key_hash, CacheKey, CachedRecords};
 use crate::clock::Clock;
 use crate::machine::ResultSink;
 use crate::packet_cache::{PacketCache, PacketEntry, PacketLookup};
@@ -482,7 +484,7 @@ impl ServerRole {
                 view.flags(),
                 Rcode::FormErr,
                 None,
-                &[],
+                None,
                 edns.then_some((self.config.udp_payload, cookie)),
                 udp_limit,
             );
@@ -490,34 +492,42 @@ impl ServerRole {
         };
         // Alloc-free for names within the inline bound — the common case.
         let qname = qv.name.to_name();
+        // One hash for both cache layers.
+        let hash = key_hash(&qname, qv.qtype);
 
         // Packet front: a memoized answer skips the shard lock, the
         // record walk, and the encode — memcpy, ID/flags patch, cookie
-        // splice, TC re-check. IN-class only, matching the record cache's
-        // implicit keying; anything else falls through to the record path.
-        let in_class = qv.qclass == RecordClass::IN;
-        if in_class {
-            if let Some(pc) = &self.packet {
-                match pc.lookup(&qname, qv.qtype, now) {
-                    PacketLookup::Hit(entry) => {
-                        let truncated = entry.serve_into(
-                            &mut self.scratch,
-                            view.id(),
-                            view.flags(),
-                            edns,
-                            cookie.as_ref(),
-                            udp_limit,
-                        );
-                        ServeStats::bump(&self.stats.cache_hits);
-                        ServeStats::bump(&self.stats.packet_hits);
-                        if truncated {
-                            ServeStats::bump(&self.stats.truncated);
-                        }
-                        return HandleOutcome::Respond;
+        // splice, TC re-check, question echo. IN-class only, matching the
+        // record cache's implicit keying, and only for a question name
+        // sent in the plain (`echo`: the client's spelling, to lay over
+        // the entry's) — a compressed one has no octets of the entry's
+        // length to echo. Anything else falls through to the record path.
+        let echo = qv.name.wire_bytes();
+        let packet = match (&self.packet, echo) {
+            (Some(pc), Some(echo)) if qv.qclass == RecordClass::IN => Some((pc, echo)),
+            _ => None,
+        };
+        if let Some((pc, echo)) = packet {
+            match pc.lookup_hashed(hash, &qname, qv.qtype, now) {
+                PacketLookup::Hit(entry) => {
+                    let truncated = entry.serve_into(
+                        &mut self.scratch,
+                        view.id(),
+                        view.flags(),
+                        edns,
+                        cookie.as_ref(),
+                        udp_limit,
+                    );
+                    self.scratch.patch_bytes(QUESTION_AT, echo);
+                    ServeStats::bump(&self.stats.cache_hits);
+                    ServeStats::bump(&self.stats.packet_hits);
+                    if truncated {
+                        ServeStats::bump(&self.stats.truncated);
                     }
-                    PacketLookup::Expired => ServeStats::bump(&self.stats.packet_expired),
-                    PacketLookup::Miss => {}
+                    return HandleOutcome::Respond;
                 }
+                PacketLookup::Expired => ServeStats::bump(&self.stats.packet_expired),
+                PacketLookup::Miss => {}
             }
         }
 
@@ -526,17 +536,18 @@ impl ServerRole {
         // packet cache enabled the encode is the canonical (memoizable)
         // form; entry construction and the per-client patch both happen
         // after the shard lock drops.
-        let memoize = in_class && self.packet.is_some();
+        let memoize = packet.is_some();
         let hit = {
             let scratch = &mut self.scratch;
             let payload = self.config.udp_payload;
             let id = view.id();
             let flags = view.flags();
-            self.resolver.core().cache.with_records(
+            self.resolver.core().cache.with_records_hashed(
+                hash,
                 &qname,
                 qv.qtype,
                 now,
-                |records: &[Record], expires: SimTime| {
+                |records: &CachedRecords, expires: SimTime| {
                     if memoize {
                         scratch.reset();
                         encode_sections(
@@ -545,7 +556,7 @@ impl ServerRole {
                             flags,
                             Rcode::NoError,
                             Some((&qname, qv.qtype.to_u16(), qv.qclass.to_u16())),
-                            records,
+                            Some(records),
                             Some((payload, None)),
                             false,
                         );
@@ -558,7 +569,7 @@ impl ServerRole {
                                 flags,
                                 Rcode::NoError,
                                 Some((&qname, qv.qtype.to_u16(), qv.qclass.to_u16())),
-                                records,
+                                Some(records),
                                 edns.then_some((payload, cookie)),
                                 udp_limit,
                             ),
@@ -590,10 +601,12 @@ impl ServerRole {
                     deadline,
                     self.scratch.message_bytes(),
                 ));
-                if let Some(pc) = &self.packet {
+                if let Some((pc, _)) = packet {
                     pc.fill(Arc::clone(&entry));
                     ServeStats::bump(&self.stats.packet_fills);
                 }
+                // The entry was just encoded in this client's own
+                // spelling: nothing to lay over the question.
                 let truncated = entry.serve_into(
                     &mut self.scratch,
                     view.id(),
@@ -643,7 +656,7 @@ impl ServerRole {
                         name: result.name.clone(),
                         rtype: result.qtype,
                     },
-                    result.answers.clone(),
+                    &result.answers,
                     clock.now(),
                 );
             }
@@ -884,10 +897,15 @@ impl ServerRole {
     }
 }
 
+/// Offset of the question section in every DNS message: right behind the
+/// 12-octet header.
+const QUESTION_AT: usize = 12;
+
 /// Encode a response directly from wire primitives into `scratch` —
-/// header, echoed question, borrowed answer records, and a hand-rolled
-/// OPT with the cookie echo. Zero heap allocations. If the encoded
-/// message exceeds `udp_limit` it is re-encoded empty with TC set
+/// header, echoed question, the cached answer section copied out of its
+/// block, and a hand-rolled OPT with the cookie echo. Zero heap
+/// allocations. If the encoded message exceeds `udp_limit` it is
+/// re-encoded empty with TC set
 /// (all-or-nothing truncation: cached RRsets are small, and the client's
 /// TCP retry gets the full answer). Returns whether truncation happened.
 #[allow(clippy::too_many_arguments)]
@@ -897,7 +915,7 @@ fn encode_response(
     query_flags: Flags,
     rcode: Rcode,
     question: Option<(&zdns_wire::Name, u16, u16)>,
-    answers: &[Record],
+    answers: Option<&CachedRecords>,
     edns: Option<(u16, Option<Cookie>)>,
     udp_limit: usize,
 ) -> bool {
@@ -914,7 +932,7 @@ fn encode_response(
     );
     if scratch.message_bytes().len() > udp_limit {
         scratch.abort_message();
-        encode_sections(scratch, id, query_flags, rcode, question, &[], edns, true);
+        encode_sections(scratch, id, query_flags, rcode, question, None, edns, true);
         return true;
     }
     false
@@ -927,7 +945,7 @@ fn encode_sections(
     query_flags: Flags,
     rcode: Rcode,
     question: Option<(&zdns_wire::Name, u16, u16)>,
-    answers: &[Record],
+    answers: Option<&CachedRecords>,
     edns: Option<(u16, Option<Cookie>)>,
     tc: bool,
 ) {
@@ -943,7 +961,7 @@ fn encode_sections(
         flags,
         rcode_low: (rcode.to_u16() & 0x0F) as u8,
         qdcount: question.is_some() as u16,
-        ancount: answers.len() as u16,
+        ancount: answers.map_or(0, CachedRecords::len) as u16,
         nscount: 0,
         arcount: edns.is_some() as u16,
     };
@@ -956,8 +974,8 @@ fn encode_sections(
         let _ = scratch.write_u16(qtype);
         let _ = scratch.write_u16(qclass);
     }
-    for record in answers {
-        let _ = record.encode(scratch);
+    if let Some(answers) = answers {
+        answers.encode_answers(scratch);
     }
     if let Some((payload, cookie)) = edns {
         // Hand-rolled OPT pseudo-record: root name, type OPT, requestor
@@ -986,7 +1004,7 @@ fn encode_sections(
 mod tests {
     use super::*;
     use crate::config::ResolverConfig;
-    use zdns_wire::Name;
+    use zdns_wire::{Name, Record};
 
     fn question(name: &str) -> Question {
         Question::new(name.parse().unwrap(), RecordType::A)

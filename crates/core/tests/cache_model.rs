@@ -10,6 +10,14 @@
 //! a stamp per entry); a seeded random operation stream over a cache
 //! small enough to evict constantly must leave both in the same state,
 //! answer for answer and counter for counter.
+//!
+//! What is stored is an answer *section*, and it must come back as it
+//! went in: the stream writes every shape of RDATA the cache's block
+//! layout treats differently (addresses, one name, SOA's two names, MX,
+//! SRV, TXT and CAA blobs, opaque types), CNAME chains whose owners are
+//! not the key, owners and RDATA names in their own 0x20 spelling, and
+//! names past the 54 octets a `Name` keeps inline — and every read is
+//! compared record for record in order, TTL and letter case.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -17,6 +25,7 @@ use std::sync::atomic::Ordering;
 use proptest::TestRng;
 use zdns_core::{Cache, CacheKey};
 use zdns_netsim::{SimTime, SECONDS};
+use zdns_wire::rdata::{Caa, Mx, Soa, Srv, TxtData};
 use zdns_wire::{Name, RData, Record, RecordType};
 
 struct ModelEntry {
@@ -134,21 +143,28 @@ impl Model {
     }
 }
 
-/// 2 TLDs, 30 zones under each, 2 hosts under each zone: 182 names × 3
-/// admitted types over 64 three-entry shards, so shards are always
-/// over-subscribed.
+/// 2 TLDs, 30 zones under each plus one whose name is too long to be
+/// stored inline, 2 hosts under each zone: 188 names × 3 admitted types
+/// over 64 three-entry shards, so shards are always over-subscribed.
 fn universe() -> Vec<String> {
     let mut names = Vec::new();
     for t in 0..2 {
         names.push(format!("tld{t}"));
-        for z in 0..30 {
-            names.push(format!("zone{z}.tld{t}"));
+        let long = format!("{}zz", "long-zone-label-".repeat(3));
+        for zone in (0..30).map(|z| format!("zone{z}")).chain([long]) {
+            names.push(format!("{zone}.tld{t}"));
             for h in 0..2 {
-                names.push(format!("ns{h}.zone{z}.tld{t}"));
+                names.push(format!("ns{h}.{zone}.tld{t}"));
             }
         }
     }
     names
+}
+
+/// Record for record, in order — and, unlike `==` on names, letter for
+/// letter: `Debug` prints every name in the case it holds.
+fn exact(records: &[Record]) -> String {
+    format!("{records:?}")
 }
 
 /// A random 0x20 spelling of `text`: reads and writes must meet on the
@@ -168,28 +184,92 @@ fn spelled(text: &str, rng: &mut TestRng) -> Name {
         .expect("generated names are valid")
 }
 
-fn rrset(owner: &Name, rtype: RecordType, rng: &mut TestRng) -> Vec<Record> {
-    let n = rng.below(3); // 0 = the refused empty set
-    (0..n)
-        .map(|i| {
-            let ttl = rng.below(40) as u32; // 0 = the refused zero TTL
-            let rdata = match rtype {
-                RecordType::NS => RData::Ns(format!("ns{i}.host.test").parse().unwrap()),
-                RecordType::AAAA => RData::Aaaa(std::net::Ipv6Addr::new(
-                    0x2001,
-                    0xdb8,
-                    0,
-                    0,
-                    0,
-                    0,
-                    rng.below(65_536) as u16,
-                    i as u16,
-                )),
-                _ => RData::A(std::net::Ipv4Addr::from(rng.next_u64() as u32)),
-            };
-            Record::new(owner.clone(), ttl, rdata)
-        })
-        .collect()
+/// A host name for RDATA and chain owners, in a 0x20 spelling of its
+/// own; one in four is longer than a `Name` stores inline.
+fn host(label: &str, rng: &mut TestRng) -> Name {
+    let pad = match rng.below(4) {
+        0 => "a-label-that-pushes-the-name-past-the-inline-bound.",
+        _ => "",
+    };
+    spelled(&format!("{label}.{pad}host.test"), rng)
+}
+
+/// RDATA of a kind picked at random, names inside it spelled at random.
+fn other_rdata(i: u64, rng: &mut TestRng) -> RData {
+    match rng.below(7) {
+        0 => RData::Soa(Soa {
+            mname: host("mname", rng),
+            rname: host("hostmaster", rng),
+            serial: rng.next_u64() as u32,
+            refresh: 7200,
+            retry: 900,
+            expire: 1_209_600,
+            minimum: i as u32,
+        }),
+        1 => RData::Mx(Mx {
+            preference: i as u16,
+            exchange: host("mx", rng),
+        }),
+        2 => RData::Srv(Srv {
+            priority: 1,
+            weight: i as u16,
+            port: 853,
+            target: host("srv", rng),
+        }),
+        3 => RData::Txt(TxtData {
+            strings: (0..=i)
+                .map(|s| vec![b'a' + s as u8; rng.below(300).min(255) as usize])
+                .collect(),
+        }),
+        4 => RData::Caa(Caa {
+            flags: 0x80,
+            tag: b"issue".to_vec(),
+            value: format!("ca{i}.example").into_bytes(),
+        }),
+        5 => RData::Ptr(host("ptr", rng)),
+        _ => RData::Opaque((0..rng.below(40)).map(|b| b as u8).collect()),
+    }
+}
+
+/// What a `put` under `(key, rtype)` carries: usually the key's own RRset,
+/// sometimes a CNAME chain ending in it, sometimes records of unrelated
+/// kinds — any of them, sometimes, under an owner spelled unlike the key.
+fn section(key: &Name, text: &str, rtype: RecordType, rng: &mut TestRng) -> Vec<Record> {
+    let n = rng.below(4); // 0 = the refused empty set
+    let ttl = |rng: &mut TestRng| rng.below(40) as u32; // 0 = the refused zero TTL
+    let mut owner = key.clone();
+    let mut records = Vec::new();
+    // A chain: each alias owned by the previous one's target.
+    if n > 0 && rng.below(5) == 0 {
+        for hop in 0..=rng.below(2) {
+            let target = host(&format!("alias{hop}"), rng);
+            records.push(Record::new(owner, ttl(rng), RData::Cname(target.clone())));
+            owner = target;
+        }
+    }
+    for i in 0..n {
+        let owner = match rng.below(4) {
+            0 if records.is_empty() => spelled(text, rng),
+            _ => owner.clone(),
+        };
+        let rdata = match rtype {
+            _ if rng.below(4) == 0 => other_rdata(i, rng),
+            RecordType::NS => RData::Ns(host(&format!("ns{i}"), rng)),
+            RecordType::AAAA => RData::Aaaa(std::net::Ipv6Addr::new(
+                0x2001,
+                0xdb8,
+                0,
+                0,
+                0,
+                0,
+                rng.below(65_536) as u16,
+                i as u16,
+            )),
+            _ => RData::A(std::net::Ipv4Addr::from(rng.next_u64() as u32)),
+        };
+        records.push(Record::new(owner, ttl(rng), rdata));
+    }
+    records
 }
 
 #[test]
@@ -213,6 +293,8 @@ fn random_operations_match_the_reference_lru() {
     // The last few keys written: most operations pick from here, or a
     // cache this small would almost never be read where it was written.
     let mut recent: Vec<(String, RecordType)> = Vec::new();
+    // Every record type the stream stored.
+    let mut kinds = BTreeSet::new();
 
     for op in 0..OPS {
         let (text, rtype) = if !recent.is_empty() && rng.below(100) < 60 {
@@ -236,7 +318,8 @@ fn random_operations_match_the_reference_lru() {
         });
         match rng.below(100) {
             0..=34 => {
-                let records = rrset(&name, rtype, &mut rng);
+                let records = section(&name, &text, rtype, &mut rng);
+                kinds.extend(records.iter().map(|r| r.rtype.to_u16()));
                 model.put(shard, &name, rtype, &records, now);
                 cache.put(
                     CacheKey {
@@ -258,8 +341,13 @@ fn random_operations_match_the_reference_lru() {
                 let got = cache.get(&name, rtype, now);
                 live_reads += u64::from(got.is_some());
                 assert_eq!(
-                    got.as_deref(),
-                    want.as_ref().map(|(records, _)| &records[..]),
+                    got.as_ref().map(|hit| hit.len()),
+                    want.as_ref().map(|(records, _)| records.len()),
+                    "op {op}: get {name} {rtype:?}"
+                );
+                assert_eq!(
+                    got.map(|hit| exact(&hit.to_vec())),
+                    want.map(|(records, _)| exact(&records)),
                     "op {op}: get {name} {rtype:?}"
                 );
             }
@@ -269,7 +357,11 @@ fn random_operations_match_the_reference_lru() {
                 let got = cache.with_records(&name, rtype, now, |records, expires| {
                     (records.to_vec(), expires)
                 });
-                assert_eq!(got, want, "op {op}: with_records {name} {rtype:?}");
+                assert_eq!(
+                    got.map(|(records, expires)| (exact(&records), expires)),
+                    want.map(|(records, expires)| (exact(&records), expires)),
+                    "op {op}: with_records {name} {rtype:?}"
+                );
             }
             75..=94 => {
                 let mut want = None;
@@ -290,8 +382,8 @@ fn random_operations_match_the_reference_lru() {
                 let got = cache.deepest_cut(&name, now);
                 cuts_found += u64::from(got.is_some());
                 assert_eq!(
-                    got.as_ref().map(|(cut, records)| (cut, &records[..])),
-                    want.as_ref().map(|(cut, records)| (cut, &records[..])),
+                    got.map(|(cut, hit)| (cut, exact(&hit.to_vec()))),
+                    want.map(|(cut, records)| (cut, exact(&records))),
                     "op {op}: deepest_cut {name}"
                 );
             }
@@ -326,6 +418,20 @@ fn random_operations_match_the_reference_lru() {
     // The stream must have exercised what it claims to.
     assert!(puts > 5_000 && live_reads > 200 && cuts_found > 200);
     assert!(model.evictions > 500, "{} evictions", model.evictions);
+    let stored = [
+        RecordType::A,
+        RecordType::AAAA,
+        RecordType::NS,
+        RecordType::CNAME,
+        RecordType::SOA,
+        RecordType::MX,
+        RecordType::SRV,
+        RecordType::TXT,
+        RecordType::CAA,
+        RecordType::PTR,
+        RecordType::NULL,
+    ];
+    assert!(stored.iter().all(|t| kinds.contains(&t.to_u16())));
 
     // Final key set: every key the stream could have written, read at time 0 (nothing
     // stored has expired by then) through the accessor that moves nothing.

@@ -4,13 +4,15 @@
 //! The invariant under test: a packet-cache hit must be **byte-identical**
 //! to what a fresh record-cache encode would have produced for the same
 //! query — same ID, same flags, same cookie echo, same truncation
-//! decision — because the hit path is a memcpy plus patches, not a
-//! re-encode. A role with `packet_cache_capacity: 0` is the reference
-//! encoder: same record cache contents, same query, old scratch-encode
-//! path.
+//! decision, the same spelling of the question — because the hit path is
+//! a memcpy plus patches, not a re-encode, and one entry serves every
+//! 0x20 spelling of its name. A role with `packet_cache_capacity: 0` is
+//! the reference encoder: same record cache contents, same query, old
+//! scratch-encode path.
 
 use std::net::{Ipv4Addr, SocketAddr};
 
+use proptest::TestRng;
 use zdns_core::{CacheKey, Clock, PacketLookup, Resolver, ResolverConfig, ServeConfig, ServerRole};
 use zdns_wire::{
     encode_query_into, Cookie, Edns, Message, MessageView, Name, Question, RData, Record,
@@ -83,53 +85,99 @@ fn custom_query(id: u16, name: &str, payload: Option<u16>, cookie: Option<Cookie
     m.encode().unwrap()
 }
 
+/// `text` with the letters picked by `mask` in upper case.
+fn spelled(text: &str, mask: u64) -> String {
+    text.char_indices()
+        .map(|(i, c)| match mask >> (i % 64) & 1 {
+            1 => c.to_ascii_uppercase(),
+            _ => c,
+        })
+        .collect()
+}
+
 #[test]
 fn packet_hit_bytes_match_the_reference_encoder_exactly() {
     // Reference role (capacity 0, the A/B lever) and packet role share
-    // identical record-cache contents.
+    // identical record-cache contents: one small RRset, and one that
+    // fits 1232 octets but not 512, stored under a mixed-case owner so
+    // neither the key nor the entry is in any client's spelling.
     let mut reference = role(0);
     let mut packet = role(1024);
+    let wide: Name = "Wide.Example".parse().unwrap();
+    let wide_set: Vec<Record> = (0..40)
+        .map(|i| Record::new(wide.clone(), 600, RData::A(Ipv4Addr::new(10, 1, 0, i))))
+        .collect();
     for r in [&reference, &packet] {
         put_a(r, "hot.example", 300, [192, 0, 2, 7], 0);
+        put_records(r, "wide.example", wide_set.clone(), 0);
     }
     let cookie = Cookie::client(*b"byteidnt");
-    // Distinct IDs and cookie presence across rounds: every variation
-    // must still match the reference byte-for-byte.
-    let rounds: [(u16, Option<Cookie>); 3] = [
-        (0x1111, Some(cookie)),
-        (0x2222, None),
-        (0xFEFE, Some(cookie)),
+    // What a client may vary besides its spelling: EDNS with and without
+    // a cookie, no EDNS at all (the OPT record is trimmed off the
+    // canonical packet; 512 octets are assumed), and a 512-octet payload
+    // — TC=1 for the wide set either way.
+    let shapes: [(Option<u16>, Option<Cookie>); 4] = [
+        (Some(1232), Some(cookie)),
+        (Some(1232), None),
+        (None, None),
+        (Some(512), Some(cookie)),
     ];
-    for (round, (id, cookie)) in rounds.into_iter().enumerate() {
-        let raw = a_query(id, "hot.example", cookie);
-        let want = reference
-            .handle_datagram(&raw, peer(), 0)
-            .expect("reference answers")
-            .to_vec();
-        let got = packet
-            .handle_datagram(&raw, peer(), 0)
-            .expect("packet role answers")
-            .to_vec();
-        assert_eq!(
-            got, want,
-            "round {round}: packet-path bytes diverge from the fresh encode"
-        );
+    let mut rng = TestRng::deterministic();
+    let mut queries = 0;
+    for round in 0..64 {
+        // Masks 0 and !0 first, then whatever the seed gives.
+        let mask = match round {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.next_u64(),
+        };
+        for name in ["hot.example", "wide.example"] {
+            let name = spelled(name, mask);
+            for (payload, cookie) in shapes {
+                let id = rng.next_u64() as u16;
+                let raw = custom_query(id, &name, payload, cookie);
+                let want = reference
+                    .handle_datagram(&raw, peer(), 0)
+                    .expect("reference answers")
+                    .to_vec();
+                let got = packet
+                    .handle_datagram(&raw, peer(), 0)
+                    .expect("packet role answers")
+                    .to_vec();
+                assert_eq!(
+                    got,
+                    want,
+                    "{name} payload {payload:?} cookie {}: packet-path bytes diverge \
+                     from the fresh encode (PROPTEST_SEED replays the masks)",
+                    cookie.is_some()
+                );
+                let reply = MessageView::parse(&got).unwrap();
+                assert_eq!(
+                    reply.question().unwrap().name.to_name().to_string(),
+                    name,
+                    "the client's own spelling is echoed"
+                );
+                assert_eq!(reply.has_edns(), payload.is_some());
+                let cramped = payload != Some(1232) && name.eq_ignore_ascii_case("wide.example");
+                assert_eq!(reply.flags().truncated, cramped, "{name} {payload:?}");
+                assert_eq!(reply.answer_count() == 0, cramped);
+                queries += 1;
+            }
+        }
     }
     let stats = packet.stats();
-    assert_eq!(stats.packet_fills(), 1, "first query memoizes");
-    assert_eq!(stats.packet_hits(), 2, "later rounds ride the packet path");
-    assert_eq!(stats.cache_hits(), 3);
-
-    // A non-EDNS client gets the OPT record trimmed off the canonical
-    // packet — still byte-identical to the reference encoder.
-    let raw = custom_query(0x3333, "hot.example", None, None);
-    let want = reference.handle_datagram(&raw, peer(), 0).unwrap().to_vec();
-    let got = packet.handle_datagram(&raw, peer(), 0).unwrap().to_vec();
-    assert_eq!(got, want, "non-EDNS trim diverges from the fresh encode");
-    let reply = MessageView::parse(&got).unwrap();
-    assert!(!reply.has_edns(), "no OPT for a non-EDNS client");
-    assert_eq!(reply.answer_count(), 1);
-    assert_eq!(packet.stats().packet_hits(), 3);
+    assert_eq!(
+        stats.packet_fills(),
+        2,
+        "one entry per name, whatever it is spelled"
+    );
+    assert_eq!(
+        stats.packet_hits(),
+        queries - 2,
+        "every later query rides it"
+    );
+    assert_eq!(stats.cache_hits(), queries);
+    assert_eq!(stats.truncated(), 2 * 64);
 }
 
 #[test]
@@ -220,34 +268,59 @@ fn truncation_is_rechecked_against_each_clients_payload() {
 }
 
 #[test]
-fn case_variant_spellings_are_distinct_packets() {
-    // 0x20-style case randomization: the record cache matches names
-    // case-insensitively, but the echoed question must preserve the
-    // client's exact spelling — so a case variant bypasses the memoized
-    // packet and memoizes its own.
+fn case_variants_share_one_packet_and_echo_their_own_spelling() {
+    // 0x20-style case randomization: both caches match names
+    // case-insensitively, and the echoed question must preserve the
+    // client's exact spelling — so a case variant is served from the
+    // packet another spelling memoized, under its own question octets.
     let mut packet = role(1024);
     put_a(&packet, "case.example", 300, [192, 0, 2, 9], 0);
 
     let lower = a_query(7, "case.example", None);
     let upper = a_query(8, "CASE.Example", None);
     assert!(packet.handle_datagram(&lower, peer(), 0).is_some());
-    let bytes = packet.handle_datagram(&upper, peer(), 0).unwrap().to_vec();
-    let reply = MessageView::parse(&bytes).unwrap();
-    let qname = reply.question().unwrap().name.to_name();
-    assert_eq!(qname.to_string(), "CASE.Example", "exact spelling echoed");
+    for (raw, spelling) in [(&upper, "CASE.Example"), (&lower, "case.example")] {
+        let bytes = packet.handle_datagram(raw, peer(), 1).unwrap().to_vec();
+        let reply = MessageView::parse(&bytes).unwrap();
+        let qname = reply.question().unwrap().name.to_name();
+        assert_eq!(qname.to_string(), spelling, "exact spelling echoed");
+        // The answer still reaches its owner through the question.
+        let answer = reply.answers().next().unwrap();
+        assert!(answer.name().eq_name(&qname));
+        assert_eq!(answer.a_addr(), Some(Ipv4Addr::new(192, 0, 2, 9)));
+    }
 
     let stats = packet.stats();
-    assert_eq!(stats.packet_hits(), 0, "variant must not reuse the packet");
-    assert_eq!(stats.packet_fills(), 2, "each spelling memoizes its own");
-
-    // Replaying each spelling now hits its own packet, spelling intact.
-    let bytes = packet.handle_datagram(&upper, peer(), 1).unwrap().to_vec();
-    let reply = MessageView::parse(&bytes).unwrap();
+    assert_eq!(stats.packet_fills(), 1, "one entry for the name");
     assert_eq!(
-        reply.question().unwrap().name.to_name().to_string(),
-        "CASE.Example"
+        stats.packet_hits(),
+        2,
+        "the variant and the repeat both hit it"
     );
-    assert_eq!(packet.stats().packet_hits(), 1);
+    let pc = packet.resolver().core().cache.packet_cache().unwrap();
+    assert_eq!(pc.len(), 1);
+    assert_eq!(pc.evictions(), 0);
+
+    // A question name that arrives compressed (its root octet a pointer
+    // into the header, which only a hostile client would send) has no
+    // octets of the entry's length to echo: the record path answers it,
+    // spelled out in full, and the packet table is left alone.
+    let mut odd = vec![0u8; 12];
+    odd[5] = 1; // QDCOUNT; the all-zero ID doubles as the root name
+    odd.extend_from_slice(b"\x04CaSe\x07eXaMpLe\xC0\x00\x00\x01\x00\x01");
+    let bytes = packet.handle_datagram(&odd, peer(), 1).unwrap().to_vec();
+    let reply = MessageView::parse(&bytes).unwrap();
+    let question = reply.question().unwrap();
+    assert_eq!(question.name.to_name().to_string(), "CaSe.eXaMpLe");
+    assert!(question.name.wire_bytes().is_some(), "echoed uncompressed");
+    assert_eq!(
+        reply.answers().next().unwrap().a_addr(),
+        Some(Ipv4Addr::new(192, 0, 2, 9))
+    );
+    let stats = packet.stats();
+    assert_eq!(stats.cache_hits(), 4);
+    assert_eq!(stats.packet_hits(), 2);
+    assert_eq!(stats.packet_fills(), 1);
 }
 
 #[test]
@@ -295,9 +368,9 @@ fn capacity_zero_disables_the_packet_path_entirely() {
 #[test]
 fn direct_packet_cache_lookup_agrees_with_the_serve_path() {
     // Sanity-check the public PacketCache surface against what the role
-    // filled: the entry is findable, carries the deadline the serve path
-    // derived (record expiry == min answer TTL here), and survives only
-    // under its exact spelling.
+    // filled: the entry is findable under any spelling, and carries the
+    // deadline the serve path derived (record expiry == min answer TTL
+    // here).
     let mut packet = role(1024);
     put_a(&packet, "direct.example", 120, [192, 0, 2, 12], 0);
     let raw = a_query(11, "direct.example", None);
@@ -310,7 +383,7 @@ fn direct_packet_cache_lookup_agrees_with_the_serve_path() {
         .packet_cache()
         .expect("attached")
         .clone();
-    let name: Name = "direct.example".parse().unwrap();
+    let name: Name = "Direct.EXAMPLE".parse().unwrap();
     match pc.lookup(&name, RecordType::A, 0) {
         PacketLookup::Hit(entry) => {
             assert_eq!(entry.deadline(), 120 * SECONDS);

@@ -352,32 +352,27 @@ impl ScratchBuf {
         self.buf[pos..pos + 2].copy_from_slice(&v.to_be_bytes());
     }
 
+    /// Overwrite `v.len()` bytes at absolute position `pos` (the serve
+    /// path lays a client's own question spelling over a memoized reply).
+    pub fn patch_bytes(&mut self, pos: usize, v: &[u8]) {
+        debug_assert!(pos + v.len() <= self.buf.len());
+        self.buf[pos..pos + v.len()].copy_from_slice(v);
+    }
+
     /// Write a name, compressing against previously written names of the
     /// current message.
     pub fn write_name(&mut self, name: &Name) -> WireResult<()> {
-        self.write_name_inner(name, true)
-    }
-
-    /// Write a name without compression (required inside RDATA of types
-    /// unknown to compressing resolvers, per RFC 3597).
-    pub fn write_name_uncompressed(&mut self, name: &Name) -> WireResult<()> {
-        self.write_name_inner(name, false)
-    }
-
-    fn write_name_inner(&mut self, name: &Name, compress: bool) -> WireResult<()> {
         let storage = name.storage_bytes();
         let mut pos = 0usize;
         while pos < storage.len() {
             let suffix = &storage[pos..];
             let hash = fnv_lower(suffix);
-            if compress {
-                if let Some(off) = self.find_suffix(hash, suffix) {
-                    return self.write_u16(0xC000 | off);
-                }
+            if let Some(off) = self.find_suffix(hash, suffix) {
+                return self.write_u16(0xC000 | off);
             }
             let here = self.buf.len() - self.base;
             // Offsets beyond 0x3FFF cannot be pointer targets.
-            if compress && here <= 0x3FFF {
+            if here <= 0x3FFF {
                 self.compress.push(CompressEntry {
                     hash,
                     offset: here as u16,
@@ -387,6 +382,15 @@ impl ScratchBuf {
             self.write_bytes(&storage[pos..label_end])?;
             pos = label_end;
         }
+        self.write_u8(0)
+    }
+
+    /// Write a name without compression (required inside RDATA of types
+    /// unknown to compressing resolvers, per RFC 3597): its labels as
+    /// stored, then the root octet. Such a name is no compression target
+    /// for later ones either.
+    pub fn write_name_uncompressed(&mut self, name: &Name) -> WireResult<()> {
+        self.write_bytes(name.storage_bytes())?;
         self.write_u8(0)
     }
 

@@ -68,7 +68,7 @@ impl Name {
     }
 
     /// Build from validated, length-prefixed label storage.
-    fn from_storage(bytes: &[u8], count: usize) -> Name {
+    pub(crate) fn from_storage(bytes: &[u8], count: usize) -> Name {
         debug_assert!(bytes.len() <= MAX_STORAGE && count <= MAX_LABELS);
         if bytes.len() <= INLINE_NAME_LEN {
             let mut data = [0u8; INLINE_NAME_LEN];
@@ -166,9 +166,10 @@ impl Name {
 
     /// Byte-exact comparison, unlike `Eq`/`Hash` which are
     /// case-insensitive per RFC 1035. `Name` preserves the spelling it was
-    /// built with, and a DNS response must echo the client's question
-    /// exactly (0x20 mixed-case is a real-world spoofing defence) — the
-    /// serve-path packet cache keys hits on this, not on `==`.
+    /// built with, and spelling is data (a DNS response must echo the
+    /// client's question exactly: 0x20 mixed-case is a real-world spoofing
+    /// defence) — the record cache stores an owner as a pointer to its
+    /// key only when this holds, so every name reads back as it went in.
     #[inline]
     pub fn eq_exact_case(&self, other: &Name) -> bool {
         self.storage_bytes() == other.storage_bytes()

@@ -35,9 +35,18 @@ impl Record {
         }
     }
 
-    /// Encode the full record, patching RDLENGTH after the fact.
+    /// Encode the full record, the owner name compressed against the
+    /// message so far.
     pub fn encode(&self, w: &mut ScratchBuf) -> WireResult<()> {
         w.write_name(&self.name)?;
+        self.encode_body(w)
+    }
+
+    /// Encode everything after the owner name — TYPE, CLASS, TTL and the
+    /// RDATA behind its RDLENGTH, patched after the fact. Names inside
+    /// RDATA are never compressed, so these octets mean the same at any
+    /// offset of any buffer.
+    pub fn encode_body(&self, w: &mut ScratchBuf) -> WireResult<()> {
         w.write_u16(self.rtype.to_u16())?;
         w.write_u16(self.class.to_u16())?;
         w.write_u32(self.ttl)?;

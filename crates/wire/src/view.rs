@@ -81,6 +81,25 @@ fn walk_name(buf: &[u8], start: usize) -> WireResult<usize> {
     }
 }
 
+/// Offset just past the name encoded at `start`, found without following
+/// a compression pointer: a name ends at its root octet or at its first
+/// pointer. Only bounds are checked — for the iterators over a buffer
+/// whose names a sweep has validated already ([`MessageView::parse`]), or
+/// whose names are read through walks that stop at a malformed one
+/// ([`NameRefLabels`], [`WireReader::read_name`]).
+fn skip_name(buf: &[u8], start: usize) -> Option<usize> {
+    let mut pos = start;
+    loop {
+        let len = *buf.get(pos)? as usize;
+        match len {
+            0 => return Some(pos + 1),
+            1..=crate::name::MAX_LABEL_LEN => pos += 1 + len,
+            0xC0.. => return Some(pos + 2),
+            _ => return None,
+        }
+    }
+}
+
 /// A borrowed domain name inside a received message: a message buffer plus
 /// the offset where the name starts. Labels are walked on demand (following
 /// compression pointers) — comparing, hashing into, or iterating a `NameRef`
@@ -92,6 +111,42 @@ pub struct NameRef<'a> {
 }
 
 impl<'a> NameRef<'a> {
+    /// The name encoded at `off` in `buf` — which need not be a message:
+    /// any buffer whose compression pointers are offsets into itself.
+    /// Nothing is validated here; walking a malformed name ends early
+    /// instead of panicking.
+    pub fn at(buf: &'a [u8], off: usize) -> NameRef<'a> {
+        NameRef { buf, off }
+    }
+
+    /// The name's label storage (its octets minus the root one) and label
+    /// count, when it is written out in full right here: `None` when the
+    /// encoding runs through a compression pointer, off the end of the
+    /// buffer, or past the length a name may have.
+    fn plain(&self) -> Option<(&'a [u8], usize)> {
+        let mut pos = self.off;
+        let mut count = 0;
+        loop {
+            let len = *self.buf.get(pos)? as usize;
+            if len == 0 {
+                return Some((&self.buf[self.off..pos], count));
+            }
+            pos += 1 + len;
+            count += 1;
+            if len > crate::name::MAX_LABEL_LEN || pos - self.off >= crate::name::MAX_NAME_LEN {
+                return None;
+            }
+        }
+    }
+
+    /// The name's octets where they sit, root octet included — `None` when
+    /// the encoding runs through a compression pointer. A serve reply
+    /// echoes its client's question from these.
+    pub fn wire_bytes(&self) -> Option<&'a [u8]> {
+        let (labels, _) = self.plain()?;
+        Some(&self.buf[self.off..=self.off + labels.len()])
+    }
+
     /// The labels, most-specific first.
     pub fn labels(&self) -> NameRefLabels<'a> {
         NameRefLabels {
@@ -115,6 +170,15 @@ impl<'a> NameRef<'a> {
     /// Case-insensitive equality against an owned [`Name`], label by label,
     /// without materializing anything.
     pub fn eq_name(&self, name: &Name) -> bool {
+        // Written out in full right here (a question, a cache key): one
+        // pass over the octets. Length octets are below 64, so folding
+        // case leaves them alone and a pointer can never pass for one.
+        let want = name.storage_bytes();
+        if let Some(here) = self.buf.get(self.off..self.off + want.len() + 1) {
+            if here[want.len()] == 0 && here[..want.len()].eq_ignore_ascii_case(want) {
+                return true;
+            }
+        }
         let mut ours = self.labels();
         let mut theirs = name.labels();
         loop {
@@ -133,6 +197,11 @@ impl<'a> NameRef<'a> {
     /// Promote to an owned [`Name`] (inline storage: allocation-free for
     /// names up to [`crate::INLINE_NAME_LEN`] octets).
     pub fn to_name(&self) -> Name {
+        // Written out in full (a question, anything this crate's encoder
+        // put inside RDATA): the octets are the name's storage as they are.
+        if let Some((labels, count)) = self.plain() {
+            return Name::from_storage(labels, count);
+        }
         let mut builder = NameBuilder::new();
         for label in self.labels() {
             if builder.push(label).is_err() {
@@ -262,6 +331,21 @@ impl<'a> RecordView<'a> {
         &self.buf[self.rdata_off..self.rdata_off + self.rdlen]
     }
 
+    /// The whole record as it sits in the buffer, from the first octet of
+    /// its owner name (which may be a compression pointer) to the last of
+    /// its RDATA.
+    pub fn wire_bytes(&self) -> &'a [u8] {
+        &self.buf[self.name_off..self.rdata_off + self.rdlen]
+    }
+
+    /// Everything after the owner name as it sits in the buffer: TYPE,
+    /// CLASS, TTL, RDLENGTH and the RDATA — what [`Record::encode_body`]
+    /// wrote, when this crate's encoder (which never compresses names
+    /// inside RDATA) produced the buffer.
+    pub fn body_bytes(&self) -> &'a [u8] {
+        &self.buf[self.rdata_off - 10..self.rdata_off + self.rdlen]
+    }
+
     /// For an A record, the address — without promotion.
     pub fn a_addr(&self) -> Option<Ipv4Addr> {
         if self.rtype == RecordType::A && self.rdlen == 4 {
@@ -277,14 +361,17 @@ impl<'a> RecordView<'a> {
     pub fn target_name(&self) -> Option<Name> {
         match self.rtype {
             RecordType::NS | RecordType::CNAME | RecordType::PTR | RecordType::DNAME => {
+                let target = NameRef {
+                    buf: self.buf,
+                    off: self.rdata_off,
+                };
+                // Written out in full, its own walk is all the checking
+                // it needs; a pointer chain is validated first.
+                if let Some((labels, count)) = target.plain() {
+                    return Some(Name::from_storage(labels, count));
+                }
                 walk_name(self.buf, self.rdata_off).ok()?;
-                Some(
-                    NameRef {
-                        buf: self.buf,
-                        off: self.rdata_off,
-                    }
-                    .to_name(),
-                )
+                Some(target.to_name())
             }
             _ => None,
         }
@@ -316,6 +403,23 @@ pub struct RecordViews<'a> {
     skip_opt: bool,
 }
 
+impl<'a> RecordViews<'a> {
+    /// Iterate `count` records encoded back to back from `pos` in `buf`,
+    /// which need not be a message (see [`NameRef::at`]). Each record's
+    /// extent is bounds-checked as it is reached and the first one that
+    /// does not fit ends the iteration; what is inside a record is checked
+    /// by whatever reads it ([`RecordView::to_record`] and the name walks
+    /// refuse or stop at malformed data).
+    pub fn over(buf: &'a [u8], pos: usize, count: u16) -> RecordViews<'a> {
+        RecordViews {
+            buf,
+            pos,
+            remaining: count,
+            skip_opt: false,
+        }
+    }
+}
+
 impl<'a> Iterator for RecordViews<'a> {
     type Item = RecordView<'a>;
 
@@ -323,7 +427,7 @@ impl<'a> Iterator for RecordViews<'a> {
         while self.remaining > 0 {
             self.remaining -= 1;
             let name_off = self.pos;
-            let after_name = walk_name(self.buf, name_off).ok()?;
+            let after_name = skip_name(self.buf, name_off)?;
             let fixed_end = after_name + 10;
             if fixed_end > self.buf.len() {
                 return None;
@@ -382,7 +486,7 @@ impl<'a> Iterator for QuestionViews<'a> {
         }
         self.remaining -= 1;
         let name_off = self.pos;
-        let after_name = walk_name(self.buf, name_off).ok()?;
+        let after_name = skip_name(self.buf, name_off)?;
         if after_name + 4 > self.buf.len() {
             return None;
         }
@@ -600,22 +704,12 @@ impl<'a> MessageView<'a> {
 
     /// Iterate the answer section.
     pub fn answers(&self) -> RecordViews<'a> {
-        RecordViews {
-            buf: self.buf,
-            pos: self.an_off,
-            remaining: self.header.ancount,
-            skip_opt: false,
-        }
+        RecordViews::over(self.buf, self.an_off, self.header.ancount)
     }
 
     /// Iterate the authority section.
     pub fn authorities(&self) -> RecordViews<'a> {
-        RecordViews {
-            buf: self.buf,
-            pos: self.ns_off,
-            remaining: self.header.nscount,
-            skip_opt: false,
-        }
+        RecordViews::over(self.buf, self.ns_off, self.header.nscount)
     }
 
     /// Iterate the additional section (the OPT pseudo-record is skipped,
@@ -1072,6 +1166,34 @@ mod tests {
             let owned = Message::decode(&bytes[..cut]);
             // Structural acceptance matches the owned decoder exactly.
             assert_eq!(view.is_ok(), owned.is_ok(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn records_over_an_unvalidated_buffer_never_panic() {
+        // `RecordViews::over` and `NameRef::at` take any bytes: every cut
+        // and every single-octet corruption of a real message, read from
+        // every offset, must end in `None`s and short names, not panics.
+        let bytes = referral().encode().unwrap();
+        let mut cases: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        for at in 0..bytes.len() {
+            for poison in [0x00, 0x3F, 0x40, 0xC0, 0xFF] {
+                let mut corrupt = bytes.clone();
+                corrupt[at] = poison;
+                cases.push(corrupt);
+            }
+        }
+        for buf in &cases {
+            for start in [0, 12, 33, buf.len()] {
+                for record in RecordViews::over(buf, start, 64) {
+                    let owner = record.name();
+                    let _ = (owner.to_name(), owner.wire_bytes(), owner.label_count());
+                    let _ = (record.target_name(), record.a_addr(), record.to_record());
+                    assert!(record.wire_bytes().ends_with(record.body_bytes()));
+                }
+                let name = NameRef::at(buf, start);
+                let _ = (name.to_name(), name.wire_bytes(), name.is_root());
+            }
         }
     }
 
