@@ -19,6 +19,7 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK_LIVE: Cell<i64> = const { Cell::new(0) };
     static TRAP: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -32,7 +33,11 @@ pub fn trap_allocations(enabled: bool) {
 }
 
 fn live_delta(bytes: i64) {
-    LIVE.with(|c| c.set(c.get() + bytes));
+    let live = LIVE.with(|c| {
+        c.set(c.get() + bytes);
+        c.get()
+    });
+    PEAK_LIVE.with(|c| c.set(c.get().max(live)));
 }
 
 fn fire_trap(size: usize) {
@@ -109,6 +114,19 @@ pub fn thread_live_bytes() -> i64 {
     LIVE.with(Cell::get)
 }
 
+/// The highest [`thread_live_bytes`] has read on the current thread since
+/// it started or since [`reset_thread_peak_live_bytes`]: what a region of
+/// code held at its worst moment, not just what it leaves behind.
+pub fn thread_peak_live_bytes() -> i64 {
+    PEAK_LIVE.with(Cell::get)
+}
+
+/// Start a new [`thread_peak_live_bytes`] reading from the current
+/// [`thread_live_bytes`].
+pub fn reset_thread_peak_live_bytes() {
+    PEAK_LIVE.with(|c| c.set(thread_live_bytes()));
+}
+
 #[cfg(test)]
 mod tests {
     // The allocator itself is exercised by `tests/zero_alloc.rs`, which
@@ -121,5 +139,7 @@ mod tests {
         let _ = thread_allocations();
         let _ = thread_alloc_bytes();
         let _ = thread_live_bytes();
+        reset_thread_peak_live_bytes();
+        let _ = thread_peak_live_bytes();
     }
 }

@@ -87,7 +87,7 @@ fn main() {
                 reader
                     .lines()
                     .map_while(Result::ok)
-                    .map(|l| l.trim().to_string())
+                    .map(trim_in_place)
                     .filter(|l| !l.is_empty() && !l.starts_with('#'))
                     .take(if max == 0 { usize::MAX } else { max }),
             )
@@ -116,9 +116,10 @@ fn main() {
                     );
                 }
                 eprintln!(
-                    "zdns: resuming scan {} — {} name(s) already complete{}",
+                    "zdns: resuming scan {} — {} name(s) already complete (output scanned in {:.3}s){}",
                     plan.manifest.scan_id,
                     plan.done.len(),
+                    plan.done_scan.as_secs_f64(),
                     plan.checkpoint
                         .as_ref()
                         .map(|c| format!(
@@ -242,6 +243,15 @@ fn main() {
             report.steady_success_rate(),
         );
     }
+}
+
+/// An input line without its surrounding whitespace, in the `String`
+/// `lines()` built for it — not in a second one.
+fn trim_in_place(mut line: String) -> String {
+    line.truncate(line.trim_end().len());
+    let leading = line.len() - line.trim_start().len();
+    line.drain(..leading);
+    line
 }
 
 /// `zdns merge`: verify that per-shard manifests describe the same scan

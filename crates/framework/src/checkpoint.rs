@@ -30,20 +30,34 @@
 //! scan keeps honouring penalties it had already incurred) and the
 //! `complete` flag `zdns merge` checks before concatenating shards.
 //!
+//! **Resume costs what is left to scan, not what is done.** The output
+//! of a scan killed at 50 M names is ~14 GB, so nothing here reads it
+//! whole: [`repair_jsonl`] looks for the last newline from the end of
+//! the file backwards, one 64 KiB chunk at a time; [`output_done_set`]
+//! reads the file once, front to back, one line in one reused buffer,
+//! validating every line in full and skipping — never failing on — a
+//! line that is malformed or not UTF-8; and the names it finds go into
+//! a [`DoneSet`], which holds them packed (a name's octets + ≤ 12 B).
+//! `zdns merge` finds each shard's torn tail the same way, read-only.
+//!
 //! This is the fingerprint → state store → timeout-transition lifecycle
 //! idiom: identity is a stable hash of the configuration, progress is an
 //! append-only record plus a compact rotating snapshot, and recovery is
 //! a pure function of the two.
 
 use std::collections::HashSet;
-use std::io::{BufRead, Read, Write};
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufRead, Read, Seek, SeekFrom, Write};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use serde_json::{json, Value};
 use zdns_netsim::InputSource;
 
 use crate::conf::Conf;
+pub use crate::done_set::DoneSet;
 
 /// Manifest/checkpoint format version (bump on incompatible change).
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -220,21 +234,14 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialize the payload line (compact JSON, no trailing newline).
     pub fn to_json(&self) -> String {
-        let backoff: Vec<Value> = self
-            .backoff
-            .iter()
-            .map(|(ip, streak, remaining)| json!([ip.to_string(), streak, remaining]))
-            .collect();
-        json!({
-            "version": CHECKPOINT_VERSION,
-            "scan_id": self.scan_id,
-            "cursor": self.cursor,
-            "completed": self.completed,
-            "outstanding": self.outstanding,
-            "backoff": backoff,
-            "complete": self.complete,
-        })
-        .to_string()
+        render_payload(
+            &self.scan_id,
+            self.cursor,
+            self.completed,
+            &self.outstanding,
+            &self.backoff,
+            self.complete,
+        )
     }
 
     /// Parse a payload line.
@@ -289,29 +296,7 @@ impl Checkpoint {
     /// `<path>.prev` first — so at every instant at least one of the two
     /// generations is a fully valid snapshot.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        self.write_inner(path, true)
-    }
-
-    /// [`Checkpoint::write`] without the fsync. Periodic snapshots use
-    /// this: they are already torn-write-safe against a process kill
-    /// (rename is atomic, the checksum rejects a torn file, `.prev` is
-    /// the fallback, and the output done-set keeps resume correct even
-    /// with no checkpoint at all), so the flush only buys power-loss
-    /// durability — not worth a disk round trip on the writer thread
-    /// every cadence. The final `complete` snapshot, which `zdns merge`
-    /// trusts, does sync.
-    pub fn write_relaxed(&self, path: &Path) -> std::io::Result<()> {
-        self.write_inner(path, false)
-    }
-
-    fn write_inner(&self, path: &Path, sync: bool) -> std::io::Result<()> {
-        let payload = self.to_json();
-        let crc = payload_crc(&payload);
-        let body = format!("{payload}\n{crc}\n");
-        // Rotate: the current generation becomes the fallback. A failure
-        // here (no current generation yet) is fine.
-        let _ = std::fs::rename(path, prev_path(path));
-        write_atomic(path, body.as_bytes(), sync)
+        write_payload(self.to_json(), path, true)
     }
 
     /// Load the newest *valid* snapshot: `path` if its checksum holds,
@@ -333,6 +318,63 @@ impl Checkpoint {
         }
         Checkpoint::from_json(payload).ok()
     }
+}
+
+/// The payload line of a snapshot: the one place that knows its member
+/// order and spelling ([`Checkpoint::to_json`] for an owned snapshot,
+/// [`CheckpointKeeper::write_snapshot`] for the keeper's borrowed window).
+fn render_payload<S: AsRef<str>>(
+    scan_id: &str,
+    cursor: u64,
+    completed: u64,
+    outstanding: &[S],
+    backoff: &[(Ipv4Addr, u32, u64)],
+    complete: bool,
+) -> String {
+    const INFALLIBLE: &str = "writing to a String cannot fail";
+    let names: usize = outstanding.iter().map(|n| n.as_ref().len() + 3).sum();
+    let mut out = String::with_capacity(160 + scan_id.len() + names + 40 * backoff.len());
+    write!(out, "{{\"version\":{CHECKPOINT_VERSION},\"scan_id\":").expect(INFALLIBLE);
+    serde_json::write_escaped(scan_id, &mut out).expect(INFALLIBLE);
+    write!(
+        out,
+        ",\"cursor\":{cursor},\"completed\":{completed},\"outstanding\":["
+    )
+    .expect(INFALLIBLE);
+    for (i, name) in outstanding.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        serde_json::write_escaped(name.as_ref(), &mut out).expect(INFALLIBLE);
+    }
+    out.push_str("],\"backoff\":[");
+    for (i, (ip, streak, remaining)) in backoff.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write!(out, "[\"{ip}\",{streak},{remaining}]").expect(INFALLIBLE);
+    }
+    write!(out, "],\"complete\":{complete}}}").expect(INFALLIBLE);
+    out
+}
+
+/// Write a payload line and its checksum line to `path`, rotating the
+/// current generation to `<path>.prev` first. `sync` is for the final,
+/// `complete` snapshot, which `zdns merge` trusts. Periodic ones go
+/// without: they are already torn-write-safe against a process kill
+/// (rename is atomic, the checksum rejects a torn file, `.prev` is the
+/// fallback, and the output done-set keeps resume correct even with no
+/// checkpoint at all), so the flush would only buy power-loss durability
+/// — not worth a disk round trip on the writer thread every cadence.
+fn write_payload(mut payload: String, path: &Path, sync: bool) -> std::io::Result<()> {
+    let crc = payload_crc(&payload);
+    payload.push('\n');
+    payload.push_str(&crc);
+    payload.push('\n');
+    // Rotate: the current generation becomes the fallback. A failure
+    // here (no current generation yet) is fine.
+    let _ = std::fs::rename(path, prev_path(path));
+    write_atomic(path, payload.as_bytes(), sync)
 }
 
 fn payload_crc(payload: &str) -> String {
@@ -372,7 +414,9 @@ pub struct ResumePlan {
     /// fingerprint, so the manifest, not the flags, is authoritative).
     pub manifest: ScanManifest,
     /// Names whose output line already exists — never re-probed.
-    pub done: HashSet<String>,
+    pub done: DoneSet,
+    /// How long reading the output for `done` took.
+    pub done_scan: Duration,
     /// The newest valid checkpoint, if any generation survived.
     pub checkpoint: Option<Checkpoint>,
     /// Bytes trimmed from the output file's torn trailing line.
@@ -408,21 +452,50 @@ pub fn prepare_resume(conf: &Conf, manifest_path: &Path) -> Result<ResumePlan, S
     }
     let repaired_bytes = repair_jsonl(Path::new(&manifest.output))
         .map_err(|e| format!("cannot repair output {}: {e}", manifest.output))?;
+    let scan_started = Instant::now();
     let done = output_done_set(Path::new(&manifest.output))
         .map_err(|e| format!("cannot read output {}: {e}", manifest.output))?;
+    let done_scan = scan_started.elapsed();
     let checkpoint = Checkpoint::load_latest(&ScanManifest::checkpoint_file(manifest_path))
         .filter(|c| c.scan_id == expected);
     Ok(ResumePlan {
         manifest,
         done,
+        done_scan,
         checkpoint,
         repaired_bytes,
     })
 }
 
+/// What the tail scan and the done-set scan read at a time.
+const CHUNK: usize = 64 << 10;
+
+/// Where `file`'s complete lines end — just past its last `\n`, 0 when
+/// it has none — and the file's length. Reads from the end backwards in
+/// [`CHUNK`]s and stops at the first newline it meets, so it costs the
+/// torn tail, not the file.
+fn complete_len(file: &mut File) -> std::io::Result<(u64, u64)> {
+    let len = file.metadata()?.len();
+    let mut chunk = vec![0u8; CHUNK.min(usize::try_from(len).unwrap_or(CHUNK))];
+    let mut end = len;
+    while end > 0 {
+        let start = end.saturating_sub(chunk.len() as u64);
+        let tail = &mut chunk[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(tail)?;
+        if let Some(newline) = tail.iter().rposition(|&b| b == b'\n') {
+            return Ok((start + newline as u64 + 1, len));
+        }
+        end = start;
+    }
+    Ok((0, len))
+}
+
 /// Truncate a JSONL file after its last complete line (returns how many
 /// torn trailing bytes were dropped). A missing file is zero lines, not
-/// an error — the scan died before its first write.
+/// an error — the scan died before its first write. Only the tail is
+/// read (backwards, 64 KiB at a time), and a file that ends in a newline
+/// is not written to at all.
 pub fn repair_jsonl(path: &Path) -> std::io::Result<u64> {
     let mut file = match std::fs::OpenOptions::new()
         .read(true)
@@ -433,38 +506,48 @@ pub fn repair_jsonl(path: &Path) -> std::io::Result<u64> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(e),
     };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let keep = match bytes.iter().rposition(|&b| b == b'\n') {
-        Some(last_newline) => last_newline + 1,
-        None => 0,
-    };
-    let torn = (bytes.len() - keep) as u64;
-    if torn > 0 {
-        file.set_len(keep as u64)?;
+    let (keep, len) = complete_len(&mut file)?;
+    if keep < len {
+        file.set_len(keep)?;
         file.sync_all()?;
     }
-    Ok(torn)
+    Ok(len - keep)
 }
 
 /// The names already completed according to a (repaired) JSONL output:
 /// every parseable line's `"name"` field. Module outputs carry the raw
 /// input line as their `name`, so this set keys directly against the
-/// input stream. Each line is validated in full — a torn or garbage line
-/// contributes nothing — but only its name is built, not its tree.
-pub fn output_done_set(path: &Path) -> std::io::Result<HashSet<String>> {
-    let file = match std::fs::File::open(path) {
+/// input stream. The file is read once, front to back, one line at a
+/// time in one reused buffer. Each line is validated in full — a torn,
+/// garbage or non-UTF-8 line contributes nothing and stops nothing — but
+/// only its name is looked at, in place unless it has escapes. The set
+/// is sized when the first name is found, taking every line to be about
+/// as long as that one.
+pub fn output_done_set(path: &Path) -> std::io::Result<DoneSet> {
+    let file = match File::open(path) {
         Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(HashSet::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(DoneSet::default()),
         Err(e) => return Err(e),
     };
-    let mut done = HashSet::new();
-    for line in std::io::BufReader::new(file).lines() {
-        let line = line?;
-        if let Some(name) = serde_json::top_level_str(&line, "name") {
-            done.insert(name);
+    let len = file.metadata()?.len();
+    let mut reader = std::io::BufReader::with_capacity(CHUNK, file);
+    let mut done = DoneSet::default();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
         }
+        let Some(name) = serde_json::top_level_str_bytes(&line, "name") else {
+            continue;
+        };
+        if done.is_empty() {
+            let lines = usize::try_from(len / line.len() as u64).unwrap_or(0);
+            done.reserve(lines, name.len());
+        }
+        done.insert(&name);
     }
+    done.shrink_to_fit();
     Ok(done)
 }
 
@@ -473,14 +556,14 @@ pub fn output_done_set(path: &Path) -> std::io::Result<HashSet<String>> {
 /// completed names are re-probed.
 pub struct DedupSource<S> {
     inner: S,
-    done: HashSet<String>,
+    done: DoneSet,
     /// Names skipped because their output already existed.
     pub skipped: u64,
 }
 
 impl<S: InputSource> DedupSource<S> {
     /// Wrap `inner`, skipping every name in `done`.
-    pub fn new(inner: S, done: HashSet<String>) -> DedupSource<S> {
+    pub fn new(inner: S, done: DoneSet) -> DedupSource<S> {
         DedupSource {
             inner,
             done,
@@ -593,25 +676,18 @@ impl CheckpointKeeper {
     /// `complete` flag is derived from drain state. Write failures are
     /// returned but non-fatal to the scan (the next snapshot retries).
     pub fn write_snapshot(&self, backoff: Vec<(Ipv4Addr, u32, u64)>) -> std::io::Result<()> {
-        let mut outstanding: Vec<String> = self.outstanding.iter().cloned().collect();
-        outstanding.sort();
+        let mut outstanding: Vec<&str> = self.outstanding.iter().map(String::as_str).collect();
+        outstanding.sort_unstable();
         let complete = self.is_complete();
-        let checkpoint = Checkpoint {
-            scan_id: self.scan_id.clone(),
-            cursor: self.cursor,
-            completed: self.completed,
-            outstanding,
-            backoff,
+        let payload = render_payload(
+            &self.scan_id,
+            self.cursor,
+            self.completed,
+            &outstanding,
+            &backoff,
             complete,
-        };
-        // Only the final generation — the one `zdns merge` trusts to say
-        // a shard finished — pays for a disk flush; mid-scan snapshots
-        // ride the rename/crc/.prev torn-write protections alone.
-        if complete {
-            checkpoint.write(&self.path)
-        } else {
-            checkpoint.write_relaxed(&self.path)
-        }
+        );
+        write_payload(payload, &self.path, complete)
     }
 }
 
@@ -620,7 +696,7 @@ impl CheckpointKeeper {
 pub struct MergeReport {
     /// Shards concatenated, in index order.
     pub shards: u32,
-    /// Output lines written.
+    /// Output lines written: the newlines copied.
     pub lines: u64,
     /// Shards whose checkpoints were not marked complete (only non-empty
     /// when merging with `--allow-partial`).
@@ -631,7 +707,10 @@ pub struct MergeReport {
 /// manifests agree: same `scan_id`, same shard count, indices covering
 /// exactly `0..n` with no duplicates, and (unless `allow_partial`) every
 /// shard's checkpoint marked complete. Shard outputs are concatenated in
-/// index order with torn trailing lines dropped.
+/// index order, byte for byte up to each one's last newline: the torn
+/// trailing line of a killed shard (`--allow-partial`) is left out, found
+/// from the end of the file, as [`repair_jsonl`] does, without writing to a shard
+/// this command does not own.
 pub fn merge_shards(
     manifest_paths: &[PathBuf],
     output_path: &Path,
@@ -703,30 +782,50 @@ pub fn merge_shards(
     }
     // Concatenate in shard-index order (deterministic merged output).
     manifests.sort_by_key(|(_, m)| m.shard_index);
-    let mut out = std::io::BufWriter::new(
-        std::fs::File::create(output_path)
-            .map_err(|e| format!("cannot create {}: {e}", output_path.display()))?,
-    );
+    let mut out = LineCounter {
+        inner: std::io::BufWriter::with_capacity(
+            CHUNK,
+            File::create(output_path)
+                .map_err(|e| format!("cannot create {}: {e}", output_path.display()))?,
+        ),
+        lines: 0,
+    };
     for (_, m) in &manifests {
-        let file = match std::fs::File::open(&m.output) {
+        let mut file = match File::open(&m.output) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => return Err(format!("cannot read shard output {}: {e}", m.output)),
         };
-        for line in std::io::BufReader::new(file).lines() {
-            let line = line.map_err(|e| format!("cannot read shard output {}: {e}", m.output))?;
-            if line.is_empty() {
-                continue;
-            }
-            writeln!(out, "{line}")
-                .map_err(|e| format!("cannot write {}: {e}", output_path.display()))?;
-            report.lines += 1;
-        }
+        let unreadable = |e| format!("cannot read shard output {}: {e}", m.output);
+        let (keep, _) = complete_len(&mut file).map_err(unreadable)?;
+        file.seek(SeekFrom::Start(0)).map_err(unreadable)?;
+        // `io::copy` reports one error for both ends; name both files.
+        std::io::copy(&mut file.take(keep), &mut out)
+            .map_err(|e| format!("cannot copy {} to {}: {e}", m.output, output_path.display()))?;
         report.shards += 1;
     }
     out.flush()
         .map_err(|e| format!("cannot write {}: {e}", output_path.display()))?;
+    report.lines = out.lines;
     Ok(report)
+}
+
+/// A writer that counts the newlines passing through it.
+struct LineCounter<W> {
+    inner: W,
+    lines: u64,
+}
+
+impl<W: Write> Write for LineCounter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let written = self.inner.write(buf)?;
+        self.lines += buf[..written].iter().filter(|&&b| b == b'\n').count() as u64;
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 #[cfg(test)]
@@ -851,9 +950,8 @@ mod tests {
         )
         .unwrap();
         let done = output_done_set(&out).unwrap();
-        let mut names: Vec<&str> = done.iter().map(String::as_str).collect();
-        names.sort_unstable();
-        assert_eq!(names, ["last.test", "we\"ird\\né.tést@192.0.2.1"]);
+        assert_eq!(done.len(), 2);
+        assert!(done.contains("last.test") && done.contains("we\"ird\\né.tést@192.0.2.1"));
 
         // Missing output = nothing done, not an error.
         assert_eq!(repair_jsonl(&dir.join("absent.jsonl")).unwrap(), 0);
@@ -862,13 +960,32 @@ mod tests {
             .is_empty());
     }
 
+    /// Regression: `BufRead::lines()` turned one line that is not UTF-8
+    /// into `InvalidData` for the whole file, and `zdns --resume` exited 2
+    /// ("stream did not contain valid UTF-8") on an output it could have
+    /// resumed from.
+    #[test]
+    fn a_line_that_is_not_utf8_is_skipped_not_fatal() {
+        let dir = temp_dir("nonutf8");
+        let out = dir.join("out.jsonl");
+        std::fs::write(
+            &out,
+            b"{\"name\":\"a.test\"}\n{\"name\":\"\xff\xfe.test\"}\n{\"name\":\"c.test\"}\n",
+        )
+        .unwrap();
+        assert_eq!(repair_jsonl(&out).unwrap(), 0);
+        let done = output_done_set(&out).unwrap();
+        assert_eq!(done.len(), 2);
+        assert!(done.contains("a.test") && done.contains("c.test"));
+    }
+
     #[test]
     fn dedup_source_skips_exactly_the_done_names() {
         let names: Vec<String> = ["a.test", "b.test", "c.test", "d.test"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let done: HashSet<String> = ["b.test".to_string(), "d.test".to_string()].into();
+        let done: DoneSet = ["b.test", "d.test"].into_iter().collect();
         let mut source = DedupSource::new(names.into_iter(), done);
         assert_eq!(source.next_name().as_deref(), Some("a.test"));
         assert_eq!(source.next_name().as_deref(), Some("c.test"));
@@ -959,8 +1076,19 @@ mod tests {
         let merged = dir.join("merged.jsonl");
         let err = merge_shards(std::slice::from_ref(&manifest_path), &merged, false).unwrap_err();
         assert!(err.contains("not marked complete"), "{err}");
-        let report = merge_shards(&[manifest_path], &merged, true).unwrap();
+        let report = merge_shards(std::slice::from_ref(&manifest_path), &merged, true).unwrap();
         assert_eq!(report.partial_shards, vec![0]);
         assert_eq!(report.lines, 1);
+
+        // A killed shard's torn tail — and a line that is not UTF-8 — in a
+        // partial merge: the tail stays out of the merged file and out of
+        // the count, the shard's own file is not touched, nothing aborts.
+        let shard: &[u8] = b"{\"name\":\"a.test\"}\n{\"name\":\"\xff.test\"}\n{\"name\":\"c.te";
+        std::fs::write(&conf.output_path, shard).unwrap();
+        let report = merge_shards(&[manifest_path], &merged, true).unwrap();
+        assert_eq!(report.lines, 2);
+        let text = std::fs::read(&merged).unwrap();
+        assert_eq!(text, &shard[..shard.len() - "{\"name\":\"c.te".len()]);
+        assert_eq!(std::fs::read(&conf.output_path).unwrap(), shard);
     }
 }

@@ -27,14 +27,15 @@
 
 pub mod checkpoint;
 pub mod conf;
+mod done_set;
 pub mod output;
 pub mod pipeline;
 pub mod runner;
 pub mod serve;
 
 pub use checkpoint::{
-    merge_shards, prepare_resume, scan_id, Checkpoint, CheckpointKeeper, DedupSource, MergeReport,
-    ResumePlan, ScanManifest,
+    merge_shards, prepare_resume, scan_id, Checkpoint, CheckpointKeeper, DedupSource, DoneSet,
+    MergeReport, ResumePlan, ScanManifest,
 };
 pub use conf::{Conf, ConfError, OutputGroup, ServeConf, Workload};
 pub use output::{CallbackSink, JsonlSink, OutputSink};
