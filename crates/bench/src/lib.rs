@@ -1,8 +1,10 @@
 //! # zdns-bench
 //!
 //! The benchmark harness: one binary per table/figure of the paper (run
-//! with `--release`; pass `--quick` for a fast smoke sweep), plus criterion
-//! microbenches for the wire codec, cache, and resolution hot paths.
+//! with `--release`; pass `--quick` for a fast smoke sweep). What the
+//! wire codec, the cache, the pacer and the reactor cost per operation
+//! is zbench's record (`wire.*`, `core.cache.*`, `core.pacer.*`,
+//! `core.reactor.scan_ns_per_lookup` under `--trace 1`).
 //!
 //! ## Calibration
 //!

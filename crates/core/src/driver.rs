@@ -5,8 +5,9 @@
 //! [`crate::reactor::Reactor`] implements [`Driver`]: an event loop that
 //! multiplexes hundreds-to-thousands of in-flight machines over one
 //! non-blocking UDP socket (the paper's architecture: thousands of lookup
-//! routines, long-lived sockets). Single lookups skip the trait and go
-//! through [`crate::resolver::drive_blocking`].
+//! routines, long-lived sockets). It is the only driver over OS sockets:
+//! a single lookup ([`crate::resolver::Resolver::lookup`]) is a scan of
+//! one machine on a reactor the caller holds.
 
 use zdns_netsim::{JobOutcome, SimClient};
 
@@ -90,18 +91,15 @@ pub struct DriverReport {
     pub datagrams_delivered: u64,
     /// Datagrams that matched no in-flight query (late, stale, or spoofed).
     pub stale_datagrams: u64,
-    /// TCP side-pool completions whose owning machine had already retired
-    /// — completions, not datagrams, so they get their own counter.
-    pub stale_tcp_completions: u64,
     /// Datagrams that would not decode.
     pub decode_errors: u64,
     /// Transient socket-level receive errors (e.g. ICMP unreachable
     /// surfaced as ECONNREFUSED) — distinct from undecodable datagrams.
     pub socket_errors: u64,
-    /// Per-query timeouts fired.
+    /// Per-query timeouts fired (UDP queries and TCP exchanges).
     pub timeouts_fired: u64,
-    /// Exchanges routed to the blocking TCP side-pool (truncation
-    /// fallback).
+    /// Exchanges handed to the TCP table (truncation fallback), counted
+    /// as they are submitted.
     pub tcp_fallbacks: u64,
     /// Highest number of concurrently in-flight machines observed.
     pub peak_in_flight: usize,
@@ -176,7 +174,6 @@ impl DriverReport {
         self.successes += other.successes;
         self.datagrams_delivered += other.datagrams_delivered;
         self.stale_datagrams += other.stale_datagrams;
-        self.stale_tcp_completions += other.stale_tcp_completions;
         self.decode_errors += other.decode_errors;
         self.socket_errors += other.socket_errors;
         self.timeouts_fired += other.timeouts_fired;

@@ -3,8 +3,8 @@
 //! The ZDNS resolver library — the paper's primary contribution,
 //! reimplemented in Rust: a caching iterative resolver that exposes full
 //! lookup chains, a selective NS/glue cache (§3.4), external-recursive and
-//! direct-probe modes, retry/TCP-fallback logic, and a blocking transport
-//! with the long-lived-UDP-socket optimization.
+//! direct-probe modes, retry/TCP-fallback logic, and an event-driven
+//! reactor over one long-lived UDP socket.
 //!
 //! Lookup logic is written as transport-agnostic state machines so the same
 //! code runs under `zdns-netsim`'s discrete-event engine (for the paper's
@@ -13,8 +13,7 @@
 //! # Example
 //!
 //! Point a [`ResolverConfig`] at external recursive resolvers — the same
-//! configuration drives the simulator, the blocking driver, and the
-//! reactor:
+//! configuration drives the simulator and the reactor:
 //!
 //! ```
 //! use zdns_core::{ResolutionMode, ResolverConfig};
@@ -42,6 +41,7 @@ pub mod result;
 pub mod serve;
 pub mod stats;
 pub mod status;
+mod tcp;
 pub mod trace;
 pub mod transport;
 
@@ -56,15 +56,15 @@ pub use machine::{
 pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};
 pub use packet_cache::{PacketCache, PacketEntry, PacketLookup};
 pub use reactor::{DemuxKey, Reactor, ReactorConfig, TimerHandle, TimerWheel, DEFAULT_BATCH_SIZE};
-pub use resolver::{collecting_sink, drive_blocking, AddrMap, Resolver};
+pub use resolver::{collecting_sink, AddrMap, Resolver};
 pub use result::{DelegationInfo, LookupResult};
 pub use serve::{ServeConfig, ServeStats, ServerRole, DEFAULT_PACKET_CACHE_CAPACITY};
 pub use stats::{Stats, StatsSnapshot};
 pub use status::Status;
 pub use trace::TraceStep;
 pub use transport::{
-    blocking_tcp_exchange, pin_to_core, BatchIo, BatchSendStatus, IoBackend, RecvBatch,
-    SendBatchStats, SendSlot, Transport, TransportError, UdpTransport, VectoredSend, MAX_BATCH,
+    pin_to_core, BatchIo, BatchSendStatus, IoBackend, RecvBatch, SendBatchStats, SendSlot,
+    VectoredSend, MAX_BATCH,
 };
 // The admission credit pool lives next to the other budgeting primitives
 // in `zdns-pacing`; re-exported so scan orchestration above this crate

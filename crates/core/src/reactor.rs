@@ -12,9 +12,10 @@
 //!   which is what makes the machines' own retry logic run without any
 //!   blocking waits; an answered query's entry is unlinked and freed at
 //!   once, so the wheel holds what is in flight and nothing else;
-//! * a small **blocking TCP side-pool** absorbs truncation-fallback
-//!   exchanges so the UDP loop never stalls on a TCP handshake (its
-//!   threads start with the first such exchange);
+//! * a **TCP table** (`tcp.rs`) carries truncation-fallback
+//!   exchanges on non-blocking connections pumped by the same loop, each
+//!   with its timeout on the same wheel — one thread, and no exchange
+//!   ever waits behind another destination's slowness;
 //! * an optional **pacer** ([`ConcurrentPacer`], via
 //!   [`Reactor::set_pacer`]) gates every UDP send against global and
 //!   per-destination budgets: deferred sends are parked on a queue whose
@@ -36,18 +37,17 @@
 //!   their credits so sibling workers absorb the stranded window.
 //!
 //! The lookup machines are unchanged — the same [`SimClient`] state
-//! machines the discrete-event simulator drives. The reactor is just the
-//! third driver for them (after the simulator and [`drive_blocking`]),
-//! and is what `run_real_scan` uses so that real-I/O throughput scales
-//! with in-flight lookups instead of OS threads.
-//!
-//! [`drive_blocking`]: crate::resolver::drive_blocking
+//! machines the discrete-event simulator drives. The reactor is the
+//! second driver for them and the only one over OS sockets: scans
+//! (`run_real_scan`), `zdns serve` and single lookups
+//! ([`Resolver::lookup`](crate::resolver::Resolver::lookup)) all run on
+//! it, so real-I/O throughput scales with in-flight lookups instead of
+//! OS threads.
 
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, MILLIS};
@@ -58,10 +58,9 @@ use crate::driver::{Admission, Driver, DriverReport};
 use crate::pacer::{ConcurrentGate, ConcurrentPacer};
 use crate::resolver::AddrMap;
 use crate::serve::{ServeStats, ServerRole};
+use crate::tcp::{Exchange, TcpTable};
 use crate::transport::readiness;
-use crate::transport::{
-    blocking_tcp_exchange, BatchIo, BatchSendStatus, IoBackend, SendSlot, TransportError,
-};
+use crate::transport::{BatchIo, BatchSendStatus, IoBackend, SendSlot};
 
 /// Tunables for one reactor.
 #[derive(Debug, Clone)]
@@ -104,11 +103,12 @@ pub struct ReactorConfig {
 /// syscall cost, shallow enough that the arena stays ~2 MB per worker.
 pub const DEFAULT_BATCH_SIZE: usize = 32;
 
-/// Threads in the blocking TCP side-pool (truncation fallback).
-const TCP_POOL_THREADS: usize = 2;
-
 /// Timer-wheel slot count (a power of two).
 const WHEEL_SLOTS: usize = 1_024;
+
+/// Largest window the demux table is sized for up front; a wider one
+/// grows the table as it fills, like any map.
+const MAX_PRESIZED: usize = 1 << 16;
 
 impl Default for ReactorConfig {
     fn default() -> Self {
@@ -332,96 +332,6 @@ impl TimerWheel {
 }
 
 // ---------------------------------------------------------------------------
-// TCP side-pool
-// ---------------------------------------------------------------------------
-
-struct TcpJob {
-    slot: usize,
-    generation: u64,
-    tag: u64,
-    sim_ip: Ipv4Addr,
-    query: zdns_wire::Message,
-    to: SocketAddr,
-    timeout: Duration,
-}
-
-struct TcpDone {
-    slot: usize,
-    generation: u64,
-    tag: u64,
-    sim_ip: Ipv4Addr,
-    result: Result<zdns_wire::Message, TransportError>,
-}
-
-struct TcpPool {
-    /// Threads to run once there is work for them.
-    workers: usize,
-    tx: Option<mpsc::Sender<TcpJob>>,
-    /// Handed to the threads when they start; `None` from then on.
-    job_rx: Option<mpsc::Receiver<TcpJob>>,
-    done_tx: mpsc::Sender<TcpDone>,
-    rx: mpsc::Receiver<TcpDone>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl TcpPool {
-    /// Set the pool up; its threads start with the first job
-    /// ([`TcpPool::submit`]), so a scan that never falls back to TCP
-    /// never spawns or joins one.
-    fn start(workers: usize) -> TcpPool {
-        let (tx, job_rx) = mpsc::channel::<TcpJob>();
-        let (done_tx, rx) = mpsc::channel::<TcpDone>();
-        TcpPool {
-            workers: workers.max(1),
-            tx: Some(tx),
-            job_rx: Some(job_rx),
-            done_tx,
-            rx,
-            threads: Vec::new(),
-        }
-    }
-
-    /// Queue one exchange, starting the threads if this is the first.
-    /// `false` if no thread is left to take it.
-    fn submit(&mut self, job: TcpJob) -> bool {
-        if let Some(job_rx) = self.job_rx.take() {
-            let job_rx = Arc::new(Mutex::new(job_rx));
-            for _ in 0..self.workers {
-                let job_rx = Arc::clone(&job_rx);
-                let done_tx = self.done_tx.clone();
-                self.threads.push(std::thread::spawn(move || loop {
-                    let job = match job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-                        Ok(job) => job,
-                        Err(_) => return,
-                    };
-                    let result = blocking_tcp_exchange(&job.query, job.to, job.timeout);
-                    let done = TcpDone {
-                        slot: job.slot,
-                        generation: job.generation,
-                        tag: job.tag,
-                        sim_ip: job.sim_ip,
-                        result,
-                    };
-                    if done_tx.send(done).is_err() {
-                        return;
-                    }
-                }));
-            }
-        }
-        self.tx.as_ref().is_some_and(|tx| tx.send(job).is_ok())
-    }
-}
-
-impl Drop for TcpPool {
-    fn drop(&mut self) {
-        self.tx.take(); // close the job queue so the threads exit
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The reactor
 // ---------------------------------------------------------------------------
 
@@ -438,7 +348,7 @@ struct Slot {
     machine: Box<dyn SimClient>,
     /// Demux keys of this machine's in-flight UDP queries.
     keys: Vec<DemuxKey>,
-    /// Exchanges parked in the TCP side-pool.
+    /// Exchanges in the TCP table.
     tcp_pending: usize,
     /// Sends held on the pacer's deferred queue.
     deferred: usize,
@@ -559,8 +469,7 @@ pub struct Reactor {
     next_token: u64,
     txid_cursor: u16,
     started: Instant,
-    tcp: TcpPool,
-    tcp_inflight: usize,
+    tcp: TcpTable,
     report: DriverReport,
     /// `Option` so [`Reactor::drain_datagrams`] can move the arena out
     /// while borrowed views over it are delivered to machines (which need
@@ -619,9 +528,14 @@ impl Reactor {
         // responses arrive in bursts the default buffer would drop.
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
         let wheel = TimerWheel::new(WHEEL_SLOTS, config.wheel_granularity);
-        let tcp = TcpPool::start(TCP_POOL_THREADS);
         let batch = BatchIo::with_backend(config.io_backend, config.batch_size);
         let started = config.epoch.unwrap_or_else(Instant::now);
+        // Room for twice the window: a table this churned fills with
+        // tombstones, and the map clears them in place only while it is at
+        // most half full — above that it moves to a bigger allocation, at
+        // whatever moment of the scan the tombstones happen to run out.
+        let window = config.max_in_flight.min(MAX_PRESIZED);
+        let demux = HashMap::with_capacity(2 * (window + 1));
         Ok(Reactor {
             socket,
             addr_map,
@@ -630,7 +544,7 @@ impl Reactor {
             generations: Vec::new(),
             free_slots: Vec::new(),
             in_flight: 0,
-            demux: HashMap::new(),
+            demux,
             wheel,
             pacer: None,
             credits: None,
@@ -639,8 +553,7 @@ impl Reactor {
             next_token: 0,
             txid_cursor: 1,
             started,
-            tcp,
-            tcp_inflight: 0,
+            tcp: TcpTable::default(),
             report: DriverReport::default(),
             batch: Some(batch),
             staged: Vec::new(),
@@ -739,6 +652,11 @@ impl Reactor {
     /// In-flight UDP queries awaiting demux.
     pub fn pending_queries(&self) -> usize {
         self.demux.len()
+    }
+
+    /// TCP connections currently open for truncation-fallback exchanges.
+    pub fn open_tcp_connections(&self) -> usize {
+        self.tcp.open_connections()
     }
 
     /// Sends currently held on the pacer's deferred queue.
@@ -888,7 +806,7 @@ impl Reactor {
     }
 
     /// A running machine with nothing in flight would hang the scan; fail
-    /// it closed, mirroring `drive_blocking`. A machine whose sends are
+    /// it closed. A machine whose sends are
     /// merely held by the pacer — or staged for the next batch flush —
     /// is waiting, not wedged.
     fn reap_if_wedged(&mut self, idx: usize, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
@@ -910,8 +828,11 @@ impl Reactor {
     }
 
     /// Release a finished machine's slot and cancel anything it left in
-    /// the demux table or timer wheel.
+    /// the demux table, the TCP table or the timer wheel.
     fn retire(&mut self, idx: usize, slot: Slot) {
+        if slot.tcp_pending > 0 {
+            self.tcp.close_slot(idx, &mut self.wheel);
+        }
         let mut keys = slot.keys;
         for key in keys.drain(..) {
             if let Some(pending) = self.demux.remove(&key) {
@@ -1011,8 +932,8 @@ impl Reactor {
     }
 
     /// Route a machine's emitted queries: UDP through the pacer (then
-    /// the shared socket + demux table + timer wheel), TCP through the
-    /// side-pool.
+    /// the shared socket + demux table + timer wheel), TCP into the TCP
+    /// table.
     fn register_out(
         &mut self,
         idx: usize,
@@ -1022,25 +943,31 @@ impl Reactor {
         for oq in out.drain(..) {
             match oq.protocol {
                 Protocol::Tcp => {
-                    let dest = (self.addr_map)(oq.to);
-                    let job = TcpJob {
+                    let Ok(query) = oq.to_message().encode() else {
+                        immediate.push(ClientEvent::TransportFailed { tag: oq.tag });
+                        continue;
+                    };
+                    // The timeout runs from here, waiting for a
+                    // connection included, on the wheel the UDP queries
+                    // and the deferred sends use (and, like a deferred
+                    // send, found again by its token).
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    let timer = self.wheel.arm(self.now() + oq.timeout, token, pace_key());
+                    self.tcp.submit(Exchange {
+                        token,
                         slot: idx,
-                        generation: self.generations[idx],
                         tag: oq.tag,
                         sim_ip: oq.to,
-                        query: oq.to_message(),
-                        to: dest,
+                        to: (self.addr_map)(oq.to),
                         timeout: Duration::from_nanos(oq.timeout),
-                    };
-                    if self.tcp.submit(job) {
-                        if let Some(slot) = self.slots[idx].as_mut() {
-                            slot.tcp_pending += 1;
-                        }
-                        self.tcp_inflight += 1;
-                        self.report.tcp_fallbacks += 1;
-                    } else {
-                        immediate.push(ClientEvent::TransportFailed { tag: oq.tag });
+                        timer,
+                        query,
+                    });
+                    if let Some(slot) = self.slots[idx].as_mut() {
+                        slot.tcp_pending += 1;
                     }
+                    self.report.tcp_fallbacks += 1;
                 }
                 Protocol::Udp => match self.pace_admit(oq.to) {
                     PaceDecision::Ready => self.stage_send(idx, oq, 0),
@@ -1304,7 +1231,7 @@ impl Reactor {
         on_done: &mut dyn FnMut(Option<JobOutcome>),
     ) {
         let Some(mut slot) = self.slots[idx].take() else {
-            return; // machine already retired (e.g. late TCP completion)
+            return; // machine already retired
         };
         let mut out = self.take_out_buf();
         let status = slot.machine.on_event(event, self.now(), &mut out);
@@ -1408,42 +1335,41 @@ impl Reactor {
         self.server = server;
     }
 
-    /// Collect finished TCP side-pool exchanges.
-    fn drain_tcp(&mut self, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
-        while let Ok(done) = self.tcp.rx.try_recv() {
-            self.tcp_inflight -= 1;
-            if self.generations[done.slot] != done.generation {
-                // The owning machine retired while this exchange was in the
-                // side-pool; the slot may already belong to someone else.
-                // These are completions, not datagrams — they get their own
-                // counter so demux telemetry stays honest.
-                self.report.stale_tcp_completions += 1;
-                continue;
-            }
-            if let Some(slot) = self.slots[done.slot].as_mut() {
-                slot.tcp_pending -= 1;
-            }
-            let event = match done.result {
-                Ok(message) => {
-                    self.pace_feedback(done.sim_ip, true);
-                    ClientEvent::Response {
-                        tag: done.tag,
-                        from: done.sim_ip,
-                        message: MsgRef::Owned(message),
-                        protocol: Protocol::Tcp,
-                    }
-                }
-                Err(TransportError::Timeout) => {
-                    self.pace_feedback(done.sim_ip, false);
-                    ClientEvent::Timeout { tag: done.tag }
-                }
-                Err(_) => {
-                    self.pace_feedback(done.sim_ip, false);
-                    ClientEvent::TransportFailed { tag: done.tag }
-                }
-            };
-            self.deliver(done.slot, event, on_done);
+    /// Pump the TCP table and hand every exchange that ended to its
+    /// machine.
+    fn pump_tcp(&mut self, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
+        if self.tcp.is_empty() {
+            return;
         }
+        let mut finished = Vec::new();
+        self.tcp.pump(&mut finished);
+        for (exchange, answer) in finished {
+            self.wheel.cancel(exchange.timer);
+            self.pace_feedback(exchange.sim_ip, answer.is_some());
+            let event = match answer {
+                Some(message) => ClientEvent::Response {
+                    tag: exchange.tag,
+                    from: exchange.sim_ip,
+                    message: MsgRef::Owned(message),
+                    protocol: Protocol::Tcp,
+                },
+                None => ClientEvent::TransportFailed { tag: exchange.tag },
+            };
+            self.deliver_tcp(exchange.slot, event, on_done);
+        }
+    }
+
+    /// Deliver the end of one of `idx`'s TCP exchanges.
+    fn deliver_tcp(
+        &mut self,
+        idx: usize,
+        event: ClientEvent<'_>,
+        on_done: &mut dyn FnMut(Option<JobOutcome>),
+    ) {
+        if let Some(slot) = self.slots[idx].as_mut() {
+            slot.tcp_pending -= 1;
+        }
+        self.deliver(idx, event, on_done);
     }
 
     /// Drop every held send together with its release timer (end of run).
@@ -1464,6 +1390,15 @@ impl Reactor {
                 // Staged, not sent: every deferred release maturing on
                 // this tick lands in the same upcoming batch flush.
                 self.release_deferred(sent);
+                continue;
+            }
+            if let Some(exchange) = self.tcp.take(token) {
+                // Dropping the exchange closes its connection, if it
+                // ever got one.
+                self.report.timeouts_fired += 1;
+                self.pace_feedback(exchange.sim_ip, false);
+                let event = ClientEvent::Timeout { tag: exchange.tag };
+                self.deliver_tcp(exchange.slot, event, on_done);
                 continue;
             }
             let stale = match self.demux.get(&key) {
@@ -1504,7 +1439,7 @@ impl Reactor {
     pub fn serve_tick(&mut self) {
         let mut on_done = |_outcome: Option<JobOutcome>| {};
         self.drain_datagrams(&mut on_done);
-        self.drain_tcp(&mut on_done);
+        self.pump_tcp(&mut on_done);
         self.fire_timers(&mut on_done);
         if let Some(mut role) = self.server.take() {
             let now = self.now();
@@ -1538,7 +1473,7 @@ impl Reactor {
 
             let now = self.now();
             let mut wait_ns = self.wheel.ns_until_next_tick(now).unwrap_or(5 * MILLIS);
-            if self.tcp_inflight > 0 {
+            if !self.tcp.is_empty() {
                 wait_ns = wait_ns.min(2 * MILLIS);
             }
             if self.server.as_ref().is_some_and(|r| r.wants_fast_tick()) {
@@ -1586,7 +1521,7 @@ impl Reactor {
     /// (through `on_done`, or through the machines' own sinks) into a
     /// block and pass it on a block at a time. The loop calls it wherever
     /// a collected block would otherwise sit and wait: before every sleep,
-    /// at the end of every pass over the socket, the TCP pool and the
+    /// at the end of every pass over the socket, the TCP table and the
     /// timers, and once more when the scan is over. The caller may also
     /// pass a block on from inside a completion once it is full; a
     /// `hand_off` that blocks (a full queue downstream) stalls this
@@ -1655,11 +1590,12 @@ impl Reactor {
                 break;
             }
 
-            // Sleep until the next timer tick could fire, capped so TCP
-            // completions and a refilling source are noticed promptly.
+            // Sleep until the next timer tick could fire, capped so the
+            // TCP table (whose sockets this wait does not watch) and a
+            // refilling source are looked at promptly.
             let now = self.now();
             let mut wait_ns = self.wheel.ns_until_next_tick(now).unwrap_or(5 * MILLIS);
-            if self.tcp_inflight > 0 || !exhausted {
+            if !self.tcp.is_empty() || !exhausted {
                 wait_ns = wait_ns.min(2 * MILLIS);
             }
             let wait_ms = wait_ns.div_ceil(MILLIS).clamp(0, 50) as i32;
@@ -1671,7 +1607,7 @@ impl Reactor {
             }
 
             self.drain_datagrams(on_done);
-            self.drain_tcp(on_done);
+            self.pump_tcp(on_done);
             self.fire_timers(on_done);
             // Same-tick coalescing: retries emitted by responses and
             // timeouts above, plus deferred releases that just matured,
@@ -1688,6 +1624,7 @@ impl Reactor {
         // bad) with completions still in the caller's hands.
         hand_off();
         debug_assert!(self.staged.is_empty(), "staged sends leaked past the scan");
+        debug_assert!(self.tcp.is_empty(), "TCP exchanges leaked past the scan");
         debug_assert!(
             self.credits.as_ref().map_or(0, |c| c.held) == 0 && self.parked_count == 0,
             "credits leaked past the scan"
@@ -1776,82 +1713,6 @@ mod tests {
         wheel.expire(8 * MILLIS, &mut fired);
         assert_eq!(fired.iter().map(|(t, _)| *t).collect::<Vec<_>>(), vec![3]);
         assert_eq!((wheel.stored(), wheel.slab_len()), (0, 2));
-    }
-
-    #[test]
-    fn tcp_pool_threads_wait_for_the_first_tcp_exchange() {
-        use zdns_wire::{Question, RData, Record, RecordType};
-        use zdns_zones::{ExplicitUniverse, Universe, Zone};
-
-        // One loopback server; `fat.lazy.test` answers TC=1 over UDP.
-        let server_ip = Ipv4Addr::new(203, 0, 113, 90);
-        let mut zone = Zone::new(
-            "lazy.test".parse().unwrap(),
-            "ns1.lazy.test".parse().unwrap(),
-            300,
-        );
-        for i in 0..8u8 {
-            zone.add(Record::new(
-                format!("u{i}.lazy.test").parse().unwrap(),
-                300,
-                RData::A(Ipv4Addr::new(10, 9, 0, i)),
-            ));
-        }
-        for i in 0..24 {
-            let text = format!("{}{i}", "x".repeat(60));
-            zone.add(Record::new(
-                "fat.lazy.test".parse().unwrap(),
-                300,
-                RData::Txt(zdns_wire::rdata::TxtData::from_text(&text)),
-            ));
-        }
-        let mut universe = ExplicitUniverse::new();
-        universe.host(server_ip, zone);
-        let server =
-            zdns_netsim::WireServer::start(Arc::new(universe) as Arc<dyn Universe>, server_ip)
-                .unwrap();
-        let real = server.addr();
-        let resolver = crate::Resolver::new(crate::ResolverConfig::external(vec![server_ip]));
-        let mut reactor = Reactor::new(
-            ReactorConfig {
-                source: Ipv4Addr::LOCALHOST,
-                ..ReactorConfig::default()
-            },
-            Arc::new(move |_| real),
-        )
-        .unwrap();
-        let scan = |reactor: &mut Reactor, questions: Vec<Question>| {
-            let mut machines: Vec<_> = questions
-                .into_iter()
-                .map(|q| resolver.machine(q, None))
-                .collect();
-            reactor.run_scan(
-                &mut || {
-                    machines
-                        .pop()
-                        .map_or(Admission::Exhausted, Admission::Admit)
-                },
-                &mut |_| {},
-            )
-        };
-
-        let udp_only = (0..8)
-            .map(|i| Question::new(format!("u{i}.lazy.test").parse().unwrap(), RecordType::A))
-            .collect();
-        let report = scan(&mut reactor, udp_only);
-        assert_eq!((report.successes, report.tcp_fallbacks), (8, 0));
-        assert!(
-            reactor.tcp.threads.is_empty() && reactor.tcp.job_rx.is_some(),
-            "a scan that never saw TC=1 must not start the TCP pool"
-        );
-
-        let truncated = vec![Question::new(
-            "fat.lazy.test".parse().unwrap(),
-            RecordType::TXT,
-        )];
-        let report = scan(&mut reactor, truncated);
-        assert_eq!((report.successes, report.tcp_fallbacks), (1, 1));
-        assert_eq!(reactor.tcp.threads.len(), TCP_POOL_THREADS);
     }
 
     #[test]

@@ -2,25 +2,24 @@
 //!
 //! A [`Resolver`] wraps the shared [`ResolverCore`] (config + selective
 //! cache + stats) and hands out lookup machines: feed them to the
-//! discrete-event engine for scale experiments, or drive them over real
-//! sockets with [`Resolver::lookup`].
+//! discrete-event engine for scale experiments, or to a [`Reactor`] to
+//! run them over real sockets — [`Resolver::lookup`] does that for one.
 
-use std::collections::VecDeque;
 use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
-use zdns_netsim::{ClientEvent, SimClient, StepStatus};
+use zdns_netsim::SimClient;
 use zdns_wire::{Question, RecordType};
 
 use crate::config::{ResolutionMode, ResolverConfig};
+use crate::driver::{Admission, Driver};
 use crate::machine::{
     DirectMachine, ExternalMachine, IterativeMachine, ResolveTarget, ResolverCore, ResultSink,
 };
+use crate::reactor::Reactor;
 use crate::result::LookupResult;
 use crate::status::Status;
-use crate::transport::{Transport, TransportError};
 
 /// Maps a destination IP to a concrete socket address — identity (`ip:53`)
 /// in production; tests remap simulated server IPs onto loopback ports.
@@ -94,116 +93,60 @@ impl Resolver {
         ))
     }
 
-    /// Perform one blocking lookup over a real transport. `addr_map`
-    /// rewrites simulated server IPs to reachable socket addresses.
-    pub fn lookup(
-        &self,
-        question: Question,
-        transport: &mut dyn Transport,
-        addr_map: &AddrMap,
-    ) -> LookupResult {
+    /// Perform one lookup over real sockets and wait for it: a scan of one
+    /// machine on `reactor`, which the caller keeps — and with it the
+    /// socket, so successive lookups leave from one source port. The
+    /// reactor's address map rewrites server IPs to reachable addresses.
+    pub fn lookup(&self, question: Question, reactor: &mut Reactor) -> LookupResult {
         let slot: Arc<Mutex<Option<LookupResult>>> = Arc::new(Mutex::new(None));
         let slot_clone = Arc::clone(&slot);
         let sink: ResultSink = Arc::new(move |r| {
             *slot_clone.lock() = Some(r);
         });
-        let mut machine = self.machine(question.clone(), Some(sink));
+        let mut machine = Some(self.machine(question.clone(), Some(sink)));
         let started = std::time::Instant::now();
-        drive_blocking(machine.as_mut(), transport, addr_map);
+        reactor.run_scan(
+            &mut || {
+                machine
+                    .take()
+                    .map_or(Admission::Exhausted, Admission::Admit)
+            },
+            &mut |_| {},
+        );
         let result = slot.lock().take();
         result.unwrap_or_else(|| LookupResult {
-            name: question.name.clone(),
-            qtype: question.qtype,
-            status: Status::Error,
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-            flags: None,
-            resolver: None,
-            protocol: "udp",
-            trace: Vec::new(),
-            delegation: None,
-            queries_sent: 0,
-            retries_used: 0,
             duration: started.elapsed().as_nanos() as u64,
-            timestamp: 0,
+            ..unanswered(question.name, question.qtype, Status::Error)
         })
     }
 
-    /// Convenience: blocking A-record lookup by name string.
-    pub fn lookup_a(
-        &self,
-        name: &str,
-        transport: &mut dyn Transport,
-        addr_map: &AddrMap,
-    ) -> LookupResult {
+    /// Convenience: [`Resolver::lookup`] of an A record by name string.
+    pub fn lookup_a(&self, name: &str, reactor: &mut Reactor) -> LookupResult {
         match name.parse() {
-            Ok(parsed) => self.lookup(Question::new(parsed, RecordType::A), transport, addr_map),
-            Err(_) => LookupResult {
-                name: zdns_wire::Name::root(),
-                qtype: RecordType::A,
-                status: Status::IllegalInput,
-                answers: Vec::new(),
-                authorities: Vec::new(),
-                additionals: Vec::new(),
-                flags: None,
-                resolver: None,
-                protocol: "udp",
-                trace: Vec::new(),
-                delegation: None,
-                queries_sent: 0,
-                retries_used: 0,
-                duration: 0,
-                timestamp: 0,
-            },
+            Ok(parsed) => self.lookup(Question::new(parsed, RecordType::A), reactor),
+            Err(_) => unanswered(zdns_wire::Name::root(), RecordType::A, Status::IllegalInput),
         }
     }
 }
 
-/// Drive any lookup machine to completion over a blocking transport —
-/// the real-socket counterpart of feeding the machine to the simulator.
-/// Returns the machine's final outcome.
-///
-/// Queries the machine emits are serviced strictly in emission order (a
-/// blocking transport can only have one exchange on the wire at a time);
-/// everything emitted in one step is kept, not just the last query. I/O
-/// failures surface as [`ClientEvent::TransportFailed`], so machines can
-/// report `Status::Error` rather than mislabelling them as timeouts.
-pub fn drive_blocking(
-    machine: &mut dyn SimClient,
-    transport: &mut dyn Transport,
-    addr_map: &AddrMap,
-) -> Option<zdns_netsim::JobOutcome> {
-    let started = std::time::Instant::now();
-    let mut out = Vec::new();
-    let mut status = machine.start(0, &mut out);
-    let mut queue: std::collections::VecDeque<zdns_netsim::OutQuery> = VecDeque::new();
-    loop {
-        queue.extend(out.drain(..));
-        if let StepStatus::Done(outcome) = status {
-            return Some(outcome);
-        }
-        let Some(oq) = queue.pop_front() else {
-            // A running machine with nothing in flight is a bug; fail
-            // closed rather than spinning.
-            return None;
-        };
-        let dest = addr_map(oq.to);
-        let timeout = Duration::from_nanos(oq.timeout);
-        let query = oq.to_message();
-        let exchanged = transport.exchange(&query, dest, oq.protocol, timeout);
-        let now = started.elapsed().as_nanos() as u64;
-        let event = match exchanged {
-            Ok(message) => ClientEvent::Response {
-                tag: oq.tag,
-                from: oq.to,
-                message: zdns_wire::MsgRef::Owned(message),
-                protocol: oq.protocol,
-            },
-            Err(TransportError::Timeout) => ClientEvent::Timeout { tag: oq.tag },
-            Err(_) => ClientEvent::TransportFailed { tag: oq.tag },
-        };
-        status = machine.on_event(event, now, &mut out);
+/// The result of a lookup that never got one from its machine.
+fn unanswered(name: zdns_wire::Name, qtype: RecordType, status: Status) -> LookupResult {
+    LookupResult {
+        name,
+        qtype,
+        status,
+        answers: Vec::new(),
+        authorities: Vec::new(),
+        additionals: Vec::new(),
+        flags: None,
+        resolver: None,
+        protocol: "udp",
+        trace: Vec::new(),
+        delegation: None,
+        queries_sent: 0,
+        retries_used: 0,
+        duration: 0,
+        timestamp: 0,
     }
 }
 
@@ -219,38 +162,14 @@ pub fn collecting_sink() -> (ResultSink, Arc<Mutex<Vec<LookupResult>>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::ReactorConfig;
 
     #[test]
     fn illegal_input_short_circuits() {
         let resolver = Resolver::new(ResolverConfig::external(vec!["192.0.2.1".parse().unwrap()]));
-        let mut transport = NoopTransport;
-        let map: Box<AddrMap> = Box::new(|ip| SocketAddr::new(ip.into(), 53));
-        let r = resolver.lookup_a("bad..name", &mut transport, &map);
+        let map: Arc<AddrMap> = Arc::new(|ip| SocketAddr::new(ip.into(), 53));
+        let mut reactor = Reactor::new(ReactorConfig::default(), map).unwrap();
+        let r = resolver.lookup_a("bad..name", &mut reactor);
         assert_eq!(r.status, Status::IllegalInput);
-    }
-
-    struct NoopTransport;
-    impl Transport for NoopTransport {
-        fn exchange(
-            &mut self,
-            _q: &zdns_wire::Message,
-            _to: SocketAddr,
-            _p: zdns_netsim::Protocol,
-            _t: Duration,
-        ) -> Result<zdns_wire::Message, TransportError> {
-            Err(TransportError::Timeout)
-        }
-    }
-
-    #[test]
-    fn external_lookup_times_out_cleanly() {
-        let mut config = ResolverConfig::external(vec!["192.0.2.1".parse().unwrap()]);
-        config.retries = 1;
-        let resolver = Resolver::new(config);
-        let mut transport = NoopTransport;
-        let map: Box<AddrMap> = Box::new(|ip| SocketAddr::new(ip.into(), 53));
-        let r = resolver.lookup_a("example.com", &mut transport, &map);
-        assert_eq!(r.status, Status::Timeout);
-        assert_eq!(r.queries_sent, 2); // initial + 1 retry
     }
 }

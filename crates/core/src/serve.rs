@@ -36,21 +36,21 @@
 //!   the next [`Reactor::serve_tick`](crate::reactor::Reactor::serve_tick)
 //!   drains back to the client.
 //! * **TCP serving** — a non-blocking listener plus a connection table on
-//!   the same event loop: length-prefixed reads with partial-frame carry,
-//!   buffered writes with partial-write carry, idle reaping. UDP replies
+//!   the same event loop, each connection a [`FramedConn`] (the framing
+//!   the reactor's own TCP fallback and the loopback wire server pump
+//!   through too), with a per-tick read budget and idle reaping. UDP replies
 //!   that exceed the client's advertised payload size come back truncated
 //!   (TC set) so the client retries here.
 //!
 //! Time is real: a [`Clock`] maps monotonic wall time into the `SimTime`
 //! nanosecond domain the cache, buckets, and timer wheel already speak.
 
-use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use zdns_netsim::{SimClient, SimTime, SECONDS};
+use zdns_netsim::{FramedConn, SimClient, SimTime, SECONDS};
 use zdns_pacing::ClientBuckets;
 use zdns_wire::{
     min_answer_ttl, Cookie, Edns, Flags, Header, Message, MessageView, Question, Rcode, RcodeField,
@@ -243,15 +243,9 @@ enum HandleOutcome {
 }
 
 struct TcpConn {
-    stream: TcpStream,
+    framed: FramedConn<TcpStream>,
     peer: SocketAddr,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
     last_seen: SimTime,
-    /// Peer half-closed its write side; keep the connection only long
-    /// enough to flush answers still in flight.
-    closed_read: bool,
 }
 
 /// The server half of a bidirectional reactor: fairness gate, cache
@@ -738,10 +732,7 @@ impl ServerRole {
                     if msg.encode_into(&mut self.scratch).is_err() {
                         continue;
                     }
-                    let bytes = self.scratch.message_bytes();
-                    conn.write_buf
-                        .extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-                    conn.write_buf.extend_from_slice(bytes);
+                    conn.framed.queue_frame(self.scratch.message_bytes());
                     conn.last_seen = now;
                     ServeStats::bump(&self.stats.responses);
                 }
@@ -793,13 +784,9 @@ impl ServerRole {
                     }
                     let _ = stream.set_nodelay(true);
                     let conn = TcpConn {
-                        stream,
+                        framed: FramedConn::new(stream),
                         peer,
-                        read_buf: Vec::new(),
-                        write_buf: Vec::new(),
-                        write_pos: 0,
                         last_seen: now,
-                        closed_read: false,
                     };
                     match self.conns.iter().position(Option::is_none) {
                         Some(slot) => self.conns[slot] = Some(conn),
@@ -829,71 +816,25 @@ impl ServerRole {
     ) -> bool {
         // Writes first: answers queued by earlier ticks (forwarded
         // lookups) leave before new reads can queue more.
-        while conn.write_pos < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    conn.write_pos += n;
-                    conn.last_seen = now;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
+        let (Ok(wrote), Ok(_)) = (conn.framed.flush(), conn.framed.fill(TCP_READ_BUDGET)) else {
+            return false;
+        };
+        if wrote > 0 {
+            conn.last_seen = now;
         }
-        if conn.write_pos > 0 && conn.write_pos == conn.write_buf.len() {
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-        }
-
-        let mut tmp = [0u8; 4096];
-        let mut budget = TCP_READ_BUDGET;
-        loop {
-            // Answer every complete frame already buffered.
-            while conn.read_buf.len() >= 2 {
-                let need = 2 + u16::from_be_bytes([conn.read_buf[0], conn.read_buf[1]]) as usize;
-                if conn.read_buf.len() < need {
-                    break;
-                }
-                conn.last_seen = now;
-                let outcome = self.handle_query(
-                    &conn.read_buf[2..need],
-                    conn.peer,
-                    Via::Tcp { slot, generation },
-                    now,
-                );
-                if let HandleOutcome::Respond = outcome {
-                    let bytes = self.scratch.message_bytes();
-                    conn.write_buf
-                        .extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-                    conn.write_buf.extend_from_slice(bytes);
-                    ServeStats::bump(&self.stats.responses);
-                }
-                conn.read_buf.drain(..need);
-            }
-            if conn.closed_read || budget == 0 {
-                break;
-            }
-            match conn.stream.read(&mut tmp) {
-                Ok(0) => {
-                    conn.closed_read = true;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&tmp[..n]);
-                    budget = budget.saturating_sub(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
+        // Answer every complete frame buffered.
+        while let Some(frame) = conn.framed.frame() {
+            conn.last_seen = now;
+            let outcome = self.handle_query(frame, conn.peer, Via::Tcp { slot, generation }, now);
+            conn.framed.consume();
+            if let HandleOutcome::Respond = outcome {
+                conn.framed.queue_frame(self.scratch.message_bytes());
+                ServeStats::bump(&self.stats.responses);
             }
         }
         // Half-closed and fully flushed: nothing more can happen here.
-        if conn.closed_read && conn.write_pos == conn.write_buf.len() {
-            return false;
-        }
-        // Unflushed writes on a connection we still hold: try again next
-        // tick.
-        true
+        // Otherwise unflushed writes are tried again next tick.
+        !(conn.framed.peer_closed() && conn.framed.is_flushed())
     }
 }
 

@@ -1,22 +1,17 @@
-//! Transports over real OS sockets.
+//! The reactor's datagram I/O over its one long-lived UDP socket (the
+//! paper's socket-reuse optimization: bound once, reused for every
+//! destination; TCP connections, opened only on truncation, are
+//! `tcp.rs`'s).
 //!
-//! `UdpTransport` implements the paper's socket-reuse optimization: one
-//! long-lived unconnected UDP socket per lookup routine, bound once to a
-//! static source port and reused for every destination, with TCP
-//! connections created only on demand (truncation fallback).
-//!
-//! [`BatchIo`] is the reactor's batched syscall layer: it coalesces
+//! [`BatchIo`] is the batched syscall layer: it coalesces
 //! same-tick sends into single `sendmmsg(2)` calls and drains the socket
 //! through a reusable `recvmmsg(2)` arena, with an automatic per-datagram
 //! fallback (`send_to`/`recv_from`) for non-Linux targets and for
 //! `--batch-size 1`.
 
-use std::io::{Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
-use std::time::{Duration, Instant};
+use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 
-use zdns_netsim::{Protocol, RECV_SLOT};
-use zdns_wire::{Message, WireError};
+use zdns_netsim::RECV_SLOT;
 
 // ---------------------------------------------------------------------------
 // Readiness wait
@@ -150,165 +145,6 @@ fn wait_socket_writable(socket: &UdpSocket, timeout_ms: i32) {
     {
         let _ = socket;
         readiness::wait_writable(0, timeout_ms);
-    }
-}
-
-/// Transport-level failures.
-#[derive(Debug)]
-pub enum TransportError {
-    /// No (matching) response before the deadline.
-    Timeout,
-    /// Socket-level error.
-    Io(std::io::Error),
-    /// A response arrived but would not decode.
-    Decode(WireError),
-}
-
-impl std::fmt::Display for TransportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportError::Timeout => f.write_str("timed out"),
-            TransportError::Io(e) => write!(f, "io error: {e}"),
-            TransportError::Decode(e) => write!(f, "decode error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TransportError {}
-
-/// A blocking request/response exchange.
-pub trait Transport: Send {
-    /// Send `query` to `to` and wait for the matching response.
-    fn exchange(
-        &mut self,
-        query: &Message,
-        to: SocketAddr,
-        protocol: Protocol,
-        timeout: Duration,
-    ) -> Result<Message, TransportError>;
-}
-
-/// One long-lived UDP socket, reused across all lookups on this routine.
-pub struct UdpTransport {
-    socket: UdpSocket,
-    buf: Box<[u8; 65_535]>,
-}
-
-impl UdpTransport {
-    /// Bind to an ephemeral port on the given source address.
-    pub fn bind(source: Ipv4Addr) -> std::io::Result<UdpTransport> {
-        let socket = UdpSocket::bind((source, 0))?;
-        Ok(UdpTransport {
-            socket,
-            buf: Box::new([0u8; 65_535]),
-        })
-    }
-
-    /// The bound local address (the reused source port).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-
-    fn exchange_udp(
-        &mut self,
-        query: &Message,
-        to: SocketAddr,
-        timeout: Duration,
-    ) -> Result<Message, TransportError> {
-        let bytes = query.encode().map_err(TransportError::Decode)?;
-        self.socket
-            .send_to(&bytes, to)
-            .map_err(TransportError::Io)?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(TransportError::Timeout);
-            }
-            self.socket
-                .set_read_timeout(Some(remaining))
-                .map_err(TransportError::Io)?;
-            match self.socket.recv_from(&mut self.buf[..]) {
-                Ok((len, peer)) => {
-                    // The socket is unconnected (that is the point of the
-                    // reuse trick), so unrelated datagrams — late responses
-                    // from earlier lookups — must be filtered here.
-                    if peer != to {
-                        continue;
-                    }
-                    match Message::decode(&self.buf[..len]) {
-                        Ok(msg) if msg.id == query.id && msg.flags.response => return Ok(msg),
-                        Ok(_) => continue, // stale transaction or echoed query
-                        Err(e) => return Err(TransportError::Decode(e)),
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Err(TransportError::Timeout);
-                }
-                Err(e) => return Err(TransportError::Io(e)),
-            }
-        }
-    }
-
-    fn exchange_tcp(
-        &mut self,
-        query: &Message,
-        to: SocketAddr,
-        timeout: Duration,
-    ) -> Result<Message, TransportError> {
-        blocking_tcp_exchange(query, to, timeout)
-    }
-}
-
-/// One blocking TCP request/response exchange: connect, length-prefixed
-/// write, length-prefixed read. Used for truncation fallback by both the
-/// blocking transport and the reactor's TCP side-pool.
-pub fn blocking_tcp_exchange(
-    query: &Message,
-    to: SocketAddr,
-    timeout: Duration,
-) -> Result<Message, TransportError> {
-    let bytes = query.encode().map_err(TransportError::Decode)?;
-    let mut stream = TcpStream::connect_timeout(&to, timeout).map_err(TransportError::Io)?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(TransportError::Io)?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(TransportError::Io)?;
-    stream
-        .write_all(&(bytes.len() as u16).to_be_bytes())
-        .map_err(TransportError::Io)?;
-    stream.write_all(&bytes).map_err(TransportError::Io)?;
-    let mut len_buf = [0u8; 2];
-    stream.read_exact(&mut len_buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut {
-            TransportError::Timeout
-        } else {
-            TransportError::Io(e)
-        }
-    })?;
-    let len = u16::from_be_bytes(len_buf) as usize;
-    let mut msg = vec![0u8; len];
-    stream.read_exact(&mut msg).map_err(TransportError::Io)?;
-    Message::decode(&msg).map_err(TransportError::Decode)
-}
-
-impl Transport for UdpTransport {
-    fn exchange(
-        &mut self,
-        query: &Message,
-        to: SocketAddr,
-        protocol: Protocol,
-        timeout: Duration,
-    ) -> Result<Message, TransportError> {
-        match protocol {
-            Protocol::Udp => self.exchange_udp(query, to, timeout),
-            Protocol::Tcp => self.exchange_tcp(query, to, timeout),
-        }
     }
 }
 
@@ -847,23 +683,6 @@ fn send_many_once(
 mod tests {
     use super::*;
 
-    #[test]
-    fn socket_is_bound_once_and_reused() {
-        let mut t = UdpTransport::bind(Ipv4Addr::LOCALHOST).unwrap();
-        let port_before = t.local_addr().unwrap().port();
-        // Exchanges against a dead port time out without rebinding.
-        let query = Message::query(
-            1,
-            zdns_wire::Question::new("x.test".parse().unwrap(), zdns_wire::RecordType::A),
-        );
-        let dead: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        let err = t
-            .exchange(&query, dead, Protocol::Udp, Duration::from_millis(50))
-            .unwrap_err();
-        assert!(matches!(err, TransportError::Timeout));
-        assert_eq!(t.local_addr().unwrap().port(), port_before);
-    }
-
     #[cfg(unix)]
     #[test]
     fn readiness_retries_eintr_with_remaining_budget() {
@@ -935,23 +754,5 @@ mod tests {
         for b in [IoBackend::Auto, IoBackend::Syscall, IoBackend::Mmsg] {
             assert_eq!(IoBackend::parse(b.as_str()), Some(b));
         }
-    }
-
-    #[test]
-    fn tcp_connect_refused_is_io_error() {
-        let mut t = UdpTransport::bind(Ipv4Addr::LOCALHOST).unwrap();
-        let query = Message::query(
-            2,
-            zdns_wire::Question::new("x.test".parse().unwrap(), zdns_wire::RecordType::A),
-        );
-        // Port 1 on localhost: almost certainly closed → refused / error.
-        let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let err = t
-            .exchange(&query, dead, Protocol::Tcp, Duration::from_millis(200))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            TransportError::Io(_) | TransportError::Timeout
-        ));
     }
 }

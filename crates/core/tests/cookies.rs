@@ -4,16 +4,19 @@
 //!   cookie from responses, and echo the full cookie on retries to the
 //!   same server (scripted-event tests — no sockets, fully deterministic).
 //! * The loopback `WireServer` echoes client cookies with its fixed server
-//!   cookie appended, end to end over real sockets.
+//!   cookie appended, end to end over real sockets (through the reactor).
 
-use std::net::{Ipv4Addr, SocketAddr};
+use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use zdns_core::{
-    DirectMachine, ExternalMachine, ResolverConfig, ResolverCore, Transport, UdpTransport,
+    Admission, DirectMachine, Driver, ExternalMachine, Reactor, ReactorConfig, ResolverConfig,
+    ResolverCore,
 };
-use zdns_netsim::{ClientEvent, OutQuery, Protocol, SimClient, StepStatus, SERVER_COOKIE};
+use zdns_netsim::{
+    ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, StepStatus, SECONDS,
+    SERVER_COOKIE,
+};
 use zdns_wire::{Cookie, Message, MsgRef, Question, RecordType, CLIENT_COOKIE_LEN};
 use zdns_zones::{ExplicitUniverse, Universe, Zone};
 
@@ -247,21 +250,59 @@ fn wire_server_echoes_cookie_over_real_sockets() {
     let server =
         zdns_netsim::WireServer::start(Arc::new(universe) as Arc<dyn Universe>, server_ip).unwrap();
 
-    let question = Question::new("echo.test".parse().unwrap(), RecordType::A);
-    let client_cookie = Cookie::client(*b"CLNTCOOK");
-    let mut query = Message::query(0x7777, question);
-    query.edns.as_mut().unwrap().set_cookie(client_cookie);
+    /// One query carrying a fixed client cookie; keeps the cookie the
+    /// response carries.
+    struct CookieProbe {
+        sent: Cookie,
+        echoed: Arc<parking_lot::Mutex<Option<Cookie>>>,
+    }
+    impl SimClient for CookieProbe {
+        fn start(&mut self, _now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
+            out.push(OutQuery {
+                to: Ipv4Addr::new(203, 0, 113, 9),
+                id: 0x7777,
+                question: Question::new("echo.test".parse().unwrap(), RecordType::A),
+                recursion_desired: false,
+                cookie: Some(self.sent),
+                protocol: Protocol::Udp,
+                timeout: 2 * SECONDS,
+                tag: 1,
+            });
+            StepStatus::Running
+        }
+        fn on_event(
+            &mut self,
+            event: ClientEvent<'_>,
+            _now: SimTime,
+            _out: &mut Vec<OutQuery>,
+        ) -> StepStatus {
+            if let ClientEvent::Response { message, .. } = event {
+                *self.echoed.lock() = message.cookie();
+            }
+            StepStatus::Done(JobOutcome {
+                success: true,
+                status: "NOERROR",
+            })
+        }
+    }
 
-    let mut transport = UdpTransport::bind(Ipv4Addr::LOCALHOST).unwrap();
-    let addr: SocketAddr = server.addr();
-    let response = transport
-        .exchange(&query, addr, Protocol::Udp, Duration::from_secs(2))
-        .unwrap();
-    let echoed = response
-        .edns
-        .as_ref()
-        .and_then(|e| e.cookie())
-        .expect("server echoes a cookie");
+    let client_cookie = Cookie::client(*b"CLNTCOOK");
+    let echoed = Arc::new(parking_lot::Mutex::new(None));
+    let mut probe: Option<Box<dyn SimClient>> = Some(Box::new(CookieProbe {
+        sent: client_cookie,
+        echoed: Arc::clone(&echoed),
+    }));
+    let addr = server.addr();
+    let config = ReactorConfig {
+        source: Ipv4Addr::LOCALHOST,
+        ..ReactorConfig::default()
+    };
+    let mut reactor = Reactor::new(config, Arc::new(move |_| addr)).unwrap();
+    reactor.run_scan(
+        &mut || probe.take().map_or(Admission::Exhausted, Admission::Admit),
+        &mut |_| {},
+    );
+    let echoed = echoed.lock().expect("server echoes a cookie");
     assert_eq!(echoed.client_part(), client_cookie.client_part());
     assert_eq!(echoed.server_part(), &SERVER_COOKIE);
 }

@@ -1,14 +1,14 @@
-//! Resolution over real OS sockets: the blocking driver + long-lived UDP
-//! socket against in-process loopback servers (root → TLD → leaf), including
-//! truncation → TCP fallback, plus the reactor driver multiplexing hundreds
-//! of in-flight lookups over one socket.
+//! Resolution over real OS sockets, all of it through the reactor: single
+//! lookups on a caller-held reactor against in-process loopback servers
+//! (root → TLD → leaf), including truncation → TCP fallback, and scans
+//! multiplexing hundreds of in-flight lookups over one socket.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::Arc;
 
 use zdns_core::{
     collecting_sink, AddrMap, Admission, ConcurrentPacer, Driver, PacerConfig, Reactor,
-    ReactorConfig, Resolver, ResolverConfig, Status, UdpTransport,
+    ReactorConfig, Resolver, ResolverConfig, Status,
 };
 use zdns_netsim::WireServer;
 use zdns_wire::rdata::TxtData;
@@ -75,7 +75,7 @@ fn mini_universe() -> ExplicitUniverse {
 }
 
 /// Start one WireServer per simulated IP and return the address map.
-fn start_servers(u: Arc<ExplicitUniverse>) -> (Vec<WireServer>, Box<AddrMap>) {
+fn start_servers(u: Arc<ExplicitUniverse>) -> (Vec<WireServer>, Arc<AddrMap>) {
     let ips: Vec<Ipv4Addr> = ["198.41.0.1", "199.0.0.1", "204.10.0.53"]
         .iter()
         .map(|s| s.parse().unwrap())
@@ -87,7 +87,7 @@ fn start_servers(u: Arc<ExplicitUniverse>) -> (Vec<WireServer>, Box<AddrMap>) {
         mapping.push((ip, server.addr()));
         servers.push(server);
     }
-    let map: Box<AddrMap> = Box::new(move |ip| {
+    let map: Arc<AddrMap> = Arc::new(move |ip| {
         mapping
             .iter()
             .find(|(sim, _)| *sim == ip)
@@ -95,6 +95,16 @@ fn start_servers(u: Arc<ExplicitUniverse>) -> (Vec<WireServer>, Box<AddrMap>) {
             .unwrap_or_else(|| SocketAddr::new(ip.into(), 53))
     });
     (servers, map)
+}
+
+/// A reactor for one lookup at a time (`Resolver::lookup`).
+fn single_lookup_reactor(map: Arc<AddrMap>) -> Reactor {
+    let config = ReactorConfig {
+        max_in_flight: 1,
+        source: Ipv4Addr::LOCALHOST,
+        ..ReactorConfig::default()
+    };
+    Reactor::new(config, map).unwrap()
 }
 
 fn resolver_for(u: &ExplicitUniverse) -> Resolver {
@@ -110,9 +120,9 @@ fn iterative_resolution_over_real_udp() {
     let u = Arc::new(mini_universe());
     let resolver = resolver_for(&u);
     let (_servers, map) = start_servers(Arc::clone(&u));
-    let mut transport = UdpTransport::bind(Ipv4Addr::LOCALHOST).unwrap();
+    let mut reactor = single_lookup_reactor(map);
 
-    let result = resolver.lookup_a("example.test", &mut transport, &map);
+    let result = resolver.lookup_a("example.test", &mut reactor);
     assert_eq!(result.status, Status::NoError, "{result:?}");
     assert!(result
         .answers
@@ -128,9 +138,9 @@ fn cname_chase_over_real_udp() {
     let u = Arc::new(mini_universe());
     let resolver = resolver_for(&u);
     let (_servers, map) = start_servers(Arc::clone(&u));
-    let mut transport = UdpTransport::bind(Ipv4Addr::LOCALHOST).unwrap();
+    let mut reactor = single_lookup_reactor(map);
 
-    let result = resolver.lookup_a("www.example.test", &mut transport, &map);
+    let result = resolver.lookup_a("www.example.test", &mut reactor);
     assert_eq!(result.status, Status::NoError, "{result:?}");
     assert!(result
         .answers
@@ -147,14 +157,14 @@ fn socket_reuse_across_lookups() {
     let u = Arc::new(mini_universe());
     let resolver = resolver_for(&u);
     let (_servers, map) = start_servers(Arc::clone(&u));
-    let mut transport = UdpTransport::bind(Ipv4Addr::LOCALHOST).unwrap();
-    let port = transport.local_addr().unwrap().port();
+    let mut reactor = single_lookup_reactor(map);
+    let port = reactor.local_addr().unwrap().port();
     for _ in 0..5 {
-        let result = resolver.lookup_a("example.test", &mut transport, &map);
+        let result = resolver.lookup_a("example.test", &mut reactor);
         assert_eq!(result.status, Status::NoError);
     }
     // One socket for all lookups — the §3.4 optimization.
-    assert_eq!(transport.local_addr().unwrap().port(), port);
+    assert_eq!(reactor.local_addr().unwrap().port(), port);
     // The warmed cache should skip root+TLD on later lookups.
     assert!(resolver.core().cache.stats.hit_rate() > 0.0);
 }
@@ -164,12 +174,11 @@ fn truncated_udp_falls_back_to_tcp() {
     let u = Arc::new(mini_universe());
     let resolver = resolver_for(&u);
     let (_servers, map) = start_servers(Arc::clone(&u));
-    let mut transport = UdpTransport::bind(Ipv4Addr::LOCALHOST).unwrap();
+    let mut reactor = single_lookup_reactor(map);
 
     let result = resolver.lookup(
         Question::new("big.example.test".parse().unwrap(), RecordType::TXT),
-        &mut transport,
-        &map,
+        &mut reactor,
     );
     assert_eq!(result.status, Status::NoError, "{result:?}");
     assert_eq!(result.answers.len(), 24, "full RRset via TCP");
@@ -182,6 +191,8 @@ fn truncated_udp_falls_back_to_tcp() {
             .load(std::sync::atomic::Ordering::Relaxed),
         1
     );
+    assert_eq!(reactor.open_tcp_connections(), 0);
+    assert_eq!(reactor.live_timers(), 0);
 }
 
 #[test]
@@ -189,9 +200,9 @@ fn nxdomain_over_real_sockets() {
     let u = Arc::new(mini_universe());
     let resolver = resolver_for(&u);
     let (_servers, map) = start_servers(Arc::clone(&u));
-    let mut transport = UdpTransport::bind(Ipv4Addr::LOCALHOST).unwrap();
+    let mut reactor = single_lookup_reactor(map);
 
-    let result = resolver.lookup_a("missing.example.test", &mut transport, &map);
+    let result = resolver.lookup_a("missing.example.test", &mut reactor);
     assert_eq!(result.status, Status::NxDomain);
     assert!(result.status.is_success(), "NXDOMAIN is a successful scan");
 }
@@ -424,35 +435,180 @@ fn reactor_times_out_and_retries_via_timer_wheel() {
     assert_eq!(reactor.pending_queries(), 0);
 }
 
-#[test]
-fn reactor_routes_truncation_fallback_to_tcp_side_pool() {
-    let u = Arc::new(mini_universe());
-    let resolver = resolver_for(&u);
-    let (_servers, map) = start_servers(Arc::clone(&u));
-    let map: Arc<AddrMap> = Arc::from(map);
-    let (sink, collected) = collecting_sink();
+/// A destination that answers every UDP query truncated (TC=1, nothing
+/// else), so every lookup sent to it falls back to TCP — where it either
+/// has no listener at all, or one that accepts and never answers.
+struct TruncatingStub {
+    addr: SocketAddr,
+    stop: Arc<std::sync::atomic::AtomicBool>,
+    udp_thread: Option<std::thread::JoinHandle<()>>,
+    /// Held, never read: the kernel completes the handshakes, nobody
+    /// answers the queries.
+    _mute_listener: Option<std::net::TcpListener>,
+}
 
+impl TruncatingStub {
+    fn start(accept_tcp: bool) -> TruncatingStub {
+        let (udp, listener) =
+            zdns_netsim::bind_udp_tcp_pair(Ipv4Addr::LOCALHOST, 0, false).unwrap();
+        let addr = udp.local_addr().unwrap();
+        udp.set_read_timeout(Some(std::time::Duration::from_millis(20)))
+            .unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let thread_stop = Arc::clone(&stop);
+        let udp_thread = std::thread::spawn(move || {
+            let mut buf = [0u8; 2048];
+            while !thread_stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let Ok((len, peer)) = udp.recv_from(&mut buf) else {
+                    continue;
+                };
+                if let Ok(mut reply) = zdns_wire::Message::decode(&buf[..len]) {
+                    reply.flags.response = true;
+                    reply.flags.truncated = true;
+                    let _ = udp.send_to(&reply.encode().unwrap(), peer);
+                }
+            }
+        });
+        TruncatingStub {
+            addr,
+            stop,
+            udp_thread: Some(udp_thread),
+            // Dropping the listener frees the port: connects are refused.
+            _mute_listener: accept_tcp.then_some(listener),
+        }
+    }
+}
+
+impl Drop for TruncatingStub {
+    fn drop(&mut self) {
+        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        if let Some(t) = self.udp_thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+#[test]
+fn refused_tcp_connect_is_an_error_not_a_hang() {
+    let stub = TruncatingStub::start(false);
+    let dest = stub.addr;
+    let mut config = ResolverConfig::external(vec!["192.0.2.9".parse().unwrap()]);
+    config.retries = 1;
+    config.timeout = 5 * zdns_netsim::SECONDS;
+    let resolver = Resolver::new(config);
+    let mut reactor = single_lookup_reactor(Arc::new(move |_ip| dest));
+
+    let started = std::time::Instant::now();
+    let result = resolver.lookup_a("refused.test", &mut reactor);
+    // UDP (TC=1) → TCP refused → the retry, over TCP again, refused.
+    assert_eq!(result.status, Status::Error, "{result:?}");
+    assert_eq!(result.queries_sent, 3);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(2),
+        "a refused connect waited for a timeout: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(reactor.open_tcp_connections(), 0);
+    assert_eq!(reactor.live_timers(), 0);
+}
+
+#[test]
+fn a_mute_tcp_destination_stalls_only_its_own_lookups() {
+    // Destination A truncates over UDP and then accepts TCP connections
+    // it never answers; destination B truncates and answers normally.
+    // Four names to A go in first, forty to B behind them. Each A exchange
+    // can only end by its timeout — and must cost nobody else anything:
+    // every B name finishes over TCP long before A's first timeout.
+    const A_NAMES: usize = 4;
+    const B_NAMES: usize = 40;
+    const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(1);
+    let a_ip: Ipv4Addr = "203.0.113.1".parse().unwrap();
+    let b_ip: Ipv4Addr = "203.0.113.2".parse().unwrap();
+
+    let mute = TruncatingStub::start(true);
+    let mut zone = Zone::new(
+        "fat.test".parse().unwrap(),
+        "ns1.fat.test".parse().unwrap(),
+        300,
+    );
+    for name in 0..B_NAMES {
+        for i in 0..24 {
+            zone.add(Record::new(
+                format!("b{name}.fat.test").parse().unwrap(),
+                300,
+                RData::Txt(TxtData::from_text(&format!("{}{i}", "x".repeat(60)))),
+            ));
+        }
+    }
+    let mut universe = ExplicitUniverse::new();
+    universe.host(b_ip, zone);
+    let answering = WireServer::start(Arc::new(universe) as Arc<dyn Universe>, b_ip).unwrap();
+    let (a_addr, b_addr) = (mute.addr, answering.addr());
+
+    let resolver_to = |ip: Ipv4Addr| {
+        let mut config = ResolverConfig::external(vec![ip]);
+        config.retries = 1;
+        config.timeout = TIMEOUT.as_nanos() as u64;
+        Resolver::new(config)
+    };
+    let (to_a, to_b) = (resolver_to(a_ip), resolver_to(b_ip));
     let mut reactor = Reactor::new(
         ReactorConfig {
-            max_in_flight: 8,
+            max_in_flight: A_NAMES + B_NAMES,
             source: Ipv4Addr::LOCALHOST,
             ..ReactorConfig::default()
         },
-        map,
+        Arc::new(move |ip| if ip == a_ip { a_addr } else { b_addr }),
     )
     .unwrap();
-    let machines = vec![resolver.machine(
-        Question::new("big.example.test".parse().unwrap(), RecordType::TXT),
-        Some(sink),
-    )];
-    let completed = drive_all(&mut reactor, machines).completed;
-    assert_eq!(completed, 1);
 
-    let results = collected.lock();
-    assert_eq!(results[0].status, Status::NoError, "{:?}", results[0]);
-    assert_eq!(results[0].answers.len(), 24, "full RRset via TCP");
-    assert_eq!(results[0].protocol, "tcp");
-    assert_eq!(reactor.live_timers(), 0);
+    let started = std::time::Instant::now();
+    let b_done: Arc<parking_lot::Mutex<Vec<(zdns_core::LookupResult, std::time::Duration)>>> =
+        Arc::default();
+    let b_log = Arc::clone(&b_done);
+    let b_sink: zdns_core::ResultSink =
+        Arc::new(move |r| b_log.lock().push((r, started.elapsed())));
+    let (a_sink, a_done) = collecting_sink();
+    let txt = |name: String| Question::new(name.parse().unwrap(), RecordType::TXT);
+    let machines: Vec<_> = (0..A_NAMES)
+        .map(|i| to_a.machine(txt(format!("a{i}.mute.test")), Some(a_sink.clone())))
+        .chain(
+            (0..B_NAMES).map(|i| to_b.machine(txt(format!("b{i}.fat.test")), Some(b_sink.clone()))),
+        )
+        .collect();
+    let report = drive_all(&mut reactor, machines);
+    assert_eq!(report.completed as usize, A_NAMES + B_NAMES);
+
+    let b_done = b_done.lock();
+    assert_eq!(b_done.len(), B_NAMES);
+    for (r, at) in b_done.iter() {
+        assert_eq!(r.status, Status::NoError, "{:?}", r.name);
+        assert_eq!((r.protocol, r.answers.len()), ("tcp", 24), "{:?}", r.name);
+        assert!(
+            *at < TIMEOUT / 2,
+            "{:?} waited {at:?} behind a destination that is not its own",
+            r.name
+        );
+    }
+    // A's names spend exactly their budget: the UDP query that came back
+    // truncated, then a first and a retried TCP exchange, each ended by
+    // its own timeout and by nothing else.
+    let a_done = a_done.lock();
+    assert_eq!(a_done.len(), A_NAMES);
+    for r in a_done.iter() {
+        assert_eq!(r.status, Status::Timeout, "{:?}", r.name);
+        assert_eq!((r.queries_sent, r.retries_used), (3, 2), "{:?}", r.name);
+    }
+    assert_eq!(report.tcp_fallbacks as usize, 2 * A_NAMES + B_NAMES);
+    assert_eq!(report.timeouts_fired as usize, 2 * A_NAMES);
+    let elapsed = started.elapsed();
+    assert!(
+        (2 * TIMEOUT..3 * TIMEOUT).contains(&elapsed),
+        "two timeouts in a row, all four names side by side: {elapsed:?}"
+    );
+    assert_eq!(reactor.open_tcp_connections(), 0);
+    assert_eq!((reactor.live_timers(), reactor.stored_timers()), (0, 0));
+    assert_eq!(reactor.in_flight(), 0);
 }
 
 #[test]

@@ -30,7 +30,7 @@ use zdns_core::{
     AddrMap, Clock, DriverReport, IoBackend, Reactor, ReactorConfig, Resolver, ResolverConfig,
     ServeConfig, ServeStats, ServerRole,
 };
-use zdns_netsim::{bind_reuse_port, bind_tcp_reuse_port};
+use zdns_netsim::{bind_reuse_port, bind_tcp_reuse_port, bind_udp_tcp_pair};
 
 /// Options for starting a serve fleet (the parsed form of the
 /// `zdns serve` flags).
@@ -243,21 +243,9 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
     let shards = opts.shards.max(1);
     let mut sockets = Vec::with_capacity(shards);
     let local_addr;
-    // When the caller asks for port 0 the kernel picks the UDP port
-    // without knowing we need its TCP twin too — an `AddrInUse` on the
-    // TCP half just means an unrelated listener owns that port, so try
-    // another. With an explicit port the collision is a real error.
-    let ephemeral = opts.listen.port() == 0;
     if shards == 1 {
         // Dual-role: the listen socket hosts both directions.
-        let (udp, tcp) = loop {
-            let udp = UdpSocket::bind(opts.listen)?;
-            match TcpListener::bind(udp.local_addr()?) {
-                Ok(tcp) => break (udp, tcp),
-                Err(e) if ephemeral && e.kind() == std::io::ErrorKind::AddrInUse => continue,
-                Err(e) => return Err(e),
-            }
-        };
+        let (udp, tcp) = bind_udp_tcp_pair(listen_ip, opts.listen.port(), false)?;
         local_addr = udp.local_addr()?;
         sockets.push(WorkerSockets {
             reactor: udp,
@@ -268,14 +256,7 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
         // Sharded: reuse-port listener group + private upstream sockets.
         // Worker 0's TCP listener must exist (truncation fallback needs
         // somewhere to land), so its bind error is fatal.
-        let (first, first_tcp) = loop {
-            let first = bind_reuse_port(listen_ip, opts.listen.port())?;
-            match bind_tcp_reuse_port(listen_ip, first.local_addr()?.port()) {
-                Ok(tcp) => break (first, tcp),
-                Err(e) if ephemeral && e.kind() == std::io::ErrorKind::AddrInUse => continue,
-                Err(e) => return Err(e),
-            }
-        };
+        let (first, first_tcp) = bind_udp_tcp_pair(listen_ip, opts.listen.port(), true)?;
         local_addr = first.local_addr()?;
         let mut listeners = vec![first];
         for _ in 1..shards {

@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod framed;
 pub mod input;
 pub mod latency;
 #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -41,13 +42,14 @@ pub use engine::{
     estimate_size, ClientEvent, Engine, EngineConfig, GcModel, JobOutcome, OutQuery, Protocol,
     RunReport, SimClient, StepStatus,
 };
+pub use framed::FramedConn;
 pub use input::{shard_of, InputSource, ShardedSource};
 #[cfg(any(target_os = "linux", target_os = "android"))]
 pub use mmsg::MmsgScratch;
 pub use resolvers::{PublicResolverConfig, PublicResolverSim, ResolverOutcome};
 pub use time::{as_secs_f64, from_secs_f64, SimTime, MICROS, MILLIS, SECONDS};
 pub use wire_server::{
-    bind_reuse_port, bind_tcp_reuse_port, set_recv_buffer, QueryLog, RecvArena, WireServer,
-    RECV_SLOT, SERVER_COOKIE,
+    bind_reuse_port, bind_tcp_reuse_port, bind_udp_tcp_pair, connect_nonblocking, set_recv_buffer,
+    QueryLog, RecvArena, WireServer, RECV_SLOT, SERVER_COOKIE,
 };
 pub use zdns_pacing::{PaceDecision, SendGate};

@@ -1,12 +1,14 @@
 //! Real-socket DNS servers for integration testing.
 //!
 //! `WireServer` binds an OS UDP socket (and a TCP listener for truncation
-//! fallback) on 127.0.0.1 and serves a [`Universe`], so `zdns-core`'s real
-//! `UdpTransport` path can be exercised end-to-end without leaving the
-//! machine.
+//! fallback) on 127.0.0.1 and serves a [`Universe`], so `zdns-core`'s
+//! reactor can be exercised end-to-end without leaving the machine. Its
+//! TCP half pumps each connection through a [`FramedConn`], the framing
+//! the reactor and the serve role use too. The socket helpers every
+//! real-socket path shares (reuse-port binds, the UDP + TCP pair bind, the
+//! non-blocking connect) live here as well.
 
-use std::io::{Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -14,6 +16,8 @@ use std::time::Duration;
 
 use zdns_wire::{Cookie, MessageView, ScratchBuf, CLIENT_COOKIE_LEN};
 use zdns_zones::Universe;
+
+use crate::framed::FramedConn;
 
 /// A running loopback DNS server.
 pub struct WireServer {
@@ -36,25 +40,14 @@ pub fn set_recv_buffer(socket: &UdpSocket, bytes: usize) {
     #[cfg(any(target_os = "linux", target_os = "android"))]
     {
         use std::os::fd::AsRawFd;
-        const SOL_SOCKET: i32 = 1;
-        const SO_RCVBUF: i32 = 8;
-        extern "C" {
-            fn setsockopt(
-                fd: i32,
-                level: i32,
-                name: i32,
-                value: *const std::ffi::c_void,
-                len: u32,
-            ) -> i32;
-        }
         let value = bytes as i32;
         // SAFETY: fd is a live socket; value points at a properly sized int.
         unsafe {
-            setsockopt(
+            libc::setsockopt(
                 socket.as_raw_fd(),
-                SOL_SOCKET,
-                SO_RCVBUF,
-                &value as *const i32 as *const std::ffi::c_void,
+                libc::SOL_SOCKET,
+                libc::SO_RCVBUF,
+                &value as *const i32 as *const libc::c_void,
                 std::mem::size_of::<i32>() as u32,
             );
         }
@@ -63,6 +56,53 @@ pub fn set_recv_buffer(socket: &UdpSocket, bytes: usize) {
     {
         let _ = (socket, bytes);
     }
+}
+
+/// A fresh IPv4 socket of type `ty` with `SO_REUSEPORT` set, bound to
+/// `ip:port` — the option must go on between `socket` and `bind`, which
+/// `std::net` cannot express.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+fn reuse_port_socket(
+    ip: Ipv4Addr,
+    port: u16,
+    ty: libc::c_int,
+) -> std::io::Result<std::os::fd::OwnedFd> {
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    // SAFETY: plain socket(2); the fd is checked before use.
+    let fd = unsafe { libc::socket(libc::AF_INET as i32, ty | libc::SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    // SAFETY: the fd is live and nothing else owns it; from here it is
+    // closed on every path, including errors.
+    let socket = unsafe { OwnedFd::from_raw_fd(fd) };
+    let one: i32 = 1;
+    // SAFETY: fd is live; value points at a properly sized int.
+    let r = unsafe {
+        libc::setsockopt(
+            socket.as_raw_fd(),
+            libc::SOL_SOCKET,
+            libc::SO_REUSEPORT,
+            &one as *const i32 as *const libc::c_void,
+            std::mem::size_of::<i32>() as u32,
+        )
+    };
+    if r != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    let addr = libc::sockaddr_in::from_parts(ip, port);
+    // SAFETY: addr is a live, correctly sized sockaddr_in.
+    let r = unsafe {
+        libc::bind(
+            socket.as_raw_fd(),
+            &addr as *const libc::sockaddr_in,
+            std::mem::size_of::<libc::sockaddr_in>() as u32,
+        )
+    };
+    if r != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    Ok(socket)
 }
 
 /// Bind a UDP socket on `ip:port` with `SO_REUSEPORT` set, so several
@@ -76,48 +116,7 @@ pub fn set_recv_buffer(socket: &UdpSocket, bytes: usize) {
 pub fn bind_reuse_port(ip: Ipv4Addr, port: u16) -> std::io::Result<UdpSocket> {
     #[cfg(any(target_os = "linux", target_os = "android"))]
     {
-        use std::os::fd::{FromRawFd, RawFd};
-        // SAFETY: plain socket(2); the fd is checked before use.
-        let fd: RawFd = unsafe {
-            libc::socket(
-                libc::AF_INET as i32,
-                libc::SOCK_DGRAM | libc::SOCK_CLOEXEC,
-                0,
-            )
-        };
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        // SAFETY: from here the fd is owned; it is closed through the
-        // UdpSocket on every path, including errors.
-        let socket = unsafe { UdpSocket::from_raw_fd(fd) };
-        let one: i32 = 1;
-        // SAFETY: fd is live; value points at a properly sized int.
-        let r = unsafe {
-            libc::setsockopt(
-                fd,
-                libc::SOL_SOCKET,
-                libc::SO_REUSEPORT,
-                &one as *const i32 as *const libc::c_void,
-                std::mem::size_of::<i32>() as u32,
-            )
-        };
-        if r != 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let addr = libc::sockaddr_in::from_parts(ip, port);
-        // SAFETY: addr is a live, correctly sized sockaddr_in.
-        let r = unsafe {
-            libc::bind(
-                fd,
-                &addr as *const libc::sockaddr_in,
-                std::mem::size_of::<libc::sockaddr_in>() as u32,
-            )
-        };
-        if r != 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        Ok(socket)
+        reuse_port_socket(ip, port, libc::SOCK_DGRAM).map(UdpSocket::from)
     }
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
     {
@@ -133,57 +132,91 @@ pub fn bind_reuse_port(ip: Ipv4Addr, port: u16) -> std::io::Result<UdpSocket> {
 pub fn bind_tcp_reuse_port(ip: Ipv4Addr, port: u16) -> std::io::Result<TcpListener> {
     #[cfg(any(target_os = "linux", target_os = "android"))]
     {
-        use std::os::fd::{FromRawFd, RawFd};
-        // SAFETY: plain socket(2); the fd is checked before use.
-        let fd: RawFd = unsafe {
-            libc::socket(
-                libc::AF_INET as i32,
-                libc::SOCK_STREAM | libc::SOCK_CLOEXEC,
-                0,
-            )
-        };
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        // SAFETY: from here the fd is owned; it is closed through the
-        // TcpListener on every path, including errors.
-        let listener = unsafe { TcpListener::from_raw_fd(fd) };
-        let one: i32 = 1;
-        // SAFETY: fd is live; value points at a properly sized int.
-        let r = unsafe {
-            libc::setsockopt(
-                fd,
-                libc::SOL_SOCKET,
-                libc::SO_REUSEPORT,
-                &one as *const i32 as *const libc::c_void,
-                std::mem::size_of::<i32>() as u32,
-            )
-        };
-        if r != 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let addr = libc::sockaddr_in::from_parts(ip, port);
-        // SAFETY: addr is a live, correctly sized sockaddr_in.
-        let r = unsafe {
-            libc::bind(
-                fd,
-                &addr as *const libc::sockaddr_in,
-                std::mem::size_of::<libc::sockaddr_in>() as u32,
-            )
-        };
-        if r != 0 {
-            return Err(std::io::Error::last_os_error());
-        }
+        use std::os::fd::AsRawFd;
+        let socket = reuse_port_socket(ip, port, libc::SOCK_STREAM)?;
         // SAFETY: fd is a bound stream socket.
-        if unsafe { libc::listen(fd, 128) } != 0 {
+        if unsafe { libc::listen(socket.as_raw_fd(), 128) } != 0 {
             return Err(std::io::Error::last_os_error());
         }
-        Ok(listener)
+        Ok(TcpListener::from(socket))
     }
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
     {
         TcpListener::bind((ip, port))
     }
+}
+
+/// Bind a UDP socket on `ip:port` and a TCP listener on the port it got —
+/// a DNS server answers on one port over both transports. `reuse_port`
+/// binds both halves through [`bind_reuse_port`] /
+/// [`bind_tcp_reuse_port`]. With `port == 0` the kernel picks the UDP
+/// port without knowing its TCP twin is wanted too, so an `AddrInUse` on
+/// the TCP half only means an unrelated listener owns that number: try
+/// another. With an explicit port the collision is the caller's error.
+pub fn bind_udp_tcp_pair(
+    ip: Ipv4Addr,
+    port: u16,
+    reuse_port: bool,
+) -> std::io::Result<(UdpSocket, TcpListener)> {
+    loop {
+        let udp = if reuse_port {
+            bind_reuse_port(ip, port)?
+        } else {
+            UdpSocket::bind((ip, port))?
+        };
+        let twin = udp.local_addr()?.port();
+        let tcp = if reuse_port {
+            bind_tcp_reuse_port(ip, twin)
+        } else {
+            TcpListener::bind((ip, twin))
+        };
+        match tcp {
+            Ok(tcp) => return Ok((udp, tcp)),
+            Err(e) if port == 0 && e.kind() == std::io::ErrorKind::AddrInUse => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Open a TCP connection to `to` without waiting for the handshake: the
+/// returned stream is non-blocking and may still be connecting, in which
+/// case its reads and writes report `WouldBlock` until it is, and the
+/// connect error (refused, unreachable) afterwards if it failed. Linux
+/// and IPv4 only; elsewhere — `std` has no such connect — this blocks in
+/// `connect_timeout(to, timeout)` and switches the stream over after.
+pub fn connect_nonblocking(to: SocketAddr, timeout: Duration) -> std::io::Result<TcpStream> {
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    if let SocketAddr::V4(v4) = to {
+        use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+        let ty = libc::SOCK_STREAM | libc::SOCK_CLOEXEC | libc::SOCK_NONBLOCK;
+        // SAFETY: plain socket(2); the fd is checked before use.
+        let fd = unsafe { libc::socket(libc::AF_INET as i32, ty, 0) };
+        if fd < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        // SAFETY: the fd is live and nothing else owns it; from here it
+        // is closed on every path, including errors.
+        let socket = unsafe { OwnedFd::from_raw_fd(fd) };
+        let addr = libc::sockaddr_in::from_parts(*v4.ip(), v4.port());
+        // SAFETY: addr is a live, correctly sized sockaddr_in.
+        let r = unsafe {
+            libc::connect(
+                socket.as_raw_fd(),
+                &addr as *const libc::sockaddr_in,
+                std::mem::size_of::<libc::sockaddr_in>() as u32,
+            )
+        };
+        if r != 0 {
+            let e = std::io::Error::last_os_error();
+            if e.raw_os_error() != Some(libc::EINPROGRESS) {
+                return Err(e);
+            }
+        }
+        return Ok(TcpStream::from(socket));
+    }
+    let stream = TcpStream::connect_timeout(&to, timeout)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
 }
 
 /// Bytes per slot of a receive arena: room for the largest UDP datagram,
@@ -297,24 +330,12 @@ impl WireServer {
         universe: Arc<dyn Universe>,
         impersonate: Ipv4Addr,
     ) -> std::io::Result<WireServer> {
-        WireServer::start_with_latency(universe, impersonate, Duration::ZERO)
+        WireServer::start_inner(universe, impersonate, Duration::ZERO, None)
     }
 
     /// Like [`WireServer::start`] but every UDP response is delayed by
-    /// `latency` *without* serializing queries behind each other — the
-    /// benchmark knob that makes concurrency architecture visible: a
-    /// driver with N lookups in flight completes ~N per latency window,
-    /// regardless of how many OS threads it has.
-    pub fn start_with_latency(
-        universe: Arc<dyn Universe>,
-        impersonate: Ipv4Addr,
-        latency: Duration,
-    ) -> std::io::Result<WireServer> {
-        WireServer::start_inner(universe, impersonate, latency, None)
-    }
-
-    /// Like [`WireServer::start`] but also records every question name
-    /// into the returned [`QueryLog`] — how crash-recovery tests assert
+    /// `latency` (*without* serializing queries behind each other), and
+    /// every question name is recorded into the returned [`QueryLog`] — how crash-recovery tests assert
     /// that a resumed scan re-probes *zero* completed names: kill the
     /// scan, snapshot the log, resume, and check the intersection.
     pub fn start_logged(
@@ -334,19 +355,8 @@ impl WireServer {
         latency: Duration,
         log: Option<QueryLog>,
     ) -> std::io::Result<WireServer> {
-        // A DNS server answers on one port over both transports, but the
-        // kernel picks the UDP port without knowing we also need its TCP
-        // twin — retry when an unrelated listener already owns it (test
-        // suites bind many ephemeral TCP ports in parallel).
-        let (udp, addr, tcp) = loop {
-            let udp = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-            let addr = udp.local_addr()?;
-            match TcpListener::bind(addr) {
-                Ok(tcp) => break (udp, addr, tcp),
-                Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => continue,
-                Err(e) => return Err(e),
-            }
-        };
+        let (udp, tcp) = bind_udp_tcp_pair(Ipv4Addr::LOCALHOST, 0, false)?;
+        let addr = udp.local_addr()?;
         set_recv_buffer(&udp, 8 << 20);
         tcp.set_nonblocking(true)?;
         udp.set_read_timeout(Some(Duration::from_millis(25)))?;
@@ -425,32 +435,22 @@ impl WireServer {
         let tcp_universe = Arc::clone(&universe);
         let tcp_log = log;
         let tcp_thread = std::thread::spawn(move || {
-            // A non-blocking connection table, not one blocking connection
-            // at a time: the old loop's two 500ms `read_exact`s meant a
-            // single slow (or merely scheduled-out) client wedged every
-            // other TCP fallback for up to a second. Now each pass accepts
+            // A non-blocking connection table: each pass accepts
             // everything pending and does only the work each connection
-            // has ready.
+            // has ready, so a slow client never holds up the others.
             struct Conn {
-                stream: std::net::TcpStream,
-                read_buf: Vec<u8>,
-                write_buf: Vec<u8>,
-                write_pos: usize,
+                framed: FramedConn<TcpStream>,
                 last_active: std::time::Instant,
             }
             const IDLE: Duration = Duration::from_millis(500);
             let mut scratch = ScratchBuf::new();
             let mut conns: Vec<Conn> = Vec::new();
-            let mut tmp = [0u8; 4096];
             while !tcp_stop.load(Ordering::Relaxed) {
                 loop {
                     match tcp.accept() {
                         Ok((stream, _)) if stream.set_nonblocking(true).is_ok() => {
                             conns.push(Conn {
-                                stream,
-                                read_buf: Vec::new(),
-                                write_buf: Vec::new(),
-                                write_pos: 0,
+                                framed: FramedConn::new(stream),
                                 last_active: std::time::Instant::now(),
                             });
                         }
@@ -460,61 +460,31 @@ impl WireServer {
                 }
                 let mut progressed = false;
                 conns.retain_mut(|conn| {
-                    // Flush buffered writes first.
-                    while conn.write_pos < conn.write_buf.len() {
-                        match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                            Ok(0) => return false,
-                            Ok(n) => {
-                                conn.write_pos += n;
-                                conn.last_active = std::time::Instant::now();
-                                progressed = true;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(_) => return false,
-                        }
+                    let framed = &mut conn.framed;
+                    // Answers queued by the last pass leave first.
+                    let (Ok(wrote), Ok(read)) = (framed.flush(), framed.fill(usize::MAX)) else {
+                        return false;
+                    };
+                    if wrote + read > 0 {
+                        conn.last_active = std::time::Instant::now();
+                        progressed = true;
                     }
-                    if conn.write_pos == conn.write_buf.len() {
-                        conn.write_buf.clear();
-                        conn.write_pos = 0;
-                    }
-                    // Read what is available and answer complete frames.
-                    loop {
-                        match conn.stream.read(&mut tmp) {
-                            Ok(0) => return false, // peer closed
-                            Ok(n) => {
-                                conn.read_buf.extend_from_slice(&tmp[..n]);
-                                conn.last_active = std::time::Instant::now();
-                                progressed = true;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(_) => return false,
-                        }
-                    }
-                    while conn.read_buf.len() >= 2 {
-                        let need =
-                            2 + u16::from_be_bytes([conn.read_buf[0], conn.read_buf[1]]) as usize;
-                        if conn.read_buf.len() < need {
-                            break;
-                        }
+                    while let Some(frame) = framed.frame() {
                         scratch.reset();
-                        if answer_into(
+                        let answered = answer_into(
                             &tcp_universe,
                             impersonate,
-                            &conn.read_buf[2..need],
+                            frame,
                             false,
                             &mut scratch,
                             tcp_log.as_ref(),
-                        ) {
-                            let bytes = scratch.as_slice();
-                            conn.write_buf
-                                .extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-                            conn.write_buf.extend_from_slice(bytes);
+                        );
+                        framed.consume();
+                        if answered {
+                            framed.queue_frame(scratch.as_slice());
                         }
-                        conn.read_buf.drain(..need);
                     }
-                    conn.last_active.elapsed() <= IDLE
+                    !framed.peer_closed() && conn.last_active.elapsed() <= IDLE
                 });
                 if !progressed {
                     std::thread::sleep(Duration::from_millis(2));
@@ -524,61 +494,6 @@ impl WireServer {
 
         threads.push(udp_thread);
         threads.push(tcp_thread);
-        Ok(WireServer {
-            addr,
-            stop,
-            threads,
-        })
-    }
-
-    /// Start serving `universe` over `shards` UDP sockets sharing one
-    /// ephemeral port via `SO_REUSEPORT`, one drain thread per socket —
-    /// the serve-mode scaling shape: the kernel flow-hashes incoming
-    /// queries across the group, so independent workers each own a
-    /// socket with no shared accept lock. Falls back to a single socket
-    /// when `shards <= 1` or the platform lacks `SO_REUSEPORT` for
-    /// additional binds. UDP only (no TCP listener, no latency): this
-    /// exists for throughput benches and sharding tests.
-    pub fn start_sharded(
-        universe: Arc<dyn Universe>,
-        impersonate: Ipv4Addr,
-        shards: usize,
-    ) -> std::io::Result<WireServer> {
-        let shards = shards.max(1);
-        let first = bind_reuse_port(Ipv4Addr::LOCALHOST, 0)?;
-        let addr = first.local_addr()?;
-        let mut sockets = vec![first];
-        for _ in 1..shards {
-            // A kernel refusing the shared bind just serves with fewer
-            // shards; correctness is unaffected.
-            match bind_reuse_port(Ipv4Addr::LOCALHOST, addr.port()) {
-                Ok(s) => sockets.push(s),
-                Err(_) => break,
-            }
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-        for udp in sockets {
-            set_recv_buffer(&udp, 8 << 20);
-            udp.set_read_timeout(Some(Duration::from_millis(25)))?;
-            let shard_stop = Arc::clone(&stop);
-            let shard_universe = Arc::clone(&universe);
-            threads.push(std::thread::spawn(move || {
-                let mut arena = RecvArena::new(32);
-                let mut scratch = ScratchBuf::new();
-                while !shard_stop.load(Ordering::Relaxed) {
-                    let count = arena.recv_batch(&udp);
-                    for i in 0..count {
-                        let (raw, peer) = arena.datagram(i);
-                        scratch.reset();
-                        if answer_into(&shard_universe, impersonate, raw, true, &mut scratch, None)
-                        {
-                            let _ = udp.send_to(scratch.as_slice(), peer);
-                        }
-                    }
-                }
-            }));
-        }
         Ok(WireServer {
             addr,
             stop,
@@ -648,6 +563,7 @@ impl Drop for WireServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
     use zdns_wire::{Message, Question, RData, Rcode, Record, RecordType};
     use zdns_zones::{ExplicitUniverse, Zone};
 
@@ -717,29 +633,6 @@ mod tests {
         stream.read_exact(&mut msg).unwrap();
         let response = Message::decode(&msg).unwrap();
         assert_eq!(response.rcode(), Rcode::NoError);
-    }
-
-    #[test]
-    fn sharded_server_answers_from_every_shard() {
-        let (universe, ip) = test_universe();
-        let server = WireServer::start_sharded(universe, ip, 4).unwrap();
-        // Many clients (distinct source ports) so the kernel's flow hash
-        // spreads queries across the REUSEPORT group; every one must be
-        // answered regardless of which shard it lands on.
-        for i in 0..20u16 {
-            let c = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-            c.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-            let query = Message::query(
-                i,
-                Question::new("example.test".parse().unwrap(), RecordType::A),
-            );
-            c.send_to(&query.encode().unwrap(), server.addr()).unwrap();
-            let mut buf = [0u8; 4096];
-            let (len, _) = c.recv_from(&mut buf).unwrap();
-            let response = Message::decode(&buf[..len]).unwrap();
-            assert_eq!(response.id, i);
-            assert_eq!(response.rcode(), Rcode::NoError);
-        }
     }
 
     #[test]
