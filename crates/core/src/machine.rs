@@ -331,7 +331,6 @@ impl ExternalMachine {
         status: Status,
         response: Option<(&MsgRef<'_>, Ipv4Addr)>,
     ) -> StepStatus {
-        self.core.stats.record_lookup(status);
         if let Some(sink) = &self.sink {
             // Promotion happens here — and only here — because the result
             // is being kept. Sink-less lookups (scans that only count
@@ -801,7 +800,6 @@ impl IterativeMachine {
         answers: Vec<Record>,
         delegation: Option<DelegationInfo>,
     ) -> StepStatus {
-        self.core.stats.record_lookup(status);
         if let Some(sink) = &self.sink {
             let result = LookupResult {
                 name: self.original.name.clone(),
@@ -1159,7 +1157,6 @@ impl DirectMachine {
     }
 
     fn finish(&mut self, now: SimTime, status: Status, message: Option<&MsgRef<'_>>) -> StepStatus {
-        self.core.stats.record_lookup(status);
         if let Some(sink) = &self.sink {
             let result = LookupResult {
                 name: self.question.name.clone(),

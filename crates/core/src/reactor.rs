@@ -78,7 +78,7 @@ pub struct ReactorConfig {
     /// the per-datagram `send_to`/`recv_from` path.
     pub batch_size: usize,
     /// Which syscall strategy drives the hot path. The default
-    /// ([`IoBackend::Auto`]) is vectored `sendmmsg`/`recvmmsg` where the
+    /// ([`IoBackend::Mmsg`]) is vectored `sendmmsg`/`recvmmsg` where the
     /// platform has them and `batch_size > 1`, per-datagram otherwise;
     /// [`IoBackend::Syscall`] forces per-datagram.
     pub io_backend: IoBackend,

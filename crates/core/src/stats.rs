@@ -1,104 +1,38 @@
 //! Run-time statistics shared across lookup routines.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::status::Status;
-
-/// Aggregate counters for a resolver instance.
-///
-/// Shared by `Arc` across every scan worker, so the completion path must
-/// not serialize: per-status counts live in a fixed array of atomics
-/// (one slot per [`Status`] variant) rather than behind a mutex-guarded
-/// map, and are only folded into a map when a report asks for them.
+/// Aggregate wire counters for a resolver instance, shared by `Arc`
+/// across every scan worker.
 #[derive(Debug, Default)]
 pub struct Stats {
-    /// Lookups completed.
-    pub lookups: AtomicU64,
-    /// Lookups whose status counts as success (NOERROR/NXDOMAIN).
-    pub successes: AtomicU64,
     /// Queries sent on the wire.
     pub queries_sent: AtomicU64,
     /// Retries performed (timeouts that were retried).
     pub retries: AtomicU64,
     /// TCP fallbacks after truncation.
     pub tcp_fallbacks: AtomicU64,
-    status_counts: [AtomicU64; Status::ALL.len()],
 }
 
 impl Stats {
-    /// Record a finished lookup.
-    pub fn record_lookup(&self, status: Status) {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        if status.is_success() {
-            self.successes.fetch_add(1, Ordering::Relaxed);
-        }
-        self.status_counts[status.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of per-status counts (statuses seen at least once),
-    /// merged from the per-status atomics at call time.
-    pub fn status_counts(&self) -> HashMap<Status, u64> {
-        Status::ALL
-            .iter()
-            .zip(self.status_counts.iter())
-            .filter_map(|(status, n)| {
-                let n = n.load(Ordering::Relaxed);
-                (n > 0).then_some((*status, n))
-            })
-            .collect()
-    }
-
     /// Point-in-time copy of the atomic counters (diff two snapshots to
     /// scope counters to one scan on a shared resolver).
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            successes: self.successes.load(Ordering::Relaxed),
             queries_sent: self.queries_sent.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             tcp_fallbacks: self.tcp_fallbacks.load(Ordering::Relaxed),
         }
-    }
-
-    /// Success fraction so far.
-    pub fn success_rate(&self) -> f64 {
-        let l = self.lookups.load(Ordering::Relaxed);
-        if l == 0 {
-            return 0.0;
-        }
-        self.successes.load(Ordering::Relaxed) as f64 / l as f64
     }
 }
 
 /// A point-in-time copy of [`Stats`] counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Lookups completed.
-    pub lookups: u64,
-    /// Successful lookups.
-    pub successes: u64,
     /// Queries sent on the wire.
     pub queries_sent: u64,
     /// Retries performed.
     pub retries: u64,
     /// TCP fallbacks after truncation.
     pub tcp_fallbacks: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lookup_accounting() {
-        let s = Stats::default();
-        s.record_lookup(Status::NoError);
-        s.record_lookup(Status::NxDomain);
-        s.record_lookup(Status::Timeout);
-        assert_eq!(s.lookups.load(Ordering::Relaxed), 3);
-        assert_eq!(s.successes.load(Ordering::Relaxed), 2);
-        assert!((s.success_rate() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(s.status_counts()[&Status::Timeout], 1);
-    }
 }

@@ -29,9 +29,7 @@ pub enum Status {
 }
 
 impl Status {
-    /// Every variant, in declaration order — index-aligned with
-    /// [`Status::index`], so fixed per-status tables (e.g. lock-free
-    /// counters) can be sized and iterated without a map.
+    /// Every variant, in declaration order.
     pub const ALL: [Status; 10] = [
         Status::NoError,
         Status::NxDomain,
@@ -44,11 +42,6 @@ impl Status {
         Status::IllegalInput,
         Status::Error,
     ];
-
-    /// Position of this variant in [`Status::ALL`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
 
     /// The paper's success criterion (§4): NOERROR or NXDOMAIN.
     pub fn is_success(self) -> bool {
@@ -116,12 +109,5 @@ mod tests {
     fn strings_match_zdns() {
         assert_eq!(Status::NoError.as_str(), "NOERROR");
         assert_eq!(Status::IterativeTimeout.as_str(), "ITERATIVE_TIMEOUT");
-    }
-
-    #[test]
-    fn all_is_index_aligned() {
-        for (i, status) in Status::ALL.iter().enumerate() {
-            assert_eq!(status.index(), i);
-        }
     }
 }

@@ -160,24 +160,21 @@ pub const MAX_BATCH: usize = 1_024;
 /// flag's value, resolved by [`BatchIo::with_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackend {
-    /// Chosen from the platform and the batch size: the same as
-    /// [`IoBackend::Mmsg`].
-    #[default]
-    Auto,
     /// Plain `send_to`/`recv_from`, one datagram per syscall.
     Syscall,
     /// `sendmmsg(2)`/`recvmmsg(2)` vectored batches where the platform
     /// has them and the batch size is above 1; per-datagram otherwise.
+    #[default]
     Mmsg,
 }
 
 impl IoBackend {
-    /// Parse a `--io-backend` flag value.
+    /// Parse a `--io-backend` flag value (`auto` is a spelling of
+    /// `mmsg`, kept for the scripts and docs that use it).
     pub fn parse(s: &str) -> Option<IoBackend> {
         match s {
-            "auto" => Some(IoBackend::Auto),
             "syscall" => Some(IoBackend::Syscall),
-            "mmsg" => Some(IoBackend::Mmsg),
+            "mmsg" | "auto" => Some(IoBackend::Mmsg),
             _ => None,
         }
     }
@@ -185,7 +182,6 @@ impl IoBackend {
     /// The flag spelling of this choice.
     pub fn as_str(&self) -> &'static str {
         match self {
-            IoBackend::Auto => "auto",
             IoBackend::Syscall => "syscall",
             IoBackend::Mmsg => "mmsg",
         }
@@ -289,12 +285,12 @@ impl BatchIo {
         BatchIo::build(batch_size, false)
     }
 
-    /// Resolve an [`IoBackend`] choice: `Syscall` is per-datagram, `Auto`
-    /// and `Mmsg` are [`BatchIo::new`].
+    /// Resolve an [`IoBackend`] choice: `Syscall` is per-datagram, `Mmsg`
+    /// is [`BatchIo::new`].
     pub fn with_backend(choice: IoBackend, batch_size: usize) -> BatchIo {
         match choice {
             IoBackend::Syscall => BatchIo::per_datagram(batch_size),
-            IoBackend::Auto | IoBackend::Mmsg => BatchIo::new(batch_size),
+            IoBackend::Mmsg => BatchIo::new(batch_size),
         }
     }
 
@@ -747,11 +743,11 @@ mod tests {
 
     #[test]
     fn io_backend_parses_all_flag_values() {
-        assert_eq!(IoBackend::parse("auto"), Some(IoBackend::Auto));
+        assert_eq!(IoBackend::parse("auto"), Some(IoBackend::Mmsg));
         assert_eq!(IoBackend::parse("syscall"), Some(IoBackend::Syscall));
         assert_eq!(IoBackend::parse("mmsg"), Some(IoBackend::Mmsg));
         assert_eq!(IoBackend::parse("uring"), None);
-        for b in [IoBackend::Auto, IoBackend::Syscall, IoBackend::Mmsg] {
+        for b in [IoBackend::Syscall, IoBackend::Mmsg] {
             assert_eq!(IoBackend::parse(b.as_str()), Some(b));
         }
     }

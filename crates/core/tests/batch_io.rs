@@ -257,19 +257,16 @@ fn moves_datagrams(mut sender: BatchIo, mut receiver: BatchIo) {
 
 #[cfg(any(target_os = "linux", target_os = "android"))]
 #[test]
-fn auto_and_mmsg_are_the_vectored_path_on_linux() {
-    for choice in [IoBackend::Auto, IoBackend::Mmsg] {
-        let io = BatchIo::with_backend(choice, 32);
-        assert_eq!(io.backend_name(), "mmsg", "{choice:?}");
-        assert!(io.is_batched());
-        assert_eq!(io.batch_size(), 32);
-    }
+fn mmsg_is_the_vectored_path_on_linux() {
+    let io = BatchIo::with_backend(IoBackend::Mmsg, 32);
+    assert_eq!(io.backend_name(), "mmsg");
+    assert!(io.is_batched());
+    assert_eq!(io.batch_size(), 32);
 }
 
 #[test]
 fn batch_one_or_syscall_is_per_datagram_and_still_moves_datagrams() {
     for (choice, batch) in [
-        (IoBackend::Auto, 1),
         (IoBackend::Mmsg, 1),
         (IoBackend::Syscall, 1),
         (IoBackend::Syscall, 32),

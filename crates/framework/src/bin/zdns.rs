@@ -13,7 +13,7 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use zdns_framework::conf::{Conf, Workload};
+use zdns_framework::conf::{Conf, MergeConf, Workload, MERGE_FLAGS, SCAN_FLAGS, SERVE_FLAGS};
 use zdns_framework::output::{JsonlSink, OutputSink};
 use zdns_framework::{pipeline, runner};
 use zdns_modules::ModuleRegistry;
@@ -266,36 +266,19 @@ fn run_merge(args: &[String]) {
         }
         return;
     }
-    let mut output = String::new();
-    let mut allow_partial = false;
-    let mut manifests: Vec<std::path::PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--output" | "--output-file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => output = v.clone(),
-                    None => {
-                        eprintln!("zdns merge: --output needs a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--allow-partial" => allow_partial = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("zdns merge: unknown flag {flag}");
-                std::process::exit(2);
-            }
-            manifest => manifests.push(std::path::PathBuf::from(manifest)),
+    let conf = match MergeConf::parse(args.iter().cloned()) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("zdns merge: {e}");
+            std::process::exit(2);
         }
-        i += 1;
-    }
-    if output.is_empty() {
-        eprintln!("zdns merge: --output PATH is required");
-        std::process::exit(2);
-    }
-    match zdns_framework::merge_shards(&manifests, std::path::Path::new(&output), allow_partial) {
+    };
+    let output = &conf.output;
+    match zdns_framework::merge_shards(
+        &conf.manifests,
+        std::path::Path::new(output),
+        conf.allow_partial,
+    ) {
         Ok(report) => {
             let partial = if report.partial_shards.is_empty() {
                 String::new()
@@ -327,9 +310,8 @@ shard's checkpoint must be marked complete. Outputs are concatenated in
 shard-index order.
 
 FLAGS:
-  --output PATH        merged JSONL destination (required)
-  --allow-partial      merge even if some shards have not finished
-                       (their indices are reported on stderr)"
+{}",
+        MERGE_FLAGS.help()
     );
 }
 
@@ -349,7 +331,7 @@ fn run_serve(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let handle = match zdns_framework::serve::start(&conf.options()) {
+    let handle = match zdns_framework::serve::start(conf.options()) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("zdns serve: {e}");
@@ -361,7 +343,8 @@ fn run_serve(args: &[String]) {
         handle.local_addr(),
         handle.stats().len(),
         if handle.stats().len() == 1 { "" } else { "s" },
-        conf.upstreams
+        conf.options
+            .upstreams
             .iter()
             .map(|u| u.to_string())
             .collect::<Vec<_>>()
@@ -394,27 +377,8 @@ fn print_serve_help() {
 USAGE: zdns serve --upstream IP[:PORT] [flags]
 
 FLAGS:
-  --listen IP:PORT         listen address, UDP + TCP (default 127.0.0.1:5353;
-                           port 0 = ephemeral)
-  --upstream IP[:PORT][,…] upstream recursive resolvers misses are forwarded
-                           to (required; port defaults to 53)
-  --cache-capacity N       selective cache entries (default 600000)
-  --packet-cache-capacity N
-                           pre-encoded answer packets kept in front of the
-                           record cache; hot repeats skip record iteration
-                           and re-encoding (default 65536; 0 disables)
-  --client-pps N           per-client UDP budget in queries/s; over-budget
-                           queries are dropped, TCP is never gated
-                           (default: off)
-  --io-backend KIND        forwarding syscall strategy: auto | mmsg | syscall
-                           (as in scan mode)
-  --shards N               worker count: 1 (default) serves and forwards on
-                           one dual-role socket; N>1 shards the listen port
-                           across workers via SO_REUSEPORT
-  --batch-size N           datagrams per syscall on the forwarding path
-                           (default 32; at most 1024)
-  --duration SECS          serve for SECS then exit (default: run forever)
-  --status-updates         print a stats line to stderr every second"
+{}",
+        SERVE_FLAGS.help()
     );
 }
 
@@ -430,76 +394,7 @@ MODULES: A, AAAA, MX, TXT, PTR, CAA, ... plus ALOOKUP, MXLOOKUP, NSLOOKUP,
          CAALOOKUP, SPF, DMARC, BINDVERSION, ALLNAMESERVERS
 
 FLAGS:
-  --iterative              resolve iteratively from the roots (default)
-  --name-servers IP[,IP]   use external recursive resolvers; ip:port forms
-                           keep their port under --real (e.g. a local
-                           `zdns serve` instance). Simulated runs have
-                           Google at 8.8.8.8, Cloudflare at 1.1.1.1
-  --threads N              concurrent lookup routines (default 1000)
-  --cache-size N           selective cache entries (default 600000)
-  --retries N              per-query retries (default 3)
-  --timeout SECS           external query timeout
-  --iteration-timeout SECS per-step timeout for iterative walks
-  --tcp-only               send every query over TCP (no UDP attempt)
-  --no-tcp-fallback        never retry truncated (TC=1) answers over TCP
-  --trace                  same as --output-fields trace
-  --output-fields GROUP    short: name, status, answers | normal (default):
-                           all but flags, additionals | long: all of data |
-                           trace: long plus the lookup chain. The chain is
-                           recorded only when it is printed; in iterative
-                           mode it costs ~2.8x the time and ~7x the bytes
-                           of a normal line. The last of --trace and
-                           --output-fields on the command line decides
-  --input-file PATH        newline-delimited names (default: stdin)
-  --workload KIND          name source: lines (default) reads --input-file;
-                           ct-corpus streams the generated CT-log-like corpus
-                           (requires --max-names N; never materialized)
-  --output-file PATH       output JSONL (default: stdout)
-  --source-ips N           scanning source addresses (1=/32, 8=/29, 16=/28)
-  --seed N                 simulated-Internet seed
-  --max-names N            stop after N inputs
-  --status-updates         print run statistics to stderr
-  --real                   scan over real sockets (servers at ip:53) using
-                           the event-driven reactor instead of the simulator
-  --max-in-flight N        reactor admission window: concurrent lookups in
-                           flight across all workers (default: --threads)
-  --batch-size N           datagrams per syscall on the reactor hot path:
-                           same-tick sends coalesce into one sendmmsg and
-                           receives drain through an N-buffer recvmmsg arena
-                           (default 32; 1 = per-datagram syscalls; at most
-                           1024)
-  --io-backend KIND        reactor syscall strategy: auto (default) and mmsg
-                           use sendmmsg/recvmmsg where the platform has them
-                           and --batch-size is above 1, per-datagram
-                           otherwise; syscall forces per-datagram
-  --pin-cores              pin each reactor worker to its own CPU core
-                           (sched_setaffinity; best-effort)
-  --rate-pps N             polite scanning: global send budget in packets/s,
-                           one scan-wide budget the workers lease from
-                           (default: unlimited)
-  --per-host-pps N         per-destination send budget in packets/s
-  --backoff                adaptive per-destination backoff: timeout/error
-                           streaks grow a penalty multiplicatively, successes
-                           decay it
-  --backoff-base SECS      first backoff penalty (implies --backoff)
-  --backoff-cap SECS       backoff penalty growth cap (implies --backoff)
-  --cookie-secret S        derive EDNS client cookies from a keyed hash of S
-                           and the destination (RFC 7873 \u{a7}6): 32 hex digits
-                           are literal, anything else is stretched; default
-                           stays the reproducible per-name hash
-  --shard I/N              deterministic horizontal partition: scan only the
-                           names whose stable hash lands on shard I of N;
-                           run all N shards (any machines, any order) to
-                           cover the input exactly once
-  --checkpoint PATH        durable scan: write a scan manifest to PATH and a
-                           rotating progress checkpoint to PATH.ckpt
-                           (requires --real, --output-file, and a replayable
-                           input). A killed scan restarts with --resume PATH
-  --resume PATH            resume the scan described by the manifest at PATH:
-                           repairs the output's torn trailing line, skips
-                           every name already in the output, re-admits the
-                           in-flight remainder, and restores pacer backoff
-  --checkpoint-every N     completions between checkpoint snapshots
-                           (default 1000; needs --checkpoint or --resume)"
+{}",
+        SCAN_FLAGS.help()
     );
 }

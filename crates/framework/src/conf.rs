@@ -3,11 +3,20 @@
 //! The framework "is responsible for facilitating command-line
 //! configuration ... and is absent of most DNS-specific logic" (§3.2).
 //! Parsing is argv-vector based so tests and benches drive it directly.
+//!
+//! Every flag is declared once, as a [`Flag`] in one of three tables —
+//! [`SCAN_FLAGS`], [`SERVE_FLAGS`], [`MERGE_FLAGS`]. The same entry is
+//! what the parser matches, what `--help` prints and what `docs_check`
+//! inventories, so a flag cannot be parsed without being documented.
 
 use std::net::{Ipv4Addr, SocketAddr};
+use std::path::PathBuf;
+use std::str::FromStr;
 
-use zdns_core::{IoBackend, PacerConfig, ResolutionMode, ResolverConfig, MAX_BATCH};
-use zdns_netsim::{SimTime, MILLIS, SECONDS};
+use zdns_core::{
+    IoBackend, PacerConfig, ResolutionMode, ResolverConfig, DEFAULT_BATCH_SIZE, MAX_BATCH,
+};
+use zdns_netsim::{SimTime, SECONDS};
 
 use crate::serve::ServeOptions;
 
@@ -96,7 +105,7 @@ pub struct Conf {
     pub output_path: String,
     /// Simulation seed (the CLI scans the simulated Internet).
     pub seed: u64,
-    /// Number of scanning source IPs (/32=1, /29=8, /28=16).
+    /// Number of scanning source IPs (/32=1, /29=8, /28=16), 1 to 254.
     pub source_ips: usize,
     /// Print periodic status lines to stderr.
     pub status_updates: bool,
@@ -107,30 +116,21 @@ pub struct Conf {
     /// Admission window for the real-socket reactor: total lookups in
     /// flight across all reactor workers (0 = use `threads`).
     pub max_in_flight: usize,
-    /// Global send budget in packets/second, shared across all workers
-    /// (0 = unlimited). Polite scanning's primary knob.
-    pub rate_pps: f64,
-    /// Per-destination send budget in packets/second (0 = unlimited).
-    pub per_host_pps: f64,
-    /// Adaptive per-destination backoff on timeout/error streaks.
-    pub backoff: bool,
-    /// First backoff penalty in nanoseconds (0 = pacer default). Doubles
-    /// per consecutive failure up to `backoff_cap`.
-    pub backoff_base: SimTime,
-    /// Backoff penalty growth cap in nanoseconds (0 = pacer default).
-    pub backoff_cap: SimTime,
+    /// The pacing and backoff budgets of the whole scan — every worker
+    /// leases from one pacer built from this (`--rate-pps`,
+    /// `--per-host-pps`, `--backoff`, `--backoff-base`, `--backoff-cap`).
+    pub pacer: PacerConfig,
     /// Datagrams per syscall on the reactor hot path: same-tick sends
     /// coalesce into one `sendmmsg` of up to this many datagrams, and the
-    /// receive arena holds this many pre-allocated buffers. `0` = the
-    /// reactor default; `1` = per-datagram syscalls; at most
-    /// [`MAX_BATCH`].
+    /// receive arena holds this many pre-allocated buffers. `1` =
+    /// per-datagram syscalls; at most [`MAX_BATCH`].
     pub batch_size: usize,
     /// Name source for the scan (`--workload`).
     pub workload: Workload,
     /// Syscall strategy for the reactor hot path (`--io-backend`):
-    /// `auto` (default) and `mmsg` run `sendmmsg`/`recvmmsg` where the
-    /// platform has them and the batch size is above 1; `syscall` forces
-    /// one datagram per syscall.
+    /// `mmsg` (default) runs `sendmmsg`/`recvmmsg` where the platform
+    /// has them and the batch size is above 1; `syscall` forces one
+    /// datagram per syscall.
     pub io_backend: IoBackend,
     /// Pin each reactor worker to its own CPU core
     /// (`sched_setaffinity`), best-effort. Off by default.
@@ -172,12 +172,8 @@ impl Default for Conf {
             max_names: 0,
             real: false,
             max_in_flight: 0,
-            rate_pps: 0.0,
-            per_host_pps: 0.0,
-            backoff: false,
-            backoff_base: 0,
-            backoff_cap: 0,
-            batch_size: 0,
+            pacer: PacerConfig::default(),
+            batch_size: DEFAULT_BATCH_SIZE,
             workload: Workload::Lines,
             io_backend: IoBackend::default(),
             pin_cores: false,
@@ -202,6 +198,134 @@ impl std::fmt::Display for ConfError {
 
 impl std::error::Error for ConfError {}
 
+/// One command-line flag, declared once: the parser matches its
+/// spellings, `--help` renders its placeholder and help lines, and
+/// `docs_check` inventories it.
+pub struct Flag<C> {
+    /// Every accepted spelling, long form first.
+    pub names: &'static [&'static str],
+    /// The value placeholder `--help` shows (`N`, `PATH`, ...); `None`
+    /// for a switch, which takes no value.
+    pub value: Option<&'static str>,
+    /// The help text, one printed line per `\n`.
+    pub help: &'static str,
+    /// Applies the flag to the configuration being built, given its
+    /// value (`""` for a switch).
+    pub set: fn(&mut C, &str) -> Result<(), ConfError>,
+}
+
+/// The flags of one command, in `--help` order.
+pub struct FlagTable<C: 'static> {
+    /// Width of the help screen's left column (spellings and
+    /// placeholder); a longer head gets a line of its own.
+    pub column: usize,
+    /// The flags.
+    pub flags: &'static [Flag<C>],
+}
+
+impl<C: 'static> FlagTable<C> {
+    /// Walk `args`: a listed spelling applies its flag (taking the next
+    /// argument as the value unless it is a switch); any other argument
+    /// goes to `other`, which keeps it or rejects it.
+    fn parse(
+        &self,
+        conf: &mut C,
+        args: impl IntoIterator<Item = String>,
+        mut other: impl FnMut(&mut C, String) -> Result<(), ConfError>,
+    ) -> Result<(), ConfError> {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let Some(flag) = self.flags.iter().find(|f| f.names.contains(&arg.as_str())) else {
+                other(conf, arg)?;
+                continue;
+            };
+            let value = match flag.value {
+                Some(_) => args
+                    .next()
+                    .ok_or_else(|| ConfError(format!("flag {arg} needs a value")))?,
+                None => String::new(),
+            };
+            (flag.set)(conf, &value)?;
+        }
+        Ok(())
+    }
+
+    /// Each flag's `--help` entry, in table order.
+    pub fn help_entries(&self) -> impl Iterator<Item = String> + '_ {
+        let column = self.column;
+        self.flags.iter().map(move |flag| {
+            let mut head = flag.names.join(", ");
+            if let Some(value) = flag.value {
+                head = format!("{head} {value}");
+            }
+            let mut lines = flag.help.lines();
+            let mut entry = if head.chars().count() < column {
+                format!("  {head:<column$}{}", lines.next().unwrap_or_default())
+            } else {
+                format!("  {head}")
+            };
+            for line in lines {
+                entry.push_str(&format!("\n  {:column$}{line}", ""));
+            }
+            entry
+        })
+    }
+
+    /// The FLAGS block of the command's `--help` screen.
+    pub fn help(&self) -> String {
+        self.help_entries().collect::<Vec<_>>().join("\n")
+    }
+}
+
+/// A switch's setter: turn `setting` on.
+fn on(setting: &mut bool) -> Result<(), ConfError> {
+    *setting = true;
+    Ok(())
+}
+
+/// Parse `v` as a `T` that `ok` accepts, or fail with "bad FLAG".
+fn parse_checked<T: FromStr>(v: &str, flag: &str, ok: impl Fn(&T) -> bool) -> Result<T, ConfError> {
+    v.parse()
+        .ok()
+        .filter(ok)
+        .ok_or_else(|| ConfError(format!("bad {flag}")))
+}
+
+/// Parse any `T` (a count, a capacity, a seed), or fail with "bad FLAG".
+fn number<T: FromStr>(v: &str, flag: &str) -> Result<T, ConfError> {
+    parse_checked(v, flag, |_| true)
+}
+
+/// Parse a budget or a run length: finite and not negative (0 = off).
+fn non_negative(v: &str, flag: &str) -> Result<f64, ConfError> {
+    parse_checked(v, flag, |r: &f64| r.is_finite() && *r >= 0.0)
+}
+
+/// Longest duration `--timeout`, `--iteration-timeout`, `--backoff-base`
+/// and `--backoff-cap` accept, in seconds: far past any DNS exchange or
+/// useful penalty, and small enough that deadline arithmetic on
+/// [`SimTime`] nanoseconds cannot overflow.
+const MAX_DURATION_SECS: f64 = 3_600.0;
+
+/// Parse a duration in seconds: finite, above 0 (after rounding to
+/// nanoseconds) and at most [`MAX_DURATION_SECS`].
+fn duration_secs(v: &str, flag: &str) -> Result<SimTime, ConfError> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|s| (0.0..=MAX_DURATION_SECS).contains(s))
+        .map(|s| (s * SECONDS as f64) as SimTime)
+        .filter(|ns| *ns > 0)
+        .ok_or_else(|| {
+            ConfError(format!(
+                "bad {flag} {v:?} (seconds, above 0 and at most {MAX_DURATION_SECS})"
+            ))
+        })
+}
+
+/// Most scanning source addresses `--source-ips` hands out: the usable
+/// hosts `192.0.2.1` to `192.0.2.254` of one /24.
+const MAX_SOURCE_IPS: usize = 254;
+
 /// Parse a server address: `ip` (port 53) or `ip:port`. IPv4 only — the
 /// resolver core routes by v4 address.
 fn parse_server_addr(v: &str) -> Result<(Ipv4Addr, SocketAddr), ConfError> {
@@ -214,12 +338,6 @@ fn parse_server_addr(v: &str) -> Result<(Ipv4Addr, SocketAddr), ConfError> {
             "bad server address {v:?} (expected IP or IP:PORT, IPv4)"
         ))),
     }
-}
-
-fn parse_duration_secs(v: &str) -> Result<SimTime, ConfError> {
-    v.parse::<f64>()
-        .map(|s| (s * SECONDS as f64) as SimTime)
-        .map_err(|_| ConfError(format!("bad duration {v:?}")))
 }
 
 /// Parse a `--cookie-secret` value into the 16-octet client secret the
@@ -248,13 +366,13 @@ fn parse_cookie_secret(v: &str) -> Result<[u8; 16], ConfError> {
     Ok(secret)
 }
 
-/// Parse an `--io-backend` value (shared by the scan and serve parsers).
+/// Parse an `--io-backend` value (shared by the scan and serve tables).
 fn parse_io_backend(v: &str) -> Result<IoBackend, ConfError> {
     IoBackend::parse(v)
         .ok_or_else(|| ConfError(format!("bad --io-backend {v:?} (auto|mmsg|syscall)")))
 }
 
-/// Parse a `--batch-size` value (shared by the scan and serve parsers):
+/// Parse a `--batch-size` value (shared by the scan and serve tables):
 /// 1 up to [`MAX_BATCH`], the most datagrams one syscall takes.
 fn parse_batch_size(v: &str) -> Result<usize, ConfError> {
     v.parse()
@@ -279,6 +397,320 @@ fn parse_shard(v: &str) -> Result<(u32, u32), ConfError> {
     Ok((index, count))
 }
 
+/// A manifest path flag's value: anything but empty.
+fn manifest_path(v: &str, flag: &str) -> Result<String, ConfError> {
+    if v.is_empty() {
+        return Err(ConfError(format!("{flag} needs a manifest path")));
+    }
+    Ok(v.to_string())
+}
+
+/// The scan parser's state: the [`Conf`] being built plus the two
+/// settings only decided together, after the last flag (`--iterative`
+/// and `--name-servers` exclude each other and pick the resolution
+/// mode).
+pub struct ScanArgs {
+    conf: Conf,
+    iterative: bool,
+    name_servers: Vec<Ipv4Addr>,
+}
+
+/// Every `zdns MODULE` flag.
+pub static SCAN_FLAGS: FlagTable<ScanArgs> = FlagTable {
+    column: 25,
+    flags: &[
+        Flag {
+            names: &["--iterative"],
+            value: None,
+            help: "resolve iteratively from the roots (default)",
+            set: |a, _| on(&mut a.iterative),
+        },
+        Flag {
+            names: &["--name-servers"],
+            value: Some("IP[,IP]"),
+            help: "use external recursive resolvers; ip:port forms\n\
+                keep their port under --real (e.g. a local\n\
+                `zdns serve` instance). Simulated runs have\n\
+                Google at 8.8.8.8, Cloudflare at 1.1.1.1",
+            set: |a, v| {
+                for part in v.split(',') {
+                    let (ip, addr) = parse_server_addr(part.trim())?;
+                    a.name_servers.push(ip);
+                    a.conf.name_server_addrs.push(addr);
+                }
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--threads", "-t"],
+            value: Some("N"),
+            help: "concurrent lookup routines (default 1000)",
+            set: |a, v| number(v, "--threads").map(|n| a.conf.threads = n),
+        },
+        Flag {
+            names: &["--cache-size"],
+            value: Some("N"),
+            help: "selective cache entries (default 600000)",
+            set: |a, v| number(v, "--cache-size").map(|n| a.conf.resolver.cache_size = n),
+        },
+        Flag {
+            names: &["--retries"],
+            value: Some("N"),
+            help: "per-query retries (default 3)",
+            set: |a, v| number(v, "--retries").map(|n| a.conf.resolver.retries = n),
+        },
+        Flag {
+            names: &["--timeout"],
+            value: Some("SECS"),
+            help: "external query timeout",
+            set: |a, v| duration_secs(v, "--timeout").map(|t| a.conf.resolver.timeout = t),
+        },
+        Flag {
+            names: &["--iteration-timeout"],
+            value: Some("SECS"),
+            help: "per-step timeout for iterative walks",
+            set: |a, v| {
+                duration_secs(v, "--iteration-timeout")
+                    .map(|t| a.conf.resolver.iteration_timeout = t)
+            },
+        },
+        Flag {
+            names: &["--tcp-only"],
+            value: None,
+            help: "send every query over TCP (no UDP attempt)",
+            set: |a, _| on(&mut a.conf.resolver.tcp_only),
+        },
+        Flag {
+            names: &["--no-tcp-fallback"],
+            value: None,
+            help: "never retry truncated (TC=1) answers over TCP",
+            set: |a, _| {
+                a.conf.resolver.tcp_on_truncated = false;
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--trace"],
+            value: None,
+            help: "same as --output-fields trace",
+            set: |a, _| {
+                a.conf.output = OutputGroup::Trace;
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--output-fields"],
+            value: Some("GROUP"),
+            help: "short: name, status, answers | normal (default):\n\
+                all but flags, additionals | long: all of data |\n\
+                trace: long plus the lookup chain. The chain is\n\
+                recorded only when it is printed; in iterative\n\
+                mode it costs ~2.8x the time and ~7x the bytes\n\
+                of a normal line. The last of --trace and\n\
+                --output-fields on the command line decides",
+            set: |a, v| {
+                OutputGroup::parse(v)
+                    .map(|g| a.conf.output = g)
+                    .ok_or_else(|| ConfError(format!("bad output group {v:?}")))
+            },
+        },
+        Flag {
+            names: &["--input-file", "-f"],
+            value: Some("PATH"),
+            help: "newline-delimited names (default: stdin)",
+            set: |a, v| {
+                a.conf.input_path = v.to_string();
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--workload"],
+            value: Some("KIND"),
+            help: "name source: lines (default) reads --input-file;\n\
+                ct-corpus streams the generated CT-log-like corpus\n\
+                (requires --max-names N; never materialized)",
+            set: |a, v| {
+                Workload::parse(v)
+                    .map(|w| a.conf.workload = w)
+                    .ok_or_else(|| ConfError(format!("unknown workload {v:?}")))
+            },
+        },
+        Flag {
+            names: &["--output-file", "-o"],
+            value: Some("PATH"),
+            help: "output JSONL (default: stdout)",
+            set: |a, v| {
+                a.conf.output_path = v.to_string();
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--source-ips"],
+            value: Some("N"),
+            help: "scanning source addresses (1=/32, 8=/29, 16=/28)",
+            set: |a, v| {
+                let n = v
+                    .parse()
+                    .ok()
+                    .filter(|n| (1..=MAX_SOURCE_IPS).contains(n))
+                    .ok_or_else(|| {
+                        ConfError(format!("bad --source-ips {v:?} (1 to {MAX_SOURCE_IPS})"))
+                    })?;
+                a.conf.source_ips = n;
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--seed"],
+            value: Some("N"),
+            help: "simulated-Internet seed",
+            set: |a, v| number(v, "--seed").map(|n| a.conf.seed = n),
+        },
+        Flag {
+            names: &["--max-names"],
+            value: Some("N"),
+            help: "stop after N inputs",
+            set: |a, v| number(v, "--max-names").map(|n| a.conf.max_names = n),
+        },
+        Flag {
+            names: &["--status-updates"],
+            value: None,
+            help: "print run statistics to stderr",
+            set: |a, _| on(&mut a.conf.status_updates),
+        },
+        Flag {
+            names: &["--real"],
+            value: None,
+            help: "scan over real sockets (servers at ip:53) using\n\
+                the event-driven reactor instead of the simulator",
+            set: |a, _| on(&mut a.conf.real),
+        },
+        Flag {
+            names: &["--max-in-flight"],
+            value: Some("N"),
+            help: "reactor admission window: concurrent lookups in\n\
+                flight across all workers (default: --threads)",
+            set: |a, v| number(v, "--max-in-flight").map(|n| a.conf.max_in_flight = n),
+        },
+        Flag {
+            names: &["--batch-size"],
+            value: Some("N"),
+            help: "datagrams per syscall on the reactor hot path:\n\
+                same-tick sends coalesce into one sendmmsg and\n\
+                receives drain through an N-buffer recvmmsg arena\n\
+                (default 32; 1 = per-datagram syscalls; at most\n\
+                1024)",
+            set: |a, v| parse_batch_size(v).map(|n| a.conf.batch_size = n),
+        },
+        Flag {
+            names: &["--io-backend"],
+            value: Some("KIND"),
+            help: "reactor syscall strategy: auto (default) and mmsg\n\
+                use sendmmsg/recvmmsg where the platform has them\n\
+                and --batch-size is above 1, per-datagram\n\
+                otherwise; syscall forces per-datagram",
+            set: |a, v| parse_io_backend(v).map(|b| a.conf.io_backend = b),
+        },
+        Flag {
+            names: &["--pin-cores"],
+            value: None,
+            help: "pin each reactor worker to its own CPU core\n\
+                (sched_setaffinity; best-effort)",
+            set: |a, _| on(&mut a.conf.pin_cores),
+        },
+        Flag {
+            names: &["--rate-pps"],
+            value: Some("N"),
+            help: "polite scanning: global send budget in packets/s,\n\
+                one scan-wide budget the workers lease from\n\
+                (default: unlimited)",
+            set: |a, v| non_negative(v, "--rate-pps").map(|r| a.conf.pacer.rate_pps = r),
+        },
+        Flag {
+            names: &["--per-host-pps"],
+            value: Some("N"),
+            help: "per-destination send budget in packets/s",
+            set: |a, v| non_negative(v, "--per-host-pps").map(|r| a.conf.pacer.per_host_pps = r),
+        },
+        Flag {
+            names: &["--backoff"],
+            value: None,
+            help: "adaptive per-destination backoff: timeout/error\n\
+                streaks grow a penalty multiplicatively, successes\n\
+                decay it",
+            set: |a, _| on(&mut a.conf.pacer.backoff),
+        },
+        Flag {
+            names: &["--backoff-base"],
+            value: Some("SECS"),
+            help: "first backoff penalty (implies --backoff)",
+            set: |a, v| {
+                a.conf.pacer.backoff = true;
+                duration_secs(v, "--backoff-base").map(|t| a.conf.pacer.backoff_base = t)
+            },
+        },
+        Flag {
+            names: &["--backoff-cap"],
+            value: Some("SECS"),
+            help: "backoff penalty growth cap (implies --backoff)",
+            set: |a, v| {
+                a.conf.pacer.backoff = true;
+                duration_secs(v, "--backoff-cap").map(|t| a.conf.pacer.backoff_cap = t)
+            },
+        },
+        Flag {
+            names: &["--cookie-secret"],
+            value: Some("S"),
+            help: "derive EDNS client cookies from a keyed hash of S\n\
+                and the destination (RFC 7873 \u{a7}6): 32 hex digits\n\
+                are literal, anything else is stretched; default\n\
+                stays the reproducible per-name hash",
+            set: |a, v| parse_cookie_secret(v).map(|s| a.conf.resolver.cookie_secret = Some(s)),
+        },
+        Flag {
+            names: &["--shard"],
+            value: Some("I/N"),
+            help: "deterministic horizontal partition: scan only the\n\
+                names whose stable hash lands on shard I of N;\n\
+                run all N shards (any machines, any order) to\n\
+                cover the input exactly once",
+            set: |a, v| parse_shard(v).map(|s| a.conf.shard = Some(s)),
+        },
+        Flag {
+            names: &["--checkpoint"],
+            value: Some("PATH"),
+            help: "durable scan: write a scan manifest to PATH and a\n\
+                rotating progress checkpoint to PATH.ckpt\n\
+                (requires --real, --output-file, and a replayable\n\
+                input). A killed scan restarts with --resume PATH",
+            set: |a, v| manifest_path(v, "--checkpoint").map(|p| a.conf.checkpoint_path = p),
+        },
+        Flag {
+            names: &["--resume"],
+            value: Some("PATH"),
+            help: "resume the scan described by the manifest at PATH:\n\
+                repairs the output's torn trailing line, skips\n\
+                every name already in the output, re-admits the\n\
+                in-flight remainder, and restores pacer backoff",
+            set: |a, v| {
+                a.conf.checkpoint_path = manifest_path(v, "--resume")?;
+                a.conf.resume = true;
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--checkpoint-every"],
+            value: Some("N"),
+            help: "completions between checkpoint snapshots\n\
+                (default 1000; needs --checkpoint or --resume)",
+            set: |a, v| {
+                parse_checked(v, "--checkpoint-every", |n: &u64| *n >= 1)
+                    .map(|n| a.conf.checkpoint_every = n)
+            },
+        },
+    ],
+};
+
 impl Conf {
     /// Parse an argv-style vector: `zdns MODULE [flags]`.
     pub fn parse<I, S>(args: I) -> Result<Conf, ConfError>
@@ -286,152 +718,31 @@ impl Conf {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut conf = Conf::default();
-        let mut args: Vec<String> = args.into_iter().map(Into::into).collect();
-        if args.is_empty() {
-            return Err(ConfError("expected a module name".into()));
-        }
-        conf.module = args.remove(0);
-        if conf.module.starts_with('-') {
+        let mut args = args.into_iter().map(Into::into);
+        let module = args
+            .next()
+            .ok_or_else(|| ConfError("expected a module name".into()))?;
+        if module.starts_with('-') {
             return Err(ConfError(format!(
-                "expected a module name first, got flag {:?}",
-                conf.module
+                "expected a module name first, got flag {module:?}"
             )));
         }
-        let mut name_servers: Vec<Ipv4Addr> = Vec::new();
-        let mut iterative = false;
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].clone();
-            let take_value = |i: &mut usize| -> Result<String, ConfError> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| ConfError(format!("flag {flag} needs a value")))
-            };
-            match flag.as_str() {
-                "--threads" | "-t" => {
-                    conf.threads = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --threads".into()))?;
-                }
-                "--iterative" => iterative = true,
-                "--name-servers" => {
-                    for part in take_value(&mut i)?.split(',') {
-                        let (ip, addr) = parse_server_addr(part.trim())?;
-                        name_servers.push(ip);
-                        conf.name_server_addrs.push(addr);
-                    }
-                }
-                "--cache-size" => {
-                    conf.resolver.cache_size = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --cache-size".into()))?;
-                }
-                "--retries" => {
-                    conf.resolver.retries = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --retries".into()))?;
-                }
-                "--timeout" => {
-                    conf.resolver.timeout = parse_duration_secs(&take_value(&mut i)?)?;
-                }
-                "--iteration-timeout" => {
-                    conf.resolver.iteration_timeout = parse_duration_secs(&take_value(&mut i)?)?;
-                }
-                "--tcp-only" => conf.resolver.tcp_only = true,
-                "--no-tcp-fallback" => conf.resolver.tcp_on_truncated = false,
-                "--trace" => conf.output = OutputGroup::Trace,
-                "--output-fields" => {
-                    let v = take_value(&mut i)?;
-                    conf.output = OutputGroup::parse(&v)
-                        .ok_or_else(|| ConfError(format!("bad output group {v:?}")))?;
-                }
-                "--input-file" | "-f" => conf.input_path = take_value(&mut i)?,
-                "--output-file" | "-o" => conf.output_path = take_value(&mut i)?,
-                "--seed" => {
-                    conf.seed = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --seed".into()))?;
-                }
-                "--source-ips" => {
-                    conf.source_ips = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --source-ips".into()))?;
-                }
-                "--status-updates" => conf.status_updates = true,
-                "--real" => conf.real = true,
-                "--max-in-flight" => {
-                    conf.max_in_flight = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --max-in-flight".into()))?;
-                }
-                "--rate-pps" => {
-                    conf.rate_pps = take_value(&mut i)?
-                        .parse()
-                        .ok()
-                        .filter(|v: &f64| v.is_finite() && *v >= 0.0)
-                        .ok_or_else(|| ConfError("bad --rate-pps".into()))?;
-                }
-                "--per-host-pps" => {
-                    conf.per_host_pps = take_value(&mut i)?
-                        .parse()
-                        .ok()
-                        .filter(|v: &f64| v.is_finite() && *v >= 0.0)
-                        .ok_or_else(|| ConfError("bad --per-host-pps".into()))?;
-                }
-                "--backoff" => conf.backoff = true,
-                "--backoff-base" => {
-                    conf.backoff = true;
-                    conf.backoff_base = parse_duration_secs(&take_value(&mut i)?)?;
-                }
-                "--backoff-cap" => {
-                    conf.backoff = true;
-                    conf.backoff_cap = parse_duration_secs(&take_value(&mut i)?)?;
-                }
-                "--batch-size" => conf.batch_size = parse_batch_size(&take_value(&mut i)?)?,
-                "--max-names" => {
-                    conf.max_names = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --max-names".into()))?;
-                }
-                "--workload" => {
-                    let v = take_value(&mut i)?;
-                    conf.workload = Workload::parse(&v)
-                        .ok_or_else(|| ConfError(format!("unknown workload {v:?}")))?;
-                }
-                "--io-backend" => conf.io_backend = parse_io_backend(&take_value(&mut i)?)?,
-                "--pin-cores" => conf.pin_cores = true,
-                "--cookie-secret" => {
-                    conf.resolver.cookie_secret = Some(parse_cookie_secret(&take_value(&mut i)?)?);
-                }
-                "--shard" => {
-                    conf.shard = Some(parse_shard(&take_value(&mut i)?)?);
-                }
-                "--checkpoint" => {
-                    conf.checkpoint_path = take_value(&mut i)?;
-                    if conf.checkpoint_path.is_empty() {
-                        return Err(ConfError("--checkpoint needs a manifest path".into()));
-                    }
-                }
-                "--resume" => {
-                    conf.checkpoint_path = take_value(&mut i)?;
-                    conf.resume = true;
-                    if conf.checkpoint_path.is_empty() {
-                        return Err(ConfError("--resume needs a manifest path".into()));
-                    }
-                }
-                "--checkpoint-every" => {
-                    conf.checkpoint_every = take_value(&mut i)?
-                        .parse()
-                        .ok()
-                        .filter(|v: &u64| *v >= 1)
-                        .ok_or_else(|| ConfError("bad --checkpoint-every".into()))?;
-                }
-                other => return Err(ConfError(format!("unknown flag {other:?}"))),
-            }
-            i += 1;
-        }
+        let mut scan = ScanArgs {
+            conf: Conf {
+                module,
+                ..Conf::default()
+            },
+            iterative: false,
+            name_servers: Vec::new(),
+        };
+        SCAN_FLAGS.parse(&mut scan, args, |_, other| {
+            Err(ConfError(format!("unknown flag {other:?}")))
+        })?;
+        let ScanArgs {
+            mut conf,
+            iterative,
+            name_servers,
+        } = scan;
         if iterative && !name_servers.is_empty() {
             return Err(ConfError(
                 "--iterative and --name-servers are mutually exclusive".into(),
@@ -495,40 +806,16 @@ impl Conf {
                 }
             }
         }
-        // Default timeouts favour scanning: tighter than stub-resolver
-        // defaults, looser than LAN assumptions.
-        if conf.resolver.iteration_timeout == 0 {
-            conf.resolver.iteration_timeout = 1_500 * MILLIS;
-        }
         Ok(conf)
-    }
-
-    /// The pacing + backoff budgets this scan was asked for (the whole
-    /// scan's budget — every worker leases from one shared pacer).
-    pub fn pacer_config(&self) -> PacerConfig {
-        let defaults = PacerConfig::default();
-        PacerConfig {
-            rate_pps: self.rate_pps,
-            per_host_pps: self.per_host_pps,
-            backoff: self.backoff,
-            backoff_base: if self.backoff_base > 0 {
-                self.backoff_base
-            } else {
-                defaults.backoff_base
-            },
-            backoff_cap: if self.backoff_cap > 0 {
-                self.backoff_cap
-            } else {
-                defaults.backoff_cap
-            },
-            ..defaults
-        }
     }
 
     /// The scanning source addresses derived from `source_ips`.
     pub fn client_ips(&self) -> Vec<Ipv4Addr> {
-        (0..self.source_ips.max(1))
-            .map(|i| Ipv4Addr::new(192, 0, 2, (i + 1) as u8))
+        (1..=self.source_ips)
+            .map(|i| {
+                let host = u8::try_from(i).expect("--source-ips is at most MAX_SOURCE_IPS");
+                Ipv4Addr::new(192, 0, 2, host)
+            })
             .collect()
     }
 }
@@ -536,47 +823,107 @@ impl Conf {
 /// Parsed `zdns serve` configuration: the forwarding-server subcommand's
 /// own flag surface (a serve is not a scan — it has no module, no input,
 /// and runs until stopped).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeConf {
-    /// Listen address (`--listen`), UDP + TCP.
-    pub listen: SocketAddr,
-    /// Upstream recursive resolvers (`--upstream ip[:port][,...]`).
-    pub upstreams: Vec<SocketAddr>,
-    /// Selective-cache capacity in entries (`--cache-capacity`).
-    pub cache_capacity: usize,
-    /// Per-client UDP budget in queries/second (`--client-pps`; 0 = off).
-    pub client_pps: f64,
-    /// Reactor syscall strategy (`--io-backend`).
-    pub io_backend: IoBackend,
-    /// Worker count (`--shards`; 1 = dual-role socket).
-    pub shards: usize,
-    /// Datagrams per syscall on the forwarding path (`--batch-size`).
-    pub batch_size: usize,
-    /// Pre-encoded packet-cache slots (`--packet-cache-capacity`; 0
-    /// disables the layer and serves every hit via scratch-encode).
-    pub packet_cache_capacity: usize,
+    /// What the fleet is started with.
+    pub options: ServeOptions,
     /// Run for this many seconds then exit (`--duration`; 0 = forever).
     pub duration: f64,
     /// Print a status line to stderr every second (`--status-updates`).
     pub status_updates: bool,
 }
 
-impl Default for ServeConf {
-    fn default() -> Self {
-        ServeConf {
-            listen: "127.0.0.1:5353".parse().expect("static address"),
-            upstreams: Vec::new(),
-            cache_capacity: 600_000,
-            client_pps: 0.0,
-            io_backend: IoBackend::default(),
-            shards: 1,
-            batch_size: 0,
-            packet_cache_capacity: zdns_core::DEFAULT_PACKET_CACHE_CAPACITY,
-            duration: 0.0,
-            status_updates: false,
-        }
-    }
-}
+/// Every `zdns serve` flag.
+pub static SERVE_FLAGS: FlagTable<ServeConf> = FlagTable {
+    column: 25,
+    flags: &[
+        Flag {
+            names: &["--listen"],
+            value: Some("IP:PORT"),
+            help: "listen address, UDP + TCP (default 127.0.0.1:5353;\n\
+                port 0 = ephemeral)",
+            set: |c, v| {
+                c.options.listen = v
+                    .parse()
+                    .map_err(|_| ConfError(format!("bad --listen {v:?} (expected IP:PORT)")))?;
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--upstream"],
+            value: Some("IP[:PORT][,\u{2026}]"),
+            help: "upstream recursive resolvers misses are forwarded\n\
+                to (required; port defaults to 53)",
+            set: |c, v| {
+                for part in v.split(',') {
+                    let (_, addr) = parse_server_addr(part.trim())?;
+                    c.options.upstreams.push(addr);
+                }
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--cache-capacity"],
+            value: Some("N"),
+            help: "selective cache entries (default 600000)",
+            set: |c, v| number(v, "--cache-capacity").map(|n| c.options.cache_capacity = n),
+        },
+        Flag {
+            names: &["--packet-cache-capacity"],
+            value: Some("N"),
+            help: "pre-encoded answer packets kept in front of the\n\
+                record cache; hot repeats skip record iteration\n\
+                and re-encoding (default 65536; 0 disables)",
+            set: |c, v| {
+                number(v, "--packet-cache-capacity").map(|n| c.options.packet_cache_capacity = n)
+            },
+        },
+        Flag {
+            names: &["--client-pps"],
+            value: Some("N"),
+            help: "per-client UDP budget in queries/s; over-budget\n\
+                queries are dropped, TCP is never gated\n\
+                (default: off)",
+            set: |c, v| non_negative(v, "--client-pps").map(|r| c.options.client_pps = r),
+        },
+        Flag {
+            names: &["--io-backend"],
+            value: Some("KIND"),
+            help: "forwarding syscall strategy: auto | mmsg | syscall\n\
+                (as in scan mode)",
+            set: |c, v| parse_io_backend(v).map(|b| c.options.io_backend = b),
+        },
+        Flag {
+            names: &["--shards"],
+            value: Some("N"),
+            help: "worker count: 1 (default) serves and forwards on\n\
+                one dual-role socket; N>1 shards the listen port\n\
+                across workers via SO_REUSEPORT",
+            set: |c, v| {
+                parse_checked(v, "--shards", |n: &usize| *n >= 1).map(|n| c.options.shards = n)
+            },
+        },
+        Flag {
+            names: &["--batch-size"],
+            value: Some("N"),
+            help: "datagrams per syscall on the forwarding path\n\
+                (default 32; at most 1024)",
+            set: |c, v| parse_batch_size(v).map(|n| c.options.batch_size = n),
+        },
+        Flag {
+            names: &["--duration"],
+            value: Some("SECS"),
+            help: "serve for SECS then exit (default: run forever)",
+            set: |c, v| non_negative(v, "--duration").map(|d| c.duration = d),
+        },
+        Flag {
+            names: &["--status-updates"],
+            value: None,
+            help: "print a stats line to stderr every second",
+            set: |c, _| on(&mut c.status_updates),
+        },
+    ],
+};
 
 impl ServeConf {
     /// Parse the argv vector that followed `zdns serve`.
@@ -586,68 +933,10 @@ impl ServeConf {
         S: Into<String>,
     {
         let mut conf = ServeConf::default();
-        let args: Vec<String> = args.into_iter().map(Into::into).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].clone();
-            let take_value = |i: &mut usize| -> Result<String, ConfError> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| ConfError(format!("flag {flag} needs a value")))
-            };
-            match flag.as_str() {
-                "--listen" => {
-                    let v = take_value(&mut i)?;
-                    conf.listen = v
-                        .parse()
-                        .map_err(|_| ConfError(format!("bad --listen {v:?} (expected IP:PORT)")))?;
-                }
-                "--upstream" => {
-                    for part in take_value(&mut i)?.split(',') {
-                        let (_, addr) = parse_server_addr(part.trim())?;
-                        conf.upstreams.push(addr);
-                    }
-                }
-                "--cache-capacity" => {
-                    conf.cache_capacity = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --cache-capacity".into()))?;
-                }
-                "--client-pps" => {
-                    conf.client_pps = take_value(&mut i)?
-                        .parse()
-                        .ok()
-                        .filter(|v: &f64| v.is_finite() && *v >= 0.0)
-                        .ok_or_else(|| ConfError("bad --client-pps".into()))?;
-                }
-                "--io-backend" => conf.io_backend = parse_io_backend(&take_value(&mut i)?)?,
-                "--shards" => {
-                    conf.shards = take_value(&mut i)?
-                        .parse()
-                        .ok()
-                        .filter(|v: &usize| *v >= 1)
-                        .ok_or_else(|| ConfError("bad --shards".into()))?;
-                }
-                "--batch-size" => conf.batch_size = parse_batch_size(&take_value(&mut i)?)?,
-                "--packet-cache-capacity" => {
-                    conf.packet_cache_capacity = take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| ConfError("bad --packet-cache-capacity".into()))?;
-                }
-                "--duration" => {
-                    conf.duration = take_value(&mut i)?
-                        .parse()
-                        .ok()
-                        .filter(|v: &f64| v.is_finite() && *v >= 0.0)
-                        .ok_or_else(|| ConfError("bad --duration".into()))?;
-                }
-                "--status-updates" => conf.status_updates = true,
-                other => return Err(ConfError(format!("unknown serve flag {other:?}"))),
-            }
-            i += 1;
-        }
-        if conf.upstreams.is_empty() {
+        SERVE_FLAGS.parse(&mut conf, args.into_iter().map(Into::into), |_, other| {
+            Err(ConfError(format!("unknown serve flag {other:?}")))
+        })?;
+        if conf.options.upstreams.is_empty() {
             return Err(ConfError(
                 "serve needs --upstream IP[:PORT] (where forwarded queries go)".into(),
             ));
@@ -656,24 +945,72 @@ impl ServeConf {
     }
 
     /// The fleet options this configuration asks for.
-    pub fn options(&self) -> ServeOptions {
-        ServeOptions {
-            listen: self.listen,
-            upstreams: self.upstreams.clone(),
-            cache_capacity: self.cache_capacity,
-            client_pps: self.client_pps,
-            io_backend: self.io_backend,
-            shards: self.shards,
-            batch_size: self.batch_size,
-            packet_cache_capacity: self.packet_cache_capacity,
-            ..ServeOptions::default()
+    pub fn options(&self) -> &ServeOptions {
+        &self.options
+    }
+}
+
+/// Parsed `zdns merge` configuration.
+#[derive(Debug, Clone, Default)]
+pub struct MergeConf {
+    /// The merged JSONL destination (`--output`; required).
+    pub output: String,
+    /// Merge even if some shards have not finished (`--allow-partial`).
+    pub allow_partial: bool,
+    /// The per-shard manifests, in argv order.
+    pub manifests: Vec<PathBuf>,
+}
+
+/// Every `zdns merge` flag.
+pub static MERGE_FLAGS: FlagTable<MergeConf> = FlagTable {
+    column: 21,
+    flags: &[
+        Flag {
+            names: &["--output", "--output-file"],
+            value: Some("PATH"),
+            help: "merged JSONL destination (required)",
+            set: |m, v| {
+                m.output = v.to_string();
+                Ok(())
+            },
+        },
+        Flag {
+            names: &["--allow-partial"],
+            value: None,
+            help: "merge even if some shards have not finished\n\
+                (their indices are reported on stderr)",
+            set: |m, _| on(&mut m.allow_partial),
+        },
+    ],
+};
+
+impl MergeConf {
+    /// Parse the argv vector that followed `zdns merge`: flags, and
+    /// every other argument a manifest path.
+    pub fn parse<I, S>(args: I) -> Result<MergeConf, ConfError>
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        let mut conf = MergeConf::default();
+        MERGE_FLAGS.parse(&mut conf, args.into_iter().map(Into::into), |m, arg| {
+            if arg.starts_with("--") {
+                return Err(ConfError(format!("unknown flag {arg:?}")));
+            }
+            m.manifests.push(PathBuf::from(arg));
+            Ok(())
+        })?;
+        if conf.output.is_empty() {
+            return Err(ConfError("--output PATH is required".into()));
         }
+        Ok(conf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zdns_netsim::MILLIS;
 
     #[test]
     fn parse_iterative_scan() {
@@ -736,6 +1073,49 @@ mod tests {
         assert_eq!(conf.resolver.timeout, 2_500 * MILLIS);
     }
 
+    /// Every duration flag refuses `v`, naming itself in the error.
+    fn rejected_by_every_duration_flag(v: &str) {
+        for flag in [
+            "--timeout",
+            "--iteration-timeout",
+            "--backoff-base",
+            "--backoff-cap",
+        ] {
+            let err = Conf::parse(["A", flag, v]).unwrap_err();
+            assert!(err.0.contains(flag), "{flag} {v}: {err}");
+        }
+    }
+
+    #[test]
+    fn durations_reject_infinity() {
+        // It used to saturate to u64::MAX ns and overflow the first
+        // deadline computed from it.
+        rejected_by_every_duration_flag("inf");
+    }
+
+    #[test]
+    fn durations_reject_nan() {
+        rejected_by_every_duration_flag("nan");
+    }
+
+    #[test]
+    fn durations_reject_negative() {
+        rejected_by_every_duration_flag("-1");
+    }
+
+    #[test]
+    fn durations_reject_zero() {
+        rejected_by_every_duration_flag("0");
+        rejected_by_every_duration_flag("0.0000000001");
+    }
+
+    #[test]
+    fn durations_reject_more_than_an_hour() {
+        rejected_by_every_duration_flag("3600.5");
+        let conf = Conf::parse(["A", "--timeout", "3600"]).unwrap();
+        assert_eq!(conf.resolver.timeout, 3_600 * SECONDS);
+    }
+
     #[test]
     fn unknown_flag_rejected() {
         assert!(Conf::parse(["A", "--bogus"]).is_err());
@@ -752,6 +1132,20 @@ mod tests {
     }
 
     #[test]
+    fn source_ips_stay_inside_one_prefix() {
+        let all = Conf::parse(["A", "--source-ips", "254"])
+            .unwrap()
+            .client_ips();
+        assert_eq!(all.len(), 254);
+        assert_eq!(all.first(), Some(&Ipv4Addr::new(192, 0, 2, 1)));
+        assert_eq!(all.last(), Some(&Ipv4Addr::new(192, 0, 2, 254)));
+        // 255 and up used to wrap to .255, .0 and duplicates.
+        for bad in ["0", "255", "300", "-1", "x"] {
+            assert!(Conf::parse(["A", "--source-ips", bad]).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn pacing_flags() {
         let conf = Conf::parse([
             "A",
@@ -762,14 +1156,14 @@ mod tests {
             "--backoff",
         ])
         .unwrap();
-        assert_eq!(conf.rate_pps, 5000.0);
-        assert_eq!(conf.per_host_pps, 250.5);
-        assert!(conf.backoff);
-        let pc = conf.pacer_config();
+        assert_eq!(conf.pacer.rate_pps, 5000.0);
+        assert_eq!(conf.pacer.per_host_pps, 250.5);
+        assert!(conf.pacer.backoff);
+        let pc = &conf.pacer;
         assert!(pc.enabled());
 
         let default = Conf::parse(["A"]).unwrap();
-        assert!(!default.pacer_config().enabled(), "pacing is opt-in");
+        assert!(!default.pacer.enabled(), "pacing is opt-in");
         assert!(Conf::parse(["A", "--rate-pps", "-3"]).is_err());
         assert!(Conf::parse(["A", "--rate-pps", "x"]).is_err());
         assert!(Conf::parse(["A", "--per-host-pps", "inf"]).is_err());
@@ -803,11 +1197,11 @@ mod tests {
     #[test]
     fn backoff_tuning_flags() {
         let conf = Conf::parse(["A", "--backoff-base", "0.5", "--backoff-cap", "2"]).unwrap();
-        assert!(conf.backoff, "tuning a penalty implies --backoff");
-        let pc = conf.pacer_config();
+        assert!(conf.pacer.backoff, "tuning a penalty implies --backoff");
+        let pc = &conf.pacer;
         assert_eq!(pc.backoff_base, 500 * MILLIS);
         assert_eq!(pc.backoff_cap, 2 * SECONDS);
-        let defaults = Conf::parse(["A", "--backoff"]).unwrap().pacer_config();
+        let defaults = Conf::parse(["A", "--backoff"]).unwrap().pacer;
         assert_eq!(defaults.backoff_base, PacerConfig::default().backoff_base);
         assert_eq!(defaults.backoff_cap, PacerConfig::default().backoff_cap);
     }
@@ -849,7 +1243,7 @@ mod tests {
         let one = Conf::parse(["A", "--batch-size", "1"]).unwrap();
         assert_eq!(one.batch_size, 1, "1 = per-datagram syscalls");
         let default = Conf::parse(["A"]).unwrap();
-        assert_eq!(default.batch_size, 0, "0 = reactor default");
+        assert_eq!(default.batch_size, 32, "reactor default");
         assert!(Conf::parse(["A", "--batch-size", "0"]).is_err());
         assert!(Conf::parse(["A", "--batch-size", "x"]).is_err());
         // The pipeline sizes its blocks from this value, so one above what
@@ -871,9 +1265,9 @@ mod tests {
     #[test]
     fn io_backend_flag() {
         let default = Conf::parse(["A"]).unwrap();
-        assert_eq!(default.io_backend, IoBackend::Auto);
+        assert_eq!(default.io_backend, IoBackend::Mmsg);
         for (v, want) in [
-            ("auto", IoBackend::Auto),
+            ("auto", IoBackend::Mmsg),
             ("syscall", IoBackend::Syscall),
             ("mmsg", IoBackend::Mmsg),
         ] {
@@ -1008,19 +1402,19 @@ mod tests {
             "2.5",
         ])
         .unwrap();
-        assert_eq!(conf.listen, "127.0.0.1:5533".parse().unwrap());
+        assert_eq!(conf.options.listen, "127.0.0.1:5533".parse().unwrap());
         assert_eq!(
-            conf.upstreams,
+            conf.options.upstreams,
             vec![
                 "8.8.8.8:53".parse::<SocketAddr>().unwrap(),
                 "9.9.9.9:5353".parse().unwrap(),
             ]
         );
-        assert_eq!(conf.cache_capacity, 50_000);
-        assert_eq!(conf.client_pps, 100.0);
-        assert_eq!(conf.shards, 4);
-        assert_eq!(conf.io_backend, IoBackend::Mmsg);
-        assert_eq!(conf.packet_cache_capacity, 1024);
+        assert_eq!(conf.options.cache_capacity, 50_000);
+        assert_eq!(conf.options.client_pps, 100.0);
+        assert_eq!(conf.options.shards, 4);
+        assert_eq!(conf.options.io_backend, IoBackend::Mmsg);
+        assert_eq!(conf.options.packet_cache_capacity, 1024);
         assert_eq!(conf.duration, 2.5);
         let opts = conf.options();
         assert_eq!(opts.shards, 4);
@@ -1042,16 +1436,40 @@ mod tests {
             ServeConf::parse(["--upstream", "8.8.8.8", "--packet-cache-capacity", "x"]).is_err()
         );
         let minimal = ServeConf::parse(["--upstream", "8.8.8.8"]).unwrap();
-        assert_eq!(minimal.shards, 1, "dual-role socket by default");
-        assert_eq!(minimal.client_pps, 0.0, "gate off by default");
+        assert_eq!(minimal.options.shards, 1, "dual-role socket by default");
+        assert_eq!(minimal.options.client_pps, 0.0, "gate off by default");
         assert_eq!(
-            minimal.packet_cache_capacity,
+            minimal.options.packet_cache_capacity,
             zdns_core::DEFAULT_PACKET_CACHE_CAPACITY,
             "packet cache on by default"
         );
         // 0 is valid: it is the disable lever.
         let off =
             ServeConf::parse(["--upstream", "8.8.8.8", "--packet-cache-capacity", "0"]).unwrap();
-        assert_eq!(off.packet_cache_capacity, 0);
+        assert_eq!(off.options.packet_cache_capacity, 0);
+    }
+
+    #[test]
+    fn merge_conf_parses() {
+        let conf = MergeConf::parse([
+            "a.json",
+            "--output-file",
+            "m.jsonl",
+            "--allow-partial",
+            "b.json",
+        ])
+        .unwrap();
+        assert_eq!(conf.output, "m.jsonl");
+        assert!(conf.allow_partial);
+        assert_eq!(
+            conf.manifests,
+            [PathBuf::from("a.json"), PathBuf::from("b.json")]
+        );
+        assert!(
+            MergeConf::parse(["a.json"]).is_err(),
+            "--output is required"
+        );
+        assert!(MergeConf::parse(["--output", "m.jsonl", "--bogus", "a.json"]).is_err());
+        assert!(MergeConf::parse(["--output"]).is_err(), "missing value");
     }
 }

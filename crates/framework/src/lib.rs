@@ -20,7 +20,7 @@
 //! .unwrap();
 //! assert_eq!(conf.module, "A");
 //! assert_eq!(conf.shard, Some((0, 4)));
-//! assert_eq!(conf.rate_pps, 5000.0);
+//! assert_eq!(conf.pacer.rate_pps, 5000.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -37,7 +37,7 @@ pub use checkpoint::{
     merge_shards, prepare_resume, scan_id, Checkpoint, CheckpointKeeper, DedupSource, DoneSet,
     MergeReport, ResumePlan, ScanManifest,
 };
-pub use conf::{Conf, ConfError, OutputGroup, ServeConf, Workload};
+pub use conf::{Conf, ConfError, MergeConf, OutputGroup, ServeConf, Workload};
 pub use output::{CallbackSink, JsonlSink, OutputSink};
 pub use pipeline::run_scan_pipeline;
 pub use runner::{

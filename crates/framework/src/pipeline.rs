@@ -127,11 +127,11 @@ pub fn run_scan_pipeline(
 
     // The scan-wide pools every worker leases from: the admission
     // window as credits, the pacing budgets as one pacer.
-    let pacer_config = conf.pacer_config();
     let credit_pool = Arc::new(CreditPool::new(total_window));
-    let shared_pacer: Option<Arc<ConcurrentPacer>> = pacer_config
+    let shared_pacer: Option<Arc<ConcurrentPacer>> = conf
+        .pacer
         .enabled()
-        .then(|| Arc::new(ConcurrentPacer::new(pacer_config)));
+        .then(|| Arc::new(ConcurrentPacer::new(conf.pacer.clone())));
 
     // Durable scans keep a checkpoint bookkeeper shared between the
     // feeder (dispatch records) and the writer thread (completion
@@ -203,11 +203,7 @@ pub fn run_scan_pipeline(
             let startup_errors = Arc::clone(&startup_errors);
             let credit_pool = Arc::clone(&credit_pool);
             let shared_pacer = shared_pacer.clone();
-            let batch_size = if conf.batch_size > 0 {
-                conf.batch_size
-            } else {
-                ReactorConfig::default().batch_size
-            };
+            let batch_size = conf.batch_size;
             let io_backend = conf.io_backend;
             let pin_cores = conf.pin_cores;
             scope.spawn(move || {

@@ -91,10 +91,9 @@ where
     // Polite-scanning budgets apply under virtual time too: the engine
     // admits every simulated send through the same pacer the real-socket
     // drivers use.
-    let pacer_config = conf.pacer_config();
-    if pacer_config.enabled() {
+    if conf.pacer.enabled() {
         engine.set_send_gate(Box::new(ConcurrentGate::new(Arc::new(
-            ConcurrentPacer::new(pacer_config),
+            ConcurrentPacer::new(conf.pacer.clone()),
         ))));
     }
     let callback = Arc::new(Mutex::new(on_output));

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use zdns_core::{
     AddrMap, Clock, DriverReport, IoBackend, Reactor, ReactorConfig, Resolver, ResolverConfig,
-    ServeConfig, ServeStats, ServerRole,
+    ServeConfig, ServeStats, ServerRole, DEFAULT_BATCH_SIZE,
 };
 use zdns_netsim::{bind_reuse_port, bind_tcp_reuse_port, bind_udp_tcp_pair};
 
@@ -48,7 +48,7 @@ pub struct ServeOptions {
     pub io_backend: IoBackend,
     /// Worker count (1 = dual-role socket; >1 = `SO_REUSEPORT` sharding).
     pub shards: usize,
-    /// Datagrams per syscall on the forwarding hot path (0 = default).
+    /// Datagrams per syscall on the forwarding hot path.
     pub batch_size: usize,
     /// Concurrent forwarded lookups per worker.
     pub max_in_flight: usize,
@@ -66,7 +66,7 @@ impl Default for ServeOptions {
             client_pps: 0.0,
             io_backend: IoBackend::default(),
             shards: 1,
-            batch_size: 0,
+            batch_size: DEFAULT_BATCH_SIZE,
             max_in_flight: 1_024,
             packet_cache_capacity: zdns_core::DEFAULT_PACKET_CACHE_CAPACITY,
         }
@@ -289,11 +289,6 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
     let epoch = Instant::now();
     let clock = Clock::from_epoch(epoch);
     let stop = Arc::new(AtomicBool::new(false));
-    let batch_size = if opts.batch_size > 0 {
-        opts.batch_size
-    } else {
-        ReactorConfig::default().batch_size
-    };
     let (ready_tx, ready_rx) = mpsc::channel::<Result<Arc<ServeStats>, String>>();
 
     let mut workers = Vec::with_capacity(sockets.len());
@@ -305,7 +300,7 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
         let ready_tx = ready_tx.clone();
         let config = ReactorConfig {
             max_in_flight: opts.max_in_flight.max(1),
-            batch_size,
+            batch_size: opts.batch_size,
             io_backend: opts.io_backend,
             epoch: Some(epoch),
             ..ReactorConfig::default()

@@ -1,23 +1,30 @@
-//! Docs-rot guard: the CLI flag surface in `conf.rs` is cross-checked
-//! against the documentation, in both directions, and every documented
-//! flag is actually parsed through [`Conf::parse`] / [`ServeConf::parse`]
-//! with a sample value. Internal markdown links (including `#anchors`)
-//! in README.md and docs/*.md must resolve.
+//! Docs-rot guard: the CLI flag tables in `conf.rs` ([`SCAN_FLAGS`],
+//! [`SERVE_FLAGS`], [`MERGE_FLAGS`]) are cross-checked against the
+//! documentation, in both directions; every spelling is actually parsed
+//! through [`Conf::parse`] / [`ServeConf::parse`] / [`MergeConf::parse`]
+//! with a sample value, and every entry is printed by the binary's
+//! `--help`. Internal markdown links (including `#anchors`) in README.md
+//! and docs/*.md must resolve.
 //!
-//! When a flag is added to `conf.rs`, `conf_flag_inventory_is_curated`
-//! fails until the flag gets a sample argv here *and* a mention in the
-//! `zdns` help text — which is exactly the docs update being guarded.
+//! When a flag is added to a table, `conf_flag_inventory_is_curated`
+//! fails until every spelling gets a sample argv here.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use zdns_framework::{Conf, ServeConf};
+use zdns_framework::conf::{FlagTable, MERGE_FLAGS, SCAN_FLAGS, SERVE_FLAGS};
+use zdns_framework::{Conf, MergeConf, ServeConf};
+
+/// Flag spellings, each with an argv that uses it and must parse.
+type Samples = &'static [(&'static str, &'static [&'static str])];
 
 /// Every scan flag, with a complete argv that must parse. The argv also
 /// satisfies the flag's validation dependencies (e.g. `--checkpoint`
 /// requires `--real` plus file-backed input and output).
-const SCAN_SAMPLES: &[(&str, &[&str])] = &[
+const SCAN_SAMPLES: Samples = &[
     ("--threads", &["A", "--threads", "64"]),
+    ("-t", &["A", "-t", "64"]),
     ("--iterative", &["A", "--iterative"]),
     (
         "--name-servers",
@@ -32,7 +39,9 @@ const SCAN_SAMPLES: &[(&str, &[&str])] = &[
     ("--trace", &["A", "--trace"]),
     ("--output-fields", &["A", "--output-fields", "long"]),
     ("--input-file", &["A", "--input-file", "names.txt"]),
+    ("-f", &["A", "-f", "names.txt"]),
     ("--output-file", &["A", "--output-file", "out.jsonl"]),
+    ("-o", &["A", "-o", "out.jsonl"]),
     ("--seed", &["A", "--seed", "7"]),
     ("--source-ips", &["A", "--source-ips", "8"]),
     ("--status-updates", &["A", "--status-updates"]),
@@ -102,7 +111,7 @@ const SCAN_SAMPLES: &[(&str, &[&str])] = &[
 ];
 
 /// Every `zdns serve` flag with a parsing sample argv.
-const SERVE_SAMPLES: &[(&str, &[&str])] = &[
+const SERVE_SAMPLES: Samples = &[
     (
         "--listen",
         &["--listen", "127.0.0.1:5300", "--upstream", "192.0.2.53"],
@@ -144,12 +153,30 @@ const SERVE_SAMPLES: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// Flags that are real but live outside `conf.rs`: the `zdns merge`
-/// subcommand's own flags, and the cargo and zbench flags quoted in
-/// build and benchmark instructions.
+/// Every `zdns merge` flag with a parsing sample argv.
+const MERGE_SAMPLES: Samples = &[
+    (
+        "--output",
+        &["--output", "merged.jsonl", "s0.manifest.json"],
+    ),
+    (
+        "--output-file",
+        &["--output-file", "merged.jsonl", "s0.manifest.json"],
+    ),
+    (
+        "--allow-partial",
+        &[
+            "--output",
+            "merged.jsonl",
+            "--allow-partial",
+            "s0.manifest.json",
+        ],
+    ),
+];
+
+/// Flags that are real but live outside `conf.rs`: the cargo and zbench
+/// flags quoted in build and benchmark instructions.
 const DOC_ONLY_FLAGS: &[&str] = &[
-    "--output",        // zdns merge
-    "--allow-partial", // zdns merge
     "--help",
     "--release",
     "--bench",
@@ -187,32 +214,6 @@ fn doc_files() -> Vec<(String, String)> {
     files
 }
 
-/// Extract the flag literals from `conf.rs` *match arms* — a clean
-/// `"--flag"` string immediately followed by `=>` or `|` — ignoring the
-/// test module and flag names quoted inside error messages.
-fn conf_arm_flags() -> BTreeSet<String> {
-    let src = read("crates/framework/src/conf.rs");
-    let src = src.split("#[cfg(test)]").next().unwrap();
-    let bytes = src.as_bytes();
-    let mut flags = BTreeSet::new();
-    let mut i = 0;
-    while let Some(pos) = src[i..].find("\"--") {
-        let start = i + pos + 1; // first '-'
-        let mut end = start;
-        while end < bytes.len() && matches!(bytes[end], b'a'..=b'z' | b'0'..=b'9' | b'-') {
-            end += 1;
-        }
-        i = end;
-        if end < bytes.len() && bytes[end] == b'"' && end > start + 2 {
-            let rest = src[end + 1..].trim_start();
-            if rest.starts_with("=>") || rest.starts_with('|') {
-                flags.insert(src[start..end].to_string());
-            }
-        }
-    }
-    flags
-}
-
 /// Every `--flag`-shaped token in a document.
 fn doc_flag_tokens(text: &str) -> BTreeSet<String> {
     let bytes = text.as_bytes();
@@ -238,26 +239,50 @@ fn doc_flag_tokens(text: &str) -> BTreeSet<String> {
     tokens
 }
 
+/// Every spelling of every flag in a table.
+fn spellings<C>(table: &FlagTable<C>) -> impl Iterator<Item = &'static str> + '_ {
+    table
+        .flags
+        .iter()
+        .flat_map(|flag| flag.names.iter().copied())
+}
+
+/// A table's spellings beside the keys of its samples.
+fn tables_and_samples() -> [(Vec<&'static str>, Samples); 3] {
+    [
+        (spellings(&SCAN_FLAGS).collect(), SCAN_SAMPLES),
+        (spellings(&SERVE_FLAGS).collect(), SERVE_SAMPLES),
+        (spellings(&MERGE_FLAGS).collect(), MERGE_SAMPLES),
+    ]
+}
+
 #[test]
 fn conf_flag_inventory_is_curated() {
-    let parsed: BTreeSet<String> = conf_arm_flags();
-    let curated: BTreeSet<String> = SCAN_SAMPLES
-        .iter()
-        .chain(SERVE_SAMPLES)
-        .map(|(flag, _)| flag.to_string())
-        .collect();
-    let undocumented: Vec<&String> = parsed.difference(&curated).collect();
-    let stale: Vec<&String> = curated.difference(&parsed).collect();
-    assert!(
-        undocumented.is_empty(),
-        "conf.rs parses flags this test (and so the docs) never heard of: \
-         {undocumented:?} — add a sample argv here, a help-text entry in \
-         bin/zdns.rs, and documentation"
-    );
-    assert!(
-        stale.is_empty(),
-        "sample flags no longer parsed by conf.rs: {stale:?}"
-    );
+    for (table, samples) in tables_and_samples() {
+        let parsed: BTreeSet<&str> = table.iter().copied().collect();
+        let curated: BTreeSet<&str> = samples.iter().map(|(flag, _)| *flag).collect();
+        let undocumented: Vec<&&str> = parsed.difference(&curated).collect();
+        let stale: Vec<&&str> = curated.difference(&parsed).collect();
+        assert!(
+            undocumented.is_empty(),
+            "conf.rs parses flags this test never heard of: {undocumented:?} \
+             — add a sample argv here, and documentation"
+        );
+        assert!(
+            stale.is_empty(),
+            "sample flags no longer in a conf.rs table: {stale:?}"
+        );
+    }
+}
+
+#[test]
+fn no_spelling_appears_twice_in_a_table() {
+    // A `match` warns about an unreachable arm; a table would silently
+    // shadow the second entry instead.
+    for (table, _) in tables_and_samples() {
+        let unique: BTreeSet<&str> = table.iter().copied().collect();
+        assert_eq!(unique.len(), table.len(), "duplicate spelling in {table:?}");
+    }
 }
 
 #[test]
@@ -272,32 +297,53 @@ fn every_flag_parses_with_its_sample_argv() {
         ServeConf::parse(argv.iter().copied())
             .unwrap_or_else(|e| panic!("serve sample argv for {flag} failed to parse: {e}"));
     }
+    for (flag, argv) in MERGE_SAMPLES {
+        assert!(argv.contains(flag), "sample for {flag} must use {flag}");
+        MergeConf::parse(argv.iter().copied())
+            .unwrap_or_else(|e| panic!("merge sample argv for {flag} failed to parse: {e}"));
+    }
 }
 
-#[test]
-fn every_flag_appears_in_the_binary_help_text() {
-    let help_src = read("crates/framework/src/bin/zdns.rs");
-    let help_tokens = doc_flag_tokens(&help_src);
-    for (flag, _) in SCAN_SAMPLES.iter().chain(SERVE_SAMPLES) {
+/// What `zdns ARGS` prints on stdout.
+fn zdns_stdout(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_zdns"))
+        .args(args)
+        .output()
+        .expect("running the zdns binary");
+    assert!(out.status.success(), "zdns {args:?}: {}", out.status);
+    String::from_utf8(out.stdout).expect("help is UTF-8")
+}
+
+/// Every entry of `table` as the binary's help prints it.
+fn assert_help_lists<C>(args: &[&str], table: &FlagTable<C>) {
+    let help = zdns_stdout(args);
+    for (flag, entry) in table.flags.iter().zip(table.help_entries()) {
         assert!(
-            help_tokens.contains(*flag),
-            "{flag} is parsed by conf.rs but absent from the zdns help text"
+            help.contains(&entry),
+            "zdns {args:?} does not print the entry for {}:\n{entry}",
+            flag.names[0]
         );
     }
 }
 
 #[test]
+fn every_flag_appears_in_the_binary_help_text() {
+    assert_help_lists(&["--help"], &SCAN_FLAGS);
+    assert_help_lists(&["serve", "--help"], &SERVE_FLAGS);
+    assert_help_lists(&["merge", "--help"], &MERGE_FLAGS);
+}
+
+#[test]
 fn docs_mention_only_real_flags() {
-    let real: BTreeSet<String> = SCAN_SAMPLES
-        .iter()
-        .chain(SERVE_SAMPLES)
-        .map(|(flag, _)| flag.to_string())
-        .chain(DOC_ONLY_FLAGS.iter().map(|f| f.to_string()))
+    let real: BTreeSet<&str> = spellings(&SCAN_FLAGS)
+        .chain(spellings(&SERVE_FLAGS))
+        .chain(spellings(&MERGE_FLAGS))
+        .chain(DOC_ONLY_FLAGS.iter().copied())
         .collect();
     for (name, text) in doc_files() {
         for token in doc_flag_tokens(&text) {
             assert!(
-                real.contains(&token),
+                real.contains(token.as_str()),
                 "{name} mentions {token}, which no parser implements \
                  (extend DOC_ONLY_FLAGS for new subcommand flags)"
             );
