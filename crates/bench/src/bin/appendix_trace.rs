@@ -27,7 +27,6 @@ fn main() {
     let mut engine = Engine::new(
         EngineConfig {
             threads: 1,
-            wire_fidelity: true,
             ..EngineConfig::default()
         },
         Arc::clone(&universe) as Arc<dyn Universe>,

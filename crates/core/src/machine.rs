@@ -2,8 +2,8 @@
 //!
 //! Each lookup is a state machine fed with responses/timeouts — the shape
 //! that lets one implementation run under both the discrete-event simulator
-//! (tens of thousands of concurrent routines) and a blocking driver over
-//! real sockets.
+//! (tens of thousands of concurrent routines) and the reactor over real
+//! sockets.
 //!
 //! * [`IterativeMachine`] — ZDNS's own recursion: start at the deepest
 //!   cached zone cut (or the roots), follow referrals, chase CNAMEs,
@@ -15,14 +15,14 @@
 //!   block for the §5 `--all-nameservers` extension and misc modules.
 //!
 //! Responses arrive as [`MsgRef`] — a borrowed [`zdns_wire::MessageView`]
-//! on the reactor's UDP hot path, an owned [`zdns_wire::Message`] elsewhere.
-//! Machines inspect the borrowed form and **promote** records to owned
-//! values only when they keep them: the CNAME chain, referral NS/glue
-//! RRsets headed for the cache, and the final [`LookupResult`] (which is
-//! not even built unless a result sink is attached). Queries go out as
-//! [`OutQuery`] field bundles, not messages — on the reactor they are
-//! encoded straight into a scratch buffer, so the steady-state send path
-//! performs zero heap allocations.
+//! over the bytes the response came as, from the reactor's sockets and the
+//! simulator alike. Machines inspect the borrowed form and **promote**
+//! records to owned values only when they keep them: the CNAME chain,
+//! referral NS/glue RRsets headed for the cache, and the final
+//! [`LookupResult`] (which is not even built unless a result sink is
+//! attached). Queries go out as [`OutQuery`] field bundles, not messages —
+//! every driver encodes them straight into a scratch buffer, so the
+//! reactor's steady-state send path performs zero heap allocations.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;

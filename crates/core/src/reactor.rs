@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, MILLIS};
 use zdns_pacing::{CreditPool, PaceDecision, SendGate};
-use zdns_wire::{encode_query_into, MessageView, MsgRef, ScratchBuf};
+use zdns_wire::{MessageView, MsgRef, ScratchBuf};
 
 use crate::driver::{Admission, Driver, DriverReport};
 use crate::pacer::{ConcurrentGate, ConcurrentPacer};
@@ -943,10 +943,14 @@ impl Reactor {
         for oq in out.drain(..) {
             match oq.protocol {
                 Protocol::Tcp => {
-                    let Ok(query) = oq.to_message().encode() else {
+                    // The bytes a UDP send carries, under the machine's id.
+                    let scratch = &mut self.send_scratch;
+                    scratch.reset();
+                    if oq.encode_into(scratch, oq.id).is_err() {
                         immediate.push(ClientEvent::TransportFailed { tag: oq.tag });
                         continue;
-                    };
+                    }
+                    let query = scratch.as_slice().to_vec();
                     // The timeout runs from here, waiting for a
                     // connection included, on the wheel the UDP queries
                     // and the deferred sends use (and, like a deferred
@@ -1117,15 +1121,7 @@ impl Reactor {
                     continue;
                 };
                 let start = scratch.len();
-                if encode_query_into(
-                    &mut scratch,
-                    txid,
-                    &oq.question,
-                    oq.recursion_desired,
-                    oq.cookie.as_ref(),
-                )
-                .is_err()
-                {
+                if oq.encode_into(&mut scratch, txid).is_err() {
                     events.push((send.slot, oq.tag));
                     continue;
                 }
@@ -1343,14 +1339,17 @@ impl Reactor {
         }
         let mut finished = Vec::new();
         self.tcp.pump(&mut finished);
-        for (exchange, answer) in finished {
+        for (exchange, frame) in finished {
             self.wheel.cancel(exchange.timer);
+            // An answer that does not parse fails the exchange as a
+            // broken connection does.
+            let answer = frame.as_deref().and_then(|f| MessageView::parse(f).ok());
             self.pace_feedback(exchange.sim_ip, answer.is_some());
             let event = match answer {
-                Some(message) => ClientEvent::Response {
+                Some(view) => ClientEvent::Response {
                     tag: exchange.tag,
                     from: exchange.sim_ip,
-                    message: MsgRef::Owned(message),
+                    message: MsgRef::View(view),
                     protocol: Protocol::Tcp,
                 },
                 None => ClientEvent::TransportFailed { tag: exchange.tag },

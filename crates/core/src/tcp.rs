@@ -17,7 +17,6 @@ use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use zdns_netsim::{connect_nonblocking, FramedConn};
-use zdns_wire::Message;
 
 use crate::reactor::{TimerHandle, TimerWheel};
 
@@ -101,12 +100,12 @@ impl TcpTable {
 
     /// Move every exchange as far as its socket allows: give waiting
     /// exchanges the free places (oldest first), flush queries, read
-    /// answers. An exchange that ended — its answer arrived whole and
-    /// decoded (`Some`), or the connection failed, closed early or
-    /// answered garbage (`None`) — leaves the table through `finished`,
-    /// its connection closed and its timeout still armed (the caller
-    /// cancels it).
-    pub fn pump(&mut self, finished: &mut Vec<(Exchange, Option<Message>)>) {
+    /// answers. An exchange that ended — its answer frame arrived whole
+    /// (`Some`, the frame's octets), or the connection failed or closed
+    /// early (`None`) — leaves the table through `finished`, its
+    /// connection closed and its timeout still armed (the caller cancels
+    /// it).
+    pub fn pump(&mut self, finished: &mut Vec<(Exchange, Option<Vec<u8>>)>) {
         while self.open.len() < MAX_OPEN {
             let Some(exchange) = self.waiting.pop_front() else {
                 break;
@@ -132,12 +131,12 @@ impl TcpTable {
 
 /// Advance one connection. `None` while the exchange is still under way
 /// (a connect in progress reads and writes as `WouldBlock`).
-fn step(conn: &mut FramedConn<TcpStream>) -> Option<Option<Message>> {
+fn step(conn: &mut FramedConn<TcpStream>) -> Option<Option<Vec<u8>>> {
     if conn.flush().is_err() || conn.fill(READ_BUDGET).is_err() {
         return Some(None);
     }
     match conn.frame() {
-        Some(frame) => Some(Message::decode(frame).ok()),
+        Some(frame) => Some(Some(frame.to_vec())),
         None if conn.peer_closed() => Some(None),
         None => None,
     }

@@ -207,6 +207,81 @@ fn nxdomain_over_real_sockets() {
     assert!(result.status.is_success(), "NXDOMAIN is a successful scan");
 }
 
+#[test]
+fn the_simulator_and_the_sockets_give_the_same_lookups() {
+    // The same machines over the same universe, once through the engine
+    // and once through loopback servers: with one message path (encoded
+    // queries, encoded answers truncated by the encoder, views delivered)
+    // every observable of a lookup must agree — the TXT RRset included,
+    // whose UDP answer both sides truncate and both fetch again over TCP.
+    let questions: Vec<Question> = [
+        ("example.test", RecordType::A),
+        ("www.example.test", RecordType::A),
+        ("big.example.test", RecordType::TXT),
+        ("missing.example.test", RecordType::A),
+    ]
+    .iter()
+    .map(|(name, qtype)| Question::new(name.parse().unwrap(), *qtype))
+    .collect();
+    let u = Arc::new(mini_universe());
+
+    // Simulated: one routine, so lookups run one after another as the
+    // single-lookup reactor runs them, and each finds the cache the one
+    // before it left.
+    let mut engine = zdns_netsim::Engine::new(
+        zdns_netsim::EngineConfig {
+            threads: 1,
+            seed: 26,
+            ..zdns_netsim::EngineConfig::default()
+        },
+        Arc::clone(&u) as Arc<dyn Universe>,
+    );
+    let sim_resolver = resolver_for(&u);
+    let (sink, collected) = collecting_sink();
+    let mut queue = questions.clone().into_iter();
+    let report = engine.run(move || Some(sim_resolver.machine(queue.next()?, Some(sink.clone()))));
+    assert_eq!(report.net_drops, 0, "the seed must lose no packet");
+    let simulated = std::mem::take(&mut *collected.lock());
+
+    let socket_resolver = resolver_for(&u);
+    let (_servers, map) = start_servers(Arc::clone(&u));
+    let mut reactor = single_lookup_reactor(map);
+    let over_sockets: Vec<_> = questions
+        .iter()
+        .map(|q| socket_resolver.lookup(q.clone(), &mut reactor))
+        .collect();
+
+    assert_eq!(simulated.len(), questions.len());
+    let chain = |r: &zdns_core::LookupResult| -> Vec<(String, Name, String)> {
+        r.trace
+            .iter()
+            .map(|s| (s.layer.clone(), s.name.clone(), s.name_server.clone()))
+            .collect()
+    };
+    for (sim, real) in simulated.iter().zip(&over_sockets) {
+        let name = &real.name;
+        assert_eq!(sim.name, *name);
+        assert_eq!(sim.status, real.status, "{name}");
+        assert_eq!(sim.answers.len(), real.answers.len(), "{name}");
+        assert!(
+            sim.answers.iter().all(|r| real.answers.contains(r)),
+            "{name}"
+        );
+        assert_eq!(sim.protocol, real.protocol, "{name}");
+        assert_eq!(sim.queries_sent, real.queries_sent, "{name}");
+        assert_eq!(chain(sim), chain(real), "{name}");
+    }
+    // The scenario covers what it claims: a TCP fallback, an NXDOMAIN.
+    assert!(over_sockets[..3]
+        .iter()
+        .all(|r| r.status == Status::NoError));
+    assert_eq!(over_sockets[3].status, Status::NxDomain);
+    assert_eq!(
+        (over_sockets[2].protocol, over_sockets[2].answers.len()),
+        ("tcp", 24)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Reactor driver: many in-flight machines on one socket
 // ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use zdns_core::{collecting_sink, Resolver, ResolverConfig, Status};
 use zdns_netsim::{Engine, EngineConfig, PublicResolverConfig, PublicResolverSim};
-use zdns_wire::{Name, Question, RData, RecordType};
-use zdns_zones::{SynthConfig, SyntheticUniverse, Universe};
+use zdns_wire::rdata::TxtData;
+use zdns_wire::{Name, Question, RData, Record, RecordType};
+use zdns_zones::{ExplicitUniverse, SynthConfig, SyntheticUniverse, Universe, Zone};
 
 fn universe() -> Arc<SyntheticUniverse> {
     Arc::new(SyntheticUniverse::new(SynthConfig::default()))
@@ -35,7 +36,6 @@ fn run_lookups(
     let mut engine = Engine::new(
         EngineConfig {
             threads,
-            wire_fidelity: true,
             ..EngineConfig::default()
         },
         u,
@@ -166,7 +166,6 @@ fn external_mode_resolves_via_public_resolver() {
     let mut engine = Engine::new(
         EngineConfig {
             threads: 8,
-            wire_fidelity: true,
             ..EngineConfig::default()
         },
         Arc::clone(&u) as Arc<dyn Universe>,
@@ -195,6 +194,52 @@ fn external_mode_resolves_via_public_resolver() {
         .unwrap();
     assert_eq!(clean.queries_sent, 1);
     assert!(clean.flags.unwrap().recursion_available);
+}
+
+#[test]
+fn public_resolver_truncates_a_fat_answer_and_tcp_carries_it_whole() {
+    // 24 TXT strings of ~62 octets: an RRset past the 1 232-octet EDNS
+    // payload a query advertises. The simulated resolver's UDP answer must
+    // come back truncated, as a real one's does, and the TCP retry whole.
+    let (server, google): (std::net::Ipv4Addr, std::net::Ipv4Addr) =
+        ("192.0.2.53".parse().unwrap(), "8.8.8.8".parse().unwrap());
+    let mut zone = Zone::new(
+        "fat.test".parse().unwrap(),
+        "ns1.fat.test".parse().unwrap(),
+        300,
+    );
+    for i in 0..24 {
+        zone.add(Record::new(
+            "big.fat.test".parse().unwrap(),
+            300,
+            RData::Txt(TxtData::from_text(&format!("{}{i}", "x".repeat(60)))),
+        ));
+    }
+    let mut u = ExplicitUniverse::new();
+    u.hint("ns1.fat.test".parse().unwrap(), server);
+    u.host(server, zone);
+    let mut engine = Engine::new(
+        EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        },
+        Arc::new(u) as Arc<dyn Universe>,
+    );
+    engine.add_resolver(PublicResolverSim::new(PublicResolverConfig::google(google)));
+    let resolver = Resolver::new(ResolverConfig::external(vec![google]));
+    let (sink, collected) = collecting_sink();
+    let mut once = Some(());
+    let report = engine.run(move || {
+        once.take()?;
+        let question = Question::new("big.fat.test".parse().unwrap(), RecordType::TXT);
+        Some(resolver.machine(question, Some(sink.clone())))
+    });
+    assert_eq!((report.jobs, report.net_drops), (1, 0));
+    let result = collected.lock().pop().unwrap();
+    assert_eq!(result.status, Status::NoError, "{result:?}");
+    // UDP, truncated; then TCP, carrying the whole RRset.
+    let shape = (result.protocol, result.queries_sent, result.answers.len());
+    assert_eq!(shape, ("tcp", 2, 24));
 }
 
 #[test]

@@ -30,7 +30,6 @@ fn run_module(
     let mut engine = Engine::new(
         EngineConfig {
             threads: 4,
-            wire_fidelity: true,
             ..EngineConfig::default()
         },
         u,

@@ -16,7 +16,10 @@
 //!   §5 per-domain blocking, rate limiting), truncation, and TCP retries.
 //!
 //! Lookup logic lives in client state machines ([`SimClient`]); the engine
-//! is resolution-agnostic.
+//! is resolution-agnostic. Every exchange is carried as wire bytes, as the
+//! reactor's sockets carry it: the query is encoded, the server answers a
+//! view over it, the answer is encoded (over UDP, truncated by the encoder
+//! at the query's payload size) and the client is handed a view over that.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -26,12 +29,15 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use zdns_pacing::{PaceDecision, SendGate};
-use zdns_wire::{Cookie, Message, MsgRef, Question};
-use zdns_zones::Universe;
+use zdns_wire::{
+    encode_query_into, Cookie, Message, MessageView, MsgRef, Question, ScratchBuf, WireResult,
+};
+use zdns_zones::{AuthResponse, Universe};
 
 use crate::latency::sample_rtt;
 use crate::resolvers::{PublicResolverSim, ResolverOutcome};
 use crate::time::{as_secs_f64, SimTime, MICROS, MILLIS, SECONDS};
+use crate::wire_server::encode_response;
 
 /// Transport protocol of a simulated exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +52,11 @@ pub enum Protocol {
 ///
 /// Deliberately *not* a full [`Message`]: the fields below are everything a
 /// ZDNS query contains, held inline so emitting a query performs no heap
-/// allocation beyond the (inline-storage) question name. Drivers that need
-/// the owned message — the simulator, the blocking transport, the TCP
-/// side-pool — build one with [`OutQuery::to_message`]; the reactor encodes
-/// the wire bytes directly from these fields through a scratch buffer.
+/// allocation beyond the (inline-storage) question name. Every driver —
+/// the simulator, the reactor's UDP sends and its TCP fallback — encodes
+/// the wire bytes straight from these fields ([`OutQuery::encode_into`]);
+/// [`OutQuery::to_message`] builds the owned equivalent for tests and
+/// tools that want one.
 #[derive(Debug, Clone)]
 pub struct OutQuery {
     /// Destination server.
@@ -71,8 +78,22 @@ pub struct OutQuery {
 }
 
 impl OutQuery {
+    /// Encode the query into `scratch` as one message carrying wire id
+    /// `id` (the reactor's may differ from the machine's): the bytes every
+    /// driver sends. Allocation-free once `scratch` is warm.
+    pub fn encode_into(&self, scratch: &mut ScratchBuf, id: u16) -> WireResult<()> {
+        encode_query_into(
+            scratch,
+            id,
+            &self.question,
+            self.recursion_desired,
+            self.cookie.as_ref(),
+        )
+    }
+
     /// Build the owned query [`Message`] these fields describe (EDNS
-    /// attached, cookie included). Off the hot path by design.
+    /// attached, cookie included): the message whose encoding is the bytes
+    /// the drivers send. Off every driver's path by design.
     pub fn to_message(&self) -> Message {
         let mut msg = Message::query(self.id, self.question.clone());
         msg.flags.recursion_desired = self.recursion_desired;
@@ -83,9 +104,10 @@ impl OutQuery {
     }
 }
 
-/// What a client receives back. The lifetime is the borrow of the receive
-/// buffer: the reactor's UDP path delivers [`MsgRef::View`]s straight over
-/// its arena, everything else delivers owned messages.
+/// What a client receives back. The lifetime is the borrow of the bytes a
+/// response arrived as: every driver delivers a [`MsgRef::View`] over them —
+/// the reactor over its receive arena or a TCP frame, the simulator over
+/// the answer it encoded.
 #[derive(Debug)]
 pub enum ClientEvent<'a> {
     /// A response arrived in time.
@@ -203,10 +225,6 @@ pub struct EngineConfig {
     /// Extra per-query CPU charged when querying 127.0.0.1 — a co-located
     /// recursive resolver (Unbound in Table 2) competes for the same cores.
     pub local_resolver_cpu_us: u64,
-    /// Encode/decode every packet through the real codec (exercises the
-    /// wire crate; slower). When false, messages pass by value and sizes
-    /// are estimated.
-    pub wire_fidelity: bool,
     /// RNG seed.
     pub seed: u64,
     /// Thread start times are staggered uniformly over this window.
@@ -224,7 +242,6 @@ impl Default for EngineConfig {
             cpu_backlog_drop: 2 * SECONDS,
             gc: Some(GcModel::frequent()),
             local_resolver_cpu_us: 0,
-            wire_fidelity: false,
             seed: 1,
             stagger: 500 * MILLIS,
         }
@@ -324,11 +341,13 @@ enum EventKind {
     Outcome {
         generation: u32,
         tag: u64,
-        /// The server this exchange targeted (send-gate feedback needs it
-        /// even for timeouts, which carry no response).
+        /// The server this exchange targeted and, on an answer, the one
+        /// that sent it (send-gate feedback needs it even for timeouts).
         dest: Ipv4Addr,
-        /// None = timeout; Some = response to deliver.
-        response: Option<(Ipv4Addr, Message, Protocol)>,
+        /// The exchange's transport.
+        protocol: Protocol,
+        /// None = timeout; Some = the encoded answer to deliver.
+        response: Option<Vec<u8>>,
     },
     /// A send the gate deferred: dispatch it now, without re-admission.
     PacedSend {
@@ -363,6 +382,10 @@ pub struct Engine {
     cpu_free_at: SimTime,
     gc_accum: SimTime,
     report: RunReport,
+    /// The query being answered, as [`OutQuery::encode_into`] wrote it.
+    query_buf: ScratchBuf,
+    /// The answer being encoded, before it is copied into its event.
+    answer_buf: ScratchBuf,
 }
 
 impl Engine {
@@ -381,6 +404,8 @@ impl Engine {
             cpu_free_at: 0,
             gc_accum: 0,
             report: RunReport::default(),
+            query_buf: ScratchBuf::new(),
+            answer_buf: ScratchBuf::new(),
         }
     }
 
@@ -506,6 +531,7 @@ impl Engine {
                     generation,
                     tag,
                     dest,
+                    protocol,
                     response,
                 } => {
                     if slots[slot_idx].generation != generation {
@@ -513,7 +539,7 @@ impl Engine {
                     }
                     if let Some(gate) = self.send_gate.as_mut() {
                         match &response {
-                            Some((from, _, _)) => gate.on_success(*from, time),
+                            Some(_) => gate.on_success(dest, time),
                             None => gate.on_failure(dest, time),
                         }
                     }
@@ -522,25 +548,27 @@ impl Engine {
                     };
                     // Receive-side CPU; under heavy backlog the packet is
                     // dropped and the client sees its timeout instead.
-                    let (client_event, now) = match response {
-                        Some((from, message, protocol)) => {
-                            let backlog = self.cpu_free_at.saturating_sub(time);
-                            if backlog > self.config.cpu_backlog_drop {
-                                self.report.rx_overflow_drops += 1;
-                                (ClientEvent::Timeout { tag }, time)
-                            } else {
-                                let done_at = self.cpu_consume(time, self.packet_cost());
-                                (
-                                    ClientEvent::Response {
-                                        tag,
-                                        from,
-                                        message: MsgRef::Owned(message),
-                                        protocol,
-                                    },
-                                    done_at,
-                                )
-                            }
+                    let backlog = self.cpu_free_at.saturating_sub(time);
+                    let (client_event, now) = match &response {
+                        Some(_) if backlog > self.config.cpu_backlog_drop => {
+                            self.report.rx_overflow_drops += 1;
+                            (ClientEvent::Timeout { tag }, time)
                         }
+                        // The bytes are this engine's own encoding, so they
+                        // parse; were they ever not to, the client would
+                        // see the loss it amounts to.
+                        Some(bytes) => match MessageView::parse(bytes) {
+                            Ok(view) => {
+                                let event = ClientEvent::Response {
+                                    tag,
+                                    from: dest,
+                                    message: MsgRef::View(view),
+                                    protocol,
+                                };
+                                (event, self.cpu_consume(time, self.packet_cost()))
+                            }
+                            Err(_) => (ClientEvent::Timeout { tag }, time),
+                        },
                         None => (ClientEvent::Timeout { tag }, time),
                     };
                     actions.clear();
@@ -638,105 +666,61 @@ impl Engine {
         }
         let t_send = self.cpu_consume(now, send_cost);
         let deadline = now + oq.timeout;
+        // An answer too late for the client is the same timeout as none.
+        let (time, response) = match self.exchange(client_ip, &oq, t_send) {
+            Some((arrival, bytes)) if arrival <= deadline => (arrival, Some(bytes)),
+            _ => (deadline, None),
+        };
+        self.schedule(
+            time,
+            slot,
+            EventKind::Outcome {
+                generation,
+                tag: oq.tag,
+                dest: oq.to,
+                protocol: oq.protocol,
+                response,
+            },
+        );
+    }
 
-        // Optional wire fidelity: push the query through the real codec.
-        let query = if self.config.wire_fidelity {
-            match oq.to_message().encode().and_then(|b| Message::decode(&b)) {
-                Ok(m) => m,
-                Err(_) => {
-                    // Unencodable query: client sees a timeout.
-                    self.schedule(
-                        deadline,
-                        slot,
-                        EventKind::Outcome {
-                            generation,
-                            tag: oq.tag,
-                            dest: oq.to,
-                            response: None,
-                        },
-                    );
-                    return;
-                }
-            }
-        } else {
-            oq.to_message()
-        };
-        let Some(question) = query.question().cloned() else {
-            self.schedule(
-                deadline,
-                slot,
-                EventKind::Outcome {
-                    generation,
-                    tag: oq.tag,
-                    dest: oq.to,
-                    response: None,
-                },
-            );
-            return;
-        };
+    /// What the server at `oq.to` sends back for a query leaving at
+    /// `t_send` — the bytes a loopback server would, answering a view of the
+    /// bytes the reactor would send — and when it arrives. `None` when
+    /// nothing does: lost, nobody listening, or failing to encode.
+    fn exchange(
+        &mut self,
+        client_ip: Ipv4Addr,
+        oq: &OutQuery,
+        t_send: SimTime,
+    ) -> Option<(SimTime, Vec<u8>)> {
+        self.query_buf.reset();
+        oq.encode_into(&mut self.query_buf, oq.id).ok()?;
+        let query = MessageView::parse(self.query_buf.as_slice()).ok()?;
+        let question = query.question()?.to_question();
+        self.answer_buf.reset();
 
         // Public resolver path.
-        if let Some(idx) = self.resolvers.iter().position(|r| r.config.addr == oq.to) {
-            // Split borrows: resolver handles need the universe and rng.
-            let universe = Arc::clone(&self.universe);
-            let outcome = self.resolvers[idx].handle(
-                universe.as_ref(),
+        if let Some(resolver) = self.resolvers.iter_mut().find(|r| r.config.addr == oq.to) {
+            let outcome = resolver.handle(
+                self.universe.as_ref(),
                 client_ip,
-                &query,
                 &question,
                 t_send,
                 &mut self.rng,
             );
-            match outcome {
+            let (answer, latency) = match outcome {
                 ResolverOutcome::Dropped => {
                     self.report.net_drops += 1;
-                    self.schedule(
-                        deadline,
-                        slot,
-                        EventKind::Outcome {
-                            generation,
-                            tag: oq.tag,
-                            dest: oq.to,
-                            response: None,
-                        },
-                    );
+                    return None;
                 }
-                ResolverOutcome::ServFail { latency } => {
-                    let mut msg = Message {
-                        id: query.id,
-                        questions: query.questions.clone(),
-                        ..Message::default()
-                    };
-                    msg.flags.response = true;
-                    msg.flags.recursion_available = true;
-                    msg.rcode = zdns_wire::RcodeField(zdns_wire::Rcode::ServFail);
-                    let arrival = t_send + latency;
-                    self.deliver_or_timeout(
-                        slot,
-                        generation,
-                        oq.tag,
-                        arrival,
-                        deadline,
-                        oq.to,
-                        msg,
-                        oq.protocol,
-                    );
-                }
-                ResolverOutcome::Answer { message, latency } => {
-                    let arrival = t_send + latency;
-                    self.deliver_or_timeout(
-                        slot,
-                        generation,
-                        oq.tag,
-                        arrival,
-                        deadline,
-                        oq.to,
-                        *message,
-                        oq.protocol,
-                    );
-                }
-            }
-            return;
+                ResolverOutcome::ServFail { latency } => (AuthResponse::servfail(), latency),
+                ResolverOutcome::Answer { response, latency } => (response, latency),
+            };
+            let mut response = answer.into_message_for(&query);
+            response.flags.recursion_available = true;
+            encode_response(&response, &query, oq.protocol, &mut self.answer_buf).ok()?;
+            return Some((t_send + latency, self.answer_buf.as_slice().to_vec()));
         }
 
         // Authoritative-universe path.
@@ -744,143 +728,17 @@ impl Engine {
         let drop_p = profile.base_drop + self.universe.drop_probability(oq.to, &question.name);
         if self.rng.gen_bool(drop_p.clamp(0.0, 1.0)) {
             self.report.net_drops += 1;
-            self.schedule(
-                deadline,
-                slot,
-                EventKind::Outcome {
-                    generation,
-                    tag: oq.tag,
-                    dest: oq.to,
-                    response: None,
-                },
-            );
-            return;
+            return None;
         }
-        let Some(auth) = self.universe.respond(oq.to, &question) else {
-            // Nothing listens there.
-            self.schedule(
-                deadline,
-                slot,
-                EventKind::Outcome {
-                    generation,
-                    tag: oq.tag,
-                    dest: oq.to,
-                    response: None,
-                },
-            );
-            return;
-        };
-        let mut response = auth.to_message(&query);
-        // Truncation on UDP.
-        if oq.protocol == Protocol::Udp {
-            let limit = query
-                .edns
-                .as_ref()
-                .map(|e| e.udp_payload_size as usize)
-                .unwrap_or(512);
-            if self.config.wire_fidelity {
-                if let Ok((bytes, truncated)) = response.encode_udp(limit) {
-                    if truncated {
-                        if let Ok(m) = Message::decode(&bytes) {
-                            response = m;
-                        }
-                    }
-                }
-            } else if estimate_size(&response) > limit {
-                response.answers.clear();
-                response.authorities.clear();
-                response.additionals.clear();
-                response.flags.truncated = true;
-            }
-        }
+        let auth = self.universe.respond(oq.to, &question)?;
+        let response = auth.into_message_for(&query);
+        encode_response(&response, &query, oq.protocol, &mut self.answer_buf).ok()?;
         let mut rtt = sample_rtt(profile.latency, &mut self.rng);
         if oq.protocol == Protocol::Tcp {
             rtt = rtt * 2 + sample_rtt(profile.latency, &mut self.rng);
         }
         let arrival = t_send + rtt + profile.processing_us * MICROS;
-        self.deliver_or_timeout(
-            slot,
-            generation,
-            oq.tag,
-            arrival,
-            deadline,
-            oq.to,
-            response,
-            oq.protocol,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_or_timeout(
-        &mut self,
-        slot: u32,
-        generation: u32,
-        tag: u64,
-        arrival: SimTime,
-        deadline: SimTime,
-        from: Ipv4Addr,
-        message: Message,
-        protocol: Protocol,
-    ) {
-        if arrival > deadline {
-            self.schedule(
-                deadline,
-                slot,
-                EventKind::Outcome {
-                    generation,
-                    tag,
-                    dest: from,
-                    response: None,
-                },
-            );
-        } else {
-            self.schedule(
-                arrival,
-                slot,
-                EventKind::Outcome {
-                    generation,
-                    tag,
-                    dest: from,
-                    response: Some((from, message, protocol)),
-                },
-            );
-        }
-    }
-}
-
-/// Rough wire size of a message without encoding it (used when
-/// `wire_fidelity` is off).
-pub fn estimate_size(msg: &Message) -> usize {
-    let mut size = 12;
-    for q in &msg.questions {
-        size += q.name.wire_len() + 4;
-    }
-    for rec in msg
-        .answers
-        .iter()
-        .chain(&msg.authorities)
-        .chain(&msg.additionals)
-    {
-        size += rec.name.wire_len() + 10 + estimate_rdata(rec);
-    }
-    if msg.edns.is_some() {
-        size += 11;
-    }
-    size
-}
-
-fn estimate_rdata(rec: &zdns_wire::Record) -> usize {
-    use zdns_wire::RData;
-    match &rec.rdata {
-        RData::A(_) => 4,
-        RData::Aaaa(_) => 16,
-        RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) | RData::Dname(n) => n.wire_len(),
-        RData::Soa(s) => s.mname.wire_len() + s.rname.wire_len() + 20,
-        RData::Mx(m) => 2 + m.exchange.wire_len(),
-        RData::Txt(t) => t.strings.iter().map(|s| s.len() + 1).sum(),
-        RData::Caa(c) => 2 + c.tag.len() + c.value.len(),
-        RData::Opaque(b) => b.len(),
-        _ => 32,
+        Some((arrival, self.answer_buf.as_slice().to_vec()))
     }
 }
 
@@ -1106,51 +964,6 @@ mod tests {
         assert!(
             fast_gc < slow_gc,
             "frequent {fast_gc} should beat default {slow_gc}"
-        );
-    }
-
-    #[test]
-    fn wire_fidelity_roundtrips_messages() {
-        let u = universe();
-        let root = u.root_hints()[0].1;
-        let mut engine = Engine::new(
-            EngineConfig {
-                threads: 4,
-                wire_fidelity: true,
-                ..EngineConfig::default()
-            },
-            u,
-        );
-        let mut remaining = 20;
-        let report = engine.run(move || {
-            if remaining == 0 {
-                return None;
-            }
-            remaining -= 1;
-            Some(Box::new(OneShot {
-                to: root,
-                name: format!("wf{remaining}.com").parse().unwrap(),
-                qtype: RecordType::A,
-                retries: 1,
-            }))
-        });
-        assert_eq!(report.jobs, 20);
-        assert!(report.success_rate() > 0.9);
-    }
-
-    #[test]
-    fn estimate_size_tracks_reality() {
-        let u = universe();
-        let q = Question::new("example.com".parse().unwrap(), RecordType::A);
-        let resp = u.respond(u.root_hints()[0].1, &q).unwrap();
-        let msg = resp.to_message(&Message::query(1, q));
-        let actual = msg.encode().unwrap().len();
-        let estimated = estimate_size(&msg);
-        let ratio = estimated as f64 / actual as f64;
-        // Compression makes the estimate high; it must stay in the ballpark.
-        assert!(
-            (0.8..2.5).contains(&ratio),
-            "est {estimated} actual {actual}"
         );
     }
 }

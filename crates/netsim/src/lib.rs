@@ -39,8 +39,8 @@ pub mod time;
 pub mod wire_server;
 
 pub use engine::{
-    estimate_size, ClientEvent, Engine, EngineConfig, GcModel, JobOutcome, OutQuery, Protocol,
-    RunReport, SimClient, StepStatus,
+    ClientEvent, Engine, EngineConfig, GcModel, JobOutcome, OutQuery, Protocol, RunReport,
+    SimClient, StepStatus,
 };
 pub use framed::FramedConn;
 pub use input::{shard_of, InputSource, ShardedSource};

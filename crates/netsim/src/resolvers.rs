@@ -14,8 +14,8 @@ use std::net::Ipv4Addr;
 
 use rand::Rng;
 use zdns_pacing::TokenBucket;
-use zdns_wire::{Message, Name, Question, Rcode};
-use zdns_zones::Universe;
+use zdns_wire::{Name, Question, Rcode};
+use zdns_zones::{AuthResponse, Universe};
 
 use crate::oracle;
 use crate::time::{SimTime, MILLIS, SECONDS};
@@ -123,8 +123,9 @@ impl PublicResolverConfig {
 pub enum ResolverOutcome {
     /// Answer delivered after the given service latency.
     Answer {
-        /// The response message.
-        message: Box<Message>,
+        /// The records and response code; the engine renders them for the
+        /// query and encodes them.
+        response: AuthResponse,
         /// Latency from query arrival to response departure.
         latency: SimTime,
     },
@@ -178,12 +179,11 @@ impl PublicResolverSim {
         }
     }
 
-    /// Process one query arriving at `now` from `client`.
+    /// Process one query for `question` arriving at `now` from `client`.
     pub fn handle<R: Rng>(
         &mut self,
         universe: &dyn Universe,
         client: Ipv4Addr,
-        query: &Message,
         question: &Question,
         now: SimTime,
         rng: &mut R,
@@ -276,26 +276,20 @@ impl PublicResolverSim {
             latency += exp(self.config.miss_extra_ms, rng);
         }
         let ans = oracle::resolve(universe, question);
-        let mut msg = Message {
-            id: query.id,
-            questions: query.questions.clone(),
-            answers: ans.answers,
-            authorities: ans.authorities,
-            edns: query.edns.as_ref().map(|_| zdns_wire::Edns::default()),
-            ..Message::default()
-        };
-        msg.flags.response = true;
-        msg.flags.recursion_desired = true;
-        msg.flags.recursion_available = true;
-        msg.rcode = zdns_wire::RcodeField(if ans.rcode == Rcode::Refused {
-            // Public resolvers surface lame/unreachable delegations as
-            // SERVFAIL rather than passing REFUSED through.
-            Rcode::ServFail
-        } else {
-            ans.rcode
-        });
         ResolverOutcome::Answer {
-            message: Box::new(msg),
+            response: AuthResponse {
+                // Public resolvers surface lame/unreachable delegations as
+                // SERVFAIL rather than passing REFUSED through.
+                rcode: if ans.rcode == Rcode::Refused {
+                    Rcode::ServFail
+                } else {
+                    ans.rcode
+                },
+                authoritative: false,
+                answers: ans.answers,
+                authorities: ans.authorities,
+                additionals: Vec::new(),
+            },
             latency,
         }
     }
@@ -333,8 +327,7 @@ mod tests {
         client: Ipv4Addr,
     ) -> ResolverOutcome {
         let q = Question::new(name.parse::<Name>().unwrap(), RecordType::A);
-        let msg = Message::query(1, q.clone());
-        r.handle(u, client, &msg, &q, now, rng)
+        r.handle(u, client, &q, now, rng)
     }
 
     #[test]
@@ -349,7 +342,7 @@ mod tests {
         let ok = (0..5).any(|i| {
             matches!(
                 ask(&u, &mut r, &mut rng, &base, i * SECONDS, client),
-                ResolverOutcome::Answer { ref message, .. } if message.rcode() == Rcode::NoError
+                ResolverOutcome::Answer { ref response, .. } if response.rcode == Rcode::NoError
             )
         });
         assert!(ok);
@@ -401,8 +394,7 @@ mod tests {
             // All inside one second from many client IPs.
             let client = Ipv4Addr::from(0xC000_0200u32 + (i % 64) as u32);
             let q = Question::new(format!("ov{i}.com").parse::<Name>().unwrap(), RecordType::A);
-            let msg = Message::query(1, q.clone());
-            match r.handle(&u, client, &msg, &q, i * 50_000, &mut rng) {
+            match r.handle(&u, client, &q, i * 50_000, &mut rng) {
                 ResolverOutcome::Dropped | ResolverOutcome::ServFail { .. } => failed += 1,
                 ResolverOutcome::Answer { .. } => {}
             }

@@ -6,7 +6,10 @@
 //! TCP half pumps each connection through a [`FramedConn`], the framing
 //! the reactor and the serve role use too. The socket helpers every
 //! real-socket path shares (reuse-port binds, the UDP + TCP pair bind, the
-//! non-blocking connect) live here as well.
+//! non-blocking connect) live here as well, and so does the encode step
+//! (`encode_response`) the simulator's engine answers through too, so a
+//! simulated answer is the bytes a loopback server sends, its cookie echo
+//! aside.
 
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,9 +17,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use zdns_wire::{Cookie, MessageView, ScratchBuf, CLIENT_COOKIE_LEN};
+use zdns_wire::{Cookie, Message, MessageView, ScratchBuf, WireResult, CLIENT_COOKIE_LEN};
 use zdns_zones::Universe;
 
+use crate::engine::Protocol;
 use crate::framed::FramedConn;
 
 /// A running loopback DNS server.
@@ -413,7 +417,7 @@ impl WireServer {
                         &udp_universe,
                         impersonate,
                         raw,
-                        true,
+                        Protocol::Udp,
                         &mut scratch,
                         udp_log.as_ref(),
                     ) {
@@ -475,7 +479,7 @@ impl WireServer {
                             &tcp_universe,
                             impersonate,
                             frame,
-                            false,
+                            Protocol::Tcp,
                             &mut scratch,
                             tcp_log.as_ref(),
                         );
@@ -515,7 +519,7 @@ fn answer_into(
     universe: &Arc<dyn Universe>,
     impersonate: Ipv4Addr,
     raw: &[u8],
-    udp: bool,
+    protocol: Protocol,
     scratch: &mut ScratchBuf,
     log: Option<&QueryLog>,
 ) -> bool {
@@ -532,7 +536,7 @@ fn answer_into(
     let Some(auth) = universe.respond(impersonate, &question) else {
         return false;
     };
-    let mut response = auth.to_message_for(&query);
+    let mut response = auth.into_message_for(&query);
     // RFC 7873: echo the client cookie back with our server cookie
     // appended, so cookie-aware clients can pin retries to us.
     if let (Some(cookie), Some(edns)) = (query.cookie(), response.edns.as_mut()) {
@@ -543,11 +547,25 @@ fn answer_into(
             edns.set_cookie(full);
         }
     }
-    if udp {
-        let limit = query.udp_payload_size().unwrap_or(512) as usize;
-        response.encode_udp_into(scratch, limit).is_ok()
-    } else {
-        response.encode_into(scratch).is_ok()
+    encode_response(&response, &query, protocol, scratch).is_ok()
+}
+
+/// Encode `response`, the answer to `query`, into `scratch`: over UDP cut
+/// to the payload size the query advertises (512 octets without EDNS) by
+/// the encoder, which sets TC when it cuts; over TCP whole. The one
+/// truncation rule of the loopback servers and the simulator alike.
+pub(crate) fn encode_response(
+    response: &Message,
+    query: &MessageView<'_>,
+    protocol: Protocol,
+    scratch: &mut ScratchBuf,
+) -> WireResult<()> {
+    match protocol {
+        Protocol::Udp => {
+            let limit = query.udp_payload_size().unwrap_or(512) as usize;
+            response.encode_udp_into(scratch, limit).map(drop)
+        }
+        Protocol::Tcp => response.encode_into(scratch),
     }
 }
 

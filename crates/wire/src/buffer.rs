@@ -247,11 +247,6 @@ impl ScratchBuf {
         self.base
     }
 
-    /// Offset where the current message starts.
-    pub fn message_start(&self) -> usize {
-        self.base
-    }
-
     /// The bytes of the message currently being assembled.
     pub fn message_bytes(&self) -> &[u8] {
         &self.buf[self.base..]

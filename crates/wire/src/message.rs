@@ -82,16 +82,6 @@ impl Message {
         Ok(scratch.take_bytes())
     }
 
-    /// Encode for UDP: if the message exceeds `limit`, sections are dropped
-    /// from the back until it fits and the TC bit is set, mirroring what
-    /// authoritative servers do. Returns the bytes and whether truncation
-    /// happened.
-    pub fn encode_udp(&self, limit: usize) -> WireResult<(Vec<u8>, bool)> {
-        let mut scratch = ScratchBuf::new();
-        let truncated = self.encode_udp_into(&mut scratch, limit)?;
-        Ok((scratch.take_bytes(), truncated))
-    }
-
     /// Encode one message (no size limit) into `scratch` as a new message
     /// starting at the current write position. In the steady state the
     /// scratch buffer retains its capacity, so this path performs zero heap
@@ -103,8 +93,9 @@ impl Message {
         })
     }
 
-    /// [`Message::encode_into`] with a UDP size limit: drops trailing
-    /// records and sets TC when the message would exceed `limit`. Returns
+    /// [`Message::encode_into`] with a UDP size limit: if the message
+    /// exceeds `limit`, records are dropped from the back until it fits and
+    /// the TC bit is set, mirroring what authoritative servers do. Returns
     /// whether truncation happened.
     pub fn encode_udp_into(&self, scratch: &mut ScratchBuf, limit: usize) -> WireResult<bool> {
         scratch.begin_message();
@@ -363,10 +354,11 @@ mod tests {
                 RData::A(Ipv4Addr::from(0x0A00_0000 + i)),
             ));
         }
-        let (bytes, truncated) = m.encode_udp(512).unwrap();
+        let mut scratch = ScratchBuf::new();
+        let truncated = m.encode_udp_into(&mut scratch, 512).unwrap();
         assert!(truncated);
-        assert!(bytes.len() <= 512);
-        let decoded = Message::decode(&bytes).unwrap();
+        assert!(scratch.len() <= 512);
+        let decoded = Message::decode(scratch.as_slice()).unwrap();
         assert!(decoded.flags.truncated);
         // TCP encoding holds everything.
         let full = m.encode().unwrap();

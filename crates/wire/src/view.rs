@@ -8,10 +8,11 @@
 //! [`Name`]s without being built, and records promote to owned [`Record`]s
 //! only via [`RecordView::to_record`].
 //!
-//! [`MsgRef`] unifies the borrowed view with the owned [`Message`] so lookup
-//! machines run identically over both: the reactor's UDP hot path hands them
-//! views over arena slices, while the TCP side-pool, the blocking driver,
-//! and the discrete-event simulator hand them owned messages.
+//! [`MsgRef`] is what lookup machines are handed. Every driver hands them
+//! a view over encoded bytes: the reactor over its receive arena and its
+//! TCP frames, the discrete-event simulator over the answer it encoded.
+//! Its owned [`Message`] arm is for tests and tools that build a response
+//! by hand.
 
 use std::net::Ipv4Addr;
 
@@ -529,10 +530,10 @@ struct OptView {
 /// [`Message::decode`] accepts, with one deliberate exception: EDNS
 /// options must fit their RDLENGTH exactly (the owned decoder leniently
 /// reads an overrunning option past the OPT record's end; the view
-/// rejects such datagrams instead of misparsing what follows). The
-/// reactor relies on this equivalence so its view path and the owned
-/// decode of the TCP side-pool and the simulator drop the same malformed
-/// datagrams — a response that parses here always promotes.
+/// rejects such datagrams instead of misparsing what follows). Lookup
+/// machines rely on this equivalence: a response that parses here always
+/// promotes, so a `--trace` step never loses a message the machine acted
+/// on.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'a> {
     buf: &'a [u8],
@@ -621,11 +622,6 @@ impl<'a> MessageView<'a> {
     pub fn with_id(mut self, id: u16) -> MessageView<'a> {
         self.id_override = Some(id);
         self
-    }
-
-    /// The raw datagram this view borrows.
-    pub fn bytes(&self) -> &'a [u8] {
-        self.buf
     }
 
     /// Transaction id (override applied).
@@ -815,9 +811,9 @@ fn validate_opt_options(buf: &[u8], rdata_off: usize, rdlen: usize) -> WireResul
 // MsgRef: one message type for machines, borrowed or owned
 // ---------------------------------------------------------------------------
 
-/// A response message as delivered to a lookup machine: either an owned
-/// [`Message`] (simulator, TCP side-pool, blocking driver) or a borrowed
-/// [`MessageView`] over the receive arena (the reactor's UDP hot path).
+/// A response message as delivered to a lookup machine: a borrowed
+/// [`MessageView`] over encoded bytes (what the reactor and the simulator
+/// deliver), or an owned [`Message`] (what tests and tools build by hand).
 ///
 /// Machines inspect it through the accessors below and *promote* — clone
 /// records out — only what they actually keep.
@@ -827,18 +823,6 @@ pub enum MsgRef<'a> {
     Owned(Message),
     /// A borrowed view over the raw datagram.
     View(MessageView<'a>),
-}
-
-impl From<Message> for MsgRef<'_> {
-    fn from(m: Message) -> Self {
-        MsgRef::Owned(m)
-    }
-}
-
-impl<'a> From<MessageView<'a>> for MsgRef<'a> {
-    fn from(v: MessageView<'a>) -> Self {
-        MsgRef::View(v)
-    }
 }
 
 impl<'a> MsgRef<'a> {

@@ -105,41 +105,38 @@ impl AuthResponse {
         }
     }
 
-    /// Like [`AuthResponse::to_message`] but answering a borrowed query
-    /// view — what the loopback wire servers use so the query is never
-    /// promoted to an owned [`Message`].
-    pub fn to_message_for(&self, query: &MessageView<'_>) -> Message {
-        let mut m = Message {
-            id: query.id(),
-            questions: query.questions().map(|q| q.to_question()).collect(),
-            answers: self.answers.clone(),
-            authorities: self.authorities.clone(),
-            additionals: self.additionals.clone(),
-            edns: query.has_edns().then(zdns_wire::Edns::default),
-            ..Message::default()
-        };
-        m.flags.response = true;
-        m.flags.authoritative = self.authoritative;
-        m.flags.recursion_desired = query.flags().recursion_desired;
-        m.flags.recursion_available = false;
-        m.rcode = zdns_wire::RcodeField(self.rcode);
-        m
+    /// Render into a wire [`Message`] answering a borrowed query view,
+    /// moving the records in — what the simulator and the loopback wire
+    /// servers answer with, so neither the query nor the records are
+    /// copied on the way.
+    pub fn into_message_for(self, query: &MessageView<'_>) -> Message {
+        let questions = query.questions().map(|q| q.to_question()).collect();
+        let rd = query.flags().recursion_desired;
+        self.render(query.id(), questions, rd, query.has_edns())
     }
 
     /// Render into a wire [`Message`] answering `query`.
     pub fn to_message(&self, query: &Message) -> Message {
+        let rd = query.flags.recursion_desired;
+        self.clone()
+            .render(query.id, query.questions.clone(), rd, query.edns.is_some())
+    }
+
+    /// The response to a query with this id, questions, RD bit and EDNS
+    /// presence (echoed as a default OPT record).
+    fn render(self, id: u16, questions: Vec<Question>, rd: bool, edns: bool) -> Message {
         let mut m = Message {
-            id: query.id,
-            questions: query.questions.clone(),
-            answers: self.answers.clone(),
-            authorities: self.authorities.clone(),
-            additionals: self.additionals.clone(),
-            edns: query.edns.as_ref().map(|_| zdns_wire::Edns::default()),
+            id,
+            questions,
+            answers: self.answers,
+            authorities: self.authorities,
+            additionals: self.additionals,
+            edns: edns.then(zdns_wire::Edns::default),
             ..Message::default()
         };
         m.flags.response = true;
         m.flags.authoritative = self.authoritative;
-        m.flags.recursion_desired = query.flags.recursion_desired;
+        m.flags.recursion_desired = rd;
         m.flags.recursion_available = false;
         m.rcode = zdns_wire::RcodeField(self.rcode);
         m

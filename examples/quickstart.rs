@@ -26,7 +26,6 @@ fn main() {
     let mut engine = Engine::new(
         EngineConfig {
             threads: 64,
-            wire_fidelity: true, // every packet through the real codec
             ..EngineConfig::default()
         },
         Arc::clone(&universe) as Arc<dyn Universe>,

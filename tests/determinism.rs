@@ -54,7 +54,6 @@ fn trace_json_has_appendix_c_fields() {
     let mut engine = Engine::new(
         EngineConfig {
             threads: 1,
-            wire_fidelity: true,
             ..EngineConfig::default()
         },
         Arc::clone(&universe) as Arc<dyn Universe>,
