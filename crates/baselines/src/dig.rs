@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use zdns_core::{IterativeMachine, ResolveTarget, ResolverConfig, ResolverCore};
+use zdns_core::{Detail, IterativeMachine, ResolveTarget, ResolverConfig, ResolverCore};
 use zdns_netsim::{EngineConfig, SimClient, MILLIS};
 use zdns_wire::{Name, Question, RecordType};
 
@@ -24,7 +24,7 @@ pub fn dig_trace_machine(
         // A one-entry cache is dig's "no cache": nothing survives between
         // queries of one walk anyway.
         cache_size: 1,
-        trace: true,
+        detail: Detail::Trace,
         retries: 2,
         root_hints,
         ..ResolverConfig::default()
@@ -86,7 +86,7 @@ pub fn dig_external_machine(
         },
         retries: 2,
         cache_size: 1,
-        trace: false,
+        detail: Detail::Normal,
         ..ResolverConfig::default()
     };
     let core: Arc<ResolverCore> = ResolverCore::new(config);

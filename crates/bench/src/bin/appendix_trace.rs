@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use zdns_bench::bench_universe;
-use zdns_core::{collecting_sink, Resolver, ResolverConfig};
+use zdns_core::{collecting_sink, Detail, Resolver, ResolverConfig};
 use zdns_netsim::{Engine, EngineConfig};
 use zdns_wire::{Name, Question, RecordType};
 use zdns_zones::Universe;
@@ -21,7 +21,7 @@ fn main() {
         .expect("an existing domain");
 
     let mut config = ResolverConfig::iterative(universe.root_hints());
-    config.trace = true;
+    config.detail = Detail::Trace;
     let resolver = Resolver::new(config);
 
     let mut engine = Engine::new(

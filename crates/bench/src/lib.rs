@@ -26,7 +26,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use zdns_baselines::unbound_resolver;
-use zdns_core::{ResolutionMode, Resolver, ResolverConfig};
+use zdns_core::{Detail, ResolutionMode, Resolver, ResolverConfig};
 use zdns_netsim::{
     Engine, EngineConfig, PublicResolverConfig, PublicResolverSim, RunReport, SECONDS,
 };
@@ -170,7 +170,7 @@ pub fn tuned_cloudflare() -> PublicResolverSim {
 }
 
 /// Run one experiment point. The resolver records no lookup chains
-/// (`trace: false`; no figure or table reads one — `appendix_trace` builds
+/// (`Detail::Normal`; no figure or table reads one — `appendix_trace` builds
 /// its own resolver): tracing costs wall time only, never virtual time,
 /// so whether it is on cannot move a hit rate (Fig. 2) or a rate
 /// (Table 1) — only how long the binaries take to print them.
@@ -191,7 +191,7 @@ pub fn run_scan(universe: &Arc<SyntheticUniverse>, spec: &ScanSpec) -> ScanOutco
         mode,
         retries: spec.retries,
         cache_size: spec.cache_size,
-        trace: false,
+        detail: Detail::Normal,
         root_hints: universe.root_hints(),
         ..ResolverConfig::default()
     };

@@ -19,6 +19,19 @@ pub enum ResolutionMode {
     },
 }
 
+/// How much of a lookup its result carries — what the output line that
+/// prints it needs, and nothing more. Ordered: each level adds to the last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Detail {
+    /// Answers, authorities, protocol and resolver: what the `short` and
+    /// `normal` output groups print.
+    Normal,
+    /// Plus the `flags` and `additionals` members of `data` (`long`).
+    Long,
+    /// Plus the recorded lookup chain (`trace`).
+    Trace,
+}
+
 /// Tunables for the resolver library. Defaults mirror the ZDNS CLI.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
@@ -42,8 +55,11 @@ pub struct ResolverConfig {
     pub tcp_on_truncated: bool,
     /// Use TCP for everything (the optional mode from §3.4).
     pub tcp_only: bool,
-    /// Record the full lookup chain (Appendix C's trace output).
-    pub trace: bool,
+    /// What a result carries. Only [`Detail::Trace`] records the full
+    /// lookup chain (Appendix C's trace output); only [`Detail::Long`] and
+    /// up put `flags` and `additionals` in
+    /// [`LookupResult::data_json`](crate::LookupResult::data_json).
+    pub detail: Detail,
     /// Attach DNS cookies (RFC 7873) to queries and echo learned server
     /// cookies on retries to the same server.
     pub edns_cookies: bool,
@@ -71,7 +87,7 @@ impl Default for ResolverConfig {
             cache_size: 600_000,
             tcp_on_truncated: true,
             tcp_only: false,
-            trace: true,
+            detail: Detail::Trace,
             edns_cookies: true,
             cookie_secret: None,
             root_hints: Vec::new(),

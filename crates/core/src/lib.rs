@@ -48,7 +48,7 @@ pub mod transport;
 pub use alloc_count::CountingAllocator;
 pub use cache::{Cache, CacheKey, CacheStats, CachedRecords};
 pub use clock::Clock;
-pub use config::{ResolutionMode, ResolverConfig};
+pub use config::{Detail, ResolutionMode, ResolverConfig};
 pub use driver::{Admission, BatchHistogram, Driver, DriverReport};
 pub use machine::{
     DirectMachine, ExternalMachine, IterativeMachine, ResolveTarget, ResolverCore, ResultSink,

@@ -31,7 +31,7 @@ use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTim
 use zdns_wire::{Cookie, MsgRef, Name, Question, RData, Rcode, Record, RecordType};
 
 use crate::cache::{Cache, CacheKey, CachedRecords};
-use crate::config::{ResolutionMode, ResolverConfig};
+use crate::config::{Detail, ResolutionMode, ResolverConfig};
 use crate::result::{DelegationInfo, LookupResult};
 use crate::stats::Stats;
 use crate::status::Status;
@@ -90,6 +90,15 @@ fn cached_ns_hosts(ns_records: &CachedRecords) -> impl Iterator<Item = Name> + '
         RecordType::NS => r.target_name(),
         _ => None,
     })
+}
+
+/// `ip:53`, as results and traces name a server, in one allocation sized
+/// for the longest such text.
+fn server_text(ip: Ipv4Addr) -> String {
+    use std::fmt::Write;
+    let mut s = String::with_capacity("255.255.255.255:53".len());
+    let _ = write!(s, "{ip}:53");
+    s
 }
 
 fn query_id(name: &Name, counter: u32) -> u16 {
@@ -242,7 +251,6 @@ impl CookieState {
 pub struct ExternalMachine {
     core: Arc<ResolverCore>,
     question: Question,
-    servers: Vec<Ipv4Addr>,
     server_idx: usize,
     attempt: u32,
     retries_used: u32,
@@ -262,21 +270,12 @@ impl ExternalMachine {
         question: Question,
         sink: Option<ResultSink>,
     ) -> ExternalMachine {
-        let servers = match &core.config.mode {
-            ResolutionMode::External { servers } => servers.clone(),
-            ResolutionMode::Iterative => Vec::new(),
-        };
         // Load-balance the starting server across lookups.
-        let server_idx = if servers.is_empty() {
-            0
-        } else {
-            query_id(&question.name, 0) as usize % servers.len()
-        };
+        let server_idx = query_id(&question.name, 0) as usize;
         let cookies = core.cookie_state(&question.name);
         ExternalMachine {
             core,
             question,
-            servers,
             server_idx,
             attempt: 0,
             retries_used: 0,
@@ -290,8 +289,17 @@ impl ExternalMachine {
         }
     }
 
+    /// The upstream resolvers, read where the config holds them.
+    fn servers(&self) -> &[Ipv4Addr] {
+        match &self.core.config.mode {
+            ResolutionMode::External { servers } => servers,
+            ResolutionMode::Iterative => &[],
+        }
+    }
+
     fn current_server(&self) -> Ipv4Addr {
-        self.servers[self.server_idx % self.servers.len()]
+        let servers = self.servers();
+        servers[self.server_idx % servers.len()]
     }
 
     /// The cookie this machine's most recent query carried (tests).
@@ -347,7 +355,7 @@ impl ExternalMachine {
                     .map(|(m, _)| m.additionals_vec())
                     .unwrap_or_default(),
                 flags: response.map(|(m, _)| m.flags()),
-                resolver: response.map(|(_, ip)| format!("{ip}:53")),
+                resolver: response.map(|(_, ip)| server_text(ip)),
                 protocol: if self.over_tcp { "tcp" } else { "udp" },
                 trace: Vec::new(),
                 delegation: None,
@@ -368,7 +376,7 @@ impl ExternalMachine {
 impl SimClient for ExternalMachine {
     fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
         self.started = now;
-        if self.servers.is_empty() {
+        if self.servers().is_empty() {
             return self.finish(now, Status::Error, None);
         }
         self.send(out);
@@ -541,7 +549,7 @@ impl IterativeMachine {
                 (Name::root(), candidates, false)
             }
         };
-        if cached && self.core.config.trace {
+        if cached && self.core.config.detail == Detail::Trace {
             self.trace
                 .push(step_for(&q, &zone, 1, "cache".to_string(), 1, true, None));
         }
@@ -708,7 +716,7 @@ impl IterativeMachine {
     }
 
     fn record_trace(&mut self, message: &MsgRef<'_>, from: Ipv4Addr) {
-        if !self.core.config.trace {
+        if self.core.config.detail != Detail::Trace {
             return;
         }
         let walk = self.stack.last().expect("active walk");
@@ -716,7 +724,7 @@ impl IterativeMachine {
             &walk.q,
             &walk.zone,
             walk.depth + 1,
-            format!("{from}:53"),
+            server_text(from),
             walk.attempt + 1,
             false,
             message.to_message().ok(),
@@ -813,7 +821,7 @@ impl IterativeMachine {
                     .map(|(m, _)| m.additionals_vec())
                     .unwrap_or_default(),
                 flags: message.map(|(m, _)| m.flags()),
-                resolver: message.map(|(_, ip)| format!("{ip}:53")),
+                resolver: message.map(|(_, ip)| server_text(ip)),
                 protocol: if self.over_tcp { "tcp" } else { "udp" },
                 trace: std::mem::take(&mut self.trace),
                 delegation,
@@ -1166,7 +1174,7 @@ impl DirectMachine {
                 authorities: message.map(|m| m.authorities_vec()).unwrap_or_default(),
                 additionals: message.map(|m| m.additionals_vec()).unwrap_or_default(),
                 flags: message.map(|m| m.flags()),
-                resolver: Some(format!("{}:53", self.server)),
+                resolver: Some(server_text(self.server)),
                 protocol: if self.over_tcp { "tcp" } else { "udp" },
                 trace: Vec::new(),
                 delegation: None,

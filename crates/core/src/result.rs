@@ -7,6 +7,7 @@ use zdns_wire::{json as wire_json, Flags, Name, Record, RecordType};
 
 use zdns_netsim::{as_secs_f64, SimTime};
 
+use crate::config::Detail;
 use crate::status::Status;
 use crate::trace::TraceStep;
 
@@ -58,47 +59,67 @@ pub struct LookupResult {
 impl LookupResult {
     /// Build the `data` object of the output line: the non-empty record
     /// sections, then `flags`/`protocol`/`resolver` when a response was
-    /// seen. This is the one builder of that object — [`Self::to_json`]
-    /// wraps it, and the raw modules move it into their output as is.
-    pub fn data_json(&self) -> Value {
+    /// seen. It holds what the output group configured for `detail`
+    /// prints: `flags` and `additionals` only from [`Detail::Long`] up, as
+    /// `short` and `normal` lines drop them. This is the one builder of
+    /// that object — [`Self::to_json`] wraps it at [`Detail::Trace`], and
+    /// the raw modules move it into their output as is. It consumes the
+    /// result so the resolver text moves into `data` rather than being
+    /// copied; take what else is wanted (the trace) first.
+    pub fn data_json(mut self, detail: Detail) -> Value {
+        let resolver = self.resolver.take();
+        self.data_with(detail, resolver)
+    }
+
+    fn data_with(&self, detail: Detail, resolver: Option<String>) -> Value {
+        let long = detail >= Detail::Long;
         let sections = [
-            ("answers", &self.answers),
-            ("authorities", &self.authorities),
-            ("additionals", &self.additionals),
+            ("answers", &self.answers, true),
+            ("authorities", &self.authorities, true),
+            ("additionals", &self.additionals, long),
         ];
-        let footer = self.flags.is_some() && self.resolver.is_some();
-        let members = sections.iter().filter(|(_, s)| !s.is_empty()).count();
+        let footer = self.flags.as_ref().zip(resolver);
+        let members = sections
+            .iter()
+            .filter(|(_, s, kept)| *kept && !s.is_empty())
+            .count()
+            + footer.as_ref().map_or(0, |_| 2 + usize::from(long));
         // Sized to fit: this object waits in the output queue as built.
-        let mut data = serde_json::Map::with_capacity(members + if footer { 3 } else { 0 });
-        for (key, section) in sections {
-            if !section.is_empty() {
+        let mut data = serde_json::Map::with_capacity(members);
+        for (key, section, kept) in sections {
+            if kept && !section.is_empty() {
                 data.insert(
                     key.into(),
                     Value::Array(section.iter().map(wire_json::record_to_json).collect()),
                 );
             }
         }
-        if let (Some(flags), Some(resolver)) = (&self.flags, &self.resolver) {
-            let rcode = match self.status {
-                Status::NxDomain => zdns_wire::Rcode::NxDomain,
-                Status::ServFail => zdns_wire::Rcode::ServFail,
-                Status::Refused => zdns_wire::Rcode::Refused,
-                _ => zdns_wire::Rcode::NoError,
-            };
-            data.insert("flags".into(), wire_json::flags_to_json(flags, rcode));
+        if let Some((flags, resolver)) = footer {
+            if long {
+                let rcode = match self.status {
+                    Status::NxDomain => zdns_wire::Rcode::NxDomain,
+                    Status::ServFail => zdns_wire::Rcode::ServFail,
+                    Status::Refused => zdns_wire::Rcode::Refused,
+                    _ => zdns_wire::Rcode::NoError,
+                };
+                data.insert("flags".into(), wire_json::flags_to_json(flags, rcode));
+            }
             data.insert("protocol".into(), json!(self.protocol));
-            data.insert("resolver".into(), json!(resolver));
+            data.insert("resolver".into(), Value::String(resolver));
         }
         Value::Object(data)
     }
 
-    /// Render the ZDNS JSON output line.
+    /// Render the ZDNS JSON output line, everything included.
     pub fn to_json(&self) -> Value {
         let mut out = serde_json::Map::new();
         out.insert("name".into(), json!(self.name.to_string()));
         out.insert("class".into(), json!("IN"));
         out.insert("status".into(), json!(self.status.as_str()));
-        out.insert("data".into(), self.data_json());
+        out.insert(
+            "data".into(),
+            self.data_with(Detail::Trace, self.resolver.clone()),
+        );
         out.insert("duration".into(), json!(as_secs_f64(self.duration)));
         out.insert("timestamp".into(), json!(as_secs_f64(self.timestamp)));
         if !self.trace.is_empty() {

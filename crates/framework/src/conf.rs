@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 
 use zdns_core::{
-    IoBackend, PacerConfig, ResolutionMode, ResolverConfig, DEFAULT_BATCH_SIZE, MAX_BATCH,
+    Detail, IoBackend, PacerConfig, ResolutionMode, ResolverConfig, DEFAULT_BATCH_SIZE, MAX_BATCH,
 };
 use zdns_netsim::{SimTime, SECONDS};
 
@@ -42,6 +42,15 @@ impl OutputGroup {
             OutputGroup::Normal => "normal",
             OutputGroup::Long => "long",
             OutputGroup::Trace => "trace",
+        }
+    }
+
+    /// The result detail this group prints.
+    pub fn detail(self) -> Detail {
+        match self {
+            OutputGroup::Short | OutputGroup::Normal => Detail::Normal,
+            OutputGroup::Long => Detail::Long,
+            OutputGroup::Trace => Detail::Trace,
         }
     }
 
@@ -505,7 +514,7 @@ pub static SCAN_FLAGS: FlagTable<ScanArgs> = FlagTable {
                 all but flags, additionals | long: all of data |\n\
                 trace: long plus the lookup chain. The chain is\n\
                 recorded only when it is printed; in iterative\n\
-                mode it costs ~2.8x the time and ~7x the bytes\n\
+                mode it costs ~2x the time and ~7x the bytes\n\
                 of a normal line. The last of --trace and\n\
                 --output-fields on the command line decides",
             set: |a, v| {
@@ -748,9 +757,10 @@ impl Conf {
                 "--iterative and --name-servers are mutually exclusive".into(),
             ));
         }
-        // A lookup chain is recorded only when the line will print it:
+        // A result carries only what the line will print — the lookup
+        // chain under `trace`, `flags` and `additionals` from `long` up:
         // the final output group decides, whatever the flag order.
-        conf.resolver.trace = conf.output == OutputGroup::Trace;
+        conf.resolver.detail = conf.output.detail();
         conf.resolver.mode = if name_servers.is_empty() {
             ResolutionMode::Iterative
         } else {
@@ -1050,7 +1060,7 @@ mod tests {
     fn trace_is_recorded_exactly_when_the_final_group_prints_it() {
         let untraced = Conf::parse(["A", "--iterative"]).unwrap();
         assert_eq!(untraced.output, OutputGroup::Normal);
-        assert!(!untraced.resolver.trace);
+        assert_eq!(untraced.resolver.detail, Detail::Normal);
         for args in [
             &["A", "--trace"][..],
             &["A", "--output-fields", "trace"],
@@ -1058,13 +1068,22 @@ mod tests {
         ] {
             let conf = Conf::parse(args.iter().copied()).unwrap();
             assert_eq!(conf.output, OutputGroup::Trace, "{args:?}");
-            assert!(conf.resolver.trace, "{args:?}");
+            assert_eq!(conf.resolver.detail, Detail::Trace, "{args:?}");
         }
         // A later --output-fields wins over an earlier --trace, and takes
         // the recording with it.
         let overridden = Conf::parse(["A", "--trace", "--output-fields", "normal"]).unwrap();
         assert_eq!(overridden.output, OutputGroup::Normal);
-        assert!(!overridden.resolver.trace);
+        assert_eq!(overridden.resolver.detail, Detail::Normal);
+        for (group, detail) in [
+            ("short", Detail::Normal),
+            ("normal", Detail::Normal),
+            ("long", Detail::Long),
+            ("trace", Detail::Trace),
+        ] {
+            let conf = Conf::parse(["A", "--output-fields", group]).unwrap();
+            assert_eq!(conf.resolver.detail, detail, "{group}");
+        }
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!   group keeps straight into a caller-owned reusable buffer, touching
 //!   the allocator zero times per line once the buffer has grown to its
 //!   high-water mark. The trace is read under the `trace` group only —
-//!   the one group for which a scan records one at all
-//!   ([`Conf::parse`](crate::conf::Conf::parse)).
+//!   the one group for which a scan records one at all — and a raw
+//!   module's `data` arrives without the `flags` and `additionals` that
+//!   `short` and `normal` drop ([`Conf::parse`](crate::conf::Conf::parse)
+//!   sets the resolver's detail from the group); members are written by
+//!   [`write_value`], straight into the buffer.
 //!
 //! The [`OutputSink`] trait is the streaming consumer side: the scan
 //! pipeline hands every [`ModuleOutput`] to one sink ([`JsonlSink`] for
@@ -24,7 +27,7 @@
 
 use std::io::Write as IoWrite;
 
-use serde_json::{write_escaped, Value};
+use serde_json::{write_escaped, write_value, Value};
 use zdns_modules::ModuleOutput;
 
 use crate::conf::OutputGroup;
@@ -76,7 +79,6 @@ pub fn to_line(output: &ModuleOutput, group: OutputGroup) -> String {
 /// streaming sink runs per output, so a warmed buffer makes the
 /// serialization side of the pipeline allocation-free.
 pub fn write_line(output: &ModuleOutput, group: OutputGroup, buf: &mut String) {
-    use std::fmt::Write;
     buf.clear();
     match group {
         OutputGroup::Short => {
@@ -86,7 +88,7 @@ pub fn write_line(output: &ModuleOutput, group: OutputGroup, buf: &mut String) {
             let _ = write_escaped(output.status.as_str(), buf);
             if let Some(answers) = output.data.get("answers") {
                 buf.push_str(",\"data\":{\"answers\":");
-                let _ = write!(buf, "{answers}");
+                let _ = write_value(answers, buf);
                 buf.push('}');
             }
             buf.push('}');
@@ -100,7 +102,6 @@ pub fn write_line(output: &ModuleOutput, group: OutputGroup, buf: &mut String) {
 /// The full output shape (`name`/`class`/`status`/`module`/`data`),
 /// optionally dropping the noisy `data` members and appending the trace.
 fn write_full(output: &ModuleOutput, buf: &mut String, drop_noise: bool, include_trace: bool) {
-    use std::fmt::Write;
     buf.push_str("{\"name\":");
     let _ = write_escaped(&output.name, buf);
     buf.push_str(",\"class\":\"IN\",\"status\":");
@@ -122,12 +123,12 @@ fn write_full(output: &ModuleOutput, buf: &mut String, drop_noise: bool, include
                 first = false;
                 let _ = write_escaped(k, buf);
                 buf.push(':');
-                let _ = write!(buf, "{v}");
+                let _ = write_value(v, buf);
             }
             buf.push('}');
         }
         (data, _) => {
-            let _ = write!(buf, "{data}");
+            let _ = write_value(data, buf);
         }
     }
     if include_trace && !output.trace.is_empty() {
@@ -136,7 +137,7 @@ fn write_full(output: &ModuleOutput, buf: &mut String, drop_noise: bool, include
             if i > 0 {
                 buf.push(',');
             }
-            let _ = write!(buf, "{step}");
+            let _ = write_value(step, buf);
         }
         buf.push(']');
     }

@@ -27,8 +27,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zdns_core::{
-    AddrMap, Clock, DriverReport, IoBackend, Reactor, ReactorConfig, Resolver, ResolverConfig,
-    ServeConfig, ServeStats, ServerRole, DEFAULT_BATCH_SIZE,
+    AddrMap, Clock, Detail, DriverReport, IoBackend, Reactor, ReactorConfig, Resolver,
+    ResolverConfig, ServeConfig, ServeStats, ServerRole, DEFAULT_BATCH_SIZE,
 };
 use zdns_netsim::{bind_reuse_port, bind_tcp_reuse_port, bind_udp_tcp_pair};
 
@@ -229,7 +229,7 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
         cache_size: opts.cache_capacity,
         // Serving wants throughput, not forensics: skip building lookup
         // chains for forwarded queries.
-        trace: false,
+        detail: Detail::Normal,
         ..ResolverConfig::external(upstream_ips)
     });
     let addr_map: Arc<AddrMap> = Arc::new(move |ip: Ipv4Addr| {

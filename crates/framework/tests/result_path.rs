@@ -2,16 +2,18 @@
 //!
 //! The `data` object of an output line has one builder,
 //! [`LookupResult::data_json`]; [`LookupResult::to_json`] wraps it and the
-//! raw modules move it into their [`ModuleOutput`]. Over generated results
-//! (empty sections, every status, flags with and without a resolver,
-//! traces with and without responses) the builder must agree with the
-//! full rendering, the full rendering with the `json!` form it replaced,
-//! and the streaming [`write_line`] with the tree-shaping [`to_line`] for
-//! every output group.
+//! raw modules move it into their [`ModuleOutput`], built for the detail
+//! their output group prints (`flags` and `additionals` from `long` up).
+//! Over generated results (empty sections, every status, flags with and
+//! without a resolver, traces with and without responses) the builder
+//! must agree with the full rendering, the full rendering with the `json!`
+//! form it replaced, and the streaming [`write_line`] with the
+//! tree-shaping [`to_line`] for every output group — and a group's line
+//! must print the same from its own detail's `data` as from the full one.
 
 use proptest::prelude::*;
 use serde_json::json;
-use zdns_core::{LookupResult, Status, TraceStep};
+use zdns_core::{Detail, LookupResult, Status, TraceStep};
 use zdns_framework::output::{to_line, write_line};
 use zdns_framework::OutputGroup;
 use zdns_modules::api::trace_json;
@@ -153,7 +155,7 @@ proptest! {
     fn data_is_built_once_and_lines_agree(result in arb_result()) {
         // One builder of `data`, wrapped by the full rendering.
         let full = result.to_json();
-        let data = result.data_json();
+        let data = result.clone().data_json(Detail::Trace);
         prop_assert_eq!(&data, &full["data"]);
 
         // The full rendering is what the `json!` form it replaced printed.
@@ -170,24 +172,66 @@ proptest! {
         }
         prop_assert_eq!(full.to_string(), want.to_string());
 
-        // What a raw module emits for it prints the same through the
-        // streaming writer and the tree-shaping one, group by group.
-        let output = ModuleOutput {
+        // What a raw module emits for it — `data` built for the group's
+        // detail — prints through the streaming writer as through the
+        // tree-shaping one, and as the full `data` does: a group's line
+        // never needed what its detail leaves out.
+        let output = |detail| ModuleOutput {
             name: result.name.to_string(),
             module: "A",
             status: result.status,
-            data: result.data_json(),
+            data: result.clone().data_json(detail),
             trace: trace_json(&result),
         };
+        let everything = output(Detail::Trace);
         let mut buf = String::new();
         for group in GROUPS {
-            write_line(&output, group, &mut buf);
-            prop_assert_eq!(&buf, &to_line(&output, group), "{:?}", group);
+            let printed = output(group.detail());
+            write_line(&printed, group, &mut buf);
+            prop_assert_eq!(&buf, &to_line(&printed, group), "{:?}", group);
+            prop_assert_eq!(&buf, &to_line(&everything, group), "{:?}", group);
         }
         prop_assert_eq!(
             buf.contains("\"trace\":["),
             !result.trace.is_empty(),
             "the trace group prints a trace exactly when one was recorded"
+        );
+    }
+
+    #[test]
+    fn flags_and_additionals_are_built_from_long_up(result in arb_result()) {
+        let footer = result.flags.is_some() && result.resolver.is_some();
+        for detail in [Detail::Normal, Detail::Long, Detail::Trace] {
+            let data = result.clone().data_json(detail);
+            let long = detail >= Detail::Long;
+            prop_assert_eq!(data.get("flags").is_some(), long && footer, "{:?}", detail);
+            prop_assert_eq!(
+                data.get("additionals").is_some(),
+                long && !result.additionals.is_empty(),
+                "{:?}",
+                detail
+            );
+            prop_assert_eq!(data.get("resolver").is_some(), footer, "{:?}", detail);
+        }
+    }
+}
+
+#[test]
+fn normal_data_has_no_flags_or_additionals_and_long_has_both() {
+    let mut rng = proptest::TestRng::deterministic();
+    let mut result = arb_result().generate(&mut rng);
+    result.additionals = vec![record_from(7)];
+    result.flags = Some(flags_from(3));
+    result.resolver = Some("198.51.100.3:53".into());
+    let data = |detail| result.clone().data_json(detail);
+    let normal = data(Detail::Normal);
+    assert!(normal.get("flags").is_none() && normal.get("additionals").is_none());
+    assert_eq!(normal["resolver"], "198.51.100.3:53");
+    for detail in [Detail::Long, Detail::Trace] {
+        let v = data(detail);
+        assert!(
+            v["flags"].is_object() && v["additionals"].is_array(),
+            "{detail:?}"
         );
     }
 }

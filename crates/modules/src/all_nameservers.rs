@@ -180,7 +180,7 @@ impl AllNsMachine {
         };
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             "ALLNAMESERVERS",
             status,
             json!({

@@ -96,7 +96,7 @@ impl ALookupMachine {
         });
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             "ALOOKUP",
             self.status,
             data,

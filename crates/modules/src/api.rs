@@ -23,7 +23,11 @@ pub struct ModuleOutput {
     pub module: &'static str,
     /// Lookup status.
     pub status: Status,
-    /// Module-shaped JSON data.
+    /// Module-shaped JSON data: what the configured output group prints.
+    /// The raw modules' `data` ([`LookupResult::data_json`]) carries
+    /// `flags` and `additionals` only when the resolver's
+    /// [`Detail`](zdns_core::Detail) is `Long` or `Trace` — the `long` and
+    /// `trace` groups; `short` and `normal` lines never print them.
     pub data: Value,
     /// The exposed lookup chain of the primary lookup, already as JSON.
     pub trace: Vec<Value>,
@@ -140,17 +144,18 @@ impl Inner {
     }
 }
 
-/// Shorthand for emitting a finished module output.
+/// Shorthand for emitting a finished module output. `name` is the
+/// machine's input, moved in: a machine emits once.
 pub fn emit(
     sink: &ModuleSink,
-    name: &str,
+    name: String,
     module: &'static str,
     status: Status,
     data: Value,
     trace: Vec<Value>,
 ) -> StepStatus {
     sink(ModuleOutput {
-        name: name.to_string(),
+        name,
         module,
         status,
         data,
@@ -178,7 +183,7 @@ impl SimClient for FailMachine {
     fn start(&mut self, _now: SimTime, _out: &mut Vec<OutQuery>) -> StepStatus {
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             self.module,
             self.status,
             Value::Null,
@@ -210,9 +215,9 @@ pub fn input_to_name(input: &str, reverse_ips: bool) -> Option<Name> {
 }
 
 /// The lookup chain of a result as JSON values, for [`ModuleOutput::trace`].
-/// Empty, and free, unless the resolver records traces
-/// (`ResolverConfig::trace`) — which a scan configured through the CLI does
-/// only under the `trace` output group, the one group that prints them.
+/// Empty, and free, unless the resolver records traces (`Detail::Trace`)
+/// — which a scan configured through the CLI does only under the `trace`
+/// output group, the one group that prints them.
 pub fn trace_json(result: &LookupResult) -> Vec<Value> {
     result.trace.iter().map(|s| s.to_json()).collect()
 }

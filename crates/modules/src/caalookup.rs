@@ -62,7 +62,7 @@ impl CaaMachine {
         });
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             "CAALOOKUP",
             result.status,
             data,

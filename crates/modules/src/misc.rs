@@ -2,7 +2,7 @@
 //! extracting resolver versions via `version.bind`.
 
 use serde_json::json;
-use zdns_core::{Resolver, Status};
+use zdns_core::{Detail, Resolver, Status};
 use zdns_netsim::{ClientEvent, OutQuery, SimClient, SimTime, StepStatus};
 use zdns_wire::{Question, RData, RecordClass, RecordType};
 
@@ -26,7 +26,7 @@ impl BindVersionMachine {
         });
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             "BINDVERSION",
             result.status,
             json!({ "version": version }),
@@ -107,22 +107,24 @@ struct ProbeMachine {
     inner: Inner,
     input: String,
     server: std::net::Ipv4Addr,
+    detail: Detail,
     sink: ModuleSink,
 }
 
 impl ProbeMachine {
     fn finish(&mut self, result: zdns_core::LookupResult) -> StepStatus {
-        let mut data = result.data_json();
+        let (status, trace) = (result.status, trace_json(&result));
+        let mut data = result.data_json(self.detail);
         if let Some(obj) = data.as_object_mut() {
             obj.insert("server".to_string(), json!(self.server.to_string()));
         }
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             "PROBE",
-            result.status,
+            status,
             data,
-            trace_json(&result),
+            trace,
         )
     }
 }
@@ -195,6 +197,7 @@ impl LookupModule for ProbeModule {
             inner: Inner::direct(resolver, Question::new(name, qtype), server, false),
             input: input.to_string(),
             server,
+            detail: resolver.core().config.detail,
             sink,
         })
     }
@@ -308,7 +311,7 @@ impl NsMachine {
             .collect();
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             "NSLOOKUP",
             self.status,
             json!({ "servers": servers }),

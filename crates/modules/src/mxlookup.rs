@@ -131,7 +131,7 @@ impl MxMachine {
             .collect();
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             "MXLOOKUP",
             self.status,
             json!({ "exchanges": exchanges }),

@@ -1,7 +1,7 @@
 //! Raw DNS modules: "the raw DNS response from a server similar to dig,
 //! but as structured JSON records" (§3.3) — one module per record type.
 
-use zdns_core::{Resolver, Status};
+use zdns_core::{Detail, Resolver, Status};
 use zdns_netsim::{ClientEvent, OutQuery, SimClient, SimTime, StepStatus};
 use zdns_wire::{Question, RecordType};
 
@@ -32,18 +32,20 @@ struct RawMachine {
     inner: Inner,
     input: String,
     module: &'static str,
+    detail: Detail,
     sink: ModuleSink,
 }
 
 impl RawMachine {
     fn finish(&mut self, result: zdns_core::LookupResult) -> StepStatus {
+        let trace = trace_json(&result);
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             self.module,
             result.status,
-            result.data_json(),
-            trace_json(&result),
+            result.data_json(self.detail),
+            trace,
         )
     }
 }
@@ -98,6 +100,7 @@ impl LookupModule for RawModule {
             inner: Inner::lookup(resolver, Question::new(name, self.rtype)),
             input: input.to_string(),
             module: self.name(),
+            detail: resolver.core().config.detail,
             sink,
         })
     }

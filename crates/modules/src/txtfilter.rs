@@ -74,7 +74,7 @@ impl TxtFilterMachine {
         // measurement succeeded, the record is absent.
         emit(
             &self.sink,
-            &self.input,
+            std::mem::take(&mut self.input),
             self.module,
             result.status,
             data,

@@ -15,13 +15,16 @@ use crate::message::Message;
 use crate::rdata::RData;
 use crate::record::Record;
 
+/// The name's text with the root dot, rendered once into a string sized
+/// for it: a name without escapes prints in its wire length less one.
 fn name_with_dot(n: &crate::name::Name) -> String {
-    let s = n.to_string();
-    if s == "." {
-        s
-    } else {
-        format!("{s}.")
+    use std::fmt::Write;
+    let mut s = String::with_capacity(n.wire_len());
+    let _ = write!(s, "{n}");
+    if !n.is_root() {
+        s.push('.');
     }
+    s
 }
 
 fn b64(bytes: &[u8]) -> String {
@@ -53,12 +56,22 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// `value`'s text as a JSON string, rendered once into room for the
+/// longest text of its type.
+fn text_value(value: impl std::fmt::Display, capacity: usize) -> Value {
+    use std::fmt::Write;
+    let mut s = String::with_capacity(capacity);
+    let _ = write!(s, "{value}");
+    Value::String(s)
+}
+
 /// The `answer` value for a record: a string for simple types, an object for
-/// structured ones — the shape ZDNS's typed result structs produce.
+/// structured ones — the shape ZDNS's typed result structs produce. A string
+/// answer moves in as built (`json!` would copy it).
 pub fn answer_value(rdata: &RData) -> Value {
     match rdata {
-        RData::A(a) => json!(a.to_string()),
-        RData::Aaaa(a) => json!(a.to_string()),
+        RData::A(a) => text_value(a, "255.255.255.255".len()),
+        RData::Aaaa(a) => text_value(a, "ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255".len()),
         RData::Ns(n)
         | RData::Cname(n)
         | RData::Dname(n)
@@ -68,7 +81,7 @@ pub fn answer_value(rdata: &RData) -> Value {
         | RData::Mf(n)
         | RData::Mg(n)
         | RData::Mr(n)
-        | RData::NsapPtr(n) => json!(name_with_dot(n)),
+        | RData::NsapPtr(n) => Value::String(name_with_dot(n)),
         RData::Soa(s) => json!({
             "mname": name_with_dot(&s.mname),
             "rname": name_with_dot(&s.rname),
@@ -82,7 +95,9 @@ pub fn answer_value(rdata: &RData) -> Value {
             "preference": m.preference,
             "name": name_with_dot(&m.exchange),
         }),
-        RData::Txt(t) | RData::Spf(t) | RData::Avc(t) | RData::Ninfo(t) => json!(t.joined()),
+        RData::Txt(t) | RData::Spf(t) | RData::Avc(t) | RData::Ninfo(t) => {
+            Value::String(t.joined())
+        }
         RData::Srv(s) => json!({
             "priority": s.priority,
             "weight": s.weight,
@@ -258,17 +273,19 @@ pub fn answer_value(rdata: &RData) -> Value {
             "preference": l.preference,
             "fqdn": name_with_dot(&l.fqdn),
         }),
-        RData::Eui48(b) => json!(b
-            .iter()
-            .map(|x| format!("{x:02x}"))
-            .collect::<Vec<_>>()
-            .join("-")),
-        RData::Eui64(b) => json!(b
-            .iter()
-            .map(|x| format!("{x:02x}"))
-            .collect::<Vec<_>>()
-            .join("-")),
-        RData::Opaque(b) => json!(b64(b)),
+        RData::Eui48(b) => Value::String(
+            b.iter()
+                .map(|x| format!("{x:02x}"))
+                .collect::<Vec<_>>()
+                .join("-"),
+        ),
+        RData::Eui64(b) => Value::String(
+            b.iter()
+                .map(|x| format!("{x:02x}"))
+                .collect::<Vec<_>>()
+                .join("-"),
+        ),
+        RData::Opaque(b) => Value::String(b64(b)),
     }
 }
 

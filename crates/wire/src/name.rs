@@ -30,6 +30,9 @@ const MAX_STORAGE: usize = MAX_NAME_LEN - 1;
 pub const INLINE_NAME_LEN: usize = 54;
 /// A name has at most 127 labels (each label costs ≥ 2 wire octets).
 const MAX_LABELS: usize = 127;
+/// Longest text form of a name: a storage octet prints as at most four
+/// characters (`\DDD`).
+const MAX_TEXT_LEN: usize = 4 * MAX_STORAGE;
 
 #[derive(Clone)]
 enum Storage {
@@ -266,16 +269,45 @@ impl Name {
         if self.is_root() {
             return ".".to_string();
         }
-        let mut s = String::with_capacity(self.wire_len());
-        for (i, l) in self.labels().enumerate() {
-            if i > 0 {
-                s.push('.');
+        self.text(true, &mut [0; MAX_TEXT_LEN]).to_string()
+    }
+
+    /// The dotted text of a non-root name, written into `buf` in one pass
+    /// over the storage: each length octet but the first becomes a `.`,
+    /// `.` and `\` inside a label are escaped, and octets outside printable
+    /// ASCII take the RFC 4343 `\DDD` form, so malformed labels survive a
+    /// round trip through text.
+    fn text<'b>(&self, lowercase: bool, buf: &'b mut [u8; MAX_TEXT_LEN]) -> &'b str {
+        let bytes = self.storage_bytes();
+        let (mut pos, mut len) = (0, 0);
+        while pos < bytes.len() {
+            let end = pos + 1 + bytes[pos] as usize;
+            if pos > 0 {
+                buf[len] = b'.';
+                len += 1;
             }
-            for &b in l.iter() {
-                push_label_byte(&mut s, b.to_ascii_lowercase());
+            for &b in &bytes[pos + 1..end] {
+                let b = if lowercase { b.to_ascii_lowercase() } else { b };
+                match b {
+                    b'.' | b'\\' => {
+                        buf[len..len + 2].copy_from_slice(&[b'\\', b]);
+                        len += 2;
+                    }
+                    0x21..=0x7E => {
+                        buf[len] = b;
+                        len += 1;
+                    }
+                    _ => {
+                        let digits = [b / 100, b / 10 % 10, b % 10].map(|d| b'0' + d);
+                        buf[len] = b'\\';
+                        buf[len + 1..len + 4].copy_from_slice(&digits);
+                        len += 4;
+                    }
+                }
             }
+            pos = end;
         }
-        s
+        std::str::from_utf8(&buf[..len]).expect("name text is ASCII")
     }
 
     /// The reverse-DNS name for an IPv4 address
@@ -381,22 +413,6 @@ impl<'a> Iterator for LabelIter<'a> {
 
 impl ExactSizeIterator for LabelIter<'_> {}
 
-fn push_label_byte(s: &mut String, b: u8) {
-    // Present non-printable / special bytes in the RFC 4343 \DDD form so
-    // malformed labels survive a round trip through text.
-    match b {
-        b'.' | b'\\' => {
-            s.push('\\');
-            s.push(b as char);
-        }
-        0x21..=0x7E => s.push(b as char),
-        _ => {
-            s.push('\\');
-            s.push_str(&format!("{b:03}"));
-        }
-    }
-}
-
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
         // Length octets are < 64, so ASCII lowercasing never touches them
@@ -466,17 +482,7 @@ impl fmt::Display for Name {
         if self.is_root() {
             return f.write_str(".");
         }
-        for (i, l) in self.labels().enumerate() {
-            if i > 0 {
-                f.write_str(".")?;
-            }
-            let mut s = String::new();
-            for &b in l.iter() {
-                push_label_byte(&mut s, b);
-            }
-            f.write_str(&s)?;
-        }
-        Ok(())
+        f.write_str(self.text(false, &mut [0; MAX_TEXT_LEN]))
     }
 }
 

@@ -57,6 +57,50 @@ fn arb_record() -> impl Strategy<Value = RData> {
     arb_rdata()
 }
 
+/// Labels of up to 63 octets drawn mostly from the ones text treats apart:
+/// the escaped `.` and `\`, and space, NUL, DEL and 0xff, which print as
+/// `\DDD`.
+fn arb_text_label() -> impl Strategy<Value = Vec<u8>> {
+    let octet = prop_oneof![
+        Just(b'.'),
+        Just(b'\\'),
+        Just(b' '),
+        Just(0u8),
+        Just(0x7f),
+        Just(0xff),
+        0x21u8..0x7f,
+        any::<u8>(),
+    ];
+    proptest::collection::vec(octet, 1..=63)
+}
+
+/// The per-label rendering `Name`'s `Display` replaced, kept as the oracle
+/// its text must match.
+fn text_per_label(name: &Name) -> String {
+    if name.is_root() {
+        return ".".into();
+    }
+    let mut out = String::new();
+    for (i, label) in name.labels().enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        let mut s = String::new();
+        for &b in label {
+            match b {
+                b'.' | b'\\' => {
+                    s.push('\\');
+                    s.push(b as char);
+                }
+                0x21..=0x7E => s.push(b as char),
+                _ => s.push_str(&format!("\\{b:03}")),
+            }
+        }
+        out.push_str(&s);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -65,6 +109,18 @@ proptest! {
         let text = name.to_string();
         let reparsed: Name = text.parse().unwrap();
         prop_assert_eq!(name, reparsed);
+    }
+
+    #[test]
+    fn name_text_equals_the_per_label_oracle(
+        labels in proptest::collection::vec(arb_text_label(), 0..=3),
+    ) {
+        let name = Name::from_labels(labels).unwrap();
+        let text = name.to_string();
+        prop_assert_eq!(&text, &text_per_label(&name));
+        prop_assert_eq!(name.to_ascii_lower(), text.to_ascii_lowercase());
+        let reparsed: Name = text.parse().unwrap();
+        prop_assert!(reparsed.eq_exact_case(&name), "{}", text);
     }
 
     #[test]

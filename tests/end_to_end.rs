@@ -78,5 +78,5 @@ fn every_module_in_registry_produces_output() {
 fn output_groups_are_consistent_across_pipeline() {
     let conf = Conf::parse(["A", "--iterative", "--threads", "8", "--trace"]).unwrap();
     assert_eq!(conf.output, OutputGroup::Trace);
-    assert!(conf.resolver.trace);
+    assert_eq!(conf.resolver.detail, zdns::core::Detail::Trace);
 }
