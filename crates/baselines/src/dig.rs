@@ -90,7 +90,7 @@ pub fn dig_external_machine(
         ..ResolverConfig::default()
     };
     let core: Arc<ResolverCore> = ResolverCore::new(config);
-    Box::new(zdns_core::ExternalMachine::new(
+    Box::new(zdns_core::StubMachine::external(
         core,
         Question::new(name, qtype),
         None,

@@ -133,8 +133,8 @@ pub struct DriverReport {
     pub send_batch_fill: BatchHistogram,
     /// Datagrams-per-drain-batch distribution on the receive side.
     pub recv_batch_fill: BatchHistogram,
-    /// Admission credits leased from the scan-wide pool (zero for a
-    /// reactor driven without one).
+    /// Admission credits leased from the reactor's pool (its private
+    /// one, or the scan-wide one its sibling workers share).
     pub credit_leases: u64,
     /// Credits returned to the pool (retired lookups plus idle returns).
     pub credit_returns: u64,
@@ -145,10 +145,6 @@ pub struct DriverReport {
     /// Matured deferred sends that had to wait for an admission credit
     /// before going back on the wire (the pool was momentarily empty).
     pub credit_stalls: u64,
-    /// Admissions beyond this driver's static fair share of the window —
-    /// inputs effectively stolen from a sibling that was not using its
-    /// slice.
-    pub inputs_stolen: u64,
     /// Global-budget CAS-loop retries in the concurrent pacer — lost
     /// races on the atomic token bucket. Scan-wide (read once off the
     /// shared pacer when the scan aggregates, not per-worker).
@@ -194,7 +190,6 @@ impl DriverReport {
         self.credit_returns += other.credit_returns;
         self.idle_credit_returns += other.idle_credit_returns;
         self.credit_stalls += other.credit_stalls;
-        self.inputs_stolen += other.inputs_stolen;
         self.pacer_cas_retries += other.pacer_cas_retries;
         self.pacer_stripe_waits += other.pacer_stripe_waits;
         self.token_blocks_leased += other.token_blocks_leased;

@@ -50,9 +50,7 @@ pub use cache::{Cache, CacheKey, CacheStats, CachedRecords};
 pub use clock::Clock;
 pub use config::{Detail, ResolutionMode, ResolverConfig};
 pub use driver::{Admission, BatchHistogram, Driver, DriverReport};
-pub use machine::{
-    DirectMachine, ExternalMachine, IterativeMachine, ResolveTarget, ResolverCore, ResultSink,
-};
+pub use machine::{IterativeMachine, ResolveTarget, ResolverCore, ResultSink, StubMachine};
 pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};
 pub use packet_cache::{PacketCache, PacketEntry, PacketLookup};
 pub use reactor::{DemuxKey, Reactor, ReactorConfig, TimerHandle, TimerWheel, DEFAULT_BATCH_SIZE};

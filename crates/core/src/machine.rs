@@ -9,10 +9,11 @@
 //!   cached zone cut (or the roots), follow referrals, chase CNAMEs,
 //!   resolve glueless NS hosts with nested walks, record the lookup chain,
 //!   and cache *only* NS/glue RRsets (§3.4 selective caching).
-//! * [`ExternalMachine`] — RD=1 queries against external recursive
-//!   resolvers with retry/rotation (the Google/Cloudflare rows).
-//! * [`DirectMachine`] — one server, one question, n retries; the building
-//!   block for the §5 `--all-nameservers` extension and misc modules.
+//! * [`StubMachine`] — one stub exchange: a question, a server list,
+//!   retries with rotation, TC→TCP. Built as an RD=1 lookup against the
+//!   external recursive resolvers (the Google/Cloudflare rows), or as a
+//!   probe of one named server — the building block for the §5
+//!   `--all-nameservers` extension and misc modules.
 //!
 //! Responses arrive as [`MsgRef`] — a borrowed [`zdns_wire::MessageView`]
 //! over the bytes the response came as, from the reactor's sockets and the
@@ -244,13 +245,26 @@ impl CookieState {
 }
 
 // ---------------------------------------------------------------------------
-// External mode
+// Stub mode: external lookups and per-server probes
 // ---------------------------------------------------------------------------
 
-/// RD=1 lookups against external recursive resolvers.
-pub struct ExternalMachine {
+/// One stub exchange: a question asked of a server list, with retries
+/// rotating through the list and TC→TCP against the server that
+/// truncated. It comes in two flavours that share every step:
+///
+/// * [`StubMachine::external`] — RD=1 lookups against the configured
+///   external recursive resolvers (the Google/Cloudflare rows);
+/// * [`StubMachine::probe`] — one question to one named server, the
+///   building block for the §5 `--all-nameservers` extension and misc
+///   modules like `version.bind`. Its list is that one server, so a
+///   rotating retry asks it again.
+pub struct StubMachine {
     core: Arc<ResolverCore>,
     question: Question,
+    /// The one server a probe asks; `None` asks the configured upstreams.
+    probe: Option<Ipv4Addr>,
+    /// The RD bit every query carries.
+    rd: bool,
     server_idx: usize,
     attempt: u32,
     retries_used: u32,
@@ -263,19 +277,42 @@ pub struct ExternalMachine {
     sink: Option<ResultSink>,
 }
 
-impl ExternalMachine {
-    /// Build a machine for `question`.
-    pub fn new(
+impl StubMachine {
+    /// An RD=1 lookup of `question` against the configured upstreams.
+    pub fn external(
         core: Arc<ResolverCore>,
         question: Question,
         sink: Option<ResultSink>,
-    ) -> ExternalMachine {
+    ) -> StubMachine {
+        StubMachine::new(core, question, None, true, sink)
+    }
+
+    /// A probe of `server` alone for `question`, with the RD bit `rd`.
+    pub fn probe(
+        core: Arc<ResolverCore>,
+        question: Question,
+        server: Ipv4Addr,
+        rd: bool,
+        sink: Option<ResultSink>,
+    ) -> StubMachine {
+        StubMachine::new(core, question, Some(server), rd, sink)
+    }
+
+    fn new(
+        core: Arc<ResolverCore>,
+        question: Question,
+        probe: Option<Ipv4Addr>,
+        rd: bool,
+        sink: Option<ResultSink>,
+    ) -> StubMachine {
         // Load-balance the starting server across lookups.
         let server_idx = query_id(&question.name, 0) as usize;
         let cookies = core.cookie_state(&question.name);
-        ExternalMachine {
+        StubMachine {
             core,
             question,
+            probe,
+            rd,
             server_idx,
             attempt: 0,
             retries_used: 0,
@@ -289,23 +326,19 @@ impl ExternalMachine {
         }
     }
 
-    /// The upstream resolvers, read where the config holds them.
+    /// The servers this lookup rotates through: the probed one, or the
+    /// upstream resolvers, read where the config holds them.
     fn servers(&self) -> &[Ipv4Addr] {
-        match &self.core.config.mode {
-            ResolutionMode::External { servers } => servers,
-            ResolutionMode::Iterative => &[],
+        match (&self.probe, &self.core.config.mode) {
+            (Some(server), _) => std::slice::from_ref(server),
+            (None, ResolutionMode::External { servers }) => servers,
+            (None, ResolutionMode::Iterative) => &[],
         }
     }
 
     fn current_server(&self) -> Ipv4Addr {
         let servers = self.servers();
         servers[self.server_idx % servers.len()]
-    }
-
-    /// The cookie this machine's most recent query carried (tests).
-    #[doc(hidden)]
-    pub fn last_cookie_for(&self, dest: Ipv4Addr) -> Option<Cookie> {
-        self.cookies.as_ref().map(|c| c.for_dest(dest))
     }
 
     fn send(&mut self, out: &mut Vec<OutQuery>) {
@@ -321,7 +354,7 @@ impl ExternalMachine {
             to,
             id: query_id(&self.question.name, self.queries),
             question: self.question.clone(),
-            recursion_desired: true,
+            recursion_desired: self.rd,
             cookie: self.cookies.as_ref().map(|c| c.for_dest(to)),
             protocol,
             timeout: self.core.config.timeout,
@@ -355,7 +388,9 @@ impl ExternalMachine {
                     .map(|(m, _)| m.additionals_vec())
                     .unwrap_or_default(),
                 flags: response.map(|(m, _)| m.flags()),
-                resolver: response.map(|(_, ip)| server_text(ip)),
+                // A probe names its server even when nothing answered; an
+                // external lookup names only the resolver that did.
+                resolver: response.map(|(_, ip)| ip).or(self.probe).map(server_text),
                 protocol: if self.over_tcp { "tcp" } else { "udp" },
                 trace: Vec::new(),
                 delegation: None,
@@ -373,7 +408,7 @@ impl ExternalMachine {
     }
 }
 
-impl SimClient for ExternalMachine {
+impl SimClient for StubMachine {
     fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
         self.started = now;
         if self.servers().is_empty() {
@@ -406,12 +441,8 @@ impl SimClient for ExternalMachine {
                 let flags = message.flags();
                 if flags.truncated && protocol == Protocol::Udp && self.core.config.tcp_on_truncated
                 {
-                    // Retry over TCP against the same resolver.
+                    // Retry over TCP against the same server.
                     self.over_tcp = true;
-                    self.core
-                        .stats
-                        .tcp_fallbacks
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     self.send(out);
                     return StepStatus::Running;
                 }
@@ -435,8 +466,9 @@ impl SimClient for ExternalMachine {
                     .retries
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if self.attempt <= self.core.config.retries {
-                    // Rotate to the next upstream (ZDNS load-balances
-                    // retries across its resolver list).
+                    // Rotate to the next server (ZDNS load-balances
+                    // retries across its resolver list; a probe's list
+                    // is its one server).
                     self.server_idx += 1;
                     self.send(out);
                     StepStatus::Running
@@ -900,10 +932,6 @@ impl IterativeMachine {
         if message.flags().truncated {
             if protocol == Protocol::Udp && self.core.config.tcp_on_truncated {
                 self.over_tcp = true;
-                self.core
-                    .stats
-                    .tcp_fallbacks
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 self.send_current(out);
                 return StepStatus::Running;
             }
@@ -1081,172 +1109,6 @@ impl SimClient for IterativeMachine {
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 self.current_candidate_exhausted();
                 self.advance(now, out)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Direct mode
-// ---------------------------------------------------------------------------
-
-/// One question to one specific server with retries — the probe primitive
-/// behind `--all-nameservers` (§5) and misc modules like `version.bind`.
-pub struct DirectMachine {
-    core: Arc<ResolverCore>,
-    question: Question,
-    server: Ipv4Addr,
-    recursion_desired: bool,
-    attempt: u32,
-    retries_used: u32,
-    queries: u32,
-    started: SimTime,
-    tag: u64,
-    over_tcp: bool,
-    transport_failed: bool,
-    cookies: Option<CookieState>,
-    sink: Option<ResultSink>,
-}
-
-impl DirectMachine {
-    /// Build a probe of `server` for `question`.
-    pub fn new(
-        core: Arc<ResolverCore>,
-        question: Question,
-        server: Ipv4Addr,
-        recursion_desired: bool,
-        sink: Option<ResultSink>,
-    ) -> DirectMachine {
-        let cookies = core.cookie_state(&question.name);
-        DirectMachine {
-            core,
-            question,
-            server,
-            recursion_desired,
-            attempt: 0,
-            retries_used: 0,
-            queries: 0,
-            started: 0,
-            tag: 0,
-            over_tcp: false,
-            transport_failed: false,
-            cookies,
-            sink,
-        }
-    }
-
-    /// The cookie the next query will carry (tests).
-    #[doc(hidden)]
-    pub fn next_cookie(&self) -> Option<Cookie> {
-        self.cookies.as_ref().map(|c| c.for_dest(self.server))
-    }
-
-    fn send(&mut self, out: &mut Vec<OutQuery>) {
-        self.queries += 1;
-        self.tag += 1;
-        out.push(OutQuery {
-            to: self.server,
-            id: query_id(&self.question.name, self.queries),
-            question: self.question.clone(),
-            recursion_desired: self.recursion_desired,
-            cookie: self.cookies.as_ref().map(|c| c.for_dest(self.server)),
-            protocol: if self.over_tcp || self.core.config.tcp_only {
-                Protocol::Tcp
-            } else {
-                Protocol::Udp
-            },
-            timeout: self.core.config.timeout,
-            tag: self.tag,
-        });
-        self.core
-            .stats
-            .queries_sent
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn finish(&mut self, now: SimTime, status: Status, message: Option<&MsgRef<'_>>) -> StepStatus {
-        if let Some(sink) = &self.sink {
-            let result = LookupResult {
-                name: self.question.name.clone(),
-                qtype: self.question.qtype,
-                status,
-                answers: message.map(|m| m.answers_vec()).unwrap_or_default(),
-                authorities: message.map(|m| m.authorities_vec()).unwrap_or_default(),
-                additionals: message.map(|m| m.additionals_vec()).unwrap_or_default(),
-                flags: message.map(|m| m.flags()),
-                resolver: Some(server_text(self.server)),
-                protocol: if self.over_tcp { "tcp" } else { "udp" },
-                trace: Vec::new(),
-                delegation: None,
-                queries_sent: self.queries,
-                retries_used: self.retries_used,
-                duration: now.saturating_sub(self.started),
-                timestamp: now,
-            };
-            sink(result);
-        }
-        StepStatus::Done(JobOutcome {
-            success: status.is_success(),
-            status: status.as_str(),
-        })
-    }
-}
-
-impl SimClient for DirectMachine {
-    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        self.started = now;
-        self.send(out);
-        StepStatus::Running
-    }
-
-    fn on_event(
-        &mut self,
-        event: ClientEvent<'_>,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        let failed = matches!(event, ClientEvent::TransportFailed { .. });
-        match event {
-            ClientEvent::Response {
-                tag,
-                from,
-                message,
-                protocol,
-            } => {
-                if tag != self.tag {
-                    return StepStatus::Running;
-                }
-                if let Some(cookies) = self.cookies.as_mut() {
-                    cookies.learn(from, message.cookie());
-                }
-                if message.flags().truncated
-                    && protocol == Protocol::Udp
-                    && self.core.config.tcp_on_truncated
-                {
-                    self.over_tcp = true;
-                    self.send(out);
-                    return StepStatus::Running;
-                }
-                let status = Status::from_rcode(message.rcode());
-                self.finish(now, status, Some(&message))
-            }
-            ClientEvent::Timeout { tag } | ClientEvent::TransportFailed { tag } => {
-                if tag != self.tag {
-                    return StepStatus::Running;
-                }
-                if failed {
-                    self.transport_failed = true;
-                }
-                self.attempt += 1;
-                self.retries_used += 1;
-                if self.attempt <= self.core.config.retries {
-                    self.send(out);
-                    StepStatus::Running
-                } else if self.transport_failed {
-                    self.finish(now, Status::Error, None)
-                } else {
-                    self.finish(now, Status::Timeout, None)
-                }
             }
         }
     }

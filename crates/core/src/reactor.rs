@@ -29,12 +29,13 @@
 //!   mature on the same wheel tick — are staged and flushed through one
 //!   `sendmmsg(2)`, and receives drain through a reusable
 //!   `recvmmsg(2)` arena of [`ReactorConfig::batch_size`] buffers;
-//! * an optional **shared admission credit pool**
-//!   ([`zdns_pacing::CreditPool`], via [`Reactor::set_credit_pool`]):
-//!   instead of a fixed private window, the reactor leases one credit
-//!   per active lookup from a scan-wide pool, and *parks* lookups whose
-//!   every outstanding send is waiting out a backoff penalty — returning
-//!   their credits so sibling workers absorb the stranded window.
+//! * an **admission credit pool** ([`zdns_pacing::CreditPool`]): the
+//!   reactor leases one credit per active lookup — from a private pool of
+//!   [`ReactorConfig::max_in_flight`] credits, or from a scan-wide one
+//!   its sibling workers share ([`Reactor::set_credit_pool`]) — and
+//!   *parks* lookups whose every outstanding send is waiting out a
+//!   backoff penalty, returning their credits so the rest of the window
+//!   absorbs the stranded capacity.
 //!
 //! The lookup machines are unchanged — the same [`SimClient`] state
 //! machines the discrete-event simulator drives. The reactor is the
@@ -83,12 +84,12 @@ pub struct ReactorConfig {
     /// [`IoBackend::Syscall`] forces per-datagram.
     pub io_backend: IoBackend,
     /// Extra machines this reactor may host *beyond* `max_in_flight`
-    /// while they sit parked in backoff (credit-pool scans only; parking
-    /// never happens without one). Parked lookups cost no window — their
-    /// credits are back in the pool — but they do cost slots, so this
-    /// bounds the memory a pathological all-destinations-dead scan can
-    /// pin. `0` (the default) keeps the classic behaviour: hosted
-    /// machines never exceed `max_in_flight`.
+    /// while they sit parked in backoff. Parked lookups cost no window —
+    /// their credits are back in the pool — but they do cost slots, so
+    /// this bounds the memory a pathological all-destinations-dead scan
+    /// can pin. `0` (the default) keeps hosted machines at or under
+    /// `max_in_flight`, so a reactor on its private pool always finds a
+    /// parked machine's credit free again when the machine re-leases it.
     pub max_parked: usize,
     /// The instant this reactor's clock counts nanoseconds from.
     /// Workers sharing one pacer ([`Reactor::set_pacer`]) MUST share one
@@ -354,8 +355,8 @@ struct Slot {
     deferred: usize,
     /// Sends staged for the next batch flush (same-tick coalescing).
     staged: usize,
-    /// The machine's admission credit has been returned to the shared
-    /// pool because *every* outstanding send is waiting on the pacer's
+    /// The machine's admission credit has been returned to the pool
+    /// because *every* outstanding send is waiting on the pacer's
     /// deferred queue (typically a backoff penalty): the lookup is alive
     /// but costs the scan no window. The credit is re-leased before its
     /// next send goes to the wire.
@@ -409,7 +410,8 @@ struct PreparedSend {
     oq: OutQuery,
 }
 
-/// This reactor's stake in the scan-wide [`CreditPool`].
+/// This reactor's stake in a [`CreditPool`]: its private pool, or the
+/// scan-wide one ([`Reactor::set_credit_pool`]).
 struct CreditShare {
     pool: Arc<CreditPool>,
     /// Credits currently held: one per active (unparked) machine, plus
@@ -419,9 +421,33 @@ struct CreditShare {
     /// `Admission::Later` polls, so an idle loop does not churn the
     /// pool's counters.
     spare: bool,
-    /// The static per-worker share of the window (total / workers), for
-    /// steal telemetry; 0 disables the steal counter.
-    fair_share: usize,
+}
+
+impl CreditShare {
+    fn new(pool: Arc<CreditPool>) -> CreditShare {
+        CreditShare {
+            pool,
+            held: 0,
+            spare: false,
+        }
+    }
+
+    /// Lease one credit, if the pool has one free.
+    fn lease(&mut self, report: &mut DriverReport) -> bool {
+        let leased = self.pool.try_lease(1);
+        if leased {
+            self.held += 1;
+            report.credit_leases += 1;
+        }
+        leased
+    }
+
+    /// Return one held credit to the pool.
+    fn release(&mut self, report: &mut DriverReport) {
+        self.pool.release(1);
+        self.held -= 1;
+        report.credit_returns += 1;
+    }
 }
 
 /// Delay before re-checking the credit pool when a matured deferred send
@@ -460,9 +486,8 @@ pub struct Reactor {
     /// This worker's gate on the scan-wide pacer (`None` = unpaced: the
     /// send path skips admission and feedback entirely).
     pacer: Option<ConcurrentGate>,
-    /// Shared admission credits (`None` = a private window of
-    /// `max_in_flight`).
-    credits: Option<CreditShare>,
+    /// The admission credits this reactor leases its window from.
+    credits: CreditShare,
     /// Machines alive but holding no credit (all sends in backoff).
     parked_count: usize,
     deferred: HashMap<u64, DeferredSend>,
@@ -536,6 +561,7 @@ impl Reactor {
         // whatever moment of the scan the tombstones happen to run out.
         let window = config.max_in_flight.min(MAX_PRESIZED);
         let demux = HashMap::with_capacity(2 * (window + 1));
+        let credits = CreditShare::new(Arc::new(CreditPool::new(config.max_in_flight)));
         Ok(Reactor {
             socket,
             addr_map,
@@ -547,7 +573,7 @@ impl Reactor {
             demux,
             wheel,
             pacer: None,
-            credits: None,
+            credits,
             parked_count: 0,
             deferred: HashMap::new(),
             next_token: 0,
@@ -582,22 +608,16 @@ impl Reactor {
         self.server.as_ref().map(|r| r.stats())
     }
 
-    /// Join the scan-wide admission [`CreditPool`]: instead of a fixed
-    /// private window, this reactor leases one credit per *active*
-    /// lookup (and returns it while a lookup's every send is held in
-    /// backoff). [`ReactorConfig::max_in_flight`] remains the hard cap
-    /// on machines this worker will host — shared-queue scans set it to
-    /// the whole window so any one worker can absorb capacity its
-    /// siblings are not using. `fair_share` (the static per-worker
-    /// split, usually `total / workers`) only feeds the
-    /// [`DriverReport::inputs_stolen`] counter; pass 0 to disable it.
-    pub fn set_credit_pool(&mut self, pool: Arc<CreditPool>, fair_share: usize) {
-        self.credits = Some(CreditShare {
-            pool,
-            held: 0,
-            spare: false,
-            fair_share,
-        });
+    /// Lease this reactor's window from the scan-wide `pool` instead of
+    /// its private one: one credit per *active* lookup, returned while a
+    /// lookup's every send is held in backoff, so sibling workers absorb
+    /// capacity this one is not using. [`ReactorConfig::max_in_flight`]
+    /// remains the hard cap on machines this worker will host —
+    /// shared-queue scans set it to the whole window so any one worker
+    /// can take all of it. Call it before the reactor hosts a lookup.
+    pub fn set_credit_pool(&mut self, pool: Arc<CreditPool>) {
+        debug_assert_eq!(self.credits.held, 0, "credits held across a pool swap");
+        self.credits = CreditShare::new(pool);
     }
 
     /// Gate this reactor's UDP sends through `pacer`. Reserving from its
@@ -665,7 +685,7 @@ impl Reactor {
     }
 
     /// Machines alive but holding no admission credit because every send
-    /// they own is waiting out a backoff penalty (shared-queue scans).
+    /// they own is waiting out a backoff penalty.
     pub fn parked_machines(&self) -> usize {
         self.parked_count
     }
@@ -718,8 +738,20 @@ impl Reactor {
         }
     }
 
-    /// Admit one machine, starting it immediately.
+    /// Hold a credit for the next admission: the spare, leased ahead of
+    /// pulling a machine (which cannot be pushed back) and kept while
+    /// none comes. False when the whole window is active.
+    fn lease_admission(&mut self) -> bool {
+        if !self.credits.spare {
+            self.credits.spare = self.credits.lease(&mut self.report);
+        }
+        self.credits.spare
+    }
+
+    /// Admit one machine on the spare credit, starting it immediately.
     fn admit(&mut self, machine: Box<dyn SimClient>, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
+        debug_assert!(self.credits.spare, "admitted without a credit");
+        self.credits.spare = false; // the machine carries it now
         let idx = match self.free_slots.pop() {
             Some(idx) => idx,
             None => {
@@ -739,18 +771,6 @@ impl Reactor {
         });
         self.in_flight += 1;
         self.report.peak_in_flight = self.report.peak_in_flight.max(self.in_flight);
-        if let Some(credits) = &self.credits {
-            // Steal telemetry: an admission while this worker already
-            // hosts its static fair share is an input a statically-split
-            // worker could not have accepted — capacity absorbed from a
-            // sibling's stranded slice. Hosted count (parked included)
-            // is the right comparison: a static split has no parking, so
-            // its backed-off lookups occupy window slots and a worker at
-            // fair_share hosted machines is full, whatever their state.
-            if credits.fair_share > 0 && self.in_flight > credits.fair_share {
-                self.report.inputs_stolen += 1;
-            }
-        }
 
         let mut slot = self.slots[idx].take().expect("fresh slot");
         let mut out = self.take_out_buf();
@@ -789,14 +809,12 @@ impl Reactor {
                     self.deliver(idx, event, on_done);
                 }
                 self.reap_if_wedged(idx, on_done);
-                if self.credits.is_some() {
-                    // This step may have retired the machine's last
-                    // on-wire query while an older send still sits on
-                    // the deferred queue — the machine is now fully in
-                    // backoff even though nothing was deferred *in this
-                    // step* (defer_send queues its own checks).
-                    self.park_checks.push(idx);
-                }
+                // This step may have retired the machine's last on-wire
+                // query while an older send still sits on the deferred
+                // queue — the machine is now fully in backoff even though
+                // nothing was deferred *in this step* (defer_send queues
+                // its own checks).
+                self.park_checks.push(idx);
             }
         }
         // Machines whose sends were just deferred (or whose last live
@@ -842,16 +860,12 @@ impl Reactor {
         if self.keys_pool.len() < 4_096 {
             self.keys_pool.push(keys);
         }
-        if let Some(credits) = self.credits.as_mut() {
-            if slot.parked {
-                // A parked machine retired without re-leasing (its credit
-                // was already back in the pool).
-                self.parked_count -= 1;
-            } else {
-                credits.pool.release(1);
-                credits.held -= 1;
-                self.report.credit_returns += 1;
-            }
+        if slot.parked {
+            // A parked machine retired without re-leasing (its credit was
+            // already back in the pool).
+            self.parked_count -= 1;
+        } else {
+            self.credits.release(&mut self.report);
         }
         self.slots[idx] = None;
         self.generations[idx] += 1;
@@ -861,13 +875,10 @@ impl Reactor {
 
     /// Park `idx` if every outstanding send it owns is sitting on the
     /// pacer's deferred queue: the lookup is alive but off the wire, so
-    /// its admission credit goes back to the shared pool for a sibling
-    /// (or this worker's next admission) to use. No-op without a credit
-    /// pool, for already-parked slots, and for slots with live work.
+    /// its admission credit goes back to the pool for a sibling (or this
+    /// worker's next admission) to use. No-op for already-parked slots
+    /// and for slots with live work.
     fn maybe_park(&mut self, idx: usize) {
-        let Some(credits) = self.credits.as_mut() else {
-            return;
-        };
         let Some(slot) = self.slots[idx].as_mut() else {
             return;
         };
@@ -879,9 +890,7 @@ impl Reactor {
         if idle {
             slot.parked = true;
             self.parked_count += 1;
-            credits.pool.release(1);
-            credits.held -= 1;
-            self.report.credit_returns += 1;
+            self.credits.release(&mut self.report);
             self.report.idle_credit_returns += 1;
             // A park means pacing is the bottleneck here: unused global
             // token-block slots go back with the credit, so siblings
@@ -894,17 +903,9 @@ impl Reactor {
     /// (in flight minus parked) stay under the window, and total hosted
     /// machines stay under window + parked allowance.
     fn admittable(&self) -> bool {
-        let active = self.in_flight - self.parked_count;
-        active < self.config.max_in_flight
-            && self.in_flight
-                < self
-                    .config
-                    .max_in_flight
-                    .saturating_add(if self.credits.is_some() {
-                        self.config.max_parked
-                    } else {
-                        0
-                    })
+        let (window, parked) = (self.config.max_in_flight, self.config.max_parked);
+        self.in_flight - self.parked_count < window
+            && self.in_flight < window.saturating_add(parked)
     }
 
     /// Run the queued park checks (slots whose sends were just deferred).
@@ -1009,11 +1010,9 @@ impl Reactor {
         if let Some(slot) = self.slots[idx].as_mut() {
             slot.deferred += 1;
         }
-        if self.credits.is_some() {
-            // The owner may now be fully in backoff; check at the next
-            // safe point (never mid-step).
-            self.park_checks.push(idx);
-        }
+        // The owner may now be fully in backoff; check at the next safe
+        // point (never mid-step).
+        self.park_checks.push(idx);
         self.report.max_deferred_depth = self.report.max_deferred_depth.max(self.deferred.len());
     }
 
@@ -1036,10 +1035,7 @@ impl Reactor {
             .map(|slot| slot.parked)
             .unwrap_or(false);
         if parked {
-            let credits = self.credits.as_mut().expect("parked implies a pool");
-            if credits.pool.try_lease(1) {
-                credits.held += 1;
-                self.report.credit_leases += 1;
+            if self.credits.lease(&mut self.report) {
                 self.parked_count -= 1;
                 if let Some(slot) = self.slots[sent.slot].as_mut() {
                     slot.parked = false;
@@ -1445,12 +1441,13 @@ impl Reactor {
             role.poll(&self.socket, now);
             self.server = Some(role);
         }
-        // Admit the forwarding machines queued by cache misses. When the
-        // hosting window is full the machine is dropped instead — it has
-        // not started, so there is nothing to unwind, and the client
-        // retries against a cache its sibling queries are busy filling.
+        // Admit the forwarding machines queued by cache misses, on the
+        // scan loop's lease. When the window is full the machine is
+        // dropped instead — it has not started, so there is nothing to
+        // unwind, and the client retries against a cache its sibling
+        // queries are busy filling.
         while let Some(machine) = self.server.as_mut().and_then(|r| r.pop_admission()) {
-            if self.admittable() {
+            if self.admittable() && self.lease_admission() {
                 self.admit(machine, &mut on_done);
             } else if let Some(role) = self.server.as_ref() {
                 role.note_overload();
@@ -1535,44 +1532,21 @@ impl Reactor {
         self.report = DriverReport::default();
         let mut exhausted = false;
         loop {
-            // Admission: top the window up from the source. With a
-            // shared credit pool, every admission also needs one leased
-            // credit; a spare is leased ahead of the source pull (a
-            // machine cannot be pushed back) and kept across empty
-            // polls. Parked machines cost slots but no window, so the
-            // hosting cap is `max_in_flight` *active* machines plus up
-            // to `max_parked` parked ones.
-            while !exhausted && self.admittable() {
-                if let Some(credits) = self.credits.as_mut() {
-                    if !credits.spare {
-                        if !credits.pool.try_lease(1) {
-                            break; // window fully active elsewhere
-                        }
-                        credits.spare = true;
-                        credits.held += 1;
-                        self.report.credit_leases += 1;
-                    }
-                }
+            // Admission: top the window up from the source, one leased
+            // credit per machine. Parked machines cost slots but no
+            // window, so the hosting cap is `max_in_flight` *active*
+            // machines plus up to `max_parked` parked ones.
+            while !exhausted && self.admittable() && self.lease_admission() {
                 match source() {
-                    Admission::Admit(machine) => {
-                        if let Some(credits) = self.credits.as_mut() {
-                            credits.spare = false; // the machine carries it now
-                        }
-                        self.admit(machine, on_done);
-                    }
+                    Admission::Admit(machine) => self.admit(machine, on_done),
                     Admission::Later => break,
                     Admission::Exhausted => exhausted = true,
                 }
             }
             if exhausted {
                 // No more inputs will ever need the pre-leased spare.
-                if let Some(credits) = self.credits.as_mut() {
-                    if credits.spare {
-                        credits.spare = false;
-                        credits.held -= 1;
-                        credits.pool.release(1);
-                        self.report.credit_returns += 1;
-                    }
+                if std::mem::take(&mut self.credits.spare) {
+                    self.credits.release(&mut self.report);
                 }
                 // Nor will fresh admissions need the token block: the
                 // drain phase re-leases on demand if retries crop up.
@@ -1625,7 +1599,7 @@ impl Reactor {
         debug_assert!(self.staged.is_empty(), "staged sends leaked past the scan");
         debug_assert!(self.tcp.is_empty(), "TCP exchanges leaked past the scan");
         debug_assert!(
-            self.credits.as_ref().map_or(0, |c| c.held) == 0 && self.parked_count == 0,
+            self.credits.held == 0 && self.parked_count == 0,
             "credits leaked past the scan"
         );
 
@@ -1742,5 +1716,82 @@ mod tests {
         // A different peer can reuse the same wire id freely.
         let peer2: SocketAddr = "127.0.0.1:5301".parse().unwrap();
         assert_eq!(reactor.allocate_txid(peer2, 42), Some(42));
+    }
+
+    #[test]
+    fn serve_sheds_misses_beyond_its_window_and_gets_the_window_back() {
+        use crate::clock::Clock;
+        use crate::config::ResolverConfig;
+        use crate::resolver::Resolver;
+        use crate::serve::ServeConfig;
+        use zdns_wire::{encode_query_into, Question, RecordType};
+
+        // Every miss forwards to a mute upstream (bound, never read), so a
+        // forwarded lookup ends only by its one timeout.
+        let mute = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let upstream = mute.local_addr().unwrap();
+        let mut config = ResolverConfig::external(vec![Ipv4Addr::LOCALHOST]);
+        config.retries = 0;
+        config.timeout = 50 * MILLIS;
+        let epoch = Instant::now();
+        let mut reactor = Reactor::new(
+            ReactorConfig {
+                max_in_flight: 2,
+                source: Ipv4Addr::LOCALHOST,
+                wheel_granularity: MILLIS,
+                epoch: Some(epoch),
+                ..ReactorConfig::default()
+            },
+            Arc::new(move |_| upstream),
+        )
+        .unwrap();
+        reactor.set_server_role(ServerRole::new(
+            Resolver::new(config),
+            Clock::from_epoch(epoch),
+            ServeConfig::default(),
+        ));
+        let stats = reactor.server_stats().unwrap();
+        let listen = reactor.local_addr().unwrap();
+        let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let mut scratch = ScratchBuf::new();
+        let mut ask = |ids: std::ops::Range<u16>| {
+            for id in ids {
+                let name = format!("miss{id}.overload.test").parse().unwrap();
+                scratch.reset();
+                encode_query_into(
+                    &mut scratch,
+                    id,
+                    &Question::new(name, RecordType::A),
+                    true,
+                    None,
+                )
+                .unwrap();
+                client.send_to(scratch.as_slice(), listen).unwrap();
+            }
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let tick_until = |reactor: &mut Reactor, done: &dyn Fn(&Reactor) -> bool| {
+            while !done(reactor) {
+                assert!(Instant::now() < deadline, "serve loop stalled");
+                reactor.serve_tick();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        // Five misses in one tick: two fit the window, three are shed.
+        ask(0..5);
+        reactor.serve_tick();
+        assert_eq!((stats.forwarded(), stats.overloaded()), (5, 3));
+        assert_eq!(reactor.in_flight(), 2);
+        assert_eq!(reactor.credits.pool.available(), 0);
+
+        // Both lookups time out and their credits go back to the private
+        // pool: the next two misses are hosted, and nothing is shed.
+        tick_until(&mut reactor, &|r| r.in_flight() == 0);
+        assert_eq!(reactor.credits.pool.available(), 2);
+        ask(5..7);
+        tick_until(&mut reactor, &|_| stats.forwarded() == 7);
+        assert_eq!(stats.overloaded(), 3);
+        assert_eq!(reactor.in_flight(), 2);
     }
 }

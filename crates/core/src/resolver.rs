@@ -14,9 +14,7 @@ use zdns_wire::{Question, RecordType};
 
 use crate::config::{ResolutionMode, ResolverConfig};
 use crate::driver::{Admission, Driver};
-use crate::machine::{
-    DirectMachine, ExternalMachine, IterativeMachine, ResolveTarget, ResolverCore, ResultSink,
-};
+use crate::machine::{IterativeMachine, ResolveTarget, ResolverCore, ResultSink, StubMachine};
 use crate::reactor::Reactor;
 use crate::result::LookupResult;
 use crate::status::Status;
@@ -55,9 +53,11 @@ impl Resolver {
                 ResolveTarget::Answer,
                 sink,
             )),
-            ResolutionMode::External { .. } => {
-                Box::new(ExternalMachine::new(Arc::clone(&self.core), question, sink))
-            }
+            ResolutionMode::External { .. } => Box::new(StubMachine::external(
+                Arc::clone(&self.core),
+                question,
+                sink,
+            )),
         }
     }
 
@@ -84,7 +84,7 @@ impl Resolver {
         recursion_desired: bool,
         sink: Option<ResultSink>,
     ) -> Box<dyn SimClient> {
-        Box::new(DirectMachine::new(
+        Box::new(StubMachine::probe(
             Arc::clone(&self.core),
             question,
             server,

@@ -10,8 +10,6 @@ pub struct Stats {
     pub queries_sent: AtomicU64,
     /// Retries performed (timeouts that were retried).
     pub retries: AtomicU64,
-    /// TCP fallbacks after truncation.
-    pub tcp_fallbacks: AtomicU64,
 }
 
 impl Stats {
@@ -21,7 +19,6 @@ impl Stats {
         StatsSnapshot {
             queries_sent: self.queries_sent.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            tcp_fallbacks: self.tcp_fallbacks.load(Ordering::Relaxed),
         }
     }
 }
@@ -33,6 +30,4 @@ pub struct StatsSnapshot {
     pub queries_sent: u64,
     /// Retries performed.
     pub retries: u64,
-    /// TCP fallbacks after truncation.
-    pub tcp_fallbacks: u64,
 }

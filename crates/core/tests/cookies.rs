@@ -10,8 +10,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use zdns_core::{
-    Admission, DirectMachine, Driver, ExternalMachine, Reactor, ReactorConfig, ResolverConfig,
-    ResolverCore,
+    Admission, Driver, Reactor, ReactorConfig, ResolverConfig, ResolverCore, StubMachine,
 };
 use zdns_netsim::{
     ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, StepStatus, SECONDS,
@@ -50,7 +49,7 @@ fn truncated_response(oq: &OutQuery, cookie: Cookie) -> Message {
 fn direct_machine_echoes_server_cookie_on_same_server_retry() {
     let core = external_core();
     let question = Question::new("cookie.test".parse().unwrap(), RecordType::A);
-    let mut machine = DirectMachine::new(core, question, SERVER, false, None);
+    let mut machine = StubMachine::probe(core, question, SERVER, false, None);
     let mut out = Vec::new();
     assert!(matches!(machine.start(0, &mut out), StepStatus::Running));
     let first = out.pop().unwrap();
@@ -93,7 +92,7 @@ fn external_machine_pins_cookies_per_server() {
         ResolverCore::new(config)
     };
     let question = Question::new("rotate.cookie.test".parse().unwrap(), RecordType::A);
-    let mut machine = ExternalMachine::new(core, question, None);
+    let mut machine = StubMachine::external(core, question, None);
     let mut out = Vec::new();
     machine.start(0, &mut out);
     let first = out.pop().unwrap();
@@ -141,9 +140,9 @@ fn keyed_secret_derives_per_destination_cookies() {
     };
 
     let q = |name: &str| Question::new(name.parse().unwrap(), RecordType::A);
-    let mut a = DirectMachine::new(core_for(secret), q("alpha.test"), SERVER, false, None);
-    let mut b = DirectMachine::new(core_for(secret), q("beta.test"), SERVER, false, None);
-    let mut c = DirectMachine::new(core_for(secret), q("alpha.test"), other_server, false, None);
+    let mut a = StubMachine::probe(core_for(secret), q("alpha.test"), SERVER, false, None);
+    let mut b = StubMachine::probe(core_for(secret), q("beta.test"), SERVER, false, None);
+    let mut c = StubMachine::probe(core_for(secret), q("alpha.test"), other_server, false, None);
     let mut out = Vec::new();
     a.start(0, &mut out);
     let cookie_a = out.pop().unwrap().cookie.unwrap();
@@ -165,14 +164,14 @@ fn keyed_secret_derives_per_destination_cookies() {
 
     // A different secret changes every cookie; the default (no secret)
     // still derives from the name.
-    let mut d = DirectMachine::new(core_for([8u8; 16]), q("alpha.test"), SERVER, false, None);
+    let mut d = StubMachine::probe(core_for([8u8; 16]), q("alpha.test"), SERVER, false, None);
     d.start(0, &mut out);
     assert_ne!(
         out.pop().unwrap().cookie.unwrap().client_part(),
         cookie_a.client_part()
     );
-    let mut plain = DirectMachine::new(external_core(), q("alpha.test"), SERVER, false, None);
-    let mut plain2 = DirectMachine::new(external_core(), q("beta.test"), SERVER, false, None);
+    let mut plain = StubMachine::probe(external_core(), q("alpha.test"), SERVER, false, None);
+    let mut plain2 = StubMachine::probe(external_core(), q("beta.test"), SERVER, false, None);
     plain.start(0, &mut out);
     let p1 = out.pop().unwrap().cookie.unwrap();
     plain2.start(0, &mut out);
@@ -191,7 +190,7 @@ fn keyed_cookies_still_learn_and_echo_server_cookies() {
     config.retries = 3;
     let core = ResolverCore::new(config);
     let question = Question::new("keyed-echo.test".parse().unwrap(), RecordType::A);
-    let mut machine = DirectMachine::new(core, question, SERVER, false, None);
+    let mut machine = StubMachine::probe(core, question, SERVER, false, None);
     let mut out = Vec::new();
     assert!(matches!(machine.start(0, &mut out), StepStatus::Running));
     let first = out.pop().unwrap();
@@ -226,7 +225,7 @@ fn cookies_can_be_disabled_by_config() {
     config.edns_cookies = false;
     let core = ResolverCore::new(config);
     let question = Question::new("nocookie.test".parse().unwrap(), RecordType::A);
-    let mut machine = DirectMachine::new(core, question, SERVER, false, None);
+    let mut machine = StubMachine::probe(core, question, SERVER, false, None);
     let mut out = Vec::new();
     machine.start(0, &mut out);
     assert_eq!(out.pop().unwrap().cookie, None);

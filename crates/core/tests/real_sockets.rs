@@ -183,16 +183,36 @@ fn truncated_udp_falls_back_to_tcp() {
     assert_eq!(result.status, Status::NoError, "{result:?}");
     assert_eq!(result.answers.len(), 24, "full RRset via TCP");
     assert_eq!(result.protocol, "tcp");
-    assert_eq!(
-        resolver
-            .core()
-            .stats
-            .tcp_fallbacks
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    // Root and TLD referrals, the leaf over UDP, and the leaf again over
+    // TCP: exactly one fallback.
+    assert_eq!(result.queries_sent, 4);
     assert_eq!(reactor.open_tcp_connections(), 0);
     assert_eq!(reactor.live_timers(), 0);
+}
+
+#[test]
+fn a_truncated_probe_without_tcp_fallback_reports_truncated() {
+    let u = Arc::new(mini_universe());
+    let (_servers, map) = start_servers(Arc::clone(&u));
+    let mut config = ResolverConfig::iterative(u.root_hints());
+    config.tcp_on_truncated = false;
+    let resolver = Resolver::new(config);
+    let (sink, collected) = collecting_sink();
+    let leaf: Ipv4Addr = "204.10.0.53".parse().unwrap();
+    let probe = resolver.direct_machine(
+        Question::new("big.example.test".parse().unwrap(), RecordType::TXT),
+        leaf,
+        false,
+        Some(sink),
+    );
+    drive_all(&mut single_lookup_reactor(map), vec![probe]);
+
+    let results = collected.lock();
+    assert_eq!(results.len(), 1);
+    let result = &results[0];
+    assert_eq!(result.status, Status::Truncated, "{result:?}");
+    assert_eq!((result.protocol, result.queries_sent), ("udp", 1));
+    assert_eq!(result.resolver.as_deref(), Some("204.10.0.53:53"));
 }
 
 #[test]

@@ -169,7 +169,7 @@ fn steady_state_credit_leased_scan_allocates_zero_per_lookup() {
         addr_map,
     )
     .unwrap();
-    reactor.set_credit_pool(Arc::clone(&pool), 128);
+    reactor.set_credit_pool(Arc::clone(&pool));
 
     let (done, ok, _) = run_prebuilt(&mut reactor, &resolver, &questions[..WARMUP], false);
     assert_eq!(done, WARMUP);

@@ -188,12 +188,7 @@ pub fn run_scan_pipeline(
     let mut writer_stats = (0usize, 0u64);
 
     std::thread::scope(|scope| {
-        let base_share = total_window / workers;
-        let extra = total_window % workers;
         for (worker_idx, socket) in sockets.into_iter().enumerate() {
-            // What a static split would have given this worker; only the
-            // steal telemetry uses it.
-            let fair_share = (base_share + usize::from(worker_idx < extra)).max(1);
             let input_rx = input_rx.clone();
             let output_tx = output_tx.clone();
             let module = Arc::clone(&module);
@@ -241,7 +236,7 @@ pub fn run_scan_pipeline(
                         return;
                     }
                 };
-                reactor.set_credit_pool(credit_pool, fair_share);
+                reactor.set_credit_pool(credit_pool);
                 if let Some(pacer) = shared_pacer {
                     reactor.set_pacer(pacer);
                 }

@@ -198,11 +198,10 @@ impl RealScanReport {
         };
         let credits = if self.driver.credit_leases > 0 {
             format!(
-                ", {} credit leases ({} idle returns, {} stalls), {} inputs stolen",
+                ", {} credit leases ({} idle returns, {} stalls)",
                 self.driver.credit_leases,
                 self.driver.idle_credit_returns,
                 self.driver.credit_stalls,
-                self.driver.inputs_stolen,
             )
         } else {
             String::new()

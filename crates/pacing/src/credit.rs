@@ -13,15 +13,18 @@
 //! to be). Workers lease credits as they admit work, return them when
 //! lookups retire — and return them early when a lookup's every
 //! outstanding send is parked behind a backoff penalty, which is what
-//! lets siblings absorb a stranded window. The pool is a pair of
+//! lets siblings absorb a stranded window. It is the only admission
+//! path: a reactor outside a scan (`zdns serve`, a single lookup) leases
+//! its window from a private pool of its own. The pool is a pair of
 //! atomics: leasing on the admission hot path costs one CAS and zero
 //! heap allocations, a property the `zero_alloc` integration test in
 //! `zdns-core` enforces.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// A shared pool of admission credits, leased and returned by the
-/// drivers of one scan. Thread-safe; clone the `Arc` it lives in.
+/// A pool of admission credits, leased and returned by the reactors
+/// of one scan (or by one reactor alone). Thread-safe; clone the `Arc`
+/// it lives in.
 #[derive(Debug)]
 pub struct CreditPool {
     total: usize,
