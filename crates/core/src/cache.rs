@@ -23,16 +23,23 @@
 //! wire spent on it (an `A` RRset: a 40-byte table entry, an index slot
 //! and a block of ~60 bytes) instead of an owned `Record` per record and
 //! an owned `Name` per key; a hit hands out the block by reference count.
+//!
+//! Beside the entries sit retirement stamps — counters over stripes of key
+//! hashes, bumped whenever an entry is replaced or removed — and a bounded
+//! memo of the cuts iterative walks start from ([`Cache::cut_addresses`]),
+//! which the stamps keep exact.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use zdns_wire::{Name, NameRef, Record, RecordType, RecordView, RecordViews, ScratchBuf};
 
+use crate::cut_memo::{CutMemo, CutMemoStats};
 use crate::pacer::HostHasher;
 use crate::packet_cache::PacketCache;
 use zdns_netsim::{SimTime, SECONDS};
@@ -178,6 +185,12 @@ impl CachedRecords {
 
     fn key_name(&self) -> NameRef<'_> {
         NameRef::at(&self.block, NAME_AT)
+    }
+
+    /// Whether both handles share one stored block: the same records,
+    /// stored by the same `put`.
+    pub(crate) fn same_block(&self, other: &CachedRecords) -> bool {
+        Arc::ptr_eq(&self.block, &other.block)
     }
 
     /// Whether this section is stored under `(name, rtype)`; names compare
@@ -432,6 +445,12 @@ pub struct Cache {
     /// it promotes a fresher RRset, with no extra plumbing through the
     /// resolver or the reactor.
     packet: OnceLock<Arc<PacketCache>>,
+    /// Retirement stamps, one per stripe of [`key_hash`] values (low bits):
+    /// bumped, under the shard lock, by every replace and every removal of
+    /// an entry whose hash falls in the stripe ([`Cache::stamp`]).
+    stamps: Box<[AtomicU64]>,
+    /// The resolved delegations of cached cuts ([`Cache::cut_addresses`]).
+    cuts: CutMemo,
     /// Shared counters.
     pub stats: CacheStats,
     /// Admitted `put` calls, for unit tests that count writes.
@@ -442,6 +461,10 @@ pub struct Cache {
 /// Number of shards; power of two for cheap masking.
 const SHARDS: usize = 64;
 
+/// Stripes of retirement stamps; a power of two. Churn on one key makes a
+/// memoized read of another distrusted only when both share a stripe.
+const STAMP_STRIPES: usize = 1 << 14;
+
 impl Cache {
     /// Build a cache bounded to roughly `capacity` total entries.
     pub fn new(capacity: usize) -> Cache {
@@ -451,6 +474,8 @@ impl Cache {
             counts: (0..SHARDS).map(|_| AtomicUsize::new(0)).collect(),
             per_shard_capacity,
             packet: OnceLock::new(),
+            stamps: (0..STAMP_STRIPES).map(|_| AtomicU64::new(0)).collect(),
+            cuts: CutMemo::new(),
             stats: CacheStats::default(),
             #[cfg(test)]
             puts: AtomicU64::new(0),
@@ -505,6 +530,20 @@ impl Cache {
         (hash >> 32) as usize & (SHARDS - 1)
     }
 
+    /// The retirement stamp of `hash`'s stripe. While it reads what it read
+    /// before an entry with that hash was found, that entry is still the
+    /// one stored under its key. Pairs with the `Release` bump in
+    /// [`Cache::retire`].
+    pub(crate) fn stamp(&self, hash: u64) -> u64 {
+        self.stamps[hash as usize & (STAMP_STRIPES - 1)].load(Ordering::Acquire)
+    }
+
+    /// Mark the entry with `hash` as replaced or removed. Called under the
+    /// entry's shard lock, after the change.
+    fn retire(&self, hash: u64) {
+        self.stamps[hash as usize & (STAMP_STRIPES - 1)].fetch_add(1, Ordering::Release);
+    }
+
     /// The selective policy: only infrastructure RRsets are admitted.
     pub fn admits(rtype: RecordType) -> bool {
         rtype.is_infrastructure()
@@ -545,6 +584,7 @@ impl Cache {
                 Some(at) => {
                     shard.entries[at as usize].records = records;
                     shard.touch(at);
+                    self.retire(hash);
                 }
                 None => {
                     shard.insert(hash, records);
@@ -554,7 +594,9 @@ impl Cache {
             // Evict beyond capacity.
             while shard.entries.len() > self.per_shard_capacity {
                 let victim = shard.oldest;
+                let victim_hash = shard.entries[victim as usize].hash;
                 shard.remove(victim);
+                self.retire(victim_hash);
                 self.counts[idx].fetch_sub(1, Ordering::Relaxed);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -602,6 +644,7 @@ impl Cache {
             return Some((shard, at));
         }
         shard.remove(at);
+        self.retire(hash);
         self.counts[idx].fetch_sub(1, Ordering::Relaxed);
         None
     }
@@ -678,6 +721,30 @@ impl Cache {
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    /// The nameservers of a cut [`Cache::deepest_cut`] returned — `each`
+    /// is called with every NS host of `ns`, in stored order, and the first
+    /// address its cached `A` glue holds — read as probing each host's glue
+    /// with [`Cache::with_records`] would read them, with the same hits,
+    /// misses and expired entries dropped. The resolved list is memoized
+    /// per cut in a fixed number of slots, and an address is reused only
+    /// while that probe would provably return it (`cut_memo.rs` states the
+    /// rule), so a walk from a warm cut reads one memo entry instead of
+    /// probing every host. `each` runs under the memo slot's lock.
+    pub fn cut_addresses(
+        &self,
+        cut: &Name,
+        ns: &CachedRecords,
+        now: SimTime,
+        each: impl FnMut(&Name, Option<Ipv4Addr>),
+    ) {
+        self.cuts.addresses(self, cut, ns, now, each);
+    }
+
+    /// What the cut memo has done so far.
+    pub fn memo_stats(&self) -> CutMemoStats {
+        self.cuts.stats()
     }
 }
 

@@ -31,6 +31,7 @@ pub mod alloc_count;
 pub mod cache;
 pub mod clock;
 pub mod config;
+mod cut_memo;
 pub mod driver;
 pub mod machine;
 pub mod pacer;
@@ -49,6 +50,7 @@ pub use alloc_count::CountingAllocator;
 pub use cache::{Cache, CacheKey, CacheStats, CachedRecords};
 pub use clock::Clock;
 pub use config::{Detail, ResolutionMode, ResolverConfig};
+pub use cut_memo::CutMemoStats;
 pub use driver::{Admission, BatchHistogram, Driver, DriverReport};
 pub use machine::{IterativeMachine, ResolveTarget, ResolverCore, ResultSink, StubMachine};
 pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, StepStatus};
 use zdns_wire::{Cookie, MsgRef, Name, Question, RData, Rcode, Record, RecordType};
 
-use crate::cache::{Cache, CacheKey, CachedRecords};
+use crate::cache::{Cache, CacheKey};
 use crate::config::{Detail, ResolutionMode, ResolverConfig};
 use crate::result::{DelegationInfo, LookupResult};
 use crate::stats::Stats;
@@ -75,23 +75,6 @@ impl ResolverCore {
 
 /// Callback invoked with the full result of each finished lookup.
 pub type ResultSink = Arc<dyn Fn(LookupResult) + Send + Sync>;
-
-/// The nameserver hosts of a referral's NS records.
-fn ns_hosts(ns_records: &[Record]) -> impl Iterator<Item = Name> + '_ {
-    ns_records.iter().filter_map(|r| match &r.rdata {
-        RData::Ns(host) => Some(host.clone()),
-        _ => None,
-    })
-}
-
-/// The nameserver hosts of a cached NS section, read in place: the
-/// records themselves are never promoted.
-fn cached_ns_hosts(ns_records: &CachedRecords) -> impl Iterator<Item = Name> + '_ {
-    ns_records.iter().filter_map(|r| match r.rtype {
-        RecordType::NS => r.target_name(),
-        _ => None,
-    })
-}
 
 /// `ip:53`, as results and traces name a server, in one allocation sized
 /// for the longest such text.
@@ -563,7 +546,16 @@ impl IterativeMachine {
     fn new_walk(&mut self, q: Question, parent_cand: Option<usize>, now: SimTime) -> Walk {
         let (zone, candidates, cached) = match self.core.cache.deepest_cut(&q.name, now) {
             Some((cut, ns_records)) => {
-                let candidates = self.candidates_from_ns(cached_ns_hosts(&ns_records), &[], now);
+                let mut candidates = Vec::with_capacity(ns_records.len());
+                self.core
+                    .cache
+                    .cut_addresses(&cut, &ns_records, now, |ns, addr| {
+                        candidates.push(Candidate {
+                            ns: ns.clone(),
+                            addr,
+                            dead: false,
+                        })
+                    });
                 (cut, candidates, true)
             }
             None => {
@@ -610,16 +602,21 @@ impl IterativeMachine {
         walk.candidates.sort_by_key(|c| c.addr.is_none());
     }
 
-    /// One candidate per nameserver host, addressed from the referral's
-    /// own `glue` or, failing that, from the cache.
+    /// One candidate per nameserver host of a referral's NS records,
+    /// addressed from the referral's own `glue` or, failing that, from the
+    /// cache.
     fn candidates_from_ns(
         &self,
-        ns_hosts: impl Iterator<Item = Name>,
+        ns_records: &[Record],
         glue: &[Record],
         now: SimTime,
     ) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        for ns in ns_hosts {
+        let mut out = Vec::with_capacity(ns_records.len());
+        let hosts = ns_records.iter().filter_map(|r| match &r.rdata {
+            RData::Ns(host) => Some(host.clone()),
+            _ => None,
+        });
+        for ns in hosts {
             let mut addr = glue.iter().find_map(|g| {
                 if g.name == ns {
                     match &g.rdata {
@@ -773,16 +770,20 @@ impl IterativeMachine {
     ) -> StepStatus {
         let walk = self.stack.pop().expect("active walk");
         if self.stack.is_empty() {
-            let mut answers = walk.chain.clone();
-            if let Some((m, _)) = message {
-                answers.extend(m.answers_vec());
+            let mut answers = walk.chain;
+            match message {
+                // No CNAME chain (the common case): the promoted section
+                // is the whole answer.
+                Some((m, _)) if answers.is_empty() => answers = m.answers_vec(),
+                Some((m, _)) => answers.extend(m.answers_vec()),
+                None => {}
             }
             let delegation = Some(DelegationInfo {
-                zone: walk.zone.clone(),
+                zone: walk.zone,
                 nameservers: walk
                     .candidates
-                    .iter()
-                    .map(|c| (c.ns.clone(), c.addr))
+                    .into_iter()
+                    .map(|c| (c.ns, c.addr))
                     .collect(),
             });
             return self.finish_with(now, status, message, answers, delegation);
@@ -816,19 +817,17 @@ impl IterativeMachine {
         message: Option<(&MsgRef<'_>, Ipv4Addr)>,
     ) -> StepStatus {
         // Failure outside a completed walk: salvage whatever chain exists.
-        let answers = self
-            .stack
-            .first()
-            .map(|w| w.chain.clone())
-            .unwrap_or_default();
-        let delegation = self.stack.first().map(|w| DelegationInfo {
-            zone: w.zone.clone(),
-            nameservers: w
-                .candidates
-                .iter()
-                .map(|c| (c.ns.clone(), c.addr))
-                .collect(),
-        });
+        // `finish_with` clears the stack, so the first walk is taken apart.
+        let (answers, delegation) = match self.stack.first_mut() {
+            Some(w) => (
+                std::mem::take(&mut w.chain),
+                Some(DelegationInfo {
+                    zone: std::mem::take(&mut w.zone),
+                    nameservers: w.candidates.drain(..).map(|c| (c.ns, c.addr)).collect(),
+                }),
+            ),
+            None => (Vec::new(), None),
+        };
         self.finish_with(now, status, message, answers, delegation)
     }
 
@@ -1029,7 +1028,7 @@ impl IterativeMachine {
             // Referral RRsets are kept (candidates + selective cache), so
             // this is exactly the promote-on-keep point.
             let glue = message.additionals_vec();
-            let candidates = self.candidates_from_ns(ns_hosts(&ns_refs), &glue, now);
+            let candidates = self.candidates_from_ns(&ns_refs, &glue, now);
             let w = self.stack.last_mut().expect("active walk");
             w.candidates = candidates;
             Self::rotate_candidates(w);
@@ -1168,8 +1167,10 @@ mod tests {
         let (cut, cached_ns) = core.cache.deepest_cut(&question.name, 0).unwrap();
         assert_eq!(cut, zone);
         assert_eq!(cached_ns.to_vec(), ns_records);
-        let candidates = machine.candidates_from_ns(cached_ns_hosts(&cached_ns), &[], 0);
-        let addrs: Vec<_> = candidates.iter().map(|c| (c.ns.clone(), c.addr)).collect();
+        let mut addrs = Vec::new();
+        core.cache.cut_addresses(&cut, &cached_ns, 0, |ns, addr| {
+            addrs.push((ns.clone(), addr))
+        });
         assert_eq!(
             addrs,
             vec![

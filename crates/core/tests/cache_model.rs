@@ -447,3 +447,262 @@ fn random_operations_match_the_reference_lru() {
     }
     assert_eq!(left, model.keys());
 }
+
+/// One step of the cut-memo differential, applied to two caches alike.
+enum Step {
+    /// Store the NS set of cut `cut`: hosts by index into the host pool.
+    Cut {
+        cut: usize,
+        hosts: Vec<usize>,
+        ttl: u32,
+    },
+    /// Store, or replace, a host's `A` glue.
+    Glue { host: usize, last: u8, ttl: u32 },
+    /// Store an `A` RRset under a name no cut uses.
+    Churn { name: u64, ttl: u32 },
+    /// Read a host's glue through `get`, refreshing its recency.
+    Touch { host: usize },
+    /// Start a walk for a name one label below a cut.
+    Walk { cut: usize, label: u64 },
+}
+
+/// 3 TLDs and 12 zones under each; every zone names three hosts of its
+/// own, and 16 hosts under `dns<d>.net` are shared between cuts.
+fn memo_pools() -> (Vec<Name>, Vec<Name>) {
+    let mut cuts = Vec::new();
+    let mut hosts = Vec::new();
+    for t in 0..3 {
+        cuts.push(format!("tld{t}"));
+        for z in 0..12 {
+            cuts.push(format!("z{z}.tld{t}"));
+        }
+    }
+    for cut in &cuts {
+        for h in 1..=3 {
+            hosts.push(format!("ns{h}.{cut}"));
+        }
+    }
+    for d in 0..4 {
+        for h in 1..=4 {
+            hosts.push(format!("ns{h}.dns{d}.net"));
+        }
+    }
+    let names = |texts: Vec<String>| texts.iter().map(|t| t.parse().unwrap()).collect();
+    (names(cuts), names(hosts))
+}
+
+/// A seeded step stream: NS sets that change and are evicted, glue that
+/// is stored, replaced, expires, is evicted or never stored at all, and
+/// churn of unrelated names that keeps the shards evicting — each step
+/// with the virtual time it runs at.
+fn memo_steps(cuts: usize, hosts: usize, n: usize) -> Vec<(SimTime, Step)> {
+    let mut rng = TestRng::deterministic();
+    let mut now: SimTime = 0;
+    (0..n)
+        .map(|_| {
+            if rng.below(20) == 0 {
+                now += rng.below(4) * SECONDS;
+            }
+            let step = match rng.below(100) {
+                0..=5 => {
+                    let cut = rng.below(cuts as u64) as usize;
+                    let own = (0..3).map(|h| cut * 3 + h);
+                    let shared = (0..16).map(|h| cuts * 3 + h);
+                    let mut pool: Vec<usize> = own.chain(shared).collect();
+                    let take = 1 + rng.below(5) as usize;
+                    let hosts = (0..take)
+                        .map(|_| pool.swap_remove(rng.below(pool.len() as u64) as usize))
+                        .collect();
+                    Step::Cut {
+                        cut,
+                        hosts,
+                        ttl: 5 + rng.below(60) as u32,
+                    }
+                }
+                // Hosts 0, 5, 10, … never get glue.
+                6..=25 => Step::Glue {
+                    host: match rng.below(hosts as u64) as usize {
+                        h if h % 5 == 0 => h + 1,
+                        h => h,
+                    },
+                    last: rng.below(3) as u8,
+                    ttl: 1 + rng.below(60) as u32,
+                },
+                26..=41 => Step::Churn {
+                    name: rng.below(2_000),
+                    ttl: 1 + rng.below(60) as u32,
+                },
+                42..=45 => Step::Touch {
+                    host: rng.below(hosts as u64) as usize,
+                },
+                _ => Step::Walk {
+                    cut: rng.below(cuts as u64) as usize,
+                    label: rng.below(8),
+                },
+            };
+            (now, step)
+        })
+        .collect()
+}
+
+/// A walk start through the memo must read exactly what probing each
+/// nameserver's glue reads: the same hosts in the same order with the same
+/// addresses, the same hits and misses counted, the same expired entries
+/// dropped. One cache takes the memoized path, a twin the per-nameserver
+/// probes; both see the same steps, and two threads take turns stepping
+/// them, so a memo entry filled by one thread is read by the other.
+#[test]
+fn memoized_walk_starts_match_per_nameserver_probes() {
+    use std::sync::{Condvar, Mutex};
+
+    const STEPS: usize = 40_000;
+    let (cuts, hosts) = memo_pools();
+    let steps = memo_steps(cuts.len(), hosts.len(), STEPS);
+    // 64 shards of six entries: the churn keeps every shard evicting.
+    let memo = Cache::new(64 * 6);
+    let plain = Cache::new(64 * 6);
+    let turn = (Mutex::new(0usize), Condvar::new());
+    let walks_with_glue = std::sync::atomic::AtomicU64::new(0);
+
+    let step = |i: usize| {
+        let (now, step) = &steps[i];
+        let now = *now;
+        let put = |name: &Name, rtype, records: Vec<Record>| {
+            for cache in [&memo, &plain] {
+                let key = CacheKey {
+                    name: name.clone(),
+                    rtype,
+                };
+                cache.put(key, records.clone(), now);
+            }
+        };
+        match step {
+            Step::Cut {
+                cut,
+                hosts: ns,
+                ttl,
+            } => {
+                let zone = &cuts[*cut];
+                let records = ns
+                    .iter()
+                    .map(|&h| Record::new(zone.clone(), *ttl, RData::Ns(hosts[h].clone())))
+                    .collect();
+                put(zone, RecordType::NS, records);
+            }
+            Step::Glue { host, last, ttl } => {
+                let addr = std::net::Ipv4Addr::new(192, 0, 2, *last);
+                let records = vec![Record::new(hosts[*host].clone(), *ttl, RData::A(addr))];
+                put(&hosts[*host], RecordType::A, records);
+            }
+            Step::Churn { name, ttl } => {
+                let name: Name = format!("churn{name}.elsewhere.test").parse().unwrap();
+                let addr = std::net::Ipv4Addr::from(*ttl);
+                put(
+                    &name,
+                    RecordType::A,
+                    vec![Record::new(name.clone(), *ttl, RData::A(addr))],
+                );
+            }
+            Step::Touch { host } => {
+                let got = memo.get(&hosts[*host], RecordType::A, now);
+                let want = plain.get(&hosts[*host], RecordType::A, now);
+                assert_eq!(
+                    got.map(|r| r.to_vec()),
+                    want.map(|r| r.to_vec()),
+                    "step {i}"
+                );
+            }
+            Step::Walk { cut, label } => {
+                let qname = cuts[*cut].child(&format!("q{label}")).unwrap();
+                let got = memo.deepest_cut(&qname, now);
+                let want = plain.deepest_cut(&qname, now);
+                assert_eq!(
+                    got.as_ref().map(|(cut, ns)| (cut, ns.to_vec())),
+                    want.as_ref().map(|(cut, ns)| (cut, ns.to_vec())),
+                    "step {i}: deepest cut of {qname}"
+                );
+                if let (Some((cut, ns)), Some((_, plain_ns))) = (got, want) {
+                    let mut read = Vec::new();
+                    memo.cut_addresses(&cut, &ns, now, |host, addr| {
+                        read.push((host.clone(), addr))
+                    });
+                    let probed: Vec<_> = plain_ns
+                        .iter()
+                        .filter(|r| r.rtype == RecordType::NS)
+                        .filter_map(|r| r.target_name())
+                        .map(|host| {
+                            let addr = plain
+                                .with_records(&host, RecordType::A, now, |records, _| {
+                                    records.iter().find_map(|r| r.a_addr())
+                                })
+                                .flatten();
+                            (host, addr)
+                        })
+                        .collect();
+                    assert_eq!(read, probed, "step {i}: nameservers of {cut}");
+                    if probed.iter().any(|(_, addr)| addr.is_some()) {
+                        walks_with_glue.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        for (what, a, b) in [
+            ("hits", &memo.stats.hits, &plain.stats.hits),
+            ("misses", &memo.stats.misses, &plain.stats.misses),
+            ("evictions", &memo.stats.evictions, &plain.stats.evictions),
+        ] {
+            assert_eq!(
+                a.load(Ordering::Relaxed),
+                b.load(Ordering::Relaxed),
+                "step {i}: {what}"
+            );
+        }
+        assert_eq!(memo.len(), plain.len(), "step {i}: len");
+    };
+
+    /// Wakes the other thread when a turn ends — also when a failed
+    /// assertion unwinds out of it, so the waiter finds the lock poisoned
+    /// instead of waiting for a turn that never comes.
+    struct Wake<'a>(&'a Condvar);
+    impl Drop for Wake<'_> {
+        fn drop(&mut self) {
+            self.0.notify_all();
+        }
+    }
+    std::thread::scope(|scope| {
+        for parity in 0..2 {
+            let (turn, step, steps) = (&turn, &step, &steps);
+            scope.spawn(move || {
+                for i in (parity..steps.len()).step_by(2) {
+                    let (lock, ready) = turn;
+                    let mut at = ready
+                        .wait_while(lock.lock().expect("the other thread failed"), |at| *at != i)
+                        .expect("the other thread failed");
+                    let _wake = Wake(ready);
+                    step(i);
+                    *at += 1;
+                }
+            });
+        }
+    });
+
+    let stats = memo.memo_stats();
+    let glue_reads = stats.glue_reused + stats.glue_probed;
+    let share = stats.glue_reused as f64 / glue_reads as f64;
+    println!(
+        "cut memo under churn: {} walk starts ({} with glue), {} on a memoized cut; \
+         {} of {} glue reads reused ({:.1} %), {} evictions",
+        stats.cuts_reused + stats.cuts_built,
+        walks_with_glue.load(Ordering::Relaxed),
+        stats.cuts_reused,
+        stats.glue_reused,
+        glue_reads,
+        100.0 * share,
+        plain.stats.evictions.load(Ordering::Relaxed),
+    );
+    // The stream must reach what it claims to: walks over memoized cuts,
+    // reused glue, and enough churn to evict constantly.
+    assert!(stats.cuts_reused > 1_000, "{stats:?}");
+    assert!(share > 0.2, "{stats:?}");
+    assert!(plain.stats.evictions.load(Ordering::Relaxed) > 5_000);
+}

@@ -21,7 +21,7 @@
 //! view over it, the answer is encoded (over UDP, truncated by the encoder
 //! at the query's payload size) and the client is handed a view over that.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -350,17 +350,43 @@ enum EventKind {
         response: Option<Vec<u8>>,
     },
     /// A send the gate deferred: dispatch it now, without re-admission.
+    /// Boxed: only paced runs have any, and every event is moved as the
+    /// heap reorders.
     PacedSend {
         generation: u32,
-        oq: OutQuery,
+        oq: Box<OutQuery>,
     },
 }
 
+/// A scheduled event, ordered for [`BinaryHeap`] (a max-heap) so that the
+/// earliest `time`, then the lowest `seq` — the order events were
+/// scheduled in — pops first.
 struct Event {
     time: SimTime,
+    seq: u64,
     slot: u32,
     kind: EventKind,
 }
+
+impl Ord for Event {
+    fn cmp(&self, other: &Event) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Event) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Event) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+
+impl Eq for Event {}
 
 struct Slot {
     client: Option<Box<dyn SimClient>>,
@@ -376,8 +402,7 @@ pub struct Engine {
     resolvers: Vec<PublicResolverSim>,
     send_gate: Option<Box<dyn SendGate>>,
     rng: SmallRng,
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    events: HashMap<u64, Event>,
+    heap: BinaryHeap<Event>,
     seq: u64,
     cpu_free_at: SimTime,
     gc_accum: SimTime,
@@ -386,6 +411,9 @@ pub struct Engine {
     query_buf: ScratchBuf,
     /// The answer being encoded, before it is copied into its event.
     answer_buf: ScratchBuf,
+    /// Answer buffers whose events are done, for the next answers: the
+    /// engine holds at most one per exchange in flight.
+    spare: Vec<Vec<u8>>,
 }
 
 impl Engine {
@@ -399,13 +427,13 @@ impl Engine {
             send_gate: None,
             rng: SmallRng::seed_from_u64(seed),
             heap: BinaryHeap::new(),
-            events: HashMap::new(),
             seq: 0,
             cpu_free_at: 0,
             gc_accum: 0,
             report: RunReport::default(),
             query_buf: ScratchBuf::new(),
             answer_buf: ScratchBuf::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -433,8 +461,12 @@ impl Engine {
 
     fn schedule(&mut self, time: SimTime, slot: u32, kind: EventKind) {
         self.seq += 1;
-        self.events.insert(self.seq, Event { time, slot, kind });
-        self.heap.push(Reverse((time, self.seq)));
+        self.heap.push(Event {
+            time,
+            seq: self.seq,
+            slot,
+            kind,
+        });
     }
 
     /// Consume client CPU: returns the time the work completes.
@@ -498,11 +530,12 @@ impl Engine {
             self.schedule(jitter, t as u32, EventKind::JobStart);
         }
         let mut actions: Vec<OutQuery> = Vec::with_capacity(4);
-        while let Some(Reverse((time, seq))) = self.heap.pop() {
-            let event = self.events.remove(&seq).expect("event present");
-            debug_assert_eq!(event.time, time);
-            let slot_idx = event.slot as usize;
-            match event.kind {
+        while let Some(Event {
+            time, slot, kind, ..
+        }) = self.heap.pop()
+        {
+            let slot_idx = slot as usize;
+            match kind {
                 EventKind::JobStart => {
                     let Some(mut client) = source() else {
                         continue; // input exhausted; slot retires
@@ -525,7 +558,7 @@ impl Engine {
                         continue; // owner finished while the send was held
                     }
                     let ip = slots[slot_idx].ip;
-                    self.dispatch(ip, generation, slot_idx as u32, time, oq, true);
+                    self.dispatch(ip, generation, slot_idx as u32, time, *oq, true);
                 }
                 EventKind::Outcome {
                     generation,
@@ -535,6 +568,7 @@ impl Engine {
                     response,
                 } => {
                     if slots[slot_idx].generation != generation {
+                        self.spare.extend(response);
                         continue; // stale event from a finished job
                     }
                     if let Some(gate) = self.send_gate.as_mut() {
@@ -544,6 +578,7 @@ impl Engine {
                         }
                     }
                     let Some(mut client) = slots[slot_idx].client.take() else {
+                        self.spare.extend(response);
                         continue;
                     };
                     // Receive-side CPU; under heavy backlog the packet is
@@ -573,6 +608,7 @@ impl Engine {
                     };
                     actions.clear();
                     let status = client.on_event(client_event, now, &mut actions);
+                    self.spare.extend(response);
                     self.drain_actions(&mut slots[slot_idx], slot_idx as u32, now, &mut actions);
                     match status {
                         StepStatus::Running => slots[slot_idx].client = Some(client),
@@ -641,7 +677,10 @@ impl Engine {
                     self.schedule(
                         until.max(now + 1),
                         slot,
-                        EventKind::PacedSend { generation, oq },
+                        EventKind::PacedSend {
+                            generation,
+                            oq: Box::new(oq),
+                        },
                     );
                     return;
                 }
@@ -669,7 +708,10 @@ impl Engine {
         // An answer too late for the client is the same timeout as none.
         let (time, response) = match self.exchange(client_ip, &oq, t_send) {
             Some((arrival, bytes)) if arrival <= deadline => (arrival, Some(bytes)),
-            _ => (deadline, None),
+            late => {
+                self.spare.extend(late.map(|(_, bytes)| bytes));
+                (deadline, None)
+            }
         };
         self.schedule(
             time,
@@ -720,7 +762,7 @@ impl Engine {
             let mut response = answer.into_message_for(&query);
             response.flags.recursion_available = true;
             encode_response(&response, &query, oq.protocol, &mut self.answer_buf).ok()?;
-            return Some((t_send + latency, self.answer_buf.as_slice().to_vec()));
+            return Some((t_send + latency, self.answer_bytes()));
         }
 
         // Authoritative-universe path.
@@ -738,7 +780,15 @@ impl Engine {
             rtt = rtt * 2 + sample_rtt(profile.latency, &mut self.rng);
         }
         let arrival = t_send + rtt + profile.processing_us * MICROS;
-        Some((arrival, self.answer_buf.as_slice().to_vec()))
+        Some((arrival, self.answer_bytes()))
+    }
+
+    /// The encoded answer, copied into a spare buffer for its event.
+    fn answer_bytes(&mut self) -> Vec<u8> {
+        let mut bytes = self.spare.pop().unwrap_or_default();
+        bytes.clear();
+        bytes.extend_from_slice(self.answer_buf.as_slice());
+        bytes
     }
 }
 

@@ -51,7 +51,7 @@ pub use edns::{
 pub use error::{WireError, WireResult};
 pub use header::{Flags, Header, Opcode, OpcodeField, Rcode};
 pub use message::{encode_query_into, Message, RcodeField};
-pub use name::{LabelIter, Name, INLINE_NAME_LEN, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use name::{LabelIter, Name, INLINE_NAME_LEN, MAX_LABEL_LEN, MAX_NAME_LEN, MAX_TEXT_LEN};
 pub use question::Question;
 pub use rdata::RData;
 pub use record::Record;

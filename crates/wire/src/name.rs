@@ -32,7 +32,7 @@ pub const INLINE_NAME_LEN: usize = 54;
 const MAX_LABELS: usize = 127;
 /// Longest text form of a name: a storage octet prints as at most four
 /// characters (`\DDD`).
-const MAX_TEXT_LEN: usize = 4 * MAX_STORAGE;
+pub const MAX_TEXT_LEN: usize = 4 * MAX_STORAGE;
 
 #[derive(Clone)]
 enum Storage {
@@ -266,10 +266,17 @@ impl Name {
 
     /// Lowercased dotted string without the trailing dot (root → `"."`).
     pub fn to_ascii_lower(&self) -> String {
+        self.lower_text(&mut [0; MAX_TEXT_LEN]).to_string()
+    }
+
+    /// The text [`Name::to_ascii_lower`] returns, written into `buf`
+    /// instead of a new `String`.
+    pub fn lower_text<'b>(&self, buf: &'b mut [u8; MAX_TEXT_LEN]) -> &'b str {
         if self.is_root() {
-            return ".".to_string();
+            buf[0] = b'.';
+            return std::str::from_utf8(&buf[..1]).expect("ASCII");
         }
-        self.text(true, &mut [0; MAX_TEXT_LEN]).to_string()
+        self.text(true, buf)
     }
 
     /// The dotted text of a non-root name, written into `buf` in one pass

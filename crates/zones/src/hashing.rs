@@ -9,6 +9,11 @@
 /// A 64-bit stable hash (FNV-1a core with a splitmix64 finisher for good
 /// avalanche behaviour on short inputs).
 pub fn h64(seed: u64, facet: &str, subject: &[u8]) -> u64 {
+    h64_joined(seed, facet, subject, &[])
+}
+
+/// [`h64`] of `subject` followed by `tail`, without joining them first.
+pub fn h64_joined(seed: u64, facet: &str, subject: &[u8], tail: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf29ce484222325;
     const FNV_PRIME: u64 = 0x100000001b3;
     let mut h = FNV_OFFSET ^ seed;
@@ -18,9 +23,11 @@ pub fn h64(seed: u64, facet: &str, subject: &[u8]) -> u64 {
     }
     h ^= 0xff;
     h = h.wrapping_mul(FNV_PRIME);
-    for &b in subject {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    for part in [subject, tail] {
+        for &b in part {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
     }
     splitmix64(h)
 }

@@ -17,12 +17,13 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 use zdns_wire::rdata::{Caa, Mx, Soa, TxtData};
-use zdns_wire::{Name, Question, RData, Record, RecordType};
+use zdns_wire::{Name, Question, RData, Rcode, Record, RecordType, MAX_TEXT_LEN};
 
 use crate::addressing::{host_address, is_reserved, ServerRole};
-use crate::hashing::{chance, h64, unit};
+use crate::hashing::{chance, h64, h64_joined, unit};
 use crate::providers::{Provider, ProviderRegistry, ReliabilityClass, PROVIDER_NAMEBRIGHT};
 use crate::tlds::{Tld, TldCategory, TldRegistry};
 use crate::universe::{AuthResponse, LatencyClass, ServerProfile, Universe};
@@ -252,14 +253,51 @@ pub struct DomainProfile {
     pub flaky: Option<FlakyNs>,
 }
 
+/// A TLD's apex, its `nic` node and its name-server host names, built on
+/// first use.
+struct TldNames {
+    apex: Name,
+    /// `nic.<tld>`, the empty non-terminal above the host names.
+    nic: Name,
+    /// `ns<j+1>.nic.<tld>` for every server `j`.
+    hosts: Vec<Name>,
+}
+
+/// One base domain as every derivation about it starts: its lowercased
+/// text (the subject each fact hashes), its TLD, and the provider whose NS
+/// domain it is, if any. Built once per question, on the stack.
+struct Base<'a> {
+    name: &'a Name,
+    text: [u8; MAX_TEXT_LEN],
+    len: usize,
+    tld: Option<&'a Tld>,
+    /// The provider whose NS host records this domain holds.
+    own_provider: Option<u16>,
+}
+
+impl Base<'_> {
+    /// The hash subject: the lowercased dotted text.
+    fn key(&self) -> &[u8] {
+        &self.text[..self.len]
+    }
+
+    fn tld_label(&self) -> &str {
+        self.tld.map_or("", |t| t.label.as_str())
+    }
+}
+
 /// The procedural universe.
 pub struct SyntheticUniverse {
     cfg: SynthConfig,
     tlds: TldRegistry,
     providers: ProviderRegistry,
-    /// Provider NS base domains (`cloudflare-dns.com`) → provider index,
-    /// so infrastructure domains resolve coherently.
-    provider_domains: HashMap<Name, u16>,
+    /// Provider NS base domains (`cloudflare-dns.com`), as lowercased
+    /// text, → provider index, so infrastructure domains resolve
+    /// coherently.
+    provider_domains: HashMap<String, u16>,
+    /// Each provider's `ns<k+1>.<label>.com` hosts, built on first use.
+    provider_hosts: Vec<OnceLock<Vec<Name>>>,
+    tld_names: Vec<OnceLock<TldNames>>,
     arpa_index: u16,
 }
 
@@ -271,16 +309,12 @@ impl SyntheticUniverse {
         let provider_domains = providers
             .all()
             .iter()
-            .map(|p| {
-                let name: Name = providers
-                    .ns_domain(p.index)
-                    .parse()
-                    .expect("provider domains are valid names");
-                (name, p.index)
-            })
+            .map(|p| (providers.ns_domain(p.index), p.index))
             .collect();
         let arpa_index = tlds.by_label("arpa").expect("arpa exists").index;
         SyntheticUniverse {
+            provider_hosts: providers.all().iter().map(|_| OnceLock::new()).collect(),
+            tld_names: tlds.all().iter().map(|_| OnceLock::new()).collect(),
             cfg,
             tlds,
             providers,
@@ -311,8 +345,7 @@ impl SyntheticUniverse {
     /// The TLD of a name (its last label), if registered.
     pub fn tld_of(&self, name: &Name) -> Option<&Tld> {
         let last = name.labels().last()?;
-        let label = String::from_utf8_lossy(last).to_ascii_lowercase();
-        self.tlds.by_label(&label)
+        self.tlds.by_label(std::str::from_utf8(last).ok()?)
     }
 
     /// The base (registrable) domain of a name: its last two labels.
@@ -323,178 +356,257 @@ impl SyntheticUniverse {
         Some(name.suffix(2))
     }
 
-    fn base_key(&self, base: &Name) -> Vec<u8> {
-        base.to_ascii_lower().into_bytes()
+    fn provider_hosts(&self, p: &Provider) -> &[Name] {
+        self.provider_hosts[p.index as usize].get_or_init(|| {
+            (0..p.ns_count)
+                .map(|k| {
+                    self.providers
+                        .ns_hostname(p.index, k)
+                        .parse()
+                        .expect("provider NS hostnames are valid names")
+                })
+                .collect()
+        })
     }
 
-    /// Does this base domain exist (delegated from its TLD)?
-    pub fn domain_exists(&self, base: &Name) -> bool {
-        if self.provider_domains.contains_key(base) {
+    fn tld_names(&self, tld: &Tld) -> &TldNames {
+        self.tld_names[tld.index as usize].get_or_init(|| {
+            let apex: Name = tld.label.parse().expect("TLD labels are valid");
+            let nic = apex.child("nic").expect("valid");
+            let hosts = (1..=tld.server_count)
+                .map(|j| nic.child(&format!("ns{j}")).expect("valid"))
+                .collect();
+            TldNames { apex, nic, hosts }
+        })
+    }
+
+    fn base<'a>(&'a self, name: &'a Name) -> Base<'a> {
+        let mut text = [0; MAX_TEXT_LEN];
+        let key = name.lower_text(&mut text);
+        let (len, own_provider) = (key.len(), self.provider_domains.get(key).copied());
+        Base {
+            name,
+            text,
+            len,
+            tld: self.tld_of(name),
+            own_provider,
+        }
+    }
+
+    // ---- derivations ----------------------------------------------------
+    //
+    // One function per fact about a base domain. A responder calls the
+    // ones its answer reads; `domain_profile` calls them all.
+
+    fn chance(&self, facet: &str, b: &Base<'_>, p: f64) -> bool {
+        chance(self.seed(), facet, b.key(), p)
+    }
+
+    fn h64(&self, facet: &str, b: &Base<'_>) -> u64 {
+        h64(self.seed(), facet, b.key())
+    }
+
+    fn exists(&self, b: &Base<'_>) -> bool {
+        if b.own_provider.is_some() {
             return true;
         }
-        let Some(tld) = self.tld_of(base) else {
-            return false;
-        };
-        if tld.category == TldCategory::Infra {
-            return false;
-        }
-        chance(
-            self.seed(),
-            "exists",
-            &self.base_key(base),
-            self.cfg.domain_exists_prob,
-        )
-    }
-
-    /// The provider hosting a base domain.
-    pub fn provider_of(&self, base: &Name) -> &Provider {
-        if let Some(&idx) = self.provider_domains.get(base) {
-            return self.providers.by_index(idx).expect("registered provider");
-        }
-        self.providers
-            .sample(h64(self.seed(), "provider", &self.base_key(base)))
-    }
-
-    /// Full derived profile for a base domain.
-    pub fn domain_profile(&self, base: &Name) -> DomainProfile {
-        let key = self.base_key(base);
-        let seed = self.seed();
-        let provider = self.provider_of(base);
-        let exists = self.domain_exists(base);
-        let tld = self.tld_of(base);
-        let tld_label = tld.map(|t| t.label.as_str()).unwrap_or("");
-        let tld_category = tld.map(|t| t.category);
-
-        let www = if chance(seed, "www-exists", &key, 0.95) {
-            if chance(seed, "www-cname", &key, self.cfg.www_cname_prob) {
-                WwwKind::CnameToApex
-            } else {
-                WwwKind::ARecord
+        match b.tld {
+            Some(tld) if tld.category != TldCategory::Infra => {
+                self.chance("exists", b, self.cfg.domain_exists_prob)
             }
-        } else {
+            _ => false,
+        }
+    }
+
+    fn provider(&self, b: &Base<'_>) -> &Provider {
+        match b.own_provider {
+            Some(idx) => self.providers.by_index(idx).expect("registered provider"),
+            None => self.providers.sample(self.h64("provider", b)),
+        }
+    }
+
+    fn www(&self, b: &Base<'_>) -> WwwKind {
+        if !self.chance("www-exists", b, 0.95) {
             WwwKind::Absent
-        };
-        let has_txt = chance(seed, "txt", &key, self.cfg.txt_prob);
-
-        // CAA (§6 model).
-        let caa_rate = match (tld_category, tld_label) {
-            (Some(TldCategory::CcTld), "pl") => self.cfg.caa.rate_pl,
-            (Some(TldCategory::CcTld), _) => self.cfg.caa.rate_cctld,
-            (Some(TldCategory::Infra), _) | (None, _) => 0.0,
-            _ => self.cfg.caa.rate_gtld,
-        };
-        let has_caa = chance(seed, "caa", &key, caa_rate);
-        let mut caa_records = Vec::new();
-        let mut caa_via_cname = false;
-        if has_caa {
-            let c = &self.cfg.caa;
-            caa_via_cname = chance(seed, "caa-cname", &key, c.p_via_cname);
-            let iodef_only = chance(seed, "caa-iodef-only", &key, c.p_iodef_only);
-            let invalid_rate = if provider.index == c.invalid_registrar {
-                c.p_invalid * 40.0
-            } else {
-                c.p_invalid * 0.3
-            };
-            let invalid = chance(seed, "caa-invalid", &key, invalid_rate);
-            if invalid {
-                // The registrar bug: a misspelled tag that validators reject.
-                caa_records.push(Caa {
-                    flags: 0,
-                    tag: b"issuer".to_vec(),
-                    value: b"comodoca.com".to_vec(),
-                });
-            } else if iodef_only {
-                caa_records.push(Caa {
-                    flags: 0,
-                    tag: b"iodef".to_vec(),
-                    value: b"mailto:security@visa-like.example".to_vec(),
-                });
-            } else {
-                if chance(seed, "caa-issue", &key, c.p_issue) {
-                    if chance(seed, "caa-le", &key, c.p_letsencrypt) {
-                        caa_records.push(issue_record("issue", "letsencrypt.org"));
-                    }
-                    if chance(seed, "caa-comodo", &key, c.p_comodo) {
-                        caa_records.push(issue_record("issue", "comodoca.com"));
-                    }
-                    if chance(seed, "caa-digicert", &key, c.p_digicert) {
-                        caa_records.push(issue_record("issue", "digicert.com"));
-                    }
-                    if caa_records.is_empty() {
-                        caa_records.push(issue_record("issue", "pki.goog"));
-                    }
-                }
-                if chance(seed, "caa-issuewild", &key, c.p_issuewild) {
-                    let wild_val = if chance(seed, "caa-le-wild", &key, c.p_letsencrypt) {
-                        "letsencrypt.org"
-                    } else {
-                        "digicert.com"
-                    };
-                    caa_records.push(issue_record("issuewild", wild_val));
-                }
-                if chance(seed, "caa-iodef", &key, c.p_iodef) {
-                    caa_records.push(Caa {
-                        flags: 0,
-                        tag: b"iodef".to_vec(),
-                        value: format!("mailto:hostmaster@{}", base.to_ascii_lower()).into_bytes(),
-                    });
-                }
-            }
+        } else if self.chance("www-cname", b, self.cfg.www_cname_prob) {
+            WwwKind::CnameToApex
+        } else {
+            WwwKind::ARecord
         }
+    }
 
-        // §5 availability model.
+    fn apex_a(&self, b: &Base<'_>) -> Ipv4Addr {
+        host_address(self.h64("apex-a", b))
+    }
+
+    fn has_aaaa(&self, b: &Base<'_>) -> bool {
+        self.chance("aaaa", b, self.cfg.aaaa_prob)
+    }
+
+    fn has_mx(&self, b: &Base<'_>) -> bool {
+        self.chance("mx", b, self.cfg.mx_prob)
+    }
+
+    fn has_txt(&self, b: &Base<'_>) -> bool {
+        self.chance("txt", b, self.cfg.txt_prob)
+    }
+
+    /// Whether a TXT holder publishes SPF.
+    fn spf_given_txt(&self, b: &Base<'_>) -> bool {
+        self.chance("spf", b, self.cfg.spf_given_txt)
+    }
+
+    fn has_wildcard(&self, b: &Base<'_>) -> bool {
+        self.chance("wildcard", b, self.cfg.wildcard_prob)
+    }
+
+    fn glueless(&self, b: &Base<'_>) -> bool {
+        self.chance("glueless", b, self.cfg.glueless_prob)
+    }
+
+    fn lame_ns(&self, b: &Base<'_>, provider: &Provider) -> Option<u8> {
+        self.chance("lame", b, self.cfg.lame_prob)
+            .then(|| (self.h64("lame-ns", b) % provider.ns_count as u64) as u8)
+    }
+
+    fn inconsistent(&self, b: &Base<'_>, provider: &Provider) -> bool {
+        !provider.consistent || self.chance("inconsistent", b, self.cfg.inconsistent_prob)
+    }
+
+    /// The §5 availability model.
+    fn flaky(&self, b: &Base<'_>, provider: &Provider) -> Option<FlakyNs> {
         let f = &self.cfg.flaky;
         let deep_rate = if provider.index == PROVIDER_NAMEBRIGHT {
             f.p_deep_namebright
         } else {
-            match tld_label {
+            match b.tld_label() {
                 "vn" => f.p_deep_vn,
                 "ng" => f.p_deep_ng,
                 _ => f.p_deep_base,
             }
         };
-        let ns_count = provider.ns_count;
-        let flaky = if chance(seed, "flaky-deep", &key, deep_rate) {
-            Some(FlakyNs {
-                ns_index: (h64(seed, "flaky-ns", &key) % ns_count as u64) as u8,
-                drop_prob: f.deep_drop,
-                deep: true,
-            })
-        } else if chance(seed, "flaky-light", &key, f.p_light) {
-            Some(FlakyNs {
-                ns_index: (h64(seed, "flaky-ns", &key) % ns_count as u64) as u8,
-                drop_prob: f.light_drop,
-                deep: false,
-            })
+        let (drop_prob, deep) = if self.chance("flaky-deep", b, deep_rate) {
+            (f.deep_drop, true)
+        } else if self.chance("flaky-light", b, f.p_light) {
+            (f.light_drop, false)
         } else {
-            None
+            return None;
         };
+        Some(FlakyNs {
+            ns_index: (self.h64("flaky-ns", b) % provider.ns_count as u64) as u8,
+            drop_prob,
+            deep,
+        })
+    }
 
-        let inconsistent =
-            !provider.consistent || chance(seed, "inconsistent", &key, self.cfg.inconsistent_prob);
+    /// The §6 CAA model: the apex's CAA records (empty = none) and whether
+    /// they are reached only through a CNAME.
+    fn caa(&self, b: &Base<'_>, provider: &Provider) -> (Vec<Caa>, bool) {
+        let c = &self.cfg.caa;
+        let caa_rate = match (b.tld.map(|t| t.category), b.tld_label()) {
+            (Some(TldCategory::CcTld), "pl") => c.rate_pl,
+            (Some(TldCategory::CcTld), _) => c.rate_cctld,
+            (Some(TldCategory::Infra), _) | (None, _) => 0.0,
+            _ => c.rate_gtld,
+        };
+        let mut records = Vec::new();
+        if !self.chance("caa", b, caa_rate) {
+            return (records, false);
+        }
+        let via_cname = self.chance("caa-cname", b, c.p_via_cname);
+        let iodef_only = self.chance("caa-iodef-only", b, c.p_iodef_only);
+        let invalid_rate = if provider.index == c.invalid_registrar {
+            c.p_invalid * 40.0
+        } else {
+            c.p_invalid * 0.3
+        };
+        if self.chance("caa-invalid", b, invalid_rate) {
+            // The registrar bug: a misspelled tag that validators reject.
+            records.push(Caa {
+                flags: 0,
+                tag: b"issuer".to_vec(),
+                value: b"comodoca.com".to_vec(),
+            });
+        } else if iodef_only {
+            records.push(Caa {
+                flags: 0,
+                tag: b"iodef".to_vec(),
+                value: b"mailto:security@visa-like.example".to_vec(),
+            });
+        } else {
+            if self.chance("caa-issue", b, c.p_issue) {
+                if self.chance("caa-le", b, c.p_letsencrypt) {
+                    records.push(issue_record("issue", "letsencrypt.org"));
+                }
+                if self.chance("caa-comodo", b, c.p_comodo) {
+                    records.push(issue_record("issue", "comodoca.com"));
+                }
+                if self.chance("caa-digicert", b, c.p_digicert) {
+                    records.push(issue_record("issue", "digicert.com"));
+                }
+                if records.is_empty() {
+                    records.push(issue_record("issue", "pki.goog"));
+                }
+            }
+            if self.chance("caa-issuewild", b, c.p_issuewild) {
+                let wild_val = if self.chance("caa-le-wild", b, c.p_letsencrypt) {
+                    "letsencrypt.org"
+                } else {
+                    "digicert.com"
+                };
+                records.push(issue_record("issuewild", wild_val));
+            }
+            if self.chance("caa-iodef", b, c.p_iodef) {
+                let mut value = b"mailto:hostmaster@".to_vec();
+                value.extend_from_slice(b.key());
+                records.push(Caa {
+                    flags: 0,
+                    tag: b"iodef".to_vec(),
+                    value,
+                });
+            }
+        }
+        (records, via_cname)
+    }
 
+    /// Does this base domain exist (delegated from its TLD)?
+    pub fn domain_exists(&self, base: &Name) -> bool {
+        self.exists(&self.base(base))
+    }
+
+    /// The provider hosting a base domain.
+    pub fn provider_of(&self, base: &Name) -> &Provider {
+        self.provider(&self.base(base))
+    }
+
+    /// Everything the universe states about a base domain: the ground truth
+    /// the case studies (§5 consistency, §6 CAA) and the tests compare scan
+    /// output against. It derives every fact, so it costs what all of them
+    /// cost; the responders derive only the facts their answer reads, from
+    /// the same per-fact functions this assembles.
+    pub fn domain_profile(&self, base: &Name) -> DomainProfile {
+        let b = self.base(base);
+        let provider = self.provider(&b);
+        let has_txt = self.has_txt(&b);
+        let (caa_records, caa_via_cname) = self.caa(&b, provider);
         DomainProfile {
             base: base.clone(),
-            exists,
+            exists: self.exists(&b),
             provider: provider.index,
-            ns_count,
-            apex_a: host_address(h64(seed, "apex-a", &key)),
-            has_aaaa: chance(seed, "aaaa", &key, self.cfg.aaaa_prob),
-            www,
-            has_mx: chance(seed, "mx", &key, self.cfg.mx_prob),
+            ns_count: provider.ns_count,
+            apex_a: self.apex_a(&b),
+            has_aaaa: self.has_aaaa(&b),
+            www: self.www(&b),
+            has_mx: self.has_mx(&b),
             has_txt,
-            has_spf: has_txt && chance(seed, "spf", &key, self.cfg.spf_given_txt),
-            has_wildcard: chance(seed, "wildcard", &key, self.cfg.wildcard_prob),
+            has_spf: has_txt && self.spf_given_txt(&b),
+            has_wildcard: self.has_wildcard(&b),
             caa_records,
             caa_via_cname,
-            lame_ns: if chance(seed, "lame", &key, self.cfg.lame_prob) {
-                Some((h64(seed, "lame-ns", &key) % ns_count as u64) as u8)
-            } else {
-                None
-            },
-            glueless: chance(seed, "glueless", &key, self.cfg.glueless_prob),
-            inconsistent,
-            flaky,
+            lame_ns: self.lame_ns(&b, provider),
+            glueless: self.glueless(&b),
+            inconsistent: self.inconsistent(&b, provider),
+            flaky: self.flaky(&b, provider),
         }
     }
 
@@ -535,14 +647,13 @@ impl SyntheticUniverse {
         )
     }
 
-    fn tld_soa(&self, tld: &Tld) -> Record {
-        let apex: Name = tld.label.parse().expect("TLD labels are valid");
+    fn tld_soa(&self, names: &TldNames) -> Record {
         Record::new(
-            apex.clone(),
+            names.apex.clone(),
             900,
             RData::Soa(Soa {
-                mname: self.tld_ns_name(tld, 0),
-                rname: apex.child("hostmaster").expect("valid"),
+                mname: names.hosts[0].clone(),
+                rname: names.apex.child("hostmaster").expect("valid"),
                 serial: 1,
                 refresh: 1800,
                 retry: 900,
@@ -552,25 +663,40 @@ impl SyntheticUniverse {
         )
     }
 
-    fn tld_ns_name(&self, tld: &Tld, server: u8) -> Name {
-        format!("ns{}.nic.{}", server + 1, tld.label)
-            .parse()
-            .expect("TLD NS names are valid")
+    /// An authoritative answer with no records but the SOA `soa`: NODATA
+    /// under NOERROR, a nonexistent name under NXDOMAIN.
+    fn negative(rcode: Rcode, soa: Record) -> AuthResponse {
+        AuthResponse {
+            rcode,
+            authoritative: true,
+            answers: Vec::new(),
+            authorities: vec![soa],
+            additionals: Vec::new(),
+        }
+    }
+
+    fn answer(answers: Vec<Record>) -> AuthResponse {
+        AuthResponse {
+            rcode: Rcode::NoError,
+            authoritative: true,
+            answers,
+            authorities: Vec::new(),
+            additionals: Vec::new(),
+        }
     }
 
     fn tld_referral(&self, tld: &Tld) -> AuthResponse {
-        let apex: Name = tld.label.parse().expect("valid");
-        let mut ns = Vec::new();
-        let mut glue = Vec::new();
-        for j in 0..tld.server_count {
-            let ns_name = self.tld_ns_name(tld, j);
+        let names = self.tld_names(tld);
+        let mut ns = Vec::with_capacity(names.hosts.len());
+        let mut glue = Vec::with_capacity(names.hosts.len());
+        for (j, host) in (0..).zip(&names.hosts) {
             ns.push(Record::new(
-                apex.clone(),
+                names.apex.clone(),
                 self.cfg.infra_ttl,
-                RData::Ns(ns_name.clone()),
+                RData::Ns(host.clone()),
             ));
             glue.push(Record::new(
-                ns_name,
+                host.clone(),
                 self.cfg.infra_ttl,
                 RData::A(
                     ServerRole::Tld {
@@ -582,7 +708,7 @@ impl SyntheticUniverse {
             ));
         }
         AuthResponse {
-            rcode: zdns_wire::Rcode::NoError,
+            rcode: Rcode::NoError,
             authoritative: false,
             answers: Vec::new(),
             authorities: ns,
@@ -603,7 +729,7 @@ impl SyntheticUniverse {
                 .map(|(n, a)| Record::new(n.clone(), 518_400, RData::A(*a)))
                 .collect();
             return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
+                rcode: Rcode::NoError,
                 authoritative: true,
                 answers: if q.qtype == RecordType::NS || q.qtype == RecordType::ANY {
                     answers
@@ -616,37 +742,23 @@ impl SyntheticUniverse {
         }
         match self.tld_of(&q.name) {
             Some(tld) => self.tld_referral(tld),
-            None => AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![self.root_soa()],
-                additionals: Vec::new(),
-            },
+            None => Self::negative(Rcode::NxDomain, self.root_soa()),
         }
     }
 
-    fn leaf_referral(&self, base: &Name, profile: &DomainProfile) -> AuthResponse {
-        let provider = self
-            .providers
-            .by_index(profile.provider)
-            .expect("valid provider");
-        let mut ns = Vec::new();
-        let mut glue = Vec::new();
-        for k in 0..provider.ns_count {
-            let ns_name: Name = self
-                .providers
-                .ns_hostname(provider.index, k)
-                .parse()
-                .expect("valid NS hostnames");
+    fn leaf_referral(&self, base: &Name, provider: &Provider, glueless: bool) -> AuthResponse {
+        let hosts = self.provider_hosts(provider);
+        let mut ns = Vec::with_capacity(hosts.len());
+        let mut glue = Vec::with_capacity(if glueless { 0 } else { hosts.len() });
+        for (k, host) in (0..).zip(hosts) {
             ns.push(Record::new(
                 base.clone(),
                 self.cfg.infra_ttl,
-                RData::Ns(ns_name.clone()),
+                RData::Ns(host.clone()),
             ));
-            if !profile.glueless {
+            if !glueless {
                 glue.push(Record::new(
-                    ns_name,
+                    host.clone(),
                     self.cfg.infra_ttl,
                     RData::A(
                         ServerRole::ProviderAuth {
@@ -659,7 +771,7 @@ impl SyntheticUniverse {
             }
         }
         AuthResponse {
-            rcode: zdns_wire::Rcode::NoError,
+            rcode: Rcode::NoError,
             authoritative: false,
             answers: Vec::new(),
             authorities: ns,
@@ -671,117 +783,85 @@ impl SyntheticUniverse {
         let Some(tld) = self.tlds.by_index(tld_index) else {
             return AuthResponse::refused();
         };
-        let apex: Name = tld.label.parse().expect("valid");
         // The arpa servers also serve in-addr.arpa.
         if tld.index == self.arpa_index {
             return self.respond_arpa(q);
         }
-        if !q.name.is_subdomain_of(&apex) {
+        let names = self.tld_names(tld);
+        if !q.name.is_subdomain_of(&names.apex) {
             return AuthResponse::refused();
         }
-        if q.name == apex {
-            return self.tld_apex_answer(tld, q);
+        if q.name == names.apex {
+            return self.tld_apex_answer(names, q);
         }
         // Names for the TLD's own nameservers (`ns1.nic.<tld>`).
-        let nic = apex.child("nic").expect("valid");
-        if q.name.is_subdomain_of(&nic) {
-            return self.tld_nic_answer(tld, q, &nic);
+        if q.name.is_subdomain_of(&names.nic) {
+            return self.tld_nic_answer(tld, names, q);
         }
         let Some(base) = self.base_of(&q.name) else {
             return AuthResponse::refused();
         };
-        if self.domain_exists(&base) {
-            let profile = self.domain_profile(&base);
-            self.leaf_referral(&base, &profile)
+        let b = self.base(&base);
+        if self.exists(&b) {
+            self.leaf_referral(&base, self.provider(&b), self.glueless(&b))
         } else {
-            AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![self.tld_soa(tld)],
-                additionals: Vec::new(),
-            }
+            Self::negative(Rcode::NxDomain, self.tld_soa(names))
         }
     }
 
-    fn tld_apex_answer(&self, tld: &Tld, q: &Question) -> AuthResponse {
-        let apex: Name = tld.label.parse().expect("valid");
+    fn tld_apex_answer(&self, names: &TldNames, q: &Question) -> AuthResponse {
         let mut answers = Vec::new();
         if matches!(q.qtype, RecordType::NS | RecordType::ANY) {
-            for j in 0..tld.server_count {
+            for host in &names.hosts {
                 answers.push(Record::new(
-                    apex.clone(),
+                    names.apex.clone(),
                     self.cfg.infra_ttl,
-                    RData::Ns(self.tld_ns_name(tld, j)),
+                    RData::Ns(host.clone()),
                 ));
             }
         }
         if matches!(q.qtype, RecordType::SOA | RecordType::ANY) {
-            answers.push(self.tld_soa(tld));
+            answers.push(self.tld_soa(names));
         }
         if answers.is_empty() {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![self.tld_soa(tld)],
-                additionals: Vec::new(),
-            };
+            return Self::negative(Rcode::NoError, self.tld_soa(names));
         }
-        AuthResponse {
-            rcode: zdns_wire::Rcode::NoError,
-            authoritative: true,
-            answers,
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
+        Self::answer(answers)
     }
 
-    fn tld_nic_answer(&self, tld: &Tld, q: &Question, nic: &Name) -> AuthResponse {
+    fn tld_nic_answer(&self, tld: &Tld, names: &TldNames, q: &Question) -> AuthResponse {
         // ns{j}.nic.<tld> has an A record pointing at the TLD server.
-        if q.name.label_count() == nic.label_count() + 1 {
-            let first =
-                String::from_utf8_lossy(q.name.label(0).unwrap_or(b"")).to_ascii_lowercase();
-            if let Some(j) = first
-                .strip_prefix("ns")
-                .and_then(|s| s.parse::<u8>().ok())
+        if q.name.label_count() == names.nic.label_count() + 1 {
+            if let Some(j) = q
+                .name
+                .label(0)
+                .and_then(ns_number)
                 .filter(|&j| j >= 1 && j <= tld.server_count)
             {
                 if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                    return AuthResponse {
-                        rcode: zdns_wire::Rcode::NoError,
-                        authoritative: true,
-                        answers: vec![Record::new(
-                            q.name.clone(),
-                            self.cfg.infra_ttl,
-                            RData::A(
-                                ServerRole::Tld {
-                                    tld_index: tld.index,
-                                    server: j - 1,
-                                }
-                                .address(),
-                            ),
-                        )],
-                        authorities: Vec::new(),
-                        additionals: Vec::new(),
-                    };
+                    return Self::answer(vec![Record::new(
+                        q.name.clone(),
+                        self.cfg.infra_ttl,
+                        RData::A(
+                            ServerRole::Tld {
+                                tld_index: tld.index,
+                                server: j - 1,
+                            }
+                            .address(),
+                        ),
+                    )]);
                 }
-                return AuthResponse {
-                    rcode: zdns_wire::Rcode::NoError,
-                    authoritative: true,
-                    answers: Vec::new(),
-                    authorities: vec![self.tld_soa(tld)],
-                    additionals: Vec::new(),
-                };
+                return Self::negative(Rcode::NoError, self.tld_soa(names));
             }
         }
-        AuthResponse {
-            rcode: zdns_wire::Rcode::NxDomain,
-            authoritative: true,
-            answers: Vec::new(),
-            authorities: vec![self.tld_soa(tld)],
-            additionals: Vec::new(),
-        }
+        // `nic.<tld>` itself owns nothing but has the host names below it:
+        // an empty non-terminal, which exists (RFC 8020).
+        let rcode = if q.name == names.nic {
+            Rcode::NoError
+        } else {
+            Rcode::NxDomain
+        };
+        Self::negative(rcode, self.tld_soa(names))
     }
 
     fn respond_arpa(&self, q: &Question) -> AuthResponse {
@@ -804,35 +884,16 @@ impl SyntheticUniverse {
             }),
         );
         if q.name == arpa || q.name == in_addr {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+            return Self::negative(Rcode::NoError, soa);
         }
         if !q.name.is_subdomain_of(&in_addr) {
             // ip6.arpa and friends are not modelled: authoritative NXDOMAIN.
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+            return Self::negative(Rcode::NxDomain, soa);
         }
         // d.c.b.a.in-addr.arpa → labels[len-3] is `a`.
         let labels: Vec<&[u8]> = q.name.labels().collect();
-        let a_label = &labels[labels.len() - 3];
-        let Some(a) = parse_octet(a_label) else {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+        let Some(a) = canonical_u8(labels[labels.len() - 3]) else {
+            return Self::negative(Rcode::NxDomain, soa);
         };
         // Referral to the /8 zone.
         let cut: Name = format!("{a}.in-addr.arpa").parse().expect("valid");
@@ -860,7 +921,7 @@ impl SyntheticUniverse {
             ));
         }
         AuthResponse {
-            rcode: zdns_wire::Rcode::NoError,
+            rcode: Rcode::NoError,
             authoritative: false,
             answers: Vec::new(),
             authorities: ns,
@@ -876,49 +937,27 @@ impl SyntheticUniverse {
         let soa = self.rdns_soa(&apex);
         let labels: Vec<&[u8]> = q.name.labels().collect();
         // Handle the zone's own NS host A records (`ns1.<octet>.in-addr.arpa`).
-        if labels.len() == 4 {
-            let first = String::from_utf8_lossy(labels[0]).to_ascii_lowercase();
-            if let Some(j) = first.strip_prefix("ns").and_then(|s| s.parse::<u8>().ok()) {
-                if (1..=2).contains(&j) && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                    return AuthResponse {
-                        rcode: zdns_wire::Rcode::NoError,
-                        authoritative: true,
-                        answers: vec![Record::new(
-                            q.name.clone(),
-                            self.cfg.infra_ttl,
-                            RData::A(
-                                ServerRole::Rdns8 {
-                                    octet,
-                                    server: j - 1,
-                                }
-                                .address(),
-                            ),
-                        )],
-                        authorities: Vec::new(),
-                        additionals: Vec::new(),
-                    };
-                }
+        if labels.len() == 4 && matches!(q.qtype, RecordType::A | RecordType::ANY) {
+            if let Some(j) = ns_number(labels[0]).filter(|j| (1..=2).contains(j)) {
+                return Self::answer(vec![Record::new(
+                    q.name.clone(),
+                    self.cfg.infra_ttl,
+                    RData::A(
+                        ServerRole::Rdns8 {
+                            octet,
+                            server: j - 1,
+                        }
+                        .address(),
+                    ),
+                )]);
             }
         }
         if q.name == apex || labels.len() < 4 {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+            return Self::negative(Rcode::NoError, soa);
         }
         // c.b.<octet>.in-addr.arpa or deeper: refer to the /16 zone.
-        let b_label = &labels[labels.len() - 4];
-        let Some(b) = parse_octet(b_label) else {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+        let Some(b) = canonical_u8(labels[labels.len() - 4]) else {
+            return Self::negative(Rcode::NxDomain, soa);
         };
         let cut: Name = format!("{b}.{octet}.in-addr.arpa").parse().expect("valid");
         let mut ns = Vec::new();
@@ -946,7 +985,7 @@ impl SyntheticUniverse {
             ));
         }
         AuthResponse {
-            rcode: zdns_wire::Rcode::NoError,
+            rcode: Rcode::NoError,
             authoritative: false,
             answers: Vec::new(),
             authorities: ns,
@@ -970,6 +1009,23 @@ impl SyntheticUniverse {
         )
     }
 
+    /// The PTR answer for `ip` at its deepest reverse zone, whose SOA is
+    /// `soa`.
+    fn ptr_answer(&self, ip: Ipv4Addr, q: &Question, soa: Record) -> AuthResponse {
+        if q.qtype != RecordType::PTR && q.qtype != RecordType::ANY {
+            return Self::negative(Rcode::NoError, soa);
+        }
+        if self.ptr_exists(ip) {
+            Self::answer(vec![Record::new(
+                q.name.clone(),
+                self.cfg.leaf_ttl,
+                RData::Ptr(self.ptr_name(ip)),
+            )])
+        } else {
+            Self::negative(Rcode::NxDomain, soa)
+        }
+    }
+
     fn respond_rdns16(&self, a: u8, b: u8, q: &Question) -> AuthResponse {
         let apex: Name = format!("{b}.{a}.in-addr.arpa").parse().expect("valid");
         if !q.name.is_subdomain_of(&apex) {
@@ -978,49 +1034,28 @@ impl SyntheticUniverse {
         let soa = self.rdns_soa(&apex);
         let labels: Vec<&[u8]> = q.name.labels().collect();
         // NS host addresses for this zone.
-        if labels.len() == 5 {
-            let first = String::from_utf8_lossy(labels[0]).to_ascii_lowercase();
-            if let Some(j) = first.strip_prefix("ns").and_then(|s| s.parse::<u8>().ok()) {
-                if (1..=2).contains(&j) && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                    return AuthResponse {
-                        rcode: zdns_wire::Rcode::NoError,
-                        authoritative: true,
-                        answers: vec![Record::new(
-                            q.name.clone(),
-                            self.cfg.infra_ttl,
-                            RData::A(
-                                ServerRole::Rdns16 {
-                                    a,
-                                    b,
-                                    server: j - 1,
-                                }
-                                .address(),
-                            ),
-                        )],
-                        authorities: Vec::new(),
-                        additionals: Vec::new(),
-                    };
-                }
+        if labels.len() == 5 && matches!(q.qtype, RecordType::A | RecordType::ANY) {
+            if let Some(j) = ns_number(labels[0]).filter(|j| (1..=2).contains(j)) {
+                return Self::answer(vec![Record::new(
+                    q.name.clone(),
+                    self.cfg.infra_ttl,
+                    RData::A(
+                        ServerRole::Rdns16 {
+                            a,
+                            b,
+                            server: j - 1,
+                        }
+                        .address(),
+                    ),
+                )]);
             }
         }
         if labels.len() != 6 {
             // The apex or an empty non-terminal (c.b.a.in-addr.arpa).
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+            return Self::negative(Rcode::NoError, soa);
         }
-        let (Some(d), Some(c)) = (parse_octet(labels[0]), parse_octet(labels[1])) else {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+        let (Some(d), Some(c)) = (canonical_u8(labels[0]), canonical_u8(labels[1])) else {
+            return Self::negative(Rcode::NxDomain, soa);
         };
         if self.rdns16_delegates_deeper(a, b) {
             // This operator splits the zone at /24: refer.
@@ -1029,7 +1064,7 @@ impl SyntheticUniverse {
                 .parse()
                 .expect("valid");
             return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
+                rcode: Rcode::NoError,
                 authoritative: false,
                 answers: Vec::new(),
                 authorities: vec![Record::new(
@@ -1044,37 +1079,7 @@ impl SyntheticUniverse {
                 )],
             };
         }
-        let ip = Ipv4Addr::new(a, b, c, d);
-        if q.qtype != RecordType::PTR && q.qtype != RecordType::ANY {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
-        }
-        if self.ptr_exists(ip) {
-            AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: vec![Record::new(
-                    q.name.clone(),
-                    self.cfg.leaf_ttl,
-                    RData::Ptr(self.ptr_name(ip)),
-                )],
-                authorities: Vec::new(),
-                additionals: Vec::new(),
-            }
-        } else {
-            AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            }
-        }
+        self.ptr_answer(Ipv4Addr::new(a, b, c, d), q, soa)
     }
 
     fn respond_rdns24(&self, a: u8, b: u8, c: u8, q: &Question) -> AuthResponse {
@@ -1084,72 +1089,21 @@ impl SyntheticUniverse {
         }
         let soa = self.rdns_soa(&apex);
         let labels: Vec<&[u8]> = q.name.labels().collect();
-        // NS host address for this zone.
-        if labels.len() == 6 {
-            let first = String::from_utf8_lossy(labels[0]).to_ascii_lowercase();
-            if first == "ns1" && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                return AuthResponse {
-                    rcode: zdns_wire::Rcode::NoError,
-                    authoritative: true,
-                    answers: vec![Record::new(
-                        q.name.clone(),
-                        self.cfg.infra_ttl,
-                        RData::A(ServerRole::Rdns24 { a, b, c }.address()),
-                    )],
-                    authorities: Vec::new(),
-                    additionals: Vec::new(),
-                };
-            }
-        }
         if labels.len() != 6 {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+            return Self::negative(Rcode::NoError, soa);
         }
-        let Some(d) = parse_octet(labels[0]) else {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
+        // NS host address for this zone.
+        if ns_number(labels[0]) == Some(1) && matches!(q.qtype, RecordType::A | RecordType::ANY) {
+            return Self::answer(vec![Record::new(
+                q.name.clone(),
+                self.cfg.infra_ttl,
+                RData::A(ServerRole::Rdns24 { a, b, c }.address()),
+            )]);
+        }
+        let Some(d) = canonical_u8(labels[0]) else {
+            return Self::negative(Rcode::NxDomain, soa);
         };
-        let ip = Ipv4Addr::new(a, b, c, d);
-        if q.qtype != RecordType::PTR && q.qtype != RecordType::ANY {
-            return AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            };
-        }
-        if self.ptr_exists(ip) {
-            AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: vec![Record::new(
-                    q.name.clone(),
-                    self.cfg.leaf_ttl,
-                    RData::Ptr(self.ptr_name(ip)),
-                )],
-                authorities: Vec::new(),
-                additionals: Vec::new(),
-            }
-        } else {
-            AuthResponse {
-                rcode: zdns_wire::Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            }
-        }
+        self.ptr_answer(Ipv4Addr::new(a, b, c, d), q, soa)
     }
 
     fn respond_provider(&self, provider: u16, server: u8, q: &Question) -> AuthResponse {
@@ -1162,25 +1116,23 @@ impl SyntheticUniverse {
         let Some(base) = self.base_of(&q.name) else {
             return AuthResponse::refused();
         };
-        if !self.domain_exists(&base) || self.provider_of(&base).index != provider {
+        let b = self.base(&base);
+        if !self.exists(&b) || self.provider(&b).index != provider {
             // Lame: this server is not authoritative for the name.
             return AuthResponse::refused();
         }
-        let profile = self.domain_profile(&base);
         // A lame NS answers REFUSED even for its own domains (§3.1's lame
         // delegations).
-        if profile.lame_ns == Some(server) {
+        if self.lame_ns(&b, p) == Some(server) {
             return AuthResponse::refused();
         }
         // The provider's own NS-host domain answers its ns{k} A records.
-        if let Some(&own) = self.provider_domains.get(&base) {
-            if own == provider {
-                if let Some(resp) = self.provider_domain_answer(p, &base, q) {
-                    return resp;
-                }
+        if b.own_provider == Some(provider) {
+            if let Some(resp) = self.provider_domain_answer(p, &base, q) {
+                return resp;
             }
         }
-        self.leaf_answer(p, server, &base, &profile, q)
+        self.leaf_answer(p, server, &b, q)
     }
 
     /// Answers within the provider's own `<label>.com` domain (NS hosts).
@@ -1193,53 +1145,34 @@ impl SyntheticUniverse {
         if q.name.label_count() != base.label_count() + 1 {
             return None;
         }
-        let first = String::from_utf8_lossy(q.name.label(0).unwrap_or(b"")).to_ascii_lowercase();
-        let k = first
-            .strip_prefix("ns")
-            .and_then(|s| s.parse::<u8>().ok())?;
-        if k < 1 || k > p.ns_count {
-            return None;
-        }
-        if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            Some(AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: vec![Record::new(
-                    q.name.clone(),
-                    self.cfg.infra_ttl,
-                    RData::A(
-                        ServerRole::ProviderAuth {
-                            provider: p.index,
-                            server: k - 1,
-                        }
-                        .address(),
-                    ),
-                )],
-                authorities: Vec::new(),
-                additionals: Vec::new(),
-            })
+        let k = q
+            .name
+            .label(0)
+            .and_then(ns_number)
+            .filter(|&k| k >= 1 && k <= p.ns_count)?;
+        Some(if matches!(q.qtype, RecordType::A | RecordType::ANY) {
+            Self::answer(vec![Record::new(
+                q.name.clone(),
+                self.cfg.infra_ttl,
+                RData::A(
+                    ServerRole::ProviderAuth {
+                        provider: p.index,
+                        server: k - 1,
+                    }
+                    .address(),
+                ),
+            )])
         } else {
-            Some(AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![self.leaf_soa(base)],
-                additionals: Vec::new(),
-            })
-        }
+            Self::negative(Rcode::NoError, self.leaf_soa(base, p))
+        })
     }
 
-    fn leaf_soa(&self, base: &Name) -> Record {
-        let provider = self.provider_of(base);
+    fn leaf_soa(&self, base: &Name, provider: &Provider) -> Record {
         Record::new(
             base.clone(),
             self.cfg.leaf_ttl,
             RData::Soa(Soa {
-                mname: self
-                    .providers
-                    .ns_hostname(provider.index, 0)
-                    .parse()
-                    .expect("valid"),
+                mname: self.provider_hosts(provider)[0].clone(),
                 rname: base.child("hostmaster").expect("valid"),
                 serial: 2022,
                 refresh: 7200,
@@ -1250,57 +1183,31 @@ impl SyntheticUniverse {
         )
     }
 
-    fn apex_a_value(&self, profile: &DomainProfile, server: u8) -> Ipv4Addr {
-        if profile.inconsistent {
+    fn apex_a_value(&self, b: &Base<'_>, provider: &Provider, server: u8) -> Ipv4Addr {
+        if self.inconsistent(b, provider) {
             // §5: the rare inconsistent domains answer differently per NS.
-            let mut key = self.base_key(&profile.base);
-            key.push(server);
-            host_address(h64(self.seed(), "apex-a-inconsistent", &key))
+            host_address(h64_joined(
+                self.seed(),
+                "apex-a-inconsistent",
+                b.key(),
+                &[server],
+            ))
         } else {
-            profile.apex_a
+            self.apex_a(b)
         }
     }
 
-    fn leaf_answer(
-        &self,
-        p: &Provider,
-        server: u8,
-        base: &Name,
-        profile: &DomainProfile,
-        q: &Question,
-    ) -> AuthResponse {
+    fn leaf_answer(&self, p: &Provider, server: u8, b: &Base<'_>, q: &Question) -> AuthResponse {
+        let base = b.name;
         let ttl = self.cfg.leaf_ttl;
-        let nodata = || AuthResponse {
-            rcode: zdns_wire::Rcode::NoError,
-            authoritative: true,
-            answers: Vec::new(),
-            authorities: vec![self.leaf_soa(base)],
-            additionals: Vec::new(),
-        };
-        let nxdomain = || AuthResponse {
-            rcode: zdns_wire::Rcode::NxDomain,
-            authoritative: true,
-            answers: Vec::new(),
-            authorities: vec![self.leaf_soa(base)],
-            additionals: Vec::new(),
-        };
-        let answer = |records: Vec<Record>| AuthResponse {
-            rcode: zdns_wire::Rcode::NoError,
-            authoritative: true,
-            answers: records,
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        };
+        let nodata = || Self::negative(Rcode::NoError, self.leaf_soa(base, p));
+        let apex_a = || Record::new(base.clone(), ttl, RData::A(self.apex_a_value(b, p, server)));
 
         if q.name == *base {
             return match q.qtype {
-                RecordType::A => answer(vec![Record::new(
-                    base.clone(),
-                    ttl,
-                    RData::A(self.apex_a_value(profile, server)),
-                )]),
-                RecordType::AAAA if profile.has_aaaa => {
-                    let h = h64(self.seed(), "apex-aaaa", &self.base_key(base));
+                RecordType::A | RecordType::ANY => Self::answer(vec![apex_a()]),
+                RecordType::AAAA if self.has_aaaa(b) => {
+                    let h = self.h64("apex-aaaa", b);
                     let segs = [
                         0x2001u16,
                         0x0db8 ^ (h >> 48) as u16,
@@ -1311,31 +1218,20 @@ impl SyntheticUniverse {
                         0,
                         (h as u16) | 1,
                     ];
-                    answer(vec![Record::new(
+                    Self::answer(vec![Record::new(
                         base.clone(),
                         ttl,
                         RData::Aaaa(segs.into()),
                     )])
                 }
-                RecordType::NS => {
-                    let records = (0..p.ns_count)
-                        .map(|k| {
-                            Record::new(
-                                base.clone(),
-                                ttl,
-                                RData::Ns(
-                                    self.providers
-                                        .ns_hostname(p.index, k)
-                                        .parse()
-                                        .expect("valid"),
-                                ),
-                            )
-                        })
-                        .collect();
-                    answer(records)
-                }
-                RecordType::SOA => answer(vec![self.leaf_soa(base)]),
-                RecordType::MX if profile.has_mx => answer(vec![Record::new(
+                RecordType::NS => Self::answer(
+                    self.provider_hosts(p)
+                        .iter()
+                        .map(|host| Record::new(base.clone(), ttl, RData::Ns(host.clone())))
+                        .collect(),
+                ),
+                RecordType::SOA => Self::answer(vec![self.leaf_soa(base, p)]),
+                RecordType::MX if self.has_mx(b) => Self::answer(vec![Record::new(
                     base.clone(),
                     ttl,
                     RData::Mx(Mx {
@@ -1343,9 +1239,9 @@ impl SyntheticUniverse {
                         exchange: base.child("mail").expect("valid"),
                     }),
                 )]),
-                RecordType::TXT if profile.has_txt => {
+                RecordType::TXT if self.has_txt(b) => {
                     let mut records = Vec::new();
-                    if profile.has_spf {
+                    if self.spf_given_txt(b) {
                         records.push(Record::new(
                             base.clone(),
                             ttl,
@@ -1357,163 +1253,151 @@ impl SyntheticUniverse {
                         ttl,
                         RData::Txt(TxtData::from_text(&format!(
                             "site-verification={:016x}",
-                            h64(self.seed(), "txt-token", &self.base_key(base))
+                            self.h64("txt-token", b)
                         ))),
                     ));
-                    answer(records)
+                    Self::answer(records)
                 }
-                RecordType::CAA => {
-                    if profile.caa_records.is_empty() {
-                        nodata()
-                    } else if profile.caa_via_cname {
+                RecordType::CAA => match self.caa(b, p) {
+                    (records, _) if records.is_empty() => nodata(),
+                    (_, true) => {
                         // §6: ~8000 domains need a CNAME hop for CAA.
                         let target: Name = format!("caa.{}", self.providers.ns_domain(p.index))
                             .parse()
                             .expect("valid");
-                        answer(vec![Record::new(base.clone(), ttl, RData::Cname(target))])
-                    } else {
-                        let records = profile
-                            .caa_records
-                            .iter()
-                            .map(|c| Record::new(base.clone(), ttl, RData::Caa(c.clone())))
-                            .collect();
-                        answer(records)
+                        Self::answer(vec![Record::new(base.clone(), ttl, RData::Cname(target))])
                     }
-                }
-                RecordType::ANY => answer(vec![Record::new(
-                    base.clone(),
-                    ttl,
-                    RData::A(self.apex_a_value(profile, server)),
-                )]),
+                    (records, false) => Self::answer(
+                        records
+                            .into_iter()
+                            .map(|c| Record::new(base.clone(), ttl, RData::Caa(c)))
+                            .collect(),
+                    ),
+                },
                 _ => nodata(),
             };
         }
 
         // Subdomain handling.
-        let sub_label =
-            String::from_utf8_lossy(q.name.label(0).unwrap_or(b"")).to_ascii_lowercase();
+        let sub_label = q.name.label(0).unwrap_or(b"");
         let depth = q.name.label_count() - base.label_count();
+        let wants_a = matches!(q.qtype, RecordType::A | RecordType::ANY);
         if depth == 1 {
-            match sub_label.as_str() {
-                "www" => match profile.www {
-                    WwwKind::Absent => {
-                        if profile.has_wildcard {
-                            return self.wildcard_answer(base, profile, q, server);
-                        }
-                        return nxdomain();
-                    }
+            if sub_label.eq_ignore_ascii_case(b"www") {
+                return match self.www(b) {
+                    WwwKind::Absent => self.nonexistent(b, p, q, server),
                     WwwKind::CnameToApex => {
                         let mut records =
                             vec![Record::new(q.name.clone(), ttl, RData::Cname(base.clone()))];
-                        if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                            records.push(Record::new(
-                                base.clone(),
-                                ttl,
-                                RData::A(self.apex_a_value(profile, server)),
-                            ));
+                        if wants_a {
+                            records.push(apex_a());
                         }
-                        return answer(records);
+                        Self::answer(records)
                     }
-                    WwwKind::ARecord => {
-                        if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                            let mut key = self.base_key(base);
-                            key.extend_from_slice(b"|www");
-                            return answer(vec![Record::new(
-                                q.name.clone(),
-                                ttl,
-                                RData::A(host_address(h64(self.seed(), "sub-a", &key))),
-                            )]);
-                        }
-                        return nodata();
-                    }
-                },
-                "mail" if profile.has_mx => {
-                    if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                        let mut key = self.base_key(base);
-                        key.extend_from_slice(b"|mail");
-                        return answer(vec![Record::new(
-                            q.name.clone(),
-                            ttl,
-                            RData::A(host_address(h64(self.seed(), "sub-a", &key))),
-                        )]);
-                    }
-                    return nodata();
+                    WwwKind::ARecord if wants_a => Self::answer(vec![Record::new(
+                        q.name.clone(),
+                        ttl,
+                        RData::A(host_address(h64_joined(
+                            self.seed(),
+                            "sub-a",
+                            b.key(),
+                            b"|www",
+                        ))),
+                    )]),
+                    WwwKind::ARecord => nodata(),
+                };
+            }
+            if sub_label.eq_ignore_ascii_case(b"mail") && self.has_mx(b) {
+                if wants_a {
+                    return Self::answer(vec![Record::new(
+                        q.name.clone(),
+                        ttl,
+                        RData::A(host_address(h64_joined(
+                            self.seed(),
+                            "sub-a",
+                            b.key(),
+                            b"|mail",
+                        ))),
+                    )]);
                 }
-                "caa"
-                    // Target of §6 CNAME-reached CAA (on provider domains).
-                    if self.provider_domains.get(base) == Some(&p.index)
-                        && q.qtype == RecordType::CAA
-                    => {
-                        return answer(vec![Record::new(
-                            q.name.clone(),
-                            ttl,
-                            RData::Caa(issue_record("issue", "letsencrypt.org")),
-                        )]);
-                    }
-                _ => {}
+                return nodata();
+            }
+            // Target of §6 CNAME-reached CAA (on provider domains).
+            if sub_label.eq_ignore_ascii_case(b"caa")
+                && b.own_provider == Some(p.index)
+                && q.qtype == RecordType::CAA
+            {
+                return Self::answer(vec![Record::new(
+                    q.name.clone(),
+                    ttl,
+                    RData::Caa(issue_record("issue", "letsencrypt.org")),
+                )]);
             }
         }
         // Generic subdomain: exists by hash, else wildcard, else NXDOMAIN.
-        let fqdn_key = q.name.to_ascii_lower().into_bytes();
+        let mut text = [0; MAX_TEXT_LEN];
+        let fqdn_key = q.name.lower_text(&mut text).as_bytes();
         if chance(
             self.seed(),
             "sub-exists",
-            &fqdn_key,
+            fqdn_key,
             self.cfg.subdomain_exists_prob,
         ) {
-            if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                return answer(vec![Record::new(
+            if wants_a {
+                return Self::answer(vec![Record::new(
                     q.name.clone(),
                     ttl,
-                    RData::A(host_address(h64(self.seed(), "sub-a", &fqdn_key))),
+                    RData::A(host_address(h64(self.seed(), "sub-a", fqdn_key))),
                 )]);
             }
             return nodata();
         }
-        if profile.has_wildcard {
-            return self.wildcard_answer(base, profile, q, server);
-        }
-        nxdomain()
+        self.nonexistent(b, p, q, server)
     }
 
-    fn wildcard_answer(
-        &self,
-        base: &Name,
-        profile: &DomainProfile,
-        q: &Question,
-        server: u8,
-    ) -> AuthResponse {
+    /// What a name under `b` that owns nothing of its own answers: the
+    /// wildcard's data where the domain has one, NXDOMAIN otherwise.
+    fn nonexistent(&self, b: &Base<'_>, p: &Provider, q: &Question, server: u8) -> AuthResponse {
+        if !self.has_wildcard(b) {
+            return Self::negative(Rcode::NxDomain, self.leaf_soa(b.name, p));
+        }
         if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: vec![Record::new(
-                    q.name.clone(),
-                    self.cfg.leaf_ttl,
-                    RData::A(self.apex_a_value(profile, server)),
-                )],
-                authorities: Vec::new(),
-                additionals: Vec::new(),
-            }
+            Self::answer(vec![Record::new(
+                q.name.clone(),
+                self.cfg.leaf_ttl,
+                RData::A(self.apex_a_value(b, p, server)),
+            )])
         } else {
-            AuthResponse {
-                rcode: zdns_wire::Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![self.leaf_soa(base)],
-                additionals: Vec::new(),
-            }
+            Self::negative(Rcode::NoError, self.leaf_soa(b.name, p))
         }
     }
 }
 
-fn parse_octet(label: &[u8]) -> Option<u8> {
-    let s = std::str::from_utf8(label).ok()?;
-    // Reject leading zeros and empty labels the way the reverse tree does.
-    if s.is_empty() || s.len() > 3 || (s.len() > 1 && s.starts_with('0')) {
-        return None;
+/// The value of a label spelled as a canonical decimal number — digits
+/// only, no sign, no leading zero — that fits in a `u8`. The universe
+/// spells its numbered names (`ns<k>` hosts, reverse-tree octets) only
+/// this way, so `01` or `+1` names a different, nonexistent node.
+fn canonical_u8(label: &[u8]) -> Option<u8> {
+    match label {
+        [] | [b'0', _, ..] => None,
+        _ if label.len() > 3 || !label.iter().all(u8::is_ascii_digit) => None,
+        _ => u8::try_from(
+            label
+                .iter()
+                .fold(0u16, |n, &d| n * 10 + u16::from(d - b'0')),
+        )
+        .ok(),
     }
-    s.parse().ok()
+}
+
+/// `k` of a host label `ns<k>` (any letter case).
+fn ns_number(label: &[u8]) -> Option<u8> {
+    match label {
+        [n, s, digits @ ..] if n.eq_ignore_ascii_case(&b'n') && s.eq_ignore_ascii_case(&b's') => {
+            canonical_u8(digits)
+        }
+        _ => None,
+    }
 }
 
 fn issue_record(tag: &str, value: &str) -> Caa {
@@ -1601,10 +1485,15 @@ impl Universe for SyntheticUniverse {
         let Some(base) = self.base_of(qname) else {
             return 0.0;
         };
-        if !self.domain_exists(&base) || self.provider_of(&base).index != provider {
+        let b = self.base(&base);
+        if !self.exists(&b) {
             return 0.0;
         }
-        match self.domain_profile(&base).flaky {
+        let p = self.provider(&b);
+        if p.index != provider {
+            return 0.0;
+        }
+        match self.flaky(&b, p) {
             Some(f) if f.ns_index == k => f.drop_prob,
             _ => 0.0,
         }
@@ -1988,5 +1877,390 @@ mod tests {
         ] {
             assert_eq!(u1.respond(server, &q), u2.respond(server, &q));
         }
+    }
+
+    #[test]
+    fn the_nic_node_of_a_tld_exists_without_records() {
+        let u = universe();
+        let tld = u.tlds().by_label("com").unwrap();
+        let server = ServerRole::Tld {
+            tld_index: tld.index,
+            server: 0,
+        }
+        .address();
+        let ask = |name: &str, qtype| {
+            u.respond(server, &Question::new(name.parse().unwrap(), qtype))
+                .unwrap()
+        };
+        // `ns1.nic.com` exists, so `nic.com` is an empty non-terminal:
+        // NXDOMAIN there would deny the hosts below it (RFC 8020).
+        for qtype in [
+            RecordType::A,
+            RecordType::NS,
+            RecordType::SOA,
+            RecordType::ANY,
+        ] {
+            let resp = ask("NIC.com", qtype);
+            assert_eq!(resp.rcode, Rcode::NoError, "{qtype:?}");
+            assert!(resp.authoritative && resp.answers.is_empty());
+            assert_eq!(resp.authorities.len(), 1);
+            assert_eq!(resp.authorities[0].rtype, RecordType::SOA);
+            assert_eq!(resp.authorities[0].name, "com".parse::<Name>().unwrap());
+        }
+        assert_eq!(ask("ns1.nic.com", RecordType::A).answers.len(), 1);
+        assert_eq!(ask("www.nic.com", RecordType::A).rcode, Rcode::NxDomain);
+        assert_eq!(ask("a.ns1.nic.com", RecordType::A).rcode, Rcode::NxDomain);
+    }
+
+    #[test]
+    fn provider_ns_host_aliases_are_ordinary_names() {
+        let u = universe();
+        let p = u
+            .providers()
+            .by_index(crate::providers::PROVIDER_CLOUDFLARE)
+            .unwrap();
+        let domain: Name = u.providers().ns_domain(p.index).parse().unwrap();
+        let own = u.domain_profile(&domain);
+        let server = (0..p.ns_count).find(|&k| own.lame_ns != Some(k)).unwrap();
+        let addr = ServerRole::ProviderAuth {
+            provider: p.index,
+            server,
+        }
+        .address();
+        let question = |label: &str| Question::new(domain.child(label).unwrap(), RecordType::A);
+        let ns1 = RData::A(
+            ServerRole::ProviderAuth {
+                provider: p.index,
+                server: 0,
+            }
+            .address(),
+        );
+        let resp = u.respond(addr, &question("ns1")).unwrap();
+        assert_eq!(resp.answers[0].rdata, ns1);
+        for alias in ["ns+1", "ns01", "NS001"] {
+            // Not a host name: the rule every other label under the domain
+            // answers by.
+            let q = question(alias);
+            let resp = u.respond(addr, &q).unwrap();
+            assert_eq!(
+                resp,
+                u.leaf_answer(p, server, &u.base(&domain), &q),
+                "{alias}"
+            );
+            assert!(resp.answers.iter().all(|r| r.rdata != ns1), "{alias}");
+        }
+    }
+
+    #[test]
+    fn tld_nic_host_aliases_are_nxdomain() {
+        let u = universe();
+        let tld = u.tlds().by_label("net").unwrap();
+        let server = ServerRole::Tld {
+            tld_index: tld.index,
+            server: 0,
+        }
+        .address();
+        let ask = |host: &str| {
+            u.respond(
+                server,
+                &Question::new(format!("{host}.nic.net").parse().unwrap(), RecordType::A),
+            )
+            .unwrap()
+        };
+        let answer = ask("ns1");
+        assert_eq!(answer.answers[0].rdata, RData::A(server));
+        let missing = ask("no-such-host");
+        assert_eq!(missing.rcode, Rcode::NxDomain);
+        for alias in ["ns+1", "ns01"] {
+            assert_eq!(ask(alias), missing, "{alias}");
+        }
+    }
+
+    #[test]
+    fn reverse_octet_aliases_are_nxdomain() {
+        let u = universe();
+        let ask = |server: ServerRole, name: &str, qtype| {
+            u.respond(
+                server.address(),
+                &Question::new(name.parse().unwrap(), qtype),
+            )
+            .unwrap()
+        };
+        // The arpa servers refer `a` = 1, and nothing for `+1`.
+        let arpa = ServerRole::Tld {
+            tld_index: u.arpa_index,
+            server: 0,
+        };
+        assert!(!ask(arpa, "4.3.2.1.in-addr.arpa", RecordType::PTR)
+            .authorities
+            .is_empty());
+        let missing = ask(arpa, "4.3.2.x.in-addr.arpa", RecordType::PTR);
+        assert_eq!(missing.rcode, Rcode::NxDomain);
+        assert_eq!(ask(arpa, "4.3.2.+1.in-addr.arpa", RecordType::PTR), missing);
+        // The /8 zone's hosts are ns1 and ns2, not ns01 or ns+1.
+        let rdns8 = ServerRole::Rdns8 {
+            octet: 5,
+            server: 0,
+        };
+        assert_eq!(
+            ask(rdns8, "ns1.5.in-addr.arpa", RecordType::A)
+                .answers
+                .len(),
+            1
+        );
+        let missing = ask(rdns8, "x.5.in-addr.arpa", RecordType::A);
+        for alias in ["ns+1", "ns01"] {
+            let name = format!("{alias}.5.in-addr.arpa");
+            assert_eq!(ask(rdns8, &name, RecordType::A), missing, "{alias}");
+        }
+        // A leaf octet: `1` is the address's PTR name, `+1` no name at all.
+        let (a, b, c) = (9, 9, 9);
+        let rdns16 = ServerRole::Rdns16 { a, b, server: 0 };
+        let leaf = if u.rdns16_delegates_deeper(a, b) {
+            ServerRole::Rdns24 { a, b, c }
+        } else {
+            rdns16
+        };
+        let one = ask(leaf, "1.9.9.9.in-addr.arpa", RecordType::PTR);
+        let ip = Ipv4Addr::new(a, b, c, 1);
+        assert_eq!(one.rcode == Rcode::NoError, u.ptr_exists(ip));
+        let missing = ask(leaf, "x.9.9.9.in-addr.arpa", RecordType::PTR);
+        assert_eq!(missing.rcode, Rcode::NxDomain);
+        assert_eq!(ask(leaf, "+1.9.9.9.in-addr.arpa", RecordType::PTR), missing);
+    }
+
+    /// `domain_profile` as one function, the way it was written before the
+    /// responders read facts one at a time: the reference every per-fact
+    /// derivation is held to. It finds the TLD and the provider domains by
+    /// scanning the registries rather than through their indexes.
+    fn profile_oracle(u: &SyntheticUniverse, base: &Name) -> DomainProfile {
+        let key = base.to_ascii_lower().into_bytes();
+        let seed = u.seed();
+        let own =
+            u.providers().all().iter().find(|p| {
+                u.providers().ns_domain(p.index).parse::<Name>().ok() == Some(base.clone())
+            });
+        let provider = own.unwrap_or_else(|| u.providers().sample(h64(seed, "provider", &key)));
+        let tld = base.labels().last().and_then(|last| {
+            let label = String::from_utf8_lossy(last).to_ascii_lowercase();
+            u.tlds().all().iter().find(|t| t.label == label)
+        });
+        let exists = own.is_some()
+            || tld.is_some_and(|t| {
+                t.category != TldCategory::Infra
+                    && chance(seed, "exists", &key, u.cfg.domain_exists_prob)
+            });
+        let tld_label = tld.map(|t| t.label.as_str()).unwrap_or("");
+        let tld_category = tld.map(|t| t.category);
+        let cfg = &u.cfg;
+
+        let www = if chance(seed, "www-exists", &key, 0.95) {
+            if chance(seed, "www-cname", &key, cfg.www_cname_prob) {
+                WwwKind::CnameToApex
+            } else {
+                WwwKind::ARecord
+            }
+        } else {
+            WwwKind::Absent
+        };
+        let has_txt = chance(seed, "txt", &key, cfg.txt_prob);
+        let caa_rate = match (tld_category, tld_label) {
+            (Some(TldCategory::CcTld), "pl") => cfg.caa.rate_pl,
+            (Some(TldCategory::CcTld), _) => cfg.caa.rate_cctld,
+            (Some(TldCategory::Infra), _) | (None, _) => 0.0,
+            _ => cfg.caa.rate_gtld,
+        };
+        let mut caa_records = Vec::new();
+        let mut caa_via_cname = false;
+        if chance(seed, "caa", &key, caa_rate) {
+            let c = &cfg.caa;
+            caa_via_cname = chance(seed, "caa-cname", &key, c.p_via_cname);
+            let iodef_only = chance(seed, "caa-iodef-only", &key, c.p_iodef_only);
+            let invalid_rate = if provider.index == c.invalid_registrar {
+                c.p_invalid * 40.0
+            } else {
+                c.p_invalid * 0.3
+            };
+            if chance(seed, "caa-invalid", &key, invalid_rate) {
+                caa_records.push(Caa {
+                    flags: 0,
+                    tag: b"issuer".to_vec(),
+                    value: b"comodoca.com".to_vec(),
+                });
+            } else if iodef_only {
+                caa_records.push(Caa {
+                    flags: 0,
+                    tag: b"iodef".to_vec(),
+                    value: b"mailto:security@visa-like.example".to_vec(),
+                });
+            } else {
+                if chance(seed, "caa-issue", &key, c.p_issue) {
+                    if chance(seed, "caa-le", &key, c.p_letsencrypt) {
+                        caa_records.push(issue_record("issue", "letsencrypt.org"));
+                    }
+                    if chance(seed, "caa-comodo", &key, c.p_comodo) {
+                        caa_records.push(issue_record("issue", "comodoca.com"));
+                    }
+                    if chance(seed, "caa-digicert", &key, c.p_digicert) {
+                        caa_records.push(issue_record("issue", "digicert.com"));
+                    }
+                    if caa_records.is_empty() {
+                        caa_records.push(issue_record("issue", "pki.goog"));
+                    }
+                }
+                if chance(seed, "caa-issuewild", &key, c.p_issuewild) {
+                    let wild_val = if chance(seed, "caa-le-wild", &key, c.p_letsencrypt) {
+                        "letsencrypt.org"
+                    } else {
+                        "digicert.com"
+                    };
+                    caa_records.push(issue_record("issuewild", wild_val));
+                }
+                if chance(seed, "caa-iodef", &key, c.p_iodef) {
+                    caa_records.push(Caa {
+                        flags: 0,
+                        tag: b"iodef".to_vec(),
+                        value: format!("mailto:hostmaster@{}", base.to_ascii_lower()).into_bytes(),
+                    });
+                }
+            }
+        }
+        let f = &cfg.flaky;
+        let deep_rate = if provider.index == PROVIDER_NAMEBRIGHT {
+            f.p_deep_namebright
+        } else {
+            match tld_label {
+                "vn" => f.p_deep_vn,
+                "ng" => f.p_deep_ng,
+                _ => f.p_deep_base,
+            }
+        };
+        let ns_count = provider.ns_count;
+        let flaky_ns = (h64(seed, "flaky-ns", &key) % ns_count as u64) as u8;
+        let flaky = if chance(seed, "flaky-deep", &key, deep_rate) {
+            Some(FlakyNs {
+                ns_index: flaky_ns,
+                drop_prob: f.deep_drop,
+                deep: true,
+            })
+        } else if chance(seed, "flaky-light", &key, f.p_light) {
+            Some(FlakyNs {
+                ns_index: flaky_ns,
+                drop_prob: f.light_drop,
+                deep: false,
+            })
+        } else {
+            None
+        };
+        DomainProfile {
+            base: base.clone(),
+            exists,
+            provider: provider.index,
+            ns_count,
+            apex_a: host_address(h64(seed, "apex-a", &key)),
+            has_aaaa: chance(seed, "aaaa", &key, cfg.aaaa_prob),
+            www,
+            has_mx: chance(seed, "mx", &key, cfg.mx_prob),
+            has_txt,
+            has_spf: has_txt && chance(seed, "spf", &key, cfg.spf_given_txt),
+            has_wildcard: chance(seed, "wildcard", &key, cfg.wildcard_prob),
+            caa_records,
+            caa_via_cname,
+            lame_ns: chance(seed, "lame", &key, cfg.lame_prob)
+                .then(|| (h64(seed, "lame-ns", &key) % ns_count as u64) as u8),
+            glueless: chance(seed, "glueless", &key, cfg.glueless_prob),
+            inconsistent: !provider.consistent
+                || chance(seed, "inconsistent", &key, cfg.inconsistent_prob),
+            flaky,
+        }
+    }
+
+    #[test]
+    fn per_fact_derivations_match_the_profile() {
+        let u = universe();
+        let mut rng = crate::hashing::splitmix64(0xBA5E);
+        let mut next = move || {
+            rng = crate::hashing::splitmix64(rng);
+            rng
+        };
+        // A 0x20 spelling of `text`, so every key must be case-folded.
+        let mut spelled = |text: &str| -> Name {
+            let mask = next();
+            text.char_indices()
+                .map(|(i, c)| match mask >> (i % 64) & 1 {
+                    1 => c.to_ascii_uppercase(),
+                    _ => c,
+                })
+                .collect::<String>()
+                .parse()
+                .unwrap()
+        };
+        let tlds = u.tlds().all();
+        let mut bases: Vec<Name> = (0..3_000)
+            .map(|i| spelled(&format!("r{i}.{}", tlds[i * 7919 % tlds.len()].label)))
+            .collect();
+        for tld in ["pl", "vn", "ng"] {
+            bases.extend((0..400).map(|i| spelled(&format!("c{i}.{tld}"))));
+        }
+        bases.extend(
+            u.providers()
+                .all()
+                .iter()
+                .map(|p| spelled(&u.providers().ns_domain(p.index))),
+        );
+        let namebright: Vec<Name> = (0..200_000)
+            .map(|i| format!("nb{i}.com").parse::<Name>().unwrap())
+            .filter(|n| u.provider_of(n).index == PROVIDER_NAMEBRIGHT)
+            .take(40)
+            .collect();
+        assert_eq!(namebright.len(), 40);
+        bases.extend(namebright);
+        // Labels whose text form escapes: the key is the escaped text.
+        bases.push(Name::from_labels([&b"we.i\\rd\xff"[..], b"COM"]).unwrap());
+
+        let (mut flaky, mut caa) = (0, 0);
+        for base in &bases {
+            let want = profile_oracle(&u, base);
+            assert_eq!(
+                format!("{:?}", u.domain_profile(base)),
+                format!("{want:?}"),
+                "{base}"
+            );
+            // What a responder builds from a question below the base.
+            let qname = base.child("www").unwrap();
+            let below = u.base_of(&qname).unwrap();
+            let b = u.base(&below);
+            let provider = u.provider(&b);
+            let got = (
+                (u.exists(&b), provider.index, provider.ns_count),
+                (u.apex_a(&b), u.has_aaaa(&b), u.www(&b), u.has_mx(&b)),
+                (u.has_txt(&b), u.has_txt(&b) && u.spf_given_txt(&b)),
+                (u.has_wildcard(&b), u.lame_ns(&b, provider)),
+                (u.glueless(&b), u.inconsistent(&b, provider)),
+            );
+            let expected = (
+                (want.exists, want.provider, want.ns_count),
+                (want.apex_a, want.has_aaaa, want.www, want.has_mx),
+                (want.has_txt, want.has_spf),
+                (want.has_wildcard, want.lame_ns),
+                (want.glueless, want.inconsistent),
+            );
+            assert_eq!(got, expected, "{base}");
+            let (records, via_cname) = u.caa(&b, provider);
+            assert_eq!(
+                format!("{records:?} {via_cname}"),
+                format!("{:?} {}", want.caa_records, want.caa_via_cname),
+                "{base}"
+            );
+            assert_eq!(
+                format!("{:?}", u.flaky(&b, provider)),
+                format!("{:?}", want.flaky),
+                "{base}"
+            );
+            flaky += usize::from(want.flaky.is_some());
+            caa += usize::from(!want.caa_records.is_empty());
+        }
+        // The sample must reach the rare facts it is meant to hold.
+        assert!(flaky > 5 && caa > 20, "{flaky} flaky, {caa} with CAA");
     }
 }

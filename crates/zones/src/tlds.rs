@@ -3,6 +3,8 @@
 
 use std::collections::HashMap;
 
+use zdns_wire::MAX_LABEL_LEN;
+
 use crate::hashing::{h64, splitmix64};
 
 /// TLD categories as the paper's Table 3 breaks them down.
@@ -149,11 +151,16 @@ impl TldRegistry {
             .count()
     }
 
-    /// Look up by label (case-insensitive).
+    /// Look up by label (case-insensitive), lowercasing on the stack: a
+    /// walk asks this once per question.
     pub fn by_label(&self, label: &str) -> Option<&Tld> {
-        self.by_label
-            .get(&label.to_ascii_lowercase())
-            .map(|&i| &self.tlds[i as usize])
+        let mut lower = [0u8; MAX_LABEL_LEN];
+        // Longer than any label: no TLD has it.
+        let lower = lower.get_mut(..label.len())?;
+        lower.copy_from_slice(label.as_bytes());
+        lower.make_ascii_lowercase();
+        let lower = std::str::from_utf8(lower).expect("lowercasing keeps UTF-8");
+        self.by_label.get(lower).map(|&i| &self.tlds[i as usize])
     }
 
     /// Get by index.
