@@ -55,7 +55,9 @@ pub use driver::{Admission, BatchHistogram, Driver, DriverReport};
 pub use machine::{IterativeMachine, ResolveTarget, ResolverCore, ResultSink, StubMachine};
 pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};
 pub use packet_cache::{PacketCache, PacketEntry, PacketLookup};
-pub use reactor::{DemuxKey, Reactor, ReactorConfig, TimerHandle, TimerWheel, DEFAULT_BATCH_SIZE};
+pub use reactor::{
+    DemuxKey, Doorbell, Reactor, ReactorConfig, TimerHandle, TimerWheel, DEFAULT_BATCH_SIZE,
+};
 pub use resolver::{collecting_sink, AddrMap, Resolver};
 pub use result::{DelegationInfo, LookupResult};
 pub use serve::{ServeConfig, ServeStats, ServerRole, DEFAULT_PACKET_CACHE_CAPACITY};

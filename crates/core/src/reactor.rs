@@ -530,6 +530,9 @@ pub struct Reactor {
     /// while the reactor is borrowed; boxed to keep the scan-only
     /// reactor layout lean.
     server: Option<Box<ServerRole>>,
+    /// Rung by whoever feeds this reactor's machine source from another
+    /// thread ([`Reactor::set_doorbell`]).
+    bell: Option<Arc<Doorbell>>,
 }
 
 impl Reactor {
@@ -592,6 +595,7 @@ impl Reactor {
             fired: Vec::new(),
             park_checks: Vec::new(),
             server: None,
+            bell: None,
         })
     }
 
@@ -628,6 +632,13 @@ impl Reactor {
     /// [`ReactorConfig::epoch`].
     pub fn set_pacer(&mut self, pacer: Arc<ConcurrentPacer>) {
         self.pacer = Some(ConcurrentGate::new(pacer));
+    }
+
+    /// Sleep on `bell` as well as the socket whenever the scan's machine
+    /// source runs dry, so the thread feeding that source can wake this
+    /// reactor the moment it has a name again ([`Doorbell`]).
+    pub fn set_doorbell(&mut self, bell: Arc<Doorbell>) {
+        self.bell = Some(bell);
     }
 
     /// The bound local address (one reused source port for every lookup).
@@ -1478,7 +1489,7 @@ impl Reactor {
             // Floor of 1ms (a scan may spin at 0; a server must bound its
             // idle wakeup rate), ceiling of 50ms so the stop flag is
             // honored promptly.
-            self.idle_wait(wait_ns.div_ceil(MILLIS).clamp(1, 50) as i32);
+            self.idle_wait(wait_ns.div_ceil(MILLIS).clamp(1, 50) as i32, false);
         }
 
         // Same end-of-run hygiene as a scan: machines still forwarding
@@ -1491,13 +1502,101 @@ impl Reactor {
     }
 
     /// Sleep until the reactor's socket is readable or `wait_ms` passes —
-    /// the one idle wait of the scan and serve loops.
-    fn idle_wait(&self, wait_ms: i32) {
+    /// the one idle wait of the scan and serve loops. A scan whose source
+    /// just ran dry (`starved`) sleeps on its [`Doorbell`] too, and reads
+    /// away the rings that woke it.
+    fn idle_wait(&self, wait_ms: i32, starved: bool) {
+        let bell = self.bell.as_deref().filter(|_| starved);
         #[cfg(unix)]
-        let fd = std::os::fd::AsRawFd::as_raw_fd(&self.socket);
+        let (fd, bell_fd) = (
+            std::os::fd::AsRawFd::as_raw_fd(&self.socket),
+            bell.map(|b| std::os::fd::AsRawFd::as_raw_fd(&b.ends.1)),
+        );
         #[cfg(not(unix))]
-        let fd = 0;
-        readiness::wait_readable(fd, wait_ms);
+        let (fd, bell_fd) = (0, None);
+        if readiness::wait_readable(fd, bell_fd, wait_ms) {
+            bell.map(Doorbell::silence);
+        }
+    }
+}
+
+/// What another thread rings to cut short the sleep of a reactor whose
+/// machine source ran dry: the scan pipeline's feeder rings its workers'
+/// bells after every name it queues. A reactor with nothing in flight that
+/// finds its source empty ([`Admission::Later`]) marks its bell, asks the
+/// source once more, and then sleeps on its socket and the bell; a ring
+/// wakes it at once, where it used to find the name only when its poll
+/// timed out. The second look is what keeps a ring from being lost: a
+/// source that takes its names from a locked queue either sees a name
+/// queued before that look, or its feeder, having queued the name after
+/// it, sees the mark. A reactor with lookups in flight does not mark its
+/// bell: their answers wake it, and it takes what was queued meanwhile a
+/// batch at a time, not one name per wake-up.
+///
+/// A ring writes one octet, and only to a reactor that marked its bell
+/// and has not been rung since; otherwise it is one atomic load, so a scan
+/// whose workers always have lookups in flight pays no system call for
+/// its bells.
+pub struct Doorbell {
+    /// Set by the reactor when its source ran dry; cleared by the ring
+    /// that wakes it.
+    starved: AtomicBool,
+    /// The end [`Doorbell::ring`] writes to, and the end the reactor
+    /// polls and reads.
+    #[cfg(unix)]
+    ends: (
+        std::os::unix::net::UnixStream,
+        std::os::unix::net::UnixStream,
+    ),
+}
+
+impl Doorbell {
+    /// A bell for [`Reactor::set_doorbell`]: a connected pair of
+    /// non-blocking local sockets.
+    pub fn new() -> std::io::Result<Doorbell> {
+        #[cfg(unix)]
+        let ends = {
+            let (ring, wake) = std::os::unix::net::UnixStream::pair()?;
+            ring.set_nonblocking(true)?;
+            wake.set_nonblocking(true)?;
+            (ring, wake)
+        };
+        Ok(Doorbell {
+            starved: AtomicBool::new(false),
+            #[cfg(unix)]
+            ends,
+        })
+    }
+
+    /// Wake the reactor if it is waiting for its source; returns whether
+    /// it was.
+    pub fn ring(&self) -> bool {
+        if !(self.starved.load(Ordering::SeqCst) && self.starved.swap(false, Ordering::SeqCst)) {
+            return false;
+        }
+        // A full socket buffer already holds a ring the reactor will read.
+        #[cfg(unix)]
+        let _ = std::io::Write::write(&mut &self.ends.0, &[1]);
+        true
+    }
+
+    /// Mark the bell: the reactor's source ran dry. Returns whether it was
+    /// marked already (and not rung since).
+    fn mark_starved(&self) -> bool {
+        self.starved.swap(true, Ordering::SeqCst)
+    }
+
+    /// Read away the rings that are waiting.
+    fn silence(&self) {
+        #[cfg(unix)]
+        {
+            let mut rings = [0u8; 64];
+            while let Ok(n) = std::io::Read::read(&mut &self.ends.1, &mut rings) {
+                if n < rings.len() {
+                    break;
+                }
+            }
+        }
     }
 }
 
@@ -1536,10 +1635,23 @@ impl Reactor {
             // credit per machine. Parked machines cost slots but no
             // window, so the hosting cap is `max_in_flight` *active*
             // machines plus up to `max_parked` parked ones.
+            let mut starved = false;
             while !exhausted && self.admittable() && self.lease_admission() {
                 match source() {
                     Admission::Admit(machine) => self.admit(machine, on_done),
-                    Admission::Later => break,
+                    Admission::Later => {
+                        // With nothing in flight, nothing but the bell can
+                        // wake this reactor before its poll times out: mark
+                        // it, then look once more (see `Doorbell`). With
+                        // lookups in flight, their answers wake it to the
+                        // names queued meanwhile, a batch at a time.
+                        let bell = self.bell.as_ref().filter(|_| self.in_flight == 0);
+                        starved = bell.is_some();
+                        if bell.is_some_and(|bell| !bell.mark_starved()) {
+                            continue;
+                        }
+                        break;
+                    }
                     Admission::Exhausted => exhausted = true,
                 }
             }
@@ -1576,7 +1688,7 @@ impl Reactor {
                 // Admission and the flush above can complete lookups
                 // (bad input, a send that fails outright).
                 hand_off();
-                self.idle_wait(wait_ms);
+                self.idle_wait(wait_ms, starved);
             }
 
             self.drain_datagrams(on_done);

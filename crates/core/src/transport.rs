@@ -85,44 +85,65 @@ pub(crate) mod readiness {
         }
     }
 
-    fn wait_for(fd: RawFd, events: i16, timeout_ms: i32) -> Wait {
-        wait_with(timeout_ms, &mut |ms| {
-            let mut pfd = PollFd {
+    impl PollFd {
+        /// An entry asking for `events` on `fd`; a negative `fd` is one
+        /// `poll(2)` skips.
+        fn new(fd: RawFd, events: i16) -> PollFd {
+            PollFd {
                 fd,
                 events,
                 revents: 0,
-            };
-            // SAFETY: `pfd` is a valid pollfd for the duration of the call
-            // and `nfds` matches the array length (1).
-            let r = unsafe { poll(&mut pfd, 1, ms.max(0)) };
+            }
+        }
+
+        fn ready(&self) -> bool {
+            self.revents & self.events != 0
+        }
+    }
+
+    /// Wait until an entry of `fds` has what it asks for or `timeout_ms`
+    /// elapses; each entry's `revents` says which.
+    fn wait_for(fds: &mut [PollFd], timeout_ms: i32) -> Wait {
+        wait_with(timeout_ms, &mut |ms| {
+            // SAFETY: `fds` is a valid array of pollfds for the duration of
+            // the call and `nfds` is its length.
+            let r = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ms.max(0)) };
             if r < 0 {
                 Err(std::io::Error::last_os_error())
             } else {
-                Ok(r > 0 && (pfd.revents & events) != 0)
+                Ok(r > 0 && fds.iter().any(PollFd::ready))
             }
         })
     }
 
-    /// Block until `fd` is readable or `timeout_ms` elapses. Hand-rolled
-    /// `poll(2)` so the reactor needs no external event-loop crate.
-    pub fn wait_readable(fd: RawFd, timeout_ms: i32) -> bool {
-        wait_for(fd, POLLIN, timeout_ms) == Wait::Ready
+    /// Block until `fd` — or `bell`, when there is one — is readable, or
+    /// `timeout_ms` elapses; returns whether `bell` is readable. One
+    /// hand-rolled `poll(2)` either way, so the reactor needs no external
+    /// event-loop crate.
+    pub fn wait_readable(fd: RawFd, bell: Option<RawFd>, timeout_ms: i32) -> bool {
+        let mut fds = [
+            PollFd::new(fd, POLLIN),
+            PollFd::new(bell.unwrap_or(-1), POLLIN),
+        ];
+        wait_for(&mut fds, timeout_ms);
+        fds[1].ready()
     }
 
     /// Block until `fd` is writable or `timeout_ms` elapses.
     pub fn wait_writable(fd: RawFd, timeout_ms: i32) -> bool {
-        wait_for(fd, POLLOUT, timeout_ms) == Wait::Ready
+        wait_for(&mut [PollFd::new(fd, POLLOUT)], timeout_ms) == Wait::Ready
     }
 }
 
 #[cfg(not(unix))]
 pub(crate) mod readiness {
-    /// Portable fallback: nap briefly and let the non-blocking read probe.
-    pub fn wait_readable(_fd: i32, timeout_ms: i32) -> bool {
+    /// Portable fallback: nap briefly and let the non-blocking read probe
+    /// (the bell is never watched).
+    pub fn wait_readable(_fd: i32, _bell: Option<i32>, timeout_ms: i32) -> bool {
         std::thread::sleep(std::time::Duration::from_millis(
             timeout_ms.clamp(0, 2) as u64
         ));
-        true
+        false
     }
 
     /// Portable fallback for writability.

@@ -37,15 +37,24 @@
 //! reads the file once, front to back, one line in one reused buffer,
 //! validating every line in full and skipping — never failing on — a
 //! line that is malformed or not UTF-8; and the names it finds go into
-//! a [`DoneSet`], which holds them packed (a name's octets + ≤ 12 B).
-//! `zdns merge` finds each shard's torn tail the same way, read-only.
+//! a [`DoneSet`], which holds them packed (a name's octets + ≤ 12 B) and
+//! hashes them a word at a time. What is left per done name is the
+//! validating pass (~140 ns of a 267-octet line on a 2.1 GHz Xeon core,
+//! bound by finding where one string ends before the next can start),
+//! reading the line (~40 ns) and the set (~45 ns to add the name, ~30 ns
+//! when the replay skips it). `zdns merge` finds each shard's torn tail
+//! the same way, read-only.
+//!
+//! The [`CheckpointKeeper`] counts the copies of each outstanding name in
+//! flight — an input may list a name twice — so a snapshot is `complete`
+//! only once the last copy is done, and lists each name once.
 //!
 //! This is the fingerprint → state store → timeout-transition lifecycle
 //! idiom: identity is a stable hash of the configuration, progress is an
 //! append-only record plus a compact rotating snapshot, and recovery is
 //! a pure function of the two.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, Read, Seek, SeekFrom, Write};
@@ -57,6 +66,7 @@ use serde_json::{json, Value};
 use zdns_netsim::InputSource;
 
 use crate::conf::Conf;
+use crate::done_set::BuildNameHasher;
 pub use crate::done_set::DoneSet;
 
 /// Manifest/checkpoint format version (bump on incompatible change).
@@ -601,7 +611,10 @@ pub struct CheckpointKeeper {
     cursor: u64,
     completed: u64,
     since_snapshot: u64,
-    outstanding: HashSet<String>,
+    /// Names dispatched and not yet completed, with how many copies of
+    /// each are in flight (see the module docs). Hashed like the done-set,
+    /// not with SipHash: the keys are the operator's own input names.
+    outstanding: HashMap<String, u32, BuildNameHasher>,
     exhausted: bool,
 }
 
@@ -625,7 +638,7 @@ impl CheckpointKeeper {
             cursor: 0,
             completed: 0,
             since_snapshot: 0,
-            outstanding: HashSet::new(),
+            outstanding: HashMap::default(),
             exhausted: false,
         }
     }
@@ -642,7 +655,7 @@ impl CheckpointKeeper {
     /// time its completion can possibly be observed).
     pub fn dispatched(&mut self, name: &str) {
         self.cursor += 1;
-        self.outstanding.insert(name.to_string());
+        *self.outstanding.entry(name.to_string()).or_insert(0) += 1;
     }
 
     /// The input source is drained; with an empty outstanding set the
@@ -655,7 +668,11 @@ impl CheckpointKeeper {
     /// periodic snapshot is due — the caller then collects the backoff
     /// spill and calls [`CheckpointKeeper::write_snapshot`].
     pub fn completed(&mut self, name: &str) -> bool {
-        self.outstanding.remove(name);
+        if let Some((name, copies)) = self.outstanding.remove_entry(name) {
+            if copies > 1 {
+                self.outstanding.insert(name, copies - 1);
+            }
+        }
         self.completed += 1;
         self.since_snapshot += 1;
         if self.since_snapshot >= self.every {
@@ -676,7 +693,7 @@ impl CheckpointKeeper {
     /// `complete` flag is derived from drain state. Write failures are
     /// returned but non-fatal to the scan (the next snapshot retries).
     pub fn write_snapshot(&self, backoff: Vec<(Ipv4Addr, u32, u64)>) -> std::io::Result<()> {
-        let mut outstanding: Vec<&str> = self.outstanding.iter().map(String::as_str).collect();
+        let mut outstanding: Vec<&str> = self.outstanding.keys().map(String::as_str).collect();
         outstanding.sort_unstable();
         let complete = self.is_complete();
         let payload = render_payload(
@@ -1013,6 +1030,37 @@ mod tests {
         assert_eq!(ckpt.cursor, 3);
         assert_eq!(ckpt.completed, 3);
         assert!(ckpt.outstanding.is_empty());
+    }
+
+    /// Regression: the outstanding names were a set, so a name the input
+    /// lists twice, in flight twice, left it at its first completion — and
+    /// a snapshot taken after input exhaustion said `complete: true` (which
+    /// `zdns merge` trusts) while the second lookup still ran.
+    #[test]
+    fn a_name_in_flight_twice_is_outstanding_until_both_complete() {
+        let dir = temp_dir("twice");
+        let manifest_path = dir.join("m.json");
+        let ckpt_path = ScanManifest::checkpoint_file(&manifest_path);
+        let mut keeper = CheckpointKeeper::new("id".into(), &manifest_path, u64::MAX);
+        keeper.dispatched("x");
+        keeper.dispatched("x");
+        keeper.input_exhausted();
+        keeper.completed("x");
+        assert!(!keeper.is_complete(), "the second x is still in flight");
+        keeper.write_snapshot(Vec::new()).unwrap();
+        let ckpt = Checkpoint::load_latest(&ckpt_path).unwrap();
+        assert!(!ckpt.complete);
+        assert_eq!(ckpt.outstanding, ["x"], "listed once, as before");
+        assert_eq!((ckpt.cursor, ckpt.completed), (2, 1));
+
+        keeper.completed("x");
+        assert!(keeper.is_complete());
+        keeper.write_snapshot(Vec::new()).unwrap();
+        let ckpt = Checkpoint::load_latest(&ckpt_path).unwrap();
+        assert!(ckpt.complete && ckpt.outstanding.is_empty());
+        // A completion nothing dispatched (the counts never go below zero).
+        keeper.completed("x");
+        assert!(keeper.is_complete());
     }
 
     #[test]

@@ -40,8 +40,10 @@
 //! * the feeder pushes names **one at a time** — it must never hold a
 //!   name across a blocking `source.next_name()`, or a producer that
 //!   waits for an answer before writing its next line would wait for
-//!   ever — but wakes a worker only when one is actually asleep on the
-//!   queue;
+//!   ever — and rings the [`Doorbell`] of a worker that found the queue
+//!   empty with nothing in flight: that worker wakes on its next name
+//!   instead of at its next poll, and a worker with lookups in flight is
+//!   never rung (their answers wake it to a batch of queued names);
 //! * a worker pulls up to one I/O batch (`--batch-size`) of names under
 //!   one lock, never blocking for them, and admits from that buffer;
 //! * a worker collects finished [`ModuleOutput`]s in its own block, which
@@ -68,7 +70,8 @@ use std::sync::Arc;
 use crossbeam::channel;
 use parking_lot::Mutex;
 use zdns_core::{
-    AddrMap, Admission, ConcurrentPacer, CreditPool, DriverReport, Reactor, ReactorConfig, Resolver,
+    AddrMap, Admission, ConcurrentPacer, CreditPool, Doorbell, DriverReport, Reactor,
+    ReactorConfig, Resolver,
 };
 use zdns_modules::{LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::InputSource;
@@ -187,8 +190,15 @@ pub fn run_scan_pipeline(
     let startup_errors: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let mut writer_stats = (0usize, 0u64);
 
+    // One bell per worker, rung by the feeder when it queues a name for a
+    // worker that found the queue empty. A worker without one (no
+    // descriptor left for it) still finds its names, at its next poll.
+    let bells: Vec<Option<Arc<Doorbell>>> = (0..workers)
+        .map(|_| Doorbell::new().ok().map(Arc::new))
+        .collect();
+
     std::thread::scope(|scope| {
-        for (worker_idx, socket) in sockets.into_iter().enumerate() {
+        for ((worker_idx, socket), bell) in sockets.into_iter().enumerate().zip(bells.clone()) {
             let input_rx = input_rx.clone();
             let output_tx = output_tx.clone();
             let module = Arc::clone(&module);
@@ -237,6 +247,9 @@ pub fn run_scan_pipeline(
                     }
                 };
                 reactor.set_credit_pool(credit_pool);
+                if let Some(bell) = bell {
+                    reactor.set_doorbell(bell);
+                }
                 if let Some(pacer) = shared_pacer {
                     reactor.set_pacer(pacer);
                 }
@@ -359,11 +372,18 @@ pub fn run_scan_pipeline(
             if input_tx.send(name).is_err() {
                 break;
             }
+            // One name wakes one starved worker.
+            bells.iter().flatten().any(|bell| bell.ring());
         }
         if let Some(keeper) = &keeper {
             keeper.lock().input_exhausted();
         }
         drop(input_tx);
+        // Every starved worker learns the input is over now, not at its
+        // next poll.
+        for bell in bells.iter().flatten() {
+            bell.ring();
+        }
         writer_stats = writer.join().unwrap_or((0, 0));
     });
 

@@ -393,21 +393,17 @@ fn slow_sink_backpressure_bounds_the_output_queue() {
     drop(server);
 }
 
-#[test]
-fn a_producer_that_waits_for_its_answers_is_never_starved() {
-    // Name k+1 is written only after the sink has seen name k — a caller
-    // feeding stdin from what it reads on stdout. Were any name or output
-    // held back until a block filled (or across a blocking call for more),
-    // the two would wait for each other forever.
-    const NAMES: usize = 50;
-    let server_ip = Ipv4Addr::new(203, 0, 113, 45);
+/// Scan `names` names through a producer that writes name k+1 only after
+/// the sink has seen name k — a caller feeding stdin from what it reads on
+/// stdout — and return the scan's wall time.
+fn ping_pong(names: usize, server_ip: Ipv4Addr) -> Duration {
     let server = catch_all_server(server_ip);
     let real = server.addr();
     let addr_map: Arc<AddrMap> = Arc::new(move |_| real);
     let conf = Conf::parse([
         "A",
         "--name-servers",
-        "203.0.113.45",
+        &server_ip.to_string(),
         "--threads",
         "2",
         "--max-in-flight",
@@ -419,7 +415,7 @@ fn a_producer_that_waits_for_its_answers_is_never_starved() {
 
     let seen = Arc::new((Mutex::new(0usize), Condvar::new()));
     let source_seen = Arc::clone(&seen);
-    let mut source = (0..NAMES).map(move |k| {
+    let mut source = (0..names).map(move |k| {
         let (count, arrived) = &*source_seen;
         let (_count, wait) = arrived
             .wait_timeout_while(count.lock().unwrap(), Duration::from_secs(20), |n| *n < k)
@@ -432,10 +428,36 @@ fn a_producer_that_waits_for_its_answers_is_never_starved() {
         *count.lock().unwrap() += 1;
         arrived.notify_all();
     });
+    let started = Instant::now();
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
-    assert_eq!(report.lookups as usize, NAMES, "{:?}", report.worker_errors);
-    assert_eq!(sink.outputs_written() as usize, NAMES);
+    let elapsed = started.elapsed();
+    assert_eq!(report.lookups as usize, names, "{:?}", report.worker_errors);
+    assert_eq!(sink.outputs_written() as usize, names);
     drop(server);
+    elapsed
+}
+
+#[test]
+fn a_producer_that_waits_for_its_answers_is_never_starved() {
+    // Were any name or output held back until a block filled (or across a
+    // blocking call for more), the producer and the scan would wait for
+    // each other forever.
+    ping_pong(50, Ipv4Addr::new(203, 0, 113, 45));
+}
+
+#[test]
+fn a_waiting_producer_is_served_within_a_round_trip() {
+    // Each name reaches a worker that has been asleep since it found the
+    // queue empty. Its bell wakes it on the name, so 50 turns cost 50
+    // loopback round trips (well under a millisecond each); a worker that
+    // waited out its 2 ms poll instead would take 1.4–1.7 ms a turn.
+    const NAMES: usize = 50;
+    let elapsed = ping_pong(NAMES, Ipv4Addr::new(203, 0, 113, 47));
+    eprintln!("{NAMES} turns in {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_millis(40),
+        "{NAMES} turns took {elapsed:?}"
+    );
 }
 
 #[test]
