@@ -32,6 +32,7 @@ pub mod cache;
 pub mod clock;
 pub mod config;
 mod cut_memo;
+mod doorbell;
 pub mod driver;
 pub mod machine;
 pub mod pacer;
@@ -43,6 +44,7 @@ pub mod serve;
 pub mod stats;
 pub mod status;
 mod tcp;
+mod timer_wheel;
 pub mod trace;
 pub mod transport;
 

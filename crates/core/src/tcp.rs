@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use zdns_netsim::{connect_nonblocking, FramedConn};
 
-use crate::reactor::{TimerHandle, TimerWheel};
+use crate::timer_wheel::{TimerHandle, TimerWheel};
 
 /// Connections open at once per reactor. Exchanges beyond it queue; the
 /// figure is what a serve worker accepts by default
