@@ -41,14 +41,8 @@ pub struct ResolverConfig {
     pub timeout: SimTime,
     /// Per-query timeout for one step of an iterative walk.
     pub iteration_timeout: SimTime,
-    /// Total time budget for one lookup.
-    pub lookup_budget: SimTime,
     /// Retries per query before rotating servers (Table 2 uses up to 5).
     pub retries: u32,
-    /// Maximum referral depth in one walk.
-    pub max_depth: u32,
-    /// Total queries allowed per lookup (runaway guard).
-    pub max_queries_per_lookup: u32,
     /// Cache capacity in entries (Figure 2 sweeps 50K–1M).
     pub cache_size: usize,
     /// Retry truncated UDP responses over TCP.
@@ -80,10 +74,7 @@ impl Default for ResolverConfig {
             mode: ResolutionMode::Iterative,
             timeout: 3 * SECONDS,
             iteration_timeout: 1_500 * MILLIS,
-            lookup_budget: 15 * SECONDS,
             retries: 3,
-            max_depth: 16,
-            max_queries_per_lookup: 64,
             cache_size: 600_000,
             tcp_on_truncated: true,
             tcp_only: false,
@@ -125,7 +116,6 @@ mod tests {
         assert_eq!(c.cache_size, 600_000);
         assert!(c.tcp_on_truncated);
         assert!(c.timeout > c.iteration_timeout);
-        assert!(c.lookup_budget > c.timeout);
     }
 
     #[test]

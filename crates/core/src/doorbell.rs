@@ -1,20 +1,19 @@
-use std::sync::atomic::{AtomicBool, Ordering};
+//! The wake-up another thread rings for a reactor whose machine source
+//! ran dry.
 
-#[cfg(doc)]
-use crate::{driver::Admission, reactor::Reactor};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// What another thread rings to cut short the sleep of a reactor whose
 /// machine source ran dry: the scan pipeline's feeder rings its workers'
 /// bells after every name it queues. A reactor with nothing in flight that
-/// finds its source empty ([`Admission::Later`]) marks its bell, asks the
-/// source once more, and then sleeps on its socket and the bell; a ring
-/// wakes it at once, where it used to find the name only when its poll
-/// timed out. The second look is what keeps a ring from being lost: a
-/// source that takes its names from a locked queue either sees a name
-/// queued before that look, or its feeder, having queued the name after
-/// it, sees the mark. A reactor with lookups in flight does not mark its
-/// bell: their answers wake it, and it takes what was queued meanwhile a
-/// batch at a time, not one name per wake-up.
+/// finds its source empty ([`Admission::Later`](crate::Admission::Later))
+/// marks its bell, asks the source once more, and then sleeps on its
+/// socket and the bell; a ring wakes it at once. The second look is what
+/// keeps a ring from being lost: a source that takes its names from a
+/// locked queue either sees a name queued before that look, or its feeder,
+/// having queued the name after it, sees the mark. A reactor with lookups
+/// in flight does not mark its bell: their answers wake it, and it takes
+/// what was queued meanwhile a batch at a time, not one name per wake-up.
 ///
 /// A ring writes one octet, and only to a reactor that marked its bell
 /// and has not been rung since; otherwise it is one atomic load, so a scan
@@ -34,8 +33,8 @@ pub struct Doorbell {
 }
 
 impl Doorbell {
-    /// A bell for [`Reactor::set_doorbell`]: a connected pair of
-    /// non-blocking local sockets.
+    /// A bell for [`Reactor::set_doorbell`](crate::Reactor::set_doorbell): a
+    /// connected pair of non-blocking local sockets.
     pub fn new() -> std::io::Result<Doorbell> {
         #[cfg(unix)]
         let ends = {

@@ -67,8 +67,8 @@ pub use stats::{Stats, StatsSnapshot};
 pub use status::Status;
 pub use trace::TraceStep;
 pub use transport::{
-    pin_to_core, BatchIo, BatchSendStatus, IoBackend, RecvBatch, SendBatchStats, SendSlot,
-    VectoredSend, MAX_BATCH,
+    BatchIo, BatchSendStatus, IoBackend, RecvBatch, SendBatchStats, SendSlot, VectoredSend,
+    MAX_BATCH,
 };
 // The admission credit pool lives next to the other budgeting primitives
 // in `zdns-pacing`; re-exported so scan orchestration above this crate

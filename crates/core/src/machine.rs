@@ -471,6 +471,15 @@ impl SimClient for StubMachine {
 // Iterative mode
 // ---------------------------------------------------------------------------
 
+/// Total time one iterative lookup may take.
+const LOOKUP_BUDGET: SimTime = 15 * zdns_netsim::SECONDS;
+
+/// Deepest referral chain one walk follows.
+const MAX_DEPTH: u32 = 16;
+
+/// Most queries one iterative lookup sends (the runaway guard).
+const MAX_QUERIES_PER_LOOKUP: u32 = 64;
+
 #[derive(Debug, Clone)]
 struct Candidate {
     ns: Name,
@@ -679,8 +688,8 @@ impl IterativeMachine {
     /// completes.
     fn advance(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
         loop {
-            if self.queries >= self.core.config.max_queries_per_lookup
-                || now.saturating_sub(self.started) > self.core.config.lookup_budget
+            if self.queries >= MAX_QUERIES_PER_LOOKUP
+                || now.saturating_sub(self.started) > LOOKUP_BUDGET
             {
                 return self.finish(now, Status::IterativeTimeout, None);
             }
@@ -1016,7 +1025,7 @@ impl IterativeMachine {
                 self.current_candidate_exhausted();
                 return self.advance(now, out);
             }
-            if walk.depth + 1 > self.core.config.max_depth {
+            if walk.depth + 1 > MAX_DEPTH {
                 return self.finish(now, Status::IterativeTimeout, Some((&message, from)));
             }
             let bailiwick = walk.zone.clone();

@@ -8,7 +8,8 @@
 //!   routes each incoming datagram to the machine that owns it — wire ids
 //!   are reallocated per query so concurrent machines can never collide;
 //! * a **hashed timer wheel** ([`TimerWheel`]) arms one entry per
-//!   in-flight query and delivers [`ClientEvent::Timeout`] when it fires,
+//!   in-flight query and delivers
+//!   [`ClientEvent::Timeout`](zdns_netsim::ClientEvent::Timeout) when it fires,
 //!   which is what makes the machines' own retry logic run without any
 //!   blocking waits; an answered query's entry is unlinked and freed at
 //!   once, so the wheel holds what is in flight and nothing else;
@@ -50,8 +51,6 @@ use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::Instant;
 
-#[cfg(doc)]
-use zdns_netsim::ClientEvent;
 use zdns_netsim::{JobOutcome, OutQuery, SimClient, SimTime, MILLIS};
 use zdns_pacing::{CreditPool, PaceDecision, SendGate};
 use zdns_wire::ScratchBuf;
@@ -134,10 +133,6 @@ impl Default for ReactorConfig {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// The reactor
-// ---------------------------------------------------------------------------
 
 struct Pending {
     slot: usize,

@@ -1,3 +1,6 @@
+//! The receive path: datagrams, TCP completions and expired timers go to
+//! the machines they belong to.
+
 use zdns_netsim::{ClientEvent, JobOutcome, Protocol};
 use zdns_wire::{MessageView, MsgRef};
 

@@ -1,3 +1,6 @@
+//! The scan loop: admit from a machine source, flush, sleep, then drain
+//! the socket, the TCP table and the timers, and hand completions off.
+
 use zdns_netsim::{JobOutcome, MILLIS};
 
 use super::Reactor;

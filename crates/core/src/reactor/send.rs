@@ -1,3 +1,7 @@
+//! The send path: a machine's queries go through the pacer to the TCP
+//! table, the deferred queue or the stage, and each tick's staged sends
+//! leave in one batched syscall.
+
 use std::net::{Ipv4Addr, SocketAddr};
 use std::time::Duration;
 

@@ -1,10 +1,11 @@
+//! The serve loop: tick the server role and the forwarding machines its
+//! cache misses queue, until stopped.
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use zdns_netsim::{JobOutcome, MILLIS};
 
 use super::Reactor;
-#[cfg(doc)]
-use crate::driver::Driver;
 use crate::driver::DriverReport;
 
 impl Reactor {
@@ -45,11 +46,11 @@ impl Reactor {
     }
 
     /// Drive the serve loop until `stop` is raised: the blocking
-    /// counterpart to [`Driver::run_scan`] for a reactor with a server
-    /// role installed. Sleeps between ticks on the same readiness/timer
-    /// logic as a scan, capped tighter while the role has work the
-    /// reactor's own socket cannot signal (a dedicated `SO_REUSEPORT`
-    /// listener, live TCP connections, queued answers).
+    /// counterpart to [`Driver::run_scan`](crate::Driver::run_scan) for a
+    /// reactor with a server role installed. Sleeps between ticks on the
+    /// same readiness/timer logic as a scan, capped tighter while the role
+    /// has work the reactor's own socket cannot signal (a dedicated
+    /// `SO_REUSEPORT` listener, live TCP connections, queued answers).
     pub fn run_serve(&mut self, stop: &AtomicBool) -> DriverReport {
         self.report = DriverReport::default();
         while !stop.load(Ordering::Relaxed) {

@@ -38,9 +38,10 @@
 //! * **TCP serving** — a non-blocking listener plus a connection table on
 //!   the same event loop, each connection a [`FramedConn`] (the framing
 //!   the reactor's own TCP fallback and the loopback wire server pump
-//!   through too), with a per-tick read budget and idle reaping. UDP replies
-//!   that exceed the client's advertised payload size come back truncated
-//!   (TC set) so the client retries here.
+//!   through too), with a per-tick read budget, at most `MAX_TCP_CONNS`
+//!   connections (more are shed at accept) and a reap after `TCP_IDLE`
+//!   of silence. UDP replies that exceed the client's advertised payload
+//!   size come back truncated (TC set) so the client retries here.
 //!
 //! Time is real: a [`Clock`] maps monotonic wall time into the `SimTime`
 //! nanosecond domain the cache, buckets, and timer wheel already speak.
@@ -78,6 +79,18 @@ const MIN_UDP_PAYLOAD: usize = 512;
 /// fire-hosing client cannot starve its neighbours on the shared loop.
 const TCP_READ_BUDGET: usize = 64 * 1024;
 
+/// Hard cap on tracked client buckets (see [`ClientBuckets`]).
+const CLIENT_CAPACITY: usize = 4_096;
+
+/// Most TCP connections one worker keeps open; more are shed at accept.
+const MAX_TCP_CONNS: usize = 64;
+
+/// Silence after which a TCP connection is reaped.
+const TCP_IDLE: SimTime = 10 * SECONDS;
+
+/// Datagrams drained from a dedicated listener socket per tick.
+const MAX_DATAGRAMS_PER_TICK: usize = 256;
+
 /// Default packet-cache slot count ([`ServeConfig::packet_cache_capacity`]).
 pub const DEFAULT_PACKET_CACHE_CAPACITY: usize = 65_536;
 
@@ -86,16 +99,6 @@ pub const DEFAULT_PACKET_CACHE_CAPACITY: usize = 65_536;
 pub struct ServeConfig {
     /// Per-client UDP query budget (tokens/second). `0` disables the gate.
     pub client_pps: f64,
-    /// Hard cap on tracked client buckets (see [`ClientBuckets`]).
-    pub client_capacity: usize,
-    /// UDP payload size advertised in our response OPT.
-    pub udp_payload: u16,
-    /// Maximum concurrent TCP connections per worker.
-    pub max_tcp_conns: usize,
-    /// Idle nanoseconds before a TCP connection is reaped.
-    pub tcp_idle: SimTime,
-    /// Datagrams drained from a dedicated listener socket per tick.
-    pub max_datagrams_per_tick: usize,
     /// Slots in the shared pre-encoded packet cache riding in front of
     /// the record cache. `0` disables it, keeping the scratch-encode path
     /// as the A/B lever.
@@ -106,11 +109,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             client_pps: 0.0,
-            client_capacity: 4_096,
-            udp_payload: DEFAULT_UDP_PAYLOAD,
-            max_tcp_conns: 64,
-            tcp_idle: 10 * SECONDS,
-            max_datagrams_per_tick: 256,
             packet_cache_capacity: DEFAULT_PACKET_CACHE_CAPACITY,
         }
     }
@@ -256,7 +254,6 @@ struct TcpConn {
 pub struct ServerRole {
     resolver: Resolver,
     clock: Clock,
-    config: ServeConfig,
     gate: ClientBuckets,
     /// Fleet-shared pre-encoded answer cache (`None` = disabled, the
     /// scratch-encode A/B lever).
@@ -278,7 +275,7 @@ impl ServerRole {
     /// Build a server role around a forwarding resolver (External mode
     /// pointing at the upstreams) and a real-time clock.
     pub fn new(resolver: Resolver, clock: Clock, config: ServeConfig) -> ServerRole {
-        let gate = ClientBuckets::new(config.client_pps, config.client_capacity);
+        let gate = ClientBuckets::new(config.client_pps, CLIENT_CAPACITY);
         // The packet cache lives on the shared record cache so every
         // worker of a fleet sees one table, and `Cache::put` can
         // invalidate memoized answers at promotion time.
@@ -295,7 +292,6 @@ impl ServerRole {
         ServerRole {
             resolver,
             clock,
-            config,
             gate,
             packet,
             stats,
@@ -411,7 +407,7 @@ impl ServerRole {
             return;
         };
         let mut buf = std::mem::take(&mut self.recv_buf);
-        for _ in 0..self.config.max_datagrams_per_tick {
+        for _ in 0..MAX_DATAGRAMS_PER_TICK {
             match listener.recv_from(&mut buf) {
                 Ok((n, peer)) => self.on_udp_datagram(&listener, &buf[..n], peer, now),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -479,7 +475,7 @@ impl ServerRole {
                 Rcode::FormErr,
                 None,
                 None,
-                edns.then_some((self.config.udp_payload, cookie)),
+                edns.then_some((DEFAULT_UDP_PAYLOAD, cookie)),
                 udp_limit,
             );
             return HandleOutcome::Respond;
@@ -533,7 +529,6 @@ impl ServerRole {
         let memoize = packet.is_some();
         let hit = {
             let scratch = &mut self.scratch;
-            let payload = self.config.udp_payload;
             let id = view.id();
             let flags = view.flags();
             self.resolver.core().cache.with_records_hashed(
@@ -551,7 +546,7 @@ impl ServerRole {
                             Rcode::NoError,
                             Some((&qname, qv.qtype.to_u16(), qv.qclass.to_u16())),
                             Some(records),
-                            Some((payload, None)),
+                            Some((DEFAULT_UDP_PAYLOAD, None)),
                             false,
                         );
                         HitEncoding::Canonical { deadline: expires }
@@ -564,7 +559,7 @@ impl ServerRole {
                                 Rcode::NoError,
                                 Some((&qname, qv.qtype.to_u16(), qv.qclass.to_u16())),
                                 Some(records),
-                                edns.then_some((payload, cookie)),
+                                edns.then_some((DEFAULT_UDP_PAYLOAD, cookie)),
                                 udp_limit,
                             ),
                         }
@@ -688,7 +683,7 @@ impl ServerRole {
             flags.authenticated = false;
             let edns = ctx.edns.then(|| {
                 let mut e = Edns {
-                    udp_payload_size: self.config.udp_payload,
+                    udp_payload_size: DEFAULT_UDP_PAYLOAD,
                     ..Edns::default()
                 };
                 if let Some(c) = ctx.cookie {
@@ -753,7 +748,7 @@ impl ServerRole {
             };
             let generation = self.conn_generations[slot];
             let mut alive = self.pump_conn(&mut conn, slot, generation, now);
-            if alive && now.saturating_sub(conn.last_seen) > self.config.tcp_idle {
+            if alive && now.saturating_sub(conn.last_seen) > TCP_IDLE {
                 alive = false;
             }
             if alive {
@@ -773,7 +768,7 @@ impl ServerRole {
             match listener.accept() {
                 Ok((stream, peer)) => {
                     let live = self.conns.iter().filter(|c| c.is_some()).count();
-                    if live >= self.config.max_tcp_conns {
+                    if live >= MAX_TCP_CONNS {
                         // Shed at the accept edge: dropping the socket sends
                         // RST/FIN now instead of wedging the new client.
                         ServeStats::bump(&self.stats.tcp_closed);
@@ -1108,6 +1103,34 @@ mod tests {
             ),
             HandleOutcome::Respond
         ));
+    }
+
+    #[test]
+    fn tcp_beyond_64_connections_is_shed_and_10_s_of_silence_reaps() {
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut role = role_with_cache().with_tcp_listener(listener).unwrap();
+        let fallback = UdpSocket::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let now = role.clock.now();
+        let clients: Vec<TcpStream> = (0..65).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        // Every handshake is done; poll at one instant until the role has
+        // taken them all off the accept queue.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while role.stats.tcp_accepted() + role.stats.tcp_closed() < 65 {
+            assert!(std::time::Instant::now() < deadline, "accept stalled");
+            role.poll(&fallback, now);
+        }
+        assert_eq!(
+            (role.stats.tcp_accepted(), role.stats.tcp_closed()),
+            (64, 1)
+        );
+        // Silent for exactly 10 s the connections stay; a nanosecond more
+        // and every one is reaped.
+        role.poll(&fallback, now + 10 * SECONDS);
+        assert_eq!(role.stats.tcp_closed(), 1);
+        role.poll(&fallback, now + 10 * SECONDS + 1);
+        assert_eq!(role.stats.tcp_closed(), 65);
+        drop(clients);
     }
 
     #[test]

@@ -21,8 +21,7 @@ use zdns_netsim::{connect_nonblocking, FramedConn};
 use crate::timer_wheel::{TimerHandle, TimerWheel};
 
 /// Connections open at once per reactor. Exchanges beyond it queue; the
-/// figure is what a serve worker accepts by default
-/// ([`ServeConfig::max_tcp_conns`](crate::serve::ServeConfig)), so one
+/// figure is what a serve worker accepts (`serve::MAX_TCP_CONNS`), so one
 /// scanning worker cannot exhaust one such server by itself.
 const MAX_OPEN: usize = 64;
 

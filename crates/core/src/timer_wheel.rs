@@ -1,3 +1,6 @@
+//! The reactor's hashed timer wheel: arm and cancel in O(1), one slab
+//! node per armed timer.
+
 use std::net::SocketAddr;
 
 use zdns_netsim::SimTime;

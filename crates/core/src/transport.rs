@@ -593,33 +593,6 @@ fn settle_send<T>(
     stats
 }
 
-/// Pin the calling thread to one CPU core (`sched_setaffinity(2)` with a
-/// single-bit mask). Best-effort plumbing behind `--pin-cores`: callers
-/// treat an error as "run unpinned", never fatal.
-pub fn pin_to_core(core: usize) -> std::io::Result<()> {
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    {
-        let mut mask = [0u64; 16]; // up to 1024 cores
-        let word = core / 64;
-        if word >= mask.len() {
-            return Err(std::io::Error::from(std::io::ErrorKind::InvalidInput));
-        }
-        mask[word] = 1u64 << (core % 64);
-        // SAFETY: pid 0 targets the calling thread; the mask pointer and
-        // size describe a live, correctly-sized buffer.
-        let r = unsafe { libc::sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-        if r != 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        Ok(())
-    }
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    {
-        let _ = core;
-        Err(std::io::Error::from(std::io::ErrorKind::Unsupported))
-    }
-}
-
 /// [`send_many_once`] over arena slots: one `sendmmsg` attempt on the
 /// longest IPv4 prefix of `slots`, iovecs pointed straight into `arena`.
 #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -746,20 +719,6 @@ mod tests {
             Err(std::io::Error::from_raw_os_error(9)) // EBADF
         });
         assert_eq!(got, Wait::Error);
-    }
-
-    #[test]
-    fn pin_to_core_zero_succeeds_on_linux() {
-        let supported = cfg!(any(target_os = "linux", target_os = "android"));
-        match pin_to_core(0) {
-            Ok(()) => assert!(supported, "pin succeeded on an unsupported platform"),
-            // Restricted sandboxes may refuse; only "unsupported" is
-            // asserted to line up with the platform.
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                assert!(!supported, "linux must never report Unsupported")
-            }
-            Err(_) => {}
-        }
     }
 
     #[test]

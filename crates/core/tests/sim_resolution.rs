@@ -357,3 +357,50 @@ fn flaky_nameservers_consume_retries() {
     let total_retries: u32 = results.iter().map(|r| r.retries_used).sum();
     assert!(total_retries > 0, "expected retries against flaky servers");
 }
+
+#[test]
+fn a_delegation_loop_ends_after_64_queries() {
+    // Every server of `loop.test` answers with the referral that sent the
+    // walk there — a lame loop with 100 nameservers to try. Only the
+    // per-lookup query cap ends it before every one of them is asked.
+    let root = std::net::Ipv4Addr::new(10, 0, 0, 1);
+    let servers: Vec<std::net::Ipv4Addr> = (1..=100)
+        .map(|i| std::net::Ipv4Addr::new(10, 0, 1, i))
+        .collect();
+    let hosts: Vec<Name> = (1..=100)
+        .map(|i| format!("ns{i}.loop.test").parse().unwrap())
+        .collect();
+    let glue: Vec<(Name, RData)> = hosts
+        .iter()
+        .zip(&servers)
+        .map(|(host, ip)| (host.clone(), RData::A(*ip)))
+        .collect();
+    let mut zone = Zone::new("test".parse().unwrap(), "ns.test".parse().unwrap(), 300);
+    zone.delegate("loop.test".parse().unwrap(), &hosts, &glue);
+    let mut u = ExplicitUniverse::new();
+    u.hint("ns.test".parse().unwrap(), root);
+    for ip in std::iter::once(root).chain(servers) {
+        u.host(ip, zone.clone());
+    }
+    let resolver = Resolver::new(ResolverConfig::iterative(u.root_hints()));
+    let mut engine = Engine::new(
+        EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        },
+        Arc::new(u) as Arc<dyn Universe>,
+    );
+    let (sink, collected) = collecting_sink();
+    let mut once = Some(());
+    engine.run(move || {
+        once.take()?;
+        let question = Question::new("www.loop.test".parse().unwrap(), RecordType::A);
+        Some(resolver.machine(question, Some(sink.clone())))
+    });
+    let result = collected.lock().pop().unwrap();
+    assert_eq!(
+        (result.status, result.queries_sent),
+        (Status::IterativeTimeout, 64),
+        "{result:?}"
+    );
+}

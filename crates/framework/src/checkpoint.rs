@@ -177,10 +177,20 @@ impl ScanManifest {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("manifest missing integer field {k:?}"))
         };
+        let u32_field = |k: &str| -> Result<u32, String> {
+            let n = u64_field(k)?;
+            u32::try_from(n).map_err(|_| format!("manifest field {k:?} out of range: {n}"))
+        };
         let version = u64_field("version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "manifest version {version} unsupported (expected {CHECKPOINT_VERSION})"
+            ));
+        }
+        let (shard_index, shard_count) = (u32_field("shard_index")?, u32_field("shard_count")?);
+        if shard_index >= shard_count {
+            return Err(format!(
+                "manifest shard {shard_index}/{shard_count} is not I/N, I < N"
             ));
         }
         Ok(ScanManifest {
@@ -190,8 +200,8 @@ impl ScanManifest {
             input: str_field("input")?,
             seed: u64_field("seed")?,
             max_names: u64_field("max_names")?,
-            shard_index: u64_field("shard_index")? as u32,
-            shard_count: u64_field("shard_count")? as u32,
+            shard_index,
+            shard_count,
             output: str_field("output")?,
         })
     }
@@ -286,7 +296,11 @@ impl Checkpoint {
                 .and_then(Value::as_str)
                 .and_then(|s| s.parse().ok())
                 .ok_or("bad backoff host")?;
-            let streak = parts.get(1).and_then(Value::as_u64).ok_or("bad streak")? as u32;
+            let streak = parts
+                .get(1)
+                .and_then(Value::as_u64)
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or("bad streak")?;
             let remaining = parts.get(2).and_then(Value::as_u64).ok_or("bad penalty")?;
             backoff.push((ip, streak, remaining));
         }
@@ -901,6 +915,38 @@ mod tests {
         assert_eq!(loaded, manifest);
         assert_eq!(loaded.shard_index, 1);
         assert_eq!(loaded.shard_count, 4);
+    }
+
+    #[test]
+    fn out_of_range_shards_and_streaks_are_refused_at_load() {
+        let manifest = |index: &str, count: &str| {
+            let text = ScanManifest::from_conf(&Conf::default())
+                .to_json()
+                .replace("\"shard_index\": 0", &format!("\"shard_index\": {index}"))
+                .replace("\"shard_count\": 1", &format!("\"shard_count\": {count}"));
+            ScanManifest::from_json(&text)
+        };
+        assert_eq!(manifest("0", "1").unwrap().shard_count, 1);
+        // 2^32 + 1 used to load as 1 and pass an unsharded resume's check.
+        for (index, count) in [("0", "4294967297"), ("0", "0"), ("4", "4")] {
+            let loaded = manifest(index, count);
+            assert!(loaded.is_err(), "{index}/{count} loaded as {loaded:?}");
+        }
+
+        let checkpoint = |streak: &str| {
+            let text = Checkpoint {
+                backoff: vec![(Ipv4Addr::new(192, 0, 2, 1), 7, 1)],
+                ..Checkpoint::default()
+            }
+            .to_json()
+            .replace(",7,", &format!(",{streak},"));
+            Checkpoint::from_json(&text).map(|c| c.backoff[0].1)
+        };
+        assert_eq!(checkpoint("7"), Ok(7));
+        assert!(
+            checkpoint("4294967296").is_err(),
+            "streak 2^32 wrapped to 0"
+        );
     }
 
     #[test]

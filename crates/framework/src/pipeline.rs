@@ -210,14 +210,7 @@ pub fn run_scan_pipeline(
             let shared_pacer = shared_pacer.clone();
             let batch_size = conf.batch_size;
             let io_backend = conf.io_backend;
-            let pin_cores = conf.pin_cores;
             scope.spawn(move || {
-                // Opt-in core pinning: one core per worker, best-effort
-                // (a restricted sandbox or a worker count above the core
-                // count just runs unpinned).
-                if pin_cores {
-                    let _ = zdns_core::pin_to_core(worker_idx);
-                }
                 let config = ReactorConfig {
                     // Any single worker may absorb the whole window when
                     // its siblings' destinations are stranded in backoff.

@@ -50,8 +50,6 @@ pub struct ServeOptions {
     pub shards: usize,
     /// Datagrams per syscall on the forwarding hot path.
     pub batch_size: usize,
-    /// Concurrent forwarded lookups per worker.
-    pub max_in_flight: usize,
     /// Slots in the fleet-shared pre-encoded packet cache (0 disables,
     /// keeping scratch-encode as the A/B lever).
     pub packet_cache_capacity: usize,
@@ -67,11 +65,13 @@ impl Default for ServeOptions {
             io_backend: IoBackend::default(),
             shards: 1,
             batch_size: DEFAULT_BATCH_SIZE,
-            max_in_flight: 1_024,
             packet_cache_capacity: zdns_core::DEFAULT_PACKET_CACHE_CAPACITY,
         }
     }
 }
+
+/// Concurrent forwarded lookups per worker.
+const MAX_IN_FLIGHT: usize = 1_024;
 
 /// A running serve fleet: stop flag, per-worker counters, and the worker
 /// threads themselves. Dropping the handle stops and joins the fleet.
@@ -299,7 +299,7 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
         let stop = Arc::clone(&stop);
         let ready_tx = ready_tx.clone();
         let config = ReactorConfig {
-            max_in_flight: opts.max_in_flight.max(1),
+            max_in_flight: MAX_IN_FLIGHT,
             batch_size: opts.batch_size,
             io_backend: opts.io_backend,
             epoch: Some(epoch),
@@ -308,7 +308,6 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
         let serve_config = ServeConfig {
             client_pps: opts.client_pps,
             packet_cache_capacity: opts.packet_cache_capacity,
-            ..ServeConfig::default()
         };
         workers.push(std::thread::spawn(move || {
             // Reactor and role are built on the worker thread — neither

@@ -60,7 +60,6 @@ const SCAN_SAMPLES: Samples = &[
         &["A", "--workload", "ct-corpus", "--max-names", "100"],
     ),
     ("--io-backend", &["A", "--io-backend", "mmsg"]),
-    ("--pin-cores", &["A", "--pin-cores"]),
     (
         "--cookie-secret",
         &["A", "--cookie-secret", "000102030405060708090a0b0c0d0e0f"],
@@ -372,6 +371,8 @@ const DELETED_NAMES: &[&str] = &[
     concat!("External", "Machine"),
     concat!("inputs_", "stolen"),
     concat!("fair_", "share"),
+    "pin_to_core",
+    "--pin-cores",
 ];
 
 #[test]

@@ -201,6 +201,13 @@ impl GcModel {
     }
 }
 
+/// Usable ephemeral ports per source IP (the paper's setup: 45K).
+const PORTS_PER_IP: usize = 45_000;
+
+/// Received packets are dropped if the CPU backlog exceeds this
+/// (socket-buffer overflow under overload).
+const CPU_BACKLOG_DROP: SimTime = 2 * SECONDS;
+
 /// Engine configuration: the knobs Figure 1 and Table 1/2 vary.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -208,8 +215,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Scanning source addresses (/32 = 1, /29 = 8, /28 = 16).
     pub client_ips: Vec<Ipv4Addr>,
-    /// Usable ephemeral ports per source IP (the paper's setup: 45K).
-    pub ports_per_ip: usize,
     /// Per-core CPU cost of one packet event (send or receive), µs. This is
     /// an *effective* cost including parsing, cache updates, scheduling, and
     /// output encoding — calibrated so 24 cores plateau near the paper's
@@ -217,9 +222,6 @@ pub struct EngineConfig {
     pub per_packet_cpu_us: u64,
     /// Virtual cores.
     pub cores: u32,
-    /// Received packets are dropped if the CPU backlog exceeds this
-    /// (socket-buffer overflow under overload).
-    pub cpu_backlog_drop: SimTime,
     /// Optional GC pause model.
     pub gc: Option<GcModel>,
     /// Extra per-query CPU charged when querying 127.0.0.1 — a co-located
@@ -236,10 +238,8 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: 1_000,
             client_ips: vec![Ipv4Addr::new(192, 0, 2, 1)],
-            ports_per_ip: 45_000,
             per_packet_cpu_us: 240,
             cores: 24,
-            cpu_backlog_drop: 2 * SECONDS,
             gc: Some(GcModel::frequent()),
             local_resolver_cpu_us: 0,
             seed: 1,
@@ -506,7 +506,7 @@ impl Engine {
         let effective_threads = self
             .config
             .threads
-            .min(self.config.client_ips.len() * self.config.ports_per_ip)
+            .min(self.config.client_ips.len() * PORTS_PER_IP)
             .max(1);
         self.report = RunReport {
             effective_threads,
@@ -585,7 +585,7 @@ impl Engine {
                     // dropped and the client sees its timeout instead.
                     let backlog = self.cpu_free_at.saturating_sub(time);
                     let (client_event, now) = match &response {
-                        Some(_) if backlog > self.config.cpu_backlog_drop => {
+                        Some(_) if backlog > CPU_BACKLOG_DROP => {
                             self.report.rx_overflow_drops += 1;
                             (ClientEvent::Timeout { tag }, time)
                         }
@@ -932,7 +932,6 @@ mod tests {
             EngineConfig {
                 threads: 100_000,
                 client_ips: vec!["192.0.2.1".parse().unwrap()],
-                ports_per_ip: 45_000,
                 ..EngineConfig::default()
             },
             u,
