@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use zdns_core::{Detail, IterativeMachine, ResolveTarget, ResolverConfig, ResolverCore};
+use zdns_core::{Detail, IterativeMachine, ResolverConfig, ResolverCore};
 use zdns_netsim::{EngineConfig, SimClient, MILLIS};
 use zdns_wire::{Name, Question, RecordType};
 
@@ -33,7 +33,6 @@ pub fn dig_trace_machine(
     Box::new(IterativeMachine::new(
         core,
         Question::new(name, qtype),
-        ResolveTarget::Answer,
         None,
     ))
 }

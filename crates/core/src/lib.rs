@@ -41,7 +41,6 @@ pub mod reactor;
 pub mod resolver;
 pub mod result;
 pub mod serve;
-pub mod stats;
 pub mod status;
 mod tcp;
 mod timer_wheel;
@@ -53,8 +52,8 @@ pub use cache::{Cache, CacheKey, CacheStats, CachedRecords};
 pub use clock::Clock;
 pub use config::{Detail, ResolutionMode, ResolverConfig};
 pub use cut_memo::CutMemoStats;
-pub use driver::{Admission, BatchHistogram, Driver, DriverReport};
-pub use machine::{IterativeMachine, ResolveTarget, ResolverCore, ResultSink, StubMachine};
+pub use driver::{Admission, Driver, DriverReport};
+pub use machine::{IterativeMachine, ResolverCore, ResultSink, StubMachine};
 pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};
 pub use packet_cache::{PacketCache, PacketEntry, PacketLookup};
 pub use reactor::{
@@ -63,7 +62,6 @@ pub use reactor::{
 pub use resolver::{collecting_sink, AddrMap, Resolver};
 pub use result::{DelegationInfo, LookupResult};
 pub use serve::{ServeConfig, ServeStats, ServerRole, DEFAULT_PACKET_CACHE_CAPACITY};
-pub use stats::{Stats, StatsSnapshot};
 pub use status::Status;
 pub use trace::TraceStep;
 pub use transport::{

@@ -34,29 +34,22 @@ use zdns_wire::{Cookie, MsgRef, Name, Question, RData, Rcode, Record, RecordType
 use crate::cache::{Cache, CacheKey};
 use crate::config::{Detail, ResolutionMode, ResolverConfig};
 use crate::result::{DelegationInfo, LookupResult};
-use crate::stats::Stats;
 use crate::status::Status;
 use crate::trace::{step_for, TraceStep};
 
-/// Shared state behind every machine: config, selective cache, counters.
+/// Shared state behind every machine: config and selective cache.
 pub struct ResolverCore {
     /// Resolver configuration.
     pub config: ResolverConfig,
     /// The selective infrastructure cache.
     pub cache: Cache,
-    /// Run-time counters.
-    pub stats: Stats,
 }
 
 impl ResolverCore {
     /// Build from a config.
     pub fn new(config: ResolverConfig) -> Arc<ResolverCore> {
         let cache = Cache::new(config.cache_size);
-        Arc::new(ResolverCore {
-            config,
-            cache,
-            stats: Stats::default(),
-        })
+        Arc::new(ResolverCore { config, cache })
     }
 
     /// The machine-side cookie state for a lookup of `name`, if cookies
@@ -343,10 +336,6 @@ impl StubMachine {
             timeout: self.core.config.timeout,
             tag: self.tag,
         });
-        self.core
-            .stats
-            .queries_sent
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     fn finish(
@@ -444,10 +433,6 @@ impl SimClient for StubMachine {
                 }
                 self.attempt += 1;
                 self.retries_used += 1;
-                self.core
-                    .stats
-                    .retries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if self.attempt <= self.core.config.retries {
                     // Rotate to the next server (ZDNS load-balances
                     // retries across its resolver list; a probe's list
@@ -500,16 +485,6 @@ struct Walk {
     parent_cand: Option<usize>,
 }
 
-/// What the iterative machine is after.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolveTarget {
-    /// Resolve to a final answer (normal lookups).
-    Answer,
-    /// Resolve normally but keep the final delegation for the caller (the
-    /// §5 `--all-nameservers` extension builds on this).
-    Delegation,
-}
-
 /// ZDNS's own caching iterative resolver as a state machine.
 pub struct IterativeMachine {
     core: Arc<ResolverCore>,
@@ -523,8 +498,6 @@ pub struct IterativeMachine {
     over_tcp: bool,
     cookies: Option<CookieState>,
     sink: Option<ResultSink>,
-    #[allow(dead_code)]
-    target: ResolveTarget,
 }
 
 impl IterativeMachine {
@@ -532,7 +505,6 @@ impl IterativeMachine {
     pub fn new(
         core: Arc<ResolverCore>,
         question: Question,
-        target: ResolveTarget,
         sink: Option<ResultSink>,
     ) -> IterativeMachine {
         let cookies = core.cookie_state(&question.name);
@@ -548,7 +520,6 @@ impl IterativeMachine {
             over_tcp: false,
             cookies,
             sink,
-            target,
         }
     }
 
@@ -678,10 +649,6 @@ impl IterativeMachine {
             timeout: self.core.config.iteration_timeout,
             tag: self.tag,
         });
-        self.core
-            .stats
-            .queries_sent
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Drive the machine forward until a query is in flight or the lookup
@@ -1088,10 +1055,6 @@ impl SimClient for IterativeMachine {
                     return StepStatus::Running;
                 }
                 self.retries_used += 1;
-                self.core
-                    .stats
-                    .retries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let retries = self.core.config.retries;
                 let walk = self.stack.last_mut().expect("active walk");
                 walk.attempt += 1;
@@ -1111,10 +1074,6 @@ impl SimClient for IterativeMachine {
                 // to it) is broken, so skip straight to the next candidate
                 // instead of burning retries on it.
                 self.retries_used += 1;
-                self.core
-                    .stats
-                    .retries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 self.current_candidate_exhausted();
                 self.advance(now, out)
             }
@@ -1133,12 +1092,7 @@ mod tests {
         let ns1: Name = "ns1.example.com".parse().unwrap();
         let ns2: Name = "ns2.example.com".parse().unwrap();
         let question = Question::new("www.example.com".parse().unwrap(), RecordType::A);
-        let machine = IterativeMachine::new(
-            Arc::clone(&core),
-            question.clone(),
-            ResolveTarget::Answer,
-            None,
-        );
+        let machine = IterativeMachine::new(Arc::clone(&core), question.clone(), None);
         let ns_records: Vec<Record> = [&ns1, &ns2]
             .map(|ns| Record::new(zone.clone(), 3600, RData::Ns(ns.clone())))
             .into();

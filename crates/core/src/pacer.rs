@@ -240,8 +240,9 @@ impl TokenBlock {
 ///    two workers contend only when pacing the same stripe, and the
 ///    reservation chain (global release → backoff floor → host bucket)
 ///    runs unchanged inside the stripe, preserving the no-herd contract;
-/// 3. **telemetry** (`cas_retries`, `stripe_waits`, `blocks_leased`)
-///    makes residual contention observable in driver reports.
+/// 3. **telemetry**: `cas_retries` counts lost races on the global
+///    budget (the scan report's `pacer_cas_retries`) and
+///    `blocks_leased` the token blocks leased from it.
 ///
 /// Shared as `Arc<ConcurrentPacer>`; each worker drives it through a
 /// [`ConcurrentGate`] holding that worker's current [`TokenBlock`].
@@ -251,7 +252,6 @@ pub struct ConcurrentPacer {
     block_size: u32,
     stripes: Vec<Mutex<HostStripe>>,
     hasher: HostHash,
-    stripe_waits: AtomicU64,
     blocks_leased: AtomicU64,
 }
 
@@ -273,7 +273,6 @@ impl ConcurrentPacer {
                 .map(|_| Mutex::new(HostStripe::default()))
                 .collect(),
             hasher: HostHash,
-            stripe_waits: AtomicU64::new(0),
             blocks_leased: AtomicU64::new(0),
         }
     }
@@ -285,14 +284,7 @@ impl ConcurrentPacer {
 
     fn lock_stripe(&self, dest: Ipv4Addr) -> parking_lot::MutexGuard<'_, HostStripe> {
         let idx = (self.hasher.hash_one(dest) as usize) & (STRIPES - 1);
-        let stripe = &self.stripes[idx];
-        match stripe.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.stripe_waits.fetch_add(1, Ordering::Relaxed);
-                stripe.lock()
-            }
-        }
+        self.stripes[idx].lock()
     }
 
     /// Take one global-budget slot from the worker's block, leasing a
@@ -458,12 +450,6 @@ impl ConcurrentPacer {
     /// Global-bucket CAS retries — lost races on the atomic budget.
     pub fn cas_retries(&self) -> u64 {
         self.global.as_ref().map_or(0, AtomicBucket::cas_retries)
-    }
-
-    /// Contended stripe-lock acquisitions (a `try_lock` that had to
-    /// fall back to blocking).
-    pub fn stripe_waits(&self) -> u64 {
-        self.stripe_waits.load(Ordering::Relaxed)
     }
 
     /// Token blocks leased from the global budget.

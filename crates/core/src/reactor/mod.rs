@@ -206,10 +206,9 @@ impl CreditShare {
     }
 
     /// Return one held credit to the pool.
-    fn release(&mut self, report: &mut DriverReport) {
+    fn release(&mut self) {
         self.pool.release(1);
         self.held -= 1;
-        report.credit_returns += 1;
     }
 }
 
@@ -270,7 +269,8 @@ pub struct Reactor {
     park_checks: Vec<usize>,
     /// The optional server half: installed via
     /// [`Reactor::set_server_role`], it receives inbound queries (QR=0
-    /// demux misses) and queues forwarding machines for admission.
+    /// or undecodable datagrams) and queues forwarding machines for
+    /// admission.
     /// `Option` (like `batch`) so role methods taking `&mut` can run
     /// while the reactor is borrowed; boxed to keep the scan-only
     /// reactor layout lean.
@@ -344,8 +344,9 @@ impl Reactor {
         })
     }
 
-    /// Install a server role: from here on, inbound QR=0 datagrams on the
-    /// reactor socket dispatch to it instead of counting as stale, and
+    /// Install a server role: from here on, inbound queries (QR=0) and
+    /// undecodable datagrams on the reactor socket go to it, which answers
+    /// the first and counts the second as malformed, and
     /// [`Reactor::serve_tick`] / [`Reactor::run_serve`] drive its
     /// listener, TCP table, and forwarded-answer queue.
     pub fn set_server_role(&mut self, role: ServerRole) {
@@ -621,7 +622,7 @@ impl Reactor {
             // already back in the pool).
             self.parked_count -= 1;
         } else {
-            self.credits.release(&mut self.report);
+            self.credits.release();
         }
         self.slots[idx] = None;
         self.generations[idx] += 1;
@@ -646,7 +647,7 @@ impl Reactor {
         if idle {
             slot.parked = true;
             self.parked_count += 1;
-            self.credits.release(&mut self.report);
+            self.credits.release();
             self.report.idle_credit_returns += 1;
             // A park means pacing is the bottleneck here: unused global
             // token-block slots go back with the credit, so siblings

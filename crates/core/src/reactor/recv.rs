@@ -22,6 +22,11 @@ impl Reactor {
         let Some(mut slot) = self.slots[idx].take() else {
             return; // machine already retired
         };
+        if !matches!(event, ClientEvent::Response { .. }) {
+            // A timeout or a transport failure: the machine retries or
+            // gives up, and either way the attempt is spent.
+            self.report.retries += 1;
+        }
         let mut out = self.take_out_buf();
         let status = slot.machine.on_event(event, self.now(), &mut out);
         self.after_step(idx, slot, status, out, on_done);
@@ -36,8 +41,7 @@ impl Reactor {
     /// already-queued datagrams until the next poll round; the
     /// [`MAX_DRAIN_ERRORS`] cap stops a repeating error from spinning the
     /// loop. A *short batch* (fewer datagrams than the arena holds) is a
-    /// normal drain — the queue simply emptied — and is counted in
-    /// `recv_partial_batches`, never against the error cap.
+    /// normal drain — the queue simply emptied — never an error.
     pub(super) fn drain_datagrams(&mut self, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
         // Move the arena out so machines (stepped via `&mut self`) can be
         // handed borrowed views straight over its buffers — the zero-copy
@@ -50,38 +54,32 @@ impl Reactor {
         let mut errors = 0u32;
         'drain: loop {
             let batch = io.recv_into_arena(&self.socket);
-            self.report.recv_syscalls += batch.syscalls;
-            if batch.count > 0 {
-                self.report.datagrams_received += batch.count as u64;
-                self.report.recv_batch_fill.record(batch.count);
-                if batch.count < io.batch_size() {
-                    self.report.recv_partial_batches += 1;
-                }
-            }
+            self.report.datagrams_received += batch.count as u64;
             for i in 0..batch.count {
                 let peer = io.arena_peer(i);
                 let bytes = io.arena_bytes(i);
                 // Parse up front, but touch the demux table only after
                 // the datagram proves to be a well-formed response.
-                let Ok(view) = MessageView::parse(bytes) else {
-                    self.report.decode_errors += 1;
-                    continue;
-                };
-                if !view.flags().response {
-                    // QR=0: with a server role installed this is a client
-                    // query for the serve path — the dual-role socket's
-                    // inbound half. Without one, an echoed query from a
-                    // reflecting server or middlebox must not complete a
-                    // lookup as a response.
-                    match server.as_deref_mut() {
-                        Some(role) => {
-                            let now = self.now();
-                            role.on_udp_datagram(&self.socket, bytes, peer, now);
+                let view = match MessageView::parse(bytes) {
+                    Ok(view) if view.flags().response => view,
+                    parsed => {
+                        // A client query (QR=0) or garbage. With a server
+                        // role installed, the dual-role socket's inbound
+                        // half: the role answers the query or counts the
+                        // garbage as malformed. Without one, an echoed
+                        // query from a reflecting server or middlebox
+                        // must not complete a lookup as a response.
+                        match server.as_deref_mut() {
+                            Some(role) => {
+                                let now = self.now();
+                                role.on_udp_datagram(&self.socket, bytes, peer, now);
+                            }
+                            None if parsed.is_err() => self.report.decode_errors += 1,
+                            None => self.report.stale_datagrams += 1,
                         }
-                        None => self.report.stale_datagrams += 1,
+                        continue;
                     }
-                    continue;
-                }
+                };
                 let key = (peer, view.id());
                 let Some(pending) = self.demux.remove(&key) else {
                     // Late, stale, or unsolicited: exactly the datagrams
@@ -98,7 +96,6 @@ impl Reactor {
                 // The machine sees its own transaction id: the view
                 // overrides it without touching the arena.
                 let message = MsgRef::View(view.with_id(pending.orig_id));
-                self.report.datagrams_delivered += 1;
                 self.pace_feedback(pending.sim_ip, true);
                 let event = ClientEvent::Response {
                     tag: pending.tag,
@@ -112,7 +109,6 @@ impl Reactor {
                 None if batch.count == 0 => break 'drain, // socket drained
                 None => {}                                // keep draining
                 Some(_) => {
-                    self.report.socket_errors += 1;
                     errors += 1;
                     if errors >= MAX_DRAIN_ERRORS {
                         break 'drain;

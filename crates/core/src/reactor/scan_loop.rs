@@ -64,7 +64,7 @@ impl Reactor {
             if exhausted {
                 // No more inputs will ever need the pre-leased spare.
                 if std::mem::take(&mut self.credits.spare) {
-                    self.credits.release(&mut self.report);
+                    self.credits.release();
                 }
                 // Nor will fresh admissions need the token block: the
                 // drain phase re-leases on demand if retries crop up.

@@ -88,6 +88,7 @@ impl Reactor {
         immediate: &mut Vec<ClientEvent<'static>>,
     ) {
         for oq in out.drain(..) {
+            self.report.queries_sent += 1;
             match oq.protocol {
                 Protocol::Tcp => {
                     // The bytes a UDP send carries, under the machine's id.
@@ -295,16 +296,12 @@ impl Reactor {
             }
 
             if !prepared.is_empty() {
-                let (batch, report) = (
-                    self.batch.as_mut().expect("batch io present"),
-                    &mut self.report,
-                );
-                let stats = batch.send_slots(
+                let stats = self.batch.as_mut().expect("batch io present").send_slots(
                     &self.socket,
                     scratch.as_slice(),
                     &send_slots,
                     &mut statuses,
-                    &mut |fill| report.send_batch_fill.record(fill),
+                    &mut |_| {},
                 );
                 self.report.send_syscalls += stats.syscalls;
                 self.report.datagrams_sent += stats.sent;

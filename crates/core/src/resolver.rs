@@ -1,7 +1,7 @@
 //! The public resolver API.
 //!
 //! A [`Resolver`] wraps the shared [`ResolverCore`] (config + selective
-//! cache + stats) and hands out lookup machines: feed them to the
+//! cache) and hands out lookup machines: feed them to the
 //! discrete-event engine for scale experiments, or to a [`Reactor`] to
 //! run them over real sockets — [`Resolver::lookup`] does that for one.
 
@@ -14,7 +14,7 @@ use zdns_wire::{Question, RecordType};
 
 use crate::config::{ResolutionMode, ResolverConfig};
 use crate::driver::{Admission, Driver};
-use crate::machine::{IterativeMachine, ResolveTarget, ResolverCore, ResultSink, StubMachine};
+use crate::machine::{IterativeMachine, ResolverCore, ResultSink, StubMachine};
 use crate::reactor::Reactor;
 use crate::result::LookupResult;
 use crate::status::Status;
@@ -37,7 +37,7 @@ impl Resolver {
         }
     }
 
-    /// The shared core (cache, stats, config).
+    /// The shared core (config and cache).
     pub fn core(&self) -> &Arc<ResolverCore> {
         &self.core
     }
@@ -50,7 +50,6 @@ impl Resolver {
             ResolutionMode::Iterative => Box::new(IterativeMachine::new(
                 Arc::clone(&self.core),
                 question,
-                ResolveTarget::Answer,
                 sink,
             )),
             ResolutionMode::External { .. } => Box::new(StubMachine::external(
@@ -61,8 +60,9 @@ impl Resolver {
         }
     }
 
-    /// Build a delegation-preserving iterative machine (for
-    /// `--all-nameservers`-style modules).
+    /// Build an iterative machine whatever the configured mode (for
+    /// `--all-nameservers`-style modules, which read the delegation it
+    /// walks).
     pub fn delegation_machine(
         &self,
         question: Question,
@@ -71,7 +71,6 @@ impl Resolver {
         Box::new(IterativeMachine::new(
             Arc::clone(&self.core),
             question,
-            ResolveTarget::Delegation,
             sink,
         ))
     }

@@ -125,7 +125,6 @@ pub struct ServeStats {
     rate_limited: AtomicU64,
     overloaded: AtomicU64,
     malformed: AtomicU64,
-    servfail: AtomicU64,
     tcp_accepted: AtomicU64,
     tcp_closed: AtomicU64,
     packet_hits: AtomicU64,
@@ -163,8 +162,6 @@ impl ServeStats {
         overloaded,
         /// Datagrams/frames that failed to parse as a DNS query.
         malformed,
-        /// Forwarded lookups that came back as SERVFAIL.
-        servfail,
         /// TCP connections accepted.
         tcp_accepted,
         /// TCP connections closed (error, EOF, idle reap, or cap).
@@ -672,9 +669,6 @@ impl ServerRole {
                 Status::Refused => Rcode::Refused,
                 _ => Rcode::ServFail,
             };
-            if rcode == Rcode::ServFail {
-                ServeStats::bump(&self.stats.servfail);
-            }
             let mut flags = ctx.flags;
             flags.response = true;
             flags.authoritative = false;

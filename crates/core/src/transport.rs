@@ -237,9 +237,6 @@ pub struct SendBatchStats {
 pub struct RecvBatch {
     /// Datagrams now sitting in the arena (`0..count` are valid).
     pub count: usize,
-    /// Receive syscalls issued (the batched path uses exactly one; the
-    /// fallback path uses one per datagram plus the terminal probe).
-    pub syscalls: u64,
     /// Hard socket error hit after `count` datagrams, if any. A short
     /// batch with `err == None` is a normal drain (the queue emptied),
     /// **not** an error — `WouldBlock` is never reported here.
@@ -339,8 +336,8 @@ impl BatchIo {
 
     /// Flush `msgs` to the wire in batches, appending one
     /// [`BatchSendStatus`] per datagram (in order) to `statuses`.
-    /// `on_syscall` observes the fill of each successful syscall — the
-    /// datagrams-per-syscall histogram feed.
+    /// `on_syscall` observes the fill of each successful syscall (the
+    /// reactor passes a no-op).
     pub fn send_batch(
         &mut self,
         socket: &UdpSocket,
@@ -446,9 +443,7 @@ impl BatchIo {
             return self.recv_many_once(socket);
         }
         let mut count = 0;
-        let mut syscalls = 0;
         while count < self.batch_size {
-            syscalls += 1;
             match socket.recv_from(&mut self.arena[count * RECV_SLOT..][..RECV_SLOT]) {
                 Ok((len, peer)) => {
                     self.lens[count] = len;
@@ -459,26 +454,17 @@ impl BatchIo {
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
                 {
-                    return RecvBatch {
-                        count,
-                        syscalls,
-                        err: None,
-                    };
+                    return RecvBatch { count, err: None };
                 }
                 Err(e) => {
                     return RecvBatch {
                         count,
-                        syscalls,
                         err: Some(e),
                     };
                 }
             }
         }
-        RecvBatch {
-            count,
-            syscalls,
-            err: None,
-        }
+        RecvBatch { count, err: None }
     }
 
     /// Bytes of the `i`-th datagram in the arena (valid after a
@@ -515,11 +501,7 @@ impl BatchIo {
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => None,
                 _ => Some(e),
             };
-            return RecvBatch {
-                count: 0,
-                syscalls: 1,
-                err,
-            };
+            return RecvBatch { count: 0, err };
         }
         let count = r as usize;
         for i in 0..count {
@@ -532,11 +514,7 @@ impl BatchIo {
                 self.lens[i] = 0;
             }
         }
-        RecvBatch {
-            count,
-            syscalls: 1,
-            err: None,
-        }
+        RecvBatch { count, err: None }
     }
 }
 

@@ -5,7 +5,6 @@
 //! server.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use zdns_core::{collecting_sink, ResolverConfig, ResolverCore, Status, StubMachine};
@@ -71,7 +70,6 @@ fn external_retries_rotate_through_the_upstreams() {
     assert_eq!(result.status, Status::Timeout);
     assert_eq!(result.resolver, None, "nobody answered, nobody is named");
     assert_eq!((result.queries_sent, result.retries_used), (3, 3));
-    assert_eq!(core.stats.retries.load(Ordering::Relaxed), 3);
 }
 
 #[test]
@@ -97,5 +95,4 @@ fn a_probe_asks_its_one_server_again_and_names_it() {
     assert_eq!(result.status, Status::Timeout);
     assert_eq!(result.resolver.as_deref(), Some("192.0.2.99:53"));
     assert_eq!((result.queries_sent, result.retries_used), (3, 3));
-    assert_eq!(core.stats.retries.load(Ordering::Relaxed), 3);
 }

@@ -361,13 +361,14 @@ fn run_serve(args: &[String]) {
         }
     }
     eprintln!("{}", handle.summary_line());
-    let reports = handle.stop();
-    if let Some(report) = reports.first() {
-        eprintln!(
-            "zdns serve: io backend {}, {} upstream queries sent, {} datagrams received",
-            report.io_backend, report.datagrams_sent, report.datagrams_received,
-        );
+    let mut total = zdns_core::DriverReport::default();
+    for report in handle.stop() {
+        total.merge(&report);
     }
+    eprintln!(
+        "zdns serve: io backend {}, {} upstream queries sent, {} datagrams received",
+        total.io_backend, total.datagrams_sent, total.datagrams_received,
+    );
 }
 
 fn print_serve_help() {

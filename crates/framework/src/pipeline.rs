@@ -184,7 +184,6 @@ pub fn run_scan_pipeline(
     // release/penalty times, so workers reading each other's backoff
     // state must agree on what "now" means regardless of spawn skew.
     let epoch = std::time::Instant::now();
-    let stats_before = resolver.core().stats.snapshot();
     let merged: Arc<Mutex<(HashMap<String, u64>, DriverReport)>> =
         Arc::new(Mutex::new((HashMap::new(), DriverReport::default())));
     let startup_errors: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
@@ -394,25 +393,22 @@ pub fn run_scan_pipeline(
         }
     }
 
-    let stats_after = resolver.core().stats.snapshot();
     let merged = Arc::try_unwrap(merged)
         .map(Mutex::into_inner)
         .unwrap_or_else(|arc| arc.lock().clone());
     report.worker_errors.extend(startup_errors.lock().drain(..));
     report.status_counts = merged.0;
     report.driver = merged.1;
-    // Pacer contention telemetry is scan-wide (the counters live on the
-    // one shared pacer), so it lands on the merged report here rather
-    // than being summed per worker.
+    // Pacer contention is scan-wide (the counter lives on the one shared
+    // pacer), so it lands on the merged report here rather than being
+    // summed per worker.
     if let Some(pacer) = &shared_pacer {
         report.driver.pacer_cas_retries = pacer.cas_retries();
-        report.driver.pacer_stripe_waits = pacer.stripe_waits();
-        report.driver.token_blocks_leased = pacer.blocks_leased();
     }
     report.lookups = report.driver.completed;
     report.successes = report.driver.successes;
-    report.queries_sent = stats_after.queries_sent - stats_before.queries_sent;
-    report.retries = stats_after.retries - stats_before.retries;
+    report.queries_sent = report.driver.queries_sent;
+    report.retries = report.driver.retries;
     report.peak_output_queue = writer_stats.0;
     report.sink_errors = writer_stats.1;
     report.elapsed = started.elapsed();

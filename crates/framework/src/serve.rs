@@ -140,11 +140,6 @@ impl ServeHandle {
         self.stats.iter().map(|s| s.packet_fills()).sum()
     }
 
-    /// Fleet-wide packet lookups that found an entry past its TTL.
-    pub fn packet_expired(&self) -> u64 {
-        self.stats.iter().map(|s| s.packet_expired()).sum()
-    }
-
     /// Packet entries dropped by record-cache promotions. The packet
     /// cache is one fleet-shared table, so this reads the shared counter
     /// from any worker rather than summing (a sum would multiply it by

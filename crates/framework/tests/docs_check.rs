@@ -373,6 +373,15 @@ const DELETED_NAMES: &[&str] = &[
     concat!("fair_", "share"),
     "pin_to_core",
     "--pin-cores",
+    "BatchHistogram",
+    "StatsSnapshot",
+    "send_batch_fill",
+    "recv_batch_fill",
+    "recv_partial_batches",
+    "pacer_stripe_waits",
+    "token_blocks_leased",
+    "stripe_waits",
+    "ResolveTarget",
 ];
 
 #[test]

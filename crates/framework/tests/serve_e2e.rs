@@ -116,11 +116,16 @@ fn a_questions(n: usize) -> Vec<Question> {
 
 /// The tentpole assertion: a scan answered end-to-end through `zdns
 /// serve`, with the second round warmed by the first round's cache
-/// fills.
+/// fills. A garbage datagram sent ahead of the scan is counted once, as
+/// malformed, whichever socket of the fleet it lands on (the dual-role
+/// reactor socket of one shard, or a dedicated listener), and gets no
+/// reply.
 fn scan_through_serve_warms_cache(io_backend: IoBackend, shards: usize) {
     const N: usize = 30;
     let (_upstream, handle) = serve_fleet(upstream_universe(N), io_backend, shards, 0.0);
     let addr = handle.local_addr();
+    let garbage = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    garbage.send_to(&[0xFF, 0xEE, 0xDD], addr).unwrap();
 
     // Round 1: everything misses and is forwarded upstream.
     let round1 = scan_through(addr, a_questions(N));
@@ -165,6 +170,18 @@ fn scan_through_serve_warms_cache(io_backend: IoBackend, shards: usize) {
         "a warmed cache forwards nothing new"
     );
     assert!(handle.responses() >= 2 * N as u64);
+
+    let malformed = || handle.stats().iter().map(|s| s.malformed()).sum::<u64>();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while malformed() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!(malformed(), 1);
+    garbage.set_nonblocking(true).unwrap();
+    assert!(
+        garbage.recv_from(&mut [0u8; 512]).is_err(),
+        "garbage got a reply"
+    );
 }
 
 #[test]

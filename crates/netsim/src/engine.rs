@@ -259,9 +259,7 @@ pub struct RunReport {
     pub status_counts: HashMap<String, u64>,
     /// Queries sent (all protocols).
     pub queries_sent: u64,
-    /// Responses dropped because the client CPU was too backlogged.
-    pub rx_overflow_drops: u64,
-    /// Queries answered from... dropped silently in the network.
+    /// Queries dropped silently in the network.
     pub net_drops: u64,
     /// Sends held back by the client-side send gate (pacing). Each
     /// deferral counts once, at first admission.
@@ -586,7 +584,6 @@ impl Engine {
                     let backlog = self.cpu_free_at.saturating_sub(time);
                     let (client_event, now) = match &response {
                         Some(_) if backlog > CPU_BACKLOG_DROP => {
-                            self.report.rx_overflow_drops += 1;
                             (ClientEvent::Timeout { tag }, time)
                         }
                         // The bytes are this engine's own encoding, so they

@@ -144,15 +144,6 @@ record_types! {
 }
 
 impl RecordType {
-    /// True for QTYPEs that can only appear in questions (ANY, AXFR) or in
-    /// the additional section (OPT), never as cached answer data.
-    pub fn is_pseudo(self) -> bool {
-        matches!(
-            self,
-            RecordType::ANY | RecordType::AXFR | RecordType::OPT | RecordType::TSIG
-        )
-    }
-
     /// True for the infrastructure types the ZDNS selective cache stores
     /// (NS plus the glue address types; see §3.4 "Selective Caching").
     pub fn is_infrastructure(self) -> bool {

@@ -223,15 +223,6 @@ impl ExplicitUniverse {
     pub fn hint(&mut self, name: Name, addr: Ipv4Addr) {
         self.hints.push((name, addr));
     }
-
-    /// The zones hosted at `server` (empty if none).
-    pub fn zones_at(&self, server: Ipv4Addr) -> &[Zone] {
-        self.servers
-            .iter()
-            .find(|(ip, _)| *ip == server)
-            .map(|(_, z)| z.as_slice())
-            .unwrap_or(&[])
-    }
 }
 
 impl Universe for ExplicitUniverse {

@@ -107,11 +107,6 @@ impl Zone {
         &self.soa
     }
 
-    /// Number of RRsets (for inventory/stats).
-    pub fn rrset_count(&self) -> usize {
-        self.rrsets.values().map(|m| m.len()).sum()
-    }
-
     /// Add a record. Records outside the zone are rejected; records below an
     /// existing delegation become glue only.
     pub fn add(&mut self, record: Record) -> bool {
