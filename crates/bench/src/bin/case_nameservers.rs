@@ -58,7 +58,7 @@ fn main() {
         Arc::clone(&flaky10_by_provider),
         Arc::clone(&flaky_by_category),
     );
-    let module = Arc::new(AllNameserversModule::default());
+    let module = Arc::new(AllNameserversModule);
     let inputs = corpus.base_domains(scan_size);
     let report = run_sim_scan_with(
         &conf,

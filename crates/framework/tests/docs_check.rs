@@ -382,6 +382,17 @@ const DELETED_NAMES: &[&str] = &[
     "token_blocks_leased",
     "stripe_waits",
     "ResolveTarget",
+    "RawMachine",
+    "ProbeMachine",
+    "BindVersionMachine",
+    "TxtFilterMachine",
+    "CaaMachine",
+    "ALookupMachine",
+    "MxMachine",
+    "NsMachine",
+    "NsPhase",
+    "max_exchanges",
+    "max_servers",
 ];
 
 #[test]

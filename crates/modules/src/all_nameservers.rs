@@ -9,24 +9,17 @@ use std::net::Ipv4Addr;
 
 use serde_json::json;
 use zdns_core::{LookupResult, Resolver, Status};
-use zdns_netsim::{ClientEvent, OutQuery, SimClient, SimTime, StepStatus};
+use zdns_netsim::SimClient;
 use zdns_wire::{Name, Question, RData, RecordType};
 
-use crate::api::{emit, input_to_name, trace_json, FailMachine, Inner, LookupModule, ModuleSink};
+use crate::api::{input_to_name, machine, trace_json, Inner, LookupModule, ModuleSink, Next, Plan};
 
 /// The all-nameservers module.
-pub struct AllNameserversModule {
-    /// Record type to probe each server with.
-    pub qtype: RecordType,
-}
+#[derive(Default)]
+pub struct AllNameserversModule;
 
-impl Default for AllNameserversModule {
-    fn default() -> Self {
-        AllNameserversModule {
-            qtype: RecordType::A,
-        }
-    }
-}
+/// Record type each server is probed with.
+const PROBE_TYPE: RecordType = RecordType::A;
 
 struct NsProbe {
     ns: Name,
@@ -36,67 +29,55 @@ struct NsProbe {
     answers: BTreeSet<String>,
 }
 
-struct AllNsMachine {
-    input: String,
-    sink: ModuleSink,
+/// Which sub-lookup the plan is waiting for.
+enum Waiting {
+    /// The delegation-preserving walk to the domain's nameservers.
+    Walk,
+    /// The address of the nameserver at this index.
+    NsAddr(usize),
+    /// The probe of the nameserver at this index.
+    Probe(usize),
+}
+
+struct AllNsPlan {
     resolver: Resolver,
     question: Question,
-    phase: Phase,
+    waiting: Waiting,
     probes: Vec<NsProbe>,
-    current: usize,
     trace: Vec<serde_json::Value>,
     walk_status: Status,
 }
 
-enum Phase {
-    Walk(Inner),
-    NsAddr(Inner),
-    Probe(Inner),
-}
-
-impl AllNsMachine {
-    fn handle_done(
-        &mut self,
-        result: LookupResult,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        match &self.phase {
-            Phase::Walk(_) => {
+impl Plan for AllNsPlan {
+    fn next(&mut self, result: LookupResult) -> Next {
+        match self.waiting {
+            Waiting::Walk => {
                 self.trace.extend(trace_json(&result));
                 self.walk_status = result.status;
-                match &result.delegation {
-                    Some(delegation) if !delegation.nameservers.is_empty() => {
-                        self.probes = delegation
-                            .nameservers
-                            .iter()
-                            .map(|(ns, addr)| NsProbe {
-                                ns: ns.clone(),
-                                addr: *addr,
-                                status: None,
-                                retries: 0,
-                                answers: BTreeSet::new(),
-                            })
-                            .collect();
-                        self.launch_next(now, out)
-                    }
-                    _ => self.finish(),
+                if let Some(delegation) = &result.delegation {
+                    self.probes = (delegation.nameservers.iter())
+                        .map(|(ns, addr)| NsProbe {
+                            ns: ns.clone(),
+                            addr: *addr,
+                            status: None,
+                            retries: 0,
+                            answers: BTreeSet::new(),
+                        })
+                        .collect();
                 }
             }
-            Phase::NsAddr(_) => {
-                let probe = &mut self.probes[self.current];
+            Waiting::NsAddr(i) => {
+                let probe = &mut self.probes[i];
                 probe.addr = result.answers.iter().find_map(|r| match &r.rdata {
                     RData::A(a) => Some(*a),
                     _ => None,
                 });
                 if probe.addr.is_none() {
                     probe.status = Some(Status::ServFail);
-                    self.current += 1;
                 }
-                self.launch_next(now, out)
             }
-            Phase::Probe(_) => {
-                let probe = &mut self.probes[self.current];
+            Waiting::Probe(i) => {
+                let probe = &mut self.probes[i];
                 probe.status = Some(result.status);
                 probe.retries = result.retries_used;
                 for rec in &result.answers {
@@ -104,51 +85,30 @@ impl AllNsMachine {
                         probe.answers.insert(a.to_string());
                     }
                 }
-                self.current += 1;
-                self.launch_next(now, out)
             }
         }
-    }
-
-    fn launch_next(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        while self.current < self.probes.len() {
-            let probe = &self.probes[self.current];
-            if probe.status.is_some() {
-                self.current += 1;
-                continue;
-            }
-            let mut inner = match probe.addr {
+        // The first server not yet probed: probe it, or find its address.
+        if let Some(i) = self.probes.iter().position(|p| p.status.is_none()) {
+            let probe = &self.probes[i];
+            let inner = match probe.addr {
                 Some(addr) => {
-                    let inner = Inner::direct(&self.resolver, self.question.clone(), addr, false);
-                    self.phase = Phase::Probe(inner);
-                    match &mut self.phase {
-                        Phase::Probe(i) => match i.start(now, out) {
-                            Some(result) => return self.handle_done(result, now, out),
-                            None => return StepStatus::Running,
-                        },
-                        _ => unreachable!(),
-                    }
-                }
-                None => Inner::lookup(
-                    &self.resolver,
-                    Question::new(probe.ns.clone(), RecordType::A),
-                ),
-            };
-            match inner.start(now, out) {
-                Some(result) => {
-                    self.phase = Phase::NsAddr(inner);
-                    return self.handle_done(result, now, out);
+                    self.waiting = Waiting::Probe(i);
+                    Inner::direct(&self.resolver, self.question.clone(), addr, false)
                 }
                 None => {
-                    self.phase = Phase::NsAddr(inner);
-                    return StepStatus::Running;
+                    self.waiting = Waiting::NsAddr(i);
+                    let question = Question::new(probe.ns.clone(), RecordType::A);
+                    Inner::lookup(&self.resolver, question)
                 }
-            }
+            };
+            return Next::Lookup(inner);
         }
         self.finish()
     }
+}
 
-    fn finish(&mut self) -> StepStatus {
+impl AllNsPlan {
+    fn finish(&mut self) -> Next {
         // §5's two findings come straight from this shape: per-NS retries
         // (availability) and per-NS answer sets (response consistency).
         let answered: Vec<&NsProbe> = self
@@ -178,45 +138,12 @@ impl AllNsMachine {
         } else {
             Status::NoError
         };
-        emit(
-            &self.sink,
-            std::mem::take(&mut self.input),
-            "ALLNAMESERVERS",
-            status,
-            json!({
-                "nameservers": nameservers,
-                "consistent": consistent,
-                "max_retries": max_retries,
-            }),
-            std::mem::take(&mut self.trace),
-        )
-    }
-}
-
-impl SimClient for AllNsMachine {
-    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        let done = match &mut self.phase {
-            Phase::Walk(i) | Phase::NsAddr(i) | Phase::Probe(i) => i.start(now, out),
-        };
-        match done {
-            Some(result) => self.handle_done(result, now, out),
-            None => StepStatus::Running,
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        event: ClientEvent,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        let done = match &mut self.phase {
-            Phase::Walk(i) | Phase::NsAddr(i) | Phase::Probe(i) => i.on_event(event, now, out),
-        };
-        match done {
-            Some(result) => self.handle_done(result, now, out),
-            None => StepStatus::Running,
-        }
+        let data = json!({
+            "nameservers": nameservers,
+            "consistent": consistent,
+            "max_retries": max_retries,
+        });
+        Next::Done(status, data, std::mem::take(&mut self.trace))
     }
 }
 
@@ -235,25 +162,18 @@ impl LookupModule for AllNameserversModule {
         resolver: &Resolver,
         sink: ModuleSink,
     ) -> Box<dyn SimClient> {
-        let Some(name) = input_to_name(input, false) else {
-            return Box::new(FailMachine {
-                input: input.to_string(),
-                module: self.name(),
-                status: Status::IllegalInput,
-                sink,
-            });
-        };
-        let question = Question::new(name, self.qtype);
-        Box::new(AllNsMachine {
-            input: input.to_string(),
-            sink,
-            resolver: resolver.clone(),
-            question: question.clone(),
-            phase: Phase::Walk(Inner::delegation(resolver, question)),
-            probes: Vec::new(),
-            current: 0,
-            trace: Vec::new(),
-            walk_status: Status::Error,
-        })
+        let start = input_to_name(input, false).map(|name| {
+            let question = Question::new(name, PROBE_TYPE);
+            let plan = AllNsPlan {
+                resolver: resolver.clone(),
+                question: question.clone(),
+                waiting: Waiting::Walk,
+                probes: Vec::new(),
+                trace: Vec::new(),
+                walk_status: Status::Error,
+            };
+            (Inner::delegation(resolver, question), plan)
+        });
+        machine(self.name(), input, sink, start)
     }
 }

@@ -3,10 +3,10 @@
 
 use serde_json::json;
 use zdns_core::{LookupResult, Resolver, Status};
-use zdns_netsim::{ClientEvent, OutQuery, SimClient, SimTime, StepStatus};
-use zdns_wire::{Question, RData, RecordType};
+use zdns_netsim::SimClient;
+use zdns_wire::{Name, Question, RData, RecordType};
 
-use crate::api::{emit, input_to_name, trace_json, FailMachine, Inner, LookupModule, ModuleSink};
+use crate::api::{input_to_name, machine, trace_json, Inner, LookupModule, ModuleSink, Next, Plan};
 
 /// The `alookup` module: A (and optionally AAAA) with CNAME chasing.
 pub struct ALookupModule {
@@ -25,13 +25,11 @@ impl Default for ALookupModule {
     }
 }
 
-struct ALookupMachine {
-    input: String,
-    sink: ModuleSink,
-    phase: Phase,
-    want_aaaa: bool,
-    resolver: Resolver,
-    question_name: zdns_wire::Name,
+/// The first address lookup, then an optional AAAA follow-up; every list
+/// keeps the first occurrence of each value.
+struct ALookupPlan {
+    /// The AAAA lookup still to run after the A lookup.
+    aaaa: Option<(Resolver, Name)>,
     v4: Vec<String>,
     v6: Vec<String>,
     cnames: Vec<String>,
@@ -39,96 +37,34 @@ struct ALookupMachine {
     status: Status,
 }
 
-enum Phase {
-    A(Inner),
-    Aaaa(Inner),
-}
-
-impl ALookupMachine {
-    fn absorb(&mut self, result: &LookupResult) {
+impl Plan for ALookupPlan {
+    fn next(&mut self, result: LookupResult) -> Next {
         for rec in &result.answers {
-            match &rec.rdata {
-                RData::A(a) => self.v4.push(a.to_string()),
-                RData::Aaaa(a) => self.v6.push(a.to_string()),
-                RData::Cname(c) => self.cnames.push(format!("{c}.")),
-                _ => {}
-            }
-        }
-        self.trace.extend(trace_json(result));
-        // The worst status wins; a failed AAAA after a good A demotes.
-        if !result.status.is_success() || self.status == Status::NoError {
-            self.status = if self.status.is_success() || !result.status.is_success() {
-                result.status
-            } else {
-                self.status
+            let (list, value) = match &rec.rdata {
+                RData::A(a) => (&mut self.v4, a.to_string()),
+                RData::Aaaa(a) => (&mut self.v6, a.to_string()),
+                RData::Cname(c) => (&mut self.cnames, format!("{c}.")),
+                _ => continue,
             };
-        }
-    }
-
-    fn step(&mut self, result: LookupResult, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        self.absorb(&result);
-        match self.phase {
-            Phase::A(_) if self.want_aaaa => {
-                let mut inner = Inner::lookup(
-                    &self.resolver,
-                    Question::new(self.question_name.clone(), RecordType::AAAA),
-                );
-                if let Some(r) = inner.start(now, out) {
-                    self.phase = Phase::Aaaa(inner);
-                    return self.step(r, now, out);
-                }
-                self.phase = Phase::Aaaa(inner);
-                StepStatus::Running
+            if !list.contains(&value) {
+                list.push(value);
             }
-            _ => self.finish(),
         }
-    }
-
-    fn finish(&mut self) -> StepStatus {
-        // Dedup while preserving order.
-        self.v4.dedup();
-        self.v6.dedup();
-        self.cnames.dedup();
+        self.trace.extend(trace_json(&result));
+        // The worst status wins; a failed AAAA after a good A demotes.
+        if self.status == Status::NoError || !result.status.is_success() {
+            self.status = result.status;
+        }
+        if let Some((resolver, name)) = self.aaaa.take() {
+            let question = Question::new(name, RecordType::AAAA);
+            return Next::Lookup(Inner::lookup(&resolver, question));
+        }
         let data = json!({
             "ipv4_addresses": self.v4,
             "ipv6_addresses": self.v6,
             "cnames": self.cnames,
         });
-        emit(
-            &self.sink,
-            std::mem::take(&mut self.input),
-            "ALOOKUP",
-            self.status,
-            data,
-            std::mem::take(&mut self.trace),
-        )
-    }
-}
-
-impl SimClient for ALookupMachine {
-    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        let done = match &mut self.phase {
-            Phase::A(inner) | Phase::Aaaa(inner) => inner.start(now, out),
-        };
-        match done {
-            Some(result) => self.step(result, now, out),
-            None => StepStatus::Running,
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        event: ClientEvent,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        let done = match &mut self.phase {
-            Phase::A(inner) | Phase::Aaaa(inner) => inner.on_event(event, now, out),
-        };
-        match done {
-            Some(result) => self.step(result, now, out),
-            None => StepStatus::Running,
-        }
+        Next::Done(self.status, data, std::mem::take(&mut self.trace))
     }
 }
 
@@ -147,36 +83,22 @@ impl LookupModule for ALookupModule {
         resolver: &Resolver,
         sink: ModuleSink,
     ) -> Box<dyn SimClient> {
-        let Some(name) = input_to_name(input, false) else {
-            return Box::new(FailMachine {
-                input: input.to_string(),
-                module: self.name(),
-                status: Status::IllegalInput,
-                sink,
-            });
-        };
-        let first_type = if self.ipv4 {
-            RecordType::A
-        } else {
-            RecordType::AAAA
-        };
-        let inner = Inner::lookup(resolver, Question::new(name.clone(), first_type));
-        Box::new(ALookupMachine {
-            input: input.to_string(),
-            sink,
-            want_aaaa: self.ipv6 && self.ipv4,
-            phase: if self.ipv4 {
-                Phase::A(inner)
+        let start = input_to_name(input, false).map(|name| {
+            let first = if self.ipv4 {
+                RecordType::A
             } else {
-                Phase::Aaaa(inner)
-            },
-            resolver: resolver.clone(),
-            question_name: name,
-            v4: Vec::new(),
-            v6: Vec::new(),
-            cnames: Vec::new(),
-            trace: Vec::new(),
-            status: Status::NoError,
-        })
+                RecordType::AAAA
+            };
+            let plan = ALookupPlan {
+                aaaa: (self.ipv4 && self.ipv6).then(|| (resolver.clone(), name.clone())),
+                v4: Vec::new(),
+                v6: Vec::new(),
+                cnames: Vec::new(),
+                trace: Vec::new(),
+                status: Status::NoError,
+            };
+            (Inner::lookup(resolver, Question::new(name, first)), plan)
+        });
+        machine(self.name(), input, sink, start)
     }
 }

@@ -1,10 +1,12 @@
 //! The module interface — the Rust analog of ZDNS's Go `DoLookup` modules.
 //!
 //! A module turns one input line (a name, or an IP for PTR/misc modules)
-//! into a lookup machine plus a JSON result shape. Modules get direct access
-//! to the resolver library (§3.2: "ZDNS modules are given direct access to
-//! the DNS library"), so most of them are a few lines: build a question,
-//! run it, reshape the answer.
+//! into a first lookup plus a [`Plan`] that reshapes each result into the
+//! next lookup or the output line; [`machine`] is the one state machine
+//! that runs every plan. Modules get direct access to the resolver library
+//! (§3.2: "ZDNS modules are given direct access to the DNS library"), so
+//! most of them are a few lines: build a question, run it, reshape the
+//! answer.
 
 use std::sync::Arc;
 
@@ -76,8 +78,10 @@ pub trait LookupModule: Send + Sync {
     }
 }
 
-/// A sub-lookup inside a module machine: wraps an inner machine and captures
-/// its [`LookupResult`] when it completes.
+/// A sub-lookup inside a module: wraps a resolver machine and captures its
+/// [`LookupResult`] when it completes. Build one and hand it to
+/// [`machine`] as the module's first lookup, or return it from
+/// [`Plan::next`] as [`Next::Lookup`].
 pub struct Inner {
     machine: Box<dyn SimClient>,
     slot: Arc<Mutex<Option<LookupResult>>>,
@@ -86,24 +90,12 @@ pub struct Inner {
 impl Inner {
     /// A normal (iterative or external, per config) lookup.
     pub fn lookup(resolver: &Resolver, question: Question) -> Inner {
-        let slot: Arc<Mutex<Option<LookupResult>>> = Arc::new(Mutex::new(None));
-        let s2 = Arc::clone(&slot);
-        let sink: ResultSink = Arc::new(move |r| *s2.lock() = Some(r));
-        Inner {
-            machine: resolver.machine(question, Some(sink)),
-            slot,
-        }
+        Inner::new(|sink| resolver.machine(question, sink))
     }
 
     /// A delegation-preserving iterative lookup.
     pub fn delegation(resolver: &Resolver, question: Question) -> Inner {
-        let slot: Arc<Mutex<Option<LookupResult>>> = Arc::new(Mutex::new(None));
-        let s2 = Arc::clone(&slot);
-        let sink: ResultSink = Arc::new(move |r| *s2.lock() = Some(r));
-        Inner {
-            machine: resolver.delegation_machine(question, Some(sink)),
-            slot,
-        }
+        Inner::new(|sink| resolver.delegation_machine(question, sink))
     }
 
     /// A direct probe of one server.
@@ -113,88 +105,148 @@ impl Inner {
         server: std::net::Ipv4Addr,
         recursion_desired: bool,
     ) -> Inner {
+        Inner::new(|sink| resolver.direct_machine(question, server, recursion_desired, sink))
+    }
+
+    /// Build the machine with a sink that drops its result into the slot.
+    fn new(build: impl FnOnce(Option<ResultSink>) -> Box<dyn SimClient>) -> Inner {
         let slot: Arc<Mutex<Option<LookupResult>>> = Arc::new(Mutex::new(None));
         let s2 = Arc::clone(&slot);
         let sink: ResultSink = Arc::new(move |r| *s2.lock() = Some(r));
         Inner {
-            machine: resolver.direct_machine(question, server, recursion_desired, Some(sink)),
+            machine: build(Some(sink)),
             slot,
         }
     }
 
-    /// Start the inner machine; `Some(result)` if it finished immediately.
-    pub fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> Option<LookupResult> {
-        match self.machine.start(now, out) {
+    /// The result, once the step just taken finished the lookup.
+    fn result(&self, step: StepStatus) -> Option<LookupResult> {
+        match step {
             StepStatus::Done(_) => self.slot.lock().take(),
             StepStatus::Running => None,
         }
     }
+}
 
-    /// Feed an event; `Some(result)` once the inner lookup completes.
-    pub fn on_event(
+/// What a module does next with a finished sub-lookup.
+pub enum Next {
+    /// Run this lookup and hand its result to [`Plan::next`] again.
+    Lookup(Inner),
+    /// The module is done: the output line's status, `data` and trace.
+    Done(Status, Value, Vec<Value>),
+}
+
+/// A module's logic: what to make of each finished sub-lookup. The first
+/// lookup is given to [`machine`]; every result after it comes here, and
+/// the plan answers with the next lookup or with the module's output.
+pub trait Plan: Send + 'static {
+    /// Take one finished sub-lookup and say what comes next.
+    fn next(&mut self, result: LookupResult) -> Next;
+}
+
+/// The one machine every module runs: start `start`'s lookup, feed each
+/// result to the plan, and print the output line when the plan is done.
+/// `None` means the input did not parse: the machine prints an
+/// `ILLEGAL_INPUT` line at once.
+pub fn machine<P: Plan>(
+    module: &'static str,
+    input: &str,
+    sink: ModuleSink,
+    start: Option<(Inner, P)>,
+) -> Box<dyn SimClient> {
+    let line = Line {
+        module,
+        input: input.to_string(),
+        sink,
+    };
+    match start {
+        Some((inner, plan)) => Box::new(ModuleMachine { line, inner, plan }),
+        None => Box::new(IllegalInput(line)),
+    }
+}
+
+/// What a module's one output line is about, and where it goes.
+struct Line {
+    module: &'static str,
+    input: String,
+    sink: ModuleSink,
+}
+
+impl Line {
+    /// Print the line; the input moves into it, as a module prints once.
+    fn print(&mut self, status: Status, data: Value, trace: Vec<Value>) -> StepStatus {
+        (self.sink)(ModuleOutput {
+            name: std::mem::take(&mut self.input),
+            module: self.module,
+            status,
+            data,
+            trace,
+        });
+        StepStatus::Done(JobOutcome {
+            success: status.is_success(),
+            status: status.as_str(),
+        })
+    }
+}
+
+struct ModuleMachine<P> {
+    line: Line,
+    inner: Inner,
+    plan: P,
+}
+
+impl<P: Plan> ModuleMachine<P> {
+    /// Hand finished sub-lookups to the plan until one is in flight or the
+    /// plan is done. A lookup that finishes inside its own `start` (a
+    /// cache hit) turns the loop again rather than recursing.
+    fn advance(
+        &mut self,
+        mut step: StepStatus,
+        now: SimTime,
+        out: &mut Vec<OutQuery>,
+    ) -> StepStatus {
+        while let Some(result) = self.inner.result(step) {
+            match self.plan.next(result) {
+                Next::Lookup(inner) => {
+                    self.inner = inner;
+                    step = self.inner.machine.start(now, out);
+                }
+                Next::Done(status, data, trace) => return self.line.print(status, data, trace),
+            }
+        }
+        StepStatus::Running
+    }
+}
+
+impl<P: Plan> SimClient for ModuleMachine<P> {
+    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
+        let step = self.inner.machine.start(now, out);
+        self.advance(step, now, out)
+    }
+
+    fn on_event(
         &mut self,
         event: ClientEvent,
         now: SimTime,
         out: &mut Vec<OutQuery>,
-    ) -> Option<LookupResult> {
-        match self.machine.on_event(event, now, out) {
-            StepStatus::Done(_) => self.slot.lock().take(),
-            StepStatus::Running => None,
-        }
+    ) -> StepStatus {
+        let step = self.inner.machine.on_event(event, now, out);
+        self.advance(step, now, out)
     }
 }
 
-/// Shorthand for emitting a finished module output. `name` is the
-/// machine's input, moved in: a machine emits once.
-pub fn emit(
-    sink: &ModuleSink,
-    name: String,
-    module: &'static str,
-    status: Status,
-    data: Value,
-    trace: Vec<Value>,
-) -> StepStatus {
-    sink(ModuleOutput {
-        name,
-        module,
-        status,
-        data,
-        trace,
-    });
-    StepStatus::Done(JobOutcome {
-        success: status.is_success(),
-        status: status.as_str(),
-    })
-}
+/// The machine for an input the module cannot read.
+struct IllegalInput(Line);
 
-/// A machine that fails instantly (bad input).
-pub struct FailMachine {
-    /// The offending input.
-    pub input: String,
-    /// Module name for the output line.
-    pub module: &'static str,
-    /// Failure status (usually `IllegalInput`).
-    pub status: Status,
-    /// Output sink.
-    pub sink: ModuleSink,
-}
-
-impl SimClient for FailMachine {
+impl SimClient for IllegalInput {
     fn start(&mut self, _now: SimTime, _out: &mut Vec<OutQuery>) -> StepStatus {
-        emit(
-            &self.sink,
-            std::mem::take(&mut self.input),
-            self.module,
-            self.status,
-            Value::Null,
-            Vec::new(),
-        )
+        self.0.print(Status::IllegalInput, Value::Null, Vec::new())
     }
 
     fn on_event(&mut self, _e: ClientEvent, _now: SimTime, _o: &mut Vec<OutQuery>) -> StepStatus {
         StepStatus::Done(JobOutcome {
             success: false,
-            status: self.status.as_str(),
+            status: Status::IllegalInput.as_str(),
         })
     }
 }
@@ -236,6 +288,83 @@ mod tests {
         let plain = input_to_name("192.0.2.1", false).unwrap();
         assert_eq!(plain.label_count(), 4);
         assert!(input_to_name("bad..name", false).is_none());
+    }
+
+    /// Chains `left` more lookups of `chain.test` after the first, then
+    /// prints how many results it saw.
+    struct Chain {
+        resolver: Resolver,
+        left: u32,
+        seen: u32,
+    }
+
+    impl Plan for Chain {
+        fn next(&mut self, result: LookupResult) -> Next {
+            assert_eq!(result.status, Status::Error);
+            self.seen += 1;
+            if self.left == 0 {
+                return Next::Done(Status::NoError, serde_json::json!(self.seen), Vec::new());
+            }
+            self.left -= 1;
+            Next::Lookup(Inner::lookup(&self.resolver, chain_question()))
+        }
+    }
+
+    fn chain_question() -> Question {
+        Question::new("chain.test".parse().unwrap(), zdns_wire::RecordType::A)
+    }
+
+    fn chain(servers: Vec<std::net::Ipv4Addr>, left: u32) -> (Box<dyn SimClient>, Outputs) {
+        let resolver = Resolver::new(zdns_core::ResolverConfig::external(servers));
+        let outputs: Outputs = Arc::default();
+        let store = Arc::clone(&outputs);
+        let sink: ModuleSink = Arc::new(move |o| store.lock().push(o));
+        let first = Inner::lookup(&resolver, chain_question());
+        let plan = Chain {
+            resolver,
+            left,
+            seen: 0,
+        };
+        (
+            machine("CHAIN", "chain.test", sink, Some((first, plan))),
+            outputs,
+        )
+    }
+
+    type Outputs = Arc<Mutex<Vec<ModuleOutput>>>;
+
+    #[test]
+    fn lookups_that_finish_inside_start_loop_without_growing_the_stack() {
+        // With no servers every external lookup fails inside `start`, so
+        // the whole chain runs inside the module machine's `start`. On a
+        // 256 KiB stack, one frame per lookup would overflow long before
+        // 100 000.
+        let run = std::thread::Builder::new().stack_size(256 << 10).spawn(|| {
+            let (mut m, outputs) = chain(Vec::new(), 100_000);
+            let mut out = Vec::new();
+            let step = m.start(0, &mut out);
+            assert!(matches!(
+                step,
+                StepStatus::Done(JobOutcome { success: true, .. })
+            ));
+            assert!(out.is_empty());
+            let printed = std::mem::take(&mut *outputs.lock());
+            printed
+        });
+        let outputs = run.unwrap().join().expect("the chain ran on a small stack");
+        assert_eq!(outputs.len(), 1);
+        assert_eq!(outputs[0].data, serde_json::json!(100_001));
+        assert_eq!(outputs[0].module, "CHAIN");
+        assert_eq!(outputs[0].name, "chain.test");
+    }
+
+    #[test]
+    fn a_first_lookup_in_flight_leaves_the_machine_running() {
+        let (mut m, outputs) = chain(vec![std::net::Ipv4Addr::new(192, 0, 2, 1)], 0);
+        let mut out = Vec::new();
+        assert!(matches!(m.start(0, &mut out), StepStatus::Running));
+        assert_eq!(out.len(), 1, "the first query is on its way");
+        assert!(outputs.lock().is_empty());
     }
 
     #[test]

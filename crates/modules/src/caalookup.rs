@@ -5,23 +5,20 @@
 //! classes, CNAME hop count) are what §6 aggregates.
 
 use serde_json::json;
-use zdns_core::{Resolver, Status};
-use zdns_netsim::{ClientEvent, OutQuery, SimClient, SimTime, StepStatus};
+use zdns_core::{LookupResult, Resolver};
+use zdns_netsim::SimClient;
 use zdns_wire::{Question, RData, RecordType};
 
-use crate::api::{emit, input_to_name, trace_json, FailMachine, Inner, LookupModule, ModuleSink};
+use crate::api::{input_to_name, machine, trace_json, Inner, LookupModule, ModuleSink, Next, Plan};
 
 /// The CAA lookup module.
 pub struct CaaLookupModule;
 
-struct CaaMachine {
-    inner: Inner,
-    input: String,
-    sink: ModuleSink,
-}
+/// Classify the CAA records at the end of the CNAME chain.
+struct CaaPlan;
 
-impl CaaMachine {
-    fn finish(&mut self, result: zdns_core::LookupResult) -> StepStatus {
+impl Plan for CaaPlan {
+    fn next(&mut self, result: LookupResult) -> Next {
         let mut records = Vec::new();
         let mut cname_hops = 0u32;
         let mut issue = Vec::new();
@@ -60,35 +57,7 @@ impl CaaMachine {
             "via_cname": cname_hops > 0,
             "cname_hops": cname_hops,
         });
-        emit(
-            &self.sink,
-            std::mem::take(&mut self.input),
-            "CAALOOKUP",
-            result.status,
-            data,
-            trace_json(&result),
-        )
-    }
-}
-
-impl SimClient for CaaMachine {
-    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        match self.inner.start(now, out) {
-            Some(result) => self.finish(result),
-            None => StepStatus::Running,
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        event: ClientEvent,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        match self.inner.on_event(event, now, out) {
-            Some(result) => self.finish(result),
-            None => StepStatus::Running,
-        }
+        Next::Done(result.status, data, trace_json(&result))
     }
 }
 
@@ -107,18 +76,12 @@ impl LookupModule for CaaLookupModule {
         resolver: &Resolver,
         sink: ModuleSink,
     ) -> Box<dyn SimClient> {
-        let Some(name) = input_to_name(input, false) else {
-            return Box::new(FailMachine {
-                input: input.to_string(),
-                module: self.name(),
-                status: Status::IllegalInput,
-                sink,
-            });
-        };
-        Box::new(CaaMachine {
-            inner: Inner::lookup(resolver, Question::new(name, RecordType::CAA)),
-            input: input.to_string(),
-            sink,
-        })
+        let start = input_to_name(input, false).map(|name| {
+            (
+                Inner::lookup(resolver, Question::new(name, RecordType::CAA)),
+                CaaPlan,
+            )
+        });
+        machine(self.name(), input, sink, start)
     }
 }

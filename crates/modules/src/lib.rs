@@ -3,9 +3,11 @@
 //! ZDNS's composable module layer (§3.2–3.3): raw modules for every record
 //! type, friendlier lookup modules (`alookup`, `mxlookup`, `nslookup`,
 //! `caalookup`), TXT-policy modules (SPF, DMARC), misc modules
-//! (`version.bind`), and the §5 `--all-nameservers` extension. Modules are
-//! state machines composed from `zdns-core` lookups, so they run unchanged
-//! under the simulator and over real sockets.
+//! (`version.bind`), and the §5 `--all-nameservers` extension. Each module
+//! is a first lookup plus an [`api::Plan`] that turns every finished
+//! `zdns-core` lookup into the next one or into the output line; one
+//! machine, [`api::machine`], runs them all, unchanged under the simulator
+//! and over real sockets.
 
 #![warn(missing_docs)]
 

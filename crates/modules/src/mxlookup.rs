@@ -1,169 +1,136 @@
 //! `mxlookup` — MX records plus the A records of each exchange (§3.3:
 //! "mxlookup will additionally do an A lookup for the IP addresses that
-//! correspond with an exchange record").
+//! correspond with an exchange record"). `NSLOOKUP` runs the same plan
+//! over NS records.
 
 use serde_json::json;
 use zdns_core::{LookupResult, Resolver, Status};
-use zdns_netsim::{ClientEvent, OutQuery, SimClient, SimTime, StepStatus};
+use zdns_netsim::SimClient;
 use zdns_wire::{Name, Question, RData, RecordType};
 
-use crate::api::{emit, input_to_name, trace_json, FailMachine, Inner, LookupModule, ModuleSink};
+use crate::api::{input_to_name, machine, trace_json, Inner, LookupModule, ModuleSink, Next, Plan};
 
 /// The `mxlookup` module.
-pub struct MxLookupModule {
-    /// Cap on how many exchanges get address lookups.
-    pub max_exchanges: usize,
-}
+#[derive(Default)]
+pub struct MxLookupModule;
 
-impl Default for MxLookupModule {
-    fn default() -> Self {
-        MxLookupModule { max_exchanges: 8 }
-    }
-}
+/// Cap on how many exchanges (or nameservers) get address lookups.
+const MAX_HOSTS: usize = 8;
 
-struct Exchange {
+/// An MX exchange (with its preference) or an NS nameserver, and the
+/// IPv4 addresses found for it.
+struct Host {
     name: Name,
-    preference: u16,
+    preference: Option<u16>,
     addresses: Vec<String>,
 }
 
-struct MxMachine {
-    input: String,
-    sink: ModuleSink,
+/// `MXLOOKUP` and `NSLOOKUP`: the MX (or NS) lookup, then an A lookup for
+/// each host the additional section left without an address.
+pub(crate) struct HostsPlan {
     resolver: Resolver,
-    phase: Phase,
-    exchanges: Vec<Exchange>,
-    next_exchange: usize,
+    rtype: RecordType,
+    /// The output's key for the host list.
+    key: &'static str,
+    /// `None` until the MX or NS answer arrives.
+    hosts: Option<Vec<Host>>,
+    next: usize,
     trace: Vec<serde_json::Value>,
     status: Status,
-    max_exchanges: usize,
 }
 
-enum Phase {
-    Mx(Inner),
-    ExchangeA(Inner),
-}
-
-impl MxMachine {
-    fn handle_done(
-        &mut self,
-        result: LookupResult,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        self.trace.extend(trace_json(&result));
-        match &self.phase {
-            Phase::Mx(_) => {
-                self.status = result.status;
-                if !result.status.is_success() {
-                    return self.finish();
-                }
-                for rec in &result.answers {
-                    if let RData::Mx(mx) = &rec.rdata {
-                        self.exchanges.push(Exchange {
-                            name: mx.exchange.clone(),
-                            preference: mx.preference,
-                            addresses: Vec::new(),
-                        });
-                    }
-                }
-                self.exchanges.sort_by_key(|e| e.preference);
-                self.exchanges.truncate(self.max_exchanges);
-                // Harvest any A records already in the additional section
-                // (§3.3 motivates mxlookup precisely because these are
-                // often absent).
-                for rec in &result.additionals {
-                    if let RData::A(a) = &rec.rdata {
-                        if let Some(e) = self.exchanges.iter_mut().find(|e| e.name == rec.name) {
-                            e.addresses.push(a.to_string());
-                        }
-                    }
-                }
-                self.launch_next(now, out)
-            }
-            Phase::ExchangeA(_) => {
-                let idx = self.next_exchange - 1;
-                for rec in &result.answers {
-                    if let RData::A(a) = &rec.rdata {
-                        self.exchanges[idx].addresses.push(a.to_string());
-                    }
-                }
-                self.launch_next(now, out)
-            }
-        }
+impl HostsPlan {
+    /// The first lookup, `rtype` (MX or NS) at `name`, and the plan that
+    /// prints the hosts it finds under `key`.
+    pub(crate) fn start(
+        resolver: &Resolver,
+        name: Name,
+        rtype: RecordType,
+        key: &'static str,
+    ) -> (Inner, HostsPlan) {
+        let plan = HostsPlan {
+            resolver: resolver.clone(),
+            rtype,
+            key,
+            hosts: None,
+            next: 0,
+            trace: Vec::new(),
+            status: Status::NoError,
+        };
+        (Inner::lookup(resolver, Question::new(name, rtype)), plan)
     }
 
-    fn launch_next(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        // Find the next exchange that still needs addresses.
-        while self.next_exchange < self.exchanges.len() {
-            let idx = self.next_exchange;
-            self.next_exchange += 1;
-            if !self.exchanges[idx].addresses.is_empty() {
-                continue;
-            }
-            let q = Question::new(self.exchanges[idx].name.clone(), RecordType::A);
-            let mut inner = Inner::lookup(&self.resolver, q);
-            match inner.start(now, out) {
-                Some(result) => {
-                    self.phase = Phase::ExchangeA(inner);
-                    return self.handle_done(result, now, out);
-                }
-                None => {
-                    self.phase = Phase::ExchangeA(inner);
-                    return StepStatus::Running;
-                }
-            }
+    /// The hosts the MX or NS answer names, with any addresses the
+    /// additional section already holds (§3.3 motivates mxlookup precisely
+    /// because these are often absent).
+    fn first_answer(&mut self, result: &LookupResult) -> Vec<Host> {
+        self.status = result.status;
+        if !result.status.is_success() {
+            return Vec::new();
         }
-        self.finish()
-    }
-
-    fn finish(&mut self) -> StepStatus {
-        let exchanges: Vec<_> = self
-            .exchanges
-            .iter()
-            .map(|e| {
-                json!({
-                    "name": format!("{}.", e.name),
-                    "preference": e.preference,
-                    "ipv4_addresses": e.addresses,
+        let mut hosts: Vec<Host> = (result.answers.iter())
+            .filter(|rec| rec.rtype == self.rtype)
+            .filter_map(|rec| {
+                let (name, preference) = match &rec.rdata {
+                    RData::Mx(mx) => (&mx.exchange, Some(mx.preference)),
+                    RData::Ns(ns) => (ns, None),
+                    _ => return None,
+                };
+                Some(Host {
+                    name: name.clone(),
+                    preference,
+                    addresses: Vec::new(),
                 })
             })
             .collect();
-        emit(
-            &self.sink,
-            std::mem::take(&mut self.input),
-            "MXLOOKUP",
-            self.status,
-            json!({ "exchanges": exchanges }),
-            std::mem::take(&mut self.trace),
-        )
+        hosts.sort_by_key(|h| h.preference);
+        hosts.truncate(MAX_HOSTS);
+        for rec in &result.additionals {
+            if let RData::A(a) = &rec.rdata {
+                if let Some(h) = hosts.iter_mut().find(|h| h.name == rec.name) {
+                    h.addresses.push(a.to_string());
+                }
+            }
+        }
+        hosts
     }
 }
 
-impl SimClient for MxMachine {
-    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        let done = match &mut self.phase {
-            Phase::Mx(inner) | Phase::ExchangeA(inner) => inner.start(now, out),
+impl Plan for HostsPlan {
+    fn next(&mut self, result: LookupResult) -> Next {
+        self.trace.extend(trace_json(&result));
+        let hosts = match &mut self.hosts {
+            Some(hosts) => {
+                let addresses = &mut hosts[self.next - 1].addresses;
+                addresses.extend(result.answers.iter().filter_map(|rec| match &rec.rdata {
+                    RData::A(a) => Some(a.to_string()),
+                    _ => None,
+                }));
+                hosts
+            }
+            None => {
+                let hosts = self.first_answer(&result);
+                self.hosts.insert(hosts)
+            }
         };
-        match done {
-            Some(result) => self.handle_done(result, now, out),
-            None => StepStatus::Running,
+        while self.next < hosts.len() {
+            self.next += 1;
+            let host = &hosts[self.next - 1];
+            if host.addresses.is_empty() {
+                let question = Question::new(host.name.clone(), RecordType::A);
+                return Next::Lookup(Inner::lookup(&self.resolver, question));
+            }
         }
-    }
-
-    fn on_event(
-        &mut self,
-        event: ClientEvent,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        let done = match &mut self.phase {
-            Phase::Mx(inner) | Phase::ExchangeA(inner) => inner.on_event(event, now, out),
-        };
-        match done {
-            Some(result) => self.handle_done(result, now, out),
-            None => StepStatus::Running,
-        }
+        let trace = std::mem::take(&mut self.trace);
+        let hosts = hosts.iter().map(|h| {
+            let name = format!("{}.", h.name);
+            match h.preference {
+                Some(p) => json!({ "name": name, "preference": p, "ipv4_addresses": h.addresses }),
+                None => json!({ "name": name, "ipv4_addresses": h.addresses }),
+            }
+        });
+        let data = json!({ self.key: hosts.collect::<Vec<_>>() });
+        Next::Done(self.status, data, trace)
     }
 }
 
@@ -182,24 +149,8 @@ impl LookupModule for MxLookupModule {
         resolver: &Resolver,
         sink: ModuleSink,
     ) -> Box<dyn SimClient> {
-        let Some(name) = input_to_name(input, false) else {
-            return Box::new(FailMachine {
-                input: input.to_string(),
-                module: self.name(),
-                status: Status::IllegalInput,
-                sink,
-            });
-        };
-        Box::new(MxMachine {
-            input: input.to_string(),
-            sink,
-            resolver: resolver.clone(),
-            phase: Phase::Mx(Inner::lookup(resolver, Question::new(name, RecordType::MX))),
-            exchanges: Vec::new(),
-            next_exchange: 0,
-            trace: Vec::new(),
-            status: Status::NoError,
-            max_exchanges: self.max_exchanges,
-        })
+        let start = input_to_name(input, false)
+            .map(|name| HostsPlan::start(resolver, name, RecordType::MX, "exchanges"));
+        machine(self.name(), input, sink, start)
     }
 }

@@ -1,11 +1,11 @@
 //! Raw DNS modules: "the raw DNS response from a server similar to dig,
 //! but as structured JSON records" (§3.3) — one module per record type.
 
-use zdns_core::{Detail, Resolver, Status};
-use zdns_netsim::{ClientEvent, OutQuery, SimClient, SimTime, StepStatus};
+use zdns_core::{Detail, LookupResult, Resolver};
+use zdns_netsim::SimClient;
 use zdns_wire::{Question, RecordType};
 
-use crate::api::{emit, input_to_name, trace_json, FailMachine, Inner, LookupModule, ModuleSink};
+use crate::api::{input_to_name, machine, trace_json, Inner, LookupModule, ModuleSink, Next, Plan};
 
 /// A raw module for one record type.
 pub struct RawModule {
@@ -28,46 +28,15 @@ impl RawModule {
     }
 }
 
-struct RawMachine {
-    inner: Inner,
-    input: String,
-    module: &'static str,
+/// Print the resolver's own `data` object for the one lookup.
+struct RawPlan {
     detail: Detail,
-    sink: ModuleSink,
 }
 
-impl RawMachine {
-    fn finish(&mut self, result: zdns_core::LookupResult) -> StepStatus {
+impl Plan for RawPlan {
+    fn next(&mut self, result: LookupResult) -> Next {
         let trace = trace_json(&result);
-        emit(
-            &self.sink,
-            std::mem::take(&mut self.input),
-            self.module,
-            result.status,
-            result.data_json(self.detail),
-            trace,
-        )
-    }
-}
-
-impl SimClient for RawMachine {
-    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        match self.inner.start(now, out) {
-            Some(result) => self.finish(result),
-            None => StepStatus::Running,
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        event: ClientEvent,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        match self.inner.on_event(event, now, out) {
-            Some(result) => self.finish(result),
-            None => StepStatus::Running,
-        }
+        Next::Done(result.status, result.data_json(self.detail), trace)
     }
 }
 
@@ -88,21 +57,12 @@ impl LookupModule for RawModule {
     ) -> Box<dyn SimClient> {
         // The PTR module accepts plain IPs and reverses them.
         let reverse = self.rtype == RecordType::PTR;
-        let Some(name) = input_to_name(input, reverse) else {
-            return Box::new(FailMachine {
-                input: input.to_string(),
-                module: self.name(),
-                status: Status::IllegalInput,
-                sink,
-            });
-        };
-        Box::new(RawMachine {
-            inner: Inner::lookup(resolver, Question::new(name, self.rtype)),
-            input: input.to_string(),
-            module: self.name(),
-            detail: resolver.core().config.detail,
-            sink,
-        })
+        let start = input_to_name(input, reverse).map(|name| {
+            let detail = resolver.core().config.detail;
+            let question = Question::new(name, self.rtype);
+            (Inner::lookup(resolver, question), RawPlan { detail })
+        });
+        machine(self.name(), input, sink, start)
     }
 }
 

@@ -34,12 +34,12 @@ impl ModuleRegistry {
             r.register(Arc::new(raw));
         }
         r.register(Arc::new(ALookupModule::default()));
-        r.register(Arc::new(MxLookupModule::default()));
-        r.register(Arc::new(NsLookupModule::default()));
+        r.register(Arc::new(MxLookupModule));
+        r.register(Arc::new(NsLookupModule));
         r.register(Arc::new(CaaLookupModule));
         r.register(Arc::new(BindVersionModule));
         r.register(Arc::new(ProbeModule));
-        r.register(Arc::new(AllNameserversModule::default()));
+        r.register(Arc::new(AllNameserversModule));
         r.register(Arc::new(txtfilter::spf()));
         r.register(Arc::new(txtfilter::dmarc()));
         r

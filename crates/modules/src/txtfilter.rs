@@ -5,11 +5,11 @@
 //! return it under a single key.
 
 use serde_json::json;
-use zdns_core::{Resolver, Status};
-use zdns_netsim::{ClientEvent, OutQuery, SimClient, SimTime, StepStatus};
+use zdns_core::{LookupResult, Resolver};
+use zdns_netsim::SimClient;
 use zdns_wire::{Question, RData, RecordType};
 
-use crate::api::{emit, input_to_name, trace_json, FailMachine, Inner, LookupModule, ModuleSink};
+use crate::api::{input_to_name, machine, trace_json, Inner, LookupModule, ModuleSink, Next, Plan};
 
 /// A TXT-filter module description.
 pub struct TxtFilterModule {
@@ -43,64 +43,30 @@ pub fn dmarc() -> TxtFilterModule {
     }
 }
 
-struct TxtFilterMachine {
-    inner: Inner,
-    input: String,
-    module: &'static str,
+/// The Appendix B `CheckTxtRecords` logic: keep the TXT record whose
+/// joined string starts with the prefix, case-insensitively.
+struct TxtFilterPlan {
     prefix: &'static str,
     key: &'static str,
-    sink: ModuleSink,
 }
 
-impl TxtFilterMachine {
-    fn finish(&mut self, result: zdns_core::LookupResult) -> StepStatus {
-        // The Appendix B CheckTxtRecords logic: find the TXT record whose
-        // joined string starts with the prefix, case-insensitively.
+impl Plan for TxtFilterPlan {
+    fn next(&mut self, result: LookupResult) -> Next {
         let matched = result.answers.iter().find_map(|rec| match &rec.rdata {
             RData::Txt(t) => {
                 let joined = t.joined();
-                joined
-                    .to_ascii_lowercase()
-                    .starts_with(self.prefix)
-                    .then_some(joined)
+                let lower = joined.to_ascii_lowercase();
+                lower.starts_with(self.prefix).then_some(joined)
             }
             _ => None,
         });
-        let data = match &matched {
+        let data = match matched {
             Some(s) => json!({ self.key: s }),
             None => json!({}),
         };
         // A resolvable name without the record is still NOERROR — the
         // measurement succeeded, the record is absent.
-        emit(
-            &self.sink,
-            std::mem::take(&mut self.input),
-            self.module,
-            result.status,
-            data,
-            trace_json(&result),
-        )
-    }
-}
-
-impl SimClient for TxtFilterMachine {
-    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        match self.inner.start(now, out) {
-            Some(result) => self.finish(result),
-            None => StepStatus::Running,
-        }
-    }
-
-    fn on_event(
-        &mut self,
-        event: ClientEvent,
-        now: SimTime,
-        out: &mut Vec<OutQuery>,
-    ) -> StepStatus {
-        match self.inner.on_event(event, now, out) {
-            Some(result) => self.finish(result),
-            None => StepStatus::Running,
-        }
+        Next::Done(result.status, data, trace_json(&result))
     }
 }
 
@@ -123,21 +89,16 @@ impl LookupModule for TxtFilterModule {
             Some(label) => n.child(label).ok(),
             None => Some(n),
         });
-        let Some(name) = name else {
-            return Box::new(FailMachine {
-                input: input.to_string(),
-                module: self.module,
-                status: Status::IllegalInput,
-                sink,
-            });
-        };
-        Box::new(TxtFilterMachine {
-            inner: Inner::lookup(resolver, Question::new(name, RecordType::TXT)),
-            input: input.to_string(),
-            module: self.module,
+        let plan = TxtFilterPlan {
             prefix: self.prefix,
             key: self.key,
-            sink,
-        })
+        };
+        let start = name.map(|n| {
+            (
+                Inner::lookup(resolver, Question::new(n, RecordType::TXT)),
+                plan,
+            )
+        });
+        machine(self.module, input, sink, start)
     }
 }

@@ -7,8 +7,10 @@ use parking_lot::Mutex;
 use zdns_core::{Resolver, ResolverConfig};
 use zdns_modules::{LookupModule, ModuleOutput, ModuleRegistry, ModuleSink};
 use zdns_netsim::{Engine, EngineConfig};
-use zdns_wire::Name;
-use zdns_zones::{synth::WwwKind, SynthConfig, SyntheticUniverse, Universe};
+use zdns_wire::{Name, RData, Record};
+use zdns_zones::{
+    synth::WwwKind, ExplicitUniverse, SynthConfig, SyntheticUniverse, Universe, Zone,
+};
 
 fn universe() -> Arc<SyntheticUniverse> {
     Arc::new(SyntheticUniverse::new(SynthConfig::default()))
@@ -19,7 +21,7 @@ fn resolver(u: &SyntheticUniverse) -> Resolver {
 }
 
 fn run_module(
-    u: Arc<SyntheticUniverse>,
+    u: Arc<impl Universe + 'static>,
     module: &dyn LookupModule,
     resolver: &Resolver,
     inputs: Vec<String>,
@@ -66,12 +68,7 @@ fn mxlookup_resolves_exchange_addresses() {
     let r = resolver(&u);
     let with_mx = find_domains(&u, "com", |p| p.has_mx, 5, 100_000);
     assert!(!with_mx.is_empty());
-    let outputs = run_module(
-        Arc::clone(&u),
-        &zdns_modules::MxLookupModule::default(),
-        &r,
-        with_mx,
-    );
+    let outputs = run_module(Arc::clone(&u), &zdns_modules::MxLookupModule, &r, with_mx);
     let ok = outputs
         .iter()
         .find(|o| {
@@ -110,6 +107,36 @@ fn alookup_reports_cnames_and_addresses() {
         .find(|o| o.status.is_success() && !o.data["cnames"].as_array().unwrap().is_empty())
         .expect("a CNAME-following alookup success");
     assert!(!ok.data["ipv4_addresses"].as_array().unwrap().is_empty());
+}
+
+#[test]
+fn alookup_prints_a_cname_chain_once_across_a_and_aaaa() {
+    // a.test -> b.test -> c.test, with both address types at the end:
+    // the A and the AAAA lookups each walk the whole chain.
+    let server = std::net::Ipv4Addr::new(192, 0, 2, 53);
+    let mut zone = Zone::new("test".parse().unwrap(), "ns.test".parse().unwrap(), 300);
+    for (owner, rdata) in [
+        ("a.test", RData::Cname("b.test".parse().unwrap())),
+        ("b.test", RData::Cname("c.test".parse().unwrap())),
+        ("c.test", RData::A("192.0.2.1".parse().unwrap())),
+        ("c.test", RData::Aaaa("2001:db8::1".parse().unwrap())),
+    ] {
+        zone.add(Record::new(owner.parse().unwrap(), 300, rdata));
+    }
+    let mut u = ExplicitUniverse::new();
+    u.host(server, zone);
+    let r = Resolver::new(ResolverConfig::external(vec![server]));
+    let module = zdns_modules::ALookupModule {
+        ipv4: true,
+        ipv6: true,
+    };
+    let outputs = run_module(Arc::new(u), &module, &r, vec!["a.test".into()]);
+    assert_eq!(outputs.len(), 1);
+    let data = &outputs[0].data;
+    assert_eq!(outputs[0].status, zdns_core::Status::NoError, "{data}");
+    assert_eq!(data["cnames"], serde_json::json!(["b.test.", "c.test."]));
+    assert_eq!(data["ipv4_addresses"], serde_json::json!(["192.0.2.1"]));
+    assert_eq!(data["ipv6_addresses"], serde_json::json!(["2001:db8::1"]));
 }
 
 #[test]
@@ -167,7 +194,7 @@ fn all_nameservers_probes_every_server() {
     );
     let outputs = run_module(
         Arc::clone(&u),
-        &zdns_modules::AllNameserversModule::default(),
+        &zdns_modules::AllNameserversModule,
         &r,
         domains.clone(),
     );
@@ -203,7 +230,7 @@ fn all_nameservers_detects_inconsistency() {
     }
     let outputs = run_module(
         Arc::clone(&u),
-        &zdns_modules::AllNameserversModule::default(),
+        &zdns_modules::AllNameserversModule,
         &r,
         inconsistent,
     );

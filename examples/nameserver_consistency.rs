@@ -19,7 +19,7 @@ fn main() {
     let universe = Arc::new(SyntheticUniverse::new(SynthConfig::default()));
     let resolver = Resolver::new(ResolverConfig::iterative(universe.root_hints()));
     let corpus = CtCorpus::new(universe.config().seed, 486, 1211);
-    let module = AllNameserversModule::default();
+    let module = AllNameserversModule;
 
     let outputs: Arc<Mutex<Vec<ModuleOutput>>> = Arc::new(Mutex::new(Vec::new()));
     let sink_outputs = Arc::clone(&outputs);
