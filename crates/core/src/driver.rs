@@ -119,8 +119,9 @@ impl DriverReport {
 /// Drives lookup machines over real I/O until the source is exhausted.
 pub trait Driver {
     /// Pull machines from `source` (respecting the driver's own concurrency
-    /// model) and invoke `on_done` with each machine's outcome — `None`
-    /// when a machine wedged (running with nothing in flight).
+    /// model) and invoke `on_done` exactly once per admitted machine, with
+    /// its outcome — always `Some`: a machine left running with nothing in
+    /// flight ends through [`SimClient::abandon`].
     fn run_scan(
         &mut self,
         source: &mut dyn FnMut() -> Admission,

@@ -28,6 +28,7 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+use zdns_netsim::oracle::{MAX_CNAME_HOPS, MAX_NS_SUBWALKS, MAX_REFERRALS};
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, StepStatus};
 use zdns_wire::{Cookie, MsgRef, Name, Question, RData, Rcode, Record, RecordType};
 
@@ -459,9 +460,6 @@ impl SimClient for StubMachine {
 /// Total time one iterative lookup may take.
 const LOOKUP_BUDGET: SimTime = 15 * zdns_netsim::SECONDS;
 
-/// Deepest referral chain one walk follows.
-const MAX_DEPTH: u32 = 16;
-
 /// Most queries one iterative lookup sends (the runaway guard).
 const MAX_QUERIES_PER_LOOKUP: u32 = 64;
 
@@ -688,7 +686,7 @@ impl IterativeMachine {
                 // Guard against resolution cycles: the NS host must not sit
                 // inside the zone we are currently stuck on, and nesting is
                 // bounded.
-                if stack_len >= 4 || ns_name.is_subdomain_of(&walk.zone) {
+                if stack_len > MAX_NS_SUBWALKS || ns_name.is_subdomain_of(&walk.zone) {
                     walk.candidates[i].dead = true;
                     continue;
                 }
@@ -952,7 +950,7 @@ impl IterativeMachine {
                 // CNAME restart: keep the chain, walk again for the target.
                 walk.chain.extend(message.answers_vec());
                 walk.cname_hops += 1;
-                if walk.cname_hops > 8 {
+                if walk.cname_hops > MAX_CNAME_HOPS {
                     return self.finish(now, Status::ServFail, Some((&message, from)));
                 }
                 let q = Question {
@@ -992,7 +990,7 @@ impl IterativeMachine {
                 self.current_candidate_exhausted();
                 return self.advance(now, out);
             }
-            if walk.depth + 1 > MAX_DEPTH {
+            if walk.depth + 1 > MAX_REFERRALS {
                 return self.finish(now, Status::IterativeTimeout, Some((&message, from)));
             }
             let bailiwick = walk.zone.clone();

@@ -8,8 +8,7 @@
 //!   routes each incoming datagram to the machine that owns it — wire ids
 //!   are reallocated per query so concurrent machines can never collide;
 //! * a **hashed timer wheel** ([`TimerWheel`]) arms one entry per
-//!   in-flight query and delivers
-//!   [`ClientEvent::Timeout`](zdns_netsim::ClientEvent::Timeout) when it fires,
+//!   in-flight query and delivers [`ClientEvent::Timeout`] when it fires,
 //!   which is what makes the machines' own retry logic run without any
 //!   blocking waits; an answered query's entry is unlinked and freed at
 //!   once, so the wheel holds what is in flight and nothing else;
@@ -51,7 +50,7 @@ use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::Instant;
 
-use zdns_netsim::{JobOutcome, OutQuery, SimClient, SimTime, MILLIS};
+use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, SimClient, SimTime, StepStatus, MILLIS};
 use zdns_pacing::{CreditPool, PaceDecision, SendGate};
 use zdns_wire::ScratchBuf;
 
@@ -144,14 +143,16 @@ struct Pending {
 }
 
 struct Slot {
-    machine: Box<dyn SimClient>,
+    /// `None` while the machine is being stepped.
+    machine: Option<Box<dyn SimClient>>,
     /// Demux keys of this machine's in-flight UDP queries.
     keys: Vec<DemuxKey>,
     /// Exchanges in the TCP table.
     tcp_pending: usize,
     /// Sends held on the pacer's deferred queue.
     deferred: usize,
-    /// Sends staged for the next batch flush (same-tick coalescing).
+    /// Sends staged for the next batch flush (same-tick coalescing), and
+    /// failed sends whose `TransportFailed` the next flush delivers.
     staged: usize,
     /// The machine's admission credit has been returned to the pool
     /// because *every* outstanding send is waiting on the pacer's
@@ -159,6 +160,13 @@ struct Slot {
     /// but costs the scan no window. The credit is re-leased before its
     /// next send goes to the wire.
     parked: bool,
+}
+
+impl Slot {
+    /// Events the reactor owes this machine, one per query it has out.
+    fn owed(&self) -> usize {
+        self.keys.len() + self.tcp_pending + self.deferred + self.staged
+    }
 }
 
 /// A UDP send the pacer is holding back. Its budget was reserved at
@@ -254,11 +262,11 @@ pub struct Reactor {
     prepared: Vec<PreparedSend>,
     /// Per-datagram outcomes of the current flush (reused).
     statuses: Vec<BatchSendStatus>,
-    /// Recycled machine-output buffers: stepping a machine pops one,
-    /// finishing the step pushes it back, so per-lookup stepping never
-    /// allocates. A small pool (not one buffer) because event delivery
-    /// re-enters: a step can synchronously trigger another step.
-    out_pool: Vec<Vec<OutQuery>>,
+    /// The output buffer every step reuses (no step runs inside another).
+    out: Vec<OutQuery>,
+    /// Failed sends whose `TransportFailed` the next flush delivers:
+    /// `(slot, generation, tag)`.
+    failed: Vec<(usize, u64, u64)>,
     /// Recycled per-slot demux-key vectors (admit pops, retire pushes).
     keys_pool: Vec<Vec<DemuxKey>>,
     /// Recycled buffer for expired timers (so timeout storms stay
@@ -335,7 +343,8 @@ impl Reactor {
             send_slots: Vec::new(),
             prepared: Vec::new(),
             statuses: Vec::new(),
-            out_pool: Vec::new(),
+            out: Vec::new(),
+            failed: Vec::new(),
             keys_pool: Vec::new(),
             fired: Vec::new(),
             park_checks: Vec::new(),
@@ -481,20 +490,6 @@ impl Reactor {
         }
     }
 
-    /// Pop a recycled machine-output buffer (or make a fresh one — only
-    /// before the pool has warmed up).
-    fn take_out_buf(&mut self) -> Vec<OutQuery> {
-        self.out_pool.pop().unwrap_or_default()
-    }
-
-    /// Return a machine-output buffer to the pool.
-    fn put_out_buf(&mut self, mut out: Vec<OutQuery>) {
-        out.clear();
-        if self.out_pool.len() < 64 {
-            self.out_pool.push(out);
-        }
-    }
-
     /// Hold a credit for the next admission: the spare, leased ahead of
     /// pulling a machine (which cannot be pushed back) and kept while
     /// none comes. False when the whole window is active.
@@ -519,7 +514,7 @@ impl Reactor {
         };
         let keys = self.keys_pool.pop().unwrap_or_default();
         self.slots[idx] = Some(Slot {
-            machine,
+            machine: None,
             keys,
             tcp_pending: 0,
             deferred: 0,
@@ -528,83 +523,49 @@ impl Reactor {
         });
         self.in_flight += 1;
         self.report.peak_in_flight = self.report.peak_in_flight.max(self.in_flight);
-
-        let mut slot = self.slots[idx].take().expect("fresh slot");
-        let mut out = self.take_out_buf();
-        let status = slot.machine.start(self.now(), &mut out);
-        self.after_step(idx, slot, status, out, on_done);
+        self.step(idx, machine, None, on_done);
     }
 
-    /// Common post-step handling: either the machine finished, or its new
-    /// queries go on the wire (which may synchronously produce failure
-    /// events that feed straight back into the machine).
-    fn after_step(
+    /// Step the machine hosted in `idx` through [`zdns_netsim::step`]
+    /// (starting it when `event` is `None`); one that ends retires.
+    pub(super) fn step(
         &mut self,
         idx: usize,
-        slot: Slot,
-        status: zdns_netsim::StepStatus,
-        mut out: Vec<OutQuery>,
+        mut machine: Box<dyn SimClient>,
+        event: Option<ClientEvent<'_>>,
         on_done: &mut dyn FnMut(Option<JobOutcome>),
     ) {
-        use zdns_netsim::StepStatus;
+        let mut out = std::mem::take(&mut self.out);
+        let status = zdns_netsim::step(&mut *machine, event, self.now(), &mut out, |out| {
+            self.register_out(idx, out);
+            self.slots[idx].as_ref().map_or(0, Slot::owed)
+        });
+        self.out = out;
         match status {
+            StepStatus::Running => {
+                self.slots[idx].as_mut().expect("hosted").machine = Some(machine);
+                // Its last query on the wire may just have ended while an
+                // older send waits on the deferred queue: it may be fully
+                // in backoff now (`defer_send` queues its own checks).
+                self.park_checks.push(idx);
+            }
             StepStatus::Done(outcome) => {
-                self.put_out_buf(out);
-                self.retire(idx, slot);
+                self.retire(idx);
                 self.report.completed += 1;
                 if outcome.success {
                     self.report.successes += 1;
                 }
                 on_done(Some(outcome));
             }
-            StepStatus::Running => {
-                self.slots[idx] = Some(slot);
-                let mut immediate = Vec::new();
-                self.register_out(idx, &mut out, &mut immediate);
-                self.put_out_buf(out);
-                for event in immediate {
-                    self.deliver(idx, event, on_done);
-                }
-                self.reap_if_wedged(idx, on_done);
-                // This step may have retired the machine's last on-wire
-                // query while an older send still sits on the deferred
-                // queue — the machine is now fully in backoff even though
-                // nothing was deferred *in this step* (defer_send queues
-                // its own checks).
-                self.park_checks.push(idx);
-            }
         }
-        // Machines whose sends were just deferred (or whose last live
-        // query just retired) may now be fully in backoff; park them
-        // (returning their credits) while no machine is mid-step.
+        // Park what is now fully in backoff while no machine is mid-step.
         self.process_park_checks();
-    }
-
-    /// A running machine with nothing in flight would hang the scan; fail
-    /// it closed. A machine whose sends are
-    /// merely held by the pacer — or staged for the next batch flush —
-    /// is waiting, not wedged.
-    fn reap_if_wedged(&mut self, idx: usize, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
-        let wedged = match &self.slots[idx] {
-            Some(slot) => {
-                slot.keys.is_empty()
-                    && slot.tcp_pending == 0
-                    && slot.deferred == 0
-                    && slot.staged == 0
-            }
-            None => false,
-        };
-        if wedged {
-            let slot = self.slots[idx].take().expect("checked above");
-            self.retire(idx, slot);
-            self.report.completed += 1;
-            on_done(None);
-        }
     }
 
     /// Release a finished machine's slot and cancel anything it left in
     /// the demux table, the TCP table or the timer wheel.
-    fn retire(&mut self, idx: usize, slot: Slot) {
+    fn retire(&mut self, idx: usize) {
+        let slot = self.slots[idx].take().expect("a hosted machine retires");
         if slot.tcp_pending > 0 {
             self.tcp.close_slot(idx, &mut self.wheel);
         }
@@ -624,7 +585,6 @@ impl Reactor {
         } else {
             self.credits.release();
         }
-        self.slots[idx] = None;
         self.generations[idx] += 1;
         self.free_slots.push(idx);
         self.in_flight -= 1;
@@ -639,12 +599,7 @@ impl Reactor {
         let Some(slot) = self.slots[idx].as_mut() else {
             return;
         };
-        let idle = !slot.parked
-            && slot.deferred > 0
-            && slot.keys.is_empty()
-            && slot.tcp_pending == 0
-            && slot.staged == 0;
-        if idle {
+        if !slot.parked && slot.deferred > 0 && slot.owed() == slot.deferred {
             slot.parked = true;
             self.parked_count += 1;
             self.credits.release();

@@ -12,14 +12,14 @@ use super::Reactor;
 const MAX_DRAIN_ERRORS: u32 = 64;
 
 impl Reactor {
-    /// Feed one event to the machine in `idx` and process the aftermath.
+    /// Feed one event to the machine in `idx`.
     pub(super) fn deliver(
         &mut self,
         idx: usize,
         event: ClientEvent<'_>,
         on_done: &mut dyn FnMut(Option<JobOutcome>),
     ) {
-        let Some(mut slot) = self.slots[idx].take() else {
+        let Some(machine) = self.slots[idx].as_mut().and_then(|s| s.machine.take()) else {
             return; // machine already retired
         };
         if !matches!(event, ClientEvent::Response { .. }) {
@@ -27,9 +27,7 @@ impl Reactor {
             // gives up, and either way the attempt is spent.
             self.report.retries += 1;
         }
-        let mut out = self.take_out_buf();
-        let status = slot.machine.on_event(event, self.now(), &mut out);
-        self.after_step(idx, slot, status, out, on_done);
+        self.step(idx, machine, Some(event), on_done);
     }
 
     /// Drain every datagram currently queued on the socket, one arena

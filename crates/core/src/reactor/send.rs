@@ -80,13 +80,8 @@ impl Reactor {
 
     /// Route a machine's emitted queries: UDP through the pacer (then
     /// the shared socket + demux table + timer wheel), TCP into the TCP
-    /// table.
-    pub(super) fn register_out(
-        &mut self,
-        idx: usize,
-        out: &mut Vec<OutQuery>,
-        immediate: &mut Vec<ClientEvent<'static>>,
-    ) {
+    /// table. No machine is stepped here.
+    pub(super) fn register_out(&mut self, idx: usize, out: &mut Vec<OutQuery>) {
         for oq in out.drain(..) {
             self.report.queries_sent += 1;
             match oq.protocol {
@@ -95,7 +90,7 @@ impl Reactor {
                     let scratch = &mut self.send_scratch;
                     scratch.reset();
                     if oq.encode_into(scratch, oq.id).is_err() {
-                        immediate.push(ClientEvent::TransportFailed { tag: oq.tag });
+                        self.fail_send(idx, oq.tag);
                         continue;
                     }
                     let query = scratch.as_slice().to_vec();
@@ -204,6 +199,15 @@ impl Reactor {
         self.stage_send(sent.slot, sent.oq, sent.attempts);
     }
 
+    /// Fail one of `idx`'s sends: the next flush delivers its
+    /// `TransportFailed`, which the slot counts as staged until then.
+    fn fail_send(&mut self, idx: usize, tag: u64) {
+        if let Some(slot) = self.slots[idx].as_mut() {
+            slot.staged += 1;
+        }
+        self.failed.push((idx, self.generations[idx], tag));
+    }
+
     /// Queue one pacer-admitted UDP send for the next batch flush.
     fn stage_send(&mut self, idx: usize, oq: OutQuery, attempts: u32) {
         if let Some(slot) = self.slots[idx].as_mut() {
@@ -217,9 +221,10 @@ impl Reactor {
         });
     }
 
-    /// Flush every staged send through the batched syscall layer, looping
-    /// until the stage is empty (a `TransportFailed` delivered here can
-    /// make its machine emit a retry, which stages again).
+    /// Flush every staged send through the batched syscall layer and
+    /// deliver every failed send's `TransportFailed`, looping until both
+    /// are empty (a machine told of a failure can emit a retry, which
+    /// stages again).
     ///
     /// Each flush is three phases so no machine code runs while the batch
     /// is being assembled:
@@ -231,9 +236,9 @@ impl Reactor {
     ///    per-datagram sends on the fallback path);
     /// 3. **settle** — non-`Sent` datagrams roll their registration back:
     ///    backpressure requeues on the deferred queue, errors fail the
-    ///    lookup.
+    ///    send.
     pub(super) fn flush_staged(&mut self, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
-        while !self.staged.is_empty() {
+        while !self.staged.is_empty() || !self.failed.is_empty() {
             // Working storage is owned by the reactor and recycled every
             // flush: the encode arena, the slot list, the prepared list,
             // and the status list all keep their capacity, so a
@@ -247,7 +252,6 @@ impl Reactor {
             send_slots.clear();
             statuses.clear();
             scratch.reset();
-            let mut events: Vec<(usize, u64)> = Vec::new();
             for send in staged.drain(..) {
                 if self.generations[send.slot] != send.generation {
                     continue; // owner retired while the send was staged
@@ -260,12 +264,12 @@ impl Reactor {
                 // The machine's own id is never mutated: the wire carries
                 // `txid`, the demux entry remembers the original.
                 let Some(txid) = self.allocate_txid(dest, oq.id) else {
-                    events.push((send.slot, oq.tag));
+                    self.fail_send(send.slot, oq.tag);
                     continue;
                 };
                 let start = scratch.len();
                 if oq.encode_into(&mut scratch, txid).is_err() {
-                    events.push((send.slot, oq.tag));
+                    self.fail_send(send.slot, oq.tag);
                     continue;
                 }
                 let len = scratch.len() - start;
@@ -336,8 +340,8 @@ impl Reactor {
                         }
                         _ => {
                             // Sustained backpressure or a hard socket
-                            // error: fail the lookup.
-                            events.push((p.slot, p.oq.tag));
+                            // error: fail the send.
+                            self.fail_send(p.slot, p.oq.tag);
                         }
                     }
                 }
@@ -351,7 +355,11 @@ impl Reactor {
             self.send_slots = send_slots;
             self.statuses = statuses;
             self.send_scratch = scratch;
-            for (idx, tag) in events {
+            for (idx, generation, tag) in std::mem::take(&mut self.failed) {
+                if self.generations[idx] != generation {
+                    continue; // owner retired before hearing of it
+                }
+                self.slots[idx].as_mut().expect("hosted").staged -= 1;
                 self.deliver(idx, ClientEvent::TransportFailed { tag }, on_done);
             }
         }

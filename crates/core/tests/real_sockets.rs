@@ -10,7 +10,9 @@ use zdns_core::{
     collecting_sink, AddrMap, Admission, ConcurrentPacer, Driver, PacerConfig, Reactor,
     ReactorConfig, Resolver, ResolverConfig, Status,
 };
-use zdns_netsim::WireServer;
+use zdns_netsim::{
+    ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, StepStatus, WireServer,
+};
 use zdns_wire::rdata::TxtData;
 use zdns_wire::{Name, Question, RData, Record, RecordType};
 use zdns_zones::{ExplicitUniverse, Universe, Zone};
@@ -772,6 +774,125 @@ fn reactor_reports_transport_errors_not_timeouts() {
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].status, Status::Error, "I/O failure is ERROR");
     assert_eq!(reactor.live_timers(), 0);
+}
+
+/// Asks its own `n{i}.scan.test` twice. On the second answer it finishes,
+/// or — when `wedge` is set — returns `Running` with nothing in flight.
+/// Either way it records its index in `ended` as it ends.
+struct Scripted {
+    to: Ipv4Addr,
+    i: usize,
+    answers: u64,
+    wedge: bool,
+    ended: Arc<std::sync::Mutex<Vec<usize>>>,
+}
+
+impl Scripted {
+    fn query(&self) -> OutQuery {
+        OutQuery {
+            to: self.to,
+            id: self.i as u16,
+            question: Question::new(
+                format!("n{}.scan.test", self.i).parse().unwrap(),
+                RecordType::A,
+            ),
+            recursion_desired: true,
+            cookie: None,
+            protocol: Protocol::Udp,
+            timeout: 2 * zdns_netsim::SECONDS,
+            tag: self.answers,
+        }
+    }
+}
+
+impl SimClient for Scripted {
+    fn start(&mut self, _now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
+        out.push(self.query());
+        StepStatus::Running
+    }
+
+    fn on_event(
+        &mut self,
+        event: ClientEvent<'_>,
+        _: SimTime,
+        out: &mut Vec<OutQuery>,
+    ) -> StepStatus {
+        assert!(matches!(event, ClientEvent::Response { .. }), "{event:?}");
+        self.answers += 1;
+        match (self.answers, self.wedge) {
+            (1, _) => out.push(self.query()),
+            (_, true) => {}
+            (_, false) => {
+                self.ended.lock().unwrap().push(self.i);
+                return StepStatus::Done(JobOutcome {
+                    success: true,
+                    status: "NOERROR",
+                });
+            }
+        }
+        StepStatus::Running
+    }
+
+    fn abandon(&mut self, _now: SimTime) -> JobOutcome {
+        self.ended.lock().unwrap().push(self.i);
+        JobOutcome {
+            success: false,
+            status: "ERROR",
+        }
+    }
+}
+
+#[test]
+fn every_admitted_machine_ends_once_even_when_it_wedges() {
+    const N: usize = 40;
+    let (u, server_ip) = scan_universe(N);
+    let server = WireServer::start(Arc::new(u) as Arc<dyn Universe>, server_ip).unwrap();
+    let real = server.addr();
+    let map: Arc<AddrMap> = Arc::new(move |_ip| real);
+    let mut reactor = Reactor::new(
+        ReactorConfig {
+            max_in_flight: 16,
+            source: Ipv4Addr::LOCALHOST,
+            ..ReactorConfig::default()
+        },
+        map,
+    )
+    .unwrap();
+
+    let ended = Arc::default();
+    let mut machines = (0..N).map(|i| Scripted {
+        to: server_ip,
+        i,
+        answers: 0,
+        wedge: i % 4 == 0,
+        ended: Arc::clone(&ended),
+    });
+    let mut feed = || match machines.next() {
+        Some(m) => Admission::Admit(Box::new(m)),
+        None => Admission::Exhausted,
+    };
+    let mut outcomes = Vec::new();
+    let report = reactor.run_scan(&mut feed, &mut |outcome| outcomes.push(outcome));
+
+    assert_eq!(outcomes.len(), N);
+    let outcomes: Vec<JobOutcome> = outcomes.into_iter().map(Option::unwrap).collect();
+    let errors = outcomes.iter().filter(|o| o.status == "ERROR").count();
+    assert_eq!(errors, N / 4, "one ERROR per wedged machine");
+    assert_eq!(report.completed, N as u64);
+    assert_eq!(report.queries_sent, 2 * N as u64);
+    let mut ended = ended.lock().unwrap().clone();
+    ended.sort_unstable();
+    assert_eq!(ended, (0..N).collect::<Vec<_>>(), "each machine ends once");
+    assert_eq!(
+        (
+            reactor.in_flight(),
+            reactor.pending_queries(),
+            reactor.live_timers(),
+            reactor.open_tcp_connections(),
+            reactor.parked_machines(),
+        ),
+        (0, 0, 0, 0, 0)
+    );
 }
 
 // ---------------------------------------------------------------------------

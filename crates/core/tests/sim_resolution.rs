@@ -1,6 +1,7 @@
 //! End-to-end resolution through the discrete-event simulator: the
 //! iterative machine walking the synthetic Internet, external mode against
-//! resolver models, caching behaviour, and failure handling.
+//! resolver models, caching behaviour, failure handling, and the
+//! resolution limits the machine shares with the oracle.
 
 use std::sync::Arc;
 
@@ -403,4 +404,152 @@ fn a_delegation_loop_ends_after_64_queries() {
         (Status::IterativeTimeout, 64),
         "{result:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Resolution limits: the machine and the oracle agree on each side of each
+// ---------------------------------------------------------------------------
+
+fn name(text: &str) -> Name {
+    text.parse().unwrap()
+}
+
+fn server(group: u8, k: u32) -> std::net::Ipv4Addr {
+    std::net::Ipv4Addr::new(10, group, k as u8, 1)
+}
+
+/// A root at `server(0, 0)` delegating `test.` to `server(0, 1)`.
+fn root_and_tld() -> (ExplicitUniverse, Zone) {
+    let mut root = Zone::new(Name::root(), name("a.root.test"), 300);
+    root.delegate(
+        name("test"),
+        &[name("ns.nic.test")],
+        &[(name("ns.nic.test"), RData::A(server(0, 1)))],
+    );
+    let mut u = ExplicitUniverse::new();
+    u.hint(name("a.root.test"), server(0, 0));
+    u.host(server(0, 0), root);
+    (u, Zone::new(name("test"), name("ns.nic.test"), 300))
+}
+
+/// Whether the iterative machine (on the simulator) and the oracle each
+/// find an `A` record for `qname`.
+fn machine_and_oracle_answer(u: ExplicitUniverse, qname: &str) -> (bool, bool) {
+    let question = Question::new(name(qname), RecordType::A);
+    let has_a = |records: &[Record]| records.iter().any(|r| matches!(r.rdata, RData::A(_)));
+    let oracle = zdns_netsim::oracle::resolve(&u, &question);
+    let resolver = Resolver::new(ResolverConfig::iterative(u.root_hints()));
+    let mut engine = Engine::new(
+        EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        },
+        Arc::new(u) as Arc<dyn Universe>,
+    );
+    let (sink, collected) = collecting_sink();
+    let mut once = Some(question);
+    engine.run(move || Some(resolver.machine(once.take()?, Some(sink.clone()))));
+    let result = collected.lock().pop().unwrap();
+    (has_a(&result.answers), has_a(&oracle.answers))
+}
+
+/// `www.l{depth}.….l1.` behind `depth` referrals, each level on its own
+/// server.
+fn referral_chain(depth: u32) -> (ExplicitUniverse, String) {
+    let origin = |k: u32| (1..=k).rev().map(|i| format!("l{i}.")).collect::<String>();
+    let ns = |k: u32| name(&format!("ns.{}", origin(k)));
+    let mut u = ExplicitUniverse::new();
+    u.hint(ns(0), server(1, 0));
+    for k in 0..=depth {
+        let mut zone = Zone::new(name(&origin(k)), ns(k), 300);
+        zone.add(Record::new(ns(k), 300, RData::A(server(1, k))));
+        if k < depth {
+            zone.delegate(
+                name(&origin(k + 1)),
+                &[ns(k + 1)],
+                &[(ns(k + 1), RData::A(server(1, k + 1)))],
+            );
+        } else {
+            let www = name(&format!("www.{}", origin(k)));
+            zone.add(Record::new(www, 300, RData::A(server(9, 9))));
+        }
+        u.host(server(1, k), zone);
+    }
+    (u, format!("www.{}", origin(depth)))
+}
+
+/// `www.c0.test` → `www.c1.test` → … → `www.c{hops}.test`, each name in a
+/// zone of its own.
+fn cname_chain(hops: u32) -> ExplicitUniverse {
+    let (mut u, mut tld) = root_and_tld();
+    for k in 0..=hops {
+        let origin = name(&format!("c{k}.test"));
+        let ns = name(&format!("ns.c{k}.test"));
+        let glue = [(ns.clone(), RData::A(server(2, k)))];
+        tld.delegate(origin.clone(), std::slice::from_ref(&ns), &glue);
+        let mut zone = Zone::new(origin, ns, 300);
+        let www = name(&format!("www.c{k}.test"));
+        let rdata = if k < hops {
+            RData::Cname(name(&format!("www.c{}.test", k + 1)))
+        } else {
+            RData::A(server(9, 9))
+        };
+        zone.add(Record::new(www, 300, rdata));
+        u.host(server(2, k), zone);
+    }
+    u.host(server(0, 1), tld);
+    u
+}
+
+/// `www.t0.test`, whose zone's only name server is named in `t1.test`,
+/// whose name server is named in `t2.test`, and so on: finding its address
+/// takes `nesting` nested glueless sub-walks.
+fn glueless_chain(nesting: u32) -> ExplicitUniverse {
+    let (mut u, mut tld) = root_and_tld();
+    // `t{k}.test` is served by `server(3, k)`, under the name `ns_of(k)`,
+    // an address record of the next zone (the last zone names itself).
+    let ns_of = |k: u32| name(&format!("ns{k}.t{}.test", (k + 1).min(nesting)));
+    let mut zones: Vec<Zone> = (0..=nesting)
+        .map(|k| Zone::new(name(&format!("t{k}.test")), ns_of(k), 300))
+        .collect();
+    for k in 0..=nesting {
+        let glue = [(ns_of(k), RData::A(server(3, k)))];
+        let glue = if k == nesting { &glue[..] } else { &[] };
+        tld.delegate(name(&format!("t{k}.test")), &[ns_of(k)], glue);
+        let holder = (k + 1).min(nesting) as usize;
+        zones[holder].add(Record::new(ns_of(k), 300, RData::A(server(3, k))));
+    }
+    zones[0].add(Record::new(
+        name("www.t0.test"),
+        300,
+        RData::A(server(9, 9)),
+    ));
+    for (k, zone) in zones.into_iter().enumerate() {
+        u.host(server(3, k as u32), zone);
+    }
+    u.host(server(0, 1), tld);
+    u
+}
+
+#[test]
+fn the_machine_and_the_oracle_share_each_resolution_limit() {
+    use zdns_netsim::oracle::{MAX_CNAME_HOPS, MAX_NS_SUBWALKS, MAX_REFERRALS};
+    for (depth, resolves) in [(MAX_REFERRALS, true), (MAX_REFERRALS + 1, false)] {
+        let (u, qname) = referral_chain(depth);
+        let got = machine_and_oracle_answer(u, &qname);
+        assert_eq!(got, (resolves, resolves), "{depth} referrals");
+    }
+    for (hops, resolves) in [(MAX_CNAME_HOPS, true), (MAX_CNAME_HOPS + 1, false)] {
+        let got = machine_and_oracle_answer(cname_chain(hops), "www.c0.test");
+        assert_eq!(got, (resolves, resolves), "{hops} CNAME hops");
+    }
+    let nesting = MAX_NS_SUBWALKS as u32;
+    for (nesting, resolves) in [(nesting, true), (nesting + 1, false)] {
+        let got = machine_and_oracle_answer(glueless_chain(nesting), "www.t0.test");
+        assert_eq!(
+            got,
+            (resolves, resolves),
+            "{nesting} nested glueless sub-walks"
+        );
+    }
 }

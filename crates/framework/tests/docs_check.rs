@@ -393,6 +393,13 @@ const DELETED_NAMES: &[&str] = &[
     "NsPhase",
     "max_exchanges",
     "max_servers",
+    concat!("reap_if_", "wedged"),
+    concat!("on_done(", "None)"),
+    "after_step",
+    "drain_actions",
+    "take_out_buf",
+    "put_out_buf",
+    "out_pool",
 ];
 
 #[test]

@@ -174,7 +174,7 @@ struct Line {
 
 impl Line {
     /// Print the line; the input moves into it, as a module prints once.
-    fn print(&mut self, status: Status, data: Value, trace: Vec<Value>) -> StepStatus {
+    fn print(&mut self, status: Status, data: Value, trace: Vec<Value>) -> JobOutcome {
         (self.sink)(ModuleOutput {
             name: std::mem::take(&mut self.input),
             module: self.module,
@@ -182,10 +182,10 @@ impl Line {
             data,
             trace,
         });
-        StepStatus::Done(JobOutcome {
+        JobOutcome {
             success: status.is_success(),
             status: status.as_str(),
-        })
+        }
     }
 }
 
@@ -211,7 +211,9 @@ impl<P: Plan> ModuleMachine<P> {
                     self.inner = inner;
                     step = self.inner.machine.start(now, out);
                 }
-                Next::Done(status, data, trace) => return self.line.print(status, data, trace),
+                Next::Done(status, data, trace) => {
+                    return StepStatus::Done(self.line.print(status, data, trace))
+                }
             }
         }
         StepStatus::Running
@@ -233,6 +235,11 @@ impl<P: Plan> SimClient for ModuleMachine<P> {
         let step = self.inner.machine.on_event(event, now, out);
         self.advance(step, now, out)
     }
+
+    /// A wedged lookup still prints its line: `ERROR`, with no data.
+    fn abandon(&mut self, _now: SimTime) -> JobOutcome {
+        self.line.print(Status::Error, Value::Null, Vec::new())
+    }
 }
 
 /// The machine for an input the module cannot read.
@@ -240,14 +247,11 @@ struct IllegalInput(Line);
 
 impl SimClient for IllegalInput {
     fn start(&mut self, _now: SimTime, _out: &mut Vec<OutQuery>) -> StepStatus {
-        self.0.print(Status::IllegalInput, Value::Null, Vec::new())
+        StepStatus::Done(self.0.print(Status::IllegalInput, Value::Null, Vec::new()))
     }
 
     fn on_event(&mut self, _e: ClientEvent, _now: SimTime, _o: &mut Vec<OutQuery>) -> StepStatus {
-        StepStatus::Done(JobOutcome {
-            success: false,
-            status: Status::IllegalInput.as_str(),
-        })
+        unreachable!("a job that ended in `start` gets no event")
     }
 }
 
@@ -365,6 +369,19 @@ mod tests {
         assert!(matches!(m.start(0, &mut out), StepStatus::Running));
         assert_eq!(out.len(), 1, "the first query is on its way");
         assert!(outputs.lock().is_empty());
+    }
+
+    #[test]
+    fn abandoning_a_lookup_in_flight_prints_one_error_line() {
+        let (mut m, outputs) = chain(vec![std::net::Ipv4Addr::new(192, 0, 2, 1)], 0);
+        assert!(matches!(m.start(0, &mut Vec::new()), StepStatus::Running));
+        let outcome = m.abandon(1);
+        assert_eq!((outcome.success, outcome.status), (false, "ERROR"));
+        let printed = outputs.lock();
+        assert_eq!(printed.len(), 1);
+        assert_eq!(printed[0].status, Status::Error);
+        assert_eq!(printed[0].name, "chain.test");
+        assert_eq!(printed[0].data, Value::Null);
     }
 
     #[test]

@@ -154,7 +154,11 @@ pub enum StepStatus {
     Done(JobOutcome),
 }
 
-/// A lookup job: a state machine fed by the engine.
+/// A lookup job: a state machine both drivers (the [`Engine`] and the
+/// socket reactor) feed through [`step`]. [`StepStatus::Running`] promises
+/// that the driver owes the job an event for a query it emitted; a job
+/// running with none owed is wedged, and ends through
+/// [`SimClient::abandon`]. A step that returns `Done` emits no query.
 pub trait SimClient {
     /// Begin the job, pushing initial queries. May complete immediately.
     fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus;
@@ -166,6 +170,39 @@ pub trait SimClient {
         now: SimTime,
         out: &mut Vec<OutQuery>,
     ) -> StepStatus;
+    /// End a wedged job, once; one that reports its result somewhere (an
+    /// output line) reports it here too.
+    fn abandon(&mut self, _now: SimTime) -> JobOutcome {
+        JobOutcome {
+            success: false,
+            status: "ERROR",
+        }
+    }
+}
+
+/// Step `client` once ([`SimClient::start`] when `event` is `None`) with
+/// `out` as scratch. A running job's queries go to `hand_over`, which
+/// drains `out` and returns how many events the caller now owes the job;
+/// none is a wedge, which [`SimClient::abandon`] ends. So `Running` means
+/// an event is owed, and each job ends `Done` exactly once.
+pub fn step(
+    client: &mut dyn SimClient,
+    event: Option<ClientEvent<'_>>,
+    now: SimTime,
+    out: &mut Vec<OutQuery>,
+    hand_over: impl FnOnce(&mut Vec<OutQuery>) -> usize,
+) -> StepStatus {
+    out.clear();
+    let status = match event {
+        None => client.start(now, out),
+        Some(event) => client.on_event(event, now, out),
+    };
+    let running = matches!(status, StepStatus::Running);
+    debug_assert!(running || out.is_empty(), "a finished job emitted queries");
+    match status {
+        StepStatus::Running if hand_over(out) == 0 => StepStatus::Done(client.abandon(now)),
+        status => status,
+    }
 }
 
 /// Garbage-collection pause model (§3.4 "Increased Garbage Collection").
@@ -389,6 +426,8 @@ impl Eq for Event {}
 struct Slot {
     client: Option<Box<dyn SimClient>>,
     generation: u32,
+    /// Events scheduled for this generation's job and not yet popped.
+    owed: u32,
     started_at: SimTime,
     ip: Ipv4Addr,
 }
@@ -514,6 +553,7 @@ impl Engine {
             .map(|t| Slot {
                 client: None,
                 generation: 0,
+                owed: 0,
                 started_at: 0,
                 ip: self.config.client_ips[t % self.config.client_ips.len()],
             })
@@ -532,31 +572,22 @@ impl Engine {
             time, slot, kind, ..
         }) = self.heap.pop()
         {
-            let slot_idx = slot as usize;
+            let (idx, slot) = (slot, &mut slots[slot as usize]);
             match kind {
                 EventKind::JobStart => {
-                    let Some(mut client) = source() else {
+                    let Some(client) = source() else {
                         continue; // input exhausted; slot retires
                     };
-                    slots[slot_idx].generation += 1;
-                    slots[slot_idx].started_at = time;
-                    actions.clear();
-                    let status = client.start(time, &mut actions);
-                    self.drain_actions(&mut slots[slot_idx], slot_idx as u32, time, &mut actions);
-                    match status {
-                        StepStatus::Running => slots[slot_idx].client = Some(client),
-                        StepStatus::Done(outcome) => {
-                            self.finish_job(&mut slots[slot_idx], time, outcome);
-                            self.schedule(time + MICROS, slot_idx as u32, EventKind::JobStart);
-                        }
-                    }
+                    slot.generation += 1;
+                    slot.started_at = time;
+                    self.step_job(slot, idx, client, None, time, &mut actions);
                 }
                 EventKind::PacedSend { generation, oq } => {
-                    if slots[slot_idx].generation != generation {
+                    if slot.generation != generation {
                         continue; // owner finished while the send was held
                     }
-                    let ip = slots[slot_idx].ip;
-                    self.dispatch(ip, generation, slot_idx as u32, time, *oq, true);
+                    // One owed event becomes another: the count stands.
+                    self.dispatch(slot, idx, time, *oq, true);
                 }
                 EventKind::Outcome {
                     generation,
@@ -565,20 +596,18 @@ impl Engine {
                     protocol,
                     response,
                 } => {
-                    if slots[slot_idx].generation != generation {
+                    if slot.generation != generation {
                         self.spare.extend(response);
                         continue; // stale event from a finished job
                     }
+                    slot.owed -= 1;
                     if let Some(gate) = self.send_gate.as_mut() {
                         match &response {
                             Some(_) => gate.on_success(dest, time),
                             None => gate.on_failure(dest, time),
                         }
                     }
-                    let Some(mut client) = slots[slot_idx].client.take() else {
-                        self.spare.extend(response);
-                        continue;
-                    };
+                    let client = slot.client.take().expect("a job owed an event runs");
                     // Receive-side CPU; under heavy backlog the packet is
                     // dropped and the client sees its timeout instead.
                     let backlog = self.cpu_free_at.saturating_sub(time);
@@ -603,26 +632,44 @@ impl Engine {
                         },
                         None => (ClientEvent::Timeout { tag }, time),
                     };
-                    actions.clear();
-                    let status = client.on_event(client_event, now, &mut actions);
+                    self.step_job(slot, idx, client, Some(client_event), now, &mut actions);
                     self.spare.extend(response);
-                    self.drain_actions(&mut slots[slot_idx], slot_idx as u32, now, &mut actions);
-                    match status {
-                        StepStatus::Running => slots[slot_idx].client = Some(client),
-                        StepStatus::Done(outcome) => {
-                            self.finish_job(&mut slots[slot_idx], now, outcome);
-                            self.schedule(now + MICROS, slot_idx as u32, EventKind::JobStart);
-                        }
-                    }
                 }
             }
         }
         std::mem::take(&mut self.report)
     }
 
+    /// Step the job in `slot` through [`step`]; one that ends frees the
+    /// slot for the next.
+    fn step_job(
+        &mut self,
+        slot: &mut Slot,
+        idx: u32,
+        mut client: Box<dyn SimClient>,
+        event: Option<ClientEvent<'_>>,
+        now: SimTime,
+        actions: &mut Vec<OutQuery>,
+    ) {
+        let status = step(&mut *client, event, now, actions, |actions| {
+            for oq in actions.drain(..) {
+                self.dispatch(slot, idx, now, oq, false);
+            }
+            slot.owed as usize
+        });
+        match status {
+            StepStatus::Running => slot.client = Some(client),
+            StepStatus::Done(outcome) => {
+                self.finish_job(slot, now, outcome);
+                self.schedule(now + MICROS, idx, EventKind::JobStart);
+            }
+        }
+    }
+
     fn finish_job(&mut self, slot: &mut Slot, now: SimTime, outcome: JobOutcome) {
         slot.client = None;
         slot.generation += 1; // invalidate in-flight events
+        slot.owed = 0;
         self.report.jobs += 1;
         if outcome.success {
             self.report.successes += 1;
@@ -643,37 +690,20 @@ impl Engine {
         self.report.total_job_duration += now.saturating_sub(slot.started_at);
     }
 
-    fn drain_actions(
-        &mut self,
-        slot: &mut Slot,
-        slot_idx: u32,
-        now: SimTime,
-        actions: &mut Vec<OutQuery>,
-    ) {
-        for oq in actions.drain(..) {
-            self.dispatch(slot.ip, slot.generation, slot_idx, now, oq, false);
-        }
-    }
-
     /// Decide the fate of one query at send time and schedule its single
     /// outcome event. `paced` marks a send released from the gate's hold
     /// queue — its budget is already reserved, so it must not re-admit.
-    fn dispatch(
-        &mut self,
-        client_ip: Ipv4Addr,
-        generation: u32,
-        slot: u32,
-        now: SimTime,
-        oq: OutQuery,
-        paced: bool,
-    ) {
+    fn dispatch(&mut self, slot: &mut Slot, idx: u32, now: SimTime, oq: OutQuery, paced: bool) {
+        let generation = slot.generation;
         if !paced {
+            // Whichever event this send becomes, it is owed to the job.
+            slot.owed += 1;
             if let Some(gate) = self.send_gate.as_mut() {
                 if let PaceDecision::Defer { until, .. } = gate.admit(oq.to, now) {
                     self.report.paced_deferrals += 1;
                     self.schedule(
                         until.max(now + 1),
-                        slot,
+                        idx,
                         EventKind::PacedSend {
                             generation,
                             oq: Box::new(oq),
@@ -703,7 +733,7 @@ impl Engine {
         let t_send = self.cpu_consume(now, send_cost);
         let deadline = now + oq.timeout;
         // An answer too late for the client is the same timeout as none.
-        let (time, response) = match self.exchange(client_ip, &oq, t_send) {
+        let (time, response) = match self.exchange(slot.ip, &oq, t_send) {
             Some((arrival, bytes)) if arrival <= deadline => (arrival, Some(bytes)),
             late => {
                 self.spare.extend(late.map(|(_, bytes)| bytes));
@@ -712,7 +742,7 @@ impl Engine {
         };
         self.schedule(
             time,
-            slot,
+            idx,
             EventKind::Outcome {
                 generation,
                 tag: oq.tag,
@@ -859,6 +889,67 @@ mod tests {
 
     fn universe() -> Arc<SyntheticUniverse> {
         Arc::new(SyntheticUniverse::new(SynthConfig::default()))
+    }
+
+    /// Asks a dead address twice; on its second timeout it either gives
+    /// up or, when `wedge` is set, returns `Running` with no query out.
+    struct Scripted {
+        query: OneShot,
+        events: u32,
+        wedge: bool,
+    }
+
+    impl SimClient for Scripted {
+        fn start(&mut self, _now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
+            out.push(self.query.query());
+            StepStatus::Running
+        }
+
+        fn on_event(
+            &mut self,
+            _: ClientEvent<'_>,
+            _: SimTime,
+            out: &mut Vec<OutQuery>,
+        ) -> StepStatus {
+            self.events += 1;
+            match (self.events, self.wedge) {
+                (1, _) => out.push(self.query.query()),
+                (_, true) => {}
+                (_, false) => {
+                    return StepStatus::Done(JobOutcome {
+                        success: false,
+                        status: "TIMEOUT",
+                    })
+                }
+            }
+            StepStatus::Running
+        }
+    }
+
+    #[test]
+    fn a_wedged_job_ends_as_an_error_and_frees_its_thread() {
+        let mut engine = Engine::new(
+            EngineConfig {
+                threads: 1,
+                ..EngineConfig::default()
+            },
+            universe(),
+        );
+        let mut jobs = (0..3).map(|i| Scripted {
+            query: OneShot {
+                to: "203.0.113.99".parse().unwrap(),
+                name: format!("wedge{i}.test").parse().unwrap(),
+                qtype: RecordType::A,
+                retries: 0,
+            },
+            events: 0,
+            wedge: i == 0,
+        });
+        let report = engine.run(move || jobs.next().map(|j| Box::new(j) as Box<dyn SimClient>));
+        assert_eq!(report.jobs, 3, "{:?}", report.status_counts);
+        assert_eq!(report.status_counts["ERROR"], 1);
+        assert_eq!(report.status_counts["TIMEOUT"], 2);
+        assert_eq!(report.queries_sent, 6);
     }
 
     #[test]

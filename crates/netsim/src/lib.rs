@@ -39,7 +39,7 @@ pub mod time;
 pub mod wire_server;
 
 pub use engine::{
-    ClientEvent, Engine, EngineConfig, GcModel, JobOutcome, OutQuery, Protocol, RunReport,
+    step, ClientEvent, Engine, EngineConfig, GcModel, JobOutcome, OutQuery, Protocol, RunReport,
     SimClient, StepStatus,
 };
 pub use framed::FramedConn;

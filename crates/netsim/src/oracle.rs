@@ -37,10 +37,13 @@ impl OracleAnswer {
     }
 }
 
-/// Maximum referral depth before the oracle declares failure.
-const MAX_DEPTH: usize = 24;
-/// Maximum CNAME chain length (matches common resolver limits).
-const MAX_CNAMES: usize = 8;
+/// Referrals one walk follows (shared with the iterative machine, as are
+/// the two limits below).
+pub const MAX_REFERRALS: u32 = 16;
+/// CNAME hops one lookup chases (matches common resolver limits).
+pub const MAX_CNAME_HOPS: u32 = 8;
+/// Glueless sub-walks that may nest under one walk.
+pub const MAX_NS_SUBWALKS: usize = 3;
 
 /// Resolve `question` to completion against `universe`.
 pub fn resolve(universe: &dyn Universe, question: &Question) -> OracleAnswer {
@@ -67,7 +70,7 @@ pub fn resolve(universe: &dyn Universe, question: &Question) -> OracleAnswer {
         match (has_final, last_cname) {
             (false, Some(target)) => {
                 cname_hops += 1;
-                if cname_hops > MAX_CNAMES {
+                if cname_hops > MAX_CNAME_HOPS {
                     return OracleAnswer {
                         rcode: Rcode::ServFail,
                         answers: chain,
@@ -100,12 +103,12 @@ fn resolve_no_cname(
     depth: usize,
     queries: &mut u32,
 ) -> OracleAnswer {
-    if depth > 4 {
+    if depth > MAX_NS_SUBWALKS {
         return OracleAnswer::failed(Rcode::ServFail, *queries);
     }
     let mut servers: Vec<Ipv4Addr> = universe.root_hints().iter().map(|(_, a)| *a).collect();
     let mut visited_cuts: HashSet<Name> = HashSet::new();
-    for _hop in 0..MAX_DEPTH {
+    for _hop in 0..=MAX_REFERRALS {
         let mut referral: Option<(Vec<Record>, Vec<Record>)> = None;
         let mut last_rcode = Rcode::ServFail;
         let mut answered = None;

@@ -19,6 +19,9 @@
 //!   sink as their lookups complete.
 //! * **Sim/real convergence** — the simulator drains the same
 //!   `InputSource` stream the real pipeline uses.
+//! * **Every lookup ends through its line** — a durable scan whose
+//!   lookups all wedge still prints one `ERROR` line per input, counts
+//!   each once, and closes its checkpoint `complete`.
 
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
@@ -28,10 +31,13 @@ use std::time::{Duration, Instant};
 
 use zdns::core::{AddrMap, Resolver};
 use zdns::framework::{
-    run_scan_pipeline, run_sim_scan, CallbackSink, Conf, JsonlSink, OutputSink, RealScanReport,
+    run_scan_pipeline, run_sim_scan, CallbackSink, Checkpoint, Conf, JsonlSink, OutputSink,
+    RealScanReport, ScanManifest,
 };
 use zdns::modules::{LookupModule, ModuleOutput, ModuleRegistry, ModuleSink};
-use zdns::netsim::{SimClient, WireServer, MILLIS};
+use zdns::netsim::{
+    ClientEvent, JobOutcome, OutQuery, SimClient, SimTime, StepStatus, WireServer, MILLIS,
+};
 use zdns::wire::Name;
 use zdns::workloads::CtCorpus;
 use zdns::zones::{ExplicitUniverse, SynthConfig, SyntheticUniverse, Universe, Zone};
@@ -578,4 +584,105 @@ fn probe_over_loopback_prints_the_recorded_bytes() {
         "PROBE long lines changed ({hash:#018x}); first line: {}",
         lines[0]
     );
+}
+
+/// A module whose machines drop every query the module they wrap emits:
+/// each lookup is left running with nothing in flight — wedged — and ends
+/// through `abandon`, which the wrapper forwards.
+struct Mute(Arc<dyn LookupModule>);
+
+impl LookupModule for Mute {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn description(&self) -> &'static str {
+        self.0.description()
+    }
+
+    fn make_machine(
+        &self,
+        input: &str,
+        resolver: &Resolver,
+        sink: ModuleSink,
+    ) -> Box<dyn SimClient> {
+        Box::new(MuteMachine(self.0.make_machine(input, resolver, sink)))
+    }
+}
+
+struct MuteMachine(Box<dyn SimClient>);
+
+impl SimClient for MuteMachine {
+    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
+        let step = self.0.start(now, out);
+        out.clear();
+        step
+    }
+
+    fn on_event(
+        &mut self,
+        event: ClientEvent,
+        now: SimTime,
+        out: &mut Vec<OutQuery>,
+    ) -> StepStatus {
+        let step = self.0.on_event(event, now, out);
+        out.clear();
+        step
+    }
+
+    fn abandon(&mut self, now: SimTime) -> JobOutcome {
+        self.0.abandon(now)
+    }
+}
+
+#[test]
+fn a_durable_scan_of_wedged_lookups_prints_every_line_and_completes() {
+    const N: usize = 50;
+    let dir = std::env::temp_dir().join(format!("zdns-wedged-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |file: &str| dir.join(file).to_str().unwrap().to_string();
+    let (names, output, manifest) = (path("names.txt"), path("out.jsonl"), path("scan.json"));
+    let inputs: Vec<String> = (0..N).map(|i| format!("wedged{i}.pipeline.test")).collect();
+    std::fs::write(&names, inputs.join("\n")).unwrap();
+    let conf = Conf::parse([
+        "A",
+        "--real",
+        "--name-servers",
+        "192.0.2.53",
+        "--input-file",
+        &names,
+        "--output-file",
+        &output,
+        "--checkpoint",
+        &manifest,
+    ])
+    .unwrap();
+    let resolver = Resolver::new(conf.resolver.clone());
+    let module = Arc::new(Mute(ModuleRegistry::standard().get("A").unwrap()));
+    // No query ever leaves, so no destination needs to exist.
+    let addr_map: Arc<AddrMap> = Arc::new(|ip| SocketAddr::new(ip.into(), 53));
+    let mut source = inputs.clone().into_iter();
+    let mut sink = JsonlSink::new(Vec::new(), conf.output);
+    let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
+
+    let text = String::from_utf8(sink.into_inner()).unwrap();
+    let lines: Vec<serde_json::Value> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("valid JSONL"))
+        .collect();
+    assert_eq!(lines.len(), N, "one line per input");
+    let mut printed: Vec<&str> = lines.iter().map(|v| v["name"].as_str().unwrap()).collect();
+    printed.sort_unstable();
+    let mut expected: Vec<&str> = inputs.iter().map(String::as_str).collect();
+    expected.sort_unstable();
+    assert_eq!(printed, expected);
+    let error_lines = lines.iter().filter(|v| v["status"] == "ERROR").count();
+    assert_eq!(error_lines, N);
+    assert_eq!(report.status_counts.get("ERROR").copied(), Some(N as u64));
+
+    let checkpoint = ScanManifest::checkpoint_file(std::path::Path::new(&manifest));
+    let last = Checkpoint::load_latest(&checkpoint).expect("a final checkpoint");
+    assert!(last.complete, "outstanding: {:?}", last.outstanding);
+    assert_eq!(last.completed, N as u64);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
