@@ -241,6 +241,37 @@ mod tests {
     }
 
     #[test]
+    fn streams_match_their_recorded_digests() {
+        let got = [7, 0x5DA5_2D45, 20220525].map(|seed| {
+            CtCorpus::new(seed, 486, 1211)
+                .into_stream(300_000)
+                .fold(0, |d, name| h64(d, "fqdn", name.as_bytes()))
+        });
+        assert_eq!(
+            got,
+            [
+                12456077670031296864,
+                10698369677041281311,
+                7446958800431020058
+            ]
+        );
+    }
+
+    #[test]
+    fn stats_match_their_recorded_counts() {
+        assert_eq!(
+            corpus().stats(100_000),
+            CorpusStats {
+                fqdns: 100_000,
+                domains: 39_854,
+                fqdns_by_category: (55_066, 6_093, 38_841),
+                domains_by_category: (19_563, 2_579, 17_712),
+                tlds_by_category: (5, 603, 486),
+            }
+        );
+    }
+
+    #[test]
     fn deterministic() {
         let a = corpus();
         let b = corpus();

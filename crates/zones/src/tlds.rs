@@ -332,6 +332,73 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9);
     }
 
+    /// Every field of every TLD, and what `by_label` finds for its label
+    /// in upper case, folded into one hash.
+    fn digest(r: &TldRegistry) -> u64 {
+        r.all().iter().fold(0, |d, t| {
+            let found = r.by_label(&t.label.to_ascii_uppercase()).map(|f| f.index);
+            let mut bytes = t.label.as_bytes().to_vec();
+            bytes.extend(t.index.to_le_bytes());
+            bytes.extend([t.category as u8, t.server_count]);
+            bytes.extend(t.domain_weight.to_bits().to_le_bytes());
+            bytes.extend(t.fqdns_per_domain.to_bits().to_le_bytes());
+            bytes.extend(found.unwrap_or(u16::MAX).to_le_bytes());
+            h64(d, "tld", &bytes)
+        })
+    }
+
+    #[test]
+    fn registries_match_their_recorded_digests() {
+        // 700 ccTLDs asks past the 676 two-letter codes; 5000 new gTLDs
+        // take the collision counter to four digits.
+        const SIZES: [(usize, usize); 6] = [
+            (486, 1211),
+            (0, 0),
+            (3, 0),
+            (12, 5),
+            (486, 5000),
+            (700, 1211),
+        ];
+        const SEEDS: [u64; 4] = [0, 1, 42, 20220525];
+        const DIGESTS: [[u64; 6]; 4] = [
+            [
+                10553323002479741464,
+                14093379201591851754,
+                13744362439822433612,
+                2350555743287189221,
+                2940968483923333077,
+                73016764463427078,
+            ],
+            [
+                50385576166649070,
+                14093379201591851754,
+                16981299176519371799,
+                6224838500607282144,
+                9057240614191507143,
+                6550931686029935506,
+            ],
+            [
+                9543717233659626369,
+                14093379201591851754,
+                10401942410299811691,
+                3330451039821016644,
+                16963623198679421800,
+                14961038103605873681,
+            ],
+            [
+                17136077770635339380,
+                14093379201591851754,
+                7886012436229046503,
+                14054177790928377965,
+                8806678094385181160,
+                6810188809453436658,
+            ],
+        ];
+        let got =
+            SEEDS.map(|seed| SIZES.map(|(cc, ng)| digest(&TldRegistry::generate(seed, cc, ng))));
+        assert_eq!(got, DIGESTS);
+    }
+
     #[test]
     fn indices_are_stable_identities() {
         let r = registry();
