@@ -3,8 +3,10 @@
 //! (234M fqdns over 93M base domains across 1702 TLDs; 55% legacy gTLD /
 //! 39% ccTLD / 6% new gTLD by fqdn).
 
+use std::fmt::Write;
+
 use zdns_zones::hashing::{h64, unit};
-use zdns_zones::tlds::{TldCategory, TldRegistry};
+use zdns_zones::tlds::{Tld, TldCategory, TldRegistry};
 
 /// Subdomain labels seen on certificates, in rough popularity order.
 const SUB_LABELS: [&str; 14] = [
@@ -49,66 +51,24 @@ impl CtCorpus {
         }
     }
 
-    /// The TLD registry in use.
-    pub fn tlds(&self) -> &TldRegistry {
-        &self.tlds
-    }
-
     /// The `i`-th base domain: a word-ish label under a weighted TLD.
     pub fn base_domain(&self, i: u64) -> String {
-        let h = h64(self.seed, "corpus-base", &i.to_le_bytes());
-        let tld = self.tlds.sample(h);
-        let a = FRAGMENTS[(h >> 8) as usize % FRAGMENTS.len()];
-        let b = FRAGMENTS[(h >> 16) as usize % FRAGMENTS.len()];
-        // The index keeps names collision-free without a dedup set.
-        format!("{a}{b}{i}.{}", tld.label)
-    }
-
-    /// How many fqdns the corpus emits for base domain `i` (≥1; the mean
-    /// tracks the per-category fqdns/domain ratios from Table 3).
-    pub fn fqdns_for_base(&self, i: u64) -> u64 {
-        let h = h64(self.seed, "corpus-subcount", &i.to_le_bytes());
-        let tld = self
-            .tlds
-            .by_label(self.base_domain(i).rsplit('.').next().expect("has tld"))
-            .expect("generated TLD exists");
-        let mean = tld.fqdns_per_domain.max(1.0);
-        // Geometric-ish: 1 + extra, mean matches.
-        let p = 1.0 / mean;
-        let u = unit(h);
-        let extra = (u.ln() / (1.0 - p).ln()).floor() as u64;
-        1 + extra.min(24)
+        self.fqdn(i, 0)
     }
 
     /// The `j`-th fqdn of base domain `i` (j=0 is the apex).
     pub fn fqdn(&self, i: u64, j: u64) -> String {
-        let base = self.base_domain(i);
-        if j == 0 {
-            return base;
-        }
-        let idx = (j as usize - 1) % SUB_LABELS.len();
-        if j as usize - 1 < SUB_LABELS.len() {
-            format!("{}.{base}", SUB_LABELS[idx])
-        } else {
-            format!("{}{}.{base}", SUB_LABELS[idx], j)
-        }
+        let (h, tld) = self.base(i);
+        let mut name = String::new();
+        push_sub(&mut name, j);
+        push_base(&mut name, h, i, tld);
+        name
     }
 
     /// Iterator over `n` fqdns drawn across base domains in corpus order.
     pub fn fqdns(&self, n: u64) -> impl Iterator<Item = String> + '_ {
-        let mut base = 0u64;
-        let mut sub = 0u64;
-        let mut per_base = self.fqdns_for_base(0);
-        (0..n).map(move |_| {
-            if sub >= per_base {
-                base += 1;
-                sub = 0;
-                per_base = self.fqdns_for_base(base);
-            }
-            let out = self.fqdn(base, sub);
-            sub += 1;
-            out
-        })
+        let mut cursor = Cursor::default();
+        (0..n).map(move |_| cursor.next_fqdn(self))
     }
 
     /// Iterator over `n` distinct base domains (the §6 CAA scan input).
@@ -121,12 +81,9 @@ impl CtCorpus {
     /// source (`--workload ct-corpus`): names are generated one pull at
     /// a time, so a paper-scale run never materializes the set.
     pub fn into_stream(self, n: u64) -> CorpusStream {
-        let per_base = self.fqdns_for_base(0);
         CorpusStream {
             corpus: self,
-            base: 0,
-            sub: 0,
-            per_base,
+            cursor: Cursor::default(),
             remaining: n,
         }
     }
@@ -134,49 +91,106 @@ impl CtCorpus {
     /// Generate a sample and measure its Table 3 shape.
     pub fn stats(&self, sample_fqdns: u64) -> CorpusStats {
         let mut stats = CorpusStats::default();
-        let mut seen_tlds: std::collections::HashSet<(u8, String)> =
-            std::collections::HashSet::new();
-        let mut base = 0u64;
-        let mut emitted = 0u64;
-        while emitted < sample_fqdns {
-            let domain = self.base_domain(base);
-            let tld_label = domain.rsplit('.').next().expect("has tld").to_string();
-            let tld = self.tlds.by_label(&tld_label).expect("generated TLD");
-            let cat = match tld.category {
-                TldCategory::LegacyGtld => 0u8,
-                TldCategory::NewGtld => 1,
-                TldCategory::CcTld => 2,
-                TldCategory::Infra => unreachable!("corpus never samples arpa"),
-            };
-            let fqdns = self.fqdns_for_base(base).min(sample_fqdns - emitted);
+        let mut seen_tlds = vec![false; self.tlds.all().len()];
+        let mut cursor = Cursor::default();
+        while stats.fqdns < sample_fqdns {
+            let (_, tld) = cursor.enter(self);
+            let fqdns = cursor.fqdns.min(sample_fqdns - stats.fqdns);
             stats.domains += 1;
             stats.fqdns += fqdns;
-            match cat {
-                0 => {
-                    stats.domains_by_category.0 += 1;
-                    stats.fqdns_by_category.0 += fqdns;
-                }
-                1 => {
-                    stats.domains_by_category.1 += 1;
-                    stats.fqdns_by_category.1 += fqdns;
-                }
-                _ => {
-                    stats.domains_by_category.2 += 1;
-                    stats.fqdns_by_category.2 += fqdns;
-                }
-            }
-            seen_tlds.insert((cat, tld_label));
-            emitted += fqdns;
-            base += 1;
-        }
-        for (cat, _) in seen_tlds {
-            match cat {
-                0 => stats.tlds_by_category.0 += 1,
-                1 => stats.tlds_by_category.1 += 1,
-                _ => stats.tlds_by_category.2 += 1,
+            *by_category(&mut stats.domains_by_category, tld) += 1;
+            *by_category(&mut stats.fqdns_by_category, tld) += fqdns;
+            if !std::mem::replace(&mut seen_tlds[usize::from(tld.index)], true) {
+                *by_category(&mut stats.tlds_by_category, tld) += 1;
             }
         }
         stats
+    }
+
+    /// The hash that draws base domain `i`, and the TLD it drew.
+    fn base(&self, i: u64) -> (u64, &Tld) {
+        let h = h64(self.seed, "corpus-base", &i.to_le_bytes());
+        (h, self.tlds.sample(h))
+    }
+}
+
+/// A walk over the corpus in order that derives each base domain once:
+/// its hash and TLD, how many fqdns it has, and its text.
+#[derive(Default)]
+struct Cursor {
+    /// The base domain entered next.
+    next: u64,
+    /// The current base domain's fqdn count, and how many were emitted.
+    fqdns: u64,
+    sub: u64,
+    /// The current base domain's text, rewritten in place on entry.
+    name: String,
+}
+
+impl Cursor {
+    /// Move to the next base domain and count its fqdns (≥ 1; the mean
+    /// tracks the per-category fqdns/domain ratios from Table 3).
+    fn enter<'c>(&mut self, corpus: &'c CtCorpus) -> (u64, &'c Tld) {
+        let i = self.next;
+        self.next += 1;
+        let (h, tld) = corpus.base(i);
+        // Geometric-ish: 1 + extra, mean matches.
+        let p = 1.0 / tld.fqdns_per_domain.max(1.0);
+        let u = unit(h64(corpus.seed, "corpus-subcount", &i.to_le_bytes()));
+        let extra = (u.ln() / (1.0 - p).ln()).floor() as u64;
+        self.fqdns = 1 + extra.min(24);
+        self.sub = 0;
+        (h, tld)
+    }
+
+    /// The next fqdn in corpus order, in one allocation.
+    fn next_fqdn(&mut self, corpus: &CtCorpus) -> String {
+        if self.sub >= self.fqdns {
+            let (h, tld) = self.enter(corpus);
+            self.name.clear();
+            push_base(&mut self.name, h, self.next - 1, tld);
+        }
+        let j = self.sub;
+        self.sub += 1;
+        if j == 0 {
+            return self.name.clone();
+        }
+        // The longest prefix a base's 25 fqdns can carry is `staging23.`.
+        let mut fqdn = String::with_capacity(10 + self.name.len());
+        push_sub(&mut fqdn, j);
+        fqdn.push_str(&self.name);
+        fqdn
+    }
+}
+
+/// Write base domain `i`, drawn by hash `h` under `tld`.
+fn push_base(out: &mut String, h: u64, i: u64, tld: &Tld) {
+    let a = FRAGMENTS[(h >> 8) as usize % FRAGMENTS.len()];
+    let b = FRAGMENTS[(h >> 16) as usize % FRAGMENTS.len()];
+    // The index keeps names collision-free without a dedup set.
+    write!(out, "{a}{b}{i}.{}", tld.label).expect("writing to a String");
+}
+
+/// Write the subdomain label, and its dot, of a base domain's `j`-th
+/// fqdn (none for the apex, `j` = 0).
+fn push_sub(out: &mut String, j: u64) {
+    let Some(k) = (j as usize).checked_sub(1) else {
+        return;
+    };
+    out.push_str(SUB_LABELS[k % SUB_LABELS.len()]);
+    if k >= SUB_LABELS.len() {
+        write!(out, "{j}").expect("writing to a String");
+    }
+    out.push('.');
+}
+
+/// `tld`'s member of a (legacy, ng, cc) triple.
+fn by_category<'a>(counts: &'a mut (u64, u64, u64), tld: &Tld) -> &'a mut u64 {
+    match tld.category {
+        TldCategory::LegacyGtld => &mut counts.0,
+        TldCategory::NewGtld => &mut counts.1,
+        TldCategory::CcTld => &mut counts.2,
+        TldCategory::Infra => unreachable!("corpus never samples arpa"),
     }
 }
 
@@ -185,9 +199,7 @@ impl CtCorpus {
 /// boxed into a scan pipeline's input slot and sent across threads).
 pub struct CorpusStream {
     corpus: CtCorpus,
-    base: u64,
-    sub: u64,
-    per_base: u64,
+    cursor: Cursor,
     remaining: u64,
 }
 
@@ -202,18 +214,8 @@ impl Iterator for CorpusStream {
     type Item = String;
 
     fn next(&mut self) -> Option<String> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if self.sub >= self.per_base {
-            self.base += 1;
-            self.sub = 0;
-            self.per_base = self.corpus.fqdns_for_base(self.base);
-        }
-        let out = self.corpus.fqdn(self.base, self.sub);
-        self.sub += 1;
-        Some(out)
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some(self.cursor.next_fqdn(&self.corpus))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -1,7 +1,7 @@
 //! The top-level-domain registry: 1702 TLDs in the Table 3 category mix,
 //! generated deterministically from a seed.
 
-use std::collections::HashMap;
+use std::fmt::Write;
 
 use zdns_wire::MAX_LABEL_LEN;
 
@@ -41,10 +41,15 @@ pub struct Tld {
 /// The full TLD registry.
 pub struct TldRegistry {
     tlds: Vec<Tld>,
-    by_label: HashMap<String, u16>,
+    /// Open-addressed index by label: each slot holds the index of the TLD
+    /// whose label hashes there (linear probing), or [`EMPTY`].
+    slots: Vec<u16>,
     /// Cumulative domain weights for corpus sampling.
     cumulative: Vec<f64>,
 }
+
+/// An unused index slot: `generate` keeps every TLD index below it.
+const EMPTY: u16 = u16::MAX;
 
 /// The five legacy gTLDs (Table 3 counts exactly 5).
 pub const LEGACY_GTLDS: [&str; 5] = ["com", "net", "org", "info", "biz"];
@@ -59,81 +64,77 @@ pub const REQUIRED_CCTLDS: [&str; 12] = [
 impl TldRegistry {
     /// Generate a registry with `n_cc` ccTLDs and `n_ng` new gTLDs
     /// (defaults match Table 3: 486 and 1211).
+    ///
+    /// There are only 676 two-letter codes, so at most 676 ccTLDs exist:
+    /// a larger `n_cc` is capped without notice, and the codes that exist
+    /// keep the Zipf weights of `n_cc` codes.
+    ///
+    /// A ccTLD's server count hashes its position as one byte
+    /// (`h64(seed, "cc-servers", &[j as u8])`), so ccTLDs 256–485 repeat
+    /// the server counts of ccTLDs 0–229. The simulator's answers are
+    /// pinned to this; fixing it is a change of output of its own.
     pub fn generate(seed: u64, n_cc: usize, n_ng: usize) -> TldRegistry {
-        let mut tlds: Vec<Tld> = Vec::with_capacity(5 + n_cc + n_ng + 1);
         // Category shares derived from the exact Table 3 domain counts:
         // 45,865,899 legacy / 41,574,286 cc / 6,094,090 ng of 93,534,275.
         const TOTAL: f64 = 93_534_275.0;
         const LEGACY_SHARE: f64 = 45_865_899.0 / TOTAL;
         const CC_SHARE: f64 = 41_574_286.0 / TOTAL;
         const NG_SHARE: f64 = 6_094_090.0 / TOTAL;
-        // Legacy gTLDs: com dominates.
-        let legacy_split = [0.72, 0.10, 0.09, 0.05, 0.04];
-        for (i, (label, frac)) in LEGACY_GTLDS.iter().zip(legacy_split).enumerate() {
-            tlds.push(Tld {
-                index: i as u16,
-                label: (*label).to_string(),
-                category: TldCategory::LegacyGtld,
-                server_count: 13,
-                domain_weight: LEGACY_SHARE * frac,
-                fqdns_per_domain: 2.83,
-            });
-        }
-        // ccTLDs: two-letter labels, Zipf-ish weights.
-        let cc_labels = generate_cc_labels(seed, n_cc);
+        let cc_labels = cc_labels(seed, n_cc);
         let zipf_cc = zipf_weights(n_cc, 0.9);
-        for (j, label) in cc_labels.into_iter().enumerate() {
-            let index = (tlds.len()) as u16;
+        let zipf_ng = zipf_weights(n_ng, 1.0);
+        let count = 5 + cc_labels.len() + n_ng + 1;
+        assert!(count <= usize::from(EMPTY), "TLD indices are u16");
+        let mut tlds: Vec<Tld> = Vec::with_capacity(count);
+        let mut push = |label, category, server_count, domain_weight, fqdns_per_domain| {
+            let index = tlds.len() as u16;
             tlds.push(Tld {
                 index,
                 label,
-                category: TldCategory::CcTld,
-                server_count: 2 + (h64(seed, "cc-servers", &[j as u8]) % 5) as u8,
-                domain_weight: CC_SHARE * zipf_cc[j],
-                fqdns_per_domain: 2.18,
+                category,
+                server_count,
+                domain_weight,
+                fqdns_per_domain,
             });
+        };
+        // Legacy gTLDs: com dominates.
+        let legacy_split = [0.72, 0.10, 0.09, 0.05, 0.04];
+        for (label, frac) in LEGACY_GTLDS.iter().zip(legacy_split) {
+            let weight = LEGACY_SHARE * frac;
+            push(label.to_string(), TldCategory::LegacyGtld, 13, weight, 2.83);
+        }
+        // ccTLDs: two-letter labels, Zipf-ish weights.
+        for (j, label) in cc_labels.into_iter().enumerate() {
+            let servers = 2 + (h64(seed, "cc-servers", &[j as u8]) % 5) as u8;
+            let weight = CC_SHARE * zipf_cc[j];
+            push(label, TldCategory::CcTld, servers, weight, 2.18);
         }
         // New gTLDs: word-like labels, never colliding with legacy gTLDs
         // or ccTLDs (a duplicate label would hijack by-label lookups).
-        let taken: std::collections::HashSet<String> =
-            tlds.iter().map(|t| t.label.clone()).collect();
-        let ng_labels = generate_ng_labels(seed, n_ng, &taken);
-        let zipf_ng = zipf_weights(n_ng, 1.0);
-        for (j, label) in ng_labels.into_iter().enumerate() {
-            let index = (tlds.len()) as u16;
-            tlds.push(Tld {
-                index,
-                label,
-                category: TldCategory::NewGtld,
-                server_count: 2 + (h64(seed, "ng-servers", &(j as u32).to_le_bytes()) % 3) as u8,
-                domain_weight: NG_SHARE * zipf_ng[j],
-                fqdns_per_domain: 2.33,
-            });
+        for (j, label) in ng_labels(seed, n_ng).into_iter().enumerate() {
+            let servers = 2 + (h64(seed, "ng-servers", &(j as u32).to_le_bytes()) % 3) as u8;
+            let weight = NG_SHARE * zipf_ng[j];
+            push(label, TldCategory::NewGtld, servers, weight, 2.33);
         }
         // Infrastructure: arpa (serves in-addr.arpa referrals).
-        let arpa_index = tlds.len() as u16;
-        tlds.push(Tld {
-            index: arpa_index,
-            label: "arpa".to_string(),
-            category: TldCategory::Infra,
-            server_count: 6,
-            domain_weight: 0.0,
-            fqdns_per_domain: 0.0,
-        });
+        push("arpa".to_string(), TldCategory::Infra, 6, 0.0, 0.0);
 
-        let by_label = tlds
-            .iter()
-            .map(|t| (t.label.clone(), t.index))
-            .collect::<HashMap<_, _>>();
+        let mut slots = vec![EMPTY; (2 * tlds.len()).next_power_of_two()];
+        let mask = slots.len() - 1;
         let mut cumulative = Vec::with_capacity(tlds.len());
         let mut acc = 0.0;
         for t in &tlds {
+            let mut slot = home(t.label.as_bytes(), mask);
+            while slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = t.index;
             acc += t.domain_weight;
             cumulative.push(acc);
         }
         TldRegistry {
             tlds,
-            by_label,
+            slots,
             cumulative,
         }
     }
@@ -141,14 +142,6 @@ impl TldRegistry {
     /// All TLDs.
     pub fn all(&self) -> &[Tld] {
         &self.tlds
-    }
-
-    /// Count excluding infrastructure (the paper's 1702).
-    pub fn corpus_tld_count(&self) -> usize {
-        self.tlds
-            .iter()
-            .filter(|t| t.category != TldCategory::Infra)
-            .count()
     }
 
     /// Look up by label (case-insensitive), lowercasing on the stack: a
@@ -159,8 +152,16 @@ impl TldRegistry {
         let lower = lower.get_mut(..label.len())?;
         lower.copy_from_slice(label.as_bytes());
         lower.make_ascii_lowercase();
-        let lower = std::str::from_utf8(lower).expect("lowercasing keeps UTF-8");
-        self.by_label.get(lower).map(|&i| &self.tlds[i as usize])
+        let mask = self.slots.len() - 1;
+        let mut slot = home(lower, mask);
+        loop {
+            // An empty slot ends the probe: `EMPTY` indexes no TLD.
+            let tld = self.tlds.get(usize::from(self.slots[slot]))?;
+            if tld.label.as_bytes() == lower {
+                return Some(tld);
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 
     /// Get by index.
@@ -183,6 +184,11 @@ impl TldRegistry {
     }
 }
 
+/// The first index slot a lowercase label probes.
+fn home(label: &[u8], mask: usize) -> usize {
+    h64(0, "tld", label) as usize & mask
+}
+
 /// Zipf-like normalized weights: w_i ∝ 1/(i+1)^s.
 fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
     let raw: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
@@ -190,34 +196,31 @@ fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
     raw.into_iter().map(|w| w / total).collect()
 }
 
-fn generate_cc_labels(seed: u64, n: usize) -> Vec<String> {
-    let mut labels: Vec<String> = REQUIRED_CCTLDS.iter().map(|s| s.to_string()).collect();
-    // Fill the rest with deterministic two-letter codes, skipping dupes and
-    // the legacy gTLD labels.
+/// The required ccTLD codes, then distinct two-letter codes drawn from
+/// the seed: `n` codes, or all 676 if `n` asks for more.
+fn cc_labels(seed: u64, n: usize) -> Vec<String> {
+    let mut taken = [false; 26 * 26];
     let mut state = splitmix64(seed ^ 0xCC11AB);
-    let mut seen: std::collections::HashSet<String> = labels.iter().cloned().collect();
-    while labels.len() < n {
+    let drawn = std::iter::repeat_with(|| {
         state = splitmix64(state);
-        let a = (b'a' + (state % 26) as u8) as char;
-        let b = (b'a' + ((state >> 8) % 26) as u8) as char;
-        let label: String = [a, b].iter().collect();
-        if seen.insert(label.clone()) {
-            labels.push(label);
-        }
-        // 676 combinations bound n; callers should keep n ≤ ~600.
-        if seen.len() >= 676 {
-            break;
-        }
-    }
-    labels.truncate(n);
-    labels
+        [b'a' + (state % 26) as u8, b'a' + ((state >> 8) % 26) as u8]
+    });
+    let required = REQUIRED_CCTLDS.map(|c| [c.as_bytes()[0], c.as_bytes()[1]]);
+    required
+        .into_iter()
+        .chain(drawn)
+        .filter(|&[a, b]| {
+            let code = &mut taken[usize::from(a - b'a') * 26 + usize::from(b - b'a')];
+            !std::mem::replace(code, true)
+        })
+        .take(n.min(26 * 26))
+        .map(|code| String::from_utf8(code.to_vec()).expect("ASCII letters"))
+        .collect()
 }
 
-fn generate_ng_labels(
-    seed: u64,
-    n: usize,
-    taken: &std::collections::HashSet<String>,
-) -> Vec<String> {
+/// `n` distinct word-like new-gTLD labels drawn from the seed: a head and
+/// a tail, or, once that spelling is taken, the spelling and a counter.
+fn ng_labels(seed: u64, n: usize) -> Vec<String> {
     const HEADS: [&str; 16] = [
         "app", "dev", "shop", "web", "cloud", "tech", "store", "site", "online", "digi", "net",
         "zone", "live", "data", "host", "link",
@@ -226,26 +229,29 @@ fn generate_ng_labels(
         "", "ly", "io", "hub", "ify", "base", "port", "ware", "lab", "works", "space", "city",
         "land", "wave", "grid", "dom",
     ];
-    let mut labels = Vec::with_capacity(n);
-    let mut seen = taken.clone();
-    seen.insert("arpa".to_string());
+    // The 256 spellings are distinct and all at least three letters long,
+    // so only a legacy gTLD or arpa can have one already ("net" does).
+    // Counter labels are the only ones with digits, so they never collide.
+    let mut taken: [bool; 16 * 16] = std::array::from_fn(|i| {
+        let spells = |l: &&str| l.strip_prefix(HEADS[i / 16]) == Some(TAILS[i % 16]);
+        LEGACY_GTLDS.iter().chain(&["arpa"]).any(spells)
+    });
     let mut state = splitmix64(seed ^ 0x176BD);
     let mut counter = 0u32;
-    while labels.len() < n {
-        state = splitmix64(state.wrapping_add(1));
-        let head = HEADS[(state % 16) as usize];
-        let tail = TAILS[((state >> 8) % 16) as usize];
-        let candidate = if seen.contains(&format!("{head}{tail}")) {
+    (0..n)
+        .map(|_| {
+            state = splitmix64(state.wrapping_add(1));
+            let (h, t) = ((state % 16) as usize, ((state >> 8) % 16) as usize);
+            let (head, tail) = (HEADS[h], TAILS[t]);
+            if !std::mem::replace(&mut taken[h * 16 + t], true) {
+                return [head, tail].concat();
+            }
             counter += 1;
-            format!("{head}{tail}{counter}")
-        } else {
-            format!("{head}{tail}")
-        };
-        if candidate.len() >= 3 && seen.insert(candidate.clone()) {
-            labels.push(candidate);
-        }
-    }
-    labels
+            let mut label = String::with_capacity(head.len() + tail.len() + 10);
+            write!(label, "{head}{tail}{counter}").expect("writing to a String");
+            label
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -259,7 +265,8 @@ mod tests {
     #[test]
     fn table3_counts() {
         let r = registry();
-        assert_eq!(r.corpus_tld_count(), 1702);
+        // The paper's 1702, and arpa.
+        assert_eq!(r.all().len(), 1703);
         let legacy = r
             .all()
             .iter()
