@@ -51,9 +51,20 @@ impl CtCorpus {
         }
     }
 
+    /// The TLD registry in use.
+    pub fn tlds(&self) -> &TldRegistry {
+        &self.tlds
+    }
+
     /// The `i`-th base domain: a word-ish label under a weighted TLD.
     pub fn base_domain(&self, i: u64) -> String {
         self.fqdn(i, 0)
+    }
+
+    /// How many fqdns the corpus emits for base domain `i` (≥1; the mean
+    /// tracks the per-category fqdns/domain ratios from Table 3).
+    pub fn fqdns_for_base(&self, i: u64) -> u64 {
+        self.fqdns_under(i, self.base(i).1)
     }
 
     /// The `j`-th fqdn of base domain `i` (j=0 is the apex).
@@ -112,6 +123,15 @@ impl CtCorpus {
         let h = h64(self.seed, "corpus-base", &i.to_le_bytes());
         (h, self.tlds.sample(h))
     }
+
+    /// How many fqdns base domain `i`, drawn under `tld`, has.
+    fn fqdns_under(&self, i: u64, tld: &Tld) -> u64 {
+        // Geometric-ish: 1 + extra, mean matches.
+        let p = 1.0 / tld.fqdns_per_domain.max(1.0);
+        let u = unit(h64(self.seed, "corpus-subcount", &i.to_le_bytes()));
+        let extra = (u.ln() / (1.0 - p).ln()).floor() as u64;
+        1 + extra.min(24)
+    }
 }
 
 /// A walk over the corpus in order that derives each base domain once:
@@ -128,17 +148,12 @@ struct Cursor {
 }
 
 impl Cursor {
-    /// Move to the next base domain and count its fqdns (≥ 1; the mean
-    /// tracks the per-category fqdns/domain ratios from Table 3).
+    /// Move to the next base domain and count its fqdns.
     fn enter<'c>(&mut self, corpus: &'c CtCorpus) -> (u64, &'c Tld) {
         let i = self.next;
         self.next += 1;
         let (h, tld) = corpus.base(i);
-        // Geometric-ish: 1 + extra, mean matches.
-        let p = 1.0 / tld.fqdns_per_domain.max(1.0);
-        let u = unit(h64(corpus.seed, "corpus-subcount", &i.to_le_bytes()));
-        let extra = (u.ln() / (1.0 - p).ln()).floor() as u64;
-        self.fqdns = 1 + extra.min(24);
+        self.fqdns = corpus.fqdns_under(i, tld);
         self.sub = 0;
         (h, tld)
     }

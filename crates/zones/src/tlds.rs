@@ -42,7 +42,10 @@ pub struct Tld {
 pub struct TldRegistry {
     tlds: Vec<Tld>,
     /// Open-addressed index by label: each slot holds the index of the TLD
-    /// whose label hashes there (linear probing), or [`EMPTY`].
+    /// whose label hashes there (linear probing), or [`EMPTY`]. A binary
+    /// search over indices in label order is ~6× slower per lookup (each
+    /// step chases a label pointer), and its sort makes `generate` ~1.5×
+    /// slower.
     slots: Vec<u16>,
     /// Cumulative domain weights for corpus sampling.
     cumulative: Vec<f64>,
@@ -142,6 +145,14 @@ impl TldRegistry {
     /// All TLDs.
     pub fn all(&self) -> &[Tld] {
         &self.tlds
+    }
+
+    /// Count excluding infrastructure (the paper's 1702).
+    pub fn corpus_tld_count(&self) -> usize {
+        self.tlds
+            .iter()
+            .filter(|t| t.category != TldCategory::Infra)
+            .count()
     }
 
     /// Look up by label (case-insensitive), lowercasing on the stack: a
@@ -265,8 +276,7 @@ mod tests {
     #[test]
     fn table3_counts() {
         let r = registry();
-        // The paper's 1702, and arpa.
-        assert_eq!(r.all().len(), 1703);
+        assert_eq!(r.corpus_tld_count(), 1702);
         let legacy = r
             .all()
             .iter()
