@@ -19,7 +19,7 @@ use zdns_core::{Resolver, ResolverConfig};
 use zdns_framework::{run_sim_scan_with, Conf};
 use zdns_modules::CaaLookupModule;
 use zdns_workloads::CtCorpus;
-use zdns_zones::tlds::TldCategory;
+use zdns_zones::tlds::{TldCategory, TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns_zones::Universe;
 
 #[derive(Default)]
@@ -41,7 +41,7 @@ struct Tally {
 fn main() {
     let quick = quick_mode();
     let universe = bench_universe();
-    let corpus = CtCorpus::new(universe.config().seed, 486, 1211);
+    let corpus = CtCorpus::new(universe.config().seed, TABLE3_CCTLDS, TABLE3_NGTLDS);
     let scan_size: u64 = if quick { 50_000 } else { 400_000 };
 
     let conf = Conf::parse(["CAALOOKUP", "--threads", "4000"]).expect("valid configuration");

@@ -21,12 +21,13 @@ use zdns_core::{Resolver, ResolverConfig};
 use zdns_framework::{run_sim_scan_with, Conf};
 use zdns_modules::AllNameserversModule;
 use zdns_workloads::{categorize, CtCorpus};
+use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns_zones::Universe;
 
 fn main() {
     let quick = quick_mode();
     let universe = bench_universe();
-    let corpus = CtCorpus::new(universe.config().seed, 486, 1211);
+    let corpus = CtCorpus::new(universe.config().seed, TABLE3_CCTLDS, TABLE3_NGTLDS);
     let scan_size: u64 = if quick { 20_000 } else { 150_000 };
 
     // §5 methodology: up to 10 retries per query to approximate

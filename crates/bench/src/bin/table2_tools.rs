@@ -22,6 +22,7 @@ use zdns_bench::*;
 use zdns_netsim::{Engine, SimClient};
 use zdns_wire::{Name, RecordType};
 use zdns_workloads::{CtCorpus, Ipv4Walk};
+use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns_zones::Universe;
 
 fn massdns_row(
@@ -42,7 +43,7 @@ fn massdns_row(
     );
     engine.add_resolver(tuned_google());
     engine.add_resolver(tuned_cloudflare());
-    let corpus = CtCorpus::new(universe.config().seed, 486, 1211);
+    let corpus = CtCorpus::new(universe.config().seed, TABLE3_CCTLDS, TABLE3_NGTLDS);
     let mut ips = Ipv4Walk::new(991, jobs);
     let mut i = 0u64;
     let report = engine.run(move || {

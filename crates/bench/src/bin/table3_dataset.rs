@@ -18,10 +18,11 @@
 use zdns_bench::quick_mode;
 use zdns_bench::TablePrinter;
 use zdns_workloads::CtCorpus;
+use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 
 fn main() {
     let sample: u64 = if quick_mode() { 200_000 } else { 2_000_000 };
-    let corpus = CtCorpus::new(0x5DA5_2D45, 486, 1211);
+    let corpus = CtCorpus::new(0x5DA5_2D45, TABLE3_CCTLDS, TABLE3_NGTLDS);
     let stats = corpus.stats(sample);
     let scale = 234_531_389.0 / stats.fqdns as f64;
 

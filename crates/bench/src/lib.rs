@@ -32,6 +32,7 @@ use zdns_netsim::{
 };
 use zdns_wire::{Name, Question, RecordType};
 use zdns_workloads::{CtCorpus, Ipv4Walk};
+use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns_zones::{SynthConfig, SyntheticUniverse, Universe};
 
 /// Per-core µs per packet, external mode (→ ~200K pps on 24 cores).
@@ -228,7 +229,7 @@ pub fn run_scan(universe: &Arc<SyntheticUniverse>, spec: &ScanSpec) -> ScanOutco
 
     let report = match spec.workload {
         Workload::A => {
-            let corpus = CtCorpus::new(universe.config().seed, 486, 1211);
+            let corpus = CtCorpus::new(universe.config().seed, TABLE3_CCTLDS, TABLE3_NGTLDS);
             // Offset the corpus window per seed so consecutive trials do
             // not overlap names (the paper's §4.1 methodology).
             let offset = spec.seed.wrapping_mul(1_000_003) % 1_000_000_000;

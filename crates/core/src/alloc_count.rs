@@ -17,7 +17,6 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
     static PEAK_LIVE: Cell<i64> = const { Cell::new(0) };
     static TRAP: Cell<bool> = const { Cell::new(false) };
@@ -64,7 +63,6 @@ pub struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         live_delta(layout.size() as i64);
         fire_trap(layout.size());
         System.alloc(layout)
@@ -77,7 +75,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         live_delta(layout.size() as i64);
         fire_trap(layout.size());
         System.alloc_zeroed(layout)
@@ -87,7 +84,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // A grow is a fresh reservation from the measured region's point
         // of view; count it like an allocation.
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        BYTES.with(|c| c.set(c.get() + new_size as u64));
         live_delta(new_size as i64 - layout.size() as i64);
         fire_trap(new_size);
         System.realloc(ptr, layout, new_size)
@@ -98,11 +94,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// (meaningful only under [`CountingAllocator`]; always 0 otherwise).
 pub fn thread_allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
-}
-
-/// Bytes requested from the allocator by the current thread.
-pub fn thread_alloc_bytes() -> u64 {
-    BYTES.with(Cell::get)
 }
 
 /// Bytes the current thread has allocated and not yet freed: requested
@@ -137,7 +128,6 @@ mod tests {
     #[test]
     fn counters_read_without_panicking() {
         let _ = thread_allocations();
-        let _ = thread_alloc_bytes();
         let _ = thread_live_bytes();
         reset_thread_peak_live_bytes();
         let _ = thread_peak_live_bytes();

@@ -19,12 +19,8 @@ use zdns_framework::{pipeline, runner};
 use zdns_modules::ModuleRegistry;
 use zdns_netsim::InputSource;
 use zdns_workloads::CtCorpus;
+use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns_zones::{SynthConfig, SyntheticUniverse};
-
-/// The corpus registry shape every evaluation workload uses (486 ccTLDs,
-/// 1211 new gTLDs — the Table 3 registry mix).
-const CORPUS_CCTLDS: usize = 486;
-const CORPUS_NGTLDS: usize = 1211;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,7 +63,7 @@ fn main() {
     // is never materialized.
     let mut source: Box<dyn InputSource> = match conf.workload {
         Workload::CtCorpus => Box::new(
-            CtCorpus::new(conf.seed, CORPUS_CCTLDS, CORPUS_NGTLDS)
+            CtCorpus::new(conf.seed, TABLE3_CCTLDS, TABLE3_NGTLDS)
                 .into_stream(conf.max_names as u64),
         ),
         Workload::Lines => {

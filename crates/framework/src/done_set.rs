@@ -264,6 +264,7 @@ impl<S: AsRef<str>> FromIterator<S> for DoneSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 
     #[test]
     fn holds_exactly_what_was_inserted() {
@@ -343,7 +344,7 @@ mod tests {
                 });
             }
         }
-        let corpus = zdns_workloads::CtCorpus::new(7, 486, 1211);
+        let corpus = zdns_workloads::CtCorpus::new(7, TABLE3_CCTLDS, TABLE3_NGTLDS);
         let mut fqdns = corpus.fqdns(u64::MAX);
         while set.len() < 900_000 {
             let fqdn = fqdns.next().expect("the corpus does not run dry");

@@ -94,6 +94,7 @@ fn warm_iterative_lookup_stays_inside_its_allocation_budget() {
     use zdns_modules::{ModuleRegistry, ModuleSink};
     use zdns_netsim::{ClientEvent, OutQuery, StepStatus};
     use zdns_workloads::CtCorpus;
+    use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
     use zdns_zones::{SynthConfig, SyntheticUniverse, Universe};
 
     /// Run one of the machine's own calls, adding what it allocates to
@@ -131,7 +132,8 @@ fn warm_iterative_lookup_stays_inside_its_allocation_budget() {
     let mut counted = 0u64;
     let mut out: Vec<OutQuery> = Vec::with_capacity(4);
     let mut queue: std::collections::VecDeque<OutQuery> = Default::default();
-    let names = CtCorpus::new(conf.seed, 486, 1211).into_stream(WARMUP + MEASURED);
+    let names =
+        CtCorpus::new(conf.seed, TABLE3_CCTLDS, TABLE3_NGTLDS).into_stream(WARMUP + MEASURED);
     for (i, input) in names.enumerate() {
         let measured = i as u64 >= WARMUP;
         let mut machine = module.make_machine(&input, &resolver, sink.clone());

@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use zdns_framework::{run_sim_scan, Conf, JsonlSink, OutputSink};
 use zdns_modules::ModuleRegistry;
 use zdns_workloads::CtCorpus;
+use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns_zones::{SynthConfig, SyntheticUniverse, Universe};
 
 const SEED: u64 = 0x7a11_da7e;
@@ -72,7 +73,7 @@ fn program_lines() -> &'static [Vec<u8>] {
             seed: SEED,
             ..SynthConfig::default()
         }));
-        let corpus = CtCorpus::new(SEED, 486, 1211);
+        let corpus = CtCorpus::new(SEED, TABLE3_CCTLDS, TABLE3_NGTLDS);
         let names = || corpus.fqdns(PER_KIND as u64).collect::<Vec<_>>();
         let servers: Vec<_> = universe
             .root_hints()

@@ -194,14 +194,6 @@ fn resolve_no_cname(
     OracleAnswer::failed(Rcode::ServFail, *queries)
 }
 
-/// Convenience: resolve a PTR question for an address.
-pub fn resolve_ptr(universe: &dyn Universe, ip: Ipv4Addr) -> OracleAnswer {
-    resolve(
-        universe,
-        &Question::new(Name::reverse_ipv4(ip), RecordType::PTR),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +275,7 @@ mod tests {
             .map(|i| Ipv4Addr::from(0x2000_0000u32.wrapping_add(i * 7919)))
             .find(|&ip| u.ptr_exists(ip))
             .unwrap();
-        let ans = resolve_ptr(&u, ip);
+        let ans = resolve(&u, &Question::new(Name::reverse_ipv4(ip), RecordType::PTR));
         assert_eq!(ans.rcode, Rcode::NoError);
         assert_eq!(ans.answers[0].rdata, RData::Ptr(u.ptr_name(ip)));
         // root → arpa → /8 → /16: at least 4 queries.

@@ -80,17 +80,6 @@ impl<'a> WireReader<'a> {
         Ok(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
 
-    /// Read a big-endian u48 (used by TSIG timestamps).
-    pub fn read_u48(&mut self, context: &'static str) -> WireResult<u64> {
-        let b = self.read_bytes(6, context)?;
-        Ok(u64::from(b[0]) << 40
-            | u64::from(b[1]) << 32
-            | u64::from(b[2]) << 24
-            | u64::from(b[3]) << 16
-            | u64::from(b[4]) << 8
-            | u64::from(b[5]))
-    }
-
     /// Read a big-endian u64.
     pub fn read_u64(&mut self, context: &'static str) -> WireResult<u64> {
         let b = self.read_bytes(8, context)?;
@@ -310,13 +299,6 @@ impl ScratchBuf {
         Ok(())
     }
 
-    /// Append a big-endian u48.
-    pub fn write_u48(&mut self, v: u64) -> WireResult<()> {
-        self.ensure_capacity(6)?;
-        self.buf.extend_from_slice(&v.to_be_bytes()[2..8]);
-        Ok(())
-    }
-
     /// Append a big-endian u64.
     pub fn write_u64(&mut self, v: u64) -> WireResult<()> {
         self.ensure_capacity(8)?;
@@ -506,15 +488,6 @@ mod tests {
         let mut r = WireReader::new(&[1, 2]);
         assert_eq!(r.read_u16("t").unwrap(), 0x0102);
         assert!(matches!(r.read_u8("t"), Err(WireError::Truncated { .. })));
-    }
-
-    #[test]
-    fn u48_roundtrip() {
-        let mut w = WireWriter::new();
-        w.write_u48(0x0000_1234_5678_9ABC).unwrap();
-        let bytes = w.finish();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(r.read_u48("t").unwrap(), 0x0000_1234_5678_9ABC);
     }
 
     #[test]

@@ -244,26 +244,6 @@ impl Name {
         Name::from_storage(&self.storage_bytes()[start..], n)
     }
 
-    /// Number of trailing labels shared with `other`.
-    pub fn common_suffix_len(&self, other: &Name) -> usize {
-        let mut a_offs = [0u8; MAX_LABELS];
-        let mut b_offs = [0u8; MAX_LABELS];
-        let an = self.label_offsets(&mut a_offs);
-        let bn = other.label_offsets(&mut b_offs);
-        let a = self.storage_bytes();
-        let b = other.storage_bytes();
-        let mut shared = 0usize;
-        while shared < an && shared < bn {
-            let la = label_at(a, a_offs[an - 1 - shared] as usize);
-            let lb = label_at(b, b_offs[bn - 1 - shared] as usize);
-            if !la.eq_ignore_ascii_case(lb) {
-                break;
-            }
-            shared += 1;
-        }
-        shared
-    }
-
     /// Lowercased dotted string without the trailing dot (root → `"."`).
     pub fn to_ascii_lower(&self) -> String {
         self.lower_text(&mut [0; MAX_TEXT_LEN]).to_string()
@@ -732,13 +712,6 @@ mod tests {
         // RFC 4034 §6.1 canonical order: a.example < z.a.example < b.example
         assert!(a < b);
         assert!(b < c);
-    }
-
-    #[test]
-    fn common_suffix() {
-        let a: Name = "mail.example.com".parse().unwrap();
-        let b: Name = "www.example.com".parse().unwrap();
-        assert_eq!(a.common_suffix_len(&b), 2);
     }
 
     #[test]

@@ -51,20 +51,9 @@ impl CtCorpus {
         }
     }
 
-    /// The TLD registry in use.
-    pub fn tlds(&self) -> &TldRegistry {
-        &self.tlds
-    }
-
     /// The `i`-th base domain: a word-ish label under a weighted TLD.
     pub fn base_domain(&self, i: u64) -> String {
         self.fqdn(i, 0)
-    }
-
-    /// How many fqdns the corpus emits for base domain `i` (≥1; the mean
-    /// tracks the per-category fqdns/domain ratios from Table 3).
-    pub fn fqdns_for_base(&self, i: u64) -> u64 {
-        self.fqdns_under(i, self.base(i).1)
     }
 
     /// The `j`-th fqdn of base domain `i` (j=0 is the apex).
@@ -242,9 +231,11 @@ impl Iterator for CorpusStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
+    use zdns_zones::{SynthConfig, SyntheticUniverse};
 
     fn corpus() -> CtCorpus {
-        CtCorpus::new(0x5DA5_2D45, 486, 1211)
+        CtCorpus::new(0x5DA5_2D45, TABLE3_CCTLDS, TABLE3_NGTLDS)
     }
 
     #[test]
@@ -260,7 +251,7 @@ mod tests {
     #[test]
     fn streams_match_their_recorded_digests() {
         let got = [7, 0x5DA5_2D45, 20220525].map(|seed| {
-            CtCorpus::new(seed, 486, 1211)
+            CtCorpus::new(seed, TABLE3_CCTLDS, TABLE3_NGTLDS)
                 .into_stream(300_000)
                 .fold(0, |d, name| h64(d, "fqdn", name.as_bytes()))
         });
@@ -345,5 +336,23 @@ mod tests {
         let ratio = stats.fqdns as f64 / stats.domains as f64;
         // 234M / 93.5M ≈ 2.51.
         assert!((ratio - 2.51).abs() < 0.35, "{ratio}");
+    }
+
+    /// The corpus and the universe are built from the same Table 3 shape,
+    /// so every name a scan reads from the corpus has a TLD the universe
+    /// serves.
+    #[test]
+    fn every_corpus_name_has_a_tld_in_the_universe() {
+        for seed in [7, 0x5DA5_2D45, 20_220_525] {
+            let universe = SyntheticUniverse::new(SynthConfig {
+                seed,
+                ..SynthConfig::default()
+            });
+            let corpus = CtCorpus::new(seed, TABLE3_CCTLDS, TABLE3_NGTLDS);
+            for fqdn in corpus.into_stream(50_000) {
+                let name: zdns_wire::Name = fqdn.parse().unwrap();
+                assert!(universe.tld_of(&name).is_some(), "{fqdn} (seed {seed})");
+            }
+        }
     }
 }

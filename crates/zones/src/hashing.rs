@@ -57,16 +57,6 @@ pub fn pick(seed: u64, facet: &str, subject: &[u8], n: usize) -> usize {
     (h64(seed, facet, subject) % n as u64) as usize
 }
 
-/// Weighted index draw over cumulative weights (ascending, last == total).
-pub fn pick_weighted(seed: u64, facet: &str, subject: &[u8], cumulative: &[f64]) -> usize {
-    let total = *cumulative.last().expect("non-empty weights");
-    let x = unit(h64(seed, facet, subject)) * total;
-    match cumulative.binary_search_by(|w| w.partial_cmp(&x).expect("finite weights")) {
-        Ok(i) => (i + 1).min(cumulative.len() - 1),
-        Err(i) => i.min(cumulative.len() - 1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,17 +94,5 @@ mod tests {
             seen[pick(7, "p", &i.to_le_bytes(), 7)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn pick_weighted_respects_weights() {
-        // weights 1:3 → second outcome ~75%.
-        let cum = [1.0, 4.0];
-        let n = 20_000;
-        let second = (0..n)
-            .filter(|i: &i32| pick_weighted(9, "w", &i.to_le_bytes(), &cum) == 1)
-            .count();
-        let freq = second as f64 / n as f64;
-        assert!((freq - 0.75).abs() < 0.02, "freq {freq}");
     }
 }

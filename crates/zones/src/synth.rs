@@ -6,14 +6,20 @@
 //! base domains and the full IPv4 reverse tree in O(1) memory while giving
 //! every component (resolvers, baselines, case studies) the same answers.
 //!
-//! The distributions are calibrated to the paper:
-//! * Table 3 TLD mix (via [`crate::tlds`]).
-//! * ~70% of corpus names resolve (Appendix A).
+//! The distributions are calibrated to the paper. The calibration is the
+//! `calibration` block of private constants below the imports, one group
+//! per paper figure it reproduces:
+//! * Table 3 TLD mix: [`crate::tlds`], shaped by [`SynthConfig`]'s two
+//!   counts ([`TABLE3_CCTLDS`], [`TABLE3_NGTLDS`] by default).
+//! * Appendix A existence: ~70% of corpus names resolve; PTR and /24
+//!   reverse delegation rates, which shape Figure 2's cache sweep.
+//! * Record mix: `www`, MX, TXT/SPF, AAAA, wildcards, glueless referrals.
 //! * §5 availability: ~0.55% of domains have a nameserver needing ≥2
 //!   retries, ~0.01% needing 10, concentrated in `namebrightdns.com`, `.vn`
 //!   and `.ng`; >99.99% of domains answer consistently across nameservers.
 //! * §6 CAA deployment: ~1.69% of NOERROR domains, ccTLDs over-represented,
 //!   `.pl` alone ~25% of CAA-enabled cc domains, tag and issuer mix.
+//! * TTLs of infrastructure and leaf records.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -25,168 +31,126 @@ use zdns_wire::{Name, Question, RData, Rcode, Record, RecordType, MAX_TEXT_LEN};
 use crate::addressing::{host_address, is_reserved, ServerRole};
 use crate::hashing::{chance, h64, h64_joined, unit};
 use crate::providers::{Provider, ProviderRegistry, ReliabilityClass, PROVIDER_NAMEBRIGHT};
-use crate::tlds::{Tld, TldCategory, TldRegistry};
+use crate::tlds::{Tld, TldCategory, TldRegistry, TABLE3_CCTLDS, TABLE3_NGTLDS};
 use crate::universe::{AuthResponse, LatencyClass, ServerProfile, Universe};
 
-/// CAA ecosystem parameters (§6 defaults).
-#[derive(Debug, Clone)]
-pub struct CaaConfig {
-    /// CAA rate for gTLD domains.
-    pub rate_gtld: f64,
-    /// CAA rate for ccTLD domains other than `.pl`.
-    pub rate_cctld: f64,
-    /// CAA rate for `.pl` domains (drives its 25%-of-cc share).
-    pub rate_pl: f64,
-    /// P(issue tag present | CAA holder).
-    pub p_issue: f64,
-    /// P(issuewild tag | CAA holder).
-    pub p_issuewild: f64,
-    /// P(iodef tag | CAA holder).
-    pub p_iodef: f64,
-    /// P(domain has only iodef | CAA holder) — the "Visa" population.
-    pub p_iodef_only: f64,
-    /// P(invalid tag | CAA holder), concentrated at one registrar.
-    pub p_invalid: f64,
-    /// Provider index whose domains produce most invalid tags.
-    pub invalid_registrar: u16,
-    /// P(CAA reachable only through a CNAME | CAA holder) ≈ 8000/1.08M.
-    pub p_via_cname: f64,
-    /// P(Let's Encrypt in issue set | CAA holder with issue).
-    pub p_letsencrypt: f64,
-    /// P(Comodo in issue set).
-    pub p_comodo: f64,
-    /// P(DigiCert in issue set).
-    pub p_digicert: f64,
-}
+// ---- calibration ------------------------------------------------------
+//
+// Every rate, count and TTL the universe draws with. Each has one value,
+// so each is a constant; `tests/answers_pinned.rs` and
+// `tests/profiles_pinned.rs` hold the answers they produce.
 
-impl Default for CaaConfig {
-    fn default() -> Self {
-        CaaConfig {
-            rate_gtld: 0.0158,
-            rate_cctld: 0.0145,
-            rate_pl: 0.085,
-            p_issue: 0.968,
-            p_issuewild: 0.5527,
-            p_iodef: 0.0687,
-            p_iodef_only: 0.0006,
-            p_invalid: 0.00043,
-            invalid_registrar: 3,
-            p_via_cname: 0.0074,
-            p_letsencrypt: 0.924,
-            p_comodo: 0.52,
-            p_digicert: 0.51,
-        }
-    }
-}
+// Appendix A: which names exist.
+/// Hosting providers in the registry.
+const N_PROVIDERS: usize = 200;
+/// P(a corpus base domain exists) ≈ 0.70.
+const DOMAIN_EXISTS: f64 = 0.70;
+/// P(an arbitrary additional subdomain fqdn exists).
+const SUBDOMAIN_EXISTS: f64 = 0.82;
+/// P(a public IPv4 address has a PTR record).
+const PTR_EXISTS: f64 = 0.62;
+/// Fraction of reverse /16 zones whose operator delegates further at /24,
+/// as most real in-addr.arpa operators do. The /24 NS records dominate the
+/// PTR cache working set, which is what gives Figure 2's cache-size sweep
+/// its shape.
+const RDNS24_FRACTION: f64 = 0.85;
 
-/// Availability fault parameters (§5 defaults).
-#[derive(Debug, Clone)]
-pub struct FlakyConfig {
-    /// P(domain has a lightly flaky NS) — needs ≥2 retries sometimes.
-    pub p_light: f64,
-    /// Baseline P(deeply flaky NS) — needs ~10 retries.
-    pub p_deep_base: f64,
-    /// Deep-flaky rate for namebright-hosted domains.
-    pub p_deep_namebright: f64,
-    /// Deep-flaky rate for `.vn` domains.
-    pub p_deep_vn: f64,
-    /// Deep-flaky rate for `.ng` domains.
-    pub p_deep_ng: f64,
-    /// Drop probability of a lightly flaky nameserver.
-    pub light_drop: f64,
-    /// Drop probability of a deeply flaky nameserver.
-    pub deep_drop: f64,
-}
+// Record mix.
+/// P(`www` exists).
+const WWW_EXISTS: f64 = 0.95;
+/// P(`www` is a CNAME to the apex rather than an A record | it exists).
+const WWW_CNAME: f64 = 0.30;
+/// P(domain has MX).
+const MX: f64 = 0.45;
+/// P(domain has TXT).
+const TXT: f64 = 0.55;
+/// P(TXT holder publishes SPF).
+const SPF_GIVEN_TXT: f64 = 0.80;
+/// P(domain apex has AAAA).
+const AAAA: f64 = 0.35;
+/// P(domain has a wildcard under the apex).
+const WILDCARD: f64 = 0.02;
+/// P(a TLD→leaf referral carries no glue).
+const GLUELESS: f64 = 0.12;
 
-impl Default for FlakyConfig {
-    fn default() -> Self {
-        FlakyConfig {
-            p_light: 0.0054,
-            p_deep_base: 0.00005,
-            p_deep_namebright: 0.016,
-            p_deep_vn: 0.00085,
-            p_deep_ng: 0.00071,
-            light_drop: 0.55,
-            deep_drop: 0.90,
-        }
-    }
-}
+// §5 availability.
+/// P(one of a domain's nameservers is lame — answers REFUSED).
+const LAME: f64 = 0.004;
+/// P(domain's A answers differ across its nameservers): §5 says
+/// inconsistency is <0.01% of domains.
+const INCONSISTENT: f64 = 0.00005;
+/// P(domain has a lightly flaky NS) — needs ≥2 retries sometimes.
+const FLAKY_LIGHT: f64 = 0.0054;
+/// Baseline P(deeply flaky NS) — needs ~10 retries.
+const FLAKY_DEEP: f64 = 0.00005;
+/// Deep-flaky rate for namebright-hosted domains.
+const FLAKY_DEEP_NAMEBRIGHT: f64 = 0.016;
+/// Deep-flaky rate for `.vn` domains.
+const FLAKY_DEEP_VN: f64 = 0.00085;
+/// Deep-flaky rate for `.ng` domains.
+const FLAKY_DEEP_NG: f64 = 0.00071;
+/// Drop probability of a lightly flaky nameserver.
+const LIGHT_DROP: f64 = 0.55;
+/// Drop probability of a deeply flaky nameserver.
+const DEEP_DROP: f64 = 0.90;
 
-/// Full configuration of the synthetic Internet.
+// §6 CAA.
+/// CAA rate for gTLD domains.
+const CAA_GTLD: f64 = 0.0158;
+/// CAA rate for ccTLD domains other than `.pl`.
+const CAA_CCTLD: f64 = 0.0145;
+/// CAA rate for `.pl` domains (drives its 25%-of-cc share).
+const CAA_PL: f64 = 0.085;
+/// P(issue tag present | CAA holder).
+const CAA_ISSUE: f64 = 0.968;
+/// P(issuewild tag | CAA holder).
+const CAA_ISSUEWILD: f64 = 0.5527;
+/// P(iodef tag | CAA holder).
+const CAA_IODEF: f64 = 0.0687;
+/// P(domain has only iodef | CAA holder) — the "Visa" population.
+const CAA_IODEF_ONLY: f64 = 0.0006;
+/// P(invalid tag | CAA holder), before the registrar multipliers below.
+const CAA_INVALID: f64 = 0.00043;
+/// Provider index whose domains produce most invalid tags.
+const CAA_INVALID_REGISTRAR: u16 = 3;
+/// [`CAA_INVALID`]'s multiplier at [`CAA_INVALID_REGISTRAR`].
+const CAA_INVALID_AT_REGISTRAR: f64 = 40.0;
+/// [`CAA_INVALID`]'s multiplier at every other provider.
+const CAA_INVALID_ELSEWHERE: f64 = 0.3;
+/// P(CAA reachable only through a CNAME | CAA holder) ≈ 8000/1.08M.
+const CAA_VIA_CNAME: f64 = 0.0074;
+/// P(Let's Encrypt in issue set | CAA holder with issue).
+const CAA_LETSENCRYPT: f64 = 0.924;
+/// P(Comodo in issue set).
+const CAA_COMODO: f64 = 0.52;
+/// P(DigiCert in issue set).
+const CAA_DIGICERT: f64 = 0.51;
+
+// TTLs.
+/// TTL for infrastructure (NS/glue) records.
+const INFRA_TTL: u32 = 172_800;
+/// TTL for leaf records.
+const LEAF_TTL: u32 = 300;
+
+/// What distinguishes one synthetic Internet from another: its seed, and
+/// the registry shape it shares with the corpus scanned against it
+/// (`CtCorpus::new` takes the same three values).
 #[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// Master seed; every fact derives from it.
     pub seed: u64,
-    /// ccTLD count (Table 3: 486).
+    /// ccTLD count (Table 3: [`TABLE3_CCTLDS`]).
     pub n_cctlds: usize,
-    /// New-gTLD count (Table 3: 1211).
+    /// New-gTLD count (Table 3: [`TABLE3_NGTLDS`]).
     pub n_ngtlds: usize,
-    /// Hosting provider count.
-    pub n_providers: usize,
-    /// P(a corpus base domain exists) ≈ 0.70 (Appendix A).
-    pub domain_exists_prob: f64,
-    /// P(an arbitrary additional subdomain fqdn exists).
-    pub subdomain_exists_prob: f64,
-    /// P(a public IPv4 address has a PTR record).
-    pub ptr_exists_prob: f64,
-    /// Fraction of reverse /16 zones whose operator delegates further at
-    /// /24, as most real in-addr.arpa operators do. The /24 NS records
-    /// dominate the PTR cache working set, which is what gives Figure 2's
-    /// cache-size sweep its shape.
-    pub rdns24_fraction: f64,
-    /// P(a TLD→leaf referral carries no glue).
-    pub glueless_prob: f64,
-    /// P(one of a domain's nameservers is lame — answers REFUSED).
-    pub lame_prob: f64,
-    /// P(www is a CNAME to the apex rather than an A record).
-    pub www_cname_prob: f64,
-    /// P(domain has MX).
-    pub mx_prob: f64,
-    /// P(domain has TXT).
-    pub txt_prob: f64,
-    /// P(TXT holder publishes SPF).
-    pub spf_given_txt: f64,
-    /// P(domain apex has AAAA).
-    pub aaaa_prob: f64,
-    /// P(domain has a wildcard under the apex).
-    pub wildcard_prob: f64,
-    /// P(domain's A answers differ across its nameservers) — §5 says
-    /// inconsistency is <0.01% of domains.
-    pub inconsistent_prob: f64,
-    /// CAA parameters.
-    pub caa: CaaConfig,
-    /// Availability fault parameters.
-    pub flaky: FlakyConfig,
-    /// TTL for infrastructure (NS/glue) records.
-    pub infra_ttl: u32,
-    /// TTL for leaf records.
-    pub leaf_ttl: u32,
 }
 
 impl Default for SynthConfig {
     fn default() -> Self {
         SynthConfig {
             seed: 0x5DA5_2D45,
-            n_cctlds: 486,
-            n_ngtlds: 1211,
-            n_providers: 200,
-            domain_exists_prob: 0.70,
-            subdomain_exists_prob: 0.82,
-            ptr_exists_prob: 0.62,
-            rdns24_fraction: 0.85,
-            glueless_prob: 0.12,
-            lame_prob: 0.004,
-            www_cname_prob: 0.30,
-            mx_prob: 0.45,
-            txt_prob: 0.55,
-            spf_given_txt: 0.80,
-            aaaa_prob: 0.35,
-            wildcard_prob: 0.02,
-            inconsistent_prob: 0.00005,
-            caa: CaaConfig::default(),
-            flaky: FlakyConfig::default(),
-            infra_ttl: 172_800,
-            leaf_ttl: 300,
+            n_cctlds: TABLE3_CCTLDS,
+            n_ngtlds: TABLE3_NGTLDS,
         }
     }
 }
@@ -305,7 +269,7 @@ impl SyntheticUniverse {
     /// Build the universe from a config.
     pub fn new(cfg: SynthConfig) -> SyntheticUniverse {
         let tlds = TldRegistry::generate(cfg.seed, cfg.n_cctlds, cfg.n_ngtlds);
-        let providers = ProviderRegistry::generate(cfg.seed, cfg.n_providers);
+        let providers = ProviderRegistry::generate(cfg.seed, N_PROVIDERS);
         let provider_domains = providers
             .all()
             .iter()
@@ -412,7 +376,7 @@ impl SyntheticUniverse {
         }
         match b.tld {
             Some(tld) if tld.category != TldCategory::Infra => {
-                self.chance("exists", b, self.cfg.domain_exists_prob)
+                self.chance("exists", b, DOMAIN_EXISTS)
             }
             _ => false,
         }
@@ -426,9 +390,9 @@ impl SyntheticUniverse {
     }
 
     fn www(&self, b: &Base<'_>) -> WwwKind {
-        if !self.chance("www-exists", b, 0.95) {
+        if !self.chance("www-exists", b, WWW_EXISTS) {
             WwwKind::Absent
-        } else if self.chance("www-cname", b, self.cfg.www_cname_prob) {
+        } else if self.chance("www-cname", b, WWW_CNAME) {
             WwwKind::CnameToApex
         } else {
             WwwKind::ARecord
@@ -440,55 +404,54 @@ impl SyntheticUniverse {
     }
 
     fn has_aaaa(&self, b: &Base<'_>) -> bool {
-        self.chance("aaaa", b, self.cfg.aaaa_prob)
+        self.chance("aaaa", b, AAAA)
     }
 
     fn has_mx(&self, b: &Base<'_>) -> bool {
-        self.chance("mx", b, self.cfg.mx_prob)
+        self.chance("mx", b, MX)
     }
 
     fn has_txt(&self, b: &Base<'_>) -> bool {
-        self.chance("txt", b, self.cfg.txt_prob)
+        self.chance("txt", b, TXT)
     }
 
     /// Whether a TXT holder publishes SPF.
     fn spf_given_txt(&self, b: &Base<'_>) -> bool {
-        self.chance("spf", b, self.cfg.spf_given_txt)
+        self.chance("spf", b, SPF_GIVEN_TXT)
     }
 
     fn has_wildcard(&self, b: &Base<'_>) -> bool {
-        self.chance("wildcard", b, self.cfg.wildcard_prob)
+        self.chance("wildcard", b, WILDCARD)
     }
 
     fn glueless(&self, b: &Base<'_>) -> bool {
-        self.chance("glueless", b, self.cfg.glueless_prob)
+        self.chance("glueless", b, GLUELESS)
     }
 
     fn lame_ns(&self, b: &Base<'_>, provider: &Provider) -> Option<u8> {
-        self.chance("lame", b, self.cfg.lame_prob)
+        self.chance("lame", b, LAME)
             .then(|| (self.h64("lame-ns", b) % provider.ns_count as u64) as u8)
     }
 
     fn inconsistent(&self, b: &Base<'_>, provider: &Provider) -> bool {
-        !provider.consistent || self.chance("inconsistent", b, self.cfg.inconsistent_prob)
+        !provider.consistent || self.chance("inconsistent", b, INCONSISTENT)
     }
 
     /// The §5 availability model.
     fn flaky(&self, b: &Base<'_>, provider: &Provider) -> Option<FlakyNs> {
-        let f = &self.cfg.flaky;
         let deep_rate = if provider.index == PROVIDER_NAMEBRIGHT {
-            f.p_deep_namebright
+            FLAKY_DEEP_NAMEBRIGHT
         } else {
             match b.tld_label() {
-                "vn" => f.p_deep_vn,
-                "ng" => f.p_deep_ng,
-                _ => f.p_deep_base,
+                "vn" => FLAKY_DEEP_VN,
+                "ng" => FLAKY_DEEP_NG,
+                _ => FLAKY_DEEP,
             }
         };
         let (drop_prob, deep) = if self.chance("flaky-deep", b, deep_rate) {
-            (f.deep_drop, true)
-        } else if self.chance("flaky-light", b, f.p_light) {
-            (f.light_drop, false)
+            (DEEP_DROP, true)
+        } else if self.chance("flaky-light", b, FLAKY_LIGHT) {
+            (LIGHT_DROP, false)
         } else {
             return None;
         };
@@ -502,23 +465,22 @@ impl SyntheticUniverse {
     /// The §6 CAA model: the apex's CAA records (empty = none) and whether
     /// they are reached only through a CNAME.
     fn caa(&self, b: &Base<'_>, provider: &Provider) -> (Vec<Caa>, bool) {
-        let c = &self.cfg.caa;
         let caa_rate = match (b.tld.map(|t| t.category), b.tld_label()) {
-            (Some(TldCategory::CcTld), "pl") => c.rate_pl,
-            (Some(TldCategory::CcTld), _) => c.rate_cctld,
+            (Some(TldCategory::CcTld), "pl") => CAA_PL,
+            (Some(TldCategory::CcTld), _) => CAA_CCTLD,
             (Some(TldCategory::Infra), _) | (None, _) => 0.0,
-            _ => c.rate_gtld,
+            _ => CAA_GTLD,
         };
         let mut records = Vec::new();
         if !self.chance("caa", b, caa_rate) {
             return (records, false);
         }
-        let via_cname = self.chance("caa-cname", b, c.p_via_cname);
-        let iodef_only = self.chance("caa-iodef-only", b, c.p_iodef_only);
-        let invalid_rate = if provider.index == c.invalid_registrar {
-            c.p_invalid * 40.0
+        let via_cname = self.chance("caa-cname", b, CAA_VIA_CNAME);
+        let iodef_only = self.chance("caa-iodef-only", b, CAA_IODEF_ONLY);
+        let invalid_rate = if provider.index == CAA_INVALID_REGISTRAR {
+            CAA_INVALID * CAA_INVALID_AT_REGISTRAR
         } else {
-            c.p_invalid * 0.3
+            CAA_INVALID * CAA_INVALID_ELSEWHERE
         };
         if self.chance("caa-invalid", b, invalid_rate) {
             // The registrar bug: a misspelled tag that validators reject.
@@ -534,29 +496,29 @@ impl SyntheticUniverse {
                 value: b"mailto:security@visa-like.example".to_vec(),
             });
         } else {
-            if self.chance("caa-issue", b, c.p_issue) {
-                if self.chance("caa-le", b, c.p_letsencrypt) {
+            if self.chance("caa-issue", b, CAA_ISSUE) {
+                if self.chance("caa-le", b, CAA_LETSENCRYPT) {
                     records.push(issue_record("issue", "letsencrypt.org"));
                 }
-                if self.chance("caa-comodo", b, c.p_comodo) {
+                if self.chance("caa-comodo", b, CAA_COMODO) {
                     records.push(issue_record("issue", "comodoca.com"));
                 }
-                if self.chance("caa-digicert", b, c.p_digicert) {
+                if self.chance("caa-digicert", b, CAA_DIGICERT) {
                     records.push(issue_record("issue", "digicert.com"));
                 }
                 if records.is_empty() {
                     records.push(issue_record("issue", "pki.goog"));
                 }
             }
-            if self.chance("caa-issuewild", b, c.p_issuewild) {
-                let wild_val = if self.chance("caa-le-wild", b, c.p_letsencrypt) {
+            if self.chance("caa-issuewild", b, CAA_ISSUEWILD) {
+                let wild_val = if self.chance("caa-le-wild", b, CAA_LETSENCRYPT) {
                     "letsencrypt.org"
                 } else {
                     "digicert.com"
                 };
                 records.push(issue_record("issuewild", wild_val));
             }
-            if self.chance("caa-iodef", b, c.p_iodef) {
+            if self.chance("caa-iodef", b, CAA_IODEF) {
                 let mut value = b"mailto:hostmaster@".to_vec();
                 value.extend_from_slice(b.key());
                 records.push(Caa {
@@ -572,11 +534,6 @@ impl SyntheticUniverse {
     /// Does this base domain exist (delegated from its TLD)?
     pub fn domain_exists(&self, base: &Name) -> bool {
         self.exists(&self.base(base))
-    }
-
-    /// The provider hosting a base domain.
-    pub fn provider_of(&self, base: &Name) -> &Provider {
-        self.provider(&self.base(base))
     }
 
     /// Everything the universe states about a base domain: the ground truth
@@ -612,12 +569,12 @@ impl SyntheticUniverse {
 
     /// Whether the /16 `a.b` delegates its /24s to dedicated servers.
     pub fn rdns16_delegates_deeper(&self, a: u8, b: u8) -> bool {
-        chance(self.seed(), "rdns-deep", &[a, b], self.cfg.rdns24_fraction)
+        chance(self.seed(), "rdns-deep", &[a, b], RDNS24_FRACTION)
     }
 
     /// Whether a public IPv4 address has a PTR record.
     pub fn ptr_exists(&self, ip: Ipv4Addr) -> bool {
-        !is_reserved(ip) && chance(self.seed(), "ptr", &ip.octets(), self.cfg.ptr_exists_prob)
+        !is_reserved(ip) && chance(self.seed(), "ptr", &ip.octets(), PTR_EXISTS)
     }
 
     /// The synthesized PTR target for an address.
@@ -692,12 +649,12 @@ impl SyntheticUniverse {
         for (j, host) in (0..).zip(&names.hosts) {
             ns.push(Record::new(
                 names.apex.clone(),
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::Ns(host.clone()),
             ));
             glue.push(Record::new(
                 host.clone(),
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::A(
                     ServerRole::Tld {
                         tld_index: tld.index,
@@ -753,13 +710,13 @@ impl SyntheticUniverse {
         for (k, host) in (0..).zip(hosts) {
             ns.push(Record::new(
                 base.clone(),
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::Ns(host.clone()),
             ));
             if !glueless {
                 glue.push(Record::new(
                     host.clone(),
-                    self.cfg.infra_ttl,
+                    INFRA_TTL,
                     RData::A(
                         ServerRole::ProviderAuth {
                             provider: provider.index,
@@ -815,7 +772,7 @@ impl SyntheticUniverse {
             for host in &names.hosts {
                 answers.push(Record::new(
                     names.apex.clone(),
-                    self.cfg.infra_ttl,
+                    INFRA_TTL,
                     RData::Ns(host.clone()),
                 ));
             }
@@ -841,7 +798,7 @@ impl SyntheticUniverse {
                 if matches!(q.qtype, RecordType::A | RecordType::ANY) {
                     return Self::answer(vec![Record::new(
                         q.name.clone(),
-                        self.cfg.infra_ttl,
+                        INFRA_TTL,
                         RData::A(
                             ServerRole::Tld {
                                 tld_index: tld.index,
@@ -905,12 +862,12 @@ impl SyntheticUniverse {
                 .expect("valid");
             ns.push(Record::new(
                 cut.clone(),
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::Ns(ns_name.clone()),
             ));
             glue.push(Record::new(
                 ns_name,
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::A(
                     ServerRole::Rdns8 {
                         octet: a,
@@ -941,7 +898,7 @@ impl SyntheticUniverse {
             if let Some(j) = ns_number(labels[0]).filter(|j| (1..=2).contains(j)) {
                 return Self::answer(vec![Record::new(
                     q.name.clone(),
-                    self.cfg.infra_ttl,
+                    INFRA_TTL,
                     RData::A(
                         ServerRole::Rdns8 {
                             octet,
@@ -968,12 +925,12 @@ impl SyntheticUniverse {
                 .expect("valid");
             ns.push(Record::new(
                 cut.clone(),
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::Ns(ns_name.clone()),
             ));
             glue.push(Record::new(
                 ns_name,
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::A(
                     ServerRole::Rdns16 {
                         a: octet,
@@ -1018,7 +975,7 @@ impl SyntheticUniverse {
         if self.ptr_exists(ip) {
             Self::answer(vec![Record::new(
                 q.name.clone(),
-                self.cfg.leaf_ttl,
+                LEAF_TTL,
                 RData::Ptr(self.ptr_name(ip)),
             )])
         } else {
@@ -1038,7 +995,7 @@ impl SyntheticUniverse {
             if let Some(j) = ns_number(labels[0]).filter(|j| (1..=2).contains(j)) {
                 return Self::answer(vec![Record::new(
                     q.name.clone(),
-                    self.cfg.infra_ttl,
+                    INFRA_TTL,
                     RData::A(
                         ServerRole::Rdns16 {
                             a,
@@ -1067,14 +1024,10 @@ impl SyntheticUniverse {
                 rcode: Rcode::NoError,
                 authoritative: false,
                 answers: Vec::new(),
-                authorities: vec![Record::new(
-                    cut,
-                    self.cfg.infra_ttl,
-                    RData::Ns(ns_name.clone()),
-                )],
+                authorities: vec![Record::new(cut, INFRA_TTL, RData::Ns(ns_name.clone()))],
                 additionals: vec![Record::new(
                     ns_name,
-                    self.cfg.infra_ttl,
+                    INFRA_TTL,
                     RData::A(ServerRole::Rdns24 { a, b, c }.address()),
                 )],
             };
@@ -1096,7 +1049,7 @@ impl SyntheticUniverse {
         if ns_number(labels[0]) == Some(1) && matches!(q.qtype, RecordType::A | RecordType::ANY) {
             return Self::answer(vec![Record::new(
                 q.name.clone(),
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::A(ServerRole::Rdns24 { a, b, c }.address()),
             )]);
         }
@@ -1153,7 +1106,7 @@ impl SyntheticUniverse {
         Some(if matches!(q.qtype, RecordType::A | RecordType::ANY) {
             Self::answer(vec![Record::new(
                 q.name.clone(),
-                self.cfg.infra_ttl,
+                INFRA_TTL,
                 RData::A(
                     ServerRole::ProviderAuth {
                         provider: p.index,
@@ -1170,7 +1123,7 @@ impl SyntheticUniverse {
     fn leaf_soa(&self, base: &Name, provider: &Provider) -> Record {
         Record::new(
             base.clone(),
-            self.cfg.leaf_ttl,
+            LEAF_TTL,
             RData::Soa(Soa {
                 mname: self.provider_hosts(provider)[0].clone(),
                 rname: base.child("hostmaster").expect("valid"),
@@ -1178,7 +1131,7 @@ impl SyntheticUniverse {
                 refresh: 7200,
                 retry: 3600,
                 expire: 1_209_600,
-                minimum: self.cfg.leaf_ttl,
+                minimum: LEAF_TTL,
             }),
         )
     }
@@ -1199,7 +1152,7 @@ impl SyntheticUniverse {
 
     fn leaf_answer(&self, p: &Provider, server: u8, b: &Base<'_>, q: &Question) -> AuthResponse {
         let base = b.name;
-        let ttl = self.cfg.leaf_ttl;
+        let ttl = LEAF_TTL;
         let nodata = || Self::negative(Rcode::NoError, self.leaf_soa(base, p));
         let apex_a = || Record::new(base.clone(), ttl, RData::A(self.apex_a_value(b, p, server)));
 
@@ -1337,12 +1290,7 @@ impl SyntheticUniverse {
         // Generic subdomain: exists by hash, else wildcard, else NXDOMAIN.
         let mut text = [0; MAX_TEXT_LEN];
         let fqdn_key = q.name.lower_text(&mut text).as_bytes();
-        if chance(
-            self.seed(),
-            "sub-exists",
-            fqdn_key,
-            self.cfg.subdomain_exists_prob,
-        ) {
+        if chance(self.seed(), "sub-exists", fqdn_key, SUBDOMAIN_EXISTS) {
             if wants_a {
                 return Self::answer(vec![Record::new(
                     q.name.clone(),
@@ -1364,7 +1312,7 @@ impl SyntheticUniverse {
         if matches!(q.qtype, RecordType::A | RecordType::ANY) {
             Self::answer(vec![Record::new(
                 q.name.clone(),
-                self.cfg.leaf_ttl,
+                LEAF_TTL,
                 RData::A(self.apex_a_value(b, p, server)),
             )])
         } else {
@@ -2047,15 +1995,13 @@ mod tests {
         });
         let exists = own.is_some()
             || tld.is_some_and(|t| {
-                t.category != TldCategory::Infra
-                    && chance(seed, "exists", &key, u.cfg.domain_exists_prob)
+                t.category != TldCategory::Infra && chance(seed, "exists", &key, DOMAIN_EXISTS)
             });
         let tld_label = tld.map(|t| t.label.as_str()).unwrap_or("");
         let tld_category = tld.map(|t| t.category);
-        let cfg = &u.cfg;
 
-        let www = if chance(seed, "www-exists", &key, 0.95) {
-            if chance(seed, "www-cname", &key, cfg.www_cname_prob) {
+        let www = if chance(seed, "www-exists", &key, WWW_EXISTS) {
+            if chance(seed, "www-cname", &key, WWW_CNAME) {
                 WwwKind::CnameToApex
             } else {
                 WwwKind::ARecord
@@ -2063,23 +2009,22 @@ mod tests {
         } else {
             WwwKind::Absent
         };
-        let has_txt = chance(seed, "txt", &key, cfg.txt_prob);
+        let has_txt = chance(seed, "txt", &key, TXT);
         let caa_rate = match (tld_category, tld_label) {
-            (Some(TldCategory::CcTld), "pl") => cfg.caa.rate_pl,
-            (Some(TldCategory::CcTld), _) => cfg.caa.rate_cctld,
+            (Some(TldCategory::CcTld), "pl") => CAA_PL,
+            (Some(TldCategory::CcTld), _) => CAA_CCTLD,
             (Some(TldCategory::Infra), _) | (None, _) => 0.0,
-            _ => cfg.caa.rate_gtld,
+            _ => CAA_GTLD,
         };
         let mut caa_records = Vec::new();
         let mut caa_via_cname = false;
         if chance(seed, "caa", &key, caa_rate) {
-            let c = &cfg.caa;
-            caa_via_cname = chance(seed, "caa-cname", &key, c.p_via_cname);
-            let iodef_only = chance(seed, "caa-iodef-only", &key, c.p_iodef_only);
-            let invalid_rate = if provider.index == c.invalid_registrar {
-                c.p_invalid * 40.0
+            caa_via_cname = chance(seed, "caa-cname", &key, CAA_VIA_CNAME);
+            let iodef_only = chance(seed, "caa-iodef-only", &key, CAA_IODEF_ONLY);
+            let invalid_rate = if provider.index == CAA_INVALID_REGISTRAR {
+                CAA_INVALID * CAA_INVALID_AT_REGISTRAR
             } else {
-                c.p_invalid * 0.3
+                CAA_INVALID * CAA_INVALID_ELSEWHERE
             };
             if chance(seed, "caa-invalid", &key, invalid_rate) {
                 caa_records.push(Caa {
@@ -2094,29 +2039,29 @@ mod tests {
                     value: b"mailto:security@visa-like.example".to_vec(),
                 });
             } else {
-                if chance(seed, "caa-issue", &key, c.p_issue) {
-                    if chance(seed, "caa-le", &key, c.p_letsencrypt) {
+                if chance(seed, "caa-issue", &key, CAA_ISSUE) {
+                    if chance(seed, "caa-le", &key, CAA_LETSENCRYPT) {
                         caa_records.push(issue_record("issue", "letsencrypt.org"));
                     }
-                    if chance(seed, "caa-comodo", &key, c.p_comodo) {
+                    if chance(seed, "caa-comodo", &key, CAA_COMODO) {
                         caa_records.push(issue_record("issue", "comodoca.com"));
                     }
-                    if chance(seed, "caa-digicert", &key, c.p_digicert) {
+                    if chance(seed, "caa-digicert", &key, CAA_DIGICERT) {
                         caa_records.push(issue_record("issue", "digicert.com"));
                     }
                     if caa_records.is_empty() {
                         caa_records.push(issue_record("issue", "pki.goog"));
                     }
                 }
-                if chance(seed, "caa-issuewild", &key, c.p_issuewild) {
-                    let wild_val = if chance(seed, "caa-le-wild", &key, c.p_letsencrypt) {
+                if chance(seed, "caa-issuewild", &key, CAA_ISSUEWILD) {
+                    let wild_val = if chance(seed, "caa-le-wild", &key, CAA_LETSENCRYPT) {
                         "letsencrypt.org"
                     } else {
                         "digicert.com"
                     };
                     caa_records.push(issue_record("issuewild", wild_val));
                 }
-                if chance(seed, "caa-iodef", &key, c.p_iodef) {
+                if chance(seed, "caa-iodef", &key, CAA_IODEF) {
                     caa_records.push(Caa {
                         flags: 0,
                         tag: b"iodef".to_vec(),
@@ -2125,14 +2070,13 @@ mod tests {
                 }
             }
         }
-        let f = &cfg.flaky;
         let deep_rate = if provider.index == PROVIDER_NAMEBRIGHT {
-            f.p_deep_namebright
+            FLAKY_DEEP_NAMEBRIGHT
         } else {
             match tld_label {
-                "vn" => f.p_deep_vn,
-                "ng" => f.p_deep_ng,
-                _ => f.p_deep_base,
+                "vn" => FLAKY_DEEP_VN,
+                "ng" => FLAKY_DEEP_NG,
+                _ => FLAKY_DEEP,
             }
         };
         let ns_count = provider.ns_count;
@@ -2140,13 +2084,13 @@ mod tests {
         let flaky = if chance(seed, "flaky-deep", &key, deep_rate) {
             Some(FlakyNs {
                 ns_index: flaky_ns,
-                drop_prob: f.deep_drop,
+                drop_prob: DEEP_DROP,
                 deep: true,
             })
-        } else if chance(seed, "flaky-light", &key, f.p_light) {
+        } else if chance(seed, "flaky-light", &key, FLAKY_LIGHT) {
             Some(FlakyNs {
                 ns_index: flaky_ns,
-                drop_prob: f.light_drop,
+                drop_prob: LIGHT_DROP,
                 deep: false,
             })
         } else {
@@ -2158,19 +2102,18 @@ mod tests {
             provider: provider.index,
             ns_count,
             apex_a: host_address(h64(seed, "apex-a", &key)),
-            has_aaaa: chance(seed, "aaaa", &key, cfg.aaaa_prob),
+            has_aaaa: chance(seed, "aaaa", &key, AAAA),
             www,
-            has_mx: chance(seed, "mx", &key, cfg.mx_prob),
+            has_mx: chance(seed, "mx", &key, MX),
             has_txt,
-            has_spf: has_txt && chance(seed, "spf", &key, cfg.spf_given_txt),
-            has_wildcard: chance(seed, "wildcard", &key, cfg.wildcard_prob),
+            has_spf: has_txt && chance(seed, "spf", &key, SPF_GIVEN_TXT),
+            has_wildcard: chance(seed, "wildcard", &key, WILDCARD),
             caa_records,
             caa_via_cname,
-            lame_ns: chance(seed, "lame", &key, cfg.lame_prob)
+            lame_ns: chance(seed, "lame", &key, LAME)
                 .then(|| (h64(seed, "lame-ns", &key) % ns_count as u64) as u8),
-            glueless: chance(seed, "glueless", &key, cfg.glueless_prob),
-            inconsistent: !provider.consistent
-                || chance(seed, "inconsistent", &key, cfg.inconsistent_prob),
+            glueless: chance(seed, "glueless", &key, GLUELESS),
+            inconsistent: !provider.consistent || chance(seed, "inconsistent", &key, INCONSISTENT),
             flaky,
         }
     }
@@ -2210,7 +2153,7 @@ mod tests {
         );
         let namebright: Vec<Name> = (0..200_000)
             .map(|i| format!("nb{i}.com").parse::<Name>().unwrap())
-            .filter(|n| u.provider_of(n).index == PROVIDER_NAMEBRIGHT)
+            .filter(|n| u.domain_profile(n).provider == PROVIDER_NAMEBRIGHT)
             .take(40)
             .collect();
         assert_eq!(namebright.len(), 40);

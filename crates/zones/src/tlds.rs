@@ -54,6 +54,13 @@ pub struct TldRegistry {
 /// An unused index slot: `generate` keeps every TLD index below it.
 const EMPTY: u16 = u16::MAX;
 
+/// Table 3's ccTLD count: the registry shape the simulator and the CT
+/// corpus share.
+pub const TABLE3_CCTLDS: usize = 486;
+
+/// Table 3's new-gTLD count (see [`TABLE3_CCTLDS`]).
+pub const TABLE3_NGTLDS: usize = 1211;
+
 /// The five legacy gTLDs (Table 3 counts exactly 5).
 pub const LEGACY_GTLDS: [&str; 5] = ["com", "net", "org", "info", "biz"];
 
@@ -66,7 +73,7 @@ pub const REQUIRED_CCTLDS: [&str; 12] = [
 
 impl TldRegistry {
     /// Generate a registry with `n_cc` ccTLDs and `n_ng` new gTLDs
-    /// (defaults match Table 3: 486 and 1211).
+    /// (Table 3's shape is [`TABLE3_CCTLDS`] and [`TABLE3_NGTLDS`]).
     ///
     /// There are only 676 two-letter codes, so at most 676 ccTLDs exist:
     /// a larger `n_cc` is capped without notice, and the codes that exist
@@ -145,14 +152,6 @@ impl TldRegistry {
     /// All TLDs.
     pub fn all(&self) -> &[Tld] {
         &self.tlds
-    }
-
-    /// Count excluding infrastructure (the paper's 1702).
-    pub fn corpus_tld_count(&self) -> usize {
-        self.tlds
-            .iter()
-            .filter(|t| t.category != TldCategory::Infra)
-            .count()
     }
 
     /// Look up by label (case-insensitive), lowercasing on the stack: a
@@ -270,13 +269,12 @@ mod tests {
     use super::*;
 
     fn registry() -> TldRegistry {
-        TldRegistry::generate(42, 486, 1211)
+        TldRegistry::generate(42, TABLE3_CCTLDS, TABLE3_NGTLDS)
     }
 
     #[test]
     fn table3_counts() {
         let r = registry();
-        assert_eq!(r.corpus_tld_count(), 1702);
         let legacy = r
             .all()
             .iter()

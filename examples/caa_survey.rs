@@ -12,12 +12,13 @@ use zdns_core::{Resolver, ResolverConfig};
 use zdns_modules::{CaaLookupModule, LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::{Engine, EngineConfig};
 use zdns_workloads::CtCorpus;
+use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns_zones::{SynthConfig, SyntheticUniverse, Universe};
 
 fn main() {
     let universe = Arc::new(SyntheticUniverse::new(SynthConfig::default()));
     let resolver = Resolver::new(ResolverConfig::iterative(universe.root_hints()));
-    let corpus = CtCorpus::new(universe.config().seed, 486, 1211);
+    let corpus = CtCorpus::new(universe.config().seed, TABLE3_CCTLDS, TABLE3_NGTLDS);
 
     let outputs: Arc<Mutex<Vec<ModuleOutput>>> = Arc::new(Mutex::new(Vec::new()));
     let sink_outputs = Arc::clone(&outputs);

@@ -13,12 +13,13 @@ use zdns_core::{Resolver, ResolverConfig};
 use zdns_modules::{AllNameserversModule, LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::{Engine, EngineConfig};
 use zdns_workloads::CtCorpus;
+use zdns_zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns_zones::{SynthConfig, SyntheticUniverse, Universe};
 
 fn main() {
     let universe = Arc::new(SyntheticUniverse::new(SynthConfig::default()));
     let resolver = Resolver::new(ResolverConfig::iterative(universe.root_hints()));
-    let corpus = CtCorpus::new(universe.config().seed, 486, 1211);
+    let corpus = CtCorpus::new(universe.config().seed, TABLE3_CCTLDS, TABLE3_NGTLDS);
     let module = AllNameserversModule;
 
     let outputs: Arc<Mutex<Vec<ModuleOutput>>> = Arc::new(Mutex::new(Vec::new()));

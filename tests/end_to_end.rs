@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 use zdns::framework::{run_sim_scan, Conf, OutputGroup};
 use zdns::modules::{ModuleOutput, ModuleRegistry};
 use zdns::workloads::CtCorpus;
+use zdns::zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns::zones::{SynthConfig, SyntheticUniverse, Universe};
 
 fn universe() -> Arc<SyntheticUniverse> {
@@ -19,7 +20,7 @@ fn cli_style_scan_produces_parseable_jsonl() {
     let conf = Conf::parse(["A", "--iterative", "--threads", "64"]).unwrap();
     let registry = ModuleRegistry::standard();
     let module = registry.get(&conf.module).unwrap();
-    let corpus = CtCorpus::new(0x5DA5_2D45, 486, 1211);
+    let corpus = CtCorpus::new(0x5DA5_2D45, TABLE3_CCTLDS, TABLE3_NGTLDS);
     let lines: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let sink_lines = Arc::clone(&lines);
     let group = conf.output;

@@ -40,6 +40,7 @@ use zdns::netsim::{
 };
 use zdns::wire::Name;
 use zdns::workloads::CtCorpus;
+use zdns::zones::tlds::{TABLE3_CCTLDS, TABLE3_NGTLDS};
 use zdns::zones::{ExplicitUniverse, SynthConfig, SyntheticUniverse, Universe, Zone};
 
 /// A loopback server whose root-apex zone authoritatively answers every
@@ -309,7 +310,8 @@ fn ct_corpus_workload_streams_through_real_scan_on_loopback() {
 
     // The exact source the CLI builds for `--workload ct-corpus`:
     // generated, streaming, never materialized.
-    let mut source = CtCorpus::new(conf.seed, 486, 1211).into_stream(conf.max_names as u64);
+    let mut source =
+        CtCorpus::new(conf.seed, TABLE3_CCTLDS, TABLE3_NGTLDS).into_stream(conf.max_names as u64);
     let mut sink = JsonlSink::new(Vec::new(), conf.output);
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
 
@@ -526,7 +528,7 @@ fn sim_scan_drains_the_same_input_source_stream() {
     let universe = Arc::new(SyntheticUniverse::new(SynthConfig::default()));
     let module = ModuleRegistry::standard().get("A").unwrap();
     // The identical generator type the real pipeline consumed above.
-    let source = CtCorpus::new(7, 486, 1211).into_stream(250);
+    let source = CtCorpus::new(7, TABLE3_CCTLDS, TABLE3_NGTLDS).into_stream(250);
     let outputs = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let o2 = Arc::clone(&outputs);
     let report = run_sim_scan(&conf, universe, module, source, move |_| {
