@@ -65,8 +65,8 @@ pub use serve::{ServeConfig, ServeStats, ServerRole, DEFAULT_PACKET_CACHE_CAPACI
 pub use status::Status;
 pub use trace::TraceStep;
 pub use transport::{
-    BatchIo, BatchSendStatus, IoBackend, RecvBatch, SendBatchStats, SendSlot, VectoredSend,
-    MAX_BATCH,
+    BatchIo, BatchSendStatus, IoBackend, RecvArena, RecvBatch, SendBatchStats, SendSlot,
+    VectoredSend, MAX_BATCH, RECV_SLOT,
 };
 // The admission credit pool lives next to the other budgeting primitives
 // in `zdns-pacing`; re-exported so scan orchestration above this crate

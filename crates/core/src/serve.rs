@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use zdns_netsim::{FramedConn, SimClient, SimTime, SECONDS};
+use zdns_netsim::{FramedConn, RecvArena, SimClient, SimTime, SECONDS};
 use zdns_pacing::ClientBuckets;
 use zdns_wire::{
     min_answer_ttl, Cookie, Edns, Flags, Header, Message, MessageView, Question, Rcode, RcodeField,
@@ -88,7 +88,8 @@ const MAX_TCP_CONNS: usize = 64;
 /// Silence after which a TCP connection is reaped.
 const TCP_IDLE: SimTime = 10 * SECONDS;
 
-/// Datagrams drained from a dedicated listener socket per tick.
+/// Datagrams drained from a dedicated listener socket per tick: the
+/// depth of its receive arena.
 const MAX_DATAGRAMS_PER_TICK: usize = 256;
 
 /// Default packet-cache slot count ([`ServeConfig::packet_cache_capacity`]).
@@ -258,14 +259,14 @@ pub struct ServerRole {
     stats: Arc<ServeStats>,
     pending: Arc<Mutex<Vec<PendingAnswer>>>,
     admissions: Vec<Box<dyn SimClient>>,
-    /// Dedicated listener socket (sharded mode). `None` = dual-role: the
-    /// reactor's own socket is the listener and responses leave it too.
-    listener: Option<UdpSocket>,
+    /// Dedicated listener socket and the arena it is drained through
+    /// (sharded mode). `None` = dual-role: the reactor's own socket is
+    /// the listener and responses leave it too.
+    listener: Option<(UdpSocket, RecvArena)>,
     tcp: Option<TcpListener>,
     conns: Vec<Option<TcpConn>>,
     conn_generations: Vec<u64>,
     scratch: ScratchBuf,
-    recv_buf: Vec<u8>,
 }
 
 impl ServerRole {
@@ -299,7 +300,6 @@ impl ServerRole {
             conns: Vec::new(),
             conn_generations: Vec::new(),
             scratch: ScratchBuf::new(),
-            recv_buf: vec![0u8; 65_535],
         }
     }
 
@@ -310,7 +310,7 @@ impl ServerRole {
     pub fn with_udp_listener(mut self, socket: UdpSocket) -> std::io::Result<ServerRole> {
         socket.set_nonblocking(true)?;
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
-        self.listener = Some(socket);
+        self.listener = Some((socket, RecvArena::new(MAX_DATAGRAMS_PER_TICK)));
         Ok(self)
     }
 
@@ -400,19 +400,15 @@ impl ServerRole {
     }
 
     fn drain_listener(&mut self, now: SimTime) {
-        let Some(listener) = self.listener.take() else {
+        let Some((listener, mut arena)) = self.listener.take() else {
             return;
         };
-        let mut buf = std::mem::take(&mut self.recv_buf);
-        for _ in 0..MAX_DATAGRAMS_PER_TICK {
-            match listener.recv_from(&mut buf) {
-                Ok((n, peer)) => self.on_udp_datagram(&listener, &buf[..n], peer, now),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+        let batch = arena.recv_batch(&listener);
+        for i in 0..batch.count {
+            let (raw, peer) = arena.datagram(i);
+            self.on_udp_datagram(&listener, raw, peer, now);
         }
-        self.recv_buf = buf;
-        self.listener = Some(listener);
+        self.listener = Some((listener, arena));
     }
 
     /// Parse, gate, probe the cache, and either answer or forward one
@@ -705,7 +701,7 @@ impl ServerRole {
                     if truncated {
                         ServeStats::bump(&self.stats.truncated);
                     }
-                    let socket = self.listener.as_ref().unwrap_or(fallback);
+                    let socket = self.listener.as_ref().map_or(fallback, |l| &l.0);
                     // Count before sending (see `on_udp_datagram`).
                     ServeStats::bump(&self.stats.responses);
                     let _ = socket.send_to(self.scratch.message_bytes(), ctx.peer);

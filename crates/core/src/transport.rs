@@ -3,15 +3,17 @@
 //! destination; TCP connections, opened only on truncation, are
 //! `tcp.rs`'s).
 //!
-//! [`BatchIo`] is the batched syscall layer: it coalesces
-//! same-tick sends into single `sendmmsg(2)` calls and drains the socket
-//! through a reusable `recvmmsg(2)` arena, with an automatic per-datagram
-//! fallback (`send_to`/`recv_from`) for non-Linux targets and for
-//! `--batch-size 1`.
+//! [`BatchIo`] is the batched syscall layer: it coalesces same-tick
+//! sends into single `sendmmsg(2)` calls and drains the socket through a
+//! [`RecvArena`], with a per-datagram fallback (`send_to`/`recvfrom`)
+//! for non-Linux targets and for `--batch-size 1`. The raw calls and the
+//! arena are `zdns_netsim::mmsg`'s, shared with the loopback wire servers
+//! and the sharded serve listener; this module adds the settling rules.
 
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 
-use zdns_netsim::RECV_SLOT;
+pub use zdns_netsim::mmsg::{RecvArena, RecvBatch, RECV_SLOT};
+use zdns_netsim::MmsgScratch;
 
 // ---------------------------------------------------------------------------
 // Readiness wait
@@ -129,8 +131,9 @@ pub(crate) mod readiness {
         fds[1].ready()
     }
 
-    /// Block until `fd` is writable or `timeout_ms` elapses.
-    pub fn wait_writable(fd: RawFd, timeout_ms: i32) -> bool {
+    /// Block until `socket` is writable or `timeout_ms` elapses.
+    pub fn wait_writable(socket: &std::net::UdpSocket, timeout_ms: i32) -> bool {
+        let fd = std::os::fd::AsRawFd::as_raw_fd(socket);
         wait_for(&mut [PollFd::new(fd, POLLOUT)], timeout_ms) == Wait::Ready
     }
 }
@@ -147,25 +150,11 @@ pub(crate) mod readiness {
     }
 
     /// Portable fallback for writability.
-    pub fn wait_writable(_fd: i32, timeout_ms: i32) -> bool {
+    pub fn wait_writable(_socket: &std::net::UdpSocket, timeout_ms: i32) -> bool {
         std::thread::sleep(std::time::Duration::from_millis(
             timeout_ms.clamp(0, 1) as u64
         ));
         true
-    }
-}
-
-/// Wait for `socket` to become writable (bounded by `timeout_ms`).
-fn wait_socket_writable(socket: &UdpSocket, timeout_ms: i32) {
-    #[cfg(unix)]
-    {
-        use std::os::fd::AsRawFd;
-        readiness::wait_writable(socket.as_raw_fd(), timeout_ms);
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = socket;
-        readiness::wait_writable(0, timeout_ms);
     }
 }
 
@@ -174,14 +163,15 @@ fn wait_socket_writable(socket: &UdpSocket, timeout_ms: i32) {
 // ---------------------------------------------------------------------------
 
 /// Hard ceiling on datagrams per syscall — the largest `--batch-size`
-/// accepted (the kernel caps `vlen` at `UIO_MAXIOV` = 1024 anyway).
+/// accepted and the deepest [`RecvArena`] (the kernel caps `vlen` at
+/// `UIO_MAXIOV` = 1024 anyway).
 pub const MAX_BATCH: usize = 1_024;
 
 /// Which syscall strategy [`BatchIo`] should run — the `--io-backend`
 /// flag's value, resolved by [`BatchIo::with_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackend {
-    /// Plain `send_to`/`recv_from`, one datagram per syscall.
+    /// Plain `send_to`/`recvfrom`, one datagram per syscall.
     Syscall,
     /// `sendmmsg(2)`/`recvmmsg(2)` vectored batches where the platform
     /// has them and the batch size is above 1; per-datagram otherwise.
@@ -232,17 +222,6 @@ pub struct SendBatchStats {
     pub sent: u64,
 }
 
-/// Result of one [`BatchIo::recv_into_arena`] call.
-#[derive(Debug)]
-pub struct RecvBatch {
-    /// Datagrams now sitting in the arena (`0..count` are valid).
-    pub count: usize,
-    /// Hard socket error hit after `count` datagrams, if any. A short
-    /// batch with `err == None` is a normal drain (the queue emptied),
-    /// **not** an error — `WouldBlock` is never reported here.
-    pub err: Option<std::io::Error>,
-}
-
 /// The vectored-send primitive [`BatchIo`] drives: attempt the given
 /// datagrams front-first, return how many consecutive ones were sent
 /// (≥ 1) or the error that stopped the first. Injectable so tests can
@@ -255,52 +234,44 @@ pub type VectoredSend<'a> = dyn FnMut(&[(&[u8], SocketAddr)]) -> std::io::Result
 /// per-flush `Vec<(&[u8], SocketAddr)>` ever needs to be materialized.
 pub type SendSlot = (u32, u32, SocketAddr);
 
-/// Batched syscall layer for one non-blocking UDP socket: a receive
-/// arena of `batch_size` slots (one lazily-zeroed allocation, see
-/// [`RECV_SLOT`]) plus the reusable FFI vectors for
-/// `sendmmsg`/`recvmmsg`. When `batched`, same-tick sends coalesce into
-/// `sendmmsg(2)` and receives drain through one `recvmmsg(2)` per arena;
-/// otherwise every datagram is its own `send_to`/`recv_from` (the
-/// non-Linux path and `--batch-size 1`). Both modes share per-datagram
-/// semantics — the property tests in `crates/core/tests/batch_io.rs`
-/// hold them to the same delivered sequences.
+/// Batched syscall layer for one non-blocking UDP socket: a
+/// [`RecvArena`] of `batch_size` slots plus the reusable FFI vectors for
+/// `sendmmsg`. When batched, same-tick sends coalesce into `sendmmsg(2)`
+/// and receives drain through one `recvmmsg(2)` per arena; otherwise
+/// every datagram is its own `send_to`/`recvfrom` (the non-Linux path
+/// and `--batch-size 1`). Both modes share per-datagram semantics — the
+/// property tests in `crates/core/tests/batch_io.rs` hold them to the
+/// same delivered sequences.
 pub struct BatchIo {
-    batch_size: usize,
-    batched: bool,
-    /// `batch_size` slots of [`RECV_SLOT`] bytes.
-    arena: Vec<u8>,
-    lens: Vec<usize>,
-    peers: Vec<SocketAddr>,
-    /// Pre-allocated FFI vectors, rewritten in place before every
-    /// syscall — the hot path never touches the allocator.
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    scratch: zdns_netsim::MmsgScratch,
+    /// The receive side; its depth is the batch size and its mode the
+    /// batching mode.
+    arena: RecvArena,
+    /// The send side's FFI vectors, rewritten in place before every
+    /// `sendmmsg` — the hot path never touches the allocator.
+    scratch: MmsgScratch,
 }
 
 impl BatchIo {
-    fn build(batch_size: usize, batched: bool) -> BatchIo {
-        let batch_size = batch_size.clamp(1, MAX_BATCH);
-        BatchIo {
-            batch_size,
-            batched,
-            arena: vec![0u8; batch_size * RECV_SLOT],
-            lens: vec![0; batch_size],
-            peers: vec![SocketAddr::new(Ipv4Addr::UNSPECIFIED.into(), 0); batch_size],
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            scratch: zdns_netsim::MmsgScratch::new(),
-        }
-    }
-
     /// Build with the vectored mode where it exists: `sendmmsg`/`recvmmsg`
     /// on Linux when `batch_size > 1`, per-datagram syscalls otherwise.
+    /// The batch size is clamped to `1..=`[`MAX_BATCH`].
     pub fn new(batch_size: usize) -> BatchIo {
-        BatchIo::build(batch_size, libc::MMSG_SUPPORTED && batch_size > 1)
+        if batch_size <= 1 {
+            return BatchIo::per_datagram(batch_size);
+        }
+        BatchIo {
+            arena: RecvArena::new(batch_size),
+            scratch: MmsgScratch::default(),
+        }
     }
 
     /// Force the per-datagram path (`--io-backend syscall`, and the
     /// equivalence property tests).
     pub fn per_datagram(batch_size: usize) -> BatchIo {
-        BatchIo::build(batch_size, false)
+        BatchIo {
+            arena: RecvArena::per_datagram(batch_size),
+            scratch: MmsgScratch::default(),
+        }
     }
 
     /// Resolve an [`IoBackend`] choice: `Syscall` is per-datagram, `Mmsg`
@@ -315,7 +286,7 @@ impl BatchIo {
     /// The resolved strategy, as spelled in the `--real` summary:
     /// `"syscall"` or `"mmsg"`.
     pub fn backend_name(&self) -> &'static str {
-        if self.batched {
+        if self.is_batched() {
             "mmsg"
         } else {
             "syscall"
@@ -324,12 +295,12 @@ impl BatchIo {
 
     /// Datagrams per syscall this layer aims for (also the arena depth).
     pub fn batch_size(&self) -> usize {
-        self.batch_size
+        self.arena.depth()
     }
 
     /// Whether the vectored path is active.
     pub fn is_batched(&self) -> bool {
-        self.batched
+        self.arena.is_vectored()
     }
 
     // -- send ---------------------------------------------------------------
@@ -345,35 +316,7 @@ impl BatchIo {
         statuses: &mut Vec<BatchSendStatus>,
         on_syscall: &mut dyn FnMut(usize),
     ) -> SendBatchStats {
-        // One writability wait per flush: the first post-wait WouldBlock
-        // marks the whole remaining suffix as backpressure instead of
-        // stalling the event loop once per datagram.
-        let mut waited = false;
-        #[cfg(any(target_os = "linux", target_os = "android"))]
-        if self.batched {
-            let scratch = &mut self.scratch;
-            let mut primitive = |chunk: &[(&[u8], SocketAddr)]| loop {
-                match send_many_once(socket, scratch, chunk) {
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && !waited => {
-                        waited = true;
-                        wait_socket_writable(socket, 1);
-                    }
-                    other => return other,
-                }
-            };
-            return settle_send(self.batch_size, &mut primitive, msgs, statuses, on_syscall);
-        }
-        let mut primitive = |chunk: &[(&[u8], SocketAddr)]| loop {
-            let (bytes, dest) = chunk[0];
-            match socket.send_to(bytes, dest).map(|_| 1) {
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && !waited => {
-                    waited = true;
-                    wait_socket_writable(socket, 1);
-                }
-                other => return other,
-            }
-        };
-        settle_send(self.batch_size, &mut primitive, msgs, statuses, on_syscall)
+        self.send_each(socket, msgs, |m| *m, statuses, on_syscall)
     }
 
     /// The settling engine behind [`BatchIo::send_batch`], with the
@@ -389,7 +332,7 @@ impl BatchIo {
         statuses: &mut Vec<BatchSendStatus>,
         on_syscall: &mut dyn FnMut(usize),
     ) -> SendBatchStats {
-        settle_send(self.batch_size, send, msgs, statuses, on_syscall)
+        settle_send(self.batch_size(), send, msgs, statuses, on_syscall)
     }
 
     /// [`BatchIo::send_batch`] over [`SendSlot`]s into a shared encode
@@ -403,127 +346,70 @@ impl BatchIo {
         statuses: &mut Vec<BatchSendStatus>,
         on_syscall: &mut dyn FnMut(usize),
     ) -> SendBatchStats {
+        let datagram =
+            |&(start, len, dest): &SendSlot| (&arena[start as usize..(start + len) as usize], dest);
+        self.send_each(socket, slots, datagram, statuses, on_syscall)
+    }
+
+    /// The one send path: settle `items`, each read as a datagram by
+    /// `datagram`, through `sendmmsg` or one `send_to` apiece.
+    fn send_each<'a, T>(
+        &mut self,
+        socket: &UdpSocket,
+        items: &[T],
+        datagram: impl Fn(&T) -> (&'a [u8], SocketAddr),
+        statuses: &mut Vec<BatchSendStatus>,
+        on_syscall: &mut dyn FnMut(usize),
+    ) -> SendBatchStats {
+        // One writability wait per flush: the first post-wait WouldBlock
+        // marks the whole remaining suffix as backpressure instead of
+        // stalling the event loop once per datagram.
         let mut waited = false;
-        #[cfg(any(target_os = "linux", target_os = "android"))]
-        if self.batched {
-            let scratch = &mut self.scratch;
-            let mut primitive = |chunk: &[SendSlot]| loop {
-                match send_many_once_slots(socket, scratch, arena, chunk) {
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && !waited => {
-                        waited = true;
-                        wait_socket_writable(socket, 1);
-                    }
-                    other => return other,
-                }
+        let (batch_size, batched) = (self.batch_size(), self.is_batched());
+        let scratch = &mut self.scratch;
+        let mut primitive = |chunk: &[T]| loop {
+            let sent = if batched {
+                scratch.send(socket, chunk.iter().map(&datagram))
+            } else {
+                let (bytes, dest) = datagram(&chunk[0]);
+                socket.send_to(bytes, dest).map(|_| 1)
             };
-            return settle_send(self.batch_size, &mut primitive, slots, statuses, on_syscall);
-        }
-        let mut primitive = |chunk: &[SendSlot]| loop {
-            let (start, len, dest) = chunk[0];
-            let bytes = &arena[start as usize..(start + len) as usize];
-            match socket.send_to(bytes, dest).map(|_| 1) {
+            match sent {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && !waited => {
                     waited = true;
-                    wait_socket_writable(socket, 1);
+                    readiness::wait_writable(socket, 1);
                 }
                 other => return other,
             }
         };
-        settle_send(self.batch_size, &mut primitive, slots, statuses, on_syscall)
+        settle_send(batch_size, &mut primitive, items, statuses, on_syscall)
     }
 
     // -- receive ------------------------------------------------------------
 
     /// Drain up to `batch_size` datagrams from `socket` into the arena.
-    /// Never blocks; see [`RecvBatch`] for how short batches and errors
-    /// are told apart.
+    /// Never blocks on the reactor's non-blocking socket; see
+    /// [`RecvBatch`] for how short batches and errors are told apart.
     pub fn recv_into_arena(&mut self, socket: &UdpSocket) -> RecvBatch {
-        #[cfg(any(target_os = "linux", target_os = "android"))]
-        if self.batched {
-            return self.recv_many_once(socket);
-        }
-        let mut count = 0;
-        while count < self.batch_size {
-            match socket.recv_from(&mut self.arena[count * RECV_SLOT..][..RECV_SLOT]) {
-                Ok((len, peer)) => {
-                    self.lens[count] = len;
-                    self.peers[count] = peer;
-                    count += 1;
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return RecvBatch { count, err: None };
-                }
-                Err(e) => {
-                    return RecvBatch {
-                        count,
-                        err: Some(e),
-                    };
-                }
-            }
-        }
-        RecvBatch { count, err: None }
+        self.arena.recv_batch(socket)
     }
 
     /// Bytes of the `i`-th datagram in the arena (valid after a
     /// [`BatchIo::recv_into_arena`] returning `count > i`).
     pub fn arena_bytes(&self, i: usize) -> &[u8] {
-        &self.arena[i * RECV_SLOT..][..self.lens[i]]
+        self.arena.datagram(i).0
     }
 
     /// Peer address of the `i`-th datagram in the arena.
     pub fn arena_peer(&self, i: usize) -> SocketAddr {
-        self.peers[i]
-    }
-
-    /// One `recvmmsg` call filling the arena.
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    fn recv_many_once(&mut self, socket: &UdpSocket) -> RecvBatch {
-        use std::os::fd::AsRawFd;
-        let hdrs = self.scratch.prepare_recv(self.arena.chunks_mut(RECV_SLOT));
-        // SAFETY: every mmsghdr points at live, correctly-sized storage
-        // (arena buffers and the reusable scratch arrays) that outlives
-        // the call; vlen matches the slice length.
-        let r = unsafe {
-            libc::recvmmsg(
-                socket.as_raw_fd(),
-                hdrs.as_mut_ptr(),
-                hdrs.len() as libc::c_uint,
-                libc::MSG_DONTWAIT,
-                std::ptr::null_mut(),
-            )
-        };
-        if r < 0 {
-            let e = std::io::Error::last_os_error();
-            let err = match e.kind() {
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => None,
-                _ => Some(e),
-            };
-            return RecvBatch { count: 0, err };
-        }
-        let count = r as usize;
-        for i in 0..count {
-            self.lens[i] = self.scratch.received_len(i).min(RECV_SLOT);
-            if let Some(peer) = self.scratch.peer(i) {
-                self.peers[i] = peer;
-            } else {
-                // Non-IPv4 peer on a v4 socket should be impossible; mark
-                // the slot empty so it decodes to nothing.
-                self.lens[i] = 0;
-            }
-        }
-        RecvBatch { count, err: None }
+        self.arena.datagram(i).1
     }
 }
 
-/// The settling engine shared by every send path: chunk `msgs` by
-/// `batch_size`, retry short returns from the next unsent datagram, map
-/// `WouldBlock` to backpressure for the entire unsent suffix, and map
-/// any other error to a single failed datagram (then keep going). An
-/// `Ok(0)` return violates the [`VectoredSend`] contract and is settled
-/// as one failed datagram rather than silently marked sent.
+/// The settling engine shared by every send path (the rules are
+/// [`BatchIo::send_batch_with`]'s). An `Ok(0)` return violates the
+/// [`VectoredSend`] contract and is settled as one failed datagram
+/// rather than silently marked sent.
 fn settle_send<T>(
     batch_size: usize,
     send: &mut dyn FnMut(&[T]) -> std::io::Result<usize>,
@@ -535,116 +421,30 @@ fn settle_send<T>(
     let mut pos = 0;
     while pos < msgs.len() {
         let end = (pos + batch_size).min(msgs.len());
+        stats.syscalls += 1;
         match send(&msgs[pos..end]) {
-            Ok(0) => {
-                debug_assert!(
-                    false,
-                    "vectored send returned Ok(0), violating its contract"
-                );
-                stats.syscalls += 1;
-                statuses.push(BatchSendStatus::Failed);
-                pos += 1;
-            }
-            Ok(n) => {
+            Ok(n) if n > 0 => {
                 let n = n.min(end - pos);
-                stats.syscalls += 1;
                 stats.sent += n as u64;
                 on_syscall(n);
                 statuses.extend(std::iter::repeat_n(BatchSendStatus::Sent, n));
                 pos += n;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                stats.syscalls += 1;
                 statuses.extend(std::iter::repeat_n(
                     BatchSendStatus::Backpressure,
                     msgs.len() - pos,
                 ));
                 return stats;
             }
-            Err(_) => {
-                stats.syscalls += 1;
+            sent => {
+                debug_assert!(sent.is_err(), "vectored send returned Ok(0)");
                 statuses.push(BatchSendStatus::Failed);
                 pos += 1;
             }
         }
     }
     stats
-}
-
-/// [`send_many_once`] over arena slots: one `sendmmsg` attempt on the
-/// longest IPv4 prefix of `slots`, iovecs pointed straight into `arena`.
-#[cfg(any(target_os = "linux", target_os = "android"))]
-fn send_many_once_slots(
-    socket: &UdpSocket,
-    scratch: &mut zdns_netsim::MmsgScratch,
-    arena: &[u8],
-    slots: &[SendSlot],
-) -> std::io::Result<usize> {
-    use std::os::fd::AsRawFd;
-    let run = slots
-        .iter()
-        .take_while(|(_, _, dest)| dest.is_ipv4())
-        .count()
-        .min(MAX_BATCH);
-    if run == 0 {
-        let (start, len, dest) = slots[0];
-        let bytes = &arena[start as usize..(start + len) as usize];
-        return socket.send_to(bytes, dest).map(|_| 1);
-    }
-    let hdrs = scratch.prepare_send_slots(arena, &slots[..run]);
-    // SAFETY: every mmsghdr points at live storage (the arena and the
-    // reusable scratch arrays) that outlives the call; the arena is only
-    // read; vlen matches the slice length.
-    let r = unsafe {
-        libc::sendmmsg(
-            socket.as_raw_fd(),
-            hdrs.as_mut_ptr(),
-            hdrs.len() as libc::c_uint,
-            libc::MSG_DONTWAIT,
-        )
-    };
-    if r < 0 {
-        Err(std::io::Error::last_os_error())
-    } else {
-        Ok(r as usize)
-    }
-}
-
-/// One `sendmmsg` attempt on the longest IPv4 prefix of `msgs` (a
-/// non-IPv4 head is sent singly through `std`). Returns datagrams sent.
-#[cfg(any(target_os = "linux", target_os = "android"))]
-fn send_many_once(
-    socket: &UdpSocket,
-    scratch: &mut zdns_netsim::MmsgScratch,
-    msgs: &[(&[u8], SocketAddr)],
-) -> std::io::Result<usize> {
-    use std::os::fd::AsRawFd;
-    let run = msgs
-        .iter()
-        .take_while(|(_, dest)| dest.is_ipv4())
-        .count()
-        .min(MAX_BATCH);
-    if run == 0 {
-        let (bytes, dest) = msgs[0];
-        return socket.send_to(bytes, dest).map(|_| 1);
-    }
-    let hdrs = scratch.prepare_send(&msgs[..run]);
-    // SAFETY: every mmsghdr points at live storage (payload slices and
-    // the reusable scratch arrays) that outlives the call; the payload
-    // buffers are only read; vlen matches the slice length.
-    let r = unsafe {
-        libc::sendmmsg(
-            socket.as_raw_fd(),
-            hdrs.as_mut_ptr(),
-            hdrs.len() as libc::c_uint,
-            libc::MSG_DONTWAIT,
-        )
-    };
-    if r < 0 {
-        Err(std::io::Error::last_os_error())
-    } else {
-        Ok(r as usize)
-    }
 }
 
 #[cfg(test)]

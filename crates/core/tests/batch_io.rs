@@ -8,7 +8,7 @@ use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use zdns_core::{BatchIo, BatchSendStatus, IoBackend};
+use zdns_core::{BatchIo, BatchSendStatus, IoBackend, SendSlot};
 
 /// Index-stamped payloads so sequence comparisons are meaningful.
 fn payloads(count: usize, sizes: &[usize]) -> Vec<Vec<u8>> {
@@ -27,6 +27,28 @@ fn send_all(io: &mut BatchIo, socket: &UdpSocket, to: SocketAddr, msgs: &[Vec<u8
     let refs: Vec<(&[u8], SocketAddr)> = msgs.iter().map(|m| (m.as_slice(), to)).collect();
     let mut statuses = Vec::new();
     let stats = io.send_batch(socket, &refs, &mut statuses, &mut |_| {});
+    assert_eq!(statuses.len(), msgs.len());
+    assert!(
+        statuses.iter().all(|s| *s == BatchSendStatus::Sent),
+        "loopback send should not block or fail: {statuses:?}"
+    );
+    assert_eq!(stats.sent as usize, msgs.len());
+}
+
+/// [`send_all`] through `send_slots`: every payload staged in one shared
+/// encode arena, as the reactor's flush does.
+fn send_all_slots(io: &mut BatchIo, socket: &UdpSocket, to: SocketAddr, msgs: &[Vec<u8>]) {
+    let mut arena = Vec::new();
+    let slots: Vec<SendSlot> = msgs
+        .iter()
+        .map(|m| {
+            let start = arena.len() as u32;
+            arena.extend_from_slice(m);
+            (start, m.len() as u32, to)
+        })
+        .collect();
+    let mut statuses = Vec::new();
+    let stats = io.send_slots(socket, &arena, &slots, &mut statuses, &mut |_| {});
     assert_eq!(statuses.len(), msgs.len());
     assert!(
         statuses.iter().all(|s| *s == BatchSendStatus::Sent),
@@ -103,6 +125,28 @@ proptest! {
         // input exactly — same datagrams, same order, same bytes.
         prop_assert_eq!(&via_fallback_rx, &msgs);
         prop_assert_eq!(&via_batched_rx, &msgs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The reactor's send path, `send_slots`, holds to the same property:
+    // sent from a shared arena by either backend, the receiver sees the
+    // input sequence exactly.
+    #[test]
+    fn send_slots_delivers_identical_sequences_on_both_backends(
+        batch in 1usize..=64,
+        count in 1usize..=96,
+        sizes in proptest::collection::vec(4usize..900, 1..=8),
+    ) {
+        let msgs = payloads(count, &sizes);
+        for mut sender in [BatchIo::new(batch), BatchIo::per_datagram(batch)] {
+            let (tx, rx, to) = loopback_pair();
+            send_all_slots(&mut sender, &tx, to, &msgs);
+            let got = recv_all(&mut BatchIo::new(batch), &rx, msgs.len());
+            prop_assert_eq!(&got, &msgs, "{} at {}", sender.backend_name(), batch);
+        }
     }
 }
 

@@ -333,6 +333,10 @@ fn duration_secs(v: &str) -> Result<SimTime, String> {
 /// hosts `192.0.2.1` to `192.0.2.254` of one /24.
 const MAX_SOURCE_IPS: usize = 254;
 
+/// Most slots `--packet-cache-capacity` takes: the table is allocated
+/// whole at start-up (24 bytes a slot, so 384 MiB here).
+const MAX_PACKET_CACHE_CAPACITY: usize = 1 << 24;
+
 /// Parse a server address: `ip` (port 53) or `ip:port`. IPv4 only — the
 /// resolver core routes by v4 address.
 fn parse_server_addr(v: &str) -> Result<(Ipv4Addr, SocketAddr), String> {
@@ -852,7 +856,11 @@ pub static SERVE_FLAGS: FlagTable<ServeConf> = FlagTable {
             help: "pre-encoded answer packets kept in front of the\n\
                 record cache; hot repeats skip record iteration\n\
                 and re-encoding (default 65536; 0 disables)",
-            set: |c, v| number(v).map(|n| c.options.packet_cache_capacity = n),
+            set: |c, v| {
+                parse_checked(v, |n| *n <= MAX_PACKET_CACHE_CAPACITY)
+                    .map(|n| c.options.packet_cache_capacity = n)
+                    .map_err(|_| format!("0 to {MAX_PACKET_CACHE_CAPACITY}"))
+            },
         },
         Flag {
             names: &["--client-pps"],
@@ -1434,6 +1442,27 @@ mod tests {
         let off =
             ServeConf::parse(["--upstream", "8.8.8.8", "--packet-cache-capacity", "0"]).unwrap();
         assert_eq!(off.options.packet_cache_capacity, 0);
+    }
+
+    #[test]
+    fn packet_cache_capacity_is_bounded() {
+        let parse = |v| ServeConf::parse(["--upstream", "8.8.8.8", "--packet-cache-capacity", v]);
+        let most = MAX_PACKET_CACHE_CAPACITY.to_string();
+        assert_eq!(
+            parse(&most).unwrap().options.packet_cache_capacity,
+            MAX_PACKET_CACHE_CAPACITY
+        );
+        // The slot table is allocated up front: this one used to abort
+        // the process on a 3 PB allocation instead of refusing the flag.
+        let err = parse("99999999999999").unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "configuration error: bad --packet-cache-capacity \"99999999999999\" (0 to 16777216)"
+        );
+        let over = (MAX_PACKET_CACHE_CAPACITY + 1).to_string();
+        for bad in [over.as_str(), "-1", "x"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod engine;
 pub mod framed;
 pub mod input;
 pub mod latency;
-#[cfg(any(target_os = "linux", target_os = "android"))]
 pub mod mmsg;
 pub mod oracle;
 pub mod resolvers;
@@ -44,12 +43,11 @@ pub use engine::{
 };
 pub use framed::FramedConn;
 pub use input::{shard_of, InputSource, ShardedSource};
-#[cfg(any(target_os = "linux", target_os = "android"))]
-pub use mmsg::MmsgScratch;
+pub use mmsg::{MmsgScratch, RecvArena, RecvBatch, RECV_SLOT};
 pub use resolvers::{PublicResolverConfig, PublicResolverSim, ResolverOutcome};
 pub use time::{as_secs_f64, from_secs_f64, SimTime, MICROS, MILLIS, SECONDS};
 pub use wire_server::{
     bind_reuse_port, bind_tcp_reuse_port, bind_udp_tcp_pair, connect_nonblocking, set_recv_buffer,
-    QueryLog, RecvArena, WireServer, RECV_SLOT, SERVER_COOKIE,
+    QueryLog, WireServer, SERVER_COOKIE,
 };
 pub use zdns_pacing::{PaceDecision, SendGate};

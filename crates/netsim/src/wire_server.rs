@@ -22,6 +22,7 @@ use zdns_zones::Universe;
 
 use crate::engine::Protocol;
 use crate::framed::FramedConn;
+use crate::mmsg::RecvArena;
 
 /// A running loopback DNS server.
 pub struct WireServer {
@@ -223,104 +224,6 @@ pub fn connect_nonblocking(to: SocketAddr, timeout: Duration) -> std::io::Result
     Ok(stream)
 }
 
-/// Bytes per slot of a receive arena: room for the largest UDP datagram,
-/// rounded up to whole pages. An arena is *one* zeroed allocation of
-/// `depth × RECV_SLOT` bytes cut into slots — the allocator hands that out
-/// as untouched zero pages, so making it costs microseconds and the
-/// process pays only for the pages datagrams actually fill (a buffer per
-/// slot, each below the allocator's mmap threshold, was 2 MB of `memset`
-/// and of resident memory per 32-slot arena).
-pub const RECV_SLOT: usize = 65_536;
-
-/// A reusable receive arena for batch-draining a UDP socket with
-/// `recvmmsg(2)`: `depth` pre-allocated slots filled in one syscall.
-///
-/// This is what lets the loopback wire servers absorb the bursts a
-/// batched reactor produces (one `sendmmsg` can land 32+ queries on the
-/// server socket in one tick) without paying one `recv_from` syscall per
-/// datagram. On non-Linux targets it degrades to a single `recv_from`
-/// per call.
-pub struct RecvArena {
-    /// `depth` slots of [`RECV_SLOT`] bytes.
-    arena: Vec<u8>,
-    lens: Vec<usize>,
-    peers: Vec<SocketAddr>,
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    scratch: crate::mmsg::MmsgScratch,
-}
-
-impl RecvArena {
-    /// Pre-allocate `depth` full-size (64 KiB) datagram slots.
-    pub fn new(depth: usize) -> RecvArena {
-        let depth = depth.clamp(1, 1_024);
-        RecvArena {
-            arena: vec![0u8; depth * RECV_SLOT],
-            lens: vec![0; depth],
-            peers: vec![SocketAddr::new(std::net::IpAddr::V4(Ipv4Addr::UNSPECIFIED), 0); depth],
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            scratch: crate::mmsg::MmsgScratch::new(),
-        }
-    }
-
-    /// Receive up to `depth` datagrams in one call, honouring the
-    /// socket's blocking mode and read timeout for the *first* datagram
-    /// (`MSG_WAITFORONE`): returns as soon as at least one arrives, with
-    /// everything else already queued picked up for free. Returns the
-    /// number received (0 on timeout or error).
-    pub fn recv_batch(&mut self, socket: &UdpSocket) -> usize {
-        #[cfg(any(target_os = "linux", target_os = "android"))]
-        {
-            use std::os::fd::AsRawFd;
-            let hdrs = self.scratch.prepare_recv(self.arena.chunks_mut(RECV_SLOT));
-            // SAFETY: every mmsghdr points at live, correctly-sized
-            // storage (the arena buffers and the scratch arrays) that
-            // outlives the call; vlen matches the slice length.
-            let r = unsafe {
-                libc::recvmmsg(
-                    socket.as_raw_fd(),
-                    hdrs.as_mut_ptr(),
-                    hdrs.len() as libc::c_uint,
-                    libc::MSG_WAITFORONE,
-                    std::ptr::null_mut(),
-                )
-            };
-            if r <= 0 {
-                return 0;
-            }
-            let count = r as usize;
-            for i in 0..count {
-                if let Some(peer) = self.scratch.peer(i) {
-                    self.lens[i] = self.scratch.received_len(i).min(RECV_SLOT);
-                    self.peers[i] = peer;
-                } else {
-                    // Non-IPv4 peer: impossible on a v4 socket. Keep the
-                    // slot (the payloads are position-aligned with the
-                    // buffers) but make it decode to nothing.
-                    self.lens[i] = 0;
-                }
-            }
-            count
-        }
-        #[cfg(not(any(target_os = "linux", target_os = "android")))]
-        {
-            match socket.recv_from(&mut self.arena[..RECV_SLOT]) {
-                Ok((len, peer)) => {
-                    self.lens[0] = len;
-                    self.peers[0] = peer;
-                    1
-                }
-                Err(_) => 0,
-            }
-        }
-    }
-
-    /// The `i`-th received datagram (valid after a `recv_batch` that
-    /// returned `count > i`).
-    pub fn datagram(&self, i: usize) -> (&[u8], SocketAddr) {
-        (&self.arena[i * RECV_SLOT..][..self.lens[i]], self.peers[i])
-    }
-}
-
 impl WireServer {
     /// Address the server listens on (UDP and TCP share the port).
     pub fn addr(&self) -> SocketAddr {
@@ -409,8 +312,8 @@ impl WireServer {
             // tests exercise both sides of the zero-alloc lifecycle.
             let mut scratch = ScratchBuf::new();
             while !udp_stop.load(Ordering::Relaxed) {
-                let count = arena.recv_batch(&udp);
-                for i in 0..count {
+                let batch = arena.recv_batch(&udp);
+                for i in 0..batch.count {
                     let (raw, peer) = arena.datagram(i);
                     scratch.reset();
                     if answer_into(
