@@ -28,7 +28,7 @@
 //!   bursts, same-tick retries, and pacer deferred-queue releases that
 //!   mature on the same wheel tick — are staged and flushed through one
 //!   `sendmmsg(2)`, and receives drain through a reusable
-//!   `recvmmsg(2)` arena of [`ReactorConfig::batch_size`] buffers;
+//!   `recvmmsg(2)` arena of [`DEFAULT_BATCH_SIZE`] buffers;
 //! * an **admission credit pool** ([`zdns_pacing::CreditPool`]): the
 //!   reactor leases one credit per active lookup — from a private pool of
 //!   [`ReactorConfig::max_in_flight`] credits, or from a scan-wide one
@@ -57,7 +57,7 @@ use zdns_wire::ScratchBuf;
 use crate::driver::DriverReport;
 use crate::pacer::{ConcurrentGate, ConcurrentPacer};
 use crate::resolver::AddrMap;
-use crate::serve::{ServeStats, ServerRole};
+use crate::serve::ServerRole;
 use crate::tcp::TcpTable;
 use crate::transport::readiness;
 use crate::transport::{BatchIo, BatchSendStatus, IoBackend, SendSlot};
@@ -81,15 +81,11 @@ pub struct ReactorConfig {
     pub source: Ipv4Addr,
     /// Timer-wheel slot width in nanoseconds.
     pub wheel_granularity: SimTime,
-    /// Datagrams per syscall on the hot path: same-tick sends coalesce
-    /// into one `sendmmsg` of up to this many datagrams, and the receive
-    /// arena pre-allocates this many buffers for `recvmmsg`. `1` forces
-    /// the per-datagram `send_to`/`recv_from` path.
-    pub batch_size: usize,
     /// Which syscall strategy drives the hot path. The default
-    /// ([`IoBackend::Mmsg`]) is vectored `sendmmsg`/`recvmmsg` where the
-    /// platform has them and `batch_size > 1`, per-datagram otherwise;
-    /// [`IoBackend::Syscall`] forces per-datagram.
+    /// ([`IoBackend::Mmsg`]) is vectored `sendmmsg`/`recvmmsg` of up to
+    /// [`DEFAULT_BATCH_SIZE`] datagrams where the platform has them,
+    /// per-datagram otherwise; [`IoBackend::Syscall`] forces
+    /// per-datagram.
     pub io_backend: IoBackend,
     /// Extra machines this reactor may host *beyond* `max_in_flight`
     /// while they sit parked in backoff. Parked lookups cost no window —
@@ -108,8 +104,10 @@ pub struct ReactorConfig {
     pub epoch: Option<Instant>,
 }
 
-/// Default [`ReactorConfig::batch_size`]: deep enough to amortize
-/// syscall cost, shallow enough that the arena stays ~2 MB per worker.
+/// Datagrams per syscall on the hot path: same-tick sends coalesce into
+/// one `sendmmsg` of up to this many, and the receive arena holds this
+/// many buffers. Deep enough to amortize syscall cost, shallow enough
+/// that the arena stays ~2 MB per worker.
 pub const DEFAULT_BATCH_SIZE: usize = 32;
 
 /// Timer-wheel slot count (a power of two).
@@ -125,7 +123,6 @@ impl Default for ReactorConfig {
             max_in_flight: 1_024,
             source: Ipv4Addr::UNSPECIFIED,
             wheel_granularity: 4 * MILLIS,
-            batch_size: DEFAULT_BATCH_SIZE,
             io_backend: IoBackend::default(),
             max_parked: 0,
             epoch: None,
@@ -276,9 +273,8 @@ pub struct Reactor {
     /// may therefore be parkable (checked at safe points, not mid-step).
     park_checks: Vec<usize>,
     /// The optional server half: installed via
-    /// [`Reactor::set_server_role`], it receives inbound queries (QR=0
-    /// or undecodable datagrams) and queues forwarding machines for
-    /// admission.
+    /// [`Reactor::set_server_role`], it answers the queries arriving on
+    /// its own listeners and queues forwarding machines for admission.
     /// `Option` (like `batch`) so role methods taking `&mut` can run
     /// while the reactor is borrowed; boxed to keep the scan-only
     /// reactor layout lean.
@@ -309,7 +305,7 @@ impl Reactor {
         // responses arrive in bursts the default buffer would drop.
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
         let wheel = TimerWheel::new(WHEEL_SLOTS, config.wheel_granularity);
-        let batch = BatchIo::with_backend(config.io_backend, config.batch_size);
+        let batch = BatchIo::with_backend(config.io_backend, DEFAULT_BATCH_SIZE);
         let started = config.epoch.unwrap_or_else(Instant::now);
         // Room for twice the window: a table this churned fills with
         // tombstones, and the map clears them in place only while it is at
@@ -353,18 +349,13 @@ impl Reactor {
         })
     }
 
-    /// Install a server role: from here on, inbound queries (QR=0) and
-    /// undecodable datagrams on the reactor socket go to it, which answers
-    /// the first and counts the second as malformed, and
-    /// [`Reactor::serve_tick`] / [`Reactor::run_serve`] drive its
-    /// listener, TCP table, and forwarded-answer queue.
+    /// Install a server role: [`Reactor::serve_tick`] /
+    /// [`Reactor::run_serve`] drive its listeners, TCP table and
+    /// forwarded-answer queue, and the idle wait watches its listeners.
+    /// The reactor's own socket stays the upstream side: a query arriving
+    /// on it is stale, like any datagram the demux table does not expect.
     pub fn set_server_role(&mut self, role: ServerRole) {
         self.server = Some(Box::new(role));
-    }
-
-    /// The installed server role's shared counters, if any.
-    pub fn server_stats(&self) -> Option<Arc<ServeStats>> {
-        self.server.as_ref().map(|r| r.stats())
     }
 
     /// Lease this reactor's window from the scan-wide `pool` instead of
@@ -391,7 +382,8 @@ impl Reactor {
 
     /// Sleep on `bell` as well as the socket whenever the scan's machine
     /// source runs dry, so the thread feeding that source can wake this
-    /// reactor the moment it has a name again ([`Doorbell`]).
+    /// reactor the moment it has a name again ([`Doorbell`]). The serve
+    /// loop sleeps on it always: a ring after its stop flag ends it.
     pub fn set_doorbell(&mut self, bell: Arc<Doorbell>) {
         self.bell = Some(bell);
     }
@@ -407,8 +399,8 @@ impl Reactor {
     }
 
     /// The syscall strategy the batch layer resolved to — what the
-    /// requested [`ReactorConfig::io_backend`] means on this platform at
-    /// this batch size (`"syscall"` or `"mmsg"`).
+    /// requested [`ReactorConfig::io_backend`] means on this platform
+    /// (`"syscall"` or `"mmsg"`).
     pub fn io_backend(&self) -> &'static str {
         self.batch
             .as_ref()
@@ -628,20 +620,24 @@ impl Reactor {
         }
     }
 
-    /// Sleep until the reactor's socket is readable or `wait_ms` passes —
-    /// the one idle wait of the scan and serve loops. A scan whose source
-    /// just ran dry (`starved`) sleeps on its [`Doorbell`] too, and reads
-    /// away the rings that woke it.
+    /// Sleep until the reactor's socket or a server role's listener is
+    /// readable, or `wait_ms` passes — the one idle wait of the scan and
+    /// serve loops. A scan whose source just ran dry (`starved`) sleeps on
+    /// its [`Doorbell`] too, and reads away the rings that woke it.
     fn idle_wait(&self, wait_ms: i32, starved: bool) {
         let bell = self.bell.as_deref().filter(|_| starved);
         #[cfg(unix)]
-        let (fd, bell_fd) = (
-            std::os::fd::AsRawFd::as_raw_fd(&self.socket),
-            bell.map(|b| std::os::fd::AsRawFd::as_raw_fd(&b.ends.1)),
-        );
+        let (fds, bell_fd) = {
+            use std::os::fd::AsRawFd;
+            let [udp, tcp] = self.server.as_ref().map_or([-1, -1], |r| r.listener_fds());
+            (
+                [self.socket.as_raw_fd(), udp, tcp],
+                bell.map(|b| b.ends.1.as_raw_fd()),
+            )
+        };
         #[cfg(not(unix))]
-        let (fd, bell_fd) = (0, None);
-        if readiness::wait_readable(fd, bell_fd, wait_ms) {
+        let (fds, bell_fd) = ([0; 3], None);
+        if readiness::wait_readable(fds, bell_fd, wait_ms) {
             bell.map(Doorbell::silence);
         }
     }

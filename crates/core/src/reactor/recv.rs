@@ -45,10 +45,6 @@ impl Reactor {
         // handed borrowed views straight over its buffers — the zero-copy
         // receive path: no `to_vec`, no owned decode per datagram.
         let mut io = self.batch.take().expect("batch io present");
-        // The server role is moved out the same way: its dispatch method
-        // needs `&mut` while `self` stays borrowed for the socket and
-        // report counters.
-        let mut server = self.server.take();
         let mut errors = 0u32;
         'drain: loop {
             let batch = io.recv_into_arena(&self.socket);
@@ -60,21 +56,14 @@ impl Reactor {
                 // the datagram proves to be a well-formed response.
                 let view = match MessageView::parse(bytes) {
                     Ok(view) if view.flags().response => view,
-                    parsed => {
-                        // A client query (QR=0) or garbage. With a server
-                        // role installed, the dual-role socket's inbound
-                        // half: the role answers the query or counts the
-                        // garbage as malformed. Without one, an echoed
-                        // query from a reflecting server or middlebox
-                        // must not complete a lookup as a response.
-                        match server.as_deref_mut() {
-                            Some(role) => {
-                                let now = self.now();
-                                role.on_udp_datagram(&self.socket, bytes, peer, now);
-                            }
-                            None if parsed.is_err() => self.report.decode_errors += 1,
-                            None => self.report.stale_datagrams += 1,
-                        }
+                    Ok(_) => {
+                        // A query (QR=0), say one a middlebox reflected
+                        // back, never completes a lookup.
+                        self.report.stale_datagrams += 1;
+                        continue;
+                    }
+                    Err(_) => {
+                        self.report.decode_errors += 1;
                         continue;
                     }
                 };
@@ -115,7 +104,6 @@ impl Reactor {
             }
         }
         self.batch = Some(io);
-        self.server = server;
     }
 
     /// Pump the TCP table and hand every exchange that ended to its

@@ -232,8 +232,9 @@ impl Reactor {
     ///    timeout, and register the demux entry (registering *before* the
     ///    syscall is what keeps two same-tick sends to one peer from
     ///    colliding on a wire id);
-    /// 2. **syscall** — one `sendmmsg` per `batch_size` datagrams (or
-    ///    per-datagram sends on the fallback path);
+    /// 2. **syscall** — one `sendmmsg` per
+    ///    [`DEFAULT_BATCH_SIZE`](super::DEFAULT_BATCH_SIZE) datagrams
+    ///    (or per-datagram sends on the fallback path);
     /// 3. **settle** — non-`Sent` datagrams roll their registration back:
     ///    backpressure requeues on the deferred queue, errors fail the
     ///    send.

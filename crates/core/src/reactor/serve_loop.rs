@@ -9,12 +9,10 @@ use super::Reactor;
 use crate::driver::DriverReport;
 
 impl Reactor {
-    /// One iteration of the serve loop: drain inbound datagrams (client
-    /// queries dispatch to the server role, upstream responses to their
-    /// lookup machines), collect TCP completions and timers, run the
-    /// role's own listener/TCP/answer work, admit the forwarding machines
-    /// that cache misses queued, and flush staged upstream sends in one
-    /// batch.
+    /// One iteration of the serve loop: deliver upstream responses, TCP
+    /// completions and timers to the forwarding machines, run the role's
+    /// listener/TCP/answer work, admit the forwarding machines that cache
+    /// misses queued, and flush staged upstream sends in one batch.
     ///
     /// Public — rather than only reachable through [`Reactor::run_serve`]
     /// — so the zero-allocation suite can tick the loop on the measuring
@@ -27,7 +25,7 @@ impl Reactor {
         self.fire_timers(&mut on_done);
         if let Some(mut role) = self.server.take() {
             let now = self.now();
-            role.poll(&self.socket, now);
+            role.poll(now);
             self.server = Some(role);
         }
         // Admit the forwarding machines queued by cache misses, on the
@@ -47,12 +45,19 @@ impl Reactor {
 
     /// Drive the serve loop until `stop` is raised: the blocking
     /// counterpart to [`Driver::run_scan`](crate::Driver::run_scan) for a
-    /// reactor with a server role installed. Sleeps between ticks on the
-    /// same readiness/timer logic as a scan, capped tighter while the role
-    /// has work the reactor's own socket cannot signal (a dedicated
-    /// `SO_REUSEPORT` listener, live TCP connections, queued answers).
+    /// reactor with a server role installed. Sleeps between ticks until
+    /// the reactor's socket or one of the role's listeners is readable or
+    /// a timer is due, capped tighter while the role has work no poll can
+    /// signal (live TCP connections, queued answers). A ring of the
+    /// reactor's [`Doorbell`](super::Doorbell), after `stop` is raised,
+    /// ends the sleep at once.
     pub fn run_serve(&mut self, stop: &AtomicBool) -> DriverReport {
         self.report = DriverReport::default();
+        // Only a stop rings a serve reactor's bell, so the mark set here
+        // holds until that ring.
+        if let Some(bell) = &self.bell {
+            bell.mark_starved();
+        }
         while !stop.load(Ordering::Relaxed) {
             self.serve_tick();
 
@@ -67,7 +72,7 @@ impl Reactor {
             // Floor of 1ms (a scan may spin at 0; a server must bound its
             // idle wakeup rate), ceiling of 50ms so the stop flag is
             // honored promptly.
-            self.idle_wait(wait_ns.div_ceil(MILLIS).clamp(1, 50) as i32, false);
+            self.idle_wait(wait_ns.div_ceil(MILLIS).clamp(1, 50) as i32, true);
         }
 
         // Same end-of-run hygiene as a scan: machines still forwarding
@@ -82,22 +87,21 @@ impl Reactor {
 
 #[cfg(test)]
 mod tests {
-    use std::net::{Ipv4Addr, UdpSocket};
+    use std::net::{Ipv4Addr, TcpListener, TcpStream, UdpSocket};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     use zdns_wire::ScratchBuf;
 
     use super::*;
+    use crate::clock::Clock;
+    use crate::config::ResolverConfig;
     use crate::reactor::ReactorConfig;
-    use crate::serve::ServerRole;
+    use crate::resolver::Resolver;
+    use crate::serve::{ServeConfig, ServeStats, ServerRole};
 
     #[test]
     fn serve_sheds_misses_beyond_its_window_and_gets_the_window_back() {
-        use crate::clock::Clock;
-        use crate::config::ResolverConfig;
-        use crate::resolver::Resolver;
-        use crate::serve::ServeConfig;
         use zdns_wire::{encode_query_into, Question, RecordType};
 
         // Every miss forwards to a mute upstream (bound, never read), so a
@@ -119,13 +123,17 @@ mod tests {
             Arc::new(move |_| upstream),
         )
         .unwrap();
-        reactor.set_server_role(ServerRole::new(
+        let listener = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let listen = listener.local_addr().unwrap();
+        let role = ServerRole::new(
             Resolver::new(config),
             Clock::from_epoch(epoch),
             ServeConfig::default(),
-        ));
-        let stats = reactor.server_stats().unwrap();
-        let listen = reactor.local_addr().unwrap();
+        )
+        .with_udp_listener(listener)
+        .unwrap();
+        let stats = role.stats();
+        reactor.set_server_role(role);
         let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         let mut scratch = ScratchBuf::new();
         let mut ask = |ids: std::ops::Range<u16>| {
@@ -167,5 +175,90 @@ mod tests {
         tick_until(&mut reactor, &|_| stats.forwarded() == 7);
         assert_eq!(stats.overloaded(), 3);
         assert_eq!(reactor.in_flight(), 2);
+    }
+
+    /// A reactor serving from `listener` and `tcp`, forwarding nowhere,
+    /// and its role's counters.
+    fn serving_reactor(listener: UdpSocket, tcp: TcpListener) -> (Reactor, Arc<ServeStats>) {
+        let mut reactor = Reactor::new(
+            ReactorConfig {
+                source: Ipv4Addr::LOCALHOST,
+                ..ReactorConfig::default()
+            },
+            Arc::new(|_| (Ipv4Addr::LOCALHOST, 9).into()),
+        )
+        .unwrap();
+        let resolver = Resolver::new(ResolverConfig::external(vec![Ipv4Addr::LOCALHOST]));
+        let role = ServerRole::new(resolver, Clock::new(), ServeConfig::default())
+            .with_udp_listener(listener)
+            .unwrap()
+            .with_tcp_listener(tcp)
+            .unwrap();
+        let stats = role.stats();
+        reactor.set_server_role(role);
+        (reactor, stats)
+    }
+
+    #[test]
+    fn idle_wait_wakes_on_the_listeners() {
+        let listener = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let tcp = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let (udp_at, tcp_at) = (listener.local_addr().unwrap(), tcp.local_addr().unwrap());
+        let (mut reactor, stats) = serving_reactor(listener, tcp);
+
+        // Nothing else queued: a wait that watched only the reactor's
+        // own socket would run its whole 2 s.
+        let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        client.send_to(&questionless_query(), udp_at).unwrap();
+        let started = Instant::now();
+        reactor.idle_wait(2_000, false);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "slept through a query"
+        );
+        reactor.serve_tick();
+        assert_eq!(stats.responses(), 1);
+
+        // The same for a connection waiting on the TCP listener.
+        let _conn = TcpStream::connect(tcp_at).unwrap();
+        let started = Instant::now();
+        reactor.idle_wait(2_000, false);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "slept through a connection"
+        );
+    }
+
+    #[test]
+    fn a_query_to_the_upstream_socket_is_stale_and_unanswered() {
+        let listener = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let tcp = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let (mut reactor, stats) = serving_reactor(listener, tcp);
+        let upstream_side = reactor.local_addr().unwrap();
+        let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        client
+            .send_to(&questionless_query(), upstream_side)
+            .unwrap();
+        client.send_to(&[0xFF, 0xEE, 0xDD], upstream_side).unwrap();
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reactor.report.stale_datagrams + reactor.report.decode_errors < 2 {
+            assert!(Instant::now() < deadline, "datagrams never drained");
+            reactor.serve_tick();
+        }
+        assert_eq!(reactor.report.stale_datagrams, 1, "the query");
+        assert_eq!(reactor.report.decode_errors, 1, "the garbage");
+        assert_eq!(
+            (stats.queries(), stats.malformed(), stats.responses()),
+            (0, 0, 0)
+        );
+        client.set_nonblocking(true).unwrap();
+        assert!(client.recv_from(&mut [0u8; 512]).is_err(), "answered");
+    }
+
+    /// A header-only query (QR=0, no question): a listener answers it
+    /// with FORMERR.
+    fn questionless_query() -> [u8; 12] {
+        [0x12, 0x34, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
     }
 }

@@ -1,9 +1,9 @@
 //! The reactor's server role: `zdns serve`'s engine-side half.
 //!
-//! A [`ServerRole`] turns a reactor socket bidirectional. Inbound
-//! datagrams that fail the `(peer, txid)` demux — queries (QR=0) rather
-//! than late responses — are dispatched here instead of being counted as
-//! stale, and each one walks the serve dataflow:
+//! A [`ServerRole`] is the server half of a serve worker: it owns the
+//! worker's UDP and TCP listeners on the serve port, while the reactor it
+//! is installed in keeps its own socket for upstream traffic. Each query
+//! drained from a listener walks the serve dataflow:
 //!
 //! ```text
 //! listener → per-client token bucket → packet cache probe → [hot hit:
@@ -88,8 +88,8 @@ const MAX_TCP_CONNS: usize = 64;
 /// Silence after which a TCP connection is reaped.
 const TCP_IDLE: SimTime = 10 * SECONDS;
 
-/// Datagrams drained from a dedicated listener socket per tick: the
-/// depth of its receive arena.
+/// Datagrams drained from the UDP listener per tick: the depth of its
+/// receive arena.
 const MAX_DATAGRAMS_PER_TICK: usize = 256;
 
 /// Default packet-cache slot count ([`ServeConfig::packet_cache_capacity`]).
@@ -244,7 +244,7 @@ struct TcpConn {
     last_seen: SimTime,
 }
 
-/// The server half of a bidirectional reactor: fairness gate, cache
+/// The server half of a serve worker's reactor: fairness gate, cache
 /// front, forwarding queue, and the TCP connection table. Install one
 /// with [`Reactor::set_server_role`](crate::reactor::Reactor::set_server_role)
 /// and drive it with [`Reactor::serve_tick`](crate::reactor::Reactor::serve_tick)
@@ -259,9 +259,9 @@ pub struct ServerRole {
     stats: Arc<ServeStats>,
     pending: Arc<Mutex<Vec<PendingAnswer>>>,
     admissions: Vec<Box<dyn SimClient>>,
-    /// Dedicated listener socket and the arena it is drained through
-    /// (sharded mode). `None` = dual-role: the reactor's own socket is
-    /// the listener and responses leave it too.
+    /// The UDP listener and the arena it is drained through; queries
+    /// are answered from it. `None` only for a role driven through
+    /// [`ServerRole::handle_datagram`] alone.
     listener: Option<(UdpSocket, RecvArena)>,
     tcp: Option<TcpListener>,
     conns: Vec<Option<TcpConn>>,
@@ -303,10 +303,9 @@ impl ServerRole {
         }
     }
 
-    /// Attach a dedicated UDP listener socket (sharded mode: each worker
-    /// binds its own `SO_REUSEPORT` listener while the reactor keeps its
-    /// ephemeral upstream socket). Responses to queries drained from this
-    /// socket are sent from it.
+    /// Attach the UDP listener (a serve fleet gives each worker its own,
+    /// one of an `SO_REUSEPORT` group when sharded, while the reactor
+    /// keeps its ephemeral upstream socket). UDP answers leave from it.
     pub fn with_udp_listener(mut self, socket: UdpSocket) -> std::io::Result<ServerRole> {
         socket.set_nonblocking(true)?;
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
@@ -347,34 +346,26 @@ impl ServerRole {
         self.admissions.pop()
     }
 
-    /// Whether the role has work the reactor's poll cannot see on its own
-    /// socket: a dedicated listener, live TCP connections, or queued
-    /// answers/admissions. Callers cap their sleep when this is true.
+    /// Whether the role has work no poll of its listeners can signal:
+    /// live TCP connections, or queued answers/admissions. Callers cap
+    /// their sleep when this is true.
     pub(crate) fn wants_fast_tick(&self) -> bool {
-        self.listener.is_some()
-            || self.tcp.is_some()
+        self.conns.iter().any(Option::is_some)
             || !self.admissions.is_empty()
             || !self.pending.lock().is_empty()
     }
 
-    /// One inbound UDP query (dual-role socket or dedicated listener):
-    /// handle it and send any immediate response from `socket`.
-    pub(crate) fn on_udp_datagram(
-        &mut self,
-        socket: &UdpSocket,
-        raw: &[u8],
-        peer: SocketAddr,
-        now: SimTime,
-    ) {
-        // Count before sending: a client that has the answer in hand (and
-        // a test reading the counter) must never observe the response as
-        // uncounted. The Arc clone keeps `stats` reachable while the
-        // returned slice borrows `self`.
-        let stats = Arc::clone(&self.stats);
-        if let Some(bytes) = self.handle_datagram(raw, peer, now) {
-            ServeStats::bump(&stats.responses);
-            let _ = socket.send_to(bytes, peer);
-        }
+    /// The UDP and TCP listeners' descriptors (`-1` for one not
+    /// attached), for the reactor's idle wait.
+    #[cfg(unix)]
+    pub(crate) fn listener_fds(&self) -> [std::os::fd::RawFd; 2] {
+        use std::os::fd::AsRawFd;
+        [
+            self.listener
+                .as_ref()
+                .map_or(-1, |(udp, _)| udp.as_raw_fd()),
+            self.tcp.as_ref().map_or(-1, AsRawFd::as_raw_fd),
+        ]
     }
 
     /// Transport-free serve entry: run one raw UDP query through the full
@@ -390,15 +381,15 @@ impl ServerRole {
         }
     }
 
-    /// Per-tick role work: drain the dedicated listener (if any), service
-    /// the TCP table, and flush finished forwarded answers. `fallback` is
-    /// the reactor's socket — the response path in dual-role mode.
-    pub(crate) fn poll(&mut self, fallback: &UdpSocket, now: SimTime) {
+    /// Per-tick role work: drain the UDP listener, service the TCP
+    /// table, and flush finished forwarded answers.
+    pub(crate) fn poll(&mut self, now: SimTime) {
         self.drain_listener(now);
         self.pump_tcp(now);
-        self.flush_answers(fallback, now);
+        self.flush_answers(now);
     }
 
+    /// Answer up to one arena of queued datagrams from the listener.
     fn drain_listener(&mut self, now: SimTime) {
         let Some((listener, mut arena)) = self.listener.take() else {
             return;
@@ -406,7 +397,13 @@ impl ServerRole {
         let batch = arena.recv_batch(&listener);
         for i in 0..batch.count {
             let (raw, peer) = arena.datagram(i);
-            self.on_udp_datagram(&listener, raw, peer, now);
+            if let HandleOutcome::Respond = self.handle_query(raw, peer, Via::Udp, now) {
+                // Count before sending: a client that has the answer in
+                // hand (and a test reading the counter) must never observe
+                // the response as uncounted.
+                ServeStats::bump(&self.stats.responses);
+                let _ = listener.send_to(self.scratch.message_bytes(), peer);
+            }
         }
         self.listener = Some((listener, arena));
     }
@@ -426,8 +423,7 @@ impl ServerRole {
             return HandleOutcome::Dropped;
         };
         if view.flags().response {
-            // A response reaching the server role (possible on a dedicated
-            // listener) is noise, not a query.
+            // A response reaching a listener is noise, not a query.
             ServeStats::bump(&self.stats.malformed);
             return HandleOutcome::Dropped;
         }
@@ -653,7 +649,7 @@ impl ServerRole {
     }
 
     /// Encode and deliver every forwarded answer whose machine finished.
-    fn flush_answers(&mut self, fallback: &UdpSocket, now: SimTime) {
+    fn flush_answers(&mut self, now: SimTime) {
         if self.pending.lock().is_empty() {
             return;
         }
@@ -693,6 +689,9 @@ impl ServerRole {
             };
             match ctx.via {
                 Via::Udp => {
+                    let Some((listener, _)) = &self.listener else {
+                        continue;
+                    };
                     self.scratch.reset();
                     let Ok(truncated) = msg.encode_udp_into(&mut self.scratch, ctx.udp_limit)
                     else {
@@ -701,10 +700,9 @@ impl ServerRole {
                     if truncated {
                         ServeStats::bump(&self.stats.truncated);
                     }
-                    let socket = self.listener.as_ref().map_or(fallback, |l| &l.0);
-                    // Count before sending (see `on_udp_datagram`).
+                    // Count before sending (see `drain_listener`).
                     ServeStats::bump(&self.stats.responses);
-                    let _ = socket.send_to(self.scratch.message_bytes(), ctx.peer);
+                    let _ = listener.send_to(self.scratch.message_bytes(), ctx.peer);
                 }
                 Via::Tcp { slot, generation } => {
                     if self.conn_generations.get(slot) != Some(&generation) {
@@ -1100,7 +1098,6 @@ mod tests {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let mut role = role_with_cache().with_tcp_listener(listener).unwrap();
-        let fallback = UdpSocket::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
         let now = role.clock.now();
         let clients: Vec<TcpStream> = (0..65).map(|_| TcpStream::connect(addr).unwrap()).collect();
         // Every handshake is done; poll at one instant until the role has
@@ -1108,7 +1105,7 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while role.stats.tcp_accepted() + role.stats.tcp_closed() < 65 {
             assert!(std::time::Instant::now() < deadline, "accept stalled");
-            role.poll(&fallback, now);
+            role.poll(now);
         }
         assert_eq!(
             (role.stats.tcp_accepted(), role.stats.tcp_closed()),
@@ -1116,9 +1113,9 @@ mod tests {
         );
         // Silent for exactly 10 s the connections stay; a nanosecond more
         // and every one is reaped.
-        role.poll(&fallback, now + 10 * SECONDS);
+        role.poll(now + 10 * SECONDS);
         assert_eq!(role.stats.tcp_closed(), 1);
-        role.poll(&fallback, now + 10 * SECONDS + 1);
+        role.poll(now + 10 * SECONDS + 1);
         assert_eq!(role.stats.tcp_closed(), 65);
         drop(clients);
     }

@@ -6,9 +6,9 @@
 //! [`BatchIo`] is the batched syscall layer: it coalesces same-tick
 //! sends into single `sendmmsg(2)` calls and drains the socket through a
 //! [`RecvArena`], with a per-datagram fallback (`send_to`/`recvfrom`)
-//! for non-Linux targets and for `--batch-size 1`. The raw calls and the
-//! arena are `zdns_netsim::mmsg`'s, shared with the loopback wire servers
-//! and the sharded serve listener; this module adds the settling rules.
+//! for non-Linux targets and for `--io-backend syscall`. The raw calls
+//! and the arena are `zdns_netsim::mmsg`'s, shared with the loopback wire
+//! servers and the serve listeners; this module adds the settling rules.
 
 use std::net::{SocketAddr, UdpSocket};
 
@@ -118,17 +118,19 @@ pub(crate) mod readiness {
         })
     }
 
-    /// Block until `fd` — or `bell`, when there is one — is readable, or
-    /// `timeout_ms` elapses; returns whether `bell` is readable. One
-    /// hand-rolled `poll(2)` either way, so the reactor needs no external
-    /// event-loop crate.
-    pub fn wait_readable(fd: RawFd, bell: Option<RawFd>, timeout_ms: i32) -> bool {
-        let mut fds = [
-            PollFd::new(fd, POLLIN),
+    /// Block until one of `fds` (a negative entry is skipped) — or
+    /// `bell`, when there is one — is readable, or `timeout_ms` elapses;
+    /// returns whether `bell` is readable. One hand-rolled `poll(2)`
+    /// either way, so the reactor needs no external event-loop crate.
+    pub fn wait_readable(fds: [RawFd; 3], bell: Option<RawFd>, timeout_ms: i32) -> bool {
+        let mut polled = [
+            PollFd::new(fds[0], POLLIN),
+            PollFd::new(fds[1], POLLIN),
+            PollFd::new(fds[2], POLLIN),
             PollFd::new(bell.unwrap_or(-1), POLLIN),
         ];
-        wait_for(&mut fds, timeout_ms);
-        fds[1].ready()
+        wait_for(&mut polled, timeout_ms);
+        polled[3].ready()
     }
 
     /// Block until `socket` is writable or `timeout_ms` elapses.
@@ -142,7 +144,7 @@ pub(crate) mod readiness {
 pub(crate) mod readiness {
     /// Portable fallback: nap briefly and let the non-blocking read probe
     /// (the bell is never watched).
-    pub fn wait_readable(_fd: i32, _bell: Option<i32>, timeout_ms: i32) -> bool {
+    pub fn wait_readable(_fds: [i32; 3], _bell: Option<i32>, timeout_ms: i32) -> bool {
         std::thread::sleep(std::time::Duration::from_millis(
             timeout_ms.clamp(0, 2) as u64
         ));
@@ -162,9 +164,9 @@ pub(crate) mod readiness {
 // Batched syscall I/O
 // ---------------------------------------------------------------------------
 
-/// Hard ceiling on datagrams per syscall — the largest `--batch-size`
-/// accepted and the deepest [`RecvArena`] (the kernel caps `vlen` at
-/// `UIO_MAXIOV` = 1024 anyway).
+/// Hard ceiling on datagrams per syscall — the deepest [`RecvArena`] a
+/// [`BatchIo`] builds (the kernel caps `vlen` at `UIO_MAXIOV` = 1024
+/// anyway).
 pub const MAX_BATCH: usize = 1_024;
 
 /// Which syscall strategy [`BatchIo`] should run — the `--io-backend`
@@ -238,10 +240,11 @@ pub type SendSlot = (u32, u32, SocketAddr);
 /// [`RecvArena`] of `batch_size` slots plus the reusable FFI vectors for
 /// `sendmmsg`. When batched, same-tick sends coalesce into `sendmmsg(2)`
 /// and receives drain through one `recvmmsg(2)` per arena; otherwise
-/// every datagram is its own `send_to`/`recvfrom` (the non-Linux path
-/// and `--batch-size 1`). Both modes share per-datagram semantics — the
-/// property tests in `crates/core/tests/batch_io.rs` hold them to the
-/// same delivered sequences.
+/// every datagram is its own `send_to`/`recvfrom` (the non-Linux path,
+/// `--io-backend syscall` and a batch size of 1). Both modes share
+/// per-datagram semantics — the property tests in
+/// `crates/core/tests/batch_io.rs` hold them to the same delivered
+/// sequences.
 pub struct BatchIo {
     /// The receive side; its depth is the batch size and its mode the
     /// batching mode.

@@ -384,11 +384,14 @@ fn steady_state_serve_hit_path_allocates_zero_per_query() {
     .unwrap();
     let tcp_listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     let tcp_addr = tcp_listener.local_addr().unwrap();
+    let udp_listener = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let udp_addr = udp_listener.local_addr().unwrap();
     let role = ServerRole::new(resolver.clone(), clock, ServeConfig::default())
+        .with_udp_listener(udp_listener)
+        .unwrap()
         .with_tcp_listener(tcp_listener)
         .unwrap();
     reactor.set_server_role(role);
-    let udp_addr = reactor.local_addr().unwrap();
 
     let rounds = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));

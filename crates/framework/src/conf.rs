@@ -13,9 +13,7 @@ use std::net::{Ipv4Addr, SocketAddr};
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use zdns_core::{
-    Detail, IoBackend, PacerConfig, ResolutionMode, ResolverConfig, DEFAULT_BATCH_SIZE, MAX_BATCH,
-};
+use zdns_core::{Detail, IoBackend, PacerConfig, ResolutionMode, ResolverConfig};
 use zdns_netsim::{SimTime, SECONDS};
 
 use crate::serve::ServeOptions;
@@ -129,17 +127,11 @@ pub struct Conf {
     /// leases from one pacer built from this (`--rate-pps`,
     /// `--per-host-pps`, `--backoff`, `--backoff-base`, `--backoff-cap`).
     pub pacer: PacerConfig,
-    /// Datagrams per syscall on the reactor hot path: same-tick sends
-    /// coalesce into one `sendmmsg` of up to this many datagrams, and the
-    /// receive arena holds this many pre-allocated buffers. `1` =
-    /// per-datagram syscalls; at most [`MAX_BATCH`].
-    pub batch_size: usize,
     /// Name source for the scan (`--workload`).
     pub workload: Workload,
     /// Syscall strategy for the reactor hot path (`--io-backend`):
     /// `mmsg` (default) runs `sendmmsg`/`recvmmsg` where the platform
-    /// has them and the batch size is above 1; `syscall` forces one
-    /// datagram per syscall.
+    /// has them; `syscall` forces one datagram per syscall.
     pub io_backend: IoBackend,
     /// The `--name-servers` entries with their ports: `ip:port` forms
     /// keep the given port, bare IPs get 53. Real-socket scans build
@@ -179,7 +171,6 @@ impl Default for Conf {
             real: false,
             max_in_flight: 0,
             pacer: PacerConfig::default(),
-            batch_size: DEFAULT_BATCH_SIZE,
             workload: Workload::Lines,
             io_backend: IoBackend::default(),
             name_server_addrs: Vec::new(),
@@ -302,6 +293,11 @@ fn parse_checked<T: FromStr>(v: &str, ok: impl Fn(&T) -> bool) -> Result<T, Stri
     v.parse().ok().filter(ok).ok_or_else(String::new)
 }
 
+/// Parse a count from `lo` to `hi`; a refusal names the range.
+fn count_in(v: &str, lo: usize, hi: usize) -> Result<usize, String> {
+    parse_checked(v, |n| (lo..=hi).contains(n)).map_err(|_| format!("{lo} to {hi}"))
+}
+
 /// Parse any `T` (a count, a capacity, a seed).
 fn number<T: FromStr>(v: &str) -> Result<T, String> {
     parse_checked(v, |_| true)
@@ -336,6 +332,10 @@ const MAX_SOURCE_IPS: usize = 254;
 /// Most slots `--packet-cache-capacity` takes: the table is allocated
 /// whole at start-up (24 bytes a slot, so 384 MiB here).
 const MAX_PACKET_CACHE_CAPACITY: usize = 1 << 24;
+
+/// Most workers `--shards` starts: each binds a listener pair and an
+/// upstream socket and runs on its own thread.
+const MAX_SHARDS: usize = 256;
 
 /// Parse a server address: `ip` (port 53) or `ip:port`. IPv4 only — the
 /// resolver core routes by v4 address.
@@ -380,12 +380,6 @@ fn parse_io_backend(v: &str) -> Result<IoBackend, String> {
     IoBackend::parse(v).ok_or_else(|| "auto|mmsg|syscall".into())
 }
 
-/// Parse a `--batch-size` value (shared by the scan and serve tables):
-/// 1 up to [`MAX_BATCH`], the most datagrams one syscall takes.
-fn parse_batch_size(v: &str) -> Result<usize, String> {
-    parse_checked(v, |n| (1..=MAX_BATCH).contains(n)).map_err(|_| format!("1 to {MAX_BATCH}"))
-}
-
 /// Parse a `--shard` value: `i/n` with `0 <= i < n` and `n >= 1`.
 fn parse_shard(v: &str) -> Result<(u32, u32), String> {
     let bad = || String::from("expected I/N with 0 <= I < N, e.g. 0/4");
@@ -398,10 +392,10 @@ fn parse_shard(v: &str) -> Result<(u32, u32), String> {
     Ok((index, count))
 }
 
-/// A manifest path flag's value: anything but empty.
-fn manifest_path(v: &str) -> Result<String, String> {
+/// A path flag's value: anything but empty.
+fn path(v: &str) -> Result<String, String> {
     if v.is_empty() {
-        return Err("expected a manifest path".into());
+        return Err("expected a path".into());
     }
     Ok(v.to_string())
 }
@@ -546,11 +540,7 @@ pub static SCAN_FLAGS: FlagTable<ScanArgs> = FlagTable {
             names: &["--source-ips"],
             value: Some("N"),
             help: "scanning source addresses (1=/32, 8=/29, 16=/28)",
-            set: |a, v| {
-                parse_checked(v, |n| (1..=MAX_SOURCE_IPS).contains(n))
-                    .map(|n| a.conf.source_ips = n)
-                    .map_err(|_| format!("1 to {MAX_SOURCE_IPS}"))
-            },
+            set: |a, v| count_in(v, 1, MAX_SOURCE_IPS).map(|n| a.conf.source_ips = n),
         },
         Flag {
             names: &["--seed"],
@@ -585,22 +575,12 @@ pub static SCAN_FLAGS: FlagTable<ScanArgs> = FlagTable {
             set: |a, v| number(v).map(|n| a.conf.max_in_flight = n),
         },
         Flag {
-            names: &["--batch-size"],
-            value: Some("N"),
-            help: "datagrams per syscall on the reactor hot path:\n\
-                same-tick sends coalesce into one sendmmsg and\n\
-                receives drain through an N-buffer recvmmsg arena\n\
-                (default 32; 1 = per-datagram syscalls; at most\n\
-                1024)",
-            set: |a, v| parse_batch_size(v).map(|n| a.conf.batch_size = n),
-        },
-        Flag {
             names: &["--io-backend"],
             value: Some("KIND"),
             help: "reactor syscall strategy: auto (default) and mmsg\n\
-                use sendmmsg/recvmmsg where the platform has them\n\
-                and --batch-size is above 1, per-datagram\n\
-                otherwise; syscall forces per-datagram",
+                use sendmmsg/recvmmsg where the platform has them,\n\
+                per-datagram otherwise; syscall forces\n\
+                per-datagram",
             set: |a, v| parse_io_backend(v).map(|b| a.conf.io_backend = b),
         },
         Flag {
@@ -668,7 +648,7 @@ pub static SCAN_FLAGS: FlagTable<ScanArgs> = FlagTable {
                 rotating progress checkpoint to PATH.ckpt\n\
                 (requires --real, --output-file, and a replayable\n\
                 input). A killed scan restarts with --resume PATH",
-            set: |a, v| manifest_path(v).map(|p| a.conf.checkpoint_path = p),
+            set: |a, v| path(v).map(|p| a.conf.checkpoint_path = p),
         },
         Flag {
             names: &["--resume"],
@@ -678,7 +658,7 @@ pub static SCAN_FLAGS: FlagTable<ScanArgs> = FlagTable {
                 every name already in the output, re-admits the\n\
                 in-flight remainder, and restores pacer backoff",
             set: |a, v| {
-                a.conf.checkpoint_path = manifest_path(v)?;
+                a.conf.checkpoint_path = path(v)?;
                 a.conf.resume = true;
                 Ok(())
             },
@@ -857,9 +837,8 @@ pub static SERVE_FLAGS: FlagTable<ServeConf> = FlagTable {
                 record cache; hot repeats skip record iteration\n\
                 and re-encoding (default 65536; 0 disables)",
             set: |c, v| {
-                parse_checked(v, |n| *n <= MAX_PACKET_CACHE_CAPACITY)
+                count_in(v, 0, MAX_PACKET_CACHE_CAPACITY)
                     .map(|n| c.options.packet_cache_capacity = n)
-                    .map_err(|_| format!("0 to {MAX_PACKET_CACHE_CAPACITY}"))
             },
         },
         Flag {
@@ -880,17 +859,10 @@ pub static SERVE_FLAGS: FlagTable<ServeConf> = FlagTable {
         Flag {
             names: &["--shards"],
             value: Some("N"),
-            help: "worker count: 1 (default) serves and forwards on\n\
-                one dual-role socket; N>1 shards the listen port\n\
-                across workers via SO_REUSEPORT",
-            set: |c, v| parse_checked(v, |n: &usize| *n >= 1).map(|n| c.options.shards = n),
-        },
-        Flag {
-            names: &["--batch-size"],
-            value: Some("N"),
-            help: "datagrams per syscall on the forwarding path\n\
-                (default 32; at most 1024)",
-            set: |c, v| parse_batch_size(v).map(|n| c.options.batch_size = n),
+            help: "worker count (default 1; at most 256): each worker\n\
+                owns a UDP + TCP listener on the listen port,\n\
+                N>1 shares it across workers via SO_REUSEPORT",
+            set: |c, v| count_in(v, 1, MAX_SHARDS).map(|n| c.options.shards = n),
         },
         Flag {
             names: &["--duration"],
@@ -951,10 +923,7 @@ pub static MERGE_FLAGS: FlagTable<MergeConf> = FlagTable {
             names: &["--output", "--output-file"],
             value: Some("PATH"),
             help: "merged JSONL destination (required)",
-            set: |m, v| {
-                m.output = v.to_string();
-                Ok(())
-            },
+            set: |m, v| path(v).map(|p| m.output = p),
         },
         Flag {
             names: &["--allow-partial"],
@@ -1238,32 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_flag() {
-        let conf = Conf::parse(["A", "--batch-size", "64"]).unwrap();
-        assert_eq!(conf.batch_size, 64);
-        let one = Conf::parse(["A", "--batch-size", "1"]).unwrap();
-        assert_eq!(one.batch_size, 1, "1 = per-datagram syscalls");
-        let default = Conf::parse(["A"]).unwrap();
-        assert_eq!(default.batch_size, 32, "reactor default");
-        assert!(Conf::parse(["A", "--batch-size", "0"]).is_err());
-        assert!(Conf::parse(["A", "--batch-size", "x"]).is_err());
-        // The pipeline sizes its blocks from this value, so one above what
-        // a syscall takes is refused here, not clamped further down.
-        let cap = MAX_BATCH.to_string();
-        let over = (MAX_BATCH + 1).to_string();
-        assert_eq!(
-            Conf::parse(["A", "--batch-size", &cap]).unwrap().batch_size,
-            MAX_BATCH
-        );
-        let scan_err = Conf::parse(["A", "--batch-size", &over]).unwrap_err();
-        let serve_err =
-            ServeConf::parse(["--upstream", "127.0.0.1", "--batch-size", &over]).unwrap_err();
-        for err in [scan_err, serve_err] {
-            assert!(err.0.contains(&cap), "names the cap: {}", err.0);
-        }
-    }
-
-    #[test]
     fn io_backend_flag() {
         let default = Conf::parse(["A"]).unwrap();
         assert_eq!(default.io_backend, IoBackend::Mmsg);
@@ -1431,7 +1374,7 @@ mod tests {
             ServeConf::parse(["--upstream", "8.8.8.8", "--packet-cache-capacity", "x"]).is_err()
         );
         let minimal = ServeConf::parse(["--upstream", "8.8.8.8"]).unwrap();
-        assert_eq!(minimal.options.shards, 1, "dual-role socket by default");
+        assert_eq!(minimal.options.shards, 1, "one worker by default");
         assert_eq!(minimal.options.client_pps, 0.0, "gate off by default");
         assert_eq!(
             minimal.options.packet_cache_capacity,
@@ -1461,6 +1404,22 @@ mod tests {
         );
         let over = (MAX_PACKET_CACHE_CAPACITY + 1).to_string();
         for bad in [over.as_str(), "-1", "x"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn shards_are_bounded() {
+        // Parse only: every shard is a thread and three sockets, so no
+        // large value is ever started here.
+        let parse = |v| ServeConf::parse(["--upstream", "8.8.8.8", "--shards", v]);
+        let most = MAX_SHARDS.to_string();
+        assert_eq!(parse(&most).unwrap().options.shards, MAX_SHARDS);
+        assert_eq!(
+            parse("257").unwrap_err().to_string(),
+            "configuration error: bad --shards \"257\" (1 to 256)"
+        );
+        for bad in ["0", "99999999999999", "-1", "x"] {
             assert!(parse(bad).is_err(), "{bad}");
         }
     }

@@ -44,10 +44,10 @@
 //!   empty with nothing in flight: that worker wakes on its next name
 //!   instead of at its next poll, and a worker with lookups in flight is
 //!   never rung (their answers wake it to a batch of queued names);
-//! * a worker pulls up to one I/O batch (`--batch-size`) of names under
-//!   one lock, never blocking for them, and admits from that buffer;
+//! * a worker pulls up to one I/O batch ([`DEFAULT_BATCH_SIZE`]) of names
+//!   under one lock, never blocking for them, and admits from that buffer;
 //! * a worker collects finished [`ModuleOutput`]s in its own block, which
-//!   crosses to the writer when it reaches `--batch-size`, before the
+//!   crosses to the writer when it is one I/O batch long, before the
 //!   reactor loop sleeps, or at the end of a loop pass — whichever comes
 //!   first ([`Reactor::run_scan_with`]'s hand-off callback), so a block
 //!   never waits to fill and a slow scan prints each line within the
@@ -71,7 +71,7 @@ use crossbeam::channel;
 use parking_lot::Mutex;
 use zdns_core::{
     AddrMap, Admission, ConcurrentPacer, CreditPool, Doorbell, DriverReport, Reactor,
-    ReactorConfig, Resolver,
+    ReactorConfig, Resolver, DEFAULT_BATCH_SIZE,
 };
 use zdns_modules::{LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::InputSource;
@@ -207,14 +207,12 @@ pub fn run_scan_pipeline(
             let startup_errors = Arc::clone(&startup_errors);
             let credit_pool = Arc::clone(&credit_pool);
             let shared_pacer = shared_pacer.clone();
-            let batch_size = conf.batch_size;
             let io_backend = conf.io_backend;
             scope.spawn(move || {
                 let config = ReactorConfig {
                     // Any single worker may absorb the whole window when
                     // its siblings' destinations are stranded in backoff.
                     max_in_flight: total_window,
-                    batch_size,
                     io_backend,
                     // Parked (fully backed-off) lookups cost slots but no
                     // window; allow a few windows' worth per worker so
@@ -249,7 +247,7 @@ pub fn run_scan_pipeline(
                 // thread ever locks it (the mutex is what lets a `Sync`
                 // module sink push into it); both buffers below are
                 // reused for the whole scan, never reallocated.
-                let block = Arc::new(Mutex::new(Vec::with_capacity(batch_size)));
+                let block = Arc::new(Mutex::new(Vec::with_capacity(DEFAULT_BATCH_SIZE)));
                 let send_block = move |block: &mut Vec<ModuleOutput>| {
                     // A full output queue blocks here — inside lookup
                     // completion or before the loop's sleep — which stalls
@@ -265,18 +263,18 @@ pub fn run_scan_pipeline(
                     Arc::new(move |o| {
                         let mut block = block.lock();
                         block.push(o);
-                        if block.len() >= batch_size {
+                        if block.len() >= DEFAULT_BATCH_SIZE {
                             send_block(&mut block);
                         }
                     })
                 };
                 let mut hand_off = || send_block(&mut block.lock());
-                let mut pulled: VecDeque<String> = VecDeque::with_capacity(batch_size);
+                let mut pulled: VecDeque<String> = VecDeque::with_capacity(DEFAULT_BATCH_SIZE);
                 let mut statuses: HashMap<&'static str, u64> = HashMap::new();
                 let mut feed = || {
                     if pulled.is_empty() {
                         // Up to one I/O batch of names under one lock.
-                        match input_rx.try_recv_many(&mut pulled, batch_size) {
+                        match input_rx.try_recv_many(&mut pulled, DEFAULT_BATCH_SIZE) {
                             Ok(_) => {}
                             Err(channel::TryRecvError::Empty) => return Admission::Later,
                             Err(channel::TryRecvError::Disconnected) => {

@@ -2,18 +2,15 @@
 //!
 //! This module is the framework-side half of serve mode — it turns the
 //! engine pieces ([`Reactor`] + [`ServerRole`]) into a running listener
-//! fleet the CLI, tests, and benches all share:
+//! fleet the CLI, tests, and benches all share.
 //!
-//! * **Single worker** (`shards == 1`, the default): one *dual-role*
-//!   socket. The listen socket IS the reactor socket — client queries
-//!   arrive on it as QR=0 demux misses, and forwarded upstream queries
-//!   leave from it. One socket, both directions, no handoff.
-//! * **Sharded** (`shards > 1`): each worker keeps the reactor's usual
-//!   ephemeral-port socket for upstream traffic (client-side sockets must
-//!   not share a port — responses would flow-hash away from the worker
-//!   holding the demux state) and additionally owns a `SO_REUSEPORT`
-//!   listener socket (UDP and TCP) on the serve port, so the kernel
-//!   spreads inbound clients across workers with no shared accept lock.
+//! Every worker, one or many, has the same shape: its role owns a UDP and
+//! a TCP listener on the serve port, and its reactor owns a private
+//! ephemeral-port socket for upstream traffic (client-side sockets must
+//! not share a port — responses would flow-hash away from the worker
+//! holding the demux state). With more than one shard the listeners are
+//! one `SO_REUSEPORT` group, so the kernel spreads inbound clients across
+//! workers with no shared accept lock.
 //!
 //! Every worker clones one [`Resolver`], so the selective cache behind
 //! the fleet is shared: any worker's forwarded answer warms every
@@ -27,10 +24,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zdns_core::{
-    AddrMap, Clock, Detail, DriverReport, IoBackend, Reactor, ReactorConfig, Resolver,
-    ResolverConfig, ServeConfig, ServeStats, ServerRole, DEFAULT_BATCH_SIZE,
+    AddrMap, Clock, Detail, Doorbell, DriverReport, IoBackend, Reactor, ReactorConfig, Resolver,
+    ResolverConfig, ServeConfig, ServeStats, ServerRole,
 };
-use zdns_netsim::{bind_reuse_port, bind_tcp_reuse_port, bind_udp_tcp_pair};
+use zdns_netsim::bind_udp_tcp_pair;
 
 /// Options for starting a serve fleet (the parsed form of the
 /// `zdns serve` flags).
@@ -46,10 +43,8 @@ pub struct ServeOptions {
     pub client_pps: f64,
     /// Reactor syscall strategy for the forwarding side.
     pub io_backend: IoBackend,
-    /// Worker count (1 = dual-role socket; >1 = `SO_REUSEPORT` sharding).
+    /// Worker count (>1 = `SO_REUSEPORT` sharding of the listen port).
     pub shards: usize,
-    /// Datagrams per syscall on the forwarding hot path.
-    pub batch_size: usize,
     /// Slots in the fleet-shared pre-encoded packet cache (0 disables,
     /// keeping scratch-encode as the A/B lever).
     pub packet_cache_capacity: usize,
@@ -64,7 +59,6 @@ impl Default for ServeOptions {
             client_pps: 0.0,
             io_backend: IoBackend::default(),
             shards: 1,
-            batch_size: DEFAULT_BATCH_SIZE,
             packet_cache_capacity: zdns_core::DEFAULT_PACKET_CACHE_CAPACITY,
         }
     }
@@ -77,6 +71,8 @@ const MAX_IN_FLIGHT: usize = 1_024;
 /// threads themselves. Dropping the handle stops and joins the fleet.
 pub struct ServeHandle {
     stop: Arc<AtomicBool>,
+    /// Rung after `stop` is raised, so idle workers see it at once.
+    bells: Vec<Arc<Doorbell>>,
     stats: Vec<Arc<ServeStats>>,
     workers: Vec<JoinHandle<DriverReport>>,
     local_addr: SocketAddr,
@@ -166,7 +162,7 @@ impl ServeHandle {
     /// Raise the stop flag and join every worker, returning their
     /// reactor reports.
     pub fn stop(mut self) -> Vec<DriverReport> {
-        self.stop.store(true, Ordering::Relaxed);
+        raise_stop(&self.stop, &self.bells);
         self.workers
             .drain(..)
             .map(|w| w.join().unwrap_or_default())
@@ -176,24 +172,30 @@ impl ServeHandle {
 
 impl Drop for ServeHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        raise_stop(&self.stop, &self.bells);
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
+/// Raise the fleet's stop flag and ring every worker out of its wait.
+fn raise_stop(stop: &AtomicBool, bells: &[Arc<Doorbell>]) {
+    stop.store(true, Ordering::Relaxed);
+    for bell in bells {
+        bell.ring();
+    }
+}
+
 /// What one worker gets to listen on, decided (and bound) up front so
 /// bind failures surface before any thread spawns.
 struct WorkerSockets {
-    /// The reactor's socket: the dual-role listen socket for a single
-    /// worker, an ephemeral upstream-only socket when sharded.
-    reactor: UdpSocket,
-    /// A dedicated `SO_REUSEPORT` UDP listener (sharded mode only).
-    listener: Option<UdpSocket>,
-    /// This worker's TCP listener (all workers on Linux via
-    /// `SO_REUSEPORT`; only worker 0 where the platform lacks it).
-    tcp: Option<TcpListener>,
+    /// The reactor's ephemeral socket for upstream traffic.
+    upstream: UdpSocket,
+    /// The UDP listener on the serve port.
+    listener: UdpSocket,
+    /// The TCP listener on the serve port.
+    tcp: TcpListener,
 }
 
 /// Start a serve fleet. Binds all sockets up front (errors surface here,
@@ -234,49 +236,25 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
             .unwrap_or_else(|| SocketAddr::new(ip.into(), 53))
     });
 
-    // Bind everything up front.
+    // Bind everything up front: the first listener pair picks the port
+    // (when asked for port 0) and its siblings join it.
     let shards = opts.shards.max(1);
     let mut sockets = Vec::with_capacity(shards);
-    let local_addr;
-    if shards == 1 {
-        // Dual-role: the listen socket hosts both directions.
-        let (udp, tcp) = bind_udp_tcp_pair(listen_ip, opts.listen.port(), false)?;
-        local_addr = udp.local_addr()?;
+    let mut local_addr = opts.listen;
+    for _ in 0..shards {
+        let (listener, tcp) = match bind_udp_tcp_pair(listen_ip, local_addr.port(), shards > 1) {
+            Ok(pair) => pair,
+            // A kernel refusing a sibling's shared bind just serves with
+            // fewer shards; correctness is unaffected.
+            Err(_) if !sockets.is_empty() => break,
+            Err(e) => return Err(e),
+        };
+        local_addr = listener.local_addr()?;
         sockets.push(WorkerSockets {
-            reactor: udp,
-            listener: None,
-            tcp: Some(tcp),
+            upstream: UdpSocket::bind((Ipv4Addr::UNSPECIFIED, 0))?,
+            listener,
+            tcp,
         });
-    } else {
-        // Sharded: reuse-port listener group + private upstream sockets.
-        // Worker 0's TCP listener must exist (truncation fallback needs
-        // somewhere to land), so its bind error is fatal.
-        let (first, first_tcp) = bind_udp_tcp_pair(listen_ip, opts.listen.port(), true)?;
-        local_addr = first.local_addr()?;
-        let mut listeners = vec![first];
-        for _ in 1..shards {
-            // A kernel refusing the shared bind just serves with fewer
-            // shards; correctness is unaffected.
-            match bind_reuse_port(listen_ip, local_addr.port()) {
-                Ok(s) => listeners.push(s),
-                Err(_) => break,
-            }
-        }
-        let mut first_tcp = Some(first_tcp);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let tcp = if i == 0 {
-                first_tcp.take()
-            } else {
-                // Siblings are best-effort: platforms without TCP
-                // `SO_REUSEPORT` leave all TCP on worker 0.
-                bind_tcp_reuse_port(listen_ip, local_addr.port()).ok()
-            };
-            sockets.push(WorkerSockets {
-                reactor: UdpSocket::bind((Ipv4Addr::UNSPECIFIED, 0))?,
-                listener: Some(listener),
-                tcp,
-            });
-        }
     }
 
     // One epoch for the fleet: reactor timers, cache expiries, and
@@ -286,16 +264,19 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
     let stop = Arc::new(AtomicBool::new(false));
     let (ready_tx, ready_rx) = mpsc::channel::<Result<Arc<ServeStats>, String>>();
 
+    // Made before any worker starts, so a failure leaves none running.
+    let bells = (0..sockets.len())
+        .map(|_| Doorbell::new().map(Arc::new))
+        .collect::<std::io::Result<Vec<_>>>()?;
     let mut workers = Vec::with_capacity(sockets.len());
     let worker_count = sockets.len();
-    for (idx, worker_sockets) in sockets.into_iter().enumerate() {
+    for ((idx, worker), bell) in sockets.into_iter().enumerate().zip(bells.clone()) {
         let resolver = resolver.clone();
         let addr_map = Arc::clone(&addr_map);
         let stop = Arc::clone(&stop);
         let ready_tx = ready_tx.clone();
         let config = ReactorConfig {
             max_in_flight: MAX_IN_FLIGHT,
-            batch_size: opts.batch_size,
             io_backend: opts.io_backend,
             epoch: Some(epoch),
             ..ReactorConfig::default()
@@ -304,39 +285,33 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
             client_pps: opts.client_pps,
             packet_cache_capacity: opts.packet_cache_capacity,
         };
+        let WorkerSockets {
+            upstream,
+            listener,
+            tcp,
+        } = worker;
         workers.push(std::thread::spawn(move || {
             // Reactor and role are built on the worker thread — neither
             // is Send (they own lookup machines).
-            let mut reactor = match Reactor::from_socket(worker_sockets.reactor, config, addr_map) {
-                Ok(reactor) => reactor,
-                Err(e) => {
-                    let _ = ready_tx.send(Err(format!("worker {idx}: reactor: {e}")));
-                    return DriverReport::default();
+            let built = Reactor::from_socket(upstream, config, addr_map).and_then(|mut reactor| {
+                let role = ServerRole::new(resolver, clock, serve_config)
+                    .with_udp_listener(listener)?
+                    .with_tcp_listener(tcp)?;
+                let stats = role.stats();
+                reactor.set_server_role(role);
+                reactor.set_doorbell(bell);
+                Ok((reactor, stats))
+            });
+            match built {
+                Ok((mut reactor, stats)) => {
+                    let _ = ready_tx.send(Ok(stats));
+                    reactor.run_serve(&stop)
                 }
-            };
-            let mut role = ServerRole::new(resolver, clock, serve_config);
-            if let Some(listener) = worker_sockets.listener {
-                role = match role.with_udp_listener(listener) {
-                    Ok(role) => role,
-                    Err(e) => {
-                        let _ = ready_tx.send(Err(format!("worker {idx}: udp listener: {e}")));
-                        return DriverReport::default();
-                    }
-                };
+                Err(e) => {
+                    let _ = ready_tx.send(Err(format!("worker {idx}: {e}")));
+                    DriverReport::default()
+                }
             }
-            if let Some(tcp) = worker_sockets.tcp {
-                role = match role.with_tcp_listener(tcp) {
-                    Ok(role) => role,
-                    Err(e) => {
-                        let _ = ready_tx.send(Err(format!("worker {idx}: tcp listener: {e}")));
-                        return DriverReport::default();
-                    }
-                };
-            }
-            let stats = role.stats();
-            reactor.set_server_role(role);
-            let _ = ready_tx.send(Ok(stats));
-            reactor.run_serve(&stop)
         }));
     }
     drop(ready_tx);
@@ -355,7 +330,7 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
         }
     }
     if let Some(e) = failure {
-        stop.store(true, Ordering::Relaxed);
+        raise_stop(&stop, &bells);
         for w in workers {
             let _ = w.join();
         }
@@ -364,6 +339,7 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
 
     Ok(ServeHandle {
         stop,
+        bells,
         stats,
         workers,
         local_addr,

@@ -53,7 +53,6 @@ const SCAN_SAMPLES: Samples = &[
     ("--backoff", &["A", "--backoff"]),
     ("--backoff-base", &["A", "--backoff-base", "0.2"]),
     ("--backoff-cap", &["A", "--backoff-cap", "8"]),
-    ("--batch-size", &["A", "--batch-size", "64"]),
     ("--max-names", &["A", "--max-names", "1000000"]),
     (
         "--workload",
@@ -139,10 +138,6 @@ const SERVE_SAMPLES: Samples = &[
         &["--io-backend", "syscall", "--upstream", "192.0.2.53"],
     ),
     ("--shards", &["--shards", "4", "--upstream", "192.0.2.53"]),
-    (
-        "--batch-size",
-        &["--batch-size", "32", "--upstream", "192.0.2.53"],
-    ),
     (
         "--duration",
         &["--duration", "10", "--upstream", "192.0.2.53"],
@@ -400,6 +395,8 @@ const DELETED_NAMES: &[&str] = &[
     "take_out_buf",
     "put_out_buf",
     "out_pool",
+    concat!("parse_batch", "_size"),
+    concat!("dual", "-role"),
 ];
 
 #[test]

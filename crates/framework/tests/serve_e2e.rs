@@ -117,8 +117,7 @@ fn a_questions(n: usize) -> Vec<Question> {
 /// The tentpole assertion: a scan answered end-to-end through `zdns
 /// serve`, with the second round warmed by the first round's cache
 /// fills. A garbage datagram sent ahead of the scan is counted once, as
-/// malformed, whichever socket of the fleet it lands on (the dual-role
-/// reactor socket of one shard, or a dedicated listener), and gets no
+/// malformed, by whichever worker's listener it lands on, and gets no
 /// reply.
 fn scan_through_serve_warms_cache(io_backend: IoBackend, shards: usize) {
     const N: usize = 30;

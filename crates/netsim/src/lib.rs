@@ -47,7 +47,6 @@ pub use mmsg::{MmsgScratch, RecvArena, RecvBatch, RECV_SLOT};
 pub use resolvers::{PublicResolverConfig, PublicResolverSim, ResolverOutcome};
 pub use time::{as_secs_f64, from_secs_f64, SimTime, MICROS, MILLIS, SECONDS};
 pub use wire_server::{
-    bind_reuse_port, bind_tcp_reuse_port, bind_udp_tcp_pair, connect_nonblocking, set_recv_buffer,
-    QueryLog, WireServer, SERVER_COOKIE,
+    bind_udp_tcp_pair, connect_nonblocking, set_recv_buffer, QueryLog, WireServer, SERVER_COOKIE,
 };
 pub use zdns_pacing::{PaceDecision, SendGate};

@@ -1,11 +1,12 @@
 //! Batched datagram I/O: the workspace's one `sendmmsg(2)` call, one
 //! `recvmmsg(2)` call, its per-datagram `recvfrom(2)` and one receive
-//! loop, with every `unsafe` pointer hand-off they need. Three callers share it: `zdns-core`'s `BatchIo`
-//! (the reactor's syscall layer), this crate's `WireServer` (the
-//! loopback servers' UDP thread) and `zdns-core`'s `ServerRole`, which
-//! drains a sharded serve worker's dedicated listener. The FFI vectors
-//! are allocated once and rewritten before every call, so the hot path
-//! pays no allocator round-trip per syscall.
+//! loop, with every `unsafe` pointer hand-off they need and the arena's
+//! page mapping. Three callers share it: `zdns-core`'s `BatchIo` (the
+//! reactor's syscall layer), this crate's `WireServer` (the loopback
+//! servers' UDP thread) and `zdns-core`'s `ServerRole`, which drains a
+//! serve worker's listener. The FFI vectors are allocated once and
+//! rewritten before every call, so the hot path pays no allocator
+//! round-trip per syscall.
 //!
 //! A [`RecvArena`]'s mode is fixed when it is built: vectored (one
 //! `recvmmsg` per batch) where [`libc::MMSG_SUPPORTED`], per-datagram
@@ -18,8 +19,8 @@
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 
 /// Bytes per slot of a receive arena: room for the largest UDP datagram,
-/// rounded up to whole pages. An arena is *one* zeroed allocation of
-/// `depth × RECV_SLOT` bytes cut into slots — the allocator hands that out
+/// rounded up to whole pages. An arena is *one* anonymous mapping of
+/// `depth × RECV_SLOT` bytes cut into slots — the kernel hands that out
 /// as untouched zero pages, so making it costs microseconds and the
 /// process pays only for the pages datagrams actually fill.
 pub const RECV_SLOT: usize = 65_536;
@@ -137,12 +138,69 @@ fn iovec(base: *mut u8, len: usize) -> libc::iovec {
     }
 }
 
+/// A receive arena's slot storage: zero pages mapped straight from the
+/// kernel and unmapped on drop. A heap block would not stay untouched:
+/// once glibc has freed one arena-sized block it serves the next from its
+/// heap, and zeroes every byte of it.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+mod slots {
+    use libc::{MAP_ANONYMOUS, MAP_FAILED, MAP_PRIVATE, PROT_READ, PROT_WRITE};
+    use std::ptr::{null_mut, NonNull};
+
+    pub struct Slots(NonNull<[u8]>);
+
+    // SAFETY: `Slots` owns its mapping outright, like a `Box<[u8]>`.
+    unsafe impl Send for Slots {}
+
+    pub fn zeroed(len: usize) -> Slots {
+        let (prot, flags) = (PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS);
+        // SAFETY: a fresh private anonymous mapping aliases nothing.
+        let base = unsafe { libc::mmap(null_mut(), len, prot, flags, -1, 0) };
+        match NonNull::new(base.cast()).filter(|_| base != MAP_FAILED) {
+            Some(base) => Slots(NonNull::slice_from_raw_parts(base, len)),
+            None => std::alloc::handle_alloc_error(std::alloc::Layout::array::<u8>(len).unwrap()),
+        }
+    }
+
+    impl std::ops::Deref for Slots {
+        type Target = [u8];
+        fn deref(&self) -> &[u8] {
+            // SAFETY: the mapping is live and readable while `self` is.
+            unsafe { self.0.as_ref() }
+        }
+    }
+
+    impl std::ops::DerefMut for Slots {
+        fn deref_mut(&mut self) -> &mut [u8] {
+            // SAFETY: as in `deref`; `&mut self` makes the borrow unique.
+            unsafe { self.0.as_mut() }
+        }
+    }
+
+    impl Drop for Slots {
+        fn drop(&mut self) {
+            // SAFETY: the mapping `zeroed` made, unmapped once.
+            unsafe { libc::munmap(self.0.as_ptr().cast(), self.0.len()) };
+        }
+    }
+}
+
+/// Elsewhere the allocator's zeroed block stands in.
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+mod slots {
+    pub type Slots = Box<[u8]>;
+
+    pub fn zeroed(len: usize) -> Slots {
+        vec![0u8; len].into_boxed_slice()
+    }
+}
+
 /// A reusable receive arena: `depth` slots of [`RECV_SLOT`] bytes in one
-/// lazily zeroed allocation, filled by one [`RecvArena::recv_batch`]
-/// call — one `recvmmsg` when vectored, one `recvfrom` per datagram
-/// otherwise (see the module docs for how either waits).
+/// lazily zeroed mapping, filled by one [`RecvArena::recv_batch`] call —
+/// one `recvmmsg` when vectored, one `recvfrom` per datagram otherwise
+/// (see the module docs for how either waits).
 pub struct RecvArena {
-    slots: Vec<u8>,
+    slots: slots::Slots,
     lens: Vec<usize>,
     peers: Vec<SocketAddr>,
     /// The `recvmmsg` vectors; `None` in per-datagram mode.
@@ -164,7 +222,7 @@ impl RecvArena {
     fn build(depth: usize, vectored: bool) -> RecvArena {
         let depth = depth.clamp(1, MAX_VLEN);
         RecvArena {
-            slots: vec![0u8; depth * RECV_SLOT],
+            slots: slots::zeroed(depth * RECV_SLOT),
             lens: vec![0; depth],
             peers: vec![SocketAddr::new(Ipv4Addr::UNSPECIFIED.into(), 0); depth],
             vectored: vectored.then(MmsgScratch::default),

@@ -64,8 +64,8 @@ pub fn set_recv_buffer(socket: &UdpSocket, bytes: usize) {
 }
 
 /// A fresh IPv4 socket of type `ty` with `SO_REUSEPORT` set, bound to
-/// `ip:port` — the option must go on between `socket` and `bind`, which
-/// `std::net` cannot express.
+/// `ip:port` and, for a stream socket, listening — the option must go on
+/// between `socket` and `bind`, which `std::net` cannot express.
 #[cfg(any(target_os = "linux", target_os = "android"))]
 fn reuse_port_socket(
     ip: Ipv4Addr,
@@ -107,80 +107,61 @@ fn reuse_port_socket(
     if r != 0 {
         return Err(std::io::Error::last_os_error());
     }
+    // SAFETY: fd is a bound socket.
+    if ty == libc::SOCK_STREAM && unsafe { libc::listen(socket.as_raw_fd(), 128) } != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
     Ok(socket)
-}
-
-/// Bind a UDP socket on `ip:port` with `SO_REUSEPORT` set, so several
-/// sockets can share one port and the kernel load-balances incoming
-/// datagrams across them by flow hash — how a DNS *server* front end
-/// shards one well-known port over multiple worker sockets. (Client-side
-/// scanning sockets must NOT share a port: responses would hash to an
-/// arbitrary group member, away from the worker holding the query's
-/// demux state.) On non-Linux targets this is a plain bind, so a single
-/// socket per port still works.
-pub fn bind_reuse_port(ip: Ipv4Addr, port: u16) -> std::io::Result<UdpSocket> {
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    {
-        reuse_port_socket(ip, port, libc::SOCK_DGRAM).map(UdpSocket::from)
-    }
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    {
-        UdpSocket::bind((ip, port))
-    }
-}
-
-/// [`bind_reuse_port`]'s TCP sibling: a listener on `ip:port` with
-/// `SO_REUSEPORT` set, so each serve worker can own a listener on the
-/// same well-known port and the kernel spreads incoming connections
-/// across the group. On non-Linux targets this is a plain bind —
-/// callers wanting multi-worker TCP there must share one listener.
-pub fn bind_tcp_reuse_port(ip: Ipv4Addr, port: u16) -> std::io::Result<TcpListener> {
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    {
-        use std::os::fd::AsRawFd;
-        let socket = reuse_port_socket(ip, port, libc::SOCK_STREAM)?;
-        // SAFETY: fd is a bound stream socket.
-        if unsafe { libc::listen(socket.as_raw_fd(), 128) } != 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        Ok(TcpListener::from(socket))
-    }
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    {
-        TcpListener::bind((ip, port))
-    }
 }
 
 /// Bind a UDP socket on `ip:port` and a TCP listener on the port it got —
 /// a DNS server answers on one port over both transports. `reuse_port`
-/// binds both halves through [`bind_reuse_port`] /
-/// [`bind_tcp_reuse_port`]. With `port == 0` the kernel picks the UDP
-/// port without knowing its TCP twin is wanted too, so an `AddrInUse` on
-/// the TCP half only means an unrelated listener owns that number: try
-/// another. With an explicit port the collision is the caller's error.
+/// sets `SO_REUSEPORT` on both halves (Linux; elsewhere a second pair on
+/// one port fails to bind), so several pairs share one port and the
+/// kernel spreads datagrams and connections across them by flow hash —
+/// how a DNS *server* front end shards one well-known port over its
+/// workers. (Client-side scanning sockets must NOT share a port:
+/// responses would hash to an arbitrary group member, away from the
+/// worker holding the query's demux state.) With `port == 0` the kernel
+/// picks the UDP port without knowing its TCP twin is wanted too, so an
+/// `AddrInUse` on the TCP half only means an unrelated listener owns that
+/// number: try another. With an explicit port the collision is the
+/// caller's error.
 pub fn bind_udp_tcp_pair(
     ip: Ipv4Addr,
     port: u16,
     reuse_port: bool,
 ) -> std::io::Result<(UdpSocket, TcpListener)> {
     loop {
-        let udp = if reuse_port {
-            bind_reuse_port(ip, port)?
-        } else {
-            UdpSocket::bind((ip, port))?
-        };
-        let twin = udp.local_addr()?.port();
-        let tcp = if reuse_port {
-            bind_tcp_reuse_port(ip, twin)
-        } else {
-            TcpListener::bind((ip, twin))
-        };
-        match tcp {
+        let udp = bind_udp(ip, port, reuse_port)?;
+        match bind_tcp(ip, udp.local_addr()?.port(), reuse_port) {
             Ok(tcp) => return Ok((udp, tcp)),
             Err(e) if port == 0 && e.kind() == std::io::ErrorKind::AddrInUse => continue,
             Err(e) => return Err(e),
         }
     }
+}
+
+/// [`bind_udp_tcp_pair`]'s UDP half.
+fn bind_udp(ip: Ipv4Addr, port: u16, reuse_port: bool) -> std::io::Result<UdpSocket> {
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    if reuse_port {
+        return reuse_port_socket(ip, port, libc::SOCK_DGRAM).map(UdpSocket::from);
+    }
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    let _ = reuse_port;
+    UdpSocket::bind((ip, port))
+}
+
+/// [`bind_udp_tcp_pair`]'s TCP half.
+fn bind_tcp(ip: Ipv4Addr, port: u16, reuse_port: bool) -> std::io::Result<TcpListener> {
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    if reuse_port {
+        return reuse_port_socket(ip, port, libc::SOCK_STREAM).map(TcpListener::from);
+    }
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    let _ = reuse_port;
+    TcpListener::bind((ip, port))
 }
 
 /// Open a TCP connection to `to` without waiting for the handshake: the
