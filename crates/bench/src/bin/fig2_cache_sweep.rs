@@ -1,6 +1,6 @@
-//! Figure 2 — internal resolver cache performance: successes/second and
-//! cache hit rate vs. selective-cache capacity (50K–1M entries) at 50K
-//! threads, iterative A and PTR.
+//! Figure 2 — internal resolver cache performance: successes/second,
+//! success and cache hit rate vs. selective-cache capacity (50K–1M
+//! entries) at 50K threads, iterative A and PTR.
 //!
 //! Paper shape: successes grow >3× across the sweep while the hit rate
 //! moves only a few points; performance plateaus near 600K entries.
@@ -20,10 +20,11 @@ fn main() {
         ]
     };
     let threads = if quick { 10_000 } else { 50_000 };
-    println!("Figure 2: successes/second and hit rate vs cache size @ {threads} threads\n");
+    println!("Figure 2: succ/s, success and hit rate vs cache size @ {threads} threads\n");
     for workload in [Workload::A, Workload::Ptr] {
         println!("-- {} lookups, iterative --", workload.label());
-        let table = TablePrinter::new(&["cache_size", "succ/s", "hit_%", "queries/lookup"]);
+        let table =
+            TablePrinter::new(&["cache_size", "succ/s", "succ_%", "hit_%", "queries/lookup"]);
         let mut first_rate = None;
         let mut last_rate = 0.0;
         for &cache_size in cache_grid {
@@ -40,6 +41,7 @@ fn main() {
             table.row(&[
                 cache_size.to_string(),
                 format!("{:.0}", o.successes_per_sec),
+                format!("{:.1}", o.success_rate * 100.0),
                 format!("{:.1}", o.cache_hit_rate * 100.0),
                 format!("{qpl:.2}"),
             ]);

@@ -24,10 +24,16 @@
 //! and a block of ~60 bytes) instead of an owned `Record` per record and
 //! an owned `Name` per key; a hit hands out the block by reference count.
 //!
-//! Beside the entries sit retirement stamps — counters over stripes of key
-//! hashes, bumped whenever an entry is replaced or removed — and a bounded
-//! memo of the cuts iterative walks start from ([`Cache::cut_addresses`]),
-//! which the stamps keep exact.
+//! A delegation is one entry. The NS entry a referral writes
+//! ([`Cache::put_delegation`]) ends in a tail of 4 octets per NS record:
+//! the first in-bailiwick `A` glue address the same referral carried for
+//! that record's host, or `0.0.0.0` for none. A bit in the head marks the
+//! tail, and the entry expires with the earliest TTL among its records
+//! and the glue it carries, so a walk that starts at a cached cut finds
+//! the cut's delivered addresses in the entry that named the cut, whatever
+//! happened to the separate glue entries since. Those are still written,
+//! because glueless referrals elsewhere read them; every reader but the
+//! walk start ([`Cache::cut_addresses`]) sees only the records.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -37,9 +43,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use zdns_wire::{Name, NameRef, Record, RecordType, RecordView, RecordViews, ScratchBuf};
+use zdns_wire::{Name, NameRef, RData, Record, RecordType, RecordView, RecordViews, ScratchBuf};
 
-use crate::cut_memo::{CutMemo, CutMemoStats};
+use crate::cut_memo::CutMemo;
 use crate::pacer::HostHasher;
 use crate::packet_cache::PacketCache;
 use zdns_netsim::{SimTime, SECONDS};
@@ -93,8 +99,12 @@ impl Hasher for PreHashed {
 // writes: a fixed head, the key name, then the records.
 /// Absolute expiry, `u64`.
 const EXPIRES_AT: usize = 0;
-/// Number of records, `u16`.
+/// Number of records, `u16`, with [`TAIL`] set when a delegation tail
+/// follows them.
 const COUNT_AT: usize = 8;
+/// Marks a block that ends in one glue address per record (a count cannot
+/// reach it: no 64 KiB message carries 32 768 records).
+const TAIL: u16 = 0x8000;
 /// The key's record type, `u16`.
 const RTYPE_AT: usize = 10;
 /// The key name, uncompressed; the records follow its root octet. A DNS
@@ -105,6 +115,9 @@ const RTYPE_AT: usize = 10;
 const NAME_AT: usize = 12;
 /// An owner name stored as a compression pointer to the key.
 const KEY_POINTER: [u8; 2] = (0xC000 | NAME_AT as u16).to_be_bytes();
+
+/// The glue record a delegation's referral delivered for an NS host.
+type DeliveredGlue<'a, 'r> = &'a dyn Fn(&Name) -> Option<&'r Record>;
 
 thread_local! {
     /// Where [`Cache::put`] assembles a block before copying it into its
@@ -127,12 +140,15 @@ pub struct CachedRecords {
 
 impl CachedRecords {
     /// Encode `records` under `key` into `scratch` and copy the result
-    /// into a block of its own. `None` for what the cache refuses: no
-    /// records, a zero TTL among them, or a section no 64 KiB DNS message
-    /// could have carried.
+    /// into a block of its own. With `glue`, the block is a delegation
+    /// whose tail holds the address of the `A` record `glue` returns for
+    /// each NS record's host ([`Cache::put_delegation`]). `None` for what
+    /// the cache refuses: no records, a zero TTL among them, or a section
+    /// no 64 KiB DNS message could have carried.
     fn encode<'r>(
         key: &CacheKey,
-        records: impl Iterator<Item = &'r Record>,
+        records: impl Iterator<Item = &'r Record> + Clone,
+        glue: Option<DeliveredGlue<'_, 'r>>,
         now: SimTime,
         scratch: &mut ScratchBuf,
     ) -> Option<CachedRecords> {
@@ -144,7 +160,7 @@ impl CachedRecords {
         scratch.write_name_uncompressed(&key.name).ok()?;
         let mut count = 0u16;
         let mut min_ttl = u32::MAX;
-        for record in records {
+        for record in records.clone() {
             // The root is shorter written out than pointed at, and a
             // message encoder would write it out.
             if !key.name.is_root() && record.name.eq_exact_case(&key.name) {
@@ -159,6 +175,21 @@ impl CachedRecords {
         if count == 0 || min_ttl == 0 {
             return None;
         }
+        if let Some(glue) = glue {
+            for record in records {
+                let delivered = match &record.rdata {
+                    RData::Ns(host) => glue(host).and_then(|g| match g.rdata {
+                        RData::A(addr) if g.ttl > 0 => Some((addr, g.ttl)),
+                        _ => None,
+                    }),
+                    _ => None,
+                };
+                let (addr, ttl) = delivered.unwrap_or((Ipv4Addr::UNSPECIFIED, u32::MAX));
+                min_ttl = min_ttl.min(ttl);
+                scratch.write_bytes(&addr.octets()).ok()?;
+            }
+            count |= TAIL;
+        }
         let expires = now + u64::from(min_ttl) * SECONDS;
         scratch.patch_bytes(EXPIRES_AT, &expires.to_be_bytes());
         scratch.patch_u16(COUNT_AT, count);
@@ -167,9 +198,13 @@ impl CachedRecords {
         })
     }
 
+    fn count_field(&self) -> u16 {
+        u16::from_be_bytes([self.block[COUNT_AT], self.block[COUNT_AT + 1]])
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
-        u16::from_be_bytes([self.block[COUNT_AT], self.block[COUNT_AT + 1]]) as usize
+        (self.count_field() & !TAIL) as usize
     }
 
     /// Never true of a stored section: the cache refuses empty ones.
@@ -206,6 +241,16 @@ impl CachedRecords {
     pub fn iter(&self) -> RecordViews<'_> {
         let key_len = self.key_name().wire_bytes().map_or(0, <[u8]>::len);
         RecordViews::over(&self.block, NAME_AT + key_len, self.len() as u16)
+    }
+
+    /// The glue address the delegation's referral carried for each record,
+    /// in stored order and `None` where it carried none; then, and for a
+    /// block stored without a tail, `None` without end.
+    pub(crate) fn delivered_glue(&self) -> impl Iterator<Item = Option<Ipv4Addr>> + '_ {
+        let tail_len = 4 * self.len() * usize::from(self.count_field() & TAIL != 0);
+        let tail = self.block[self.block.len() - tail_len..].chunks_exact(4);
+        tail.map(|o| Some(Ipv4Addr::new(o[0], o[1], o[2], o[3])).filter(|a| !a.is_unspecified()))
+            .chain(std::iter::repeat(None))
     }
 
     /// Every record, promoted to an owned [`Record`].
@@ -445,11 +490,7 @@ pub struct Cache {
     /// it promotes a fresher RRset, with no extra plumbing through the
     /// resolver or the reactor.
     packet: OnceLock<Arc<PacketCache>>,
-    /// Retirement stamps, one per stripe of [`key_hash`] values (low bits):
-    /// bumped, under the shard lock, by every replace and every removal of
-    /// an entry whose hash falls in the stripe ([`Cache::stamp`]).
-    stamps: Box<[AtomicU64]>,
-    /// The resolved delegations of cached cuts ([`Cache::cut_addresses`]).
+    /// The decoded delegations of cached cuts ([`Cache::cut_addresses`]).
     cuts: CutMemo,
     /// Shared counters.
     pub stats: CacheStats,
@@ -461,10 +502,6 @@ pub struct Cache {
 /// Number of shards; power of two for cheap masking.
 const SHARDS: usize = 64;
 
-/// Stripes of retirement stamps; a power of two. Churn on one key makes a
-/// memoized read of another distrusted only when both share a stripe.
-const STAMP_STRIPES: usize = 1 << 14;
-
 impl Cache {
     /// Build a cache bounded to roughly `capacity` total entries.
     pub fn new(capacity: usize) -> Cache {
@@ -474,7 +511,6 @@ impl Cache {
             counts: (0..SHARDS).map(|_| AtomicUsize::new(0)).collect(),
             per_shard_capacity,
             packet: OnceLock::new(),
-            stamps: (0..STAMP_STRIPES).map(|_| AtomicU64::new(0)).collect(),
             cuts: CutMemo::new(),
             stats: CacheStats::default(),
             #[cfg(test)]
@@ -530,20 +566,6 @@ impl Cache {
         (hash >> 32) as usize & (SHARDS - 1)
     }
 
-    /// The retirement stamp of `hash`'s stripe. While it reads what it read
-    /// before an entry with that hash was found, that entry is still the
-    /// one stored under its key. Pairs with the `Release` bump in
-    /// [`Cache::retire`].
-    pub(crate) fn stamp(&self, hash: u64) -> u64 {
-        self.stamps[hash as usize & (STAMP_STRIPES - 1)].load(Ordering::Acquire)
-    }
-
-    /// Mark the entry with `hash` as replaced or removed. Called under the
-    /// entry's shard lock, after the change.
-    fn retire(&self, hash: u64) {
-        self.stamps[hash as usize & (STAMP_STRIPES - 1)].fetch_add(1, Ordering::Release);
-    }
-
     /// The selective policy: only infrastructure RRsets are admitted.
     pub fn admits(rtype: RecordType) -> bool {
         rtype.is_infrastructure()
@@ -555,22 +577,44 @@ impl Cache {
     /// records are only read: they are encoded into the entry's block
     /// ([`CachedRecords`]) and the caller keeps (or drops) its own.
     pub fn put(&self, key: CacheKey, records: impl AsRef<[Record]>, now: SimTime) {
-        self.put_records(&key, records.as_ref().iter(), now);
+        self.put_records(&key, records.as_ref().iter(), None, now);
+    }
+
+    /// Store a referral's delegation of `cut` as one entry: the NS
+    /// records, then, for each, the address of the `A` glue record `glue`
+    /// returns for its host (the first in-bailiwick one the referral
+    /// carried). The entry expires with the earliest TTL among the records
+    /// and that glue.
+    pub fn put_delegation<'r>(
+        &self,
+        cut: &Name,
+        ns: &'r [Record],
+        glue: impl Fn(&Name) -> Option<&'r Record>,
+        now: SimTime,
+    ) {
+        let key = CacheKey {
+            name: cut.clone(),
+            rtype: RecordType::NS,
+        };
+        self.put_records(&key, ns.iter(), Some(&glue), now);
     }
 
     /// [`Cache::put`] for records that are not one slice — a referral's
-    /// glue RRset picked out of its additional section.
+    /// glue RRset picked out of its additional section — or, with `glue`,
+    /// for a delegation ([`Cache::put_delegation`]).
     pub(crate) fn put_records<'r>(
         &self,
         key: &CacheKey,
-        records: impl Iterator<Item = &'r Record>,
+        records: impl Iterator<Item = &'r Record> + Clone,
+        glue: Option<DeliveredGlue<'_, 'r>>,
         now: SimTime,
     ) {
         if !Self::admits(key.rtype) {
             return;
         }
-        let encoded = ENCODE
-            .with(|scratch| CachedRecords::encode(key, records, now, &mut scratch.borrow_mut()));
+        let encoded = ENCODE.with(|scratch| {
+            CachedRecords::encode(key, records, glue, now, &mut scratch.borrow_mut())
+        });
         let Some(records) = encoded else {
             return;
         };
@@ -584,7 +628,6 @@ impl Cache {
                 Some(at) => {
                     shard.entries[at as usize].records = records;
                     shard.touch(at);
-                    self.retire(hash);
                 }
                 None => {
                     shard.insert(hash, records);
@@ -594,9 +637,7 @@ impl Cache {
             // Evict beyond capacity.
             while shard.entries.len() > self.per_shard_capacity {
                 let victim = shard.oldest;
-                let victim_hash = shard.entries[victim as usize].hash;
                 shard.remove(victim);
-                self.retire(victim_hash);
                 self.counts[idx].fetch_sub(1, Ordering::Relaxed);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -644,7 +685,6 @@ impl Cache {
             return Some((shard, at));
         }
         shard.remove(at);
-        self.retire(hash);
         self.counts[idx].fetch_sub(1, Ordering::Relaxed);
         None
     }
@@ -724,14 +764,13 @@ impl Cache {
     }
 
     /// The nameservers of a cut [`Cache::deepest_cut`] returned — `each`
-    /// is called with every NS host of `ns`, in stored order, and the first
-    /// address its cached `A` glue holds — read as probing each host's glue
-    /// with [`Cache::with_records`] would read them, with the same hits,
-    /// misses and expired entries dropped. The resolved list is memoized
-    /// per cut in a fixed number of slots, and an address is reused only
-    /// while that probe would provably return it (`cut_memo.rs` states the
-    /// rule), so a walk from a warm cut reads one memo entry instead of
-    /// probing every host. `each` runs under the memo slot's lock.
+    /// is called with every NS host of `ns`, in stored order, and its
+    /// address: the glue the delegation's referral delivered
+    /// ([`Cache::put_delegation`]), counted as the hit its probe would
+    /// have been, or else the first address the host's cached `A` entry
+    /// holds, read with [`Cache::with_records`] and its hit or miss. The
+    /// decoded hosts are memoized per cut (`cut_memo.rs`), so a walk from a
+    /// warm cut decodes nothing. `each` runs under the memo slot's lock.
     pub fn cut_addresses(
         &self,
         cut: &Name,
@@ -740,11 +779,6 @@ impl Cache {
         each: impl FnMut(&Name, Option<Ipv4Addr>),
     ) {
         self.cuts.addresses(self, cut, ns, now, each);
-    }
-
-    /// What the cut memo has done so far.
-    pub fn memo_stats(&self) -> CutMemoStats {
-        self.cuts.stats()
     }
 }
 
@@ -1078,7 +1112,7 @@ mod tests {
             let hash = if i == 3 { 7 } else { 42 };
             let records = [a_record(name, "192.0.2.1", 60)];
             let key = key(name, RecordType::A);
-            let block = CachedRecords::encode(&key, records.iter(), 0, &mut scratch).unwrap();
+            let block = CachedRecords::encode(&key, records.iter(), None, 0, &mut scratch).unwrap();
             shard.insert(hash, block);
         }
         let stored_name =

@@ -51,7 +51,6 @@ pub use alloc_count::CountingAllocator;
 pub use cache::{Cache, CacheKey, CacheStats, CachedRecords};
 pub use clock::Clock;
 pub use config::{Detail, ResolutionMode, ResolverConfig};
-pub use cut_memo::CutMemoStats;
 pub use driver::{Admission, Driver, DriverReport};
 pub use machine::{IterativeMachine, ResolverCore, ResultSink, StubMachine};
 pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};

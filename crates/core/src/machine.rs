@@ -845,7 +845,9 @@ impl IterativeMachine {
     }
 
     /// Selective caching (§3.4): NS RRsets at zone cuts plus in-bailiwick
-    /// glue addresses — never the leaf answers.
+    /// glue addresses — never the leaf answers. The delegation is one
+    /// entry that carries the glue it came with; the glue RRsets are also
+    /// cached on their own, for glueless referrals elsewhere.
     fn cache_referral(
         &self,
         cut: &Name,
@@ -854,23 +856,25 @@ impl IterativeMachine {
         bailiwick: &Name,
         now: SimTime,
     ) {
-        self.core.cache.put(
-            CacheKey {
-                name: cut.clone(),
-                rtype: RecordType::NS,
-            },
+        // Bailiwick rule: only names the referring zone may speak for.
+        let usable = |rec: &Record| {
+            matches!(rec.rtype, RecordType::A | RecordType::AAAA)
+                && rec.name.is_subdomain_of(bailiwick)
+        };
+        self.core.cache.put_delegation(
+            cut,
             ns_records,
+            |host| {
+                glue.iter()
+                    .find(|g| g.rtype == RecordType::A && g.name == *host && usable(g))
+            },
             now,
         );
         // Cache each glue address RRset — the records sharing a (name,
         // type) — once, where it first appears. Servers emit an RRset's
         // records together, so this is also the order the sets end in.
         for (i, rec) in glue.iter().enumerate() {
-            if !matches!(rec.rtype, RecordType::A | RecordType::AAAA) {
-                continue;
-            }
-            // Bailiwick rule: only names the referring zone may speak for.
-            if !rec.name.is_subdomain_of(bailiwick) {
+            if !usable(rec) {
                 continue;
             }
             let same_set = |g: &Record| g.name == rec.name && g.rtype == rec.rtype;
@@ -883,6 +887,7 @@ impl IterativeMachine {
                     rtype: rec.rtype,
                 },
                 glue[i..].iter().filter(|g| same_set(g)),
+                None,
                 now,
             );
         }
@@ -1139,6 +1144,63 @@ mod tests {
                 (ns2, Some(Ipv4Addr::new(192, 0, 2, 3))),
             ]
         );
+    }
+
+    #[test]
+    fn a_cached_cut_keeps_its_glue_when_the_glue_entries_are_evicted() {
+        // Two entries per shard, so churn soon evicts the glue entries.
+        let core = ResolverCore::new(ResolverConfig {
+            cache_size: 128,
+            ..ResolverConfig::default()
+        });
+        let zone: Name = "example.com".parse().unwrap();
+        let hosts: [Name; 2] = ["ns1.example.com", "ns2.example.com"].map(|h| h.parse().unwrap());
+        let question = Question::new("www.example.com".parse().unwrap(), RecordType::A);
+        let machine = IterativeMachine::new(Arc::clone(&core), question.clone(), None);
+        let ns_records: Vec<Record> = hosts
+            .iter()
+            .map(|ns| Record::new(zone.clone(), 3600, RData::Ns(ns.clone())))
+            .collect();
+        let glue: Vec<Record> = hosts
+            .iter()
+            .zip(1..)
+            .map(|(ns, last)| {
+                Record::new(ns.clone(), 3600, RData::A(Ipv4Addr::new(192, 0, 2, last)))
+            })
+            .collect();
+        machine.cache_referral(&zone, &ns_records, &glue, &"com".parse().unwrap(), 0);
+        for i in 0..64 * 20 {
+            // Walks keep the cut itself in use while unrelated names churn.
+            assert!(core.cache.get(&zone, RecordType::NS, 0).is_some());
+            let name: Name = format!("churn{i}.example.net").parse().unwrap();
+            let a = Record::new(name.clone(), 3600, RData::A(Ipv4Addr::new(198, 51, 100, 1)));
+            core.cache.put(
+                CacheKey {
+                    name,
+                    rtype: RecordType::A,
+                },
+                [a],
+                0,
+            );
+        }
+        for host in &hosts {
+            assert!(
+                core.cache.get(host, RecordType::A, 0).is_none(),
+                "{host} evicted"
+            );
+        }
+        let (cut, cached_ns) = core.cache.deepest_cut(&question.name, 0).unwrap();
+        assert_eq!(cut, zone);
+        let mut addrs = Vec::new();
+        core.cache.cut_addresses(&cut, &cached_ns, 0, |ns, addr| {
+            addrs.push((ns.clone(), addr))
+        });
+        let want: Vec<_> = hosts
+            .iter()
+            .cloned()
+            .zip([1, 2].map(|last| Some(Ipv4Addr::new(192, 0, 2, last))))
+            .collect();
+        assert_eq!(addrs, want);
     }
 
     #[test]

@@ -448,15 +448,18 @@ fn random_operations_match_the_reference_lru() {
     assert_eq!(left, model.keys());
 }
 
-/// One step of the cut-memo differential, applied to two caches alike.
+/// One step of the delegation differential, applied to the caches alike.
 enum Step {
-    /// Store the NS set of cut `cut`: hosts by index into the host pool.
+    /// Cache a referral for cut `cut`: its NS hosts, by index into the
+    /// host pool, each with the `A` glue the referral delivered for it
+    /// (last octet and TTL), if any.
     Cut {
         cut: usize,
-        hosts: Vec<usize>,
+        hosts: Vec<(usize, Option<(u8, u32)>)>,
         ttl: u32,
     },
-    /// Store, or replace, a host's `A` glue.
+    /// Store, or replace, a host's `A` glue on its own, as a glueless
+    /// referral elsewhere would.
     Glue { host: usize, last: u8, ttl: u32 },
     /// Store an `A` RRset under a name no cut uses.
     Churn { name: u64, ttl: u32 },
@@ -491,10 +494,11 @@ fn memo_pools() -> (Vec<Name>, Vec<Name>) {
     (names(cuts), names(hosts))
 }
 
-/// A seeded step stream: NS sets that change and are evicted, glue that
-/// is stored, replaced, expires, is evicted or never stored at all, and
-/// churn of unrelated names that keeps the shards evicting — each step
-/// with the virtual time it runs at.
+/// A seeded step stream: delegations that change and are evicted, some
+/// hosts delivered with glue and some without, separate glue that is
+/// stored, replaced, expires, is evicted or never stored at all, and churn
+/// of unrelated names that keeps the shards evicting — each step with the
+/// virtual time it runs at.
 fn memo_steps(cuts: usize, hosts: usize, n: usize) -> Vec<(SimTime, Step)> {
     let mut rng = TestRng::deterministic();
     let mut now: SimTime = 0;
@@ -511,7 +515,12 @@ fn memo_steps(cuts: usize, hosts: usize, n: usize) -> Vec<(SimTime, Step)> {
                     let mut pool: Vec<usize> = own.chain(shared).collect();
                     let take = 1 + rng.below(5) as usize;
                     let hosts = (0..take)
-                        .map(|_| pool.swap_remove(rng.below(pool.len() as u64) as usize))
+                        .map(|_| {
+                            let host = pool.swap_remove(rng.below(pool.len() as u64) as usize);
+                            let glue = (rng.below(2) == 0)
+                                .then(|| (rng.below(3) as u8, 5 + rng.below(90) as u32));
+                            (host, glue)
+                        })
                         .collect();
                     Step::Cut {
                         cut,
@@ -519,13 +528,13 @@ fn memo_steps(cuts: usize, hosts: usize, n: usize) -> Vec<(SimTime, Step)> {
                         ttl: 5 + rng.below(60) as u32,
                     }
                 }
-                // Hosts 0, 5, 10, … never get glue.
+                // Hosts 0, 5, 10, … never get glue of their own.
                 6..=25 => Step::Glue {
                     host: match rng.below(hosts as u64) as usize {
                         h if h % 5 == 0 => h + 1,
                         h => h,
                     },
-                    last: rng.below(3) as u8,
+                    last: 10 + rng.below(3) as u8,
                     ttl: 1 + rng.below(60) as u32,
                 },
                 26..=41 => Step::Churn {
@@ -545,14 +554,24 @@ fn memo_steps(cuts: usize, hosts: usize, n: usize) -> Vec<(SimTime, Step)> {
         .collect()
 }
 
-/// A walk start through the memo must read exactly what probing each
-/// nameserver's glue reads: the same hosts in the same order with the same
-/// addresses, the same hits and misses counted, the same expired entries
-/// dropped. One cache takes the memoized path, a twin the per-nameserver
-/// probes; both see the same steps, and two threads take turns stepping
-/// them, so a memo entry filled by one thread is read by the other.
+/// A walk start reads a delegation as one entry. One cache takes the
+/// memoized path and stores each referral with [`Cache::put_delegation`];
+/// a plain twin stores the same NS set with [`Cache::put`] (its TTL cut to
+/// the earliest delivered glue's, as the delegation's expiry is) and the
+/// test remembers the delivered glue beside it. Both see the same steps,
+/// and two threads take turns stepping them, so a memo entry filled by one
+/// thread is read by the other. Every walk start must read:
+///
+/// * the delivered glue of each host that had some, whatever happened to
+///   the host's separate glue entry since — evicted, expired, replaced;
+/// * for a host without, what probing its separate glue in the plain twin
+///   reads;
+///
+/// and the hits, misses and evictions both caches count must agree.
 #[test]
 fn memoized_walk_starts_match_per_nameserver_probes() {
+    use std::collections::HashMap;
+    use std::net::Ipv4Addr;
     use std::sync::{Condvar, Mutex};
 
     const STEPS: usize = 40_000;
@@ -561,20 +580,29 @@ fn memoized_walk_starts_match_per_nameserver_probes() {
     // 64 shards of six entries: the churn keeps every shard evicting.
     let memo = Cache::new(64 * 6);
     let plain = Cache::new(64 * 6);
+    // The glue each cut's latest referral delivered, per NS record.
+    let delivered: Mutex<HashMap<Name, Vec<Option<Ipv4Addr>>>> = Mutex::default();
     let turn = (Mutex::new(0usize), Condvar::new());
-    let walks_with_glue = std::sync::atomic::AtomicU64::new(0);
+    let delivered_reads = std::sync::atomic::AtomicU64::new(0);
+    let separate_differs = std::sync::atomic::AtomicU64::new(0);
+    let probed_found = std::sync::atomic::AtomicU64::new(0);
 
     let step = |i: usize| {
         let (now, step) = &steps[i];
         let now = *now;
-        let put = |name: &Name, rtype, records: Vec<Record>| {
-            for cache in [&memo, &plain] {
-                let key = CacheKey {
-                    name: name.clone(),
-                    rtype,
-                };
-                cache.put(key, records.clone(), now);
-            }
+        let put = |cache: &Cache, name: &Name, rtype, records: Vec<Record>| {
+            let key = CacheKey {
+                name: name.clone(),
+                rtype,
+            };
+            cache.put(key, records, now);
+        };
+        let glue_record = |host: usize, last: u8, ttl: u32| {
+            Record::new(
+                hosts[host].clone(),
+                ttl,
+                RData::A(Ipv4Addr::new(192, 0, 2, last)),
+            )
         };
         match step {
             Step::Cut {
@@ -583,25 +611,55 @@ fn memoized_walk_starts_match_per_nameserver_probes() {
                 ttl,
             } => {
                 let zone = &cuts[*cut];
-                let records = ns
+                let glue: Vec<Record> = ns
                     .iter()
-                    .map(|&h| Record::new(zone.clone(), *ttl, RData::Ns(hosts[h].clone())))
+                    .filter_map(|&(h, glue)| glue.map(|(last, ttl)| glue_record(h, last, ttl)))
                     .collect();
-                put(zone, RecordType::NS, records);
+                let ns_records = |ttl: u32| -> Vec<Record> {
+                    ns.iter()
+                        .map(|&(h, _)| Record::new(zone.clone(), ttl, RData::Ns(hosts[h].clone())))
+                        .collect()
+                };
+                memo.put_delegation(
+                    zone,
+                    &ns_records(*ttl),
+                    |host| glue.iter().find(|g| g.name == *host),
+                    now,
+                );
+                let expiry = glue.iter().map(|g| g.ttl).fold(*ttl, u32::min);
+                put(&plain, zone, RecordType::NS, ns_records(expiry));
+                for g in &glue {
+                    for cache in [&memo, &plain] {
+                        put(cache, &g.name, RecordType::A, vec![g.clone()]);
+                    }
+                }
+                let addrs = ns
+                    .iter()
+                    .map(|(_, glue)| glue.map(|(last, _)| Ipv4Addr::new(192, 0, 2, last)))
+                    .collect();
+                delivered.lock().unwrap().insert(zone.clone(), addrs);
             }
             Step::Glue { host, last, ttl } => {
-                let addr = std::net::Ipv4Addr::new(192, 0, 2, *last);
-                let records = vec![Record::new(hosts[*host].clone(), *ttl, RData::A(addr))];
-                put(&hosts[*host], RecordType::A, records);
+                for cache in [&memo, &plain] {
+                    put(
+                        cache,
+                        &hosts[*host],
+                        RecordType::A,
+                        vec![glue_record(*host, *last, *ttl)],
+                    );
+                }
             }
             Step::Churn { name, ttl } => {
                 let name: Name = format!("churn{name}.elsewhere.test").parse().unwrap();
-                let addr = std::net::Ipv4Addr::from(*ttl);
-                put(
-                    &name,
-                    RecordType::A,
-                    vec![Record::new(name.clone(), *ttl, RData::A(addr))],
-                );
+                let addr = Ipv4Addr::from(*ttl);
+                for cache in [&memo, &plain] {
+                    put(
+                        cache,
+                        &name,
+                        RecordType::A,
+                        vec![Record::new(name.clone(), *ttl, RData::A(addr))],
+                    );
+                }
             }
             Step::Touch { host } => {
                 let got = memo.get(&hosts[*host], RecordType::A, now);
@@ -616,9 +674,12 @@ fn memoized_walk_starts_match_per_nameserver_probes() {
                 let qname = cuts[*cut].child(&format!("q{label}")).unwrap();
                 let got = memo.deepest_cut(&qname, now);
                 let want = plain.deepest_cut(&qname, now);
+                let hosts_of = |ns: &zdns_core::CachedRecords| -> Vec<Option<Name>> {
+                    ns.iter().map(|r| r.target_name()).collect()
+                };
                 assert_eq!(
-                    got.as_ref().map(|(cut, ns)| (cut, ns.to_vec())),
-                    want.as_ref().map(|(cut, ns)| (cut, ns.to_vec())),
+                    got.as_ref().map(|(cut, ns)| (cut, hosts_of(ns))),
+                    want.as_ref().map(|(cut, ns)| (cut, hosts_of(ns))),
                     "step {i}: deepest cut of {qname}"
                 );
                 if let (Some((cut, ns)), Some((_, plain_ns))) = (got, want) {
@@ -626,23 +687,41 @@ fn memoized_walk_starts_match_per_nameserver_probes() {
                     memo.cut_addresses(&cut, &ns, now, |host, addr| {
                         read.push((host.clone(), addr))
                     });
-                    let probed: Vec<_> = plain_ns
+                    let glue = delivered.lock().unwrap()[&cut].clone();
+                    let expected: Vec<_> = plain_ns
                         .iter()
-                        .filter(|r| r.rtype == RecordType::NS)
-                        .filter_map(|r| r.target_name())
-                        .map(|host| {
-                            let addr = plain
-                                .with_records(&host, RecordType::A, now, |records, _| {
-                                    records.iter().find_map(|r| r.a_addr())
-                                })
-                                .flatten();
-                            (host, addr)
+                        .zip(glue)
+                        .filter_map(|(r, glue)| Some((r.target_name()?, glue)))
+                        .map(|(host, glue)| {
+                            let probe = |cache: &Cache| {
+                                cache
+                                    .with_records(&host, RecordType::A, now, |records, _| {
+                                        records.iter().find_map(|r| r.a_addr())
+                                    })
+                                    .flatten()
+                            };
+                            let Some(addr) = glue else {
+                                let addr = probe(&plain);
+                                if addr.is_some() {
+                                    probed_found.fetch_add(1, Ordering::Relaxed);
+                                }
+                                return (host, addr);
+                            };
+                            // The walk start counted the hit its probe
+                            // would have counted, and probed nothing.
+                            plain.stats.hits.fetch_add(1, Ordering::Relaxed);
+                            delivered_reads.fetch_add(1, Ordering::Relaxed);
+                            // What the separate entry holds now, read from
+                            // both caches alike.
+                            let separate = probe(&plain);
+                            assert_eq!(probe(&memo), separate, "step {i}: glue of {host}");
+                            if separate != Some(addr) {
+                                separate_differs.fetch_add(1, Ordering::Relaxed);
+                            }
+                            (host, Some(addr))
                         })
                         .collect();
-                    assert_eq!(read, probed, "step {i}: nameservers of {cut}");
-                    if probed.iter().any(|(_, addr)| addr.is_some()) {
-                        walks_with_glue.fetch_add(1, Ordering::Relaxed);
-                    }
+                    assert_eq!(read, expected, "step {i}: nameservers of {cut}");
                 }
             }
         }
@@ -686,23 +765,20 @@ fn memoized_walk_starts_match_per_nameserver_probes() {
         }
     });
 
-    let stats = memo.memo_stats();
-    let glue_reads = stats.glue_reused + stats.glue_probed;
-    let share = stats.glue_reused as f64 / glue_reads as f64;
+    let load = |n: &std::sync::atomic::AtomicU64| n.load(Ordering::Relaxed);
+    let evictions = load(&plain.stats.evictions);
     println!(
-        "cut memo under churn: {} walk starts ({} with glue), {} on a memoized cut; \
-         {} of {} glue reads reused ({:.1} %), {} evictions",
-        stats.cuts_reused + stats.cuts_built,
-        walks_with_glue.load(Ordering::Relaxed),
-        stats.cuts_reused,
-        stats.glue_reused,
-        glue_reads,
-        100.0 * share,
-        plain.stats.evictions.load(Ordering::Relaxed),
+        "delegations under churn: {} delivered addresses read, {} of them no longer \
+         what the host's own glue entry reads; {} glueless hosts found by a probe; \
+         {evictions} evictions",
+        load(&delivered_reads),
+        load(&separate_differs),
+        load(&probed_found),
     );
-    // The stream must reach what it claims to: walks over memoized cuts,
-    // reused glue, and enough churn to evict constantly.
-    assert!(stats.cuts_reused > 1_000, "{stats:?}");
-    assert!(share > 0.2, "{stats:?}");
-    assert!(plain.stats.evictions.load(Ordering::Relaxed) > 5_000);
+    // The stream must reach what it claims to: delivered glue whose own
+    // entry was evicted, expired or replaced, glueless hosts that a probe
+    // resolves, and enough churn to evict constantly.
+    assert!(load(&separate_differs) > 1_000);
+    assert!(load(&probed_found) > 1_000);
+    assert!(evictions > 5_000);
 }

@@ -397,6 +397,9 @@ const DELETED_NAMES: &[&str] = &[
     "out_pool",
     concat!("parse_batch", "_size"),
     concat!("dual", "-role"),
+    concat!("STAMP_", "STRIPES"),
+    concat!("CutMemo", "Stats"),
+    concat!("memo_", "stats"),
 ];
 
 #[test]
