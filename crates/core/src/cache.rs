@@ -11,18 +11,21 @@
 //! not implementation noise.
 //!
 //! A probe hashes its name once (case-folded FNV-1a + splitmix64); the
-//! value picks the shard and keys the shard's index. A shard is a dense
-//! table of entries, an index from hash to table position, and an exact
-//! recency order kept as a doubly linked list threaded through the table
-//! by position — a hit re-links two neighbours instead of allocating.
+//! value picks the shard and its home slot in the shard's probe table. A
+//! shard is a dense table of entries, an open-addressed table of `u32`
+//! slots over it (a table position and a tag from the hash, so a probe
+//! reads an entry only when the tags match), and an exact recency order
+//! kept as a doubly linked list threaded through the table by position —
+//! a hit re-links two neighbours instead of allocating.
 //!
 //! What an entry holds is one shared block of bytes, [`CachedRecords`]:
 //! the expiry, the key, and the records laid out the way a DNS message
 //! carries them, encoded once when they are stored and read back through
 //! the wire crate's borrowed views. A cached name costs about what the
-//! wire spent on it (an `A` RRset: a 40-byte table entry, an index slot
-//! and a block of ~60 bytes) instead of an owned `Record` per record and
-//! an owned `Name` per key; a hit hands out the block by reference count.
+//! wire spent on it (an `A` RRset: a 32-byte table entry, one or two
+//! 4-byte slots and a block of ~60 bytes) instead of an owned `Record` per
+//! record and an owned `Name` per key; a hit hands out the block by
+//! reference count.
 //!
 //! A delegation is one entry. The NS entry a referral writes
 //! ([`Cache::put_delegation`]) ends in a tail of 4 octets per NS record:
@@ -36,8 +39,7 @@
 //! walk start ([`Cache::cut_addresses`]) sees only the records.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -61,12 +63,13 @@ pub struct CacheKey {
 
 /// The one hash of a probe, shared by this cache and the packet cache in
 /// front of it: the workspace's FNV-1a + splitmix64 ([`HostHasher`]) over
-/// the case-folded name and the type. Here bits 32..38 pick the shard and
-/// the whole value keys the shard's index, so a probe reads its name
-/// once; the serve path computes it once per query for both caches. The
-/// price next to SipHash is the pacer's: no keyed collision resistance.
-/// What a colliding referral can buy is bounded — same-hash keys share a
-/// chain that is walked with full key comparisons, inside one shard's
+/// the case-folded name and the type. Here bits 32..38 pick the shard,
+/// the low bits the home slot in its probe table and the bits above the
+/// table's position bits a slot's tag, so a probe reads its name once;
+/// the serve path computes it once per query for both caches. The price
+/// next to SipHash is the pacer's: no keyed collision resistance. What a
+/// colliding referral can buy is bounded — same-hash keys share a probe
+/// run and are told apart by full key comparisons, inside one shard's
 /// capacity — and the hash the shards were routed by before was SipHash
 /// with a fixed zero key, which resisted nothing either.
 pub(crate) fn key_hash(name: &Name, rtype: RecordType) -> u64 {
@@ -74,25 +77,6 @@ pub(crate) fn key_hash(name: &Name, rtype: RecordType) -> u64 {
     name.hash(&mut h);
     h.write_u16(rtype.to_u16());
     h.finish()
-}
-
-/// Pass-through hasher for the shard index, whose keys already are
-/// [`key_hash`] values.
-#[derive(Default)]
-struct PreHashed(u64);
-
-impl Hasher for PreHashed {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the shard index is keyed by u64 hashes only");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 // Layout of a cached block, big-endian like everything the wire crate
@@ -300,29 +284,58 @@ impl std::fmt::Debug for CachedRecords {
     }
 }
 
-/// "No entry" in the index links below.
+/// "No entry" in the recency links below.
 const NIL: u32 = u32::MAX;
 
+/// Slots of a shard's first probe table.
+const MIN_SLOTS: usize = 8;
+
+/// Most slots a shard's probe table grows to. A slot keeps a position in
+/// as many low bits as the table has (the table is never full, so
+/// position + 1 fits) and a tag in the rest: one bit at this size.
+const MAX_SLOTS: usize = 1 << 31;
+
+/// Most entries one shard holds: the largest probe table at a load of 7/8.
+const MAX_SHARD_ENTRIES: usize = MAX_SLOTS / 8 * 7;
+
+/// Largest capacity [`Cache::new`] honours: every shard's bound, plus the
+/// entry a store holds for a moment before it evicts, stays within what a
+/// shard's probe table addresses.
+pub const MAX_CACHE_CAPACITY: usize = SHARDS * (MAX_SHARD_ENTRIES - 1);
+
+/// Where `hash`'s probe sequence starts in a table of `mask + 1` slots:
+/// its low bits, away from the bits that picked the shard.
+fn home(hash: u64, mask: usize) -> usize {
+    hash as usize & mask
+}
+
+/// `hash`'s tag in a table of `mask + 1` slots: its top bits, in the
+/// slot bits the position leaves free.
+fn tag(hash: u64, mask: usize) -> u32 {
+    (hash >> 32) as u32 & !(mask as u32)
+}
+
 /// One cached section, living in its shard's dense entry table and linked
-/// by table index into two lists: the shard-wide recency list and the
-/// (almost always one-element) chain of entries whose keys share a hash.
-/// The key and the expiry are in the block, next to the records.
+/// by table index into the shard-wide recency list. The key and the
+/// expiry are in the block, next to the records; the hash stays here for
+/// a probe whose tag matched, a growth and a deletion's shift.
 struct Entry {
     records: CachedRecords,
     hash: u64,
     /// Neighbours in recency order (`older` is evicted sooner).
     older: u32,
     newer: u32,
-    /// Next entry with the same `hash` and a different key.
-    same_hash: u32,
 }
 
-/// One shard: a dense entry table, an index from key hash to the head of
-/// that hash's chain, and the two ends of the exact LRU order. Nothing is
-/// sized up front; both containers grow with the entries they hold.
+/// One shard: a dense entry table, a probe table over it, and the two
+/// ends of the exact LRU order. Nothing is sized up front; both tables
+/// grow with the entries they hold.
 struct Shard {
     entries: Vec<Entry>,
-    index: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
+    /// Open-addressed and linearly probed; empty or a power of two long,
+    /// and at most 7/8 full. A slot is 0 (empty) or an entry's position + 1
+    /// in the bits below the table's length, under its hash's [`tag`].
+    slots: Vec<u32>,
     oldest: u32,
     newest: u32,
 }
@@ -331,23 +344,98 @@ impl Shard {
     fn new() -> Shard {
         Shard {
             entries: Vec::new(),
-            index: HashMap::default(),
+            slots: Vec::new(),
             oldest: NIL,
             newest: NIL,
         }
     }
 
+    /// The position bits of a slot, for a non-empty probe table.
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
     /// Table index of the entry for `(name, rtype)`, whose hash is `hash`.
     fn find(&self, hash: u64, name: &Name, rtype: RecordType) -> Option<u32> {
-        let mut at = *self.index.get(&hash)?;
-        while at != NIL {
-            let entry = &self.entries[at as usize];
-            if entry.records.is_for(name, rtype) {
-                return Some(at);
-            }
-            at = entry.same_hash;
+        if self.slots.is_empty() {
+            return None;
         }
-        None
+        let mask = self.mask();
+        let tag = tag(hash, mask);
+        let mut at = home(hash, mask);
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return None;
+            }
+            if slot & !(mask as u32) == tag {
+                let pos = (slot & mask as u32) - 1;
+                let entry = &self.entries[pos as usize];
+                if entry.hash == hash && entry.records.is_for(name, rtype) {
+                    return Some(pos);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The slot that holds position `pos`, an entry whose hash is `hash`.
+    fn slot_of(&self, hash: u64, pos: u32) -> usize {
+        let mask = self.mask();
+        let mut at = home(hash, mask);
+        while self.slots[at] & mask as u32 != pos + 1 {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Give entry `pos` the first empty slot of its probe sequence.
+    fn place(&mut self, pos: u32) {
+        let mask = self.mask();
+        let hash = self.entries[pos as usize].hash;
+        let mut at = home(hash, mask);
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = tag(hash, mask) | (pos + 1);
+    }
+
+    /// Double the probe table (or make the first one) and place every
+    /// entry again.
+    fn grow(&mut self) {
+        let slots = (self.slots.len() * 2).max(MIN_SLOTS);
+        assert!(
+            slots <= MAX_SLOTS,
+            "a cache shard beyond {MAX_SHARD_ENTRIES} entries"
+        );
+        self.slots = vec![0; slots];
+        for pos in 0..self.entries.len() as u32 {
+            self.place(pos);
+        }
+    }
+
+    /// Empty slot `hole` by backward shift, so no probe sequence is cut
+    /// short and no tombstone is left: each later slot of the run moves
+    /// back into the hole unless its home lies cyclically in
+    /// `(hole, at]`, and the hole moves on to where it was. A slot that
+    /// stays is written back where it is, so the loop does not branch on
+    /// where each home lies.
+    fn vacate(&mut self, mut hole: usize) {
+        let mask = self.mask();
+        let mut at = (hole + 1) & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                break;
+            }
+            let hash = self.entries[(slot & mask as u32) as usize - 1].hash;
+            let stays = at.wrapping_sub(home(hash, mask)) & mask < at.wrapping_sub(hole) & mask;
+            let to = if stays { at } else { hole };
+            self.slots[to] = slot;
+            hole = if stays { hole } else { at };
+            at = (at + 1) & mask;
+        }
+        self.slots[hole] = 0;
     }
 
     /// Take `at` out of the recency list.
@@ -387,39 +475,20 @@ impl Shard {
         }
     }
 
-    /// Point whatever refers to entry `from` through the hash index (the
-    /// index head or a chain predecessor) at `to` instead.
-    fn repoint_index(&mut self, hash: u64, from: u32, to: u32) {
-        let head = self
-            .index
-            .get_mut(&hash)
-            .expect("a stored entry's hash is indexed");
-        if *head == from {
-            if to == NIL {
-                self.index.remove(&hash);
-            } else {
-                *head = to;
-            }
-            return;
-        }
-        let mut at = *head;
-        while self.entries[at as usize].same_hash != from {
-            at = self.entries[at as usize].same_hash;
-        }
-        self.entries[at as usize].same_hash = to;
-    }
-
-    /// Store a new entry as the most recently used one.
+    /// Store a new entry, whose key the shard does not hold, as the most
+    /// recently used one.
     fn insert(&mut self, hash: u64, records: CachedRecords) {
         let at = self.entries.len() as u32;
-        let same_hash = self.index.insert(hash, at).unwrap_or(NIL);
+        if (self.entries.len() + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+        }
         self.entries.push(Entry {
             records,
             hash,
             older: NIL,
             newer: NIL,
-            same_hash,
         });
+        self.place(at);
         self.push_newest(at);
     }
 
@@ -427,11 +496,8 @@ impl Shard {
     /// into the hole and everything that pointed at it is re-pointed.
     fn remove(&mut self, at: u32) {
         self.unlink_recency(at);
-        let (hash, next) = {
-            let entry = &self.entries[at as usize];
-            (entry.hash, entry.same_hash)
-        };
-        self.repoint_index(hash, at, next);
+        let slot = self.slot_of(self.entries[at as usize].hash, at);
+        self.vacate(slot);
         self.entries.swap_remove(at as usize);
         let moved_from = self.entries.len() as u32;
         if at == moved_from {
@@ -441,7 +507,8 @@ impl Shard {
             let moved = &self.entries[at as usize];
             (moved.hash, moved.older, moved.newer)
         };
-        self.repoint_index(hash, moved_from, at);
+        let slot = self.slot_of(hash, moved_from);
+        self.slots[slot] = tag(hash, self.mask()) | (at + 1);
         match older {
             NIL => self.oldest = at,
             o => self.entries[o as usize].newer = at,
@@ -503,9 +570,10 @@ pub struct Cache {
 const SHARDS: usize = 64;
 
 impl Cache {
-    /// Build a cache bounded to roughly `capacity` total entries.
+    /// Build a cache bounded to roughly `capacity` total entries, and to
+    /// at most [`MAX_CACHE_CAPACITY`].
     pub fn new(capacity: usize) -> Cache {
-        let per_shard_capacity = (capacity / SHARDS).max(1);
+        let per_shard_capacity = (capacity / SHARDS).clamp(1, MAX_SHARD_ENTRIES - 1);
         Cache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             counts: (0..SHARDS).map(|_| AtomicUsize::new(0)).collect(),
@@ -559,9 +627,9 @@ impl Cache {
         Self::shard_of(key_hash(&key.name, key.rtype))
     }
 
-    /// Shard choice from the middle of the hash: the shard's own index
-    /// spreads its buckets by the low bits and tags them by the top ones,
-    /// and bits that are constant within a shard would waste either.
+    /// Shard choice from the middle of the hash: the shard's probe table
+    /// takes home slots from the low bits and tags from the top ones, and
+    /// bits that are constant within a shard would waste either.
     fn shard_of(hash: u64) -> usize {
         (hash >> 32) as usize & (SHARDS - 1)
     }
@@ -1129,7 +1197,7 @@ mod tests {
         assert!(shard
             .find(42, &"a.test".parse().unwrap(), RecordType::NS)
             .is_none());
-        // Unchain from the middle, the head and the tail of the chain;
+        // Remove from the middle, the start and the end of the probe run;
         // every removal also moves the table's last entry into the hole.
         for (gone, left) in [
             ("b.test", &["a.test", "c.test", "d.test"][..]),
@@ -1155,14 +1223,114 @@ mod tests {
             }
             assert_eq!(order, *left, "after {gone}");
         }
-        assert!(shard.index.is_empty() && shard.entries.is_empty());
+        assert!(shard.entries.is_empty() && shard.slots.iter().all(|&s| s == 0));
+    }
+
+    /// One shard against a model of what it must hold, under random
+    /// inserts, touches, evictions and removals of keys that share 1–4
+    /// hashes. Every hash's home is one of the probe table's last slots,
+    /// whatever its size, so runs wrap past the end and a removal's
+    /// backward shift meets entries whose homes lie on both sides of it.
+    #[test]
+    fn colliding_keys_survive_every_insert_touch_and_removal() {
+        use proptest::TestRng;
+
+        const STEPS: usize = 3_000;
+        let mut rng = TestRng::deterministic();
+        let mut scratch = ScratchBuf::new();
+        // Home at the last slot (two tags), the one before it, and the
+        // one before that.
+        let hashes = [
+            u64::MAX,
+            0x0000_0001_FFFF_FFFF,
+            0xA5A5_A5A5_FFFF_FFFE,
+            0x5A5A_5A5A_FFFF_FFFD,
+        ];
+        let names: Vec<Name> = (0..40)
+            .map(|i| format!("k{i}.test").parse().unwrap())
+            .collect();
+        for distinct in 1..=hashes.len() {
+            let hash_of = |i: usize| hashes[i % distinct];
+            let mut shard = Shard::new();
+            // Live keys by index into `names`, oldest first.
+            let mut model: Vec<usize> = Vec::new();
+            for step in 0..STEPS {
+                let live = |rng: &mut TestRng, model: &[usize]| {
+                    model[rng.below(model.len() as u64) as usize]
+                };
+                match rng.below(10) {
+                    0..=4 => {
+                        // A store, as `Cache::put` makes it: replace and
+                        // refresh a key that is there, add one that is not.
+                        let i = rng.below(names.len() as u64) as usize;
+                        let key = CacheKey {
+                            name: names[i].clone(),
+                            rtype: RecordType::A,
+                        };
+                        let records = [a_record(&names[i].to_string(), "192.0.2.1", 60)];
+                        let block =
+                            CachedRecords::encode(&key, records.iter(), None, 0, &mut scratch);
+                        let block = block.unwrap();
+                        match shard.find(hash_of(i), &names[i], RecordType::A) {
+                            Some(at) => {
+                                shard.entries[at as usize].records = block;
+                                shard.touch(at);
+                                model.retain(|&k| k != i);
+                            }
+                            None => shard.insert(hash_of(i), block),
+                        }
+                        model.push(i);
+                    }
+                    5..=6 if !model.is_empty() => {
+                        let i = live(&mut rng, &model);
+                        let at = shard.find(hash_of(i), &names[i], RecordType::A).unwrap();
+                        shard.touch(at);
+                        model.retain(|&k| k != i);
+                        model.push(i);
+                    }
+                    7 if !model.is_empty() => {
+                        shard.remove(shard.oldest);
+                        model.remove(0);
+                    }
+                    8..=9 if !model.is_empty() => {
+                        let i = live(&mut rng, &model);
+                        let at = shard.find(hash_of(i), &names[i], RecordType::A).unwrap();
+                        shard.remove(at);
+                        model.retain(|&k| k != i);
+                    }
+                    _ => {}
+                }
+                let context = format!("{distinct} hashes, step {step}");
+                for (i, name) in names.iter().enumerate() {
+                    let found = shard.find(hash_of(i), name, RecordType::A);
+                    let stored =
+                        found.map(|at| shard.entries[at as usize].records.key_name().to_name());
+                    if model.contains(&i) {
+                        assert_eq!(stored.as_ref(), Some(name), "{context}: {name} lost");
+                    } else {
+                        assert_eq!(stored, None, "{context}: {name} not removed");
+                    }
+                }
+                let mut order = Vec::new();
+                let mut at = shard.oldest;
+                while at != NIL {
+                    order.push(shard.entries[at as usize].records.key_name().to_name());
+                    at = shard.entries[at as usize].newer;
+                }
+                let expected: Vec<Name> = model.iter().map(|&i| names[i].clone()).collect();
+                assert_eq!(order, expected, "{context}: recency order");
+                let occupied = shard.slots.iter().filter(|&&s| s != 0).count();
+                assert_eq!(occupied, shard.entries.len(), "{context}: occupied slots");
+            }
+        }
     }
 
     #[test]
     fn an_entry_is_a_block_handle_and_its_links() {
         // Key, expiry and records live in the shared block; what stays in
-        // the dense table is what a recency re-link or a removal touches.
-        assert_eq!(std::mem::size_of::<Entry>(), 40);
+        // the dense table is what a probe, a recency re-link or a removal
+        // touches.
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod trace;
 pub mod transport;
 
 pub use alloc_count::CountingAllocator;
-pub use cache::{Cache, CacheKey, CacheStats, CachedRecords};
+pub use cache::{Cache, CacheKey, CacheStats, CachedRecords, MAX_CACHE_CAPACITY};
 pub use clock::Clock;
 pub use config::{Detail, ResolutionMode, ResolverConfig};
 pub use driver::{Admission, Driver, DriverReport};

@@ -13,7 +13,9 @@ use std::net::{Ipv4Addr, SocketAddr};
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use zdns_core::{Detail, IoBackend, PacerConfig, ResolutionMode, ResolverConfig};
+use zdns_core::{
+    Detail, IoBackend, PacerConfig, ResolutionMode, ResolverConfig, MAX_CACHE_CAPACITY,
+};
 use zdns_netsim::{SimTime, SECONDS};
 
 use crate::serve::ServeOptions;
@@ -446,7 +448,7 @@ pub static SCAN_FLAGS: FlagTable<ScanArgs> = FlagTable {
             names: &["--cache-size"],
             value: Some("N"),
             help: "selective cache entries (default 600000)",
-            set: |a, v| number(v).map(|n| a.conf.resolver.cache_size = n),
+            set: |a, v| count_in(v, 0, MAX_CACHE_CAPACITY).map(|n| a.conf.resolver.cache_size = n),
         },
         Flag {
             names: &["--retries"],
@@ -827,8 +829,9 @@ pub static SERVE_FLAGS: FlagTable<ServeConf> = FlagTable {
         Flag {
             names: &["--cache-capacity"],
             value: Some("N"),
-            help: "selective cache entries (default 600000)",
-            set: |c, v| number(v).map(|n| c.options.cache_capacity = n),
+            help: "record-cache entries; every forwarded answer is\n\
+                kept (default 600000)",
+            set: |c, v| count_in(v, 0, MAX_CACHE_CAPACITY).map(|n| c.options.cache_capacity = n),
         },
         Flag {
             names: &["--packet-cache-capacity"],
@@ -1403,6 +1406,45 @@ mod tests {
             "configuration error: bad --packet-cache-capacity \"99999999999999\" (0 to 16777216)"
         );
         let over = (MAX_PACKET_CACHE_CAPACITY + 1).to_string();
+        for bad in [over.as_str(), "-1", "x"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn cache_size_is_bounded() {
+        // Parse only: the cache allocates nothing up front, and a shard's
+        // probe table addresses no more than this.
+        let parse = |v| Conf::parse(["A", "--cache-size", v]);
+        let most = MAX_CACHE_CAPACITY.to_string();
+        assert_eq!(
+            parse(&most).unwrap().resolver.cache_size,
+            MAX_CACHE_CAPACITY
+        );
+        assert_eq!(parse("0").unwrap().resolver.cache_size, 0);
+        assert_eq!(
+            parse("18446744073709551615").unwrap_err().to_string(),
+            "configuration error: bad --cache-size \"18446744073709551615\" (0 to 120259084224)"
+        );
+        let over = (MAX_CACHE_CAPACITY + 1).to_string();
+        for bad in [over.as_str(), "-1", "x"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn cache_capacity_is_bounded() {
+        let parse = |v| ServeConf::parse(["--upstream", "8.8.8.8", "--cache-capacity", v]);
+        let most = MAX_CACHE_CAPACITY.to_string();
+        assert_eq!(
+            parse(&most).unwrap().options.cache_capacity,
+            MAX_CACHE_CAPACITY
+        );
+        assert_eq!(
+            parse("99999999999999").unwrap_err().to_string(),
+            "configuration error: bad --cache-capacity \"99999999999999\" (0 to 120259084224)"
+        );
+        let over = (MAX_CACHE_CAPACITY + 1).to_string();
         for bad in [over.as_str(), "-1", "x"] {
             assert!(parse(bad).is_err(), "{bad}");
         }

@@ -37,7 +37,7 @@ pub struct ServeOptions {
     pub listen: SocketAddr,
     /// Upstream recursive resolvers queries are forwarded to (IPv4).
     pub upstreams: Vec<SocketAddr>,
-    /// Selective-cache capacity in entries.
+    /// Record-cache capacity in entries; every forwarded answer is kept.
     pub cache_capacity: usize,
     /// Per-client UDP budget in queries/second (0 = no gate).
     pub client_pps: f64,

@@ -400,6 +400,9 @@ const DELETED_NAMES: &[&str] = &[
     concat!("STAMP_", "STRIPES"),
     concat!("CutMemo", "Stats"),
     concat!("memo_", "stats"),
+    concat!("Pre", "Hashed"),
+    concat!("same_", "hash"),
+    concat!("repoint_", "index"),
 ];
 
 #[test]
