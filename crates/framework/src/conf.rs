@@ -9,7 +9,7 @@
 //! what the parser matches, what `--help` prints and what `docs_check`
 //! inventories, so a flag cannot be parsed without being documented.
 
-use std::net::{Ipv4Addr, SocketAddr};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -284,9 +284,37 @@ impl<C: 'static> FlagTable<C> {
     }
 }
 
+/// Builds a [`FlagTable`], one flag a declaration:
+/// `SPELLING, ... <"PLACEHOLDER"> "help" => SETTER;`. A switch has no
+/// placeholder. The setter is a closure, or `field.path = parse(args)`,
+/// which stores `parse(value, args)` into that field of the state.
+macro_rules! flag_table {
+    (@value) => { None };
+    (@value $value:literal) => { Some($value) };
+    (column $column:literal; $($($name:literal),+ $(<$value:literal>)? $help:literal =>
+        $($($field:ident).+ = $parse:ident $(($($arg:expr),*))?)?
+        $(|$state:tt, $v:tt| $set:expr)?;)*) => {
+        FlagTable {
+            column: $column,
+            flags: &[$(Flag {
+                names: &[$($name),+],
+                value: flag_table!(@value $($value)?),
+                help: $help,
+                set: $(|c, v| $parse(v $($(, $arg)*)?).map(|x| c.$($field).+ = x))?
+                    $(|$state, $v| $set)?,
+            }),*],
+        }
+    };
+}
+
 /// A switch's setter: turn `setting` on.
 fn on(setting: &mut bool) -> Result<(), String> {
-    *setting = true;
+    put(setting, true)
+}
+
+/// A switch's setter: store `value`.
+fn put<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
     Ok(())
 }
 
@@ -300,8 +328,8 @@ fn count_in(v: &str, lo: usize, hi: usize) -> Result<usize, String> {
     parse_checked(v, |n| (lo..=hi).contains(n)).map_err(|_| format!("{lo} to {hi}"))
 }
 
-/// Parse any `T` (a count, a capacity, a seed).
-fn number<T: FromStr>(v: &str) -> Result<T, String> {
+/// Parse any `T` (a count, a seed, a path that may be `-`).
+fn parsed<T: FromStr>(v: &str) -> Result<T, String> {
     parse_checked(v, |_| true)
 }
 
@@ -339,16 +367,18 @@ const MAX_PACKET_CACHE_CAPACITY: usize = 1 << 24;
 /// upstream socket and runs on its own thread.
 const MAX_SHARDS: usize = 256;
 
-/// Parse a server address: `ip` (port 53) or `ip:port`. IPv4 only — the
-/// resolver core routes by v4 address.
-fn parse_server_addr(v: &str) -> Result<(Ipv4Addr, SocketAddr), String> {
-    if let Ok(ip) = v.parse::<Ipv4Addr>() {
-        return Ok((ip, SocketAddr::new(ip.into(), 53)));
+/// Append a comma-separated list of server addresses to `list`: `ip`
+/// (port 53) or `ip:port`. IPv4 only — the resolver core routes by v4
+/// address.
+fn push_servers(list: &mut Vec<SocketAddr>, v: &str) -> Result<(), String> {
+    for part in v.split(',').map(str::trim) {
+        let addr = match part.parse::<Ipv4Addr>() {
+            Ok(ip) => SocketAddrV4::new(ip, 53),
+            Err(_) => part.parse().map_err(|_| "expected IP or IP:PORT, IPv4")?,
+        };
+        list.push(addr.into());
     }
-    match v.parse::<SocketAddr>() {
-        Ok(SocketAddr::V4(v4)) => Ok((*v4.ip(), SocketAddr::V4(v4))),
-        _ => Err("expected IP or IP:PORT, IPv4".into()),
-    }
+    Ok(())
 }
 
 /// Parse a `--cookie-secret` value into the 16-octet client secret the
@@ -402,277 +432,108 @@ fn path(v: &str) -> Result<String, String> {
     Ok(v.to_string())
 }
 
-/// The scan parser's state: the [`Conf`] being built plus the two
-/// settings only decided together, after the last flag (`--iterative`
-/// and `--name-servers` exclude each other and pick the resolution
-/// mode).
+/// The scan parser's state: the [`Conf`] being built plus `--iterative`,
+/// which only the last flag decides (it and `--name-servers` exclude
+/// each other and pick the resolution mode).
 pub struct ScanArgs {
     conf: Conf,
     iterative: bool,
-    name_servers: Vec<Ipv4Addr>,
 }
 
 /// Every `zdns MODULE` flag.
-pub static SCAN_FLAGS: FlagTable<ScanArgs> = FlagTable {
-    column: 25,
-    flags: &[
-        Flag {
-            names: &["--iterative"],
-            value: None,
-            help: "resolve iteratively from the roots (default)",
-            set: |a, _| on(&mut a.iterative),
-        },
-        Flag {
-            names: &["--name-servers"],
-            value: Some("IP[,IP]"),
-            help: "use external recursive resolvers; ip:port forms\n\
-                keep their port under --real (e.g. a local\n\
-                `zdns serve` instance). Simulated runs have\n\
-                Google at 8.8.8.8, Cloudflare at 1.1.1.1",
-            set: |a, v| {
-                for part in v.split(',') {
-                    let (ip, addr) = parse_server_addr(part.trim())?;
-                    a.name_servers.push(ip);
-                    a.conf.name_server_addrs.push(addr);
-                }
-                Ok(())
-            },
-        },
-        Flag {
-            names: &["--threads", "-t"],
-            value: Some("N"),
-            help: "concurrent lookup routines (default 1000)",
-            set: |a, v| number(v).map(|n| a.conf.threads = n),
-        },
-        Flag {
-            names: &["--cache-size"],
-            value: Some("N"),
-            help: "selective cache entries (default 600000)",
-            set: |a, v| count_in(v, 0, MAX_CACHE_CAPACITY).map(|n| a.conf.resolver.cache_size = n),
-        },
-        Flag {
-            names: &["--retries"],
-            value: Some("N"),
-            help: "per-query retries (default 3)",
-            set: |a, v| number(v).map(|n| a.conf.resolver.retries = n),
-        },
-        Flag {
-            names: &["--timeout"],
-            value: Some("SECS"),
-            help: "external query timeout",
-            set: |a, v| duration_secs(v).map(|t| a.conf.resolver.timeout = t),
-        },
-        Flag {
-            names: &["--iteration-timeout"],
-            value: Some("SECS"),
-            help: "per-step timeout for iterative walks",
-            set: |a, v| duration_secs(v).map(|t| a.conf.resolver.iteration_timeout = t),
-        },
-        Flag {
-            names: &["--tcp-only"],
-            value: None,
-            help: "send every query over TCP (no UDP attempt)",
-            set: |a, _| on(&mut a.conf.resolver.tcp_only),
-        },
-        Flag {
-            names: &["--no-tcp-fallback"],
-            value: None,
-            help: "never retry truncated (TC=1) answers over TCP",
-            set: |a, _| {
-                a.conf.resolver.tcp_on_truncated = false;
-                Ok(())
-            },
-        },
-        Flag {
-            names: &["--trace"],
-            value: None,
-            help: "same as --output-fields trace",
-            set: |a, _| {
-                a.conf.output = OutputGroup::Trace;
-                Ok(())
-            },
-        },
-        Flag {
-            names: &["--output-fields"],
-            value: Some("GROUP"),
-            help: "short: name, status, answers | normal (default):\n\
-                all but flags, additionals | long: all of data |\n\
-                trace: long plus the lookup chain. The chain is\n\
-                recorded only when it is printed; in iterative\n\
-                mode it costs ~2x the time and ~7x the bytes\n\
-                of a normal line. The last of --trace and\n\
-                --output-fields on the command line decides",
-            set: |a, v| {
-                OutputGroup::parse(v)
-                    .map(|g| a.conf.output = g)
-                    .ok_or_else(|| "short|normal|long|trace".into())
-            },
-        },
-        Flag {
-            names: &["--input-file", "-f"],
-            value: Some("PATH"),
-            help: "newline-delimited names (default: stdin)",
-            set: |a, v| {
-                a.conf.input_path = v.to_string();
-                Ok(())
-            },
-        },
-        Flag {
-            names: &["--workload"],
-            value: Some("KIND"),
-            help: "name source: lines (default) reads --input-file;\n\
-                ct-corpus streams the generated CT-log-like corpus\n\
-                (requires --max-names N; never materialized)",
-            set: |a, v| {
-                Workload::parse(v)
-                    .map(|w| a.conf.workload = w)
-                    .ok_or_else(|| "lines|ct-corpus".into())
-            },
-        },
-        Flag {
-            names: &["--output-file", "-o"],
-            value: Some("PATH"),
-            help: "output JSONL (default: stdout)",
-            set: |a, v| {
-                a.conf.output_path = v.to_string();
-                Ok(())
-            },
-        },
-        Flag {
-            names: &["--source-ips"],
-            value: Some("N"),
-            help: "scanning source addresses (1=/32, 8=/29, 16=/28)",
-            set: |a, v| count_in(v, 1, MAX_SOURCE_IPS).map(|n| a.conf.source_ips = n),
-        },
-        Flag {
-            names: &["--seed"],
-            value: Some("N"),
-            help: "simulated-Internet seed",
-            set: |a, v| number(v).map(|n| a.conf.seed = n),
-        },
-        Flag {
-            names: &["--max-names"],
-            value: Some("N"),
-            help: "stop after N inputs",
-            set: |a, v| number(v).map(|n| a.conf.max_names = n),
-        },
-        Flag {
-            names: &["--status-updates"],
-            value: None,
-            help: "print run statistics to stderr",
-            set: |a, _| on(&mut a.conf.status_updates),
-        },
-        Flag {
-            names: &["--real"],
-            value: None,
-            help: "scan over real sockets (servers at ip:53) using\n\
-                the event-driven reactor instead of the simulator",
-            set: |a, _| on(&mut a.conf.real),
-        },
-        Flag {
-            names: &["--max-in-flight"],
-            value: Some("N"),
-            help: "reactor admission window: concurrent lookups in\n\
-                flight across all workers (default: --threads)",
-            set: |a, v| number(v).map(|n| a.conf.max_in_flight = n),
-        },
-        Flag {
-            names: &["--io-backend"],
-            value: Some("KIND"),
-            help: "reactor syscall strategy: auto (default) and mmsg\n\
-                use sendmmsg/recvmmsg where the platform has them,\n\
-                per-datagram otherwise; syscall forces\n\
-                per-datagram",
-            set: |a, v| parse_io_backend(v).map(|b| a.conf.io_backend = b),
-        },
-        Flag {
-            names: &["--rate-pps"],
-            value: Some("N"),
-            help: "polite scanning: global send budget in packets/s,\n\
-                one scan-wide budget the workers lease from\n\
-                (default: unlimited)",
-            set: |a, v| non_negative(v).map(|r| a.conf.pacer.rate_pps = r),
-        },
-        Flag {
-            names: &["--per-host-pps"],
-            value: Some("N"),
-            help: "per-destination send budget in packets/s",
-            set: |a, v| non_negative(v).map(|r| a.conf.pacer.per_host_pps = r),
-        },
-        Flag {
-            names: &["--backoff"],
-            value: None,
-            help: "adaptive per-destination backoff: timeout/error\n\
-                streaks grow a penalty multiplicatively, successes\n\
-                decay it",
-            set: |a, _| on(&mut a.conf.pacer.backoff),
-        },
-        Flag {
-            names: &["--backoff-base"],
-            value: Some("SECS"),
-            help: "first backoff penalty (implies --backoff)",
-            set: |a, v| {
-                a.conf.pacer.backoff = true;
-                duration_secs(v).map(|t| a.conf.pacer.backoff_base = t)
-            },
-        },
-        Flag {
-            names: &["--backoff-cap"],
-            value: Some("SECS"),
-            help: "backoff penalty growth cap (implies --backoff)",
-            set: |a, v| {
-                a.conf.pacer.backoff = true;
-                duration_secs(v).map(|t| a.conf.pacer.backoff_cap = t)
-            },
-        },
-        Flag {
-            names: &["--cookie-secret"],
-            value: Some("S"),
-            help: "derive EDNS client cookies from a keyed hash of S\n\
-                and the destination (RFC 7873 \u{a7}6): 32 hex digits\n\
-                are literal, anything else is stretched; default\n\
-                stays the reproducible per-name hash",
-            set: |a, v| parse_cookie_secret(v).map(|s| a.conf.resolver.cookie_secret = Some(s)),
-        },
-        Flag {
-            names: &["--shard"],
-            value: Some("I/N"),
-            help: "deterministic horizontal partition: scan only the\n\
-                names whose stable hash lands on shard I of N;\n\
-                run all N shards (any machines, any order) to\n\
-                cover the input exactly once",
-            set: |a, v| parse_shard(v).map(|s| a.conf.shard = Some(s)),
-        },
-        Flag {
-            names: &["--checkpoint"],
-            value: Some("PATH"),
-            help: "durable scan: write a scan manifest to PATH and a\n\
-                rotating progress checkpoint to PATH.ckpt\n\
-                (requires --real, --output-file, and a replayable\n\
-                input). A killed scan restarts with --resume PATH",
-            set: |a, v| path(v).map(|p| a.conf.checkpoint_path = p),
-        },
-        Flag {
-            names: &["--resume"],
-            value: Some("PATH"),
-            help: "resume the scan described by the manifest at PATH:\n\
-                repairs the output's torn trailing line, skips\n\
-                every name already in the output, re-admits the\n\
-                in-flight remainder, and restores pacer backoff",
-            set: |a, v| {
-                a.conf.checkpoint_path = path(v)?;
-                a.conf.resume = true;
-                Ok(())
-            },
-        },
-        Flag {
-            names: &["--checkpoint-every"],
-            value: Some("N"),
-            help: "completions between checkpoint snapshots\n\
-                (default 1000; needs --checkpoint or --resume)",
-            set: |a, v| parse_checked(v, |n: &u64| *n >= 1).map(|n| a.conf.checkpoint_every = n),
-        },
-    ],
+pub static SCAN_FLAGS: FlagTable<ScanArgs> = flag_table! { column 25;
+    "--iterative" "resolve iteratively from the roots (default)" => |a, _| on(&mut a.iterative);
+    "--name-servers" <"IP[,IP]"> "use external recursive resolvers; ip:port forms\n\
+        keep their port under --real (e.g. a local\n\
+        `zdns serve` instance). Simulated runs have\n\
+        Google at 8.8.8.8, Cloudflare at 1.1.1.1"
+        => |a, v| push_servers(&mut a.conf.name_server_addrs, v);
+    "--threads", "-t" <"N"> "concurrent lookup routines (default 1000)" => conf.threads = parsed;
+    "--cache-size" <"N"> "selective cache entries (default 600000)"
+        => conf.resolver.cache_size = count_in(0, MAX_CACHE_CAPACITY);
+    "--retries" <"N"> "per-query retries (default 3)" => conf.resolver.retries = parsed;
+    "--timeout" <"SECS"> "external query timeout" => conf.resolver.timeout = duration_secs;
+    "--iteration-timeout" <"SECS"> "per-step timeout for iterative walks"
+        => conf.resolver.iteration_timeout = duration_secs;
+    "--tcp-only" "send every query over TCP (no UDP attempt)"
+        => |a, _| on(&mut a.conf.resolver.tcp_only);
+    "--no-tcp-fallback" "never retry truncated (TC=1) answers over TCP"
+        => |a, _| put(&mut a.conf.resolver.tcp_on_truncated, false);
+    "--trace" "same as --output-fields trace"
+        => |a, _| put(&mut a.conf.output, OutputGroup::Trace);
+    "--output-fields" <"GROUP"> "short: name, status, answers | normal (default):\n\
+        all but flags, additionals | long: all of data |\n\
+        trace: long plus the lookup chain. The chain is\n\
+        recorded only when it is printed; in iterative\n\
+        mode it costs ~2x the time and ~7x the bytes\n\
+        of a normal line. The last of --trace and\n\
+        --output-fields on the command line decides"
+        => |a, v| OutputGroup::parse(v).map(|g| a.conf.output = g)
+            .ok_or_else(|| "short|normal|long|trace".into());
+    "--input-file", "-f" <"PATH"> "newline-delimited names (default: stdin)"
+        => conf.input_path = parsed;
+    "--workload" <"KIND"> "name source: lines (default) reads --input-file;\n\
+        ct-corpus streams the generated CT-log-like corpus\n\
+        (requires --max-names N; never materialized)"
+        => |a, v| Workload::parse(v).map(|w| a.conf.workload = w)
+            .ok_or_else(|| "lines|ct-corpus".into());
+    "--output-file", "-o" <"PATH"> "output JSONL (default: stdout)"
+        => conf.output_path = parsed;
+    "--source-ips" <"N"> "scanning source addresses (1=/32, 8=/29, 16=/28)"
+        => conf.source_ips = count_in(1, MAX_SOURCE_IPS);
+    "--seed" <"N"> "simulated-Internet seed" => conf.seed = parsed;
+    "--max-names" <"N"> "stop after N inputs" => conf.max_names = parsed;
+    "--status-updates" "print run statistics to stderr" => |a, _| on(&mut a.conf.status_updates);
+    "--real" "scan over real sockets (servers at ip:53) using\n\
+        the event-driven reactor instead of the simulator"
+        => |a, _| on(&mut a.conf.real);
+    "--max-in-flight" <"N"> "reactor admission window: concurrent lookups in\n\
+        flight across all workers (default: --threads)"
+        => conf.max_in_flight = parsed;
+    "--io-backend" <"KIND"> "reactor syscall strategy: auto (default) and mmsg\n\
+        use sendmmsg/recvmmsg where the platform has them,\n\
+        per-datagram otherwise; syscall forces\n\
+        per-datagram"
+        => conf.io_backend = parse_io_backend;
+    "--rate-pps" <"N"> "polite scanning: global send budget in packets/s,\n\
+        one scan-wide budget the workers lease from\n\
+        (default: unlimited)"
+        => conf.pacer.rate_pps = non_negative;
+    "--per-host-pps" <"N"> "per-destination send budget in packets/s"
+        => conf.pacer.per_host_pps = non_negative;
+    "--backoff" "adaptive per-destination backoff: timeout/error\n\
+        streaks grow a penalty multiplicatively, successes\n\
+        decay it"
+        => |a, _| on(&mut a.conf.pacer.backoff);
+    "--backoff-base" <"SECS"> "first backoff penalty (implies --backoff)"
+        => |a, v| duration_secs(v)
+            .map(|t| (a.conf.pacer.backoff, a.conf.pacer.backoff_base) = (true, t));
+    "--backoff-cap" <"SECS"> "backoff penalty growth cap (implies --backoff)"
+        => |a, v| duration_secs(v)
+            .map(|t| (a.conf.pacer.backoff, a.conf.pacer.backoff_cap) = (true, t));
+    "--cookie-secret" <"S"> "derive EDNS client cookies from a keyed hash of S\n\
+        and the destination (RFC 7873 \u{a7}6): 32 hex digits\n\
+        are literal, anything else is stretched; default\n\
+        stays the reproducible per-name hash"
+        => |a, v| parse_cookie_secret(v).map(|s| a.conf.resolver.cookie_secret = Some(s));
+    "--shard" <"I/N"> "deterministic horizontal partition: scan only the\n\
+        names whose stable hash lands on shard I of N;\n\
+        run all N shards (any machines, any order) to\n\
+        cover the input exactly once"
+        => |a, v| parse_shard(v).map(|s| a.conf.shard = Some(s));
+    "--checkpoint" <"PATH"> "durable scan: write a scan manifest to PATH and a\n\
+        rotating progress checkpoint to PATH.ckpt\n\
+        (requires --real, --output-file, and a replayable\n\
+        input). A killed scan restarts with --resume PATH"
+        => conf.checkpoint_path = path;
+    "--resume" <"PATH"> "resume the scan described by the manifest at PATH:\n\
+        repairs the output's torn trailing line, skips\n\
+        every name already in the output, re-admits the\n\
+        in-flight remainder, and restores pacer backoff"
+        => |a, v| path(v).map(|p| (a.conf.checkpoint_path, a.conf.resume) = (p, true));
+    "--checkpoint-every" <"N"> "completions between checkpoint snapshots\n\
+        (default 1000; needs --checkpoint or --resume)"
+        => conf.checkpoint_every = parse_checked(|n: &u64| *n >= 1);
 };
 
 impl Conf {
@@ -697,7 +558,6 @@ impl Conf {
                 ..Conf::default()
             },
             iterative: false,
-            name_servers: Vec::new(),
         };
         SCAN_FLAGS.parse(&mut scan, args, |_, other| {
             Err(ConfError(format!("unknown flag {other:?}")))
@@ -705,9 +565,8 @@ impl Conf {
         let ScanArgs {
             mut conf,
             iterative,
-            name_servers,
         } = scan;
-        if iterative && !name_servers.is_empty() {
+        if iterative && !conf.name_server_addrs.is_empty() {
             return Err(ConfError(
                 "--iterative and --name-servers are mutually exclusive".into(),
             ));
@@ -716,11 +575,15 @@ impl Conf {
         // chain under `trace`, `flags` and `additionals` from `long` up:
         // the final output group decides, whatever the flag order.
         conf.resolver.detail = conf.output.detail();
-        conf.resolver.mode = if name_servers.is_empty() {
+        conf.resolver.mode = if conf.name_server_addrs.is_empty() {
             ResolutionMode::Iterative
         } else {
+            let servers = conf.name_server_addrs.iter().map(|addr| match addr.ip() {
+                IpAddr::V4(ip) => ip,
+                IpAddr::V6(_) => unreachable!("--name-servers takes IPv4 only"),
+            });
             ResolutionMode::External {
-                servers: name_servers,
+                servers: servers.collect(),
             }
         };
         if conf.workload == Workload::CtCorpus && conf.max_names == 0 {
@@ -799,87 +662,36 @@ pub struct ServeConf {
 }
 
 /// Every `zdns serve` flag.
-pub static SERVE_FLAGS: FlagTable<ServeConf> = FlagTable {
-    column: 25,
-    flags: &[
-        Flag {
-            names: &["--listen"],
-            value: Some("IP:PORT"),
-            help: "listen address, UDP + TCP (default 127.0.0.1:5353;\n\
-                port 0 = ephemeral)",
-            set: |c, v| {
-                v.parse()
-                    .map(|addr| c.options.listen = addr)
-                    .map_err(|_| "expected IP:PORT".into())
-            },
-        },
-        Flag {
-            names: &["--upstream"],
-            value: Some("IP[:PORT][,\u{2026}]"),
-            help: "upstream recursive resolvers misses are forwarded\n\
-                to (required; port defaults to 53)",
-            set: |c, v| {
-                for part in v.split(',') {
-                    let (_, addr) = parse_server_addr(part.trim())?;
-                    c.options.upstreams.push(addr);
-                }
-                Ok(())
-            },
-        },
-        Flag {
-            names: &["--cache-capacity"],
-            value: Some("N"),
-            help: "record-cache entries; every forwarded answer is\n\
-                kept (default 600000)",
-            set: |c, v| count_in(v, 0, MAX_CACHE_CAPACITY).map(|n| c.options.cache_capacity = n),
-        },
-        Flag {
-            names: &["--packet-cache-capacity"],
-            value: Some("N"),
-            help: "pre-encoded answer packets kept in front of the\n\
-                record cache; hot repeats skip record iteration\n\
-                and re-encoding (default 65536; 0 disables)",
-            set: |c, v| {
-                count_in(v, 0, MAX_PACKET_CACHE_CAPACITY)
-                    .map(|n| c.options.packet_cache_capacity = n)
-            },
-        },
-        Flag {
-            names: &["--client-pps"],
-            value: Some("N"),
-            help: "per-client UDP budget in queries/s; over-budget\n\
-                queries are dropped, TCP is never gated\n\
-                (default: off)",
-            set: |c, v| non_negative(v).map(|r| c.options.client_pps = r),
-        },
-        Flag {
-            names: &["--io-backend"],
-            value: Some("KIND"),
-            help: "forwarding syscall strategy: auto | mmsg | syscall\n\
-                (as in scan mode)",
-            set: |c, v| parse_io_backend(v).map(|b| c.options.io_backend = b),
-        },
-        Flag {
-            names: &["--shards"],
-            value: Some("N"),
-            help: "worker count (default 1; at most 256): each worker\n\
-                owns a UDP + TCP listener on the listen port,\n\
-                N>1 shares it across workers via SO_REUSEPORT",
-            set: |c, v| count_in(v, 1, MAX_SHARDS).map(|n| c.options.shards = n),
-        },
-        Flag {
-            names: &["--duration"],
-            value: Some("SECS"),
-            help: "serve for SECS then exit (default: run forever)",
-            set: |c, v| non_negative(v).map(|d| c.duration = d),
-        },
-        Flag {
-            names: &["--status-updates"],
-            value: None,
-            help: "print a stats line to stderr every second",
-            set: |c, _| on(&mut c.status_updates),
-        },
-    ],
+pub static SERVE_FLAGS: FlagTable<ServeConf> = flag_table! { column 25;
+    "--listen" <"IP:PORT"> "listen address, UDP + TCP (default 127.0.0.1:5353;\n\
+        port 0 = ephemeral)"
+        => |c, v| v.parse().map(|addr| c.options.listen = addr)
+            .map_err(|_| "expected IP:PORT".into());
+    "--upstream" <"IP[:PORT][,\u{2026}]"> "upstream recursive resolvers misses are forwarded\n\
+        to (required; port defaults to 53)"
+        => |c, v| push_servers(&mut c.options.upstreams, v);
+    "--cache-capacity" <"N"> "record-cache entries; every forwarded answer is\n\
+        kept (default 600000)"
+        => options.cache_capacity = count_in(0, MAX_CACHE_CAPACITY);
+    "--packet-cache-capacity" <"N"> "pre-encoded answer packets kept in front of the\n\
+        record cache; hot repeats skip record iteration\n\
+        and re-encoding (default 65536; 0 disables)"
+        => options.packet_cache_capacity = count_in(0, MAX_PACKET_CACHE_CAPACITY);
+    "--client-pps" <"N"> "per-client UDP budget in queries/s; over-budget\n\
+        queries are dropped, TCP is never gated\n\
+        (default: off)"
+        => options.client_pps = non_negative;
+    "--io-backend" <"KIND"> "forwarding syscall strategy: auto | mmsg | syscall\n\
+        (as in scan mode)"
+        => options.io_backend = parse_io_backend;
+    "--shards" <"N"> "worker count (default 1; at most 256): each worker\n\
+        owns a UDP + TCP listener on the listen port,\n\
+        N>1 shares it across workers via SO_REUSEPORT"
+        => options.shards = count_in(1, MAX_SHARDS);
+    "--duration" <"SECS"> "serve for SECS then exit (default: run forever)"
+        => duration = non_negative;
+    "--status-updates" "print a stats line to stderr every second"
+        => |c, _| on(&mut c.status_updates);
 };
 
 impl ServeConf {
@@ -919,23 +731,11 @@ pub struct MergeConf {
 }
 
 /// Every `zdns merge` flag.
-pub static MERGE_FLAGS: FlagTable<MergeConf> = FlagTable {
-    column: 21,
-    flags: &[
-        Flag {
-            names: &["--output", "--output-file"],
-            value: Some("PATH"),
-            help: "merged JSONL destination (required)",
-            set: |m, v| path(v).map(|p| m.output = p),
-        },
-        Flag {
-            names: &["--allow-partial"],
-            value: None,
-            help: "merge even if some shards have not finished\n\
-                (their indices are reported on stderr)",
-            set: |m, _| on(&mut m.allow_partial),
-        },
-    ],
+pub static MERGE_FLAGS: FlagTable<MergeConf> = flag_table! { column 21;
+    "--output", "--output-file" <"PATH"> "merged JSONL destination (required)" => output = path;
+    "--allow-partial" "merge even if some shards have not finished\n\
+        (their indices are reported on stderr)"
+        => |m, _| on(&mut m.allow_partial);
 };
 
 impl MergeConf {
