@@ -40,7 +40,7 @@
 //! The lookup machines are unchanged — the same [`SimClient`] state
 //! machines the discrete-event simulator drives. The reactor is the
 //! second driver for them and the only one over OS sockets: scans
-//! (`run_real_scan`), `zdns serve` and single lookups
+//! (`run_scan_pipeline`), `zdns serve` and single lookups
 //! ([`Resolver::lookup`](crate::resolver::Resolver::lookup)) all run on
 //! it, so real-I/O throughput scales with in-flight lookups instead of
 //! OS threads.

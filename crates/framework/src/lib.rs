@@ -41,7 +41,6 @@ pub use conf::{Conf, ConfError, MergeConf, OutputGroup, ServeConf, Workload};
 pub use output::{CallbackSink, JsonlSink, OutputSink};
 pub use pipeline::run_scan_pipeline;
 pub use runner::{
-    resolver_for, run_real_scan, run_sim_scan, run_sim_scan_with, RealScanReport, CLOUDFLARE_DNS,
-    GOOGLE_DNS,
+    resolver_for, run_sim_scan, run_sim_scan_with, RealScanReport, CLOUDFLARE_DNS, GOOGLE_DNS,
 };
 pub use serve::{ServeHandle, ServeOptions};

@@ -83,9 +83,9 @@ use crate::runner::{real_worker_count, RealScanReport};
 
 /// Run a real-socket scan: names stream from `source` through the shared
 /// input queue into a pool of reactor workers, and every output crosses
-/// the bounded output queue into `sink` on one writer thread. See the
-/// module docs for the full picture; [`crate::runner::run_real_scan`] is
-/// the callback-shaped convenience wrapper.
+/// the bounded output queue into `sink` on one writer thread (an
+/// in-process consumer passes a [`crate::output::CallbackSink`]). See the
+/// module docs for the full picture.
 pub fn run_scan_pipeline(
     conf: &Conf,
     resolver: &Resolver,

@@ -6,8 +6,7 @@
 //! * [`run_sim_scan`] — hands machines to the discrete-event engine, one
 //!   per lookup routine, against a simulated Internet. This is how the
 //!   paper-scale experiments run.
-//! * [`run_real_scan`] — the callback-shaped wrapper over
-//!   [`crate::pipeline::run_scan_pipeline`]: a small pool of reactor
+//! * [`crate::pipeline::run_scan_pipeline`] — a small pool of reactor
 //!   workers, each owning one long-lived non-blocking UDP socket and
 //!   multiplexing hundreds of in-flight lookup machines over it (the
 //!   paper's event-driven architecture: concurrency comes from in-flight
@@ -20,14 +19,12 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use zdns_core::{AddrMap, ConcurrentGate, ConcurrentPacer, DriverReport, Resolver, ResolverConfig};
+use zdns_core::{ConcurrentGate, ConcurrentPacer, DriverReport, Resolver, ResolverConfig};
 use zdns_modules::{LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::{Engine, EngineConfig, PublicResolverConfig, PublicResolverSim, RunReport};
 use zdns_zones::Universe;
 
 use crate::conf::Conf;
-use crate::output::CallbackSink;
-use crate::pipeline::run_scan_pipeline;
 
 /// Well-known simulated public resolver addresses.
 pub const GOOGLE_DNS: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
@@ -233,27 +230,6 @@ pub fn real_worker_count(conf: &Conf) -> usize {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4);
     conf.threads.clamp(1, cores.min(8))
-}
-
-/// Run a scan over real sockets through the shared-queue pipeline
-/// ([`crate::pipeline::run_scan_pipeline`]), collecting outputs with a
-/// callback. Socket bind failures are reported in
-/// [`RealScanReport::worker_errors`]; if no worker can start, the scan
-/// fails fast instead of deadlocking on the input channel.
-pub fn run_real_scan<I>(
-    conf: &Conf,
-    resolver: &Resolver,
-    module: Arc<dyn LookupModule>,
-    addr_map: Arc<AddrMap>,
-    inputs: I,
-    on_output: impl FnMut(ModuleOutput) + Send + 'static,
-) -> RealScanReport
-where
-    I: Iterator<Item = String>,
-{
-    let mut inputs = inputs;
-    let mut sink = CallbackSink::new(on_output);
-    run_scan_pipeline(conf, resolver, module, addr_map, &mut inputs, &mut sink)
 }
 
 #[cfg(test)]

@@ -403,6 +403,7 @@ const DELETED_NAMES: &[&str] = &[
     concat!("Pre", "Hashed"),
     concat!("same_", "hash"),
     concat!("repoint_", "index"),
+    concat!("run_real", "_scan"),
 ];
 
 #[test]

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use zdns::core::AddrMap;
-use zdns::framework::{resolver_for, run_real_scan, Conf};
-use zdns::modules::ModuleRegistry;
+use zdns::framework::{resolver_for, run_scan_pipeline, CallbackSink, Conf};
+use zdns::modules::{ModuleOutput, ModuleRegistry};
 use zdns::netsim::WireServer;
 use zdns::wire::{Name, RData, Record};
 use zdns::zones::{ExplicitUniverse, Universe, Zone};
@@ -92,17 +92,18 @@ fn real_scan_resolves_through_loopback_servers() {
 
     let ok = Arc::new(AtomicU64::new(0));
     let ok2 = Arc::clone(&ok);
-    let report = run_real_scan(
+    let mut sink = CallbackSink::new(move |o: ModuleOutput| {
+        if o.status.is_success() {
+            ok2.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    let report = run_scan_pipeline(
         &conf,
         &resolver,
         module,
         addr_map,
-        inputs.into_iter(),
-        move |o| {
-            if o.status.is_success() {
-                ok2.fetch_add(1, Ordering::Relaxed);
-            }
-        },
+        &mut inputs.into_iter(),
+        &mut sink,
     );
     assert_eq!(report.lookups, 20);
     assert_eq!(report.successes, 20, "all loopback scans succeed");
@@ -172,13 +173,13 @@ fn real_scan_respects_max_in_flight_window() {
     let module = ModuleRegistry::standard().get("A").unwrap();
     let inputs: Vec<String> = (0..6).map(|i| format!("scan{i}.test")).collect();
 
-    let report = run_real_scan(
+    let report = run_scan_pipeline(
         &conf,
         &resolver,
         module,
         addr_map,
-        inputs.into_iter(),
-        |_| {},
+        &mut inputs.into_iter(),
+        &mut CallbackSink::new(|_| {}),
     );
     assert_eq!(report.lookups, 6);
     assert_eq!(report.successes, 6);
