@@ -284,9 +284,9 @@ impl<C: 'static> FlagTable<C> {
     }
 }
 
-/// Builds a [`FlagTable`], one flag a declaration:
-/// `SPELLING, ... <"PLACEHOLDER"> "help" => SETTER;`. A switch has no
-/// placeholder. The setter is a closure, or `field.path = parse(args)`,
+/// Builds a [`FlagTable`]: `flag_table! { column N; FLAG... }`, one
+/// `SPELLING, ... <"PLACEHOLDER"> "help" => SETTER;` a flag. A switch has
+/// no placeholder. The setter is a closure, or `field.path = parse(args)`,
 /// which stores `parse(value, args)` into that field of the state.
 macro_rules! flag_table {
     (@value) => { None };
@@ -433,8 +433,8 @@ fn path(v: &str) -> Result<String, String> {
 }
 
 /// The scan parser's state: the [`Conf`] being built plus `--iterative`,
-/// which only the last flag decides (it and `--name-servers` exclude
-/// each other and pick the resolution mode).
+/// which is checked against `--name-servers` after the last flag (the two
+/// exclude each other and pick the resolution mode).
 pub struct ScanArgs {
     conf: Conf,
     iterative: bool,
