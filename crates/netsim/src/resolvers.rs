@@ -276,22 +276,16 @@ impl PublicResolverSim {
             latency += exp(self.config.miss_extra_ms, rng);
         }
         let ans = oracle::resolve(universe, question);
-        ResolverOutcome::Answer {
-            response: AuthResponse {
-                // Public resolvers surface lame/unreachable delegations as
-                // SERVFAIL rather than passing REFUSED through.
-                rcode: if ans.rcode == Rcode::Refused {
-                    Rcode::ServFail
-                } else {
-                    ans.rcode
-                },
-                authoritative: false,
-                answers: ans.answers,
-                authorities: ans.authorities,
-                additionals: Vec::new(),
-            },
-            latency,
-        }
+        let mut response = AuthResponse::answer(ans.answers);
+        response.authoritative = false;
+        response.authorities = ans.authorities;
+        // Public resolvers surface lame/unreachable delegations as SERVFAIL
+        // rather than passing REFUSED through.
+        response.rcode = match ans.rcode {
+            Rcode::Refused => Rcode::ServFail,
+            rcode => rcode,
+        };
+        ResolverOutcome::Answer { response, latency }
     }
 
     fn rtt<R: Rng>(&self, rng: &mut R) -> SimTime {

@@ -131,6 +131,12 @@ const CAA_DIGICERT: f64 = 0.51;
 const INFRA_TTL: u32 = 172_800;
 /// TTL for leaf records.
 const LEAF_TTL: u32 = 300;
+/// Each kind of zone's SOA: TTL (also the negative-caching minimum),
+/// serial, refresh, retry and expire.
+const ROOT_SOA: [u32; 5] = [86_400, 20_220_518, 1800, 900, 604_800];
+const TLD_SOA: [u32; 5] = [900, 1, 1800, 900, 604_800];
+const REVERSE_SOA: [u32; 5] = [3600, 1, 1800, 900, 604_800];
+const LEAF_SOA: [u32; 5] = [LEAF_TTL, 2022, 7200, 3600, 1_209_600];
 
 /// What distinguishes one synthetic Internet from another: its seed, and
 /// the registry shape it shares with the corpus scanned against it
@@ -588,152 +594,35 @@ impl SyntheticUniverse {
 
     // ---- responders ------------------------------------------------------
 
-    fn root_soa(&self) -> Record {
-        Record::new(
-            Name::root(),
-            86_400,
-            RData::Soa(Soa {
-                mname: "a.root-servers.net".parse().expect("static"),
-                rname: "nstld.verisign-grs.com".parse().expect("static"),
-                serial: 20_220_518,
-                refresh: 1800,
-                retry: 900,
-                expire: 604_800,
-                minimum: 86_400,
-            }),
-        )
-    }
-
-    fn tld_soa(&self, names: &TldNames) -> Record {
-        Record::new(
-            names.apex.clone(),
-            900,
-            RData::Soa(Soa {
-                mname: names.hosts[0].clone(),
-                rname: names.apex.child("hostmaster").expect("valid"),
-                serial: 1,
-                refresh: 1800,
-                retry: 900,
-                expire: 604_800,
-                minimum: 900,
-            }),
-        )
-    }
-
-    /// An authoritative answer with no records but the SOA `soa`: NODATA
-    /// under NOERROR, a nonexistent name under NXDOMAIN.
-    fn negative(rcode: Rcode, soa: Record) -> AuthResponse {
-        AuthResponse {
-            rcode,
-            authoritative: true,
-            answers: Vec::new(),
-            authorities: vec![soa],
-            additionals: Vec::new(),
-        }
-    }
-
-    fn answer(answers: Vec<Record>) -> AuthResponse {
-        AuthResponse {
-            rcode: Rcode::NoError,
-            authoritative: true,
-            answers,
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
-    }
-
-    fn tld_referral(&self, tld: &Tld) -> AuthResponse {
-        let names = self.tld_names(tld);
-        let mut ns = Vec::with_capacity(names.hosts.len());
-        let mut glue = Vec::with_capacity(names.hosts.len());
-        for (j, host) in (0..).zip(&names.hosts) {
-            ns.push(Record::new(
-                names.apex.clone(),
-                INFRA_TTL,
-                RData::Ns(host.clone()),
-            ));
-            glue.push(Record::new(
-                host.clone(),
-                INFRA_TTL,
-                RData::A(
-                    ServerRole::Tld {
-                        tld_index: tld.index,
-                        server: j,
-                    }
-                    .address(),
-                ),
-            ));
-        }
-        AuthResponse {
-            rcode: Rcode::NoError,
-            authoritative: false,
-            answers: Vec::new(),
-            authorities: ns,
-            additionals: glue,
-        }
-    }
-
     fn respond_root(&self, q: &Question) -> AuthResponse {
         if q.name.is_root() {
             // Priming query: all roots + glue.
             let hints = self.root_hints();
-            let answers = hints
-                .iter()
-                .map(|(n, _)| Record::new(Name::root(), 518_400, RData::Ns(n.clone())))
-                .collect();
-            let additionals = hints
+            let wants_ns = matches!(q.qtype, RecordType::NS | RecordType::ANY);
+            let ns = (hints.iter().filter(|_| wants_ns))
+                .map(|(n, _)| Record::new(Name::root(), 518_400, RData::Ns(n.clone())));
+            let mut primed = AuthResponse::answer(ns.collect());
+            primed.additionals = hints
                 .iter()
                 .map(|(n, a)| Record::new(n.clone(), 518_400, RData::A(*a)))
                 .collect();
-            return AuthResponse {
-                rcode: Rcode::NoError,
-                authoritative: true,
-                answers: if q.qtype == RecordType::NS || q.qtype == RecordType::ANY {
-                    answers
-                } else {
-                    Vec::new()
-                },
-                authorities: Vec::new(),
-                additionals,
-            };
+            return primed;
         }
-        match self.tld_of(&q.name) {
-            Some(tld) => self.tld_referral(tld),
-            None => Self::negative(Rcode::NxDomain, self.root_soa()),
-        }
-    }
-
-    fn leaf_referral(&self, base: &Name, provider: &Provider, glueless: bool) -> AuthResponse {
-        let hosts = self.provider_hosts(provider);
-        let mut ns = Vec::with_capacity(hosts.len());
-        let mut glue = Vec::with_capacity(if glueless { 0 } else { hosts.len() });
-        for (k, host) in (0..).zip(hosts) {
-            ns.push(Record::new(
-                base.clone(),
-                INFRA_TTL,
-                RData::Ns(host.clone()),
-            ));
-            if !glueless {
-                glue.push(Record::new(
-                    host.clone(),
-                    INFRA_TTL,
-                    RData::A(
-                        ServerRole::ProviderAuth {
-                            provider: provider.index,
-                            server: k,
-                        }
-                        .address(),
-                    ),
-                ));
-            }
-        }
-        AuthResponse {
-            rcode: Rcode::NoError,
-            authoritative: false,
-            answers: Vec::new(),
-            authorities: ns,
-            additionals: glue,
-        }
+        let Some(tld) = self.tld_of(&q.name) else {
+            let root_soa = soa(
+                &Name::root(),
+                "a.root-servers.net".parse().expect("static"),
+                "nstld.verisign-grs.com".parse().expect("static"),
+                ROOT_SOA,
+            );
+            return AuthResponse::negative(Rcode::NxDomain, root_soa);
+        };
+        let names = self.tld_names(tld);
+        let glue = |server| {
+            let tld_index = tld.index;
+            ServerRole::Tld { tld_index, server }.address()
+        };
+        referral(&names.apex, &names.hosts, Some(glue))
     }
 
     fn respond_tld(&self, tld_index: u16, q: &Question) -> AuthResponse {
@@ -748,313 +637,158 @@ impl SyntheticUniverse {
         if !q.name.is_subdomain_of(&names.apex) {
             return AuthResponse::refused();
         }
-        if q.name == names.apex {
-            return self.tld_apex_answer(names, q);
+        let apex = &names.apex;
+        let soa = || soa(apex, names.hosts[0].clone(), hostmaster(apex), TLD_SOA);
+        if q.name == *apex {
+            let mut answers = Vec::new();
+            if matches!(q.qtype, RecordType::NS | RecordType::ANY) {
+                answers.extend(
+                    (names.hosts.iter())
+                        .map(|host| Record::new(apex.clone(), INFRA_TTL, RData::Ns(host.clone()))),
+                );
+            }
+            if matches!(q.qtype, RecordType::SOA | RecordType::ANY) {
+                answers.push(soa());
+            }
+            if answers.is_empty() {
+                return AuthResponse::negative(Rcode::NoError, soa());
+            }
+            return AuthResponse::answer(answers);
         }
-        // Names for the TLD's own nameservers (`ns1.nic.<tld>`).
+        // The TLD's own name servers, `ns<j>.nic.<tld>`.
         if q.name.is_subdomain_of(&names.nic) {
-            return self.tld_nic_answer(tld, names, q);
+            let depth = q.name.label_count() - names.nic.label_count();
+            let host = q.name.label(0).and_then(|l| ns_host(l, tld.server_count));
+            if let Some(server) = host.filter(|_| depth == 1) {
+                return host_answer(q, ServerRole::Tld { tld_index, server }.address(), soa);
+            }
+            // `nic.<tld>` itself owns nothing but has the host names below
+            // it: an empty non-terminal, which exists (RFC 8020).
+            let rcode = if depth == 0 {
+                Rcode::NoError
+            } else {
+                Rcode::NxDomain
+            };
+            return AuthResponse::negative(rcode, soa());
         }
         let Some(base) = self.base_of(&q.name) else {
             return AuthResponse::refused();
         };
         let b = self.base(&base);
-        if self.exists(&b) {
-            self.leaf_referral(&base, self.provider(&b), self.glueless(&b))
-        } else {
-            Self::negative(Rcode::NxDomain, self.tld_soa(names))
+        if !self.exists(&b) {
+            return AuthResponse::negative(Rcode::NxDomain, soa());
         }
-    }
-
-    fn tld_apex_answer(&self, names: &TldNames, q: &Question) -> AuthResponse {
-        let mut answers = Vec::new();
-        if matches!(q.qtype, RecordType::NS | RecordType::ANY) {
-            for host in &names.hosts {
-                answers.push(Record::new(
-                    names.apex.clone(),
-                    INFRA_TTL,
-                    RData::Ns(host.clone()),
-                ));
-            }
-        }
-        if matches!(q.qtype, RecordType::SOA | RecordType::ANY) {
-            answers.push(self.tld_soa(names));
-        }
-        if answers.is_empty() {
-            return Self::negative(Rcode::NoError, self.tld_soa(names));
-        }
-        Self::answer(answers)
-    }
-
-    fn tld_nic_answer(&self, tld: &Tld, names: &TldNames, q: &Question) -> AuthResponse {
-        // ns{j}.nic.<tld> has an A record pointing at the TLD server.
-        if q.name.label_count() == names.nic.label_count() + 1 {
-            if let Some(j) = q
-                .name
-                .label(0)
-                .and_then(ns_number)
-                .filter(|&j| j >= 1 && j <= tld.server_count)
-            {
-                if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-                    return Self::answer(vec![Record::new(
-                        q.name.clone(),
-                        INFRA_TTL,
-                        RData::A(
-                            ServerRole::Tld {
-                                tld_index: tld.index,
-                                server: j - 1,
-                            }
-                            .address(),
-                        ),
-                    )]);
-                }
-                return Self::negative(Rcode::NoError, self.tld_soa(names));
-            }
-        }
-        // `nic.<tld>` itself owns nothing but has the host names below it:
-        // an empty non-terminal, which exists (RFC 8020).
-        let rcode = if q.name == names.nic {
-            Rcode::NoError
-        } else {
-            Rcode::NxDomain
-        };
-        Self::negative(rcode, self.tld_soa(names))
+        let p = self.provider(&b);
+        let provider = p.index;
+        let glue = |server| ServerRole::ProviderAuth { provider, server }.address();
+        let glue = (!self.glueless(&b)).then_some(glue);
+        referral(&base, self.provider_hosts(p), glue)
     }
 
     fn respond_arpa(&self, q: &Question) -> AuthResponse {
         let in_addr: Name = "in-addr.arpa".parse().expect("static");
-        let arpa: Name = "arpa".parse().expect("static");
+        let arpa = in_addr.parent();
         if !q.name.is_subdomain_of(&arpa) {
             return AuthResponse::refused();
         }
-        let soa = Record::new(
-            in_addr.clone(),
-            3600,
-            RData::Soa(Soa {
-                mname: "ns1.in-addr.arpa".parse().expect("static"),
-                rname: "hostmaster.in-addr.arpa".parse().expect("static"),
-                serial: 1,
-                refresh: 1800,
-                retry: 900,
-                expire: 604_800,
-                minimum: 3600,
-            }),
-        );
+        let soa = reverse_soa(&in_addr);
         if q.name == arpa || q.name == in_addr {
-            return Self::negative(Rcode::NoError, soa);
+            return AuthResponse::negative(Rcode::NoError, soa);
         }
         if !q.name.is_subdomain_of(&in_addr) {
             // ip6.arpa and friends are not modelled: authoritative NXDOMAIN.
-            return Self::negative(Rcode::NxDomain, soa);
+            return AuthResponse::negative(Rcode::NxDomain, soa);
         }
         // d.c.b.a.in-addr.arpa → labels[len-3] is `a`.
         let labels: Vec<&[u8]> = q.name.labels().collect();
-        let Some(a) = canonical_u8(labels[labels.len() - 3]) else {
-            return Self::negative(Rcode::NxDomain, soa);
-        };
-        // Referral to the /8 zone.
-        let cut: Name = format!("{a}.in-addr.arpa").parse().expect("valid");
-        let mut ns = Vec::new();
-        let mut glue = Vec::new();
-        for j in 0..2u8 {
-            let ns_name: Name = format!("ns{}.{}.in-addr.arpa", j + 1, a)
-                .parse()
-                .expect("valid");
-            ns.push(Record::new(
-                cut.clone(),
-                INFRA_TTL,
-                RData::Ns(ns_name.clone()),
-            ));
-            glue.push(Record::new(
-                ns_name,
-                INFRA_TTL,
-                RData::A(
-                    ServerRole::Rdns8 {
-                        octet: a,
-                        server: j,
-                    }
-                    .address(),
-                ),
-            ));
-        }
-        AuthResponse {
-            rcode: Rcode::NoError,
-            authoritative: false,
-            answers: Vec::new(),
-            authorities: ns,
-            additionals: glue,
+        match canonical_u8(labels[labels.len() - 3]) {
+            Some(a) => reverse_referral(&[a]),
+            None => AuthResponse::negative(Rcode::NxDomain, soa),
         }
     }
 
     fn respond_rdns8(&self, octet: u8, q: &Question) -> AuthResponse {
-        let apex: Name = format!("{octet}.in-addr.arpa").parse().expect("valid");
+        let apex = reverse_zone(&[octet]);
         if !q.name.is_subdomain_of(&apex) {
             return AuthResponse::refused();
         }
-        let soa = self.rdns_soa(&apex);
+        let soa = reverse_soa(&apex);
         let labels: Vec<&[u8]> = q.name.labels().collect();
         // Handle the zone's own NS host A records (`ns1.<octet>.in-addr.arpa`).
         if labels.len() == 4 && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            if let Some(j) = ns_number(labels[0]).filter(|j| (1..=2).contains(j)) {
-                return Self::answer(vec![Record::new(
-                    q.name.clone(),
-                    INFRA_TTL,
-                    RData::A(
-                        ServerRole::Rdns8 {
-                            octet,
-                            server: j - 1,
-                        }
-                        .address(),
-                    ),
-                )]);
+            if let Some(server) = ns_host(labels[0], 2) {
+                let host = ServerRole::Rdns8 { octet, server };
+                return host_answer(q, host.address(), || soa);
             }
         }
         if q.name == apex || labels.len() < 4 {
-            return Self::negative(Rcode::NoError, soa);
+            return AuthResponse::negative(Rcode::NoError, soa);
         }
         // c.b.<octet>.in-addr.arpa or deeper: refer to the /16 zone.
-        let Some(b) = canonical_u8(labels[labels.len() - 4]) else {
-            return Self::negative(Rcode::NxDomain, soa);
-        };
-        let cut: Name = format!("{b}.{octet}.in-addr.arpa").parse().expect("valid");
-        let mut ns = Vec::new();
-        let mut glue = Vec::new();
-        for j in 0..2u8 {
-            let ns_name: Name = format!("ns{}.{}.{}.in-addr.arpa", j + 1, b, octet)
-                .parse()
-                .expect("valid");
-            ns.push(Record::new(
-                cut.clone(),
-                INFRA_TTL,
-                RData::Ns(ns_name.clone()),
-            ));
-            glue.push(Record::new(
-                ns_name,
-                INFRA_TTL,
-                RData::A(
-                    ServerRole::Rdns16 {
-                        a: octet,
-                        b,
-                        server: j,
-                    }
-                    .address(),
-                ),
-            ));
+        match canonical_u8(labels[labels.len() - 4]) {
+            Some(b) => reverse_referral(&[octet, b]),
+            None => AuthResponse::negative(Rcode::NxDomain, soa),
         }
-        AuthResponse {
-            rcode: Rcode::NoError,
-            authoritative: false,
-            answers: Vec::new(),
-            authorities: ns,
-            additionals: glue,
-        }
-    }
-
-    fn rdns_soa(&self, apex: &Name) -> Record {
-        Record::new(
-            apex.clone(),
-            3600,
-            RData::Soa(Soa {
-                mname: apex.child("ns1").expect("valid"),
-                rname: apex.child("hostmaster").expect("valid"),
-                serial: 1,
-                refresh: 1800,
-                retry: 900,
-                expire: 604_800,
-                minimum: 3600,
-            }),
-        )
     }
 
     /// The PTR answer for `ip` at its deepest reverse zone, whose SOA is
     /// `soa`.
     fn ptr_answer(&self, ip: Ipv4Addr, q: &Question, soa: Record) -> AuthResponse {
         if q.qtype != RecordType::PTR && q.qtype != RecordType::ANY {
-            return Self::negative(Rcode::NoError, soa);
+            return AuthResponse::negative(Rcode::NoError, soa);
         }
         if self.ptr_exists(ip) {
-            Self::answer(vec![Record::new(
-                q.name.clone(),
-                LEAF_TTL,
-                RData::Ptr(self.ptr_name(ip)),
-            )])
+            let ptr = RData::Ptr(self.ptr_name(ip));
+            AuthResponse::answer(vec![Record::new(q.name.clone(), LEAF_TTL, ptr)])
         } else {
-            Self::negative(Rcode::NxDomain, soa)
+            AuthResponse::negative(Rcode::NxDomain, soa)
         }
     }
 
     fn respond_rdns16(&self, a: u8, b: u8, q: &Question) -> AuthResponse {
-        let apex: Name = format!("{b}.{a}.in-addr.arpa").parse().expect("valid");
+        let apex = reverse_zone(&[a, b]);
         if !q.name.is_subdomain_of(&apex) {
             return AuthResponse::refused();
         }
-        let soa = self.rdns_soa(&apex);
+        let soa = reverse_soa(&apex);
         let labels: Vec<&[u8]> = q.name.labels().collect();
         // NS host addresses for this zone.
         if labels.len() == 5 && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            if let Some(j) = ns_number(labels[0]).filter(|j| (1..=2).contains(j)) {
-                return Self::answer(vec![Record::new(
-                    q.name.clone(),
-                    INFRA_TTL,
-                    RData::A(
-                        ServerRole::Rdns16 {
-                            a,
-                            b,
-                            server: j - 1,
-                        }
-                        .address(),
-                    ),
-                )]);
+            if let Some(server) = ns_host(labels[0], 2) {
+                let host = ServerRole::Rdns16 { a, b, server };
+                return host_answer(q, host.address(), || soa);
             }
         }
         if labels.len() != 6 {
             // The apex or an empty non-terminal (c.b.a.in-addr.arpa).
-            return Self::negative(Rcode::NoError, soa);
+            return AuthResponse::negative(Rcode::NoError, soa);
         }
         let (Some(d), Some(c)) = (canonical_u8(labels[0]), canonical_u8(labels[1])) else {
-            return Self::negative(Rcode::NxDomain, soa);
+            return AuthResponse::negative(Rcode::NxDomain, soa);
         };
         if self.rdns16_delegates_deeper(a, b) {
             // This operator splits the zone at /24: refer.
-            let cut: Name = format!("{c}.{b}.{a}.in-addr.arpa").parse().expect("valid");
-            let ns_name: Name = format!("ns1.{c}.{b}.{a}.in-addr.arpa")
-                .parse()
-                .expect("valid");
-            return AuthResponse {
-                rcode: Rcode::NoError,
-                authoritative: false,
-                answers: Vec::new(),
-                authorities: vec![Record::new(cut, INFRA_TTL, RData::Ns(ns_name.clone()))],
-                additionals: vec![Record::new(
-                    ns_name,
-                    INFRA_TTL,
-                    RData::A(ServerRole::Rdns24 { a, b, c }.address()),
-                )],
-            };
+            return reverse_referral(&[a, b, c]);
         }
         self.ptr_answer(Ipv4Addr::new(a, b, c, d), q, soa)
     }
 
     fn respond_rdns24(&self, a: u8, b: u8, c: u8, q: &Question) -> AuthResponse {
-        let apex: Name = format!("{c}.{b}.{a}.in-addr.arpa").parse().expect("valid");
+        let apex = reverse_zone(&[a, b, c]);
         if !q.name.is_subdomain_of(&apex) || !self.rdns16_delegates_deeper(a, b) {
             return AuthResponse::refused();
         }
-        let soa = self.rdns_soa(&apex);
+        let soa = reverse_soa(&apex);
         let labels: Vec<&[u8]> = q.name.labels().collect();
         if labels.len() != 6 {
-            return Self::negative(Rcode::NoError, soa);
+            return AuthResponse::negative(Rcode::NoError, soa);
         }
         // NS host address for this zone.
-        if ns_number(labels[0]) == Some(1) && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            return Self::answer(vec![Record::new(
-                q.name.clone(),
-                INFRA_TTL,
-                RData::A(ServerRole::Rdns24 { a, b, c }.address()),
-            )]);
+        if ns_host(labels[0], 1).is_some() && matches!(q.qtype, RecordType::A | RecordType::ANY) {
+            return host_answer(q, ServerRole::Rdns24 { a, b, c }.address(), || soa);
         }
         let Some(d) = canonical_u8(labels[0]) else {
-            return Self::negative(Rcode::NxDomain, soa);
+            return AuthResponse::negative(Rcode::NxDomain, soa);
         };
         self.ptr_answer(Ipv4Addr::new(a, b, c, d), q, soa)
     }
@@ -1079,61 +813,7 @@ impl SyntheticUniverse {
         if self.lame_ns(&b, p) == Some(server) {
             return AuthResponse::refused();
         }
-        // The provider's own NS-host domain answers its ns{k} A records.
-        if b.own_provider == Some(provider) {
-            if let Some(resp) = self.provider_domain_answer(p, &base, q) {
-                return resp;
-            }
-        }
         self.leaf_answer(p, server, &b, q)
-    }
-
-    /// Answers within the provider's own `<label>.com` domain (NS hosts).
-    fn provider_domain_answer(
-        &self,
-        p: &Provider,
-        base: &Name,
-        q: &Question,
-    ) -> Option<AuthResponse> {
-        if q.name.label_count() != base.label_count() + 1 {
-            return None;
-        }
-        let k = q
-            .name
-            .label(0)
-            .and_then(ns_number)
-            .filter(|&k| k >= 1 && k <= p.ns_count)?;
-        Some(if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            Self::answer(vec![Record::new(
-                q.name.clone(),
-                INFRA_TTL,
-                RData::A(
-                    ServerRole::ProviderAuth {
-                        provider: p.index,
-                        server: k - 1,
-                    }
-                    .address(),
-                ),
-            )])
-        } else {
-            Self::negative(Rcode::NoError, self.leaf_soa(base, p))
-        })
-    }
-
-    fn leaf_soa(&self, base: &Name, provider: &Provider) -> Record {
-        Record::new(
-            base.clone(),
-            LEAF_TTL,
-            RData::Soa(Soa {
-                mname: self.provider_hosts(provider)[0].clone(),
-                rname: base.child("hostmaster").expect("valid"),
-                serial: 2022,
-                refresh: 7200,
-                retry: 3600,
-                expire: 1_209_600,
-                minimum: LEAF_TTL,
-            }),
-        )
     }
 
     fn apex_a_value(&self, b: &Base<'_>, provider: &Provider, server: u8) -> Ipv4Addr {
@@ -1153,12 +833,23 @@ impl SyntheticUniverse {
     fn leaf_answer(&self, p: &Provider, server: u8, b: &Base<'_>, q: &Question) -> AuthResponse {
         let base = b.name;
         let ttl = LEAF_TTL;
-        let nodata = || Self::negative(Rcode::NoError, self.leaf_soa(base, p));
+        let hosts = self.provider_hosts(p);
+        let soa = || soa(base, hosts[0].clone(), hostmaster(base), LEAF_SOA);
+        let nodata = || AuthResponse::negative(Rcode::NoError, soa());
         let apex_a = || Record::new(base.clone(), ttl, RData::A(self.apex_a_value(b, p, server)));
+        let one = |rdata| AuthResponse::answer(vec![Record::new(q.name.clone(), ttl, rdata)]);
+        let wants_a = matches!(q.qtype, RecordType::A | RecordType::ANY);
+        // A name that owns nothing of its own: the wildcard's data where
+        // the domain has one, NXDOMAIN otherwise.
+        let nonexistent = || match (self.has_wildcard(b), wants_a) {
+            (false, _) => AuthResponse::negative(Rcode::NxDomain, soa()),
+            (true, true) => one(RData::A(self.apex_a_value(b, p, server))),
+            (true, false) => nodata(),
+        };
 
         if q.name == *base {
             return match q.qtype {
-                RecordType::A | RecordType::ANY => Self::answer(vec![apex_a()]),
+                RecordType::A | RecordType::ANY => AuthResponse::answer(vec![apex_a()]),
                 RecordType::AAAA if self.has_aaaa(b) => {
                     let h = self.h64("apex-aaaa", b);
                     let segs = [
@@ -1171,45 +862,28 @@ impl SyntheticUniverse {
                         0,
                         (h as u16) | 1,
                     ];
-                    Self::answer(vec![Record::new(
-                        base.clone(),
-                        ttl,
-                        RData::Aaaa(segs.into()),
-                    )])
+                    one(RData::Aaaa(segs.into()))
                 }
-                RecordType::NS => Self::answer(
-                    self.provider_hosts(p)
-                        .iter()
+                RecordType::NS => AuthResponse::answer(
+                    (hosts.iter())
                         .map(|host| Record::new(base.clone(), ttl, RData::Ns(host.clone())))
                         .collect(),
                 ),
-                RecordType::SOA => Self::answer(vec![self.leaf_soa(base, p)]),
-                RecordType::MX if self.has_mx(b) => Self::answer(vec![Record::new(
-                    base.clone(),
-                    ttl,
-                    RData::Mx(Mx {
-                        preference: 10,
-                        exchange: base.child("mail").expect("valid"),
-                    }),
-                )]),
+                RecordType::SOA => AuthResponse::answer(vec![soa()]),
+                RecordType::MX if self.has_mx(b) => one(RData::Mx(Mx {
+                    preference: 10,
+                    exchange: base.child("mail").expect("valid"),
+                })),
                 RecordType::TXT if self.has_txt(b) => {
                     let mut records = Vec::new();
                     if self.spf_given_txt(b) {
-                        records.push(Record::new(
-                            base.clone(),
-                            ttl,
-                            RData::Txt(TxtData::from_text("v=spf1 mx a -all")),
-                        ));
+                        let spf = TxtData::from_text("v=spf1 mx a -all");
+                        records.push(Record::new(base.clone(), ttl, RData::Txt(spf)));
                     }
-                    records.push(Record::new(
-                        base.clone(),
-                        ttl,
-                        RData::Txt(TxtData::from_text(&format!(
-                            "site-verification={:016x}",
-                            self.h64("txt-token", b)
-                        ))),
-                    ));
-                    Self::answer(records)
+                    let token = format!("site-verification={:016x}", self.h64("txt-token", b));
+                    let token = RData::Txt(TxtData::from_text(&token));
+                    records.push(Record::new(base.clone(), ttl, token));
+                    AuthResponse::answer(records)
                 }
                 RecordType::CAA => match self.caa(b, p) {
                     (records, _) if records.is_empty() => nodata(),
@@ -1218,9 +892,9 @@ impl SyntheticUniverse {
                         let target: Name = format!("caa.{}", self.providers.ns_domain(p.index))
                             .parse()
                             .expect("valid");
-                        Self::answer(vec![Record::new(base.clone(), ttl, RData::Cname(target))])
+                        one(RData::Cname(target))
                     }
-                    (records, false) => Self::answer(
+                    (records, false) => AuthResponse::answer(
                         records
                             .into_iter()
                             .map(|c| Record::new(base.clone(), ttl, RData::Caa(c)))
@@ -1234,57 +908,49 @@ impl SyntheticUniverse {
         // Subdomain handling.
         let sub_label = q.name.label(0).unwrap_or(b"");
         let depth = q.name.label_count() - base.label_count();
-        let wants_a = matches!(q.qtype, RecordType::A | RecordType::ANY);
+        let sub_a = |label: &[u8]| {
+            let h = h64_joined(self.seed(), "sub-a", b.key(), label);
+            RData::A(host_address(h))
+        };
         if depth == 1 {
+            // The provider's own NS-host domain answers its ns<k> A records.
+            if b.own_provider == Some(p.index) {
+                if let Some(k) = ns_host(sub_label, p.ns_count) {
+                    let host = ServerRole::ProviderAuth {
+                        provider: p.index,
+                        server: k,
+                    };
+                    return host_answer(q, host.address(), soa);
+                }
+            }
             if sub_label.eq_ignore_ascii_case(b"www") {
                 return match self.www(b) {
-                    WwwKind::Absent => self.nonexistent(b, p, q, server),
+                    WwwKind::Absent => nonexistent(),
                     WwwKind::CnameToApex => {
                         let mut records =
                             vec![Record::new(q.name.clone(), ttl, RData::Cname(base.clone()))];
                         if wants_a {
                             records.push(apex_a());
                         }
-                        Self::answer(records)
+                        AuthResponse::answer(records)
                     }
-                    WwwKind::ARecord if wants_a => Self::answer(vec![Record::new(
-                        q.name.clone(),
-                        ttl,
-                        RData::A(host_address(h64_joined(
-                            self.seed(),
-                            "sub-a",
-                            b.key(),
-                            b"|www",
-                        ))),
-                    )]),
+                    WwwKind::ARecord if wants_a => one(sub_a(b"|www")),
                     WwwKind::ARecord => nodata(),
                 };
             }
             if sub_label.eq_ignore_ascii_case(b"mail") && self.has_mx(b) {
-                if wants_a {
-                    return Self::answer(vec![Record::new(
-                        q.name.clone(),
-                        ttl,
-                        RData::A(host_address(h64_joined(
-                            self.seed(),
-                            "sub-a",
-                            b.key(),
-                            b"|mail",
-                        ))),
-                    )]);
-                }
-                return nodata();
+                return if wants_a {
+                    one(sub_a(b"|mail"))
+                } else {
+                    nodata()
+                };
             }
             // Target of §6 CNAME-reached CAA (on provider domains).
             if sub_label.eq_ignore_ascii_case(b"caa")
                 && b.own_provider == Some(p.index)
                 && q.qtype == RecordType::CAA
             {
-                return Self::answer(vec![Record::new(
-                    q.name.clone(),
-                    ttl,
-                    RData::Caa(issue_record("issue", "letsencrypt.org")),
-                )]);
+                return one(RData::Caa(issue_record("issue", "letsencrypt.org")));
             }
         }
         // Generic subdomain: exists by hash, else wildcard, else NXDOMAIN.
@@ -1292,32 +958,111 @@ impl SyntheticUniverse {
         let fqdn_key = q.name.lower_text(&mut text).as_bytes();
         if chance(self.seed(), "sub-exists", fqdn_key, SUBDOMAIN_EXISTS) {
             if wants_a {
-                return Self::answer(vec![Record::new(
-                    q.name.clone(),
-                    ttl,
-                    RData::A(host_address(h64(self.seed(), "sub-a", fqdn_key))),
-                )]);
+                return one(RData::A(host_address(h64(self.seed(), "sub-a", fqdn_key))));
             }
             return nodata();
         }
-        self.nonexistent(b, p, q, server)
+        nonexistent()
     }
+}
 
-    /// What a name under `b` that owns nothing of its own answers: the
-    /// wildcard's data where the domain has one, NXDOMAIN otherwise.
-    fn nonexistent(&self, b: &Base<'_>, p: &Provider, q: &Question, server: u8) -> AuthResponse {
-        if !self.has_wildcard(b) {
-            return Self::negative(Rcode::NxDomain, self.leaf_soa(b.name, p));
+/// A zone's SOA record, whose primary server is `mname` and whose mailbox
+/// is `rname`, with the TTL (also the negative-caching minimum), serial,
+/// refresh, retry and expire of its kind of zone.
+fn soa(zone: &Name, mname: Name, rname: Name, values: [u32; 5]) -> Record {
+    let [ttl, serial, refresh, retry, expire] = values;
+    let soa = Soa {
+        mname,
+        rname,
+        serial,
+        refresh,
+        retry,
+        expire,
+        minimum: ttl,
+    };
+    Record::new(zone.clone(), ttl, RData::Soa(soa))
+}
+
+/// `hostmaster.<zone>`, the mailbox of every zone but the root.
+fn hostmaster(zone: &Name) -> Name {
+    zone.child("hostmaster").expect("valid")
+}
+
+/// A referral to the zone cut `cut`, served by `hosts`; with `glue`, the
+/// `j`th host's address is `glue(j)`.
+fn referral(cut: &Name, hosts: &[Name], glue: Option<impl Fn(u8) -> Ipv4Addr>) -> AuthResponse {
+    let mut ns = Vec::with_capacity(hosts.len());
+    let mut additionals = Vec::with_capacity(if glue.is_some() { hosts.len() } else { 0 });
+    for (j, host) in (0..).zip(hosts) {
+        ns.push(Record::new(cut.clone(), INFRA_TTL, RData::Ns(host.clone())));
+        if let Some(glue) = &glue {
+            additionals.push(Record::new(host.clone(), INFRA_TTL, RData::A(glue(j))));
         }
-        if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            Self::answer(vec![Record::new(
-                q.name.clone(),
-                LEAF_TTL,
-                RData::A(self.apex_a_value(b, p, server)),
-            )])
-        } else {
-            Self::negative(Rcode::NoError, self.leaf_soa(b.name, p))
-        }
+    }
+    AuthResponse::referral(ns, additionals)
+}
+
+/// What the name-server host `q.name` at `addr` answers: its A record, or
+/// NODATA under the zone's `soa` for any other type.
+fn host_answer(q: &Question, addr: Ipv4Addr, soa: impl FnOnce() -> Record) -> AuthResponse {
+    if matches!(q.qtype, RecordType::A | RecordType::ANY) {
+        AuthResponse::answer(vec![Record::new(q.name.clone(), INFRA_TTL, RData::A(addr))])
+    } else {
+        AuthResponse::negative(Rcode::NoError, soa())
+    }
+}
+
+/// The reverse zone of an address's leading `octets`: `[]` is
+/// `in-addr.arpa`, `[a, b]` is `b.a.in-addr.arpa`.
+fn reverse_zone(octets: &[u8]) -> Name {
+    let mut text = String::new();
+    for o in octets.iter().rev() {
+        text.push_str(&format!("{o}."));
+    }
+    text.push_str("in-addr.arpa");
+    text.parse().expect("valid")
+}
+
+fn reverse_soa(zone: &Name) -> Record {
+    soa(
+        zone,
+        zone.child("ns1").expect("valid"),
+        hostmaster(zone),
+        REVERSE_SOA,
+    )
+}
+
+/// The referral to the reverse zone of `octets` (a /8, /16 or /24): its
+/// hosts `ns1` and, above /24, `ns2`, with their glue.
+fn reverse_referral(octets: &[u8]) -> AuthResponse {
+    let cut = reverse_zone(octets);
+    let hosts: Vec<Name> = (1..=reverse_servers(octets))
+        .map(|j| cut.child(&format!("ns{j}")).expect("valid"))
+        .collect();
+    referral(
+        &cut,
+        &hosts,
+        Some(|server| reverse_role(octets, server).address()),
+    )
+}
+
+/// How many servers the reverse zone of `octets` has: two for a /8 or a
+/// /16, one for a /24.
+fn reverse_servers(octets: &[u8]) -> u8 {
+    if octets.len() == 3 {
+        1
+    } else {
+        2
+    }
+}
+
+/// The role of the reverse zone of `octets`' server `server`.
+fn reverse_role(octets: &[u8], server: u8) -> ServerRole {
+    match *octets {
+        [octet] => ServerRole::Rdns8 { octet, server },
+        [a, b] => ServerRole::Rdns16 { a, b, server },
+        [a, b, c, ..] => ServerRole::Rdns24 { a, b, c },
+        [] => unreachable!("in-addr.arpa is served by the arpa TLD's servers"),
     }
 }
 
@@ -1338,11 +1083,14 @@ fn canonical_u8(label: &[u8]) -> Option<u8> {
     }
 }
 
-/// `k` of a host label `ns<k>` (any letter case).
-fn ns_number(label: &[u8]) -> Option<u8> {
+/// The 0-based server index `k - 1` of a host label `ns<k>` (any letter
+/// case) in a zone of `count` servers.
+fn ns_host(label: &[u8], count: u8) -> Option<u8> {
     match label {
         [n, s, digits @ ..] if n.eq_ignore_ascii_case(&b'n') && s.eq_ignore_ascii_case(&b's') => {
             canonical_u8(digits)
+                .filter(|&k| k >= 1 && k <= count)
+                .map(|k| k - 1)
         }
         _ => None,
     }

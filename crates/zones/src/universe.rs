@@ -28,25 +28,51 @@ pub struct AuthResponse {
 }
 
 impl AuthResponse {
-    /// An empty authoritative NOERROR (NODATA without SOA).
-    pub fn empty() -> AuthResponse {
+    /// An authoritative NOERROR carrying `records`.
+    pub fn answer(records: Vec<Record>) -> AuthResponse {
         AuthResponse {
             rcode: Rcode::NoError,
             authoritative: true,
-            answers: Vec::new(),
+            answers: records,
             authorities: Vec::new(),
             additionals: Vec::new(),
         }
+    }
+
+    /// An authoritative answer with no records but the zone's SOA: NODATA
+    /// under NOERROR, a nonexistent name under NXDOMAIN.
+    pub fn negative(rcode: Rcode, soa: Record) -> AuthResponse {
+        AuthResponse {
+            rcode,
+            authoritative: true,
+            answers: Vec::new(),
+            authorities: vec![soa],
+            additionals: Vec::new(),
+        }
+    }
+
+    /// A referral: the cut's NS records, with glue for those of its hosts
+    /// that have any.
+    pub fn referral(ns: Vec<Record>, glue: Vec<Record>) -> AuthResponse {
+        AuthResponse {
+            rcode: Rcode::NoError,
+            authoritative: false,
+            answers: Vec::new(),
+            authorities: ns,
+            additionals: glue,
+        }
+    }
+
+    /// An empty authoritative NOERROR (NODATA without SOA).
+    pub fn empty() -> AuthResponse {
+        AuthResponse::answer(Vec::new())
     }
 
     /// A REFUSED response — what lame servers send.
     pub fn refused() -> AuthResponse {
         AuthResponse {
             rcode: Rcode::Refused,
-            authoritative: false,
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
+            ..AuthResponse::referral(Vec::new(), Vec::new())
         }
     }
 
@@ -54,53 +80,20 @@ impl AuthResponse {
     pub fn servfail() -> AuthResponse {
         AuthResponse {
             rcode: Rcode::ServFail,
-            authoritative: false,
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
+            ..AuthResponse::referral(Vec::new(), Vec::new())
         }
     }
 
     /// Build from a [`ZoneAnswer`], the shared authoritative semantics.
     pub fn from_zone_answer(answer: ZoneAnswer) -> AuthResponse {
         match answer {
-            ZoneAnswer::Answer { records } => AuthResponse {
-                rcode: Rcode::NoError,
-                authoritative: true,
-                answers: records,
-                authorities: Vec::new(),
-                additionals: Vec::new(),
-            },
-            ZoneAnswer::Cname { chain, .. } => AuthResponse {
-                // The server returns what it has; the resolver restarts on
-                // the out-of-zone target.
-                rcode: Rcode::NoError,
-                authoritative: true,
-                answers: chain,
-                authorities: Vec::new(),
-                additionals: Vec::new(),
-            },
-            ZoneAnswer::Referral { ns, glue, .. } => AuthResponse {
-                rcode: Rcode::NoError,
-                authoritative: false,
-                answers: Vec::new(),
-                authorities: ns,
-                additionals: glue,
-            },
-            ZoneAnswer::NxDomain { soa } => AuthResponse {
-                rcode: Rcode::NxDomain,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            },
-            ZoneAnswer::NoData { soa } => AuthResponse {
-                rcode: Rcode::NoError,
-                authoritative: true,
-                answers: Vec::new(),
-                authorities: vec![soa],
-                additionals: Vec::new(),
-            },
+            ZoneAnswer::Answer { records } => AuthResponse::answer(records),
+            // The server returns what it has; the resolver restarts on the
+            // out-of-zone target.
+            ZoneAnswer::Cname { chain, .. } => AuthResponse::answer(chain),
+            ZoneAnswer::Referral { ns, glue, .. } => AuthResponse::referral(ns, glue),
+            ZoneAnswer::NxDomain { soa } => AuthResponse::negative(Rcode::NxDomain, soa),
+            ZoneAnswer::NoData { soa } => AuthResponse::negative(Rcode::NoError, soa),
             ZoneAnswer::NotInZone => AuthResponse::refused(),
         }
     }
