@@ -686,111 +686,81 @@ impl SyntheticUniverse {
     }
 
     fn respond_arpa(&self, q: &Question) -> AuthResponse {
-        let in_addr: Name = "in-addr.arpa".parse().expect("static");
+        let in_addr = reverse_zone(&[]);
         let arpa = in_addr.parent();
         if !q.name.is_subdomain_of(&arpa) {
             return AuthResponse::refused();
         }
-        let soa = reverse_soa(&in_addr);
-        if q.name == arpa || q.name == in_addr {
-            return AuthResponse::negative(Rcode::NoError, soa);
+        if q.name.is_subdomain_of(&in_addr) {
+            return self.respond_reverse(&[], q);
         }
-        if !q.name.is_subdomain_of(&in_addr) {
-            // ip6.arpa and friends are not modelled: authoritative NXDOMAIN.
-            return AuthResponse::negative(Rcode::NxDomain, soa);
-        }
-        // d.c.b.a.in-addr.arpa → labels[len-3] is `a`.
-        let labels: Vec<&[u8]> = q.name.labels().collect();
-        match canonical_u8(labels[labels.len() - 3]) {
-            Some(a) => reverse_referral(&[a]),
-            None => AuthResponse::negative(Rcode::NxDomain, soa),
+        // `arpa` itself; ip6.arpa and friends are not modelled.
+        let rcode = if q.name == arpa {
+            Rcode::NoError
+        } else {
+            Rcode::NxDomain
+        };
+        AuthResponse::negative(rcode, reverse_soa(&in_addr))
+    }
+
+    /// Whether the reverse zone of an address's leading `octets` is a zone
+    /// of its own: every /8 and /16 is, a /24 where its /16 delegates deeper.
+    fn reverse_delegated(&self, octets: &[u8]) -> bool {
+        match *octets {
+            [a, b, _] => self.rdns16_delegates_deeper(a, b),
+            _ => octets.len() < 3,
         }
     }
 
-    fn respond_rdns8(&self, octet: u8, q: &Question) -> AuthResponse {
-        let apex = reverse_zone(&[octet]);
-        if !q.name.is_subdomain_of(&apex) {
+    /// What the servers of the reverse zone below the leading octets
+    /// `above` answer: `[]` is `in-addr.arpa` on the arpa servers, `[a]`,
+    /// `[a, b]` and `[a, b, c]` the /8, /16 and /24 zones. A name below
+    /// the apex exists if it is one of the zone's name-server hosts, an
+    /// octet node on the way to a PTR name, or at or below a cut, which
+    /// is referred.
+    fn respond_reverse(&self, above: &[u8], q: &Question) -> AuthResponse {
+        let apex = reverse_zone(above);
+        if !q.name.is_subdomain_of(&apex) || !self.reverse_delegated(above) {
             return AuthResponse::refused();
         }
-        let soa = reverse_soa(&apex);
-        let labels: Vec<&[u8]> = q.name.labels().collect();
-        // Handle the zone's own NS host A records (`ns1.<octet>.in-addr.arpa`).
-        if labels.len() == 4 && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            if let Some(server) = ns_host(labels[0], 2) {
-                let host = ServerRole::Rdns8 { octet, server };
-                return host_answer(q, host.address(), || soa);
+        let soa = || reverse_soa(&apex);
+        let nxdomain = || AuthResponse::negative(Rcode::NxDomain, soa());
+        let depth = q.name.label_count() - apex.label_count();
+        let host = q
+            .name
+            .label(0)
+            .and_then(|l| ns_host(l, reverse_servers(above)));
+        if let Some(server) = host.filter(|_| depth == 1) {
+            return host_answer(q, reverse_role(above, server).address(), soa);
+        }
+        // Walk the octets down from the apex to the question's node.
+        let (mut ip, mut len) = ([0; 4], above.len());
+        ip[..len].copy_from_slice(above);
+        for i in (0..depth).rev() {
+            let Some(octet) = q.name.label(i).and_then(canonical_u8).filter(|_| len < 4) else {
+                return nxdomain();
+            };
+            ip[len] = octet;
+            len += 1;
+            if self.reverse_delegated(&ip[..len]) {
+                return reverse_referral(&ip[..len]);
             }
         }
-        if q.name == apex || labels.len() < 4 {
-            return AuthResponse::negative(Rcode::NoError, soa);
-        }
-        // c.b.<octet>.in-addr.arpa or deeper: refer to the /16 zone.
-        match canonical_u8(labels[labels.len() - 4]) {
-            Some(b) => reverse_referral(&[octet, b]),
-            None => AuthResponse::negative(Rcode::NxDomain, soa),
-        }
-    }
-
-    /// The PTR answer for `ip` at its deepest reverse zone, whose SOA is
-    /// `soa`.
-    fn ptr_answer(&self, ip: Ipv4Addr, q: &Question, soa: Record) -> AuthResponse {
-        if q.qtype != RecordType::PTR && q.qtype != RecordType::ANY {
-            return AuthResponse::negative(Rcode::NoError, soa);
-        }
-        if self.ptr_exists(ip) {
-            let ptr = RData::Ptr(self.ptr_name(ip));
+        let [a, b, c, _] = ip;
+        let exists = match len {
+            _ if depth == 0 => true, // the apex
+            4 => self.ptr_exists(Ipv4Addr::from(ip)),
+            // A /24 node in a /16 zone that holds its PTR names.
+            _ => (0..=255).any(|d| self.ptr_exists(Ipv4Addr::new(a, b, c, d))),
+        };
+        if !exists {
+            nxdomain()
+        } else if len == 4 && matches!(q.qtype, RecordType::PTR | RecordType::ANY) {
+            let ptr = RData::Ptr(self.ptr_name(Ipv4Addr::from(ip)));
             AuthResponse::answer(vec![Record::new(q.name.clone(), LEAF_TTL, ptr)])
         } else {
-            AuthResponse::negative(Rcode::NxDomain, soa)
+            AuthResponse::negative(Rcode::NoError, soa())
         }
-    }
-
-    fn respond_rdns16(&self, a: u8, b: u8, q: &Question) -> AuthResponse {
-        let apex = reverse_zone(&[a, b]);
-        if !q.name.is_subdomain_of(&apex) {
-            return AuthResponse::refused();
-        }
-        let soa = reverse_soa(&apex);
-        let labels: Vec<&[u8]> = q.name.labels().collect();
-        // NS host addresses for this zone.
-        if labels.len() == 5 && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            if let Some(server) = ns_host(labels[0], 2) {
-                let host = ServerRole::Rdns16 { a, b, server };
-                return host_answer(q, host.address(), || soa);
-            }
-        }
-        if labels.len() != 6 {
-            // The apex or an empty non-terminal (c.b.a.in-addr.arpa).
-            return AuthResponse::negative(Rcode::NoError, soa);
-        }
-        let (Some(d), Some(c)) = (canonical_u8(labels[0]), canonical_u8(labels[1])) else {
-            return AuthResponse::negative(Rcode::NxDomain, soa);
-        };
-        if self.rdns16_delegates_deeper(a, b) {
-            // This operator splits the zone at /24: refer.
-            return reverse_referral(&[a, b, c]);
-        }
-        self.ptr_answer(Ipv4Addr::new(a, b, c, d), q, soa)
-    }
-
-    fn respond_rdns24(&self, a: u8, b: u8, c: u8, q: &Question) -> AuthResponse {
-        let apex = reverse_zone(&[a, b, c]);
-        if !q.name.is_subdomain_of(&apex) || !self.rdns16_delegates_deeper(a, b) {
-            return AuthResponse::refused();
-        }
-        let soa = reverse_soa(&apex);
-        let labels: Vec<&[u8]> = q.name.labels().collect();
-        if labels.len() != 6 {
-            return AuthResponse::negative(Rcode::NoError, soa);
-        }
-        // NS host address for this zone.
-        if ns_host(labels[0], 1).is_some() && matches!(q.qtype, RecordType::A | RecordType::ANY) {
-            return host_answer(q, ServerRole::Rdns24 { a, b, c }.address(), || soa);
-        }
-        let Some(d) = canonical_u8(labels[0]) else {
-            return AuthResponse::negative(Rcode::NxDomain, soa);
-        };
-        self.ptr_answer(Ipv4Addr::new(a, b, c, d), q, soa)
     }
 
     fn respond_provider(&self, provider: u16, server: u8, q: &Question) -> AuthResponse {
@@ -1046,13 +1016,14 @@ fn reverse_referral(octets: &[u8]) -> AuthResponse {
     )
 }
 
-/// How many servers the reverse zone of `octets` has: two for a /8 or a
-/// /16, one for a /24.
+/// How many name-server hosts the reverse zone of `octets` has: two for a
+/// /8 or a /16, one for a /24, none in `in-addr.arpa` itself (the arpa
+/// TLD's servers serve it).
 fn reverse_servers(octets: &[u8]) -> u8 {
-    if octets.len() == 3 {
-        1
-    } else {
-        2
+    match octets.len() {
+        0 => 0,
+        3 => 1,
+        _ => 2,
     }
 }
 
@@ -1113,9 +1084,9 @@ impl Universe for SyntheticUniverse {
             ServerRole::ProviderAuth { provider, server } => {
                 self.respond_provider(provider, server, question)
             }
-            ServerRole::Rdns8 { octet, .. } => self.respond_rdns8(octet, question),
-            ServerRole::Rdns16 { a, b, .. } => self.respond_rdns16(a, b, question),
-            ServerRole::Rdns24 { a, b, c } => self.respond_rdns24(a, b, c, question),
+            ServerRole::Rdns8 { octet, .. } => self.respond_reverse(&[octet], question),
+            ServerRole::Rdns16 { a, b, .. } => self.respond_reverse(&[a, b], question),
+            ServerRole::Rdns24 { a, b, c } => self.respond_reverse(&[a, b, c], question),
         })
     }
 
@@ -1723,6 +1694,93 @@ mod tests {
         let missing = ask(leaf, "x.9.9.9.in-addr.arpa", RecordType::PTR);
         assert_eq!(missing.rcode, Rcode::NxDomain);
         assert_eq!(ask(leaf, "+1.9.9.9.in-addr.arpa", RecordType::PTR), missing);
+    }
+
+    #[test]
+    fn reverse_names_exist_by_one_rule() {
+        let u = universe();
+        let ask = |server: ServerRole, name: &str, qtype| {
+            u.respond(
+                server.address(),
+                &Question::new(name.parse().unwrap(), qtype),
+            )
+            .unwrap()
+        };
+        let nodata =
+            |r: &AuthResponse| r.rcode == Rcode::NoError && r.authoritative && r.answers.is_empty();
+        // A zone's name-server host exists: NODATA for the types it lacks.
+        let rdns8 = ServerRole::Rdns8 {
+            octet: 10,
+            server: 0,
+        };
+        let host8 = "ns1.10.in-addr.arpa";
+        assert_eq!(ask(rdns8, host8, RecordType::A).answers.len(), 1);
+        for qtype in [RecordType::AAAA, RecordType::TXT] {
+            assert!(nodata(&ask(rdns8, host8, qtype)), "{qtype:?}");
+        }
+        let (a, c) = (20, 7);
+        let deep = (0..=255)
+            .find(|&b| u.rdns16_delegates_deeper(a, b))
+            .unwrap();
+        let flat = (0..=255)
+            .find(|&b| !u.rdns16_delegates_deeper(a, b))
+            .unwrap();
+        let host24 = format!("ns1.{c}.{deep}.{a}.in-addr.arpa");
+        let rdns24 = ServerRole::Rdns24 { a, b: deep, c };
+        assert_eq!(ask(rdns24, &host24, RecordType::A).answers.len(), 1);
+        assert!(nodata(&ask(rdns24, &host24, RecordType::AAAA)));
+        // At or below a cut: the /16 refers, whatever the name below it.
+        let rdns16 = |b| ServerRole::Rdns16 { a, b, server: 0 };
+        let cut: Name = format!("{c}.{deep}.{a}.in-addr.arpa").parse().unwrap();
+        for name in [cut.to_string(), host24, format!("x.1.{cut}")] {
+            let referral = ask(rdns16(deep), &name, RecordType::A);
+            assert!(!referral.authoritative, "{name}");
+            assert_eq!(referral.authorities[0].name, cut, "{name}");
+        }
+        // A /16 that holds its PTR names: the /24 node above them exists,
+        // a name that is neither an octet nor a host does not, and nothing
+        // exists below a PTR name.
+        let node = format!("{c}.{flat}.{a}.in-addr.arpa");
+        assert!(nodata(&ask(rdns16(flat), &node, RecordType::A)));
+        for (server, name) in [
+            (rdns16(flat), format!("x.{flat}.{a}.in-addr.arpa")),
+            (rdns16(flat), format!("ns3.{flat}.{a}.in-addr.arpa")),
+            (rdns16(flat), format!("x.1.{node}")),
+            (rdns24, format!("x.1.{cut}")),
+            (
+                ServerRole::Rdns16 {
+                    a: 10,
+                    b: 20,
+                    server: 0,
+                },
+                "x.20.10.in-addr.arpa".to_string(),
+            ),
+        ] {
+            let answer = ask(server, &name, RecordType::A);
+            assert_eq!(answer.rcode, Rcode::NxDomain, "{name}");
+        }
+        // An address's name exists exactly when it has a PTR record, for
+        // every type asked.
+        let mut seen = [false; 2];
+        for d in 0..40 {
+            let ip = Ipv4Addr::new(a, flat, c, d);
+            let name = Name::reverse_ipv4(ip).to_string();
+            let answer = ask(rdns16(flat), &name, RecordType::A);
+            assert_eq!(answer.rcode == Rcode::NoError, u.ptr_exists(ip), "{name}");
+            seen[usize::from(u.ptr_exists(ip))] = true;
+        }
+        assert_eq!(seen, [true; 2]);
+        // Reserved space holds no PTR names, so no /24 node above them.
+        let b = (0..=255)
+            .find(|&b| !u.rdns16_delegates_deeper(10, b))
+            .unwrap();
+        let reserved = ServerRole::Rdns16 {
+            a: 10,
+            b,
+            server: 0,
+        };
+        let node = format!("{c}.{b}.10.in-addr.arpa");
+        assert_eq!(ask(reserved, &node, RecordType::A).rcode, Rcode::NxDomain);
     }
 
     /// `domain_profile` as one function, the way it was written before the
