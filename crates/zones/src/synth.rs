@@ -1783,158 +1783,14 @@ mod tests {
         assert_eq!(ask(reserved, &node, RecordType::A).rcode, Rcode::NxDomain);
     }
 
-    /// `domain_profile` as one function, the way it was written before the
-    /// responders read facts one at a time: the reference every per-fact
-    /// derivation is held to. It finds the TLD and the provider domains by
-    /// scanning the registries rather than through their indexes.
-    fn profile_oracle(u: &SyntheticUniverse, base: &Name) -> DomainProfile {
-        let key = base.to_ascii_lower().into_bytes();
-        let seed = u.seed();
-        let own =
-            u.providers().all().iter().find(|p| {
-                u.providers().ns_domain(p.index).parse::<Name>().ok() == Some(base.clone())
-            });
-        let provider = own.unwrap_or_else(|| u.providers().sample(h64(seed, "provider", &key)));
-        let tld = base.labels().last().and_then(|last| {
-            let label = String::from_utf8_lossy(last).to_ascii_lowercase();
-            u.tlds().all().iter().find(|t| t.label == label)
-        });
-        let exists = own.is_some()
-            || tld.is_some_and(|t| {
-                t.category != TldCategory::Infra && chance(seed, "exists", &key, DOMAIN_EXISTS)
-            });
-        let tld_label = tld.map(|t| t.label.as_str()).unwrap_or("");
-        let tld_category = tld.map(|t| t.category);
-
-        let www = if chance(seed, "www-exists", &key, WWW_EXISTS) {
-            if chance(seed, "www-cname", &key, WWW_CNAME) {
-                WwwKind::CnameToApex
-            } else {
-                WwwKind::ARecord
-            }
-        } else {
-            WwwKind::Absent
-        };
-        let has_txt = chance(seed, "txt", &key, TXT);
-        let caa_rate = match (tld_category, tld_label) {
-            (Some(TldCategory::CcTld), "pl") => CAA_PL,
-            (Some(TldCategory::CcTld), _) => CAA_CCTLD,
-            (Some(TldCategory::Infra), _) | (None, _) => 0.0,
-            _ => CAA_GTLD,
-        };
-        let mut caa_records = Vec::new();
-        let mut caa_via_cname = false;
-        if chance(seed, "caa", &key, caa_rate) {
-            caa_via_cname = chance(seed, "caa-cname", &key, CAA_VIA_CNAME);
-            let iodef_only = chance(seed, "caa-iodef-only", &key, CAA_IODEF_ONLY);
-            let invalid_rate = if provider.index == CAA_INVALID_REGISTRAR {
-                CAA_INVALID * CAA_INVALID_AT_REGISTRAR
-            } else {
-                CAA_INVALID * CAA_INVALID_ELSEWHERE
-            };
-            if chance(seed, "caa-invalid", &key, invalid_rate) {
-                caa_records.push(Caa {
-                    flags: 0,
-                    tag: b"issuer".to_vec(),
-                    value: b"comodoca.com".to_vec(),
-                });
-            } else if iodef_only {
-                caa_records.push(Caa {
-                    flags: 0,
-                    tag: b"iodef".to_vec(),
-                    value: b"mailto:security@visa-like.example".to_vec(),
-                });
-            } else {
-                if chance(seed, "caa-issue", &key, CAA_ISSUE) {
-                    if chance(seed, "caa-le", &key, CAA_LETSENCRYPT) {
-                        caa_records.push(issue_record("issue", "letsencrypt.org"));
-                    }
-                    if chance(seed, "caa-comodo", &key, CAA_COMODO) {
-                        caa_records.push(issue_record("issue", "comodoca.com"));
-                    }
-                    if chance(seed, "caa-digicert", &key, CAA_DIGICERT) {
-                        caa_records.push(issue_record("issue", "digicert.com"));
-                    }
-                    if caa_records.is_empty() {
-                        caa_records.push(issue_record("issue", "pki.goog"));
-                    }
-                }
-                if chance(seed, "caa-issuewild", &key, CAA_ISSUEWILD) {
-                    let wild_val = if chance(seed, "caa-le-wild", &key, CAA_LETSENCRYPT) {
-                        "letsencrypt.org"
-                    } else {
-                        "digicert.com"
-                    };
-                    caa_records.push(issue_record("issuewild", wild_val));
-                }
-                if chance(seed, "caa-iodef", &key, CAA_IODEF) {
-                    caa_records.push(Caa {
-                        flags: 0,
-                        tag: b"iodef".to_vec(),
-                        value: format!("mailto:hostmaster@{}", base.to_ascii_lower()).into_bytes(),
-                    });
-                }
-            }
-        }
-        let deep_rate = if provider.index == PROVIDER_NAMEBRIGHT {
-            FLAKY_DEEP_NAMEBRIGHT
-        } else {
-            match tld_label {
-                "vn" => FLAKY_DEEP_VN,
-                "ng" => FLAKY_DEEP_NG,
-                _ => FLAKY_DEEP,
-            }
-        };
-        let ns_count = provider.ns_count;
-        let flaky_ns = (h64(seed, "flaky-ns", &key) % ns_count as u64) as u8;
-        let flaky = if chance(seed, "flaky-deep", &key, deep_rate) {
-            Some(FlakyNs {
-                ns_index: flaky_ns,
-                drop_prob: DEEP_DROP,
-                deep: true,
-            })
-        } else if chance(seed, "flaky-light", &key, FLAKY_LIGHT) {
-            Some(FlakyNs {
-                ns_index: flaky_ns,
-                drop_prob: LIGHT_DROP,
-                deep: false,
-            })
-        } else {
-            None
-        };
-        DomainProfile {
-            base: base.clone(),
-            exists,
-            provider: provider.index,
-            ns_count,
-            apex_a: host_address(h64(seed, "apex-a", &key)),
-            has_aaaa: chance(seed, "aaaa", &key, AAAA),
-            www,
-            has_mx: chance(seed, "mx", &key, MX),
-            has_txt,
-            has_spf: has_txt && chance(seed, "spf", &key, SPF_GIVEN_TXT),
-            has_wildcard: chance(seed, "wildcard", &key, WILDCARD),
-            caa_records,
-            caa_via_cname,
-            lame_ns: chance(seed, "lame", &key, LAME)
-                .then(|| (h64(seed, "lame-ns", &key) % ns_count as u64) as u8),
-            glueless: chance(seed, "glueless", &key, GLUELESS),
-            inconsistent: !provider.consistent || chance(seed, "inconsistent", &key, INCONSISTENT),
-            flaky,
-        }
-    }
-
     #[test]
-    fn per_fact_derivations_match_the_profile() {
+    fn a_mixed_case_spelling_has_the_lower_case_profile() {
         let u = universe();
         let mut rng = crate::hashing::splitmix64(0xBA5E);
-        let mut next = move || {
-            rng = crate::hashing::splitmix64(rng);
-            rng
-        };
-        // A 0x20 spelling of `text`, so every key must be case-folded.
+        // A 0x20 spelling of `text`: every fact must hash the folded key.
         let mut spelled = |text: &str| -> Name {
-            let mask = next();
+            rng = crate::hashing::splitmix64(rng);
+            let mask = rng;
             text.char_indices()
                 .map(|(i, c)| match mask >> (i % 64) & 1 {
                     1 => c.to_ascii_uppercase(),
@@ -1945,71 +1801,24 @@ mod tests {
                 .unwrap()
         };
         let tlds = u.tlds().all();
-        let mut bases: Vec<Name> = (0..3_000)
+        let mut bases: Vec<Name> = (0..2_000)
             .map(|i| spelled(&format!("r{i}.{}", tlds[i * 7919 % tlds.len()].label)))
             .collect();
-        for tld in ["pl", "vn", "ng"] {
-            bases.extend((0..400).map(|i| spelled(&format!("c{i}.{tld}"))));
-        }
+        bases.extend((0..400).map(|i| spelled(&format!("c{i}.pl"))));
         bases.extend(
-            u.providers()
-                .all()
-                .iter()
-                .map(|p| spelled(&u.providers().ns_domain(p.index))),
+            (u.providers().all().iter()).map(|p| spelled(&u.providers().ns_domain(p.index))),
         );
-        let namebright: Vec<Name> = (0..200_000)
-            .map(|i| format!("nb{i}.com").parse::<Name>().unwrap())
-            .filter(|n| u.domain_profile(n).provider == PROVIDER_NAMEBRIGHT)
-            .take(40)
-            .collect();
-        assert_eq!(namebright.len(), 40);
-        bases.extend(namebright);
-        // Labels whose text form escapes: the key is the escaped text.
+        // A label whose text form escapes: the key is the escaped text.
         bases.push(Name::from_labels([&b"we.i\\rd\xff"[..], b"COM"]).unwrap());
-
-        let (mut flaky, mut caa) = (0, 0);
+        let mut caa = 0;
         for base in &bases {
-            let want = profile_oracle(&u, base);
-            assert_eq!(
-                format!("{:?}", u.domain_profile(base)),
-                format!("{want:?}"),
-                "{base}"
-            );
-            // What a responder builds from a question below the base.
-            let qname = base.child("www").unwrap();
-            let below = u.base_of(&qname).unwrap();
-            let b = u.base(&below);
-            let provider = u.provider(&b);
-            let got = (
-                (u.exists(&b), provider.index, provider.ns_count),
-                (u.apex_a(&b), u.has_aaaa(&b), u.www(&b), u.has_mx(&b)),
-                (u.has_txt(&b), u.has_txt(&b) && u.spf_given_txt(&b)),
-                (u.has_wildcard(&b), u.lame_ns(&b, provider)),
-                (u.glueless(&b), u.inconsistent(&b, provider)),
-            );
-            let expected = (
-                (want.exists, want.provider, want.ns_count),
-                (want.apex_a, want.has_aaaa, want.www, want.has_mx),
-                (want.has_txt, want.has_spf),
-                (want.has_wildcard, want.lame_ns),
-                (want.glueless, want.inconsistent),
-            );
-            assert_eq!(got, expected, "{base}");
-            let (records, via_cname) = u.caa(&b, provider);
-            assert_eq!(
-                format!("{records:?} {via_cname}"),
-                format!("{:?} {}", want.caa_records, want.caa_via_cname),
-                "{base}"
-            );
-            assert_eq!(
-                format!("{:?}", u.flaky(&b, provider)),
-                format!("{:?}", want.flaky),
-                "{base}"
-            );
-            flaky += usize::from(want.flaky.is_some());
+            let lower = Name::from_labels(base.labels().map(|l| l.to_ascii_lowercase())).unwrap();
+            let want = u.domain_profile(&lower);
+            let mut got = u.domain_profile(base);
+            got.base = lower;
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{base}");
             caa += usize::from(!want.caa_records.is_empty());
         }
-        // The sample must reach the rare facts it is meant to hold.
-        assert!(flaky > 5 && caa > 20, "{flaky} flaky, {caa} with CAA");
+        assert!(caa > 10, "only {caa} with CAA");
     }
 }
