@@ -14,7 +14,7 @@
 //! * [`modules`] — composable lookup modules (raw types, alookup, mxlookup,
 //!   caalookup, SPF/DMARC, `--all-nameservers`).
 //! * [`framework`] — scan orchestration, configuration, JSON-lines output.
-//! * [`baselines`] — behavioural models of dig, Unbound, and MassDNS.
+//! * [`baselines`] — behavioural models of Unbound and MassDNS.
 //! * [`workloads`] — the CT-log-like corpus (Table 3) and IPv4 workloads.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, DESIGN.md for the
