@@ -404,6 +404,11 @@ const DELETED_NAMES: &[&str] = &[
     concat!("same_", "hash"),
     concat!("repoint_", "index"),
     concat!("run_real", "_scan"),
+    concat!("dig_trace", "_machine"),
+    concat!("dig_batch", "_engine_config"),
+    concat!("dig_forked", "_engine_config"),
+    concat!("dig_external", "_machine"),
+    concat!("profile_", "oracle"),
 ];
 
 #[test]
