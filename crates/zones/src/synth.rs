@@ -617,11 +617,8 @@ impl SyntheticUniverse {
             );
             return AuthResponse::negative(Rcode::NxDomain, root_soa);
         };
-        let names = self.tld_names(tld);
-        let glue = |server| {
-            let tld_index = tld.index;
-            ServerRole::Tld { tld_index, server }.address()
-        };
+        let (names, tld_index) = (self.tld_names(tld), tld.index);
+        let glue = |server| ServerRole::Tld { tld_index, server }.address();
         referral(&names.apex, &names.hosts, Some(glue))
     }
 
@@ -1032,8 +1029,8 @@ fn reverse_role(octets: &[u8], server: u8) -> ServerRole {
     match *octets {
         [octet] => ServerRole::Rdns8 { octet, server },
         [a, b] => ServerRole::Rdns16 { a, b, server },
-        [a, b, c, ..] => ServerRole::Rdns24 { a, b, c },
-        [] => unreachable!("in-addr.arpa is served by the arpa TLD's servers"),
+        [a, b, c] => ServerRole::Rdns24 { a, b, c },
+        _ => unreachable!("only the /8, /16 and /24 zones have servers of their own"),
     }
 }
 
