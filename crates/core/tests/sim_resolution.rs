@@ -9,6 +9,7 @@ use zdns_core::{collecting_sink, Resolver, ResolverConfig, Status};
 use zdns_netsim::{Engine, EngineConfig, PublicResolverConfig, PublicResolverSim};
 use zdns_wire::rdata::TxtData;
 use zdns_wire::{Name, Question, RData, Record, RecordType};
+use zdns_zones::tlds::TldCategory;
 use zdns_zones::{ExplicitUniverse, SynthConfig, SyntheticUniverse, Universe, Zone};
 
 fn universe() -> Arc<SyntheticUniverse> {
@@ -404,6 +405,74 @@ fn a_delegation_loop_ends_after_64_queries() {
         (Status::IterativeTimeout, 64),
         "{result:?}"
     );
+}
+
+/// The NS set and the SOA of every kind of infrastructure apex — the root,
+/// a gTLD, a ccTLD, `arpa`, `in-addr.arpa`, a /8, a /16 that delegates its
+/// /24s and one that does not, and a /24 — are answered, and the iterative
+/// machine (on the simulator) finds what the oracle finds.
+#[test]
+fn the_machine_and_the_oracle_agree_on_every_infrastructure_apex() {
+    let set = |records: &[Record]| {
+        let mut set: Vec<String> = (records.iter())
+            .map(|r| format!("{} {:?} {:?}", r.name, r.rtype, r.rdata))
+            .collect();
+        set.sort();
+        set
+    };
+    for seed in [1, 2, 3] {
+        let u = Arc::new(SyntheticUniverse::new(SynthConfig {
+            seed,
+            ..SynthConfig::default()
+        }));
+        let tlds = u.tlds().all();
+        let cc = tlds.iter().find(|t| t.category == TldCategory::CcTld);
+        let a = 20;
+        let deep = (0..=255)
+            .find(|&b| u.rdns16_delegates_deeper(a, b))
+            .unwrap();
+        let flat = (0..=255)
+            .find(|&b| !u.rdns16_delegates_deeper(a, b))
+            .unwrap();
+        let apexes = [
+            ".".to_string(),
+            "com".to_string(),
+            cc.unwrap().label.clone(),
+            "arpa".to_string(),
+            "in-addr.arpa".to_string(),
+            format!("{a}.in-addr.arpa"),
+            format!("{deep}.{a}.in-addr.arpa"),
+            format!("{flat}.{a}.in-addr.arpa"),
+            format!("7.{deep}.{a}.in-addr.arpa"),
+        ];
+        let questions: Vec<Question> = (apexes.iter())
+            .flat_map(|apex| {
+                [RecordType::NS, RecordType::SOA].map(|t| Question::new(name(apex), t))
+            })
+            .collect();
+        let resolver = iterative_resolver(&u);
+        let mut engine = Engine::new(
+            EngineConfig {
+                threads: 1,
+                ..EngineConfig::default()
+            },
+            Arc::clone(&u) as Arc<dyn Universe>,
+        );
+        let (sink, collected) = collecting_sink();
+        let mut asked = questions.clone().into_iter();
+        engine.run(move || Some(resolver.machine(asked.next()?, Some(sink.clone()))));
+        let results = collected.lock();
+        for q in &questions {
+            let got = (results.iter())
+                .find(|r| r.name == q.name && r.qtype == q.qtype)
+                .unwrap();
+            let want = zdns_netsim::oracle::resolve(&*u, q);
+            let what = format!("seed {seed}: {} {:?}", q.name, q.qtype);
+            assert_eq!(got.status, Status::from_rcode(want.rcode), "{what}");
+            assert!(!want.answers.is_empty(), "{what}");
+            assert_eq!(set(&got.answers), set(&want.answers), "{what}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -409,6 +409,7 @@ const DELETED_NAMES: &[&str] = &[
     concat!("dig_forked", "_engine_config"),
     concat!("dig_external", "_machine"),
     concat!("profile_", "oracle"),
+    concat!("respond_", "arpa"),
 ];
 
 #[test]

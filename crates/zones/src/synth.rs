@@ -127,6 +127,8 @@ const CAA_COMODO: f64 = 0.52;
 const CAA_DIGICERT: f64 = 0.51;
 
 // TTLs.
+/// TTL for the root's NS records and its servers' addresses.
+const ROOT_NS_TTL: u32 = 518_400;
 /// TTL for infrastructure (NS/glue) records.
 const INFRA_TTL: u32 = 172_800;
 /// TTL for leaf records.
@@ -268,6 +270,8 @@ pub struct SyntheticUniverse {
     /// Each provider's `ns<k+1>.<label>.com` hosts, built on first use.
     provider_hosts: Vec<OnceLock<Vec<Name>>>,
     tld_names: Vec<OnceLock<TldNames>>,
+    /// `a.root-servers.net` … `m.root-servers.net`.
+    root_hosts: Vec<Name>,
     arpa_index: u16,
 }
 
@@ -285,6 +289,10 @@ impl SyntheticUniverse {
         SyntheticUniverse {
             provider_hosts: providers.all().iter().map(|_| OnceLock::new()).collect(),
             tld_names: tlds.all().iter().map(|_| OnceLock::new()).collect(),
+            root_hosts: (b'a'..=b'm')
+                .map(|letter| format!("{}.root-servers.net", letter as char))
+                .map(|host| host.parse().expect("valid"))
+                .collect(),
             cfg,
             tlds,
             providers,
@@ -595,109 +603,70 @@ impl SyntheticUniverse {
     // ---- responders ------------------------------------------------------
 
     fn respond_root(&self, q: &Question) -> AuthResponse {
-        if q.name.is_root() {
-            // Priming query: all roots + glue.
-            let hints = self.root_hints();
-            let wants_ns = matches!(q.qtype, RecordType::NS | RecordType::ANY);
-            let ns = (hints.iter().filter(|_| wants_ns))
-                .map(|(n, _)| Record::new(Name::root(), 518_400, RData::Ns(n.clone())));
-            let mut primed = AuthResponse::answer(ns.collect());
-            primed.additionals = hints
-                .iter()
-                .map(|(n, a)| Record::new(n.clone(), 518_400, RData::A(*a)))
-                .collect();
-            return primed;
-        }
-        let Some(tld) = self.tld_of(&q.name) else {
-            let root_soa = soa(
-                &Name::root(),
-                "a.root-servers.net".parse().expect("static"),
-                "nstld.verisign-grs.com".parse().expect("static"),
-                ROOT_SOA,
-            );
-            return AuthResponse::negative(Rcode::NxDomain, root_soa);
+        let zone = ZoneApex {
+            apex: &Name::root(),
+            hosts: self.root_hosts.len() as u8,
+            host: &|k| self.root_hosts[usize::from(k)].clone(),
+            host_parent: None,
+            address: &|index| ServerRole::Root { index }.address(),
+            ns_ttl: ROOT_NS_TTL,
+            soa: ROOT_SOA,
         };
-        let (names, tld_index) = (self.tld_names(tld), tld.index);
-        let glue = |server| ServerRole::Tld { tld_index, server }.address();
-        referral(&names.apex, &names.hosts, Some(glue))
+        respond_zone(&zone, q, || {
+            let Some(tld) = self.tld_of(&q.name) else {
+                return AuthResponse::negative(Rcode::NxDomain, zone.soa());
+            };
+            let (names, tld_index) = (self.tld_names(tld), tld.index);
+            let glue = |server| ServerRole::Tld { tld_index, server }.address();
+            referral(&names.apex, &names.hosts, Some(glue))
+        })
     }
 
     fn respond_tld(&self, tld_index: u16, q: &Question) -> AuthResponse {
         let Some(tld) = self.tlds.by_index(tld_index) else {
             return AuthResponse::refused();
         };
-        // The arpa servers also serve in-addr.arpa.
-        if tld.index == self.arpa_index {
-            return self.respond_arpa(q);
-        }
         let names = self.tld_names(tld);
-        if !q.name.is_subdomain_of(&names.apex) {
-            return AuthResponse::refused();
-        }
-        let apex = &names.apex;
-        let soa = || soa(apex, names.hosts[0].clone(), hostmaster(apex), TLD_SOA);
-        if q.name == *apex {
-            let mut answers = Vec::new();
-            if matches!(q.qtype, RecordType::NS | RecordType::ANY) {
-                answers.extend(
-                    (names.hosts.iter())
-                        .map(|host| Record::new(apex.clone(), INFRA_TTL, RData::Ns(host.clone()))),
-                );
-            }
-            if matches!(q.qtype, RecordType::SOA | RecordType::ANY) {
-                answers.push(soa());
-            }
-            if answers.is_empty() {
-                return AuthResponse::negative(Rcode::NoError, soa());
-            }
-            return AuthResponse::answer(answers);
-        }
-        // The TLD's own name servers, `ns<j>.nic.<tld>`.
-        if q.name.is_subdomain_of(&names.nic) {
-            let depth = q.name.label_count() - names.nic.label_count();
-            let host = q.name.label(0).and_then(|l| ns_host(l, tld.server_count));
-            if let Some(server) = host.filter(|_| depth == 1) {
-                return host_answer(q, ServerRole::Tld { tld_index, server }.address(), soa);
-            }
-            // `nic.<tld>` itself owns nothing but has the host names below
-            // it: an empty non-terminal, which exists (RFC 8020).
-            let rcode = if depth == 0 {
-                Rcode::NoError
-            } else {
-                Rcode::NxDomain
-            };
-            return AuthResponse::negative(rcode, soa());
-        }
-        let Some(base) = self.base_of(&q.name) else {
-            return AuthResponse::refused();
+        let zone = ZoneApex {
+            apex: &names.apex,
+            hosts: tld.server_count,
+            host: &|k| names.hosts[usize::from(k)].clone(),
+            host_parent: Some(&names.nic),
+            address: &|server| ServerRole::Tld { tld_index, server }.address(),
+            ns_ttl: INFRA_TTL,
+            soa: TLD_SOA,
         };
-        let b = self.base(&base);
-        if !self.exists(&b) {
-            return AuthResponse::negative(Rcode::NxDomain, soa());
+        if tld_index == self.arpa_index {
+            // The arpa servers also serve in-addr.arpa, a zone of its own.
+            let in_addr = reverse_zone(&[]);
+            if q.name.is_subdomain_of(&in_addr) {
+                let zone = ZoneApex {
+                    apex: &in_addr,
+                    host_parent: None,
+                    soa: REVERSE_SOA,
+                    ..zone
+                };
+                return respond_zone(&zone, q, || self.reverse_below(&[], &zone, q));
+            }
         }
-        let p = self.provider(&b);
-        let provider = p.index;
-        let glue = |server| ServerRole::ProviderAuth { provider, server }.address();
-        let glue = (!self.glueless(&b)).then_some(glue);
-        referral(&base, self.provider_hosts(p), glue)
-    }
-
-    fn respond_arpa(&self, q: &Question) -> AuthResponse {
-        let in_addr = reverse_zone(&[]);
-        let arpa = in_addr.parent();
-        if !q.name.is_subdomain_of(&arpa) {
-            return AuthResponse::refused();
-        }
-        if q.name.is_subdomain_of(&in_addr) {
-            return self.respond_reverse(&[], q);
-        }
-        // `arpa` itself; ip6.arpa and friends are not modelled.
-        let rcode = if q.name == arpa {
-            Rcode::NoError
-        } else {
-            Rcode::NxDomain
-        };
-        AuthResponse::negative(rcode, reverse_soa(&in_addr))
+        respond_zone(&zone, q, || {
+            // `nic.<tld>` owns nothing but has the host names below it: an
+            // empty non-terminal, which exists (RFC 8020); nothing else
+            // below it does.
+            if q.name == names.nic {
+                return AuthResponse::negative(Rcode::NoError, zone.soa());
+            }
+            let base = q.name.suffix(2);
+            let b = self.base(&base);
+            if q.name.is_subdomain_of(&names.nic) || !self.exists(&b) {
+                return AuthResponse::negative(Rcode::NxDomain, zone.soa());
+            }
+            let p = self.provider(&b);
+            let provider = p.index;
+            let glue = |server| ServerRole::ProviderAuth { provider, server }.address();
+            let glue = (!self.glueless(&b)).then_some(glue);
+            referral(&base, self.provider_hosts(p), glue)
+        })
     }
 
     /// Whether the reverse zone of an address's leading `octets` is a zone
@@ -709,31 +678,34 @@ impl SyntheticUniverse {
         }
     }
 
-    /// What the servers of the reverse zone below the leading octets
-    /// `above` answer: `[]` is `in-addr.arpa` on the arpa servers, `[a]`,
-    /// `[a, b]` and `[a, b, c]` the /8, /16 and /24 zones. A name below
-    /// the apex exists if it is one of the zone's name-server hosts, an
-    /// octet node on the way to a PTR name, or at or below a cut, which
-    /// is referred.
+    /// What the servers of the /8, /16 or /24 reverse zone of the leading
+    /// octets `above` answer.
     fn respond_reverse(&self, above: &[u8], q: &Question) -> AuthResponse {
-        let apex = reverse_zone(above);
-        if !q.name.is_subdomain_of(&apex) || !self.reverse_delegated(above) {
+        if !self.reverse_delegated(above) {
             return AuthResponse::refused();
         }
-        let soa = || reverse_soa(&apex);
-        let nxdomain = || AuthResponse::negative(Rcode::NxDomain, soa());
-        let depth = q.name.label_count() - apex.label_count();
-        let host = q
-            .name
-            .label(0)
-            .and_then(|l| ns_host(l, reverse_servers(above)));
-        if let Some(server) = host.filter(|_| depth == 1) {
-            return host_answer(q, reverse_role(above, server).address(), soa);
-        }
+        let apex = reverse_zone(above);
+        let zone = ZoneApex {
+            apex: &apex,
+            hosts: reverse_servers(above),
+            host: &|k| reverse_host(&apex, k),
+            host_parent: Some(&apex),
+            address: &|server| reverse_role(above, server).address(),
+            ns_ttl: INFRA_TTL,
+            soa: REVERSE_SOA,
+        };
+        respond_zone(&zone, q, || self.reverse_below(above, &zone, q))
+    }
+
+    /// A name below the apex of the reverse zone of the octets `above` (`[]`
+    /// is `in-addr.arpa`): referred at or below a delegated octet node, else
+    /// existing if it is an octet node on the way to a PTR name.
+    fn reverse_below(&self, above: &[u8], zone: &ZoneApex<'_>, q: &Question) -> AuthResponse {
+        let nxdomain = || AuthResponse::negative(Rcode::NxDomain, zone.soa());
         // Walk the octets down from the apex to the question's node.
         let (mut ip, mut len) = ([0; 4], above.len());
         ip[..len].copy_from_slice(above);
-        for i in (0..depth).rev() {
+        for i in (0..q.name.label_count() - zone.apex.label_count()).rev() {
             let Some(octet) = q.name.label(i).and_then(canonical_u8).filter(|_| len < 4) else {
                 return nxdomain();
             };
@@ -745,7 +717,6 @@ impl SyntheticUniverse {
         }
         let [a, b, c, _] = ip;
         let exists = match len {
-            _ if depth == 0 => true, // the apex
             4 => self.ptr_exists(Ipv4Addr::from(ip)),
             // A /24 node in a /16 zone that holds its PTR names.
             _ => (0..=255).any(|d| self.ptr_exists(Ipv4Addr::new(a, b, c, d))),
@@ -756,28 +727,23 @@ impl SyntheticUniverse {
             let ptr = RData::Ptr(self.ptr_name(Ipv4Addr::from(ip)));
             AuthResponse::answer(vec![Record::new(q.name.clone(), LEAF_TTL, ptr)])
         } else {
-            AuthResponse::negative(Rcode::NoError, soa())
+            AuthResponse::negative(Rcode::NoError, zone.soa())
         }
     }
 
     fn respond_provider(&self, provider: u16, server: u8, q: &Question) -> AuthResponse {
-        let Some(p) = self.providers.by_index(provider) else {
-            return AuthResponse::refused();
-        };
-        if server >= p.ns_count {
-            return AuthResponse::refused();
-        }
-        let Some(base) = self.base_of(&q.name) else {
+        let (p, base) = (self.providers.by_index(provider), self.base_of(&q.name));
+        let (Some(p), Some(base)) = (p.filter(|p| server < p.ns_count), base) else {
             return AuthResponse::refused();
         };
         let b = self.base(&base);
-        if !self.exists(&b) || self.provider(&b).index != provider {
-            // Lame: this server is not authoritative for the name.
-            return AuthResponse::refused();
-        }
-        // A lame NS answers REFUSED even for its own domains (§3.1's lame
+        // Lame: this server is not authoritative for the name, or is a lame
+        // NS, which answers REFUSED even for its own domains (§3.1's lame
         // delegations).
-        if self.lame_ns(&b, p) == Some(server) {
+        if !self.exists(&b)
+            || self.provider(&b).index != provider
+            || self.lame_ns(&b, p) == Some(server)
+        {
             return AuthResponse::refused();
         }
         self.leaf_answer(p, server, &b, q)
@@ -800,21 +766,31 @@ impl SyntheticUniverse {
     fn leaf_answer(&self, p: &Provider, server: u8, b: &Base<'_>, q: &Question) -> AuthResponse {
         let base = b.name;
         let ttl = LEAF_TTL;
-        let hosts = self.provider_hosts(p);
-        let soa = || soa(base, hosts[0].clone(), hostmaster(base), LEAF_SOA);
-        let nodata = || AuthResponse::negative(Rcode::NoError, soa());
+        let provider = p.index;
+        let zone = ZoneApex {
+            apex: base,
+            hosts: p.ns_count,
+            host: &|k| self.provider_hosts(p)[usize::from(k)].clone(),
+            // The provider's own NS-host domain answers its ns<k> A records.
+            host_parent: (b.own_provider == Some(provider)).then_some(base),
+            address: &|server| ServerRole::ProviderAuth { provider, server }.address(),
+            ns_ttl: ttl,
+            soa: LEAF_SOA,
+        };
+        let nodata = || AuthResponse::negative(Rcode::NoError, zone.soa());
         let apex_a = || Record::new(base.clone(), ttl, RData::A(self.apex_a_value(b, p, server)));
         let one = |rdata| AuthResponse::answer(vec![Record::new(q.name.clone(), ttl, rdata)]);
         let wants_a = matches!(q.qtype, RecordType::A | RecordType::ANY);
         // A name that owns nothing of its own: the wildcard's data where
         // the domain has one, NXDOMAIN otherwise.
         let nonexistent = || match (self.has_wildcard(b), wants_a) {
-            (false, _) => AuthResponse::negative(Rcode::NxDomain, soa()),
+            (false, _) => AuthResponse::negative(Rcode::NxDomain, zone.soa()),
             (true, true) => one(RData::A(self.apex_a_value(b, p, server))),
             (true, false) => nodata(),
         };
 
-        if q.name == *base {
+        // The apex's own data; its NS set and SOA are the zone rule's.
+        if q.name == *base && !matches!(q.qtype, RecordType::NS | RecordType::SOA) {
             return match q.qtype {
                 RecordType::A | RecordType::ANY => AuthResponse::answer(vec![apex_a()]),
                 RecordType::AAAA if self.has_aaaa(b) => {
@@ -831,12 +807,6 @@ impl SyntheticUniverse {
                     ];
                     one(RData::Aaaa(segs.into()))
                 }
-                RecordType::NS => AuthResponse::answer(
-                    (hosts.iter())
-                        .map(|host| Record::new(base.clone(), ttl, RData::Ns(host.clone())))
-                        .collect(),
-                ),
-                RecordType::SOA => AuthResponse::answer(vec![soa()]),
                 RecordType::MX if self.has_mx(b) => one(RData::Mx(Mx {
                     preference: 10,
                     exchange: base.child("mail").expect("valid"),
@@ -872,87 +842,143 @@ impl SyntheticUniverse {
             };
         }
 
-        // Subdomain handling.
-        let sub_label = q.name.label(0).unwrap_or(b"");
-        let depth = q.name.label_count() - base.label_count();
-        let sub_a = |label: &[u8]| {
-            let h = h64_joined(self.seed(), "sub-a", b.key(), label);
-            RData::A(host_address(h))
-        };
-        if depth == 1 {
-            // The provider's own NS-host domain answers its ns<k> A records.
-            if b.own_provider == Some(p.index) {
-                if let Some(k) = ns_host(sub_label, p.ns_count) {
-                    let host = ServerRole::ProviderAuth {
-                        provider: p.index,
-                        server: k,
+        respond_zone(&zone, q, || {
+            let sub_label = q.name.label(0).unwrap_or(b"");
+            let depth = q.name.label_count() - base.label_count();
+            let sub_a = |label: &[u8]| {
+                let h = h64_joined(self.seed(), "sub-a", b.key(), label);
+                RData::A(host_address(h))
+            };
+            if depth == 1 {
+                if sub_label.eq_ignore_ascii_case(b"www") {
+                    return match self.www(b) {
+                        WwwKind::Absent => nonexistent(),
+                        WwwKind::CnameToApex => {
+                            let mut records =
+                                vec![Record::new(q.name.clone(), ttl, RData::Cname(base.clone()))];
+                            if wants_a {
+                                records.push(apex_a());
+                            }
+                            AuthResponse::answer(records)
+                        }
+                        WwwKind::ARecord if wants_a => one(sub_a(b"|www")),
+                        WwwKind::ARecord => nodata(),
                     };
-                    return host_answer(q, host.address(), soa);
+                }
+                if sub_label.eq_ignore_ascii_case(b"mail") && self.has_mx(b) {
+                    return if wants_a {
+                        one(sub_a(b"|mail"))
+                    } else {
+                        nodata()
+                    };
+                }
+                // Target of §6 CNAME-reached CAA (on provider domains).
+                if sub_label.eq_ignore_ascii_case(b"caa")
+                    && b.own_provider == Some(p.index)
+                    && q.qtype == RecordType::CAA
+                {
+                    return one(RData::Caa(issue_record("issue", "letsencrypt.org")));
                 }
             }
-            if sub_label.eq_ignore_ascii_case(b"www") {
-                return match self.www(b) {
-                    WwwKind::Absent => nonexistent(),
-                    WwwKind::CnameToApex => {
-                        let mut records =
-                            vec![Record::new(q.name.clone(), ttl, RData::Cname(base.clone()))];
-                        if wants_a {
-                            records.push(apex_a());
-                        }
-                        AuthResponse::answer(records)
-                    }
-                    WwwKind::ARecord if wants_a => one(sub_a(b"|www")),
-                    WwwKind::ARecord => nodata(),
-                };
+            // Generic subdomain: exists by hash, else wildcard, else NXDOMAIN.
+            let mut text = [0; MAX_TEXT_LEN];
+            let fqdn_key = q.name.lower_text(&mut text).as_bytes();
+            if chance(self.seed(), "sub-exists", fqdn_key, SUBDOMAIN_EXISTS) {
+                if wants_a {
+                    return one(RData::A(host_address(h64(self.seed(), "sub-a", fqdn_key))));
+                }
+                return nodata();
             }
-            if sub_label.eq_ignore_ascii_case(b"mail") && self.has_mx(b) {
-                return if wants_a {
-                    one(sub_a(b"|mail"))
-                } else {
-                    nodata()
-                };
-            }
-            // Target of §6 CNAME-reached CAA (on provider domains).
-            if sub_label.eq_ignore_ascii_case(b"caa")
-                && b.own_provider == Some(p.index)
-                && q.qtype == RecordType::CAA
-            {
-                return one(RData::Caa(issue_record("issue", "letsencrypt.org")));
-            }
-        }
-        // Generic subdomain: exists by hash, else wildcard, else NXDOMAIN.
-        let mut text = [0; MAX_TEXT_LEN];
-        let fqdn_key = q.name.lower_text(&mut text).as_bytes();
-        if chance(self.seed(), "sub-exists", fqdn_key, SUBDOMAIN_EXISTS) {
-            if wants_a {
-                return one(RData::A(host_address(h64(self.seed(), "sub-a", fqdn_key))));
-            }
-            return nodata();
-        }
-        nonexistent()
+            nonexistent()
+        })
     }
 }
 
-/// A zone's SOA record, whose primary server is `mname` and whose mailbox
-/// is `rname`, with the TTL (also the negative-caching minimum), serial,
-/// refresh, retry and expire of its kind of zone.
-fn soa(zone: &Name, mname: Name, rname: Name, values: [u32; 5]) -> Record {
-    let [ttl, serial, refresh, retry, expire] = values;
-    let soa = Soa {
-        mname,
-        rname,
-        serial,
-        refresh,
-        retry,
-        expire,
-        minimum: ttl,
-    };
-    Record::new(zone.clone(), ttl, RData::Soa(soa))
+/// One zone as its servers answer it: its apex, whose NS set and SOA name
+/// `hosts`, and the hosts the zone answers for itself.
+struct ZoneApex<'a> {
+    apex: &'a Name,
+    /// How many hosts the NS set names, and host `k`'s name (0-based); the
+    /// first is the SOA's primary server.
+    hosts: u8,
+    host: &'a dyn Fn(u8) -> Name,
+    /// The node right above the hosts, where they are the zone's own names
+    /// (the root's and in-addr.arpa's are not).
+    host_parent: Option<&'a Name>,
+    /// The address of host `k` (0-based).
+    address: &'a dyn Fn(u8) -> Ipv4Addr,
+    ns_ttl: u32,
+    /// The SOA's TTL, serial, refresh, retry and expire.
+    soa: [u32; 5],
 }
 
-/// `hostmaster.<zone>`, the mailbox of every zone but the root.
-fn hostmaster(zone: &Name) -> Name {
-    zone.child("hostmaster").expect("valid")
+impl ZoneApex<'_> {
+    /// The zone's SOA; its mailbox is `hostmaster.<apex>`, the root's
+    /// Verisign's.
+    fn soa(&self) -> Record {
+        let [ttl, serial, refresh, retry, expire] = self.soa;
+        let rname = match self.apex.is_root() {
+            true => "nstld.verisign-grs.com".parse().expect("static"),
+            false => self.apex.child("hostmaster").expect("valid"),
+        };
+        let soa = Soa {
+            mname: (self.host)(0),
+            rname,
+            serial,
+            refresh,
+            retry,
+            expire,
+            minimum: ttl,
+        };
+        Record::new(self.apex.clone(), ttl, RData::Soa(soa))
+    }
+}
+
+/// The rule every zone answers `q` by (a zone owns an NS set and an SOA at
+/// its apex, RFC 1034 §4.2.1):
+/// 1. outside the zone: REFUSED;
+/// 2. at the apex: NS gets the NS set (the root's with its servers'
+///    addresses, the priming answer), SOA the SOA, ANY both, others NODATA;
+/// 3. one of the zone's own `ns<k>` hosts: its address;
+/// 4. and 5. anything else: the zone's own rule, `below`, which refers a
+///    name at or below a cut and says which other names exist.
+fn respond_zone(
+    zone: &ZoneApex<'_>,
+    q: &Question,
+    below: impl FnOnce() -> AuthResponse,
+) -> AuthResponse {
+    if !q.name.is_subdomain_of(zone.apex) {
+        return AuthResponse::refused();
+    }
+    let nodata = || AuthResponse::negative(Rcode::NoError, zone.soa());
+    if q.name == *zone.apex {
+        let ns = (0..zone.hosts)
+            .map(|k| Record::new(zone.apex.clone(), zone.ns_ttl, RData::Ns((zone.host)(k))));
+        let mut apex = match q.qtype {
+            RecordType::NS => AuthResponse::answer(ns.collect()),
+            RecordType::SOA => AuthResponse::answer(vec![zone.soa()]),
+            RecordType::ANY => AuthResponse::answer(ns.chain([zone.soa()]).collect()),
+            _ => return nodata(),
+        };
+        if zone.apex.is_root() && q.qtype != RecordType::SOA {
+            let glue = |k| Record::new((zone.host)(k), zone.ns_ttl, RData::A((zone.address)(k)));
+            apex.additionals = (0..zone.hosts).map(glue).collect();
+        }
+        return apex;
+    }
+    let host = zone.host_parent.and_then(|parent| {
+        let right_below = q.name.label_count() == parent.label_count() + 1;
+        let label = q.name.label(0).filter(|_| right_below)?;
+        ns_host(label, zone.hosts).filter(|_| q.name.is_subdomain_of(parent))
+    });
+    match host {
+        Some(k) if matches!(q.qtype, RecordType::A | RecordType::ANY) => {
+            let addr = RData::A((zone.address)(k));
+            AuthResponse::answer(vec![Record::new(q.name.clone(), INFRA_TTL, addr)])
+        }
+        Some(_) => nodata(),
+        None => below(),
+    }
 }
 
 /// A referral to the zone cut `cut`, served by `hosts`; with `glue`, the
@@ -969,59 +995,34 @@ fn referral(cut: &Name, hosts: &[Name], glue: Option<impl Fn(u8) -> Ipv4Addr>) -
     AuthResponse::referral(ns, additionals)
 }
 
-/// What the name-server host `q.name` at `addr` answers: its A record, or
-/// NODATA under the zone's `soa` for any other type.
-fn host_answer(q: &Question, addr: Ipv4Addr, soa: impl FnOnce() -> Record) -> AuthResponse {
-    if matches!(q.qtype, RecordType::A | RecordType::ANY) {
-        AuthResponse::answer(vec![Record::new(q.name.clone(), INFRA_TTL, RData::A(addr))])
-    } else {
-        AuthResponse::negative(Rcode::NoError, soa())
-    }
-}
-
 /// The reverse zone of an address's leading `octets`: `[]` is
 /// `in-addr.arpa`, `[a, b]` is `b.a.in-addr.arpa`.
 fn reverse_zone(octets: &[u8]) -> Name {
-    let mut text = String::new();
-    for o in octets.iter().rev() {
-        text.push_str(&format!("{o}."));
-    }
-    text.push_str("in-addr.arpa");
-    text.parse().expect("valid")
+    let in_addr = "in-addr.arpa".parse().expect("valid");
+    let child = |zone: Name, octet: &u8| zone.child(&octet.to_string()).expect("valid");
+    octets.iter().fold(in_addr, child)
 }
 
-fn reverse_soa(zone: &Name) -> Record {
-    soa(
-        zone,
-        zone.child("ns1").expect("valid"),
-        hostmaster(zone),
-        REVERSE_SOA,
-    )
+/// How many name-server hosts the reverse zone of `octets` (a /8, /16 or
+/// /24) has: `ns1` and, above /24, `ns2`.
+fn reverse_servers(octets: &[u8]) -> u8 {
+    2 - u8::from(octets.len() == 3)
 }
 
-/// The referral to the reverse zone of `octets` (a /8, /16 or /24): its
-/// hosts `ns1` and, above /24, `ns2`, with their glue.
+/// Host `k` (0-based) of the reverse zone `zone`.
+fn reverse_host(zone: &Name, k: u8) -> Name {
+    zone.child(["ns1", "ns2"][usize::from(k)]).expect("valid")
+}
+
+/// The referral to the reverse zone of `octets` (a /8, /16 or /24), with
+/// its hosts' glue.
 fn reverse_referral(octets: &[u8]) -> AuthResponse {
     let cut = reverse_zone(octets);
-    let hosts: Vec<Name> = (1..=reverse_servers(octets))
-        .map(|j| cut.child(&format!("ns{j}")).expect("valid"))
+    let hosts: Vec<Name> = (0..reverse_servers(octets))
+        .map(|k| reverse_host(&cut, k))
         .collect();
-    referral(
-        &cut,
-        &hosts,
-        Some(|server| reverse_role(octets, server).address()),
-    )
-}
-
-/// How many name-server hosts the reverse zone of `octets` has: two for a
-/// /8 or a /16, one for a /24, none in `in-addr.arpa` itself (the arpa
-/// TLD's servers serve it).
-fn reverse_servers(octets: &[u8]) -> u8 {
-    match octets.len() {
-        0 => 0,
-        3 => 1,
-        _ => 2,
-    }
+    let glue = |server| reverse_role(octets, server).address();
+    referral(&cut, &hosts, Some(glue))
 }
 
 /// The role of the reverse zone of `octets`' server `server`.
@@ -1030,7 +1031,7 @@ fn reverse_role(octets: &[u8], server: u8) -> ServerRole {
         [octet] => ServerRole::Rdns8 { octet, server },
         [a, b] => ServerRole::Rdns16 { a, b, server },
         [a, b, c] => ServerRole::Rdns24 { a, b, c },
-        _ => unreachable!("only the /8, /16 and /24 zones have servers of their own"),
+        _ => unreachable!("in-addr.arpa is served by the arpa servers"),
     }
 }
 
@@ -1164,12 +1165,9 @@ impl Universe for SyntheticUniverse {
     }
 
     fn root_hints(&self) -> Vec<(Name, Ipv4Addr)> {
-        (0..13u8)
-            .map(|i| {
-                let letter = (b'a' + i) as char;
-                let name: Name = format!("{letter}.root-servers.net").parse().expect("valid");
-                (name, ServerRole::Root { index: i }.address())
-            })
+        (0..)
+            .zip(&self.root_hosts)
+            .map(|(index, host)| (host.clone(), ServerRole::Root { index }.address()))
             .collect()
     }
 }
@@ -1574,6 +1572,158 @@ mod tests {
         assert_eq!(ask("ns1.nic.com", RecordType::A).answers.len(), 1);
         assert_eq!(ask("www.nic.com", RecordType::A).rcode, Rcode::NxDomain);
         assert_eq!(ask("a.ns1.nic.com", RecordType::A).rcode, Rcode::NxDomain);
+    }
+
+    #[test]
+    fn every_zone_apex_answers_its_ns_and_soa() {
+        let u = universe();
+        let tld = |label: &str| ServerRole::Tld {
+            tld_index: u.tlds().by_label(label).unwrap().index,
+            server: 0,
+        };
+        let cc = u
+            .tlds()
+            .all()
+            .iter()
+            .find(|t| t.category == TldCategory::CcTld);
+        let cc = cc.unwrap().label.as_str();
+        let (a, c) = (20, 7);
+        let deep = (0..=255)
+            .find(|&b| u.rdns16_delegates_deeper(a, b))
+            .unwrap();
+        let flat = (0..=255)
+            .find(|&b| !u.rdns16_delegates_deeper(a, b))
+            .unwrap();
+        let leaf = existing_domain(&u, "com");
+        let own = u.domain_profile(&leaf);
+        let server = (0..own.ns_count).find(|&k| own.lame_ns != Some(k)).unwrap();
+        let zones = [
+            (".".to_string(), ServerRole::Root { index: 0 }),
+            ("com".to_string(), tld("com")),
+            (cc.to_string(), tld(cc)),
+            ("arpa".to_string(), tld("arpa")),
+            ("in-addr.arpa".to_string(), tld("arpa")),
+            (
+                format!("{a}.in-addr.arpa"),
+                ServerRole::Rdns8 {
+                    octet: a,
+                    server: 1,
+                },
+            ),
+            (
+                format!("{deep}.{a}.in-addr.arpa"),
+                ServerRole::Rdns16 {
+                    a,
+                    b: deep,
+                    server: 0,
+                },
+            ),
+            (
+                format!("{flat}.{a}.in-addr.arpa"),
+                ServerRole::Rdns16 {
+                    a,
+                    b: flat,
+                    server: 1,
+                },
+            ),
+            (
+                format!("{c}.{deep}.{a}.in-addr.arpa"),
+                ServerRole::Rdns24 { a, b: deep, c },
+            ),
+            (
+                leaf.to_string(),
+                ServerRole::ProviderAuth {
+                    provider: own.provider,
+                    server,
+                },
+            ),
+        ];
+        for (apex, role) in zones {
+            let apex: Name = apex.parse().unwrap();
+            let ask = |qtype| {
+                u.respond(role.address(), &Question::new(apex.clone(), qtype))
+                    .unwrap()
+            };
+            let ns = ask(RecordType::NS);
+            assert_eq!(
+                (ns.rcode, ns.authoritative),
+                (Rcode::NoError, true),
+                "{apex}"
+            );
+            assert!(!ns.answers.is_empty(), "{apex}");
+            assert!(ns
+                .answers
+                .iter()
+                .all(|r| r.name == apex && r.rtype == RecordType::NS));
+            let soa = ask(RecordType::SOA);
+            assert_eq!(
+                (soa.rcode, soa.answers.len()),
+                (Rcode::NoError, 1),
+                "{apex}"
+            );
+            assert_eq!(soa.answers[0].name, apex);
+            let RData::Soa(record) = &soa.answers[0].rdata else {
+                panic!("{apex}: {soa:?}");
+            };
+            // The primary server is the zone's first host.
+            assert_eq!(
+                RData::Ns(record.mname.clone()),
+                ns.answers[0].rdata,
+                "{apex}"
+            );
+            let (any, a_query) = (ask(RecordType::ANY), ask(RecordType::A));
+            if apex == leaf {
+                // A leaf keeps its own apex data: ANY and A answer its address.
+                for answer in [any, a_query] {
+                    assert_eq!(answer.answers.len(), 1, "{apex}");
+                    assert_eq!(answer.answers[0].rtype, RecordType::A);
+                }
+                continue;
+            }
+            assert_eq!(
+                any.answers,
+                [&ns.answers[..], &soa.answers].concat(),
+                "{apex}"
+            );
+            assert_eq!(any.additionals, ns.additionals, "{apex}");
+            assert_eq!((a_query.rcode, a_query.answers.len()), (Rcode::NoError, 0));
+            assert_eq!(
+                a_query.authorities, soa.answers,
+                "{apex}: NODATA under its SOA"
+            );
+            // Only the root's NS set carries its hosts' addresses (priming).
+            let glue = u
+                .root_hints()
+                .into_iter()
+                .map(|(host, addr)| (host, RData::A(addr)));
+            let glue: Vec<_> = glue.filter(|_| apex.is_root()).collect();
+            let got = ns.additionals.into_iter().map(|r| (r.name, r.rdata));
+            assert_eq!(got.collect::<Vec<_>>(), glue, "{apex}");
+        }
+        // arpa is an ordinary TLD: its own hosts have the addresses the
+        // root's referral glues to them, `nic.arpa` exists, `ip6.arpa`
+        // does not, and both negatives carry arpa's own SOA.
+        let root = ServerRole::Root { index: 0 }.address();
+        let ask = |server, name: &str, qtype| {
+            u.respond(server, &Question::new(name.parse().unwrap(), qtype))
+                .unwrap()
+        };
+        let referral = ask(root, "ns1.nic.arpa", RecordType::A);
+        let host: Name = "ns1.nic.arpa".parse().unwrap();
+        let glue = referral
+            .additionals
+            .iter()
+            .find(|r| r.name == host)
+            .unwrap();
+        let arpa = tld("arpa").address();
+        let host = ask(arpa, "ns1.nic.arpa", RecordType::A);
+        assert_eq!(host.answers, std::slice::from_ref(glue));
+        let arpa_soa = ask(arpa, "arpa", RecordType::SOA).answers;
+        let nic = ask(arpa, "nic.arpa", RecordType::A);
+        assert_eq!((nic.rcode, nic.answers.len()), (Rcode::NoError, 0));
+        assert_eq!(nic.authorities, arpa_soa);
+        let ip6 = ask(arpa, "ip6.arpa", RecordType::PTR);
+        assert_eq!((ip6.rcode, ip6.authorities), (Rcode::NxDomain, arpa_soa));
     }
 
     #[test]

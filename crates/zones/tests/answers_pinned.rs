@@ -9,10 +9,15 @@
 //! seeds, encodes each answer as the wire carries it, and folds the bytes
 //! and the drop probabilities into one FNV-1a digest. The digests were
 //! recorded before the responders learned to derive only the facts a
-//! question reads, and re-recorded once when the reverse zones' existence
-//! rule was fixed (a differential over these questions moved 1 420 of
-//! 67 500 answers, every one in a named class); a change to any answer's
-//! bytes or any drop probability moves them.
+//! question reads, and re-recorded twice, each time after a differential
+//! over these questions put every moved answer in a named class: when the
+//! reverse zones' existence rule was fixed (1 420 of 67 500 answers
+//! moved), and when every zone came to answer its apex by one rule (588
+//! moved: the /8, /16, /24, `in-addr.arpa` and `arpa` apexes asked NS, SOA
+//! or ANY; `in-addr.arpa`'s other types, whose SOA names `ns1.nic.arpa`
+//! as its primary; `arpa`'s other types and `x.ip6.arpa`, now under
+//! arpa's own SOA). A change to any answer's bytes or any drop probability
+//! moves them.
 //!
 //! Questions whose answers were bug fixes since (a numeric label spelled
 //! `ns01`, `ns+1` or `+1`, and the bare `nic.<tld>`) are not generated;
@@ -297,6 +302,6 @@ fn every_generated_question_gets_the_recorded_answer() {
     println!("{digests:?}");
     assert_eq!(
         digests,
-        ["5c89e8f52260b0bb", "272e468f7e714362", "751d847cf6b12b9b"]
+        ["4d777c4548a1d6b2", "00a096d62a6dc906", "978186753c6a9491"]
     );
 }
