@@ -110,20 +110,15 @@ const HOST_EVICT_PROBES: usize = 16;
 #[derive(Debug, Clone)]
 pub struct HostHasher(u64);
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
 impl Default for HostHasher {
     fn default() -> Self {
-        HostHasher(FNV_OFFSET)
+        HostHasher(zdns_zones::hashing::FNV_OFFSET)
     }
 }
 
 impl Hasher for HostHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.0 = zdns_zones::hashing::fnv1a(self.0, bytes.iter().copied());
     }
 
     fn finish(&self) -> u64 {

@@ -15,6 +15,8 @@
 //! name exactly once — no coordination, no shared state, no input
 //! pre-splitting.
 
+use zdns_zones::hashing::{fnv1a, FNV_OFFSET};
+
 /// A streaming source of scan inputs (one name per pull).
 pub trait InputSource {
     /// The next input, or `None` when the source is exhausted (for
@@ -63,14 +65,8 @@ impl InputSource for Box<dyn InputSource + '_> {
 /// raw bytes; names that differ only in ASCII case are treated as the
 /// same DNS name and land on the same shard.
 pub fn shard_of(name: &str, count: u32) -> u32 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    for &b in name.as_bytes() {
-        h ^= b.to_ascii_lowercase() as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    (h % count.max(1) as u64) as u32
+    let lower = name.bytes().map(|b| b.to_ascii_lowercase());
+    (fnv1a(FNV_OFFSET, lower) % count.max(1) as u64) as u32
 }
 
 /// A deterministic `i`-of-`n` partition over any [`InputSource`]: pulls

@@ -6,6 +6,16 @@
 //! the same answer without sharing state, which is what keeps a
 //! billions-of-names namespace representable in zero memory.
 
+/// FNV-1a's offset basis: the state before any byte is folded in.
+pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a: `bytes` folded into the state `h` (start from [`FNV_OFFSET`]).
+/// The workspace's one copy: [`h64`], the core's `HostHasher` (cache
+/// shards, pacer stripes) and the simulator's input sharding read it.
+pub fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    (bytes.into_iter()).fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
+}
+
 /// A 64-bit stable hash (FNV-1a core with a splitmix64 finisher for good
 /// avalanche behaviour on short inputs).
 pub fn h64(seed: u64, facet: &str, subject: &[u8]) -> u64 {
@@ -14,22 +24,8 @@ pub fn h64(seed: u64, facet: &str, subject: &[u8]) -> u64 {
 
 /// [`h64`] of `subject` followed by `tail`, without joining them first.
 pub fn h64_joined(seed: u64, facet: &str, subject: &[u8], tail: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET ^ seed;
-    for &b in facet.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h ^= 0xff;
-    h = h.wrapping_mul(FNV_PRIME);
-    for part in [subject, tail] {
-        for &b in part {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    splitmix64(h)
+    let h = fnv1a(FNV_OFFSET ^ seed, facet.bytes().chain([0xff]));
+    splitmix64(fnv1a(h, subject.iter().chain(tail).copied()))
 }
 
 /// splitmix64 finisher.
@@ -67,6 +63,19 @@ mod tests {
         assert_ne!(h64(1, "x", b"abc"), h64(2, "x", b"abc"));
         assert_ne!(h64(1, "x", b"abc"), h64(1, "y", b"abc"));
         assert_ne!(h64(1, "x", b"abc"), h64(1, "x", b"abd"));
+    }
+
+    #[test]
+    fn fnv1a_is_the_published_function() {
+        // FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV_OFFSET, *b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(FNV_OFFSET, *b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, *b"foobar"), 0x85944171f73967e8);
+        // Folding in pieces is folding the whole.
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, *b"foo"), *b"bar"),
+            0x85944171f73967e8
+        );
     }
 
     #[test]
