@@ -86,9 +86,10 @@ pub struct DriverReport {
 }
 
 impl DriverReport {
-    /// Fold another driver's counters into this one (sums, except
-    /// `peak_in_flight` which takes the max) — how a scan aggregates its
-    /// per-worker reports.
+    /// Fold another driver's counters into this one — how a scan
+    /// aggregates its per-worker reports. Counters sum; the two peaks
+    /// (`peak_in_flight`, `max_deferred_depth`) take the max; `io_backend`
+    /// keeps the first non-empty name.
     pub fn merge(&mut self, other: &DriverReport) {
         self.completed += other.completed;
         self.successes += other.successes;
@@ -127,4 +128,69 @@ pub trait Driver {
         source: &mut dyn FnMut() -> Admission,
         on_done: &mut dyn FnMut(Option<JobOutcome>),
     ) -> DriverReport;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report whose k-th numeric field holds `base + step × k`, so no
+    /// two fields are equal.
+    fn numbered(base: u64, step: u64, io_backend: &'static str) -> DriverReport {
+        let mut k = 0;
+        let mut n = || {
+            k += 1;
+            base + step * (k - 1)
+        };
+        DriverReport {
+            completed: n(),
+            successes: n(),
+            queries_sent: n(),
+            retries: n(),
+            stale_datagrams: n(),
+            decode_errors: n(),
+            timeouts_fired: n(),
+            tcp_fallbacks: n(),
+            peak_in_flight: n() as usize,
+            queries_deferred: n(),
+            max_deferred_depth: n() as usize,
+            per_host_throttles: n(),
+            backpressure_requeues: n(),
+            send_syscalls: n(),
+            datagrams_sent: n(),
+            datagrams_received: n(),
+            credit_leases: n(),
+            idle_credit_returns: n(),
+            credit_stalls: n(),
+            pacer_cas_retries: n(),
+            io_backend,
+        }
+    }
+
+    #[test]
+    fn merge_sums_counters_takes_the_peaks_and_keeps_the_first_backend() {
+        let first = DriverReport {
+            peak_in_flight: 1_000,
+            ..numbered(1, 1, "")
+        };
+        let second = numbered(101, 1, "mmsg");
+        let mut merged = first.clone();
+        merged.merge(&second);
+        merged.merge(&DriverReport {
+            io_backend: "syscall",
+            ..DriverReport::default()
+        });
+        assert_eq!(
+            merged,
+            DriverReport {
+                // Each peak is the larger side's: the first's in-flight
+                // peak, the second's deferred depth.
+                peak_in_flight: 1_000,
+                max_deferred_depth: second.max_deferred_depth,
+                io_backend: "mmsg",
+                // Every counter is (1 + k) + (101 + k).
+                ..numbered(102, 2, "")
+            }
+        );
+    }
 }

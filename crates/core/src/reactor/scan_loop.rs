@@ -24,8 +24,8 @@ impl Reactor {
     /// a collected block would otherwise sit and wait: before every sleep,
     /// at the end of every pass over the socket, the TCP table and the
     /// timers, and once more when the scan is over. The caller may also
-    /// pass a block on from inside a completion once it is full; a
-    /// `hand_off` that blocks (a full queue downstream) stalls this
+    /// pass a block on from its admission source once it is full; a
+    /// `hand_off` that blocks (writing into a slow sink) stalls this
     /// reactor, which is how a slow consumer throttles admission.
     pub fn run_scan_with(
         &mut self,

@@ -84,7 +84,7 @@ impl LookupResult {
             .filter(|(_, s, kept)| *kept && !s.is_empty())
             .count()
             + footer.as_ref().map_or(0, |_| 2 + usize::from(long));
-        // Sized to fit: this object waits in the output queue as built.
+        // Sized to fit: this object waits in a worker's block as built.
         let mut data = serde_json::Map::with_capacity(members);
         for (key, section, kept) in sections {
             if kept && !section.is_empty() {

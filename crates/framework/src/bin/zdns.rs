@@ -208,7 +208,7 @@ fn main() {
             eprintln!("zdns: {error}");
         }
         eprintln!("{}", report.summary_line());
-        if report.lookups == 0 && !report.worker_errors.is_empty() {
+        if report.driver.completed == 0 && !report.worker_errors.is_empty() {
             std::process::exit(1);
         }
         return;

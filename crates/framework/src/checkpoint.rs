@@ -389,7 +389,7 @@ fn render_payload<S: AsRef<str>>(
 /// (rename is atomic, the checksum rejects a torn file, `.prev` is the
 /// fallback, and the output done-set keeps resume correct even with no
 /// checkpoint at all), so the flush would only buy power-loss durability
-/// — not worth a disk round trip on the writer thread every cadence.
+/// — not worth a disk round trip on a scan worker every cadence.
 fn write_payload(mut payload: String, path: &Path, sync: bool) -> std::io::Result<()> {
     let crc = payload_crc(&payload);
     payload.push('\n');
@@ -614,10 +614,10 @@ impl<S: InputSource> InputSource for DedupSource<S> {
 }
 
 /// The scan pipeline's checkpoint bookkeeper, shared (behind a mutex)
-/// between the feeder thread (records dispatches) and the writer thread
-/// (records completions and decides when a snapshot is due). Snapshot
-/// *writing* happens outside the pipeline's hot path: the writer thread
-/// serializes at most one snapshot per `every` completions.
+/// between the feeder thread (records dispatches) and the workers (record
+/// completions and decide when a snapshot is due). Snapshots are rare:
+/// the worker that crosses the cadence serializes at most one per
+/// `every` completions.
 pub struct CheckpointKeeper {
     scan_id: String,
     path: PathBuf,
@@ -678,7 +678,7 @@ impl CheckpointKeeper {
         self.exhausted = true;
     }
 
-    /// Record a completed output (writer thread). Returns `true` when a
+    /// Record a completed output (a scan worker). Returns `true` when a
     /// periodic snapshot is due — the caller then collects the backoff
     /// spill and calls [`CheckpointKeeper::write_snapshot`].
     pub fn completed(&mut self, name: &str) -> bool {

@@ -21,9 +21,10 @@
 //!
 //! The [`OutputSink`] trait is the streaming consumer side: the scan
 //! pipeline hands every [`ModuleOutput`] to one sink ([`JsonlSink`] for
-//! JSONL files/stdout, [`CallbackSink`] for in-process consumers), and
-//! the pipeline's bounded output queue means a sink that cannot keep up
-//! throttles admission instead of ballooning memory.
+//! JSONL files/stdout, [`CallbackSink`] for in-process consumers), which
+//! its workers write under one lock — a sink that cannot keep up stalls
+//! the worker writing to it, which throttles admission instead of
+//! ballooning memory.
 
 use std::io::Write as IoWrite;
 
@@ -145,9 +146,9 @@ fn write_full(output: &ModuleOutput, buf: &mut String, drop_noise: bool, include
 }
 
 /// The streaming consumer side of a scan: one sink receives every
-/// [`ModuleOutput`] the scan produces, on a single writer thread, behind
-/// the pipeline's bounded output queue (a slow sink therefore throttles
-/// admission rather than growing an unbounded backlog).
+/// [`ModuleOutput`] the scan produces, written by the scan's workers one
+/// at a time under one lock (a slow sink therefore stalls them, which
+/// throttles admission rather than growing an unbounded backlog).
 pub trait OutputSink: Send {
     /// Consume one output.
     fn write_output(&mut self, output: ModuleOutput) -> std::io::Result<()>;

@@ -3,11 +3,11 @@
 //! One orchestration layer drives every real-socket scan:
 //!
 //! ```text
-//!   InputSource ──► shared input queue ──► reactor workers ──► output queue ──► OutputSink
-//!   (file/stdin/       (bounded; every      │  lease admission     (bounded:       (JSONL with a
-//!    ct-corpus          worker steals       │  credits + pacing    a slow sink      reusable buffer,
-//!    generator,         the next names)     │  budget from the     throttles        or a callback)
-//!    streaming)                             ▼  scan-wide pools     admission)
+//!   InputSource ──► shared input queue ──► reactor workers ──► one lock ──► OutputSink
+//!   (file/stdin/       (bounded; every      │  lease admission     (each worker     (JSONL with a
+//!    ct-corpus          worker steals       │  credits + pacing    writes its own   reusable buffer,
+//!    generator,         the next names)     │  budget from the     outputs; a slow  or a callback)
+//!    streaming)                             ▼  scan-wide pools     sink stalls it)
 //!                                    CreditPool + ConcurrentPacer
 //! ```
 //!
@@ -25,17 +25,13 @@
 //! stranded-window recovery.
 //!
 //! Both ends stream: an [`InputSource`] is pulled one name at a time
-//! (a 234M-name corpus is a generator, never a `Vec`), and outputs
-//! cross a *bounded* queue to a single writer thread that serializes
-//! through one reusable buffer — a sink that cannot keep up blocks the
-//! queue, which blocks the workers' completion path, which throttles
-//! admission: memory stays flat and the input is simply consumed more
-//! slowly.
+//! (a 234M-name corpus is a generator, never a `Vec`), and each worker
+//! writes its own finished outputs into the sink under one lock, through
+//! the sink's one reusable buffer.
 //!
-//! Between the ends, hand-offs cross in **blocks**, so the pipeline costs
-//! one lock and at most one wake-up per block where it used to cost a
-//! system call per push and per pop (`notify_one` on an idle condition
-//! variable is one):
+//! Hand-offs cross in **blocks**, so the pipeline costs one lock and at
+//! most one wake-up per block where it used to cost a system call per
+//! push and per pop (`notify_one` on an idle condition variable is one):
 //!
 //! * the feeder pushes names **one at a time** — it must never hold a
 //!   name across a blocking `source.next_name()`, or a producer that
@@ -46,32 +42,34 @@
 //!   never rung (their answers wake it to a batch of queued names);
 //! * a worker pulls up to one I/O batch ([`DEFAULT_BATCH_SIZE`]) of names
 //!   under one lock, never blocking for them, and admits from that buffer;
-//! * a worker collects finished [`ModuleOutput`]s in its own block, which
-//!   crosses to the writer when it is one I/O batch long, before the
-//!   reactor loop sleeps, or at the end of a loop pass — whichever comes
-//!   first ([`Reactor::run_scan_with`]'s hand-off callback), so a block
-//!   never waits to fill and a slow scan prints each line within the
-//!   tick its lookup completed in;
-//! * the writer takes everything queued under one lock, records the
-//!   block's completions under one [`CheckpointKeeper`] lock, writes each
-//!   output to the sink, and flushes the sink whenever it finds the
-//!   queue empty.
+//! * a worker collects finished [`ModuleOutput`]s in its own block and
+//!   writes it before the reactor loop sleeps and at the end of every
+//!   loop pass ([`Reactor::run_scan_with`]'s hand-off callback), and from
+//!   admission once it is one I/O batch long — so a block never waits to
+//!   fill and a slow scan prints each line within the tick its lookup
+//!   completed in;
+//! * writing a block records its completions under the
+//!   [`CheckpointKeeper`] lock, then writes every output and flushes the
+//!   sink once under the sink lock, then writes a checkpoint snapshot if
+//!   one is due. No thread holds both locks at once.
 //!
-//! Outputs alive at once are therefore bounded by the output queue's
-//! capacity (in items) + `workers × batch size` + the writer's block (at
-//! most the capacity again); `tests/scan_pipeline.rs` holds a slow sink
-//! to that bound, a producer that waits for its answers to completion,
-//! and a 20 pps scan to 50 ms from completion to sink.
+//! There is no output queue: a sink that cannot keep up stalls the worker
+//! writing to it, and so its admission. Outputs alive at once are bounded
+//! by one loop pass's completions per worker — at most `workers ×
+//! --max-in-flight` while no lookup is parked; `tests/scan_pipeline.rs`
+//! holds a slow sink to that bound, a producer that waits for its answers
+//! to completion, and a 20 pps scan to 50 ms from completion to sink.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{Ipv4Addr, UdpSocket};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crossbeam::channel;
 use parking_lot::Mutex;
 use zdns_core::{
-    AddrMap, Admission, ConcurrentPacer, CreditPool, Doorbell, DriverReport, Reactor,
-    ReactorConfig, Resolver, DEFAULT_BATCH_SIZE,
+    AddrMap, Admission, ConcurrentPacer, CreditPool, Doorbell, Reactor, ReactorConfig, Resolver,
+    DEFAULT_BATCH_SIZE,
 };
 use zdns_modules::{LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::InputSource;
@@ -82,10 +80,10 @@ use crate::output::OutputSink;
 use crate::runner::{real_worker_count, RealScanReport};
 
 /// Run a real-socket scan: names stream from `source` through the shared
-/// input queue into a pool of reactor workers, and every output crosses
-/// the bounded output queue into `sink` on one writer thread (an
-/// in-process consumer passes a [`crate::output::CallbackSink`]). See the
-/// module docs for the full picture.
+/// input queue into a pool of reactor workers, and each worker writes its
+/// own outputs into `sink` under one lock (an in-process consumer passes
+/// a [`crate::output::CallbackSink`]). See the module docs for the full
+/// picture.
 pub fn run_scan_pipeline(
     conf: &Conf,
     resolver: &Resolver,
@@ -103,7 +101,7 @@ pub fn run_scan_pipeline(
     // active cap must not exceed what the user asked for (a polite
     // scanner's rate contract).
     let workers = real_worker_count(conf).min(total_window);
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut report = RealScanReport {
         workers,
         ..RealScanReport::default()
@@ -136,13 +134,12 @@ pub fn run_scan_pipeline(
         .enabled()
         .then(|| Arc::new(ConcurrentPacer::new(conf.pacer.clone())));
 
-    // Durable scans keep a checkpoint bookkeeper shared between the
-    // feeder (dispatch records) and the writer thread (completion
-    // records + periodic snapshots). The insert-before-send /
-    // remove-after-receive ordering through one mutex means a
-    // completion can never be observed for a name that is not in the
-    // outstanding set.
-    let keeper: Option<Arc<Mutex<CheckpointKeeper>>> = if conf.checkpoint_path.is_empty() {
+    // Durable scans keep a checkpoint bookkeeper shared between the feeder
+    // (dispatch records) and the workers (completion records + periodic
+    // snapshots). The insert-before-send / remove-after-receive ordering
+    // through one mutex means a completion can never be observed for a
+    // name that is not in the outstanding set.
+    let keeper: Option<Mutex<CheckpointKeeper>> = if conf.checkpoint_path.is_empty() {
         None
     } else {
         let manifest_path = std::path::Path::new(&conf.checkpoint_path);
@@ -171,23 +168,21 @@ pub fn run_scan_pipeline(
             report.elapsed = started.elapsed();
             return report;
         }
-        Some(Arc::new(Mutex::new(keeper)))
+        Some(Mutex::new(keeper))
     };
 
-    // The shared input queue (every worker steals from the same bounded
-    // channel) and the bounded output queue (backpressure).
+    // The shared input queue: every worker steals from it.
     let (input_tx, input_rx) = channel::bounded::<String>(total_window.max(workers * 4));
-    let output_cap = (total_window * 2).max(64);
-    let (output_tx, output_rx) = channel::bounded::<ModuleOutput>(output_cap);
 
     // One clock epoch for every worker: the shared pacer stores absolute
     // release/penalty times, so workers reading each other's backoff
     // state must agree on what "now" means regardless of spawn skew.
-    let epoch = std::time::Instant::now();
-    let merged: Arc<Mutex<(HashMap<String, u64>, DriverReport)>> =
-        Arc::new(Mutex::new((HashMap::new(), DriverReport::default())));
-    let startup_errors: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut writer_stats = (0usize, 0u64);
+    let output = Output {
+        sink: Mutex::new((sink, 0)),
+        keeper,
+        pacer: shared_pacer,
+        epoch: Instant::now(),
+    };
 
     // One bell per worker, rung by the feeder when it queues a name for a
     // worker that found the queue empty. A worker without one (no
@@ -196,82 +191,57 @@ pub fn run_scan_pipeline(
         .map(|_| Doorbell::new().ok().map(Arc::new))
         .collect();
 
+    let module = &*module;
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for ((worker_idx, socket), bell) in sockets.into_iter().enumerate().zip(bells.clone()) {
             let input_rx = input_rx.clone();
-            let output_tx = output_tx.clone();
-            let module = Arc::clone(&module);
-            let resolver = resolver.clone();
             let addr_map = Arc::clone(&addr_map);
-            let merged = Arc::clone(&merged);
-            let startup_errors = Arc::clone(&startup_errors);
             let credit_pool = Arc::clone(&credit_pool);
-            let shared_pacer = shared_pacer.clone();
-            let io_backend = conf.io_backend;
-            scope.spawn(move || {
+            let output = &output;
+            handles.push(scope.spawn(move || -> Result<_, String> {
                 let config = ReactorConfig {
                     // Any single worker may absorb the whole window when
                     // its siblings' destinations are stranded in backoff.
                     max_in_flight: total_window,
-                    io_backend,
+                    io_backend: conf.io_backend,
                     // Parked (fully backed-off) lookups cost slots but no
                     // window; allow a few windows' worth per worker so
                     // backoff cannot choke admission, while still
                     // bounding what a dead-Internet scan can pin.
                     max_parked: total_window.saturating_mul(4),
-                    epoch: Some(epoch),
+                    epoch: Some(output.epoch),
                     ..ReactorConfig::default()
                 };
                 // One long-lived socket per worker (§3.4), shared by every
-                // lookup the worker has in flight.
-                let mut reactor = match Reactor::from_socket(socket, config, addr_map) {
-                    Ok(reactor) => reactor,
-                    Err(e) => {
-                        // Record the death; dropping this worker's input_rx
-                        // clone is what lets the feeding loop fail fast when
-                        // every worker dies.
-                        startup_errors
-                            .lock()
-                            .push(format!("worker {worker_idx}: reactor start failed: {e}"));
-                        return;
-                    }
-                };
+                // lookup it has in flight. A worker that cannot start drops
+                // its input_rx clone, which lets the feeding loop fail fast
+                // when every worker dies.
+                let mut reactor = Reactor::from_socket(socket, config, addr_map)
+                    .map_err(|e| format!("worker {worker_idx}: reactor start failed: {e}"))?;
                 reactor.set_credit_pool(credit_pool);
                 if let Some(bell) = bell {
                     reactor.set_doorbell(bell);
                 }
-                if let Some(pacer) = shared_pacer {
-                    reactor.set_pacer(pacer);
+                if let Some(pacer) = &output.pacer {
+                    reactor.set_pacer(Arc::clone(pacer));
                 }
                 // This worker's block of finished outputs. Only this
                 // thread ever locks it (the mutex is what lets a `Sync`
                 // module sink push into it); both buffers below are
                 // reused for the whole scan, never reallocated.
                 let block = Arc::new(Mutex::new(Vec::with_capacity(DEFAULT_BATCH_SIZE)));
-                let send_block = move |block: &mut Vec<ModuleOutput>| {
-                    // A full output queue blocks here — inside lookup
-                    // completion or before the loop's sleep — which stalls
-                    // this worker's admission: the slow-sink backpressure
-                    // path. With the writer gone there is nobody to keep
-                    // the outputs for.
-                    if !block.is_empty() && output_tx.send_many(block).is_err() {
-                        block.clear();
-                    }
-                };
                 let sink: ModuleSink = {
-                    let (block, send_block) = (Arc::clone(&block), send_block.clone());
-                    Arc::new(move |o| {
-                        let mut block = block.lock();
-                        block.push(o);
-                        if block.len() >= DEFAULT_BATCH_SIZE {
-                            send_block(&mut block);
-                        }
-                    })
+                    let block = Arc::clone(&block);
+                    Arc::new(move |o| block.lock().push(o))
                 };
-                let mut hand_off = || send_block(&mut block.lock());
+                let mut hand_off = || output.write(&mut block.lock(), 1);
                 let mut pulled: VecDeque<String> = VecDeque::with_capacity(DEFAULT_BATCH_SIZE);
                 let mut statuses: HashMap<&'static str, u64> = HashMap::new();
                 let mut feed = || {
+                    // Lookups that end as they start (bad input) would
+                    // otherwise pile up until admission stops.
+                    output.write(&mut block.lock(), DEFAULT_BATCH_SIZE);
                     if pulled.is_empty() {
                         // Up to one I/O batch of names under one lock.
                         match input_rx.try_recv_many(&mut pulled, DEFAULT_BATCH_SIZE) {
@@ -283,78 +253,21 @@ pub fn run_scan_pipeline(
                         }
                     }
                     let input = pulled.pop_front().expect("a successful pull moves a name");
-                    Admission::Admit(module.make_machine(&input, &resolver, sink.clone()))
+                    Admission::Admit(module.make_machine(&input, resolver, sink.clone()))
                 };
                 let mut on_done = |outcome: Option<zdns_netsim::JobOutcome>| {
                     let status = outcome.map(|o| o.status).unwrap_or("ERROR");
                     *statuses.entry(status).or_insert(0) += 1;
                 };
                 let driver_report = reactor.run_scan_with(&mut feed, &mut on_done, &mut hand_off);
-                let mut merged = merged.lock();
-                for (status, n) in statuses {
-                    *merged.0.entry(status.to_string()).or_insert(0) += n;
-                }
-                merged.1.merge(&driver_report);
-            });
+                Ok((statuses, driver_report))
+            }));
         }
-        drop(output_tx);
         // The parent must not hold a receiver: once every worker is gone,
         // sends below error out instead of deadlocking on a full channel.
         drop(input_rx);
-        // One writer thread owns the sink: outputs drain while inputs
-        // feed in, and the queue's depth is observable as backpressure
-        // telemetry. On durable scans it doubles as the checkpoint
-        // clock: completions are recorded per block and a snapshot is
-        // serialized once `checkpoint_every` of them have gone by, off
-        // the workers' hot path.
-        let writer_keeper = keeper.clone();
-        let writer_pacer = shared_pacer.clone();
-        let writer = scope.spawn(move || {
-            let mut peak_queue = 0usize;
-            let mut errors = 0u64;
-            let mut block: Vec<ModuleOutput> = Vec::new();
-            // Everything queued, under one lock.
-            while output_rx.recv_many(&mut block, usize::MAX).is_ok() {
-                peak_queue = peak_queue.max(block.len());
-                // Record the completions *before* the sink writes: if the
-                // process dies between the two, the checkpoint's counts
-                // run ahead of the output file — harmless, because the
-                // output file (not the checkpoint) is the authoritative
-                // done-record on resume.
-                let snapshot_due = writer_keeper.as_ref().filter(|keeper| {
-                    let mut keeper = keeper.lock();
-                    block
-                        .iter()
-                        .fold(false, |due, output| keeper.completed(&output.name) | due)
-                });
-                for output in block.drain(..) {
-                    // Keep draining past a failed write so workers never
-                    // block on a dead sink; the error count surfaces in
-                    // the report.
-                    errors += u64::from(sink.write_output(output).is_err());
-                }
-                if let Some(keeper) = snapshot_due {
-                    let backoff = writer_pacer
-                        .as_ref()
-                        .map(|p| p.backoff_snapshot(epoch.elapsed().as_nanos() as u64))
-                        .unwrap_or_default();
-                    // A failed snapshot write is retried at the next
-                    // cadence tick; the scan itself never stops.
-                    let _ = keeper.lock().write_snapshot(backoff);
-                }
-                // Nothing more queued: the writer is about to sleep, so
-                // what the sink buffered goes out first — a slow scan's
-                // lines reach a pipe as they complete, not a buffer-full
-                // at a time.
-                if output_rx.is_empty() {
-                    errors += u64::from(sink.flush().is_err());
-                }
-            }
-            errors += u64::from(sink.flush().is_err());
-            (peak_queue, errors)
-        });
         while let Some(name) = source.next_name() {
-            if let Some(keeper) = &keeper {
+            if let Some(keeper) = &output.keeper {
                 // Insert into the outstanding set before the send so the
                 // name is tracked by the time any worker can complete it.
                 keeper.lock().dispatched(&name);
@@ -365,7 +278,7 @@ pub fn run_scan_pipeline(
             // One name wakes one starved worker.
             bells.iter().flatten().any(|bell| bell.ring());
         }
-        if let Some(keeper) = &keeper {
+        if let Some(keeper) = &output.keeper {
             keeper.lock().input_exhausted();
         }
         drop(input_tx);
@@ -374,41 +287,93 @@ pub fn run_scan_pipeline(
         for bell in bells.iter().flatten() {
             bell.ring();
         }
-        writer_stats = writer.join().unwrap_or((0, 0));
+        for handle in handles {
+            match handle
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            {
+                Ok((statuses, driver)) => {
+                    for (status, n) in statuses {
+                        *report.status_counts.entry(status.to_string()).or_insert(0) += n;
+                    }
+                    report.driver.merge(&driver);
+                }
+                Err(e) => report.worker_errors.push(e),
+            }
+        }
     });
-
     // The closing snapshot: input exhausted and every lookup drained
     // marks the shard complete, which is what `zdns merge` verifies.
-    if let Some(keeper) = &keeper {
-        let backoff = shared_pacer
-            .as_ref()
-            .map(|p| p.backoff_snapshot(epoch.elapsed().as_nanos() as u64))
-            .unwrap_or_default();
-        if let Err(e) = keeper.lock().write_snapshot(backoff) {
+    if let Some(keeper) = &output.keeper {
+        if let Err(e) = keeper.lock().write_snapshot(output.backoff()) {
             report
                 .worker_errors
                 .push(format!("final checkpoint write failed: {e}"));
         }
     }
-
-    let merged = Arc::try_unwrap(merged)
-        .map(Mutex::into_inner)
-        .unwrap_or_else(|arc| arc.lock().clone());
-    report.worker_errors.extend(startup_errors.lock().drain(..));
-    report.status_counts = merged.0;
-    report.driver = merged.1;
     // Pacer contention is scan-wide (the counter lives on the one shared
     // pacer), so it lands on the merged report here rather than being
     // summed per worker.
-    if let Some(pacer) = &shared_pacer {
+    if let Some(pacer) = &output.pacer {
         report.driver.pacer_cas_retries = pacer.cas_retries();
     }
-    report.lookups = report.driver.completed;
-    report.successes = report.driver.successes;
-    report.queries_sent = report.driver.queries_sent;
-    report.retries = report.driver.retries;
-    report.peak_output_queue = writer_stats.0;
-    report.sink_errors = writer_stats.1;
+    report.sink_errors = output.sink.into_inner().1;
     report.elapsed = started.elapsed();
     report
+}
+
+/// Where every worker writes: the caller's sink with its error count
+/// under one lock, a durable scan's checkpoint keeper, and the pacer and
+/// clock epoch a snapshot reads the backoff table with.
+struct Output<'a> {
+    sink: Mutex<(&'a mut dyn OutputSink, u64)>,
+    keeper: Option<Mutex<CheckpointKeeper>>,
+    pacer: Option<Arc<ConcurrentPacer>>,
+    epoch: Instant,
+}
+
+impl Output<'_> {
+    /// Write one worker's block of finished outputs, leaving it empty —
+    /// once it holds at least `min` (≥ 1) of them.
+    fn write(&self, block: &mut Vec<ModuleOutput>, min: usize) {
+        if block.len() < min {
+            return;
+        }
+        // Record the completions *before* the sink writes: if the process
+        // dies between the two, the checkpoint's counts run ahead of the
+        // output file — harmless, because the output file (not the
+        // checkpoint) is the authoritative done-record on resume.
+        let snapshot_due = self.keeper.as_ref().filter(|keeper| {
+            let mut keeper = keeper.lock();
+            block
+                .iter()
+                .fold(false, |due, output| keeper.completed(&output.name) | due)
+        });
+        {
+            let mut guard = self.sink.lock();
+            let (sink, errors) = &mut *guard;
+            for output in block.drain(..) {
+                // Keep writing past a failed write so no worker stalls on
+                // a dead sink; the error count surfaces in the report.
+                *errors += u64::from(sink.write_output(output).is_err());
+            }
+            // The worker may sleep next: a slow scan's lines reach a pipe
+            // as they complete, not a buffer-full at a time.
+            *errors += u64::from(sink.flush().is_err());
+        }
+        if let Some(keeper) = snapshot_due {
+            let backoff = self.backoff();
+            // A failed snapshot write is retried at the next cadence
+            // tick; the scan itself never stops.
+            let _ = keeper.lock().write_snapshot(backoff);
+        }
+    }
+
+    /// The pacer's backoff table as of now, for a snapshot.
+    fn backoff(&self) -> Vec<(Ipv4Addr, u32, u64)> {
+        self.pacer
+            .as_ref()
+            .map(|p| p.backoff_snapshot(self.epoch.elapsed().as_nanos() as u64))
+            .unwrap_or_default()
+    }
 }

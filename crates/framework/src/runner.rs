@@ -108,30 +108,19 @@ where
 /// [`RunReport`]: per-status counts, query/retry totals, and rates.
 #[derive(Debug, Default)]
 pub struct RealScanReport {
-    /// Lookups completed.
-    pub lookups: u64,
-    /// Lookups with NOERROR/NXDOMAIN status.
-    pub successes: u64,
     /// Outcome counts by status string.
     pub status_counts: HashMap<String, u64>,
-    /// Queries sent on the wire during this scan.
-    pub queries_sent: u64,
-    /// Retries consumed by timeouts/transport failures.
-    pub retries: u64,
     /// Reactor workers that drove the scan.
     pub workers: usize,
-    /// Aggregated driver telemetry (demux stats, timer fires, peak
-    /// in-flight per worker).
+    /// Aggregated driver telemetry: lookups completed and successful,
+    /// queries sent and retries, demux stats, timer fires, peak in-flight
+    /// per worker.
     pub driver: DriverReport,
     /// Worker startup failures (socket bind errors). A scan that could not
     /// start any worker reports every input as failed here.
     pub worker_errors: Vec<String>,
-    /// The deepest the writer ever found the output queue (it takes
-    /// everything queued at once — at most the bounded queue's capacity,
-    /// in outputs): the backpressure headroom a slow sink consumed.
-    pub peak_output_queue: usize,
-    /// Outputs the sink failed to write (the scan still drains them so
-    /// workers never block on a dead sink).
+    /// Outputs the sink failed to write, and failed flushes (the workers
+    /// keep writing past them so none stalls on a dead sink).
     pub sink_errors: u64,
     /// Wall-clock duration.
     pub elapsed: std::time::Duration,
@@ -140,10 +129,10 @@ pub struct RealScanReport {
 impl RealScanReport {
     /// Overall success fraction.
     pub fn success_rate(&self) -> f64 {
-        if self.lookups == 0 {
+        if self.driver.completed == 0 {
             return 0.0;
         }
-        self.successes as f64 / self.lookups as f64
+        self.driver.successes as f64 / self.driver.completed as f64
     }
 
     /// Completed lookups per wall-clock second.
@@ -152,7 +141,7 @@ impl RealScanReport {
         if secs <= 0.0 {
             return 0.0;
         }
-        self.lookups as f64 / secs
+        self.driver.completed as f64 / secs
     }
 
     /// The stderr summary line for this scan.
@@ -205,10 +194,10 @@ impl RealScanReport {
         };
         format!(
             "zdns: {} lookups, {:.1}% success, {} queries, {} retries, {:.2}s, {:.0} lookups/s, {} workers (peak {} in flight){}{}{}{} [{}]",
-            self.lookups,
+            self.driver.completed,
             self.success_rate() * 100.0,
-            self.queries_sent,
-            self.retries,
+            self.driver.queries_sent,
+            self.driver.retries,
             self.elapsed.as_secs_f64(),
             self.lookups_per_sec(),
             self.workers,

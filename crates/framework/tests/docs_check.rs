@@ -410,6 +410,8 @@ const DELETED_NAMES: &[&str] = &[
     concat!("dig_external", "_machine"),
     concat!("profile_", "oracle"),
     concat!("respond_", "arpa"),
+    concat!("send_", "many"),
+    concat!("peak_output", "_queue"),
 ];
 
 #[test]

@@ -289,9 +289,10 @@ pub fn answer_value(rdata: &RData) -> Value {
     }
 }
 
-/// An object of exactly these members. The output queue holds records
-/// and flags as they are built here, so their maps are sized once, to
-/// fit — `json!` grows one push at a time and keeps the slack.
+/// An object of exactly these members. A worker's block of finished
+/// outputs holds records and flags as they are built here, so their maps
+/// are sized once, to fit — `json!` grows one push at a time and keeps
+/// the slack.
 fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
     let mut map = Map::with_capacity(N);
     for (key, value) in members {

@@ -105,17 +105,17 @@ fn real_scan_resolves_through_loopback_servers() {
         &mut inputs.into_iter(),
         &mut sink,
     );
-    assert_eq!(report.lookups, 20);
-    assert_eq!(report.successes, 20, "all loopback scans succeed");
+    assert_eq!(report.driver.completed, 20);
+    assert_eq!(report.driver.successes, 20, "all loopback scans succeed");
     assert_eq!(ok.load(Ordering::Relaxed), 20);
 
     // RunReport parity: per-status counts, query/retry totals, rates, and
     // reactor telemetry all populate.
     assert_eq!(report.status_counts.get("NOERROR"), Some(&20));
     assert!(
-        report.queries_sent >= 20,
+        report.driver.queries_sent >= 20,
         "iterative walks send multiple queries: {}",
-        report.queries_sent
+        report.driver.queries_sent
     );
     assert!(report.lookups_per_sec() > 0.0);
     assert!((report.success_rate() - 1.0).abs() < f64::EPSILON);
@@ -181,7 +181,7 @@ fn real_scan_respects_max_in_flight_window() {
         &mut inputs.into_iter(),
         &mut CallbackSink::new(|_| {}),
     );
-    assert_eq!(report.lookups, 6);
-    assert_eq!(report.successes, 6);
+    assert_eq!(report.driver.completed, 6);
+    assert_eq!(report.driver.successes, 6);
     assert_eq!(report.driver.peak_in_flight, 1, "window of 1 = no overlap");
 }

@@ -12,8 +12,10 @@
 //!   name set.
 //! * **Bounded output backpressure** — a slow sink throttles the scan
 //!   instead of growing an unbounded backlog.
-//! * **Block hand-offs that never wait** — names and outputs cross the
-//!   pipeline's queues in blocks, but no name or output is ever held
+//! * **Concurrent writers** — two workers writing into one JSONL sink
+//!   print every line whole and once.
+//! * **Block hand-offs that never wait** — names cross the input queue
+//!   and outputs reach the sink in blocks, but no name or output is held
 //!   across a blocking call: a producer that waits for each answer before
 //!   writing the next name is served, and a slow scan's lines reach the
 //!   sink as their lookups complete — also while every core is busy with
@@ -176,7 +178,7 @@ fn shared_queue_absorbs_stranded_window_from_backed_off_destinations() {
     // The whole scan completes: healthy probes answer (NXDOMAIN from the
     // catch-all zone = success), dead destinations time out.
     assert_eq!(
-        report.lookups as usize,
+        report.driver.completed as usize,
         DEAD_LOOKUPS + HEALTHY_LOOKUPS,
         "{:?}",
         report.worker_errors
@@ -187,7 +189,7 @@ fn shared_queue_absorbs_stranded_window_from_backed_off_destinations() {
         "{:?}",
         report.status_counts
     );
-    assert_eq!(report.successes as usize, HEALTHY_LOOKUPS);
+    assert_eq!(report.driver.successes as usize, HEALTHY_LOOKUPS);
     assert!(
         report.driver.queries_deferred > 0,
         "backoff must defer retries"
@@ -270,7 +272,7 @@ fn probe_and_external_scans_count_every_retry() {
     );
     for (kind, report) in [("PROBE", probe), ("A", external)] {
         assert_eq!(
-            report.lookups as usize, N,
+            report.driver.completed as usize, N,
             "{kind}: {:?}",
             report.worker_errors
         );
@@ -279,8 +281,8 @@ fn probe_and_external_scans_count_every_retry() {
             Some(&(N as u64)),
             "{kind}"
         );
-        assert_eq!(report.queries_sent as usize, 2 * N, "{kind}");
-        assert_eq!(report.retries as usize, 2 * N, "{kind}");
+        assert_eq!(report.driver.queries_sent as usize, 2 * N, "{kind}");
+        assert_eq!(report.driver.retries as usize, 2 * N, "{kind}");
     }
 }
 
@@ -319,7 +321,7 @@ fn ct_corpus_workload_streams_through_real_scan_on_loopback() {
     let mut sink = JsonlSink::new(Vec::new(), conf.output);
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
 
-    assert_eq!(report.lookups, 300, "{:?}", report.worker_errors);
+    assert_eq!(report.driver.completed, 300, "{:?}", report.worker_errors);
     assert_eq!(
         report.status_counts.get("NXDOMAIN").copied().unwrap_or(0),
         300,
@@ -340,29 +342,33 @@ fn ct_corpus_workload_streams_through_real_scan_on_loopback() {
     drop(server);
 }
 
-#[test]
-fn slow_sink_backpressure_bounds_the_output_queue() {
-    let _beside = beside_others();
-    let server_ip = Ipv4Addr::new(203, 0, 113, 43);
+/// Scan `names` on 2 threads with a 32-lookup window into a sink an order
+/// of magnitude slower than the lookups. Returns the report, the most
+/// outputs alive at once anywhere between a lookup's completion and the
+/// sink, and their bound: a window of finished outputs per worker, since
+/// a worker writes what one pass of its loop completed before it admits
+/// again, and a slow sink stalls it there.
+fn slow_sink_scan(
+    server_ip: Ipv4Addr,
+    names: impl Iterator<Item = String>,
+) -> (RealScanReport, usize, usize) {
+    const WINDOW: usize = 32;
     let server = catch_all_server(server_ip);
     let real = server.addr();
     let addr_map: Arc<AddrMap> = Arc::new(move |_| real);
-
     let conf = Conf::parse([
         "A",
         "--name-servers",
-        "203.0.113.43",
+        &server_ip.to_string(),
         "--threads",
         "2",
         "--max-in-flight",
-        "32",
+        &WINDOW.to_string(),
         "--retries",
         "2",
     ])
     .unwrap();
     let resolver = zdns::core::Resolver::new(conf.resolver.clone());
-    // Outputs alive anywhere between a lookup's completion and the sink:
-    // in a worker's block, in the queue, or in the writer's block.
     let live = Arc::new(AtomicUsize::new(0));
     let peak_live = Arc::new(AtomicUsize::new(0));
     let module = Arc::new(Tapped {
@@ -374,36 +380,93 @@ fn slow_sink_backpressure_bounds_the_output_queue() {
             })
         },
     });
-
-    let mut source = (0..600).map(|i| format!("slow{i}.sink.test"));
-    // A sink an order of magnitude slower than the lookups.
+    let mut source = names;
     let mut sink = CallbackSink::new(|_| {
         std::thread::sleep(Duration::from_micros(500));
         live.fetch_sub(1, Ordering::SeqCst);
     });
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
+    drop(server);
+    assert_eq!(live.load(Ordering::SeqCst), 0);
+    let (peak, bound) = (peak_live.load(Ordering::SeqCst), report.workers * WINDOW);
+    eprintln!("peak {peak} outputs alive, bound {bound}");
+    (report, peak, bound)
+}
 
-    assert_eq!(report.lookups, 600, "{:?}", report.worker_errors);
-    // The queue is bounded at (2 * window).max(64) = 64 outputs, counted
-    // in items however they cross it: the writer can never find more.
-    const CAP: usize = 64;
-    assert!(
-        (1..=CAP).contains(&report.peak_output_queue),
-        "bounded queue violated: peak {}",
-        report.peak_output_queue
-    );
-    // And however slow the sink, the outputs alive at once are the full
-    // queue, one block (the default batch size) per worker that found it
-    // full, and the block the writer is working through.
-    let bound = CAP + report.workers * zdns::core::DEFAULT_BATCH_SIZE + CAP;
-    let peak = peak_live.load(Ordering::SeqCst);
+#[test]
+fn slow_sink_backpressure_bounds_live_outputs() {
+    let _beside = beside_others();
+    let names = (0..600).map(|i| format!("slow{i}.sink.test"));
+    let (report, peak, bound) = slow_sink_scan(Ipv4Addr::new(203, 0, 113, 43), names);
+    assert_eq!(report.driver.completed, 600, "{:?}", report.worker_errors);
     assert!(
         peak <= bound,
         "{peak} outputs alive at once, bound {bound} ({} workers)",
         report.workers
     );
-    assert_eq!(live.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn lookups_that_end_on_admission_are_written_a_block_at_a_time() {
+    let _beside = beside_others();
+    // An illegal input's lookup ends as it starts, inside admission, which
+    // goes on while the input queue holds names: no loop pass ends to
+    // write what piles up, so admission writes each full block itself.
+    let names = (0..600).map(|i| format!("bad..{i}.sink.test"));
+    let (report, peak, bound) = slow_sink_scan(Ipv4Addr::new(203, 0, 113, 50), names);
+    assert_eq!(
+        report.status_counts.get("ILLEGAL_INPUT"),
+        Some(&600),
+        "{:?}",
+        report.status_counts
+    );
+    assert!(peak <= bound, "{peak} outputs alive at once, bound {bound}");
+}
+
+#[test]
+fn concurrent_workers_write_every_line_whole_and_once() {
+    let _beside = beside_others();
+    const NAMES: usize = 5_000;
+    let server_ip = Ipv4Addr::new(203, 0, 113, 49);
+    let server = catch_all_server(server_ip);
+    let real = server.addr();
+    let addr_map: Arc<AddrMap> = Arc::new(move |_| real);
+    let conf = Conf::parse([
+        "A",
+        "--name-servers",
+        "203.0.113.49",
+        "--threads",
+        "2",
+        "--max-in-flight",
+        "256",
+        "--retries",
+        "2",
+    ])
+    .unwrap();
+    let resolver = zdns::core::Resolver::new(conf.resolver.clone());
+    let module = ModuleRegistry::standard().get("A").unwrap();
+    let mut source = (0..NAMES).map(|i| format!("host{i}.writers.test"));
+    let mut sink = JsonlSink::new(Vec::new(), conf.output);
+    let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
     drop(server);
+
+    assert_eq!(
+        report.driver.completed as usize, NAMES,
+        "{:?}",
+        report.worker_errors
+    );
+    assert_eq!(report.sink_errors, 0);
+    let text = String::from_utf8(sink.into_inner()).unwrap();
+    let mut seen: HashMap<String, usize> = HashMap::new();
+    for line in text.lines() {
+        let v: serde_json::Value = serde_json::from_str(line).expect("a whole JSON line");
+        *seen
+            .entry(v["name"].as_str().unwrap().to_string())
+            .or_default() += 1;
+    }
+    assert_eq!(seen.len(), NAMES, "every input name appears");
+    assert!(seen.values().all(|&n| n == 1), "and only once");
+    assert!((0..NAMES).all(|i| seen.contains_key(&format!("host{i}.writers.test"))));
 }
 
 /// A test that holds a wall-clock bound runs alone ([`alone`]); the other
@@ -420,7 +483,7 @@ fn beside_others() -> RwLockReadGuard<'static, ()> {
     SCANS.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One CPU-bound thread per core (at most 16), until dropped.
+/// Two CPU-bound threads per core (for at most 16 cores), until dropped.
 struct BusyCores {
     stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -430,7 +493,7 @@ impl BusyCores {
     fn start() -> BusyCores {
         let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
         let stop = Arc::new(AtomicBool::new(false));
-        let threads = (0..cores.min(16))
+        let threads = (0..2 * cores.min(16))
             .map(|_| {
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
@@ -459,8 +522,8 @@ impl Drop for BusyCores {
 /// reads on stdout — and return the wall time of the last `turns` turns,
 /// from the first answer reaching the sink to the last. The first name's
 /// lookup is not a turn: it waits for the pipeline to start (a fresh
-/// thread for each worker and for the writer), which takes a scheduling
-/// wait per thread — tens of milliseconds when every core is busy.
+/// thread for each worker), which takes a scheduling wait per thread —
+/// tens of milliseconds when every core is busy.
 fn ping_pong(turns: usize, server_ip: Ipv4Addr) -> Duration {
     let names = turns + 1;
     let server = catch_all_server(server_ip);
@@ -499,7 +562,11 @@ fn ping_pong(turns: usize, server_ip: Ipv4Addr) -> Duration {
         arrived.notify_all();
     });
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
-    assert_eq!(report.lookups as usize, names, "{:?}", report.worker_errors);
+    assert_eq!(
+        report.driver.completed as usize, names,
+        "{:?}",
+        report.worker_errors
+    );
     assert_eq!(sink.outputs_written() as usize, names);
     drop(server);
     last.unwrap() - first.unwrap()
@@ -532,12 +599,12 @@ fn a_waiting_producer_is_served_within_a_round_trip() {
 
 #[test]
 fn a_waiting_producer_is_served_within_a_round_trip_beside_busy_cores() {
-    // The same bound while a CPU-bound thread competes for every core. A
-    // turn is five thread wake-ups (feeder, worker, responder, worker,
-    // writer); each may wait out a busy thread's time slice, and most do
-    // not. The pipeline's start-up is what does not fit: its fresh worker
-    // and writer threads each wait for a core, which is why the turns are
-    // timed from the first answer.
+    // The same bound while two CPU-bound threads compete for every core. A
+    // turn is four thread wake-ups (feeder, worker, responder, worker,
+    // which writes the line itself); each may wait out a busy thread's
+    // time slice, and most do not. The pipeline's start-up is what does
+    // not fit: its fresh worker threads each wait for a core, which is
+    // why the turns are timed from the first answer.
     const TURNS: usize = 50;
     let _alone = alone();
     let _busy = BusyCores::start();
@@ -554,7 +621,7 @@ fn a_waiting_producer_is_served_within_a_round_trip_beside_busy_cores() {
 #[test]
 fn a_slow_scan_prints_each_line_within_a_tick() {
     // 20 names at about 20 per second: a block of outputs never fills, so
-    // it must cross to the writer when the worker's loop next sleeps. Each
+    // the worker must write it when its loop next sleeps. Each
     // output has to reach the sink within 50 ms of its lookup completing
     // (it takes well under one on an idle machine).
     const NAMES: usize = 20;
@@ -596,7 +663,11 @@ fn a_slow_scan_prints_each_line_within_a_tick() {
         waits.push(arrived - completed.lock().unwrap()[&output.name]);
     });
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
-    assert_eq!(report.lookups as usize, NAMES, "{:?}", report.worker_errors);
+    assert_eq!(
+        report.driver.completed as usize, NAMES,
+        "{:?}",
+        report.worker_errors
+    );
     assert_eq!(waits.len(), NAMES);
     let worst = waits.iter().max().unwrap();
     assert!(
@@ -658,7 +729,7 @@ fn probe_over_loopback_prints_the_recorded_bytes() {
         });
     let mut sink = JsonlSink::new(Vec::new(), conf.output);
     let report = run_scan_pipeline(&conf, &resolver, module, addr_map, &mut source, &mut sink);
-    assert_eq!(report.lookups, 300, "{:?}", report.worker_errors);
+    assert_eq!(report.driver.completed, 300, "{:?}", report.worker_errors);
     drop(server);
 
     let text = String::from_utf8(sink.into_inner()).unwrap();
