@@ -15,6 +15,12 @@
 //!   probe of one named server — the building block for the §5
 //!   `--all-nameservers` extension and misc modules.
 //!
+//! The two differ in whom they ask, not in how: one `Querier` per lookup
+//! asks and ends it for either (ids, tags, cookies, UDP or TCP, stale
+//! events, counts, and the one [`LookupResult`]). The stub keeps its server
+//! list, rotation and transport-failure rule; the iterative machine its
+//! walks, referrals, CNAME chain, trace and cache writes.
+//!
 //! Responses arrive as [`MsgRef`] — a borrowed [`zdns_wire::MessageView`]
 //! over the bytes the response came as, from the reactor's sockets and the
 //! simulator alike. Machines inspect the borrowed form and **promote**
@@ -31,6 +37,7 @@ use std::sync::Arc;
 use zdns_netsim::oracle::{MAX_CNAME_HOPS, MAX_NS_SUBWALKS, MAX_REFERRALS};
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, StepStatus};
 use zdns_wire::{Cookie, MsgRef, Name, Question, RData, Rcode, Record, RecordType};
+use zdns_zones::hashing::{fnv1a, FNV_OFFSET};
 
 use crate::cache::{Cache, CacheKey};
 use crate::config::{Detail, ResolutionMode, ResolverConfig};
@@ -51,19 +58,6 @@ impl ResolverCore {
     pub fn new(config: ResolverConfig) -> Arc<ResolverCore> {
         let cache = Cache::new(config.cache_size);
         Arc::new(ResolverCore { config, cache })
-    }
-
-    /// The machine-side cookie state for a lookup of `name`, if cookies
-    /// are enabled: keyed per-destination derivation when a secret is
-    /// configured (RFC 7873 §6), the reproducible per-name hash
-    /// otherwise.
-    fn cookie_state(&self, name: &Name) -> Option<CookieState> {
-        self.config
-            .edns_cookies
-            .then(|| match self.config.cookie_secret {
-                Some(secret) => CookieState::keyed(secret),
-                None => CookieState::per_name(client_cookie_for(name)),
-            })
     }
 }
 
@@ -95,15 +89,9 @@ fn query_id(name: &Name, counter: u32) -> u16 {
 /// lowercased name; real deployments would mix in a secret, but the sim
 /// and loopback paths value reproducibility).
 fn client_cookie_for(name: &Name) -> [u8; 8] {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for l in name.labels() {
-        for &b in l.iter() {
-            h ^= b.to_ascii_lowercase() as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^= 0xFF;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = name.labels().fold(FNV_OFFSET, |h, l| {
+        fnv1a(h, l.iter().map(u8::to_ascii_lowercase).chain([0xFF]))
+    });
     h.to_be_bytes()
 }
 
@@ -179,20 +167,6 @@ struct CookieState {
 }
 
 impl CookieState {
-    fn per_name(client: [u8; 8]) -> CookieState {
-        CookieState {
-            key: CookieKey::PerName(client),
-            learned: None,
-        }
-    }
-
-    fn keyed(secret: [u8; 16]) -> CookieState {
-        CookieState {
-            key: CookieKey::Keyed(secret),
-            learned: None,
-        }
-    }
-
     /// The client half we send to `dest`.
     fn client_for(&self, dest: Ipv4Addr) -> [u8; 8] {
         match &self.key {
@@ -222,6 +196,169 @@ impl CookieState {
 }
 
 // ---------------------------------------------------------------------------
+// The querier: how every lookup asks and ends
+// ---------------------------------------------------------------------------
+
+/// The response a lookup ends with: the message, the server that sent it
+/// and the transport it arrived on.
+type Reply<'r, 'm> = (&'r MsgRef<'m>, Ipv4Addr, Protocol);
+
+/// Everything a lookup does with its exchanges, whichever machine drives
+/// it: number and tag each query, attach the cookie for its destination
+/// and learn the server's back, choose UDP or TCP, drop stale events,
+/// count queries and retries, and end the lookup with its one
+/// [`LookupResult`] and [`JobOutcome`].
+struct Querier {
+    core: Arc<ResolverCore>,
+    /// The RD bit and the timeout every query carries.
+    rd: bool,
+    timeout: SimTime,
+    /// Queries sent so far. The n-th query's tag is n, so an event whose
+    /// tag is not `queries` answers a query already given up on.
+    queries: u32,
+    retries_used: u32,
+    started: SimTime,
+    /// A truncated UDP answer moved this server's exchange to TCP.
+    over_tcp: bool,
+    cookies: Option<CookieState>,
+    sink: Option<ResultSink>,
+}
+
+impl Querier {
+    fn new(
+        core: Arc<ResolverCore>,
+        name: &Name,
+        rd: bool,
+        timeout: SimTime,
+        sink: Option<ResultSink>,
+    ) -> Querier {
+        let config = &core.config;
+        Querier {
+            // Keyed per destination when a secret is configured (RFC 7873
+            // §6), the reproducible per-name hash otherwise.
+            cookies: config.edns_cookies.then(|| CookieState {
+                key: match config.cookie_secret {
+                    Some(secret) => CookieKey::Keyed(secret),
+                    None => CookieKey::PerName(client_cookie_for(name)),
+                },
+                learned: None,
+            }),
+            core,
+            rd,
+            timeout,
+            queries: 0,
+            retries_used: 0,
+            started: 0,
+            over_tcp: false,
+            sink,
+        }
+    }
+
+    /// The transport of the next query: TCP under `--tcp-only` or after a
+    /// truncated UDP answer, UDP otherwise.
+    fn protocol(&self) -> Protocol {
+        if self.over_tcp || self.core.config.tcp_only {
+            Protocol::Tcp
+        } else {
+            Protocol::Udp
+        }
+    }
+
+    /// Ask `to` for `question`: the n-th query of a lookup carries the id
+    /// `query_id(question's name, n)` and the tag n.
+    fn send(&mut self, to: Ipv4Addr, question: &Question, out: &mut Vec<OutQuery>) {
+        self.queries += 1;
+        out.push(OutQuery {
+            to,
+            id: query_id(&question.name, self.queries),
+            question: question.clone(),
+            recursion_desired: self.rd,
+            cookie: self.cookies.as_ref().map(|c| c.for_dest(to)),
+            protocol: self.protocol(),
+            timeout: self.timeout,
+            tag: u64::from(self.queries),
+        });
+    }
+
+    /// Whether `event` is about the query in flight; one about a query
+    /// already given up on is stale. A current response teaches its
+    /// cookie; a current timeout or transport failure uses a retry.
+    fn accept(&mut self, event: &ClientEvent<'_>) -> bool {
+        let (ClientEvent::Response { tag, .. }
+        | ClientEvent::Timeout { tag }
+        | ClientEvent::TransportFailed { tag }) = event;
+        if *tag != u64::from(self.queries) {
+            return false;
+        }
+        match event {
+            ClientEvent::Response { from, message, .. } => {
+                if let Some(cookies) = self.cookies.as_mut() {
+                    cookies.learn(*from, message.cookie());
+                }
+            }
+            _ => self.retries_used += 1,
+        }
+        true
+    }
+
+    /// TC→TCP: whether `message`, which arrived over `protocol`, is a
+    /// truncated UDP answer to ask the same server again over TCP. If it
+    /// is, the next query goes over TCP.
+    fn retry_over_tcp(&mut self, message: &MsgRef<'_>, protocol: Protocol) -> bool {
+        let retry = message.flags().truncated
+            && protocol == Protocol::Udp
+            && self.core.config.tcp_on_truncated;
+        self.over_tcp |= retry;
+        retry
+    }
+
+    /// End the lookup of `question` with `status`. With a result sink
+    /// attached, this builds the one [`LookupResult`]: the sections,
+    /// flags, resolver and transport of `reply` (the last query's
+    /// transport when nothing answered) and the counts, then `fill` adds
+    /// what only the machine knows (answers, trace, delegation).
+    /// Promotion happens here, and only here, because the result is being
+    /// kept: a sink-less lookup never materializes the sections at all.
+    fn finish(
+        &self,
+        now: SimTime,
+        question: &Question,
+        status: Status,
+        reply: Option<Reply<'_, '_>>,
+        fill: impl FnOnce(&mut LookupResult),
+    ) -> StepStatus {
+        if let Some(sink) = &self.sink {
+            let mut result = LookupResult {
+                name: question.name.clone(),
+                qtype: question.qtype,
+                status,
+                answers: Vec::new(),
+                authorities: reply.map(|(m, ..)| m.authorities_vec()).unwrap_or_default(),
+                additionals: reply.map(|(m, ..)| m.additionals_vec()).unwrap_or_default(),
+                flags: reply.map(|(m, ..)| m.flags()),
+                resolver: reply.map(|(_, from, _)| server_text(from)),
+                protocol: match reply.map_or(self.protocol(), |(.., p)| p) {
+                    Protocol::Udp => "udp",
+                    Protocol::Tcp => "tcp",
+                },
+                trace: Vec::new(),
+                delegation: None,
+                queries_sent: self.queries,
+                retries_used: self.retries_used,
+                duration: now.saturating_sub(self.started),
+                timestamp: now,
+            };
+            fill(&mut result);
+            sink(result);
+        }
+        StepStatus::Done(JobOutcome {
+            success: status.is_success(),
+            status: status.as_str(),
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Stub mode: external lookups and per-server probes
 // ---------------------------------------------------------------------------
 
@@ -236,22 +373,14 @@ impl CookieState {
 ///   modules like `version.bind`. Its list is that one server, so a
 ///   rotating retry asks it again.
 pub struct StubMachine {
-    core: Arc<ResolverCore>,
+    querier: Querier,
     question: Question,
     /// The one server a probe asks; `None` asks the configured upstreams.
     probe: Option<Ipv4Addr>,
-    /// The RD bit every query carries.
-    rd: bool,
-    server_idx: usize,
-    attempt: u32,
-    retries_used: u32,
-    queries: u32,
-    started: SimTime,
-    tag: u64,
-    over_tcp: bool,
+    /// Where in the server list the first query goes; each retry asks
+    /// the next server.
+    first_server: usize,
     transport_failed: bool,
-    cookies: Option<CookieState>,
-    sink: Option<ResultSink>,
 }
 
 impl StubMachine {
@@ -282,108 +411,49 @@ impl StubMachine {
         rd: bool,
         sink: Option<ResultSink>,
     ) -> StubMachine {
-        // Load-balance the starting server across lookups.
-        let server_idx = query_id(&question.name, 0) as usize;
-        let cookies = core.cookie_state(&question.name);
+        let timeout = core.config.timeout;
         StubMachine {
-            core,
+            querier: Querier::new(core, &question.name, rd, timeout, sink),
+            // Load-balance the starting server across lookups.
+            first_server: query_id(&question.name, 0) as usize,
             question,
             probe,
-            rd,
-            server_idx,
-            attempt: 0,
-            retries_used: 0,
-            queries: 0,
-            started: 0,
-            tag: 0,
-            over_tcp: false,
             transport_failed: false,
-            cookies,
-            sink,
         }
     }
 
     /// The servers this lookup rotates through: the probed one, or the
     /// upstream resolvers, read where the config holds them.
     fn servers(&self) -> &[Ipv4Addr] {
-        match (&self.probe, &self.core.config.mode) {
+        match (&self.probe, &self.querier.core.config.mode) {
             (Some(server), _) => std::slice::from_ref(server),
             (None, ResolutionMode::External { servers }) => servers,
             (None, ResolutionMode::Iterative) => &[],
         }
     }
 
-    fn current_server(&self) -> Ipv4Addr {
-        let servers = self.servers();
-        servers[self.server_idx % servers.len()]
-    }
-
     fn send(&mut self, out: &mut Vec<OutQuery>) {
-        self.queries += 1;
-        self.tag += 1;
-        let to = self.current_server();
-        let protocol = if self.over_tcp || self.core.config.tcp_only {
-            Protocol::Tcp
-        } else {
-            Protocol::Udp
-        };
-        out.push(OutQuery {
-            to,
-            id: query_id(&self.question.name, self.queries),
-            question: self.question.clone(),
-            recursion_desired: self.rd,
-            cookie: self.cookies.as_ref().map(|c| c.for_dest(to)),
-            protocol,
-            timeout: self.core.config.timeout,
-            tag: self.tag,
-        });
+        let servers = self.servers();
+        let to = servers[(self.first_server + self.querier.retries_used as usize) % servers.len()];
+        self.querier.send(to, &self.question, out);
     }
 
-    fn finish(
-        &mut self,
-        now: SimTime,
-        status: Status,
-        response: Option<(&MsgRef<'_>, Ipv4Addr)>,
-    ) -> StepStatus {
-        if let Some(sink) = &self.sink {
-            // Promotion happens here — and only here — because the result
-            // is being kept. Sink-less lookups (scans that only count
-            // statuses) never materialize the sections at all.
-            let result = LookupResult {
-                name: self.question.name.clone(),
-                qtype: self.question.qtype,
-                status,
-                answers: response.map(|(m, _)| m.answers_vec()).unwrap_or_default(),
-                authorities: response
-                    .map(|(m, _)| m.authorities_vec())
-                    .unwrap_or_default(),
-                additionals: response
-                    .map(|(m, _)| m.additionals_vec())
-                    .unwrap_or_default(),
-                flags: response.map(|(m, _)| m.flags()),
+    fn finish(&self, now: SimTime, status: Status, reply: Option<Reply<'_, '_>>) -> StepStatus {
+        self.querier
+            .finish(now, &self.question, status, reply, |result| {
+                result.answers = reply.map(|(m, ..)| m.answers_vec()).unwrap_or_default();
                 // A probe names its server even when nothing answered; an
                 // external lookup names only the resolver that did.
-                resolver: response.map(|(_, ip)| ip).or(self.probe).map(server_text),
-                protocol: if self.over_tcp { "tcp" } else { "udp" },
-                trace: Vec::new(),
-                delegation: None,
-                queries_sent: self.queries,
-                retries_used: self.retries_used,
-                duration: now.saturating_sub(self.started),
-                timestamp: now,
-            };
-            sink(result);
-        }
-        StepStatus::Done(JobOutcome {
-            success: status.is_success(),
-            status: status.as_str(),
-        })
+                if result.resolver.is_none() {
+                    result.resolver = self.probe.map(server_text);
+                }
+            })
     }
 }
 
 impl SimClient for StubMachine {
     fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        self.started = now;
+        self.querier.started = now;
         if self.servers().is_empty() {
             return self.finish(now, Status::Error, None);
         }
@@ -397,48 +467,33 @@ impl SimClient for StubMachine {
         now: SimTime,
         out: &mut Vec<OutQuery>,
     ) -> StepStatus {
-        let failed = matches!(event, ClientEvent::TransportFailed { .. });
+        if !self.querier.accept(&event) {
+            return StepStatus::Running;
+        }
         match event {
             ClientEvent::Response {
-                tag,
                 from,
                 message,
                 protocol,
+                ..
             } => {
-                if tag != self.tag {
-                    return StepStatus::Running; // stale
-                }
-                if let Some(cookies) = self.cookies.as_mut() {
-                    cookies.learn(from, message.cookie());
-                }
-                let flags = message.flags();
-                if flags.truncated && protocol == Protocol::Udp && self.core.config.tcp_on_truncated
-                {
-                    // Retry over TCP against the same server.
-                    self.over_tcp = true;
+                if self.querier.retry_over_tcp(&message, protocol) {
                     self.send(out);
                     return StepStatus::Running;
                 }
-                if flags.truncated {
-                    return self.finish(now, Status::Truncated, Some((&message, from)));
-                }
-                let status = Status::from_rcode(message.rcode());
-                self.finish(now, status, Some((&message, from)))
+                let status = if message.flags().truncated {
+                    Status::Truncated
+                } else {
+                    Status::from_rcode(message.rcode())
+                };
+                self.finish(now, status, Some((&message, from, protocol)))
             }
-            ClientEvent::Timeout { tag } | ClientEvent::TransportFailed { tag } => {
-                if tag != self.tag {
-                    return StepStatus::Running;
-                }
-                if failed {
-                    self.transport_failed = true;
-                }
-                self.attempt += 1;
-                self.retries_used += 1;
-                if self.attempt <= self.core.config.retries {
+            ClientEvent::Timeout { .. } | ClientEvent::TransportFailed { .. } => {
+                self.transport_failed |= matches!(event, ClientEvent::TransportFailed { .. });
+                if self.querier.retries_used <= self.querier.core.config.retries {
                     // Rotate to the next server (ZDNS load-balances
                     // retries across its resolver list; a probe's list
                     // is its one server).
-                    self.server_idx += 1;
                     self.send(out);
                     StepStatus::Running
                 } else if self.transport_failed {
@@ -485,17 +540,10 @@ struct Walk {
 
 /// ZDNS's own caching iterative resolver as a state machine.
 pub struct IterativeMachine {
-    core: Arc<ResolverCore>,
+    querier: Querier,
     original: Question,
     stack: Vec<Walk>,
     trace: Vec<TraceStep>,
-    queries: u32,
-    retries_used: u32,
-    started: SimTime,
-    tag: u64,
-    over_tcp: bool,
-    cookies: Option<CookieState>,
-    sink: Option<ResultSink>,
 }
 
 impl IterativeMachine {
@@ -505,28 +553,21 @@ impl IterativeMachine {
         question: Question,
         sink: Option<ResultSink>,
     ) -> IterativeMachine {
-        let cookies = core.cookie_state(&question.name);
+        let timeout = core.config.iteration_timeout;
         IterativeMachine {
-            core,
+            querier: Querier::new(core, &question.name, false, timeout, sink),
             original: question,
             stack: Vec::new(),
             trace: Vec::new(),
-            queries: 0,
-            retries_used: 0,
-            started: 0,
-            tag: 0,
-            over_tcp: false,
-            cookies,
-            sink,
         }
     }
 
     fn new_walk(&mut self, q: Question, parent_cand: Option<usize>, now: SimTime) -> Walk {
-        let (zone, candidates, cached) = match self.core.cache.deepest_cut(&q.name, now) {
+        let core = &self.querier.core;
+        let (zone, candidates, cached) = match core.cache.deepest_cut(&q.name, now) {
             Some((cut, ns_records)) => {
                 let mut candidates = Vec::with_capacity(ns_records.len());
-                self.core
-                    .cache
+                core.cache
                     .cut_addresses(&cut, &ns_records, now, |ns, addr| {
                         candidates.push(Candidate {
                             ns: ns.clone(),
@@ -537,11 +578,7 @@ impl IterativeMachine {
                 (cut, candidates, true)
             }
             None => {
-                let candidates = self
-                    .core
-                    .config
-                    .root_hints
-                    .iter()
+                let candidates = (core.config.root_hints.iter())
                     .map(|(ns, addr)| Candidate {
                         ns: ns.clone(),
                         addr: Some(*addr),
@@ -551,7 +588,7 @@ impl IterativeMachine {
                 (Name::root(), candidates, false)
             }
         };
-        if cached && self.core.config.detail == Detail::Trace {
+        if cached && core.config.detail == Detail::Trace {
             self.trace
                 .push(step_for(&q, &zone, 1, "cache".to_string(), 1, true, None));
         }
@@ -595,23 +632,16 @@ impl IterativeMachine {
             _ => None,
         });
         for ns in hosts {
-            let mut addr = glue.iter().find_map(|g| {
-                if g.name == ns {
-                    match &g.rdata {
-                        RData::A(a) => Some(*a),
-                        _ => None,
-                    }
-                } else {
-                    None
-                }
+            let mut addr = glue.iter().find_map(|g| match g.rdata {
+                RData::A(a) if g.name == ns => Some(a),
+                _ => None,
             });
             if addr.is_none() {
                 // Borrowing accessor: this glue probe runs once per NS per
                 // referral on the iterative hot path, and `get` would
                 // refresh the entry's recency just to pick one address.
-                addr = self
-                    .core
-                    .cache
+                let cache = &self.querier.core.cache;
+                addr = cache
                     .with_records(&ns, RecordType::A, now, |records, _| {
                         records.iter().find_map(|r| r.a_addr())
                     })
@@ -628,33 +658,18 @@ impl IterativeMachine {
 
     fn send_current(&mut self, out: &mut Vec<OutQuery>) {
         let walk = self.stack.last().expect("active walk");
-        let candidate = &walk.candidates[walk.cand_idx];
-        let addr = candidate.addr.expect("send_current requires an address");
-        self.queries += 1;
-        self.tag += 1;
-        let protocol = if self.over_tcp || self.core.config.tcp_only {
-            Protocol::Tcp
-        } else {
-            Protocol::Udp
-        };
-        out.push(OutQuery {
-            to: addr,
-            id: query_id(&walk.q.name, self.queries),
-            question: walk.q.clone(),
-            recursion_desired: false,
-            cookie: self.cookies.as_ref().map(|c| c.for_dest(addr)),
-            protocol,
-            timeout: self.core.config.iteration_timeout,
-            tag: self.tag,
-        });
+        let to = walk.candidates[walk.cand_idx]
+            .addr
+            .expect("send_current requires an address");
+        self.querier.send(to, &walk.q, out);
     }
 
     /// Drive the machine forward until a query is in flight or the lookup
     /// completes.
     fn advance(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
         loop {
-            if self.queries >= MAX_QUERIES_PER_LOOKUP
-                || now.saturating_sub(self.started) > LOOKUP_BUDGET
+            if self.querier.queries >= MAX_QUERIES_PER_LOOKUP
+                || now.saturating_sub(self.querier.started) > LOOKUP_BUDGET
             {
                 return self.finish(now, Status::IterativeTimeout, None);
             }
@@ -671,7 +686,9 @@ impl IterativeMachine {
                 .map(|(i, _)| i);
             if let Some(i) = next_with_addr {
                 walk.cand_idx = i;
-                self.over_tcp = self.core.config.tcp_only;
+                // A new server is asked over UDP first (unless
+                // `--tcp-only`); TC→TCP holds for one server only.
+                self.querier.over_tcp = false;
                 self.send_current(out);
                 return StepStatus::Running;
             }
@@ -715,11 +732,10 @@ impl IterativeMachine {
         walk.candidates[walk.cand_idx].dead = true;
         walk.cand_idx = 0; // rescan from the start; dead ones are skipped
         walk.attempt = 0;
-        self.over_tcp = false;
     }
 
     fn record_trace(&mut self, message: &MsgRef<'_>, from: Ipv4Addr) {
-        if self.core.config.detail != Detail::Trace {
+        if self.querier.core.config.detail != Detail::Trace {
             return;
         }
         let walk = self.stack.last().expect("active walk");
@@ -739,109 +755,78 @@ impl IterativeMachine {
         &mut self,
         now: SimTime,
         status: Status,
-        message: Option<(&MsgRef<'_>, Ipv4Addr)>,
+        reply: Option<Reply<'_, '_>>,
         out: &mut Vec<OutQuery>,
     ) -> StepStatus {
         let walk = self.stack.pop().expect("active walk");
         if self.stack.is_empty() {
-            let mut answers = walk.chain;
-            match message {
-                // No CNAME chain (the common case): the promoted section
-                // is the whole answer.
-                Some((m, _)) if answers.is_empty() => answers = m.answers_vec(),
-                Some((m, _)) => answers.extend(m.answers_vec()),
-                None => {}
-            }
-            let delegation = Some(DelegationInfo {
-                zone: walk.zone,
-                nameservers: walk
-                    .candidates
-                    .into_iter()
-                    .map(|c| (c.ns, c.addr))
-                    .collect(),
-            });
-            return self.finish_with(now, status, message, answers, delegation);
+            return self.end(now, status, reply, Some(walk), true);
         }
-        // NS-address sub-walk: hand addresses to the parent candidate.
-        let mut addrs: Vec<Ipv4Addr> = Vec::new();
-        if status == Status::NoError {
-            for r in &walk.chain {
-                if let RData::A(a) = r.rdata {
-                    addrs.push(a);
-                }
-            }
-            if let Some((m, _)) = message {
-                addrs.extend(m.answers().filter_map(|r| r.a_addr()));
-            }
-        }
+        // NS-address sub-walk: hand its first address to the parent
+        // candidate.
+        let addr = match status {
+            Status::NoError => walk
+                .chain
+                .iter()
+                .find_map(|r| match r.rdata {
+                    RData::A(a) => Some(a),
+                    _ => None,
+                })
+                .or_else(|| reply.and_then(|(m, ..)| m.answers().find_map(|r| r.a_addr()))),
+            _ => None,
+        };
         if let Some(ci) = walk.parent_cand {
             let parent = self.stack.last_mut().expect("parent walk");
-            match addrs.first() {
-                Some(&a) => parent.candidates[ci].addr = Some(a),
+            match addr {
+                Some(a) => parent.candidates[ci].addr = Some(a),
                 None => parent.candidates[ci].dead = true,
             }
         }
         self.advance(now, out)
     }
 
-    fn finish(
-        &mut self,
-        now: SimTime,
-        status: Status,
-        message: Option<(&MsgRef<'_>, Ipv4Addr)>,
-    ) -> StepStatus {
-        // Failure outside a completed walk: salvage whatever chain exists.
-        // `finish_with` clears the stack, so the first walk is taken apart.
-        let (answers, delegation) = match self.stack.first_mut() {
-            Some(w) => (
-                std::mem::take(&mut w.chain),
-                Some(DelegationInfo {
-                    zone: std::mem::take(&mut w.zone),
-                    nameservers: w.candidates.drain(..).map(|c| (c.ns, c.addr)).collect(),
-                }),
-            ),
-            None => (Vec::new(), None),
-        };
-        self.finish_with(now, status, message, answers, delegation)
+    /// Failure outside a completed walk: salvage whatever chain the
+    /// outermost walk holds.
+    fn finish(&mut self, now: SimTime, status: Status, reply: Option<Reply<'_, '_>>) -> StepStatus {
+        let outermost = self.stack.drain(..).next();
+        self.end(now, status, reply, outermost, false)
     }
 
-    fn finish_with(
+    /// End the lookup. The result keeps `walk`'s CNAME chain, zone cut
+    /// and nameservers, followed by `reply`'s answers if `answered`, and
+    /// the trace.
+    fn end(
         &mut self,
         now: SimTime,
         status: Status,
-        message: Option<(&MsgRef<'_>, Ipv4Addr)>,
-        answers: Vec<Record>,
-        delegation: Option<DelegationInfo>,
+        reply: Option<Reply<'_, '_>>,
+        walk: Option<Walk>,
+        answered: bool,
     ) -> StepStatus {
-        if let Some(sink) = &self.sink {
-            let result = LookupResult {
-                name: self.original.name.clone(),
-                qtype: self.original.qtype,
-                status,
-                answers,
-                authorities: message
-                    .map(|(m, _)| m.authorities_vec())
-                    .unwrap_or_default(),
-                additionals: message
-                    .map(|(m, _)| m.additionals_vec())
-                    .unwrap_or_default(),
-                flags: message.map(|(m, _)| m.flags()),
-                resolver: message.map(|(_, ip)| server_text(ip)),
-                protocol: if self.over_tcp { "tcp" } else { "udp" },
-                trace: std::mem::take(&mut self.trace),
-                delegation,
-                queries_sent: self.queries,
-                retries_used: self.retries_used,
-                duration: now.saturating_sub(self.started),
-                timestamp: now,
-            };
-            sink(result);
-        }
-        self.stack.clear();
-        StepStatus::Done(JobOutcome {
-            success: status.is_success(),
-            status: status.as_str(),
-        })
+        self.querier
+            .finish(now, &self.original, status, reply, |result| {
+                if let Some(walk) = walk {
+                    result.answers = walk.chain;
+                    result.delegation = Some(DelegationInfo {
+                        zone: walk.zone,
+                        nameservers: walk
+                            .candidates
+                            .into_iter()
+                            .map(|c| (c.ns, c.addr))
+                            .collect(),
+                    });
+                }
+                match reply {
+                    // No CNAME chain (the common case): the promoted
+                    // section is the whole answer.
+                    Some((m, ..)) if answered && result.answers.is_empty() => {
+                        result.answers = m.answers_vec()
+                    }
+                    Some((m, ..)) if answered => result.answers.extend(m.answers_vec()),
+                    _ => {}
+                }
+                result.trace = std::mem::take(&mut self.trace);
+            })
     }
 
     /// Selective caching (§3.4): NS RRsets at zone cuts plus in-bailiwick
@@ -861,7 +846,7 @@ impl IterativeMachine {
             matches!(rec.rtype, RecordType::A | RecordType::AAAA)
                 && rec.name.is_subdomain_of(bailiwick)
         };
-        self.core.cache.put_delegation(
+        self.querier.core.cache.put_delegation(
             cut,
             ns_records,
             |host| {
@@ -881,7 +866,7 @@ impl IterativeMachine {
             if glue[..i].iter().any(same_set) {
                 continue;
             }
-            self.core.cache.put_records(
+            self.querier.core.cache.put_records(
                 &CacheKey {
                     name: rec.name.clone(),
                     rtype: rec.rtype,
@@ -902,24 +887,19 @@ impl IterativeMachine {
         out: &mut Vec<OutQuery>,
     ) -> StepStatus {
         self.record_trace(&message, from);
-        if let Some(cookies) = self.cookies.as_mut() {
-            cookies.learn(from, message.cookie());
-        }
+        let reply = Some((&message, from, protocol));
 
         // Truncation → TCP fallback against the same server.
+        if self.querier.retry_over_tcp(&message, protocol) {
+            self.send_current(out);
+            return StepStatus::Running;
+        }
         if message.flags().truncated {
-            if protocol == Protocol::Udp && self.core.config.tcp_on_truncated {
-                self.over_tcp = true;
-                self.send_current(out);
-                return StepStatus::Running;
-            }
-            return self.finish(now, Status::Truncated, Some((&message, from)));
+            return self.finish(now, Status::Truncated, reply);
         }
 
         match message.rcode() {
-            Rcode::NxDomain => {
-                return self.finish_walk(now, Status::NxDomain, Some((&message, from)), out)
-            }
+            Rcode::NxDomain => return self.finish_walk(now, Status::NxDomain, reply, out),
             Rcode::NoError => {}
             _ => {
                 // REFUSED / SERVFAIL / anything else: lame or broken server.
@@ -949,14 +929,14 @@ impl IterativeMachine {
 
         if !answers_empty {
             if has_final {
-                return self.finish_walk(now, Status::NoError, Some((&message, from)), out);
+                return self.finish_walk(now, Status::NoError, reply, out);
             }
             if let Some(target) = trailing_cname {
                 // CNAME restart: keep the chain, walk again for the target.
                 walk.chain.extend(message.answers_vec());
                 walk.cname_hops += 1;
                 if walk.cname_hops > MAX_CNAME_HOPS {
-                    return self.finish(now, Status::ServFail, Some((&message, from)));
+                    return self.finish(now, Status::ServFail, reply);
                 }
                 let q = Question {
                     name: target,
@@ -973,7 +953,7 @@ impl IterativeMachine {
                 return self.advance(now, out);
             }
             // Answers of some other type: return them as-is.
-            return self.finish_walk(now, Status::NoError, Some((&message, from)), out);
+            return self.finish_walk(now, Status::NoError, reply, out);
         }
 
         // No answers: referral or negative.
@@ -996,14 +976,13 @@ impl IterativeMachine {
                 return self.advance(now, out);
             }
             if walk.depth + 1 > MAX_REFERRALS {
-                return self.finish(now, Status::IterativeTimeout, Some((&message, from)));
+                return self.finish(now, Status::IterativeTimeout, reply);
             }
             let bailiwick = walk.zone.clone();
             walk.zone = cut.clone();
             walk.depth += 1;
             walk.attempt = 0;
             walk.cand_idx = 0;
-            self.over_tcp = false;
             // Referral RRsets are kept (candidates + selective cache), so
             // this is exactly the promote-on-keep point.
             let glue = message.additionals_vec();
@@ -1016,7 +995,7 @@ impl IterativeMachine {
         }
         if authoritative {
             // NODATA.
-            return self.finish_walk(now, Status::NoError, Some((&message, from)), out);
+            return self.finish_walk(now, Status::NoError, reply, out);
         }
         // Neither referral nor authoritative data: broken server.
         self.current_candidate_exhausted();
@@ -1026,8 +1005,8 @@ impl IterativeMachine {
 
 impl SimClient for IterativeMachine {
     fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        self.started = now;
-        if self.core.config.root_hints.is_empty() {
+        self.querier.started = now;
+        if self.querier.core.config.root_hints.is_empty() {
             return self.finish(now, Status::Error, None);
         }
         let walk = self.new_walk(self.original.clone(), None, now);
@@ -1041,27 +1020,20 @@ impl SimClient for IterativeMachine {
         now: SimTime,
         out: &mut Vec<OutQuery>,
     ) -> StepStatus {
+        if !self.querier.accept(&event) {
+            return StepStatus::Running;
+        }
         match event {
             ClientEvent::Response {
-                tag,
                 from,
                 message,
                 protocol,
-            } => {
-                if tag != self.tag {
-                    return StepStatus::Running;
-                }
-                self.handle_response(message, from, protocol, now, out)
-            }
-            ClientEvent::Timeout { tag } => {
-                if tag != self.tag {
-                    return StepStatus::Running;
-                }
-                self.retries_used += 1;
-                let retries = self.core.config.retries;
+                ..
+            } => self.handle_response(message, from, protocol, now, out),
+            ClientEvent::Timeout { .. } => {
                 let walk = self.stack.last_mut().expect("active walk");
                 walk.attempt += 1;
-                if walk.attempt < retries {
+                if walk.attempt < self.querier.core.config.retries {
                     self.send_current(out);
                     StepStatus::Running
                 } else {
@@ -1069,14 +1041,10 @@ impl SimClient for IterativeMachine {
                     self.advance(now, out)
                 }
             }
-            ClientEvent::TransportFailed { tag } => {
-                if tag != self.tag {
-                    return StepStatus::Running;
-                }
+            ClientEvent::TransportFailed { .. } => {
                 // An I/O failure is not silence — the server (or the route
                 // to it) is broken, so skip straight to the next candidate
                 // instead of burning retries on it.
-                self.retries_used += 1;
                 self.current_candidate_exhausted();
                 self.advance(now, out)
             }

@@ -79,8 +79,6 @@ pub struct ReactorConfig {
     pub max_in_flight: usize,
     /// Source address the UDP socket binds to.
     pub source: Ipv4Addr,
-    /// Timer-wheel slot width in nanoseconds.
-    pub wheel_granularity: SimTime,
     /// Which syscall strategy drives the hot path. The default
     /// ([`IoBackend::Mmsg`]) is vectored `sendmmsg`/`recvmmsg` of up to
     /// [`DEFAULT_BATCH_SIZE`] datagrams where the platform has them,
@@ -113,6 +111,10 @@ pub const DEFAULT_BATCH_SIZE: usize = 32;
 /// Timer-wheel slot count (a power of two).
 const WHEEL_SLOTS: usize = 1_024;
 
+/// Timer-wheel slot width: a timeout or pacer release fires up to this
+/// late.
+const WHEEL_GRANULARITY: SimTime = 4 * MILLIS;
+
 /// Largest window the demux table is sized for up front; a wider one
 /// grows the table as it fills, like any map.
 const MAX_PRESIZED: usize = 1 << 16;
@@ -122,7 +124,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             max_in_flight: 1_024,
             source: Ipv4Addr::UNSPECIFIED,
-            wheel_granularity: 4 * MILLIS,
             io_backend: IoBackend::default(),
             max_parked: 0,
             epoch: None,
@@ -304,7 +305,7 @@ impl Reactor {
         // A reactor keeps hundreds of queries in flight on one socket;
         // responses arrive in bursts the default buffer would drop.
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
-        let wheel = TimerWheel::new(WHEEL_SLOTS, config.wheel_granularity);
+        let wheel = TimerWheel::new(WHEEL_SLOTS, WHEEL_GRANULARITY);
         let batch = BatchIo::with_backend(config.io_backend, DEFAULT_BATCH_SIZE);
         let started = config.epoch.unwrap_or_else(Instant::now);
         // Room for twice the window: a table this churned fills with

@@ -116,7 +116,6 @@ mod tests {
             ReactorConfig {
                 max_in_flight: 2,
                 source: Ipv4Addr::LOCALHOST,
-                wheel_granularity: MILLIS,
                 epoch: Some(epoch),
                 ..ReactorConfig::default()
             },

@@ -505,7 +505,6 @@ fn reactor_times_out_and_retries_via_timer_wheel() {
         ReactorConfig {
             max_in_flight: 64,
             source: Ipv4Addr::LOCALHOST,
-            wheel_granularity: zdns_netsim::MILLIS,
             ..ReactorConfig::default()
         },
         map,
@@ -918,7 +917,6 @@ fn reactor_holds_send_rate_within_ten_percent_of_budget() {
         ReactorConfig {
             max_in_flight: N, // everything admitted at once: pure pacing
             source: Ipv4Addr::LOCALHOST,
-            wheel_granularity: zdns_netsim::MILLIS,
             ..ReactorConfig::default()
         },
         map,
@@ -981,7 +979,6 @@ fn reactor_backoff_defers_retries_to_a_silent_destination() {
         ReactorConfig {
             max_in_flight: 8,
             source: Ipv4Addr::LOCALHOST,
-            wheel_granularity: zdns_netsim::MILLIS,
             ..ReactorConfig::default()
         },
         map,
@@ -1042,7 +1039,6 @@ fn concurrent_pacer_backoff_memory_propagates_across_workers() {
             ReactorConfig {
                 max_in_flight: 8,
                 source: Ipv4Addr::LOCALHOST,
-                wheel_granularity: zdns_netsim::MILLIS,
                 epoch: Some(epoch),
                 ..ReactorConfig::default()
             },

@@ -412,6 +412,7 @@ const DELETED_NAMES: &[&str] = &[
     concat!("respond_", "arpa"),
     concat!("send_", "many"),
     concat!("peak_output", "_queue"),
+    "wheel_granularity",
 ];
 
 #[test]
