@@ -37,7 +37,6 @@ use std::sync::Arc;
 use zdns_netsim::oracle::{MAX_CNAME_HOPS, MAX_NS_SUBWALKS, MAX_REFERRALS};
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, Protocol, SimClient, SimTime, StepStatus};
 use zdns_wire::{Cookie, MsgRef, Name, Question, RData, Rcode, Record, RecordType};
-use zdns_zones::hashing::{fnv1a, FNV_OFFSET};
 
 use crate::cache::{Cache, CacheKey};
 use crate::config::{Detail, ResolutionMode, ResolverConfig};
@@ -89,9 +88,15 @@ fn query_id(name: &Name, counter: u32) -> u16 {
 /// lowercased name; real deployments would mix in a secret, but the sim
 /// and loopback paths value reproducibility).
 fn client_cookie_for(name: &Name) -> [u8; 8] {
-    let h = name.labels().fold(FNV_OFFSET, |h, l| {
-        fnv1a(h, l.iter().map(u8::to_ascii_lowercase).chain([0xFF]))
-    });
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for l in name.labels() {
+        for &b in l.iter() {
+            h ^= b.to_ascii_lowercase() as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h ^= 0xFF;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
     h.to_be_bytes()
 }
 
@@ -218,7 +223,7 @@ struct Querier {
     queries: u32,
     retries_used: u32,
     started: SimTime,
-    /// A truncated UDP answer moved this server's exchange to TCP.
+    /// A truncated UDP answer moved this exchange to TCP.
     over_tcp: bool,
     cookies: Option<CookieState>,
     sink: Option<ResultSink>,
@@ -264,9 +269,25 @@ impl Querier {
         }
     }
 
+    /// Start the lookup's clock.
+    fn start(&mut self, now: SimTime) {
+        self.started = now;
+    }
+
     /// Ask `to` for `question`: the n-th query of a lookup carries the id
-    /// `query_id(question's name, n)` and the tag n.
-    fn send(&mut self, to: Ipv4Addr, question: &Question, out: &mut Vec<OutQuery>) {
+    /// `query_id(question's name, n)` and the tag n. A query that opens
+    /// an exchange with a `new_server` goes over UDP again (unless
+    /// `--tcp-only`): TC→TCP holds until then.
+    fn send(
+        &mut self,
+        to: Ipv4Addr,
+        question: &Question,
+        new_server: bool,
+        out: &mut Vec<OutQuery>,
+    ) {
+        if new_server {
+            self.over_tcp = false;
+        }
         self.queries += 1;
         out.push(OutQuery {
             to,
@@ -435,7 +456,9 @@ impl StubMachine {
     fn send(&mut self, out: &mut Vec<OutQuery>) {
         let servers = self.servers();
         let to = servers[(self.first_server + self.querier.retries_used as usize) % servers.len()];
-        self.querier.send(to, &self.question, out);
+        // One exchange however many servers it rotates through: once a
+        // truncated answer moved it to TCP, it stays there.
+        self.querier.send(to, &self.question, false, out);
     }
 
     fn finish(&self, now: SimTime, status: Status, reply: Option<Reply<'_, '_>>) -> StepStatus {
@@ -453,7 +476,7 @@ impl StubMachine {
 
 impl SimClient for StubMachine {
     fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        self.querier.started = now;
+        self.querier.start(now);
         if self.servers().is_empty() {
             return self.finish(now, Status::Error, None);
         }
@@ -578,7 +601,10 @@ impl IterativeMachine {
                 (cut, candidates, true)
             }
             None => {
-                let candidates = (core.config.root_hints.iter())
+                let candidates = core
+                    .config
+                    .root_hints
+                    .iter()
                     .map(|(ns, addr)| Candidate {
                         ns: ns.clone(),
                         addr: Some(*addr),
@@ -632,9 +658,15 @@ impl IterativeMachine {
             _ => None,
         });
         for ns in hosts {
-            let mut addr = glue.iter().find_map(|g| match g.rdata {
-                RData::A(a) if g.name == ns => Some(a),
-                _ => None,
+            let mut addr = glue.iter().find_map(|g| {
+                if g.name == ns {
+                    match &g.rdata {
+                        RData::A(a) => Some(*a),
+                        _ => None,
+                    }
+                } else {
+                    None
+                }
             });
             if addr.is_none() {
                 // Borrowing accessor: this glue probe runs once per NS per
@@ -656,12 +688,14 @@ impl IterativeMachine {
         out
     }
 
-    fn send_current(&mut self, out: &mut Vec<OutQuery>) {
+    /// Ask the current candidate: a `new_server` when the walk has just
+    /// picked it, the same one again on a retry or after TC.
+    fn send_current(&mut self, new_server: bool, out: &mut Vec<OutQuery>) {
         let walk = self.stack.last().expect("active walk");
         let to = walk.candidates[walk.cand_idx]
             .addr
             .expect("send_current requires an address");
-        self.querier.send(to, &walk.q, out);
+        self.querier.send(to, &walk.q, new_server, out);
     }
 
     /// Drive the machine forward until a query is in flight or the lookup
@@ -686,10 +720,7 @@ impl IterativeMachine {
                 .map(|(i, _)| i);
             if let Some(i) = next_with_addr {
                 walk.cand_idx = i;
-                // A new server is asked over UDP first (unless
-                // `--tcp-only`); TC→TCP holds for one server only.
-                self.querier.over_tcp = false;
-                self.send_current(out);
+                self.send_current(true, out);
                 return StepStatus::Running;
             }
             // ...then a live glueless one we can resolve.
@@ -762,23 +793,22 @@ impl IterativeMachine {
         if self.stack.is_empty() {
             return self.end(now, status, reply, Some(walk), true);
         }
-        // NS-address sub-walk: hand its first address to the parent
-        // candidate.
-        let addr = match status {
-            Status::NoError => walk
-                .chain
-                .iter()
-                .find_map(|r| match r.rdata {
-                    RData::A(a) => Some(a),
-                    _ => None,
-                })
-                .or_else(|| reply.and_then(|(m, ..)| m.answers().find_map(|r| r.a_addr()))),
-            _ => None,
-        };
+        // NS-address sub-walk: hand addresses to the parent candidate.
+        let mut addrs: Vec<Ipv4Addr> = Vec::new();
+        if status == Status::NoError {
+            for r in &walk.chain {
+                if let RData::A(a) = r.rdata {
+                    addrs.push(a);
+                }
+            }
+            if let Some((m, ..)) = reply {
+                addrs.extend(m.answers().filter_map(|r| r.a_addr()));
+            }
+        }
         if let Some(ci) = walk.parent_cand {
             let parent = self.stack.last_mut().expect("parent walk");
-            match addr {
-                Some(a) => parent.candidates[ci].addr = Some(a),
+            match addrs.first() {
+                Some(&a) => parent.candidates[ci].addr = Some(a),
                 None => parent.candidates[ci].dead = true,
             }
         }
@@ -891,7 +921,7 @@ impl IterativeMachine {
 
         // Truncation → TCP fallback against the same server.
         if self.querier.retry_over_tcp(&message, protocol) {
-            self.send_current(out);
+            self.send_current(false, out);
             return StepStatus::Running;
         }
         if message.flags().truncated {
@@ -1005,7 +1035,7 @@ impl IterativeMachine {
 
 impl SimClient for IterativeMachine {
     fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        self.querier.started = now;
+        self.querier.start(now);
         if self.querier.core.config.root_hints.is_empty() {
             return self.finish(now, Status::Error, None);
         }
@@ -1034,7 +1064,7 @@ impl SimClient for IterativeMachine {
                 let walk = self.stack.last_mut().expect("active walk");
                 walk.attempt += 1;
                 if walk.attempt < self.querier.core.config.retries {
-                    self.send_current(out);
+                    self.send_current(false, out);
                     StepStatus::Running
                 } else {
                     self.current_candidate_exhausted();
