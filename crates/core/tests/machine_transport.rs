@@ -1,7 +1,9 @@
 //! How every machine asks, scripted (no sockets, fully deterministic):
 //! under `--tcp-only` an external lookup, a probe and an iterative lookup
-//! all ask over TCP and say so in their results, and the iterative walk's
-//! count of queries per nameserver under `--retries` is pinned.
+//! all ask over TCP and say so in their results; a TC→TCP switch holds
+//! for the stub's whole lookup and for one nameserver of the walk; and the
+//! iterative walk's count of queries per nameserver under `--retries` is
+//! pinned.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -168,4 +170,78 @@ fn iterative_retries_per_nameserver_are_pinned() {
             "--retries {retries}"
         );
     }
+}
+
+/// A truncated, empty UDP response to `query`.
+fn truncated(query: &OutQuery) -> ClientEvent<'static> {
+    let mut message = Message::query(query.id, query.question.clone());
+    message.flags.response = true;
+    message.flags.truncated = true;
+    ClientEvent::Response {
+        tag: query.tag,
+        from: query.to,
+        message: MsgRef::Owned(message),
+        protocol: Protocol::Udp,
+    }
+}
+
+/// Start `machine`, answer its first query truncated, time out the TCP
+/// retry and answer the next query; returns each query's destination and
+/// transport.
+fn truncate_time_out_then_answer(machine: &mut dyn SimClient) -> Vec<(Ipv4Addr, Protocol)> {
+    let mut out = Vec::new();
+    assert!(matches!(machine.start(0, &mut out), StepStatus::Running));
+    let first = out.pop().expect("a first query");
+    assert!(matches!(
+        machine.on_event(truncated(&first), 1, &mut out),
+        StepStatus::Running
+    ));
+    let over_tcp = out.pop().expect("a TCP retry");
+    let timeout = ClientEvent::Timeout { tag: over_tcp.tag };
+    assert!(matches!(
+        machine.on_event(timeout, 2, &mut out),
+        StepStatus::Running
+    ));
+    let next = out.pop().expect("a query after the timeout");
+    assert!(matches!(
+        machine.on_event(answer(&next), 3, &mut out),
+        StepStatus::Done(_)
+    ));
+    [first, over_tcp, next].map(|q| (q.to, q.protocol)).to_vec()
+}
+
+#[test]
+fn tc_to_tcp_holds_for_the_stub_lookup_and_for_one_server_of_the_walk() {
+    // The stub is one exchange: once truncated, it stays on TCP when it
+    // rotates to the next upstream.
+    let mut config = ResolverConfig::external(UPSTREAMS.to_vec());
+    config.retries = 1;
+    let (sink, results) = collecting_sink();
+    let mut stub = StubMachine::external(
+        ResolverCore::new(config),
+        question("stub.tc.test"),
+        Some(sink),
+    );
+    let sent = truncate_time_out_then_answer(&mut stub);
+    let protocols: Vec<Protocol> = sent.iter().map(|(_, p)| *p).collect();
+    assert_eq!(protocols, [Protocol::Udp, Protocol::Tcp, Protocol::Tcp]);
+    assert_eq!(sent[0].0, sent[1].0, "TC→TCP asks the same server");
+    assert_ne!(sent[1].0, sent[2].0, "the retry rotates");
+    assert_eq!(results.lock()[0].protocol, "tcp");
+
+    // The walk asks a new nameserver over UDP again.
+    let mut config = ResolverConfig::iterative(root_hints());
+    config.retries = 1;
+    let (sink, results) = collecting_sink();
+    let mut walk = IterativeMachine::new(
+        ResolverCore::new(config),
+        question("walk.tc.test"),
+        Some(sink),
+    );
+    let sent = truncate_time_out_then_answer(&mut walk);
+    let protocols: Vec<Protocol> = sent.iter().map(|(_, p)| *p).collect();
+    assert_eq!(protocols, [Protocol::Udp, Protocol::Tcp, Protocol::Udp]);
+    assert_eq!(sent[0].0, sent[1].0, "TC→TCP asks the same server");
+    assert_ne!(sent[1].0, sent[2].0, "the walk moves on");
+    assert_eq!(results.lock()[0].protocol, "udp");
 }
