@@ -54,9 +54,6 @@ pub struct ResolverConfig {
     /// up put `flags` and `additionals` in
     /// [`LookupResult::data_json`](crate::LookupResult::data_json).
     pub detail: Detail,
-    /// Attach DNS cookies (RFC 7873) to queries and echo learned server
-    /// cookies on retries to the same server.
-    pub edns_cookies: bool,
     /// Derive client cookies from this secret with a keyed hash over the
     /// destination address (RFC 7873 §6) instead of the default
     /// deterministic per-name hash. `None` keeps the reproducible
@@ -79,7 +76,6 @@ impl Default for ResolverConfig {
             tcp_on_truncated: true,
             tcp_only: false,
             detail: Detail::Trace,
-            edns_cookies: true,
             cookie_secret: None,
             root_hints: Vec::new(),
         }

@@ -225,7 +225,7 @@ struct Querier {
     started: SimTime,
     /// A truncated UDP answer moved this exchange to TCP.
     over_tcp: bool,
-    cookies: Option<CookieState>,
+    cookies: CookieState,
     sink: Option<ResultSink>,
 }
 
@@ -241,13 +241,13 @@ impl Querier {
         Querier {
             // Keyed per destination when a secret is configured (RFC 7873
             // §6), the reproducible per-name hash otherwise.
-            cookies: config.edns_cookies.then(|| CookieState {
+            cookies: CookieState {
                 key: match config.cookie_secret {
                     Some(secret) => CookieKey::Keyed(secret),
                     None => CookieKey::PerName(client_cookie_for(name)),
                 },
                 learned: None,
-            }),
+            },
             core,
             rd,
             timeout,
@@ -294,7 +294,7 @@ impl Querier {
             id: query_id(&question.name, self.queries),
             question: question.clone(),
             recursion_desired: self.rd,
-            cookie: self.cookies.as_ref().map(|c| c.for_dest(to)),
+            cookie: Some(self.cookies.for_dest(to)),
             protocol: self.protocol(),
             timeout: self.timeout,
             tag: u64::from(self.queries),
@@ -313,9 +313,7 @@ impl Querier {
         }
         match event {
             ClientEvent::Response { from, message, .. } => {
-                if let Some(cookies) = self.cookies.as_mut() {
-                    cookies.learn(*from, message.cookie());
-                }
+                self.cookies.learn(*from, message.cookie());
             }
             _ => self.retries_used += 1,
         }

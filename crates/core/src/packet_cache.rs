@@ -10,12 +10,12 @@
 //! header ID and cookie — keyed on `(qname, qtype)` (class is always IN,
 //! like the record cache behind it).
 //!
-//! A hot hit becomes: copy the canonical bytes into the scratch buffer,
-//! patch the 2-byte ID and the 2 flag bytes, splice the client's cookie
-//! onto the OPT tail, and re-check the result against the client's
-//! advertised UDP payload for truncation. No shard lock, no record
-//! iteration, no per-record encoding — and zero heap allocations (the
-//! `zero_alloc` suite enforces it).
+//! A hot hit becomes: copy the canonical bytes into the scratch buffer
+//! and finish them as the serve path finishes every reply (`serve.rs`'s
+//! `finish_reply`: ID, flags, cookie splice, truncation against the
+//! client's advertised UDP payload). The cache is a memo in front of that
+//! one writer: no shard lock, no record iteration, no per-record encoding
+//! — and zero heap allocations (the `zero_alloc` suite enforces it).
 //!
 //! Concurrency model — *lock-light reads, never blocked readers*: each
 //! slot pairs a relaxed [`AtomicU64`] key fingerprint with a tiny
@@ -46,11 +46,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use zdns_netsim::SimTime;
-use zdns_wire::{
-    cookie_option_len, write_cookie_option, Cookie, Flags, Name, RecordType, ScratchBuf,
-};
+use zdns_wire::{Cookie, Flags, Name, RecordType, ScratchBuf};
 
 use crate::cache::key_hash;
+use crate::serve::finish_reply;
 
 /// Octets of the bare OPT pseudo-record the serve path appends last:
 /// root owner (1) + TYPE (2) + CLASS/payload (2) + TTL (4) + RDLENGTH (2).
@@ -65,10 +64,9 @@ const PROBE_WINDOW: usize = 8;
 /// One memoized response: the canonical encoding plus everything needed
 /// to validate a hit and re-personalize the bytes for a specific client.
 ///
-/// Canonical form: header ID `0`, flag bytes as first encoded (patched on
-/// every serve, including the fill's own), QDCOUNT 1, full answer
-/// section, and a cookie-less OPT tail as the final [`OPT_TAIL_LEN`]
-/// octets.
+/// Canonical form: header ID `0`, flags clear (set on every serve),
+/// QDCOUNT 1, full answer section, and a cookie-less OPT tail as the
+/// final [`OPT_TAIL_LEN`] octets.
 pub struct PacketEntry {
     /// The key, in the spelling the canonical question section carries.
     name: Name,
@@ -78,9 +76,6 @@ pub struct PacketEntry {
     /// Absolute expiry (fill time + the answers' minimum TTL, capped to
     /// the record-cache entry's own expiry), checked on every read.
     deadline: SimTime,
-    /// Offset just past the question section — the truncated reply is
-    /// `bytes[..question_end]` plus patched counts and OPT.
-    question_end: usize,
     bytes: Box<[u8]>,
 }
 
@@ -99,14 +94,12 @@ impl PacketEntry {
     /// Wrap an already-encoded canonical response. `bytes` must be the
     /// full message for `name`/`qtype` ending in a bare OPT tail.
     pub fn new(name: Name, qtype: RecordType, deadline: SimTime, bytes: &[u8]) -> PacketEntry {
-        let question_end = 12 + name.wire_len() + 4;
-        debug_assert!(bytes.len() >= question_end + OPT_TAIL_LEN);
+        debug_assert!(bytes.len() >= 12 + name.wire_len() + 4 + OPT_TAIL_LEN);
         PacketEntry {
             hash: fingerprint(key_hash(&name, qtype)),
             name,
             qtype,
             deadline,
-            question_end,
             bytes: bytes.into(),
         }
     }
@@ -122,11 +115,11 @@ impl PacketEntry {
     }
 
     /// Re-personalize the canonical bytes for one client, straight into
-    /// `scratch`: copy, patch ID and flags, trim or cookie-splice the OPT
-    /// tail, and re-check the advertised `udp_limit` (all-or-nothing
-    /// truncation, exactly like the scratch-encode path). Returns whether
-    /// the reply was truncated. Zero heap allocations once `scratch` has
-    /// grown to steady-state size.
+    /// `scratch`: copy them, then finish them as every serve reply is
+    /// finished (`serve.rs`'s `finish_reply`: ID, flags, OPT trim or
+    /// cookie splice, truncation against `udp_limit`). Returns whether the
+    /// reply was truncated. Zero heap allocations once `scratch` has grown
+    /// to steady-state size.
     pub fn serve_into(
         &self,
         scratch: &mut ScratchBuf,
@@ -137,50 +130,9 @@ impl PacketEntry {
         udp_limit: usize,
     ) -> bool {
         scratch.reset();
-        let base = scratch.begin_message();
-        let cookie = if edns { cookie } else { None };
-        let full_len = if edns {
-            self.bytes.len() + cookie.map_or(0, cookie_option_len)
-        } else {
-            self.bytes.len() - OPT_TAIL_LEN
-        };
-        let truncated = full_len > udp_limit;
-        if truncated {
-            // Header + echoed question only, with the counts re-patched.
-            let _ = scratch.write_bytes(&self.bytes[..self.question_end]);
-            scratch.patch_u16(base + 6, 0); // ANCOUNT
-            scratch.patch_u16(base + 10, edns as u16); // ARCOUNT
-            if edns {
-                let opt = &self.bytes[self.bytes.len() - OPT_TAIL_LEN..];
-                let _ = scratch.write_bytes(opt);
-                Self::splice_cookie(scratch, cookie);
-            }
-        } else if edns {
-            let _ = scratch.write_bytes(&self.bytes);
-            Self::splice_cookie(scratch, cookie);
-        } else {
-            let _ = scratch.write_bytes(&self.bytes[..self.bytes.len() - OPT_TAIL_LEN]);
-            scratch.patch_u16(base + 10, 0); // ARCOUNT: OPT trimmed
-        }
-        scratch.patch_u16(base, id);
-        let mut flags = query_flags;
-        flags.response = true;
-        flags.authoritative = false;
-        flags.truncated = truncated;
-        flags.recursion_available = true;
-        flags.authenticated = false;
-        scratch.patch_u16(base + 2, u16::from_be_bytes(flags.pack(0)));
-        truncated
-    }
-
-    /// Append the cookie option to an OPT tail sitting at the end of
-    /// `scratch` and fix up its RDLENGTH.
-    fn splice_cookie(scratch: &mut ScratchBuf, cookie: Option<&Cookie>) {
-        if let Some(c) = cookie {
-            let rdlen_pos = scratch.len() - 2;
-            let _ = write_cookie_option(scratch, c);
-            scratch.patch_u16(rdlen_pos, cookie_option_len(c) as u16);
-        }
+        scratch.begin_message();
+        let _ = scratch.write_bytes(&self.bytes);
+        finish_reply(scratch, id, query_flags, edns, cookie, udp_limit)
     }
 }
 

@@ -7,29 +7,35 @@
 //!
 //! ```text
 //! listener → per-client token bucket → packet cache probe → [hot hit:
-//!   memcpy + ID/cookie patch] / → record cache probe → [hit: scratch-
-//!   encode + memoize] / [miss: forwarding machine behind the same
-//!   reactor] → send
+//!   memcpy] / → record cache probe → [hit: canonical encode (+ memoize)]
+//!   / [miss: forwarding machine behind the same reactor → canonical
+//!   encode] → finish_reply → send
 //! ```
 //!
+//! * **One reply writer** — every reply, whichever path produced it
+//!   (packet hit, record hit, FORMERR, forwarded answer over UDP or
+//!   TCP), starts as a canonical message in the role's scratch: ID 0, no
+//!   cookie, a bare OPT record as its last [`OPT_TAIL_LEN`] octets.
+//!   `finish_reply` is the one place it is finished for its client:
+//!   ID, flags, OPT trim or cookie splice, and all-or-nothing truncation
+//!   to the client's UDP payload.
 //! * **Fairness gate** — a [`ClientBuckets`] table (response-rate-limiting
 //!   flavor: over-budget UDP queries are dropped, never queued; TCP is the
 //!   client's escape hatch and is never gated).
 //! * **Packet front** — repeat queries are answered from the
-//!   [`PacketCache`]: the fully encoded response is memoized on first
-//!   scratch-encode, one entry per name whatever its spelling, and a hot
-//!   hit is a memcpy plus a 2-byte ID patch, flag patch, cookie splice,
-//!   TC re-check, and the client's own question octets laid over the
-//!   question section — no shard lock, no record iteration, no
-//!   per-record encode. `packet_cache_capacity: 0` disables the layer
-//!   (the A/B lever).
+//!   [`PacketCache`], a memo in front of the writer: a record hit's
+//!   canonical bytes are memoized, one entry per name whatever its
+//!   spelling, and a hot hit is a memcpy, the writer's patch, and the
+//!   client's own question octets laid over the question section — no
+//!   shard lock, no record iteration, no per-record encode.
+//!   `packet_cache_capacity: 0` memoizes nothing.
 //! * **Cache front** — remaining hits are answered from the resolver's
 //!   selective [`Cache`](crate::cache::Cache) via the non-cloning
 //!   [`with_records`](crate::cache::Cache::with_records) accessor and
 //!   encoded out of the entry's wire-shaped block straight into a
 //!   reusable [`ScratchBuf`]: both hit paths perform zero heap
-//!   allocations at steady state (the `zero_alloc` suite enforces it).
-//!   One key hash per query serves both probes.
+//!   allocations at steady state, memoized or not (the `zero_alloc`
+//!   suite enforces it). One key hash per query serves both probes.
 //! * **Forwarding behind** — misses admit an ordinary lookup machine
 //!   (External-mode stub + CNAME chase) into the *same* reactor; its
 //!   result sink fills the cache and parks the answer on a pending queue
@@ -41,7 +47,8 @@
 //!   through too), with a per-tick read budget, at most `MAX_TCP_CONNS`
 //!   connections (more are shed at accept) and a reap after `TCP_IDLE`
 //!   of silence. UDP replies that exceed the client's advertised payload
-//!   size come back truncated (TC set) so the client retries here.
+//!   size — hits and forwarded answers alike — come back empty with TC
+//!   set, so the client retries here.
 //!
 //! Time is real: a [`Clock`] maps monotonic wall time into the `SimTime`
 //! nanosecond domain the cache, buckets, and timer wheel already speak.
@@ -54,14 +61,14 @@ use parking_lot::Mutex;
 use zdns_netsim::{FramedConn, RecvArena, SimClient, SimTime, SECONDS};
 use zdns_pacing::ClientBuckets;
 use zdns_wire::{
-    min_answer_ttl, Cookie, Edns, Flags, Header, Message, MessageView, Question, Rcode, RcodeField,
-    RecordClass, RecordType, ScratchBuf, CLIENT_COOKIE_LEN, DEFAULT_UDP_PAYLOAD, OPTION_COOKIE,
+    cookie_option_len, min_answer_ttl, write_cookie_option, Cookie, Edns, Flags, Header, Message,
+    MessageView, Name, Question, Rcode, RcodeField, RecordClass, RecordType, ScratchBuf,
 };
 
 use crate::cache::{key_hash, CacheKey, CachedRecords};
 use crate::clock::Clock;
 use crate::machine::ResultSink;
-use crate::packet_cache::{PacketCache, PacketEntry, PacketLookup};
+use crate::packet_cache::{PacketCache, PacketEntry, PacketLookup, OPT_TAIL_LEN};
 use crate::resolver::Resolver;
 use crate::result::LookupResult;
 use crate::status::Status;
@@ -195,17 +202,25 @@ enum Via {
     Tcp { slot: usize, generation: u64 },
 }
 
-/// Everything needed to synthesize the response to a forwarded query once
-/// its lookup machine finishes.
+/// What [`finish_reply`] patches a canonical reply with for one client:
+/// the query's ID and flags, whether it carried EDNS, the cookie to echo
+/// and the payload limit (unbounded over TCP).
+#[derive(Debug, Clone, Copy)]
+struct Client {
+    id: u16,
+    flags: Flags,
+    edns: bool,
+    cookie: Option<Cookie>,
+    udp_limit: usize,
+}
+
+/// Everything needed to answer a forwarded query once its lookup machine
+/// finishes.
 struct ClientContext {
     peer: SocketAddr,
     via: Via,
-    txid: u16,
-    flags: Flags,
     question: Question,
-    udp_limit: usize,
-    edns: bool,
-    cookie: Option<Cookie>,
+    client: Client,
 }
 
 /// A finished forwarded lookup waiting for the serve tick to encode and
@@ -213,17 +228,6 @@ struct ClientContext {
 struct PendingAnswer {
     ctx: ClientContext,
     result: LookupResult,
-}
-
-/// How the record-cache hit branch produced its response bytes.
-enum HitEncoding {
-    /// Packet cache disabled: the reply was scratch-encoded directly for
-    /// this client, truncation already resolved (the A/B lever path).
-    Direct { truncated: bool },
-    /// The canonical form (ID 0, cookie-less, bare OPT tail) was encoded
-    /// for memoization; the caller builds the [`PacketEntry`] and serves
-    /// this client through the same patch path every future hit takes.
-    Canonical { deadline: SimTime },
 }
 
 /// What [`ServerRole::handle_query`] decided about one inbound query.
@@ -441,32 +445,24 @@ impl ServerRole {
             }
         }
 
-        let edns = view.has_edns();
-        let udp_limit = match via {
-            Via::Udp => (view.udp_payload_size().unwrap_or(0) as usize).max(MIN_UDP_PAYLOAD),
-            Via::Tcp { .. } => usize::MAX,
+        let client = Client {
+            id: view.id(),
+            flags: view.flags(),
+            edns: view.has_edns(),
+            cookie: view.cookie().map(|c| c.echo(SERVER_COOKIE)),
+            udp_limit: match via {
+                Via::Udp => (view.udp_payload_size().unwrap_or(0) as usize).max(MIN_UDP_PAYLOAD),
+                Via::Tcp { .. } => usize::MAX,
+            },
         };
-        // Cookie echo: the client half they sent plus our server half,
-        // assembled on the stack (RFC 7873 §5.2).
-        let cookie = view.cookie().and_then(|c| {
-            let mut full = [0u8; CLIENT_COOKIE_LEN + SERVER_COOKIE.len()];
-            full[..CLIENT_COOKIE_LEN].copy_from_slice(c.client_part());
-            full[CLIENT_COOKIE_LEN..].copy_from_slice(&SERVER_COOKIE);
-            Cookie::from_wire(&full)
-        });
 
         let Some(qv) = view.question() else {
             // No question to answer: FORMERR with an empty question section.
-            let _ = encode_response(
-                &mut self.scratch,
-                view.id(),
-                view.flags(),
-                Rcode::FormErr,
-                None,
-                None,
-                edns.then_some((DEFAULT_UDP_PAYLOAD, cookie)),
-                udp_limit,
-            );
+            let formerr = Message {
+                rcode: RcodeField(Rcode::FormErr),
+                ..Message::default()
+            };
+            self.finish_message(formerr, &client);
             return HandleOutcome::Respond;
         };
         // Alloc-free for names within the inline bound — the common case.
@@ -475,12 +471,13 @@ impl ServerRole {
         let hash = key_hash(&qname, qv.qtype);
 
         // Packet front: a memoized answer skips the shard lock, the
-        // record walk, and the encode — memcpy, ID/flags patch, cookie
-        // splice, TC re-check, question echo. IN-class only, matching the
-        // record cache's implicit keying, and only for a question name
-        // sent in the plain (`echo`: the client's spelling, to lay over
-        // the entry's) — a compressed one has no octets of the entry's
-        // length to echo. Anything else falls through to the record path.
+        // record walk, and the encode — memcpy, the client's patch, and
+        // the question echo. IN-class only, matching the record cache's
+        // implicit keying, and only for a question name sent in the plain
+        // (`echo`: the client's spelling, to lay over the entry's) — a
+        // compressed one has no octets of the entry's length to echo.
+        // Anything else falls through to the record path, and is not
+        // memoized there either.
         let echo = qv.name.wire_bytes();
         let packet = match (&self.packet, echo) {
             (Some(pc), Some(echo)) if qv.qclass == RecordClass::IN => Some((pc, echo)),
@@ -491,11 +488,11 @@ impl ServerRole {
                 PacketLookup::Hit(entry) => {
                     let truncated = entry.serve_into(
                         &mut self.scratch,
-                        view.id(),
-                        view.flags(),
-                        edns,
-                        cookie.as_ref(),
-                        udp_limit,
+                        client.id,
+                        client.flags,
+                        client.edns,
+                        client.cookie.as_ref(),
+                        client.udp_limit,
                     );
                     self.scratch.patch_bytes(QUESTION_AT, echo);
                     ServeStats::bump(&self.stats.cache_hits);
@@ -510,96 +507,37 @@ impl ServerRole {
             }
         }
 
-        // Cache front: encode the hit straight off the shared entry, under
-        // the shard lock, with no cloning and no LRU touch. With the
-        // packet cache enabled the encode is the canonical (memoizable)
-        // form; entry construction and the per-client patch both happen
-        // after the shard lock drops.
-        let memoize = packet.is_some();
-        let hit = {
-            let scratch = &mut self.scratch;
-            let id = view.id();
-            let flags = view.flags();
-            self.resolver.core().cache.with_records_hashed(
-                hash,
-                &qname,
-                qv.qtype,
-                now,
-                |records: &CachedRecords, expires: SimTime| {
-                    if memoize {
-                        scratch.reset();
-                        encode_sections(
-                            scratch,
-                            0,
-                            flags,
-                            Rcode::NoError,
-                            Some((&qname, qv.qtype.to_u16(), qv.qclass.to_u16())),
-                            Some(records),
-                            Some((DEFAULT_UDP_PAYLOAD, None)),
-                            false,
-                        );
-                        HitEncoding::Canonical { deadline: expires }
-                    } else {
-                        HitEncoding::Direct {
-                            truncated: encode_response(
-                                scratch,
-                                id,
-                                flags,
-                                Rcode::NoError,
-                                Some((&qname, qv.qtype.to_u16(), qv.qclass.to_u16())),
-                                Some(records),
-                                edns.then_some((DEFAULT_UDP_PAYLOAD, cookie)),
-                                udp_limit,
-                            ),
-                        }
-                    }
-                },
-            )
-        };
-        match hit {
-            Some(HitEncoding::Direct { truncated }) => {
-                ServeStats::bump(&self.stats.cache_hits);
-                if truncated {
-                    ServeStats::bump(&self.stats.truncated);
-                }
-                return HandleOutcome::Respond;
-            }
-            Some(HitEncoding::Canonical { deadline }) => {
+        // Cache front: encode the hit canonically straight off the shared
+        // entry, under the shard lock, with no cloning and no LRU touch;
+        // memoizing and the client's patch both happen after the lock
+        // drops.
+        let scratch = &mut self.scratch;
+        let hit = self.resolver.core().cache.with_records_hashed(
+            hash,
+            &qname,
+            qv.qtype,
+            now,
+            |records: &CachedRecords, expires: SimTime| {
+                encode_sections(scratch, &qname, qv.qtype, qv.qclass, records);
+                expires
+            },
+        );
+        if let Some(expires) = hit {
+            if let Some((pc, _)) = packet {
                 // Memoize before answering: even when this UDP reply must
                 // truncate, the full canonical answer is already cached,
-                // so the client's TCP retry hits the packet path (the
-                // PR 7 fill-before-truncate learning). The deadline is
-                // the record entry's own expiry, re-derived from (and
-                // capped by) the encoded answers' minimum TTL.
+                // so the client's TCP retry hits the packet path. The
+                // deadline is the record entry's own expiry, capped by
+                // the encoded answers' minimum TTL.
                 let min_ttl = min_answer_ttl(self.scratch.message_bytes()).unwrap_or(0);
-                let deadline = deadline.min(now + u64::from(min_ttl) * SECONDS);
-                let entry = Arc::new(PacketEntry::new(
-                    qname,
-                    qv.qtype,
-                    deadline,
-                    self.scratch.message_bytes(),
-                ));
-                if let Some((pc, _)) = packet {
-                    pc.fill(Arc::clone(&entry));
-                    ServeStats::bump(&self.stats.packet_fills);
-                }
-                // The entry was just encoded in this client's own
-                // spelling: nothing to lay over the question.
-                let truncated = entry.serve_into(
-                    &mut self.scratch,
-                    view.id(),
-                    view.flags(),
-                    edns,
-                    cookie.as_ref(),
-                    udp_limit,
-                );
-                ServeStats::bump(&self.stats.cache_hits);
-                if truncated {
-                    ServeStats::bump(&self.stats.truncated);
-                }
-                return HandleOutcome::Respond;
+                let deadline = expires.min(now + u64::from(min_ttl) * SECONDS);
+                let bytes = self.scratch.message_bytes();
+                pc.fill(Arc::new(PacketEntry::new(qname, qv.qtype, deadline, bytes)));
+                ServeStats::bump(&self.stats.packet_fills);
             }
-            None => {}
+            ServeStats::bump(&self.stats.cache_hits);
+            self.finish(&client);
+            return HandleOutcome::Respond;
         }
 
         // Miss: forward through an ordinary lookup machine on this same
@@ -614,12 +552,8 @@ impl ServerRole {
         let ctx = ClientContext {
             peer,
             via,
-            txid: view.id(),
-            flags: view.flags(),
             question: question.clone(),
-            udp_limit,
-            edns,
-            cookie,
+            client,
         };
         let ctx_cell = Mutex::new(Some(ctx));
         let pending = Arc::clone(&self.pending);
@@ -648,6 +582,37 @@ impl ServerRole {
         HandleOutcome::Forwarded
     }
 
+    /// Finish the canonical reply in the scratch for `client`, counting
+    /// it if it had to be truncated.
+    fn finish(&mut self, c: &Client) {
+        if finish_reply(
+            &mut self.scratch,
+            c.id,
+            c.flags,
+            c.edns,
+            c.cookie.as_ref(),
+            c.udp_limit,
+        ) {
+            ServeStats::bump(&self.stats.truncated);
+        }
+    }
+
+    /// Encode `msg` (ID 0, flags clear) with a bare OPT record into the
+    /// scratch — the canonical form — and finish it for `client`. False
+    /// when it does not encode (over 64 KiB).
+    fn finish_message(&mut self, msg: Message, client: &Client) -> bool {
+        let msg = Message {
+            edns: Some(Edns::default()),
+            ..msg
+        };
+        self.scratch.reset();
+        if msg.encode_into(&mut self.scratch).is_err() {
+            return false;
+        }
+        self.finish(client);
+        true
+    }
+
     /// Encode and deliver every forwarded answer whose machine finished.
     fn flush_answers(&mut self, now: SimTime) {
         if self.pending.lock().is_empty() {
@@ -661,45 +626,21 @@ impl ServerRole {
                 Status::Refused => Rcode::Refused,
                 _ => Rcode::ServFail,
             };
-            let mut flags = ctx.flags;
-            flags.response = true;
-            flags.authoritative = false;
-            flags.truncated = false;
-            flags.recursion_available = true;
-            flags.authenticated = false;
-            let edns = ctx.edns.then(|| {
-                let mut e = Edns {
-                    udp_payload_size: DEFAULT_UDP_PAYLOAD,
-                    ..Edns::default()
-                };
-                if let Some(c) = ctx.cookie {
-                    e.set_cookie(c);
-                }
-                e
-            });
             let msg = Message {
-                id: ctx.txid,
-                flags,
                 rcode: RcodeField(rcode),
                 questions: vec![ctx.question],
                 answers: result.answers,
                 authorities: result.authorities,
-                additionals: Vec::new(),
-                edns,
+                ..Message::default()
             };
+            if !self.finish_message(msg, &ctx.client) {
+                continue;
+            }
             match ctx.via {
                 Via::Udp => {
                     let Some((listener, _)) = &self.listener else {
                         continue;
                     };
-                    self.scratch.reset();
-                    let Ok(truncated) = msg.encode_udp_into(&mut self.scratch, ctx.udp_limit)
-                    else {
-                        continue;
-                    };
-                    if truncated {
-                        ServeStats::bump(&self.stats.truncated);
-                    }
                     // Count before sending (see `drain_listener`).
                     ServeStats::bump(&self.stats.responses);
                     let _ = listener.send_to(self.scratch.message_bytes(), ctx.peer);
@@ -711,10 +652,6 @@ impl ServerRole {
                     let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                         continue;
                     };
-                    self.scratch.reset();
-                    if msg.encode_into(&mut self.scratch).is_err() {
-                        continue;
-                    }
                     conn.framed.queue_frame(self.scratch.message_bytes());
                     conn.last_seen = now;
                     ServeStats::bump(&self.stats.responses);
@@ -825,103 +762,106 @@ impl ServerRole {
 /// 12-octet header.
 const QUESTION_AT: usize = 12;
 
-/// Encode a response directly from wire primitives into `scratch` —
-/// header, echoed question, the cached answer section copied out of its
-/// block, and a hand-rolled OPT with the cookie echo. Zero heap
-/// allocations. If the encoded message exceeds `udp_limit` it is
-/// re-encoded empty with TC set
-/// (all-or-nothing truncation: cached RRsets are small, and the client's
-/// TCP retry gets the full answer). Returns whether truncation happened.
-#[allow(clippy::too_many_arguments)]
-fn encode_response(
-    scratch: &mut ScratchBuf,
-    id: u16,
-    query_flags: Flags,
-    rcode: Rcode,
-    question: Option<(&zdns_wire::Name, u16, u16)>,
-    answers: Option<&CachedRecords>,
-    edns: Option<(u16, Option<Cookie>)>,
-    udp_limit: usize,
-) -> bool {
-    scratch.reset();
-    encode_sections(
-        scratch,
-        id,
-        query_flags,
-        rcode,
-        question,
-        answers,
-        edns,
-        false,
-    );
-    if scratch.message_bytes().len() > udp_limit {
-        scratch.abort_message();
-        encode_sections(scratch, id, query_flags, rcode, question, None, edns, true);
-        return true;
-    }
-    false
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Encode the canonical reply to `name`/`qtype`/`qclass` from its cached
+/// `records` into `scratch` as its one message: ID 0 and flags clear
+/// (both [`finish_reply`]'s to set), the question as written here, the
+/// answer section copied out of the entry's block, and a bare OPT record.
+/// Zero heap allocations.
 fn encode_sections(
     scratch: &mut ScratchBuf,
-    id: u16,
-    query_flags: Flags,
-    rcode: Rcode,
-    question: Option<(&zdns_wire::Name, u16, u16)>,
-    answers: Option<&CachedRecords>,
-    edns: Option<(u16, Option<Cookie>)>,
-    tc: bool,
+    name: &Name,
+    qtype: RecordType,
+    qclass: RecordClass,
+    records: &CachedRecords,
 ) {
+    scratch.reset();
     scratch.begin_message();
-    let mut flags = query_flags;
-    flags.response = true;
-    flags.authoritative = false;
-    flags.truncated = tc;
-    flags.recursion_available = true;
-    flags.authenticated = false;
     let header = Header {
-        id,
-        flags,
-        rcode_low: (rcode.to_u16() & 0x0F) as u8,
-        qdcount: question.is_some() as u16,
-        ancount: answers.map_or(0, CachedRecords::len) as u16,
-        nscount: 0,
-        arcount: edns.is_some() as u16,
+        qdcount: 1,
+        ancount: records.len() as u16,
+        arcount: 1,
+        ..Header::default()
     };
     // Writes into a growable scratch cannot fail below the 64 KiB message
     // cap, and a cached RRset plus OPT sits far under it; a pathological
     // overflow yields a short buffer the client discards as malformed.
     let _ = header.encode(scratch);
-    if let Some((name, qtype, qclass)) = question {
-        let _ = scratch.write_name(name);
-        let _ = scratch.write_u16(qtype);
-        let _ = scratch.write_u16(qclass);
+    let _ = scratch.write_name(name);
+    let _ = scratch.write_u16(qtype.to_u16());
+    let _ = scratch.write_u16(qclass.to_u16());
+    records.encode_answers(scratch);
+    let _ = Edns::default().encode(scratch);
+}
+
+/// Finish the reply in `scratch` for the client whose query carried
+/// `id`, `query_flags`, EDNS (or not), `cookie` and a payload limit of
+/// `udp_limit`: the one place a [`ServerRole`] reply is finished,
+/// whichever path encoded it. The
+/// message must be canonical — ID 0, no cookie, no additional record but
+/// a bare OPT as its last [`OPT_TAIL_LEN`] octets, and the question (if
+/// any) written in full. In place, it sets the ID and the flags (the
+/// query's, answered: QR and RA set, AA and AD clear, TC when cut; the
+/// canonical rcode kept), and trims the OPT for a client that sent none
+/// or splices the cookie echo into it. A reply over the client's UDP
+/// limit is cut to header, question and OPT with zero answer and
+/// authority records — all or nothing, so the client retries over TCP.
+/// Returns whether it was cut. Takes the client's fields one by one, as
+/// [`PacketEntry::serve_into`] receives them: building a [`Client`] there
+/// costs the packet-hit path a copy of the cookie.
+pub(crate) fn finish_reply(
+    scratch: &mut ScratchBuf,
+    id: u16,
+    query_flags: Flags,
+    edns: bool,
+    cookie: Option<&Cookie>,
+    udp_limit: usize,
+) -> bool {
+    let message = scratch.message_bytes();
+    let (mut len, rcode_low) = (message.len(), message[3] & 0x0F);
+    let base = scratch.len() - len;
+    let cookie = cookie.filter(|_| edns);
+    let full_len = match edns {
+        false => len - OPT_TAIL_LEN,
+        true => len + cookie.map_or(0, cookie_option_len),
+    };
+    let truncated = full_len > udp_limit;
+    if truncated {
+        let question_end = question_end(message);
+        scratch.remove(question_end..len - OPT_TAIL_LEN);
+        scratch.patch_u16(base + 6, 0); // ANCOUNT
+        scratch.patch_u16(base + 8, 0); // NSCOUNT
+        len = question_end + OPT_TAIL_LEN;
     }
-    if let Some(answers) = answers {
-        answers.encode_answers(scratch);
+    if !edns {
+        scratch.remove(len - OPT_TAIL_LEN..len);
+        scratch.patch_u16(base + 10, 0); // ARCOUNT: the OPT was the only one
+    } else if let Some(cookie) = cookie {
+        let _ = write_cookie_option(scratch, cookie);
+        scratch.patch_u16(base + len - 2, cookie_option_len(cookie) as u16); // OPT RDLENGTH
     }
-    if let Some((payload, cookie)) = edns {
-        // Hand-rolled OPT pseudo-record: root name, type OPT, requestor
-        // payload size in CLASS, zeroed TTL (extended rcode 0, version 0,
-        // no flags), then the cookie option if the query carried one.
-        let _ = scratch.write_u8(0);
-        let _ = scratch.write_u16(RecordType::OPT.to_u16());
-        let _ = scratch.write_u16(payload);
-        let _ = scratch.write_u32(0);
-        match cookie {
-            Some(c) => {
-                let bytes = c.as_bytes();
-                let _ = scratch.write_u16(4 + bytes.len() as u16);
-                let _ = scratch.write_u16(OPTION_COOKIE);
-                let _ = scratch.write_u16(bytes.len() as u16);
-                let _ = scratch.write_bytes(bytes);
-            }
-            None => {
-                let _ = scratch.write_u16(0);
-            }
-        }
+    let mut flags = query_flags;
+    flags.response = true;
+    flags.authoritative = false;
+    flags.truncated = truncated;
+    flags.recursion_available = true;
+    flags.authenticated = false;
+    scratch.patch_u16(base, id);
+    scratch.patch_u16(base + 2, u16::from_be_bytes(flags.pack(rcode_low)));
+    truncated
+}
+
+/// Offset just past the question section of a canonical message: the
+/// header alone when it has no question, else its name's labels and the
+/// four octets of type and class.
+fn question_end(message: &[u8]) -> usize {
+    if message[4..6] == [0, 0] {
+        return QUESTION_AT;
     }
+    let mut at = QUESTION_AT;
+    while message[at] != 0 {
+        at += 1 + usize::from(message[at]);
+    }
+    at + 5
 }
 
 #[cfg(test)]

@@ -220,18 +220,6 @@ fn keyed_cookies_still_learn_and_echo_server_cookies() {
 }
 
 #[test]
-fn cookies_can_be_disabled_by_config() {
-    let mut config = ResolverConfig::external(vec![SERVER]);
-    config.edns_cookies = false;
-    let core = ResolverCore::new(config);
-    let question = Question::new("nocookie.test".parse().unwrap(), RecordType::A);
-    let mut machine = StubMachine::probe(core, question, SERVER, false, None);
-    let mut out = Vec::new();
-    machine.start(0, &mut out);
-    assert_eq!(out.pop().unwrap().cookie, None);
-}
-
-#[test]
 fn wire_server_echoes_cookie_over_real_sockets() {
     let server_ip = Ipv4Addr::new(203, 0, 113, 9);
     let mut zone = Zone::new(

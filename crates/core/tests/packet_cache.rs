@@ -1,23 +1,37 @@
 //! Correctness of the serve-path packet cache (the PR-10 tentpole),
-//! exercised through the public [`ServerRole::handle_datagram`] seam.
+//! exercised through the public [`ServerRole::handle_datagram`] seam,
+//! and of every other reply `zdns serve` writes.
 //!
 //! The invariant under test: a packet-cache hit must be **byte-identical**
 //! to what a fresh record-cache encode would have produced for the same
 //! query — same ID, same flags, same cookie echo, same truncation
 //! decision, the same spelling of the question — because the hit path is
 //! a memcpy plus patches, not a re-encode, and one entry serves every
-//! 0x20 spelling of its name. A role with `packet_cache_capacity: 0` is
-//! the reference encoder: same record cache contents, same query, old
-//! scratch-encode path.
+//! 0x20 spelling of its name. The reference is the wire crate's owned
+//! [`Message`] encoder ([`reference_reply`]): it builds each expected
+//! reply whole, for its client, with no canonical form and no patch, so
+//! it checks the record hits' canonical encode as well as the per-client
+//! patch. Record hits the packet cache cannot memoize,
+//! FORMERR and forwarded answers (over UDP and TCP, through a reactor and
+//! a loopback upstream) are held to the same reference.
 
-use std::net::{Ipv4Addr, SocketAddr};
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::TestRng;
-use zdns_core::{CacheKey, Clock, PacketLookup, Resolver, ResolverConfig, ServeConfig, ServerRole};
-use zdns_wire::{
-    encode_query_into, Cookie, Edns, Message, MessageView, Name, Question, RData, Record,
-    RecordClass, RecordType, ScratchBuf,
+use zdns_core::serve::SERVER_COOKIE;
+use zdns_core::{
+    AddrMap, CacheKey, Clock, PacketLookup, Reactor, ReactorConfig, Resolver, ResolverConfig,
+    ServeConfig, ServerRole,
 };
+use zdns_netsim::WireServer;
+use zdns_wire::{
+    encode_query_into, Cookie, Edns, Message, MessageView, Name, Question, RData, Rcode,
+    RcodeField, Record, RecordClass, RecordType, ScratchBuf,
+};
+use zdns_zones::{AuthResponse, ServerProfile, Universe, Zone};
 
 const SECONDS: u64 = 1_000_000_000;
 
@@ -85,6 +99,69 @@ fn custom_query(id: u16, name: &str, payload: Option<u16>, cookie: Option<Cookie
     m.encode().unwrap()
 }
 
+/// The reply `query` must get, built by the wire crate's owned encoder:
+/// the query's ID and flags, answered (QR and RA set; AA, TC and AD
+/// clear), its question as decoded, `answers` and `authorities`, and — if
+/// the query carried EDNS — an OPT record advertising 1232 octets that
+/// echoes the client cookie with serve's server half. Over UDP a reply
+/// larger than the query's payload (512 octets at least) is the same
+/// message with no records and TC set.
+fn reference_reply(
+    query: &[u8],
+    rcode: Rcode,
+    answers: Vec<Record>,
+    authorities: Vec<Record>,
+    over_udp: bool,
+) -> Vec<u8> {
+    let query = Message::decode(query).unwrap();
+    let mut flags = query.flags;
+    flags.response = true;
+    flags.recursion_available = true;
+    flags.authoritative = false;
+    flags.truncated = false;
+    flags.authenticated = false;
+    let limit = match (&query.edns, over_udp) {
+        (_, false) => usize::MAX,
+        (Some(edns), true) => usize::from(edns.udp_payload_size).max(512),
+        (None, true) => 512,
+    };
+    let edns = query.edns.as_ref().map(|asked| {
+        let mut edns = Edns::default();
+        if let Some(cookie) = asked.cookie() {
+            let mut full = cookie.client_part().to_vec();
+            full.extend_from_slice(&SERVER_COOKIE);
+            edns.set_cookie(Cookie::from_wire(&full).unwrap());
+        }
+        edns
+    });
+    let mut reply = Message {
+        id: query.id,
+        flags,
+        rcode: RcodeField(rcode),
+        questions: query.questions,
+        answers,
+        authorities,
+        additionals: Vec::new(),
+        edns,
+    };
+    let bytes = reply.encode().unwrap();
+    if bytes.len() <= limit {
+        return bytes;
+    }
+    reply.answers.clear();
+    reply.authorities.clear();
+    reply.flags.truncated = true;
+    reply.encode().unwrap()
+}
+
+fn a_records(name: &str, ttl: u32, addrs: impl IntoIterator<Item = [u8; 4]>) -> Vec<Record> {
+    let owner: Name = name.parse().unwrap();
+    addrs
+        .into_iter()
+        .map(|a| Record::new(owner.clone(), ttl, RData::A(Ipv4Addr::from(a))))
+        .collect()
+}
+
 /// `text` with the letters picked by `mask` in upper case.
 fn spelled(text: &str, mask: u64) -> String {
     text.char_indices()
@@ -97,20 +174,15 @@ fn spelled(text: &str, mask: u64) -> String {
 
 #[test]
 fn packet_hit_bytes_match_the_reference_encoder_exactly() {
-    // Reference role (capacity 0, the A/B lever) and packet role share
-    // identical record-cache contents: one small RRset, and one that
-    // fits 1232 octets but not 512, stored under a mixed-case owner so
-    // neither the key nor the entry is in any client's spelling.
-    let mut reference = role(0);
+    // The packet role holds one small RRset, and one that fits 1232
+    // octets but not 512, stored under a mixed-case owner so neither the
+    // key nor the entry is in any client's spelling; the reference
+    // encodes the same records.
     let mut packet = role(1024);
-    let wide: Name = "Wide.Example".parse().unwrap();
-    let wide_set: Vec<Record> = (0..40)
-        .map(|i| Record::new(wide.clone(), 600, RData::A(Ipv4Addr::new(10, 1, 0, i))))
-        .collect();
-    for r in [&reference, &packet] {
-        put_a(r, "hot.example", 300, [192, 0, 2, 7], 0);
-        put_records(r, "wide.example", wide_set.clone(), 0);
-    }
+    let hot_set = a_records("hot.example", 300, [[192, 0, 2, 7]]);
+    let wide_set = a_records("Wide.Example", 600, (0..40).map(|i| [10, 1, 0, i]));
+    put_records(&packet, "hot.example", hot_set.clone(), 0);
+    put_records(&packet, "wide.example", wide_set.clone(), 0);
     let cookie = Cookie::client(*b"byteidnt");
     // What a client may vary besides its spelling: EDNS with and without
     // a cookie, no EDNS at all (the OPT record is trimmed off the
@@ -136,10 +208,11 @@ fn packet_hit_bytes_match_the_reference_encoder_exactly() {
             for (payload, cookie) in shapes {
                 let id = rng.next_u64() as u16;
                 let raw = custom_query(id, &name, payload, cookie);
-                let want = reference
-                    .handle_datagram(&raw, peer(), 0)
-                    .expect("reference answers")
-                    .to_vec();
+                let records = match name.eq_ignore_ascii_case("hot.example") {
+                    true => hot_set.clone(),
+                    false => wide_set.clone(),
+                };
+                let want = reference_reply(&raw, Rcode::NoError, records, Vec::new(), true);
                 let got = packet
                     .handle_datagram(&raw, peer(), 0)
                     .expect("packet role answers")
@@ -148,7 +221,7 @@ fn packet_hit_bytes_match_the_reference_encoder_exactly() {
                     got,
                     want,
                     "{name} payload {payload:?} cookie {}: packet-path bytes diverge \
-                     from the fresh encode (PROPTEST_SEED replays the masks)",
+                     from the reference encode (PROPTEST_SEED replays the masks)",
                     cookie.is_some()
                 );
                 let reply = MessageView::parse(&got).unwrap();
@@ -231,15 +304,9 @@ fn record_cache_promotion_invalidates_the_memoized_answer() {
 fn truncation_is_rechecked_against_each_clients_payload() {
     // ~40 A records ≈ 27 bytes each (uncompressed owner) — comfortably
     // past 512 but under the 1232 default advertisement.
-    let mut reference = role(0);
     let mut packet = role(1024);
-    let owner: Name = "midsize.example".parse().unwrap();
-    let records: Vec<Record> = (0..40)
-        .map(|i| Record::new(owner.clone(), 600, RData::A(Ipv4Addr::new(10, 1, 0, i))))
-        .collect();
-    for r in [&reference, &packet] {
-        put_records(r, "midsize.example", records.clone(), 0);
-    }
+    let records = a_records("midsize.example", 600, (0..40).map(|i| [10, 1, 0, i]));
+    put_records(&packet, "midsize.example", records.clone(), 0);
 
     // Fill from a roomy client: the full answer fits 1232 and is memoized.
     let roomy = custom_query(5, "midsize.example", Some(1232), None);
@@ -250,15 +317,12 @@ fn truncation_is_rechecked_against_each_clients_payload() {
     // A later client advertising only 512 must get TC=1 from the very
     // same cached packet — and match the reference encoder exactly.
     let cramped = custom_query(6, "midsize.example", Some(512), None);
-    let want = reference
-        .handle_datagram(&cramped, peer(), 0)
-        .unwrap()
-        .to_vec();
+    let want = reference_reply(&cramped, Rcode::NoError, records, Vec::new(), true);
     let got = packet
         .handle_datagram(&cramped, peer(), 0)
         .unwrap()
         .to_vec();
-    assert_eq!(got, want, "TC re-check diverges from the fresh encode");
+    assert_eq!(got, want, "TC re-check diverges from the reference encode");
     let reply = MessageView::parse(&got).unwrap();
     assert!(reply.flags().truncated);
     assert_eq!(reply.answer_count(), 0);
@@ -397,4 +461,254 @@ fn direct_packet_cache_lookup_agrees_with_the_serve_path() {
         pc.lookup(&name, RecordType::AAAA, 0),
         PacketLookup::Miss
     ));
+}
+
+#[test]
+fn hits_the_packet_cache_cannot_memoize_match_the_reference() {
+    // A CH-class question and a question name that arrives compressed
+    // are answered from the record cache but never memoized; with and
+    // without a cookie, their bytes are still the reference's.
+    let mut packet = role(1024);
+    let records = a_records("odd.example", 300, [[192, 0, 2, 13]]);
+    put_records(&packet, "odd.example", records.clone(), 0);
+    let cookie = Cookie::client(*b"oddshape");
+    let mut chaos = Message::query(21, {
+        let mut q = Question::new("Odd.Example".parse().unwrap(), RecordType::A);
+        q.qclass = RecordClass::CH;
+        q
+    });
+    chaos.flags.recursion_desired = true;
+    let mut compressed = vec![0u8; 12];
+    compressed[5] = 1; // QDCOUNT; the all-zero ID doubles as the root name
+    compressed.extend_from_slice(b"\x03oDd\x07exAMPLE\xC0\x00\x00\x01\x00\x01");
+    let mut compressed_cookie = compressed.clone();
+    compressed_cookie[11] = 1; // ARCOUNT: an OPT with the cookie follows
+                               // Root owner, TYPE 41, payload 1232, TTL 0, RDLENGTH 12, then option
+                               // 10 (COOKIE) of 8 octets.
+    compressed_cookie.extend_from_slice(&[0, 0, 41, 4, 208, 0, 0, 0, 0, 0, 12, 0, 10, 0, 8]);
+    compressed_cookie.extend_from_slice(b"oddshape");
+    let chaos_plain = chaos.encode().unwrap();
+    chaos.edns.as_mut().unwrap().set_cookie(cookie);
+    let chaos_cookie = chaos.encode().unwrap();
+    chaos.edns = None;
+    let chaos_no_edns = chaos.encode().unwrap();
+    let queries = [
+        chaos_plain,
+        chaos_cookie,
+        chaos_no_edns,
+        compressed,
+        compressed_cookie,
+    ];
+    for raw in &queries {
+        let got = packet.handle_datagram(raw, peer(), 0).unwrap().to_vec();
+        let want = reference_reply(raw, Rcode::NoError, records.clone(), Vec::new(), true);
+        assert_eq!(got, want, "query {raw:02x?}");
+    }
+    let stats = packet.stats();
+    assert_eq!(stats.cache_hits(), queries.len() as u64);
+    assert_eq!((stats.packet_fills(), stats.packet_hits()), (0, 0));
+}
+
+#[test]
+fn formerr_matches_the_reference_with_and_without_a_cookie() {
+    let mut packet = role(1024);
+    let questionless = |edns: Option<Edns>| {
+        let mut m = Message {
+            id: 0x5151,
+            edns,
+            ..Message::default()
+        };
+        m.flags.recursion_desired = true;
+        m.encode().unwrap()
+    };
+    let mut with_cookie = Edns::default();
+    with_cookie.set_cookie(Cookie::client(*b"formerr!"));
+    for raw in [
+        questionless(None),
+        questionless(Some(Edns::default())),
+        questionless(Some(with_cookie)),
+    ] {
+        let got = packet.handle_datagram(&raw, peer(), 0).unwrap().to_vec();
+        let want = reference_reply(&raw, Rcode::FormErr, Vec::new(), Vec::new(), true);
+        assert_eq!(got, want);
+        assert_eq!(MessageView::parse(&got).unwrap().rcode(), Rcode::FormErr);
+    }
+}
+
+/// The upstream behind [`Forwarder`]: the `fwd.test` zone (`ok` one A
+/// record, `wide` 40 of them, every other name NXDOMAIN with the zone's
+/// SOA), except that `fail.fwd.test` is SERVFAIL.
+struct Upstream(Zone);
+
+impl Universe for Upstream {
+    fn respond(&self, _server: Ipv4Addr, question: &Question) -> Option<AuthResponse> {
+        if question.name == "fail.fwd.test".parse().unwrap() {
+            return Some(AuthResponse::servfail());
+        }
+        Some(AuthResponse::from_zone_answer(
+            self.0.lookup(&question.name, question.qtype),
+        ))
+    }
+
+    fn server_profile(&self, _server: Ipv4Addr) -> ServerProfile {
+        ServerProfile::default()
+    }
+
+    fn root_hints(&self) -> Vec<(Name, Ipv4Addr)> {
+        Vec::new()
+    }
+}
+
+fn upstream_zone() -> Zone {
+    let mut zone = Zone::new(
+        "fwd.test".parse().unwrap(),
+        "ns1.fwd.test".parse().unwrap(),
+        300,
+    );
+    let records = a_records("ok.fwd.test", 300, [[192, 0, 2, 21]])
+        .into_iter()
+        .chain(a_records(
+            "wide.fwd.test",
+            300,
+            (0..40).map(|i| [10, 2, 0, i]),
+        ));
+    for record in records {
+        zone.add(record);
+    }
+    zone
+}
+
+/// A serve role with both listeners, installed in a reactor that
+/// forwards its misses to a loopback [`Upstream`].
+struct Forwarder {
+    reactor: Reactor,
+    udp: SocketAddr,
+    tcp: SocketAddr,
+    _upstream: WireServer,
+}
+
+impl Forwarder {
+    fn new() -> Forwarder {
+        let upstream = WireServer::start(
+            Arc::new(Upstream(upstream_zone())) as Arc<dyn Universe>,
+            Ipv4Addr::LOCALHOST,
+        )
+        .unwrap();
+        let upstream_addr = upstream.addr();
+        let addr_map: Arc<AddrMap> = Arc::new(move |_| upstream_addr);
+        let reactor_config = ReactorConfig {
+            max_in_flight: 8,
+            source: Ipv4Addr::LOCALHOST,
+            ..ReactorConfig::default()
+        };
+        let mut reactor = Reactor::new(reactor_config, addr_map).unwrap();
+        let resolver = Resolver::new(ResolverConfig::external(vec![Ipv4Addr::LOCALHOST]));
+        let udp = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let tcp = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let (udp_addr, tcp_addr) = (udp.local_addr().unwrap(), tcp.local_addr().unwrap());
+        let role = ServerRole::new(resolver, Clock::new(), ServeConfig::default())
+            .with_udp_listener(udp)
+            .unwrap()
+            .with_tcp_listener(tcp)
+            .unwrap();
+        reactor.set_server_role(role);
+        Forwarder {
+            reactor,
+            udp: udp_addr,
+            tcp: tcp_addr,
+            _upstream: upstream,
+        }
+    }
+
+    /// Send `query` over UDP or TCP and tick the reactor until the reply
+    /// arrives.
+    fn ask(&mut self, query: &[u8], over_udp: bool) -> Vec<u8> {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut buf = vec![0u8; 65_536];
+        if over_udp {
+            let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+            client.set_nonblocking(true).unwrap();
+            client.send_to(query, self.udp).unwrap();
+            loop {
+                self.reactor.serve_tick();
+                if let Ok(n) = client.recv(&mut buf) {
+                    return buf[..n].to_vec();
+                }
+                assert!(Instant::now() < deadline, "no UDP reply");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        let mut client = TcpStream::connect(self.tcp).unwrap();
+        client
+            .write_all(&(query.len() as u16).to_be_bytes())
+            .unwrap();
+        client.write_all(query).unwrap();
+        client.set_nonblocking(true).unwrap();
+        let mut got = Vec::new();
+        loop {
+            self.reactor.serve_tick();
+            if let Ok(n) = client.read(&mut buf) {
+                got.extend_from_slice(&buf[..n]);
+            }
+            if got.len() >= 2 && got.len() == 2 + usize::from(u16::from_be_bytes([got[0], got[1]]))
+            {
+                return got.split_off(2);
+            }
+            assert!(Instant::now() < deadline, "no TCP reply");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+}
+
+#[test]
+fn forwarded_answers_match_the_reference_over_udp_and_tcp() {
+    let soa = upstream_zone().soa().clone();
+    let cookie = Cookie::client(*b"forwardd");
+    let shapes = [
+        (
+            "ok.fwd.test",
+            Rcode::NoError,
+            a_records("ok.fwd.test", 300, [[192, 0, 2, 21]]),
+            Vec::new(),
+        ),
+        ("none.fwd.test", Rcode::NxDomain, Vec::new(), vec![soa]),
+        ("fail.fwd.test", Rcode::ServFail, Vec::new(), Vec::new()),
+    ];
+    for (name, rcode, answers, authorities) in shapes {
+        for over_udp in [true, false] {
+            for (id, payload, cookie) in [(31, Some(1232), Some(cookie)), (32, None, None)] {
+                // A fresh forwarder each time, so nothing is answered from
+                // the cache the last forward filled.
+                let mut forwarder = Forwarder::new();
+                let raw = custom_query(id, &spelled(name, 0x15), payload, cookie);
+                let got = forwarder.ask(&raw, over_udp);
+                let want =
+                    reference_reply(&raw, rcode, answers.clone(), authorities.clone(), over_udp);
+                assert_eq!(got, want, "{name} over UDP {over_udp} EDNS {payload:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_forwarded_udp_answer_over_the_limit_comes_back_empty_with_tc() {
+    // 40 A records fit 1232 octets but not 512: over UDP the client that
+    // advertises 512 gets TC and no records at all — the same
+    // all-or-nothing truncation a cache hit gets — and TCP gets them all.
+    let wide = a_records("wide.fwd.test", 300, (0..40).map(|i| [10, 2, 0, i]));
+    let raw = custom_query(41, "wide.fwd.test", Some(512), None);
+    let got = Forwarder::new().ask(&raw, true);
+    let reply = MessageView::parse(&got).unwrap();
+    assert!(reply.flags().truncated);
+    assert_eq!(reply.answer_count(), 0);
+    assert_eq!(
+        got,
+        reference_reply(&raw, Rcode::NoError, wide.clone(), Vec::new(), true)
+    );
+    let whole = Forwarder::new().ask(&raw, false);
+    assert_eq!(MessageView::parse(&whole).unwrap().answer_count(), 40);
+    assert_eq!(
+        whole,
+        reference_reply(&raw, Rcode::NoError, wide, Vec::new(), false)
+    );
 }

@@ -563,6 +563,80 @@ fn packet_cache_hit_path_allocates_zero_per_query() {
 }
 
 #[test]
+fn unmemoized_record_hit_path_allocates_zero_per_query() {
+    // A record hit the packet cache cannot memoize — here a CH-class
+    // question — is encoded canonically off the record cache's entry and
+    // finished for its client in the role's scratch, every time. At
+    // steady state that touches the allocator zero times per query.
+    use zdns_core::{Clock, ServeConfig, ServerRole};
+    use zdns_wire::{Message, RecordClass};
+
+    const NAMES: usize = 16;
+    const MEASURED: usize = 1_000;
+
+    let resolver = Resolver::new(ResolverConfig::external(vec![Ipv4Addr::new(
+        203, 0, 113, 99,
+    )]));
+    for i in 0..NAMES {
+        let name: Name = format!("u{i}.zeroalloc.test").parse().unwrap();
+        resolver.core().cache.put(
+            CacheKey {
+                name: name.clone(),
+                rtype: RecordType::A,
+            },
+            vec![Record::new(
+                name,
+                3600,
+                RData::A(Ipv4Addr::new(10, 8, 0, i as u8)),
+            )],
+            0,
+        );
+    }
+    let mut role = ServerRole::new(resolver, Clock::new(), ServeConfig::default());
+    let peer: std::net::SocketAddr = "127.0.0.1:50506".parse().unwrap();
+    let queries: Vec<Vec<u8>> = (0..NAMES)
+        .map(|i| {
+            let mut question = Question::new(
+                format!("u{i}.zeroalloc.test").parse().unwrap(),
+                RecordType::A,
+            );
+            question.qclass = RecordClass::CH;
+            let mut query = Message::query(i as u16, question);
+            query.flags.recursion_desired = true;
+            query
+                .edns
+                .as_mut()
+                .unwrap()
+                .set_cookie(Cookie::client(*b"unmemoiz"));
+            query.encode().unwrap()
+        })
+        .collect();
+
+    for _ in 0..4 {
+        for raw in &queries {
+            assert!(role.handle_datagram(raw, peer, 1).is_some());
+        }
+    }
+    let before = thread_allocations();
+    if std::env::var_os("ZDNS_TRAP_ALLOCS").is_some() {
+        zdns_core::alloc_count::trap_allocations(true);
+    }
+    for round in 0..MEASURED {
+        let raw = &queries[round % NAMES];
+        std::hint::black_box(role.handle_datagram(raw, peer, 1));
+    }
+    zdns_core::alloc_count::trap_allocations(false);
+    let allocs = thread_allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "unmemoized record-hit path allocated {allocs} times over {MEASURED} queries"
+    );
+    let stats = role.stats();
+    assert_eq!(stats.cache_hits(), (4 * NAMES + MEASURED) as u64);
+    assert_eq!(stats.packet_fills(), 0, "nothing was memoized");
+}
+
+#[test]
 fn cache_misses_and_shard_routing_allocate_zero() {
     let cache = Cache::new(4096);
     let com: Name = "com".parse().unwrap();

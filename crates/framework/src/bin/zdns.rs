@@ -179,23 +179,7 @@ fn main() {
             std::process::exit(2);
         }
         let resolver = runner::resolver_for(&conf, universe.as_ref());
-        // Route by the --name-servers entries: `ip:port` forms keep their
-        // port (a scan can point at a local `zdns serve`), everything
-        // else goes to ip:53.
-        let ports: std::collections::HashMap<std::net::Ipv4Addr, std::net::SocketAddr> = conf
-            .name_server_addrs
-            .iter()
-            .filter_map(|sa| match sa {
-                std::net::SocketAddr::V4(v4) => Some((*v4.ip(), *sa)),
-                _ => None,
-            })
-            .collect();
-        let addr_map: Arc<zdns_core::AddrMap> = Arc::new(move |ip: std::net::Ipv4Addr| {
-            ports
-                .get(&ip)
-                .copied()
-                .unwrap_or_else(|| std::net::SocketAddr::new(ip.into(), 53))
-        });
+        let addr_map = runner::addr_map(&conf.name_server_addrs);
         let report = pipeline::run_scan_pipeline(
             &conf,
             &resolver,

@@ -15,11 +15,11 @@
 //!   module docs).
 
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use zdns_core::{ConcurrentGate, ConcurrentPacer, DriverReport, Resolver, ResolverConfig};
+use zdns_core::{AddrMap, ConcurrentGate, ConcurrentPacer, DriverReport, Resolver, ResolverConfig};
 use zdns_modules::{LookupModule, ModuleOutput, ModuleSink};
 use zdns_netsim::{Engine, EngineConfig, PublicResolverConfig, PublicResolverSim, RunReport};
 use zdns_zones::Universe;
@@ -39,6 +39,25 @@ pub fn resolver_for(conf: &Conf, universe: &dyn Universe) -> Resolver {
         rc.root_hints = universe.root_hints();
     }
     Resolver::new(rc)
+}
+
+/// Where a real query to an upstream goes: an `ip:port` entry of
+/// `servers` keeps its port (a scan can point at a local `zdns serve`),
+/// and every other address goes to `ip:53`.
+pub fn addr_map(servers: &[SocketAddr]) -> Arc<AddrMap> {
+    let ports: HashMap<Ipv4Addr, SocketAddr> = servers
+        .iter()
+        .filter_map(|sa| match sa {
+            SocketAddr::V4(v4) => Some((*v4.ip(), *sa)),
+            SocketAddr::V6(_) => None,
+        })
+        .collect();
+    Arc::new(move |ip: Ipv4Addr| {
+        ports
+            .get(&ip)
+            .copied()
+            .unwrap_or_else(|| SocketAddr::new(ip.into(), 53))
+    })
 }
 
 /// Run a scan inside the simulator. Outputs stream into `on_output`;
@@ -227,6 +246,23 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use zdns_modules::ModuleRegistry;
     use zdns_zones::{SynthConfig, SyntheticUniverse};
+
+    #[test]
+    fn addr_map_keeps_an_ip_port_entry_and_sends_the_rest_to_53() {
+        let servers: Vec<SocketAddr> = vec!["192.0.2.1:5353".parse().unwrap()];
+        let map = addr_map(&servers);
+        let listed = Ipv4Addr::new(192, 0, 2, 1);
+        let other = Ipv4Addr::new(192, 0, 2, 2);
+        assert_eq!(map(listed), "192.0.2.1:5353".parse().unwrap());
+        assert_eq!(map(other), "192.0.2.2:53".parse().unwrap());
+        // A bare `--name-servers` entry parses to port 53 and maps there.
+        let conf = Conf::parse(["A", "--real", "--name-servers", "192.0.2.3"]).unwrap();
+        let map = addr_map(&conf.name_server_addrs);
+        assert_eq!(
+            map(Ipv4Addr::new(192, 0, 2, 3)),
+            "192.0.2.3:53".parse().unwrap()
+        );
+    }
 
     #[test]
     fn sim_scan_produces_one_output_per_input() {

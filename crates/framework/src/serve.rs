@@ -16,7 +16,6 @@
 //! the fleet is shared: any worker's forwarded answer warms every
 //! worker's hit path.
 
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -24,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zdns_core::{
-    AddrMap, Clock, Detail, Doorbell, DriverReport, IoBackend, Reactor, ReactorConfig, Resolver,
+    Clock, Detail, Doorbell, DriverReport, IoBackend, Reactor, ReactorConfig, Resolver,
     ResolverConfig, ServeConfig, ServeStats, ServerRole,
 };
 use zdns_netsim::bind_udp_tcp_pair;
@@ -207,13 +206,11 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
         return Err(bad("serve needs at least one upstream".into()));
     }
     let mut upstream_ips = Vec::new();
-    let mut port_map: HashMap<Ipv4Addr, SocketAddr> = HashMap::new();
     for upstream in &opts.upstreams {
         let SocketAddr::V4(v4) = upstream else {
             return Err(bad(format!("upstream {upstream} is not IPv4")));
         };
         upstream_ips.push(*v4.ip());
-        port_map.insert(*v4.ip(), *upstream);
     }
     let listen_ip = match opts.listen {
         SocketAddr::V4(v4) => *v4.ip(),
@@ -229,12 +226,7 @@ pub fn start(opts: &ServeOptions) -> std::io::Result<ServeHandle> {
         detail: Detail::Normal,
         ..ResolverConfig::external(upstream_ips)
     });
-    let addr_map: Arc<AddrMap> = Arc::new(move |ip: Ipv4Addr| {
-        port_map
-            .get(&ip)
-            .copied()
-            .unwrap_or_else(|| SocketAddr::new(ip.into(), 53))
-    });
+    let addr_map = crate::runner::addr_map(&opts.upstreams);
 
     // Bind everything up front: the first listener pair picks the port
     // (when asked for port 0) and its siblings join it.

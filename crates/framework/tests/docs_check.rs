@@ -413,6 +413,8 @@ const DELETED_NAMES: &[&str] = &[
     concat!("send_", "many"),
     concat!("peak_output", "_queue"),
     "wheel_granularity",
+    "HitEncoding",
+    "edns_cookies",
 ];
 
 #[test]

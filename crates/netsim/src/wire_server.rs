@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use zdns_wire::{Cookie, Message, MessageView, ScratchBuf, WireResult, CLIENT_COOKIE_LEN};
+use zdns_wire::{Message, MessageView, ScratchBuf, WireResult};
 use zdns_zones::Universe;
 
 use crate::engine::Protocol;
@@ -424,12 +424,7 @@ fn answer_into(
     // RFC 7873: echo the client cookie back with our server cookie
     // appended, so cookie-aware clients can pin retries to us.
     if let (Some(cookie), Some(edns)) = (query.cookie(), response.edns.as_mut()) {
-        let mut full = [0u8; CLIENT_COOKIE_LEN + SERVER_COOKIE.len()];
-        full[..CLIENT_COOKIE_LEN].copy_from_slice(cookie.client_part());
-        full[CLIENT_COOKIE_LEN..].copy_from_slice(&SERVER_COOKIE);
-        if let Some(full) = Cookie::from_wire(&full) {
-            edns.set_cookie(full);
-        }
+        edns.set_cookie(cookie.echo(SERVER_COOKIE));
     }
     encode_response(&response, &query, protocol, scratch).is_ok()
 }

@@ -336,6 +336,15 @@ impl ScratchBuf {
         self.buf[pos..pos + v.len()].copy_from_slice(v);
     }
 
+    /// Remove `range` (offsets within the current message) and close the
+    /// gap: the serve path cuts a reply's records out when it truncates
+    /// it, and trims the OPT record for a client that sent none. Names
+    /// written after the cut must not compress against names behind it.
+    pub fn remove(&mut self, range: std::ops::Range<usize>) {
+        self.buf
+            .drain(self.base + range.start..self.base + range.end);
+    }
+
     /// Write a name, compressing against previously written names of the
     /// current message.
     pub fn write_name(&mut self, name: &Name) -> WireResult<()> {

@@ -85,6 +85,18 @@ impl Cookie {
     pub fn has_server_part(&self) -> bool {
         self.len as usize > CLIENT_COOKIE_LEN
     }
+
+    /// The cookie a server answers this one with (RFC 7873 §5.2): the
+    /// client part echoed, followed by the server's own 8 octets.
+    pub fn echo(&self, server: [u8; 8]) -> Cookie {
+        let mut data = [0u8; MAX_COOKIE_LEN];
+        data[..CLIENT_COOKIE_LEN].copy_from_slice(self.client_part());
+        data[CLIENT_COOKIE_LEN..2 * CLIENT_COOKIE_LEN].copy_from_slice(&server);
+        Cookie {
+            len: 2 * CLIENT_COOKIE_LEN as u8,
+            data,
+        }
+    }
 }
 
 /// A decoded OPT pseudo-record.
@@ -280,6 +292,15 @@ mod tests {
         assert_eq!(c.client_part(), &[1, 2, 3, 4, 5, 6, 7, 8]);
         assert!(c.server_part().is_empty());
         assert!(!c.has_server_part());
+    }
+
+    #[test]
+    fn echo_keeps_the_client_part_and_appends_the_server_part() {
+        let learned = Cookie::from_wire(&[7u8; 24]).unwrap();
+        let echoed = learned.echo(*b"SERVERCK");
+        assert_eq!(echoed.client_part(), &[7u8; 8]);
+        assert_eq!(echoed.server_part(), b"SERVERCK");
+        assert_eq!(Cookie::from_wire(echoed.as_bytes()), Some(echoed));
     }
 
     #[test]
