@@ -355,7 +355,10 @@ impl Reactor {
     /// forwarded-answer queue, and the idle wait watches its listeners.
     /// The reactor's own socket stays the upstream side: a query arriving
     /// on it is stale, like any datagram the demux table does not expect.
-    pub fn set_server_role(&mut self, role: ServerRole) {
+    /// The role's listener takes this reactor's
+    /// [`ReactorConfig::io_backend`].
+    pub fn set_server_role(&mut self, mut role: ServerRole) {
+        role.use_backend(self.config.io_backend);
         self.server = Some(Box::new(role));
     }
 

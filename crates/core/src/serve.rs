@@ -9,7 +9,7 @@
 //! listener → per-client token bucket → packet cache probe → [hot hit:
 //!   memcpy] / → record cache probe → [hit: canonical encode (+ memoize)]
 //!   / [miss: forwarding machine behind the same reactor → canonical
-//!   encode] → finish_reply → send
+//!   encode] → finish_reply → reply arena → one batched send per tick
 //! ```
 //!
 //! * **One reply writer** — every reply, whichever path produced it
@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use zdns_netsim::{FramedConn, RecvArena, SimClient, SimTime, SECONDS};
+use zdns_netsim::{FramedConn, SimClient, SimTime, SECONDS};
 use zdns_pacing::ClientBuckets;
 use zdns_wire::{
     cookie_option_len, min_answer_ttl, write_cookie_option, Cookie, Edns, Flags, Header, Message,
@@ -72,6 +72,7 @@ use crate::packet_cache::{PacketCache, PacketEntry, PacketLookup, OPT_TAIL_LEN};
 use crate::resolver::Resolver;
 use crate::result::LookupResult;
 use crate::status::Status;
+use crate::transport::{BatchIo, BatchSendStatus, IoBackend, SendSlot};
 
 /// The serve-mode server cookie (RFC 7873): appended to every echoed
 /// client cookie. Deterministic so tests can assert the echo end-to-end;
@@ -96,7 +97,7 @@ const MAX_TCP_CONNS: usize = 64;
 const TCP_IDLE: SimTime = 10 * SECONDS;
 
 /// Datagrams drained from the UDP listener per tick: the depth of its
-/// receive arena.
+/// batch layer's receive arena.
 const MAX_DATAGRAMS_PER_TICK: usize = 256;
 
 /// Default packet-cache slot count ([`ServeConfig::packet_cache_capacity`]).
@@ -230,6 +231,15 @@ struct PendingAnswer {
     result: LookupResult,
 }
 
+/// A tick's UDP replies, laid end to end in one reused arena, with where
+/// each goes and how its send ended.
+#[derive(Default)]
+struct Replies {
+    bytes: Vec<u8>,
+    slots: Vec<SendSlot>,
+    statuses: Vec<BatchSendStatus>,
+}
+
 /// What [`ServerRole::handle_query`] decided about one inbound query.
 enum HandleOutcome {
     /// A response was encoded into the role's scratch buffer; the caller
@@ -263,10 +273,12 @@ pub struct ServerRole {
     stats: Arc<ServeStats>,
     pending: Arc<Mutex<Vec<PendingAnswer>>>,
     admissions: Vec<Box<dyn SimClient>>,
-    /// The UDP listener and the arena it is drained through; queries
-    /// are answered from it. `None` only for a role driven through
+    /// The UDP listener and the batch layer it is drained and answered
+    /// through. `None` only for a role driven through
     /// [`ServerRole::handle_datagram`] alone.
-    listener: Option<(UdpSocket, RecvArena)>,
+    listener: Option<(UdpSocket, BatchIo)>,
+    /// This tick's UDP replies, end to end, sent once per tick.
+    replies: Replies,
     tcp: Option<TcpListener>,
     conns: Vec<Option<TcpConn>>,
     conn_generations: Vec<u64>,
@@ -304,6 +316,7 @@ impl ServerRole {
             conns: Vec::new(),
             conn_generations: Vec::new(),
             scratch: ScratchBuf::new(),
+            replies: Replies::default(),
         }
     }
 
@@ -313,8 +326,17 @@ impl ServerRole {
     pub fn with_udp_listener(mut self, socket: UdpSocket) -> std::io::Result<ServerRole> {
         socket.set_nonblocking(true)?;
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
-        self.listener = Some((socket, RecvArena::new(MAX_DATAGRAMS_PER_TICK)));
+        self.listener = Some((socket, BatchIo::new(MAX_DATAGRAMS_PER_TICK)));
         Ok(self)
+    }
+
+    /// Drain and answer the UDP listener with `backend`'s syscalls (it
+    /// is built vectored): the reactor the role is installed in passes
+    /// its own.
+    pub(crate) fn use_backend(&mut self, backend: IoBackend) {
+        if let (Some((_, io)), IoBackend::Syscall) = (&mut self.listener, backend) {
+            *io = BatchIo::per_datagram(MAX_DATAGRAMS_PER_TICK);
+        }
     }
 
     /// Attach a non-blocking TCP listener serviced on the same event loop.
@@ -386,30 +408,62 @@ impl ServerRole {
     }
 
     /// Per-tick role work: drain the UDP listener, service the TCP
-    /// table, and flush finished forwarded answers.
+    /// table, flush finished forwarded answers, and send the tick's UDP
+    /// replies.
     pub(crate) fn poll(&mut self, now: SimTime) {
         self.drain_listener(now);
         self.pump_tcp(now);
         self.flush_answers(now);
+        self.send_replies();
     }
 
     /// Answer up to one arena of queued datagrams from the listener.
     fn drain_listener(&mut self, now: SimTime) {
-        let Some((listener, mut arena)) = self.listener.take() else {
+        let Some((listener, mut io)) = self.listener.take() else {
             return;
         };
-        let batch = arena.recv_batch(&listener);
+        let batch = io.recv_into_arena(&listener);
         for i in 0..batch.count {
-            let (raw, peer) = arena.datagram(i);
+            let (raw, peer) = (io.arena_bytes(i), io.arena_peer(i));
             if let HandleOutcome::Respond = self.handle_query(raw, peer, Via::Udp, now) {
-                // Count before sending: a client that has the answer in
-                // hand (and a test reading the counter) must never observe
-                // the response as uncounted.
-                ServeStats::bump(&self.stats.responses);
-                let _ = listener.send_to(self.scratch.message_bytes(), peer);
+                self.stage_reply(peer);
             }
         }
-        self.listener = Some((listener, arena));
+        self.listener = Some((listener, io));
+    }
+
+    /// Queue the reply in the scratch for `peer`, counting it now: a
+    /// client that has the answer in hand (and a test reading the
+    /// counter) must never observe the response as uncounted.
+    fn stage_reply(&mut self, peer: SocketAddr) {
+        ServeStats::bump(&self.stats.responses);
+        let bytes = self.scratch.message_bytes();
+        let replies = &mut self.replies;
+        replies
+            .slots
+            .push((replies.bytes.len() as u32, bytes.len() as u32, peer));
+        replies.bytes.extend_from_slice(bytes);
+    }
+
+    /// Send the tick's UDP replies in one flush of the listener's batch
+    /// layer, grouped by client and length (in arrival order within a
+    /// group) so each group leaves as runs of one segmented send. Clients
+    /// match replies by ID, so the order across groups is free. A reply
+    /// the socket does not take is dropped, as a lost datagram would be.
+    fn send_replies(&mut self) {
+        let Replies {
+            bytes,
+            slots,
+            statuses,
+        } = &mut self.replies;
+        let listener = self.listener.as_mut().filter(|_| !slots.is_empty());
+        if let Some((listener, io)) = listener {
+            slots.sort_unstable_by_key(|&(start, len, peer)| (peer, len, start));
+            statuses.clear();
+            io.send_slots(listener, bytes, slots, statuses, &mut |_| {});
+        }
+        bytes.clear();
+        slots.clear();
     }
 
     /// Parse, gate, probe the cache, and either answer or forward one
@@ -638,12 +692,9 @@ impl ServerRole {
             }
             match ctx.via {
                 Via::Udp => {
-                    let Some((listener, _)) = &self.listener else {
-                        continue;
-                    };
-                    // Count before sending (see `drain_listener`).
-                    ServeStats::bump(&self.stats.responses);
-                    let _ = listener.send_to(self.scratch.message_bytes(), ctx.peer);
+                    if self.listener.is_some() {
+                        self.stage_reply(ctx.peer);
+                    }
                 }
                 Via::Tcp { slot, generation } => {
                     if self.conn_generations.get(slot) != Some(&generation) {

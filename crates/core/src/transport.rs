@@ -4,11 +4,15 @@
 //! `tcp.rs`'s).
 //!
 //! [`BatchIo`] is the batched syscall layer: it coalesces same-tick
-//! sends into single `sendmmsg(2)` calls and drains the socket through a
-//! [`RecvArena`], with a per-datagram fallback (`send_to`/`recvfrom`)
-//! for non-Linux targets and for `--io-backend syscall`. The raw calls
-//! and the arena are `zdns_netsim::mmsg`'s, shared with the loopback wire
-//! servers and the serve listeners; this module adds the settling rules.
+//! sends into single `sendmmsg(2)` calls — a leading run of datagrams to
+//! one destination with one length into one segmented `sendmsg(2)` (UDP
+//! GSO) — and drains the socket through a [`RecvArena`], with a
+//! per-datagram fallback (`send_to`/`recvfrom`) for non-Linux targets and
+//! for `--io-backend syscall`. The raw calls, the run rule and the arena
+//! are `zdns_netsim::mmsg`'s, shared with the loopback wire servers; the
+//! serve listeners drain and answer through a `BatchIo` of their own.
+//! This module adds the settling rules, which read a segmented send like
+//! any other: it sends its whole run, or fails on its first datagram.
 
 use std::net::{SocketAddr, UdpSocket};
 
@@ -239,7 +243,9 @@ pub type SendSlot = (u32, u32, SocketAddr);
 /// Batched syscall layer for one non-blocking UDP socket: a
 /// [`RecvArena`] of `batch_size` slots plus the reusable FFI vectors for
 /// `sendmmsg`. When batched, same-tick sends coalesce into `sendmmsg(2)`
-/// and receives drain through one `recvmmsg(2)` per arena; otherwise
+/// (a leading same-destination, same-length run into one segmented
+/// `sendmsg(2)`, see [`zdns_netsim::mmsg`]) and receives drain through
+/// one `recvmmsg(2)` per arena; otherwise
 /// every datagram is its own `send_to`/`recvfrom` (the non-Linux path,
 /// `--io-backend syscall` and a batch size of 1). Both modes share
 /// per-datagram semantics — the property tests in
@@ -264,7 +270,7 @@ impl BatchIo {
         }
         BatchIo {
             arena: RecvArena::new(batch_size),
-            scratch: MmsgScratch::default(),
+            scratch: MmsgScratch::with_capacity(batch_size.min(MAX_BATCH)),
         }
     }
 
@@ -355,7 +361,8 @@ impl BatchIo {
     }
 
     /// The one send path: settle `items`, each read as a datagram by
-    /// `datagram`, through `sendmmsg` or one `send_to` apiece.
+    /// `datagram`, through segmented `sendmsg` and `sendmmsg` or one
+    /// `send_to` apiece.
     fn send_each<'a, T>(
         &mut self,
         socket: &UdpSocket,

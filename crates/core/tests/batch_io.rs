@@ -2,13 +2,17 @@
 //! path and the per-datagram fallback path must deliver identical datagram
 //! sequences for the same input, across batch sizes 1..=64 — and the
 //! settling engine must handle short returns, hard errors, and
-//! `WouldBlock` mid-batch without losing or reordering a datagram.
+//! `WouldBlock` mid-batch without losing or reordering a datagram. Runs
+//! of one destination and one length leave as segmented (GSO) sends; the
+//! scripted cases below pin how those are cut and settled.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use zdns_core::{BatchIo, BatchSendStatus, IoBackend, SendSlot};
+use zdns_netsim::{MmsgScratch, SendCall};
 
 /// Index-stamped payloads so sequence comparisons are meaningful.
 fn payloads(count: usize, sizes: &[usize]) -> Vec<Vec<u8>> {
@@ -319,5 +323,215 @@ fn batch_one_or_syscall_is_per_datagram_and_still_moves_datagrams() {
         assert_eq!(io.backend_name(), "syscall", "{choice:?} at {batch}");
         assert!(!io.is_batched());
         moves_datagrams(io, BatchIo::with_backend(choice, batch));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Segmented (GSO) sends: scripted kernel answers
+// ---------------------------------------------------------------------------
+
+/// One raw call the send path made: a segmented send of a run, or a
+/// `sendmmsg`, with the datagrams it carried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Call {
+    Gso(usize),
+    Mmsg(usize),
+}
+
+/// Settle `msgs` through a `BatchIo` of `batch` whose raw calls are
+/// answered by `kernel`, segmentation switched by `gso`. Returns every
+/// datagram's status and the calls made, in order.
+fn run_kernel(
+    batch: usize,
+    msgs: &[(&[u8], SocketAddr)],
+    gso: &AtomicBool,
+    kernel: &mut dyn FnMut(Call) -> std::io::Result<usize>,
+) -> (Vec<BatchSendStatus>, Vec<Call>) {
+    let mut calls = Vec::new();
+    let mut raw = |call: SendCall<'_>| {
+        let call = match call.is_segmented() {
+            true => Call::Gso(call.datagrams()),
+            false => Call::Mmsg(call.datagrams()),
+        };
+        calls.push(call);
+        kernel(call)
+    };
+    let mut scratch = MmsgScratch::default();
+    let mut primitive =
+        |chunk: &[(&[u8], SocketAddr)]| scratch.send_with(gso, &mut raw, chunk.iter().copied());
+    let mut statuses = Vec::new();
+    BatchIo::new(batch).send_batch_with(&mut primitive, msgs, &mut statuses, &mut |_| {});
+    assert_eq!(statuses.len(), msgs.len(), "every datagram settles once");
+    (statuses, calls)
+}
+
+/// A kernel that takes every call whole.
+fn accepts(call: Call) -> std::io::Result<usize> {
+    match call {
+        Call::Gso(n) | Call::Mmsg(n) => Ok(n),
+    }
+}
+
+/// `count` datagrams of `len` octets to `dest`.
+fn same(payload: &[u8], count: usize, dest: SocketAddr) -> Vec<(&[u8], SocketAddr)> {
+    vec![(payload, dest); count]
+}
+
+fn dest(port: u16) -> SocketAddr {
+    SocketAddr::from((Ipv4Addr::LOCALHOST, port))
+}
+
+#[test]
+fn wouldblock_on_a_run_backpressures_it_and_everything_after() {
+    let (long, short) = ([7u8; 100], [8u8; 60]);
+    let mut msgs = same(&long, 5, dest(53));
+    msgs.extend(same(&short, 3, dest(53)));
+    let gso = AtomicBool::new(true);
+    let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut |_| {
+        Err(std::io::ErrorKind::WouldBlock.into())
+    });
+    assert_eq!(calls, [Call::Gso(5)]);
+    assert_eq!(statuses, [BatchSendStatus::Backpressure; 8]);
+    assert!(gso.load(Ordering::Relaxed), "backpressure is no refusal");
+}
+
+#[test]
+fn a_refused_segmented_send_latches_gso_off_and_resends_the_run() {
+    let payload = [1u8; 90];
+    let msgs = same(&payload, 6, dest(53));
+    for errno in [libc::EIO, libc::EINVAL, libc::ENOPROTOOPT] {
+        let gso = AtomicBool::new(true);
+        let mut kernel = |call: Call| match call {
+            Call::Gso(_) => Err(std::io::Error::from_raw_os_error(errno)),
+            Call::Mmsg(n) => Ok(n),
+        };
+        let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut kernel);
+        assert_eq!(calls, [Call::Gso(6), Call::Mmsg(6)], "errno {errno}");
+        assert_eq!(statuses, [BatchSendStatus::Sent; 6], "errno {errno}");
+        assert!(!gso.load(Ordering::Relaxed), "errno {errno} latches");
+        // The next flush does not try again.
+        let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut kernel);
+        assert_eq!(calls, [Call::Mmsg(6)], "errno {errno}");
+        assert_eq!(statuses, [BatchSendStatus::Sent; 6]);
+    }
+}
+
+#[test]
+fn enobufs_on_a_run_fails_one_datagram_and_retries_the_rest() {
+    const ENOBUFS: i32 = 105;
+    let payload = [2u8; 80];
+    let msgs = same(&payload, 6, dest(53));
+    let gso = AtomicBool::new(true);
+    let mut first = true;
+    let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut |call| {
+        if std::mem::take(&mut first) {
+            return Err(std::io::Error::from_raw_os_error(ENOBUFS));
+        }
+        accepts(call)
+    });
+    assert_eq!(calls, [Call::Gso(6), Call::Gso(5)]);
+    let mut want = vec![BatchSendStatus::Sent; 6];
+    want[0] = BatchSendStatus::Failed;
+    assert_eq!(statuses, want);
+    assert!(gso.load(Ordering::Relaxed), "ENOBUFS does not latch");
+}
+
+#[test]
+fn runs_are_cut_at_64_segments_and_65_000_octets() {
+    let gso = AtomicBool::new(true);
+    let small = [3u8; 40];
+    let (statuses, calls) = run_kernel(128, &same(&small, 70, dest(53)), &gso, &mut accepts);
+    assert_eq!(calls, [Call::Gso(64), Call::Gso(6)]);
+    assert_eq!(statuses, [BatchSendStatus::Sent; 70]);
+    // 46 × 1 400 = 64 400 octets fit one send; a 47th would not.
+    let wide = [4u8; 1_400];
+    let (_, calls) = run_kernel(128, &same(&wide, 50, dest(53)), &gso, &mut accepts);
+    assert_eq!(calls, [Call::Gso(46), Call::Gso(4)]);
+}
+
+#[test]
+fn a_run_ends_at_a_new_destination_or_length_and_never_takes_a_jumbo() {
+    let gso = AtomicBool::new(true);
+    let (a, b, jumbo, edge) = ([5u8; 100], [6u8; 101], [9u8; 1_500], [9u8; 1_472]);
+    let mut msgs = same(&a, 3, dest(53));
+    msgs.extend(same(&a, 2, dest(54)));
+    msgs.extend(same(&b, 1, dest(54)));
+    msgs.extend(same(&jumbo, 3, dest(54)));
+    msgs.extend(same(&edge, 2, dest(54)));
+    let (statuses, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
+    // A lone head leaves by `sendmmsg`, with all that follows it in the
+    // call: the jumbo datagrams and the run behind them too.
+    assert_eq!(calls, [Call::Gso(3), Call::Gso(2), Call::Mmsg(6)]);
+    assert!(statuses.iter().all(|s| *s == BatchSendStatus::Sent));
+    let (_, calls) = run_kernel(64, &same(&edge, 2, dest(54)), &gso, &mut accepts);
+    assert_eq!(calls, [Call::Gso(2)], "1 472 octets still join");
+    let (_, calls) = run_kernel(64, &same(&jumbo, 3, dest(54)), &gso, &mut accepts);
+    assert_eq!(calls, [Call::Mmsg(3)]);
+}
+
+#[test]
+fn segmented_and_per_datagram_sends_deliver_the_same_bytes_to_three_receivers() {
+    const COUNT: usize = 2_000;
+    const FLUSH: usize = 250;
+    let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    tx.set_nonblocking(true).unwrap();
+    let receivers: Vec<(UdpSocket, SocketAddr)> = (0..3)
+        .map(|_| {
+            let rx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+            rx.set_nonblocking(true).unwrap();
+            zdns_netsim::set_recv_buffer(&rx, 4 << 20);
+            let at = rx.local_addr().unwrap();
+            (rx, at)
+        })
+        .collect();
+    // Runs of every length from 1 to 9, the lengths and destinations
+    // changing at different strides.
+    let sizes = [48usize, 61, 300, 900, 1_500];
+    let plan: Vec<(usize, usize)> = (0..COUNT)
+        .map(|i| ((i / 7) % 3, sizes[(i * i / 11 + i / 5) % sizes.len()]))
+        .collect();
+    let mut arena = Vec::new();
+    let slots: Vec<SendSlot> = plan
+        .iter()
+        .enumerate()
+        .map(|(i, &(to, len))| {
+            let start = arena.len() as u32;
+            arena.extend((0..len).map(|k| (i + k) as u8));
+            arena[start as usize..][..4].copy_from_slice(&(i as u32).to_be_bytes());
+            (start, len as u32, receivers[to].1)
+        })
+        .collect();
+    let mut delivered = Vec::new();
+    for mut sender in [BatchIo::new(128), BatchIo::per_datagram(128)] {
+        let mut got = vec![Vec::new(); receivers.len()];
+        let mut syscalls = 0;
+        for flush in slots.chunks(FLUSH) {
+            let mut statuses = Vec::new();
+            syscalls += sender
+                .send_slots(&tx, &arena, flush, &mut statuses, &mut |_| {})
+                .syscalls;
+            assert!(statuses.iter().all(|s| *s == BatchSendStatus::Sent));
+            for (to, (rx, _)) in receivers.iter().enumerate() {
+                let expected = flush.iter().filter(|s| s.2 == receivers[to].1).count();
+                let mut io = BatchIo::new(64);
+                got[to].extend(recv_all(&mut io, rx, expected));
+            }
+        }
+        if sender.is_batched() && cfg!(target_os = "linux") {
+            // Segmented sends happened (a `sendmmsg` alone would take
+            // two calls per flush), and the kernel took them.
+            assert!(syscalls > 2 * (COUNT / FLUSH) as u64, "{syscalls}");
+            assert!(zdns_netsim::mmsg::segmentation_on());
+        }
+        delivered.push(got);
+    }
+    assert_eq!(delivered[0], delivered[1]);
+    for (to, got) in delivered[0].iter().enumerate() {
+        let want: Vec<Vec<u8>> = slots
+            .iter()
+            .filter(|s| s.2 == receivers[to].1)
+            .map(|&(start, len, _)| arena[start as usize..][..len as usize].to_vec())
+            .collect();
+        assert_eq!(got, &want, "receiver {to}");
     }
 }

@@ -712,3 +712,107 @@ fn a_forwarded_udp_answer_over_the_limit_comes_back_empty_with_tc() {
         reference_reply(&raw, Rcode::NoError, wide, Vec::new(), false)
     );
 }
+
+#[test]
+fn a_burst_from_two_clients_is_answered_once_each_with_the_seam_bytes() {
+    // Three names whose replies differ in length (one, two and three A
+    // records), asked over and over by two clients — one with a cookie,
+    // one without — between FORMERRs: record hits, packet hits and
+    // FORMERR in one tick, sent as one grouped flush. Every query gets
+    // exactly one reply, byte-identical to what `handle_datagram` gives
+    // for it.
+    let names = ["a.burst.test", "bb.burst.test", "ccc.burst.test"];
+    let (serving, mut twin) = (role(1024), role(1024));
+    for role in [&serving, &twin] {
+        for (n, name) in names.iter().enumerate() {
+            let records = a_records(name, 3600, (0..=n as u8).map(|i| [10, 9, n as u8, i]));
+            put_records(role, name, records, 0);
+        }
+    }
+    let listener = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let listen = listener.local_addr().unwrap();
+    let serving = serving.with_udp_listener(listener).unwrap();
+    let stats = serving.stats();
+    let addr_map: Arc<AddrMap> = Arc::new(|_| (Ipv4Addr::LOCALHOST, 9).into());
+    let config = ReactorConfig {
+        source: Ipv4Addr::LOCALHOST,
+        ..ReactorConfig::default()
+    };
+    let mut reactor = Reactor::new(config, addr_map).unwrap();
+    reactor.set_server_role(serving);
+
+    let clients: Vec<(UdpSocket, Option<Cookie>)> = [Some(Cookie::client(*b"burstone")), None]
+        .into_iter()
+        .map(|cookie| {
+            let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+            socket
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            (socket, cookie)
+        })
+        .collect();
+    let questionless = |id: u16| {
+        let mut m = Message {
+            id,
+            edns: Some(Edns::default()),
+            ..Message::default()
+        };
+        m.flags.recursion_desired = true;
+        m.encode().unwrap()
+    };
+    const PER_CLIENT: u16 = 24;
+    let mut want = Vec::new();
+    for id in 0..PER_CLIENT {
+        for (socket, cookie) in &clients {
+            let peer = socket.local_addr().unwrap();
+            let query = match id % 8 {
+                7 => questionless(id),
+                k => a_query(id, names[usize::from(k) % names.len()], *cookie),
+            };
+            socket.send_to(&query, listen).unwrap();
+            let reply = twin.handle_datagram(&query, peer, 0).unwrap().to_vec();
+            want.push((peer, id, reply));
+        }
+    }
+    let asked = 2 * u64::from(PER_CLIENT);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats.responses() < asked {
+        assert!(Instant::now() < deadline, "burst unanswered");
+        reactor.serve_tick();
+    }
+    assert_eq!(stats.responses(), asked);
+    assert_eq!(
+        stats.packet_hits() + stats.packet_fills(),
+        stats.cache_hits()
+    );
+    assert!(stats.packet_hits() > 0 && stats.packet_fills() == names.len() as u64);
+
+    let mut buf = [0u8; 4096];
+    for (socket, _) in &clients {
+        let peer = socket.local_addr().unwrap();
+        let mut got: Vec<(u16, Vec<u8>)> = (0..PER_CLIENT)
+            .map(|_| {
+                let (n, from) = socket.recv_from(&mut buf).unwrap();
+                assert_eq!(from, listen);
+                (
+                    MessageView::parse(&buf[..n]).unwrap().id(),
+                    buf[..n].to_vec(),
+                )
+            })
+            .collect();
+        got.sort();
+        let mine: Vec<(u16, Vec<u8>)> = want
+            .iter()
+            .filter(|(to, _, _)| *to == peer)
+            .map(|(_, id, reply)| (*id, reply.clone()))
+            .collect();
+        assert_eq!(got, mine, "client {peer}");
+        let lengths: std::collections::BTreeSet<usize> = mine.iter().map(|r| r.1.len()).collect();
+        assert!(lengths.len() >= 3, "{lengths:?}");
+        socket.set_nonblocking(true).unwrap();
+        assert!(
+            socket.recv_from(&mut buf).is_err(),
+            "a query answered twice"
+        );
+    }
+}

@@ -484,6 +484,128 @@ fn steady_state_serve_hit_path_allocates_zero_per_query() {
 }
 
 #[test]
+fn steady_state_serve_bursts_allocate_zero_per_query() {
+    // Many replies per tick: two clients each queue a burst of queries
+    // (two name lengths, one client with a cookie) before the loop
+    // ticks, so every tick answers a burst — packet hits staged in the
+    // reply arena, grouped by client and length, and sent as one flush
+    // of segmented runs. Clients and loop share the measuring thread:
+    // the queries are pre-encoded, and sending and receiving them
+    // allocates nothing, so every allocation counted is the loop's.
+    use std::net::UdpSocket;
+    use std::time::{Duration, Instant};
+    use zdns_core::{Clock, ServeConfig, ServerRole};
+
+    const NAMES: usize = 16;
+    const BURST: usize = 12;
+    const WARMUP_ROUNDS: usize = 50;
+    const MEASURED_ROUNDS: usize = 200;
+
+    let epoch = Instant::now();
+    let resolver = Resolver::new(ResolverConfig::external(vec![Ipv4Addr::new(
+        203, 0, 113, 99,
+    )]));
+    let questions: Vec<Question> = (0..NAMES)
+        .map(|i| {
+            let name: Name = format!("b{i}.zeroalloc.test").parse().unwrap();
+            let record = Record::new(
+                name.clone(),
+                3600,
+                RData::A(Ipv4Addr::new(10, 8, 0, i as u8)),
+            );
+            resolver.core().cache.put(
+                CacheKey {
+                    name: name.clone(),
+                    rtype: RecordType::A,
+                },
+                vec![record],
+                0,
+            );
+            Question::new(name, RecordType::A)
+        })
+        .collect();
+    let addr_map: Arc<AddrMap> = Arc::new(|_| (Ipv4Addr::LOCALHOST, 9).into());
+    let mut reactor = Reactor::new(
+        ReactorConfig {
+            source: Ipv4Addr::LOCALHOST,
+            io_backend: IoBackend::Mmsg,
+            epoch: Some(epoch),
+            ..ReactorConfig::default()
+        },
+        addr_map,
+    )
+    .unwrap();
+    let listener = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let listen = listener.local_addr().unwrap();
+    let role = ServerRole::new(resolver, Clock::from_epoch(epoch), ServeConfig::default())
+        .with_udp_listener(listener)
+        .unwrap();
+    let stats = role.stats();
+    reactor.set_server_role(role);
+
+    let cookie = Cookie::client(*b"burstalc");
+    let clients: Vec<(UdpSocket, Vec<Vec<u8>>)> = [Some(cookie), None]
+        .into_iter()
+        .map(|cookie| {
+            let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+            socket
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let queries = (0..NAMES)
+                .map(|i| {
+                    let mut scratch = ScratchBuf::new();
+                    encode_query_into(&mut scratch, i as u16, &questions[i], true, cookie.as_ref())
+                        .unwrap();
+                    scratch.take_bytes()
+                })
+                .collect();
+            (socket, queries)
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut buf = [0u8; 4096];
+    let mut round = |r: usize| {
+        let answered = stats.responses();
+        for (socket, queries) in &clients {
+            for k in 0..BURST {
+                socket.send_to(&queries[(r + k) % NAMES], listen).unwrap();
+            }
+        }
+        while stats.responses() < answered + (2 * BURST) as u64 {
+            assert!(Instant::now() < deadline, "serve burst stalled");
+            reactor.serve_tick();
+        }
+        for (socket, _) in &clients {
+            for _ in 0..BURST {
+                let (n, _) = socket.recv_from(&mut buf).unwrap();
+                assert_eq!(MessageView::parse(&buf[..n]).unwrap().answer_count(), 1);
+            }
+        }
+    };
+
+    // Warmup: memoizes every name and grows the reply arena, its slot
+    // and status lists, the scratch and the gate entries.
+    for r in 0..WARMUP_ROUNDS {
+        round(r);
+    }
+    let before = thread_allocations();
+    if std::env::var_os("ZDNS_TRAP_ALLOCS").is_some() {
+        zdns_core::alloc_count::trap_allocations(true);
+    }
+    for r in 0..MEASURED_ROUNDS {
+        round(r);
+    }
+    zdns_core::alloc_count::trap_allocations(false);
+    let allocs = thread_allocations() - before;
+    assert_eq!(
+        allocs,
+        0,
+        "serve bursts allocated {allocs} times over {} queries",
+        MEASURED_ROUNDS * 2 * BURST
+    );
+}
+
+#[test]
 fn packet_cache_hit_path_allocates_zero_per_query() {
     // The PR-10 tentpole's claim, isolated from sockets: answering a
     // repeat query from the packet cache — view parse, fingerprint

@@ -681,8 +681,8 @@ pub static SERVE_FLAGS: FlagTable<ServeConf> = flag_table! { column 25;
         queries are dropped, TCP is never gated\n\
         (default: off)"
         => options.client_pps = non_negative;
-    "--io-backend" <"KIND"> "forwarding syscall strategy: auto | mmsg | syscall\n\
-        (as in scan mode)"
+    "--io-backend" <"KIND"> "syscall strategy of the listener and the upstream\n\
+        socket: auto | mmsg | syscall (as in scan mode)"
         => options.io_backend = parse_io_backend;
     "--shards" <"N"> "worker count (default 1; at most 256): each worker\n\
         owns a UDP + TCP listener on the listen port,\n\

@@ -216,7 +216,7 @@ fn the_help_blocks_print_the_recorded_bytes() {
     assert_pinned(
         "zdns serve --help",
         &[SERVE_FLAGS.help()],
-        0x5257_6500_17fa_7139,
+        0x1dd0_d1fa_b3a6_3cb0,
     );
     assert_pinned(
         "zdns merge --help",

@@ -1,12 +1,26 @@
-//! Batched datagram I/O: the workspace's one `sendmmsg(2)` call, one
-//! `recvmmsg(2)` call, its per-datagram `recvfrom(2)` and one receive
-//! loop, with every `unsafe` pointer hand-off they need and the arena's
-//! page mapping. Three callers share it: `zdns-core`'s `BatchIo` (the
-//! reactor's syscall layer), this crate's `WireServer` (the loopback
+//! Batched datagram I/O: the workspace's one `sendmmsg(2)` call, its one
+//! segmented `sendmsg(2)` (UDP GSO), one `recvmmsg(2)` call, its
+//! per-datagram `recvfrom(2)` and one receive loop, with every `unsafe`
+//! pointer hand-off they need and the arena's page mapping. Three callers
+//! share it: `zdns-core`'s `BatchIo` (the reactor's syscall layer, and
+//! the serve listeners' replies), this crate's `WireServer` (the loopback
 //! servers' UDP thread) and `zdns-core`'s `ServerRole`, which drains a
 //! serve worker's listener. The FFI vectors are allocated once and
 //! rewritten before every call, so the hot path pays no allocator
 //! round-trip per syscall.
+//!
+//! A send ([`MmsgScratch::send`]) whose leading datagrams are a *run* —
+//! two or more to one IPv4 destination with one length — leaves as one
+//! `sendmsg` with a `UDP_SEGMENT` control message: the kernel builds one
+//! packet and cuts it into the run's datagrams, so the run pays the
+//! socket, route and UDP layers once. Its `msg_iov` is the run's own
+//! iovecs, so no payload is copied. A run is at most 64 datagrams and
+//! 65 000 payload octets, and a datagram over 1 472 octets never joins
+//! one. Anything else leaves by
+//! `sendmmsg`. A segmented send is all-or-nothing; the first one the
+//! kernel refuses as unsupported (`EIO`, `EINVAL`, `ENOPROTOOPT`) turns
+//! segmentation off for the process, and its run is sent again through
+//! `sendmmsg`.
 //!
 //! A [`RecvArena`]'s mode is fixed when it is built: vectored (one
 //! `recvmmsg` per batch) where [`libc::MMSG_SUPPORTED`], per-datagram
@@ -17,6 +31,7 @@
 //! a blocking socket returns as soon as a datagram arrives.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Bytes per slot of a receive arena: room for the largest UDP datagram,
 /// rounded up to whole pages. An arena is *one* anonymous mapping of
@@ -28,6 +43,85 @@ pub const RECV_SLOT: usize = 65_536;
 /// Most datagrams one vectored call moves: the kernel's `UIO_MAXIOV`,
 /// and the deepest arena.
 const MAX_VLEN: usize = 1_024;
+
+/// Most datagrams one segmented send carries (the kernel's
+/// `UDP_MAX_SEGMENTS`).
+const GSO_MAX_SEGMENTS: usize = 64;
+
+/// Most payload octets one segmented send carries: under the 65 507 of
+/// one UDP datagram, which bounds the packet the kernel cuts up.
+const GSO_MAX_OCTETS: usize = 65_000;
+
+/// Longest datagram that joins a run: a 1 500-octet MTU less the IPv4
+/// and UDP headers. The kernel refuses a segment longer than the route's
+/// MTU allows with `EINVAL`.
+const GSO_MAX_SEGMENT: usize = 1_472;
+
+static GSO_ON: AtomicBool = AtomicBool::new(libc::MMSG_SUPPORTED);
+
+/// Whether this process still tries segmented sends: false where the
+/// platform has none, and for good after the kernel refused one as
+/// unsupported.
+pub fn segmentation_on() -> bool {
+    GSO_ON.load(Ordering::Relaxed)
+}
+
+/// One raw send call, as [`MmsgScratch::send_with`] hands it to the
+/// kernel (or to a test's script): the FFI vectors it has built.
+pub enum SendCall<'a> {
+    /// `sendmmsg(2)` over these headers, one datagram each.
+    Vectored(&'a mut [libc::mmsghdr]),
+    /// One `sendmsg(2)` of a run: its iovecs are the run's datagrams,
+    /// its control message their common length.
+    Segmented(&'a libc::msghdr),
+}
+
+impl SendCall<'_> {
+    /// Datagrams the call carries.
+    pub fn datagrams(&self) -> usize {
+        match self {
+            SendCall::Vectored(hdrs) => hdrs.len(),
+            SendCall::Segmented(hdr) => hdr.msg_iovlen,
+        }
+    }
+
+    /// Whether this is a segmented (GSO) send.
+    pub fn is_segmented(&self) -> bool {
+        matches!(self, SendCall::Segmented(_))
+    }
+}
+
+/// Whether a segmented send's error says the route or the kernel cannot
+/// segment at all, rather than that this one send failed.
+fn refuses_segmentation(e: &std::io::Error) -> bool {
+    matches!(
+        e.raw_os_error(),
+        Some(libc::EIO | libc::EINVAL | libc::ENOPROTOOPT)
+    ) || e.kind() == std::io::ErrorKind::Unsupported
+}
+
+/// A segmented send's control buffer: one `UDP_SEGMENT` item carrying
+/// the segment length, laid out as `CMSG_SPACE(2)` octets.
+#[repr(C)]
+struct SegmentControl {
+    hdr: libc::cmsghdr,
+    segment: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<SegmentControl>() == libc::CMSG_SPACE(2) as usize);
+
+impl SegmentControl {
+    fn new(segment: usize) -> SegmentControl {
+        SegmentControl {
+            hdr: libc::cmsghdr {
+                cmsg_len: libc::CMSG_LEN(2) as usize,
+                cmsg_level: libc::SOL_UDP,
+                cmsg_type: libc::UDP_SEGMENT,
+            },
+            segment: segment as u16,
+        }
+    }
+}
 
 /// Result of one [`RecvArena::recv_batch`] call.
 #[derive(Debug)]
@@ -52,7 +146,8 @@ impl RecvBatch {
 
 /// Pre-allocated `sockaddr_in`/`iovec`/`mmsghdr` arrays, rewritten in
 /// place before each `sendmmsg`/`recvmmsg` call; they grow to the
-/// largest batch ever prepared.
+/// largest batch ever prepared, unless built for it
+/// ([`MmsgScratch::with_capacity`]).
 #[derive(Default)]
 pub struct MmsgScratch {
     addrs: Vec<libc::sockaddr_in>,
@@ -61,26 +156,45 @@ pub struct MmsgScratch {
 }
 
 // SAFETY: the raw pointers stored in `iovs`/`hdrs` are rebuilt by
-// `fill` immediately before every syscall and are never
+// `fill`/`send_with` immediately before every syscall and are never
 // dereferenced between calls, so moving the scratch across threads
 // cannot expose a dangling pointer.
 unsafe impl Send for MmsgScratch {}
 
 impl MmsgScratch {
+    /// Vectors for batches of up to `depth` datagrams, so none grows
+    /// later: a segmented send links no headers, so a sender whose first
+    /// batches were runs would otherwise grow them mid-scan.
+    pub fn with_capacity(depth: usize) -> MmsgScratch {
+        MmsgScratch {
+            addrs: Vec::with_capacity(depth),
+            iovs: Vec::with_capacity(depth),
+            hdrs: Vec::with_capacity(depth),
+        }
+    }
+
     /// Rewrite the vectors to one entry per `(address, segment)` pair.
-    /// The headers are linked after the last push, so none points at
-    /// storage a push moved.
     fn fill(
         &mut self,
         entries: impl Iterator<Item = (libc::sockaddr_in, libc::iovec)>,
     ) -> &mut [libc::mmsghdr] {
         self.addrs.clear();
         self.iovs.clear();
-        self.hdrs.clear();
+        self.push(entries)
+    }
+
+    /// Append `entries` to the vectors and link one header per entry.
+    /// The headers are linked after the last push, so none points at
+    /// storage a push moved.
+    fn push(
+        &mut self,
+        entries: impl Iterator<Item = (libc::sockaddr_in, libc::iovec)>,
+    ) -> &mut [libc::mmsghdr] {
         for (addr, iov) in entries {
             self.addrs.push(addr);
             self.iovs.push(iov);
         }
+        self.hdrs.clear();
         for (addr, iov) in self.addrs.iter_mut().zip(&mut self.iovs) {
             self.hdrs.push(libc::mmsghdr {
                 msg_hdr: libc::msghdr {
@@ -98,23 +212,10 @@ impl MmsgScratch {
         &mut self.hdrs
     }
 
-    /// Build the send vector from the leading IPv4 datagrams of `msgs`,
-    /// at most [`MAX_VLEN`] of them. The kernel only reads the payloads.
-    fn prepare_send<'a>(
-        &mut self,
-        msgs: impl Iterator<Item = (&'a [u8], SocketAddr)>,
-    ) -> &mut [libc::mmsghdr] {
-        self.fill(msgs.take(MAX_VLEN).map_while(|(bytes, dest)| match dest {
-            SocketAddr::V4(v4) => Some((
-                libc::sockaddr_in::from_parts(*v4.ip(), v4.port()),
-                iovec(bytes.as_ptr() as *mut u8, bytes.len()),
-            )),
-            SocketAddr::V6(_) => None,
-        }))
-    }
-
-    /// One `sendmmsg` attempt (never waiting) on the leading IPv4 run of
-    /// `msgs`; a non-IPv4 head is sent alone through `send_to`. Returns
+    /// One send attempt (never waiting) on the leading IPv4 datagrams of
+    /// `msgs`, at most 1 024 of them: one segmented `sendmsg` when
+    /// they open with a run, one `sendmmsg` otherwise (see the module
+    /// docs); a non-IPv4 head is sent alone through `send_to`. Returns
     /// how many consecutive datagrams went out (≥ 1 for a non-empty
     /// `msgs`) or the error that stopped the first.
     pub fn send<'a>(
@@ -126,7 +227,74 @@ impl MmsgScratch {
         if let Some(&(bytes, dest)) = msgs.peek().filter(|(_, dest)| !dest.is_ipv4()) {
             return socket.send_to(bytes, dest).map(|_| 1);
         }
-        sys::sendmmsg(socket, self.prepare_send(msgs))
+        self.send_with(&GSO_ON, &mut |call| sys::send(socket, call), msgs)
+    }
+
+    /// [`MmsgScratch::send`]'s IPv4 path with the raw call and the
+    /// segmentation switch injected, so tests can script what the kernel
+    /// answers. `call` returns the datagrams sent (a segmented send
+    /// sends its whole run or nothing).
+    pub fn send_with<'a>(
+        &mut self,
+        gso_on: &AtomicBool,
+        call: &mut dyn FnMut(SendCall<'_>) -> std::io::Result<usize>,
+        msgs: impl IntoIterator<Item = (&'a [u8], SocketAddr)>,
+    ) -> std::io::Result<usize> {
+        let mut msgs = msgs
+            .into_iter()
+            .take(MAX_VLEN)
+            .map_while(|(bytes, dest)| match dest {
+                SocketAddr::V4(v4) => Some((
+                    dest,
+                    libc::sockaddr_in::from_parts(*v4.ip(), v4.port()),
+                    iovec(bytes.as_ptr() as *mut u8, bytes.len()),
+                )),
+                SocketAddr::V6(_) => None,
+            });
+        self.addrs.clear();
+        self.iovs.clear();
+        // The leading run: pushed one datagram at a time until one does
+        // not join it, so a run costs one pass over itself alone.
+        let (mut run, mut head) = (0, None);
+        if gso_on.load(Ordering::Relaxed) {
+            for (dest, addr, iov) in &mut msgs {
+                self.addrs.push(addr);
+                self.iovs.push(iov);
+                let len = iov.iov_len;
+                let joins = match head {
+                    None => (1..=GSO_MAX_SEGMENT).contains(&len),
+                    Some(first) => {
+                        first == (dest, len)
+                            && run < GSO_MAX_SEGMENTS
+                            && (run + 1) * len <= GSO_MAX_OCTETS
+                    }
+                };
+                if !joins {
+                    break;
+                }
+                head = Some((dest, len));
+                run += 1;
+            }
+        }
+        if let Some((_, len)) = head.filter(|_| run >= 2) {
+            let mut control = SegmentControl::new(len);
+            let hdr = libc::msghdr {
+                msg_name: &mut self.addrs[0] as *mut libc::sockaddr_in as *mut libc::c_void,
+                msg_namelen: std::mem::size_of::<libc::sockaddr_in>() as u32,
+                msg_iov: self.iovs.as_mut_ptr(),
+                msg_iovlen: run,
+                msg_control: &mut control as *mut SegmentControl as *mut libc::c_void,
+                msg_controllen: std::mem::size_of::<SegmentControl>(),
+                msg_flags: 0,
+            };
+            match call(SendCall::Segmented(&hdr)) {
+                Err(e) if refuses_segmentation(&e) => gso_on.store(false, Ordering::Relaxed),
+                sent => return sent.map(|_| run),
+            }
+        }
+        call(SendCall::Vectored(
+            self.push(msgs.map(|(_, addr, iov)| (addr, iov))),
+        ))
     }
 }
 
@@ -298,12 +466,14 @@ impl RecvArena {
     }
 }
 
-/// The raw calls. `sendmmsg` never waits; `recvmmsg` passes
+/// The raw calls. `sendmmsg` and `sendmsg` never wait; `recvmmsg` passes
 /// `MSG_WAITFORONE`; `recvfrom` waits as the socket does only when asked.
 #[cfg(any(target_os = "linux", target_os = "android"))]
 mod sys {
     use std::net::{SocketAddr, UdpSocket};
     use std::os::fd::AsRawFd;
+
+    use super::SendCall;
 
     fn count(r: isize) -> std::io::Result<usize> {
         if r < 0 {
@@ -313,7 +483,23 @@ mod sys {
         }
     }
 
-    pub fn sendmmsg(socket: &UdpSocket, hdrs: &mut [libc::mmsghdr]) -> std::io::Result<usize> {
+    /// Make `call` on `socket`: the datagrams it sent.
+    pub fn send(socket: &UdpSocket, call: SendCall<'_>) -> std::io::Result<usize> {
+        match call {
+            SendCall::Vectored(hdrs) => sendmmsg(socket, hdrs),
+            SendCall::Segmented(hdr) => sendmsg(socket, hdr).map(|_| hdr.msg_iovlen),
+        }
+    }
+
+    fn sendmsg(socket: &UdpSocket, hdr: &libc::msghdr) -> std::io::Result<usize> {
+        // SAFETY: `hdr` points at live storage (the run's payload
+        // slices, the scratch's address and iovecs, the caller's control
+        // buffer) that outlives the call; the kernel only reads it, and
+        // `msg_iovlen`/`msg_controllen` are the lengths of that storage.
+        count(unsafe { libc::sendmsg(socket.as_raw_fd(), hdr, libc::MSG_DONTWAIT) })
+    }
+
+    fn sendmmsg(socket: &UdpSocket, hdrs: &mut [libc::mmsghdr]) -> std::io::Result<usize> {
         // SAFETY: every mmsghdr points at live storage (the payload
         // slices and the scratch arrays) that outlives the call; the
         // payloads are only read; vlen matches the slice length.
@@ -372,7 +558,7 @@ mod sys {
 mod sys {
     use std::net::{SocketAddr, UdpSocket};
 
-    pub fn sendmmsg(_: &UdpSocket, _: &mut [libc::mmsghdr]) -> std::io::Result<usize> {
+    pub fn send(_: &UdpSocket, _: super::SendCall<'_>) -> std::io::Result<usize> {
         Err(std::io::ErrorKind::Unsupported.into())
     }
 
