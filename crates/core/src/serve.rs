@@ -273,10 +273,12 @@ pub struct ServerRole {
     stats: Arc<ServeStats>,
     pending: Arc<Mutex<Vec<PendingAnswer>>>,
     admissions: Vec<Box<dyn SimClient>>,
-    /// The UDP listener and the batch layer it is drained and answered
-    /// through. `None` only for a role driven through
+    /// The UDP listener. `None` only for a role driven through
     /// [`ServerRole::handle_datagram`] alone.
-    listener: Option<(UdpSocket, BatchIo)>,
+    listener: Option<UdpSocket>,
+    /// The batch layer the listener is drained and answered through,
+    /// built when the role is installed in a reactor, with its backend.
+    listener_io: Option<BatchIo>,
     /// This tick's UDP replies, end to end, sent once per tick.
     replies: Replies,
     tcp: Option<TcpListener>,
@@ -312,6 +314,7 @@ impl ServerRole {
             pending: Arc::new(Mutex::new(Vec::new())),
             admissions: Vec::new(),
             listener: None,
+            listener_io: None,
             tcp: None,
             conns: Vec::new(),
             conn_generations: Vec::new(),
@@ -326,17 +329,17 @@ impl ServerRole {
     pub fn with_udp_listener(mut self, socket: UdpSocket) -> std::io::Result<ServerRole> {
         socket.set_nonblocking(true)?;
         zdns_netsim::set_recv_buffer(&socket, 8 << 20);
-        self.listener = Some((socket, BatchIo::new(MAX_DATAGRAMS_PER_TICK)));
+        self.listener = Some(socket);
         Ok(self)
     }
 
-    /// Drain and answer the UDP listener with `backend`'s syscalls (it
-    /// is built vectored): the reactor the role is installed in passes
-    /// its own.
+    /// Build the UDP listener's batch layer with `backend`'s syscalls:
+    /// the reactor the role is installed in passes its own.
     pub(crate) fn use_backend(&mut self, backend: IoBackend) {
-        if let (Some((_, io)), IoBackend::Syscall) = (&mut self.listener, backend) {
-            *io = BatchIo::per_datagram(MAX_DATAGRAMS_PER_TICK);
-        }
+        self.listener_io = self
+            .listener
+            .as_ref()
+            .map(|_| BatchIo::with_backend(backend, MAX_DATAGRAMS_PER_TICK));
     }
 
     /// Attach a non-blocking TCP listener serviced on the same event loop.
@@ -387,9 +390,7 @@ impl ServerRole {
     pub(crate) fn listener_fds(&self) -> [std::os::fd::RawFd; 2] {
         use std::os::fd::AsRawFd;
         [
-            self.listener
-                .as_ref()
-                .map_or(-1, |(udp, _)| udp.as_raw_fd()),
+            self.listener.as_ref().map_or(-1, AsRawFd::as_raw_fd),
             self.tcp.as_ref().map_or(-1, AsRawFd::as_raw_fd),
         ]
     }
@@ -419,17 +420,17 @@ impl ServerRole {
 
     /// Answer up to one arena of queued datagrams from the listener.
     fn drain_listener(&mut self, now: SimTime) {
-        let Some((listener, mut io)) = self.listener.take() else {
+        let (Some(listener), Some(mut io)) = (&self.listener, self.listener_io.take()) else {
             return;
         };
-        let batch = io.recv_into_arena(&listener);
+        let batch = io.recv_into_arena(listener);
         for i in 0..batch.count {
             let (raw, peer) = (io.arena_bytes(i), io.arena_peer(i));
             if let HandleOutcome::Respond = self.handle_query(raw, peer, Via::Udp, now) {
                 self.stage_reply(peer);
             }
         }
-        self.listener = Some((listener, io));
+        self.listener_io = Some(io);
     }
 
     /// Queue the reply in the scratch for `peer`, counting it now: a
@@ -448,15 +449,24 @@ impl ServerRole {
     /// Send the tick's UDP replies in one flush of the listener's batch
     /// layer, grouped by client and length (in arrival order within a
     /// group) so each group leaves as runs of one segmented send. Clients
-    /// match replies by ID, so the order across groups is free. A reply
-    /// the socket does not take is dropped, as a lost datagram would be.
+    /// match replies by ID, so the order across groups is free.
+    ///
+    /// A full send buffer holds the tick once: the flush waits up to
+    /// 1 ms for room (the batch layer's one writability wait per flush),
+    /// then drops what the socket still refuses, as a lost datagram
+    /// would be. A per-reply `send_to` would drop at once instead; the
+    /// wait happens only while the socket is already saturated, when a
+    /// dropped reply costs its client a retry after its timeout.
     fn send_replies(&mut self) {
         let Replies {
             bytes,
             slots,
             statuses,
         } = &mut self.replies;
-        let listener = self.listener.as_mut().filter(|_| !slots.is_empty());
+        let listener = match (&self.listener, &mut self.listener_io) {
+            (Some(listener), Some(io)) if !slots.is_empty() => Some((listener, io)),
+            _ => None,
+        };
         if let Some((listener, io)) = listener {
             slots.sort_unstable_by_key(|&(start, len, peer)| (peer, len, start));
             statuses.clear();
@@ -692,7 +702,7 @@ impl ServerRole {
             }
             match ctx.via {
                 Via::Udp => {
-                    if self.listener.is_some() {
+                    if self.listener_io.is_some() {
                         self.stage_reply(ctx.peer);
                     }
                 }

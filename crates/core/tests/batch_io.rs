@@ -7,12 +7,11 @@
 //! scripted cases below pin how those are cut and settled.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use zdns_core::{BatchIo, BatchSendStatus, IoBackend, SendSlot};
-use zdns_netsim::{MmsgScratch, SendCall};
+use zdns_netsim::{MmsgScratch, Segmentation, SendCall};
 
 /// Index-stamped payloads so sequence comparisons are meaningful.
 fn payloads(count: usize, sizes: &[usize]) -> Vec<Vec<u8>> {
@@ -331,11 +330,13 @@ fn batch_one_or_syscall_is_per_datagram_and_still_moves_datagrams() {
 // ---------------------------------------------------------------------------
 
 /// One raw call the send path made: a segmented send of a run, or a
-/// `sendmmsg`, with the datagrams it carried.
+/// `sendmmsg`, with the datagrams it carried; or the probe that asks
+/// whether the kernel segments at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Call {
     Gso(usize),
     Mmsg(usize),
+    Probe,
 }
 
 /// Settle `msgs` through a `BatchIo` of `batch` whose raw calls are
@@ -344,14 +345,15 @@ enum Call {
 fn run_kernel(
     batch: usize,
     msgs: &[(&[u8], SocketAddr)],
-    gso: &AtomicBool,
+    gso: &Segmentation,
     kernel: &mut dyn FnMut(Call) -> std::io::Result<usize>,
 ) -> (Vec<BatchSendStatus>, Vec<Call>) {
     let mut calls = Vec::new();
     let mut raw = |call: SendCall<'_>| {
-        let call = match call.is_segmented() {
-            true => Call::Gso(call.datagrams()),
-            false => Call::Mmsg(call.datagrams()),
+        let call = match call {
+            SendCall::Segmented(_) => Call::Gso(call.datagrams()),
+            SendCall::Vectored(_) => Call::Mmsg(call.datagrams()),
+            SendCall::Probe => Call::Probe,
         };
         calls.push(call);
         kernel(call)
@@ -365,10 +367,11 @@ fn run_kernel(
     (statuses, calls)
 }
 
-/// A kernel that takes every call whole.
+/// A kernel that segments and takes every call whole.
 fn accepts(call: Call) -> std::io::Result<usize> {
     match call {
         Call::Gso(n) | Call::Mmsg(n) => Ok(n),
+        Call::Probe => Ok(0),
     }
 }
 
@@ -386,13 +389,13 @@ fn wouldblock_on_a_run_backpressures_it_and_everything_after() {
     let (long, short) = ([7u8; 100], [8u8; 60]);
     let mut msgs = same(&long, 5, dest(53));
     msgs.extend(same(&short, 3, dest(53)));
-    let gso = AtomicBool::new(true);
+    let gso = Segmentation::on();
     let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut |_| {
         Err(std::io::ErrorKind::WouldBlock.into())
     });
     assert_eq!(calls, [Call::Gso(5)]);
     assert_eq!(statuses, [BatchSendStatus::Backpressure; 8]);
-    assert!(gso.load(Ordering::Relaxed), "backpressure is no refusal");
+    assert!(gso.is_on(), "backpressure is no refusal");
 }
 
 #[test]
@@ -400,15 +403,15 @@ fn a_refused_segmented_send_latches_gso_off_and_resends_the_run() {
     let payload = [1u8; 90];
     let msgs = same(&payload, 6, dest(53));
     for errno in [libc::EIO, libc::EINVAL, libc::ENOPROTOOPT] {
-        let gso = AtomicBool::new(true);
+        let gso = Segmentation::on();
         let mut kernel = |call: Call| match call {
             Call::Gso(_) => Err(std::io::Error::from_raw_os_error(errno)),
-            Call::Mmsg(n) => Ok(n),
+            other => accepts(other),
         };
         let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut kernel);
         assert_eq!(calls, [Call::Gso(6), Call::Mmsg(6)], "errno {errno}");
         assert_eq!(statuses, [BatchSendStatus::Sent; 6], "errno {errno}");
-        assert!(!gso.load(Ordering::Relaxed), "errno {errno} latches");
+        assert!(!gso.is_on(), "errno {errno} latches");
         // The next flush does not try again.
         let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut kernel);
         assert_eq!(calls, [Call::Mmsg(6)], "errno {errno}");
@@ -417,11 +420,52 @@ fn a_refused_segmented_send_latches_gso_off_and_resends_the_run() {
 }
 
 #[test]
+fn a_kernel_that_fails_the_probe_is_never_sent_a_segmented_run() {
+    // A kernel before Linux 4.18: it would take the control message
+    // without an error and send the run as one datagram, so only the
+    // probe can tell.
+    let payload = [1u8; 90];
+    let msgs = same(&payload, 6, dest(53));
+    let gso = Segmentation::unknown();
+    let mut kernel = |call: Call| match call {
+        Call::Probe => Err(std::io::Error::from_raw_os_error(libc::ENOPROTOOPT)),
+        Call::Mmsg(n) => Ok(n),
+        Call::Gso(_) => panic!("a segmented send reached a kernel without UDP_SEGMENT"),
+    };
+    let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut kernel);
+    assert_eq!(calls, [Call::Probe, Call::Mmsg(6)]);
+    assert_eq!(statuses, [BatchSendStatus::Sent; 6]);
+    assert!(!gso.is_on());
+    // It is asked once.
+    let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut kernel);
+    assert_eq!(calls, [Call::Mmsg(6)]);
+    assert_eq!(statuses, [BatchSendStatus::Sent; 6]);
+}
+
+#[test]
+fn the_probe_waits_for_the_first_run_and_is_asked_once() {
+    let payload = [1u8; 90];
+    let gso = Segmentation::unknown();
+    // No run, no probe: four datagrams to four destinations.
+    let spread: Vec<_> = (0..4).map(|i| (&payload[..], dest(53 + i))).collect();
+    let (_, calls) = run_kernel(32, &spread, &gso, &mut accepts);
+    assert_eq!(calls, [Call::Mmsg(4)]);
+    assert!(!gso.is_on(), "not asked yet");
+    let run = same(&payload, 5, dest(53));
+    let (statuses, calls) = run_kernel(32, &run, &gso, &mut accepts);
+    assert_eq!(calls, [Call::Probe, Call::Gso(5)]);
+    assert_eq!(statuses, [BatchSendStatus::Sent; 5]);
+    assert!(gso.is_on());
+    let (_, calls) = run_kernel(32, &run, &gso, &mut accepts);
+    assert_eq!(calls, [Call::Gso(5)]);
+}
+
+#[test]
 fn enobufs_on_a_run_fails_one_datagram_and_retries_the_rest() {
     const ENOBUFS: i32 = 105;
     let payload = [2u8; 80];
     let msgs = same(&payload, 6, dest(53));
-    let gso = AtomicBool::new(true);
+    let gso = Segmentation::on();
     let mut first = true;
     let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut |call| {
         if std::mem::take(&mut first) {
@@ -433,12 +477,12 @@ fn enobufs_on_a_run_fails_one_datagram_and_retries_the_rest() {
     let mut want = vec![BatchSendStatus::Sent; 6];
     want[0] = BatchSendStatus::Failed;
     assert_eq!(statuses, want);
-    assert!(gso.load(Ordering::Relaxed), "ENOBUFS does not latch");
+    assert!(gso.is_on(), "ENOBUFS does not latch");
 }
 
 #[test]
 fn runs_are_cut_at_64_segments_and_65_000_octets() {
-    let gso = AtomicBool::new(true);
+    let gso = Segmentation::on();
     let small = [3u8; 40];
     let (statuses, calls) = run_kernel(128, &same(&small, 70, dest(53)), &gso, &mut accepts);
     assert_eq!(calls, [Call::Gso(64), Call::Gso(6)]);
@@ -451,7 +495,7 @@ fn runs_are_cut_at_64_segments_and_65_000_octets() {
 
 #[test]
 fn a_run_ends_at_a_new_destination_or_length_and_never_takes_a_jumbo() {
-    let gso = AtomicBool::new(true);
+    let gso = Segmentation::on();
     let (a, b, jumbo, edge) = ([5u8; 100], [6u8; 101], [9u8; 1_500], [9u8; 1_472]);
     let mut msgs = same(&a, 3, dest(53));
     msgs.extend(same(&a, 2, dest(54)));

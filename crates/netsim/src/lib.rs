@@ -43,7 +43,7 @@ pub use engine::{
 };
 pub use framed::FramedConn;
 pub use input::{shard_of, InputSource, ShardedSource};
-pub use mmsg::{MmsgScratch, RecvArena, RecvBatch, SendCall, RECV_SLOT};
+pub use mmsg::{MmsgScratch, RecvArena, RecvBatch, Segmentation, SendCall, RECV_SLOT};
 pub use resolvers::{PublicResolverConfig, PublicResolverSim, ResolverOutcome};
 pub use time::{as_secs_f64, from_secs_f64, SimTime, MICROS, MILLIS, SECONDS};
 pub use wire_server::{

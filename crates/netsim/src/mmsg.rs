@@ -17,10 +17,18 @@
 //! iovecs, so no payload is copied. A run is at most 64 datagrams and
 //! 65 000 payload octets, and a datagram over 1 472 octets never joins
 //! one. Anything else leaves by
-//! `sendmmsg`. A segmented send is all-or-nothing; the first one the
-//! kernel refuses as unsupported (`EIO`, `EINVAL`, `ENOPROTOOPT`) turns
-//! segmentation off for the process, and its run is sent again through
-//! `sendmmsg`.
+//! `sendmmsg`. A segmented send is all-or-nothing.
+//!
+//! Segmentation needs Linux 4.18 or later; `sendmmsg` alone needs 3.0.
+//! An older kernel does not refuse the control message: it ignores it
+//! and would send a run as one long datagram. So before its first
+//! segmented send the process asks the kernel once, by `getsockopt` of
+//! `UDP_SEGMENT`, which an older kernel fails with `ENOPROTOOPT`; then
+//! every send goes through `sendmmsg`. On a kernel that passes, the
+//! first segmented send refused as unsupported (`EIO` from a device
+//! that cannot checksum one, `EINVAL`, `ENOPROTOOPT`) turns
+//! segmentation off for the process too, and its run is sent again
+//! through `sendmmsg`.
 //!
 //! A [`RecvArena`]'s mode is fixed when it is built: vectored (one
 //! `recvmmsg` per batch) where [`libc::MMSG_SUPPORTED`], per-datagram
@@ -31,7 +39,7 @@
 //! a blocking socket returns as soon as a datagram arrives.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Bytes per slot of a receive arena: room for the largest UDP datagram,
 /// rounded up to whole pages. An arena is *one* anonymous mapping of
@@ -57,13 +65,69 @@ const GSO_MAX_OCTETS: usize = 65_000;
 /// MTU allows with `EINVAL`.
 const GSO_MAX_SEGMENT: usize = 1_472;
 
-static GSO_ON: AtomicBool = AtomicBool::new(libc::MMSG_SUPPORTED);
+/// Whether a sender segments its runs. It starts unknown: the first
+/// run asks the kernel ([`SendCall::Probe`]), which turns it on or off.
+/// Once on, the first segmented send refused as unsupported turns it off;
+/// off is for good.
+pub struct Segmentation(AtomicU8);
 
-/// Whether this process still tries segmented sends: false where the
-/// platform has none, and for good after the kernel refused one as
-/// unsupported.
+const UNKNOWN: u8 = 0;
+const ON: u8 = 1;
+const OFF: u8 = 2;
+
+impl Segmentation {
+    /// Not asked yet: the first run probes.
+    pub const fn unknown() -> Segmentation {
+        Segmentation(AtomicU8::new(UNKNOWN))
+    }
+
+    /// On, as after a probe the kernel passed.
+    pub const fn on() -> Segmentation {
+        Segmentation(AtomicU8::new(ON))
+    }
+
+    /// Whether runs leave segmented: the probe passed and no segmented
+    /// send has been refused since.
+    pub fn is_on(&self) -> bool {
+        self.0.load(Ordering::Relaxed) == ON
+    }
+
+    /// Whether a run is worth looking for: on, or not asked yet.
+    fn wanted(&self) -> bool {
+        self.0.load(Ordering::Relaxed) != OFF
+    }
+
+    /// Whether a run may leave segmented, asking the kernel through
+    /// `call` first if nobody has yet. Any error from the probe turns
+    /// segmentation off.
+    fn ready(&self, call: &mut dyn FnMut(SendCall<'_>) -> std::io::Result<usize>) -> bool {
+        use Ordering::Relaxed;
+        if self.0.load(Relaxed) == UNKNOWN {
+            let known = match call(SendCall::Probe) {
+                Ok(_) => ON,
+                Err(_) => OFF,
+            };
+            // A refusal latched by another sender meanwhile stands.
+            let _ = self.0.compare_exchange(UNKNOWN, known, Relaxed, Relaxed);
+        }
+        self.is_on()
+    }
+
+    fn turn_off(&self) {
+        self.0.store(OFF, Ordering::Relaxed);
+    }
+}
+
+/// The process's switch: segmentation is a property of its kernel and
+/// routes, not of one socket. Where the platform has no segmented send,
+/// the probe fails and it turns off.
+static GSO: Segmentation = Segmentation::unknown();
+
+/// Whether this process segments its runs: false until the kernel
+/// passed the probe, and for good after it failed it or refused a
+/// segmented send as unsupported.
 pub fn segmentation_on() -> bool {
-    GSO_ON.load(Ordering::Relaxed)
+    GSO.is_on()
 }
 
 /// One raw send call, as [`MmsgScratch::send_with`] hands it to the
@@ -74,6 +138,9 @@ pub enum SendCall<'a> {
     /// One `sendmsg(2)` of a run: its iovecs are the run's datagrams,
     /// its control message their common length.
     Segmented(&'a libc::msghdr),
+    /// No send: `getsockopt(2)` of `UDP_SEGMENT`, which succeeds only on
+    /// a kernel that segments (see the module docs).
+    Probe,
 }
 
 impl SendCall<'_> {
@@ -82,12 +149,8 @@ impl SendCall<'_> {
         match self {
             SendCall::Vectored(hdrs) => hdrs.len(),
             SendCall::Segmented(hdr) => hdr.msg_iovlen,
+            SendCall::Probe => 0,
         }
-    }
-
-    /// Whether this is a segmented (GSO) send.
-    pub fn is_segmented(&self) -> bool {
-        matches!(self, SendCall::Segmented(_))
     }
 }
 
@@ -227,16 +290,16 @@ impl MmsgScratch {
         if let Some(&(bytes, dest)) = msgs.peek().filter(|(_, dest)| !dest.is_ipv4()) {
             return socket.send_to(bytes, dest).map(|_| 1);
         }
-        self.send_with(&GSO_ON, &mut |call| sys::send(socket, call), msgs)
+        self.send_with(&GSO, &mut |call| sys::send(socket, call), msgs)
     }
 
     /// [`MmsgScratch::send`]'s IPv4 path with the raw call and the
     /// segmentation switch injected, so tests can script what the kernel
     /// answers. `call` returns the datagrams sent (a segmented send
-    /// sends its whole run or nothing).
+    /// sends its whole run or nothing; a probe, 0 when it passes).
     pub fn send_with<'a>(
         &mut self,
-        gso_on: &AtomicBool,
+        gso: &Segmentation,
         call: &mut dyn FnMut(SendCall<'_>) -> std::io::Result<usize>,
         msgs: impl IntoIterator<Item = (&'a [u8], SocketAddr)>,
     ) -> std::io::Result<usize> {
@@ -256,7 +319,7 @@ impl MmsgScratch {
         // The leading run: pushed one datagram at a time until one does
         // not join it, so a run costs one pass over itself alone.
         let (mut run, mut head) = (0, None);
-        if gso_on.load(Ordering::Relaxed) {
+        if gso.wanted() {
             for (dest, addr, iov) in &mut msgs {
                 self.addrs.push(addr);
                 self.iovs.push(iov);
@@ -276,7 +339,7 @@ impl MmsgScratch {
                 run += 1;
             }
         }
-        if let Some((_, len)) = head.filter(|_| run >= 2) {
+        if let Some((_, len)) = head.filter(|_| run >= 2 && gso.ready(call)) {
             let mut control = SegmentControl::new(len);
             let hdr = libc::msghdr {
                 msg_name: &mut self.addrs[0] as *mut libc::sockaddr_in as *mut libc::c_void,
@@ -288,7 +351,7 @@ impl MmsgScratch {
                 msg_flags: 0,
             };
             match call(SendCall::Segmented(&hdr)) {
-                Err(e) if refuses_segmentation(&e) => gso_on.store(false, Ordering::Relaxed),
+                Err(e) if refuses_segmentation(&e) => gso.turn_off(),
                 sent => return sent.map(|_| run),
             }
         }
@@ -488,7 +551,23 @@ mod sys {
         match call {
             SendCall::Vectored(hdrs) => sendmmsg(socket, hdrs),
             SendCall::Segmented(hdr) => sendmsg(socket, hdr).map(|_| hdr.msg_iovlen),
+            SendCall::Probe => knows_segmentation(socket).map(|_| 0),
         }
+    }
+
+    fn knows_segmentation(socket: &UdpSocket) -> std::io::Result<usize> {
+        let (mut segment, mut len) = (0 as libc::c_int, std::mem::size_of::<libc::c_int>() as u32);
+        // SAFETY: `segment` and `len` are live and writable for the
+        // call, and `len` holds `segment`'s size.
+        count(unsafe {
+            libc::getsockopt(
+                socket.as_raw_fd(),
+                libc::SOL_UDP,
+                libc::UDP_SEGMENT,
+                &mut segment as *mut libc::c_int as *mut libc::c_void,
+                &mut len,
+            )
+        } as isize)
     }
 
     fn sendmsg(socket: &UdpSocket, hdr: &libc::msghdr) -> std::io::Result<usize> {
