@@ -59,7 +59,7 @@ use crate::pacer::{ConcurrentGate, ConcurrentPacer};
 use crate::resolver::AddrMap;
 use crate::serve::ServerRole;
 use crate::tcp::TcpTable;
-use crate::transport::readiness;
+use crate::transport::{readiness, Ready};
 use crate::transport::{BatchIo, BatchSendStatus, IoBackend, SendSlot};
 
 pub use crate::doorbell::Doorbell;
@@ -118,6 +118,14 @@ const WHEEL_GRANULARITY: SimTime = 4 * MILLIS;
 /// Largest window the demux table is sized for up front; a wider one
 /// grows the table as it fills, like any map.
 const MAX_PRESIZED: usize = 1 << 16;
+
+/// Places in the idle wait's descriptor list, and so in its [`Ready`]
+/// record: the reactor's socket, a server role's UDP and TCP listeners,
+/// and the doorbell.
+const SOCKET: usize = 0;
+const UDP_LISTENER: usize = 1;
+const TCP_LISTENER: usize = 2;
+const BELL: usize = 3;
 
 impl Default for ReactorConfig {
     fn default() -> Self {
@@ -283,6 +291,9 @@ pub struct Reactor {
     /// Rung by whoever feeds this reactor's machine source from another
     /// thread ([`Reactor::set_doorbell`]).
     bell: Option<Arc<Doorbell>>,
+    /// Which sockets the last idle wait saw ready: the next tick reads
+    /// only those, then resets it to all of them.
+    ready: Ready,
 }
 
 impl Reactor {
@@ -347,6 +358,7 @@ impl Reactor {
             park_checks: Vec::new(),
             server: None,
             bell: None,
+            ready: Ready::ALL,
         })
     }
 
@@ -626,23 +638,30 @@ impl Reactor {
 
     /// Sleep until the reactor's socket or a server role's listener is
     /// readable, or `wait_ms` passes — the one idle wait of the scan and
-    /// serve loops. A scan whose source just ran dry (`starved`) sleeps on
-    /// its [`Doorbell`] too, and reads away the rings that woke it.
-    fn idle_wait(&self, wait_ms: i32, starved: bool) {
+    /// serve loops — and record which were ready for the next tick. A
+    /// scan whose source just ran dry (`starved`) sleeps on its
+    /// [`Doorbell`] too, and reads away the rings that woke it.
+    fn idle_wait(&mut self, wait_ms: i32, starved: bool) {
         let bell = self.bell.as_deref().filter(|_| starved);
         #[cfg(unix)]
-        let (fds, bell_fd) = {
+        let fds = {
             use std::os::fd::AsRawFd;
             let [udp, tcp] = self.server.as_ref().map_or([-1, -1], |r| r.listener_fds());
-            (
-                [self.socket.as_raw_fd(), udp, tcp],
-                bell.map(|b| b.ends.1.as_raw_fd()),
-            )
+            let bell = bell.map_or(-1, |b| b.ends.1.as_raw_fd());
+            [self.socket.as_raw_fd(), udp, tcp, bell]
         };
         #[cfg(not(unix))]
-        let (fds, bell_fd) = ([0; 3], None);
-        if readiness::wait_readable(fds, bell_fd, wait_ms) {
+        let fds = [0; 4];
+        self.ready = readiness::wait_readable(fds, wait_ms);
+        if self.ready.has(BELL) {
             bell.map(Doorbell::silence);
         }
+    }
+
+    /// What the last idle wait saw ready, for the tick it precedes to
+    /// read; the record goes back to every socket, so a tick no wait
+    /// precedes reads them all.
+    fn take_ready(&mut self) -> Ready {
+        std::mem::replace(&mut self.ready, Ready::ALL)
     }
 }

@@ -3,7 +3,7 @@
 
 use zdns_netsim::{JobOutcome, MILLIS};
 
-use super::Reactor;
+use super::{Reactor, SOCKET};
 use crate::driver::{Admission, Driver, DriverReport};
 
 impl Driver for Reactor {
@@ -97,7 +97,9 @@ impl Reactor {
                 self.idle_wait(wait_ms, starved);
             }
 
-            self.drain_datagrams(on_done);
+            if self.take_ready().has(SOCKET) {
+                self.drain_datagrams(on_done);
+            }
             self.pump_tcp(on_done);
             self.fire_timers(on_done);
             // Same-tick coalescing: retries emitted by responses and

@@ -5,14 +5,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use zdns_netsim::{JobOutcome, MILLIS};
 
-use super::Reactor;
+use super::{Reactor, SOCKET, TCP_LISTENER, UDP_LISTENER};
 use crate::driver::DriverReport;
 
 impl Reactor {
     /// One iteration of the serve loop: deliver upstream responses, TCP
     /// completions and timers to the forwarding machines, run the role's
     /// listener/TCP/answer work, admit the forwarding machines that cache
-    /// misses queued, and flush staged upstream sends in one batch.
+    /// misses queued, and flush staged upstream sends in one batch. Of
+    /// the reactor's socket and the role's listeners it reads only those
+    /// the idle wait before it saw ready; after no wait, all of them.
     ///
     /// Public — rather than only reachable through [`Reactor::run_serve`]
     /// — so the zero-allocation suite can tick the loop on the measuring
@@ -20,12 +22,15 @@ impl Reactor {
     /// it without a stop flag.
     pub fn serve_tick(&mut self) {
         let mut on_done = |_outcome: Option<JobOutcome>| {};
-        self.drain_datagrams(&mut on_done);
+        let ready = self.take_ready();
+        if ready.has(SOCKET) {
+            self.drain_datagrams(&mut on_done);
+        }
         self.pump_tcp(&mut on_done);
         self.fire_timers(&mut on_done);
         if let Some(mut role) = self.server.take() {
             let now = self.now();
-            role.poll(now);
+            role.poll(now, [ready.has(UDP_LISTENER), ready.has(TCP_LISTENER)]);
             self.server = Some(role);
         }
         // Admit the forwarding machines queued by cache misses, on the
@@ -87,7 +92,7 @@ impl Reactor {
 
 #[cfg(test)]
 mod tests {
-    use std::net::{Ipv4Addr, TcpListener, TcpStream, UdpSocket};
+    use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -179,11 +184,19 @@ mod tests {
     /// A reactor serving from `listener` and `tcp`, forwarding nowhere,
     /// and its role's counters.
     fn serving_reactor(listener: UdpSocket, tcp: TcpListener) -> (Reactor, Arc<ServeStats>) {
-        let mut reactor = Reactor::new(
-            ReactorConfig {
-                source: Ipv4Addr::LOCALHOST,
-                ..ReactorConfig::default()
-            },
+        let upstream = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        serving_reactor_on(upstream, listener, tcp)
+    }
+
+    /// [`serving_reactor`] around its own `upstream` socket.
+    fn serving_reactor_on(
+        upstream: UdpSocket,
+        listener: UdpSocket,
+        tcp: TcpListener,
+    ) -> (Reactor, Arc<ServeStats>) {
+        let mut reactor = Reactor::from_socket(
+            upstream,
+            ReactorConfig::default(),
             Arc::new(|_| (Ipv4Addr::LOCALHOST, 9).into()),
         )
         .unwrap();
@@ -226,6 +239,76 @@ mod tests {
             started.elapsed() < Duration::from_secs(1),
             "slept through a connection"
         );
+    }
+
+    /// Listeners on loopback, their addresses, and a reactor serving
+    /// from them.
+    fn serving() -> (Reactor, Arc<ServeStats>, SocketAddr, SocketAddr) {
+        let listener = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let tcp = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let (udp_at, tcp_at) = (listener.local_addr().unwrap(), tcp.local_addr().unwrap());
+        let (reactor, stats) = serving_reactor(listener, tcp);
+        (reactor, stats, udp_at, tcp_at)
+    }
+
+    #[test]
+    fn a_tick_after_a_wait_that_saw_nothing_ready_reads_no_socket() {
+        let (mut reactor, stats, udp_at, _) = serving();
+        reactor.idle_wait(1, false);
+        // Queued after the wait returned: this tick does not look.
+        let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        client.send_to(&questionless_query(), udp_at).unwrap();
+        reactor.serve_tick();
+        assert_eq!((stats.queries(), stats.responses()), (0, 0));
+        // No wait before the next one: it reads every socket.
+        reactor.serve_tick();
+        assert_eq!(stats.responses(), 1);
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(client.recv_from(&mut [0u8; 512]).is_ok(), "unanswered");
+    }
+
+    #[test]
+    fn a_pending_connection_is_accepted_on_the_tick_after_the_wait_that_saw_it() {
+        let (mut reactor, stats, _, tcp_at) = serving();
+        reactor.idle_wait(1, false);
+        let _conn = TcpStream::connect(tcp_at).unwrap();
+        reactor.serve_tick();
+        assert_eq!(stats.tcp_accepted(), 0, "accepted without a wait seeing it");
+        reactor.idle_wait(2_000, false);
+        reactor.serve_tick();
+        assert_eq!(stats.tcp_accepted(), 1);
+    }
+
+    #[test]
+    fn a_queued_socket_error_is_read_and_the_loop_does_not_spin() {
+        // A send to a closed loopback port from a connected socket queues
+        // the ICMP error on it: `poll` reports it as `POLLERR`, without
+        // `POLLIN`, until a read takes it.
+        let closed = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let closed_at = closed.local_addr().unwrap();
+        drop(closed);
+        let upstream = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        upstream.connect(closed_at).unwrap();
+        let probe = upstream.try_clone().unwrap();
+        let listener = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let tcp = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let (mut reactor, _) = serving_reactor_on(upstream, listener, tcp);
+        probe.send(b"x").unwrap();
+
+        // The serve loop's own wait and tick, for 100 ms.
+        let (started, mut wakeups) = (Instant::now(), 0);
+        while started.elapsed() < Duration::from_millis(100) {
+            reactor.idle_wait(5, false);
+            reactor.serve_tick();
+            wakeups += 1;
+        }
+        assert!(
+            probe.take_error().unwrap().is_none(),
+            "the error was never read"
+        );
+        assert!(wakeups <= 40, "{wakeups} wakeups in 100 ms of 5 ms waits");
     }
 
     #[test]

@@ -53,6 +53,7 @@
 //! Time is real: a [`Clock`] maps monotonic wall time into the `SimTime`
 //! nanosecond domain the cache, buckets, and timer wheel already speak.
 
+use std::cmp::Reverse;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -408,12 +409,16 @@ impl ServerRole {
         }
     }
 
-    /// Per-tick role work: drain the UDP listener, service the TCP
-    /// table, flush finished forwarded answers, and send the tick's UDP
-    /// replies.
-    pub(crate) fn poll(&mut self, now: SimTime) {
-        self.drain_listener(now);
-        self.pump_tcp(now);
+    /// Per-tick role work: drain the UDP listener and accept on the TCP
+    /// one where `ready` (in [`ServerRole::listener_fds`]' order) says
+    /// they have something, service the TCP connections, flush finished
+    /// forwarded answers, and send the tick's UDP replies.
+    pub(crate) fn poll(&mut self, now: SimTime, ready: [bool; 2]) {
+        let [datagrams, connections] = ready;
+        if datagrams {
+            self.drain_listener(now);
+        }
+        self.pump_tcp(now, connections);
         self.flush_answers(now);
         self.send_replies();
     }
@@ -447,9 +452,11 @@ impl ServerRole {
     }
 
     /// Send the tick's UDP replies in one flush of the listener's batch
-    /// layer, grouped by client and length (in arrival order within a
-    /// group) so each group leaves as runs of one segmented send. Clients
-    /// match replies by ID, so the order across groups is free.
+    /// layer, grouped by client and by length, longest first (in arrival
+    /// order within a group), so each group leaves as runs of one
+    /// segmented send and carries the next group's first reply as its
+    /// shorter tail. Clients match replies by ID, so the order across
+    /// groups is free.
     ///
     /// A full send buffer holds the tick once: the flush waits up to
     /// 1 ms for room (the batch layer's one writability wait per flush),
@@ -468,7 +475,7 @@ impl ServerRole {
             _ => None,
         };
         if let Some((listener, io)) = listener {
-            slots.sort_unstable_by_key(|&(start, len, peer)| (peer, len, start));
+            slots.sort_unstable_by_key(|&(start, len, peer)| (peer, Reverse(len), start));
             statuses.clear();
             io.send_slots(listener, bytes, slots, statuses, &mut |_| {});
         }
@@ -723,11 +730,15 @@ impl ServerRole {
 
     // -- TCP ---------------------------------------------------------------
 
-    fn pump_tcp(&mut self, now: SimTime) {
+    /// Accept what the listener holds, when `accept`, then service
+    /// every connection.
+    fn pump_tcp(&mut self, now: SimTime, accept: bool) {
         if self.tcp.is_none() {
             return;
         }
-        self.accept_tcp(now);
+        if accept {
+            self.accept_tcp(now);
+        }
         for slot in 0..self.conns.len() {
             let Some(mut conn) = self.conns[slot].take() else {
                 continue;
@@ -1106,7 +1117,7 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while role.stats.tcp_accepted() + role.stats.tcp_closed() < 65 {
             assert!(std::time::Instant::now() < deadline, "accept stalled");
-            role.poll(now);
+            role.poll(now, [true; 2]);
         }
         assert_eq!(
             (role.stats.tcp_accepted(), role.stats.tcp_closed()),
@@ -1114,9 +1125,9 @@ mod tests {
         );
         // Silent for exactly 10 s the connections stay; a nanosecond more
         // and every one is reaped.
-        role.poll(now + 10 * SECONDS);
+        role.poll(now + 10 * SECONDS, [true; 2]);
         assert_eq!(role.stats.tcp_closed(), 1);
-        role.poll(now + 10 * SECONDS + 1);
+        role.poll(now + 10 * SECONDS + 1, [true; 2]);
         assert_eq!(role.stats.tcp_closed(), 65);
         drop(clients);
     }

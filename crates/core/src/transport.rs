@@ -4,8 +4,8 @@
 //! `tcp.rs`'s).
 //!
 //! [`BatchIo`] is the batched syscall layer: it coalesces same-tick
-//! sends into single `sendmmsg(2)` calls — a leading run of datagrams to
-//! one destination with one length into one segmented `sendmsg(2)` (UDP
+//! sends into `sendmmsg(2)` calls — every run of datagrams to one
+//! destination with one length into one segmented `sendmsg(2)` (UDP
 //! GSO) — and drains the socket through a [`RecvArena`], with a
 //! per-datagram fallback (`send_to`/`recvfrom`) for non-Linux targets and
 //! for `--io-backend syscall`. The raw calls, the run rule and the arena
@@ -23,10 +23,28 @@ use zdns_netsim::MmsgScratch;
 // Readiness wait
 // ---------------------------------------------------------------------------
 
+/// Which descriptors a [`readiness::wait_readable`] saw ready, by their
+/// place in the list it watched.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ready(u8);
+
+impl Ready {
+    /// Every descriptor: what a wait that failed, or no wait at all,
+    /// leaves to assume.
+    pub const ALL: Ready = Ready(u8::MAX);
+
+    /// Whether the descriptor at `place` was ready.
+    pub fn has(self, place: usize) -> bool {
+        self.0 >> place & 1 == 1
+    }
+}
+
 #[cfg(unix)]
 pub(crate) mod readiness {
     use std::os::fd::RawFd;
     use std::time::{Duration, Instant};
+
+    use super::Ready;
 
     #[repr(C)]
     struct PollFd {
@@ -37,6 +55,8 @@ pub(crate) mod readiness {
 
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
+    const POLLERR: i16 = 0x008;
+    const POLLHUP: i16 = 0x010;
 
     extern "C" {
         fn poll(
@@ -102,8 +122,10 @@ pub(crate) mod readiness {
             }
         }
 
+        /// What it asked for, or an error or hang-up, which `poll(2)`
+        /// reports unasked and which only reading the socket clears.
         fn ready(&self) -> bool {
-            self.revents & self.events != 0
+            self.revents & (self.events | POLLERR | POLLHUP) != 0
         }
     }
 
@@ -122,19 +144,20 @@ pub(crate) mod readiness {
         })
     }
 
-    /// Block until one of `fds` (a negative entry is skipped) — or
-    /// `bell`, when there is one — is readable, or `timeout_ms` elapses;
-    /// returns whether `bell` is readable. One hand-rolled `poll(2)`
-    /// either way, so the reactor needs no external event-loop crate.
-    pub fn wait_readable(fds: [RawFd; 3], bell: Option<RawFd>, timeout_ms: i32) -> bool {
-        let mut polled = [
-            PollFd::new(fds[0], POLLIN),
-            PollFd::new(fds[1], POLLIN),
-            PollFd::new(fds[2], POLLIN),
-            PollFd::new(bell.unwrap_or(-1), POLLIN),
-        ];
-        wait_for(&mut polled, timeout_ms);
-        polled[3].ready()
+    /// Block until one of `fds` (a negative entry is skipped) is
+    /// readable, or has an error or hang-up to report, or `timeout_ms`
+    /// elapses; returns which were. A failed wait reports them all. One
+    /// hand-rolled `poll(2)`, so the reactor needs no external
+    /// event-loop crate.
+    pub fn wait_readable(fds: [RawFd; 4], timeout_ms: i32) -> Ready {
+        let mut polled = fds.map(|fd| PollFd::new(fd, POLLIN));
+        if wait_for(&mut polled, timeout_ms) == Wait::Error {
+            return Ready::ALL;
+        }
+        let bits = polled.iter().enumerate();
+        Ready(bits.fold(0, |ready, (place, fd)| {
+            ready | u8::from(fd.ready()) << place
+        }))
     }
 
     /// Block until `socket` is writable or `timeout_ms` elapses.
@@ -146,13 +169,15 @@ pub(crate) mod readiness {
 
 #[cfg(not(unix))]
 pub(crate) mod readiness {
-    /// Portable fallback: nap briefly and let the non-blocking read probe
-    /// (the bell is never watched).
-    pub fn wait_readable(_fds: [i32; 3], _bell: Option<i32>, timeout_ms: i32) -> bool {
+    use super::Ready;
+
+    /// Portable fallback: nap briefly and let the non-blocking reads
+    /// probe every socket.
+    pub fn wait_readable(_fds: [i32; 4], timeout_ms: i32) -> Ready {
         std::thread::sleep(std::time::Duration::from_millis(
             timeout_ms.clamp(0, 2) as u64
         ));
-        false
+        Ready::ALL
     }
 
     /// Portable fallback for writability.
@@ -243,7 +268,7 @@ pub type SendSlot = (u32, u32, SocketAddr);
 /// Batched syscall layer for one non-blocking UDP socket: a
 /// [`RecvArena`] of `batch_size` slots plus the reusable FFI vectors for
 /// `sendmmsg`. When batched, same-tick sends coalesce into `sendmmsg(2)`
-/// (a leading same-destination, same-length run into one segmented
+/// (every same-destination, same-length run into one segmented
 /// `sendmsg(2)`, see [`zdns_netsim::mmsg`]) and receives drain through
 /// one `recvmmsg(2)` per arena; otherwise
 /// every datagram is its own `send_to`/`recvfrom` (the non-Linux path,

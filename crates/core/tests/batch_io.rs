@@ -393,7 +393,8 @@ fn wouldblock_on_a_run_backpressures_it_and_everything_after() {
     let (statuses, calls) = run_kernel(32, &msgs, &gso, &mut |_| {
         Err(std::io::ErrorKind::WouldBlock.into())
     });
-    assert_eq!(calls, [Call::Gso(5)]);
+    // The first short datagram rides as the run's tail.
+    assert_eq!(calls, [Call::Gso(6)]);
     assert_eq!(statuses, [BatchSendStatus::Backpressure; 8]);
     assert!(gso.is_on(), "backpressure is no refusal");
 }
@@ -503,14 +504,128 @@ fn a_run_ends_at_a_new_destination_or_length_and_never_takes_a_jumbo() {
     msgs.extend(same(&jumbo, 3, dest(54)));
     msgs.extend(same(&edge, 2, dest(54)));
     let (statuses, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
-    // A lone head leaves by `sendmmsg`, with all that follows it in the
-    // call: the jumbo datagrams and the run behind them too.
-    assert_eq!(calls, [Call::Gso(3), Call::Gso(2), Call::Mmsg(6)]);
+    // A longer datagram ends the second run without joining it; as a
+    // lone head it leaves by `sendmmsg` with the jumbo datagrams, which
+    // is cut before the run behind them.
+    assert_eq!(
+        calls,
+        [Call::Gso(3), Call::Gso(2), Call::Mmsg(4), Call::Gso(2)]
+    );
     assert!(statuses.iter().all(|s| *s == BatchSendStatus::Sent));
     let (_, calls) = run_kernel(64, &same(&edge, 2, dest(54)), &gso, &mut accepts);
     assert_eq!(calls, [Call::Gso(2)], "1 472 octets still join");
     let (_, calls) = run_kernel(64, &same(&jumbo, 3, dest(54)), &gso, &mut accepts);
     assert_eq!(calls, [Call::Mmsg(3)]);
+}
+
+#[test]
+fn a_shorter_datagram_to_the_same_destination_rides_as_the_tail() {
+    let gso = Segmentation::on();
+    let (a, short, shorter) = ([5u8; 100], [6u8; 60], [7u8; 40]);
+    let mut msgs = same(&a, 4, dest(53));
+    msgs.extend(same(&short, 1, dest(53)));
+    msgs.extend(same(&shorter, 1, dest(53)));
+    let (statuses, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
+    // One tail only: the run ends with it, and the datagram behind it is
+    // a lone head.
+    assert_eq!(calls, [Call::Gso(5), Call::Mmsg(1)]);
+    assert_eq!(statuses, [BatchSendStatus::Sent; 6]);
+    // A tail needs a run to ride: a lone head with a shorter datagram
+    // behind it is no run.
+    let pair = [(&a[..], dest(53)), (&short[..], dest(53))];
+    let (_, calls) = run_kernel(64, &pair, &gso, &mut accepts);
+    assert_eq!(calls, [Call::Mmsg(2)]);
+    // An empty datagram never rides: the kernel would lose it in the cut.
+    let mut msgs = same(&a, 2, dest(53));
+    msgs.push((&[][..], dest(53)));
+    let (_, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
+    assert_eq!(calls, [Call::Gso(2), Call::Mmsg(1)]);
+}
+
+#[test]
+fn a_longer_datagram_another_destination_or_a_jumbo_never_joins_as_a_tail() {
+    let gso = Segmentation::on();
+    let (a, longer, short, jumbo) = ([5u8; 100], [6u8; 101], [7u8; 60], [9u8; 1_500]);
+    for (tail, to) in [(&longer[..], dest(53)), (&short[..], dest(54))] {
+        let mut msgs = same(&a, 3, dest(53));
+        msgs.push((tail, to));
+        let (statuses, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
+        assert_eq!(
+            calls,
+            [Call::Gso(3), Call::Mmsg(1)],
+            "{} to {to}",
+            tail.len()
+        );
+        assert_eq!(statuses, [BatchSendStatus::Sent; 4]);
+    }
+    // A jumbo run leaves by `sendmmsg`, and no shorter datagram rides it.
+    let mut msgs = same(&jumbo, 2, dest(53));
+    msgs.extend(same(&a, 1, dest(53)));
+    let (_, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
+    assert_eq!(calls, [Call::Mmsg(3)]);
+}
+
+#[test]
+fn a_lone_head_takes_sendmmsg_only_up_to_the_next_run() {
+    let gso = Segmentation::on();
+    let (a, b, c) = ([5u8; 100], [6u8; 80], [7u8; 70]);
+    // Lone, lone, lone to three destinations, then a run with its tail,
+    // a lone datagram, and a run that closes the batch.
+    let mut msgs = vec![(&a[..], dest(53)), (&a[..], dest(54)), (&b[..], dest(55))];
+    msgs.extend(same(&b, 3, dest(56)));
+    msgs.extend(same(&c, 1, dest(56)));
+    msgs.extend(same(&a, 1, dest(57)));
+    msgs.extend(same(&c, 2, dest(53)));
+    let (statuses, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
+    assert_eq!(
+        calls,
+        [Call::Mmsg(3), Call::Gso(4), Call::Mmsg(1), Call::Gso(2)]
+    );
+    assert_eq!(statuses, [BatchSendStatus::Sent; 10]);
+    // With segmentation off nothing is cut: one `sendmmsg` takes all.
+    let off = Segmentation::on();
+    let mut kernel = |call: Call| match call {
+        Call::Gso(_) => Err(std::io::Error::from_raw_os_error(libc::EINVAL)),
+        other => accepts(other),
+    };
+    let (_, calls) = run_kernel(64, &same(&a, 2, dest(53)), &off, &mut kernel);
+    assert_eq!(calls, [Call::Gso(2), Call::Mmsg(2)]);
+    let (statuses, calls) = run_kernel(64, &msgs, &off, &mut kernel);
+    assert_eq!(calls, [Call::Mmsg(10)]);
+    assert_eq!(statuses, [BatchSendStatus::Sent; 10]);
+    // Not asked yet: the lone head is cut before the run, which probes.
+    let unknown = Segmentation::unknown();
+    let (_, calls) = run_kernel(64, &msgs[..6], &unknown, &mut accepts);
+    assert_eq!(calls, [Call::Mmsg(3), Call::Probe, Call::Gso(3)]);
+}
+
+#[test]
+fn a_tail_counts_toward_the_segment_and_octet_limits() {
+    let gso = Segmentation::on();
+    let (small, smaller) = ([3u8; 40], [3u8; 30]);
+    for (run, calls) in [
+        (63, vec![Call::Gso(64)]),
+        (64, vec![Call::Gso(64), Call::Mmsg(1)]),
+    ] {
+        let mut msgs = same(&small, run, dest(53));
+        msgs.push((&smaller[..], dest(53)));
+        let (statuses, got) = run_kernel(128, &msgs, &gso, &mut accepts);
+        assert_eq!(got, calls, "{run} + a tail");
+        assert_eq!(statuses, vec![BatchSendStatus::Sent; run + 1]);
+    }
+    // 46 × 1 400 = 64 400 octets: a 600-octet tail reaches 65 000
+    // exactly, a 601-octet one would pass it.
+    let wide = [4u8; 1_400];
+    for (tail, calls) in [
+        (600, vec![Call::Gso(47)]),
+        (601, vec![Call::Gso(46), Call::Mmsg(1)]),
+    ] {
+        let tail = vec![5u8; tail];
+        let mut msgs = same(&wide, 46, dest(53));
+        msgs.push((&tail[..], dest(53)));
+        let (_, got) = run_kernel(128, &msgs, &gso, &mut accepts);
+        assert_eq!(got, calls, "a {}-octet tail", tail.len());
+    }
 }
 
 #[test]
@@ -534,6 +649,23 @@ fn segmented_and_per_datagram_sends_deliver_the_same_bytes_to_three_receivers() 
     let plan: Vec<(usize, usize)> = (0..COUNT)
         .map(|i| ((i / 7) % 3, sizes[(i * i / 11 + i / 5) % sizes.len()]))
         .collect();
+    // Within one flush, runs end in short tails and open behind lone
+    // heads: both send rules are on the wire.
+    let run = |i: usize| plan[i] == plan[i + 1] && plan[i].1 <= 1_472;
+    let flushes = |i: usize| (i % FLUSH > 1 && i % FLUSH < FLUSH - 1).then_some(i);
+    let inner = || (0..COUNT).filter_map(flushes);
+    let tails = inner()
+        .filter(|&i| run(i - 2) && plan[i].0 == plan[i - 1].0 && plan[i].1 < plan[i - 1].1)
+        .count();
+    // A datagram whose predecessor went elsewhere neither joins nor ends
+    // a run: a lone head.
+    let mid_batch = inner()
+        .filter(|&i| run(i) && plan[i - 1] != plan[i] && plan[i - 2].0 != plan[i - 1].0)
+        .count();
+    assert!(
+        tails >= 10 && mid_batch >= 10,
+        "{tails} tails, {mid_batch} runs"
+    );
     let mut arena = Vec::new();
     let slots: Vec<SendSlot> = plan
         .iter()

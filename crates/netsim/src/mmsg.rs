@@ -6,18 +6,22 @@
 //! the serve listeners' replies), this crate's `WireServer` (the loopback
 //! servers' UDP thread) and `zdns-core`'s `ServerRole`, which drains a
 //! serve worker's listener. The FFI vectors are allocated once and
-//! rewritten before every call, so the hot path pays no allocator
+//! reused for every call, so the hot path pays no allocator
 //! round-trip per syscall.
 //!
-//! A send ([`MmsgScratch::send`]) whose leading datagrams are a *run* —
-//! two or more to one IPv4 destination with one length — leaves as one
+//! A send ([`MmsgScratch::send`]) that opens with a *run* — two or more
+//! datagrams to one IPv4 destination with one length — leaves as one
 //! `sendmsg` with a `UDP_SEGMENT` control message: the kernel builds one
-//! packet and cuts it into the run's datagrams, so the run pays the
-//! socket, route and UDP layers once. Its `msg_iov` is the run's own
-//! iovecs, so no payload is copied. A run is at most 64 datagrams and
-//! 65 000 payload octets, and a datagram over 1 472 octets never joins
-//! one. Anything else leaves by
-//! `sendmmsg`. A segmented send is all-or-nothing.
+//! packet and cuts it into the run's datagrams every segment length, so
+//! the run pays the socket, route and UDP layers once. A run may end in
+//! one *shorter* datagram to the same destination, which rides as its
+//! tail: the kernel's last cut is simply short. Its `msg_iov` is the
+//! run's own iovecs, so no payload is copied. A run is at most 64
+//! datagrams and 65 000 payload octets, its tail included, and a
+//! datagram over 1 472 octets never joins one. A send that opens with a
+//! lone datagram leaves by `sendmmsg`, which stops before the next run,
+//! so every run leaves segmented, not only one that leads its batch. A
+//! segmented send is all-or-nothing.
 //!
 //! Segmentation needs Linux 4.18 or later; `sendmmsg` alone needs 3.0.
 //! An older kernel does not refuse the control message: it ignores it
@@ -36,7 +40,10 @@
 //! the way `MSG_WAITFORONE` does: the first datagram honours the
 //! socket's blocking mode and read timeout, the rest are taken only if
 //! already queued. A batch on a non-blocking socket never waits; one on
-//! a blocking socket returns as soon as a datagram arrives.
+//! a blocking socket returns as soon as a datagram arrives. A vectored
+//! arena links its `recvmmsg` headers to its slots once, when it is
+//! built; before each call it resets only the address lengths of the
+//! entries the previous call filled, the one input the kernel rewrites.
 
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -207,10 +214,11 @@ impl RecvBatch {
     }
 }
 
-/// Pre-allocated `sockaddr_in`/`iovec`/`mmsghdr` arrays, rewritten in
-/// place before each `sendmmsg`/`recvmmsg` call; they grow to the
+/// Pre-allocated `sockaddr_in`/`iovec`/`mmsghdr` arrays. A sender
+/// rewrites them in place before each `sendmmsg`; they grow to the
 /// largest batch ever prepared, unless built for it
-/// ([`MmsgScratch::with_capacity`]).
+/// ([`MmsgScratch::with_capacity`]). A [`RecvArena`] links them to its
+/// slots once and keeps them.
 #[derive(Default)]
 pub struct MmsgScratch {
     addrs: Vec<libc::sockaddr_in>,
@@ -218,11 +226,64 @@ pub struct MmsgScratch {
     hdrs: Vec<libc::mmsghdr>,
 }
 
-// SAFETY: the raw pointers stored in `iovs`/`hdrs` are rebuilt by
-// `fill`/`send_with` immediately before every syscall and are never
-// dereferenced between calls, so moving the scratch across threads
-// cannot expose a dangling pointer.
+// SAFETY: the raw pointers stored in `iovs`/`hdrs` point into storage
+// whose owner moves with the scratch or outlives every call through it:
+// a send relinks them immediately before every syscall, into its own
+// vectors and the caller's payloads; a receive arena links them once,
+// into these vectors and its own slot mapping, neither of which it ever
+// reallocates or frees while the scratch lives. They are dereferenced
+// only by the kernel, during a call made through `&mut self`, so moving
+// the scratch across threads cannot expose a dangling pointer.
 unsafe impl Send for MmsgScratch {}
+
+/// A run a send opens with, grown one datagram at a time: its
+/// destination and segment length, the datagrams and octets it carries,
+/// and whether a shorter tail has ended it.
+struct Run {
+    dest: SocketAddr,
+    segment: usize,
+    count: usize,
+    octets: usize,
+    ended: bool,
+}
+
+impl Run {
+    /// The run a datagram of `len` octets to `dest` opens: none for a
+    /// length no segment may have.
+    fn open(dest: SocketAddr, len: usize) -> Option<Run> {
+        (1..=GSO_MAX_SEGMENT).contains(&len).then_some(Run {
+            dest,
+            segment: len,
+            count: 1,
+            octets: len,
+            ended: false,
+        })
+    }
+
+    /// Take the next datagram if it joins: one of the run's length, or,
+    /// behind two or more of them, one shorter that ends the run as its
+    /// tail. Either counts toward the segment and octet limits.
+    fn join(&mut self, dest: SocketAddr, len: usize) -> bool {
+        let fits = !self.ended
+            && dest == self.dest
+            && self.count < GSO_MAX_SEGMENTS
+            && self.octets + len <= GSO_MAX_OCTETS;
+        let tail = self.count >= 2 && (1..self.segment).contains(&len);
+        let joins = fits && (len == self.segment || tail);
+        if joins {
+            self.count += 1;
+            self.octets += len;
+            self.ended = len < self.segment;
+        }
+        joins
+    }
+
+    /// Whether datagrams `first` and `second` open a run that can leave
+    /// segmented.
+    fn opens(first: (SocketAddr, usize), second: (SocketAddr, usize)) -> bool {
+        Run::open(first.0, first.1).is_some_and(|mut run| run.join(second.0, second.1))
+    }
+}
 
 impl MmsgScratch {
     /// Vectors for batches of up to `depth` datagrams, so none grows
@@ -236,29 +297,18 @@ impl MmsgScratch {
         }
     }
 
-    /// Rewrite the vectors to one entry per `(address, segment)` pair.
-    fn fill(
-        &mut self,
-        entries: impl Iterator<Item = (libc::sockaddr_in, libc::iovec)>,
-    ) -> &mut [libc::mmsghdr] {
-        self.addrs.clear();
-        self.iovs.clear();
-        self.push(entries)
+    /// Append one `(address, segment)` entry to the vectors.
+    fn push(&mut self, addr: libc::sockaddr_in, iov: libc::iovec) {
+        self.addrs.push(addr);
+        self.iovs.push(iov);
     }
 
-    /// Append `entries` to the vectors and link one header per entry.
+    /// Link one header to each of the first `n` entries of the vectors.
     /// The headers are linked after the last push, so none points at
     /// storage a push moved.
-    fn push(
-        &mut self,
-        entries: impl Iterator<Item = (libc::sockaddr_in, libc::iovec)>,
-    ) -> &mut [libc::mmsghdr] {
-        for (addr, iov) in entries {
-            self.addrs.push(addr);
-            self.iovs.push(iov);
-        }
+    fn link(&mut self, n: usize) -> &mut [libc::mmsghdr] {
         self.hdrs.clear();
-        for (addr, iov) in self.addrs.iter_mut().zip(&mut self.iovs) {
+        for (addr, iov) in self.addrs.iter_mut().zip(&mut self.iovs).take(n) {
             self.hdrs.push(libc::mmsghdr {
                 msg_hdr: libc::msghdr {
                     msg_name: addr as *mut libc::sockaddr_in as *mut libc::c_void,
@@ -277,10 +327,10 @@ impl MmsgScratch {
 
     /// One send attempt (never waiting) on the leading IPv4 datagrams of
     /// `msgs`, at most 1 024 of them: one segmented `sendmsg` when
-    /// they open with a run, one `sendmmsg` otherwise (see the module
-    /// docs); a non-IPv4 head is sent alone through `send_to`. Returns
-    /// how many consecutive datagrams went out (≥ 1 for a non-empty
-    /// `msgs`) or the error that stopped the first.
+    /// they open with a run, one `sendmmsg` up to the next run otherwise
+    /// (see the module docs); a non-IPv4 head is sent alone through
+    /// `send_to`. Returns how many consecutive datagrams went out (≥ 1
+    /// for a non-empty `msgs`) or the error that stopped the first.
     pub fn send<'a>(
         &mut self,
         socket: &UdpSocket,
@@ -318,46 +368,55 @@ impl MmsgScratch {
         self.iovs.clear();
         // The leading run: pushed one datagram at a time until one does
         // not join it, so a run costs one pass over itself alone.
-        let (mut run, mut head) = (0, None);
+        let (mut run, mut last) = (None::<Run>, None);
         if gso.wanted() {
             for (dest, addr, iov) in &mut msgs {
-                self.addrs.push(addr);
-                self.iovs.push(iov);
+                self.push(addr, iov);
                 let len = iov.iov_len;
-                let joins = match head {
-                    None => (1..=GSO_MAX_SEGMENT).contains(&len),
-                    Some(first) => {
-                        first == (dest, len)
-                            && run < GSO_MAX_SEGMENTS
-                            && (run + 1) * len <= GSO_MAX_OCTETS
+                last = Some((dest, len));
+                let joins = match &mut run {
+                    None => {
+                        run = Run::open(dest, len);
+                        run.is_some()
                     }
+                    Some(run) => run.join(dest, len),
                 };
-                if !joins {
+                if !joins || run.as_ref().is_some_and(|run| run.ended) {
                     break;
                 }
-                head = Some((dest, len));
-                run += 1;
             }
         }
-        if let Some((_, len)) = head.filter(|_| run >= 2 && gso.ready(call)) {
-            let mut control = SegmentControl::new(len);
+        if let Some(run) = run.filter(|run| run.count >= 2 && gso.ready(call)) {
+            let mut control = SegmentControl::new(run.segment);
             let hdr = libc::msghdr {
                 msg_name: &mut self.addrs[0] as *mut libc::sockaddr_in as *mut libc::c_void,
                 msg_namelen: std::mem::size_of::<libc::sockaddr_in>() as u32,
                 msg_iov: self.iovs.as_mut_ptr(),
-                msg_iovlen: run,
+                msg_iovlen: run.count,
                 msg_control: &mut control as *mut SegmentControl as *mut libc::c_void,
                 msg_controllen: std::mem::size_of::<SegmentControl>(),
                 msg_flags: 0,
             };
             match call(SendCall::Segmented(&hdr)) {
                 Err(e) if refuses_segmentation(&e) => gso.turn_off(),
-                sent => return sent.map(|_| run),
+                sent => return sent.map(|_| run.count),
             }
         }
-        call(SendCall::Vectored(
-            self.push(msgs.map(|(_, addr, iov)| (addr, iov))),
-        ))
+        // A lone head (segmentation still wanted): it and what follows
+        // it leave by `sendmmsg`, cut before the next run, which the
+        // next call sends segmented. Otherwise everything goes.
+        let (cut, mut end) = (gso.wanted(), None);
+        for (dest, addr, iov) in &mut msgs {
+            let next = (dest, iov.iov_len);
+            if cut && last.is_some_and(|last| Run::opens(last, next)) {
+                end = Some(self.addrs.len() - 1);
+                break;
+            }
+            self.push(addr, iov);
+            last = Some(next);
+        }
+        let end = end.unwrap_or(self.addrs.len());
+        call(SendCall::Vectored(self.link(end)))
     }
 }
 
@@ -434,8 +493,12 @@ pub struct RecvArena {
     slots: slots::Slots,
     lens: Vec<usize>,
     peers: Vec<SocketAddr>,
-    /// The `recvmmsg` vectors; `None` in per-datagram mode.
+    /// The `recvmmsg` vectors, one header per slot, linked when the
+    /// arena is built; `None` in per-datagram mode.
     vectored: Option<MmsgScratch>,
+    /// Headers the last `recvmmsg` filled, whose address lengths the
+    /// kernel rewrote.
+    filled: usize,
 }
 
 impl RecvArena {
@@ -452,11 +515,26 @@ impl RecvArena {
 
     fn build(depth: usize, vectored: bool) -> RecvArena {
         let depth = depth.clamp(1, MAX_VLEN);
+        let mut slots = slots::zeroed(depth * RECV_SLOT);
+        // The headers point into the slot mapping, which moving the
+        // arena does not move.
+        let vectored = vectored.then(|| {
+            let mut scratch = MmsgScratch::with_capacity(depth);
+            for slot in slots.chunks_mut(RECV_SLOT) {
+                scratch.push(
+                    libc::sockaddr_in::zeroed(),
+                    iovec(slot.as_mut_ptr(), slot.len()),
+                );
+            }
+            scratch.link(depth);
+            scratch
+        });
         RecvArena {
-            slots: slots::zeroed(depth * RECV_SLOT),
+            slots,
             lens: vec![0; depth],
             peers: vec![SocketAddr::new(Ipv4Addr::UNSPECIFIED.into(), 0); depth],
-            vectored: vectored.then(MmsgScratch::default),
+            vectored,
+            filled: 0,
         }
     }
 
@@ -479,6 +557,7 @@ impl RecvArena {
             lens,
             peers,
             vectored,
+            filled,
         } = self;
         let depth = peers.len();
         // A non-IPv4 peer is impossible on a v4 socket; such a slot keeps
@@ -490,13 +569,13 @@ impl RecvArena {
             }
             None => lens[i] = 0,
         };
-        let slots = slots.chunks_mut(RECV_SLOT);
         if let Some(scratch) = vectored {
-            let slots = slots.map(|buf| {
-                let iov = iovec(buf.as_mut_ptr(), buf.len());
-                (libc::sockaddr_in::zeroed(), iov)
-            });
-            return match sys::recvmmsg(socket, scratch.fill(slots)) {
+            for hdr in &mut scratch.hdrs[..*filled] {
+                hdr.msg_hdr.msg_namelen = std::mem::size_of::<libc::sockaddr_in>() as u32;
+            }
+            let count = sys::recvmmsg(socket, &mut scratch.hdrs);
+            *filled = count.as_ref().map_or(0, |&count| count);
+            return match count {
                 Ok(count) => {
                     for i in 0..count {
                         keep(
@@ -510,6 +589,7 @@ impl RecvArena {
                 Err(e) => RecvBatch::ended(0, e),
             };
         }
+        let slots = slots.chunks_mut(RECV_SLOT);
         for (count, slot) in slots.enumerate() {
             match sys::recvfrom(socket, slot, count == 0) {
                 Ok((len, peer)) => keep(count, len, peer),
