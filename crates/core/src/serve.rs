@@ -453,9 +453,11 @@ impl ServerRole {
 
     /// Send the tick's UDP replies in one flush of the listener's batch
     /// layer, grouped by client and by length, longest first (in arrival
-    /// order within a group), so each group leaves as runs of one
-    /// segmented send and carries the next group's first reply as its
-    /// shorter tail. Clients match replies by ID, so the order across
+    /// order within a group). A client's longest group then leaves as one
+    /// segmented send with the next group's first reply as its shorter
+    /// tail, and so does each group behind it that still holds two
+    /// replies; the first lone reply takes the rest of the flush by
+    /// `sendmmsg`. Clients match replies by ID, so the order across
     /// groups is free.
     ///
     /// A full send buffer holds the tick once: the flush waits up to

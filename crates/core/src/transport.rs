@@ -4,8 +4,8 @@
 //! `tcp.rs`'s).
 //!
 //! [`BatchIo`] is the batched syscall layer: it coalesces same-tick
-//! sends into `sendmmsg(2)` calls — every run of datagrams to one
-//! destination with one length into one segmented `sendmsg(2)` (UDP
+//! sends into single `sendmmsg(2)` calls — a leading run of datagrams to
+//! one destination with one length into one segmented `sendmsg(2)` (UDP
 //! GSO) — and drains the socket through a [`RecvArena`], with a
 //! per-datagram fallback (`send_to`/`recvfrom`) for non-Linux targets and
 //! for `--io-backend syscall`. The raw calls, the run rule and the arena

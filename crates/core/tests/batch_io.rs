@@ -505,12 +505,9 @@ fn a_run_ends_at_a_new_destination_or_length_and_never_takes_a_jumbo() {
     msgs.extend(same(&edge, 2, dest(54)));
     let (statuses, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
     // A longer datagram ends the second run without joining it; as a
-    // lone head it leaves by `sendmmsg` with the jumbo datagrams, which
-    // is cut before the run behind them.
-    assert_eq!(
-        calls,
-        [Call::Gso(3), Call::Gso(2), Call::Mmsg(4), Call::Gso(2)]
-    );
+    // lone head it leaves by `sendmmsg` with all that follows it in the
+    // call: the jumbo datagrams and the run behind them too.
+    assert_eq!(calls, [Call::Gso(3), Call::Gso(2), Call::Mmsg(6)]);
     assert!(statuses.iter().all(|s| *s == BatchSendStatus::Sent));
     let (_, calls) = run_kernel(64, &same(&edge, 2, dest(54)), &gso, &mut accepts);
     assert_eq!(calls, [Call::Gso(2)], "1 472 octets still join");
@@ -566,40 +563,6 @@ fn a_longer_datagram_another_destination_or_a_jumbo_never_joins_as_a_tail() {
 }
 
 #[test]
-fn a_lone_head_takes_sendmmsg_only_up_to_the_next_run() {
-    let gso = Segmentation::on();
-    let (a, b, c) = ([5u8; 100], [6u8; 80], [7u8; 70]);
-    // Lone, lone, lone to three destinations, then a run with its tail,
-    // a lone datagram, and a run that closes the batch.
-    let mut msgs = vec![(&a[..], dest(53)), (&a[..], dest(54)), (&b[..], dest(55))];
-    msgs.extend(same(&b, 3, dest(56)));
-    msgs.extend(same(&c, 1, dest(56)));
-    msgs.extend(same(&a, 1, dest(57)));
-    msgs.extend(same(&c, 2, dest(53)));
-    let (statuses, calls) = run_kernel(64, &msgs, &gso, &mut accepts);
-    assert_eq!(
-        calls,
-        [Call::Mmsg(3), Call::Gso(4), Call::Mmsg(1), Call::Gso(2)]
-    );
-    assert_eq!(statuses, [BatchSendStatus::Sent; 10]);
-    // With segmentation off nothing is cut: one `sendmmsg` takes all.
-    let off = Segmentation::on();
-    let mut kernel = |call: Call| match call {
-        Call::Gso(_) => Err(std::io::Error::from_raw_os_error(libc::EINVAL)),
-        other => accepts(other),
-    };
-    let (_, calls) = run_kernel(64, &same(&a, 2, dest(53)), &off, &mut kernel);
-    assert_eq!(calls, [Call::Gso(2), Call::Mmsg(2)]);
-    let (statuses, calls) = run_kernel(64, &msgs, &off, &mut kernel);
-    assert_eq!(calls, [Call::Mmsg(10)]);
-    assert_eq!(statuses, [BatchSendStatus::Sent; 10]);
-    // Not asked yet: the lone head is cut before the run, which probes.
-    let unknown = Segmentation::unknown();
-    let (_, calls) = run_kernel(64, &msgs[..6], &unknown, &mut accepts);
-    assert_eq!(calls, [Call::Mmsg(3), Call::Probe, Call::Gso(3)]);
-}
-
-#[test]
 fn a_tail_counts_toward_the_segment_and_octet_limits() {
     let gso = Segmentation::on();
     let (small, smaller) = ([3u8; 40], [3u8; 30]);
@@ -646,26 +609,15 @@ fn segmented_and_per_datagram_sends_deliver_the_same_bytes_to_three_receivers() 
     // Runs of every length from 1 to 9, the lengths and destinations
     // changing at different strides.
     let sizes = [48usize, 61, 300, 900, 1_500];
+    // Every flush opens with a run of three that ends in a shorter tail,
+    // so tails ride segmented sends too.
     let plan: Vec<(usize, usize)> = (0..COUNT)
-        .map(|i| ((i / 7) % 3, sizes[(i * i / 11 + i / 5) % sizes.len()]))
+        .map(|i| match i % FLUSH {
+            0..=2 => (0, 300),
+            3 => (0, 61),
+            _ => ((i / 7) % 3, sizes[(i * i / 11 + i / 5) % sizes.len()]),
+        })
         .collect();
-    // Within one flush, runs end in short tails and open behind lone
-    // heads: both send rules are on the wire.
-    let run = |i: usize| plan[i] == plan[i + 1] && plan[i].1 <= 1_472;
-    let flushes = |i: usize| (i % FLUSH > 1 && i % FLUSH < FLUSH - 1).then_some(i);
-    let inner = || (0..COUNT).filter_map(flushes);
-    let tails = inner()
-        .filter(|&i| run(i - 2) && plan[i].0 == plan[i - 1].0 && plan[i].1 < plan[i - 1].1)
-        .count();
-    // A datagram whose predecessor went elsewhere neither joins nor ends
-    // a run: a lone head.
-    let mid_batch = inner()
-        .filter(|&i| run(i) && plan[i - 1] != plan[i] && plan[i - 2].0 != plan[i - 1].0)
-        .count();
-    assert!(
-        tails >= 10 && mid_batch >= 10,
-        "{tails} tails, {mid_batch} runs"
-    );
     let mut arena = Vec::new();
     let slots: Vec<SendSlot> = plan
         .iter()

@@ -19,8 +19,7 @@
 //! run's own iovecs, so no payload is copied. A run is at most 64
 //! datagrams and 65 000 payload octets, its tail included, and a
 //! datagram over 1 472 octets never joins one. A send that opens with a
-//! lone datagram leaves by `sendmmsg`, which stops before the next run,
-//! so every run leaves segmented, not only one that leads its batch. A
+//! lone datagram leaves by `sendmmsg`, with everything behind it. A
 //! segmented send is all-or-nothing.
 //!
 //! Segmentation needs Linux 4.18 or later; `sendmmsg` alone needs 3.0.
@@ -277,12 +276,6 @@ impl Run {
         }
         joins
     }
-
-    /// Whether datagrams `first` and `second` open a run that can leave
-    /// segmented.
-    fn opens(first: (SocketAddr, usize), second: (SocketAddr, usize)) -> bool {
-        Run::open(first.0, first.1).is_some_and(|mut run| run.join(second.0, second.1))
-    }
 }
 
 impl MmsgScratch {
@@ -303,12 +296,12 @@ impl MmsgScratch {
         self.iovs.push(iov);
     }
 
-    /// Link one header to each of the first `n` entries of the vectors.
-    /// The headers are linked after the last push, so none points at
-    /// storage a push moved.
-    fn link(&mut self, n: usize) -> &mut [libc::mmsghdr] {
+    /// Link one header to each entry of the vectors. The headers are
+    /// linked after the last push, so none points at storage a push
+    /// moved.
+    fn link(&mut self) -> &mut [libc::mmsghdr] {
         self.hdrs.clear();
-        for (addr, iov) in self.addrs.iter_mut().zip(&mut self.iovs).take(n) {
+        for (addr, iov) in self.addrs.iter_mut().zip(&mut self.iovs) {
             self.hdrs.push(libc::mmsghdr {
                 msg_hdr: libc::msghdr {
                     msg_name: addr as *mut libc::sockaddr_in as *mut libc::c_void,
@@ -327,10 +320,10 @@ impl MmsgScratch {
 
     /// One send attempt (never waiting) on the leading IPv4 datagrams of
     /// `msgs`, at most 1 024 of them: one segmented `sendmsg` when
-    /// they open with a run, one `sendmmsg` up to the next run otherwise
-    /// (see the module docs); a non-IPv4 head is sent alone through
-    /// `send_to`. Returns how many consecutive datagrams went out (≥ 1
-    /// for a non-empty `msgs`) or the error that stopped the first.
+    /// they open with a run, one `sendmmsg` otherwise (see the module
+    /// docs); a non-IPv4 head is sent alone through `send_to`. Returns
+    /// how many consecutive datagrams went out (≥ 1 for a non-empty
+    /// `msgs`) or the error that stopped the first.
     pub fn send<'a>(
         &mut self,
         socket: &UdpSocket,
@@ -368,12 +361,11 @@ impl MmsgScratch {
         self.iovs.clear();
         // The leading run: pushed one datagram at a time until one does
         // not join it, so a run costs one pass over itself alone.
-        let (mut run, mut last) = (None::<Run>, None);
+        let mut run = None::<Run>;
         if gso.wanted() {
             for (dest, addr, iov) in &mut msgs {
                 self.push(addr, iov);
                 let len = iov.iov_len;
-                last = Some((dest, len));
                 let joins = match &mut run {
                     None => {
                         run = Run::open(dest, len);
@@ -402,21 +394,10 @@ impl MmsgScratch {
                 sent => return sent.map(|_| run.count),
             }
         }
-        // A lone head (segmentation still wanted): it and what follows
-        // it leave by `sendmmsg`, cut before the next run, which the
-        // next call sends segmented. Otherwise everything goes.
-        let (cut, mut end) = (gso.wanted(), None);
-        for (dest, addr, iov) in &mut msgs {
-            let next = (dest, iov.iov_len);
-            if cut && last.is_some_and(|last| Run::opens(last, next)) {
-                end = Some(self.addrs.len() - 1);
-                break;
-            }
+        for (_, addr, iov) in msgs {
             self.push(addr, iov);
-            last = Some(next);
         }
-        let end = end.unwrap_or(self.addrs.len());
-        call(SendCall::Vectored(self.link(end)))
+        call(SendCall::Vectored(self.link()))
     }
 }
 
@@ -526,7 +507,7 @@ impl RecvArena {
                     iovec(slot.as_mut_ptr(), slot.len()),
                 );
             }
-            scratch.link(depth);
+            scratch.link();
             scratch
         });
         RecvArena {
