@@ -51,8 +51,8 @@ pub struct ResolverConfig {
     pub tcp_only: bool,
     /// What a result carries. Only [`Detail::Trace`] records the full
     /// lookup chain (Appendix C's trace output); only [`Detail::Long`] and
-    /// up put `flags` and `additionals` in
-    /// [`LookupResult::data_json`](crate::LookupResult::data_json).
+    /// up write `flags` and `additionals` into the `data` object
+    /// ([`LookupResult::write_data`](crate::LookupResult::write_data)).
     pub detail: Detail,
     /// Derive client cookies from this secret with a keyed hash over the
     /// destination address (RFC 7873 §6) instead of the default

@@ -66,6 +66,10 @@ pub struct DriverReport {
     pub datagrams_sent: u64,
     /// Datagrams pulled off the socket (delivered + stale + undecodable).
     pub datagrams_received: u64,
+    /// Receive batches the reactor read its socket in: one `recvmmsg`
+    /// each on the vectored backend. A drain stops at a batch shorter
+    /// than the arena, so reading what a tick found costs no empty call.
+    pub recv_batches: u64,
     /// Admission credits leased from the reactor's pool (its private
     /// one, or the scan-wide one its sibling workers share).
     pub credit_leases: u64,
@@ -107,6 +111,7 @@ impl DriverReport {
         self.send_syscalls += other.send_syscalls;
         self.datagrams_sent += other.datagrams_sent;
         self.datagrams_received += other.datagrams_received;
+        self.recv_batches += other.recv_batches;
         self.credit_leases += other.credit_leases;
         self.idle_credit_returns += other.idle_credit_returns;
         self.credit_stalls += other.credit_stalls;
@@ -159,6 +164,7 @@ mod tests {
             send_syscalls: n(),
             datagrams_sent: n(),
             datagrams_received: n(),
+            recv_batches: n(),
             credit_leases: n(),
             idle_credit_returns: n(),
             credit_stalls: n(),

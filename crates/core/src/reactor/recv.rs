@@ -39,7 +39,10 @@ impl Reactor {
     /// already-queued datagrams until the next poll round; the
     /// [`MAX_DRAIN_ERRORS`] cap stops a repeating error from spinning the
     /// loop. A *short batch* (fewer datagrams than the arena holds) is a
-    /// normal drain — the queue simply emptied — never an error.
+    /// normal drain — the queue was empty when it was read — never an
+    /// error, and it ends the drain: asking again would cost an empty
+    /// `recvmmsg` per drain, and a datagram that lands meanwhile is read
+    /// on the next tick.
     pub(super) fn drain_datagrams(&mut self, on_done: &mut dyn FnMut(Option<JobOutcome>)) {
         // Move the arena out so machines (stepped via `&mut self`) can be
         // handed borrowed views straight over its buffers — the zero-copy
@@ -48,6 +51,7 @@ impl Reactor {
         let mut errors = 0u32;
         'drain: loop {
             let batch = io.recv_into_arena(&self.socket);
+            self.report.recv_batches += 1;
             self.report.datagrams_received += batch.count as u64;
             for i in 0..batch.count {
                 let peer = io.arena_peer(i);
@@ -93,8 +97,8 @@ impl Reactor {
                 self.deliver(pending.slot, event, on_done);
             }
             match batch.err {
-                None if batch.count == 0 => break 'drain, // socket drained
-                None => {}                                // keep draining
+                None if batch.count < io.batch_size() => break 'drain, // socket drained
+                None => {} // a full batch: keep draining
                 Some(_) => {
                     errors += 1;
                     if errors >= MAX_DRAIN_ERRORS {
@@ -197,5 +201,47 @@ impl Reactor {
             );
         }
         self.fired = fired;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::{Ipv4Addr, UdpSocket};
+    use std::sync::Arc;
+
+    use crate::reactor::{Reactor, ReactorConfig};
+
+    #[test]
+    fn a_tick_that_reads_three_datagrams_makes_one_receive_call() {
+        let mut reactor = Reactor::new(
+            ReactorConfig {
+                source: Ipv4Addr::LOCALHOST,
+                ..ReactorConfig::default()
+            },
+            Arc::new(|_| (Ipv4Addr::LOCALHOST, 9).into()),
+        )
+        .unwrap();
+        let to = reactor.local_addr().unwrap();
+        let peer = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        for _ in 0..3 {
+            peer.send_to(b"not a response", to).unwrap();
+        }
+        // Loopback delivers as it sends; the pause only keeps a busy box
+        // from splitting the three across two ticks.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        reactor.serve_tick();
+        let report = &reactor.report;
+        assert_eq!(report.datagrams_received, 3);
+        assert_eq!(report.recv_batches, 1, "a short batch ends the drain");
+        // A full batch is followed by one more read, which finds the rest.
+        let depth = reactor.batch.as_ref().unwrap().batch_size();
+        for _ in 0..depth + 1 {
+            peer.send_to(b"not a response", to).unwrap();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        reactor.serve_tick();
+        let report = &reactor.report;
+        assert_eq!(report.datagrams_received, 3 + depth as u64 + 1);
+        assert_eq!(report.recv_batches, 3);
     }
 }

@@ -1,8 +1,9 @@
 //! Lookup results: what one ZDNS output line carries.
 
+use std::fmt::Write;
 use std::net::Ipv4Addr;
 
-use serde_json::{json, Value};
+use serde_json::{json, write_escaped, Value};
 use zdns_wire::{json as wire_json, Flags, Name, Record, RecordType};
 
 use zdns_netsim::{as_secs_f64, SimTime};
@@ -57,44 +58,48 @@ pub struct LookupResult {
 }
 
 impl LookupResult {
-    /// Build the `data` object of the output line: the non-empty record
-    /// sections, then `flags`/`protocol`/`resolver` when a response was
-    /// seen. It holds what the output group configured for `detail`
-    /// prints: `flags` and `additionals` only from [`Detail::Long`] up, as
-    /// `short` and `normal` lines drop them. This is the one builder of
-    /// that object — [`Self::to_json`] wraps it at [`Detail::Trace`], and
-    /// the raw modules move it into their output as is. It consumes the
-    /// result so the resolver text moves into `data` rather than being
-    /// copied; take what else is wanted (the trace) first.
-    pub fn data_json(mut self, detail: Detail) -> Value {
-        let resolver = self.resolver.take();
-        self.data_with(detail, resolver)
-    }
-
-    fn data_with(&self, detail: Detail, resolver: Option<String>) -> Value {
-        let long = detail >= Detail::Long;
+    /// Write the `data` object of the output line into `out`: the
+    /// non-empty record sections, then `flags`/`protocol`/`resolver` when
+    /// a response was seen, then `server` when one is given (`PROBE`
+    /// names the server its input asked). `flags` and `additionals` are
+    /// written only when `detail` is [`Detail::Long`] or more and
+    /// `drop_noise` is off, as `short` and `normal` lines never print
+    /// them. This is the one writer of that object: the raw modules'
+    /// lines are these bytes, and [`Self::to_json`] and a raw output's
+    /// `data` tree are parsed from them. Records and flags stream in
+    /// ([`wire_json::write_records`]), so a warm `out` takes no allocation
+    /// for address and name answers.
+    pub fn write_data(
+        &self,
+        detail: Detail,
+        drop_noise: bool,
+        server: Option<Ipv4Addr>,
+        out: &mut String,
+    ) {
+        let long = detail >= Detail::Long && !drop_noise;
+        out.push('{');
+        let mut first = true;
+        let mut member = |key: &str, out: &mut String| {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+        };
         let sections = [
             ("answers", &self.answers, true),
             ("authorities", &self.authorities, true),
             ("additionals", &self.additionals, long),
         ];
-        let footer = self.flags.as_ref().zip(resolver);
-        let members = sections
-            .iter()
-            .filter(|(_, s, kept)| *kept && !s.is_empty())
-            .count()
-            + footer.as_ref().map_or(0, |_| 2 + usize::from(long));
-        // Sized to fit: this object waits in a worker's block as built.
-        let mut data = serde_json::Map::with_capacity(members);
         for (key, section, kept) in sections {
             if kept && !section.is_empty() {
-                data.insert(
-                    key.into(),
-                    Value::Array(section.iter().map(wire_json::record_to_json).collect()),
-                );
+                member(key, out);
+                wire_json::write_records(section, out);
             }
         }
-        if let Some((flags, resolver)) = footer {
+        if let (Some(flags), Some(resolver)) = (&self.flags, &self.resolver) {
             if long {
                 let rcode = match self.status {
                     Status::NxDomain => zdns_wire::Rcode::NxDomain,
@@ -102,23 +107,33 @@ impl LookupResult {
                     Status::Refused => zdns_wire::Rcode::Refused,
                     _ => zdns_wire::Rcode::NoError,
                 };
-                data.insert("flags".into(), wire_json::flags_to_json(flags, rcode));
+                member("flags", out);
+                wire_json::write_flags(flags, rcode, out);
             }
-            data.insert("protocol".into(), json!(self.protocol));
-            data.insert("resolver".into(), Value::String(resolver));
+            member("protocol", out);
+            let _ = write_escaped(self.protocol, out);
+            member("resolver", out);
+            let _ = write_escaped(resolver, out);
         }
-        Value::Object(data)
+        if let Some(server) = server {
+            member("server", out);
+            let _ = write!(out, "\"{server}\"");
+        }
+        out.push('}');
     }
 
-    /// Render the ZDNS JSON output line, everything included.
+    /// Render the ZDNS JSON output line, everything included; its `data`
+    /// is parsed from [`Self::write_data`]'s bytes.
     pub fn to_json(&self) -> Value {
+        let mut data = String::new();
+        self.write_data(Detail::Trace, false, None, &mut data);
         let mut out = serde_json::Map::new();
         out.insert("name".into(), json!(self.name.to_string()));
         out.insert("class".into(), json!("IN"));
         out.insert("status".into(), json!(self.status.as_str()));
         out.insert(
             "data".into(),
-            self.data_with(Detail::Trace, self.resolver.clone()),
+            serde_json::from_str(&data).expect("write_data writes JSON"),
         );
         out.insert("duration".into(), json!(as_secs_f64(self.duration)));
         out.insert("timestamp".into(), json!(as_secs_f64(self.timestamp)));
@@ -129,18 +144,6 @@ impl LookupResult {
             );
         }
         Value::Object(out)
-    }
-
-    /// All A/AAAA addresses in the answers.
-    pub fn addresses(&self) -> Vec<std::net::IpAddr> {
-        self.answers
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                zdns_wire::RData::A(a) => Some(std::net::IpAddr::V4(*a)),
-                zdns_wire::RData::Aaaa(a) => Some(std::net::IpAddr::V6(*a)),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -187,12 +190,5 @@ mod tests {
         assert_eq!(v["data"]["resolver"], "216.239.34.10:53");
         assert_eq!(v["data"]["flags"]["authoritative"], true);
         assert!(v.get("trace").is_none(), "no empty trace key");
-    }
-
-    #[test]
-    fn addresses_helper() {
-        let addrs = sample().addresses();
-        assert_eq!(addrs.len(), 1);
-        assert_eq!(addrs[0].to_string(), "216.58.195.78");
     }
 }

@@ -8,16 +8,17 @@
 //!   second time) and renders it into a fresh `String`. It is the oracle
 //!   [`write_line`] is tested against and fine for one-off callers;
 //!   nothing on a scan's path calls it.
-//! * [`write_line`] — the scan-pipeline hot path: reads `data` (built
-//!   once, by the module) in place and serializes only the members the
-//!   group keeps straight into a caller-owned reusable buffer, touching
+//! * [`write_line`] — the scan-pipeline hot path: writes `data` in place
+//!   ([`Data::write`](zdns_modules::Data::write)), only the members the
+//!   group keeps, straight into a caller-owned reusable buffer, touching
 //!   the allocator zero times per line once the buffer has grown to its
-//!   high-water mark. The trace is read under the `trace` group only —
-//!   the one group for which a scan records one at all — and a raw
-//!   module's `data` arrives without the `flags` and `additionals` that
-//!   `short` and `normal` drop ([`Conf::parse`](crate::conf::Conf::parse)
-//!   sets the resolver's detail from the group); members are written by
-//!   [`write_value`], straight into the buffer.
+//!   high-water mark. A raw module's `data` is its lookup result, whose
+//!   records are written here for the first time (no tree of them is
+//!   ever built), without the `flags` and `additionals` that `short` and
+//!   `normal` drop ([`Conf::parse`](crate::conf::Conf::parse) sets the
+//!   resolver's detail from the group); a module's own tree is written by
+//!   [`write_value`]. The trace is read under the `trace` group only —
+//!   the one group for which a scan records one at all.
 //!
 //! The [`OutputSink`] trait is the streaming consumer side: the scan
 //! pipeline hands every [`ModuleOutput`] to one sink ([`JsonlSink`] for
@@ -87,11 +88,7 @@ pub fn write_line(output: &ModuleOutput, group: OutputGroup, buf: &mut String) {
             let _ = write_escaped(&output.name, buf);
             buf.push_str(",\"status\":");
             let _ = write_escaped(output.status.as_str(), buf);
-            if let Some(answers) = output.data.get("answers") {
-                buf.push_str(",\"data\":{\"answers\":");
-                let _ = write_value(answers, buf);
-                buf.push('}');
-            }
+            output.data.write_answers(buf);
             buf.push('}');
         }
         OutputGroup::Normal => write_full(output, buf, true, false),
@@ -110,28 +107,7 @@ fn write_full(output: &ModuleOutput, buf: &mut String, drop_noise: bool, include
     buf.push_str(",\"module\":");
     let _ = write_escaped(output.module, buf);
     buf.push_str(",\"data\":");
-    match (&output.data, drop_noise) {
-        (Value::Object(map), true) => {
-            buf.push('{');
-            let mut first = true;
-            for (k, v) in map.iter() {
-                if k == "additionals" || k == "flags" {
-                    continue;
-                }
-                if !first {
-                    buf.push(',');
-                }
-                first = false;
-                let _ = write_escaped(k, buf);
-                buf.push(':');
-                let _ = write_value(v, buf);
-            }
-            buf.push('}');
-        }
-        (data, _) => {
-            let _ = write_value(data, buf);
-        }
-    }
+    output.data.write(drop_noise, buf);
     if include_trace && !output.trace.is_empty() {
         buf.push_str(",\"trace\":[");
         for (i, step) in output.trace.iter().enumerate() {
@@ -250,7 +226,8 @@ mod tests {
                 "answers": [{"answer": "192.0.2.1", "type": "A"}],
                 "additionals": [{"answer": "192.0.2.2", "type": "A"}],
                 "flags": {"authoritative": true},
-            }),
+            })
+            .into(),
             trace: vec![serde_json::json!({"depth": 1})],
         }
     }
@@ -299,7 +276,7 @@ mod tests {
                 name: "we\"ird\\name\n.test".into(),
                 module: "A",
                 status: Status::IllegalInput,
-                data: serde_json::Value::Null,
+                data: serde_json::Value::Null.into(),
                 trace: Vec::new(),
             },
         ];

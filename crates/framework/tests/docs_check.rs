@@ -415,6 +415,8 @@ const DELETED_NAMES: &[&str] = &[
     "wheel_granularity",
     "HitEncoding",
     "edns_cookies",
+    "data_json",
+    "data_with",
 ];
 
 #[test]

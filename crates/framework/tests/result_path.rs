@@ -1,26 +1,34 @@
 //! Properties of the result path, `LookupResult` → `ModuleOutput` → line.
 //!
-//! The `data` object of an output line has one builder,
-//! [`LookupResult::data_json`]; [`LookupResult::to_json`] wraps it and the
-//! raw modules move it into their [`ModuleOutput`], built for the detail
-//! their output group prints (`flags` and `additionals` from `long` up).
-//! Over generated results (empty sections, every status, flags with and
-//! without a resolver, traces with and without responses) the builder
-//! must agree with the full rendering, the full rendering with the `json!`
-//! form it replaced, and the streaming [`write_line`] with the
-//! tree-shaping [`to_line`] for every output group — and a group's line
-//! must print the same from its own detail's `data` as from the full one.
+//! The `data` object of an output line has one writer,
+//! [`LookupResult::write_data`], which streams a raw lookup's records
+//! into the line without building a tree of them. This file keeps the
+//! tree builder it replaced (`reference_record` and `reference_data`) as
+//! the oracle: over generated results (every record shape the JSON
+//! renderer has a case for, names that need escapes, empty sections,
+//! every status and so every rcode in `flags`, flags with and without a
+//! resolver, with and without a `PROBE` server, traces with and without
+//! responses) and every [`Detail`], the written bytes must be the
+//! reference tree's, the tree a reader gets from [`Data`] must be the
+//! reference tree, [`LookupResult::to_json`] must print what the `json!`
+//! form it replaced printed, and the streaming [`write_line`] must agree
+//! with the tree-shaping [`to_line`] for every output group — and a
+//! group's line must print the same from its own detail's `data` as from
+//! the full one.
+
+use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
-use serde_json::json;
+use serde_json::{json, Map, Value};
 use zdns_core::{Detail, LookupResult, Status, TraceStep};
 use zdns_framework::output::{to_line, write_line};
 use zdns_framework::OutputGroup;
 use zdns_modules::api::trace_json;
-use zdns_modules::ModuleOutput;
+use zdns_modules::{Data, ModuleOutput};
 use zdns_netsim::as_secs_f64;
-use zdns_wire::rdata::TxtData;
-use zdns_wire::{Flags, Message, Name, Question, RData, Record, RecordType};
+use zdns_wire::json::{answer_value, flags_to_json};
+use zdns_wire::rdata::{Caa, Mx, Soa, Srv, TxtData};
+use zdns_wire::{Flags, Message, Name, Question, RData, Rcode, Record, RecordClass, RecordType};
 
 const GROUPS: [OutputGroup; 4] = [
     OutputGroup::Short,
@@ -29,29 +37,78 @@ const GROUPS: [OutputGroup; 4] = [
     OutputGroup::Trace,
 ];
 
+const DETAILS: [Detail; 3] = [Detail::Normal, Detail::Long, Detail::Trace];
+
+/// A name of one to three labels; one seed in four gives its first label
+/// an octet that prints as `\DDD`, `\.`, `\\` or a bare `"` — text a JSON
+/// string must escape in turn.
 fn name_from(seed: u64) -> Name {
     let labels = 1 + seed % 3;
-    (0..labels)
+    let mut text: Vec<String> = (0..labels)
         .map(|i| format!("l{}", (seed >> (8 * i)) & 0xFFF))
-        .collect::<Vec<_>>()
-        .join(".")
-        .parse()
-        .expect("generated names are valid")
+        .collect();
+    if seed & 0x30 == 0 {
+        text[0].push_str(&format!("\\{:03}", (seed >> 40) as u8));
+    }
+    text.join(".").parse().expect("generated names are valid")
 }
 
+/// A record of one of the shapes the JSON renderer has a case for: text
+/// answers (addresses, names with and without escapes, TXT), structured
+/// answers (SOA, MX, SRV, CAA) and an opaque one of a type it does not
+/// know.
 fn record_from(seed: u64) -> Record {
     let owner = name_from(seed);
-    let rdata = match seed % 5 {
-        0 => RData::A(std::net::Ipv4Addr::from((seed >> 8) as u32)),
+    let rdata = match seed % 11 {
+        0 => RData::A(Ipv4Addr::from((seed >> 8) as u32)),
         1 => RData::Aaaa(std::net::Ipv6Addr::from(u128::from(seed) << 17)),
         2 => RData::Ns(name_from(seed >> 5)),
         3 => RData::Cname(name_from(seed >> 9)),
-        // Text that needs escaping on the way out.
-        _ => RData::Txt(TxtData::from_text(&format!(
-            "v=\"{}\" \\ é\n{}",
+        4 => RData::Ptr(if seed & 0x100 == 0 {
+            Name::root()
+        } else {
+            name_from(seed >> 7)
+        }),
+        // Quotes, backslashes and control bytes on the way out.
+        5 => RData::Txt(TxtData::from_text(&format!(
+            "v=\"{}\" \\ é\n\u{1}\t{}",
             seed % 97,
             seed >> 40
         ))),
+        6 => RData::Soa(Soa {
+            mname: name_from(seed >> 3),
+            rname: name_from(seed >> 6),
+            serial: (seed >> 8) as u32,
+            refresh: 7200,
+            retry: 900,
+            expire: 1_209_600,
+            minimum: (seed >> 20) as u32 % 86_400,
+        }),
+        7 => RData::Mx(Mx {
+            preference: (seed >> 16) as u16,
+            exchange: name_from(seed >> 4),
+        }),
+        8 => RData::Srv(Srv {
+            priority: (seed >> 8) as u16,
+            weight: (seed >> 24) as u16,
+            port: (seed >> 40) as u16,
+            target: name_from(seed >> 2),
+        }),
+        9 => RData::Caa(Caa {
+            flags: (seed >> 8) as u8,
+            tag: b"issue".to_vec(),
+            value: format!("ca\"{}\\\u{7f}", seed % 1_000).into_bytes(),
+        }),
+        _ => {
+            let bytes = seed.to_be_bytes()[..(seed % 8) as usize].to_vec();
+            return Record {
+                name: owner,
+                rtype: RecordType::Unknown(65_280 + (seed >> 8) as u16 % 200),
+                class: RecordClass::IN,
+                ttl: (seed >> 3) as u32 % 100_000,
+                rdata: RData::Opaque(bytes),
+            };
+        }
     };
     Record::new(owner, (seed >> 3) as u32 % 100_000, rdata)
 }
@@ -148,22 +205,100 @@ fn arb_result() -> impl Strategy<Value = LookupResult> {
         )
 }
 
+/// The record tree `write_record` replaced.
+fn reference_record(rec: &Record) -> Value {
+    let mut map = Map::new();
+    map.insert("answer".into(), answer_value(&rec.rdata));
+    map.insert("class".into(), rec.class.as_str().into());
+    map.insert("name".into(), rec.name.to_string().into());
+    map.insert("ttl".into(), rec.ttl.into());
+    map.insert("type".into(), rec.rtype.to_string().into());
+    Value::Object(map)
+}
+
+/// The `data` tree `write_data` replaced: the non-empty sections, the
+/// footer when a response was seen (`flags` and `additionals` from
+/// `Long` up), and `PROBE`'s server.
+fn reference_data(result: &LookupResult, detail: Detail, server: Option<Ipv4Addr>) -> Value {
+    let long = detail >= Detail::Long;
+    let mut data = Map::new();
+    for (key, section, kept) in [
+        ("answers", &result.answers, true),
+        ("authorities", &result.authorities, true),
+        ("additionals", &result.additionals, long),
+    ] {
+        if kept && !section.is_empty() {
+            data.insert(
+                key.into(),
+                Value::Array(section.iter().map(reference_record).collect()),
+            );
+        }
+    }
+    if let (Some(flags), Some(resolver)) = (&result.flags, &result.resolver) {
+        if long {
+            let rcode = match result.status {
+                Status::NxDomain => Rcode::NxDomain,
+                Status::ServFail => Rcode::ServFail,
+                Status::Refused => Rcode::Refused,
+                _ => Rcode::NoError,
+            };
+            data.insert("flags".into(), flags_to_json(flags, rcode));
+        }
+        data.insert("protocol".into(), json!(result.protocol));
+        data.insert("resolver".into(), json!(resolver));
+    }
+    if let Some(server) = server {
+        data.insert("server".into(), json!(server.to_string()));
+    }
+    Value::Object(data)
+}
+
+/// What a raw module (`server` `None`) or `PROBE` emits for `result`.
+fn raw_output(result: &LookupResult, detail: Detail, server: Option<Ipv4Addr>) -> ModuleOutput {
+    ModuleOutput {
+        name: result.name.to_string(),
+        module: if server.is_some() { "PROBE" } else { "A" },
+        status: result.status,
+        data: Data::lookup(result.clone(), detail, server),
+        trace: trace_json(result),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn data_is_built_once_and_lines_agree(result in arb_result()) {
-        // One builder of `data`, wrapped by the full rendering.
-        let full = result.to_json();
-        let data = result.clone().data_json(Detail::Trace);
-        prop_assert_eq!(&data, &full["data"]);
+    fn data_is_built_once_and_lines_agree(result in arb_result(), probe in any::<bool>()) {
+        let server = probe.then(|| Ipv4Addr::new(192, 0, 2, 53));
+
+        // The written bytes are the reference tree's, and a reader's tree
+        // is the reference tree, at every detail; `drop_noise` writes
+        // what `Normal` does.
+        let mut bytes = String::new();
+        for detail in DETAILS {
+            let want = reference_data(&result, detail, server);
+            for drop_noise in [false, true] {
+                bytes.clear();
+                result.write_data(detail, drop_noise, server, &mut bytes);
+                let want = if drop_noise {
+                    reference_data(&result, Detail::Normal, server)
+                } else {
+                    want.clone()
+                };
+                prop_assert_eq!(&bytes, &want.to_string(), "{:?} {}", detail, drop_noise);
+            }
+            let data = Data::lookup(result.clone(), detail, server);
+            prop_assert_eq!(&*data, &want, "{:?}", detail);
+            prop_assert_eq!(data.to_string(), want.to_string());
+        }
 
         // The full rendering is what the `json!` form it replaced printed.
+        let full = result.to_json();
         let mut want = json!({
             "name": result.name.to_string(),
             "class": "IN",
             "status": result.status.as_str(),
-            "data": data,
+            "data": reference_data(&result, Detail::Trace, None),
             "duration": as_secs_f64(result.duration),
             "timestamp": as_secs_f64(result.timestamp),
         });
@@ -172,24 +307,21 @@ proptest! {
         }
         prop_assert_eq!(full.to_string(), want.to_string());
 
-        // What a raw module emits for it — `data` built for the group's
-        // detail — prints through the streaming writer as through the
-        // tree-shaping one, and as the full `data` does: a group's line
+        // Every detail prints through the streaming writer as through the
+        // tree-shaping one, in every group; and a group's line from its
+        // own detail's `data` is its line from the full `data`: a group
         // never needed what its detail leaves out.
-        let output = |detail| ModuleOutput {
-            name: result.name.to_string(),
-            module: "A",
-            status: result.status,
-            data: result.clone().data_json(detail),
-            trace: trace_json(&result),
-        };
-        let everything = output(Detail::Trace);
+        let everything = raw_output(&result, Detail::Trace, server);
         let mut buf = String::new();
-        for group in GROUPS {
-            let printed = output(group.detail());
-            write_line(&printed, group, &mut buf);
-            prop_assert_eq!(&buf, &to_line(&printed, group), "{:?}", group);
-            prop_assert_eq!(&buf, &to_line(&everything, group), "{:?}", group);
+        for detail in DETAILS {
+            let printed = raw_output(&result, detail, server);
+            for group in GROUPS {
+                write_line(&printed, group, &mut buf);
+                prop_assert_eq!(&buf, &to_line(&printed, group), "{:?} {:?}", detail, group);
+                if detail == group.detail() {
+                    prop_assert_eq!(&buf, &to_line(&everything, group), "{:?}", group);
+                }
+            }
         }
         prop_assert_eq!(
             buf.contains("\"trace\":["),
@@ -201,8 +333,8 @@ proptest! {
     #[test]
     fn flags_and_additionals_are_built_from_long_up(result in arb_result()) {
         let footer = result.flags.is_some() && result.resolver.is_some();
-        for detail in [Detail::Normal, Detail::Long, Detail::Trace] {
-            let data = result.clone().data_json(detail);
+        for detail in DETAILS {
+            let data = Data::lookup(result.clone(), detail, None);
             let long = detail >= Detail::Long;
             prop_assert_eq!(data.get("flags").is_some(), long && footer, "{:?}", detail);
             prop_assert_eq!(
@@ -223,7 +355,7 @@ fn normal_data_has_no_flags_or_additionals_and_long_has_both() {
     result.additionals = vec![record_from(7)];
     result.flags = Some(flags_from(3));
     result.resolver = Some("198.51.100.3:53".into());
-    let data = |detail| result.clone().data_json(detail);
+    let data = |detail| Data::lookup(result.clone(), detail, None);
     let normal = data(Detail::Normal);
     assert!(normal.get("flags").is_none() && normal.get("additionals").is_none());
     assert_eq!(normal["resolver"], "198.51.100.3:53");

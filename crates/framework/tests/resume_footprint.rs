@@ -54,7 +54,7 @@ fn program_line(name: &str) -> String {
             "answers": [{"answer": "192.0.2.1", "class": "IN", "name": "inner.test", "ttl": 300, "type": "A"}],
             "protocol": "udp",
             "resolver": "10.0.0.7:53",
-        }),
+        }).into(),
         trace: Vec::new(),
     };
     let mut line = String::new();

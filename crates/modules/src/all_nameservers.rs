@@ -143,7 +143,7 @@ impl AllNsPlan {
             "consistent": consistent,
             "max_retries": max_retries,
         });
-        Next::Done(status, data, std::mem::take(&mut self.trace))
+        Next::Done(status, data.into(), std::mem::take(&mut self.trace))
     }
 }
 

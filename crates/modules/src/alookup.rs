@@ -64,7 +64,7 @@ impl Plan for ALookupPlan {
             "ipv6_addresses": self.v6,
             "cnames": self.cnames,
         });
-        Next::Done(self.status, data, std::mem::take(&mut self.trace))
+        Next::Done(self.status, data.into(), std::mem::take(&mut self.trace))
     }
 }
 

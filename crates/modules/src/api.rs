@@ -8,11 +8,12 @@
 //! most of them are a few lines: build a question, run it, reshape the
 //! answer.
 
-use std::sync::Arc;
+use std::net::Ipv4Addr;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use serde_json::Value;
-use zdns_core::{LookupResult, Resolver, ResultSink, Status};
+use zdns_core::{Detail, LookupResult, Resolver, ResultSink, Status};
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, SimClient, SimTime, StepStatus};
 use zdns_wire::{Name, Question};
 
@@ -25,12 +26,10 @@ pub struct ModuleOutput {
     pub module: &'static str,
     /// Lookup status.
     pub status: Status,
-    /// Module-shaped JSON data: what the configured output group prints.
-    /// The raw modules' `data` ([`LookupResult::data_json`]) carries
-    /// `flags` and `additionals` only when the resolver's
-    /// [`Detail`](zdns_core::Detail) is `Long` or `Trace` — the `long` and
-    /// `trace` groups; `short` and `normal` lines never print them.
-    pub data: Value,
+    /// The line's `data`: a tree the module shaped, or a raw lookup's
+    /// result that the sink writes straight into the line ([`Data`]).
+    /// Either reads as a [`Value`].
+    pub data: Data,
     /// The exposed lookup chain of the primary lookup, already as JSON.
     pub trace: Vec<Value>,
 }
@@ -43,12 +42,134 @@ impl ModuleOutput {
             "class": "IN",
             "status": self.status.as_str(),
             "module": self.module,
-            "data": self.data,
+            "data": &*self.data,
         });
         if !self.trace.is_empty() {
             v["trace"] = Value::Array(self.trace.clone());
         }
         v
+    }
+}
+
+/// The `data` member of an output line.
+///
+/// A raw lookup's `data` is written once, by [`LookupResult::write_data`],
+/// straight into the line: no tree is built for it on a scan's path. It
+/// still reads as a [`Value`] (`Deref`): the tree is parsed from those same
+/// bytes the first time something reads it, so a reader sees exactly what
+/// the line says.
+#[derive(Debug, Clone)]
+pub enum Data {
+    /// A tree the module shaped itself (ALOOKUP, MXLOOKUP and the like).
+    Tree(Value),
+    /// A raw lookup's result, boxed: a worker's block holds up to a
+    /// thousand outputs, and the result is several times an output's size.
+    Lookup(Box<LookupData>),
+}
+
+/// What a raw lookup's `data` is written from.
+#[derive(Debug, Clone)]
+pub struct LookupData {
+    result: LookupResult,
+    detail: Detail,
+    server: Option<Ipv4Addr>,
+    tree: OnceLock<Value>,
+}
+
+impl Data {
+    /// `result`'s `data` as the output group configured for `detail`
+    /// prints it, with `server` appended when given (`PROBE`). The
+    /// result's trace is dropped: the output carries its own.
+    pub fn lookup(mut result: LookupResult, detail: Detail, server: Option<Ipv4Addr>) -> Data {
+        result.trace = Vec::new();
+        Data::Lookup(Box::new(LookupData {
+            result,
+            detail,
+            server,
+            tree: OnceLock::new(),
+        }))
+    }
+
+    /// Write the `data` member's value into `out`; `drop_noise` leaves out
+    /// `additionals` and `flags` (the `normal` group).
+    pub fn write(&self, drop_noise: bool, out: &mut String) {
+        match self {
+            Data::Lookup(l) => l.result.write_data(l.detail, drop_noise, l.server, out),
+            Data::Tree(Value::Object(map)) if drop_noise => {
+                out.push('{');
+                let kept = map
+                    .iter()
+                    .filter(|(k, _)| *k != "additionals" && *k != "flags");
+                for (i, (k, v)) in kept.enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = serde_json::write_escaped(k, out);
+                    out.push(':');
+                    let _ = serde_json::write_value(v, out);
+                }
+                out.push('}');
+            }
+            Data::Tree(v) => {
+                let _ = serde_json::write_value(v, out);
+            }
+        }
+    }
+
+    /// Write the `short` group's `data` member, `,"data":{"answers":…}`,
+    /// when there are answers; nothing otherwise.
+    pub fn write_answers(&self, out: &mut String) {
+        const MEMBER: &str = ",\"data\":{\"answers\":";
+        match self {
+            Data::Lookup(l) if !l.result.answers.is_empty() => {
+                out.push_str(MEMBER);
+                zdns_wire::json::write_records(&l.result.answers, out);
+                out.push('}');
+            }
+            Data::Tree(v) => {
+                if let Some(answers) = v.get("answers") {
+                    out.push_str(MEMBER);
+                    let _ = serde_json::write_value(answers, out);
+                    out.push('}');
+                }
+            }
+            Data::Lookup(_) => {}
+        }
+    }
+}
+
+impl std::ops::Deref for Data {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        match self {
+            Data::Tree(v) => v,
+            Data::Lookup(l) => l.tree.get_or_init(|| {
+                let mut line = String::new();
+                l.result.write_data(l.detail, false, l.server, &mut line);
+                serde_json::from_str(&line).expect("write_data writes JSON")
+            }),
+        }
+    }
+}
+
+impl From<Value> for Data {
+    fn from(v: Value) -> Data {
+        Data::Tree(v)
+    }
+}
+
+impl std::fmt::Display for Data {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut line = String::new();
+        self.write(false, &mut line);
+        f.write_str(&line)
+    }
+}
+
+impl PartialEq<Value> for Data {
+    fn eq(&self, other: &Value) -> bool {
+        **self == *other
     }
 }
 
@@ -133,7 +254,7 @@ pub enum Next {
     /// Run this lookup and hand its result to [`Plan::next`] again.
     Lookup(Inner),
     /// The module is done: the output line's status, `data` and trace.
-    Done(Status, Value, Vec<Value>),
+    Done(Status, Data, Vec<Value>),
 }
 
 /// A module's logic: what to make of each finished sub-lookup. The first
@@ -174,7 +295,7 @@ struct Line {
 
 impl Line {
     /// Print the line; the input moves into it, as a module prints once.
-    fn print(&mut self, status: Status, data: Value, trace: Vec<Value>) -> JobOutcome {
+    fn print(&mut self, status: Status, data: Data, trace: Vec<Value>) -> JobOutcome {
         (self.sink)(ModuleOutput {
             name: std::mem::take(&mut self.input),
             module: self.module,
@@ -238,7 +359,8 @@ impl<P: Plan> SimClient for ModuleMachine<P> {
 
     /// A wedged lookup still prints its line: `ERROR`, with no data.
     fn abandon(&mut self, _now: SimTime) -> JobOutcome {
-        self.line.print(Status::Error, Value::Null, Vec::new())
+        self.line
+            .print(Status::Error, Value::Null.into(), Vec::new())
     }
 }
 
@@ -247,7 +369,10 @@ struct IllegalInput(Line);
 
 impl SimClient for IllegalInput {
     fn start(&mut self, _now: SimTime, _out: &mut Vec<OutQuery>) -> StepStatus {
-        StepStatus::Done(self.0.print(Status::IllegalInput, Value::Null, Vec::new()))
+        StepStatus::Done(
+            self.0
+                .print(Status::IllegalInput, Value::Null.into(), Vec::new()),
+        )
     }
 
     fn on_event(&mut self, _e: ClientEvent, _now: SimTime, _o: &mut Vec<OutQuery>) -> StepStatus {
@@ -307,7 +432,11 @@ mod tests {
             assert_eq!(result.status, Status::Error);
             self.seen += 1;
             if self.left == 0 {
-                return Next::Done(Status::NoError, serde_json::json!(self.seen), Vec::new());
+                return Next::Done(
+                    Status::NoError,
+                    serde_json::json!(self.seen).into(),
+                    Vec::new(),
+                );
             }
             self.left -= 1;
             Next::Lookup(Inner::lookup(&self.resolver, chain_question()))
@@ -390,7 +519,7 @@ mod tests {
             name: "example.com".into(),
             module: "A",
             status: Status::NoError,
-            data: serde_json::json!({"answers": []}),
+            data: serde_json::json!({"answers": []}).into(),
             trace: Vec::new(),
         };
         let v = out.to_json();

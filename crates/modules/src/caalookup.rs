@@ -57,7 +57,7 @@ impl Plan for CaaPlan {
             "via_cname": cname_hops > 0,
             "cname_hops": cname_hops,
         });
-        Next::Done(result.status, data, trace_json(&result))
+        Next::Done(result.status, data.into(), trace_json(&result))
     }
 }
 

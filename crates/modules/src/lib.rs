@@ -23,7 +23,7 @@ pub mod txtfilter;
 
 pub use all_nameservers::AllNameserversModule;
 pub use alookup::ALookupModule;
-pub use api::{input_to_name, LookupModule, ModuleOutput, ModuleSink};
+pub use api::{input_to_name, Data, LookupModule, ModuleOutput, ModuleSink};
 pub use caalookup::CaaLookupModule;
 pub use misc::{BindVersionModule, NsLookupModule, ProbeModule};
 pub use mxlookup::MxLookupModule;

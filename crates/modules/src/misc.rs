@@ -8,7 +8,9 @@ use zdns_core::{Detail, LookupResult, Resolver};
 use zdns_netsim::SimClient;
 use zdns_wire::{Name, Question, RData, RecordClass, RecordType};
 
-use crate::api::{input_to_name, machine, trace_json, Inner, LookupModule, ModuleSink, Next, Plan};
+use crate::api::{
+    input_to_name, machine, trace_json, Data, Inner, LookupModule, ModuleSink, Next, Plan,
+};
 use crate::mxlookup::HostsPlan;
 
 /// `BINDVERSION`: query `version.bind` TXT in the CHAOS class directly at
@@ -26,7 +28,7 @@ impl Plan for BindVersionPlan {
         });
         Next::Done(
             result.status,
-            json!({ "version": version }),
+            json!({ "version": version }).into(),
             trace_json(&result),
         )
     }
@@ -96,10 +98,7 @@ struct ProbePlan {
 impl Plan for ProbePlan {
     fn next(&mut self, result: LookupResult) -> Next {
         let (status, trace) = (result.status, trace_json(&result));
-        let mut data = result.data_json(self.detail);
-        if let Some(obj) = data.as_object_mut() {
-            obj.insert("server".to_string(), json!(self.server.to_string()));
-        }
+        let data = Data::lookup(result, self.detail, Some(self.server));
         Next::Done(status, data, trace)
     }
 }

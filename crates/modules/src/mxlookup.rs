@@ -130,7 +130,7 @@ impl Plan for HostsPlan {
             }
         });
         let data = json!({ self.key: hosts.collect::<Vec<_>>() });
-        Next::Done(self.status, data, trace)
+        Next::Done(self.status, data.into(), trace)
     }
 }
 

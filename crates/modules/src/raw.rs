@@ -5,7 +5,9 @@ use zdns_core::{Detail, LookupResult, Resolver};
 use zdns_netsim::SimClient;
 use zdns_wire::{Question, RecordType};
 
-use crate::api::{input_to_name, machine, trace_json, Inner, LookupModule, ModuleSink, Next, Plan};
+use crate::api::{
+    input_to_name, machine, trace_json, Data, Inner, LookupModule, ModuleSink, Next, Plan,
+};
 
 /// A raw module for one record type.
 pub struct RawModule {
@@ -28,15 +30,15 @@ impl RawModule {
     }
 }
 
-/// Print the resolver's own `data` object for the one lookup.
+/// Print the lookup's own `data` object, written straight into the line.
 struct RawPlan {
     detail: Detail,
 }
 
 impl Plan for RawPlan {
     fn next(&mut self, result: LookupResult) -> Next {
-        let trace = trace_json(&result);
-        Next::Done(result.status, result.data_json(self.detail), trace)
+        let (status, trace) = (result.status, trace_json(&result));
+        Next::Done(status, Data::lookup(result, self.detail, None), trace)
     }
 }
 

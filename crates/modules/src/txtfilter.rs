@@ -66,7 +66,7 @@ impl Plan for TxtFilterPlan {
         };
         // A resolvable name without the record is still NOERROR — the
         // measurement succeeded, the record is absent.
-        Next::Done(result.status, data, trace_json(&result))
+        Next::Done(result.status, data.into(), trace_json(&result))
     }
 }
 

@@ -8,7 +8,9 @@
 //! {"answer":"192.5.6.30","class":"IN","name":"a.gtld-servers.net","ttl":172800,"type":"A"}
 //! ```
 
-use serde_json::{json, Map, Value};
+use std::fmt::{Display, Write};
+
+use serde_json::{json, write_escaped, write_escaped_contents, write_value, Map, Value};
 
 use crate::header::{Flags, Rcode};
 use crate::message::Message;
@@ -18,7 +20,6 @@ use crate::record::Record;
 /// The name's text with the root dot, rendered once into a string sized
 /// for it: a name without escapes prints in its wire length less one.
 fn name_with_dot(n: &crate::name::Name) -> String {
-    use std::fmt::Write;
     let mut s = String::with_capacity(n.wire_len());
     let _ = write!(s, "{n}");
     if !n.is_root() {
@@ -58,8 +59,7 @@ fn hex(bytes: &[u8]) -> String {
 
 /// `value`'s text as a JSON string, rendered once into room for the
 /// longest text of its type.
-fn text_value(value: impl std::fmt::Display, capacity: usize) -> Value {
-    use std::fmt::Write;
+fn text_value(value: impl Display, capacity: usize) -> Value {
     let mut s = String::with_capacity(capacity);
     let _ = write!(s, "{value}");
     Value::String(s)
@@ -301,8 +301,10 @@ fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
     Value::Object(map)
 }
 
-/// Render one record the way ZDNS prints answers/authorities/additionals.
-pub fn record_to_json(rec: &Record) -> Value {
+/// Render one record the way ZDNS prints answers/authorities/additionals:
+/// the tree behind [`message_to_json`]. A lookup's own sections stream
+/// through [`write_record`] instead.
+fn record_to_json(rec: &Record) -> Value {
     object([
         ("answer", answer_value(&rec.rdata)),
         ("class", rec.class.as_str().into()),
@@ -325,6 +327,91 @@ pub fn flags_to_json(flags: &Flags, rcode: Rcode) -> Value {
         ("response", flags.response.into()),
         ("truncated", flags.truncated.into()),
     ])
+}
+
+/// A `fmt::Write` that escapes what is formatted through it as the
+/// contents of a JSON string, so a `Display` value goes into a line
+/// without a `String` of its own.
+struct JsonText<'a>(&'a mut String);
+
+impl Write for JsonText<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        write_escaped_contents(s, self.0)
+    }
+}
+
+/// `value`'s text as a JSON string, with the root dot after it when
+/// `dot` says so ([`name_with_dot`]'s text, unbuilt).
+fn write_text(value: impl Display, dot: bool, out: &mut String) {
+    out.push('"');
+    let _ = write!(JsonText(out), "{value}");
+    if dot {
+        out.push('.');
+    }
+    out.push('"');
+}
+
+/// Write `rec` into `out` as exactly the bytes its tree in
+/// [`message_to_json`] prints: addresses and names stream through an
+/// escaping writer, and only structured rdata (SOA, MX and the like)
+/// builds its [`answer_value`].
+pub fn write_record(rec: &Record, out: &mut String) {
+    out.push_str("{\"answer\":");
+    match &rec.rdata {
+        RData::A(a) => write_text(a, false, out),
+        RData::Aaaa(a) => write_text(a, false, out),
+        RData::Ns(n)
+        | RData::Cname(n)
+        | RData::Dname(n)
+        | RData::Ptr(n)
+        | RData::Mb(n)
+        | RData::Md(n)
+        | RData::Mf(n)
+        | RData::Mg(n)
+        | RData::Mr(n)
+        | RData::NsapPtr(n) => write_text(n, !n.is_root(), out),
+        rdata => {
+            let _ = write_value(&answer_value(rdata), out);
+        }
+    }
+    out.push_str(",\"class\":");
+    let _ = write_escaped(rec.class.as_str(), out);
+    out.push_str(",\"name\":");
+    write_text(&rec.name, false, out);
+    let _ = write!(out, ",\"ttl\":{},\"type\":", rec.ttl);
+    write_text(rec.rtype, false, out);
+    out.push('}');
+}
+
+/// Write `records` into `out` as a JSON array of [`write_record`]s.
+pub fn write_records(records: &[Record], out: &mut String) {
+    out.push('[');
+    for (i, record) in records.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_record(record, out);
+    }
+    out.push(']');
+}
+
+/// Write the [`flags_to_json`] object into `out`, unbuilt.
+pub fn write_flags(flags: &Flags, rcode: Rcode, out: &mut String) {
+    let _ = write!(
+        out,
+        "{{\"authenticated\":{},\"authoritative\":{},\"checking_disabled\":{},\
+         \"error_code\":{},\"opcode\":{},\"recursion_available\":{},\
+         \"recursion_desired\":{},\"response\":{},\"truncated\":{}}}",
+        flags.authenticated,
+        flags.authoritative,
+        flags.checking_disabled,
+        rcode.to_u16(),
+        flags.opcode.0.to_u8(),
+        flags.recursion_available,
+        flags.recursion_desired,
+        flags.response,
+        flags.truncated,
+    );
 }
 
 /// Render a whole response message: the `results` object in a trace step or
@@ -437,6 +524,46 @@ mod tests {
         }
         assert_eq!(v["error_code"], 0);
         assert_eq!(v["authoritative"], true);
+    }
+
+    #[test]
+    fn streamed_records_and_flags_print_as_their_trees() {
+        let owner: crate::name::Name = r#"we"ird\\x.\010y.example"#.parse().unwrap();
+        let records = [
+            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+            RData::Aaaa("2001:db8::1".parse().unwrap()),
+            RData::Ns(owner.clone()),
+            RData::Ptr(crate::name::Name::root()),
+            RData::Mx(Mx {
+                preference: 10,
+                exchange: owner.clone(),
+            }),
+            RData::Txt(TxtData {
+                strings: vec![b"say \"hi\"\\\x01".to_vec()],
+            }),
+        ];
+        let mut out = String::new();
+        for rdata in records {
+            let rec = Record::new(owner.clone(), 300, rdata);
+            out.clear();
+            write_record(&rec, &mut out);
+            assert_eq!(out, record_to_json(&rec).to_string());
+        }
+        for bits in [0u8, 0x55, 0xAA, 0xFF] {
+            let flags = Flags {
+                response: bits & 1 != 0,
+                authoritative: bits & 2 != 0,
+                truncated: bits & 4 != 0,
+                recursion_desired: bits & 8 != 0,
+                recursion_available: bits & 16 != 0,
+                authenticated: bits & 32 != 0,
+                checking_disabled: bits & 64 != 0,
+                ..Flags::default()
+            };
+            out.clear();
+            write_flags(&flags, Rcode::NxDomain, &mut out);
+            assert_eq!(out, flags_to_json(&flags, Rcode::NxDomain).to_string());
+        }
     }
 
     #[test]

@@ -424,6 +424,12 @@ impl<'a> RecordViews<'a> {
 impl<'a> Iterator for RecordViews<'a> {
     type Item = RecordView<'a>;
 
+    /// At most the records the section has left (an OPT it skips, or a
+    /// record that does not fit, makes it fewer).
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(usize::from(self.remaining)))
+    }
+
     fn next(&mut self) -> Option<RecordView<'a>> {
         while self.remaining > 0 {
             self.remaining -= 1;
@@ -916,8 +922,21 @@ impl<'a> MsgRef<'a> {
     }
 }
 
-fn collect_records(cursor: RecordCursor<'_>) -> Vec<Record> {
-    cursor.filter_map(|r| r.to_record()).collect()
+/// Promote a section's records into a vector sized, on the first record
+/// kept, to what is left of the section: a one-record answer takes one
+/// slot (collecting would grow it to four, held until the output line is
+/// written), and a section of nothing but OPT allocates nothing.
+fn collect_records(mut cursor: RecordCursor<'_>) -> Vec<Record> {
+    let mut records = Vec::new();
+    while let Some(entry) = cursor.next() {
+        if let Some(record) = entry.to_record() {
+            if records.capacity() == 0 {
+                records.reserve_exact(1 + cursor.size_hint().1.unwrap_or(0));
+            }
+            records.push(record);
+        }
+    }
+    records
 }
 
 /// Iterator over one section of a [`MsgRef`], yielding [`RecordEntry`]s.
@@ -935,6 +954,13 @@ impl<'m> Iterator for RecordCursor<'m> {
         match self {
             RecordCursor::Owned(it) => it.next().map(RecordEntry::Owned),
             RecordCursor::View(it) => it.next().map(RecordEntry::View),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            RecordCursor::Owned(it) => it.size_hint(),
+            RecordCursor::View(it) => it.size_hint(),
         }
     }
 }
@@ -1231,6 +1257,64 @@ mod tests {
         let bytes = w.finish();
         assert!(Message::decode(&bytes).is_err());
         assert!(MessageView::parse(&bytes).is_err());
+    }
+
+    #[test]
+    fn promoted_sections_are_sized_to_the_section() {
+        let mut m = Message::query(
+            3,
+            Question::new("one.example".parse().unwrap(), RecordType::A),
+        );
+        m.flags.response = true;
+        m.answers.push(Record::new(
+            "one.example".parse().unwrap(),
+            300,
+            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+        ));
+        let bytes = m.encode().unwrap();
+        let view = MsgRef::View(MessageView::parse(&bytes).unwrap());
+        let answers = view.answers_vec();
+        assert_eq!((answers.len(), answers.capacity()), (1, 1));
+        // The additional section holds only the query's OPT.
+        assert!(view.additionals().next().is_none());
+        assert_eq!(view.additionals_vec().capacity(), 0);
+        assert_eq!(view.authorities_vec().capacity(), 0);
+        let owned = MsgRef::Owned(m);
+        assert_eq!(owned.answers_vec().capacity(), 1);
+        assert_eq!(owned.additionals_vec().capacity(), 0);
+    }
+
+    #[test]
+    fn a_record_that_fails_to_promote_leaves_the_others() {
+        use crate::buffer::WireWriter;
+        let mut w = WireWriter::new();
+        let owner: Name = "mixed.example".parse().unwrap();
+        let mut record = |rtype: RecordType, rdata: &[u8]| {
+            w.write_name(&owner).unwrap();
+            w.write_u16(rtype.to_u16()).unwrap();
+            w.write_u16(1).unwrap(); // class IN
+            w.write_u32(300).unwrap();
+            w.write_u16(rdata.len() as u16).unwrap();
+            for &b in rdata {
+                w.write_u8(b).unwrap();
+            }
+        };
+        record(RecordType::A, &[192, 0, 2, 1]);
+        // A CNAME whose target is a pointer past the buffer.
+        record(RecordType::CNAME, &[0xC0, 0xFF]);
+        record(RecordType::A, &[192, 0, 2, 3]);
+        let bytes = w.finish();
+        let cursor = RecordCursor::View(RecordViews::over(&bytes, 0, 3));
+        let kept = collect_records(cursor);
+        let addrs: Vec<RData> = kept.iter().map(|r| r.rdata.clone()).collect();
+        assert_eq!(
+            addrs,
+            [
+                RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+                RData::A(Ipv4Addr::new(192, 0, 2, 3))
+            ]
+        );
+        assert_eq!(kept.capacity(), 3, "sized on the first kept record");
     }
 
     #[test]
