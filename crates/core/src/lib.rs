@@ -52,7 +52,7 @@ pub use cache::{Cache, CacheKey, CacheStats, CachedRecords, MAX_CACHE_CAPACITY};
 pub use clock::Clock;
 pub use config::{Detail, ResolutionMode, ResolverConfig};
 pub use driver::{Admission, Driver, DriverReport};
-pub use machine::{IterativeMachine, ResolverCore, ResultSink, StubMachine};
+pub use machine::{IterativeMachine, Lookup, ResolverCore, ResultSink, StubMachine};
 pub use pacer::{ConcurrentGate, ConcurrentPacer, PacerConfig, TokenBlock, TOKEN_BLOCK};
 pub use packet_cache::{PacketCache, PacketEntry, PacketLookup};
 pub use reactor::{

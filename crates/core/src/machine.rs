@@ -26,10 +26,12 @@
 //! simulator alike. Machines inspect the borrowed form and **promote**
 //! records to owned values only when they keep them: the CNAME chain,
 //! referral NS/glue RRsets headed for the cache, and the final
-//! [`LookupResult`] (which is not even built unless a result sink is
-//! attached). Queries go out as [`OutQuery`] field bundles, not messages —
-//! every driver encodes them straight into a scratch buffer, so the
-//! reactor's steady-state send path performs zero heap allocations.
+//! [`LookupResult`] (which is not even built unless the lookup is kept).
+//! A kept lookup holds its result until its owner takes it by value
+//! ([`Lookup::take_result`]). Queries go out as [`OutQuery`] field
+//! bundles, not messages — every driver encodes them straight into a
+//! scratch buffer, so the reactor's steady-state send path performs zero
+//! heap allocations.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -60,11 +62,12 @@ impl ResolverCore {
     }
 }
 
-/// Callback invoked with the full result of each finished lookup.
+/// Callback invoked with the full result of each finished lookup
+/// ([`Lookup::with_sink`]).
 pub type ResultSink = Arc<dyn Fn(LookupResult) + Send + Sync>;
 
-/// `ip:53`, as results and traces name a server, in one allocation sized
-/// for the longest such text.
+/// `ip:53`, as trace steps name a server, in one allocation sized for the
+/// longest such text.
 fn server_text(ip: Ipv4Addr) -> String {
     use std::fmt::Write;
     let mut s = String::with_capacity("255.255.255.255:53".len());
@@ -212,7 +215,7 @@ type Reply<'r, 'm> = (&'r MsgRef<'m>, Ipv4Addr, Protocol);
 /// it: number and tag each query, attach the cookie for its destination
 /// and learn the server's back, choose UDP or TCP, drop stale events,
 /// count queries and retries, and end the lookup with its one
-/// [`LookupResult`] and [`JobOutcome`].
+/// [`LookupResult`], kept for the owner to take, and [`JobOutcome`].
 struct Querier {
     core: Arc<ResolverCore>,
     /// The RD bit and the timeout every query carries.
@@ -226,7 +229,10 @@ struct Querier {
     /// A truncated UDP answer moved this exchange to TCP.
     over_tcp: bool,
     cookies: CookieState,
-    sink: Option<ResultSink>,
+    /// Whether the lookup's owner wants its result: only then is one built.
+    keep: bool,
+    /// The finished lookup's result, until its owner takes it.
+    result: Option<LookupResult>,
 }
 
 impl Querier {
@@ -235,7 +241,7 @@ impl Querier {
         name: &Name,
         rd: bool,
         timeout: SimTime,
-        sink: Option<ResultSink>,
+        keep: bool,
     ) -> Querier {
         let config = &core.config;
         Querier {
@@ -255,7 +261,8 @@ impl Querier {
             retries_used: 0,
             started: 0,
             over_tcp: false,
-            sink,
+            keep,
+            result: None,
         }
     }
 
@@ -331,22 +338,23 @@ impl Querier {
         retry
     }
 
-    /// End the lookup of `question` with `status`. With a result sink
-    /// attached, this builds the one [`LookupResult`]: the sections,
-    /// flags, resolver and transport of `reply` (the last query's
-    /// transport when nothing answered) and the counts, then `fill` adds
-    /// what only the machine knows (answers, trace, delegation).
-    /// Promotion happens here, and only here, because the result is being
-    /// kept: a sink-less lookup never materializes the sections at all.
+    /// End the lookup of `question` with `status`. A kept lookup builds
+    /// its one [`LookupResult`] here and holds it for its owner: the
+    /// sections, flags, resolver and transport of `reply` (the last
+    /// query's transport when nothing answered) and the counts, then
+    /// `fill` adds what only the machine knows (answers, trace,
+    /// delegation). Promotion happens here, and only here, because the
+    /// result is being kept: a lookup nobody keeps never materializes the
+    /// sections at all.
     fn finish(
-        &self,
+        &mut self,
         now: SimTime,
         question: &Question,
         status: Status,
         reply: Option<Reply<'_, '_>>,
         fill: impl FnOnce(&mut LookupResult),
     ) -> StepStatus {
-        if let Some(sink) = &self.sink {
+        if self.keep {
             let mut result = LookupResult {
                 name: question.name.clone(),
                 qtype: question.qtype,
@@ -355,7 +363,7 @@ impl Querier {
                 authorities: reply.map(|(m, ..)| m.authorities_vec()).unwrap_or_default(),
                 additionals: reply.map(|(m, ..)| m.additionals_vec()).unwrap_or_default(),
                 flags: reply.map(|(m, ..)| m.flags()),
-                resolver: reply.map(|(_, from, _)| server_text(from)),
+                resolver: reply.map(|(_, from, _)| from),
                 protocol: match reply.map_or(self.protocol(), |(.., p)| p) {
                     Protocol::Udp => "udp",
                     Protocol::Tcp => "tcp",
@@ -368,7 +376,7 @@ impl Querier {
                 timestamp: now,
             };
             fill(&mut result);
-            sink(result);
+            self.result = Some(result);
         }
         StepStatus::Done(JobOutcome {
             success: status.is_success(),
@@ -404,12 +412,10 @@ pub struct StubMachine {
 
 impl StubMachine {
     /// An RD=1 lookup of `question` against the configured upstreams.
-    pub fn external(
-        core: Arc<ResolverCore>,
-        question: Question,
-        sink: Option<ResultSink>,
-    ) -> StubMachine {
-        StubMachine::new(core, question, None, true, sink)
+    /// With `keep`, it holds its result for [`StubMachine::take_result`];
+    /// without, it builds none.
+    pub fn external(core: Arc<ResolverCore>, question: Question, keep: bool) -> StubMachine {
+        StubMachine::new(core, question, None, true, keep)
     }
 
     /// A probe of `server` alone for `question`, with the RD bit `rd`.
@@ -418,9 +424,9 @@ impl StubMachine {
         question: Question,
         server: Ipv4Addr,
         rd: bool,
-        sink: Option<ResultSink>,
+        keep: bool,
     ) -> StubMachine {
-        StubMachine::new(core, question, Some(server), rd, sink)
+        StubMachine::new(core, question, Some(server), rd, keep)
     }
 
     fn new(
@@ -428,11 +434,11 @@ impl StubMachine {
         question: Question,
         probe: Option<Ipv4Addr>,
         rd: bool,
-        sink: Option<ResultSink>,
+        keep: bool,
     ) -> StubMachine {
         let timeout = core.config.timeout;
         StubMachine {
-            querier: Querier::new(core, &question.name, rd, timeout, sink),
+            querier: Querier::new(core, &question.name, rd, timeout, keep),
             // Load-balance the starting server across lookups.
             first_server: query_id(&question.name, 0) as usize,
             question,
@@ -459,16 +465,21 @@ impl StubMachine {
         self.querier.send(to, &self.question, false, out);
     }
 
-    fn finish(&self, now: SimTime, status: Status, reply: Option<Reply<'_, '_>>) -> StepStatus {
+    fn finish(&mut self, now: SimTime, status: Status, reply: Option<Reply<'_, '_>>) -> StepStatus {
+        let probe = self.probe;
         self.querier
             .finish(now, &self.question, status, reply, |result| {
                 result.answers = reply.map(|(m, ..)| m.answers_vec()).unwrap_or_default();
                 // A probe names its server even when nothing answered; an
                 // external lookup names only the resolver that did.
-                if result.resolver.is_none() {
-                    result.resolver = self.probe.map(server_text);
-                }
+                result.resolver = result.resolver.or(probe);
             })
+    }
+
+    /// The finished lookup's result, once, if it is kept: `None` before
+    /// the end and after the first call.
+    pub fn take_result(&mut self) -> Option<LookupResult> {
+        self.querier.result.take()
     }
 }
 
@@ -568,19 +579,22 @@ pub struct IterativeMachine {
 }
 
 impl IterativeMachine {
-    /// Build a machine for `question`.
-    pub fn new(
-        core: Arc<ResolverCore>,
-        question: Question,
-        sink: Option<ResultSink>,
-    ) -> IterativeMachine {
+    /// Build a machine for `question`. With `keep`, it holds its result
+    /// for [`IterativeMachine::take_result`]; without, it builds none.
+    pub fn new(core: Arc<ResolverCore>, question: Question, keep: bool) -> IterativeMachine {
         let timeout = core.config.iteration_timeout;
         IterativeMachine {
-            querier: Querier::new(core, &question.name, false, timeout, sink),
+            querier: Querier::new(core, &question.name, false, timeout, keep),
             original: question,
             stack: Vec::new(),
             trace: Vec::new(),
         }
+    }
+
+    /// The finished lookup's result, once, if it is kept: `None` before
+    /// the end and after the first call.
+    pub fn take_result(&mut self) -> Option<LookupResult> {
+        self.querier.result.take()
     }
 
     fn new_walk(&mut self, q: Question, parent_cand: Option<usize>, now: SimTime) -> Walk {
@@ -1080,6 +1094,95 @@ impl SimClient for IterativeMachine {
     }
 }
 
+// ---------------------------------------------------------------------------
+// One lookup of either kind
+// ---------------------------------------------------------------------------
+
+/// One lookup as the resolver hands it out: a stub exchange (external or
+/// probe) or an iterative walk, held by value. The two are about one size
+/// (each carries its querier and the result it keeps), so neither takes a
+/// box of its own. A kept one holds its result until its owner takes it,
+/// by value, with [`Lookup::take_result`].
+pub enum Lookup {
+    /// An external lookup or a probe of one server.
+    Stub(StubMachine),
+    /// ZDNS's own iterative walk.
+    Iterative(IterativeMachine),
+}
+
+impl Lookup {
+    /// The finished lookup's result, once, if it is kept.
+    pub fn take_result(&mut self) -> Option<LookupResult> {
+        match self {
+            Lookup::Stub(m) => m.take_result(),
+            Lookup::Iterative(m) => m.take_result(),
+        }
+    }
+
+    /// This kept lookup as a machine that hands its result to `sink` as it
+    /// ends: for an owner that gives the machine away to a driver, which
+    /// drops it when it is done.
+    pub fn with_sink(self, sink: ResultSink) -> Box<dyn SimClient> {
+        Box::new(Sinked { lookup: self, sink })
+    }
+}
+
+impl SimClient for Lookup {
+    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
+        match self {
+            Lookup::Stub(m) => m.start(now, out),
+            Lookup::Iterative(m) => m.start(now, out),
+        }
+    }
+
+    fn on_event(
+        &mut self,
+        event: ClientEvent<'_>,
+        now: SimTime,
+        out: &mut Vec<OutQuery>,
+    ) -> StepStatus {
+        match self {
+            Lookup::Stub(m) => m.on_event(event, now, out),
+            Lookup::Iterative(m) => m.on_event(event, now, out),
+        }
+    }
+}
+
+/// A kept lookup that hands its result to a sink as it ends
+/// ([`Lookup::with_sink`]).
+struct Sinked {
+    lookup: Lookup,
+    sink: ResultSink,
+}
+
+impl Sinked {
+    fn deliver(&mut self, step: StepStatus) -> StepStatus {
+        if matches!(step, StepStatus::Done(_)) {
+            if let Some(result) = self.lookup.take_result() {
+                (self.sink)(result);
+            }
+        }
+        step
+    }
+}
+
+impl SimClient for Sinked {
+    fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
+        let step = self.lookup.start(now, out);
+        self.deliver(step)
+    }
+
+    fn on_event(
+        &mut self,
+        event: ClientEvent<'_>,
+        now: SimTime,
+        out: &mut Vec<OutQuery>,
+    ) -> StepStatus {
+        let step = self.lookup.on_event(event, now, out);
+        self.deliver(step)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1091,7 +1194,7 @@ mod tests {
         let ns1: Name = "ns1.example.com".parse().unwrap();
         let ns2: Name = "ns2.example.com".parse().unwrap();
         let question = Question::new("www.example.com".parse().unwrap(), RecordType::A);
-        let machine = IterativeMachine::new(Arc::clone(&core), question.clone(), None);
+        let machine = IterativeMachine::new(Arc::clone(&core), question.clone(), false);
         let ns_records: Vec<Record> = [&ns1, &ns2]
             .map(|ns| Record::new(zone.clone(), 3600, RData::Ns(ns.clone())))
             .into();
@@ -1152,7 +1255,7 @@ mod tests {
         let zone: Name = "example.com".parse().unwrap();
         let hosts: [Name; 2] = ["ns1.example.com", "ns2.example.com"].map(|h| h.parse().unwrap());
         let question = Question::new("www.example.com".parse().unwrap(), RecordType::A);
-        let machine = IterativeMachine::new(Arc::clone(&core), question.clone(), None);
+        let machine = IterativeMachine::new(Arc::clone(&core), question.clone(), false);
         let ns_records: Vec<Record> = hosts
             .iter()
             .map(|ns| Record::new(zone.clone(), 3600, RData::Ns(ns.clone())))

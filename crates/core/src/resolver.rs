@@ -14,7 +14,7 @@ use zdns_wire::{Question, RecordType};
 
 use crate::config::{ResolutionMode, ResolverConfig};
 use crate::driver::{Admission, Driver};
-use crate::machine::{IterativeMachine, ResolverCore, ResultSink, StubMachine};
+use crate::machine::{IterativeMachine, Lookup, ResolverCore, ResultSink, StubMachine};
 use crate::reactor::Reactor;
 use crate::result::LookupResult;
 use crate::status::Status;
@@ -45,63 +45,72 @@ impl Resolver {
     /// Build a lookup machine for `question`, choosing iterative or
     /// external mode from the config. The machine implements
     /// [`SimClient`], so it can be handed directly to the simulator.
+    /// Without a sink the lookup is not kept, and builds no result; with
+    /// one, it hands its result to `sink` as it ends
+    /// ([`Lookup::with_sink`]).
     pub fn machine(&self, question: Question, sink: Option<ResultSink>) -> Box<dyn SimClient> {
-        match &self.core.config.mode {
-            ResolutionMode::Iterative => Box::new(IterativeMachine::new(
-                Arc::clone(&self.core),
-                question,
-                sink,
-            )),
-            ResolutionMode::External { .. } => Box::new(StubMachine::external(
-                Arc::clone(&self.core),
-                question,
-                sink,
-            )),
+        match sink {
+            Some(sink) => self.build(question, true).with_sink(sink),
+            None => match self.build(question, false) {
+                Lookup::Stub(m) => Box::new(m),
+                Lookup::Iterative(m) => Box::new(m),
+            },
         }
     }
 
-    /// Build an iterative machine whatever the configured mode (for
+    /// A kept lookup of `question`, iterative or external per the config:
+    /// its owner takes the result ([`Lookup::take_result`]).
+    pub fn lookup_machine(&self, question: Question) -> Lookup {
+        self.build(question, true)
+    }
+
+    /// A kept iterative lookup whatever the configured mode (for
     /// `--all-nameservers`-style modules, which read the delegation it
     /// walks).
-    pub fn delegation_machine(
-        &self,
-        question: Question,
-        sink: Option<ResultSink>,
-    ) -> Box<dyn SimClient> {
-        Box::new(IterativeMachine::new(
+    pub fn delegation_machine(&self, question: Question) -> Lookup {
+        Lookup::Iterative(IterativeMachine::new(
             Arc::clone(&self.core),
             question,
-            sink,
+            true,
         ))
     }
 
-    /// Build a direct probe of one server.
+    /// A kept direct probe of one server.
     pub fn direct_machine(
         &self,
         question: Question,
         server: Ipv4Addr,
         recursion_desired: bool,
-        sink: Option<ResultSink>,
-    ) -> Box<dyn SimClient> {
-        Box::new(StubMachine::probe(
+    ) -> Lookup {
+        Lookup::Stub(StubMachine::probe(
             Arc::clone(&self.core),
             question,
             server,
             recursion_desired,
-            sink,
+            true,
         ))
+    }
+
+    fn build(&self, question: Question, keep: bool) -> Lookup {
+        let core = Arc::clone(&self.core);
+        match &self.core.config.mode {
+            ResolutionMode::Iterative => {
+                Lookup::Iterative(IterativeMachine::new(core, question, keep))
+            }
+            ResolutionMode::External { .. } => {
+                Lookup::Stub(StubMachine::external(core, question, keep))
+            }
+        }
     }
 
     /// Perform one lookup over real sockets and wait for it: a scan of one
     /// machine on `reactor`, which the caller keeps — and with it the
     /// socket, so successive lookups leave from one source port. The
     /// reactor's address map rewrites server IPs to reachable addresses.
+    /// The reactor owns the machine and drops it as it ends, so the
+    /// result comes back through a sink.
     pub fn lookup(&self, question: Question, reactor: &mut Reactor) -> LookupResult {
-        let slot: Arc<Mutex<Option<LookupResult>>> = Arc::new(Mutex::new(None));
-        let slot_clone = Arc::clone(&slot);
-        let sink: ResultSink = Arc::new(move |r| {
-            *slot_clone.lock() = Some(r);
-        });
+        let (sink, results) = collecting_sink();
         let mut machine = Some(self.machine(question.clone(), Some(sink)));
         let started = std::time::Instant::now();
         reactor.run_scan(
@@ -112,7 +121,7 @@ impl Resolver {
             },
             &mut |_| {},
         );
-        let result = slot.lock().take();
+        let result = results.lock().pop();
         result.unwrap_or_else(|| LookupResult {
             duration: started.elapsed().as_nanos() as u64,
             ..unanswered(question.name, question.qtype, Status::Error)

@@ -1,6 +1,5 @@
 //! Lookup results: what one ZDNS output line carries.
 
-use std::fmt::Write;
 use std::net::Ipv4Addr;
 
 use serde_json::{json, write_escaped, Value};
@@ -39,8 +38,10 @@ pub struct LookupResult {
     pub additionals: Vec<Record>,
     /// Header flags of the final response.
     pub flags: Option<Flags>,
-    /// The server that produced the final response (`ip:53`).
-    pub resolver: Option<String>,
+    /// The server that produced the final response, which the line prints
+    /// as `ip:53`; a probe names the server it asked even when nothing
+    /// answered.
+    pub resolver: Option<Ipv4Addr>,
     /// `udp` or `tcp`.
     pub protocol: &'static str,
     /// The exposed lookup chain (iterative mode with tracing on).
@@ -67,8 +68,9 @@ impl LookupResult {
     /// them. This is the one writer of that object: the raw modules'
     /// lines are these bytes, and [`Self::to_json`] and a raw output's
     /// `data` tree are parsed from them. Records and flags stream in
-    /// ([`wire_json::write_records`]), so a warm `out` takes no allocation
-    /// for address and name answers.
+    /// ([`wire_json::write_records`]), and addresses print through
+    /// [`wire_json::write_ipv4`], so a warm `out` takes no allocation and
+    /// no formatter for address and name answers.
     pub fn write_data(
         &self,
         detail: Detail,
@@ -113,11 +115,15 @@ impl LookupResult {
             member("protocol", out);
             let _ = write_escaped(self.protocol, out);
             member("resolver", out);
-            let _ = write_escaped(resolver, out);
+            out.push('"');
+            wire_json::write_ipv4(*resolver, out);
+            out.push_str(":53\"");
         }
         if let Some(server) = server {
             member("server", out);
-            let _ = write!(out, "\"{server}\"");
+            out.push('"');
+            wire_json::write_ipv4(server, out);
+            out.push('"');
         }
         out.push('}');
     }
@@ -169,7 +175,7 @@ mod tests {
                 authoritative: true,
                 ..Flags::default()
             }),
-            resolver: Some("216.239.34.10:53".to_string()),
+            resolver: Some(Ipv4Addr::new(216, 239, 34, 10)),
             protocol: "udp",
             trace: Vec::new(),
             delegation: None,

@@ -49,7 +49,7 @@ fn truncated_response(oq: &OutQuery, cookie: Cookie) -> Message {
 fn direct_machine_echoes_server_cookie_on_same_server_retry() {
     let core = external_core();
     let question = Question::new("cookie.test".parse().unwrap(), RecordType::A);
-    let mut machine = StubMachine::probe(core, question, SERVER, false, None);
+    let mut machine = StubMachine::probe(core, question, SERVER, false, false);
     let mut out = Vec::new();
     assert!(matches!(machine.start(0, &mut out), StepStatus::Running));
     let first = out.pop().unwrap();
@@ -92,7 +92,7 @@ fn external_machine_pins_cookies_per_server() {
         ResolverCore::new(config)
     };
     let question = Question::new("rotate.cookie.test".parse().unwrap(), RecordType::A);
-    let mut machine = StubMachine::external(core, question, None);
+    let mut machine = StubMachine::external(core, question, false);
     let mut out = Vec::new();
     machine.start(0, &mut out);
     let first = out.pop().unwrap();
@@ -140,9 +140,15 @@ fn keyed_secret_derives_per_destination_cookies() {
     };
 
     let q = |name: &str| Question::new(name.parse().unwrap(), RecordType::A);
-    let mut a = StubMachine::probe(core_for(secret), q("alpha.test"), SERVER, false, None);
-    let mut b = StubMachine::probe(core_for(secret), q("beta.test"), SERVER, false, None);
-    let mut c = StubMachine::probe(core_for(secret), q("alpha.test"), other_server, false, None);
+    let mut a = StubMachine::probe(core_for(secret), q("alpha.test"), SERVER, false, false);
+    let mut b = StubMachine::probe(core_for(secret), q("beta.test"), SERVER, false, false);
+    let mut c = StubMachine::probe(
+        core_for(secret),
+        q("alpha.test"),
+        other_server,
+        false,
+        false,
+    );
     let mut out = Vec::new();
     a.start(0, &mut out);
     let cookie_a = out.pop().unwrap().cookie.unwrap();
@@ -164,14 +170,14 @@ fn keyed_secret_derives_per_destination_cookies() {
 
     // A different secret changes every cookie; the default (no secret)
     // still derives from the name.
-    let mut d = StubMachine::probe(core_for([8u8; 16]), q("alpha.test"), SERVER, false, None);
+    let mut d = StubMachine::probe(core_for([8u8; 16]), q("alpha.test"), SERVER, false, false);
     d.start(0, &mut out);
     assert_ne!(
         out.pop().unwrap().cookie.unwrap().client_part(),
         cookie_a.client_part()
     );
-    let mut plain = StubMachine::probe(external_core(), q("alpha.test"), SERVER, false, None);
-    let mut plain2 = StubMachine::probe(external_core(), q("beta.test"), SERVER, false, None);
+    let mut plain = StubMachine::probe(external_core(), q("alpha.test"), SERVER, false, false);
+    let mut plain2 = StubMachine::probe(external_core(), q("beta.test"), SERVER, false, false);
     plain.start(0, &mut out);
     let p1 = out.pop().unwrap().cookie.unwrap();
     plain2.start(0, &mut out);
@@ -190,7 +196,7 @@ fn keyed_cookies_still_learn_and_echo_server_cookies() {
     config.retries = 3;
     let core = ResolverCore::new(config);
     let question = Question::new("keyed-echo.test".parse().unwrap(), RecordType::A);
-    let mut machine = StubMachine::probe(core, question, SERVER, false, None);
+    let mut machine = StubMachine::probe(core, question, SERVER, false, false);
     let mut out = Vec::new();
     assert!(matches!(machine.start(0, &mut out), StepStatus::Running));
     let first = out.pop().unwrap();

@@ -9,8 +9,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use zdns_core::{
-    collecting_sink, IterativeMachine, LookupResult, ResolverConfig, ResolverCore, Status,
-    StubMachine,
+    IterativeMachine, Lookup, LookupResult, ResolverConfig, ResolverCore, Status, StubMachine,
 };
 use zdns_netsim::{ClientEvent, OutQuery, Protocol, SimClient, StepStatus};
 use zdns_wire::{Message, MsgRef, Name, Question, RData, Record, RecordType};
@@ -91,38 +90,40 @@ fn tcp_only_asks_and_reports_tcp_in_every_mode() {
     iterative.tcp_only = true;
     let iterative = ResolverCore::new(iterative);
 
-    let (sink, results) = collecting_sink();
-    let mut machines: Vec<(&str, Box<dyn SimClient>)> = vec![
+    let mut machines: Vec<(&str, Lookup)> = vec![
         (
             "external",
-            Box::new(StubMachine::external(
+            Lookup::Stub(StubMachine::external(
                 Arc::clone(&external),
                 question("external.tcp.test"),
-                Some(sink.clone()),
+                true,
             )),
         ),
         (
             "probe",
-            Box::new(StubMachine::probe(
+            Lookup::Stub(StubMachine::probe(
                 Arc::clone(&external),
                 question("probe.tcp.test"),
                 PROBED,
                 false,
-                Some(sink.clone()),
+                true,
             )),
         ),
         (
             "iterative",
-            Box::new(IterativeMachine::new(
+            Lookup::Iterative(IterativeMachine::new(
                 Arc::clone(&iterative),
                 question("iterative.tcp.test"),
-                Some(sink),
+                true,
             )),
         ),
     ];
-    for (i, (mode, machine)) in machines.iter_mut().enumerate() {
-        let sent = time_out_then_answer(machine.as_mut());
-        assert_all_tcp(mode, &sent, &results.lock()[i]);
+    for (mode, machine) in &mut machines {
+        let sent = time_out_then_answer(machine);
+        let result = machine
+            .take_result()
+            .expect("a kept lookup keeps its result");
+        assert_all_tcp(mode, &sent, &result);
     }
 }
 
@@ -133,11 +134,10 @@ fn iterative_retries_per_nameserver_are_pinned() {
     for (retries, per_server) in [(0, 1), (1, 1), (3, 3)] {
         let mut config = ResolverConfig::iterative(root_hints());
         config.retries = retries;
-        let (sink, results) = collecting_sink();
         let mut machine = IterativeMachine::new(
             ResolverCore::new(config),
             question("www.retries.test"),
-            Some(sink),
+            true,
         );
         let mut out = Vec::new();
         let mut sent = Vec::new();
@@ -161,11 +161,13 @@ fn iterative_retries_per_nameserver_are_pinned() {
             sent.windows(2).filter(|w| w[0] != w[1]).count() == 1,
             "--retries {retries}: one server's queries, then the other's"
         );
-        let results = results.lock();
-        assert_eq!(results[0].status, Status::ServFail, "--retries {retries}");
+        let result = machine
+            .take_result()
+            .expect("a kept lookup keeps its result");
+        assert_eq!(result.status, Status::ServFail, "--retries {retries}");
         let total = 2 * per_server as u32;
         assert_eq!(
-            (results[0].queries_sent, results[0].retries_used),
+            (result.queries_sent, result.retries_used),
             (total, total),
             "--retries {retries}"
         );
@@ -216,32 +218,22 @@ fn tc_to_tcp_holds_for_the_stub_lookup_and_for_one_server_of_the_walk() {
     // rotates to the next upstream.
     let mut config = ResolverConfig::external(UPSTREAMS.to_vec());
     config.retries = 1;
-    let (sink, results) = collecting_sink();
-    let mut stub = StubMachine::external(
-        ResolverCore::new(config),
-        question("stub.tc.test"),
-        Some(sink),
-    );
+    let mut stub = StubMachine::external(ResolverCore::new(config), question("stub.tc.test"), true);
     let sent = truncate_time_out_then_answer(&mut stub);
     let protocols: Vec<Protocol> = sent.iter().map(|(_, p)| *p).collect();
     assert_eq!(protocols, [Protocol::Udp, Protocol::Tcp, Protocol::Tcp]);
     assert_eq!(sent[0].0, sent[1].0, "TC→TCP asks the same server");
     assert_ne!(sent[1].0, sent[2].0, "the retry rotates");
-    assert_eq!(results.lock()[0].protocol, "tcp");
+    assert_eq!(stub.take_result().unwrap().protocol, "tcp");
 
     // The walk asks a new nameserver over UDP again.
     let mut config = ResolverConfig::iterative(root_hints());
     config.retries = 1;
-    let (sink, results) = collecting_sink();
-    let mut walk = IterativeMachine::new(
-        ResolverCore::new(config),
-        question("walk.tc.test"),
-        Some(sink),
-    );
+    let mut walk = IterativeMachine::new(ResolverCore::new(config), question("walk.tc.test"), true);
     let sent = truncate_time_out_then_answer(&mut walk);
     let protocols: Vec<Protocol> = sent.iter().map(|(_, p)| *p).collect();
     assert_eq!(protocols, [Protocol::Udp, Protocol::Tcp, Protocol::Udp]);
     assert_eq!(sent[0].0, sent[1].0, "TC→TCP asks the same server");
     assert_ne!(sent[1].0, sent[2].0, "the walk moves on");
-    assert_eq!(results.lock()[0].protocol, "udp");
+    assert_eq!(walk.take_result().unwrap().protocol, "udp");
 }

@@ -201,12 +201,13 @@ fn a_truncated_probe_without_tcp_fallback_reports_truncated() {
     let resolver = Resolver::new(config);
     let (sink, collected) = collecting_sink();
     let leaf: Ipv4Addr = "204.10.0.53".parse().unwrap();
-    let probe = resolver.direct_machine(
-        Question::new("big.example.test".parse().unwrap(), RecordType::TXT),
-        leaf,
-        false,
-        Some(sink),
-    );
+    let probe = resolver
+        .direct_machine(
+            Question::new("big.example.test".parse().unwrap(), RecordType::TXT),
+            leaf,
+            false,
+        )
+        .with_sink(sink);
     drive_all(&mut single_lookup_reactor(map), vec![probe]);
 
     let results = collected.lock();
@@ -214,7 +215,7 @@ fn a_truncated_probe_without_tcp_fallback_reports_truncated() {
     let result = &results[0];
     assert_eq!(result.status, Status::Truncated, "{result:?}");
     assert_eq!((result.protocol, result.queries_sent), ("udp", 1));
-    assert_eq!(result.resolver.as_deref(), Some("204.10.0.53:53"));
+    assert_eq!(result.resolver, Some(leaf));
 }
 
 #[test]

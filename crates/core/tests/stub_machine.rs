@@ -7,7 +7,7 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use zdns_core::{collecting_sink, ResolverConfig, ResolverCore, Status, StubMachine};
+use zdns_core::{ResolverConfig, ResolverCore, Status, StubMachine};
 use zdns_netsim::{ClientEvent, OutQuery, SimClient, StepStatus};
 use zdns_wire::{Question, RecordType};
 
@@ -49,9 +49,7 @@ fn time_out_every_query(machine: &mut StubMachine) -> Vec<OutQuery> {
 #[test]
 fn external_retries_rotate_through_the_upstreams() {
     let core = core();
-    let (sink, results) = collecting_sink();
-    let mut machine =
-        StubMachine::external(Arc::clone(&core), question("rotate.stub.test"), Some(sink));
+    let mut machine = StubMachine::external(Arc::clone(&core), question("rotate.stub.test"), true);
     let sent = time_out_every_query(&mut machine);
 
     // Start anywhere in the list, then +1 and +2 across two timeouts.
@@ -65,8 +63,9 @@ fn external_retries_rotate_through_the_upstreams() {
     assert!(sent.iter().all(|q| q.recursion_desired));
     assert!(sent.windows(2).all(|w| w[0].tag != w[1].tag));
 
-    let results = results.lock();
-    let result = &results[0];
+    let result = machine
+        .take_result()
+        .expect("a kept lookup keeps its result");
     assert_eq!(result.status, Status::Timeout);
     assert_eq!(result.resolver, None, "nobody answered, nobody is named");
     assert_eq!((result.queries_sent, result.retries_used), (3, 3));
@@ -75,13 +74,12 @@ fn external_retries_rotate_through_the_upstreams() {
 #[test]
 fn a_probe_asks_its_one_server_again_and_names_it() {
     let core = core();
-    let (sink, results) = collecting_sink();
     let mut machine = StubMachine::probe(
         Arc::clone(&core),
         question("probe.stub.test"),
         PROBED,
         false,
-        Some(sink),
+        true,
     );
     let sent = time_out_every_query(&mut machine);
 
@@ -90,9 +88,14 @@ fn a_probe_asks_its_one_server_again_and_names_it() {
     assert_eq!(sent.len(), 3);
     assert!(sent.iter().all(|q| q.to == PROBED && !q.recursion_desired));
 
-    let results = results.lock();
-    let result = &results[0];
+    let result = machine
+        .take_result()
+        .expect("a kept lookup keeps its result");
     assert_eq!(result.status, Status::Timeout);
-    assert_eq!(result.resolver.as_deref(), Some("192.0.2.99:53"));
+    assert_eq!(result.resolver, Some(PROBED));
     assert_eq!((result.queries_sent, result.retries_used), (3, 3));
+    assert!(
+        machine.take_result().is_none(),
+        "the result is handed out once"
+    );
 }

@@ -192,7 +192,7 @@ fn arb_result() -> impl Strategy<Value = LookupResult> {
                     // A response gives both; failures give neither; the two
                     // mixed cases must not print half a footer.
                     flags: (seen & 1 != 0).then(|| flags_from(flag_bits)),
-                    resolver: (seen & 2 != 0).then(|| format!("198.51.100.{flag_bits}:53")),
+                    resolver: (seen & 2 != 0).then(|| Ipv4Addr::new(198, 51, 100, flag_bits)),
                     protocol: if flag_bits & 128 != 0 { "tcp" } else { "udp" },
                     trace: trace_from(&trace),
                     delegation: None,
@@ -245,7 +245,7 @@ fn reference_data(result: &LookupResult, detail: Detail, server: Option<Ipv4Addr
             data.insert("flags".into(), flags_to_json(flags, rcode));
         }
         data.insert("protocol".into(), json!(result.protocol));
-        data.insert("resolver".into(), json!(resolver));
+        data.insert("resolver".into(), json!(format!("{resolver}:53")));
     }
     if let Some(server) = server {
         data.insert("server".into(), json!(server.to_string()));
@@ -354,7 +354,7 @@ fn normal_data_has_no_flags_or_additionals_and_long_has_both() {
     let mut result = arb_result().generate(&mut rng);
     result.additionals = vec![record_from(7)];
     result.flags = Some(flags_from(3));
-    result.resolver = Some("198.51.100.3:53".into());
+    result.resolver = Some(Ipv4Addr::new(198, 51, 100, 3));
     let data = |detail| Data::lookup(result.clone(), detail, None);
     let normal = data(Detail::Normal);
     assert!(normal.get("flags").is_none() && normal.get("additionals").is_none());

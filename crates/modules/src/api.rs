@@ -11,9 +11,8 @@
 use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use serde_json::Value;
-use zdns_core::{Detail, LookupResult, Resolver, ResultSink, Status};
+use zdns_core::{Detail, Lookup, LookupResult, Resolver, Status};
 use zdns_netsim::{ClientEvent, JobOutcome, OutQuery, SimClient, SimTime, StepStatus};
 use zdns_wire::{Name, Question};
 
@@ -199,52 +198,73 @@ pub trait LookupModule: Send + Sync {
     }
 }
 
-/// A sub-lookup inside a module: wraps a resolver machine and captures its
-/// [`LookupResult`] when it completes. Build one and hand it to
-/// [`machine`] as the module's first lookup, or return it from
-/// [`Plan::next`] as [`Next::Lookup`].
+/// A sub-lookup inside a module: which kept resolver [`Lookup`] to run.
+/// The module machine builds it in place, holds it by value while it
+/// runs, and takes its [`LookupResult`] by value when it completes. Build
+/// one and hand it to [`machine`] as the module's first lookup, or return
+/// it from [`Plan::next`] as [`Next::Lookup`].
 pub struct Inner {
-    machine: Box<dyn SimClient>,
-    slot: Arc<Mutex<Option<LookupResult>>>,
+    resolver: Resolver,
+    question: Question,
+    kind: InnerKind,
+}
+
+enum InnerKind {
+    Lookup,
+    Delegation,
+    Direct {
+        server: Ipv4Addr,
+        recursion_desired: bool,
+    },
 }
 
 impl Inner {
     /// A normal (iterative or external, per config) lookup.
     pub fn lookup(resolver: &Resolver, question: Question) -> Inner {
-        Inner::new(|sink| resolver.machine(question, sink))
+        Inner::new(resolver, question, InnerKind::Lookup)
     }
 
     /// A delegation-preserving iterative lookup.
     pub fn delegation(resolver: &Resolver, question: Question) -> Inner {
-        Inner::new(|sink| resolver.delegation_machine(question, sink))
+        Inner::new(resolver, question, InnerKind::Delegation)
     }
 
     /// A direct probe of one server.
     pub fn direct(
         resolver: &Resolver,
         question: Question,
-        server: std::net::Ipv4Addr,
+        server: Ipv4Addr,
         recursion_desired: bool,
     ) -> Inner {
-        Inner::new(|sink| resolver.direct_machine(question, server, recursion_desired, sink))
+        let kind = InnerKind::Direct {
+            server,
+            recursion_desired,
+        };
+        Inner::new(resolver, question, kind)
     }
 
-    /// Build the machine with a sink that drops its result into the slot.
-    fn new(build: impl FnOnce(Option<ResultSink>) -> Box<dyn SimClient>) -> Inner {
-        let slot: Arc<Mutex<Option<LookupResult>>> = Arc::new(Mutex::new(None));
-        let s2 = Arc::clone(&slot);
-        let sink: ResultSink = Arc::new(move |r| *s2.lock() = Some(r));
+    fn new(resolver: &Resolver, question: Question, kind: InnerKind) -> Inner {
         Inner {
-            machine: build(Some(sink)),
-            slot,
+            resolver: resolver.clone(),
+            question,
+            kind,
         }
     }
 
-    /// The result, once the step just taken finished the lookup.
-    fn result(&self, step: StepStatus) -> Option<LookupResult> {
-        match step {
-            StepStatus::Done(_) => self.slot.lock().take(),
-            StepStatus::Running => None,
+    /// The lookup itself, ready to start.
+    fn build(self) -> Lookup {
+        let Inner {
+            resolver,
+            question,
+            kind,
+        } = self;
+        match kind {
+            InnerKind::Lookup => resolver.lookup_machine(question),
+            InnerKind::Delegation => resolver.delegation_machine(question),
+            InnerKind::Direct {
+                server,
+                recursion_desired,
+            } => resolver.direct_machine(question, server, recursion_desired),
         }
     }
 }
@@ -281,7 +301,11 @@ pub fn machine<P: Plan>(
         sink,
     };
     match start {
-        Some((inner, plan)) => Box::new(ModuleMachine { line, inner, plan }),
+        Some((inner, plan)) => Box::new(ModuleMachine {
+            line,
+            lookup: inner.build(),
+            plan,
+        }),
         None => Box::new(IllegalInput(line)),
     }
 }
@@ -312,7 +336,8 @@ impl Line {
 
 struct ModuleMachine<P> {
     line: Line,
-    inner: Inner,
+    /// The sub-lookup in flight, held by value.
+    lookup: Lookup,
     plan: P,
 }
 
@@ -326,11 +351,14 @@ impl<P: Plan> ModuleMachine<P> {
         now: SimTime,
         out: &mut Vec<OutQuery>,
     ) -> StepStatus {
-        while let Some(result) = self.inner.result(step) {
+        while let StepStatus::Done(_) = step {
+            let Some(result) = self.lookup.take_result() else {
+                break;
+            };
             match self.plan.next(result) {
                 Next::Lookup(inner) => {
-                    self.inner = inner;
-                    step = self.inner.machine.start(now, out);
+                    self.lookup = inner.build();
+                    step = self.lookup.start(now, out);
                 }
                 Next::Done(status, data, trace) => {
                     return StepStatus::Done(self.line.print(status, data, trace))
@@ -343,7 +371,7 @@ impl<P: Plan> ModuleMachine<P> {
 
 impl<P: Plan> SimClient for ModuleMachine<P> {
     fn start(&mut self, now: SimTime, out: &mut Vec<OutQuery>) -> StepStatus {
-        let step = self.inner.machine.start(now, out);
+        let step = self.lookup.start(now, out);
         self.advance(step, now, out)
     }
 
@@ -353,7 +381,7 @@ impl<P: Plan> SimClient for ModuleMachine<P> {
         now: SimTime,
         out: &mut Vec<OutQuery>,
     ) -> StepStatus {
-        let step = self.inner.machine.on_event(event, now, out);
+        let step = self.lookup.on_event(event, now, out);
         self.advance(step, now, out)
     }
 
@@ -406,6 +434,7 @@ pub fn trace_json(result: &LookupResult) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     #[test]
     fn input_to_name_reverses_ips() {
@@ -498,6 +527,65 @@ mod tests {
         assert!(matches!(m.start(0, &mut out), StepStatus::Running));
         assert_eq!(out.len(), 1, "the first query is on its way");
         assert!(outputs.lock().is_empty());
+    }
+
+    /// Notes each result it is handed, chains one more lookup after the
+    /// first, and prints what it saw.
+    struct Twice {
+        resolver: Resolver,
+        seen: Vec<String>,
+    }
+
+    impl Plan for Twice {
+        fn next(&mut self, result: LookupResult) -> Next {
+            self.seen
+                .push(format!("{} {}", result.name, result.status.as_str()));
+            if self.seen.len() == 2 {
+                return Next::Done(
+                    Status::NoError,
+                    serde_json::json!(self.seen).into(),
+                    Vec::new(),
+                );
+            }
+            let second = Question::new("second.test".parse().unwrap(), zdns_wire::RecordType::A);
+            Next::Lookup(Inner::lookup(&self.resolver, second))
+        }
+    }
+
+    #[test]
+    fn each_sub_lookup_hands_its_result_to_the_plan_exactly_once() {
+        // One server and no retries: each lookup times out on its first
+        // event, so both results come back from `on_event`, not `start`.
+        let mut config = zdns_core::ResolverConfig::external(vec![Ipv4Addr::new(192, 0, 2, 1)]);
+        config.retries = 0;
+        let resolver = Resolver::new(config);
+        let outputs: Outputs = Arc::default();
+        let store = Arc::clone(&outputs);
+        let sink: ModuleSink = Arc::new(move |o| store.lock().push(o));
+        let first = Question::new("first.test".parse().unwrap(), zdns_wire::RecordType::A);
+        let plan = Twice {
+            resolver: resolver.clone(),
+            seen: Vec::new(),
+        };
+        let start = Some((Inner::lookup(&resolver, first), plan));
+        let mut m = machine("TWICE", "first.test", sink, start);
+
+        let mut out = Vec::new();
+        assert!(matches!(m.start(0, &mut out), StepStatus::Running));
+        let mut step = StepStatus::Running;
+        for now in 1..=2 {
+            let query = out.pop().expect("a lookup in flight");
+            assert!(matches!(step, StepStatus::Running));
+            step = m.on_event(ClientEvent::Timeout { tag: query.tag }, now, &mut out);
+        }
+        assert!(matches!(step, StepStatus::Done(_)));
+        assert!(out.is_empty());
+        let printed = outputs.lock();
+        assert_eq!(printed.len(), 1);
+        assert_eq!(
+            printed[0].data,
+            serde_json::json!(["first.test TIMEOUT", "second.test TIMEOUT"])
+        );
     }
 
     #[test]

@@ -9,17 +9,20 @@
 //! ```
 
 use std::fmt::{Display, Write};
+use std::net::Ipv4Addr;
 
 use serde_json::{json, write_escaped, write_escaped_contents, write_value, Map, Value};
 
 use crate::header::{Flags, Rcode};
 use crate::message::Message;
+use crate::name::Name;
 use crate::rdata::RData;
 use crate::record::Record;
+use crate::rtype::RecordType;
 
 /// The name's text with the root dot, rendered once into a string sized
 /// for it: a name without escapes prints in its wire length less one.
-fn name_with_dot(n: &crate::name::Name) -> String {
+fn name_with_dot(n: &Name) -> String {
     let mut s = String::with_capacity(n.wire_len());
     let _ = write!(s, "{n}");
     if !n.is_root() {
@@ -340,26 +343,67 @@ impl Write for JsonText<'_> {
     }
 }
 
-/// `value`'s text as a JSON string, with the root dot after it when
-/// `dot` says so ([`name_with_dot`]'s text, unbuilt).
-fn write_text(value: impl Display, dot: bool, out: &mut String) {
+/// `value`'s `Display` text as a JSON string: the few values with no
+/// writer of their own (AAAA addresses, `TYPEnnn`).
+fn write_text(value: impl Display, out: &mut String) {
     out.push('"');
     let _ = write!(JsonText(out), "{value}");
-    if dot {
+    out.push('"');
+}
+
+/// `name` as a JSON string, with the root dot after it when `dot` says so
+/// ([`name_with_dot`]'s text, unbuilt).
+fn write_name(name: &Name, dot: bool, out: &mut String) {
+    out.push('"');
+    name.write_json_text(out);
+    if dot && !name.is_root() {
         out.push('.');
     }
     out.push('"');
 }
 
+/// Append `n` in decimal to `out`: its `Display` text, without a
+/// formatter.
+pub fn write_u32(n: u32, out: &mut String) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("digits"));
+}
+
+/// Append `addr` in dotted-quad form to `out`: its `Display` text, without
+/// a formatter.
+pub fn write_ipv4(addr: Ipv4Addr, out: &mut String) {
+    for (i, octet) in addr.octets().into_iter().enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        write_u32(octet.into(), out);
+    }
+}
+
 /// Write `rec` into `out` as exactly the bytes its tree in
-/// [`message_to_json`] prints: addresses and names stream through an
-/// escaping writer, and only structured rdata (SOA, MX and the like)
-/// builds its [`answer_value`].
+/// [`message_to_json`] prints. Addresses, names, numbers and known types
+/// are written by hand (SOA and MX answers too, member by member); AAAA
+/// and `TYPEnnn` go through `Display`, and only the other structured
+/// rdata builds its [`answer_value`].
 pub fn write_record(rec: &Record, out: &mut String) {
     out.push_str("{\"answer\":");
     match &rec.rdata {
-        RData::A(a) => write_text(a, false, out),
-        RData::Aaaa(a) => write_text(a, false, out),
+        RData::A(a) => {
+            out.push('"');
+            write_ipv4(*a, out);
+            out.push('"');
+        }
+        RData::Aaaa(a) => write_text(a, out),
         RData::Ns(n)
         | RData::Cname(n)
         | RData::Dname(n)
@@ -369,7 +413,31 @@ pub fn write_record(rec: &Record, out: &mut String) {
         | RData::Mf(n)
         | RData::Mg(n)
         | RData::Mr(n)
-        | RData::NsapPtr(n) => write_text(n, !n.is_root(), out),
+        | RData::NsapPtr(n) => write_name(n, true, out),
+        RData::Soa(s) => {
+            out.push_str("{\"mname\":");
+            write_name(&s.mname, true, out);
+            out.push_str(",\"rname\":");
+            write_name(&s.rname, true, out);
+            for (key, n) in [
+                (",\"serial\":", s.serial),
+                (",\"refresh\":", s.refresh),
+                (",\"retry\":", s.retry),
+                (",\"expire\":", s.expire),
+                (",\"min_ttl\":", s.minimum),
+            ] {
+                out.push_str(key);
+                write_u32(n, out);
+            }
+            out.push('}');
+        }
+        RData::Mx(m) => {
+            out.push_str("{\"preference\":");
+            write_u32(m.preference.into(), out);
+            out.push_str(",\"name\":");
+            write_name(&m.exchange, true, out);
+            out.push('}');
+        }
         rdata => {
             let _ = write_value(&answer_value(rdata), out);
         }
@@ -377,9 +445,16 @@ pub fn write_record(rec: &Record, out: &mut String) {
     out.push_str(",\"class\":");
     let _ = write_escaped(rec.class.as_str(), out);
     out.push_str(",\"name\":");
-    write_text(&rec.name, false, out);
-    let _ = write!(out, ",\"ttl\":{},\"type\":", rec.ttl);
-    write_text(rec.rtype, false, out);
+    write_name(&rec.name, false, out);
+    out.push_str(",\"ttl\":");
+    write_u32(rec.ttl, out);
+    out.push_str(",\"type\":");
+    match rec.rtype {
+        RecordType::Unknown(_) => write_text(rec.rtype, out),
+        known => {
+            let _ = write_escaped(known.as_str(), out);
+        }
+    }
     out.push('}');
 }
 

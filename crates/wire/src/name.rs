@@ -297,6 +297,48 @@ impl Name {
         std::str::from_utf8(&buf[..len]).expect("name text is ASCII")
     }
 
+    /// Append the name's `Display` text (`.` for the root) to `out` as the
+    /// contents of a JSON string, in the same one pass over the storage,
+    /// with no text buffer between: each `\` the text prints is doubled
+    /// and a `"` escaped. Every other octet of that text is printable
+    /// ASCII, which JSON takes as it is.
+    pub fn write_json_text(&self, out: &mut String) {
+        if self.is_root() {
+            out.push('.');
+            return;
+        }
+        let bytes = self.storage_bytes();
+        out.reserve(bytes.len());
+        let mut pos = 0;
+        while pos < bytes.len() {
+            let label = &bytes[pos + 1..pos + 1 + bytes[pos] as usize];
+            if pos > 0 {
+                out.push('.');
+            }
+            let mut run = 0;
+            for (at, &b) in label.iter().enumerate() {
+                if matches!(b, 0x21..=0x7E) && !matches!(b, b'.' | b'\\' | b'"') {
+                    continue;
+                }
+                out.push_str(std::str::from_utf8(&label[run..at]).expect("printable ASCII"));
+                run = at + 1;
+                match b {
+                    b'.' => out.push_str("\\\\."),
+                    b'\\' => out.push_str("\\\\\\\\"),
+                    b'"' => out.push_str("\\\""),
+                    _ => {
+                        out.push_str("\\\\");
+                        for digit in [b / 100, b / 10 % 10, b % 10] {
+                            out.push(char::from(b'0' + digit));
+                        }
+                    }
+                }
+            }
+            out.push_str(std::str::from_utf8(&label[run..]).expect("printable ASCII"));
+            pos += 1 + label.len();
+        }
+    }
+
     /// The reverse-DNS name for an IPv4 address
     /// (`192.0.2.1` → `1.2.0.192.in-addr.arpa`).
     pub fn reverse_ipv4(addr: Ipv4Addr) -> Name {
